@@ -198,11 +198,21 @@ class MemoryPool:
 
     def acquire(self, nbytes: int, kind: MemoryKind) -> Optional[Buffer]:
         """Return a cached buffer of at least ``nbytes`` of ``kind``, or None."""
-        bucket = self._bucket(nbytes)
-        stack = self._free.get((kind, bucket))
+        stack = self._free.get((kind, self._bucket(nbytes)))
         if stack:
-            self.hits += 1
-            return stack.pop()
+            # Newest first.  Callers allocate exactly what they asked for on
+            # a miss, so a bucket also holds buffers smaller than this
+            # request: those are skipped and stay pooled.  Negative indices
+            # and the raw array size keep this per-message path call-free.
+            index = -1
+            try:
+                while stack[index]._array.nbytes < nbytes:
+                    index -= 1
+            except IndexError:
+                pass
+            else:
+                self.hits += 1
+                return stack.pop(index)
         self.misses += 1
         return None
 

@@ -13,8 +13,8 @@ simulated substrates:
    (:mod:`repro.tempi.measurement`) feeds an interpolating performance model
    (:mod:`repro.tempi.perf_model`); the unified selection subsystem
    (:mod:`repro.tempi.selection`) picks between the *one-shot*, *device* and
-   *staged* send methods (:mod:`repro.tempi.methods`) — contention-free by
-   default, or against the live NIC injection-port backlog
+   *staged* send methods (:class:`~repro.tempi.config.PackMethod`) —
+   contention-free by default, or against the live NIC injection-port backlog
    (``TempiConfig(selection="contended")``), with performance models keyed
    per machine by a :class:`~repro.tempi.selection.CalibrationRegistry`.
 3. **The interposer** (Sec. 5): :class:`~repro.tempi.interposer.TempiCommunicator`
@@ -28,10 +28,9 @@ collectives**: ``Alltoallv`` and ``Neighbor_alltoallv`` called with
 through the commit-time :class:`~repro.tempi.packer.Packer`, stage them in
 per-peer buffers held by the :class:`~repro.tempi.cache.ResourceCache`
 (``get_persistent``), and pick *one-shot* / *device* / *staged* per message
-from the :class:`~repro.tempi.perf_model.PerformanceModel`
-(:func:`repro.tempi.methods.alltoallv_packed`,
-:func:`repro.tempi.methods.neighbor_packed`).  Contiguous or uncommitted
-datatypes, host buffers and the byte signature fall back to the system path,
+from the :class:`~repro.tempi.perf_model.PerformanceModel`.  Contiguous or
+uncommitted datatypes, host buffers and the byte signature fall back to the
+system path,
 counted by :class:`~repro.tempi.interposer.InterposerStats`
 (``collective_hits`` / ``collective_fallbacks``).  The halo-exchange
 application (:mod:`repro.apps.stencil`, ``mode="neighbor"``) rides this path

@@ -34,6 +34,9 @@ class PackMethod(enum.Enum):
 #: classes themselves live in :mod:`repro.tempi.selection`.
 SELECTION_MODES = ("model", "contended", "fixed")
 
+#: Progress-engine modes accepted by ``TempiConfig.progress``.
+PROGRESS_MODES = ("shared", "per_plan")
+
 #: NIC-accounting modes accepted by ``TempiConfig.nic``.  ``"duplex"`` prices
 #: both ends of the wire (injection *and* ingestion ports); ``"inject_only"``
 #: keeps the PR-3/PR-4 send-side-only accounting as an ablation.
@@ -129,19 +132,6 @@ class TempiConfig:
     batch_eager_sends: bool = True
     #: Most plans one batch may coalesce before it is flushed.
     batch_max_messages: int = 8
-    #: Price homogeneous exchanges through the vectorized batch-booking fast
-    #: path: when every post stage of a plan shares one ``(nbytes, method)``
-    #: equivalence class, selection prices one representative (replaying the
-    #: per-member charges) and the progress engine books all the wire slots
-    #: in one :meth:`~repro.machine.nic.NicTimeline.reserve_batch` call.
-    #: Priced results are bit-identical to the scalar path (Hypothesis-pinned);
-    #: the knob exists as the ablation lever and for sanitized runs, which
-    #: fall back to scalar booking automatically.
-    batch_booking: bool = True
-    #: Fewest same-class messages a plan must post before batch booking
-    #: engages — below it the grouping bookkeeping costs more than the
-    #: per-message calls it saves.
-    batch_min_messages: int = 4
     #: Reuse streams, intermediate buffers and model query results (Sec. 5).
     use_cache: bool = True
     #: Reuse compiled :class:`~repro.tempi.plan.MessagePlan` templates for
@@ -198,6 +188,10 @@ class TempiConfig:
             raise ValueError(
                 f"unknown selection policy {self.selection!r}; expected one of {SELECTION_MODES}"
             )
+        if self.progress not in PROGRESS_MODES:
+            raise ValueError(
+                f"unknown progress mode {self.progress!r}; expected one of {PROGRESS_MODES}"
+            )
         if self.nic not in NIC_MODES:
             raise ValueError(
                 f"unknown nic mode {self.nic!r}; expected one of {NIC_MODES}"
@@ -209,9 +203,9 @@ class TempiConfig:
             )
         if self.plan_cache_size < 1:
             raise ValueError(f"plan_cache_size must be >= 1, got {self.plan_cache_size}")
-        if self.batch_min_messages < 1:
+        if self.batch_max_messages < 1:
             raise ValueError(
-                f"batch_min_messages must be >= 1, got {self.batch_min_messages}"
+                f"batch_max_messages must be >= 1, got {self.batch_max_messages}"
             )
         if self.selection_memo_size < 1:
             raise ValueError(

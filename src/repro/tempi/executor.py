@@ -32,8 +32,6 @@ its slot through the engine (cross-plan NIC contention under
 ``progress="per_plan"``), sub-eager nonblocking sends may be handed to the
 engine's batcher instead of executing immediately, and receive-side readiness
 probes run the engine's progress step so ``Test`` advances deferred arrivals.
-Constructed without an engine the executor reproduces the PR-2 per-plan
-accounting exactly.
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ from typing import Optional
 import numpy as np
 
 from repro.gpu.memory import MemoryKind
-from repro.machine.network import DEFAULT_WIRE_OVERLAP
 from repro.mpi.collectives import _next_collective_tag, _receive_raw
 from repro.mpi.errors import MpiTruncationError
 from repro.mpi.p2p import Envelope
@@ -59,6 +56,7 @@ from repro.tempi.plan import (
     UnpackStage,
     staging_kind,
 )
+from repro.tempi.progress import ProgressEngine
 
 #: Elementwise reduction kernels a :class:`~repro.tempi.plan.ReduceStage`
 #: may name.  All four are deterministic numpy ufuncs; the combine order is
@@ -69,7 +67,6 @@ _REDUCE_UFUNCS = {
     "min": np.minimum,
     "max": np.maximum,
 }
-from repro.tempi.progress import PlanWindow, ProgressEngine
 
 
 class _StagingTracker:
@@ -111,18 +108,15 @@ class PlanExecutor:
         cache: ResourceCache,
         stats=None,
         *,
+        engine: ProgressEngine,
         overlap: bool = True,
-        wire_overlap: float = DEFAULT_WIRE_OVERLAP,
-        engine: Optional[ProgressEngine] = None,
     ) -> None:
         self.comm = comm
         self.cache = cache
         self.stats = stats
         self.overlap = overlap
-        self.wire_overlap = wire_overlap
         self.engine = engine
-        if engine is not None:
-            engine.bind(self)
+        engine.bind(self)
 
     # ------------------------------------------------------------------ entry
     def execute(self, plan: MessagePlan) -> Request:
@@ -146,8 +140,7 @@ class PlanExecutor:
             self.stats.plans_built += 1
         if plan.op == "send":
             return self._execute_send(plan)
-        if self.engine is not None:
-            self.engine.progress()
+        self.engine.progress()
         if plan.op == "recv":
             return self._execute_recv(plan)
         if plan.op == "bcast":
@@ -157,28 +150,6 @@ class PlanExecutor:
         return self._execute_exchange(plan)
 
     # ---------------------------------------------------------------- helpers
-    def _arrived(self, peer: int, tag: int) -> bool:
-        """True when a matching envelope is present *and* virtually arrived.
-
-        Mailbox presence alone is a wall-clock artefact of the thread
-        scheduler; gating on ``available_at`` keeps ``Test`` deterministic in
-        virtual time (a receive is completable only once its message's wire
-        time has passed on this rank's clock).  With a progress engine the
-        probe also runs the engine's progress step first, so ``Test``
-        advances deferred wire state instead of only polling.
-        """
-        comm = self.comm
-        if self.engine is not None:
-            return self.engine.arrived(peer, tag)
-        envelope = comm.router.probe(comm.rank, peer, tag, comm.context)
-        return envelope is not None and envelope.available_at <= comm.clock.now
-
-    def _window(self) -> PlanWindow:
-        """A NIC view for one plan's posts (shared or per-plan, per engine)."""
-        if self.engine is not None:
-            return self.engine.plan_window()
-        return PlanWindow(None, self.comm.clock.now, self.wire_overlap)
-
     @staticmethod
     def _host_key(staging_key):
         """The pinned-host bounce buffer's key for a staged-method stage."""
@@ -305,29 +276,6 @@ class PlanExecutor:
     def _injection_overhead(self) -> float:
         return self.comm.network.message_cost(0, same_node=True, device_buffers=False).latency_s
 
-    def _wire_time(self, nbytes: int, peer: int, device: bool) -> float:
-        """Wire time to ``peer``; the engine's topology-aware pricing when bound."""
-        if self.engine is not None:
-            return self.engine.message_time(nbytes, peer, device)
-        return self.comm._message_time(nbytes, peer, device)
-
-    def _batchable_exchange(self, plan: MessagePlan) -> bool:
-        """True when a plan's posts form one batch-bookable equivalence class.
-
-        Requires an engine whose gates pass (knob on, shared timeline, plain
-        NIC, enough messages — :meth:`~repro.tempi.progress.ProgressEngine.batch_ready`)
-        and a homogeneous post set: every post the same ``nbytes``, so one
-        class prices the whole exchange.  Heterogeneous plans keep the
-        scalar per-post loop, bit-identically.
-        """
-        posts = plan.post_stages
-        if len(posts) < 2 or self.engine is None:
-            return False
-        if not self.engine.batch_ready(len(posts)):
-            return False
-        nbytes = posts[0].nbytes
-        return all(post.nbytes == nbytes for post in posts)
-
     def _run_local(self, plan: MessagePlan, staging: _StagingTracker) -> None:
         """Self-sections bounce through device staging without the wire."""
         pack_stage, unpack_stage = plan.local
@@ -339,20 +287,19 @@ class PlanExecutor:
     # -------------------------------------------------------------------- send
     def _execute_send(self, plan: MessagePlan) -> Request:
         comm = self.comm
-        if self.engine is not None:
-            if self.overlap:
-                batched = self.engine.offer_send(plan)
-                if batched is not None:
-                    return batched
-            self.engine.progress()
+        if self.overlap:
+            batched = self.engine.offer_send(plan)
+            if batched is not None:
+                return batched
+        self.engine.progress()
         stage = plan.pack_stages[0]
         post = plan.post_stages[0]
         staging = _StagingTracker(self.cache)
         stream = self.cache.get_stream() if self.overlap else None
         try:
             payload, ready = self._pack_stage(stage, plan.send_buffer, staging, stream)
-            wire = self._wire_time(post.nbytes, post.peer, payload.is_device)
-            if self.overlap and self.engine is not None:
+            wire = self.engine.message_time(post.nbytes, post.peer, payload.is_device)
+            if self.overlap:
                 slot = self.engine.reserve_wire(
                     post.peer, ready, wire, post.nbytes, device=payload.is_device
                 )
@@ -384,11 +331,11 @@ class PlanExecutor:
         stage = plan.pack_stages[0]
         staging = _StagingTracker(self.cache)
         stream = self.cache.get_stream() if self.overlap else None
-        window = self._window() if self.overlap else None
+        window = self.engine.plan_window() if self.overlap else None
         try:
             payload, ready = self._pack_stage(stage, plan.send_buffer, staging, stream)
             for post in plan.post_stages:
-                wire = self._wire_time(post.nbytes, post.peer, payload.is_device)
+                wire = self.engine.message_time(post.nbytes, post.peer, payload.is_device)
                 if window is not None:
                     slot = window.reserve_wire(
                         post.peer, ready, wire, post.nbytes, device=payload.is_device
@@ -414,17 +361,11 @@ class PlanExecutor:
         stage = plan.unpack_stages[0]
 
         def complete() -> Status:
-            if self.engine is not None:
-                self.engine.progress()
+            self.engine.progress()
             if plan.nonblocking and self.stats is not None:
                 self.stats.deferred_unpacks += 1
             envelope = comm.router.receive(comm.rank, stage.peer, plan.tag, comm.context)
-            landing = (
-                self.engine.ingest_one(envelope)
-                if self.engine is not None
-                else envelope.available_at
-            )
-            comm.clock.advance_to(landing)
+            comm.clock.advance_to(self.engine.ingest_one(envelope))
             if envelope.nbytes > stage.nbytes:
                 raise MpiTruncationError(
                     f"message of {envelope.nbytes} bytes truncates a receive of "
@@ -440,15 +381,13 @@ class PlanExecutor:
             )
 
         def ready() -> bool:
-            return self._arrived(stage.peer, plan.tag)
+            return self.engine.arrived(stage.peer, plan.tag)
 
         def arrival() -> Optional[float]:
             envelope = comm.router.probe(comm.rank, stage.peer, plan.tag, comm.context)
             if envelope is None:
                 return None
-            if self.engine is not None:
-                return self.engine.arrival_preview(envelope)
-            return envelope.available_at
+            return self.engine.arrival_preview(envelope)
 
         return Request("recv", complete=complete, ready=ready, arrival=arrival)
 
@@ -472,66 +411,19 @@ class PlanExecutor:
 
         try:
             if self.overlap:
-                window = self._window()
-                if self._batchable_exchange(plan):
-                    # Batched booking: pack every stage first (same streams,
-                    # same order), then price the whole homogeneous exchange
-                    # through one NIC batch call and post the envelopes.
-                    # Reservations never read pack state or the clock — the
-                    # ready times travel explicitly — so regrouping them
-                    # after the packs leaves every priced time bit-identical
-                    # to the interleaved scalar loop.
-                    posts = plan.post_stages
-                    payloads = []
-                    readies = []
-                    wires = []
-                    for post in posts:
-                        if id(post.pack) not in packed:
-                            stream = self.cache.get_stream()
-                            streams.append(stream)
-                        else:
-                            stream = post.pack.stream
-                        payload, ready = pack_once(post.pack, stream)
-                        payloads.append(payload)
-                        readies.append(ready)
-                        wires.append(
-                            self._wire_time(post.nbytes, post.peer, payload.is_device)
-                        )
-                    if len({payload.is_device for payload in payloads}) == 1:
-                        slots = self.engine.reserve_wire_batch(
-                            [post.peer for post in posts],
-                            readies,
-                            wires,
-                            posts[0].nbytes,
-                            device=payloads[0].is_device,
-                        )
+                window = self.engine.plan_window()
+                for post in plan.post_stages:
+                    if id(post.pack) not in packed:
+                        stream = self.cache.get_stream()
+                        streams.append(stream)
                     else:
-                        # Mixed staging kinds route differently per message —
-                        # not one equivalence class after all; book scalar.
-                        slots = [
-                            window.reserve_wire(
-                                post.peer, ready, wire, post.nbytes,
-                                device=payload.is_device,
-                            )
-                            for post, payload, ready, wire in zip(
-                                posts, payloads, readies, wires
-                            )
-                        ]
-                    for post, payload, slot in zip(posts, payloads, slots):
-                        self._post_slot(post.peer, tag, payload, post.nbytes, slot)
-                else:
-                    for post in plan.post_stages:
-                        if id(post.pack) not in packed:
-                            stream = self.cache.get_stream()
-                            streams.append(stream)
-                        else:
-                            stream = post.pack.stream
-                        payload, ready = pack_once(post.pack, stream)
-                        wire = self._wire_time(post.nbytes, post.peer, payload.is_device)
-                        slot = window.reserve_wire(
-                            post.peer, ready, wire, post.nbytes, device=payload.is_device
-                        )
-                        self._post_slot(post.peer, tag, payload, post.nbytes, slot)
+                        stream = post.pack.stream
+                    payload, ready = pack_once(post.pack, stream)
+                    wire = self.engine.message_time(post.nbytes, post.peer, payload.is_device)
+                    slot = window.reserve_wire(
+                        post.peer, ready, wire, post.nbytes, device=payload.is_device
+                    )
+                    self._post_slot(post.peer, tag, payload, post.nbytes, slot)
                 if self.stats is not None:
                     self.stats.stages_overlapped += len(plan.pack_stages)
             else:
@@ -546,8 +438,7 @@ class PlanExecutor:
             staging.release()
 
         def complete() -> Status:
-            if self.engine is not None:
-                self.engine.progress()
+            self.engine.progress()
             if plan.nonblocking and self.stats is not None:
                 self.stats.deferred_unpacks += len(plan.unpack_stages)
             recv_staging = _StagingTracker(self.cache)
@@ -559,11 +450,7 @@ class PlanExecutor:
                 # (post_time, source, seq) order whatever wall-clock order
                 # the peers posted in.
                 envelopes = [_receive_raw(comm, stage.peer, tag) for stage in plan.unpack_stages]
-                landings = (
-                    self.engine.ingest_batch(envelopes)
-                    if self.engine is not None
-                    else [envelope.available_at for envelope in envelopes]
-                )
+                landings = self.engine.ingest_batch(envelopes)
                 for stage, envelope, landing in zip(plan.unpack_stages, envelopes, landings):
                     if envelope.nbytes != stage.nbytes:
                         raise PlanError(
@@ -597,7 +484,7 @@ class PlanExecutor:
             return Status()
 
         def ready() -> bool:
-            return all(self._arrived(stage.peer, tag) for stage in plan.unpack_stages)
+            return all(self.engine.arrived(stage.peer, tag) for stage in plan.unpack_stages)
 
         def arrival() -> Optional[float]:
             # Completable only once every peer has arrived, so the hint is the
@@ -609,11 +496,7 @@ class PlanExecutor:
                 envelope = comm.router.probe(comm.rank, stage.peer, tag, comm.context)
                 if envelope is None:
                     return None
-                when = (
-                    self.engine.arrival_preview(envelope)
-                    if self.engine is not None
-                    else envelope.available_at
-                )
+                when = self.engine.arrival_preview(envelope)
                 latest = when if latest is None else max(latest, when)
             return latest
 
@@ -642,9 +525,9 @@ class PlanExecutor:
         comm = self.comm
         acc = plan.recv_buffer
         if stage.dest >= 0:
-            wire = self._wire_time(stage.send_nbytes, stage.dest, acc.is_device)
+            wire = self.engine.message_time(stage.send_nbytes, stage.dest, acc.is_device)
             payload = acc.view(stage.send_offset) if stage.send_offset else acc
-            if self.overlap and self.engine is not None:
+            if self.overlap:
                 slot = self.engine.reserve_wire(
                     stage.dest, comm.clock.now, wire, stage.send_nbytes,
                     device=acc.is_device,
@@ -660,12 +543,7 @@ class PlanExecutor:
         if stage.source < 0:
             return
         envelope = _receive_raw(comm, stage.source, plan.tag)
-        landing = (
-            self.engine.ingest_one(envelope)
-            if self.engine is not None
-            else envelope.available_at
-        )
-        comm.clock.advance_to(landing)
+        comm.clock.advance_to(self.engine.ingest_one(envelope))
         if envelope.nbytes != stage.recv_nbytes:
             raise PlanError(
                 f"rank {comm.rank} expected a {stage.recv_nbytes}-byte reduction "
@@ -701,8 +579,7 @@ class PlanExecutor:
         dtype = np.dtype(plan.reduce_dtype)
 
         def complete() -> Status:
-            if self.engine is not None:
-                self.engine.progress()
+            self.engine.progress()
             nbytes = plan.reduce_nbytes
             plan.recv_buffer.data[:nbytes] = plan.send_buffer.data[:nbytes]
             for stage in plan.reduce_stages:
@@ -712,7 +589,7 @@ class PlanExecutor:
         def ready() -> bool:
             for stage in plan.reduce_stages:
                 if stage.source >= 0:
-                    return self._arrived(stage.source, plan.tag)
+                    return self.engine.arrived(stage.source, plan.tag)
             return True
 
         return Request("coll", complete=complete, ready=ready)

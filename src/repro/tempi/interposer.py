@@ -53,7 +53,6 @@ from repro.mpi.communicator import Communicator, as_buffer
 from repro.mpi.datatype import Datatype
 from repro.mpi.request import Request
 from repro.mpi.status import ANY_SOURCE, ANY_TAG, Status
-from repro.tempi import methods
 from repro.tempi import plan as _plan
 from repro.tempi.cache import ResourceCache
 from repro.tempi.canonicalize import simplify
@@ -252,8 +251,6 @@ class TempiCommunicator:
             nic_mode=config.nic,
             batching=config.batch_eager_sends and config.overlap,
             batch_max_messages=config.batch_max_messages,
-            batch_booking=config.batch_booking,
-            batch_min_messages=config.batch_min_messages,
             nic=self._sanitizer_view,
             topology=topology,
         )
@@ -430,7 +427,9 @@ class TempiCommunicator:
         self._charge_interposition_overhead()
         handler.uses += 1
         self.tempi.stats.packs += 1
-        return methods.pack_to_user_buffer(self._comm, handler.packer, buffer, count, out, position)
+        return position + handler.packer.pack(
+            self._comm.gpu, buffer, out, count, dst_offset=position
+        )
 
     def Unpack(self, inbuf, position: int, out_spec) -> int:
         """``MPI_Unpack`` accelerated symmetrically to :meth:`Pack`."""
@@ -446,8 +445,8 @@ class TempiCommunicator:
         self._charge_interposition_overhead()
         handler.uses += 1
         self.tempi.stats.packs += 1
-        return methods.unpack_from_user_buffer(
-            self._comm, handler.packer, source, position, buffer, count
+        return position + handler.packer.unpack(
+            self._comm.gpu, source, buffer, count, src_offset=position
         )
 
     # ------------------------------------------------------- p2p plan compilers
@@ -649,84 +648,47 @@ class TempiCommunicator:
         buffers or unhandled datatypes — the caller then runs the system
         path, exactly like the typed all-to-all-v.
         """
-        if sendtype is None or recvtypes is None:
+        size = self._comm.size
+        if size < 2:
             return None
-        if not (self.config.enabled and self.config.datatype_handling):
-            return None
-        comm = self._comm
-        if comm.size < 2:
-            return None
-        send = as_buffer(sendbuf)
-        recv = as_buffer(recvbuf)
-        key = retained = None
-        if self.config.plan_cache:
-            key, retained = self._plan_cache_key(
-                "allgather", range(comm.size), send, [sendcount], [0], sendtype,
-                recv, recvcounts, recvdispls, recvtypes, nonblocking,
-            )
-        if key is not None:
-            try:
-                template = self.plan_cache.get(key)
-            except TypeError:
-                key, retained, template = None, (), None
-            if template is not None:
-                self.tempi.stats.plan_cache_hits += 1
-                return self._executor.execute(self._plan_from_template(template, send, recv))
-            if key is not None:
-                self.tempi.stats.plan_cache_misses += 1
-        send_plan = self._collective_sections(
-            send, [comm.rank], [sendcount], [0], sendtype, "send"
+        return self._collective_request(
+            "allgather", range(size),
+            sendbuf, [sendcount], [0], sendtype,
+            recvbuf, recvcounts, recvdispls, recvtypes,
+            nonblocking=nonblocking,
+            sections=self._allgather_sections,
+            compiler=self._compile_allgather,
         )
-        recv_plan = (
-            self._collective_sections(
-                recv, list(range(comm.size)), recvcounts, recvdispls, recvtypes, "recv"
-            )
-            if send_plan is not None
-            else None
-        )
-        if send_plan is None or recv_plan is None:
-            self.tempi.stats.collective_fallbacks += 1
-            return None
-        send_sections, send_handlers = send_plan
-        recv_sections, recv_handlers = recv_plan
-        if not (send_sections or recv_sections):
-            self.tempi.stats.collective_fallbacks += 1
-            return None
-        send_section = (
-            send_sections[0]
-            if send_sections
-            else PlanSection(comm.rank, 0, 0, None)
-        )
-        local_bytes = sum(s.packed_bytes for s in recv_sections if s.peer == comm.rank)
-        if local_bytes != send_section.packed_bytes:
-            # The system path's own consistency check, raised before any bytes
-            # move so both paths reject the call identically.
-            raise _collectives.MpiArgumentError(
-                "this rank's contribution disagrees with its recv section"
-            )
-        for handler in send_handlers + recv_handlers:
-            handler.uses += 1
-        self._charge_interposition_overhead()
-        self.tempi.stats.collective_hits += 1
-        recording = _plan.RecordingSelector(self._selector) if key is not None else None
-        plan: MessagePlan = _plan.compile_allgather(
-            comm.rank,
-            comm.size,
-            send,
-            send_section,
-            recv,
-            recv_sections,
-            recording if recording is not None else self._selector,
+
+    def _allgather_sections(self, peers, *sides):
+        """Section builder of the all-gather-v front-end.
+
+        ``sides`` are the buffer/counts/displs/types of both sides, as
+        :meth:`_exchange_sections` takes them.  One send section (this rank's contribution) against a receive
+        section per peer; the two must agree on this rank's bytes — the
+        system path's own consistency check, raised before any bytes move so
+        both paths reject the call identically.
+        """
+        rank = self._comm.rank
+        built = self._exchange_sections(list(peers), *sides, send_peers=[rank])
+        if built is not None:
+            send_sections, recv_sections, _ = built
+            sent = send_sections[0].packed_bytes if send_sections else 0
+            if sum(s.packed_bytes for s in recv_sections if s.peer == rank) != sent:
+                raise _collectives.MpiArgumentError(
+                    "this rank's contribution disagrees with its recv section"
+                )
+        return built
+
+    def _compile_allgather(
+        self, rank, send, send_sections, recv, recv_sections, select, *, op, nonblocking
+    ) -> MessagePlan:
+        """:func:`~repro.tempi.plan.compile_exchange`-shaped fan-out compile."""
+        send_section = send_sections[0] if send_sections else PlanSection(rank, 0, 0, None)
+        return _plan.compile_allgather(
+            rank, self._comm.size, send, send_section, recv, recv_sections, select,
             nonblocking=nonblocking,
         )
-        if recording is not None:
-            self.plan_cache.put(key, _plan.PlanTemplate.from_plan(
-                plan, recording,
-                handlers=send_handlers + recv_handlers,
-                retained=retained,
-            ))
-        self._count_methods(plan)
-        return self._executor.execute(plan)
 
     def Allgather(
         self,
@@ -882,6 +844,27 @@ class TempiCommunicator:
             )
         return sections, handlers
 
+    def _exchange_sections(
+        self, peers, send, sendcounts, senddispls, sendtypes,
+        recv, recvcounts, recvdispls, recvtypes, send_peers=None,
+    ) -> Optional[tuple[list[PlanSection], list[PlanSection], list[TypeHandler]]]:
+        """Both sides' sections and their handlers, or ``None`` to fall back.
+
+        ``send_peers`` defaults to ``peers`` (the all-to-all-v shapes).
+        """
+        send_side = self._collective_sections(
+            send, peers if send_peers is None else send_peers,
+            sendcounts, senddispls, sendtypes, "send",
+        )
+        if send_side is None:
+            return None
+        recv_side = self._collective_sections(
+            recv, peers, recvcounts, recvdispls, recvtypes, "recv"
+        )
+        if recv_side is None:
+            return None
+        return send_side[0], recv_side[0], send_side[1] + recv_side[1]
+
     # ------------------------------------------------------------- plan cache
     @staticmethod
     def _type_signature(types):
@@ -983,7 +966,7 @@ class TempiCommunicator:
         stats.collective_hits += 1
         selector = self._selector
         methods: Optional[tuple] = None
-        if cfg.batch_booking and self._selector_batchable:
+        if self._selector_batchable:
             # Batched replay prices one representative per equivalence class
             # and replays the per-member charges — bit-identical clocks,
             # fewer calls.  Single-class templates (every homogeneous halo
@@ -1015,7 +998,7 @@ class TempiCommunicator:
                         nonblocking=template.nonblocking,
                     )
         if methods is None:
-            methods = tuple(template.replay(selector, batched=cfg.batch_booking))
+            methods = tuple(template.replay(selector))
         plan = template.materialize(methods, send, recv)
         if methods == template.methods:
             # Steady state: the replay confirmed the recorded transcript, so
@@ -1069,6 +1052,8 @@ class TempiCommunicator:
         recvtypes,
         *,
         nonblocking: bool,
+        sections=None,
+        compiler=_plan.compile_exchange,
     ) -> Optional[MessagePlan]:
         """Compile (or cache-hit) a typed collective to a plan, fully charged.
 
@@ -1079,6 +1064,10 @@ class TempiCommunicator:
         TEMPI's business or must fall back (the caller then runs the system
         path).  Under ``config.plan_cache`` a repeated shape skips validation
         and compilation entirely (see :meth:`_plan_from_template`).
+
+        ``sections`` and ``compiler`` are the two steps that differ between
+        collectives: the section builder (default :meth:`_exchange_sections`)
+        and the ``compile_exchange``-shaped plan compiler.
         """
         if sendtypes is None or recvtypes is None:
             # The byte signature (or a half-specified typed one, which the
@@ -1139,29 +1128,21 @@ class TempiCommunicator:
                 return self._plan_from_template(template, send, recv)
             if key is not None:
                 self.tempi.stats.plan_cache_misses += 1
-        send_plan = self._collective_sections(
-            send, peers, sendcounts, senddispls, sendtypes, "send"
+        built = (sections or self._exchange_sections)(
+            peers, send, sendcounts, senddispls, sendtypes,
+            recv, recvcounts, recvdispls, recvtypes,
         )
-        recv_plan = (
-            self._collective_sections(recv, peers, recvcounts, recvdispls, recvtypes, "recv")
-            if send_plan is not None
-            else None
-        )
-        if send_plan is None or recv_plan is None:
+        if built is None or not (built[0] or built[1]):
             self.tempi.stats.collective_fallbacks += 1
             return None
-        send_sections, send_handlers = send_plan
-        recv_sections, recv_handlers = recv_plan
-        if not (send_sections or recv_sections):
-            self.tempi.stats.collective_fallbacks += 1
-            return None
+        send_sections, recv_sections, handlers = built
         # Both sides confirmed accelerable: only now count the handler uses.
-        for handler in send_handlers + recv_handlers:
+        for handler in handlers:
             handler.uses += 1
         self._charge_interposition_overhead()
         self.tempi.stats.collective_hits += 1
         recording = _plan.RecordingSelector(self._selector) if key is not None else None
-        plan: MessagePlan = _plan.compile_exchange(
+        plan: MessagePlan = compiler(
             self._comm.rank,
             send,
             send_sections,
@@ -1173,9 +1154,7 @@ class TempiCommunicator:
         )
         if recording is not None:
             template = _plan.PlanTemplate.from_plan(
-                plan, recording,
-                handlers=send_handlers + recv_handlers,
-                retained=retained,
+                plan, recording, handlers=handlers, retained=retained,
             )
             self.plan_cache.put(key, template)
             # The put bumped the generation; memoize against the new one so
@@ -1202,6 +1181,7 @@ class TempiCommunicator:
         recvtypes,
         *,
         nonblocking: bool,
+        **front_end,
     ) -> Optional[Request]:
         """Compile a typed collective to a plan and start it.
 
@@ -1213,6 +1193,7 @@ class TempiCommunicator:
         plan = self._compile_collective(
             op, peers, sendbuf, sendcounts, senddispls, sendtypes,
             recvbuf, recvcounts, recvdispls, recvtypes, nonblocking=nonblocking,
+            **front_end,
         )
         if plan is None:
             return None

@@ -553,21 +553,19 @@ class PlanTemplate:
             object.__setattr__(self, "_class_runs", runs)
         return runs
 
-    def replay(self, select: MethodSelector, *, batched: bool = False) -> list[PackMethod]:
+    def replay(self, select: MethodSelector) -> list[PackMethod]:
         """Re-run the recorded selector calls (same order, same charges).
 
-        With ``batched`` and a peer-invariant selector, consecutive transcript
-        runs over one equivalence class — same ``nbytes``, same block length —
-        collapse into a single :meth:`~repro.tempi.selection.ModelSelector.select_many`
+        With a peer-invariant selector, consecutive transcript runs over one
+        equivalence class — same ``nbytes``, same block length — collapse
+        into a single :meth:`~repro.tempi.selection.ModelSelector.select_many`
         call, which prices the representative once and replays the per-member
         charges, so the returned methods *and* the priced clock match the
         scalar replay bit for bit.  Peer-dependent selectors (or selectors
-        without ``select_many``) always take the scalar loop.
+        without ``select_many``) take the scalar loop.
         """
-        if (
-            not batched
-            or not getattr(select, "peer_invariant", False)
-            or not hasattr(select, "select_many")
+        if not getattr(select, "peer_invariant", False) or not hasattr(
+            select, "select_many"
         ):
             return [select(packer, nbytes, peer) for packer, nbytes, peer in self.selections]
         methods: list[PackMethod] = []

@@ -55,27 +55,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
-import numpy as np
-
 from repro.machine.network import DEFAULT_WIRE_OVERLAP
 from repro.machine.nic import IngestRecord, NicTimeline
 from repro.machine.topology import PathSpec, Topology
 from repro.mpi.p2p import Envelope
 from repro.mpi.request import Request
 from repro.mpi.status import Status
-from repro.tempi.config import NIC_MODES, PackMethod
+from repro.tempi.config import NIC_MODES, PROGRESS_MODES, PackMethod
 from repro.tempi.plan import MessagePlan
-
-#: Progress-engine modes accepted by ``TempiConfig.progress``.
-PROGRESS_MODES = ("shared", "per_plan")
 
 
 class WireSlot(NamedTuple):
     """One reserved wire slot, with the identity its envelope must carry.
 
     ``seq >= 0`` marks a slot reserved on the shared timeline (and therefore
-    subject to receive-side ingestion under duplex accounting); per-plan and
-    engine-less reservations carry ``seq == -1`` and opt out.  A
+    subject to receive-side ingestion under duplex accounting); per-plan
+    reservations carry ``seq == -1`` and opt out.  A
     :class:`~typing.NamedTuple`: slots are minted once per posted message on
     the hot path and carry no mutable state.
     """
@@ -91,30 +86,22 @@ class ProgressError(RuntimeError):
 
 
 class PlanWindow:
-    """One plan's view of the NIC while its post stages are being issued.
+    """The ``progress="per_plan"`` cursor (the PR-2 ablation).
 
-    In ``per_plan`` mode the window is the PR-2 cursor: it opens at the
-    host's current virtual time and serialises only the messages of its own
-    plan.  In ``shared`` mode it delegates every reservation to the shared
-    :class:`~repro.machine.nic.NicTimeline`.
+    Opens at the host's current virtual time and serialises only the
+    messages of its own plan; nothing is booked on the shared
+    :class:`~repro.machine.nic.NicTimeline`.  Shared-mode plans reserve on
+    the engine directly (:meth:`ProgressEngine.plan_window`).
     """
 
-    def __init__(self, engine: Optional["ProgressEngine"], now: float, wire_overlap: float) -> None:
-        self._engine = engine
+    def __init__(self, now: float, wire_overlap: float) -> None:
         self._nic_free = now
         self._wire_overlap = wire_overlap
-
-    def reserve(self, peer: int, ready: float, wire_s: float, nbytes: int = 0) -> tuple[float, float]:
-        """Place one message; returns ``(start, arrival)`` virtual times."""
-        slot = self.reserve_wire(peer, ready, wire_s, nbytes)
-        return slot.start, slot.arrival
 
     def reserve_wire(
         self, peer: int, ready: float, wire_s: float, nbytes: int = 0, *, device: bool = True
     ) -> WireSlot:
         """Place one message; returns the full :class:`WireSlot`."""
-        if self._engine is not None and self._engine.shared:
-            return self._engine.reserve_wire(peer, ready, wire_s, nbytes, device=device)
         start = max(ready, self._nic_free)
         self._nic_free = start + self._wire_overlap * wire_s
         return WireSlot(start=start, arrival=start + wire_s, wire_s=wire_s, seq=-1)
@@ -173,8 +160,6 @@ class ProgressEngine:
         nic_mode: str = "duplex",
         batching: bool = True,
         batch_max_messages: int = 8,
-        batch_booking: bool = True,
-        batch_min_messages: int = 4,
         wire_overlap: float = DEFAULT_WIRE_OVERLAP,
         nic: Optional[NicTimeline] = None,
         topology: Optional[Topology] = None,
@@ -189,8 +174,6 @@ class ProgressEngine:
             )
         if batch_max_messages < 1:
             raise ProgressError("batch_max_messages must be at least 1")
-        if batch_min_messages < 1:
-            raise ProgressError("batch_min_messages must be at least 1")
         self.comm = comm
         self.cache = cache
         self.stats = stats
@@ -204,11 +187,6 @@ class ProgressEngine:
         #: shared timeline prices them; per-plan mode is the PR-2 ablation.
         self.batching = bool(batching) and mode == "shared"
         self.batch_max_messages = batch_max_messages
-        #: Vectorized batch booking for homogeneous exchanges
-        #: (``TempiConfig.batch_booking``): gated again per exchange by
-        #: :meth:`batch_ready`, and structurally by :attr:`batch_capable`.
-        self.batch_booking = bool(batch_booking)
-        self.batch_min_messages = batch_min_messages
         self.eager_threshold = comm.network.machine.eager_threshold
         #: Topology the engine routes against.  ``None`` keeps the flat
         #: pre-topology books (no path resolution at all); a flat
@@ -240,11 +218,15 @@ class ProgressEngine:
         self.executor = executor
 
     # ------------------------------------------------------------------- NIC
-    def plan_window(self) -> PlanWindow:
-        """A NIC view for one plan's post stages (mode-appropriate)."""
+    def plan_window(self):
+        """Where one plan's post stages reserve: anything with ``reserve_wire``.
+
+        The engine itself on the shared timeline; a fresh per-plan cursor
+        under the ``progress="per_plan"`` ablation.
+        """
         if self.shared:
-            return PlanWindow(self, self.comm.clock.now, self.wire_overlap)
-        return PlanWindow(None, self.comm.clock.now, self.wire_overlap)
+            return self
+        return PlanWindow(self.comm.clock.now, self.wire_overlap)
 
     def message_time(self, nbytes: int, peer: int, device: bool) -> float:
         """Wire time to ``peer``, priced along the engine's topology.
@@ -313,71 +295,6 @@ class ProgressEngine:
             wire_s=wire_s,
             seq=reservation.seq,
         )
-
-    @property
-    def batch_capable(self) -> bool:
-        """True when batched booking may engage at all.
-
-        Requires the knob, the shared timeline, and a *plain*
-        :class:`~repro.machine.nic.NicTimeline`: under the clock sanitizer the
-        engine holds a recording proxy whose audit hooks wrap the scalar
-        entry points, and a batch call would silently bypass them — so
-        sanitized runs (and any other instrumented timeline) fall back to
-        scalar booking automatically.
-        """
-        return (
-            self.batch_booking
-            and self.shared
-            and isinstance(self.nic, NicTimeline)
-        )
-
-    def batch_ready(self, count: int) -> bool:
-        """True when a ``count``-message exchange should book as one batch."""
-        return count >= self.batch_min_messages and self.batch_capable
-
-    def reserve_wire_batch(
-        self,
-        peers: Sequence[int],
-        ready: Sequence[float],
-        wire_s: Sequence[float],
-        nbytes: int,
-        *,
-        device: bool = True,
-    ) -> list[WireSlot]:
-        """Reserve one homogeneous exchange's wire slots in a single call.
-
-        Exactly :meth:`reserve_wire` per entry — same cursors, same stall
-        accounting, same envelope identities — but priced through
-        :meth:`~repro.machine.nic.NicTimeline.reserve_batch`, which runs the
-        scalar rules as numpy column steps (or a serialised in-lock loop when
-        the route couples messages).  Callers gate on :meth:`batch_ready`.
-        """
-        if not self.shared:
-            return [
-                WireSlot(start=r, arrival=r + w, wire_s=w, seq=-1)
-                for r, w in zip(ready, wire_s)
-            ]
-        paths = [self._route(peer, device) for peer in peers]
-        batch = self.nic.reserve_batch(
-            [self.comm.rank],
-            np.asarray([peers], dtype=np.int64),
-            np.asarray([ready], dtype=np.float64),
-            np.asarray([wire_s], dtype=np.float64),
-            int(nbytes),
-            ingest=self.duplex,
-            paths=[paths] if any(path is not None for path in paths) else None,
-        )
-        if self.stats is not None:
-            self.stats.contention_stalls += int(
-                np.count_nonzero(batch.stalled_s[0] > 0)
-            )
-        starts = batch.start[0].tolist()
-        arrivals = batch.arrival[0].tolist()
-        seqs = batch.seq[0].tolist()
-        return [
-            WireSlot(start=start, arrival=arrival, wire_s=w, seq=seq)
-            for start, arrival, w, seq in zip(starts, arrivals, wire_s, seqs)
-        ]
 
     # ------------------------------------------------------------- ingestion
     def _ingest_record(self, envelope: Envelope) -> IngestRecord:

@@ -63,6 +63,21 @@ class TestDeterminism:
         assert first.stats == second.stats
         assert first.digests == second.digests
 
+    def test_two_alltoallv_records_of_different_counts(self, summit_model):
+        """Per-peer staging is re-acquired when the second record needs more.
+
+        Seeds 1 and 2 put 43 008 then 45 056 packed bytes on one peer: the
+        pooled first buffer shares the second's size bucket but cannot hold it.
+        """
+        spec = dict(tokens_per_rank=64, skew=4.0)
+        trace = moe_trace(MoESpec(seed=1, **spec), 8)
+        trace["ops"].extend(moe_trace(MoESpec(seed=2, **spec), 8)["ops"])
+        first = replay_trace(trace, model=summit_model)
+        second = replay_trace(trace, model=summit_model)
+        assert first.ops == 2
+        assert first.clocks == second.clocks
+        assert first.digests == second.digests
+
     def test_round_trip_through_json_file(self, summit_model, moe_seed, tmp_path):
         trace = _moe_trace(moe_seed)
         path = tmp_path / "trace.json"

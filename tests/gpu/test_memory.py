@@ -143,6 +143,19 @@ class TestMemoryPool:
         assert MemoryPool._bucket(1024) == 1024
         assert MemoryPool._bucket(1025) == 2048
 
+    def test_smaller_buffer_of_the_same_bucket_is_not_handed_out(self):
+        """43 008 and 45 056 bytes share the 65 536 bucket; only one fits both."""
+        pool = MemoryPool()
+        small = HostBuffer(43008, MemoryKind.HOST_PINNED)
+        pool.release(small)
+        assert pool.acquire(45056, MemoryKind.HOST_PINNED) is None
+        assert len(pool) == 1  # the small buffer stays pooled ...
+        large = HostBuffer(45056, MemoryKind.HOST_PINNED)
+        pool.release(large)
+        assert pool.acquire(45056, MemoryKind.HOST_PINNED) is large
+        assert pool.acquire(43008, MemoryKind.HOST_PINNED) is small  # ... for a fit
+        assert (pool.hits, pool.misses) == (2, 1)
+
     def test_kind_is_part_of_key(self):
         pool = MemoryPool()
         pool.release(HostBuffer(64, MemoryKind.HOST_PINNED))

@@ -102,9 +102,7 @@ def clock_cases(draw):
     nranks = draw(st.integers(min_value=2, max_value=5))
     count = draw(st.integers(min_value=1, max_value=4096))
     algorithm = draw(st.sampled_from(_ALGORITHMS))
-    perturbation = draw(
-        st.sampled_from(("plan_cache", "batch_booking", "nic"))
-    )
+    perturbation = draw(st.sampled_from(("plan_cache", "nic")))
     seed = draw(st.integers(min_value=0, max_value=2**31))
     return nranks, count, algorithm, perturbation, seed
 
@@ -112,11 +110,11 @@ def clock_cases(draw):
 @settings(max_examples=25, deadline=None)
 @given(clock_cases())
 def test_clocks_invariant_to_engine_config(summit_model, case):
-    """Priced clocks are bit-identical across cache/booking/NIC configs.
+    """Priced clocks are bit-identical across cache/NIC configs.
 
     Allreduce schedules compile fresh on every call (never consult the plan
-    cache) and post exactly one wire message per round (never batch-booked),
-    so no engine configuration may move a single clock bit.
+    cache) and post exactly one wire message per round, so no engine
+    configuration may move a single clock bit.
     """
     nranks, count, algorithm, perturbation, seed = case
     baseline = _run_allreduce(
@@ -124,7 +122,6 @@ def test_clocks_invariant_to_engine_config(summit_model, case):
     )
     perturbed_config = {
         "plan_cache": TempiConfig(allreduce_algorithm=algorithm, plan_cache=False),
-        "batch_booking": TempiConfig(allreduce_algorithm=algorithm, batch_booking=False),
         "nic": TempiConfig(allreduce_algorithm=algorithm, nic="inject_only"),
     }[perturbation]
     perturbed = _run_allreduce(

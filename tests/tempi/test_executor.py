@@ -10,6 +10,7 @@ from repro.tempi.executor import PlanExecutor
 from repro.tempi.interposer import InterposerStats
 from repro.tempi.packer import Packer
 from repro.tempi.plan import PlanSection, compile_exchange, compile_recv, compile_send
+from repro.tempi.progress import ProgressEngine
 from repro.tempi.strided_block import StridedBlock
 
 
@@ -18,11 +19,17 @@ def make_packer(block=16, count=32, pitch=64) -> Packer:
     return Packer(shape, object_extent=(count - 1) * pitch + block)
 
 
+def make_executor(ctx, cache, stats=None, *, overlap) -> PlanExecutor:
+    """An executor on the per-plan cursor: each plan priced in isolation."""
+    engine = ProgressEngine(ctx.comm, cache, stats, mode="per_plan")
+    return PlanExecutor(ctx.comm, cache, stats, engine=engine, overlap=overlap)
+
+
 def _exchange_program(ctx, *, overlap, method=PackMethod.DEVICE, iterations=1):
     """One symmetric packed exchange over every rank; returns (bytes, seconds)."""
     packer = make_packer()
     cache = ResourceCache(ctx.gpu)
-    executor = PlanExecutor(ctx.comm, cache, overlap=overlap)
+    executor = make_executor(ctx, cache, overlap=overlap)
     extent = packer.object_extent
     send = ctx.gpu.malloc(extent * ctx.size)
     recv = ctx.gpu.malloc(extent * ctx.size)
@@ -85,7 +92,7 @@ class TestOverlapIsFaster:
         def program(ctx, overlap):
             packer = make_packer()
             cache = ResourceCache(ctx.gpu)
-            executor = PlanExecutor(ctx.comm, cache, overlap=overlap)
+            executor = make_executor(ctx, cache, overlap=overlap)
             user = ctx.gpu.malloc(packer.required_input(1))
             if ctx.rank == 0:
                 plan = compile_send(packer, user, 1, 1, 0, PackMethod.DEVICE)
@@ -109,7 +116,7 @@ class TestExecutorStats:
             stats = InterposerStats()
             packer = make_packer()
             cache = ResourceCache(ctx.gpu)
-            executor = PlanExecutor(ctx.comm, cache, stats, overlap=True)
+            executor = make_executor(ctx, cache, stats, overlap=True)
             extent = packer.object_extent
             send = ctx.gpu.malloc(extent * ctx.size)
             recv = ctx.gpu.malloc(extent * ctx.size)
@@ -131,7 +138,7 @@ class TestExecutorStats:
             stats = InterposerStats()
             packer = make_packer()
             cache = ResourceCache(ctx.gpu)
-            executor = PlanExecutor(ctx.comm, cache, stats, overlap=True)
+            executor = make_executor(ctx, cache, stats, overlap=True)
             extent = packer.object_extent
             send = ctx.gpu.malloc(extent * ctx.size)
             recv = ctx.gpu.malloc(extent * ctx.size)
@@ -158,7 +165,7 @@ class TestExecutorStats:
             stats = InterposerStats()
             packer = make_packer()
             cache = ResourceCache(ctx.gpu)
-            executor = PlanExecutor(ctx.comm, cache, stats, overlap=False)
+            executor = make_executor(ctx, cache, stats, overlap=False)
             user = ctx.gpu.malloc(packer.required_input(1))
             if ctx.rank == 0:
                 executor.execute(compile_send(packer, user, 1, 1, 0, PackMethod.DEVICE)).Wait()
@@ -178,7 +185,7 @@ class TestPersistentStagingAcrossIterations:
         def program(ctx):
             packer = make_packer()
             cache = ResourceCache(ctx.gpu)
-            executor = PlanExecutor(ctx.comm, cache, overlap=True)
+            executor = make_executor(ctx, cache, overlap=True)
             extent = packer.object_extent
             send = ctx.gpu.malloc(extent * ctx.size)
             recv = ctx.gpu.malloc(extent * ctx.size)

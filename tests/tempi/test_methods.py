@@ -1,20 +1,35 @@
-"""Tests for the device / one-shot / staged send methods (Sec. 4)."""
+"""Tests for the device / one-shot / staged send methods (Sec. 4).
+
+Every method is pinned through the interposer
+(``TempiConfig(method=..., selection="fixed")``), so the tests drive the one
+compile → execute → wait path the library itself uses.
+"""
 
 import numpy as np
 import pytest
 
-from repro.mpi.world import World
-from repro.tempi.cache import ResourceCache
-from repro.tempi.config import PackMethod
-from repro.tempi.methods import MethodError, _staging_kind, recv_packed, send_packed
-from repro.tempi.packer import Packer
-from repro.tempi.strided_block import StridedBlock
 from repro.gpu.memory import MemoryKind
+from repro.mpi.constructors import Type_vector
+from repro.mpi.datatype import BYTE
+from repro.mpi.world import World
+from repro.tempi.config import PackMethod, TempiConfig
+from repro.tempi.interposer import interpose
+from repro.tempi.packer import Packer
+from repro.tempi.plan import PlanError, PlanSection, compile_exchange, staging_kind
+from repro.tempi.strided_block import StridedBlock
+
+#: 32 rows of 16 bytes at a 64-byte pitch.
+ROWS, BLOCK, PITCH = 32, 16, 64
+PACKED = ROWS * BLOCK
 
 
-def make_packer(block=16, count=32, pitch=64) -> Packer:
-    shape = StridedBlock(start=0, counts=(block, count), strides=(1, pitch))
-    return Packer(shape, object_extent=(count - 1) * pitch + block)
+def fixed(ctx, method: PackMethod):
+    """This rank's interposed communicator with ``method`` pinned."""
+    return interpose(ctx, TempiConfig(method=method, selection="fixed"))
+
+
+def strided(comm):
+    return comm.Type_commit(Type_vector(ROWS, BLOCK, PITCH, BYTE))
 
 
 def exchange(method: PackMethod, nranks: int = 2, *, warmup: bool = False):
@@ -27,21 +42,22 @@ def exchange(method: PackMethod, nranks: int = 2, *, warmup: bool = False):
     """
 
     def program(ctx):
-        packer = make_packer()
-        cache = ResourceCache(ctx.gpu)
-        user = ctx.gpu.malloc(packer.required_input(1))
+        comm = fixed(ctx, method)
+        datatype = strided(comm)
+        user = ctx.gpu.malloc(datatype.extent)
+        spec = (user, 1, datatype)
         if ctx.rank == 0:
             user.data[:] = np.arange(user.nbytes, dtype=np.uint32).astype(np.uint8)
             if warmup:
-                send_packed(ctx.comm, cache, packer, method, user, 1, dest=1, tag=9)
+                comm.Send(spec, 1, 9)
             start = ctx.clock.now
-            send_packed(ctx.comm, cache, packer, method, user, 1, dest=1, tag=0)
+            comm.Send(spec, 1, 0)
             return ("sent", user.data.copy(), ctx.clock.now - start)
         if warmup:
-            recv_packed(ctx.comm, cache, packer, method, user, 1, source=0, tag=9)
+            comm.Recv(spec, 0, 9)
         start = ctx.clock.now
-        status = recv_packed(ctx.comm, cache, packer, method, user, 1, source=0, tag=0)
-        return ("received", user.data.copy(), ctx.clock.now - start, status)
+        status = comm.Recv(spec, 0, 0)
+        return ("received", user.data.copy(), ctx.clock.now - start, status, comm.stats)
 
     world = World(nranks, ranks_per_node=1)
     return world.run(program)
@@ -49,30 +65,32 @@ def exchange(method: PackMethod, nranks: int = 2, *, warmup: bool = False):
 
 class TestStagingKinds:
     def test_kinds(self):
-        assert _staging_kind(PackMethod.DEVICE) is MemoryKind.DEVICE
-        assert _staging_kind(PackMethod.ONESHOT) is MemoryKind.HOST_MAPPED
-        assert _staging_kind(PackMethod.STAGED) is MemoryKind.DEVICE
+        assert staging_kind(PackMethod.DEVICE) is MemoryKind.DEVICE
+        assert staging_kind(PackMethod.ONESHOT) is MemoryKind.HOST_MAPPED
+        assert staging_kind(PackMethod.STAGED) is MemoryKind.DEVICE
 
     def test_auto_is_not_concrete(self):
-        with pytest.raises(MethodError):
-            _staging_kind(PackMethod.AUTO)
+        with pytest.raises(PlanError):
+            staging_kind(PackMethod.AUTO)
 
 
 @pytest.mark.parametrize("method", [PackMethod.DEVICE, PackMethod.ONESHOT, PackMethod.STAGED])
 class TestDataCorrectness:
     def test_strided_bytes_arrive(self, method):
-        (_, sent, _), (_, received, _, status) = exchange(method)
-        packer = make_packer()
+        (_, sent, _), (_, received, _, status, stats) = exchange(method)
         # every strided byte of the destination matches the source
-        for row in range(32):
-            begin = row * 64
-            assert np.array_equal(received[begin : begin + 16], sent[begin : begin + 16])
-        assert status.Get_count() == packer.packed_size(1)
+        for row in range(ROWS):
+            begin = row * PITCH
+            assert np.array_equal(received[begin : begin + BLOCK], sent[begin : begin + BLOCK])
+        assert status.Get_count() == PACKED
+        assert (status.source, status.tag) == (0, 0)
+        # the receive really took the pinned method, not the system path
+        assert stats.recvs == 1 and stats.method_counts == {method.value: 1}
 
     def test_gap_bytes_untouched(self, method):
-        (_, _, _), (_, received, _, _) = exchange(method)
-        for row in range(32):
-            gap = received[row * 64 + 16 : (row + 1) * 64]
+        (_, _, _), (_, received, _, _, _) = exchange(method)
+        for row in range(ROWS - 1):
+            gap = received[row * PITCH + BLOCK : (row + 1) * PITCH]
             assert not gap.any()
 
 
@@ -109,48 +127,41 @@ class TestTimingShapes:
 class TestCacheInteraction:
     def test_second_send_reuses_staging_buffer(self):
         def program(ctx):
-            packer = make_packer()
-            cache = ResourceCache(ctx.gpu)
-            user = ctx.gpu.malloc(packer.required_input(1))
-            if ctx.rank == 0:
-                send_packed(ctx.comm, cache, packer, PackMethod.DEVICE, user, 1, 1, 0)
-                send_packed(ctx.comm, cache, packer, PackMethod.DEVICE, user, 1, 1, 1)
-                return cache.stats.buffer_hits
-            recv_packed(ctx.comm, cache, packer, PackMethod.DEVICE, user, 1, 0, 0)
-            recv_packed(ctx.comm, cache, packer, PackMethod.DEVICE, user, 1, 0, 1)
-            return cache.stats.buffer_hits
+            comm = fixed(ctx, PackMethod.DEVICE)
+            datatype = strided(comm)
+            spec = (ctx.gpu.malloc(datatype.extent), 1, datatype)
+            for tag in (0, 1):
+                if ctx.rank == 0:
+                    comm.Send(spec, 1, tag)
+                else:
+                    comm.Recv(spec, 0, tag)
+            return comm.tempi.cache.stats.buffer_hits
 
         hits = World(2, ranks_per_node=1).run(program)
         assert all(h >= 1 for h in hits)
 
 
 class TestPackedCollectives:
-    """Unit tests for the interposed all-to-all-v engine."""
-
-    @staticmethod
-    def _sections(nranks, packer):
-        from repro.tempi.methods import PackedSection
-
-        return [PackedSection(peer, 1, peer * packer.object_extent, packer) for peer in range(nranks)]
+    """The interposed all-to-all-v engine, one pinned method at a time."""
 
     def _run(self, nranks, method=PackMethod.ONESHOT, iterations=1):
-        from repro.tempi.methods import alltoallv_packed
-
         def program(ctx):
-            packer = make_packer()
-            cache = ResourceCache(ctx.gpu)
-            extent = packer.object_extent
+            comm = fixed(ctx, method)
+            datatype = strided(comm)
+            extent = datatype.extent
             send = ctx.gpu.malloc(extent * ctx.size)
             recv = ctx.gpu.malloc(extent * ctx.size)
             for peer in range(ctx.size):
                 send.data[peer * extent : (peer + 1) * extent] = (ctx.rank * 10 + peer) % 251
-            sections = self._sections(ctx.size, packer)
-            select = lambda packer, nbytes, peer=None: method  # noqa: E731
+            counts = [1] * ctx.size
+            displs = [peer * extent for peer in range(ctx.size)]
             for _ in range(iterations):
-                counts = alltoallv_packed(
-                    ctx.comm, cache, select, send, sections, recv, sections
+                comm.Alltoallv(
+                    send, counts, displs, recv, counts, displs,
+                    sendtypes=datatype, recvtypes=datatype,
                 )
-            return recv.data.copy(), counts, cache.stats
+            assert comm.stats.collective_hits == iterations
+            return recv.data.copy(), comm.stats.method_counts, comm.tempi.cache.stats, extent
 
         return World(nranks, ranks_per_node=2).run(program)
 
@@ -159,59 +170,53 @@ class TestPackedCollectives:
     )
     def test_round_trip_all_methods(self, method):
         results = self._run(4, method)
-        packer = make_packer()
-        extent = packer.object_extent
-        for rank, (received, _, _) in enumerate(results):
+        for rank, (received, _, _, extent) in enumerate(results):
             for peer in range(4):
                 base = peer * extent
-                for row in range(32):
-                    begin = base + row * 64
-                    segment = received[begin : begin + 16]
+                for row in range(ROWS):
+                    begin = base + row * PITCH
+                    segment = received[begin : begin + BLOCK]
                     assert (segment == (peer * 10 + rank) % 251).all()
 
     def test_gap_bytes_untouched(self):
-        (received, _, _), *_ = self._run(2)
-        packer = make_packer()
-        extent = packer.object_extent
+        (received, _, _, extent), *_ = self._run(2)
         for peer in range(2):
-            for row in range(32):
-                gap_begin = peer * extent + row * 64 + 16
-                gap_end = min(peer * extent + (row + 1) * 64, (peer + 1) * extent)
+            for row in range(ROWS):
+                gap_begin = peer * extent + row * PITCH + BLOCK
+                gap_end = min(peer * extent + (row + 1) * PITCH, (peer + 1) * extent)
                 assert not received[gap_begin:gap_end].any()
 
     def test_single_rank_self_exchange(self):
-        (received, counts, _), = self._run(1)
-        packer = make_packer()
-        for row in range(32):
-            begin = row * 64
-            assert (received[begin : begin + 16] == 0).all() or True
+        (received, counts, _, _), = self._run(1)
+        for row in range(ROWS):
+            begin = row * PITCH
+            assert (received[begin : begin + BLOCK] == 0).all()
         # the self section never touches the wire, so no per-method messages
         assert counts == {}
 
     def test_method_counts_one_message_per_peer(self):
         results = self._run(4, PackMethod.DEVICE)
-        for _, counts, _ in results:
+        for _, counts, _, _ in results:
             assert counts == {"device": 3}
 
     def test_repeated_exchanges_reuse_persistent_staging(self):
         results = self._run(2, PackMethod.ONESHOT, iterations=3)
-        for _, _, stats in results:
+        for _, _, stats, _ in results:
             # 4 staging keys per rank (send/recv x wire-peer/self-section):
             # allocated on the first iteration, reused on the next two.
             assert stats.persistent_misses == 4
             assert stats.persistent_hits == 2 * 4
 
     def test_mismatched_self_sections_rejected(self):
-        from repro.tempi.methods import PackedSection, alltoallv_packed
+        shape = StridedBlock(start=0, counts=(BLOCK, ROWS), strides=(1, PITCH))
+        packer = Packer(shape, object_extent=(ROWS - 1) * PITCH + BLOCK)
 
         def program(ctx):
-            packer = make_packer()
-            cache = ResourceCache(ctx.gpu)
             buf = ctx.gpu.malloc(packer.object_extent)
-            send = [PackedSection(0, 1, 0, packer)]
-            with pytest.raises(MethodError):
-                alltoallv_packed(
-                    ctx.comm, cache, lambda p, n, peer=None: PackMethod.DEVICE, buf, send, buf, []
+            send = [PlanSection(0, 1, 0, packer)]
+            with pytest.raises(PlanError):
+                compile_exchange(
+                    ctx.rank, buf, send, buf, [], lambda p, n, peer=None: PackMethod.DEVICE
                 )
             return True
 

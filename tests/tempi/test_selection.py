@@ -235,6 +235,11 @@ class TestMakeSelector:
             TempiConfig(selection="psychic")
         with pytest.raises(ValueError):
             TempiConfig(selection="fixed")  # AUTO method has nothing to fix
+        # engine knobs fail at construction too, naming the field
+        with pytest.raises(ValueError, match="progress.*'bogus'.*shared"):
+            TempiConfig(progress="bogus")
+        with pytest.raises(ValueError, match="batch_max_messages"):
+            TempiConfig(batch_max_messages=0)
 
 
 class TestCalibrationRegistry:

@@ -2,14 +2,17 @@
 
 The figure benchmarks are deterministic: simulated latencies derive from
 virtual clocks and the shared NIC's arithmetic, never from wall-clock or
-thread timing.  This script freezes small sweeps of four of them —
+thread timing.  This script freezes small sweeps of them —
 ``bench_fig9_selection`` (burst selection), ``bench_fig14_overlap``
 (overlap latencies), ``bench_fig15_contention`` (concurrent-plan
 contention), ``bench_incast`` (receiver-side ingestion pricing; the
 sender flows are symmetric, so the receiver's completion clock and stall
 counts are independent of thread scheduling), ``bench_allreduce``
 (ring/tree/hierarchical schedule clocks on the fat-tree example) and
-``bench_moe`` (skewed dispatch clocks, stalls and payload digests) — into
+``bench_moe`` (skewed dispatch clocks, stalls and payload digests) — plus
+one uniform typed ``Alltoallv`` drive (:func:`run_alltoallv_uniform`: every
+rank posts seven equal messages per round, so the per-rank clocks, NIC
+ledger and received bytes pin the runtime's one booking path) into
 ``tests/fixtures/golden_figures.json``, and
 ``tests/test_golden_figures.py`` replays them under exact equality every
 tier-1 run.  Any change that moves a priced figure value — however small —
@@ -21,9 +24,12 @@ fixture regeneration:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 REPO = Path(__file__).resolve().parent.parent
 BENCHMARKS = REPO / "benchmarks"
@@ -39,6 +45,51 @@ FIG15_PLANS = (1, 2)
 INCAST_SENDERS = (1, 2, 4)
 ALLREDUCE_NODES = (2, 3)
 MOE_SKEWS = (1.0, 4.0)
+UNIFORM_RANKS = 8
+UNIFORM_ROUNDS = 5
+
+
+def run_alltoallv_uniform(model) -> dict:
+    """Uniform typed ``Alltoallv``: 5 blocking then 5 nonblocking rounds.
+
+    Eight ranks, two per node, one ``Type_vector(64, 64, 128, BYTE)`` per
+    peer: every rank's posts form a single ``(nbytes, method)`` class.
+    Clocks are frozen as ``float.hex()`` so the replay is bit-level.
+    """
+    from repro.mpi.constructors import Type_vector
+    from repro.mpi.datatype import BYTE
+    from repro.mpi.world import World
+    from repro.tempi.interposer import interpose
+
+    def program(ctx):
+        comm = interpose(ctx, model=model)
+        datatype = comm.Type_commit(Type_vector(64, 64, 128, BYTE))
+        size = comm.Get_size()
+        slot = 2 * datatype.size
+        send = ctx.gpu.malloc(slot * size)
+        recv = ctx.gpu.malloc(slot * size)
+        send.data[:] = (np.arange(send.nbytes) * (ctx.rank + 3) % 251).astype(np.uint8)
+        counts = (1,) * size
+        displs = tuple(peer * slot for peer in range(size))
+        args = (send, counts, displs, recv, counts, displs)
+        for _ in range(UNIFORM_ROUNDS):
+            comm.Alltoallv(*args, sendtypes=datatype, recvtypes=datatype)
+        for _ in range(UNIFORM_ROUNDS):
+            comm.Ialltoallv(*args, sendtypes=datatype, recvtypes=datatype).Wait()
+        return ctx.clock.now.hex(), hashlib.sha256(recv.data.tobytes()).hexdigest()
+
+    world = World(UNIFORM_RANKS, ranks_per_node=2)
+    results = world.run(program)
+    nic = world.nic
+    return {
+        "clocks": [clock for clock, _ in results],
+        "recv_sha256": [digest for _, digest in results],
+        "nic_fingerprint": nic.state_fingerprint(),
+        "reservations": nic.reservations,
+        "stalls": nic.stalls,
+        "ingests": nic.ingests,
+        "ingest_stalls": nic.ingest_stalls,
+    }
 
 
 def build_fixture(model) -> dict:
@@ -114,6 +165,7 @@ def build_fixture(model) -> dict:
         "incast": incasts,
         "allreduce": allreduces,
         "moe": moes,
+        "alltoallv_uniform": run_alltoallv_uniform(model),
     }
 
 
