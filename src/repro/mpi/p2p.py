@@ -1,4 +1,4 @@
-"""Point-to-point message transport.
+"""Point-to-point message transport and the rank scheduler.
 
 The :class:`MessageRouter` is the shared mailbox of one :class:`~repro.mpi.world.World`:
 sending ranks post :class:`Envelope` objects, receiving ranks block until a
@@ -6,13 +6,28 @@ matching one arrives.  Matching follows MPI rules — ``(source, tag,
 communicator)`` with wildcards, FIFO per (source, communicator) pair — and
 every envelope carries the *virtual* time at which its payload becomes
 available at the destination, so receivers can advance their clocks
-consistently regardless of the wall-clock interleaving of the rank threads.
+consistently regardless of the order in which the rank threads run.
+
+It is also where rank threads take turns.  The ranks a ``World.run`` launches
+share one **run token**: a rank executes only while it holds it and gives it
+up only where it would block anyway — a :meth:`~MessageRouter.receive` with
+no match, the world's barrier (:meth:`~MessageRouter.block`), a
+:meth:`~MessageRouter.probe` that finds nothing (a yield, so a ``Test`` poll
+loop cannot starve the rank it waits for) and rank exit.  The token goes to
+the rank that became runnable first (rank order at start), and a post wakes
+only the destination rank, and only when the envelope matches what it waits
+for.  A virtual-time simulator gains nothing from host concurrency — free
+-running rank threads only convoy on the GIL — and the fixed hand-off order
+makes a threaded run repeat exactly.  Threads that use a router without a
+``World.run`` hold no token: they block on the same per-rank wake-up, with a
+wall-clock timeout instead of deadlock detection.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -22,9 +37,9 @@ from repro.mpi.errors import MpiCommError
 from repro.mpi.status import ANY_SOURCE, ANY_TAG
 
 
-@dataclass
+@dataclass(eq=False)
 class Envelope:
-    """One in-flight message."""
+    """One in-flight message (compared by identity: payloads are arrays)."""
 
     source: int
     dest: int
@@ -48,30 +63,46 @@ class Envelope:
 
 
 class MessageRouter:
-    """Thread-safe mailbox shared by all ranks of a world."""
+    """Thread-safe mailbox shared by all ranks of a world, and their run token."""
 
     def __init__(self, nranks: int) -> None:
         if nranks <= 0:
             raise ValueError(f"nranks must be positive, got {nranks}")
         self.nranks = nranks
         self._mailboxes: dict[int, list[Envelope]] = {rank: [] for rank in range(nranks)}
-        self._condition = threading.Condition()
+        #: Guards every field below and the world's barrier state, for short
+        #: critical sections only (the *token* is ``_running``, not this lock).
+        self.lock = threading.Lock()
+        self._wakeups = [threading.Condition(self.lock) for _ in range(nranks)]
         self._sequence = itertools.count()
-        self._shutdown = False
+        self.stopped = False
+        self._deadlocked = False
         self.messages_posted = 0
+        #: Blocked ranks -> the ``(source, tag, context)`` they wait to
+        #: receive (``None``: blocked on something no post can satisfy).
+        self._waiting: dict[int, Optional[tuple[int, int, int]]] = {}
+        #: The run token: the unfinished ranks of the current ``World.run``,
+        #: the one executing, and those ready to, in the order they became so.
+        self._scheduled: set[int] = set()
+        self._running: Optional[int] = None
+        self._runnable: deque[int] = deque()
 
     # ------------------------------------------------------------------- post
     def post(self, envelope: Envelope) -> None:
-        """Deliver an envelope to the destination mailbox and wake receivers."""
-        if not (0 <= envelope.dest < self.nranks):
-            raise MpiCommError(f"destination rank {envelope.dest} outside world of {self.nranks}")
-        with self._condition:
-            if self._shutdown:
+        """Deliver an envelope to the destination mailbox, waking the
+        destination rank if this is the message it is blocked on."""
+        dest = envelope.dest
+        if not (0 <= dest < self.nranks):
+            raise MpiCommError(f"destination rank {dest} outside world of {self.nranks}")
+        with self.lock:
+            if self.stopped:
                 raise MpiCommError("message posted after world shutdown")
             envelope.sequence = next(self._sequence)
-            self._mailboxes[envelope.dest].append(envelope)
+            self._mailboxes[dest].append(envelope)
             self.messages_posted += 1
-            self._condition.notify_all()
+            awaited = self._waiting.get(dest)
+            if awaited is not None and self._matches(envelope, *awaited):
+                self.wake(dest)
 
     # ------------------------------------------------------------------ match
     @staticmethod
@@ -84,14 +115,13 @@ class MessageRouter:
             return False
         return True
 
-    def _find(self, rank: int, source: int, tag: int, context: int) -> Optional[Envelope]:
-        mailbox = self._mailboxes[rank]
-        best: Optional[Envelope] = None
-        for envelope in mailbox:
+    def _find(self, rank: int, source: int, tag: int, context: int) -> Optional[int]:
+        """Mailbox index of the oldest matching envelope (mailboxes are
+        appended in ``sequence`` order, so the first match is the oldest)."""
+        for index, envelope in enumerate(self._mailboxes[rank]):
             if self._matches(envelope, source, tag, context):
-                if best is None or envelope.sequence < best.sequence:
-                    best = envelope
-        return best
+                return index
+        return None
 
     def receive(
         self,
@@ -104,38 +134,137 @@ class MessageRouter:
     ) -> Envelope:
         """Block until a matching envelope is available; remove and return it.
 
-        ``timeout`` bounds the *wall-clock* wait so that a mismatched test
-        hangs for two minutes at most instead of forever.
+        A rank launched by ``World.run`` gives up the run token while it
+        waits, and a wait no rank is left to end is reported at once as a
+        deadlock.  For any other thread ``timeout`` bounds the *wall-clock*
+        wait, so that a mismatched test hangs for two minutes at most.
         """
         if not (0 <= rank < self.nranks):
             raise MpiCommError(f"rank {rank} outside world of {self.nranks}")
-        with self._condition:
+        with self.lock:
             while True:
-                envelope = self._find(rank, source, tag, context)
-                if envelope is not None:
-                    self._mailboxes[rank].remove(envelope)
-                    return envelope
-                if self._shutdown:
-                    raise MpiCommError("receive after world shutdown")
-                if not self._condition.wait(timeout=timeout):
+                index = self._find(rank, source, tag, context)
+                if index is not None:
+                    return self._mailboxes[rank].pop(index)
+                if self.stopped:
+                    raise self.stop_error(
+                        rank, f"receive(source={source}, tag={tag}, context={context})"
+                    )
+                if not self.block(rank, (source, tag, context), timeout):
                     raise MpiCommError(
                         f"rank {rank} timed out waiting for a message from source={source} "
                         f"tag={tag} context={context}"
                     )
 
     def probe(self, rank: int, source: int, tag: int, context: int) -> Optional[Envelope]:
-        """Nonblocking check for a matching envelope (not removed)."""
-        with self._condition:
-            return self._find(rank, source, tag, context)
+        """Nonblocking check for a matching envelope (not removed).
+
+        A miss passes the run token round once before returning, so a
+        ``Test`` poll loop lets the rank it is waiting for run.
+        """
+        with self.lock:
+            index = self._find(rank, source, tag, context)
+            if index is not None:
+                return self._mailboxes[rank][index]
+            if self._running == rank and self._runnable:
+                self._runnable.append(rank)
+                self._pass_token(rank)
+            return None
+
+    # -------------------------------------------------------------- run token
+    def launch(self) -> None:
+        """Schedule every rank for one ``World.run``: rank 0 holds the token,
+        the others follow in rank order."""
+        with self.lock:
+            self._scheduled = set(range(self.nranks))
+            self._running = 0
+            self._runnable = deque(range(1, self.nranks))
+
+    def enter(self, rank: int) -> None:
+        """First thing a launched rank thread does: wait for its turn."""
+        with self.lock:
+            self._await_token(rank)
+
+    def retire(self, rank: int) -> None:
+        """Last thing a launched rank thread does: hand the token on for good."""
+        with self.lock:
+            self._scheduled.discard(rank)
+            self._dispatch()
+
+    def block(
+        self,
+        rank: int,
+        awaited: Optional[tuple[int, int, int]] = None,
+        timeout: Optional[float] = None,
+    ) -> bool:
+        """Sleep until :meth:`wake`; False if ``timeout`` expired first.
+        Call with ``lock`` held, and re-check the awaited condition after.
+
+        The token holder hands the token on and runs again once it has been
+        woken *and* its turn has come; ``timeout`` does not apply to it (with
+        no rank left to wake it, the wait is a deadlock, reported at once).
+        ``awaited`` is the ``(source, tag, context)`` a post must match to
+        wake the rank; with ``None`` only an explicit :meth:`wake` does.
+        """
+        self._waiting[rank] = awaited
+        if self._running == rank:
+            self._pass_token(rank)
+            return True
+        self._wakeups[rank].wait(timeout)
+        if rank in self._waiting:
+            del self._waiting[rank]
+            return False
+        return True
+
+    def wake(self, rank: int) -> None:
+        """Make a blocked rank runnable (``lock`` held): a scheduled rank
+        runs when the token reaches it, any other thread right away."""
+        del self._waiting[rank]
+        if rank in self._scheduled:
+            self._runnable.append(rank)
+        else:
+            self._wakeups[rank].notify()
+
+    def stop_error(self, rank: int, waited_for: str) -> MpiCommError:
+        """The error a rank raises when a stopped world ends its wait."""
+        if self._deadlocked:
+            return MpiCommError(
+                f"deadlock: rank {rank} is blocked in {waited_for} and so is every "
+                f"other unfinished rank"
+            )
+        return MpiCommError(f"{waited_for} after world shutdown")
+
+    def _pass_token(self, rank: int) -> None:
+        self._dispatch()
+        self._await_token(rank)
+
+    def _await_token(self, rank: int) -> None:
+        wakeup = self._wakeups[rank]
+        while self._running != rank:
+            wakeup.wait()
+
+    def _dispatch(self) -> None:
+        """Hand the token to the rank that became runnable first."""
+        if not self._runnable and self._scheduled:
+            # Every unfinished rank is blocked, and only a rank could wake one.
+            self._deadlocked = True
+            self._stop()
+        self._running = self._runnable.popleft() if self._runnable else None
+        if self._running is not None:
+            self._wakeups[self._running].notify()
+
+    def _stop(self) -> None:
+        self.stopped = True
+        for rank in list(self._waiting):
+            self.wake(rank)
 
     # --------------------------------------------------------------- lifecycle
     def shutdown(self) -> None:
-        """Wake every waiting receiver with an error (world teardown)."""
-        with self._condition:
-            self._shutdown = True
-            self._condition.notify_all()
+        """Wake every blocked rank with an error (world teardown)."""
+        with self.lock:
+            self._stop()
 
     def pending(self, rank: int) -> int:
         """Number of undelivered envelopes for a rank (used by tests)."""
-        with self._condition:
+        with self.lock:
             return len(self._mailboxes[rank])

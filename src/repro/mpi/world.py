@@ -5,8 +5,10 @@ per rank — a virtual clock, a simulated GPU, a communicator — and runs the
 same Python function on every rank in its own thread.  Tests and examples use
 it to execute real multi-rank programs (halo exchanges, ping-pongs) whose
 bytes genuinely move between ranks, while the per-rank virtual clocks report
-latencies from the machine's cost models rather than from the vagaries of
-the host's thread scheduler.
+latencies from the machine's cost models.  The threads take turns: one rank
+runs at a time, holding the router's run token (see :mod:`repro.mpi.p2p`)
+until it blocks in a receive or a barrier, polls and misses, or returns —
+so a rank must never block on a private primitive or ``time.sleep``.
 
 Large-scale experiments (the 3072-rank points of Fig. 12) do not spawn 3072
 threads; they use the analytic :mod:`repro.apps.exchange_model` instead.
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from time import monotonic
 from typing import Callable, Optional, Sequence
 
 from repro.gpu.clock import VirtualClock
@@ -109,8 +112,13 @@ class World:
                     world=self,
                 )
             )
-        self._barrier = threading.Barrier(nranks) if nranks > 1 else None
-        self._barrier_times: list[float] = [0.0] * nranks
+        # One barrier phase, guarded by ``router.lock``: arrivals fold their
+        # time into ``_barrier_latest``; the last one publishes the result and
+        # opens the next generation.
+        self._barrier_generation = 0
+        self._barrier_count = 0
+        self._barrier_latest = float("-inf")
+        self._barrier_result = 0.0
 
     # ----------------------------------------------------------------- running
     def run(
@@ -121,21 +129,28 @@ class World:
     ) -> list[object]:
         """Run ``fn(ctx, *args)`` on every rank; returns per-rank results.
 
-        Any exception raised by a rank aborts the whole world (waking blocked
-        receivers and barrier waiters) and is re-raised as :class:`WorldError`.
+        Ranks run one at a time, in the deterministic order of the router's
+        run token.  Any exception raised by a rank aborts the whole world
+        (waking blocked receivers and barrier waiters) and is re-raised as
+        :class:`WorldError`; so is a deadlock, the moment every unfinished
+        rank is blocked, with each rank's error naming what it waited for.
+        ``timeout`` bounds the wall-clock wait for the whole run.
         """
         results: list[object] = [None] * self.nranks
         failures: dict[int, BaseException] = {}
+        router = self.router
 
         def target(ctx: ProcessContext) -> None:
+            router.enter(ctx.rank)
             try:
                 results[ctx.rank] = fn(ctx, *args)
             except BaseException as exc:  # noqa: BLE001 - propagate to the caller
                 failures[ctx.rank] = exc
-                self.router.shutdown()
-                if self._barrier is not None:
-                    self._barrier.abort()
+                router.shutdown()
+            finally:
+                router.retire(ctx.rank)
 
+        router.launch()
         if self.nranks == 1:
             target(self.contexts[0])
         else:
@@ -145,15 +160,15 @@ class World:
             ]
             for thread in threads:
                 thread.start()
+            deadline = monotonic() + timeout  # simlint: disable=SIM001 -- host-side join deadline, never priced
             for thread in threads:
-                thread.join(timeout=timeout)
+                thread.join(max(0.0, deadline - monotonic()))  # simlint: disable=SIM001 -- same deadline
             if any(thread.is_alive() for thread in threads):
-                self.router.shutdown()
-                if self._barrier is not None:
-                    self._barrier.abort()
+                router.shutdown()
                 raise MpiError(
                     f"world of {self.nranks} ranks did not finish within {timeout}s "
-                    f"(likely an unmatched receive)"
+                    f"(a rank is stuck outside the router, or polls for a message "
+                    f"that never comes)"
                 )
         if failures:
             raise WorldError(failures)
@@ -161,18 +176,36 @@ class World:
 
     # ----------------------------------------------------------------- barrier
     def barrier_wait(self, rank: int, time: float) -> float:
-        """Record ``rank``'s time, wait for every rank, return the global maximum.
+        """Fold in ``rank``'s time, wait for every rank, return the global maximum.
 
-        The second barrier pass keeps a fast rank from overwriting its slot for
-        the *next* barrier before a slow rank has read this one's maximum.
+        A waiter gives up the run token; the last arrival publishes the
+        maximum, opens the next generation and wakes the others in rank
+        order.  The published value outlives the phase safely: the next
+        barrier cannot complete before every rank has returned from this one.
         """
-        if self._barrier is None:
+        if self.nranks == 1:
             return time
-        self._barrier_times[rank] = time
-        self._barrier.wait()
-        latest = max(self._barrier_times)
-        self._barrier.wait()
-        return latest
+        router = self.router
+        with router.lock:
+            if router.stopped:
+                raise router.stop_error(rank, "barrier")
+            self._barrier_latest = max(self._barrier_latest, time)
+            self._barrier_count += 1
+            if self._barrier_count == self.nranks:
+                self._barrier_result = self._barrier_latest
+                self._barrier_latest = float("-inf")
+                self._barrier_count = 0
+                self._barrier_generation += 1
+                for other in range(self.nranks):
+                    if other != rank:
+                        router.wake(other)
+            else:
+                generation = self._barrier_generation
+                while generation == self._barrier_generation:
+                    if router.stopped:
+                        raise router.stop_error(rank, "barrier")
+                    router.block(rank)
+            return self._barrier_result
 
     # --------------------------------------------------------------- inspection
     @property

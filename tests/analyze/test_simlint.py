@@ -422,6 +422,69 @@ class TestSim005LedgerAccumulation:
         assert findings == []
 
 
+class TestSim006PrivateBlocking:
+    def test_blocking_primitives_fire(self, tmp_path):
+        findings = lint_tree(tmp_path, {
+            "src/repro/tempi/waiter.py": """\
+                import queue
+                import threading
+                import time
+                from threading import Event as Flag
+
+                class Waiter:
+                    def __init__(self):
+                        self.ready = threading.Condition()
+                        self.flag = Flag()
+                        self.inbox = queue.Queue()
+
+                    def nap(self):
+                        time.sleep(0.01)
+            """,
+        })
+        assert codes(findings) == ["SIM006"] * 4
+        assert [finding.line for finding in findings] == [8, 9, 10, 13]
+        assert "threading.Event" in findings[1].message
+
+    def test_locks_and_namesakes_are_clean(self, tmp_path):
+        findings = lint_tree(tmp_path, {
+            "src/repro/machine/ledger.py": """\
+                import threading
+                from repro.gpu.stream import Event
+
+                class Ledger:
+                    def __init__(self, clock):
+                        self._lock = threading.Lock()
+                        self._guard = threading.RLock()
+                        self.done = Event(clock)
+            """,
+        })
+        assert findings == []
+
+    def test_the_token_files_are_whitelisted(self, tmp_path):
+        body = """\
+            import threading
+
+            wakeup = threading.Condition()
+        """
+        findings = lint_tree(tmp_path, {
+            "src/repro/mpi/p2p.py": body,
+            "src/repro/mpi/world.py": body,
+            "src/repro/mpi/collectives.py": body,
+        })
+        assert [(f.path, f.code) for f in findings] == [("src/repro/mpi/collectives.py", "SIM006")]
+
+    def test_justified_disable_suppresses(self, tmp_path):
+        findings = lint_tree(tmp_path, {
+            "src/repro/bench/pace.py": """\
+                import time
+
+                def pace():
+                    time.sleep(0.1)  # simlint: disable=SIM006 -- main thread, between worlds
+            """,
+        })
+        assert findings == []
+
+
 class TestDriverAndCli:
     def test_findings_sort_stably(self, tmp_path):
         findings = lint_tree(tmp_path, {

@@ -57,6 +57,19 @@ class TestRouterMatching:
         assert router.receive(1, 0, 1, 0).nbytes == 1
         assert router.receive(1, 0, 1, 0).nbytes == 2
 
+    def test_receive_from_the_middle_keeps_the_rest_in_order(self):
+        router = MessageRouter(2)
+        for tag, nbytes in ((1, 1), (2, 2), (1, 3), (2, 4)):
+            router.post(envelope(tag=tag, nbytes=nbytes))
+        assert router.receive(1, 0, 2, 0).nbytes == 2
+        assert [router.receive(1, 0, ANY_TAG, 0).nbytes for _ in range(3)] == [1, 3, 4]
+
+    def test_envelopes_compare_by_identity(self):
+        """Field-by-field equality would reach ``payload == payload``."""
+        first, twin = envelope(nbytes=8), envelope(nbytes=8)
+        assert first == first
+        assert first != twin
+
     def test_pending_count(self):
         router = MessageRouter(2)
         router.post(envelope())

@@ -1,10 +1,18 @@
 """Tests for the threaded SPMD World runner."""
 
+import sys
+import threading
+import time
+
+import numpy as np
 import pytest
 
+from repro.apps.halo import HaloSpec
+from repro.apps.stencil import HaloExchange
 from repro.gpu.cost_model import FREE_GPU
 from repro.mpi.errors import MpiError
 from repro.mpi.world import World, WorldError
+from repro.tempi.interposer import interpose
 
 
 class TestConstruction:
@@ -77,6 +85,31 @@ class TestRun:
         with pytest.raises(WorldError):
             world.run(deadlock_unless_aborted)
 
+    def test_failure_breaks_the_barrier(self):
+        world = World(4)
+
+        def die_before_the_barrier(ctx):
+            if ctx.rank == 2:
+                raise RuntimeError("died on the way")
+            ctx.comm.Barrier()
+
+        with pytest.raises(WorldError) as excinfo:
+            world.run(die_before_the_barrier)
+        assert isinstance(excinfo.value.failures[2], RuntimeError)
+        assert set(excinfo.value.failures) == {0, 1, 2, 3}
+
+    def test_timeout_is_one_deadline_for_the_whole_run(self):
+        """``timeout=`` bounds the run, not each of the ``nranks`` joins."""
+        world = World(8)
+        release = threading.Event()
+        start = time.monotonic()
+        try:
+            with pytest.raises(MpiError, match="did not finish within 0.25s"):
+                world.run(lambda ctx: release.wait(30.0), timeout=0.25)
+            assert time.monotonic() - start < 1.0
+        finally:
+            release.set()
+
     def test_clock_inspection(self):
         world = World(2)
         world.run(lambda ctx: ctx.clock.advance((ctx.rank + 1) * 1e-3))
@@ -88,6 +121,127 @@ class TestRun:
         world.run(lambda ctx: ctx.clock.advance(1.0))
         world.reset_clocks()
         assert world.clocks == [0.0, 0.0]
+
+
+class TestDeadlock:
+    """Every unfinished rank blocked is reported at once, not after the
+    120 s receive / 300 s join timeouts."""
+
+    def test_crossed_receives_fail_at_once_naming_every_rank(self):
+        def receive_first(ctx):
+            peer = 1 - ctx.rank
+            ctx.comm.Recv(ctx.gpu.host_alloc(8), source=peer, tag=4)
+            ctx.comm.Send(ctx.gpu.host_alloc(8), dest=peer, tag=4)
+
+        start = time.monotonic()
+        with pytest.raises(WorldError) as excinfo:
+            World(2).run(receive_first)
+        assert time.monotonic() - start < 1.0
+        message = str(excinfo.value)
+        assert "rank 0 is blocked in receive(source=1, tag=4, context=0)" in message
+        assert "rank 1 is blocked in receive(source=0, tag=4, context=0)" in message
+
+    def test_barrier_a_rank_never_reaches_is_named(self):
+        def skip_the_barrier(ctx):
+            if ctx.rank != 1:
+                ctx.comm.Barrier()
+
+        with pytest.raises(WorldError) as excinfo:
+            World(3).run(skip_the_barrier)
+        assert set(excinfo.value.failures) == {0, 2}
+        assert "rank 2 is blocked in barrier" in str(excinfo.value)
+
+    def test_single_rank_unmatched_receive(self):
+        with pytest.raises(WorldError, match="deadlock"):
+            World(1).run(lambda ctx: ctx.comm.Recv(ctx.gpu.host_alloc(8), source=0, tag=0))
+
+
+class TestRunToken:
+    """One rank runs at a time, in a fixed order."""
+
+    def test_only_the_token_holder_executes(self):
+        """A read-modify-write across a GIL release loses no update."""
+        world = World(8)
+        shared = [0]
+
+        def bump(ctx):
+            for _ in range(500):
+                x = shared[0]
+                time.sleep(0)
+                shared[0] = x + 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            world.run(bump)
+        finally:
+            sys.setswitchinterval(interval)
+        assert shared[0] == 8 * 500
+
+    def test_post_wakes_only_the_rank_it_is_for(self):
+        """A blocked receiver scans its mailbox when it blocks and when its
+        message comes — not once per message posted to someone else, nor for
+        a message to itself that it is not waiting for."""
+        world = World(8)
+        router = world.router
+        scans = []
+        find = router._find
+        router._find = lambda rank, *match: scans.append(rank) or find(rank, *match)
+
+        def program(ctx):
+            buffer = ctx.gpu.host_alloc(8)
+            if ctx.rank == 3:
+                ctx.comm.Send(buffer, dest=0, tag=0)  # "about to block"
+                ctx.comm.Recv(buffer, source=0, tag=9)
+                ctx.comm.Recv(buffer, source=0, tag=2)
+            elif ctx.rank == 0:
+                ctx.comm.Recv(buffer, source=3, tag=0)
+                for _ in range(100):
+                    ctx.comm.Send(buffer, dest=5, tag=1)
+                    time.sleep(0)  # a free-running rank 3 would wake here
+                ctx.comm.Send(buffer, dest=3, tag=2)
+                ctx.comm.Send(buffer, dest=3, tag=9)
+            elif ctx.rank == 5:
+                for _ in range(100):
+                    ctx.comm.Recv(buffer, source=0, tag=1)
+
+        world.run(program)
+        assert scans.count(3) == 3  # blocks on tag 9, finds it, finds tag 2
+
+    def test_test_poll_loop_lets_the_sender_run(self):
+        def program(ctx):
+            buffer = ctx.gpu.host_alloc(8)
+            if ctx.rank == 0:
+                ctx.clock.advance(1.0)  # past any arrival time
+                request = ctx.comm.Irecv(buffer, source=1, tag=0)
+                polls = 0
+                while not request.Test()[0]:
+                    polls += 1
+                return polls
+            ctx.comm.Send(buffer, dest=0, tag=0)
+
+        assert World(2).run(program, timeout=10.0)[0] == 1
+
+    def test_threaded_halo_repeats_bit_for_bit(self, summit_model):
+        """The NIC's float stall sums accumulate in the order ranks run."""
+
+        def stall_sums() -> tuple[str, str, str]:
+            world = World(8, ranks_per_node=2)
+            apps = [
+                HaloExchange(ctx, interpose(ctx, model=summit_model), HaloSpec(), mode="overlap")
+                for ctx in world.contexts
+            ]
+
+            def rounds(ctx):
+                for _ in range(6):
+                    apps[ctx.rank].exchange()
+
+            world.run(rounds)
+            nic = world.nic
+            assert nic.stalled_s > 0.0
+            return nic.stalled_s.hex(), nic.ingest_stalled_s.hex(), nic.fabric_stalled_s.hex()
+
+        assert stall_sums() == stall_sums()
 
 
 class TestBarrierHelper:

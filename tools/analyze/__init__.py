@@ -22,6 +22,10 @@ SIM004    every ``TempiConfig`` field documented in ``docs/CONFIG.md`` and
 SIM005    float accumulation via ``+=`` inside ledger/port loops in
           ``machine/nic.py``/``tempi/progress.py`` must use the ledger
           helpers (ordering-stable summation)
+SIM006    no private blocking primitive (``threading.Condition``/``Event``/
+          ``Barrier``/``Semaphore``, ``queue.Queue``, ``time.sleep``) in
+          ``src/repro`` outside ``mpi/p2p.py``/``mpi/world.py``: one rank
+          runs at a time, and a wait the run token cannot see stalls all
 ========  ==================================================================
 
 Each rule carries an escape hatch: a ``# simlint: disable=SIMxxx -- reason``

@@ -1,4 +1,4 @@
-"""The per-file simlint rules: SIM001, SIM003 and SIM005.
+"""The per-file simlint rules: SIM001, SIM003, SIM005 and SIM006.
 
 Each rule is a callable ``rule(source_file) -> list[Violation]``; the driver
 in :mod:`tools.analyze.core` runs every entry of :data:`FILE_RULES` over
@@ -85,6 +85,20 @@ def _dotted_name(node: ast.expr, imports: _ImportMap) -> Optional[str]:
     return ".".join(reversed(parts))
 
 
+def _resolved_calls(source_file: SourceFile) -> Iterator[tuple[ast.Call, str]]:
+    """Every call in the file whose callee resolves to a dotted import path."""
+    tree = source_file.tree
+    if tree is None:
+        return
+    imports = _ImportMap()
+    imports.visit(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = _dotted_name(node.func, imports)
+            if name is not None:
+                yield node, name
+
+
 def check_wall_clock(source_file: SourceFile) -> list[Violation]:
     """SIM001: flag wall-clock and ``random`` calls outside the whitelist."""
     relpath = source_file.relpath
@@ -94,18 +108,8 @@ def check_wall_clock(source_file: SourceFile) -> list[Violation]:
         SIM001_WHITELIST_PREFIXES
     ):
         return []
-    tree = source_file.tree
-    if tree is None:
-        return []
-    imports = _ImportMap()
-    imports.visit(tree)
     findings: list[Violation] = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        name = _dotted_name(node.func, imports)
-        if name is None:
-            continue
+    for node, name in _resolved_calls(source_file):
         if name in WALL_CLOCK_CALLS:
             findings.append(
                 Violation(
@@ -334,9 +338,56 @@ def check_ledger_accumulation(source_file: SourceFile) -> list[Violation]:
     return findings
 
 
+# --------------------------------------------------------------------------- #
+# SIM006 — no private blocking primitive on a rank thread
+# --------------------------------------------------------------------------- #
+
+#: Calls that make (or are) a wait the run token does not know about.  One
+#: rank runs at a time and gives the token up only inside the router's
+#: waits, so a rank that blocks on anything else stalls the whole world.
+#: ``Lock``/``RLock`` stay legal: a short critical section is not a wait.
+BLOCKING_CALLS = frozenset(
+    {
+        "threading.Condition",
+        "threading.Event",
+        "threading.Barrier",
+        "threading.Semaphore",
+        "threading.BoundedSemaphore",
+        "queue.Queue",
+        "queue.LifoQueue",
+        "queue.PriorityQueue",
+        "queue.SimpleQueue",
+        "time.sleep",
+    }
+)
+
+#: The two files that implement the token-aware waits.
+SIM006_WHITELIST = frozenset({"src/repro/mpi/p2p.py", "src/repro/mpi/world.py"})
+
+
+def check_private_blocking(source_file: SourceFile) -> list[Violation]:
+    """SIM006: flag blocking primitives outside the run token's two files."""
+    relpath = source_file.relpath
+    if not relpath.startswith("src/repro/") or relpath in SIM006_WHITELIST:
+        return []
+    return [
+        Violation(
+            relpath,
+            node.lineno,
+            "SIM006",
+            f"`{name}` is a wait the run token cannot see: a rank blocked on it "
+            "stalls every rank; wait through MessageRouter.receive/block "
+            "(World.barrier_wait) instead",
+        )
+        for node, name in _resolved_calls(source_file)
+        if name in BLOCKING_CALLS
+    ]
+
+
 #: The per-file rules the driver runs, in reporting order.
 FILE_RULES = (
     check_wall_clock,
     check_unordered_iteration,
     check_ledger_accumulation,
+    check_private_blocking,
 )
