@@ -1,13 +1,25 @@
-"""Functional pack/unpack "kernels".
+"""Functional pack/unpack "kernel".
 
 On the GPU, TEMPI's kernels gather the contiguous runs of a strided object
 into a contiguous buffer (pack) or scatter a contiguous buffer back into the
-strided object (unpack).  Here the same data movement is performed with NumPy
-stride tricks: the strided object is exposed as a zero-copy view of the
-underlying byte array (``as_strided``), so packing is a single vectorised
-copy rather than a Python-level loop — the idiomatic way to express a gather
-in NumPy, and fast enough that benchmarks measuring *virtual* time are not
-bottlenecked by *wall* time.
+strided object (unpack).  Here there is one strided-copy kernel for both
+directions and any number of objects: the strided side and the dense side
+are each exposed as one zero-copy ``np.ndarray`` view of the underlying byte
+array, of the same shape, and the transfer is a single assignment between
+the two — one pass, no temporary, no Python-level loop over objects or runs.
+
+* ``count`` objects are one extra outermost dimension whose stride is the
+  object extent.
+* Elements are words of ``word_size`` bytes (the ``W`` TEMPI specialises its
+  kernels to, Sec. 3.3), narrowed until the run length, the start and dense
+  offsets, every stride and the object extent are multiples of it; a run of
+  exactly one word drops its dimension, so 8-byte runs move as a ``uint64``
+  vector, not as an ``(N, 8)`` byte matrix.  The word shapes only this host
+  copy; the result is the same bytes for every word size.
+* Everything that depends only on the geometry — validation, the word, the
+  shape and strides — is a :class:`StridedLayout`, which callers that launch
+  one geometry repeatedly compute once (:func:`strided_layout`) and hand
+  back through ``layout=``.
 
 The functions below are deliberately free of any timing logic; durations are
 charged by :class:`repro.gpu.runtime.CudaRuntime`, which calls them.
@@ -15,12 +27,23 @@ charged by :class:`repro.gpu.runtime.CudaRuntime`, which calls them.
 
 from __future__ import annotations
 
-from typing import Sequence
+import math
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from repro.gpu.errors import CudaInvalidValue
+
+_UINT8 = np.dtype(np.uint8)
+#: Element dtype per word size.  16 bytes is an opaque ``V16`` so no bit
+#: pattern (NaN payloads included) can be touched in flight.
+_WORD_DTYPES = {
+    1: _UINT8,
+    2: np.dtype(np.uint16),
+    4: np.dtype(np.uint32),
+    8: np.dtype(np.uint64),
+    16: np.dtype("V16"),
+}
 
 
 def required_extent(start: int, counts: Sequence[int], strides: Sequence[int]) -> int:
@@ -53,75 +76,105 @@ def packed_size(counts: Sequence[int]) -> int:
     return size
 
 
-def _strided_view(
-    memory: np.ndarray,
+class StridedLayout(NamedTuple):
+    """The buffer-independent half of one strided-copy launch."""
+
+    #: Payload bytes of the whole launch (all ``count`` objects).
+    nbytes: int
+    #: Byte range ``[first, end)`` of the strided allocation the launch touches.
+    first: int
+    end: int
+    #: Byte offset of the first element of the strided view.
+    start: int
+    #: Element width in bytes after narrowing.
+    word: int
+    #: View shape, outermost dimension first (so C order is the packed order).
+    shape: tuple[int, ...]
+    #: Byte strides of the strided view; the dense view is C-contiguous.
+    strides: tuple[int, ...]
+
+
+def strided_layout(
     start: int,
     counts: Sequence[int],
     strides: Sequence[int],
-) -> np.ndarray:
-    """A read/write view of ``memory`` shaped as the strided object.
+    count: int = 1,
+    object_extent: int = 0,
+    word_size: int = 1,
+) -> StridedLayout:
+    """Validate one launch geometry and lay out its view.
 
     Dimension order follows the :class:`~repro.tempi.strided_block.StridedBlock`
     convention: index 0 is the innermost (contiguous, stride 1) dimension.
-    The returned array has the *outermost* dimension first so ``ravel()``
-    produces the packed byte order.
+    ``object_extent`` is only read for ``count > 1``.
     """
-    if memory.dtype != np.uint8 or memory.ndim != 1:
-        raise CudaInvalidValue("kernel memory must be a 1-D uint8 array")
+    if count <= 0:
+        raise CudaInvalidValue(f"count must be positive, got {count}")
+    if word_size not in _WORD_DTYPES:
+        raise CudaInvalidValue(f"word size must be one of 1, 2, 4, 8, 16, got {word_size}")
+    if not counts:
+        raise CudaInvalidValue("a strided object needs at least one dimension")
     end = required_extent(start, counts, strides)
-    if start < 0 or end > memory.nbytes:
-        raise CudaInvalidValue(
-            f"strided object [{start}, {end}) escapes allocation of {memory.nbytes} bytes"
-        )
-    shape = tuple(int(c) for c in reversed(counts))
-    byte_strides = tuple(int(s) for s in reversed(strides))
-    return as_strided(memory[start:], shape=shape, strides=byte_strides, writeable=True)
+    span = (count - 1) * object_extent
+    shape = [int(c) for c in reversed(counts[1:])]
+    byte_strides = [int(s) for s in reversed(strides[1:])]
+    if count > 1:
+        shape.insert(0, count)
+        byte_strides.insert(0, object_extent)
+    # word_size is a power of two, so the gcd is the widest word that every
+    # argument is a multiple of.  A strided "run" has no words to widen.
+    word = math.gcd(word_size, counts[0], start, *byte_strides) if strides[0] == 1 else 1
+    if counts[0] > word:
+        shape.append(counts[0] // word)
+        byte_strides.append(word * strides[0])
+    return StridedLayout(
+        nbytes=packed_size(counts) * count,
+        first=start + min(span, 0),
+        end=end + max(span, 0),
+        start=start,
+        word=word,
+        shape=tuple(shape),
+        strides=tuple(byte_strides),
+    )
 
 
-def pack_strided(
-    src: np.ndarray,
-    dst: np.ndarray,
-    start: int,
-    counts: Sequence[int],
-    strides: Sequence[int],
-    dst_offset: int = 0,
-) -> int:
-    """Gather one strided object from ``src`` into ``dst[dst_offset:]``.
+def _views(
+    strided: np.ndarray,
+    dense: np.ndarray,
+    roles: tuple[str, str],
+    geometry: tuple,
+    dense_offset: int,
+    layout: Optional[StridedLayout],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The strided and the dense view of one launch, same shape and dtype.
 
-    Returns the number of bytes written.
+    ``geometry`` is ``(start, counts, strides, count, object_extent,
+    word_size)`` and ``layout`` its :func:`strided_layout` if the caller kept
+    it.  ``roles`` names the strided and the dense side in error messages.
     """
-    view = _strided_view(src, start, counts, strides)
-    size = view.size
-    if dst_offset < 0 or dst_offset + size > dst.nbytes:
+    if layout is None:
+        layout = strided_layout(*geometry)
+    for memory, role in ((strided, roles[0]), (dense, roles[1])):
+        if memory.ndim != 1 or memory.dtype != _UINT8 or not memory.flags.c_contiguous:
+            raise CudaInvalidValue(f"kernel {role} must be a 1-D C-contiguous uint8 array")
+    if layout.first < 0 or layout.end > strided.nbytes:
         raise CudaInvalidValue(
-            f"packed object of {size} bytes at offset {dst_offset} escapes "
-            f"destination of {dst.nbytes} bytes"
+            f"strided object [{layout.first}, {layout.end}) escapes allocation of "
+            f"{strided.nbytes} bytes"
         )
-    dst[dst_offset : dst_offset + size] = view.reshape(-1)
-    return size
-
-
-def unpack_strided(
-    src: np.ndarray,
-    dst: np.ndarray,
-    start: int,
-    counts: Sequence[int],
-    strides: Sequence[int],
-    src_offset: int = 0,
-) -> int:
-    """Scatter ``src[src_offset:]`` into one strided object inside ``dst``.
-
-    Returns the number of bytes read from ``src``.
-    """
-    view = _strided_view(dst, start, counts, strides)
-    size = view.size
-    if src_offset < 0 or src_offset + size > src.nbytes:
+    if dense_offset < 0 or dense_offset + layout.nbytes > dense.nbytes:
         raise CudaInvalidValue(
-            f"packed object of {size} bytes at offset {src_offset} escapes "
-            f"source of {src.nbytes} bytes"
+            f"packed object of {layout.nbytes} bytes at offset {dense_offset} escapes "
+            f"{roles[1]} of {dense.nbytes} bytes"
         )
-    view[...] = src[src_offset : src_offset + size].reshape(view.shape)
-    return size
+    if dense_offset % layout.word:
+        # Its lowest set bit is the widest word the dense offset is a multiple of.
+        layout = strided_layout(*geometry[:5], dense_offset & -dense_offset)
+    dtype = _WORD_DTYPES[layout.word]
+    return (
+        np.ndarray(layout.shape, dtype, strided, layout.start, layout.strides),
+        np.ndarray(layout.shape, dtype, dense, dense_offset),
+    )
 
 
 def pack_strided_many(
@@ -133,26 +186,20 @@ def pack_strided_many(
     count: int,
     object_extent: int,
     dst_offset: int = 0,
+    *,
+    word_size: int = 1,
+    layout: Optional[StridedLayout] = None,
 ) -> int:
     """Pack ``count`` repetitions of a strided object (MPI's *incount* argument).
 
     Successive objects begin ``object_extent`` bytes apart in ``src`` and are
-    packed back to back in ``dst`` — exactly how TEMPI's kernels apply the
-    whole grid to each object in turn (Sec. 3.3).
+    packed back to back in ``dst[dst_offset:]``.  ``layout``, when given, must
+    be :func:`strided_layout` of the same geometry.  Returns the bytes written.
     """
-    if count <= 0:
-        raise CudaInvalidValue(f"count must be positive, got {count}")
-    written = 0
-    for i in range(count):
-        written += pack_strided(
-            src,
-            dst,
-            start + i * object_extent,
-            counts,
-            strides,
-            dst_offset + written,
-        )
-    return written
+    geometry = (start, counts, strides, count, object_extent, word_size)
+    strided, dense = _views(src, dst, ("source", "destination"), geometry, dst_offset, layout)
+    dense[...] = strided
+    return dense.nbytes
 
 
 def unpack_strided_many(
@@ -164,21 +211,43 @@ def unpack_strided_many(
     count: int,
     object_extent: int,
     src_offset: int = 0,
+    *,
+    word_size: int = 1,
+    layout: Optional[StridedLayout] = None,
 ) -> int:
-    """Unpack ``count`` back-to-back packed objects into strided storage."""
-    if count <= 0:
-        raise CudaInvalidValue(f"count must be positive, got {count}")
-    consumed = 0
-    for i in range(count):
-        consumed += unpack_strided(
-            src,
-            dst,
-            start + i * object_extent,
-            counts,
-            strides,
-            src_offset + consumed,
-        )
-    return consumed
+    """Unpack ``count`` back-to-back packed objects into strided storage.
+
+    The inverse of :func:`pack_strided_many`: ``src[src_offset:]`` is the
+    dense side, ``dst`` the strided one.  Returns the bytes read.
+    """
+    geometry = (start, counts, strides, count, object_extent, word_size)
+    strided, dense = _views(dst, src, ("destination", "source"), geometry, src_offset, layout)
+    strided[...] = dense
+    return dense.nbytes
+
+
+def pack_strided(
+    src: np.ndarray,
+    dst: np.ndarray,
+    start: int,
+    counts: Sequence[int],
+    strides: Sequence[int],
+    dst_offset: int = 0,
+) -> int:
+    """Gather one strided object from ``src`` into ``dst[dst_offset:]``."""
+    return pack_strided_many(src, dst, start, counts, strides, 1, 0, dst_offset)
+
+
+def unpack_strided(
+    src: np.ndarray,
+    dst: np.ndarray,
+    start: int,
+    counts: Sequence[int],
+    strides: Sequence[int],
+    src_offset: int = 0,
+) -> int:
+    """Scatter ``src[src_offset:]`` into one strided object inside ``dst``."""
+    return unpack_strided_many(src, dst, start, counts, strides, 1, 0, src_offset)
 
 
 def copy_block_list(

@@ -14,7 +14,7 @@ matches the paper's setting (one V100 per MPI rank on Summit).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import enum
 
@@ -37,6 +37,20 @@ class MemcpyKind(enum.Enum):
     DEVICE_TO_DEVICE = "d2d"
     HOST_TO_HOST = "h2h"
     DEFAULT = "default"
+
+
+class KernelLaunch(NamedTuple):
+    """One planned pack/unpack launch: see :meth:`CudaRuntime.plan_launch`."""
+
+    layout: kernels.StridedLayout
+    #: Spacing of consecutive objects, defaulted if the caller gave none.
+    object_extent: int
+    #: Device seconds of the kernel by direction and by where the dense side
+    #: lives; the launch latency is not in them.
+    pack_device: float
+    pack_host: float
+    unpack_device: float
+    unpack_host: float
 
 
 class CudaRuntime:
@@ -184,6 +198,43 @@ class CudaRuntime:
         return stream.enqueue(self.cost.memcpy_d2d_time(buffer.nbytes))
 
     # ---------------------------------------------------------------- kernels
+    def plan_launch(
+        self,
+        start: int,
+        counts: Sequence[int],
+        strides: Sequence[int],
+        *,
+        count: int = 1,
+        object_extent: int = 0,
+        word_size: int = 1,
+    ) -> KernelLaunch:
+        """Everything about a pack/unpack launch that no buffer decides.
+
+        The geometry is validated and laid out and the kernel is priced for
+        both directions and both targets, once; :meth:`launch_pack` and
+        :meth:`launch_unpack` take the result back as ``plan=``.  Layout and
+        prices are pure functions of the arguments and of the frozen cost
+        model, so a plan is good for any runtime whose ``cost`` is the one
+        it was priced under; whoever keeps a plan checks that.
+        """
+        if count > 1 and not object_extent:
+            # Objects tile the buffer when the caller names no extent.
+            object_extent = kernels.required_extent(0, counts, strides)
+        layout = kernels.strided_layout(start, counts, strides, count, object_extent, word_size)
+        # The coalescing behaviour is governed by the contiguous run length
+        # (counts[0]); the specialised word only changes instruction counts,
+        # which the model folds into the launch constant, so it has no price.
+        # The launch itself is charged to the host separately.
+        durations = [
+            self.cost.kernel_time(
+                layout.nbytes, int(counts[0]), target=target, unpack=unpack, include_sync=False
+            )
+            - self.cost.kernel_launch_s
+            for unpack in (False, True)
+            for target in ("device", "host")
+        ]
+        return KernelLaunch(layout, object_extent, *durations)
+
     def launch_pack(
         self,
         src: Buffer,
@@ -197,22 +248,28 @@ class CudaRuntime:
         dst_offset: int = 0,
         stream: Optional[Stream] = None,
         word_size: int = 1,
+        plan: Optional[KernelLaunch] = None,
     ) -> int:
         """Launch a pack kernel: gather the strided object in ``src`` into ``dst``.
 
         ``word_size`` is the element width TEMPI specialises the kernel to
-        (Sec. 3.3); it does not change the result, only (slightly) the cost,
-        because wide loads reduce the number of memory transactions.
+        (Sec. 3.3).  It changes neither the result nor the virtual price —
+        only how wide the elements of the host copy are.  ``plan`` is
+        :meth:`plan_launch` of the same geometry, for callers that kept it.
         """
-        stream = stream or self.default_stream
-        total = kernels.packed_size(counts) * count
-        target = "host" if not dst.is_device else "device"
-        duration = self._kernel_duration(total, counts, target, unpack=False, word_size=word_size)
+        if plan is None:
+            plan = self.plan_launch(
+                start, counts, strides, count=count, object_extent=object_extent, word_size=word_size
+            )
         written = kernels.pack_strided_many(
-            src.data, dst.data, start, counts, strides, count, object_extent or self._default_extent(counts, strides), dst_offset
+            src.data, dst.data, start, counts, strides, count, plan.object_extent, dst_offset,
+            word_size=word_size, layout=plan.layout,
         )
         self.kernel_launches += 1
-        stream.enqueue(duration, host_overhead=self.cost.kernel_launch_s)
+        (stream or self.default_stream).enqueue(
+            plan.pack_device if dst.is_device else plan.pack_host,
+            host_overhead=self.cost.kernel_launch_s,
+        )
         return written
 
     def launch_unpack(
@@ -228,46 +285,23 @@ class CudaRuntime:
         src_offset: int = 0,
         stream: Optional[Stream] = None,
         word_size: int = 1,
+        plan: Optional[KernelLaunch] = None,
     ) -> int:
         """Launch an unpack kernel: scatter ``src`` into the strided object in ``dst``."""
-        stream = stream or self.default_stream
-        total = kernels.packed_size(counts) * count
-        target = "host" if not src.is_device else "device"
-        duration = self._kernel_duration(total, counts, target, unpack=True, word_size=word_size)
+        if plan is None:
+            plan = self.plan_launch(
+                start, counts, strides, count=count, object_extent=object_extent, word_size=word_size
+            )
         consumed = kernels.unpack_strided_many(
-            src.data, dst.data, start, counts, strides, count, object_extent or self._default_extent(counts, strides), src_offset
+            src.data, dst.data, start, counts, strides, count, plan.object_extent, src_offset,
+            word_size=word_size, layout=plan.layout,
         )
         self.kernel_launches += 1
-        stream.enqueue(duration, host_overhead=self.cost.kernel_launch_s)
-        return consumed
-
-    @staticmethod
-    def _default_extent(counts: Sequence[int], strides: Sequence[int]) -> int:
-        """Extent of one object when the caller does not supply one (count == 1)."""
-        return kernels.required_extent(0, counts, strides)
-
-    def _kernel_duration(
-        self,
-        total_bytes: int,
-        counts: Sequence[int],
-        target: str,
-        *,
-        unpack: bool,
-        word_size: int,
-    ) -> float:
-        # The coalescing behaviour is governed by the contiguous run length
-        # (counts[0]); the specialised word size only changes instruction
-        # counts, which the model folds into the launch constant.
-        del word_size
-        block = int(counts[0]) if counts else 1
-        duration = self.cost.kernel_time(
-            total_bytes,
-            block,
-            target=target,
-            unpack=unpack,
-            include_sync=False,
+        (stream or self.default_stream).enqueue(
+            plan.unpack_device if src.is_device else plan.unpack_host,
+            host_overhead=self.cost.kernel_launch_s,
         )
-        return duration - self.cost.kernel_launch_s  # launch charged to host separately
+        return consumed
 
     # ------------------------------------------------------------- utilities
     def elapsed(self, start: float) -> float:

@@ -8,6 +8,13 @@ consecutive objects in a user buffer) and the selected
 :meth:`Packer.unpack` move any number of objects between the strided user
 buffer and a contiguous buffer.
 
+The paper puts all datatype work at commit time so that a pack is a lookup
+plus one kernel launch.  The packer does the same with what only the object
+count adds: the first pack or unpack of a ``count`` plans that transfer
+(:class:`PackPlan`: sizes, memcpy or kernel, the runtime's launch layout and
+its four durations) and every later one replays the plan — two bounds
+comparisons and one launch.
+
 Whether a pack lands in device memory (the *device* method) or in mapped host
 memory (the *one-shot* method) is decided by the caller simply by handing a
 different destination buffer — the simulated runtime charges the matching
@@ -18,10 +25,12 @@ pointer type.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
+from repro.gpu.cost_model import GpuCostModel
 from repro.gpu.device import DeviceProperties
 from repro.gpu.memory import Buffer
-from repro.gpu.runtime import CudaRuntime
+from repro.gpu.runtime import CudaRuntime, KernelLaunch
 from repro.tempi.kernels import KernelSpec, select_kernel
 from repro.tempi.strided_block import StridedBlock
 
@@ -40,6 +49,19 @@ class PackerStats:
     bytes_unpacked: int = 0
 
 
+class PackPlan(NamedTuple):
+    """What moving ``count`` objects of one committed datatype takes."""
+
+    #: Packed bytes of the transfer.
+    nbytes: int
+    #: Bytes of user buffer the strided side must have.
+    required: int
+    #: The cost model ``launch`` was priced under.
+    cost: GpuCostModel
+    #: The planned kernel launch, or ``None`` when the transfer is one memcpy.
+    launch: Optional[KernelLaunch]
+
+
 class Packer:
     """Pack/unpack engine for one committed datatype."""
 
@@ -56,6 +78,9 @@ class Packer:
         self.properties = properties
         self.kernel: KernelSpec = select_kernel(block, properties)
         self.stats = PackerStats()
+        #: count -> plan.  Block, extent and kernel never change after
+        #: construction, so an entry can only go stale by its cost model.
+        self._plans: dict[int, PackPlan] = {}
 
     # ------------------------------------------------------------------ sizes
     def packed_size(self, count: int = 1) -> int:
@@ -78,6 +103,29 @@ class Packer:
         if not self.block.is_contiguous:
             return False
         return count == 1 or self.object_extent == self.block.packed_bytes
+
+    def _plan(self, runtime: CudaRuntime, count: int) -> PackPlan:
+        """Plan moving ``count`` objects on ``runtime`` and keep the plan.
+
+        Everything here follows from the committed datatype, ``count`` and
+        the runtime's frozen cost model; a plan priced under another cost
+        model is replaced.
+        """
+        nbytes = self.packed_size(count)
+        launch = None
+        if not self._memcpyable(count):
+            launch = runtime.plan_launch(
+                self.block.start,
+                self.block.counts,
+                self.block.strides,
+                count=count,
+                object_extent=self.object_extent,
+                word_size=self.kernel.word_size,
+            )
+        plan = self._plans[count] = PackPlan(
+            nbytes, self.required_input(count), runtime.cost, launch
+        )
+        return plan
 
     # ------------------------------------------------------------------- pack
     def pack(
@@ -102,9 +150,17 @@ class Packer:
         the plan executor uses this to overlap per-peer packs with wire time;
         the stream's ``ready_time`` is the pack's completion time.
         """
-        nbytes = self.packed_size(count)
-        self._check_buffers(src, dst, count, nbytes, dst_offset, packing=True)
-        if self._memcpyable(count):
+        plan = self._plans.get(count)
+        if plan is None or plan.cost is not runtime.cost:
+            plan = self._plan(runtime, count)
+        nbytes = plan.nbytes
+        if (
+            src.nbytes < plan.required
+            or dst_offset < 0
+            or dst_offset + nbytes > dst.nbytes
+        ):
+            raise self._buffer_error(src, dst, count, plan, dst_offset, packing=True)
+        if plan.launch is None:
             runtime.memcpy_async(
                 dst,
                 src,
@@ -125,6 +181,7 @@ class Packer:
                 dst_offset=dst_offset,
                 stream=stream,
                 word_size=self.kernel.word_size,
+                plan=plan.launch,
             )
         if sync:
             runtime.stream_synchronize(stream)
@@ -144,9 +201,17 @@ class Packer:
         sync: bool = True,
     ) -> int:
         """Scatter ``count`` packed objects from contiguous ``src`` into ``dst``."""
-        nbytes = self.packed_size(count)
-        self._check_buffers(dst, src, count, nbytes, src_offset, packing=False)
-        if self._memcpyable(count):
+        plan = self._plans.get(count)
+        if plan is None or plan.cost is not runtime.cost:
+            plan = self._plan(runtime, count)
+        nbytes = plan.nbytes
+        if (
+            dst.nbytes < plan.required
+            or src_offset < 0
+            or src_offset + nbytes > src.nbytes
+        ):
+            raise self._buffer_error(dst, src, count, plan, src_offset, packing=False)
+        if plan.launch is None:
             runtime.memcpy_async(
                 dst,
                 src,
@@ -167,6 +232,7 @@ class Packer:
                 src_offset=src_offset,
                 stream=stream,
                 word_size=self.kernel.word_size,
+                plan=plan.launch,
             )
         if sync:
             runtime.stream_synchronize(stream)
@@ -175,29 +241,28 @@ class Packer:
         return nbytes
 
     # -------------------------------------------------------------- validation
-    def _check_buffers(
-        self,
+    @staticmethod
+    def _buffer_error(
         strided: Buffer,
         contiguous: Buffer,
         count: int,
-        nbytes: int,
+        plan: PackPlan,
         contiguous_offset: int,
         *,
         packing: bool,
-    ) -> None:
-        required = self.required_input(count)
-        if strided.nbytes < required:
+    ) -> PackError:
+        """The error for a buffer that failed the bounds checks of pack/unpack."""
+        if strided.nbytes < plan.required:
             role = "source" if packing else "destination"
-            raise PackError(
+            return PackError(
                 f"strided {role} of {strided.nbytes} bytes cannot hold {count} object(s) "
-                f"needing {required} bytes"
+                f"needing {plan.required} bytes"
             )
-        if contiguous_offset < 0 or contiguous_offset + nbytes > contiguous.nbytes:
-            role = "destination" if packing else "source"
-            raise PackError(
-                f"contiguous {role} of {contiguous.nbytes} bytes cannot hold {nbytes} bytes "
-                f"at offset {contiguous_offset}"
-            )
+        role = "destination" if packing else "source"
+        return PackError(
+            f"contiguous {role} of {contiguous.nbytes} bytes cannot hold {plan.nbytes} bytes "
+            f"at offset {contiguous_offset}"
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -18,11 +18,11 @@ arguments, so results are memoised; the interposer charges the measured
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from repro.machine.network import DEFAULT_WIRE_OVERLAP
 from repro.tempi.config import PackMethod
@@ -42,6 +42,16 @@ class MethodEstimate:
         return PackMethod.ONESHOT if self.oneshot <= self.device else PackMethod.DEVICE
 
 
+def _cell(axis: List[float], x: float) -> Tuple[int, float]:
+    """Grid cell of ``x`` on an ascending axis and its normalised distance into it.
+
+    The cell index is clamped to the axis, so a point outside it gets a
+    distance below 0 or above 1: linear extrapolation from the edge cell.
+    """
+    i = min(max(bisect_right(axis, x) - 1, 0), len(axis) - 2)
+    return i, (x - axis[i]) / (axis[i + 1] - axis[i])
+
+
 class PerformanceModel:
     """Interpolating model over one machine's measurement file."""
 
@@ -49,27 +59,21 @@ class PerformanceModel:
         self.measurement = measurement
         arrays = measurement.as_arrays()
         self._log_sizes = np.log2(arrays["sizes"])
-        self._log_blocks = np.log2(arrays["block_lengths"])
         self._transfer_curves = {
             "cpu_cpu": arrays["t_cpu_cpu"],
             "gpu_gpu": arrays["t_gpu_gpu"],
             "d2h": arrays["t_d2h"],
             "h2d": arrays["t_h2d"],
         }
-        self._pack_tables = {
-            ("device", "pack"): arrays["t_pack_device"],
-            ("device", "unpack"): arrays["t_unpack_device"],
-            ("oneshot", "pack"): arrays["t_pack_oneshot"],
-            ("oneshot", "unpack"): arrays["t_unpack_oneshot"],
+        # Plain floats, for the scalar bilinear lookup of _interp_pack.
+        self._block_axis: List[float] = np.log2(arrays["block_lengths"]).tolist()
+        self._size_axis: List[float] = self._log_sizes.tolist()
+        self._pack_rows: Dict[Tuple[str, str], List[List[float]]] = {
+            ("device", "pack"): arrays["t_pack_device"].tolist(),
+            ("device", "unpack"): arrays["t_unpack_device"].tolist(),
+            ("oneshot", "pack"): arrays["t_pack_oneshot"].tolist(),
+            ("oneshot", "unpack"): arrays["t_unpack_oneshot"].tolist(),
         }
-        self._pack_interpolators: Dict[Tuple[str, str], RegularGridInterpolator] = {}
-        for key, table in self._pack_tables.items():
-            self._pack_interpolators[key] = RegularGridInterpolator(
-                (self._log_blocks, self._log_sizes),
-                np.asarray(table),
-                bounds_error=False,
-                fill_value=None,  # linear extrapolation at the edges
-            )
         self._memo: Dict[Tuple, float] = {}
         self.queries = 0
         self.cache_hits = 0
@@ -102,16 +106,27 @@ class PerformanceModel:
         )
 
     def _interp_pack(self, strategy: str, operation: str, nbytes: int, block_length: int) -> float:
-        if (strategy, operation) not in self._pack_interpolators:
+        if (strategy, operation) not in self._pack_rows:
             raise KeyError(f"unknown pack table {(strategy, operation)!r}")
         if nbytes <= 0 or block_length <= 0:
             raise ValueError("nbytes and block_length must be positive")
-        interpolator = self._pack_interpolators[(strategy, operation)]
-        point = np.array([
-            np.clip(np.log2(block_length), self._log_blocks[0], self._log_blocks[-1]),
-            np.log2(nbytes),
-        ])
-        return float(max(0.0, interpolator(point)[0]))
+        rows = self._pack_rows[(strategy, operation)]
+        blocks, sizes = self._block_axis, self._size_axis
+        # Block lengths clamp to the sweep; sizes extrapolate linearly.
+        x0 = min(max(float(np.log2(block_length)), blocks[0]), blocks[-1])
+        x1 = float(np.log2(nbytes))
+        i0, y0 = _cell(blocks, x0)
+        i1, y1 = _cell(sizes, x1)
+        # Bilinear interpolation in the term order of scipy's
+        # RegularGridInterpolator(method="linear"), which this replaces and
+        # which a test still compares it to, bit for bit.
+        value = (
+            rows[i0][i1] * (1 - y0) * (1 - y1)
+            + rows[i0][i1 + 1] * (1 - y0) * y1
+            + rows[i0 + 1][i1] * y0 * (1 - y1)
+            + rows[i0 + 1][i1 + 1] * y0 * y1
+        )
+        return max(0.0, value)
 
     def _memoized(self, key: Tuple, compute) -> float:
         self.queries += 1

@@ -18,6 +18,7 @@ block-list representations of prior work.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from repro.tempi.ir import Type
@@ -59,7 +60,7 @@ class StridedBlock:
         """Bytes in each contiguous run (``counts[0]``)."""
         return self.counts[0]
 
-    @property
+    @cached_property
     def packed_bytes(self) -> int:
         """Payload bytes of one object (product of counts)."""
         total = 1
@@ -72,7 +73,7 @@ class StridedBlock:
         """Number of contiguous runs in one object."""
         return self.packed_bytes // self.block_length
 
-    @property
+    @cached_property
     def extent(self) -> int:
         """Bytes of underlying storage spanned by one object (from ``start``)."""
         last = 0

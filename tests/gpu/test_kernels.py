@@ -89,6 +89,30 @@ class TestPackUnpack2D:
         with pytest.raises(CudaInvalidValue):
             kernels.pack_strided(src, np.zeros(8, np.uint8), 0, [8], [1])
 
+    @pytest.mark.parametrize(
+        "dense",
+        [
+            np.zeros(32, np.float64),       # 256 bytes: passes the byte bound
+            np.zeros(4, np.float64),        # 32 bytes: the exact size in bytes
+            np.zeros((4, 8), np.uint8),     # right bytes, wrong rank
+            np.zeros(64, np.uint8)[::2],    # right dtype, not contiguous
+        ],
+        ids=["float64-large", "float64-exact", "2-D", "strided"],
+    )
+    def test_dense_side_must_be_flat_uint8_too(self, dense):
+        memory = make_memory(256)
+        with pytest.raises(CudaInvalidValue, match="destination must be a 1-D C-contiguous uint8"):
+            kernels.pack_strided(memory, dense, 0, [8, 4], [1, 64])
+        with pytest.raises(CudaInvalidValue, match="source must be a 1-D C-contiguous uint8"):
+            kernels.unpack_strided(dense, memory.copy(), 0, [8, 4], [1, 64])
+
+    def test_rejected_launch_writes_nothing(self):
+        src = make_memory(1024)
+        dst = np.zeros(40, dtype=np.uint8)
+        with pytest.raises(CudaInvalidValue):  # the third object does not fit
+            kernels.pack_strided_many(src, dst, 0, [8, 2], [1, 64], 3, 200)
+        assert not dst.any()
+
 
 class TestPackUnpack3D:
     def test_pack_3d_matches_manual_gather(self):
@@ -146,6 +170,63 @@ class TestManyObjects:
         src = make_memory(64)
         with pytest.raises(CudaInvalidValue):
             kernels.pack_strided_many(src, np.zeros(8, np.uint8), 0, [8], [1], 0, 8)
+
+
+class TestWordSize:
+    """The word only widens the elements of the host copy, never the result."""
+
+    @pytest.mark.parametrize("word", [1, 2, 4, 8, 16])
+    def test_every_word_moves_the_same_bytes(self, word):
+        src = make_memory(4096, seed=7)
+        geometry = (16, [32, 5, 3], [1, 48, 512], 2, 1600)
+        expected = np.zeros(2 * 480, dtype=np.uint8)
+        kernels.pack_strided_many(src, expected, *geometry)
+        packed = np.zeros_like(expected)
+        assert kernels.pack_strided_many(src, packed, *geometry, word_size=word) == 960
+        assert np.array_equal(packed, expected)
+        scattered = np.zeros_like(src)
+        kernels.unpack_strided_many(packed, scattered, *geometry, word_size=word)
+        repacked = np.zeros_like(expected)
+        kernels.pack_strided_many(scattered, repacked, *geometry)
+        assert np.array_equal(repacked, expected)
+
+    def test_layout_uses_the_selected_word(self):
+        layout = kernels.strided_layout(0, [64, 8], [1, 128], word_size=16)
+        assert (layout.word, layout.shape, layout.strides) == (16, (8, 4), (128, 16))
+
+    def test_run_of_one_word_drops_its_dimension(self):
+        layout = kernels.strided_layout(0, [8, 1024], [1, 16], word_size=8)
+        assert (layout.word, layout.shape, layout.strides) == (8, (1024,), (16,))
+
+    def test_count_is_the_outermost_dimension(self):
+        layout = kernels.strided_layout(0, [8, 4], [1, 32], 64, 256, 8)
+        assert (layout.shape, layout.strides, layout.nbytes) == ((64, 4), (256, 32), 2048)
+
+    @pytest.mark.parametrize(
+        "start, counts, strides, count, extent, expected",
+        [
+            (4, [16, 4], [1, 64], 1, 0, 4),     # start
+            (0, [12, 4], [1, 64], 1, 0, 4),     # run length
+            (0, [16, 4], [1, 66], 1, 0, 2),     # a stride
+            (0, [16, 4], [1, 64], 2, 257, 1),   # object extent, only when count > 1
+            (0, [16, 4], [1, 64], 1, 257, 16),
+        ],
+    )
+    def test_word_narrows_to_the_geometry(self, start, counts, strides, count, extent, expected):
+        assert kernels.strided_layout(start, counts, strides, count, extent, 16).word == expected
+
+    def test_odd_dense_offset_narrows_the_launch(self):
+        src = make_memory(512, seed=8)
+        dst = np.zeros(70, dtype=np.uint8)
+        layout = kernels.strided_layout(0, [16, 4], [1, 64], word_size=16)
+        kernels.pack_strided_many(src, dst, 0, [16, 4], [1, 64], 1, 0, 3, word_size=16, layout=layout)
+        expected = np.concatenate([src[i * 64 : i * 64 + 16] for i in range(4)])
+        assert np.array_equal(dst[3:67], expected)
+        assert not dst[:3].any() and not dst[67:].any()
+
+    def test_unknown_word_rejected(self):
+        with pytest.raises(CudaInvalidValue, match="word size"):
+            kernels.strided_layout(0, [8, 4], [1, 64], word_size=3)
 
 
 class TestBlockListCopy:

@@ -1,9 +1,15 @@
 """Tests for the Packer (committed-datatype handler)."""
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.gpu import kernels
+from repro.gpu.cost_model import SUMMIT_GPU, GpuCostModel
 from repro.gpu.memory import MemoryKind
+from repro.gpu.runtime import CudaRuntime
 from repro.tempi.packer import PackError, Packer
 from repro.tempi.strided_block import StridedBlock
 
@@ -153,3 +159,134 @@ class TestTiming:
         packer.unpack(summit_runtime, dst, src)
         unpack_elapsed = summit_runtime.clock.now - start
         assert unpack_elapsed > pack_elapsed
+
+
+class _Spy:
+    """Count calls of ``owner.name`` for the duration of a test."""
+
+    def __init__(self, monkeypatch, owner, name):
+        self.calls = 0
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+
+def _count_calls(function) -> int:
+    """Python and C calls made while ``function`` runs (``sys.setprofile``)."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event in ("call", "c_call"):
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        function()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+class TestLaunchPlan:
+    """A pack costs what the paper says it does: a lookup and one launch."""
+
+    def test_warm_pack_replans_nothing(self, monkeypatch, summit_runtime):
+        priced = _Spy(monkeypatch, GpuCostModel, "kernel_time")
+        extents = _Spy(monkeypatch, kernels, "required_extent")
+        packer = Packer(block_2d(), object_extent=512)
+        src = summit_runtime.malloc(packer.required_input(2))
+        dst = summit_runtime.malloc(packer.packed_size(2))
+
+        packer.pack(summit_runtime, src, dst)
+        assert priced.calls and extents.calls
+        cold = (priced.calls, extents.calls)
+        packer.pack(summit_runtime, src, dst)
+        packer.unpack(summit_runtime, dst, src)
+        assert (priced.calls, extents.calls) == cold
+
+        # Another count, another datatype: each plans for itself.
+        packer.pack(summit_runtime, src, dst, count=2)
+        assert priced.calls > cold[0] and extents.calls > cold[1]
+        cold = (priced.calls, extents.calls)
+        Packer(block_2d(), object_extent=512).pack(summit_runtime, src, dst)
+        assert priced.calls > cold[0] and extents.calls > cold[1]
+
+    def test_plan_is_repriced_under_another_cost_model(self):
+        packer = Packer(block_2d(), object_extent=512)
+        slow = SUMMIT_GPU.with_overrides(d2d_bandwidth=1.0e9)
+        elapsed = []
+        for cost in (SUMMIT_GPU, slow, SUMMIT_GPU):
+            runtime = CudaRuntime(cost_model=cost)
+            src = runtime.malloc(packer.required_input(1))
+            dst = runtime.malloc(packer.packed_size(1))
+            start = runtime.clock.now
+            packer.pack(runtime, src, dst)
+            elapsed.append(runtime.clock.now - start)
+        assert elapsed[0] == elapsed[2] < elapsed[1]
+
+    def test_warm_plan_charges_what_a_cold_one_does(self, summit_runtime):
+        warm = Packer(block_2d(), object_extent=512)
+        src = summit_runtime.malloc(warm.required_input(3))
+        dst = summit_runtime.host_alloc(warm.packed_size(3), MemoryKind.HOST_MAPPED)
+        warm.pack(summit_runtime, src, dst, count=3)
+        for operation in ("pack", "unpack"):
+            elapsed = []
+            for packer in (warm, Packer(block_2d(), object_extent=512)):
+                start = summit_runtime.clock.now
+                if operation == "pack":
+                    packer.pack(summit_runtime, src, dst, count=3)
+                else:
+                    packer.unpack(summit_runtime, dst, src, count=3)
+                elapsed.append(summit_runtime.clock.now - start)
+            assert elapsed[0].hex() == elapsed[1].hex()
+
+    def test_warm_plan_still_checks_its_buffers(self, free_runtime):
+        packer = Packer(block_2d(), object_extent=512)
+        src = free_runtime.malloc(packer.required_input(1))
+        dst = free_runtime.malloc(packer.packed_size(1))
+        small = free_runtime.malloc(16)
+        messages = []
+        for _ in ("cold", "warm"):
+            with pytest.raises(PackError) as strided:
+                packer.pack(free_runtime, small, dst)
+            with pytest.raises(PackError) as dense:
+                packer.unpack(free_runtime, small, src, src_offset=4)
+            messages.append((str(strided.value), str(dense.value)))
+            packer.pack(free_runtime, src, dst)
+        assert messages[0] == messages[1] == (
+            "strided source of 16 bytes cannot hold 1 object(s) needing 464 bytes",
+            "contiguous source of 16 bytes cannot hold 128 bytes at offset 4",
+        )
+
+    def test_calls_do_not_grow_with_count(self, free_runtime):
+        packer = Packer(block_2d(4, 2, 16), object_extent=32)
+        src = free_runtime.malloc(packer.required_input(64))
+        dst = free_runtime.malloc(packer.packed_size(64))
+        counts = {}
+        for count in (1, 64):
+            packer.pack(free_runtime, src, dst, count=count)  # plan
+            counts[count] = _count_calls(lambda: packer.pack(free_runtime, src, dst, count=count))
+        assert counts[1] == counts[64]
+
+    def test_pack_is_one_pass_without_a_temporary(self, free_runtime):
+        # 1 MiB of 8-byte runs, every other run taken.
+        packer = Packer(StridedBlock(0, (8, 1 << 17), (1, 16)), object_extent=1 << 21)
+        src = free_runtime.malloc(packer.required_input(1))
+        dst = free_runtime.malloc(packer.packed_size(1))
+        src.data[:] = np.random.default_rng(11).integers(0, 256, src.nbytes, dtype=np.uint8)
+        packer.pack(free_runtime, src, dst)  # plan
+        tracemalloc.start()
+        try:
+            packer.pack(free_runtime, src, dst)
+            packer.unpack(free_runtime, dst, src)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        rows = np.append(src.data, np.zeros(8, np.uint8)).reshape(-1, 16)
+        assert np.array_equal(dst.data, rows[:, :8].reshape(-1))

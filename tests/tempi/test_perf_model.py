@@ -1,5 +1,6 @@
 """Tests for the interpolating performance model (Sec. 4)."""
 
+import numpy as np
 import pytest
 
 from repro.tempi.config import PackMethod
@@ -67,6 +68,41 @@ class TestPackInterpolation:
 
     def test_never_negative(self, summit_model):
         assert summit_model.pack_time("oneshot", "unpack", 3, 1) >= 0.0
+
+    def test_bit_identical_to_scipy_reference(self, summit_measurement):
+        """The in-module bilinear lookup is scipy's, to the last bit.
+
+        scipy is only the reference here; nothing under ``src/`` imports it.
+        """
+        interpolate = pytest.importorskip("scipy.interpolate")
+        arrays = summit_measurement.as_arrays()
+        log_blocks, log_sizes = np.log2(arrays["block_lengths"]), np.log2(arrays["sizes"])
+        tables = {
+            ("device", "pack"): "t_pack_device",
+            ("device", "unpack"): "t_unpack_device",
+            ("oneshot", "pack"): "t_pack_oneshot",
+            ("oneshot", "unpack"): "t_unpack_oneshot",
+        }
+        references = {
+            key: interpolate.RegularGridInterpolator(
+                (log_blocks, log_sizes), arrays[name], bounds_error=False, fill_value=None
+            )
+            for key, name in tables.items()
+        }
+        # Every grid point, then random points reaching outside the sweep on
+        # all four sides (sizes extrapolate, block lengths clamp).
+        rng = np.random.default_rng(14)
+        queries = [(int(b), int(n)) for b in arrays["block_lengths"] for n in arrays["sizes"]]
+        queries += [
+            (max(1, int(2.0**b)), max(1, int(2.0**n)))
+            for b, n in zip(rng.uniform(-1, 24, 4000), rng.uniform(-1, 36, 4000))
+        ]
+        model = PerformanceModel(summit_measurement)
+        for index, (block, nbytes) in enumerate(queries):
+            key = list(tables)[index % 4]
+            point = np.array([np.clip(np.log2(block), log_blocks[0], log_blocks[-1]), np.log2(nbytes)])
+            expected = float(max(0.0, references[key](point)[0]))
+            assert model.pack_time(*key, nbytes, block).hex() == expected.hex(), (key, block, nbytes)
 
 
 class TestMethodSelection:
