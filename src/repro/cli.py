@@ -56,7 +56,7 @@ used while studying the model:
     Nonzero exit on any finding.
 
 ``python -m repro.cli sanitize``
-    Replay the fig9/fig14/fig15/incast benchmarks (``--smoke`` subsets, or
+    Replay the fig9/fig14/fig15/incast/allreduce/moe benchmarks (``--smoke`` subsets, or
     ``--full``) under the runtime clock sanitizer
     (:mod:`repro.tempi.sanitizer`): vector clocks over NIC commits, cross-rank
     backlog reads audited for a happens-before edge, port monotonicity, and
@@ -508,7 +508,7 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
     # so each bench's own internal checks still validate the real numbers.
     with sanitize_default(True):
         for name in ("bench_fig9_selection.py", "bench_fig15_contention.py",
-                     "bench_incast.py"):
+                     "bench_incast.py", "bench_allreduce.py", "bench_moe.py"):
             ClockSanitizer.reset_aggregate()
             print(f"== sanitized replay: {name} ({label})")
             try:

@@ -23,6 +23,13 @@ The all-to-all collectives come in two flavours:
   non-contiguous types, and what TEMPI's interposed collectives accelerate
   with one pack kernel per destination (Sec. 5).
 
+Every all-to-all-v and all-gather-v here is **split-phase** and exists in
+that form only: a ``*_begin`` starter validates, posts this rank's sends and
+lands its self section *now*, then hands :func:`_split_phase` what is still to
+come and gets back the :class:`~repro.mpi.request.Request` whose ``Wait`` runs
+the receive phase.  The blocking MPI calls are that request waited on at once
+(``Communicator.Alltoallv`` is ``Ialltoallv(...).Wait()``).
+
 Collective calls must be made by every rank of the communicator in the same
 order, as in MPI; a per-communicator sequence number keeps successive
 collectives from matching each other's messages.
@@ -32,6 +39,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence, Union
 
 import numpy as np
@@ -40,6 +48,8 @@ from repro.gpu.memory import HostBuffer, MemoryKind
 from repro.mpi.datatype import Datatype
 from repro.mpi.errors import MpiArgumentError
 from repro.mpi.p2p import Envelope
+from repro.mpi.request import Request
+from repro.mpi.status import Status
 from repro.mpi import typemap
 
 #: Tag space reserved for collectives, far above what applications use.
@@ -70,22 +80,103 @@ def _receive_raw(comm, source: int, tag: int) -> Envelope:
     return comm.router.receive(comm.rank, source, tag, comm.context)
 
 
-def _arrival_probe(comm, tag: int, peers: Sequence[int]):
-    """A ``Request.Test`` readiness probe for a split-phase collective.
+def _split_phase(comm, tag: int, now: float, expected, per_pair, device: bool) -> Request:
+    """The receive phase every split-phase collective defers to ``Wait``.
 
-    True once every expected peer's envelope is present *and* virtually
-    arrived (``available_at`` passed on this rank's clock) — mailbox presence
-    alone would make ``Test`` outcomes depend on the thread scheduler.
+    ``expected`` lists what is still to come as ``(peer, nbytes, land)``:
+    ``Wait`` receives each peer's envelope in list order, checks it carries
+    ``nbytes`` and hands it to ``land(envelope)``, which puts the bytes where
+    the caller wants them (and charges what that costs).  The clock then
+    advances to the latest arrival (never before ``now``, the start of the
+    collective) and the analytic wire cost of ``per_pair`` — the bytes
+    exchanged with each rank — is charged once.
+
+    ``Test`` completes the request once every expected envelope is present
+    *and* virtually arrived (``available_at`` passed on this rank's clock) —
+    mailbox presence alone would make ``Test`` outcomes depend on the thread
+    scheduler.
     """
 
+    def finish() -> Status:
+        latest = now
+        for peer, nbytes, land in expected:
+            envelope = _receive_raw(comm, peer, tag)
+            if envelope.nbytes != nbytes:
+                raise MpiArgumentError(
+                    f"rank {comm.rank} expected {nbytes} bytes from {peer}, "
+                    f"got {envelope.nbytes}"
+                )
+            land(envelope)
+            latest = max(latest, envelope.available_at)
+        comm.clock.advance_to(latest)
+        comm.clock.advance(
+            comm.network.alltoallv_time(per_pair, comm.topology, comm.rank, device_buffers=device)
+        )
+        return Status()
+
     def ready() -> bool:
-        for peer in peers:
+        for peer, _, _ in expected:
             envelope = comm.router.probe(comm.rank, peer, tag, comm.context)
             if envelope is None or envelope.available_at > comm.clock.now:
                 return False
         return True
 
-    return ready
+    return Request("coll", complete=finish, ready=ready)
+
+
+def _land_bytes(recv, offset: int, envelope: Envelope) -> None:
+    """Land a byte section: the payload goes to ``recv[offset:]``."""
+    if offset + envelope.nbytes > recv.nbytes:
+        raise MpiArgumentError("receive section escapes the receive buffer")
+    recv.data[offset : offset + envelope.nbytes] = envelope.payload
+
+
+def _expected_bytes(comm, recv, recvcounts: Sequence[int], recvdispls: Sequence[int]) -> list:
+    """What a byte collective still expects: every other rank's nonempty
+    section, landing at its displacement in ``recv``."""
+    return [
+        (peer, int(recvcounts[peer]), partial(_land_bytes, recv, int(recvdispls[peer])))
+        for peer in range(comm.size)
+        if peer != comm.rank and int(recvcounts[peer])
+    ]
+
+
+def _pack_sections(comm, send, sections) -> HostBuffer:
+    """Pack ``sections`` of ``send`` back to back into a fresh staging buffer
+    with the per-block baseline engine (one memcpy per block, charged)."""
+    staging = HostBuffer(sum(s.packed_bytes for s in sections), MemoryKind.HOST_PINNED)
+    offset = 0
+    for section in sections:
+        offset = comm.baseline.pack(
+            send, section.datatype, section.count, staging, offset, in_offset=section.displ
+        )
+    return staging
+
+
+def _unpack_sections(comm, recv, sections, staging) -> None:
+    """The reverse of :func:`_pack_sections`: ``sections`` of ``recv`` are
+    unpacked from ``staging`` in order."""
+    offset = 0
+    for section in sections:
+        offset = comm.baseline.unpack(
+            staging, offset, recv, section.datatype, section.count, out_offset=section.displ
+        )
+
+
+def _land_sections(comm, recv, sections, envelope: Envelope) -> None:
+    """Land a typed peer segment: unpack ``sections`` from the payload."""
+    staging = HostBuffer(envelope.nbytes, MemoryKind.HOST_PINNED, _array=envelope.payload)
+    _unpack_sections(comm, recv, sections, staging)
+
+
+def _expected_sections(comm, recv, peer: int, sections) -> tuple:
+    """What a typed collective still expects from ``peer``: the packed bytes
+    of ``sections``, unpacked into ``recv`` on arrival."""
+    return (
+        peer,
+        sum(s.packed_bytes for s in sections),
+        partial(_land_sections, comm, recv, sections),
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -253,12 +344,12 @@ def alltoallv_begin(
     recvcounts: Sequence[int],
     recvdispls: Sequence[int],
 ):
-    """Start a byte all-to-all-v: validate, post sends, copy the self section.
+    """Start a byte all-to-all-v (``MPI_Ialltoallv``): validate, post sends,
+    copy the self section; the returned request receives the rest.
 
-    Returns ``(finish, ready)``: ``finish`` receives every incoming section
-    and charges the analytic wire cost — the split that lets ``Ialltoallv``
-    defer its receive side to ``Request.Wait`` while sends are already in
-    flight — and ``ready`` is the nonblocking arrival probe ``Test`` uses.
+    Counts and displacements are in bytes; this matches the halo-exchange
+    implementation the paper describes, which packs every halo into one byte
+    buffer and exchanges it with a single all-to-all-v.
     """
     from repro.mpi.communicator import as_buffer
 
@@ -288,83 +379,9 @@ def alltoallv_begin(
             raise MpiArgumentError("self send/recv counts disagree")
         recv.data[dst : dst + local] = send.data[src : src + local]
 
-    def finish() -> None:
-        # Receive every incoming section.
-        latest = now
-        for peer in range(comm.size):
-            count = int(recvcounts[peer])
-            if count == 0 or peer == comm.rank:
-                continue
-            envelope = _receive_raw(comm, peer, tag)
-            offset = int(recvdispls[envelope.source])
-            expected = int(recvcounts[envelope.source])
-            if envelope.nbytes != expected:
-                raise MpiArgumentError(
-                    f"rank {comm.rank} expected {expected} bytes from {envelope.source}, "
-                    f"got {envelope.nbytes}"
-                )
-            if offset + envelope.nbytes > recv.nbytes:
-                raise MpiArgumentError("receive section escapes the receive buffer")
-            recv.data[offset : offset + envelope.nbytes] = envelope.payload
-            latest = max(latest, envelope.available_at)
-
-        # Charge the analytic per-rank cost once.
-        comm.clock.advance_to(latest)
-        per_pair = [max(int(s), int(r)) for s, r in zip(sendcounts, recvcounts)]
-        device = send.is_device or recv.is_device
-        comm.clock.advance(
-            comm.network.alltoallv_time(per_pair, comm.topology, comm.rank, device_buffers=device)
-        )
-
-    wire_peers = [
-        peer
-        for peer in range(comm.size)
-        if peer != comm.rank and int(recvcounts[peer])
-    ]
-    return finish, _arrival_probe(comm, tag, wire_peers)
-
-
-def alltoallv(
-    comm,
-    sendbuf,
-    sendcounts: Sequence[int],
-    senddispls: Sequence[int],
-    recvbuf,
-    recvcounts: Sequence[int],
-    recvdispls: Sequence[int],
-) -> None:
-    """Exchange byte ranges with every rank (``MPI_Alltoallv``).
-
-    Counts and displacements are in bytes; this matches the halo-exchange
-    implementation the paper describes, which packs every halo into one byte
-    buffer and exchanges it with a single all-to-all-v.
-    """
-    finish, _ = alltoallv_begin(
-        comm, sendbuf, sendcounts, senddispls, recvbuf, recvcounts, recvdispls
-    )
-    finish()
-
-
-def neighbor_alltoallv(
-    comm,
-    neighbors: Sequence[int],
-    sendbuf,
-    sendcounts: Sequence[int],
-    senddispls: Sequence[int],
-    recvbuf,
-    recvcounts: Sequence[int],
-    recvdispls: Sequence[int],
-) -> None:
-    """``MPI_Neighbor_alltoallv`` over an explicit neighbour list.
-
-    Equivalent to an :func:`alltoallv` whose counts are zero for every rank
-    not in ``neighbors``; implemented exactly that way so the two share
-    semantics and cost accounting.
-    """
-    finish, _ = neighbor_alltoallv_begin(
-        comm, neighbors, sendbuf, sendcounts, senddispls, recvbuf, recvcounts, recvdispls
-    )
-    finish()
+    expected = _expected_bytes(comm, recv, recvcounts, recvdispls)
+    per_pair = [max(int(s), int(r)) for s, r in zip(sendcounts, recvcounts)]
+    return _split_phase(comm, tag, now, expected, per_pair, send.is_device or recv.is_device)
 
 
 def neighbor_alltoallv_begin(
@@ -377,8 +394,12 @@ def neighbor_alltoallv_begin(
     recvcounts: Sequence[int],
     recvdispls: Sequence[int],
 ):
-    """Split-phase byte neighbour collective: expand the list, start, return
-    ``(finish, ready)``."""
+    """Start a byte ``MPI_Ineighbor_alltoallv`` over an explicit neighbour list.
+
+    Equivalent to an :func:`alltoallv_begin` whose counts are zero for every
+    rank not in ``neighbors``; implemented exactly that way so the two share
+    semantics and cost accounting.
+    """
     if not (len(neighbors) == len(sendcounts) == len(senddispls) == len(recvcounts) == len(recvdispls)):
         raise MpiArgumentError("neighbour argument lists must have equal lengths")
     if len(set(neighbors)) != len(neighbors):
@@ -422,11 +443,10 @@ def allgatherv_begin(
 ):
     """Start a byte all-gather-v: every rank's ``sendcount`` bytes to everyone.
 
-    The root-less fan-out sibling of :func:`alltoallv_begin`: this rank posts
-    one copy of its contribution to every peer and copies its own section
-    directly.  Returns ``(finish, ready)`` with the same split-phase contract
-    — ``finish`` receives every peer's contribution into ``recvdispls`` and
-    charges the analytic wire cost once, ``ready`` is the arrival probe.
+    The root-less fan-out sibling of :func:`alltoallv_begin`
+    (``MPI_Iallgatherv``): this rank posts one copy of its contribution to
+    every peer and copies its own section directly; the returned request
+    receives every peer's contribution into ``recvdispls``.
     """
     from repro.mpi.communicator import as_buffer
 
@@ -455,51 +475,9 @@ def allgatherv_begin(
                 _post_raw(comm, peer, tag, payload, now)
         recv.data[offset : offset + sendcount] = send.data[:sendcount]
 
-    def finish() -> None:
-        latest = now
-        for peer in range(comm.size):
-            count = int(recvcounts[peer])
-            if count == 0 or peer == comm.rank:
-                continue
-            envelope = _receive_raw(comm, peer, tag)
-            offset = int(recvdispls[envelope.source])
-            expected = int(recvcounts[envelope.source])
-            if envelope.nbytes != expected:
-                raise MpiArgumentError(
-                    f"rank {comm.rank} expected {expected} bytes from {envelope.source}, "
-                    f"got {envelope.nbytes}"
-                )
-            if offset + envelope.nbytes > recv.nbytes:
-                raise MpiArgumentError("receive section escapes the receive buffer")
-            recv.data[offset : offset + envelope.nbytes] = envelope.payload
-            latest = max(latest, envelope.available_at)
-
-        comm.clock.advance_to(latest)
-        per_pair = [max(sendcount, int(count)) for count in recvcounts]
-        device = send.is_device or recv.is_device
-        comm.clock.advance(
-            comm.network.alltoallv_time(per_pair, comm.topology, comm.rank, device_buffers=device)
-        )
-
-    wire_peers = [
-        peer
-        for peer in range(comm.size)
-        if peer != comm.rank and int(recvcounts[peer])
-    ]
-    return finish, _arrival_probe(comm, tag, wire_peers)
-
-
-def allgatherv(
-    comm,
-    sendbuf,
-    sendcount: int,
-    recvbuf,
-    recvcounts: Sequence[int],
-    recvdispls: Sequence[int],
-) -> None:
-    """Exchange byte contributions with every rank (``MPI_Allgatherv``)."""
-    finish, _ = allgatherv_begin(comm, sendbuf, sendcount, recvbuf, recvcounts, recvdispls)
-    finish()
+    expected = _expected_bytes(comm, recv, recvcounts, recvdispls)
+    per_pair = [max(sendcount, int(count)) for count in recvcounts]
+    return _split_phase(comm, tag, now, expected, per_pair, send.is_device or recv.is_device)
 
 
 # --------------------------------------------------------------------------- #
@@ -594,98 +572,6 @@ def group_by_peer(sections: Sequence[TypedSection]) -> dict[int, list[TypedSecti
     return groups
 
 
-def typed_exchange_begin(comm, send, send_sections, recv, recv_sections):
-    """Start the system-MPI engine of the datatype-carrying all-to-all-v.
-
-    Every outgoing section is packed with the per-block baseline engine
-    (charging its one-memcpy-per-block cost on the virtual clock),
-    concatenated per peer and posted; the self sections round-trip through a
-    staging buffer immediately.  Returns ``(finish, ready)``: ``finish``
-    receives and unpacks every incoming peer segment and charges the analytic
-    wire cost once, exactly like the byte path so the two signatures are
-    comparable — and so ``Ialltoallv`` can defer it to ``Request.Wait`` —
-    and ``ready`` is the nonblocking arrival probe ``Test`` uses.
-    """
-    tag = _next_collective_tag(comm)
-    send_groups = group_by_peer(send_sections)
-    recv_groups = group_by_peer(recv_sections)
-    now = comm.clock.now
-
-    # Pack and post every outgoing peer segment.
-    for peer, group in send_groups.items():
-        if peer == comm.rank:
-            continue
-        total = sum(section.packed_bytes for section in group)
-        staging = HostBuffer(total, MemoryKind.HOST_PINNED)
-        offset = 0
-        for section in group:
-            offset = comm.baseline.pack(
-                send, section.datatype, section.count, staging, offset, in_offset=section.displ
-            )
-        _post_raw(comm, peer, tag, staging.data, comm.clock.now)
-
-    # Local sections round-trip through a staging buffer without the wire.
-    local_send = send_groups.get(comm.rank, [])
-    local_recv = recv_groups.get(comm.rank, [])
-    if sum(s.packed_bytes for s in local_send) != sum(s.packed_bytes for s in local_recv):
-        raise MpiArgumentError("self send/recv sections disagree on packed size")
-    if local_send:
-        total = sum(section.packed_bytes for section in local_send)
-        staging = HostBuffer(total, MemoryKind.HOST_PINNED)
-        offset = 0
-        for section in local_send:
-            offset = comm.baseline.pack(
-                send, section.datatype, section.count, staging, offset, in_offset=section.displ
-            )
-        offset = 0
-        for section in local_recv:
-            offset = comm.baseline.unpack(
-                staging, offset, recv, section.datatype, section.count, out_offset=section.displ
-            )
-
-    def finish() -> None:
-        # Receive and unpack every incoming peer segment.
-        latest = now
-        for peer, group in recv_groups.items():
-            if peer == comm.rank:
-                continue
-            expected = sum(section.packed_bytes for section in group)
-            envelope = _receive_raw(comm, peer, tag)
-            if envelope.nbytes != expected:
-                raise MpiArgumentError(
-                    f"rank {comm.rank} expected {expected} packed bytes from {peer}, "
-                    f"got {envelope.nbytes}"
-                )
-            staging = HostBuffer(envelope.nbytes, MemoryKind.HOST_PINNED, _array=envelope.payload)
-            offset = 0
-            for section in group:
-                offset = comm.baseline.unpack(
-                    staging, offset, recv, section.datatype, section.count, out_offset=section.displ
-                )
-            latest = max(latest, envelope.available_at)
-
-        # Charge the analytic wire cost once, mirroring the byte path.
-        comm.clock.advance_to(latest)
-        per_pair = [0] * comm.size
-        for peer, group in send_groups.items():
-            per_pair[peer] = max(per_pair[peer], sum(s.packed_bytes for s in group))
-        for peer, group in recv_groups.items():
-            per_pair[peer] = max(per_pair[peer], sum(s.packed_bytes for s in group))
-        device = send.is_device or recv.is_device
-        comm.clock.advance(
-            comm.network.alltoallv_time(per_pair, comm.topology, comm.rank, device_buffers=device)
-        )
-
-    wire_peers = [peer for peer in recv_groups if peer != comm.rank]
-    return finish, _arrival_probe(comm, tag, wire_peers)
-
-
-def typed_exchange(comm, send, send_sections, recv, recv_sections) -> None:
-    """The blocking form of :func:`typed_exchange_begin`."""
-    finish, _ = typed_exchange_begin(comm, send, send_sections, recv, recv_sections)
-    finish()
-
-
 def alltoallv_typed_begin(
     comm,
     sendbuf,
@@ -697,50 +583,21 @@ def alltoallv_typed_begin(
     recvdispls: Sequence[int],
     recvtypes: TypesArg,
 ):
-    """Split-phase datatype-carrying ``MPI_Alltoallv``; returns ``(finish, ready)``."""
-    from repro.mpi.communicator import as_buffer
+    """Start a datatype-carrying ``MPI_Ialltoallv`` (one section per rank).
 
-    send = as_buffer(sendbuf)
-    recv = as_buffer(recvbuf)
+    Counts are elements of the per-rank datatype; displacements are byte
+    offsets of the first element in the user buffer (``MPI_Alltoallw``'s
+    convention, which the halo exchange needs for its subarray types).  It is
+    the neighbour exchange over every rank in rank order.
+    """
     if len(sendcounts) != comm.size or len(recvcounts) != comm.size:
         raise MpiArgumentError(
             f"typed counts/displacements must have one entry per rank ({comm.size})"
         )
-    peers = list(range(comm.size))
-    send_sections = build_sections(comm, send, peers, sendcounts, senddispls, sendtypes, "send")
-    recv_sections = build_sections(comm, recv, peers, recvcounts, recvdispls, recvtypes, "recv")
-    return typed_exchange_begin(comm, send, send_sections, recv, recv_sections)
-
-
-def alltoallv_typed(
-    comm,
-    sendbuf,
-    sendcounts: Sequence[int],
-    senddispls: Sequence[int],
-    sendtypes: TypesArg,
-    recvbuf,
-    recvcounts: Sequence[int],
-    recvdispls: Sequence[int],
-    recvtypes: TypesArg,
-) -> None:
-    """Datatype-carrying ``MPI_Alltoallv`` (one section per rank).
-
-    Counts are elements of the per-rank datatype; displacements are byte
-    offsets of the first element in the user buffer (``MPI_Alltoallw``'s
-    convention, which the halo exchange needs for its subarray types).
-    """
-    finish, _ = alltoallv_typed_begin(
-        comm,
-        sendbuf,
-        sendcounts,
-        senddispls,
-        sendtypes,
-        recvbuf,
-        recvcounts,
-        recvdispls,
-        recvtypes,
+    return neighbor_alltoallv_typed_begin(
+        comm, range(comm.size), sendbuf, sendcounts, senddispls, sendtypes,
+        recvbuf, recvcounts, recvdispls, recvtypes,
     )
-    finish()
 
 
 def neighbor_alltoallv_typed_begin(
@@ -755,35 +612,7 @@ def neighbor_alltoallv_typed_begin(
     recvdispls: Sequence[int],
     recvtypes: TypesArg,
 ):
-    """Split-phase datatype-carrying neighbour collective; returns ``(finish, ready)``."""
-    from repro.mpi.communicator import as_buffer
-
-    send = as_buffer(sendbuf)
-    recv = as_buffer(recvbuf)
-    if len(neighbors) != len(sendcounts) or len(neighbors) != len(recvcounts):
-        raise MpiArgumentError("neighbour argument lists must have equal lengths")
-    send_sections = build_sections(
-        comm, send, neighbors, sendcounts, senddispls, sendtypes, "send"
-    )
-    recv_sections = build_sections(
-        comm, recv, neighbors, recvcounts, recvdispls, recvtypes, "recv"
-    )
-    return typed_exchange_begin(comm, send, send_sections, recv, recv_sections)
-
-
-def neighbor_alltoallv_typed(
-    comm,
-    neighbors: Sequence[int],
-    sendbuf,
-    sendcounts: Sequence[int],
-    senddispls: Sequence[int],
-    sendtypes: TypesArg,
-    recvbuf,
-    recvcounts: Sequence[int],
-    recvdispls: Sequence[int],
-    recvtypes: TypesArg,
-) -> None:
-    """Datatype-carrying ``MPI_Neighbor_alltoallv`` over an explicit list.
+    """Start a datatype-carrying ``MPI_Ineighbor_alltoallv`` over an explicit list.
 
     Unlike the byte variant, duplicate neighbours are allowed: several
     sections addressed to the same peer travel concatenated in list order, so
@@ -791,20 +620,52 @@ def neighbor_alltoallv_typed(
     order the two sides of each pair consistently — the halo application
     orders send sections by direction and receive sections by negated
     direction, as its packed layout already does.
+
+    This is the system-MPI engine of the datatype-carrying all-to-all-v:
+    every outgoing section is packed with the per-block baseline engine
+    (charging its one-memcpy-per-block cost on the virtual clock),
+    concatenated per peer and posted; the self sections round-trip through a
+    staging buffer immediately.  The returned request receives and unpacks
+    every incoming peer segment and charges the analytic wire cost once,
+    exactly like the byte path, so the two signatures are comparable.
     """
-    finish, _ = neighbor_alltoallv_typed_begin(
-        comm,
-        neighbors,
-        sendbuf,
-        sendcounts,
-        senddispls,
-        sendtypes,
-        recvbuf,
-        recvcounts,
-        recvdispls,
-        recvtypes,
-    )
-    finish()
+    from repro.mpi.communicator import as_buffer
+
+    send = as_buffer(sendbuf)
+    recv = as_buffer(recvbuf)
+    if len(neighbors) != len(sendcounts) or len(neighbors) != len(recvcounts):
+        raise MpiArgumentError("neighbour argument lists must have equal lengths")
+    send_sections = build_sections(comm, send, neighbors, sendcounts, senddispls, sendtypes, "send")
+    recv_sections = build_sections(comm, recv, neighbors, recvcounts, recvdispls, recvtypes, "recv")
+    tag = _next_collective_tag(comm)
+    send_groups = group_by_peer(send_sections)
+    recv_groups = group_by_peer(recv_sections)
+    now = comm.clock.now
+
+    # Pack and post every outgoing peer segment.
+    for peer, group in send_groups.items():
+        if peer != comm.rank:
+            _post_raw(comm, peer, tag, _pack_sections(comm, send, group).data, comm.clock.now)
+
+    # Local sections round-trip through a staging buffer without the wire.
+    local_send = send_groups.get(comm.rank, [])
+    local_recv = recv_groups.get(comm.rank, [])
+    if sum(s.packed_bytes for s in local_send) != sum(s.packed_bytes for s in local_recv):
+        raise MpiArgumentError("self send/recv sections disagree on packed size")
+    if local_send:
+        _unpack_sections(comm, recv, local_recv, _pack_sections(comm, send, local_send))
+
+    expected = [
+        _expected_sections(comm, recv, peer, group)
+        for peer, group in recv_groups.items()
+        if peer != comm.rank
+    ]
+    # Bytes exchanged with each rank: the larger of the two directions.
+    per_pair = [0] * comm.size
+    for groups in (send_groups, recv_groups):
+        for peer, group in groups.items():
+            per_pair[peer] = max(per_pair[peer], sum(s.packed_bytes for s in group))
+    return _split_phase(comm, tag, now, expected, per_pair, send.is_device or recv.is_device)
 
 
 # --------------------------------------------------------------------------- #
@@ -821,15 +682,20 @@ def allgatherv_typed_begin(
     recvdispls: Sequence[int],
     recvtypes: TypesArg,
 ):
-    """Start the system-MPI engine of the datatype-carrying all-gather-v.
+    """Start the system-MPI engine of the datatype-carrying all-gather-v
+    (``MPI_Iallgatherv``, one receive section per rank).
+
+    Counts are elements of the per-rank datatypes; displacements are byte
+    offsets of the first element in the receive buffer, as in the typed
+    all-to-all-v.  Every rank's ``sendcount * sendtype.size`` must equal the
+    packed size of the section its peers expect from it.
 
     This rank's ``sendcount`` elements of ``sendtype`` are packed **once**
     with the per-block baseline engine, the packed bytes are posted to every
     peer (the root-less fan-out), and the self-contribution is unpacked
-    directly.  Returns ``(finish, ready)`` with the usual split-phase
-    contract; ``finish`` unpacks every incoming contribution through its
-    receive section's datatype and charges the analytic wire cost once —
-    comparable message-for-message with TEMPI's plan-compiled path.
+    directly.  The returned request unpacks every incoming contribution
+    through its receive section's datatype and charges the analytic wire cost
+    once — comparable message-for-message with TEMPI's plan-compiled path.
     """
     from repro.mpi.communicator import as_buffer
 
@@ -851,61 +717,16 @@ def allgatherv_typed_begin(
     now = comm.clock.now
 
     if nbytes:
-        staging = HostBuffer(nbytes, MemoryKind.HOST_PINNED)
-        comm.baseline.pack(send, sendtype, send_section.count, staging)
+        staging = _pack_sections(comm, send, [send_section])
         for peer in range(comm.size):
             if peer != comm.rank:
                 _post_raw(comm, peer, tag, staging.data, comm.clock.now)
-        comm.baseline.unpack(
-            staging, 0, recv, my_recv.datatype, my_recv.count, out_offset=my_recv.displ
-        )
+        _unpack_sections(comm, recv, [my_recv], staging)
 
-    def finish() -> None:
-        latest = now
-        for section in recv_sections:
-            if section.peer == comm.rank or section.count == 0:
-                continue
-            envelope = _receive_raw(comm, section.peer, tag)
-            if envelope.nbytes != section.packed_bytes:
-                raise MpiArgumentError(
-                    f"rank {comm.rank} expected {section.packed_bytes} packed bytes from "
-                    f"{section.peer}, got {envelope.nbytes}"
-                )
-            staging = HostBuffer(envelope.nbytes, MemoryKind.HOST_PINNED, _array=envelope.payload)
-            comm.baseline.unpack(
-                staging, 0, recv, section.datatype, section.count, out_offset=section.displ
-            )
-            latest = max(latest, envelope.available_at)
-
-        comm.clock.advance_to(latest)
-        per_pair = [max(nbytes, section.packed_bytes) for section in recv_sections]
-        device = send.is_device or recv.is_device
-        comm.clock.advance(
-            comm.network.alltoallv_time(per_pair, comm.topology, comm.rank, device_buffers=device)
-        )
-
-    wire_peers = [s.peer for s in recv_sections if s.peer != comm.rank and s.count]
-    return finish, _arrival_probe(comm, tag, wire_peers)
-
-
-def allgatherv_typed(
-    comm,
-    sendbuf,
-    sendcount: int,
-    sendtype: Datatype,
-    recvbuf,
-    recvcounts: Sequence[int],
-    recvdispls: Sequence[int],
-    recvtypes: TypesArg,
-) -> None:
-    """Datatype-carrying ``MPI_Allgatherv`` (one receive section per rank).
-
-    Counts are elements of the per-rank datatypes; displacements are byte
-    offsets of the first element in the receive buffer, as in the typed
-    all-to-all-v.  Every rank's ``sendcount * sendtype.size`` must equal the
-    packed size of the section its peers expect from it.
-    """
-    finish, _ = allgatherv_typed_begin(
-        comm, sendbuf, sendcount, sendtype, recvbuf, recvcounts, recvdispls, recvtypes
-    )
-    finish()
+    expected = [
+        _expected_sections(comm, recv, section.peer, [section])
+        for section in recv_sections
+        if section.peer != comm.rank and section.count
+    ]
+    per_pair = [max(nbytes, section.packed_bytes) for section in recv_sections]
+    return _split_phase(comm, tag, now, expected, per_pair, send.is_device or recv.is_device)

@@ -378,7 +378,7 @@ class Communicator:
         return _collectives.allgather_object(self, value)
 
     def _allgather_uniform(
-        self, sendcount: int, recvtype: Optional[Datatype]
+        self, sendcount: int, sendtype: Optional[Datatype], recvtype: Optional[Datatype]
     ) -> tuple[list[int], list[int]]:
         """Expand ``MPI_Allgather``'s uniform contribution to the v-form lists.
 
@@ -386,6 +386,8 @@ class Communicator:
         Typed form: ``sendcount`` elements land at ``rank * sendcount * extent``
         (MPI's extent-based placement rule for the receive type).
         """
+        if (sendtype is None) != (recvtype is None):
+            raise MpiArgumentError("sendtype and recvtype must be given together")
         sendcount = int(sendcount)
         if sendcount < 0:
             raise MpiArgumentError(f"sendcount must be non-negative, got {sendcount}")
@@ -410,18 +412,7 @@ class Communicator:
         counts are elements and placement follows the receive type's extent —
         the datatype-carrying signature TEMPI's interposer accelerates.
         """
-        if (sendtype is None) != (recvtype is None):
-            raise MpiArgumentError("sendtype and recvtype must be given together")
-        counts, displs = self._allgather_uniform(sendcount, recvtype)
-        self.Allgatherv(
-            sendbuf,
-            sendcount,
-            recvbuf,
-            counts,
-            displs,
-            sendtype=sendtype,
-            recvtypes=recvtype,
-        )
+        self.Iallgather(sendbuf, sendcount, recvbuf, sendtype=sendtype, recvtype=recvtype).Wait()
 
     def Allgatherv(
         self,
@@ -442,14 +433,10 @@ class Communicator:
         ``recvcounts[i]`` elements of rank *i*'s receive datatype at byte
         displacement ``recvdispls[i]``.
         """
-        if (sendtype is None) != (recvtypes is None):
-            raise MpiArgumentError("sendtype and recvtypes must be given together")
-        if sendtype is None:
-            _collectives.allgatherv(self, sendbuf, sendcount, recvbuf, recvcounts, recvdispls)
-        else:
-            _collectives.allgatherv_typed(
-                self, sendbuf, sendcount, sendtype, recvbuf, recvcounts, recvdispls, recvtypes
-            )
+        self.Iallgatherv(
+            sendbuf, sendcount, recvbuf, recvcounts, recvdispls,
+            sendtype=sendtype, recvtypes=recvtypes,
+        ).Wait()
 
     def Alltoallv(
         self,
@@ -470,24 +457,10 @@ class Communicator:
         elements and each section is packed/unpacked by the baseline engine —
         the datatype-carrying signature TEMPI's interposer accelerates.
         """
-        if (sendtypes is None) != (recvtypes is None):
-            raise MpiArgumentError("sendtypes and recvtypes must be given together")
-        if sendtypes is None:
-            _collectives.alltoallv(
-                self, sendbuf, sendcounts, senddispls, recvbuf, recvcounts, recvdispls
-            )
-        else:
-            _collectives.alltoallv_typed(
-                self,
-                sendbuf,
-                sendcounts,
-                senddispls,
-                sendtypes,
-                recvbuf,
-                recvcounts,
-                recvdispls,
-                recvtypes,
-            )
+        self.Ialltoallv(
+            sendbuf, sendcounts, senddispls, recvbuf, recvcounts, recvdispls,
+            sendtypes=sendtypes, recvtypes=recvtypes,
+        ).Wait()
 
     def Neighbor_alltoallv(
         self,
@@ -508,38 +481,14 @@ class Communicator:
         duplicate neighbours; sections of one pair travel concatenated in
         list order.
         """
-        if (sendtypes is None) != (recvtypes is None):
-            raise MpiArgumentError("sendtypes and recvtypes must be given together")
-        if sendtypes is None:
-            _collectives.neighbor_alltoallv(
-                self, neighbors, sendbuf, sendcounts, senddispls, recvbuf, recvcounts, recvdispls
-            )
-        else:
-            _collectives.neighbor_alltoallv_typed(
-                self,
-                neighbors,
-                sendbuf,
-                sendcounts,
-                senddispls,
-                sendtypes,
-                recvbuf,
-                recvcounts,
-                recvdispls,
-                recvtypes,
-            )
+        self.Ineighbor_alltoallv(
+            neighbors, sendbuf, sendcounts, senddispls, recvbuf, recvcounts, recvdispls,
+            sendtypes=sendtypes, recvtypes=recvtypes,
+        ).Wait()
 
-    # ------------------------------------------------- nonblocking collectives
-    @staticmethod
-    def _collective_request(pending) -> Request:
-        """Wrap a collective's deferred receive phase in a :class:`Request`."""
-        finish, ready = pending
-
-        def complete() -> Status:
-            finish()
-            return Status()
-
-        return Request("coll", complete=complete, ready=ready)
-
+    # ------------------------------------------------- split-phase collectives
+    # The implementations: each blocking collective above is its ``I`` form
+    # waited on at once.
     def Ialltoallv(
         self,
         sendbuf: BufferLike,
@@ -562,22 +511,13 @@ class Communicator:
         if (sendtypes is None) != (recvtypes is None):
             raise MpiArgumentError("sendtypes and recvtypes must be given together")
         if sendtypes is None:
-            pending = _collectives.alltoallv_begin(
+            return _collectives.alltoallv_begin(
                 self, sendbuf, sendcounts, senddispls, recvbuf, recvcounts, recvdispls
             )
-        else:
-            pending = _collectives.alltoallv_typed_begin(
-                self,
-                sendbuf,
-                sendcounts,
-                senddispls,
-                sendtypes,
-                recvbuf,
-                recvcounts,
-                recvdispls,
-                recvtypes,
-            )
-        return self._collective_request(pending)
+        return _collectives.alltoallv_typed_begin(
+            self, sendbuf, sendcounts, senddispls, sendtypes,
+            recvbuf, recvcounts, recvdispls, recvtypes,
+        )
 
     def Iallgather(
         self,
@@ -589,17 +529,9 @@ class Communicator:
         recvtype: Optional[Datatype] = None,
     ) -> Request:
         """Nonblocking ``MPI_Iallgather`` (byte or datatype-carrying form)."""
-        if (sendtype is None) != (recvtype is None):
-            raise MpiArgumentError("sendtype and recvtype must be given together")
-        counts, displs = self._allgather_uniform(sendcount, recvtype)
+        counts, displs = self._allgather_uniform(sendcount, sendtype, recvtype)
         return self.Iallgatherv(
-            sendbuf,
-            sendcount,
-            recvbuf,
-            counts,
-            displs,
-            sendtype=sendtype,
-            recvtypes=recvtype,
+            sendbuf, sendcount, recvbuf, counts, displs, sendtype=sendtype, recvtypes=recvtype
         )
 
     def Iallgatherv(
@@ -618,14 +550,12 @@ class Communicator:
         if (sendtype is None) != (recvtypes is None):
             raise MpiArgumentError("sendtype and recvtypes must be given together")
         if sendtype is None:
-            pending = _collectives.allgatherv_begin(
+            return _collectives.allgatherv_begin(
                 self, sendbuf, sendcount, recvbuf, recvcounts, recvdispls
             )
-        else:
-            pending = _collectives.allgatherv_typed_begin(
-                self, sendbuf, sendcount, sendtype, recvbuf, recvcounts, recvdispls, recvtypes
-            )
-        return self._collective_request(pending)
+        return _collectives.allgatherv_typed_begin(
+            self, sendbuf, sendcount, sendtype, recvbuf, recvcounts, recvdispls, recvtypes
+        )
 
     def Ineighbor_alltoallv(
         self,
@@ -644,30 +574,13 @@ class Communicator:
         if (sendtypes is None) != (recvtypes is None):
             raise MpiArgumentError("sendtypes and recvtypes must be given together")
         if sendtypes is None:
-            pending = _collectives.neighbor_alltoallv_begin(
-                self,
-                neighbors,
-                sendbuf,
-                sendcounts,
-                senddispls,
-                recvbuf,
-                recvcounts,
-                recvdispls,
+            return _collectives.neighbor_alltoallv_begin(
+                self, neighbors, sendbuf, sendcounts, senddispls, recvbuf, recvcounts, recvdispls
             )
-        else:
-            pending = _collectives.neighbor_alltoallv_typed_begin(
-                self,
-                neighbors,
-                sendbuf,
-                sendcounts,
-                senddispls,
-                sendtypes,
-                recvbuf,
-                recvcounts,
-                recvdispls,
-                recvtypes,
-            )
-        return self._collective_request(pending)
+        return _collectives.neighbor_alltoallv_typed_begin(
+            self, neighbors, sendbuf, sendcounts, senddispls, sendtypes,
+            recvbuf, recvcounts, recvdispls, recvtypes,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Communicator rank {self.rank}/{self.size} ctx={self.context}>"

@@ -211,6 +211,12 @@ class TempiConfig:
             raise ValueError(
                 f"selection_memo_size must be >= 1, got {self.selection_memo_size}"
             )
+        if self.selection == "contended" and self.progress == "per_plan":
+            raise ValueError(
+                "selection='contended' prices the shared NicTimeline's backlog, which "
+                "progress='per_plan' never books: the combination is inert; use "
+                "progress='shared' (or selection='model')"
+            )
         if self.selection == "fixed" and self.method is PackMethod.AUTO:
             raise ValueError(
                 "selection='fixed' needs a concrete method; set method=PackMethod.DEVICE/"

@@ -22,9 +22,12 @@ Every accelerated operation is **compiled to a**
 carrying method selection and staging keys — and run by the per-rank
 :class:`~repro.tempi.executor.PlanExecutor`, which issues pack kernels on
 per-peer streams and posts each peer's wire transfer as soon as its pack
-completes.  The blocking calls are plan → execute → wait one-liners; the
-nonblocking calls return the executor's :class:`~repro.mpi.request.Request`
-directly, deferring the receive-side unpack to ``Wait``/``Test``.  All wire
+completes.  Every collective entry point goes through one starter
+(:meth:`TempiCommunicator._start`): a compiled plan is executed, anything else
+is a progress point followed by the system's split-phase call; either way a
+:class:`~repro.mpi.request.Request` comes back, which the nonblocking calls
+return (the receive-side unpack deferred to ``Wait``/``Test``) and the
+blocking calls wait on at once.  All wire
 state lives in the per-rank :class:`~repro.tempi.progress.ProgressEngine`
 (cross-plan NIC accounting on the world's shared
 :class:`~repro.machine.nic.NicTimeline`, small-plan send batching,
@@ -51,7 +54,7 @@ from repro.mpi import collectives as _collectives
 from repro.mpi.collectives import _next_collective_tag
 from repro.mpi.communicator import Communicator, as_buffer
 from repro.mpi.datatype import Datatype
-from repro.mpi.request import Request
+from repro.mpi.request import Request, null_request
 from repro.mpi.status import ANY_SOURCE, ANY_TAG, Status
 from repro.tempi import plan as _plan
 from repro.tempi.cache import ResourceCache
@@ -296,39 +299,64 @@ class TempiCommunicator:
         #: instead of rebuilding the key — see :meth:`_compile_collective`.
         self._compile_memo: Optional[tuple] = None
 
-    #: Fall-through operations that can block on (or observe) other ranks'
-    #: traffic.  They must flush the engine's deferred sends first: a system
-    #: ``Barrier`` reached with a batched sub-eager message still pending
-    #: would park this rank while the receiver blocks on the unposted message
-    #: — the deadlock MPI's eager-delivery guarantee forbids.
-    _PROGRESS_FALLTHROUGHS = frozenset(
-        {"Barrier", "Allreduce_scalar", "Allgather_object", "Probe"}
-    )
-
-    #: Fall-throughs that are collective join points: no rank returns before
-    #: every rank entered, so under the sanitizer they merge all ranks'
-    #: vector clocks (the happens-before edge a barrier establishes).
-    #: ``Probe`` is a fall-through but *not* a join — it observes one peer.
-    _SANITIZER_JOINS = frozenset({"Barrier", "Allreduce_scalar", "Allgather_object"})
-
     # ------------------------------------------------------------ passthrough
     def __getattr__(self, name: str):
         # Anything TEMPI does not override resolves in the "system MPI",
-        # exactly like unresolved symbols at link time.  Blocking fall-through
-        # calls are additionally progress points (see _PROGRESS_FALLTHROUGHS).
-        attr = getattr(self._comm, name)
-        if name in self._PROGRESS_FALLTHROUGHS:
-            def passthrough(*args, **kwargs):
-                self._engine.progress()
-                view = self._sanitizer_view
-                if view is not None and name in self._SANITIZER_JOINS:
-                    # Before the real collective: the last arriver merges the
-                    # clocks while every rank is still blocked inside it.
-                    view.barrier_enter(self._comm.size)
-                return attr(*args, **kwargs)
+        # exactly like unresolved symbols at link time.
+        return getattr(self._comm, name)
 
-            return passthrough
-        return attr
+    def _fall_through(self, system, join: bool, *args, **kwargs):
+        """Hand a call that can block on (or observe) other ranks to the system MPI.
+
+        ``system`` is the bound method of the underlying communicator.  Such a
+        call is a **progress point**: the engine's deferred sends are flushed
+        first — a system ``Barrier`` reached with a batched sub-eager message
+        still pending would park this rank while the receiver blocks on the
+        unposted message, the deadlock MPI's eager-delivery guarantee forbids.
+        ``join`` marks the collective join points (no rank returns before
+        every rank entered): under the sanitizer they merge all ranks' vector
+        clocks, the happens-before edge a barrier establishes.
+        """
+        self._engine.progress()
+        view = self._sanitizer_view
+        if join and view is not None:
+            # Before the real collective: the last arriver merges the clocks
+            # while every rank is still blocked inside it.
+            view.barrier_enter(self._comm.size)
+        return system(*args, **kwargs)
+
+    def _start(self, plan: Optional[MessagePlan], system, *args, join: bool = False, **kwargs) -> Request:
+        """The interposer's one rule, for every collective entry point.
+
+        A compiled ``plan`` is TEMPI's business and is executed; ``None``
+        means the call is the system's symbol (:meth:`_fall_through`).  The
+        result is always the request that completes the operation — a system
+        call with no split-phase form (``Bcast``, ``Allreduce``) has completed
+        by the time it returns, hence the null request.  Blocking entry points
+        wait on it at once; they still compile with ``nonblocking=False``,
+        because the flag is part of the plan (its cache key, whether unpacks
+        count as deferred, when a send completes).
+        """
+        if plan is not None:
+            return self._executor.execute(plan)
+        return self._fall_through(system, join, *args, **kwargs) or null_request()
+
+    def Barrier(self) -> None:
+        """``MPI_Barrier`` of the system MPI: a progress point and a join."""
+        self._fall_through(self._comm.Barrier, True)
+
+    def Allreduce_scalar(self, value: float, op: str = "sum") -> float:
+        """The system MPI's scalar allreduce: a progress point and a join."""
+        return self._fall_through(self._comm.Allreduce_scalar, True, value, op)
+
+    def Allgather_object(self, value) -> list:
+        """The system MPI's object allgather: a progress point and a join."""
+        return self._fall_through(self._comm.Allgather_object, True, value)
+
+    def Probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Optional[Status]:
+        """The system MPI's nonblocking probe: a progress point, but not a
+        join — it observes one peer."""
+        return self._fall_through(self._comm.Probe, False, source, tag)
 
     @property
     def system(self) -> Communicator:
@@ -560,12 +588,7 @@ class TempiCommunicator:
         exactly like an ``Isend``/``Recv`` pair; either half independently
         falls back to the system path.
         """
-        send_plan = self._compile_p2p_send(send_spec, dest, sendtag, nonblocking=True)
-        if send_plan is not None:
-            request = self._executor.execute(send_plan)
-        else:
-            self._engine.progress()  # deferred posts must not be overtaken
-            request = self._comm.Isend(send_spec, dest, sendtag)
+        request = self.Isend(send_spec, dest, sendtag)
         result = self.Recv(recv_spec, source, recvtag, status)
         request.Wait()
         return result
@@ -606,10 +629,7 @@ class TempiCommunicator:
             method,
             tag=_next_collective_tag(comm),
         )
-        for name, hits in plan.method_counts().items():
-            self.tempi.stats.method_counts[name] = (
-                self.tempi.stats.method_counts.get(name, 0) + hits
-            )
+        self._count_methods(plan)
         return plan
 
     def Bcast(self, spec, root: int = 0) -> None:
@@ -622,42 +642,40 @@ class TempiCommunicator:
         prefix.  Contiguous or uncommitted datatypes and host buffers fall
         through to the system broadcast.
         """
-        plan = self._compile_bcast(spec, root)
-        if plan is None:
-            self._engine.progress()  # a system collective is a progress point
-            self._comm.Bcast(spec, root)
-            return
-        self._executor.execute(plan).Wait()
+        self._start(self._compile_bcast(spec, root), self._comm.Bcast, spec, root).Wait()
 
     # --------------------------------------------------------------- allgather
-    def _allgather_request(
-        self,
-        sendbuf,
-        sendcount,
-        recvbuf,
-        recvcounts,
-        recvdispls,
-        *,
-        sendtype,
-        recvtypes,
+    def _start_allgatherv(
+        self, sendbuf, sendcount, recvbuf, recvcounts, recvdispls, sendtype, recvtypes,
         nonblocking: bool,
-    ) -> Optional[Request]:
-        """Compile a typed all-gather-v to a root-less fan-out plan and start it.
-
-        Returns ``None`` for the byte signature, disabled interposition, host
-        buffers or unhandled datatypes — the caller then runs the system
-        path, exactly like the typed all-to-all-v.
-        """
+    ) -> Request:
+        """Start an all-gather-v: the typed form compiles to a root-less
+        fan-out plan; the byte signature, disabled interposition, host buffers
+        and unhandled datatypes are the system's ``Iallgatherv`` — exactly
+        like the typed all-to-all-v."""
         size = self._comm.size
-        if size < 2:
-            return None
-        return self._collective_request(
-            "allgather", range(size),
-            sendbuf, [sendcount], [0], sendtype,
-            recvbuf, recvcounts, recvdispls, recvtypes,
-            nonblocking=nonblocking,
-            sections=self._allgather_sections,
-            compiler=self._compile_allgather,
+        plan = None
+        if size >= 2:
+            plan = self._compile_collective(
+                "allgather", range(size),
+                sendbuf, [sendcount], [0], sendtype,
+                recvbuf, recvcounts, recvdispls, recvtypes,
+                nonblocking=nonblocking,
+                sections=self._allgather_sections,
+                compiler=self._compile_allgather,
+            )
+        return self._start(
+            plan, self._comm.Iallgatherv, sendbuf, sendcount, recvbuf, recvcounts, recvdispls,
+            sendtype=sendtype, recvtypes=recvtypes,
+        )
+
+    def _start_allgather(
+        self, sendbuf, sendcount, recvbuf, sendtype, recvtype, nonblocking: bool
+    ) -> Request:
+        """:meth:`_start_allgatherv` of ``MPI_Allgather``'s uniform contribution."""
+        counts, displs = self._comm._allgather_uniform(sendcount, sendtype, recvtype)
+        return self._start_allgatherv(
+            sendbuf, sendcount, recvbuf, counts, displs, sendtype, recvtype, nonblocking
         )
 
     def _allgather_sections(self, peers, *sides):
@@ -700,12 +718,7 @@ class TempiCommunicator:
         recvtype=None,
     ) -> None:
         """``MPI_Allgather`` with datatype acceleration (uniform contribution)."""
-        if (sendtype is None) != (recvtype is None):
-            raise _collectives.MpiArgumentError("sendtype and recvtype must be given together")
-        counts, displs = self._comm._allgather_uniform(sendcount, recvtype)
-        self.Allgatherv(
-            sendbuf, sendcount, recvbuf, counts, displs, sendtype=sendtype, recvtypes=recvtype
-        )
+        self._start_allgather(sendbuf, sendcount, recvbuf, sendtype, recvtype, False).Wait()
 
     def Iallgather(
         self,
@@ -717,12 +730,7 @@ class TempiCommunicator:
         recvtype=None,
     ) -> Request:
         """Nonblocking ``MPI_Iallgather`` over the same plan engine."""
-        if (sendtype is None) != (recvtype is None):
-            raise _collectives.MpiArgumentError("sendtype and recvtype must be given together")
-        counts, displs = self._comm._allgather_uniform(sendcount, recvtype)
-        return self.Iallgatherv(
-            sendbuf, sendcount, recvbuf, counts, displs, sendtype=sendtype, recvtypes=recvtype
-        )
+        return self._start_allgather(sendbuf, sendcount, recvbuf, sendtype, recvtype, True)
 
     def Allgatherv(
         self,
@@ -746,29 +754,9 @@ class TempiCommunicator:
         contiguous or uncommitted datatypes, and host buffers fall through
         to the system MPI.
         """
-        request = self._allgather_request(
-            sendbuf,
-            sendcount,
-            recvbuf,
-            recvcounts,
-            recvdispls,
-            sendtype=sendtype,
-            recvtypes=recvtypes,
-            nonblocking=False,
-        )
-        if request is None:
-            self._engine.progress()  # a system collective is a progress point
-            self._comm.Allgatherv(
-                sendbuf,
-                sendcount,
-                recvbuf,
-                recvcounts,
-                recvdispls,
-                sendtype=sendtype,
-                recvtypes=recvtypes,
-            )
-            return
-        request.Wait()
+        self._start_allgatherv(
+            sendbuf, sendcount, recvbuf, recvcounts, recvdispls, sendtype, recvtypes, False
+        ).Wait()
 
     def Iallgatherv(
         self,
@@ -783,28 +771,9 @@ class TempiCommunicator:
     ) -> Request:
         """Nonblocking ``MPI_Iallgatherv``: packs and posts now, receives and
         unpacks at ``Wait``/``Test`` (the deferred-unpack side of the plan)."""
-        request = self._allgather_request(
-            sendbuf,
-            sendcount,
-            recvbuf,
-            recvcounts,
-            recvdispls,
-            sendtype=sendtype,
-            recvtypes=recvtypes,
-            nonblocking=True,
+        return self._start_allgatherv(
+            sendbuf, sendcount, recvbuf, recvcounts, recvdispls, sendtype, recvtypes, True
         )
-        if request is None:
-            self._engine.progress()  # a system collective is a progress point
-            return self._comm.Iallgatherv(
-                sendbuf,
-                sendcount,
-                recvbuf,
-                recvcounts,
-                recvdispls,
-                sendtype=sendtype,
-                recvtypes=recvtypes,
-            )
-        return request
 
     # ------------------------------------------------------------- collectives
     def _collective_sections(
@@ -1057,7 +1026,7 @@ class TempiCommunicator:
     ) -> Optional[MessagePlan]:
         """Compile (or cache-hit) a typed collective to a plan, fully charged.
 
-        The front half of :meth:`_collective_request` — everything up to the
+        The front half of :meth:`_start_exchange` — everything up to the
         executable plan, with every clock charge and stats count applied —
         split out so ``bench_sim_throughput.py`` can drive the compile/cache
         pipeline without the executor.  Returns ``None`` when the call is not
@@ -1167,37 +1136,24 @@ class TempiCommunicator:
         self._count_methods(plan)
         return plan
 
-    def _collective_request(
-        self,
-        op: str,
-        peers: Sequence[int],
-        sendbuf,
-        sendcounts,
-        senddispls,
-        sendtypes,
-        recvbuf,
-        recvcounts,
-        recvdispls,
-        recvtypes,
-        *,
-        nonblocking: bool,
-        **front_end,
-    ) -> Optional[Request]:
-        """Compile a typed collective to a plan and start it.
-
-        Returns the request driving the deferred receive side, or ``None``
-        when the call is not TEMPI's business (byte or half-specified
-        signature, interposition disabled) or must fall back (host buffers,
-        unhandled datatypes) — the caller then runs the system path.
-        """
+    def _start_exchange(
+        self, op: str, system, head: tuple, peers: Sequence[int],
+        sendbuf, sendcounts, senddispls, recvbuf, recvcounts, recvdispls,
+        sendtypes, recvtypes, nonblocking: bool,
+    ) -> Request:
+        """Start an all-to-all-v over ``peers``: the typed form compiles to a
+        plan; the byte or half-specified signature, disabled interposition,
+        host buffers and unhandled datatypes are ``system`` — the underlying
+        ``Ialltoallv``, or ``Ineighbor_alltoallv`` with the neighbour list as
+        ``head``."""
         plan = self._compile_collective(
             op, peers, sendbuf, sendcounts, senddispls, sendtypes,
             recvbuf, recvcounts, recvdispls, recvtypes, nonblocking=nonblocking,
-            **front_end,
         )
-        if plan is None:
-            return None
-        return self._executor.execute(plan)
+        return self._start(
+            plan, system, *head, sendbuf, sendcounts, senddispls, recvbuf, recvcounts, recvdispls,
+            sendtypes=sendtypes, recvtypes=recvtypes,
+        )
 
     def Alltoallv(
         self,
@@ -1219,33 +1175,11 @@ class TempiCommunicator:
         contiguous or uncommitted datatypes, and host buffers all fall
         through to the system MPI.
         """
-        request = self._collective_request(
-            "alltoallv",
-            list(range(self._comm.size)),
-            sendbuf,
-            sendcounts,
-            senddispls,
-            sendtypes,
-            recvbuf,
-            recvcounts,
-            recvdispls,
-            recvtypes,
-            nonblocking=False,
-        )
-        if request is None:
-            self._engine.progress()  # a system collective is a progress point
-            self._comm.Alltoallv(
-                sendbuf,
-                sendcounts,
-                senddispls,
-                recvbuf,
-                recvcounts,
-                recvdispls,
-                sendtypes=sendtypes,
-                recvtypes=recvtypes,
-            )
-            return
-        request.Wait()
+        self._start_exchange(
+            "alltoallv", self._comm.Ialltoallv, (), list(range(self._comm.size)),
+            sendbuf, sendcounts, senddispls, recvbuf, recvcounts, recvdispls,
+            sendtypes, recvtypes, False,
+        ).Wait()
 
     def Ialltoallv(
         self,
@@ -1261,32 +1195,11 @@ class TempiCommunicator:
     ) -> Request:
         """Nonblocking ``MPI_Ialltoallv``: packs and posts now, receives and
         unpacks at ``Wait``/``Test`` (the deferred-unpack side of the plan)."""
-        request = self._collective_request(
-            "alltoallv",
-            list(range(self._comm.size)),
-            sendbuf,
-            sendcounts,
-            senddispls,
-            sendtypes,
-            recvbuf,
-            recvcounts,
-            recvdispls,
-            recvtypes,
-            nonblocking=True,
+        return self._start_exchange(
+            "alltoallv", self._comm.Ialltoallv, (), list(range(self._comm.size)),
+            sendbuf, sendcounts, senddispls, recvbuf, recvcounts, recvdispls,
+            sendtypes, recvtypes, True,
         )
-        if request is None:
-            self._engine.progress()  # a system collective is a progress point
-            return self._comm.Ialltoallv(
-                sendbuf,
-                sendcounts,
-                senddispls,
-                recvbuf,
-                recvcounts,
-                recvdispls,
-                sendtypes=sendtypes,
-                recvtypes=recvtypes,
-            )
-        return request
 
     # --------------------------------------------------------------- allreduce
     def _allreduce_islands(self) -> Optional[list[list[int]]]:
@@ -1304,14 +1217,15 @@ class TempiCommunicator:
             groups.setdefault(topology.island_of(rank), []).append(rank)
         return [groups[key] for key in sorted(groups)]
 
-    def _allreduce_request(
+    def _compile_allreduce(
         self, sendbuf, recvbuf, op: str, *, nonblocking: bool
-    ) -> Optional[Request]:
-        """Compile an allreduce to a :class:`MessagePlan` and start it.
+    ) -> Optional[MessagePlan]:
+        """Compile an allreduce to a :class:`MessagePlan`, fully charged.
 
         Returns ``None`` when the call is not TEMPI's business (host buffers,
         non-elementary or mismatched datatypes, interposition disabled) — the
-        caller then runs the naive system fan-in.  Reduction plans never
+        caller then runs the naive system fan-in, a collective join that has
+        finished when it returns.  Reduction plans never
         consult the plan cache: the schedule is a pure function of
         ``(rank, size, count, algorithm)`` and compiles in microseconds, so
         the priced clocks stay trivially bit-identical across ``plan_cache``
@@ -1344,7 +1258,7 @@ class TempiCommunicator:
         islands = self._allreduce_islands() if algorithm == "hierarchical" else None
         self._charge_interposition_overhead()
         self.tempi.stats.collective_hits += 1
-        plan = _plan.compile_allreduce(
+        return _plan.compile_allreduce(
             comm.rank,
             comm.size,
             send_buffer,
@@ -1357,16 +1271,6 @@ class TempiCommunicator:
             islands=islands,
             nonblocking=nonblocking,
         )
-        return self._executor.execute(plan)
-
-    def _allreduce_fallback(self, sendbuf, recvbuf, op: str) -> None:
-        """The system path: flush deferred sends, then the naive fan-in."""
-        self._engine.progress()  # a system collective is a progress point
-        view = self._sanitizer_view
-        if view is not None:
-            # A collective join: the last arriver merges the vector clocks.
-            view.barrier_enter(self._comm.size)
-        self._comm.Allreduce(sendbuf, recvbuf, op)
 
     def Allreduce(self, sendbuf, recvbuf, op: str = "sum") -> None:
         """``MPI_Allreduce`` compiled to a reduction plan (ring/tree/hierarchical).
@@ -1379,11 +1283,8 @@ class TempiCommunicator:
         like unpack kernels.  Everything else falls through to the naive
         system fan-in, byte-identically.
         """
-        request = self._allreduce_request(sendbuf, recvbuf, op, nonblocking=False)
-        if request is None:
-            self._allreduce_fallback(sendbuf, recvbuf, op)
-            return
-        request.Wait()
+        plan = self._compile_allreduce(sendbuf, recvbuf, op, nonblocking=False)
+        self._start(plan, self._comm.Allreduce, sendbuf, recvbuf, op, join=True).Wait()
 
     def Iallreduce(self, sendbuf, recvbuf, op: str = "sum") -> Request:
         """Nonblocking ``MPI_Iallreduce``: the whole reduction schedule —
@@ -1395,11 +1296,8 @@ class TempiCommunicator:
         apps drive ``Wait`` before any such traffic.  The fallback runs the
         naive fan-in immediately and returns an already-complete request.
         """
-        request = self._allreduce_request(sendbuf, recvbuf, op, nonblocking=True)
-        if request is None:
-            self._allreduce_fallback(sendbuf, recvbuf, op)
-            return Request("null")
-        return request
+        plan = self._compile_allreduce(sendbuf, recvbuf, op, nonblocking=True)
+        return self._start(plan, self._comm.Allreduce, sendbuf, recvbuf, op, join=True)
 
     def Neighbor_alltoallv(
         self,
@@ -1415,34 +1313,11 @@ class TempiCommunicator:
         recvtypes=None,
     ) -> None:
         """``MPI_Neighbor_alltoallv`` accelerated symmetrically to :meth:`Alltoallv`."""
-        request = self._collective_request(
-            "neighbor_alltoallv",
-            list(neighbors),
-            sendbuf,
-            sendcounts,
-            senddispls,
-            sendtypes,
-            recvbuf,
-            recvcounts,
-            recvdispls,
-            recvtypes,
-            nonblocking=False,
-        )
-        if request is None:
-            self._engine.progress()  # a system collective is a progress point
-            self._comm.Neighbor_alltoallv(
-                neighbors,
-                sendbuf,
-                sendcounts,
-                senddispls,
-                recvbuf,
-                recvcounts,
-                recvdispls,
-                sendtypes=sendtypes,
-                recvtypes=recvtypes,
-            )
-            return
-        request.Wait()
+        self._start_exchange(
+            "neighbor_alltoallv", self._comm.Ineighbor_alltoallv, (neighbors,), list(neighbors),
+            sendbuf, sendcounts, senddispls, recvbuf, recvcounts, recvdispls,
+            sendtypes, recvtypes, False,
+        ).Wait()
 
     def Ineighbor_alltoallv(
         self,
@@ -1458,33 +1333,11 @@ class TempiCommunicator:
         recvtypes=None,
     ) -> Request:
         """Nonblocking neighbour collective over the same plan engine."""
-        request = self._collective_request(
-            "neighbor_alltoallv",
-            list(neighbors),
-            sendbuf,
-            sendcounts,
-            senddispls,
-            sendtypes,
-            recvbuf,
-            recvcounts,
-            recvdispls,
-            recvtypes,
-            nonblocking=True,
+        return self._start_exchange(
+            "neighbor_alltoallv", self._comm.Ineighbor_alltoallv, (neighbors,), list(neighbors),
+            sendbuf, sendcounts, senddispls, recvbuf, recvcounts, recvdispls,
+            sendtypes, recvtypes, True,
         )
-        if request is None:
-            self._engine.progress()  # a system collective is a progress point
-            return self._comm.Ineighbor_alltoallv(
-                neighbors,
-                sendbuf,
-                sendcounts,
-                senddispls,
-                recvbuf,
-                recvcounts,
-                recvdispls,
-                sendtypes=sendtypes,
-                recvtypes=recvtypes,
-            )
-        return request
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<TempiCommunicator over {self._comm!r} method={self.config.method.value}>"

@@ -27,6 +27,7 @@ from repro.apps.pipeline import PipelineSpec, run_pipeline
 from repro.machine.spec import SUMMIT
 from repro.machine.topology import Topology, TopologySpec
 from repro.mpi.datatype import FLOAT
+from repro.mpi.request import Request
 from repro.mpi.world import World
 from repro.tempi.config import TempiConfig
 from repro.tempi.interposer import interpose
@@ -109,6 +110,33 @@ class TestAllreducePaths:
         assert [row[1].tobytes() for row in blocking] == [
             row[1].tobytes() for row in nonblocking
         ]
+
+    def test_iallreduce_fallback_returns_a_completed_request(self, summit_model):
+        """Host buffers fall through to the system fan-in, which has run by
+        the time ``Iallreduce`` returns: the request must say so.  It used to
+        be a bare ``Request("null")`` whose ``Test`` answered False forever."""
+
+        def program(ctx):
+            comm = interpose(ctx, model=summit_model)
+            send = ctx.gpu.host_alloc(4 * FLOAT.size)
+            recv = ctx.gpu.host_alloc(4 * FLOAT.size)
+            send.data[:] = np.full(4, float(ctx.rank + 1), np.float32).view(np.uint8)
+            request = comm.Iallreduce((send, 4, FLOAT), (recv, 4, FLOAT))
+            assert comm.stats.collective_fallbacks == 1
+            assert request.completed
+            done, status = request.Test()
+            assert done and status is not None
+            assert np.all(recv.data.view(np.float32) == 3.0)
+            # Alongside a live receive, Waitany completes the receive.
+            peer = 1 - ctx.rank
+            inbox = np.zeros(8, dtype=np.uint8)
+            receive = comm.Irecv(inbox, source=peer)
+            comm.Send(np.full(8, ctx.rank + 7, dtype=np.uint8), dest=peer)
+            index, _ = Request.Waitany([request, receive])
+            assert index == 1 and np.all(inbox == peer + 7)
+            return True
+
+        assert all(World(2, ranks_per_node=2).run(program))
 
     def test_disabled_interposer_falls_back(self, summit_model):
         rows = _interposed_allreduce(

@@ -2,6 +2,8 @@
 
 from pathlib import Path
 
+import pytest
+
 from repro.tempi.config import PackMethod, TempiConfig
 
 
@@ -34,6 +36,18 @@ class TestVariants:
         assert not config.enabled
         assert not config.datatype_handling
         assert not config.send_handling
+
+    def test_contended_selection_needs_the_shared_timeline(self):
+        """``selection="contended"`` reads the backlog of the shared NIC
+        timeline, which ``progress="per_plan"`` never books: the pair used to
+        be silently inert, now it is refused with both fields named."""
+        with pytest.raises(ValueError, match="selection='contended'.*progress='per_plan'"):
+            TempiConfig(selection="contended", progress="per_plan")
+        with pytest.raises(ValueError, match="selection='contended'.*progress='per_plan'"):
+            TempiConfig(selection="contended").with_overrides(progress="per_plan")
+        with pytest.raises(ValueError, match="selection='contended'.*progress='per_plan'"):
+            TempiConfig(progress="per_plan").with_overrides(selection="contended")
+        assert TempiConfig(selection="contended").progress == "shared"
 
     def test_measurement_path_accepted(self):
         config = TempiConfig(measurement_path=Path("/tmp/m.json"))

@@ -13,7 +13,10 @@ counts are independent of thread scheduling), ``bench_allreduce``
 one uniform typed ``Alltoallv`` drive (:func:`run_alltoallv_uniform`: every
 rank posts seven equal messages per round, so the per-rank clocks, NIC
 ledger and received bytes pin the runtime's one booking path) into
-``tests/fixtures/golden_figures.json``, and
+``tests/fixtures/golden_figures.json``, together with a ``collective_twins``
+section (:func:`run_collective_twins`: every collective entry point, blocking
+and split-phase, on the system library and through the interposer's plan and
+fall-through paths), and
 ``tests/test_golden_figures.py`` replays them under exact equality every
 tier-1 run.  Any change that moves a priced figure value — however small —
 fails the replay and must either be a bug or come with a deliberate
@@ -28,6 +31,7 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,6 +51,15 @@ ALLREDUCE_NODES = (2, 3)
 MOE_SKEWS = (1.0, 4.0)
 UNIFORM_RANKS = 8
 UNIFORM_ROUNDS = 5
+TWIN_RANKS = 8
+TWIN_ROUNDS = 3
+#: ``InterposerStats`` counters frozen per rank by :func:`run_collective_twins`.
+TWIN_STATS = (
+    "fallbacks", "collective_hits", "collective_fallbacks", "plans_built",
+    "stages_overlapped", "deferred_unpacks", "batched_plans", "contention_stalls",
+    "ingest_stalls", "plan_cache_hits", "plan_cache_misses",
+    "selection_memo_hits", "selection_memo_misses",
+)
 
 
 def run_alltoallv_uniform(model) -> dict:
@@ -90,6 +103,155 @@ def run_alltoallv_uniform(model) -> dict:
         "ingests": nic.ingests,
         "ingest_stalls": nic.ingest_stalls,
     }
+
+
+class TwinCall(NamedTuple):
+    """One collective call: ``comm.<method>(*args, **kwargs)`` landing in ``recv``."""
+
+    name: str
+    method: str
+    args: tuple
+    kwargs: dict
+    recv: object
+
+    def blocking(self, comm) -> None:
+        """Make the blocking call."""
+        getattr(comm, self.method)(*self.args, **self.kwargs)
+
+    def has_split(self, comm) -> bool:
+        """Whether ``comm`` has the ``I…`` form (not ``Bcast``; ``Allreduce``
+        only on the interposer)."""
+        return hasattr(comm, "I" + self.method.lower())
+
+    def split(self, comm):
+        """Make the ``I…`` call and return its request."""
+        return getattr(comm, "I" + self.method.lower())(*self.args, **self.kwargs)
+
+
+def twin_calls(ctx, comm, *, device: bool = True, contiguous: bool = False) -> list[TwinCall]:
+    """Every collective entry point of ``comm``, with arguments for this rank.
+
+    Shapes are deliberately non-uniform (counts alternate with
+    ``rank + peer``) so the two sides of a call differ; ``device=False`` and
+    ``contiguous=True`` are the inputs the interposer hands back to the
+    system library.  Shared with ``tests/mpi/test_collective_twins.py``.
+    """
+    from repro.mpi.constructors import Type_contiguous, Type_vector
+    from repro.mpi.datatype import BYTE, FLOAT
+
+    rank, size = ctx.rank, comm.Get_size()
+    shape = Type_contiguous(128, BYTE) if contiguous else Type_vector(8, 16, 32, BYTE)
+    t = comm.Type_commit(shape)
+    slot = 2 * 256
+    alloc = ctx.gpu.malloc if device else ctx.gpu.host_alloc
+
+    def buffers(nbytes: int):
+        send, recv = alloc(nbytes), alloc(nbytes)
+        send.data[:] = (np.arange(nbytes) * (rank + 3) % 251).astype(np.uint8)
+        return send, recv
+
+    typed = {"sendtypes": t, "recvtypes": t}
+    peers = tuple(range(size))
+    elements = tuple(1 + (rank + peer) % 2 for peer in peers)
+    nbytes = tuple(64 + 16 * ((rank + peer) % 3) for peer in peers)
+    displs = tuple(peer * slot for peer in peers)
+    neighbors = ((rank - 1) % size, (rank + 1) % size)
+    near = tuple(elements[peer] for peer in neighbors)
+    near_bytes = tuple(nbytes[peer] for peer in neighbors)
+    near_displs = (0, slot)
+    gathered = tuple(1 + peer % 2 for peer in peers)
+    gathered_bytes = tuple(64 + 16 * peer for peer in peers)
+
+    calls = []
+
+    def add(name, method, nbytes_each, make_args, kwargs):
+        send, recv = buffers(nbytes_each)
+        calls.append(TwinCall(name, method, make_args(send, recv), kwargs, recv))
+
+    add("alltoallv_byte", "Alltoallv", slot * size,
+        lambda s, r: (s, nbytes, displs, r, nbytes, displs), {})
+    add("alltoallv_typed", "Alltoallv", slot * size,
+        lambda s, r: (s, elements, displs, r, elements, displs), typed)
+    add("neighbor_alltoallv_byte", "Neighbor_alltoallv", slot * 2,
+        lambda s, r: (neighbors, s, near_bytes, near_displs, r, near_bytes, near_displs), {})
+    add("neighbor_alltoallv_typed", "Neighbor_alltoallv", slot * 2,
+        lambda s, r: (neighbors, s, near, near_displs, r, near, near_displs), typed)
+    add("allgather_byte", "Allgather", slot * size, lambda s, r: (s, 96, r), {})
+    add("allgather_typed", "Allgather", slot * size, lambda s, r: (s, 2, r),
+        {"sendtype": t, "recvtype": t})
+    add("allgatherv_byte", "Allgatherv", slot * size,
+        lambda s, r: (s, gathered_bytes[rank], r, gathered_bytes, displs), {})
+    add("allgatherv_typed", "Allgatherv", slot * size,
+        lambda s, r: (s, gathered[rank], r, gathered, displs), {"sendtype": t, "recvtypes": t})
+    send, recv = buffers(4 * 64)
+    send.data[:] = np.arange(64 * rank, 64 * rank + 64, dtype=np.float32).view(np.uint8)
+    calls.append(
+        TwinCall("allreduce", "Allreduce", ((send, 64, FLOAT), (recv, 64, FLOAT)), {"op": "sum"}, recv)
+    )
+    send, _ = buffers(slot)
+    calls.append(TwinCall("bcast", "Bcast", ((send, 1, t),), {"root": 1}, send))
+    return calls
+
+
+def run_collective_twins(model) -> dict:
+    """Every collective, blocking and split-phase, on three library set-ups.
+
+    ``system`` is the plain communicator, ``tempi`` the interposed one on
+    device buffers (typed calls compile to plans, byte calls fall through),
+    ``tempi_host`` the interposed one on host buffers (everything falls
+    through).  Per entry point: ``TWIN_ROUNDS`` blocking calls, then as many
+    ``I…().Wait()`` calls; the rank's clock and receive digest are frozen
+    after each half, the NIC and ``InterposerStats`` at the end.
+    """
+    from repro.mpi.world import World
+    from repro.tempi.interposer import interpose
+
+    def program(ctx, interposed: bool, device: bool):
+        comm = interpose(ctx, model=model) if interposed else ctx.comm
+        phases = {}
+        for call in twin_calls(ctx, comm, device=device):
+            for _ in range(TWIN_ROUNDS):
+                call.blocking(comm)
+            phases[call.name] = (ctx.clock.now.hex(), call.recv.data.tobytes())
+            if call.has_split(comm):
+                call.recv.data[:] = 0
+                for _ in range(TWIN_ROUNDS):
+                    call.split(comm).Wait()
+                phases["i" + call.name] = (ctx.clock.now.hex(), call.recv.data.tobytes())
+        stats = {}
+        if interposed:
+            stats = {name: getattr(comm.stats, name) for name in TWIN_STATS}
+            stats["method_counts"] = dict(comm.stats.method_counts)
+        return phases, stats
+
+    setups = {"system": (False, True), "tempi": (True, True), "tempi_host": (True, False)}
+    fixture = {}
+    for label, (interposed, device) in setups.items():
+        world = World(TWIN_RANKS, ranks_per_node=2)
+        results = world.run(program, interposed, device)
+        nic = world.nic
+        fixture[label] = {
+            # Per phase: every rank's clock, one digest over all ranks' bytes.
+            "phases": {
+                name: {
+                    "clocks": [phases[name][0] for phases, _ in results],
+                    "recv_sha256": hashlib.sha256(
+                        b"".join(phases[name][1] for phases, _ in results)
+                    ).hexdigest(),
+                }
+                for name in results[0][0]
+            },
+            # Per counter: every rank's value.
+            "stats": {
+                name: [stats[name] for _, stats in results] for name in results[0][1]
+            },
+            "nic_fingerprint": nic.state_fingerprint(),
+            "reservations": nic.reservations,
+            "stalls": nic.stalls,
+            "ingests": nic.ingests,
+            "ingest_stalls": nic.ingest_stalls,
+        }
+    return fixture
 
 
 def build_fixture(model) -> dict:
@@ -166,6 +328,7 @@ def build_fixture(model) -> dict:
         "allreduce": allreduces,
         "moe": moes,
         "alltoallv_uniform": run_alltoallv_uniform(model),
+        "collective_twins": run_collective_twins(model),
     }
 
 
