@@ -154,10 +154,10 @@ class HaloDriver:
     ``"batched"``
         the whole round in one
         :meth:`~repro.machine.nic.NicTimeline.reserve_batch` call and one
-        :meth:`~repro.machine.nic.NicTimeline.ingest_batch_vec` call
-        (hierarchical topologies route per-path, so their reservations take
-        the kernel's serial in-lock path and their rail-carrying ingest
-        records the scalar API).
+        :meth:`~repro.machine.nic.NicTimeline.ingest_batch_vec` call; a
+        hierarchical topology adds its frozen
+        :class:`~repro.machine.topology.RouteTable` (rail and uplink-bundle
+        cursors deepen the kernel's level schedule, nothing else changes).
 
     Both modes compile every rank's plan every round — the clock charges
     *are* the workload — and price bit-identically: :meth:`digest` over a
@@ -252,21 +252,17 @@ class HaloDriver:
             )
             for ctx, comm, datatype, peers, counts, displs, send, recv, _ in self._setup
         ]
-        self._paths = None
-        self._rails: Optional[list[list[Optional[tuple]]]] = None
+        # The exchange's routes, resolved once: which rail and uplink
+        # bundles each post binds, and the rail each landing serialises on.
+        self._routes = None
+        self._ingest_rails = None
         if self.topo is not None:
-            topo = self.topo
-            self._paths = [
-                [topo.resolve(i, peer, device_buffers=True) for peer in row]
-                for i, row in enumerate(neighbor_rows)
-            ]
-            self._rails = [
-                [
-                    topo.rail_key(peer) if not topo.same_node(i, peer) else None
-                    for peer in row
-                ]
-                for i, row in enumerate(neighbor_rows)
-            ]
+            self._routes = self.topo.route_table(
+                self._sources, neighbor_rows, device_buffers=True
+            )
+            rails = self._routes.ingest_rail[self._gather_rows, self._gather_cols]
+            rails.flags.writeable = False
+            self._ingest_rails = (rails, self._routes.ingest_rail_keys)
 
     # ------------------------------------------------------------------ rounds
     def round(self) -> int:
@@ -298,8 +294,7 @@ class HaloDriver:
                 rail = None
                 if topo is not None:
                     path = topo.resolve(rank, post.peer, device_buffers=True)
-                    if not topo.same_node(rank, post.peer):
-                        rail = topo.rail_key(post.peer)
+                    rail = path.ingest_rail
                 reservation = nic.reserve(rank, post.peer, now, wire_s, post.nbytes,
                                           path=path)
                 inbound.setdefault(post.peer, []).append(
@@ -359,39 +354,20 @@ class HaloDriver:
             nows = np.asarray(nows_list, dtype=np.float64)
         batch = self.nic.reserve_batch(
             self._sources, self._dest_mat, nows[:, None], self._wire_mat,
-            self._nbytes, ingest=True, paths=self._paths,
+            self._nbytes, ingest=True, paths=self._routes,
         )
-        if self._paths is None:
-            rows, cols = self._gather_rows, self._gather_cols
-            self.nic.ingest_batch_vec(
-                self._ingest_dests,
-                batch.start[rows, cols],
-                rows,
-                batch.seq[rows, cols],
-                self._wire_mat[rows, cols],
-                batch.arrival[rows, cols],
-            )
-        else:
-            # Routed records carry their receive-side rail, which the
-            # columnar ingest kernel deliberately does not model — serve
-            # them through the scalar call, one destination at a time.
-            starts = batch.start.tolist()
-            arrivals = batch.arrival.tolist()
-            seqs = batch.seq.tolist()
-            wires = self._wire_mat.tolist()
-            rails = self._rails
-            assert rails is not None
-            for dest, row_i, row_j in zip(
-                self._ingest_dests.tolist(),
-                self._gather_rows.tolist(),
-                self._gather_cols.tolist(),
-            ):
-                records = [
-                    IngestRecord(starts[i][j], i, seqs[i][j], wires[i][j],
-                                 arrivals[i][j], rails[i][j])
-                    for i, j in zip(row_i, row_j)
-                ]
-                self.nic.ingest(dest, records)
+        # Landings travel as struct-of-arrays: row q holds the k messages
+        # converging on destination q, gathered out of the batch's fields.
+        rows, cols = self._gather_rows, self._gather_cols
+        self.nic.ingest_batch_vec(
+            self._ingest_dests,
+            batch.start[rows, cols],
+            rows,
+            batch.seq[rows, cols],
+            self._wire_mat[rows, cols],
+            batch.arrival[rows, cols],
+            rails=self._ingest_rails,
+        )
         return n * k
 
     # --------------------------------------------------------------- reporting
@@ -593,6 +569,12 @@ def check_sweep(results: Mapping[int, Mapping]) -> None:
             assert eager["plan_cache_hits"] == 0, f"{nranks} ranks: eager mode hit a plan cache"
         assert cached["plan_cache_hits"] > 0, f"{nranks} ranks: plan cache never hit"
         assert batched["plan_cache_hits"] > 0, f"{nranks} ranks: batched leg missed the plan cache"
+        # One level sweep books every batch, flat or routed: it must beat
+        # per-message cached pricing at every rank count, on both legs.
+        assert entry["batched_vs_cached"] > 1.0, (
+            f"{nranks} ranks: batched booking slower than per-message pricing "
+            f"({entry['batched_vs_cached']:.2f}x)"
+        )
         # The compact ledger is the whole variable-size NIC footprint: the
         # ring is fixed-capacity and the advisory pending books are bounded.
         nic_defaults = 4096

@@ -83,40 +83,181 @@ accounting, bit-for-bit).
 from __future__ import annotations
 
 import threading
-from itertools import chain
 from operator import itemgetter
-from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.machine.network import DEFAULT_WIRE_OVERLAP
-from repro.machine.topology import PathSpec, RailKey, ShareKey
+from repro.machine.topology import PathSpec, RailKey, RouteTable, ShareKey
 
 
 class NicError(ValueError):
     """An impossible reservation was requested."""
 
 
-class _BatchIndex(NamedTuple):
-    """Derived per-batch indexing state a frozen-shape reserve reuses.
+class _BatchPlan(NamedTuple):
+    """The level schedule of one batch shape, reused while the shape is frozen.
 
-    Everything here is a pure function of the (validated) ``sources`` /
-    ``dests`` / ``wire_s`` arrays, so rebuilding it per call for the same
-    frozen arrays is waste: the Python index lists feed the scatter loops,
-    ``wire_list`` the pending-registration sweep, and the two
-    :func:`~operator.itemgetter` gathers read the port/link cursor dicts at
-    C speed (they raise ``KeyError`` for first-contact cursors, which the
-    kernel catches and answers with the defaulted slow gather).
+    A pure function of the (validated) ``sources`` / ``dests`` / ``wire_s``
+    arrays and the route table; ``ready`` and ``nbytes`` are per call and
+    stay out.  Every message gets the dense ids of the cursors it binds —
+    port, link and, on a routed path, rail and uplink bundles — and a
+    wavefront level one above the latest row-major predecessor on any of
+    them: messages of one level share no cursor, and each finds its cursors
+    exactly as its row-major predecessors left them.
     """
 
-    src_list: list[int]
-    dst_list: list[list[int]]
-    key_list: list[tuple[int, int]]
-    wire_list: list[list[float]]
-    #: Gathers the per-source cursors (``_ports`` / ``_seqs``) in row order.
-    src_get: Callable[..., Any]
-    #: Gathers the per-link cursors in flattened row-major key order.
-    link_get: Callable[..., Any]
+    #: Per source row: the source, and its messages' destinations, wire
+    #: times and receive-side rails (``None``: flat books) — the static
+    #: fields of the pending records.
+    rows: list[tuple[int, list[int], list[float], list[Optional[RailKey]]]]
+    #: Per cursor family in use — 0 ports, 1 links, 2 rails, 3 bundles — its
+    #: distinct keys, their :func:`~operator.itemgetter` (see :func:`_gather`)
+    #: and their ``[lo, hi)`` span of the gathered cursor vector.
+    families: list[tuple[int, tuple[Any, ...], Callable[..., Any], int, int]]
+    #: Row-major message indices in level order (stable).
+    order: np.ndarray
+    #: Per level: its ``[lo, hi)`` slice of the level order and the ``(w +
+    #: 1, n)`` slots it gathers — its cursors, which it then scatters to, and
+    #: its own ready time.  An absent cursor names the sink slot behind the
+    #: cursors, which holds ``-inf`` whenever a level reads it.
+    levels: list[tuple[int, int, np.ndarray]]
+    #: Cursor advances in level order, ``(w, N)``: ``overlap * wire`` (port,
+    #: rail), ``wire`` (link); the bundle rows are ``nbytes`` over the
+    #: ``(b, N)`` bundle bandwidths, filled per call.
+    delta: np.ndarray
+    bandwidth: np.ndarray
+    #: Sequence numbers: each message's port id and running per-source
+    #: count (row-major), and the messages per distinct source.
+    src_id: np.ndarray
+    seq_rank: np.ndarray
+    src_count: np.ndarray
+
+
+class _IngestPlan(NamedTuple):
+    """Derived indexing state of one ingestion shape (frozen ``dests`` / ``rails``)."""
+
+    dst_list: list[int]
+    port_get: Callable[..., Any]
+    #: One row selection per wavefront stage: rows (destinations) naming a
+    #: common receive-side rail are chained in input order, rows of one
+    #: stage share none (a lone ``slice(None)`` when rail-free).  Which
+    #: rails a row names does not depend on the per-call service order.
+    stages: list[Any]
+    #: The rails named, their getter, and each record's ``(m, k)`` slot in
+    #: the rail cursor vector, in input column order (absent: the sink slot
+    #: behind the cursors).  ``None`` when rail-free.
+    rails: Optional[tuple[list[RailKey], Callable[..., Any], np.ndarray]]
+
+
+def _gather(book: dict[Any, Any], keys: Sequence[Any],
+            getter: Callable[..., Any], default: Any) -> Any:
+    """Read ``keys`` out of a cursor dict in one C call (defaulted on first contact)."""
+    try:
+        return getter(book)
+    except KeyError:
+        return [book.get(key, default) for key in keys]
+
+
+def _wavefront(slots: list[list[int]], sink: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Level-schedule items that read, then write, their cursor slots in order.
+
+    An item's level is one above the latest earlier item naming any of its
+    slots; slot ``sink`` (the last) binds nothing.  Returns the items in
+    (stable) level order and each level's ``[lo, hi)`` slice of that order.
+    """
+    last = [0] * (sink + 1)
+    level = []
+    for row in slots:
+        here = max([last[slot] for slot in row], default=0)
+        for slot in row:
+            last[slot] = here + 1
+        last[sink] = 0
+        level.append(here)
+    cuts = [0, *np.cumsum(np.bincount(level)).tolist()]
+    return np.argsort(np.asarray(level), kind="stable"), list(zip(cuts, cuts[1:]))
+
+
+def _plan_batch(src: np.ndarray, dst: np.ndarray, wire: np.ndarray,
+                table: Optional[RouteTable], overlap: float) -> _BatchPlan:
+    """Schedule one ``(m, k)`` batch (see :class:`_BatchPlan`)."""
+    m, k = dst.shape
+    total = m * k
+    src_list, dst_list = src.tolist(), dst.tolist()
+    port_ids: dict[int, int] = {}
+    link_ids: dict[tuple[int, int], int] = {}
+    port_col: list[int] = []
+    link_col: list[int] = []
+    rank: list[int] = []     # running per-source message count
+    count: list[int] = []    # messages per distinct source
+    for s, row in zip(src_list, dst_list):
+        port = port_ids.setdefault(s, len(port_ids))
+        if port == len(count):
+            count.append(0)
+        for d in row:
+            port_col.append(port)
+            link_col.append(link_ids.setdefault((s, d), len(link_ids)))
+            rank.append(count[port])
+            count[port] += 1
+    held = overlap * wire.reshape(total)
+    keysets: list[tuple[Any, ...]] = [tuple(port_ids), tuple(link_ids), (), ()]
+    # (family, per-message key ids, per-message cursor advance) per column.
+    columns: list[tuple[int, np.ndarray, Any]] = [
+        (0, np.asarray(port_col, dtype=np.int64), held),
+        (1, np.asarray(link_col, dtype=np.int64), wire.reshape(total)),
+    ]
+    rail_list: list[list[Optional[RailKey]]] = [[None] * k] * m
+    bandwidth = np.ones((total, 0))
+    if table is not None:
+        keysets[2:] = table.rail_keys, table.share_keys
+        if table.rail_keys:
+            columns.append((2, table.rail.reshape(total), held))
+        bundles = table.shared.shape[2]
+        columns.extend((3, ids, 0.0) for ids in table.shared.reshape(total, bundles).T)
+        bandwidth = table.shared_bandwidth.reshape(total, bundles)
+        rail_list = [
+            [table.ingest_rail_keys[r] if r >= 0 else None for r in row]
+            for row in table.ingest_rail.tolist()
+        ]
+    base = [0, *np.cumsum([len(keys) for keys in keysets]).tolist()]
+    ncur = base[4]
+    # Cursor families are rows and messages columns, so that a level's
+    # gather reduces over the leading axis.
+    raw = np.stack([col for _, col, _ in columns])
+    slots = np.where(raw < 0, ncur, raw + np.asarray([[base[f]] for f, _, _ in columns]))
+    order, cuts = _wavefront(slots.T.tolist(), ncur)
+    # The ready times ride behind the cursors (and the sink) in the
+    # gathered vector, so the start max is one gather and one reduce.
+    slots = np.vstack([slots[:, order], order + (ncur + 1)])
+    delta = np.empty((len(columns), total))
+    for column, (_, _, advance) in enumerate(columns):
+        delta[column] = advance
+    return _BatchPlan(
+        list(zip(src_list, dst_list, wire.tolist(), rail_list)),
+        [(f, keys, itemgetter(*keys), base[f], base[f + 1])
+         for f, keys in enumerate(keysets) if keys],
+        order,
+        [(lo, hi, np.ascontiguousarray(slots[:, lo:hi])) for lo, hi in cuts],
+        delta[:, order], bandwidth.T[:, order],
+        columns[0][1], np.asarray(rank, dtype=np.int64), np.asarray(count, dtype=np.int64),
+    )
+
+
+def _plan_ingest(dst_list: list[int], rail: Optional[np.ndarray],
+                 rail_keys: Sequence[RailKey]) -> _IngestPlan:
+    """Stage one ingestion shape's rows by shared rail (see :class:`_IngestPlan`)."""
+    port_get = itemgetter(*dst_list)
+    if rail is None or not bool(np.any(rail >= 0)):
+        return _IngestPlan(dst_list, port_get, [slice(None)], None)
+    used = np.unique(rail[rail >= 0])
+    slots = np.where(rail < 0, len(used), np.searchsorted(used, rail))
+    order, cuts = _wavefront(slots.tolist(), len(used))
+    used_keys = [rail_keys[r] for r in used.tolist()]
+    return _IngestPlan(
+        dst_list, port_get, [order[lo:hi] for lo, hi in cuts],
+        (used_keys, itemgetter(*used_keys), slots),
+    )
 
 
 def ledger_sum(values: Iterable[float], start: float = 0.0) -> float:
@@ -376,16 +517,15 @@ class NicTimeline:
         #: footprint, which ``bench_sim_throughput.py`` reports.
         self.peak_pending = 0
         #: Frozen batch-shape memos: when a caller re-posts the *same*
-        #: read-only arrays a fully validated vectorised batch already used,
-        #: their contents cannot have changed, so validation and the derived
-        #: Python index lists are reused instead of rebuilt (the steady state
-        #: of an iterative exchange).  Identity-keyed, single slot each.
+        #: read-only arrays (and frozen route table, under an unchanged
+        #: ``wire_overlap``) a fully validated batch already used, their
+        #: contents cannot have changed, so validation and the derived
+        #: schedule are reused instead of rebuilt (the steady state of an
+        #: iterative exchange).  Identity-keyed, single slot each.
         self._batch_shape: Optional[
-            tuple[np.ndarray, np.ndarray, np.ndarray, _BatchIndex]
+            tuple[np.ndarray, np.ndarray, np.ndarray, Optional[RouteTable], float, _BatchPlan]
         ] = None
-        self._ingest_shape: Optional[
-            tuple[np.ndarray, list[int], Callable[..., Any]]
-        ] = None
+        self._ingest_shape: Optional[tuple[np.ndarray, Any, _IngestPlan]] = None
 
     # ---------------------------------------------------------------- reserve
     def reserve(
@@ -438,8 +578,8 @@ class NicTimeline:
         """One reservation with the lock already held (see :meth:`reserve`).
 
         The single place the scalar injection rules live: :meth:`reserve`
-        wraps it per message and :meth:`reserve_batch`'s serialised fallback
-        row-loops it, so the two paths cannot drift.
+        wraps it per message, and it is the reference :meth:`reserve_batch`'s
+        level sweep is pinned against.
         """
         port = self._ports.get(source, 0.0)
         link_key = (source, dest)
@@ -520,7 +660,7 @@ class NicTimeline:
         nbytes: np.ndarray | int = 0,
         *,
         ingest: bool = True,
-        paths: Optional[Sequence[Sequence[Optional[PathSpec]]]] = None,
+        paths: Union[RouteTable, Sequence[Sequence[Optional[PathSpec]]], None] = None,
     ) -> BatchReservation:
         """Book a whole exchange — ``m`` sources × ``k`` messages — at once.
 
@@ -536,105 +676,80 @@ class NicTimeline:
         pending record lands bit-identical to that loop — the batch is a
         *pricing kernel*, not a different model.
 
-        When the batch is flat (no paths), sources are distinct and each
-        row's destinations are distinct, the per-source recurrences are
-        independent, so the booking runs as ``k`` vectorised column steps
-        over all ``m`` rows — elementwise ``maximum``/multiply-add mirrors
-        of the scalar port/link rules, which numpy evaluates with the same
-        IEEE-754 double operations the scalar path performs.  Any coupling
-        the columns cannot express (shared rails or uplink ledgers, repeated
-        sources, repeated in-row destinations) falls back to serialising the
-        rows through :meth:`_reserve_one` under one lock acquisition — still
-        the exact scalar semantics, minus the per-message locking.
+        Every batch runs through one level-scheduled sweep.  Two messages
+        are coupled only through a cursor both bind — a port, a link, a
+        shared rail, an uplink bundle — so the scalar recurrence runs one
+        wavefront level (:class:`_BatchPlan`) at a time over a gathered
+        cursor vector.  A flat batch of distinct sources is the case "levels
+        = columns"; shared rails and bundles, repeated sources and repeated
+        in-row destinations are deeper levels, not a different path.
 
         ``ready``/``wire_s``/``nbytes`` broadcast against ``dests``'s
-        ``(m, k)`` shape; ``paths``, when given, is an ``m × k`` nested
-        sequence of resolved :class:`~repro.machine.topology.PathSpec`.
+        ``(m, k)`` shape.  ``paths`` is the exchange's frozen
+        :class:`~repro.machine.topology.RouteTable`, or an ``m × k`` nested
+        sequence of resolved :class:`~repro.machine.topology.PathSpec`,
+        tabulated on every call (a list's identity says nothing of its
+        contents); the schedule is reused only while the *same* read-only
+        arrays and route table come back.
         """
-        cached_shape = self._batch_shape
+        cached = self._batch_shape
+        plan: Optional[_BatchPlan] = None
         if (
-            paths is None
-            and cached_shape is not None
-            and sources is cached_shape[0]
-            and dests is cached_shape[1]
-            and wire_s is cached_shape[2]
+            cached is not None
+            and sources is cached[0]
+            and dests is cached[1]
+            and wire_s is cached[2]
+            and paths is cached[3]
+            and self.wire_overlap == cached[4]
         ):
-            # Frozen-shape fast lane: these exact read-only arrays already
-            # passed validation and priced vectorised, and read-only contents
-            # cannot have changed — skip both and reuse the index lists.
-            src, dst, wire = cached_shape[0], cached_shape[1], cached_shape[2]
-            m, k = dst.shape
-            rdy = np.ascontiguousarray(
-                np.broadcast_to(np.asarray(ready, dtype=np.float64), (m, k))
-            )
-            nb = np.ascontiguousarray(
-                np.broadcast_to(np.asarray(nbytes, dtype=np.int64), (m, k))
-            )
-            out = BatchReservation(
-                np.empty((m, k)), np.empty((m, k)), np.empty((m, k)),
-                wire, np.empty((m, k), dtype=np.int64),
-            )
-            with self._lock:
-                return self._reserve_batch_vector(
-                    out, src, dst, rdy, wire, nb, ingest, cached_shape[3]
+            # Frozen-shape fast lane: these exact read-only inputs already
+            # passed validation, and read-only contents cannot have changed.
+            src, dst, wire, _, _, plan = cached
+        else:
+            src = np.asarray(sources, dtype=np.int64)
+            dst = np.asarray(dests, dtype=np.int64)
+            if src.ndim != 1 or dst.ndim != 2 or dst.shape[0] != src.shape[0]:
+                raise NicError(
+                    f"batch shapes must be sources (m,) and dests (m, k), got "
+                    f"{src.shape} and {dst.shape}"
                 )
-        src = np.asarray(sources, dtype=np.int64)
-        dst = np.asarray(dests, dtype=np.int64)
-        if src.ndim != 1 or dst.ndim != 2 or dst.shape[0] != src.shape[0]:
-            raise NicError(
-                f"batch shapes must be sources (m,) and dests (m, k), got "
-                f"{src.shape} and {dst.shape}"
+            wire_arr = np.asarray(wire_s, dtype=np.float64)
+            wire = (
+                wire_arr
+                if wire_arr.shape == dst.shape and wire_arr.flags.c_contiguous
+                else np.ascontiguousarray(np.broadcast_to(wire_arr, dst.shape))
             )
+            if np.any(wire < 0):
+                raise NicError("wire time must be non-negative for every message")
         m, k = dst.shape
         rdy = np.ascontiguousarray(
             np.broadcast_to(np.asarray(ready, dtype=np.float64), (m, k))
         )
-        wire_arr = np.asarray(wire_s, dtype=np.float64)
-        wire = (
-            wire_arr
-            if wire_arr.shape == (m, k) and wire_arr.flags.c_contiguous
-            else np.ascontiguousarray(np.broadcast_to(wire_arr, (m, k)))
-        )
         nb = np.ascontiguousarray(
             np.broadcast_to(np.asarray(nbytes, dtype=np.int64), (m, k))
         )
-        if np.any(wire < 0):
-            raise NicError("wire time must be non-negative for every message")
-        if paths is not None and (
-            len(paths) != m or any(len(row) != k for row in paths)
-        ):
-            raise NicError(f"paths must be an {m} x {k} nested sequence")
-        shape = BatchReservation(
+        out = BatchReservation(
             np.empty((m, k)), np.empty((m, k)), np.empty((m, k)),
             wire, np.empty((m, k), dtype=np.int64),
         )
-        if m == 0 or k == 0:
-            return shape
-        routed = paths is not None and any(
-            spec is not None for row in paths for spec in row
-        )
-        with self._lock:
-            src_list = src.tolist()
-            vectorizable = not routed and len(set(src_list)) == m
-            if vectorizable and k > 1:
-                in_row = np.sort(dst, axis=1)
-                if bool(np.any(in_row[:, 1:] == in_row[:, :-1])):
-                    vectorizable = False
-            if not vectorizable:
-                return self._reserve_batch_serial(
-                    shape, src, dst, rdy, wire, nb, ingest,
-                    paths if routed else None,
+        if plan is None:
+            if isinstance(paths, RouteTable):
+                shaped = paths.rail.shape == (m, k)
+            else:
+                shaped = paths is None or (
+                    len(paths) == m and all(len(row) == k for row in paths)
                 )
-            dst_list = dst.tolist()
-            # One key list serves both the cursor gather and the scatter in
-            # the kernel.
-            key_list = [(s, d) for s, row in zip(src_list, dst_list) for d in row]
-            index = _BatchIndex(
-                src_list, dst_list, key_list, wire.tolist(),
-                itemgetter(*src_list), itemgetter(*key_list),
+            if not shaped:
+                raise NicError(f"paths must be {m} x {k} (nested, or a route table)")
+            if m == 0 or k == 0:
+                return out
+            table = (
+                paths if paths is None or isinstance(paths, RouteTable)
+                else RouteTable.from_paths(paths)
             )
+            plan = _plan_batch(src, dst, wire, table, self.wire_overlap)
             if (
-                paths is None
+                table is paths
                 and src is sources
                 and dst is dests
                 and wire is wire_s
@@ -642,103 +757,81 @@ class NicTimeline:
                 and not dst.flags.writeable
                 and not wire.flags.writeable
             ):
-                self._batch_shape = (src, dst, wire, index)
-            return self._reserve_batch_vector(shape, src, dst, rdy, wire, nb, ingest, index)
+                self._batch_shape = (src, dst, wire, table, self.wire_overlap, plan)
+        with self._lock:
+            return self._reserve_batch_sweep(out, src, dst, rdy, nb, ingest, plan)
 
-    def _reserve_batch_serial(
+    def _reserve_batch_sweep(
         self,
         out: BatchReservation,
         src: np.ndarray,
         dst: np.ndarray,
         rdy: np.ndarray,
-        wire: np.ndarray,
         nb: np.ndarray,
         ingest: bool,
-        paths: Optional[Sequence[Sequence[Optional[PathSpec]]]],
+        plan: _BatchPlan,
     ) -> BatchReservation:
-        """Row-loop a coupled batch through the scalar rules, lock held.
+        """Price a scheduled batch one wavefront level at a time, lock held.
 
-        The fallback for batches the column scan cannot express (shared
-        rails/uplinks, repeated sources, repeated in-row destinations):
-        exactly the scalar loop, amortising only the lock acquisition.
-        """
-        m, k = dst.shape
-        for i in range(int(m)):
-            source = int(src[i])
-            row = paths[i] if paths is not None else None
-            for j in range(int(k)):
-                res = self._reserve_one(
-                    source, int(dst[i, j]), float(rdy[i, j]), float(wire[i, j]),
-                    int(nb[i, j]), ingest, row[j] if row is not None else None,
-                )
-                out.start[i, j] = res.start
-                out.arrival[i, j] = res.arrival
-                out.stalled_s[i, j] = res.stalled_s
-                out.seq[i, j] = res.seq
-        return out
-
-    def _reserve_batch_vector(
-        self,
-        out: BatchReservation,
-        src: np.ndarray,
-        dst: np.ndarray,
-        rdy: np.ndarray,
-        wire: np.ndarray,
-        nb: np.ndarray,
-        ingest: bool,
-        index: _BatchIndex,
-    ) -> BatchReservation:
-        """Price a flat, decoupled batch as ``k`` column steps, lock held.
-
-        Rows (sources) are independent: each source's port recurrence
-        ``start_j = max(ready_j, port, link_j); port = start_j + overlap *
-        wire_j`` advances elementwise across all rows per column, performing
-        the same double-precision operations the scalar loop performs per
-        message — hence bit-identical cursors.  Stall seconds fold in
+        The cursors the batch binds are gathered once into one vector
+        (ports, links, rails, bundles, the ``-inf`` sink absent cursors
+        name, then the ready times) and scattered back once.  Per level, ``start = max(ready, cursors)`` is the row maximum
+        of the gathered slots and every cursor becomes ``start`` plus its
+        own advance — the same IEEE-754 double operations the scalar loop
+        performs per message, in an order that respects every cursor's
+        row-major chain: hence bit-identical cursors.  Stall seconds fold in
         row-major order through :func:`ledger_sum`, ledger rows block-append
         through :meth:`_LedgerRing.extend`, and pending records register in
         row-major order, so every counter and fingerprint matches the loop.
         """
         m, k = dst.shape
-        src_list, dst_list, key_list = index[:3]
-        links = self._links
-        try:
-            # The itemgetter gathers read every cursor in one C call; a
-            # KeyError means some cursor has never been touched, answered
-            # by the defaulted per-key gather below.
-            ports0 = np.asarray(index.src_get(self._ports), dtype=np.float64).reshape(m)
-        except KeyError:
-            ports0 = np.fromiter(
-                (self._ports.get(s, 0.0) for s in src_list), dtype=np.float64, count=m
+        total = m * k
+        wire = out.wire_s
+        books: tuple[dict[Any, float], ...] = (
+            self._ports, self._links, self._rail_ports, self._shared_links
+        )
+        ncur = plan.families[-1][4]
+        cur = np.empty(ncur + 1 + total)
+        for family, keys, getter, lo, hi in plan.families:
+            cur[lo:hi] = _gather(books[family], keys, getter, 0.0)
+        cur[ncur + 1:] = rdy.reshape(total)
+        delta = plan.delta
+        bundles = len(plan.bandwidth)
+        if bundles:
+            # A bundle is held for the message's own serial time on it:
+            # int64 / float64 true division, the scalar nbytes / bandwidth.
+            delta = delta.copy()
+            delta[-bundles:] = nb.reshape(total).take(plan.order) / plan.bandwidth
+        width = len(delta)
+        gathered = np.empty((width + 1, total))
+        level_starts = np.empty(total)
+        for lo, hi, slots in plan.levels:
+            cur[ncur] = -np.inf
+            start = cur.take(slots, out=gathered[:, lo:hi], mode="clip").max(
+                axis=0, out=level_starts[lo:hi]
             )
-        try:
-            link0 = np.asarray(index.link_get(links), dtype=np.float64).reshape(m, k)
-        except KeyError:
-            link0 = np.fromiter(
-                (links.get(kk, 0.0) for kk in key_list), dtype=np.float64, count=m * k
-            ).reshape(m, k)
+            cur[slots[:-1]] = start + delta[:, lo:hi]
         starts = out.start
-        overlap = self.wire_overlap
-        port = ports0
-        for j in range(k):
-            col = np.maximum(np.maximum(rdy[:, j], port), link0[:, j])
-            starts[:, j] = col
-            port = col + overlap * wire[:, j]
+        starts.reshape(total)[plan.order] = level_starts
         arrivals = np.add(starts, wire, out=out.arrival)
-        for s, free in zip(src_list, port.tolist()):
-            self._ports[s] = free
-        arr_list = arrivals.tolist()
-        links.update(zip(key_list, chain.from_iterable(arr_list)))
-        self.reservations += m * k
-        try:
-            seq0 = np.asarray(index.src_get(self._seqs), dtype=np.int64).reshape(m)
-        except KeyError:
-            seq0 = np.fromiter(
-                (self._seqs.get(s, 0) for s in src_list), dtype=np.int64, count=m
+        for family, keys, _, lo, hi in plan.families:
+            books[family].update(zip(keys, cur[lo:hi].tolist()))
+        self.reservations += total
+        if width > 2:
+            # What a rail or bundle added beyond base = max(ready, port,
+            # link) — taken from the values the sweep gathered, not from
+            # end-of-batch cursors — folded in row-major order.
+            waited = np.empty(total)
+            waited[plan.order] = level_starts - gathered[[0, 1, width]].max(axis=0)
+            bound = waited > 0
+            self.fabric_stalls += int(np.count_nonzero(bound))
+            self.fabric_stalled_s = ledger_sum(
+                waited[bound].tolist(), start=self.fabric_stalled_s
             )
-        seqs = np.add(seq0[:, None], np.arange(k, dtype=np.int64)[None, :], out=out.seq)
-        for s, base in zip(src_list, seq0.tolist()):
-            self._seqs[s] = base + k
+        _, sources, src_get, _, _ = plan.families[0]
+        seq0 = np.asarray(_gather(self._seqs, sources, src_get, 0), dtype=np.int64).reshape(-1)
+        seqs = np.add(seq0.take(plan.src_id), plan.seq_rank, out=out.seq.reshape(total))
+        self._seqs.update(zip(sources, (seq0 + plan.src_count).tolist()))
         stalled = starts - rdy
         positive = stalled > 0
         self.stalls += int(np.count_nonzero(positive))
@@ -746,7 +839,7 @@ class NicTimeline:
         # the same order as the scalar loop's accumulation.
         self.stalled_s = ledger_sum(stalled[positive].tolist(), start=self.stalled_s)
         if self.ledger_limit:
-            rows = np.empty(m * k, dtype=_LEDGER_DTYPE)
+            rows = np.empty(total, dtype=_LEDGER_DTYPE)
             rows["source"] = np.repeat(src, k)
             rows["dest"] = dst.ravel()
             rows["start"] = starts.ravel()
@@ -759,20 +852,20 @@ class NicTimeline:
             # same step), so the per-insert high-water check of the scalar
             # path reduces to one final comparison — bit-identical books.
             start_list = starts.tolist()
-            wire_list = index.wire_list
-            seq_list = seqs.tolist()
+            arr_list = arrivals.tolist()
+            seq_list = seqs.reshape(m, k).tolist()
             pending_book = self._pending
             limit = self.pending_limit
             pending_count = self._pending_total
             # tuple.__new__ builds the record directly from the field tuple —
-            # the same tuple the NamedTuple's generated __new__ would build
-            # (rail explicitly None), minus one Python call per message.
+            # the same tuple the NamedTuple's generated __new__ would build,
+            # minus one Python call per message.
             record_new, record_cls = tuple.__new__, IngestRecord
-            for i, s in enumerate(src_list):
-                # zip walks the five row lists in C, in the same row-major
+            for i, (s, dst_row, wire_row, rail_row) in enumerate(plan.rows):
+                # zip walks the six row lists in C, in the same row-major
                 # message order the indexed loop visited.
-                for st, d, w, a, sq in zip(
-                    start_list[i], dst_list[i], wire_list[i], arr_list[i], seq_list[i]
+                for st, d, w, a, sq, rail in zip(
+                    start_list[i], dst_row, wire_row, arr_list[i], seq_list[i], rail_row
                 ):
                     if w <= 0:
                         continue
@@ -782,7 +875,7 @@ class NicTimeline:
                     key = (st, s, sq)
                     if key not in bucket:
                         pending_count += 1
-                    bucket[key] = record_new(record_cls, (st, s, sq, w, a, None))
+                    bucket[key] = record_new(record_cls, (st, s, sq, w, a, rail))
                     if len(bucket) > limit:
                         del bucket[min(bucket)]
                         pending_count -= 1
@@ -874,25 +967,32 @@ class NicTimeline:
         seqs: np.ndarray,
         wire_s: np.ndarray,
         arrival: np.ndarray,
+        *,
+        rails: Optional[tuple[np.ndarray, Sequence[RailKey]]] = None,
     ) -> np.ndarray:
         """Commit ``m`` destinations' arrival batches — ``k`` each — at once.
 
         The columnar mirror of calling :meth:`ingest` once per destination
         in input order, with destination ``i``'s records taken column-wise
-        from row ``i`` of the ``(m, k)`` field arrays (rail-free records
-        only — routed landings go through :meth:`ingest`).  Returns the
-        ``(m, k)`` landing times in input column order, and leaves ports,
+        from row ``i`` of the ``(m, k)`` field arrays.  ``rails``, when
+        given, is ``(ids, keys)``: each record's receive-side rail as an id
+        into ``keys`` (``-1`` for none — a route table's ``ingest_rail``
+        gathered like the other fields).  Returns the ``(m, k)`` landing
+        times in input column order, and leaves ports, rail cursors,
         counters and the pending ledger bit-identical to the scalar calls.
 
         When destinations are distinct, every wire time is positive and no
         row holds duplicate ``(post_time, source, seq)`` keys, each row is
-        lexsorted into the deterministic service order and the port
-        recurrence ``landing = max(arrival, port + wire); port =
-        max(post_time, port) + overlap * wire`` advances as ``k`` vectorised
-        column steps — the same double operations as the scalar serve loop.
-        Anything else (an incast sharing a destination row, zero-wire
-        passthroughs, colliding keys) falls back to serialising rows through
-        :meth:`_ingest_locked` under the one lock acquisition.
+        lexsorted into the deterministic service order (the rail ids
+        permuted with the other fields) and the port recurrence ``landing =
+        max(arrival, port + wire); port = max(post_time, port) + overlap *
+        wire`` advances as ``k`` vectorised column steps — the same double
+        operations as the scalar serve loop — with the rail cursor as one
+        more gathered column.  Rows naming a common rail are chained in
+        input order (:class:`_IngestPlan`).  Anything else (an incast
+        sharing a destination row, zero-wire passthroughs, colliding keys)
+        falls back to serialising rows through :meth:`_ingest_locked` under
+        the one lock acquisition.
         """
         dst = np.asarray(dests, dtype=np.int64)
         post = np.ascontiguousarray(np.asarray(post_time, dtype=np.float64))
@@ -900,39 +1000,42 @@ class NicTimeline:
         seq = np.asarray(seqs, dtype=np.int64)
         wire = np.ascontiguousarray(np.asarray(wire_s, dtype=np.float64))
         arr = np.ascontiguousarray(np.asarray(arrival, dtype=np.float64))
+        rail: Optional[np.ndarray] = None
+        rail_keys: Sequence[RailKey] = ()
+        if rails is not None:
+            rail, rail_keys = np.asarray(rails[0], dtype=np.int64), rails[1]
         if dst.ndim != 1 or post.ndim != 2 or post.shape[0] != dst.shape[0]:
             raise NicError(
                 f"batch shapes must be dests (m,) and fields (m, k), got "
                 f"{dst.shape} and {post.shape}"
             )
         m, k = post.shape
-        for field in (src, seq, wire, arr):
-            if field.shape != (m, k):
+        for field in (src, seq, wire, arr, rail):
+            if field is not None and field.shape != (m, k):
                 raise NicError(f"ingest batch fields must all be (m, k)={m, k}")
         landings = np.empty((m, k), dtype=np.float64)
         if m == 0 or k == 0:
             return landings
         with self._lock:
-            cached_dests = self._ingest_shape
-            if cached_dests is not None and dests is cached_dests[0]:
-                # Frozen-shape fast lane: the same read-only destination
-                # array vectorised before, so uniqueness holds and the
-                # Python list and cursor gather are reused.
-                dst_list = cached_dests[1]
-                port_get: Optional[Callable[..., Any]] = cached_dests[2]
-                unique = True
+            cached = self._ingest_shape
+            if cached is not None and dests is cached[0] and rails is cached[1]:
+                # Frozen-shape fast lane: the same read-only arrays
+                # vectorised before, so uniqueness holds and the staging,
+                # Python list and cursor gathers are reused.
+                plan: Optional[_IngestPlan] = cached[2]
             else:
                 dst_list = dst.tolist()
-                port_get = None
-                unique = len(set(dst_list)) == m
-                if (
-                    unique
-                    and dst is dests
-                    and not dst.flags.writeable
+                plan = (
+                    _plan_ingest(dst_list, rail, rail_keys)
+                    if len(set(dst_list)) == m else None
+                )
+                if plan is not None and dst is dests and not dst.flags.writeable and (
+                    rails is None
+                    or (rail is rails[0] and not rails[0].flags.writeable
+                        and isinstance(rails[1], tuple))
                 ):
-                    port_get = itemgetter(*dst_list)
-                    self._ingest_shape = (dst, dst_list, port_get)
-            if unique and bool(np.all(wire > 0)):
+                    self._ingest_shape = (dst, rails, plan)
+            if plan is not None and bool(np.all(wire > 0)):
                 order = np.lexsort((seq, src, post), axis=-1)
                 post_sorted = np.take_along_axis(post, order, axis=1)
                 src_sorted = np.take_along_axis(src, order, axis=1)
@@ -945,17 +1048,17 @@ class NicTimeline:
                     )
                 ):
                     return self._ingest_batch_vector(
-                        landings, dst_list, order, post_sorted, src_sorted,
+                        landings, plan, order, post_sorted, src_sorted,
                         seq_sorted,
                         np.take_along_axis(wire, order, axis=1),
                         np.take_along_axis(arr, order, axis=1),
-                        port_get,
                     )
-            for i, dest in enumerate(dst_list):
+            for i, dest in enumerate(dst.tolist()):
                 records = [
                     IngestRecord(
                         float(post[i, j]), int(src[i, j]), int(seq[i, j]),
                         float(wire[i, j]), float(arr[i, j]),
+                        rail_keys[rail[i, j]] if rail is not None and rail[i, j] >= 0 else None,
                     )
                     for j in range(k)
                 ]
@@ -965,42 +1068,56 @@ class NicTimeline:
     def _ingest_batch_vector(
         self,
         landings: np.ndarray,
-        dst_list: list[int],
+        plan: _IngestPlan,
         order: np.ndarray,
         post_sorted: np.ndarray,
         src_sorted: np.ndarray,
         seq_sorted: np.ndarray,
         wire_sorted: np.ndarray,
         arr_sorted: np.ndarray,
-        port_get: Optional[Callable[..., Any]] = None,
     ) -> np.ndarray:
-        """Serve decoupled ingestion rows as column steps, lock held.
+        """Serve staged ingestion rows as column steps, lock held.
 
-        Rows (destinations) are independent and arrive pre-sorted into the
-        deterministic ``(post_time, source, seq)`` service order; the port
-        recurrence advances elementwise per column exactly as the scalar
-        serve loop does per record, then landings scatter back to input
-        column order through the sort permutation.
+        Rows (destinations) of one stage share no cursor and arrive
+        pre-sorted into the deterministic ``(post_time, source, seq)``
+        service order; the port recurrence — and, for records naming one,
+        the rail recurrence beside it — advances elementwise per column
+        exactly as the scalar serve loop does per record, then landings
+        scatter back to input column order through the sort permutation.
         """
         m, k = post_sorted.shape
-        port = None
-        if port_get is not None:
-            try:
-                port = np.asarray(port_get(self._ingest_ports), dtype=np.float64).reshape(m)
-            except KeyError:
-                port = None
-        if port is None:
-            port = np.fromiter(
-                (self._ingest_ports.get(d, 0.0) for d in dst_list),
-                dtype=np.float64,
-                count=m,
-            )
+        dst_list = plan.dst_list
+        port = np.asarray(
+            _gather(self._ingest_ports, dst_list, plan.port_get, 0.0), dtype=np.float64
+        ).reshape(m)
+        slots: Optional[np.ndarray] = None
+        if plan.rails is not None:
+            rail_keys, rail_get, slots = plan.rails
+            slots = np.take_along_axis(slots, order, axis=1)
+            # Rail cursors, then the sink rail-free records name: -inf
+            # whenever it is read.
+            rail_cur = np.empty(len(rail_keys) + 1)
+            rail_cur[:-1] = _gather(self._ingest_rails, rail_keys, rail_get, 0.0)
         served = np.empty((m, k), dtype=np.float64)
         overlap = self.wire_overlap
-        for j in range(k):
-            col_wire = wire_sorted[:, j]
-            served[:, j] = np.maximum(arr_sorted[:, j], port + col_wire)
-            port = np.maximum(post_sorted[:, j], port) + overlap * col_wire
+        for rows in plan.stages:
+            free = port[rows]
+            for j in range(k):
+                col_wire = wire_sorted[rows, j]
+                col_post = post_sorted[rows, j]
+                landing = np.maximum(arr_sorted[rows, j], free + col_wire)
+                if slots is not None:
+                    rail_cur[-1] = -np.inf
+                    rail_free = rail_cur.take(slots[rows, j])
+                    landing = np.maximum(landing, rail_free + col_wire)
+                    rail_cur[slots[rows, j]] = (
+                        np.maximum(col_post, rail_free) + overlap * col_wire
+                    )
+                served[rows, j] = landing
+                free = np.maximum(col_post, free) + overlap * col_wire
+            port[rows] = free
+        if slots is not None:
+            self._ingest_rails.update(zip(rail_keys, rail_cur[:-1].tolist()))
         self.ingests += m * k
         stalled = served - arr_sorted
         positive = stalled > 0

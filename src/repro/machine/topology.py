@@ -28,7 +28,9 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from repro.machine.spec import SUMMIT, InterconnectSpec, MachineSpec
 
@@ -202,6 +204,73 @@ class PathSpec:
         return min((hop.bandwidth_Bps for hop in self.hops), default=math.inf)
 
 
+@dataclass(frozen=True)
+class RouteTable:
+    """The cursors an ``(m, k)`` batch of resolved paths binds, as dense ids.
+
+    What :meth:`~repro.machine.nic.NicTimeline.reserve_batch` needs of ``m x
+    k`` :class:`PathSpec` objects, as read-only arrays: per message the id
+    of its injection rail, of its receive-side rail and of each shared
+    uplink bundle (``-1`` for "binds nothing"), every id indexing the key
+    tuple of its family.  The NIC's cursor dictionaries stay keyed by those
+    tuples; an id only says which gathered slot a message reads and writes.
+    Frozen, so whatever is derived from a table can be reused for as long
+    as the same object comes back.
+    """
+
+    #: ``(m, k)`` ids into :attr:`rail_keys` / :attr:`ingest_rail_keys`.
+    rail: np.ndarray
+    ingest_rail: np.ndarray
+    #: ``(m, k, b)`` ids into :attr:`share_keys` and each named bundle's
+    #: bandwidth (``1.0`` where absent); ``b`` is the most bundles any one
+    #: path crosses — 2 on a fat-tree.
+    shared: np.ndarray
+    shared_bandwidth: np.ndarray
+    rail_keys: tuple[RailKey, ...]
+    ingest_rail_keys: tuple[RailKey, ...]
+    share_keys: tuple[ShareKey, ...]
+
+    def __post_init__(self) -> None:
+        """Make the arrays read-only: a table is frozen however it was built."""
+        for array in (self.rail, self.ingest_rail, self.shared, self.shared_bandwidth):
+            array.flags.writeable = False
+
+    @staticmethod
+    def from_paths(paths: Sequence[Sequence[Optional[PathSpec]]]) -> "RouteTable":
+        """Tabulate an ``m x k`` nested sequence of resolved paths.
+
+        Ids are handed out in first-appearance (row-major) order.  A path
+        naming one bundle twice keeps the later bandwidth: both entries
+        read the same cursor, and the later write is the one that stays.
+        """
+        m, k = len(paths), len(paths[0]) if len(paths) else 0
+        if any(len(row) != k for row in paths):
+            raise TopologyError(f"paths must be an {m} x {k} nested sequence")
+        routed = [(t, path) for t, path in enumerate(p for row in paths for p in row)
+                  if path is not None]
+        width = max((len(dict(path.shared)) for _, path in routed), default=0)
+        rail = np.full(m * k, -1, dtype=np.int64)
+        ingest_rail = np.full(m * k, -1, dtype=np.int64)
+        shared = np.full((m * k, width), -1, dtype=np.int64)
+        bandwidth = np.ones((m * k, width), dtype=np.float64)
+        rails: dict[RailKey, int] = {}
+        ingest_rails: dict[RailKey, int] = {}
+        shares: dict[ShareKey, int] = {}
+        for t, path in routed:
+            if path.rail is not None:
+                rail[t] = rails.setdefault(path.rail, len(rails))
+            if path.ingest_rail is not None:
+                ingest_rail[t] = ingest_rails.setdefault(path.ingest_rail, len(ingest_rails))
+            for slot, (key, bundle_bandwidth) in enumerate(dict(path.shared).items()):
+                shared[t, slot] = shares.setdefault(key, len(shares))
+                bandwidth[t, slot] = bundle_bandwidth
+        return RouteTable(
+            rail.reshape(m, k), ingest_rail.reshape(m, k),
+            shared.reshape(m, k, width), bandwidth.reshape(m, k, width),
+            tuple(rails), tuple(ingest_rails), tuple(shares),
+        )
+
+
 class Topology:
     """Block placement of ``nranks`` ranks plus path resolution on a shape.
 
@@ -347,6 +416,23 @@ class Topology:
             path = self._resolve(src, dst, device_buffers)
             self._paths[key] = path
         return path
+
+    def route_table(
+        self,
+        sources: Sequence[int],
+        dests: Sequence[Sequence[int]],
+        *,
+        device_buffers: bool = False,
+    ) -> RouteTable:
+        """Resolve an ``(m, k)`` exchange once, into a frozen :class:`RouteTable`.
+
+        Message ``(i, j)`` runs from ``sources[i]`` to ``dests[i][j]``;
+        :meth:`resolve` stays the single source of every :class:`PathSpec`.
+        """
+        return RouteTable.from_paths([
+            [self.resolve(int(src), int(dst), device_buffers=device_buffers) for dst in row]
+            for src, row in zip(sources, dests)
+        ])
 
     def _resolve(self, src: int, dst: int, device_buffers: bool) -> PathSpec:
         """Build the path (uncached); ``resolve`` is the public seam."""

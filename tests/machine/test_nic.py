@@ -3,6 +3,7 @@
 import random
 import threading
 
+import numpy as np
 import pytest
 
 from repro.machine.network import DEFAULT_WIRE_OVERLAP
@@ -83,6 +84,82 @@ class TestReserve:
             NicTimeline(wire_overlap=0.0)
         with pytest.raises(NicError):
             NicTimeline(wire_overlap=1.5)
+
+
+class TestReserveBatchSchedule:
+    """The level schedule behind ``reserve_batch`` (bit-identity to the
+    scalar loop is pinned in ``tests/property/test_property_batchbooking.py``)."""
+
+    @staticmethod
+    def _level_widths(nic):
+        return [hi - lo for lo, hi, _ in nic._batch_shape[-1].levels]
+
+    @staticmethod
+    def _frozen(*arrays):
+        for array in arrays:
+            array.flags.writeable = False
+        return arrays
+
+    def test_flat_batch_levels_are_its_columns(self):
+        sources, dests, wire = self._frozen(
+            np.arange(5), np.arange(5)[:, None] + np.asarray([10, 20, 30]), np.full((5, 3), 0.5)
+        )
+        nic = NicTimeline()
+        nic.reserve_batch(sources, dests, 0.0, wire)
+        assert self._level_widths(nic) == [5, 5, 5]
+
+    def test_one_repeated_source_is_one_chain(self):
+        """Every message binds the one port: N levels of width 1, and still
+        exactly the scalar loop."""
+        sources, dests, wire = self._frozen(
+            np.zeros(3, dtype=np.int64), np.asarray([[1, 2], [1, 3], [2, 1]]), np.full((3, 2), 0.25)
+        )
+        batched, scalar = NicTimeline(), NicTimeline()
+        batch = batched.reserve_batch(sources, dests, 0.0, wire, 64)
+        assert self._level_widths(batched) == [1] * 6
+        loop = [scalar.reserve(0, int(d), 0.0, 0.25, 64) for d in dests.ravel()]
+        assert batch.start.ravel().tolist() == [r.start for r in loop]
+        assert batch.seq.ravel().tolist() == [0, 1, 2, 3, 4, 5]
+        assert batched.state_fingerprint() == scalar.state_fingerprint()
+        assert batched.stalled_s == scalar.stalled_s
+
+    def test_mismatched_route_table_rejected(self):
+        from repro.machine.topology import RouteTable
+
+        table = RouteTable.from_paths([[None, None]])
+        with pytest.raises(NicError, match="2 x 2"):
+            NicTimeline().reserve_batch([0, 1], np.asarray([[2, 3], [4, 5]]), 0.0, 0.5, paths=table)
+
+    def test_ragged_nested_paths_rejected(self):
+        with pytest.raises(NicError, match="2 x 2"):
+            NicTimeline().reserve_batch(
+                [0, 1], np.asarray([[2, 3], [4, 5]]), 0.0, 0.5, paths=[[None, None], [None]]
+            )
+
+    def test_empty_batch_books_nothing(self):
+        nic = NicTimeline()
+        batch = nic.reserve_batch(np.arange(3), np.empty((3, 0), dtype=np.int64), 0.0, 0.5)
+        assert batch.start.shape == (3, 0)
+        batch = nic.reserve_batch([], np.empty((0, 4), dtype=np.int64), 0.0, 0.5, paths=[])
+        assert batch.start.shape == (0, 4)
+        assert nic.reservations == 0 and nic.ledger_len() == 0
+
+    def test_changed_wire_overlap_is_not_served_a_stale_schedule(self):
+        """The memoised advances hold ``overlap * wire``: the same frozen
+        arrays under another ``wire_overlap`` are scheduled afresh."""
+        sources, dests, wire = self._frozen(
+            np.arange(4), np.arange(4)[:, None] + np.asarray([10, 20]), np.full((4, 2), 0.5)
+        )
+        batched, scalar = NicTimeline(), NicTimeline()
+        for overlap in (0.5, 0.25):
+            batched.wire_overlap = scalar.wire_overlap = overlap
+            batch = batched.reserve_batch(sources, dests, 0.0, wire)
+            loop = [
+                scalar.reserve(int(s), int(d), 0.0, 0.5)
+                for s, row in zip(sources, dests) for d in row
+            ]
+            assert batch.start.ravel().tolist() == [r.start for r in loop]
+            assert batched.state_fingerprint() == scalar.state_fingerprint()
 
 
 class TestLedger:

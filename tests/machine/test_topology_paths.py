@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.machine.network import NetworkModel
 from repro.machine.spec import SUMMIT
 from repro.machine.topology import (
     PATH_KINDS,
+    RouteTable,
     Topology,
     TopologyError,
     TopologySpec,
@@ -190,3 +192,52 @@ class TestResolutionContracts:
     def test_negative_nbytes_rejected(self):
         with pytest.raises(ValueError):
             Topology(4).message_time(0, 1, -1)
+
+
+class TestRouteTable:
+    def test_ids_name_exactly_what_resolve_binds(self):
+        """The table is ``resolve`` tabulated: every id, read back through its
+        key tuple, is the cursor the resolved path names (``-1``: none)."""
+        topo = Topology(16, spec=HIER)
+        sources = [0, 5, 9]
+        dests = [[0, 1, 2, 8], [4, 7, 13, 0], [8, 9, 0, 15]]
+        table = topo.route_table(sources, dests, device_buffers=True)
+        assert table.rail.shape == table.ingest_rail.shape == (3, 4)
+        assert table.shared.shape == table.shared_bandwidth.shape == (3, 4, 2)
+        for i, src in enumerate(sources):
+            for j, dst in enumerate(dests[i]):
+                path = topo.resolve(src, dst, device_buffers=True)
+                rail, ingest = int(table.rail[i, j]), int(table.ingest_rail[i, j])
+                assert (table.rail_keys[rail] if rail >= 0 else None) == path.rail
+                assert (table.ingest_rail_keys[ingest] if ingest >= 0 else None) == path.ingest_rail
+                named = tuple(
+                    (table.share_keys[share], float(bandwidth))
+                    for share, bandwidth in zip(table.shared[i, j], table.shared_bandwidth[i, j])
+                    if share >= 0
+                )
+                assert named == path.shared
+
+    def test_table_is_frozen_and_none_binds_nothing(self):
+        topo = Topology(16, spec=HIER)
+        table = RouteTable.from_paths([[None, topo.resolve(0, 8)], [topo.resolve(1, 4), None]])
+        for array in (table.rail, table.ingest_rail, table.shared, table.shared_bandwidth):
+            assert not array.flags.writeable
+        assert table.rail[0, 0] == table.ingest_rail[0, 0] == -1
+        assert (table.shared[0, 0] == -1).all() and (table.shared[1, 0] == -1).all()
+        with pytest.raises(AttributeError):
+            table.rail = table.ingest_rail
+        # A hand-built table is frozen too: the NIC memoises on its identity.
+        ids = np.zeros((1, 1), dtype=np.int64)
+        built = RouteTable(ids, ids.copy(), np.empty((1, 1, 0), dtype=np.int64),
+                           np.empty((1, 1, 0)), ((0, 0),), ((0, 0),), ())
+        assert not ids.flags.writeable and not built.shared_bandwidth.flags.writeable
+
+    def test_ragged_paths_rejected(self):
+        topo = Topology(4, spec=HIER)
+        with pytest.raises(TopologyError, match="nested sequence"):
+            RouteTable.from_paths([[topo.resolve(0, 1)], []])
+
+    def test_flat_world_tabulates_no_fabric_cursors(self):
+        table = Topology(8, ranks_per_node=2).route_table([0, 1], [[2, 3], [4, 5]])
+        assert table.rail_keys == table.ingest_rail_keys == table.share_keys == ()
+        assert table.shared.shape == (2, 2, 0)

@@ -5,8 +5,11 @@ Hypothesis case here drives the same messages through a batched NIC and a
 scalar NIC (the defined row-major loop) and demands bit-identical books —
 reservations, landings, cursors, counters and ``state_fingerprint`` — across
 
-* flat and fat-tree (routed) worlds,
-* ingesting (duplex) and inject-only batches,
+* flat and fat-tree (routed) worlds, the latter as nested ``PathSpec``
+  lists and as a frozen ``RouteTable``,
+* repeated sources, repeated in-row destinations, shared rails and uplink
+  bundles — every coupling the level schedule turns into deeper levels,
+* ingesting (duplex) and inject-only batches, rail-carrying landings,
 * tiny ledger/pending limits (ring wraparound and advisory eviction),
 * the frozen-shape fast lanes (read-only arrays reused across rounds).
 
@@ -24,7 +27,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.bench.simthroughput import CACHED_CONFIG, EAGER_CONFIG, FABRIC_SPEC, HaloDriver
-from repro.machine.nic import NicTimeline
+from repro.machine.nic import IngestRecord, NicTimeline
 from repro.machine.spec import SUMMIT
 from repro.machine.topology import Topology
 from repro.tempi.measurement import measure_system
@@ -37,14 +40,13 @@ _WIRE = st.sampled_from((0.0, 0.25, 0.5, 1.0, 1.75))
 
 @st.composite
 def batch_cases(draw):
-    """One exchange: m distinct sources x k messages, mixed wires/limits."""
+    """One exchange: m sources x k messages, mixed wires/limits."""
     m = draw(st.integers(min_value=1, max_value=4))
     k = draw(st.integers(min_value=1, max_value=3))
-    sources = draw(
-        st.lists(st.integers(0, 7), min_size=m, max_size=m, unique=True)
-    )
-    # Rows may repeat a destination (the serialised fallback) or not (the
-    # vectorised column scan) — both must price identically to the loop.
+    # Sources may repeat and rows may repeat a destination: both chain
+    # messages on one cursor (deeper levels of the schedule), and both must
+    # price identically to the loop.
+    sources = draw(st.lists(st.integers(0, 7), min_size=m, max_size=m))
     dests = [
         draw(st.lists(st.integers(0, 7), min_size=k, max_size=k))
         for _ in range(m)
@@ -86,6 +88,10 @@ def _books(nic):
         nic.reservations,
         nic.stalls,
         nic.stalled_s,
+        nic.fabric_stalls,
+        nic.fabric_stalled_s,
+        nic.ingest_stalls,
+        nic.ingest_stalled_s,
         nic.peak_pending,
         nic._pending_total,
         sorted(nic._pending),
@@ -151,6 +157,49 @@ class TestReserveBatchIsTheScalarLoop:
         assert batch.stalled_s.tolist() == reference[2]
         assert batch.seq.tolist() == reference[3]
         assert _books(batched) == _books(scalar)
+        # The frozen route table is the same batch, tabulated once.
+        tabled = NicTimeline(ledger_limit=ledger_limit, pending_limit=pending_limit)
+        again = tabled.reserve_batch(
+            sources, dests, ready, wire, nbytes, ingest=ingest,
+            paths=topology.route_table(sources, dests, device_buffers=device),
+        )
+        assert again.start.tolist() == reference[0]
+        assert again.seq.tolist() == reference[3]
+        assert _books(tabled) == _books(scalar)
+        for dest in {d for row in dests for d in row}:
+            assert tabled.pending_records(dest) == scalar.pending_records(dest)
+
+    def test_mutated_nested_paths_are_honoured(self):
+        """A nested ``paths`` list is re-read on every call, never memoised:
+        swapping its entries between two calls that reuse the same read-only
+        arrays (and the same list object) must reprice like the loop."""
+        topology = Topology(64, machine=SUMMIT, spec=FABRIC_SPEC)
+        sources = np.asarray([0, 1, 2, 3], dtype=np.int64)
+        dests = np.asarray([[40, 41], [42, 43], [44, 45], [46, 47]], dtype=np.int64)
+        wire = np.full((4, 2), 0.5)
+        for array in (sources, dests, wire):
+            array.flags.writeable = False
+        routed = [[topology.resolve(int(s), int(d)) for d in row]
+                  for s, row in zip(sources, dests)]
+        assert any(path.shared for row in routed for path in row)
+        paths = [[None, None] for _ in range(4)]
+        scalar, batched = NicTimeline(), NicTimeline()
+        for round_index in range(3):
+            if round_index == 1:
+                for i in range(4):
+                    paths[i][:] = routed[i]      # same list objects, new contents
+            if round_index == 2:
+                paths[2][1] = None
+            ready = 0.125 * round_index
+            reference = _scalar_reference(
+                scalar, sources.tolist(), dests.tolist(), [[ready] * 2] * 4,
+                wire.tolist(), [[4096] * 2] * 4, True, paths=paths,
+            )
+            batch = batched.reserve_batch(sources, dests, ready, wire, 4096, paths=paths)
+            assert batch.start.tolist() == reference[0]
+            assert _books(batched) == _books(scalar)
+        assert batched.fabric_stalls > 0
+        assert batched._batch_shape is None
 
 
 class TestIngestBatchIsTheScalarLoop:
@@ -182,8 +231,6 @@ class TestIngestBatchIsTheScalarLoop:
         seq = np.asarray([[r[2] for r in fields[d]] for d in dests])
         wires = np.asarray([[r[3] for r in fields[d]] for d in dests])
         arr = np.asarray([[r[4] for r in fields[d]] for d in dests])
-        from repro.machine.nic import IngestRecord
-
         scalar_landings = [
             nics[0].ingest(
                 d, [IngestRecord(*fields[d][j][:5]) for j in range(senders)]
@@ -198,6 +245,52 @@ class TestIngestBatchIsTheScalarLoop:
         assert nics[1].ingests == nics[0].ingests
         assert nics[1].ingest_stalls == nics[0].ingest_stalls
         assert nics[1].ingest_stalled_s == nics[0].ingest_stalled_s
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        senders=st.lists(st.integers(0, 15), min_size=1, max_size=4, unique=True),
+        receivers=st.lists(st.integers(0, 15), min_size=1, max_size=5, unique=True),
+        wire=st.lists(st.sampled_from((0.25, 0.5, 1.0, 1.75)), min_size=7, max_size=7),
+        ready=st.lists(_SECONDS, min_size=5, max_size=5),
+        device=st.booleans(),
+    )
+    def test_fat_tree_landings_with_rails_identical(
+        self, senders, receivers, wire, ready, device
+    ):
+        """Routed landings: destinations on one node share a receive-side
+        rail (chained rows), same-node senders carry none — the columnar
+        kernel with rail ids == one scalar ``ingest`` per destination."""
+        topology = Topology(16, machine=SUMMIT, spec=FABRIC_SPEC)
+        table = topology.route_table(senders, [receivers] * len(senders),
+                                     device_buffers=device)
+        nics = [NicTimeline(ledger_limit=4, pending_limit=8) for _ in range(2)]
+        for nic in nics:
+            it = 0
+            fields = {d: [] for d in receivers}
+            for s in senders:
+                for d in receivers:
+                    path = topology.resolve(s, d, device_buffers=device)
+                    w = wire[it % len(wire)]
+                    res = nic.reserve(s, d, ready[it % len(ready)], w, 2048, path=path)
+                    fields[d].append(
+                        IngestRecord(res.start, s, res.seq, w, res.arrival, path.ingest_rail)
+                    )
+                    it += 1
+        scalar_landings = [nics[0].ingest(d, fields[d]) for d in receivers]
+        columns = [
+            np.asarray([[record[f] for record in fields[d]] for d in receivers])
+            for f in range(5)
+        ]
+        vec_landings = nics[1].ingest_batch_vec(
+            np.asarray(receivers, dtype=np.int64), columns[0], columns[1],
+            columns[2], columns[3], columns[4],
+            rails=(table.ingest_rail.T, table.ingest_rail_keys),
+        )
+        assert vec_landings.tolist() == scalar_landings
+        assert _books(nics[1]) == _books(nics[0])
+        assert nics[1].ingests == nics[0].ingests
+        for node in range(topology.nnodes):
+            assert nics[1].ingest_rail_free_at((node, 0)) == nics[0].ingest_rail_free_at((node, 0))
 
 
 class TestFrozenShapeFastLane:
@@ -252,6 +345,63 @@ class TestFrozenShapeFastLane:
                 assert frozen._ingest_shape[0] is ingest_dests
 
 
+    def test_frozen_routed_batch_prices_like_fresh_arrays(self):
+        """The routed lane: the same read-only arrays *and* route table
+        re-posted over several rounds (schedule memoised) == fresh writable
+        copies with the paths re-tabulated every call, reserve and ingest."""
+        topology = Topology(64, machine=SUMMIT, spec=FABRIC_SPEC)
+        m, k = 64, 4
+        sources = np.arange(m, dtype=np.int64)
+        dests = np.asarray(
+            [sorted((i + d) % m for d in (-17, -1, 1, 17)) for i in range(m)], dtype=np.int64
+        )
+        wire = np.full((m, k), 0.5, dtype=np.float64)
+        for array in (sources, dests, wire):
+            array.flags.writeable = False
+        table = topology.route_table(sources, dests, device_buffers=True)
+        nested = [[topology.resolve(int(s), int(d), device_buffers=True) for d in row]
+                  for s, row in zip(sources, dests)]
+        # Ingest rows: destination q's k arrivals, gathered out of the batch.
+        hits = {}
+        for i in range(m):
+            for j in range(k):
+                hits.setdefault(int(dests[i, j]), []).append((i, j))
+        ingest_dests = np.asarray(list(hits), dtype=np.int64)
+        rows = np.asarray([[i for i, _ in hits[d]] for d in hits], dtype=np.int64)
+        cols = np.asarray([[j for _, j in hits[d]] for d in hits], dtype=np.int64)
+        rail_ids = table.ingest_rail[rows, cols]
+        for array in (ingest_dests, rail_ids):
+            array.flags.writeable = False
+        rails = (rail_ids, table.ingest_rail_keys)
+        frozen = NicTimeline(ledger_limit=16, pending_limit=8)
+        fresh = NicTimeline(ledger_limit=16, pending_limit=8)
+        for round_index in range(4):
+            ready = 0.25 * round_index
+            a = frozen.reserve_batch(sources, dests, ready, wire, 1 << 20, paths=table)
+            b = fresh.reserve_batch(
+                sources.copy(), dests.copy(), ready, wire.copy(), 1 << 20, paths=nested
+            )
+            assert a.start.tolist() == b.start.tolist()
+            assert a.seq.tolist() == b.seq.tolist()
+            va = frozen.ingest_batch_vec(
+                ingest_dests, a.start[rows, cols], rows, a.seq[rows, cols],
+                wire[rows, cols], a.arrival[rows, cols],
+                rails=rails,
+            )
+            vb = fresh.ingest_batch_vec(
+                ingest_dests.copy(), b.start[rows, cols], rows, b.seq[rows, cols],
+                wire[rows, cols], b.arrival[rows, cols],
+                rails=(rail_ids.copy(), list(table.ingest_rail_keys)),
+            )
+            assert va.tolist() == vb.tolist()
+            assert _books(frozen) == _books(fresh)
+            if round_index:
+                assert frozen._batch_shape is not None and frozen._batch_shape[3] is table
+                assert frozen._ingest_shape is not None and frozen._ingest_shape[1] is rails
+            assert fresh._batch_shape is None and fresh._ingest_shape is None
+        assert frozen.fabric_stalls > 0 and frozen.ingest_stalls > 0
+
+
 @st.composite
 def interleaved_ops(draw):
     """A wraparound script: reserve/ingest interleaved on a tiny ring."""
@@ -293,8 +443,6 @@ class TestLedgerRingWraparound:
             if op == "reserve":
                 res = nic.reserve(source, dest, ready, wire, 32, ingest=True)
                 window.append((source, res.start, res.arrival))
-                from repro.machine.nic import IngestRecord
-
                 outstanding.setdefault(dest, []).append(
                     IngestRecord(res.start, source, res.seq, wire, res.arrival)
                 )
@@ -333,3 +481,27 @@ class TestBatchedBookingEndToEnd:
                         driver.round()
                     digests.append(driver.digest())
                 assert digests[0] == digests[1], (topology, config)
+
+    def test_fabric_halo_is_deterministic_at_benchmark_size(self):
+        """Determinism where we benchmark (1024 ranks on the fat-tree, the
+        ``fabric_pricing`` shape), not only where Hypothesis draws: batched
+        == scalar on the digest and the fabric stall books, and the level
+        schedule has the measured depth — 322 levels, the first eight
+        holding 3281 of the 4096 messages — so a change to the scheduling
+        rule is seen here, not absorbed."""
+        model = PerformanceModel(measure_system(SUMMIT))
+        books = []
+        for booking in ("scalar", "batched"):
+            driver = HaloDriver(1024, CACHED_CONFIG, model,
+                                topology=FABRIC_SPEC, booking=booking)
+            for _ in range(3):
+                driver.round()
+            books.append((driver.digest(), driver.nic.fabric_stalls,
+                          driver.nic.fabric_stalled_s.hex(), driver.nic.stalled_s.hex(),
+                          driver.nic.ingest_stalls, driver.nic.ingest_stalled_s.hex()))
+        assert books[0] == books[1]
+        assert books[1][1] > 0
+        plan = driver.nic._batch_shape[-1]
+        widths = [hi - lo for lo, hi, _ in plan.levels]
+        assert len(widths) == 322
+        assert sum(widths) == 4096 and sum(widths[:8]) >= 3200
