@@ -48,7 +48,11 @@ entered the wire and ``seq`` a per-source counter — so one plan's receive
 set prices identically however the executor threads interleaved the posts.
 :meth:`ingest_backlog` additionally exposes an *advisory* view of the
 posted-but-not-yet-ingested traffic converging on a rank, which is what the
-contention-aware method selector prices a hot peer with.
+contention-aware method selector prices a hot peer with.  The pending
+records behind it live in one dict per destination; a batch's worth may
+first wait as one columnar :class:`_PendingBlock`, which the batch ingest
+consumes as arrays and anything else settles into the dicts before it
+looks — a write-combining buffer, not a second book.
 
 Topology extension (PR 8).  When a reservation carries a resolved
 :class:`~repro.machine.topology.PathSpec`, three further cursor families
@@ -84,7 +88,7 @@ from __future__ import annotations
 
 import threading
 from operator import itemgetter
-from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -108,10 +112,14 @@ class _BatchPlan(NamedTuple):
     exactly as its row-major predecessors left them.
     """
 
-    #: Per source row: the source, and its messages' destinations, wire
-    #: times and receive-side rails (``None``: flat books) — the static
-    #: fields of the pending records.
-    rows: list[tuple[int, list[int], list[float], list[Optional[RailKey]]]]
+    #: The static columns of the pending records (flat, row-major, private
+    #: copies; ``rail`` the receive-side rail, ``None`` on the flat books),
+    #: and the most positive-wire messages any one destination receives.
+    source: np.ndarray
+    dest: np.ndarray
+    wire: np.ndarray
+    rail: list[Optional[RailKey]]
+    fan_in: int
     #: Per cursor family in use — 0 ports, 1 links, 2 rails, 3 bundles — its
     #: distinct keys, their :func:`~operator.itemgetter` (see :func:`_gather`)
     #: and their ``[lo, hi)`` span of the gathered cursor vector.
@@ -128,11 +136,16 @@ class _BatchPlan(NamedTuple):
     #: ``(b, N)`` bundle bandwidths, filled per call.
     delta: np.ndarray
     bandwidth: np.ndarray
-    #: Sequence numbers: each message's port id and running per-source
-    #: count (row-major), and the messages per distinct source.
+    #: Sequence numbers: the distinct sources (ascending: a source's port id
+    #: is its position), each message's port id and running per-source count
+    #: (row-major), the messages per source, and the inverse — a source's
+    #: ``rank``-th message is ``by_rank[src_first[port] + rank]``.
+    src_keys: np.ndarray
     src_id: np.ndarray
     seq_rank: np.ndarray
     src_count: np.ndarray
+    src_first: np.ndarray
+    by_rank: np.ndarray
 
 
 class _IngestPlan(NamedTuple):
@@ -185,16 +198,14 @@ def _plan_batch(src: np.ndarray, dst: np.ndarray, wire: np.ndarray,
     m, k = dst.shape
     total = m * k
     src_list, dst_list = src.tolist(), dst.tolist()
-    port_ids: dict[int, int] = {}
+    port_ids = {s: port for port, s in enumerate(sorted(set(src_list)))}
     link_ids: dict[tuple[int, int], int] = {}
     port_col: list[int] = []
     link_col: list[int] = []
-    rank: list[int] = []     # running per-source message count
-    count: list[int] = []    # messages per distinct source
+    rank: list[int] = []             # running per-source message count
+    count = [0] * len(port_ids)      # messages per distinct source
     for s, row in zip(src_list, dst_list):
-        port = port_ids.setdefault(s, len(port_ids))
-        if port == len(count):
-            count.append(0)
+        port = port_ids[s]
         for d in row:
             port_col.append(port)
             link_col.append(link_ids.setdefault((s, d), len(link_ids)))
@@ -207,7 +218,7 @@ def _plan_batch(src: np.ndarray, dst: np.ndarray, wire: np.ndarray,
         (0, np.asarray(port_col, dtype=np.int64), held),
         (1, np.asarray(link_col, dtype=np.int64), wire.reshape(total)),
     ]
-    rail_list: list[list[Optional[RailKey]]] = [[None] * k] * m
+    rail: list[Optional[RailKey]] = [None] * total
     bandwidth = np.ones((total, 0))
     if table is not None:
         keysets[2:] = table.rail_keys, table.share_keys
@@ -216,10 +227,8 @@ def _plan_batch(src: np.ndarray, dst: np.ndarray, wire: np.ndarray,
         bundles = table.shared.shape[2]
         columns.extend((3, ids, 0.0) for ids in table.shared.reshape(total, bundles).T)
         bandwidth = table.shared_bandwidth.reshape(total, bundles)
-        rail_list = [
-            [table.ingest_rail_keys[r] if r >= 0 else None for r in row]
-            for row in table.ingest_rail.tolist()
-        ]
+        rail = [table.ingest_rail_keys[r] if r >= 0 else None
+                for r in table.ingest_rail.reshape(total).tolist()]
     base = [0, *np.cumsum([len(keys) for keys in keysets]).tolist()]
     ncur = base[4]
     # Cursor families are rows and messages columns, so that a level's
@@ -233,14 +242,18 @@ def _plan_batch(src: np.ndarray, dst: np.ndarray, wire: np.ndarray,
     delta = np.empty((len(columns), total))
     for column, (_, _, advance) in enumerate(columns):
         delta[column] = advance
+    src_count = np.asarray(count, dtype=np.int64)
     return _BatchPlan(
-        list(zip(src_list, dst_list, wire.tolist(), rail_list)),
+        np.repeat(src, k), dst.reshape(total).copy(), wire.reshape(total).copy(), rail,
+        int(np.unique(dst[wire > 0], return_counts=True)[1].max(initial=0)),
         [(f, keys, itemgetter(*keys), base[f], base[f + 1])
          for f, keys in enumerate(keysets) if keys],
         order,
         [(lo, hi, np.ascontiguousarray(slots[:, lo:hi])) for lo, hi in cuts],
         delta[:, order], bandwidth.T[:, order],
-        columns[0][1], np.asarray(rank, dtype=np.int64), np.asarray(count, dtype=np.int64),
+        np.asarray(keysets[0], dtype=np.int64), columns[0][1],
+        np.asarray(rank, dtype=np.int64), src_count, np.cumsum(src_count) - src_count,
+        np.argsort(columns[0][1], kind="stable"),
     )
 
 
@@ -365,6 +378,57 @@ class IngestRecord(NamedTuple):
         return (self.post_time, self.source, self.seq)
 
 
+class _PendingBlock(NamedTuple):
+    """One batch's advisory pending records, deferred as columns.
+
+    The write-combining buffer between :meth:`NicTimeline.reserve_batch` and
+    :meth:`NicTimeline.ingest_batch_vec`: what the row-major scalar loop
+    would have put into the per-destination dicts, as the plan's static
+    columns, private copies of this call's ``start`` / ``arrival`` / ``seq``
+    and an ``alive`` mask.  Only a batch that can neither collide nor evict
+    is deferred, so the dict book its survivors settle into does not depend
+    on when they settle.
+    """
+
+    plan: _BatchPlan
+    start: np.ndarray
+    arrival: np.ndarray
+    seq: np.ndarray
+    #: Each source's first sequence number in the batch, by port id.
+    seq0: np.ndarray
+    alive: np.ndarray
+
+    def records(self) -> Iterator[tuple[int, IngestRecord]]:
+        """The surviving ``(dest, record)`` pairs, in row-major order."""
+        plan = self.plan
+        keep = np.flatnonzero(self.alive)
+        fields = (self.start, plan.source, self.seq, plan.wire, self.arrival)
+        return zip(
+            plan.dest.take(keep).tolist(),
+            map(IngestRecord, *(column.take(keep).tolist() for column in fields),
+                [plan.rail[t] for t in keep.tolist()]),
+        )
+
+    def discard(self, dst: np.ndarray, post: np.ndarray, src: np.ndarray, seq: np.ndarray) -> int:
+        """Clear the records the ``(m, k)`` service keys name; return how many.
+
+        ``(source, seq)`` locates a record arithmetically; it goes only if
+        it then equals the key field for field and is bound for the key's
+        row ``dst[i]`` — a foreign key pops nothing, like ``dict.pop(key,
+        None)``.
+        """
+        plan = self.plan
+        port = np.searchsorted(plan.src_keys, src).clip(max=len(plan.src_keys) - 1)
+        rank = seq - self.seq0.take(port)
+        at = plan.by_rank.take(plan.src_first.take(port) + rank, mode="clip")
+        hit = (
+            self.alive.take(at) & (self.start.take(at) == post) & (plan.source.take(at) == src)
+            & (self.seq.take(at) == seq) & (plan.dest.take(at) == dst[:, None])
+        )
+        self.alive[at[hit]] = False
+        return int(np.count_nonzero(hit))
+
+
 #: Columnar layout of the bounded reservation ledger: one struct per message,
 #: ~40 B, versus a boxed ``LinkRecord`` dataclass plus five boxed fields.
 _LEDGER_DTYPE = np.dtype(
@@ -466,7 +530,7 @@ class NicTimeline:
     injection port is only ever advanced by its owning (sending) rank and
     each ingestion port only by its owning (receiving) rank, so per-rank
     virtual timing stays deterministic; the lock merely keeps the shared
-    dictionaries coherent.
+    dictionaries (and the one deferred :class:`_PendingBlock`) coherent.
     """
 
     def __init__(
@@ -498,6 +562,9 @@ class NicTimeline:
         #: consumed at ingest time, pruned once drained, bounded).
         self._pending: dict[int, dict[tuple[float, int, int], IngestRecord]] = {}
         self._pending_total = 0
+        #: A batch's records while they wait, in columns, for the batch ingest
+        #: (counted in ``_pending_total``; settled before ``_pending`` is used).
+        self._block: Optional[_PendingBlock] = None
         self._ledger = _LedgerRing(ledger_limit or 1)
         self._lock = threading.Lock()
         self.reservations = 0
@@ -560,8 +627,13 @@ class NicTimeline:
         travels on the pending :class:`IngestRecord` and binds at
         :meth:`ingest` time.
         """
-        if wire_s < 0:
-            raise NicError(f"wire time must be non-negative, got {wire_s}")
+        # Chained comparisons: NaN fails every one, and none costs a call.
+        if not 0 <= wire_s < np.inf:
+            raise NicError(f"wire_s must be finite and non-negative, got {wire_s}")
+        if not -np.inf < ready < np.inf:
+            raise NicError(f"ready must be finite, got {ready}")
+        if nbytes < 0:
+            raise NicError(f"nbytes must be non-negative, got {nbytes}")
         with self._lock:
             return self._reserve_one(source, dest, ready, wire_s, int(nbytes), ingest, path)
 
@@ -638,6 +710,8 @@ class NicTimeline:
 
     def _register_pending(self, dest: int, record: IngestRecord) -> None:
         """Track one posted arrival on the (bounded) advisory ledger."""
+        if self._block is not None:
+            self._settle()
         pending = self._pending.setdefault(dest, {})
         if record.key not in pending:
             self._pending_total += 1
@@ -649,6 +723,18 @@ class NicTimeline:
             self._pending_total -= 1
         if self._pending_total > self.peak_pending:
             self.peak_pending = self._pending_total
+
+    def _settle(self) -> None:
+        """Move the deferred block's survivors into the dict book, lock held.
+
+        Representation only: they were counted when the block was deferred,
+        so totals, high-water mark and fingerprint do not move.
+        """
+        block, self._block = self._block, None
+        assert block is not None
+        self._pending_total -= int(np.count_nonzero(block.alive))
+        for dest, record in block.records():
+            self._register_pending(dest, record)
 
     # ---------------------------------------------------------- batch booking
     def reserve_batch(
@@ -674,7 +760,8 @@ class NicTimeline:
         returning the per-message outcomes stacked into a
         :class:`BatchReservation`.  Every cursor, counter, ledger row and
         pending record lands bit-identical to that loop — the batch is a
-        *pricing kernel*, not a different model.
+        *pricing kernel*, not a different model (its pending records may
+        wait in columns for :meth:`ingest_batch_vec`; no reader can tell).
 
         Every batch runs through one level-scheduled sweep.  Two messages
         are coupled only through a cursor both bind — a port, a link, a
@@ -719,15 +806,17 @@ class NicTimeline:
                 if wire_arr.shape == dst.shape and wire_arr.flags.c_contiguous
                 else np.ascontiguousarray(np.broadcast_to(wire_arr, dst.shape))
             )
-            if np.any(wire < 0):
-                raise NicError("wire time must be non-negative for every message")
+            if not (np.isfinite(wire).all() and (wire >= 0).all()):
+                raise NicError("wire_s must be finite and non-negative for every message")
         m, k = dst.shape
-        rdy = np.ascontiguousarray(
-            np.broadcast_to(np.asarray(ready, dtype=np.float64), (m, k))
-        )
-        nb = np.ascontiguousarray(
-            np.broadcast_to(np.asarray(nbytes, dtype=np.int64), (m, k))
-        )
+        rdy = np.asarray(ready, dtype=np.float64)
+        nb = np.asarray(nbytes, dtype=np.int64)
+        if not np.isfinite(rdy).all():
+            raise NicError("ready must be finite for every message")
+        if (nb < 0).any():
+            raise NicError("nbytes must be non-negative for every message")
+        rdy = np.ascontiguousarray(np.broadcast_to(rdy, (m, k)))
+        nb = np.ascontiguousarray(np.broadcast_to(nb, (m, k)))
         out = BatchReservation(
             np.empty((m, k)), np.empty((m, k)), np.empty((m, k)),
             wire, np.empty((m, k), dtype=np.int64),
@@ -759,13 +848,11 @@ class NicTimeline:
             ):
                 self._batch_shape = (src, dst, wire, table, self.wire_overlap, plan)
         with self._lock:
-            return self._reserve_batch_sweep(out, src, dst, rdy, nb, ingest, plan)
+            return self._reserve_batch_sweep(out, rdy, nb, ingest, plan)
 
     def _reserve_batch_sweep(
         self,
         out: BatchReservation,
-        src: np.ndarray,
-        dst: np.ndarray,
         rdy: np.ndarray,
         nb: np.ndarray,
         ingest: bool,
@@ -775,17 +862,19 @@ class NicTimeline:
 
         The cursors the batch binds are gathered once into one vector
         (ports, links, rails, bundles, the ``-inf`` sink absent cursors
-        name, then the ready times) and scattered back once.  Per level, ``start = max(ready, cursors)`` is the row maximum
-        of the gathered slots and every cursor becomes ``start`` plus its
-        own advance — the same IEEE-754 double operations the scalar loop
-        performs per message, in an order that respects every cursor's
-        row-major chain: hence bit-identical cursors.  Stall seconds fold in
-        row-major order through :func:`ledger_sum`, ledger rows block-append
-        through :meth:`_LedgerRing.extend`, and pending records register in
-        row-major order, so every counter and fingerprint matches the loop.
+        name, then the ready times) and scattered back once.  Per level,
+        ``start = max(ready, cursors)`` is the row maximum of the gathered
+        slots and every cursor becomes ``start`` plus its own advance — the
+        same IEEE-754 double operations the scalar loop performs per
+        message, in an order that respects every cursor's row-major chain:
+        hence bit-identical cursors.  Stall seconds fold in row-major order
+        through :func:`ledger_sum`, ledger rows block-append through
+        :meth:`_LedgerRing.extend`, and the pending records are counted at
+        once but wait as one :class:`_PendingBlock` when registering them
+        can neither collide nor evict (else :meth:`_register_pending` takes
+        them row-major), so every counter and fingerprint matches the loop.
         """
-        m, k = dst.shape
-        total = m * k
+        total = rdy.size
         wire = out.wire_s
         books: tuple[dict[Any, float], ...] = (
             self._ports, self._links, self._rail_ports, self._shared_links
@@ -830,7 +919,7 @@ class NicTimeline:
             )
         _, sources, src_get, _, _ = plan.families[0]
         seq0 = np.asarray(_gather(self._seqs, sources, src_get, 0), dtype=np.int64).reshape(-1)
-        seqs = np.add(seq0.take(plan.src_id), plan.seq_rank, out=out.seq.reshape(total))
+        np.add(seq0.take(plan.src_id), plan.seq_rank, out=out.seq.reshape(total))
         self._seqs.update(zip(sources, (seq0 + plan.src_count).tolist()))
         stalled = starts - rdy
         positive = stalled > 0
@@ -840,48 +929,25 @@ class NicTimeline:
         self.stalled_s = ledger_sum(stalled[positive].tolist(), start=self.stalled_s)
         if self.ledger_limit:
             rows = np.empty(total, dtype=_LEDGER_DTYPE)
-            rows["source"] = np.repeat(src, k)
-            rows["dest"] = dst.ravel()
+            rows["source"] = plan.source
+            rows["dest"] = plan.dest
             rows["start"] = starts.ravel()
             rows["arrival"] = arrivals.ravel()
             rows["nbytes"] = nb.ravel()
             self._ledger.extend(rows)
-        if ingest and self.pending_limit:
-            # Inlined row-major _register_pending loop.  Within one batch the
-            # advisory total only grows (evictions cancel an insert in the
-            # same step), so the per-insert high-water check of the scalar
-            # path reduces to one final comparison — bit-identical books.
-            start_list = starts.tolist()
-            arr_list = arrivals.tolist()
-            seq_list = seqs.reshape(m, k).tolist()
-            pending_book = self._pending
-            limit = self.pending_limit
-            pending_count = self._pending_total
-            # tuple.__new__ builds the record directly from the field tuple —
-            # the same tuple the NamedTuple's generated __new__ would build,
-            # minus one Python call per message.
-            record_new, record_cls = tuple.__new__, IngestRecord
-            for i, (s, dst_row, wire_row, rail_row) in enumerate(plan.rows):
-                # zip walks the six row lists in C, in the same row-major
-                # message order the indexed loop visited.
-                for st, d, w, a, sq, rail in zip(
-                    start_list[i], dst_row, wire_row, arr_list[i], seq_list[i], rail_row
-                ):
-                    if w <= 0:
-                        continue
-                    bucket = pending_book.get(d)
-                    if bucket is None:
-                        bucket = pending_book[d] = {}
-                    key = (st, s, sq)
-                    if key not in bucket:
-                        pending_count += 1
-                    bucket[key] = record_new(record_cls, (st, s, sq, w, a, rail))
-                    if len(bucket) > limit:
-                        del bucket[min(bucket)]
-                        pending_count -= 1
-            self._pending_total = pending_count
-            if pending_count > self.peak_pending:
-                self.peak_pending = pending_count
+        if ingest and self.pending_limit and plan.fan_in:
+            block = _PendingBlock(
+                plan, starts.flatten(), arrivals.flatten(), out.seq.flatten(), seq0, plan.wire > 0
+            )
+            if not self._pending_total and plan.fan_in <= self.pending_limit:
+                # No live record to collide with, no bucket that can
+                # overflow: registering only counts, so the block waits.
+                self._block = block
+                self._pending_total = int(np.count_nonzero(block.alive))
+                self.peak_pending = max(self.peak_pending, self._pending_total)
+            else:
+                for dest, record in block.records():
+                    self._register_pending(dest, record)
         np.maximum(stalled, 0.0, out=out.stalled_s)
         return out
 
@@ -899,6 +965,11 @@ class NicTimeline:
         untouched.  Called by the receiving rank only — commits happen in
         receiver program order, which keeps the cursor deterministic.
         """
+        for record in records:
+            if not (-np.inf < record.post_time < np.inf and -np.inf < record.wire_s < np.inf
+                    and -np.inf < record.arrival < np.inf):
+                bad = [f for f in ("post_time", "wire_s", "arrival") if not np.isfinite(getattr(record, f))]
+                raise NicError(f"{bad[0]} must be finite, got {record}")
         with self._lock:
             return self._ingest_locked(dest, records)
 
@@ -909,6 +980,8 @@ class NicTimeline:
         wraps it per batch and :meth:`ingest_batch_vec`'s serialised fallback
         row-loops it, so the two paths cannot drift.
         """
+        if self._block is not None:
+            self._settle()
         landings = {record.key: record.arrival for record in records}
         port = self._ingest_ports.get(dest, 0.0)
         stalls: list[float] = []
@@ -989,7 +1062,9 @@ class NicTimeline:
         wire`` advances as ``k`` vectorised column steps — the same double
         operations as the scalar serve loop — with the rail cursor as one
         more gathered column.  Rows naming a common rail are chained in
-        input order (:class:`_IngestPlan`).  Anything else (an incast
+        input order (:class:`_IngestPlan`).  Records the last
+        :meth:`reserve_batch` left deferred are consumed as arrays, without
+        ever becoming dict entries.  Anything else (an incast
         sharing a destination row, zero-wire passthroughs, colliding keys)
         falls back to serialising rows through :meth:`_ingest_locked` under
         the one lock acquisition.
@@ -1013,6 +1088,9 @@ class NicTimeline:
         for field in (src, seq, wire, arr, rail):
             if field is not None and field.shape != (m, k):
                 raise NicError(f"ingest batch fields must all be (m, k)={m, k}")
+        for name, column in (("post_time", post), ("wire_s", wire), ("arrival", arr)):
+            if not np.isfinite(column).all():
+                raise NicError(f"{name} must be finite for every record")
         landings = np.empty((m, k), dtype=np.float64)
         if m == 0 or k == 0:
             return landings
@@ -1048,7 +1126,7 @@ class NicTimeline:
                     )
                 ):
                     return self._ingest_batch_vector(
-                        landings, plan, order, post_sorted, src_sorted,
+                        landings, plan, dst, order, post_sorted, src_sorted,
                         seq_sorted,
                         np.take_along_axis(wire, order, axis=1),
                         np.take_along_axis(arr, order, axis=1),
@@ -1069,6 +1147,7 @@ class NicTimeline:
         self,
         landings: np.ndarray,
         plan: _IngestPlan,
+        dst: np.ndarray,
         order: np.ndarray,
         post_sorted: np.ndarray,
         src_sorted: np.ndarray,
@@ -1127,31 +1206,31 @@ class NicTimeline:
         self.ingest_stalled_s = ledger_sum(
             stalled[positive].tolist(), start=self.ingest_stalled_s
         )
-        post_list = post_sorted.tolist()
-        src_list = src_sorted.tolist()
-        seq_list = seq_sorted.tolist()
-        pending_book = self._pending
-        ingest_ports = self._ingest_ports
-        dropped = 0
-        for i, (dest, free) in enumerate(zip(dst_list, port.tolist())):
-            row_pending = pending_book.get(dest)
-            if row_pending:
-                # zip materialises each (post, source, seq) key tuple in C,
-                # in the same sorted service order as the indexed loop.
-                for pkey in zip(post_list[i], src_list[i], seq_list[i]):
-                    if row_pending.pop(pkey, None) is not None:
-                        dropped += 1
-            ingest_ports[dest] = free
-            if row_pending:
-                stale = [
-                    key
-                    for key, record in row_pending.items()
-                    if record.arrival + overlap * record.wire_s <= free
-                ]
-                for key in stale:
-                    del row_pending[key]
-                dropped += len(stale)
-        self._pending_total -= dropped
+        if self._block is not None:
+            # The batch just booked, still columnar: its records go in a
+            # few array operations, and survivors join the dict book.
+            self._pending_total -= self._block.discard(dst, post_sorted, src_sorted, seq_sorted)
+            if self._pending_total:
+                self._settle()
+            else:
+                self._block = None
+        frees = port.tolist()
+        self._ingest_ports.update(zip(dst_list, frees))
+        if self._pending_total:
+            # Records held in the dict book: every row pops its own keys,
+            # then meets the stale rule of the scalar ``ingest``.
+            for dest, free, posts, sources, seqs in zip(
+                dst_list, frees, post_sorted.tolist(), src_sorted.tolist(), seq_sorted.tolist()
+            ):
+                bucket = self._pending.get(dest)
+                if bucket:
+                    held = len(bucket)
+                    for key in zip(posts, sources, seqs):
+                        bucket.pop(key, None)
+                    for key in [key for key, record in bucket.items()
+                                if record.arrival + overlap * record.wire_s <= free]:
+                        del bucket[key]
+                    self._pending_total -= held - len(bucket)
         np.put_along_axis(landings, order, served, axis=1)
         return landings
 
@@ -1222,9 +1301,12 @@ class NicTimeline:
         when records were capped.  The query is a pure read — pending records
         are consumed at :meth:`ingest` time (receiver program order), never
         by another rank's clock, so concurrent queries cannot disturb each
-        other.
+        other (settling a deferred block moves records between
+        representations, never in or out of the book).
         """
         with self._lock:
+            if self._block is not None:
+                self._settle()
             port = self._ingest_ports.get(dest, 0.0)
             pending = self._pending.get(dest)
             if pending:
@@ -1239,6 +1321,8 @@ class NicTimeline:
     def pending_ingest(self, dest: int) -> int:
         """Posted-but-not-yet-ingested messages for ``dest`` (tests, stats)."""
         with self._lock:
+            if self._block is not None:
+                self._settle()
             return len(self._pending.get(dest, {}))
 
     def pending_records(self, dest: int) -> list[IngestRecord]:
@@ -1249,6 +1333,8 @@ class NicTimeline:
         a happens-before edge, and tests introspect it.
         """
         with self._lock:
+            if self._block is not None:
+                self._settle()
             pending = self._pending.get(dest)
             if not pending:
                 return []
@@ -1335,6 +1421,7 @@ class NicTimeline:
             self._shared_links.clear()
             self._pending.clear()
             self._pending_total = 0
+            self._block = None
             self._ledger.clear()
             self.reservations = 0
             self.stalls = 0

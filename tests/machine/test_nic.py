@@ -1,13 +1,17 @@
 """Unit tests for the shared virtual NIC timeline (both ends of the wire)."""
 
 import random
+import sys
 import threading
 
 import numpy as np
 import pytest
 
+from repro.bench.simthroughput import FABRIC_SPEC
 from repro.machine.network import DEFAULT_WIRE_OVERLAP
 from repro.machine.nic import IngestRecord, NicError, NicTimeline
+from repro.machine.spec import SUMMIT
+from repro.machine.topology import Topology
 
 
 def records_for(reservations, wire_s):
@@ -86,6 +90,83 @@ class TestReserve:
             NicTimeline(wire_overlap=1.5)
 
 
+_NON_FINITE = (float("nan"), float("inf"), float("-inf"))
+
+
+def _reserve(nic, **bad):
+    fields = {"ready": 0.0, "wire_s": 0.5, "nbytes": 64, **bad}
+    nic.reserve(0, 1, fields["ready"], fields["wire_s"], fields["nbytes"])
+
+
+def _reserve_batch(nic, **bad):
+    fields = {"ready": 0.0, "wire_s": 0.5, "nbytes": 64}
+    for name, value in bad.items():
+        # One bad entry in an otherwise good (2, 2) column.
+        column = np.full((2, 2), fields[name], dtype=type(value))
+        column[1, 1] = value
+        fields[name] = column
+    nic.reserve_batch([0, 1], np.asarray([[2, 3], [4, 5]]),
+                      fields["ready"], fields["wire_s"], fields["nbytes"])
+
+
+def _record(**bad):
+    return IngestRecord(**{"post_time": 0.0, "source": 0, "seq": 0, "wire_s": 0.5,
+                           "arrival": 0.5, **bad})
+
+
+def _ingest(nic, **bad):
+    nic.ingest(1, [_record(seq=1), _record(**bad)])
+
+
+def _ingest_batch_vec(nic, **bad):
+    rows = [[_record(seq=1), _record(**bad)], [_record(source=1), _record(source=1, seq=1)]]
+    columns = [np.asarray([[record[f] for record in row] for row in rows]) for f in range(5)]
+    nic.ingest_batch_vec([1, 2], *columns)
+
+
+class TestBadNumbersRejected:
+    """Non-finite times break "the batch is exactly the scalar loop" (Python
+    ``max`` and ``np.maximum`` disagree on NaN) and a NaN wire time passes a
+    ``< 0`` guard, so every entry point refuses them by field name — before
+    it touches a cursor."""
+
+    @pytest.mark.parametrize("entry, field", [
+        (_reserve, "ready"), (_reserve, "wire_s"),
+        (_reserve_batch, "ready"), (_reserve_batch, "wire_s"),
+        (_ingest, "post_time"), (_ingest, "wire_s"), (_ingest, "arrival"),
+        (_ingest_batch_vec, "post_time"), (_ingest_batch_vec, "wire_s"),
+        (_ingest_batch_vec, "arrival"),
+    ])
+    @pytest.mark.parametrize("value", _NON_FINITE)
+    def test_non_finite_field_is_named(self, entry, field, value):
+        nic = NicTimeline()
+        untouched = nic.state_fingerprint()
+        with pytest.raises(NicError, match=field):
+            entry(nic, **{field: value})
+        assert nic.state_fingerprint() == untouched
+        assert nic.pending_ingest(1) == 0 and nic.ledger_len() == 0
+
+    @pytest.mark.parametrize("entry", [_reserve, _reserve_batch])
+    def test_negative_nbytes_is_named(self, entry):
+        nic = NicTimeline()
+        with pytest.raises(NicError, match="nbytes"):
+            entry(nic, nbytes=-1)
+        assert nic.reservations == 0
+
+    def test_frozen_lane_still_checks_ready(self):
+        """The frozen-shape lane skips re-validating ``wire_s`` (read-only,
+        already checked) — never the per-call ``ready``."""
+        sources, dests, wire = np.arange(2), np.asarray([[2, 3], [4, 5]]), np.full((2, 2), 0.5)
+        for array in (sources, dests, wire):
+            array.flags.writeable = False
+        nic = NicTimeline()
+        nic.reserve_batch(sources, dests, 0.0, wire)
+        assert nic._batch_shape is not None
+        with pytest.raises(NicError, match="ready"):
+            nic.reserve_batch(sources, dests, float("nan"), wire)
+        assert nic.reservations == 4
+
+
 class TestReserveBatchSchedule:
     """The level schedule behind ``reserve_batch`` (bit-identity to the
     scalar loop is pinned in ``tests/property/test_property_batchbooking.py``)."""
@@ -160,6 +241,66 @@ class TestReserveBatchSchedule:
             ]
             assert batch.start.ravel().tolist() == [r.start for r in loop]
             assert batched.state_fingerprint() == scalar.state_fingerprint()
+
+
+class TestBatchRoundCallCount:
+    """The noise-free cost witness ``calls_per_op`` gives, kept in tier-1:
+    a warm batch round costs Python calls per *level*, none per message."""
+
+    @staticmethod
+    def _round_calls(nranks, spec):
+        """``call`` + ``c_call`` events of one warm ``reserve_batch`` +
+        ``ingest_batch_vec`` round of a degree-4 ring halo, and its depth."""
+        sources = np.arange(nranks, dtype=np.int64)
+        dests = np.asarray(
+            [sorted((r + d) % nranks for d in (-2, -1, 1, 2)) for r in range(nranks)], dtype=np.int64
+        )
+        wire = np.full(dests.shape, 0.5)
+        hits = {}
+        for i, row in enumerate(dests.tolist()):
+            for j, dest in enumerate(row):
+                hits.setdefault(dest, []).append((i, j))
+        ingest_dests = np.asarray(list(hits), dtype=np.int64)
+        rows = np.asarray([[i for i, _ in hits[d]] for d in hits])
+        cols = np.asarray([[j for _, j in hits[d]] for d in hits])
+        table = rails = None
+        if spec is not None:
+            topology = Topology(nranks, machine=SUMMIT, spec=spec)
+            table = topology.route_table(sources, dests, device_buffers=True)
+            rails = (table.ingest_rail[rows, cols], table.ingest_rail_keys)
+            rails[0].flags.writeable = False
+        for array in (sources, dests, wire, ingest_dests):
+            array.flags.writeable = False
+        nic = NicTimeline()
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event in ("call", "c_call")
+
+        previous = sys.getprofile()
+        for round_index in range(3):            # two rounds warm the shape memos
+            if round_index == 2:
+                sys.setprofile(count)
+            try:
+                batch = nic.reserve_batch(sources, dests, 0.25 * round_index, wire, 4096, paths=table)
+                nic.ingest_batch_vec(
+                    ingest_dests, batch.start[rows, cols], rows, batch.seq[rows, cols],
+                    wire[rows, cols], batch.arrival[rows, cols], rails=rails,
+                )
+            finally:
+                sys.setprofile(previous)
+        assert nic.peak_pending == 4 * nranks and nic.pending_ingest(0) == 0
+        depth = len(nic._batch_shape[-1].levels) + 4 * len(nic._ingest_shape[-1].stages)
+        return calls, depth
+
+    @pytest.mark.parametrize("spec", [None, FABRIC_SPEC], ids=["flat", "fabric"])
+    def test_calls_grow_with_levels_not_messages(self, spec):
+        small, small_depth = self._round_calls(256, spec)
+        large, large_depth = self._round_calls(1024, spec)
+        # 3072 more messages; a per-message call anywhere adds >= 3072.
+        assert large - small <= 8 * (large_depth - small_depth) + 16, (small, large)
+        assert large < 3072
 
 
 class TestLedger:

@@ -24,10 +24,11 @@ from __future__ import annotations
 from collections import deque
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bench.simthroughput import CACHED_CONFIG, EAGER_CONFIG, FABRIC_SPEC, HaloDriver
-from repro.machine.nic import IngestRecord, NicTimeline
+from repro.machine.nic import IngestRecord, NicReservation, NicTimeline
 from repro.machine.spec import SUMMIT
 from repro.machine.topology import Topology
 from repro.tempi.measurement import measure_system
@@ -81,7 +82,11 @@ def _scalar_reference(nic, sources, dests, ready, wire, nbytes, ingest, paths=No
     return start, arrival, stalled, seq
 
 
-def _books(nic):
+#: Every destination any case in this file books to.
+_DESTS = range(64)
+
+
+def _books(nic, dests=_DESTS):
     """Every observable the batch kernels must keep bit-identical."""
     return (
         nic.state_fingerprint(),
@@ -94,7 +99,7 @@ def _books(nic):
         nic.ingest_stalled_s,
         nic.peak_pending,
         nic._pending_total,
-        sorted(nic._pending),
+        {dest: nic.pending_records(dest) for dest in dests},
     )
 
 
@@ -318,6 +323,10 @@ class TestFrozenShapeFastLane:
             assert a.start.tolist() == b.start.tolist()
             assert a.arrival.tolist() == b.arrival.tolist()
             assert a.seq.tolist() == b.seq.tolist()
+            # Read without settling, so the ingest below meets the block: a
+            # consumed block must not have spent the memoised shape's mask.
+            assert frozen.state_fingerprint() == fresh.state_fingerprint()
+            assert frozen._block is not None and fresh._block is not None
             # Commit each destination's arrivals so the lanes interleave
             # reserve and ingest exactly the way the halo harness does.
             rows = {int(d): [] for d in ingest_dests.tolist()}
@@ -400,6 +409,268 @@ class TestFrozenShapeFastLane:
                 assert frozen._ingest_shape is not None and frozen._ingest_shape[1] is rails
             assert fresh._batch_shape is None and fresh._ingest_shape is None
         assert frozen.fabric_stalls > 0 and frozen.ingest_stalls > 0
+
+
+_RANKS = 16
+_RANK = st.integers(0, _RANKS - 1)
+
+
+@st.composite
+def walk_batches(draw):
+    """One ``reserve_batch`` of the life-cycle walk.
+
+    Beside free-form rows (repeated sources and destinations, zero wires)
+    it draws the two shapes one ``ingest_batch_vec`` can consume whole —
+    every message to its own destination, and every source to the same
+    ``k`` destinations — so that blocks are emptied, not only chipped at.
+    """
+    m, k = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    shape = draw(st.sampled_from(("free", "distinct", "shared")))
+    if shape == "free":
+        sources = draw(st.lists(_RANK, min_size=m, max_size=m))
+        dests = [draw(st.lists(_RANK, min_size=k, max_size=k)) for _ in range(m)]
+    else:
+        ranks = draw(st.permutations(range(_RANKS)))
+        sources = ranks[:m]
+        dests = [ranks[4 + i * k:4 + (i + 1) * k] if shape == "distinct" else ranks[4:4 + k]
+                 for i in range(m)]
+    wires = _WIRE if shape == "free" else st.sampled_from((0.25, 0.5, 1.0))
+    ready = [draw(st.lists(_SECONDS, min_size=k, max_size=k)) for _ in range(m)]
+    wire = [draw(st.lists(wires, min_size=k, max_size=k)) for _ in range(m)]
+    ingest = shape != "free" or draw(st.booleans())
+    return sources, dests, ready, wire, ingest
+
+
+#: Ways a service key can name no pending record of the row it is given to.
+_FOREIGN = {
+    "post": lambda r: r._replace(post_time=r.post_time + 0.125),
+    "source": lambda r: r._replace(source=31),              # no such rank
+    "seq": lambda r: r._replace(seq=r.seq + 1),             # not issued, or another message's
+    "wire": lambda r: r._replace(wire_s=r.wire_s or 0.25),
+    "dest": lambda r: r,                                    # right key, wrong destination
+}
+
+
+@st.composite
+def block_walks(draw):
+    """A script over one timeline: every reader and writer of the pending
+    book, interleaved around batch reservations that may or may not defer."""
+    batch = st.tuples(st.just("batch"), walk_batches(), st.booleans())  # ..., scribble on the result
+    vec = st.tuples(st.just("vec"), st.sampled_from(("full", "full", "partial", *_FOREIGN)))
+    read = st.tuples(st.sampled_from(("backlog", "records", "count")), _RANK, _SECONDS)
+    others = (
+        vec, vec, vec, batch, read, read,
+        st.tuples(st.just("reserve"), _RANK, _RANK, _SECONDS, _WIRE),
+        st.tuples(st.just("ingest"), _RANK),
+        st.tuples(st.just("reset")),
+    )
+    # (one_of drops repeated alternatives; an index keeps the weights.)
+    other = st.integers(0, len(others) - 1).flatmap(others.__getitem__)
+    # Episodes open with a batch, so that most steps find a block to act on.
+    episodes = draw(
+        st.lists(st.tuples(batch, st.lists(other, min_size=1, max_size=4)), min_size=1, max_size=3)
+    )
+    return (
+        draw(st.sampled_from((64, 2, 1))),      # pending_limit: 1 and 2 evict
+        draw(st.booleans()),                    # fat-tree paths and receive-side rails
+        [step for first, rest in episodes for step in (first, *rest)],
+    )
+
+
+class TestPendingBlockLifeCycle:
+    """The deferred block is a write-combining buffer, not a second model.
+
+    Twin timelines run one script — ``batched`` through ``reserve_batch`` /
+    ``ingest_batch_vec``, ``scalar`` through the defining row-major loops —
+    and agree on every return value and, after every step, on every book.
+    The after-step comparison reads the pending book, which settles an
+    outstanding block; so each prefix of the script is replayed on a fresh
+    pair and compared at its end, and no comparison stands between a
+    deferred batch and whatever the script does to it next.
+    """
+
+    _TOPOLOGY = Topology(_RANKS, machine=SUMMIT, spec=FABRIC_SPEC)
+
+    def _run(self, limit, routed, steps):
+        """Drive both timelines through ``steps``; return them."""
+        batched = NicTimeline(ledger_limit=4, pending_limit=limit)
+        scalar = NicTimeline(ledger_limit=4, pending_limit=limit)
+        resolve = self._TOPOLOGY.resolve if routed else (lambda s, d: None)
+        posted = {}     # dest -> records reserved and not yet committed by the script
+
+        def post(source, dest, wire, res):
+            path = resolve(source, dest)
+            posted.setdefault(dest, []).append(IngestRecord(
+                res.start, source, res.seq, wire, res.arrival,
+                path.ingest_rail if path is not None else None,
+            ))
+
+        for step in steps:
+            if step[0] == "batch":
+                sources, dests, ready, wire, ingest = step[1]
+                nbytes = [[1024] * len(row) for row in dests]
+                paths = [[resolve(s, d) for d in row] for s, row in zip(sources, dests)]
+                reference = _scalar_reference(
+                    scalar, sources, dests, ready, wire, nbytes, ingest,
+                    paths=paths if routed else None,
+                )
+                wire_arr = np.asarray(wire, dtype=np.float64)
+                batch = batched.reserve_batch(
+                    np.asarray(sources), np.asarray(dests), np.asarray(ready), wire_arr,
+                    1024, ingest=ingest,
+                    paths=self._TOPOLOGY.route_table(sources, dests) if routed else None,
+                )
+                assert batch.start.tolist() == reference[0]
+                assert batch.seq.tolist() == reference[3]
+                for i, source in enumerate(sources):
+                    for j, dest in enumerate(dests[i]):
+                        post(source, dest, wire[i][j], NicReservation(
+                            reference[0][i][j], reference[1][i][j], 0.0, seq=reference[3][i][j]
+                        ))
+                if step[2]:
+                    # Caller-owned arrays: scribbling on them afterwards
+                    # must not reach the deferred records.
+                    for array in (batch.start, batch.arrival, batch.seq, wire_arr):
+                        array[...] = 7
+            elif step[0] == "reserve":
+                _, source, dest, ready, wire = step
+                path = resolve(source, dest)
+                res = scalar.reserve(source, dest, ready, wire, 64, path=path)
+                assert batched.reserve(source, dest, ready, wire, 64, path=path) == res
+                post(source, dest, wire, res)
+            elif step[0] == "ingest":
+                records = posted.pop(step[1], [])
+                assert batched.ingest(step[1], records) == scalar.ingest(step[1], records)
+            elif step[0] == "vec":
+                self._vec(batched, scalar, posted, step[1])
+            elif step[0] == "backlog":
+                assert batched.ingest_backlog(step[1], step[2]) == scalar.ingest_backlog(
+                    step[1], step[2])
+            elif step[0] == "records":
+                assert batched.pending_records(step[1]) == scalar.pending_records(step[1])
+            elif step[0] == "count":
+                assert batched.pending_ingest(step[1]) == scalar.pending_ingest(step[1])
+            else:
+                batched.reset()
+                scalar.reset()
+                posted.clear()
+            # What holds straight after any call, read without settling.
+            assert batched.state_fingerprint() == scalar.state_fingerprint()
+            assert batched._pending_total == scalar._pending_total
+            assert batched.peak_pending == scalar.peak_pending
+            live = sum(len(bucket) for bucket in batched._pending.values())
+            if batched._block is not None:
+                assert live == 0
+                assert batched._pending_total == np.count_nonzero(batched._block.alive) > 0
+            else:
+                assert batched._pending_total == live
+        return batched, scalar
+
+    @staticmethod
+    def _vec(batched, scalar, posted, kind):
+        """One ``ingest_batch_vec`` against one scalar ``ingest`` per row."""
+        if not posted:
+            return
+        # Rectangular rows: every destination holding the commonest count.
+        counts = sorted(len(records) for records in posted.values())
+        k = counts[len(counts) // 2]
+        dests = sorted(d for d, records in posted.items() if len(records) == k)
+        if kind == "partial":
+            dests, k = dests[:1], max(1, k - 1)
+        rows = [posted[d][:k] for d in dests]
+        if kind in _FOREIGN:
+            # Keys that name no pending record of their row, each kind wrong
+            # in one field only — so each pops nothing for its own reason.
+            # (A wire time given to a zero-wire message names a message that
+            # was booked but never registered; all stay posted.)
+            rows = [[_FOREIGN[kind](r) for r in row] for row in rows]
+            if kind == "dest":
+                dests = [(d + 1) % _RANKS for d in dests]
+        else:
+            for d in dests:
+                del posted[d][:k]
+                if not posted[d]:
+                    del posted[d]
+        keys = tuple(sorted({r.rail for row in rows for r in row if r.rail is not None}))
+        rail_ids = np.asarray(
+            [[keys.index(r.rail) if r.rail is not None else -1 for r in row] for row in rows]
+        )
+        columns = [np.asarray([[r[f] for r in row] for row in rows]) for f in range(5)]
+        landings = batched.ingest_batch_vec(
+            np.asarray(dests), *columns, rails=(rail_ids, keys) if keys else None
+        )
+        assert landings.tolist() == [scalar.ingest(d, row) for d, row in zip(dests, rows)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(block_walks())
+    def test_twin_timelines_agree_after_every_step(self, walk):
+        limit, routed, steps = walk
+        for length in range(1, len(steps) + 1):
+            batched, scalar = self._run(limit, routed, steps[:length])
+            # The first read of an outstanding block is the one that settles
+            # it: each reader takes its turn at going first.
+            assert self._observe(batched, length % 3) == self._observe(scalar, length % 3)
+
+    @staticmethod
+    def _observe(nic, first):
+        """Every readable book of ``nic``, reader ``first`` going first."""
+        readers = (
+            lambda d: [nic.ingest_backlog(d, now) for now in (0.0, 1.0, 16.0)],
+            nic.pending_records,
+            nic.pending_ingest,
+        )
+        return [
+            [reader(dest) for dest in range(_RANKS)] for reader in readers[first:] + readers[:first]
+        ], _books(nic)
+
+    @pytest.mark.parametrize("kind", sorted(_FOREIGN))
+    def test_a_foreign_key_pops_only_what_the_dicts_would(self, kind):
+        """The walk's foreign keys, one kind at a time against one deferred
+        block: three sources, one message each, the first with no wire (booked,
+        never registered).  The last source's is the record a clipped lookup
+        lands on, so an unknown source and an unissued ``seq`` both find it."""
+        batched, scalar = NicTimeline(), NicTimeline()
+        wires = (0.0, 0.5, 0.5)
+        batch = batched.reserve_batch([0, 1, 2], np.asarray([[3], [4], [5]]), 0.0,
+                                      np.asarray(wires)[:, None])
+        assert batched._block is not None and batched._pending_total == 2
+        records = [
+            _FOREIGN[kind](IngestRecord(res.start, source, res.seq, wire, res.arrival))
+            for source, wire in enumerate(wires)
+            for res in [scalar.reserve(source, 3 + source, 0.0, wire)]
+        ]
+        assert batch.start.ravel().tolist() == [r.post_time - 0.125 * (kind == "post") for r in records]
+        rows = [(3 + source + (kind == "dest"), r) for source, r in enumerate(records) if r.wire_s > 0]
+        landings = batched.ingest_batch_vec(
+            [d for d, _ in rows], *(np.asarray([[r[f]] for _, r in rows]) for f in range(5))
+        )
+        assert landings.tolist() == [scalar.ingest(d, [r]) for d, r in rows]
+        # Only "wire" leaves the two registered records their own keys.
+        assert batched._pending_total == scalar._pending_total == (0 if kind == "wire" else 2)
+        assert _books(batched) == _books(scalar)
+
+    def test_a_batch_defers_only_when_nothing_can_evict(self):
+        """The lane engages, and on the other side of its condition does not."""
+        sources, dests = np.arange(3), np.asarray([[3, 4], [3, 5], [4, 5]])   # fan-in 2
+        deferring, evicting = NicTimeline(pending_limit=2), NicTimeline(pending_limit=1)
+        batch = deferring.reserve_batch(sources, dests, 0.0, 0.5)
+        evicting.reserve_batch(sources, dests, 0.0, 0.5)
+        assert deferring._block is not None and deferring._pending == {}
+        assert deferring._pending_total == deferring.peak_pending == 6
+        assert evicting._block is None and evicting._pending_total == 3
+        # A second batch finds live records: the first settles, the second registers.
+        deferring.reserve_batch(sources, dests, 4.0, 0.5)
+        assert deferring._block is None and deferring._pending_total == 6
+        # Fully consumed, a block leaves nothing behind — not even buckets.
+        consumed = NicTimeline(pending_limit=2)
+        batch = consumed.reserve_batch(sources, dests, 0.0, 0.5)
+        rows, cols = np.asarray([[0, 1], [0, 2], [1, 2]]), np.asarray([[0, 0], [1, 0], [1, 1]])
+        consumed.ingest_batch_vec(
+            [3, 4, 5], batch.start[rows, cols], rows, batch.seq[rows, cols],
+            batch.wire_s[rows, cols], batch.arrival[rows, cols],
+        )
+        assert consumed._block is None and consumed._pending == {}
+        assert consumed._pending_total == 0 and consumed.peak_pending == 6
 
 
 @st.composite
