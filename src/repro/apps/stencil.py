@@ -112,6 +112,17 @@ class HaloExchange:
 
         self._build_layout()
         self._build_neighbor_layout()
+        #: The overlap exchange's receives and sends, as no round changes them:
+        #: ``(datatype, neighbour, tag)`` per direction.  A section sent along
+        #: ``d`` lands as the receiver's ghost slab ``-d``.
+        self._overlap_recvs = [
+            (self.recv_types[d], self.grid.neighbor(self.rank, d), direction_tag(negate(d)))
+            for d in DIRECTIONS
+        ]
+        self._overlap_sends = [
+            (self.send_types[d], self.grid.neighbor(self.rank, d), direction_tag(d))
+            for d in DIRECTIONS
+        ]
         if mode == "packed":
             total = sum(spec.halo_bytes(d) for d in DIRECTIONS)
             self.sendbuf = ctx.gpu.malloc(total)
@@ -310,26 +321,14 @@ class HaloExchange:
 
         comm.Barrier()
         start = clock.now
-        recv_requests = []
-        for direction in DIRECTIONS:
-            peer = self.grid.neighbor(self.rank, direction)
-            recv_requests.append(
-                comm.Irecv(
-                    (self.local, 1, self.recv_types[direction]),
-                    peer,
-                    direction_tag(negate(direction)),
-                )
-            )
-        send_requests = []
-        for direction in DIRECTIONS:
-            peer = self.grid.neighbor(self.rank, direction)
-            send_requests.append(
-                comm.Isend(
-                    (self.local, 1, self.send_types[direction]),
-                    peer,
-                    direction_tag(direction),
-                )
-            )
+        recv_requests = [
+            comm.Irecv((self.local, 1, datatype), peer, tag)
+            for datatype, peer, tag in self._overlap_recvs
+        ]
+        send_requests = [
+            comm.Isend((self.local, 1, datatype), peer, tag)
+            for datatype, peer, tag in self._overlap_sends
+        ]
         Request.Waitall(recv_requests)
         Request.Waitall(send_requests)
         comm.Barrier()

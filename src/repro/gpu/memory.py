@@ -32,6 +32,10 @@ class MemoryKind(enum.Enum):
     HOST_PINNED = "host_pinned"
     HOST_MAPPED = "host_mapped"
 
+    # Members are singletons compared by identity; hash them the same way, in
+    # C (``Enum.__hash__`` is a Python-level call per dict probe of the pool).
+    __hash__ = object.__hash__
+
     @property
     def is_host(self) -> bool:
         return self is not MemoryKind.DEVICE
@@ -76,7 +80,8 @@ class Buffer:
     @property
     def data(self) -> np.ndarray:
         """The backing ``uint8`` array (shared with any views)."""
-        self._check_alive()
+        if self._freed or self._parent is not None:
+            self._check_alive()
         return self._array
 
     @property
@@ -218,9 +223,9 @@ class MemoryPool:
 
     def release(self, buffer: Buffer) -> None:
         """Return a buffer to the pool for reuse."""
-        if buffer.freed:
+        if buffer._freed or buffer._parent is not None and buffer.freed:
             raise CudaBufferError("cannot pool a freed buffer")
-        bucket = self._bucket(buffer.nbytes)
+        bucket = self._bucket(buffer._array.nbytes)
         self._free.setdefault((buffer.kind, bucket), []).append(buffer)
 
     def clear(self) -> None:

@@ -54,7 +54,8 @@ class Stream:
         host has issued it and all previously enqueued work has finished.
         Returns the completion time of the new operation.
         """
-        self._check_alive()
+        if self._destroyed:
+            self._check_alive()
         if duration < 0 or host_overhead < 0:
             raise CudaStreamError("durations must be non-negative")
         if host_overhead:
@@ -66,7 +67,8 @@ class Stream:
 
     def synchronize(self, sync_overhead: float = 0.0) -> float:
         """Block the host until all enqueued work completes (``cudaStreamSynchronize``)."""
-        self._check_alive()
+        if self._destroyed:
+            self._check_alive()
         self._clock.advance_to(self._ready_time)
         if sync_overhead:
             self._clock.advance(sync_overhead)

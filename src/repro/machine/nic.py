@@ -273,6 +273,10 @@ def _plan_ingest(dst_list: list[int], rail: Optional[np.ndarray],
     )
 
 
+#: ``IngestRecord.key`` — the record's leading triple, ``record[:3]`` — read in C.
+_SERVICE_KEY = itemgetter(slice(3))
+
+
 def ledger_sum(values: Iterable[float], start: float = 0.0) -> float:
     """Fold ``values`` onto ``start``, strictly in the order supplied.
 
@@ -375,7 +379,7 @@ class IngestRecord(NamedTuple):
     @property
     def key(self) -> tuple[float, int, int]:
         """The deterministic ingestion-service order of this message."""
-        return (self.post_time, self.source, self.seq)
+        return self[:3]
 
 
 class _PendingBlock(NamedTuple):
@@ -681,25 +685,19 @@ class NicTimeline:
         self.reservations += 1
         seq = self._seqs.get(source, 0)
         self._seqs[source] = seq + 1
-        stalled = start - ready
+        stalled = start - ready  # never negative: start is a max over ready
         if stalled > 0:
             self.stalls += 1
             self.stalled_s += stalled
         if self.ledger_limit:
             # The struct-array ring overwrites the oldest row in O(1).
-            self._ledger.append(source, dest, start, arrival, int(nbytes))
+            self._ledger.append(source, dest, start, arrival, nbytes)
         if ingest and wire_s > 0 and self.pending_limit:
             self._register_pending(
                 dest,
                 IngestRecord(start, source, seq, wire_s, arrival, ingest_rail),
             )
-        return NicReservation(
-            start=start,
-            arrival=arrival,
-            stalled_s=max(0.0, stalled),
-            wire_s=wire_s,
-            seq=seq,
-        )
+        return NicReservation(start, arrival, stalled, wire_s, seq)
 
     def next_seq(self, source: int) -> int:
         """Allocate one per-source sequence number (batched-send envelopes)."""
@@ -713,9 +711,10 @@ class NicTimeline:
         if self._block is not None:
             self._settle()
         pending = self._pending.setdefault(dest, {})
-        if record.key not in pending:
+        key = record[:3]
+        if key not in pending:
             self._pending_total += 1
-        pending[record.key] = record
+        pending[key] = record
         if len(pending) > self.pending_limit:
             # Drop the earliest-keyed record: it drains first, so losing it
             # only makes the (advisory) backlog estimate conservative.
@@ -982,55 +981,66 @@ class NicTimeline:
         """
         if self._block is not None:
             self._settle()
-        landings = {record.key: record.arrival for record in records}
         port = self._ingest_ports.get(dest, 0.0)
+        pending = self._pending.get(dest)
+        overlap = self.wire_overlap
+        # Service order is (post_time, source, seq) — the tuple's leading
+        # fields — over the records with wire time.  One such record is its
+        # own order: every point-to-point receive, every reduction round.
+        lone = len(records) == 1 and records[0][3] > 0
+        served = records if lone else sorted(
+            [record for record in records if record[3] > 0], key=_SERVICE_KEY
+        )
+        landed: list[float] = []
         stalls: list[float] = []
-        for record in sorted(
-            (r for r in records if r.wire_s > 0), key=lambda r: r.key
-        ):
+        for post_time, source, seq, wire_s, arrival, rail in served:
             # landing = begin + wire with begin = max(post_time, port) —
             # written so an undelayed landing equals the arrival
             # *exactly*, and using the true wire-entry time rather than
             # re-deriving it as arrival - wire (no float re-rounding).
-            landing = max(record.arrival, port + record.wire_s)
-            if record.rail is not None:
+            landing = max(arrival, port + wire_s)
+            if rail is not None:
                 # The shared receive-side rail mirrors the port rule in
                 # its own cursor; the flat books never reach this branch.
-                rail_port = self._ingest_rails.get(record.rail, 0.0)
-                landing = max(landing, rail_port + record.wire_s)
-                self._ingest_rails[record.rail] = (
-                    max(record.post_time, rail_port)
-                    + self.wire_overlap * record.wire_s
-                )
-            port = max(record.post_time, port) + self.wire_overlap * record.wire_s
+                rail_port = self._ingest_rails.get(rail, 0.0)
+                landing = max(landing, rail_port + wire_s)
+                self._ingest_rails[rail] = max(post_time, rail_port) + overlap * wire_s
+            port = max(post_time, port) + overlap * wire_s
             self.ingests += 1
-            stalled = landing - record.arrival
+            stalled = landing - arrival
             if stalled > 0:
                 self.ingest_stalls += 1
                 stalls.append(stalled)
-            landings[record.key] = landing
-            if self._pending.get(dest, {}).pop(record.key, None) is not None:
+            landed.append(landing)
+            if pending and pending.pop((post_time, source, seq), None) is not None:
                 self._pending_total -= 1
-        # Fold the stall seconds in batch order through the ledger helper
-        # — the same adds in the same order as accumulating in the loop.
-        self.ingest_stalled_s = ledger_sum(stalls, start=self.ingest_stalled_s)
+        if stalls:
+            # Fold the stall seconds in batch order through the ledger helper
+            # — the same adds in the same order as accumulating in the loop.
+            self.ingest_stalled_s = ledger_sum(stalls, start=self.ingest_stalled_s)
         self._ingest_ports[dest] = port
         # Receiver-program-order housekeeping (the only deterministic
         # place to prune): pending records that would have fully drained
         # behind the committed cursor were consumed on another path (a
         # system-path receive of a plan-posted message) and can no longer
         # delay anything this port will serve.
-        pending = self._pending.get(dest)
         if pending:
             stale = [
                 key
                 for key, record in pending.items()
-                if record.arrival + self.wire_overlap * record.wire_s <= port
+                if record.arrival + overlap * record.wire_s <= port
             ]
             for key in stale:
                 del pending[key]
             self._pending_total -= len(stale)
-        return [landings[record.key] for record in records]
+        if lone:
+            return landed
+        # Input order, through the keys: records sharing a key share the
+        # landing of the last one served, and a record never served (zero
+        # wire) keeps its arrival unless a served one shares its key.
+        landings = {record[:3]: record[4] for record in records}
+        landings.update(zip(map(_SERVICE_KEY, served), landed))
+        return [landings[record[:3]] for record in records]
 
     def ingest_batch_vec(
         self,

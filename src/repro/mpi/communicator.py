@@ -71,6 +71,8 @@ class Communicator:
         self.size = size
         self.router = router
         self.gpu = runtime
+        #: This rank's virtual clock (shared with its GPU runtime).
+        self.clock = runtime.clock
         self.network = network
         self.topology = topology
         self.context = context
@@ -86,11 +88,6 @@ class Communicator:
     def Get_size(self) -> int:
         """``MPI_Comm_size``."""
         return self.size
-
-    @property
-    def clock(self):
-        """This rank's virtual clock (shared with its GPU runtime)."""
-        return self.gpu.clock
 
     def Dup(self) -> "Communicator":
         """``MPI_Comm_dup``: same group, fresh context id.
@@ -114,10 +111,16 @@ class Communicator:
     # --------------------------------------------------------------- resolve
     def _resolve(self, spec: BufferSpec) -> tuple[Buffer, int, Datatype]:
         """Normalise a message specification to ``(buffer, count, datatype)``."""
-        if isinstance(spec, (Buffer, np.ndarray)):
-            buffer = as_buffer(spec)
-            return buffer, buffer.nbytes, BYTE
         if isinstance(spec, (tuple, list)):
+            if len(spec) == 3:
+                buffer, count, datatype = spec
+                if not isinstance(buffer, Buffer):
+                    buffer = as_buffer(buffer)
+                if not isinstance(datatype, Datatype):
+                    raise MpiArgumentError("third element of a 3-tuple spec must be a Datatype")
+                if count <= 0:
+                    raise MpiArgumentError(f"count must be positive, got {count}")
+                return buffer, int(count), datatype
             if len(spec) == 2:
                 buffer, datatype = spec
                 buffer = as_buffer(buffer)
@@ -131,14 +134,9 @@ class Communicator:
                         f"buffer of {buffer.nbytes} bytes holds no element of extent {datatype.extent}"
                     )
                 return buffer, count, datatype
-            if len(spec) == 3:
-                buffer, count, datatype = spec
-                buffer = as_buffer(buffer)
-                if not isinstance(datatype, Datatype):
-                    raise MpiArgumentError("third element of a 3-tuple spec must be a Datatype")
-                if count <= 0:
-                    raise MpiArgumentError(f"count must be positive, got {count}")
-                return buffer, int(count), datatype
+        elif isinstance(spec, (Buffer, np.ndarray)):
+            buffer = as_buffer(spec)
+            return buffer, buffer.nbytes, BYTE
         raise MpiArgumentError(f"cannot interpret message specification {spec!r}")
 
     def _check_peer(self, peer: int, *, allow_any: bool = False) -> None:

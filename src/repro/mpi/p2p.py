@@ -86,6 +86,8 @@ class MessageRouter:
         self._scheduled: set[int] = set()
         self._running: Optional[int] = None
         self._runnable: deque[int] = deque()
+        #: Launched rank threads that have reached :meth:`enter`.
+        self._entered = 0
 
     # ------------------------------------------------------------------- post
     def post(self, envelope: Envelope) -> None:
@@ -118,8 +120,17 @@ class MessageRouter:
     def _find(self, rank: int, source: int, tag: int, context: int) -> Optional[int]:
         """Mailbox index of the oldest matching envelope (mailboxes are
         appended in ``sequence`` order, so the first match is the oldest)."""
+        any_source = source == ANY_SOURCE
+        any_tag = tag == ANY_TAG
         for index, envelope in enumerate(self._mailboxes[rank]):
-            if self._matches(envelope, source, tag, context):
+            # :meth:`_matches`, spelled inline: this scan runs per mailbox
+            # entry per receive, and a call per entry was a tenth of the
+            # router's cost.
+            if (
+                envelope.context == context
+                and (any_source or envelope.source == source)
+                and (any_tag or envelope.tag == tag)
+            ):
                 return index
         return None
 
@@ -173,16 +184,25 @@ class MessageRouter:
 
     # -------------------------------------------------------------- run token
     def launch(self) -> None:
-        """Schedule every rank for one ``World.run``: rank 0 holds the token,
-        the others follow in rank order."""
+        """Schedule every rank for one ``World.run``, in rank order; the
+        token is first handed out once every rank thread is in :meth:`enter`."""
         with self.lock:
             self._scheduled = set(range(self.nranks))
-            self._running = 0
-            self._runnable = deque(range(1, self.nranks))
+            self._running = None
+            self._runnable = deque(range(self.nranks))
+            self._entered = 0
 
     def enter(self, rank: int) -> None:
-        """First thing a launched rank thread does: wait for its turn."""
+        """First thing a launched rank thread does: wait for its turn.
+
+        The last thread to arrive dispatches rank 0, so no rank is handed the
+        token before it waits for it: what a run executes does not depend on
+        how fast its threads start.
+        """
         with self.lock:
+            self._entered += 1
+            if self._entered == self.nranks:
+                self._dispatch()
             self._await_token(rank)
 
     def retire(self, rank: int) -> None:

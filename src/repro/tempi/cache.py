@@ -158,3 +158,33 @@ class ResourceCache:
 
     def __len__(self) -> int:
         return len(self._pool) + len(self._streams) + len(self._queries) + len(self._persistent)
+
+
+class _StagingTracker:
+    """Per-execution view of the cache's keyed staging buffers.
+
+    Keyed stages bind to persistent per-peer buffers (the reuse of Sec. 5);
+    keyless stages check transient buffers out of the size-bucketed pool.
+    With caching off there is nothing to hold persistent buffers either, so
+    the tracker releases every acquisition when the execution ends instead of
+    leaking one allocation per peer per call.
+    """
+
+    def __init__(self, cache: ResourceCache) -> None:
+        self.cache = cache
+        self._transient: list = []
+
+    def get(self, key, nbytes: int, kind: MemoryKind):
+        if key is None:
+            buffer = self.cache.get_buffer(nbytes, kind)
+            self._transient.append(buffer)
+            return buffer
+        buffer = self.cache.get_persistent(key, nbytes, kind)
+        if not self.cache.enabled:
+            self._transient.append(buffer)
+        return buffer
+
+    def release(self) -> None:
+        for buffer in self._transient:
+            self.cache.put_buffer(buffer)
+        self._transient.clear()

@@ -46,7 +46,7 @@ from repro.mpi.errors import MpiTruncationError
 from repro.mpi.p2p import Envelope
 from repro.mpi.request import Request
 from repro.mpi.status import Status
-from repro.tempi.cache import ResourceCache
+from repro.tempi.cache import ResourceCache, _StagingTracker
 from repro.tempi.config import PackMethod
 from repro.tempi.plan import (
     MessagePlan,
@@ -69,36 +69,6 @@ _REDUCE_UFUNCS = {
 }
 
 
-class _StagingTracker:
-    """Per-execution view of the cache's keyed staging buffers.
-
-    Keyed stages bind to persistent per-peer buffers (the reuse of Sec. 5);
-    keyless stages check transient buffers out of the size-bucketed pool.
-    With caching off there is nothing to hold persistent buffers either, so
-    the tracker releases every acquisition when the execution ends instead of
-    leaking one allocation per peer per call.
-    """
-
-    def __init__(self, cache: ResourceCache) -> None:
-        self.cache = cache
-        self._transient: list = []
-
-    def get(self, key, nbytes: int, kind: MemoryKind):
-        if key is None:
-            buffer = self.cache.get_buffer(nbytes, kind)
-            self._transient.append(buffer)
-            return buffer
-        buffer = self.cache.get_persistent(key, nbytes, kind)
-        if not self.cache.enabled:
-            self._transient.append(buffer)
-        return buffer
-
-    def release(self) -> None:
-        for buffer in self._transient:
-            self.cache.put_buffer(buffer)
-        self._transient.clear()
-
-
 class PlanExecutor:
     """Executes :class:`MessagePlan` objects against one rank's communicator."""
 
@@ -116,6 +86,11 @@ class PlanExecutor:
         self.stats = stats
         self.overlap = overlap
         self.engine = engine
+        #: What a nonblocking send's buffer-reuse completion adds to its pack:
+        #: the host-side injection latency, a constant of the machine.
+        self.injection_overhead = comm.network.message_cost(
+            0, same_node=True, device_buffers=False
+        ).latency_s
         engine.bind(self)
 
     # ------------------------------------------------------------------ entry
@@ -172,7 +147,7 @@ class PlanExecutor:
         sync = stream is None
         offset = 0
         for section in stage.sections:
-            section.packer.pack(
+            offset += section.packer.pack(
                 comm.gpu,
                 source.view(section.displ) if section.displ else source,
                 buffer,
@@ -181,7 +156,6 @@ class PlanExecutor:
                 stream=stream,
                 sync=sync,
             )
-            offset += section.packed_bytes
         if stage.method is PackMethod.STAGED:
             host = staging.get(
                 self._host_key(stage.staging_key), stage.nbytes, MemoryKind.HOST_PINNED
@@ -213,7 +187,7 @@ class PlanExecutor:
             buffer.data[:nbytes] = payload[:nbytes]
         offset = 0
         for section in stage.sections:
-            section.packer.unpack(
+            offset += section.packer.unpack(
                 comm.gpu,
                 buffer,
                 dest.view(section.displ) if section.displ else dest,
@@ -222,7 +196,6 @@ class PlanExecutor:
                 stream=stream,
                 sync=sync,
             )
-            offset += section.packed_bytes
         stage.stream = stream
 
     def _post(
@@ -243,7 +216,7 @@ class PlanExecutor:
                 dest=peer,
                 tag=tag,
                 context=self.comm.context,
-                payload=np.ascontiguousarray(payload_buffer.data[:nbytes], dtype=np.uint8).copy(),
+                payload=payload_buffer.data[:nbytes].copy(),
                 available_at=available_at,
                 device=payload_buffer.is_device,
                 wire_s=wire_s,
@@ -272,9 +245,6 @@ class PlanExecutor:
             )
         else:
             self._post(peer, tag, payload_buffer, nbytes, slot.arrival)
-
-    def _injection_overhead(self) -> float:
-        return self.comm.network.message_cost(0, same_node=True, device_buffers=False).latency_s
 
     def _run_local(self, plan: MessagePlan, staging: _StagingTracker) -> None:
         """Self-sections bounce through device staging without the wire."""
@@ -314,7 +284,7 @@ class PlanExecutor:
                 self.cache.put_stream(stream)
         if self.stats is not None and self.overlap:
             self.stats.stages_overlapped += 1
-        completion = ready + self._injection_overhead() if plan.nonblocking else arrival
+        completion = ready + self.injection_overhead if plan.nonblocking else arrival
         return Request("send", completion_time=completion, clock=comm.clock)
 
     # ------------------------------------------------------------------- bcast
@@ -352,7 +322,7 @@ class PlanExecutor:
         if self.stats is not None and self.overlap:
             self.stats.stages_overlapped += 1
         return Request(
-            "send", completion_time=ready + self._injection_overhead(), clock=comm.clock
+            "send", completion_time=ready + self.injection_overhead, clock=comm.clock
         )
 
     # -------------------------------------------------------------------- recv
@@ -366,9 +336,10 @@ class PlanExecutor:
                 self.stats.deferred_unpacks += 1
             envelope = comm.router.receive(comm.rank, stage.peer, plan.tag, comm.context)
             comm.clock.advance_to(self.engine.ingest_one(envelope))
-            if envelope.nbytes > stage.nbytes:
+            nbytes = envelope.nbytes
+            if nbytes > stage.nbytes:
                 raise MpiTruncationError(
-                    f"message of {envelope.nbytes} bytes truncates a receive of "
+                    f"message of {nbytes} bytes truncates a receive of "
                     f"{stage.nbytes} bytes"
                 )
             staging = _StagingTracker(self.cache)
@@ -376,9 +347,7 @@ class PlanExecutor:
                 self._unpack_stage(stage, envelope.payload, plan.recv_buffer, staging, None)
             finally:
                 staging.release()
-            return Status(
-                source=envelope.source, tag=envelope.tag, count_bytes=envelope.nbytes
-            )
+            return Status(source=envelope.source, tag=envelope.tag, count_bytes=nbytes)
 
         def ready() -> bool:
             return self.engine.arrived(stage.peer, plan.tag)

@@ -97,6 +97,13 @@ class TypeHandler:
     #: selection (the "commit" overhead of Fig. 7).
     commit_seconds: float = 0.0
     uses: int = 0
+    #: Whether the committed type is one contiguous run — such a message is
+    #: the system MPI's to send as it is.  Known at commit; every
+    #: ``Send``/``Recv`` asks.
+    contiguous: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.contiguous = self.packer is not None and self.packer.block.is_contiguous
 
     @property
     def accelerated(self) -> bool:
@@ -292,6 +299,9 @@ class TempiCommunicator:
             and hasattr(self._selector, "select_many")
         )
         self._clock = comm.clock
+        #: What every interposed call is charged (Sec. 6.3): the handler
+        #: lookup plus the pointer check, fixed with the config.
+        self._overhead_s = config.handler_lookup_s + config.pointer_check_s
         #: Single-slot compile memo: the last plan-cache hit's raw arguments
         #: (by identity), built cache key, buffers and template, pinned to
         #: the cache generation that proved the entry present.  A steady
@@ -313,6 +323,8 @@ class TempiCommunicator:
         first — a system ``Barrier`` reached with a batched sub-eager message
         still pending would park this rank while the receiver blocks on the
         unposted message, the deadlock MPI's eager-delivery guarantee forbids.
+        A ``Send``/``Recv`` that compiled to no plan comes through here for
+        the same reason: the system's message must not overtake a deferred one.
         ``join`` marks the collective join points (no rank returns before
         every rank entered): under the sanitizer they merge all ranks' vector
         clocks, the happens-before edge a barrier establishes.
@@ -420,8 +432,7 @@ class TempiCommunicator:
 
     # ------------------------------------------------------------- accounting
     def _charge_interposition_overhead(self) -> None:
-        cfg = self.config
-        self._comm.clock.advance(cfg.handler_lookup_s + cfg.pointer_check_s)
+        self._clock.advance(self._overhead_s)
 
     @property
     def selector(self):
@@ -431,13 +442,15 @@ class TempiCommunicator:
     def _can_accelerate(self, datatype: Datatype, *buffers: Buffer) -> Optional[TypeHandler]:
         if not self.config.enabled:
             return None
-        handler = self.handler_of(datatype)
-        if handler is None or not handler.accelerated:
-            if handler is not None:
-                self.tempi.stats.fallbacks += 1
+        handler = datatype.attachment
+        if not isinstance(handler, TypeHandler):
             return None
-        if not all(buffer.is_device for buffer in buffers):
+        if handler.packer is None:
+            self.tempi.stats.fallbacks += 1
             return None
+        for buffer in buffers:
+            if not buffer.is_device:
+                return None
         return handler
 
     # -------------------------------------------------------------------- pack
@@ -486,21 +499,21 @@ class TempiCommunicator:
             if self.config.send_handling
             else None
         )
-        if handler is None or handler.packer.block.is_contiguous:
+        if handler is None or handler.contiguous:
             return None
         self._comm._check_peer(dest)
         self._charge_interposition_overhead()
-        nbytes = handler.packer.packed_size(count)
+        packer = handler.packer
         # The destination peer rides along so a duplex-aware selector can
         # price the link to — and the ingestion backlog of — that rank.
-        method = self._selector(handler.packer, nbytes, peer=dest)
-        self.tempi.stats.sends += 1
-        self.tempi.stats.method_counts[method.value] = (
-            self.tempi.stats.method_counts.get(method.value, 0) + 1
-        )
+        method = self._selector(packer, packer.packed_size(count), peer=dest)
+        stats = self.tempi.stats
+        stats.sends += 1
+        name = method._value_  # ``.value`` without the descriptor's two Python calls
+        stats.method_counts[name] = stats.method_counts.get(name, 0) + 1
         handler.uses += 1
         return _plan.compile_send(
-            handler.packer, buffer, count, dest, tag, method, nonblocking=nonblocking
+            packer, buffer, count, dest, tag, method, nonblocking=nonblocking
         )
 
     def _compile_p2p_recv(self, spec, source: int, tag: int, *, nonblocking: bool):
@@ -511,19 +524,19 @@ class TempiCommunicator:
             if self.config.send_handling
             else None
         )
-        if handler is None or handler.packer.block.is_contiguous:
+        if handler is None or handler.contiguous:
             return None
         self._comm._check_peer(source, allow_any=True)
         self._charge_interposition_overhead()
-        nbytes = handler.packer.packed_size(count)
-        method = self._selector(handler.packer, nbytes)
-        self.tempi.stats.recvs += 1
-        self.tempi.stats.method_counts[method.value] = (
-            self.tempi.stats.method_counts.get(method.value, 0) + 1
-        )
+        packer = handler.packer
+        method = self._selector(packer, packer.packed_size(count))
+        stats = self.tempi.stats
+        stats.recvs += 1
+        name = method._value_
+        stats.method_counts[name] = stats.method_counts.get(name, 0) + 1
         handler.uses += 1
         return _plan.compile_recv(
-            handler.packer, buffer, count, source, tag, method, nonblocking=nonblocking
+            packer, buffer, count, source, tag, method, nonblocking=nonblocking
         )
 
     @staticmethod
@@ -535,18 +548,16 @@ class TempiCommunicator:
         """``MPI_Send``: compile to a plan, execute, wait."""
         plan = self._compile_p2p_send(spec, dest, tag, nonblocking=False)
         if plan is None:
-            self._engine.progress()  # deferred posts must not be overtaken
-            self._comm.Send(spec, dest, tag)
-            return
-        self._executor.execute(plan).Wait()
+            self._fall_through(self._comm.Send, False, spec, dest, tag)
+        else:
+            self._executor.execute(plan).Wait()
 
     def Isend(self, spec, dest: int, tag: int = 0) -> Request:
         """``MPI_Isend``: the plan's pack runs on its own stream; the request
         completes when the user buffer is reusable (pack done + injection)."""
         plan = self._compile_p2p_send(spec, dest, tag, nonblocking=True)
         if plan is None:
-            self._engine.progress()  # deferred posts must not be overtaken
-            return self._comm.Isend(spec, dest, tag)
+            return self._fall_through(self._comm.Isend, False, spec, dest, tag)
         return self._executor.execute(plan)
 
     def Recv(
@@ -559,16 +570,14 @@ class TempiCommunicator:
         """``MPI_Recv``: compile to a plan, execute, wait."""
         plan = self._compile_p2p_recv(spec, source, tag, nonblocking=False)
         if plan is None:
-            self._engine.progress()  # a system receive is a progress point too
-            return self._comm.Recv(spec, source, tag, status)
+            return self._fall_through(self._comm.Recv, False, spec, source, tag, status)
         return self._into_status(self._executor.execute(plan).Wait(), status)
 
     def Irecv(self, spec, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
         """``MPI_Irecv``: matching and unpacking deferred to ``Wait``/``Test``."""
         plan = self._compile_p2p_recv(spec, source, tag, nonblocking=True)
         if plan is None:
-            self._engine.progress()
-            return self._comm.Irecv(spec, source, tag)
+            return self._fall_through(self._comm.Irecv, False, spec, source, tag)
         return self._executor.execute(plan)
 
     def Sendrecv(
@@ -612,7 +621,7 @@ class TempiCommunicator:
             return None
         buffer, count, datatype = comm._resolve(spec)
         handler = self._can_accelerate(datatype, buffer)
-        if handler is None or handler.packer.block.is_contiguous:
+        if handler is None or handler.contiguous:
             return None
         self._charge_interposition_overhead()
         nbytes = handler.packer.packed_size(count)
@@ -805,7 +814,7 @@ class TempiCommunicator:
             if section.count == 0:
                 continue
             handler = self.handler_of(section.datatype)
-            if handler is None or not handler.accelerated or handler.packer.block.is_contiguous:
+            if handler is None or not handler.accelerated or handler.contiguous:
                 return None
             handlers.append(handler)
             sections.append(
@@ -922,10 +931,9 @@ class TempiCommunicator:
         """
         for handler in template.handlers:
             handler.uses += 1
-        cfg = self.config
         # Inlined _charge_interposition_overhead: this is the hottest call
         # site and the method body is a single clock advance.
-        cost = cfg.handler_lookup_s + cfg.pointer_check_s
+        cost = self._overhead_s
         clock = self._clock
         if cost < 0:
             clock.advance(cost)  # raises ClockError, as the method would

@@ -252,12 +252,11 @@ def compile_send(
     nonblocking: bool = False,
 ) -> MessagePlan:
     """Compile ``MPI_Send``/``MPI_Isend`` of one strided object group."""
-    section = PlanSection(dest, count, 0, packer)
     stage = PackStage(
         peer=dest,
-        sections=(section,),
+        sections=(PlanSection(dest, count, 0, packer),),
         method=method,
-        nbytes=section.packed_bytes,
+        nbytes=packer.packed_size(count),
     )
     return MessagePlan(
         op="send",
@@ -280,12 +279,11 @@ def compile_recv(
     nonblocking: bool = False,
 ) -> MessagePlan:
     """Compile ``MPI_Recv``/``MPI_Irecv`` of one strided object group."""
-    section = PlanSection(source, count, 0, packer)
     stage = UnpackStage(
         peer=source,
-        sections=(section,),
+        sections=(PlanSection(source, count, 0, packer),),
         method=method,
-        nbytes=section.packed_bytes,
+        nbytes=packer.packed_size(count),
     )
     return MessagePlan(
         op="recv",

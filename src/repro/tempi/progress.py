@@ -61,6 +61,7 @@ from repro.machine.topology import PathSpec, Topology
 from repro.mpi.p2p import Envelope
 from repro.mpi.request import Request
 from repro.mpi.status import Status
+from repro.tempi.cache import _StagingTracker
 from repro.tempi.config import NIC_MODES, PROGRESS_MODES, PackMethod
 from repro.tempi.plan import MessagePlan
 
@@ -135,16 +136,11 @@ class _Batch:
     device: bool
     staging: object
     entries: list[_PendingSend] = field(default_factory=list)
-
-    @property
-    def nbytes(self) -> int:
-        """Combined payload bytes of the batch."""
-        return sum(entry.nbytes for entry in self.entries)
-
-    @property
-    def ready(self) -> float:
-        """Wire-readiness: when the slowest constituent pack completes."""
-        return max(entry.ready for entry in self.entries)
+    #: Running totals over ``entries``, kept by :meth:`ProgressEngine.offer_send`
+    #: as it appends: the combined payload bytes, and the wire-readiness —
+    #: when the slowest constituent pack completes.
+    nbytes: int = 0
+    ready: float = float("-inf")
 
 
 class ProgressEngine:
@@ -179,13 +175,19 @@ class ProgressEngine:
         self.stats = stats
         self.mode = mode
         self.nic_mode = nic_mode
+        #: True when reservations go through the shared NIC timeline.
+        self.shared = mode == "shared"
+        #: True when receive-side (ingestion-port) accounting is active.
+        #: Requires the shared timeline — the per-plan ablation has nothing to
+        #: ingest against, so ``nic="duplex"`` degrades to inject-only there.
+        self.duplex = self.shared and nic_mode == "duplex"
         self.wire_overlap = wire_overlap
         if nic is None:
             nic = getattr(getattr(comm, "world", None), "nic", None)
         self.nic = nic if nic is not None else NicTimeline(wire_overlap=wire_overlap)
         #: Batching coalesces deferred posts, which only makes sense when the
         #: shared timeline prices them; per-plan mode is the PR-2 ablation.
-        self.batching = bool(batching) and mode == "shared"
+        self.batching = bool(batching) and self.shared
         self.batch_max_messages = batch_max_messages
         self.eager_threshold = comm.network.machine.eager_threshold
         #: Topology the engine routes against.  ``None`` keeps the flat
@@ -199,20 +201,6 @@ class ProgressEngine:
         self._batches: dict[tuple[int, bool], _Batch] = {}
 
     # ---------------------------------------------------------------- wiring
-    @property
-    def shared(self) -> bool:
-        """True when reservations go through the shared NIC timeline."""
-        return self.mode == "shared"
-
-    @property
-    def duplex(self) -> bool:
-        """True when receive-side (ingestion-port) accounting is active.
-
-        Requires the shared timeline — the per-plan ablation has nothing to
-        ingest against, so ``nic="duplex"`` degrades to inject-only there.
-        """
-        return self.shared and self.nic_mode == "duplex"
-
     def bind(self, executor) -> None:
         """Attach the executor whose stages the engine issues at flush time."""
         self.executor = executor
@@ -287,14 +275,10 @@ class ProgressEngine:
             self.comm.rank, peer, ready, wire_s, nbytes, ingest=self.duplex,
             path=self._route(peer, device),
         )
-        if reservation.stalled and self.stats is not None:
+        start, arrival, stalled_s, _, seq = reservation
+        if stalled_s > 0.0 and self.stats is not None:
             self.stats.contention_stalls += 1
-        return WireSlot(
-            start=reservation.start,
-            arrival=reservation.arrival,
-            wire_s=wire_s,
-            seq=reservation.seq,
-        )
+        return WireSlot(start, arrival, wire_s, seq)
 
     # ------------------------------------------------------------- ingestion
     def _ingest_record(self, envelope: Envelope) -> IngestRecord:
@@ -391,15 +375,15 @@ class ProgressEngine:
         post = plan.post_stages[0]
         if post.nbytes >= self.eager_threshold:
             return None
-        from repro.tempi.executor import _StagingTracker
-
         device = post.pack.method is PackMethod.DEVICE
         key = (post.peer, device)
         # Batches are per (peer, wire path), but MPI non-overtaking is per
         # peer: a pending batch on the *other* path must be posted before
         # this message may be enqueued, or same-tag receives would match out
         # of order when the method selector alternates.
-        self._flush_batch((post.peer, not device))
+        other = (post.peer, not device)
+        if other in self._batches:
+            self._flush_batch(other)
         batch = self._batches.get(key)
         if batch is not None and (
             len(batch.entries) >= self.batch_max_messages
@@ -427,9 +411,12 @@ class ProgressEngine:
             nbytes=post.nbytes,
             payload=payload,
             ready=ready,
-            completion=ready + self.executor._injection_overhead(),
+            completion=ready + self.executor.injection_overhead,
         )
         batch.entries.append(entry)
+        batch.nbytes += post.nbytes
+        if ready > batch.ready:
+            batch.ready = ready
         if self.stats is not None:
             self.stats.stages_overlapped += 1
 
@@ -464,9 +451,11 @@ class ProgressEngine:
         This is the engine's progress point — called from ``Wait``/``Test``
         of engine requests and from every non-batchable plan execution, so
         deferred posts can never be overtaken by later traffic and testing a
-        request genuinely moves messages toward arrival.
+        request genuinely moves messages toward arrival.  With nothing
+        pending — the common case on a warm path — it is one attribute test.
         """
-        self.flush()
+        if self._batches:
+            self.flush()
 
     def flush(self, peer: Optional[int] = None) -> None:
         """Post pending batches (all of them, or one peer's)."""

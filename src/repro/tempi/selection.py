@@ -328,7 +328,7 @@ class ModelSelector:
             return compute(), False
         if self.config.selection_memo:
             hits_before = self.cache.stats.query_hits
-            value = cast(PackMethod, self.cache.memoize(key, compute))
+            value: PackMethod = self.cache.memoize(key, compute)
             cached = bool(self.cache.stats.query_hits > hits_before)
             self._note_memo(cached)
             return value, cached
