@@ -50,11 +50,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.apps.halo import DIRECTIONS, HaloSpec, RankGrid
-from repro.machine.network import DEFAULT_WIRE_OVERLAP, NetworkModel
+from repro.machine.network import NetworkModel
 from repro.machine.nic import IngestRecord, NicTimeline
 from repro.machine.spec import SUMMIT, MachineSpec
 from repro.machine.topology import Topology, TopologySpec
-from repro.tempi.config import TempiConfig
+from repro.tempi.config import HANDLER_LOOKUP_S, POINTER_CHECK_S
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,6 @@ def _pack_phase_time(
     *,
     tempi: bool,
     unpack: bool,
-    config: TempiConfig,
 ) -> float:
     """Time one rank spends packing (or unpacking) its 26 halos."""
     gpu = machine.node.gpu
@@ -89,7 +88,7 @@ def _pack_phase_time(
         block = spec.halo_block_length(direction)
         if tempi:
             total += gpu.kernel_time(nbytes, block, target="device", unpack=unpack)
-            total += config.handler_lookup_s + config.pointer_check_s
+            total += HANDLER_LOOKUP_S + POINTER_CHECK_S
         else:
             blocks = spec.halo_block_count(direction)
             total += blocks * gpu.memcpy_call_s + nbytes / gpu.d2d_bandwidth
@@ -131,7 +130,6 @@ def model_halo_exchange(
     spec: HaloSpec | None = None,
     machine: MachineSpec = SUMMIT,
     tempi: bool = True,
-    config: TempiConfig | None = None,
 ) -> ExchangeBreakdown:
     """Model one halo exchange at ``nodes × ranks_per_node`` scale.
 
@@ -144,14 +142,13 @@ def model_halo_exchange(
     if nodes <= 0 or ranks_per_node <= 0:
         raise ValueError("nodes and ranks_per_node must be positive")
     spec = spec if spec is not None else HaloSpec.paper()
-    config = config if config is not None else TempiConfig()
     nranks = nodes * ranks_per_node
     grid = RankGrid.for_ranks(nranks)
     topology = Topology(nranks, ranks_per_node=ranks_per_node, machine=machine)
     network = NetworkModel(machine)
 
-    pack = _pack_phase_time(spec, machine, tempi=tempi, unpack=False, config=config)
-    unpack = _pack_phase_time(spec, machine, tempi=tempi, unpack=True, config=config)
+    pack = _pack_phase_time(spec, machine, tempi=tempi, unpack=False)
+    unpack = _pack_phase_time(spec, machine, tempi=tempi, unpack=True)
     comm = _comm_phase_time(spec, grid, topology, network)
     return ExchangeBreakdown(
         nodes=nodes,
@@ -198,7 +195,6 @@ def model_fused_exchange(
     *,
     spec: HaloSpec | None = None,
     machine: MachineSpec = SUMMIT,
-    config: TempiConfig | None = None,
 ) -> ExchangeBreakdown:
     """Price the fused datatype-carrying collective under the serial engine.
 
@@ -211,13 +207,12 @@ def model_fused_exchange(
     if nodes <= 0 or ranks_per_node <= 0:
         raise ValueError("nodes and ranks_per_node must be positive")
     spec = spec if spec is not None else HaloSpec.paper()
-    config = config if config is not None else TempiConfig()
     nranks = nodes * ranks_per_node
     grid = RankGrid.for_ranks(nranks)
     topology = Topology(nranks, ranks_per_node=ranks_per_node, machine=machine)
     network = NetworkModel(machine)
 
-    overhead = config.handler_lookup_s + config.pointer_check_s
+    overhead = HANDLER_LOOKUP_S + POINTER_CHECK_S
     pack = _kernel_sum(spec, machine, DIRECTIONS, unpack=False) + overhead
     unpack = _kernel_sum(spec, machine, DIRECTIONS, unpack=True)
     comm = _comm_phase_time(spec, grid, topology, network)
@@ -237,8 +232,6 @@ def model_overlap_exchange(
     *,
     spec: HaloSpec | None = None,
     machine: MachineSpec = SUMMIT,
-    config: TempiConfig | None = None,
-    wire_overlap: float = DEFAULT_WIRE_OVERLAP,
 ) -> ExchangeBreakdown:
     """Price the overlapped plan-executor pipeline at paper scale.
 
@@ -259,15 +252,7 @@ def model_overlap_exchange(
     A single plan never revisits a NIC cursor, so this is exactly
     :func:`model_contended_exchange` at ``plans=1``.
     """
-    return model_contended_exchange(
-        nodes,
-        ranks_per_node,
-        plans=1,
-        spec=spec,
-        machine=machine,
-        config=config,
-        wire_overlap=wire_overlap,
-    )
+    return model_contended_exchange(nodes, ranks_per_node, plans=1, spec=spec, machine=machine)
 
 
 def model_contended_exchange(
@@ -277,8 +262,6 @@ def model_contended_exchange(
     plans: int = 1,
     spec: HaloSpec | None = None,
     machine: MachineSpec = SUMMIT,
-    config: TempiConfig | None = None,
-    wire_overlap: float = DEFAULT_WIRE_OVERLAP,
     shared_nic: bool = True,
     nic: str = "duplex",
 ) -> ExchangeBreakdown:
@@ -321,7 +304,6 @@ def model_contended_exchange(
     if nic not in ("duplex", "inject_only"):
         raise ValueError(f"nic must be 'duplex' or 'inject_only', got {nic!r}")
     spec = spec if spec is not None else HaloSpec.paper()
-    config = config if config is not None else TempiConfig()
     nranks = nodes * ranks_per_node
     grid = RankGrid.for_ranks(nranks)
     topology = Topology(nranks, ranks_per_node=ranks_per_node, machine=machine)
@@ -329,7 +311,7 @@ def model_contended_exchange(
     gpu = machine.node.gpu
     launch_s = gpu.kernel_launch_s
     sync_s = gpu.kernel_sync_s
-    overhead = config.handler_lookup_s + config.pointer_check_s
+    overhead = HANDLER_LOOKUP_S + POINTER_CHECK_S
 
     def kernel_device_s(direction, *, unpack: bool) -> float:
         return (
@@ -351,13 +333,13 @@ def model_contended_exchange(
         host = 0.0
         # The analytic walk reserves on a real NicTimeline, so the port and
         # link rules can never drift from what the simulator charges.
-        timeline = NicTimeline(wire_overlap=wire_overlap, ledger_limit=0)
+        timeline = NicTimeline(ledger_limit=0)
         arrivals: list[tuple[list, float, float]] = []
         last_pack = 0.0
         for _ in range(plans):
             if not shared_nic:
                 # PR-2 per-plan accounting: a fresh cursor per plan.
-                timeline = NicTimeline(wire_overlap=wire_overlap, ledger_limit=0)
+                timeline = NicTimeline(ledger_limit=0)
             host += overhead  # handler lookup + pointer check, once per plan
             for peer, directions in groups.items():
                 ready = host
@@ -390,7 +372,7 @@ def model_contended_exchange(
             adjusted = []
             for directions, reservation, wire in arrivals:
                 landing = max(reservation.arrival, ingest_free + wire)
-                ingest_free = max(reservation.start, ingest_free) + wire_overlap * wire
+                ingest_free = max(reservation.start, ingest_free) + timeline.wire_overlap * wire
                 adjusted.append((directions, landing, wire))
             arrivals = adjusted
         else:
@@ -448,7 +430,6 @@ def model_duplex_exchange(
     block_length: int = 512,
     machine: MachineSpec = SUMMIT,
     nic: str = "duplex",
-    wire_overlap: float = DEFAULT_WIRE_OVERLAP,
 ) -> IncastBreakdown:
     """Price an N-senders→1-receiver incast on the duplex NIC rules.
 
@@ -474,7 +455,7 @@ def model_duplex_exchange(
     gpu = machine.node.gpu
     pack = gpu.kernel_time(nbytes, min(block_length, nbytes), target="device", unpack=False)
     wire = network.message_time(nbytes, same_node=False, device_buffers=True)
-    timeline = NicTimeline(wire_overlap=wire_overlap, ledger_limit=0)
+    timeline = NicTimeline(ledger_limit=0)
     reservations = [
         timeline.reserve(source, 0, pack, wire, nbytes)
         for source in range(1, senders + 1)
@@ -514,7 +495,6 @@ def incast_efficiency(
     *,
     block_length: int = 512,
     machine: MachineSpec = SUMMIT,
-    wire_overlap: float = DEFAULT_WIRE_OVERLAP,
 ) -> float:
     """How much of the advertised arrival schedule survives the hot receiver.
 
@@ -526,20 +506,10 @@ def incast_efficiency(
     the receive-side counterpart of :func:`overlap_efficiency`.
     """
     inject_only = model_duplex_exchange(
-        senders,
-        nbytes,
-        block_length=block_length,
-        machine=machine,
-        nic="inject_only",
-        wire_overlap=wire_overlap,
+        senders, nbytes, block_length=block_length, machine=machine, nic="inject_only"
     )
     duplex = model_duplex_exchange(
-        senders,
-        nbytes,
-        block_length=block_length,
-        machine=machine,
-        nic="duplex",
-        wire_overlap=wire_overlap,
+        senders, nbytes, block_length=block_length, machine=machine, nic="duplex"
     )
     return inject_only.completion_s / duplex.completion_s
 
@@ -570,7 +540,6 @@ def model_fabric_exchange(
     spec: TopologySpec,
     block_length: int = 512,
     machine: MachineSpec = SUMMIT,
-    wire_overlap: float = DEFAULT_WIRE_OVERLAP,
     fabric: str = "shared",
 ) -> FabricBreakdown:
     """Price ``flows`` simultaneous cross-leaf sends through one leaf's uplink.
@@ -605,7 +574,7 @@ def model_fabric_exchange(
     topology = Topology(nranks, machine=machine, spec=spec)
     gpu = machine.node.gpu
     pack = gpu.kernel_time(nbytes, min(block_length, nbytes), target="device", unpack=False)
-    timeline = NicTimeline(wire_overlap=wire_overlap, ledger_limit=0)
+    timeline = NicTimeline(ledger_limit=0)
     wire = 0.0
     landings = []
     for flow in range(flows):
@@ -614,7 +583,7 @@ def model_fabric_exchange(
         path = topology.resolve(src, dst, device_buffers=True)
         wire = topology.message_time(src, dst, nbytes, device_buffers=True)
         if fabric == "independent":
-            solo = NicTimeline(wire_overlap=wire_overlap, ledger_limit=0)
+            solo = NicTimeline(ledger_limit=0)
             landings.append(solo.reserve(src, dst, pack, wire, nbytes, path=path).arrival)
         else:
             landings.append(timeline.reserve(src, dst, pack, wire, nbytes, path=path).arrival)
@@ -636,7 +605,6 @@ def uplink_efficiency(
     spec: TopologySpec,
     block_length: int = 512,
     machine: MachineSpec = SUMMIT,
-    wire_overlap: float = DEFAULT_WIRE_OVERLAP,
 ) -> float:
     """How much of the full-bisection schedule survives the shared uplink.
 
@@ -649,21 +617,11 @@ def uplink_efficiency(
     the switch rather than at either endpoint.
     """
     independent = model_fabric_exchange(
-        flows,
-        nbytes,
-        spec=spec,
-        block_length=block_length,
-        machine=machine,
-        wire_overlap=wire_overlap,
+        flows, nbytes, spec=spec, block_length=block_length, machine=machine,
         fabric="independent",
     )
     shared = model_fabric_exchange(
-        flows,
-        nbytes,
-        spec=spec,
-        block_length=block_length,
-        machine=machine,
-        wire_overlap=wire_overlap,
+        flows, nbytes, spec=spec, block_length=block_length, machine=machine,
         fabric="shared",
     )
     return independent.completion_s / shared.completion_s
@@ -678,7 +636,6 @@ def model_selected_exchange(
     selection: str = "contended",
     spec: HaloSpec | None = None,
     machine: MachineSpec = SUMMIT,
-    wire_overlap: float = DEFAULT_WIRE_OVERLAP,
 ) -> tuple[ExchangeBreakdown, dict[str, int]]:
     """Price ``plans`` concurrent exchanges with *selected* per-message methods.
 
@@ -722,7 +679,7 @@ def model_selected_exchange(
     representatives = range(min(grid.nranks, topology.ranks_per_node))
     for rank in representatives:
         groups = _send_groups(grid, rank)
-        nic = NicTimeline(wire_overlap=wire_overlap, ledger_limit=0)
+        nic = NicTimeline(ledger_limit=0)
         counts: dict[str, int] = {}
         arrivals: list[tuple[float, float]] = []  # (arrival, unpack tail)
         last_pack = 0.0
@@ -1014,7 +971,6 @@ def model_moe_exchange(
     hot_expert: int = 0,
     machine: MachineSpec = SUMMIT,
     nic: str = "duplex",
-    wire_overlap: float = DEFAULT_WIRE_OVERLAP,
 ) -> MoEBreakdown:
     """Price one MoE dispatch round on the duplex NIC rules.
 
@@ -1039,7 +995,7 @@ def model_moe_exchange(
     hot = hot_expert % nranks
     network = NetworkModel(machine)
     gpu = machine.node.gpu
-    timeline = NicTimeline(wire_overlap=wire_overlap, ledger_limit=0)
+    timeline = NicTimeline(ledger_limit=0)
     flows: dict[int, list[tuple[int, object, float]]] = {dst: [] for dst in range(nranks)}
     for sender in range(nranks):
         for expert in range(nranks):

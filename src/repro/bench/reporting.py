@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.bench.harness import format_table
 
@@ -120,11 +120,3 @@ GLOBAL_REPORT = ReportCollector()
 def global_report() -> ReportCollector:
     """The shared collector (one per pytest session)."""
     return GLOBAL_REPORT
-
-
-def save_global_report(path: Optional[Path | str] = None) -> Optional[Path]:
-    """Persist the shared collector if it has any records."""
-    if not GLOBAL_REPORT.records:
-        return None
-    target = Path(path) if path is not None else Path("bench_report.json")
-    return GLOBAL_REPORT.save(target)

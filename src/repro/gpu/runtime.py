@@ -26,7 +26,7 @@ from repro.gpu.cost_model import SUMMIT_GPU, GpuCostModel
 from repro.gpu.device import Device, DeviceProperties
 from repro.gpu.errors import CudaInvalidValue, CudaMemcpyError
 from repro.gpu.memory import Buffer, DeviceBuffer, HostBuffer, MemoryKind
-from repro.gpu.stream import Event, Stream
+from repro.gpu.stream import Stream
 
 
 class MemcpyKind(enum.Enum):
@@ -121,10 +121,6 @@ class CudaRuntime:
         self.clock.advance_to(latest)
         self.clock.advance(self.cost.kernel_sync_s)
         return self.clock.now
-
-    def event_create(self, name: Optional[str] = None) -> Event:
-        """``cudaEventCreate``."""
-        return Event(self.clock, name=name)
 
     # ----------------------------------------------------------------- copies
     @staticmethod

@@ -3,7 +3,10 @@
 The real library is configured through environment variables (disable
 interposition, force a packing method, point at the measurement file); the
 reproduction uses an explicit :class:`TempiConfig` object with the same knobs
-so benchmarks and ablations can construct variants directly.
+so benchmarks and ablations can construct variants directly.  A field stays
+only while some file outside ``tests/`` needs its other value
+(``docs/CONFIG.md`` names that caller per field); what no caller ever varied
+is a module constant below.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ class PackMethod(enum.Enum):
 
 #: Selection policies accepted by ``TempiConfig.selection``; the selector
 #: classes themselves live in :mod:`repro.tempi.selection`.
-SELECTION_MODES = ("model", "contended", "fixed")
+SELECTION_MODES = ("model", "contended")
 
 #: Progress-engine modes accepted by ``TempiConfig.progress``.
 PROGRESS_MODES = ("shared", "per_plan")
@@ -47,6 +50,26 @@ NIC_MODES = ("duplex", "inject_only")
 #: (topology- and size-aware); the named algorithms pin the schedule for
 #: ablations and the property wall.
 ALLREDUCE_ALGORITHMS = ("auto", "ring", "tree", "hierarchical")
+
+#: Clock charge per model query when the result is not memoised, and when it
+#: is — the 277 ns the paper measures shows up through these.
+MODEL_QUERY_S = 2.0e-6
+MODEL_CACHED_QUERY_S = 277.0e-9
+#: Clock charge of looking up the cached datatype handler and of checking
+#: whether the user pointers are device resident; every interposed call pays
+#: their sum (part of the ~30 µs send floor).
+HANDLER_LOOKUP_S = 1.2e-6
+POINTER_CHECK_S = 0.6e-6
+
+#: Most compiled plan templates a communicator's
+#: :class:`~repro.tempi.plan.PlanCache` retains (LRU eviction).
+PLAN_CACHE_SIZE = 256
+#: Most quantized-backlog entries a
+#: :class:`~repro.tempi.selection.ContendedSelector` memoises (LRU eviction).
+SELECTION_MEMO_SIZE = 1024
+#: Most sub-eager send plans one progress-engine batch coalesces before it
+#: is flushed.
+BATCH_MAX_MESSAGES = 8
 
 #: Ambient default of ``TempiConfig.sanitize``: ``repro sanitize`` (and the
 #: tests) flip it through :func:`sanitize_default` so benchmarks that build
@@ -92,8 +115,9 @@ class TempiConfig:
     #: ``"contended"`` additionally folds the rank's live injection-port
     #: backlog from the shared :class:`~repro.machine.nic.NicTimeline` into
     #: each candidate, so the one-shot/device crossover shifts under load
-    #: (``bench_fig9_selection.py`` measures the shift); ``"fixed"`` requires
-    #: ``method`` to name a concrete method and never queries the model.
+    #: (``bench_fig9_selection.py`` measures the shift).  A concrete
+    #: ``method`` never consults a policy, so it is only accepted under the
+    #: default one.
     selection: str = "model"
     #: Allreduce schedule for the interposed ``Allreduce``/``Iallreduce``.
     #: ``"auto"`` (the default) picks per call through
@@ -130,8 +154,6 @@ class TempiConfig:
     #: into one pack launch burst and one posted wire message (shared-progress
     #: mode only; the batch flushes at the next progress point).
     batch_eager_sends: bool = True
-    #: Most plans one batch may coalesce before it is flushed.
-    batch_max_messages: int = 8
     #: Reuse streams, intermediate buffers and model query results (Sec. 5).
     use_cache: bool = True
     #: Reuse compiled :class:`~repro.tempi.plan.MessagePlan` templates for
@@ -140,16 +162,12 @@ class TempiConfig:
     #: priced charge (model queries, interposition overhead) is identical to
     #: a fresh compile — ``bench_sim_throughput.py`` measures what it buys.
     plan_cache: bool = True
-    #: Most compiled plan templates retained per rank (LRU eviction).
-    plan_cache_size: int = 256
     #: Memoise method-selection results for repeated ``(method, size, block)``
     #: queries, including a bounded cache of quantized-backlog states for the
     #: contended selector.  Disabling changes only *where* results come from,
     #: never the charge schedule: a repeated query is priced at the cached
     #: query cost whether or not the value is retained.
     selection_memo: bool = True
-    #: Most contended-selection entries retained per rank (LRU eviction).
-    selection_memo_size: int = 1024
     #: Run under the clock sanitizer (:mod:`repro.tempi.sanitizer`): every
     #: rank's NIC handle becomes a recording proxy that maintains per-rank
     #: vector clocks over reservation/ingest commits, audits cross-rank
@@ -172,16 +190,6 @@ class TempiConfig:
     topology: Optional[TopologySpec] = None
     #: Where the system-measurement file lives; None keeps it in memory only.
     measurement_path: Optional[Path] = None
-    #: Overhead charged per model query when the result is not cached, and
-    #: when it is — the 277 ns the paper measures shows up through these.
-    model_query_s: float = 2.0e-6
-    model_cached_query_s: float = 277.0e-9
-    #: Overhead of looking up the cached datatype handler and checking whether
-    #: the user pointers are device resident (part of the ~30 µs send floor).
-    handler_lookup_s: float = 1.2e-6
-    pointer_check_s: float = 0.6e-6
-    #: Extra labels carried into benchmark reports.
-    tags: tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
         if self.selection not in SELECTION_MODES:
@@ -201,26 +209,17 @@ class TempiConfig:
                 f"unknown allreduce algorithm {self.allreduce_algorithm!r}; "
                 f"expected one of {ALLREDUCE_ALGORITHMS}"
             )
-        if self.plan_cache_size < 1:
-            raise ValueError(f"plan_cache_size must be >= 1, got {self.plan_cache_size}")
-        if self.batch_max_messages < 1:
-            raise ValueError(
-                f"batch_max_messages must be >= 1, got {self.batch_max_messages}"
-            )
-        if self.selection_memo_size < 1:
-            raise ValueError(
-                f"selection_memo_size must be >= 1, got {self.selection_memo_size}"
-            )
         if self.selection == "contended" and self.progress == "per_plan":
             raise ValueError(
                 "selection='contended' prices the shared NicTimeline's backlog, which "
                 "progress='per_plan' never books: the combination is inert; use "
                 "progress='shared' (or selection='model')"
             )
-        if self.selection == "fixed" and self.method is PackMethod.AUTO:
+        if self.selection == "contended" and self.method is not PackMethod.AUTO:
             raise ValueError(
-                "selection='fixed' needs a concrete method; set method=PackMethod.DEVICE/"
-                "ONESHOT/STAGED (or use selection='model')"
+                f"method=PackMethod.{self.method.name} forces every message, so "
+                "selection='contended' would never price one: the combination is "
+                "inert; use method=PackMethod.AUTO (or selection='model')"
             )
 
     def with_overrides(self, **kwargs) -> "TempiConfig":

@@ -76,7 +76,7 @@ class PlanExecutor:
         self,
         comm,
         cache: ResourceCache,
-        stats=None,
+        stats,
         *,
         engine: ProgressEngine,
         overlap: bool = True,
@@ -111,8 +111,7 @@ class PlanExecutor:
         Every non-batched execution is a progress point: pending batches are
         flushed first, so deferred posts can never be overtaken.
         """
-        if self.stats is not None:
-            self.stats.plans_built += 1
+        self.stats.plans_built += 1
         if plan.op == "send":
             return self._execute_send(plan)
         self.engine.progress()
@@ -282,7 +281,7 @@ class PlanExecutor:
             staging.release()
             if stream is not None:
                 self.cache.put_stream(stream)
-        if self.stats is not None and self.overlap:
+        if self.overlap:
             self.stats.stages_overlapped += 1
         completion = ready + self.injection_overhead if plan.nonblocking else arrival
         return Request("send", completion_time=completion, clock=comm.clock)
@@ -319,7 +318,7 @@ class PlanExecutor:
             staging.release()
             if stream is not None:
                 self.cache.put_stream(stream)
-        if self.stats is not None and self.overlap:
+        if self.overlap:
             self.stats.stages_overlapped += 1
         return Request(
             "send", completion_time=ready + self.injection_overhead, clock=comm.clock
@@ -332,7 +331,7 @@ class PlanExecutor:
 
         def complete() -> Status:
             self.engine.progress()
-            if plan.nonblocking and self.stats is not None:
+            if plan.nonblocking:
                 self.stats.deferred_unpacks += 1
             envelope = comm.router.receive(comm.rank, stage.peer, plan.tag, comm.context)
             comm.clock.advance_to(self.engine.ingest_one(envelope))
@@ -393,8 +392,7 @@ class PlanExecutor:
                         post.peer, ready, wire, post.nbytes, device=payload.is_device
                     )
                     self._post_slot(post.peer, tag, payload, post.nbytes, slot)
-                if self.stats is not None:
-                    self.stats.stages_overlapped += len(plan.pack_stages)
+                self.stats.stages_overlapped += len(plan.pack_stages)
             else:
                 for post in plan.post_stages:
                     payload, ready = pack_once(post.pack, None)
@@ -408,7 +406,7 @@ class PlanExecutor:
 
         def complete() -> Status:
             self.engine.progress()
-            if plan.nonblocking and self.stats is not None:
+            if plan.nonblocking:
                 self.stats.deferred_unpacks += len(plan.unpack_stages)
             recv_staging = _StagingTracker(self.cache)
             recv_streams: list = []
@@ -441,8 +439,7 @@ class PlanExecutor:
                 if self.overlap:
                     for stream in recv_streams:
                         comm.gpu.stream_synchronize(stream)
-                    if self.stats is not None:
-                        self.stats.stages_overlapped += len(plan.unpack_stages)
+                    self.stats.stages_overlapped += len(plan.unpack_stages)
                 else:
                     comm.clock.advance_to(latest)
                     self._charge_serial_wire(plan)

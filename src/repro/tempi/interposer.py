@@ -59,7 +59,7 @@ from repro.mpi.status import ANY_SOURCE, ANY_TAG, Status
 from repro.tempi import plan as _plan
 from repro.tempi.cache import ResourceCache
 from repro.tempi.canonicalize import simplify
-from repro.tempi.config import TempiConfig
+from repro.tempi.config import HANDLER_LOOKUP_S, POINTER_CHECK_S, TempiConfig
 from repro.tempi.executor import PlanExecutor
 from repro.tempi.measurement import SystemMeasurement, host_timer
 from repro.tempi.packer import Packer
@@ -67,23 +67,12 @@ from repro.tempi.progress import ProgressEngine
 from repro.tempi.perf_model import PerformanceModel
 from repro.tempi.plan import MessagePlan, PlanSection
 from repro.tempi.selection import (
-    CalibrationRegistry,
     choose_allreduce_algorithm,
     default_registry,
     make_selector,
 )
 from repro.tempi.strided_block import to_strided_block
 from repro.tempi.translate import TranslationError, translate
-
-
-def default_model(machine) -> PerformanceModel:
-    """The lazily measured, process-wide performance model for a machine.
-
-    A thin veneer over :func:`repro.tempi.selection.default_registry` — the
-    per-:class:`~repro.machine.spec.MachineSpec` calibration cache that lets
-    several machines' models coexist in one process.
-    """
-    return default_registry().model_for(machine)
 
 
 @dataclass
@@ -180,31 +169,26 @@ class Tempi:
         machine,
         config: TempiConfig = TempiConfig(),
         model: Optional[PerformanceModel] = None,
-        registry: Optional[CalibrationRegistry] = None,
     ) -> None:
         self.config = config
         self.cache = ResourceCache(runtime, enabled=config.use_cache)
         self.stats = InterposerStats()
         self._machine = machine
         self._model = model
-        #: Per-machine calibrations; the process-wide registry by default so
-        #: every rank of a world shares one measurement sweep per machine.
-        self.registry = registry if registry is not None else default_registry()
-
-    @property
-    def machine(self):
-        """The machine this library instance is calibrated for."""
-        return self._machine
 
     @property
     def model(self) -> PerformanceModel:
-        """The performance model (lazily measured or loaded via the registry)."""
+        """The performance model, lazily loaded or measured.
+
+        Measured through the process-wide registry, so every rank of a world
+        shares one sweep per machine.
+        """
         if self._model is None:
             if self.config.measurement_path is not None:
                 measurement = SystemMeasurement.load(self.config.measurement_path)
                 self._model = PerformanceModel(measurement)
             else:
-                self._model = self.registry.model_for(self._machine)
+                self._model = default_registry().model_for(self._machine)
         return self._model
 
 
@@ -218,7 +202,6 @@ class TempiCommunicator:
         *,
         library: Optional[Tempi] = None,
         model: Optional[PerformanceModel] = None,
-        registry: Optional[CalibrationRegistry] = None,
     ) -> None:
         self._comm = comm
         self.config = config
@@ -236,7 +219,7 @@ class TempiCommunicator:
                 base = NicTimeline()
             self._sanitizer_view = sanitized_view(base, comm.rank)
         self.tempi = library if library is not None else Tempi(
-            comm.gpu, comm.network.machine, config, model, registry
+            comm.gpu, comm.network.machine, config, model
         )
         #: Topology the engine routes against.  An explicit ``config.topology``
         #: spec builds one over this communicator's size (repricing without
@@ -260,7 +243,6 @@ class TempiCommunicator:
             mode=config.progress,
             nic_mode=config.nic,
             batching=config.batch_eager_sends and config.overlap,
-            batch_max_messages=config.batch_max_messages,
             nic=self._sanitizer_view,
             topology=topology,
         )
@@ -290,7 +272,7 @@ class TempiCommunicator:
         #: config or communicator — all three are fixed here) and consulted
         #: only under ``config.plan_cache``.  ``plan_cache.clear()`` is the
         #: explicit invalidation hook.
-        self.plan_cache = _plan.PlanCache(config.plan_cache_size)
+        self.plan_cache = _plan.PlanCache()
         #: Hoisted off the per-hit replay path: the selector is fixed for the
         #: interposer's lifetime, so its batched-replay capability is too,
         #: and the communicator's clock never changes identity.
@@ -300,8 +282,8 @@ class TempiCommunicator:
         )
         self._clock = comm.clock
         #: What every interposed call is charged (Sec. 6.3): the handler
-        #: lookup plus the pointer check, fixed with the config.
-        self._overhead_s = config.handler_lookup_s + config.pointer_check_s
+        #: lookup plus the pointer check.
+        self._overhead_s = HANDLER_LOOKUP_S + POINTER_CHECK_S
         #: Single-slot compile memo: the last plan-cache hit's raw arguments
         #: (by identity), built cache key, buffers and template, pinned to
         #: the cache generation that proved the entry present.  A steady
@@ -433,11 +415,6 @@ class TempiCommunicator:
     # ------------------------------------------------------------- accounting
     def _charge_interposition_overhead(self) -> None:
         self._clock.advance(self._overhead_s)
-
-    @property
-    def selector(self):
-        """The method-selection policy every AUTO decision goes through."""
-        return self._selector
 
     def _can_accelerate(self, datatype: Datatype, *buffers: Buffer) -> Optional[TypeHandler]:
         if not self.config.enabled:
@@ -935,8 +912,6 @@ class TempiCommunicator:
         # site and the method body is a single clock advance.
         cost = self._overhead_s
         clock = self._clock
-        if cost < 0:
-            clock.advance(cost)  # raises ClockError, as the method would
         clock.now += cost
         clock._events += 1
         stats = self.tempi.stats

@@ -46,7 +46,7 @@ from typing import Hashable, Optional, Sequence
 
 from repro.gpu.memory import Buffer, MemoryKind
 from repro.gpu.stream import Stream
-from repro.tempi.config import PackMethod
+from repro.tempi.config import PLAN_CACHE_SIZE, PackMethod
 from repro.tempi.packer import Packer
 from repro.tempi.selection import MethodSelector
 
@@ -684,7 +684,7 @@ class PlanCache:
     #: never collide with another instance's (or a later state of its own).
     _generations = _count()
 
-    def __init__(self, size: int = 256) -> None:
+    def __init__(self, size: int = PLAN_CACHE_SIZE) -> None:
         if size < 1:
             raise PlanError(f"plan cache size must be >= 1, got {size}")
         self.size = size

@@ -55,14 +55,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
-from repro.machine.network import DEFAULT_WIRE_OVERLAP
 from repro.machine.nic import IngestRecord, NicTimeline
 from repro.machine.topology import PathSpec, Topology
 from repro.mpi.p2p import Envelope
 from repro.mpi.request import Request
 from repro.mpi.status import Status
 from repro.tempi.cache import _StagingTracker
-from repro.tempi.config import NIC_MODES, PROGRESS_MODES, PackMethod
+from repro.tempi.config import BATCH_MAX_MESSAGES, NIC_MODES, PROGRESS_MODES, PackMethod
 from repro.tempi.plan import MessagePlan
 
 
@@ -150,13 +149,12 @@ class ProgressEngine:
         self,
         comm,
         cache,
-        stats=None,
+        stats,
         *,
         mode: str = "shared",
         nic_mode: str = "duplex",
         batching: bool = True,
-        batch_max_messages: int = 8,
-        wire_overlap: float = DEFAULT_WIRE_OVERLAP,
+        batch_max_messages: int = BATCH_MAX_MESSAGES,
         nic: Optional[NicTimeline] = None,
         topology: Optional[Topology] = None,
     ) -> None:
@@ -173,18 +171,15 @@ class ProgressEngine:
         self.comm = comm
         self.cache = cache
         self.stats = stats
-        self.mode = mode
-        self.nic_mode = nic_mode
         #: True when reservations go through the shared NIC timeline.
         self.shared = mode == "shared"
         #: True when receive-side (ingestion-port) accounting is active.
         #: Requires the shared timeline — the per-plan ablation has nothing to
         #: ingest against, so ``nic="duplex"`` degrades to inject-only there.
         self.duplex = self.shared and nic_mode == "duplex"
-        self.wire_overlap = wire_overlap
         if nic is None:
             nic = getattr(getattr(comm, "world", None), "nic", None)
-        self.nic = nic if nic is not None else NicTimeline(wire_overlap=wire_overlap)
+        self.nic = nic if nic is not None else NicTimeline()
         #: Batching coalesces deferred posts, which only makes sense when the
         #: shared timeline prices them; per-plan mode is the PR-2 ablation.
         self.batching = bool(batching) and self.shared
@@ -214,7 +209,7 @@ class ProgressEngine:
         """
         if self.shared:
             return self
-        return PlanWindow(self.comm.clock.now, self.wire_overlap)
+        return PlanWindow(self.comm.clock.now, self.nic.wire_overlap)
 
     def message_time(self, nbytes: int, peer: int, device: bool) -> float:
         """Wire time to ``peer``, priced along the engine's topology.
@@ -276,7 +271,7 @@ class ProgressEngine:
             path=self._route(peer, device),
         )
         start, arrival, stalled_s, _, seq = reservation
-        if stalled_s > 0.0 and self.stats is not None:
+        if stalled_s > 0.0:
             self.stats.contention_stalls += 1
         return WireSlot(start, arrival, wire_s, seq)
 
@@ -319,7 +314,7 @@ class ProgressEngine:
         if not self._ingestable(envelope):
             return envelope.available_at
         landing = self.nic.ingest(self.comm.rank, [self._ingest_record(envelope)])[0]
-        if landing > envelope.available_at and self.stats is not None:
+        if landing > envelope.available_at:
             self.stats.ingest_stalls += 1
         return landing
 
@@ -341,10 +336,9 @@ class ProgressEngine:
                 self.nic.ingest(self.comm.rank, [self._ingest_record(e) for e in eligible]),
             )
         )
-        if self.stats is not None:
-            for envelope in eligible:
-                if landings[id(envelope)] > envelope.available_at:
-                    self.stats.ingest_stalls += 1
+        for envelope in eligible:
+            if landings[id(envelope)] > envelope.available_at:
+                self.stats.ingest_stalls += 1
         return [landings.get(id(e), e.available_at) for e in envelopes]
 
     def arrival_preview(self, envelope: Envelope) -> float:
@@ -417,8 +411,7 @@ class ProgressEngine:
         batch.nbytes += post.nbytes
         if ready > batch.ready:
             batch.ready = ready
-        if self.stats is not None:
-            self.stats.stages_overlapped += 1
+        self.stats.stages_overlapped += 1
 
         def complete() -> Status:
             """Flush (posting the batch) and advance to buffer-reuse time."""
@@ -468,9 +461,7 @@ class ProgressEngine:
         batch = self._batches.pop(key, None)
         if batch is None or not batch.entries:
             return
-        if self.executor is None:
-            raise ProgressError("progress engine flushed before an executor was bound")
-        executor = self.executor
+        executor = self.executor  # bound: only offer_send creates batches
         try:
             # One posted message: the burst's combined bytes take one wire
             # slot (one latency floor instead of one per plan), entering the
@@ -509,7 +500,7 @@ class ProgressEngine:
                 )
         finally:
             batch.staging.release()
-        if self.stats is not None and len(batch.entries) > 1:
+        if len(batch.entries) > 1:
             self.stats.batched_plans += len(batch.entries)
 
     # -------------------------------------------------------------- arrivals

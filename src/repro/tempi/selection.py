@@ -11,7 +11,7 @@ knows the rank's live injection-port occupancy.  This module owns all of it:
 * :class:`MethodSelector` — the protocol every selector satisfies (and the
   callback type the :mod:`repro.tempi.plan` compilers take);
 * :class:`FixedSelector` — a forced method, never queries the model
-  (``TempiConfig(selection="fixed", method=...)``);
+  (``TempiConfig(method=PackMethod.DEVICE)`` and friends);
 * :class:`ModelSelector` — the contention-free model path: memoises the
   ``(nbytes, block_length)`` query through the resource cache and charges the
   measured query overhead on the rank's clock, exactly as the paper charges
@@ -62,7 +62,13 @@ from typing import Any, Callable, ContextManager, Dict, Optional, Protocol, Unio
 from repro.machine.nic import NicTimeline
 from repro.machine.spec import MachineSpec
 from repro.machine.topology import Topology
-from repro.tempi.config import SELECTION_MODES, PackMethod, TempiConfig
+from repro.tempi.config import (
+    MODEL_CACHED_QUERY_S,
+    MODEL_QUERY_S,
+    SELECTION_MEMO_SIZE,
+    PackMethod,
+    TempiConfig,
+)
 from repro.tempi.measurement import SystemMeasurement, measure_system
 from repro.tempi.perf_model import PerformanceModel
 
@@ -339,8 +345,7 @@ class ModelSelector:
     def _charge(self, cached: bool) -> None:
         """Advance the rank's clock by the (cached or cold) query cost."""
         if self.clock is not None:
-            cfg = self.config
-            self.clock.advance(cfg.model_cached_query_s if cached else cfg.model_query_s)
+            self.clock.advance(MODEL_CACHED_QUERY_S if cached else MODEL_QUERY_S)
 
     # -------------------------------------------------------------- selection
     def _decide(self, nbytes: int, block_length: int) -> PackMethod:
@@ -401,9 +406,7 @@ class ModelSelector:
                     self.stats.selection_memo_hits += count
                 clock = self.clock
                 if clock is not None:
-                    cost = self.config.model_cached_query_s
-                    if cost < 0:
-                        clock.advance(cost)  # raises ClockError, as the loop would
+                    cost = MODEL_CACHED_QUERY_S
                     # Unrolled clock.advance(cost) x count: the same serial
                     # float additions (and event count) a per-member advance
                     # loop performs, without the per-call overhead.
@@ -428,9 +431,8 @@ class ModelSelector:
         if clock is not None:
             # Inlined self._charge(True) per member: the clock must advance
             # once per replayed query so event counts match the scalar loop.
-            cost = self.config.model_cached_query_s
             for _ in range(extra):
-                clock.advance(cost)
+                clock.advance(MODEL_CACHED_QUERY_S)
         return method
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -494,11 +496,13 @@ class ContendedSelector(ModelSelector):
         self.topology = topology
         #: Bounded LRU over quantized-backlog selection keys.  Unlike the
         #: unbounded resource-cache memo a long contended run cannot grow one
-        #: entry per observed queue depth; ``config.selection_memo_size``
-        #: bounds residency.  With ``selection_memo`` off only the *keys* are
+        #: entry per observed queue depth; :attr:`memo_size` bounds
+        #: residency.  With ``selection_memo`` off only the *keys* are
         #: retained (values recomputed), keeping the charge schedule — and
         #: the eviction order — identical in both modes.
         self._memo: OrderedDict[tuple[Any, ...], Optional[PackMethod]] = OrderedDict()
+        #: Most entries :attr:`_memo` retains (the eviction tests shrink it).
+        self.memo_size = SELECTION_MEMO_SIZE
 
     @staticmethod
     def _quantise(raw: float) -> float:
@@ -534,11 +538,6 @@ class ContendedSelector(ModelSelector):
         if peer is None or not self.duplex:
             return 0.0
         return self._quantise(self.nic.ingest_backlog(peer, self._now))
-
-    @property
-    def topology_aware(self) -> bool:
-        """True when a hierarchical topology reshapes the pricing."""
-        return self.topology is not None and self.topology.hierarchical
 
     def rail_backlog(self, peer: Optional[int]) -> float:
         """Queue on this rank's shared NIC rail toward ``peer`` (quantised).
@@ -595,7 +594,7 @@ class ContendedSelector(ModelSelector):
         Mirrors the resource cache's ``query_hits``/``query_misses`` counters
         (and its ``use_cache=False`` always-cold semantics) so existing
         ablation accounting is unchanged; eviction follows strict LRU order
-        with ``config.selection_memo_size`` entries.  With ``selection_memo``
+        with :attr:`memo_size` entries.  With ``selection_memo``
         off the key is tracked but the value discarded, so repeats charge the
         cached-query cost in both modes while the decision is recomputed.
         """
@@ -620,7 +619,7 @@ class ContendedSelector(ModelSelector):
         self._note_memo(False)
         value = compute()
         self._memo[key] = value if remember else None
-        while len(self._memo) > self.config.selection_memo_size:
+        while len(self._memo) > self.memo_size:
             self._memo.popitem(last=False)
         return value, False
 
@@ -700,19 +699,14 @@ def make_selector(
 ) -> MethodSelector:
     """Build the selector ``config`` asks for (the interposer's factory).
 
-    A non-``AUTO`` ``config.method`` always forces that method, whatever the
-    selection policy — the ablation knob the benchmarks rely on.  Policy
-    ``"contended"`` degrades to the model path when no NIC timeline exists to
-    consult (an executor driven outside a :class:`~repro.mpi.world.World`).
+    A non-``AUTO`` ``config.method`` forces that method — the ablation knob
+    the benchmarks rely on (:class:`TempiConfig` only accepts one under the
+    default policy).  Policy ``"contended"`` degrades to the model path when
+    no NIC timeline exists to consult (an executor driven outside a
+    :class:`~repro.mpi.world.World`).
     """
-    if config.selection not in SELECTION_MODES:
-        raise SelectionError(
-            f"unknown selection policy {config.selection!r}; expected one of {SELECTION_MODES}"
-        )
     if config.method is not PackMethod.AUTO:
         return FixedSelector(config.method)
-    if config.selection == "fixed":
-        raise SelectionError("selection='fixed' needs a concrete config.method")
     if config.selection == "contended" and nic is not None:
         return ContendedSelector(
             model, nic, rank, cache=cache, clock=clock, config=config, stats=stats,
@@ -733,7 +727,6 @@ def choose_allreduce_algorithm(
     *,
     topology: Optional[Topology] = None,
     algorithm: str = "auto",
-    tree_cutoff: int = ALLREDUCE_TREE_CUTOFF_BYTES,
 ) -> str:
     """Pick the allreduce schedule for one call (``config.allreduce_algorithm``).
 
@@ -748,7 +741,7 @@ def choose_allreduce_algorithm(
       schedule, concentrating cross-island traffic on one leader per
       island so oversubscribed uplinks carry ``L-1`` messages per round
       instead of ``N-1``;
-    * latency-bound vectors (``nbytes <= tree_cutoff``) take the binomial
+    * latency-bound vectors (at most :data:`ALLREDUCE_TREE_CUTOFF_BYTES`) take the binomial
       tree's ``O(log N)`` rounds;
     * everything else takes the bandwidth-optimal chunked ring.
     """
@@ -765,7 +758,7 @@ def choose_allreduce_algorithm(
         islands = {topology.island_of(rank) for rank in range(nranks)}
         if 1 < len(islands) < nranks:
             return "hierarchical"
-    if nbytes <= tree_cutoff:
+    if nbytes <= ALLREDUCE_TREE_CUTOFF_BYTES:
         return "tree"
     return "ring"
 

@@ -13,7 +13,7 @@ from repro.mpi.constructors import (
     Type_indexed,
     Type_vector,
 )
-from repro.mpi.datatype import BYTE, DOUBLE, FLOAT, INT, ORDER_C, ORDER_FORTRAN
+from repro.mpi.datatype import BYTE, DOUBLE, FLOAT, INT, ORDER_C, ORDER_FORTRAN, Combiner
 from repro.mpi.errors import MpiTypeError
 
 
@@ -236,3 +236,70 @@ class TestResized:
     def test_invalid_extent_rejected(self):
         with pytest.raises(MpiTypeError):
             Type_create_resized(FLOAT, 0, 0)
+
+
+#: ``MPI_Type_get_contents`` in reverse: the constructor call each combiner's
+#: contents spell.
+REBUILD = {
+    Combiner.CONTIGUOUS: lambda c: Type_contiguous(c["count"], c["oldtype"]),
+    Combiner.VECTOR: lambda c: Type_vector(
+        c["count"], c["blocklength"], c["stride"], c["oldtype"]
+    ),
+    Combiner.HVECTOR: lambda c: Type_create_hvector(
+        c["count"], c["blocklength"], c["stride_bytes"], c["oldtype"]
+    ),
+    Combiner.SUBARRAY: lambda c: Type_create_subarray(
+        c["sizes"], c["subsizes"], c["starts"], c["order"], c["oldtype"]
+    ),
+    Combiner.INDEXED: lambda c: Type_indexed(
+        c["blocklengths"], c["displacements"], c["oldtype"]
+    ),
+    Combiner.HINDEXED: lambda c: Type_create_hindexed(
+        c["blocklengths"], c["displacements"], c["oldtype"]
+    ),
+    Combiner.STRUCT: lambda c: Type_create_struct(
+        c["blocklengths"], c["displacements"], c["datatypes"]
+    ),
+    Combiner.RESIZED: lambda c: Type_create_resized(c["oldtype"], c["lb"], c["extent"]),
+}
+
+
+@pytest.mark.parametrize(
+    "datatype, combiner",
+    [
+        pytest.param(Type_contiguous(5, DOUBLE), Combiner.CONTIGUOUS, id="contiguous"),
+        pytest.param(Type_vector(3, 2, 5, FLOAT), Combiner.VECTOR, id="vector"),
+        pytest.param(
+            Type_create_hvector(3, 2, 24, Type_contiguous(2, INT)), Combiner.HVECTOR, id="hvector"
+        ),
+        pytest.param(
+            Type_create_subarray([6, 8], [2, 3], [1, 4], ORDER_C, FLOAT),
+            Combiner.SUBARRAY, id="subarray-c",
+        ),
+        pytest.param(
+            Type_create_subarray([6, 8], [2, 3], [1, 4], ORDER_FORTRAN, FLOAT),
+            Combiner.SUBARRAY, id="subarray-fortran",
+        ),
+        pytest.param(Type_indexed([2, 1, 3], [0, 4, 9], INT), Combiner.INDEXED, id="indexed"),
+        pytest.param(
+            Type_create_hindexed([2, 1], [4, 40], DOUBLE), Combiner.HINDEXED, id="hindexed"
+        ),
+        pytest.param(
+            Type_create_struct([1, 2], [0, 16], [INT, Type_vector(2, 1, 3, DOUBLE)]),
+            Combiner.STRUCT, id="struct",
+        ),
+        pytest.param(
+            Type_create_resized(Type_vector(2, 1, 4, FLOAT), 8, 64), Combiner.RESIZED, id="resized"
+        ),
+    ],
+)
+def test_envelope_round_trips_through_its_constructor(datatype, combiner):
+    """``Get_envelope`` names the constructor and hands back its arguments:
+    what the TEMPI translation is specified against."""
+    got, contents = datatype.Get_envelope()
+    assert got is combiner
+    rebuilt = REBUILD[combiner](contents)
+    assert rebuilt is not datatype
+    assert (rebuilt.size, rebuilt.lb, rebuilt.extent) == (datatype.size, datatype.lb, datatype.extent)
+    assert blocks(rebuilt) == blocks(datatype)
+    assert rebuilt.Get_envelope() == (got, contents)

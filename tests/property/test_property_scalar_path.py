@@ -370,7 +370,8 @@ def test_batch_running_totals_are_the_resummed_totals(summit_model, sends, batch
         return engine.pending_sends()
 
     def program(ctx):
-        comm = interpose(ctx, TempiConfig(batch_max_messages=batch_max), model=summit_model)
+        comm = interpose(ctx, TempiConfig(), model=summit_model)
+        comm.progress_engine.batch_max_messages = batch_max
         types = [comm.Type_commit(Type_vector(nblocks, block, block + 3, BYTE)) for _, nblocks, block in sends]
         if ctx.rank == 0:
             engine = comm.progress_engine

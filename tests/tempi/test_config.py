@@ -1,10 +1,12 @@
 """Tests for TempiConfig."""
 
+import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
 
-from repro.tempi.config import PackMethod, TempiConfig
+from repro.tempi.config import MODEL_CACHED_QUERY_S, MODEL_QUERY_S, PackMethod, TempiConfig
 
 
 class TestDefaults:
@@ -17,10 +19,9 @@ class TestDefaults:
         assert config.use_cache
 
     def test_model_query_overheads_ordered(self):
-        config = TempiConfig()
-        assert config.model_cached_query_s < config.model_query_s
+        assert MODEL_CACHED_QUERY_S < MODEL_QUERY_S
         # the paper's measured model-selection overhead
-        assert config.model_cached_query_s == 277e-9
+        assert MODEL_CACHED_QUERY_S == 277e-9
 
 
 class TestVariants:
@@ -60,3 +61,49 @@ class TestPackMethod:
         assert PackMethod.ONESHOT.value == "oneshot"
         assert PackMethod.STAGED.value == "staged"
         assert PackMethod.AUTO.value == "auto"
+
+
+#: Knobs no shipped file sets, and the reason each is a field all the same.
+KNOBS_WITHOUT_A_CALLER = {
+    "enabled": "the real library's master disable switch (TempiConfig.disabled())",
+    "datatype_handling": "the real library's per-feature disable switch: Pack/Unpack, collectives",
+    "send_handling": "the real library's per-feature disable switch: Send/Recv",
+    "batch_eager_sends": "reference switch of tests/property/test_property_batching.py",
+    "measurement_path": "deployment path",
+}
+#: ``repro sanitize`` sets ``sanitize`` for every config a replayed benchmark
+#: builds through the ambient default, not by keyword.
+AMBIENT_SETTERS = {"sanitize_default": "sanitize"}
+
+
+def _knobs_set_outside_tests() -> set[str]:
+    """Fields some shipped ``.py`` passes to ``TempiConfig``/``with_overrides``."""
+    repo = Path(__file__).resolve().parents[2]
+    knobs = {field.name for field in dataclasses.fields(TempiConfig)}
+    found = set()
+    for top in ("src", "benchmarks", "examples", "tools"):
+        for path in sorted((repo / top).rglob("*.py")):
+            if path == repo / "src" / "repro" / "tempi" / "config.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if callee in ("TempiConfig", "with_overrides"):
+                    found.update(kw.arg for kw in node.keywords if kw.arg in knobs)
+                elif callee in AMBIENT_SETTERS:
+                    found.add(AMBIENT_SETTERS[callee])
+    return found
+
+
+def test_every_knob_has_a_caller():
+    """The two-callers rule as a gate: a ``TempiConfig`` field exists because a
+    file outside ``tests/`` gives it a second value, or for a reason written
+    down here.  Adding a knob only tests would set fails this test."""
+    knobs = [field.name for field in dataclasses.fields(TempiConfig)]
+    assert len(knobs) == 16
+    called = _knobs_set_outside_tests()
+    assert not called & set(KNOBS_WITHOUT_A_CALLER), "drop the allowlist entry: it has a caller now"
+    orphans = [name for name in knobs if name not in called and name not in KNOBS_WITHOUT_A_CALLER]
+    assert not orphans, f"no file outside tests/ sets {orphans}: make them constants"
+    assert set(KNOBS_WITHOUT_A_CALLER) <= set(knobs)

@@ -21,6 +21,7 @@ def make_packer(block=16, count=32, pitch=64) -> Packer:
 
 def make_executor(ctx, cache, stats=None, *, overlap) -> PlanExecutor:
     """An executor on the per-plan cursor: each plan priced in isolation."""
+    stats = stats if stats is not None else InterposerStats()
     engine = ProgressEngine(ctx.comm, cache, stats, mode="per_plan")
     return PlanExecutor(ctx.comm, cache, stats, engine=engine, overlap=overlap)
 

@@ -1,7 +1,7 @@
 """Tests for the device / one-shot / staged send methods (Sec. 4).
 
 Every method is pinned through the interposer
-(``TempiConfig(method=..., selection="fixed")``), so the tests drive the one
+(``TempiConfig(method=...)``), so the tests drive the one
 compile → execute → wait path the library itself uses.
 """
 
@@ -25,7 +25,7 @@ PACKED = ROWS * BLOCK
 
 def fixed(ctx, method: PackMethod):
     """This rank's interposed communicator with ``method`` pinned."""
-    return interpose(ctx, TempiConfig(method=method, selection="fixed"))
+    return interpose(ctx, TempiConfig(method=method))
 
 
 def strided(comm):

@@ -14,15 +14,18 @@ different interposed communicator with its own empty cache.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.mpi.constructors import Type_vector
 from repro.mpi.datatype import BYTE
+from repro.mpi.request import Request
 from repro.mpi.world import World
-from repro.tempi.config import TempiConfig
+from repro.tempi.config import PackMethod, TempiConfig
 from repro.tempi.interposer import interpose
-from repro.tempi.plan import PlanCache, PlanError
+from repro.tempi.plan import PlanCache, PlanError, PlanTemplate
 
 NRANKS = 2
 
@@ -139,7 +142,9 @@ class TestPlanCacheBounds:
         assert all(len(comm.plan_cache) == 0 for _, comm, *_ in setup)
 
     def test_bounded_cache_evicts(self, summit_model):
-        setup = _world(config=TempiConfig(plan_cache_size=1), summit_model=summit_model)
+        setup = _world(summit_model=summit_model)
+        for _, comm, *_ in setup:
+            comm.plan_cache.size = 1
         for _ in range(2):
             _exchange(setup, counts=[1] * NRANKS)
             _exchange(setup, counts=[2] * NRANKS)  # evicts the previous entry
@@ -189,14 +194,94 @@ class TestSelectionMemoCounters:
         from repro.tempi.selection import ContendedSelector
         from repro.tempi.strided_block import StridedBlock
 
-        config = TempiConfig(selection="contended", selection_memo_size=2)
+        config = TempiConfig(selection="contended")
         nic = NicTimeline()
         nic.reserve(0, 1, 0.0, 200e-6, 4096)  # backlog: leave the idle fast path
         selector = ContendedSelector(
             summit_model, nic, 0, config=config, cache=ResourceCache(free_runtime)
         )
+        selector.memo_size = 2
         shape = StridedBlock(start=0, counts=(8, 64), strides=(1, 16))
         packer = Packer(shape, object_extent=shape.extent)
         for nbytes in (1024, 2048, 4096, 8192):
             selector(packer, nbytes)
         assert len(selector._memo) == 2
+
+
+class TestTemplateRebind:
+    """A cache hit whose replayed selection *differs* from the recorded one.
+
+    The steady state shares the template's stages; this is the other lane:
+    ``PlanTemplate.materialize`` rebuilds every stage around the new method
+    (``_rebind``) and the interposer recounts the methods.  It needs a
+    selector whose answer for one shape moves between calls, i.e. the
+    contended one behind a loaded port — the ``bench_fig9_selection.py``
+    burst (its ``PROBE`` and ``BACKGROUND`` shapes), with the probe compiled
+    once on an idle port first so the template records ``device``.
+    """
+
+    #: 4 KiB per peer in single-byte runs: device when idle, one-shot queued.
+    PROBE = (4096, 1, 2)
+    #: 256 KiB per peer: each plan parks ~60 us of injection on the port.
+    BACKGROUND = (1024, 256, 512)
+
+    def _burst(self, config, summit_model):
+        def program(ctx):
+            comm = interpose(ctx, config, model=summit_model)
+            size = comm.Get_size()
+            probe = comm.Type_commit(Type_vector(*self.PROBE, BYTE))
+            big = comm.Type_commit(Type_vector(*self.BACKGROUND, BYTE))
+
+            def buffers(datatype):
+                send = ctx.gpu.malloc(datatype.extent * size)
+                send.data[:] = (ctx.rank + 1) % 251
+                return send, ctx.gpu.malloc(datatype.extent * size)
+
+            def exchange(datatype, send, recv):
+                counts = [1] * size
+                displs = [peer * datatype.extent for peer in range(size)]
+                return comm.Ialltoallv(
+                    send, counts, displs, recv, counts, displs,
+                    sendtypes=datatype, recvtypes=datatype,
+                )
+
+            probe_buffers = buffers(probe)
+            background = [buffers(big) for _ in range(4)]
+            exchange(probe, *probe_buffers).Wait()  # idle port: records device x3
+            comm.Barrier()
+            requests = [exchange(big, *pair) for pair in background]
+            requests.append(exchange(probe, *probe_buffers))  # same call, queued port
+            Request.Waitall(requests)
+            return (
+                ctx.clock.now.hex(),
+                hashlib.sha256(probe_buffers[1].data).hexdigest(),
+                dict(comm.stats.method_counts),
+                comm.stats.plan_cache_hits,
+            )
+
+        return World(4, ranks_per_node=1).run(program)
+
+    def test_replay_that_flips_the_method_rebinds_every_stage(self, summit_model, monkeypatch):
+        rebound = []
+        rebind = PlanTemplate._rebind
+
+        def counting(stage, method):
+            out = rebind(stage, method)
+            if out is not stage:
+                rebound.append(method)
+            return out
+
+        monkeypatch.setattr(PlanTemplate, "_rebind", staticmethod(counting))
+        config = TempiConfig(selection="contended", nic="inject_only")
+        cached = self._burst(config, summit_model)
+        # 3 pack + 3 unpack stages per rank, all device -> one-shot.
+        assert rebound == [PackMethod.ONESHOT] * 24
+        fresh = self._burst(config.with_overrides(plan_cache=False), summit_model)
+        assert len(rebound) == 24  # nothing to rebind without templates
+        for (clock, digest, methods, hits), (f_clock, f_digest, f_methods, f_hits) in zip(
+            cached, fresh
+        ):
+            assert (clock, digest, methods) == (f_clock, f_digest, f_methods)
+            assert methods == {"device": 15, "oneshot": 3}
+            # Three repeats of the background shape, then the flipped probe.
+            assert (hits, f_hits) == (4, 0)

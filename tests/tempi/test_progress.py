@@ -10,7 +10,7 @@ from repro.mpi.datatype import BYTE
 from repro.mpi.request import Request
 from repro.mpi.world import World
 from repro.tempi.config import TempiConfig
-from repro.tempi.interposer import interpose
+from repro.tempi.interposer import InterposerStats, interpose
 from repro.tempi.progress import ProgressEngine, ProgressError
 
 
@@ -27,14 +27,14 @@ class TestEngineModes:
     def test_unknown_mode_rejected(self, summit_model):
         def program(ctx):
             with pytest.raises(ProgressError):
-                ProgressEngine(ctx.comm, None, mode="psychic")
+                ProgressEngine(ctx.comm, None, InterposerStats(), mode="psychic")
             return True
 
         assert all(World(1).run(program))
 
     def test_per_plan_reserve_is_uncontended(self, summit_model):
         def program(ctx):
-            engine = ProgressEngine(ctx.comm, None, mode="per_plan")
+            engine = ProgressEngine(ctx.comm, None, InterposerStats(), mode="per_plan")
             assert engine.reserve(0, ready=1.0, wire_s=5.0) == (1.0, 6.0)
             # A second reservation sees no port: PR-2 semantics.
             assert engine.reserve(1, ready=1.0, wire_s=5.0) == (1.0, 6.0)
@@ -45,7 +45,7 @@ class TestEngineModes:
 
     def test_shared_reserve_uses_world_nic(self, summit_model):
         def program(ctx):
-            engine = ProgressEngine(ctx.comm, None, mode="shared")
+            engine = ProgressEngine(ctx.comm, None, InterposerStats(), mode="shared")
             assert engine.nic is ctx.world.nic
             start, arrival = engine.reserve(1, ready=0.0, wire_s=10.0)
             assert (start, arrival) == (0.0, 10.0)
@@ -58,7 +58,7 @@ class TestEngineModes:
     def test_batch_limit_validation(self, summit_model):
         def program(ctx):
             with pytest.raises(ProgressError):
-                ProgressEngine(ctx.comm, None, batch_max_messages=0)
+                ProgressEngine(ctx.comm, None, InterposerStats(), batch_max_messages=0)
             return True
 
         assert all(World(1).run(program))
@@ -66,7 +66,7 @@ class TestEngineModes:
     def test_unknown_nic_mode_rejected(self, summit_model):
         def program(ctx):
             with pytest.raises(ProgressError):
-                ProgressEngine(ctx.comm, None, nic_mode="psychic")
+                ProgressEngine(ctx.comm, None, InterposerStats(), nic_mode="psychic")
             return True
 
         assert all(World(1).run(program))
@@ -76,9 +76,9 @@ class TestEngineModes:
         mode — there is no shared timeline to ingest against."""
 
         def program(ctx):
-            shared = ProgressEngine(ctx.comm, None, mode="shared")
-            per_plan = ProgressEngine(ctx.comm, None, mode="per_plan")
-            inject = ProgressEngine(ctx.comm, None, mode="shared", nic_mode="inject_only")
+            shared = ProgressEngine(ctx.comm, None, InterposerStats(), mode="shared")
+            per_plan = ProgressEngine(ctx.comm, None, InterposerStats(), mode="per_plan")
+            inject = ProgressEngine(ctx.comm, None, InterposerStats(), mode="shared", nic_mode="inject_only")
             assert shared.duplex
             assert not per_plan.duplex
             assert not inject.duplex
@@ -88,11 +88,11 @@ class TestEngineModes:
 
     def test_reserve_wire_carries_the_nic_identity(self, summit_model):
         def program(ctx):
-            engine = ProgressEngine(ctx.comm, None, mode="shared")
+            engine = ProgressEngine(ctx.comm, None, InterposerStats(), mode="shared")
             slot = engine.reserve_wire(1, ready=0.0, wire_s=10.0, nbytes=64)
             assert (slot.start, slot.arrival, slot.wire_s) == (0.0, 10.0, 10.0)
             assert slot.seq == 0  # shared reservations are ingestable
-            per_plan = ProgressEngine(ctx.comm, None, mode="per_plan")
+            per_plan = ProgressEngine(ctx.comm, None, InterposerStats(), mode="per_plan")
             assert per_plan.reserve_wire(1, ready=0.0, wire_s=10.0).seq == -1
             return True
 
@@ -105,7 +105,7 @@ class TestDuplexIngestion:
     def _engine_pair(self, ctx, nic_mode):
         from repro.mpi.p2p import Envelope
 
-        engine = ProgressEngine(ctx.comm, None, mode="shared", nic_mode=nic_mode)
+        engine = ProgressEngine(ctx.comm, None, InterposerStats(), mode="shared", nic_mode=nic_mode)
 
         def envelope(source, seq, available_at, wire_s, post_time):
             import numpy as np
@@ -271,9 +271,11 @@ class TestCrossPlanSerialisation:
 
 
 class TestSmallPlanBatcher:
-    def _burst(self, summit_model, config, nmessages=4):
+    def _burst(self, summit_model, config, nmessages=4, batch_max=None):
         def program(ctx):
             comm = interpose(ctx, config, model=summit_model)
+            if batch_max is not None:
+                comm.progress_engine.batch_max_messages = batch_max
             t = vector_type(comm)
             bufs = [ctx.gpu.malloc(t.extent) for _ in range(nmessages)]
             if ctx.rank == 0:
@@ -311,8 +313,7 @@ class TestSmallPlanBatcher:
             assert np.array_equal(a, b)
 
     def test_batch_flushes_at_limit(self, summit_model):
-        config = TempiConfig(batch_max_messages=2)
-        world, results = self._burst(summit_model, config, nmessages=5)
+        world, results = self._burst(summit_model, TempiConfig(), nmessages=5, batch_max=2)
         (batched, _), _ = results
         # 5 messages under a 2-message cap: two full batches flushed at the
         # cap plus a singleton at Waitall (singletons are not "batched").

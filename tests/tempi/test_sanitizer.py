@@ -13,6 +13,10 @@ from __future__ import annotations
 import pytest
 
 from repro.machine.nic import NicReservation, NicTimeline
+from repro.machine.topology import Topology
+from repro.mpi.constructors import Type_vector
+from repro.mpi.datatype import BYTE
+from repro.mpi.request import Request
 from repro.mpi.world import World
 from repro.tempi.config import TempiConfig, sanitize_default
 from repro.tempi.interposer import interpose
@@ -25,7 +29,7 @@ from repro.tempi.sanitizer import (
 )
 from repro.tempi.selection import ContendedSelector
 
-from tests.tempi.test_selection import packer_for
+from tests.tempi.test_selection import FATTREE, packer_for
 
 KIB = 1024
 WIRE_S = 1e-4
@@ -89,6 +93,41 @@ class TestHappensBeforeAudit:
         timeline.reserve(0, 2, 0.0, WIRE_S, KIB)
         (reader,) = views(timeline, 1)
         assert reader.ingest_backlog(2, now=WIRE_S / 2) > 0.0
+
+
+class TestSharedCursorAudit:
+    """Rails and uplink bundles mix sources: cross-rank commits need an edge."""
+
+    def _cross_leaf_post(self, topology, view, src, dst):
+        path = topology.resolve(src, dst, device_buffers=True)
+        return view.reserve(src, dst, 0.0, WIRE_S, KIB, path=path)
+
+    def test_unordered_cross_leaf_posts_race_on_the_uplink(self):
+        """Ranks 0 and 4 sit on different nodes of leaf 0: private ports and
+        rails, one shared ``('up', 0)`` bundle — and nothing orders them."""
+        topology = Topology(16, spec=FATTREE)
+        first_poster, second_poster = views(NicTimeline(), 0, 4)
+        self._cross_leaf_post(topology, first_poster, 0, 8)
+        with pytest.raises(SanitizerError) as excinfo:
+            self._cross_leaf_post(topology, second_poster, 4, 12)
+        first, second = excinfo.value.events
+        assert (first.kind, first.rank) == ("post", 0)
+        assert (second.kind, second.rank) == ("post", 4)
+        message = str(excinfo.value)
+        assert "shared fabric cursor ('up', 0)" in message
+        assert "without a happens-before edge to rank 0's commit" in message
+        assert str(first) in message and str(second) in message
+
+    def test_a_barrier_orders_them(self):
+        topology = Topology(16, spec=FATTREE)
+        timeline = NicTimeline()
+        first_poster, second_poster = views(timeline, 0, 4)
+        self._cross_leaf_post(topology, first_poster, 0, 8)
+        for view in (first_poster, second_poster):
+            view.barrier_enter(2)
+        reservation = self._cross_leaf_post(topology, second_poster, 4, 12)
+        assert reservation.stalled_s > 0.0  # it queued behind rank 0 on the bundle
+        assert timeline.fabric_stalls == 1
 
 
 class TestPricingGuard:
@@ -228,3 +267,64 @@ class TestInterposedRuns:
             assert TempiConfig().sanitize is True
             assert TempiConfig(sanitize=False).sanitize is False
         assert TempiConfig().sanitize is False
+
+    def test_barrier_phased_cross_leaf_run_is_clean(self, summit_model):
+        """One cross-leaf sender per phase on the committed fat-tree example:
+        every shared rail/uplink commit is ordered by the barriers between."""
+        senders = {0: 8, 4: 12, 1: 9}  # two nodes of leaf 0, then rank 0's rail-mate
+
+        def run(sanitize: bool) -> list[float]:
+            def program(ctx):
+                comm = interpose(ctx, TempiConfig(sanitize=sanitize), model=summit_model)
+                t = comm.Type_commit(Type_vector(64, 8, 512, BYTE))
+                buf = ctx.gpu.malloc(t.extent)
+                for sender, receiver in senders.items():
+                    if ctx.rank == sender:
+                        comm.Send((buf, 1, t), dest=receiver)
+                    elif ctx.rank == receiver:
+                        comm.Recv((buf, 1, t), source=sender)
+                    comm.Barrier()
+                return ctx.clock.now
+
+            world = World(16, ranks_per_node=FATTREE.ranks_per_node, topology=FATTREE)
+            clocks = world.run(program)
+            assert world.nic.reservations == len(senders)
+            return clocks
+
+        ClockSanitizer.reset_aggregate()
+        plain = run(False)
+        assert ClockSanitizer.aggregate_counters()["shared_commits"] == 0
+        assert run(True) == plain
+        counters = ClockSanitizer.aggregate_counters()
+        # Per message: the sender's rail and both uplink bundles, then the
+        # receiver's ingestion rail.
+        assert counters["shared_commits"] == 4 * len(senders)
+        assert counters["violations"] == 0
+
+    def test_sanitized_batched_burst_is_bit_identical(self, summit_model):
+        """Three sub-eager ``Isend``s ride one wire message; the two later
+        constituents draw their sequence numbers through the proxy."""
+
+        def run(sanitize: bool):
+            def program(ctx):
+                comm = interpose(ctx, TempiConfig(sanitize=sanitize), model=summit_model)
+                t = comm.Type_commit(Type_vector(64, 8, 64, BYTE))
+                bufs = [ctx.gpu.malloc(t.extent) for _ in range(3)]
+                if ctx.rank == 0:
+                    Request.Waitall(
+                        [comm.Isend((buf, 1, t), dest=1, tag=tag) for tag, buf in enumerate(bufs)]
+                    )
+                else:
+                    for tag, buf in enumerate(bufs):
+                        comm.Recv((buf, 1, t), source=0, tag=tag)
+                return ctx.clock.now.hex(), comm.stats.batched_plans
+
+            world = World(2, ranks_per_node=1)
+            return world, world.run(program)
+
+        _, plain = run(False)
+        world, sanitized = run(True)
+        assert sanitized == plain
+        assert sanitized[0][1] == 3 and world.nic.reservations == 1
+        # Rank 0 mutated the books three times: one reservation, two next_seq.
+        assert attach_sanitizer(world.nic).mutation_count(0) == 3

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.gpu.clock import VirtualClock
@@ -9,8 +11,9 @@ from repro.gpu.cost_model import FREE_GPU
 from repro.gpu.runtime import CudaRuntime
 from repro.machine.nic import NicTimeline
 from repro.machine.spec import SUMMIT, summit_like
+from repro.machine.topology import Topology, TopologySpec
 from repro.tempi.cache import ResourceCache
-from repro.tempi.config import PackMethod, TempiConfig
+from repro.tempi.config import MODEL_CACHED_QUERY_S, MODEL_QUERY_S, PackMethod, TempiConfig
 from repro.tempi.packer import Packer
 from repro.tempi.selection import (
     NOOP_METHOD,
@@ -26,6 +29,12 @@ from repro.tempi.strided_block import StridedBlock
 
 KIB = 1024
 MIB = 1024 * 1024
+
+#: The committed fat-tree example: two leaves of two 4-rank nodes (ranks 0-7
+#: hang off leaf 0, 8-15 off leaf 1), two 2-rank islands and rails per node.
+FATTREE = TopologySpec.load(
+    Path(__file__).resolve().parents[2] / "examples" / "topology_fattree.json"
+)
 
 
 def packer_for(block_length: int) -> Packer:
@@ -68,9 +77,9 @@ class TestModelSelector:
         selector = ModelSelector(summit_model, cache=cache, clock=clock, config=config)
         selector(packer_for(8), KIB)
         cold = clock.now
-        assert cold == pytest.approx(config.model_query_s)
+        assert cold == pytest.approx(MODEL_QUERY_S)
         selector(packer_for(8), KIB)
-        assert clock.now - cold == pytest.approx(config.model_cached_query_s)
+        assert clock.now - cold == pytest.approx(MODEL_CACHED_QUERY_S)
 
     def test_lazy_model_provider(self, summit_model):
         calls = []
@@ -208,6 +217,47 @@ class TestDuplexEstimate:
         assert inject_only.ingest_backlog(0) == 0.0
 
 
+class TestTopologyBacklog:
+    """The hierarchical branches of ``rail_backlog``/``uplink_backlog``: a
+    shared NIC rail or leaf-uplink bundle queued by *another* rank flips this
+    rank's selection though its own port and link are idle."""
+
+    def _selector(self, summit_model, loader, dest):
+        """Rank 0's selector behind one 1 MiB message ``loader -> dest``."""
+        topology = Topology(16, machine=SUMMIT, spec=FATTREE)
+        nic = NicTimeline()
+        wire = topology.message_time(loader, dest, MIB, device_buffers=True)
+        path = topology.resolve(loader, dest, device_buffers=True)
+        nic.reserve(loader, dest, 0.0, wire, MIB, path=path)
+        return ContendedSelector(summit_model, nic, 0, topology=topology)
+
+    def _idle(self, summit_model):
+        topology = Topology(16, machine=SUMMIT, spec=FATTREE)
+        selector = ContendedSelector(summit_model, NicTimeline(), 0, topology=topology)
+        assert selector.rail_backlog(8) == selector.uplink_backlog(8) == 0.0
+        return selector(packer_for(8), 64 * KIB, peer=8)
+
+    def test_uplink_backlog_flips_the_cross_leaf_selection(self, summit_model):
+        """Rank 4 (another node of leaf 0) loads the ('up', 0) bundle only."""
+        assert self._idle(summit_model) is PackMethod.DEVICE
+        selector = self._selector(summit_model, loader=4, dest=12)
+        assert selector.uplink_backlog(8) > 0.0
+        assert selector.rail_backlog(8) == selector.backlog() == selector.link_backlog(8) == 0.0
+        assert selector(packer_for(8), 64 * KIB, peer=8) is PackMethod.ONESHOT
+        # No shared bundle on the way to a leaf-mate or an island-mate.
+        assert selector.uplink_backlog(4) == selector.uplink_backlog(1) == 0.0
+        assert selector.uplink_backlog(None) == 0.0
+
+    def test_rail_backlog_flips_the_cross_leaf_selection(self, summit_model):
+        """Rank 1 (rank 0's island-mate) queues their shared rail, same leaf."""
+        selector = self._selector(summit_model, loader=1, dest=4)
+        assert selector.rail_backlog(8) > 0.0
+        assert selector.uplink_backlog(8) == selector.backlog() == selector.link_backlog(8) == 0.0
+        assert selector(packer_for(8), 64 * KIB, peer=8) is PackMethod.ONESHOT
+        # Intra-node peers ride no rail.
+        assert selector.rail_backlog(1) == selector.rail_backlog(None) == 0.0
+
+
 class TestMakeSelector:
     def test_default_is_model(self, summit_model):
         selector = make_selector(TempiConfig(), summit_model)
@@ -222,23 +272,39 @@ class TestMakeSelector:
         assert selector.nic is nic and selector.rank == 3
 
     def test_forced_method_wins_over_policy(self, summit_model):
-        config = TempiConfig(selection="contended", method=PackMethod.DEVICE)
+        """A concrete ``method`` never consults a policy: under the default
+        one it yields the fixed selector; asking for ``"contended"`` as well
+        used to be silently ignored and is now refused, naming both fields."""
+        config = TempiConfig(method=PackMethod.DEVICE)
         selector = make_selector(config, summit_model, nic=NicTimeline())
         assert type(selector) is FixedSelector
+        pattern = "method=PackMethod.DEVICE.*selection='contended'"
+        with pytest.raises(ValueError, match=pattern):
+            TempiConfig(selection="contended", method=PackMethod.DEVICE)
+        with pytest.raises(ValueError, match=pattern):
+            TempiConfig(selection="contended").with_overrides(method=PackMethod.DEVICE)
+        with pytest.raises(ValueError, match=pattern):
+            TempiConfig(method=PackMethod.DEVICE).with_overrides(selection="contended")
 
     def test_fixed_policy_requires_concrete_method(self, summit_model):
-        config = TempiConfig(selection="fixed", method=PackMethod.ONESHOT)
+        """Forcing is spelled by ``method`` alone; there is no ``"fixed"``
+        policy value left to contradict it."""
+        config = TempiConfig(method=PackMethod.ONESHOT)
         assert type(make_selector(config, summit_model)) is FixedSelector
+        assert type(make_selector(TempiConfig(), summit_model)) is ModelSelector
+        with pytest.raises(ValueError, match="unknown selection policy 'fixed'"):
+            TempiConfig(selection="fixed", method=PackMethod.ONESHOT)
 
     def test_config_validates_selection(self):
         with pytest.raises(ValueError):
             TempiConfig(selection="psychic")
         with pytest.raises(ValueError):
-            TempiConfig(selection="fixed")  # AUTO method has nothing to fix
+            TempiConfig(selection="fixed")  # forcing is `method=`, not a policy
         # engine knobs fail at construction too, naming the field
         with pytest.raises(ValueError, match="progress.*'bogus'.*shared"):
             TempiConfig(progress="bogus")
-        with pytest.raises(ValueError, match="batch_max_messages"):
+        # a retired knob is an unknown field, not a swallowed one
+        with pytest.raises(TypeError, match="batch_max_messages"):
             TempiConfig(batch_max_messages=0)
 
 
