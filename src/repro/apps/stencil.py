@@ -14,10 +14,12 @@ selected by ``mode``:
   under TEMPI's interposer;
 * ``"overlap"`` — the structure real halo codes use to hide pack latency:
   one typed ``Irecv``/``Isend`` pair per direction followed by ``Waitall``,
-  so each direction's pack overlaps the previous directions' wire time.
-  Under TEMPI's interposer every ``Isend`` compiles to a
+  so each direction's pack overlaps the previous directions' wire time —
+  spelled the way an iterative code spells it, as persistent requests
+  (``Recv_init``/``Send_init`` once, ``Startall`` every exchange).
+  Under TEMPI's interposer every started send runs a
   :class:`~repro.tempi.plan.MessagePlan` whose pack kernel runs on its own
-  stream, and every ``Irecv`` defers its unpack to ``Waitall``.
+  stream, and every started receive defers its unpack to ``Waitall``.
 
 Either way the communicator it runs against decides whether the datatype
 handling is the system MPI's per-block baseline or TEMPI's kernels — the
@@ -112,17 +114,29 @@ class HaloExchange:
 
         self._build_layout()
         self._build_neighbor_layout()
-        #: The overlap exchange's receives and sends, as no round changes them:
-        #: ``(datatype, neighbour, tag)`` per direction.  A section sent along
-        #: ``d`` lands as the receiver's ghost slab ``-d``.
-        self._overlap_recvs = [
-            (self.recv_types[d], self.grid.neighbor(self.rank, d), direction_tag(negate(d)))
-            for d in DIRECTIONS
-        ]
-        self._overlap_sends = [
-            (self.send_types[d], self.grid.neighbor(self.rank, d), direction_tag(d))
-            for d in DIRECTIONS
-        ]
+        if mode == "overlap":
+            # No round changes a direction's (buffer, datatype, neighbour,
+            # tag): bind each message once, restart it every exchange.  A
+            # section sent along ``d`` lands as the receiver's ghost slab
+            # ``-d``, so the receive for ghost direction ``g`` matches tag
+            # ``direction_tag(-g)`` from neighbour ``g`` — the per-direction
+            # tags keep several sections between one pair of ranks apart.
+            self._overlap_recvs = [
+                comm.Recv_init(
+                    (self.local, 1, self.recv_types[d]),
+                    self.grid.neighbor(self.rank, d),
+                    direction_tag(negate(d)),
+                )
+                for d in DIRECTIONS
+            ]
+            self._overlap_sends = [
+                comm.Send_init(
+                    (self.local, 1, self.send_types[d]),
+                    self.grid.neighbor(self.rank, d),
+                    direction_tag(d),
+                )
+                for d in DIRECTIONS
+            ]
         if mode == "packed":
             total = sum(spec.halo_bytes(d) for d in DIRECTIONS)
             self.sendbuf = ctx.gpu.malloc(total)
@@ -309,28 +323,17 @@ class HaloExchange:
         return HaloTiming(pack_s=0.0, comm_s=clock.now - start, unpack_s=0.0)
 
     def _exchange_overlap(self) -> HaloTiming:
-        """One exchange through per-direction ``Irecv``/``Isend`` + ``Waitall``.
-
-        A section sent along ``d`` arrives as the receiver's ghost slab in
-        direction ``-d``, so the receive for ghost direction ``g`` matches
-        tag ``direction_tag(-g)`` from neighbour ``g`` — the per-direction
-        tags keep multiple sections between the same pair of ranks apart.
-        """
+        """One exchange: start the 26 bound receives and the 26 bound sends
+        (each start is one ``Irecv``/``Isend``), then ``Waitall``."""
         comm = self.comm
         clock = self.ctx.clock
 
         comm.Barrier()
         start = clock.now
-        recv_requests = [
-            comm.Irecv((self.local, 1, datatype), peer, tag)
-            for datatype, peer, tag in self._overlap_recvs
-        ]
-        send_requests = [
-            comm.Isend((self.local, 1, datatype), peer, tag)
-            for datatype, peer, tag in self._overlap_sends
-        ]
-        Request.Waitall(recv_requests)
-        Request.Waitall(send_requests)
+        comm.Startall(self._overlap_recvs)
+        comm.Startall(self._overlap_sends)
+        Request.Waitall(self._overlap_recvs)
+        Request.Waitall(self._overlap_sends)
         comm.Barrier()
         return HaloTiming(pack_s=0.0, comm_s=clock.now - start, unpack_s=0.0)
 

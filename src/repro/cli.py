@@ -490,7 +490,7 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
         spec.loader.exec_module(module)
         return module
 
-    def report(name: str, failures: list[str]) -> None:
+    def report(name: str, failures: list[str], posts_expected: bool = True) -> None:
         counters = ClockSanitizer.aggregate_counters()
         print(f"   sanitizer: posts={counters['posts']} ingests={counters['ingests']} "
               f"joins={counters['joins']} hb_checks={counters['hb_checks']} "
@@ -498,7 +498,7 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
               f"violations={counters['violations']}")
         if counters["violations"]:
             failures.append(f"{name}: {counters['violations']} recorded violation(s)")
-        if counters["posts"] == 0:
+        if posts_expected and counters["posts"] == 0:
             failures.append(f"{name}: sanitizer observed no NIC traffic (vacuous replay)")
 
     failures: list[str] = []
@@ -522,20 +522,23 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
                 failures.append(f"{name}: exit code {code}")
             report(name, failures)
         # fig14 has no standalone entry point; drive its exchange helper over
-        # the serial and overlapped engines directly.
-        ClockSanitizer.reset_aggregate()
+        # the serial and overlapped engines directly.  Each column is checked
+        # on its own: the isend/irecv one (``mode="overlap"``) posts through
+        # persistent requests, and must not pass on the other columns'
+        # traffic; the serial engine books nothing on the NIC.
         print("== sanitized replay: bench_fig14_overlap.py (exchange sweep)")
         try:
             module = load_bench("bench_fig14_overlap.py")
             model = _load_model(None)
             for mode, overlap in (("neighbor", False), ("neighbor", True),
                                   ("overlap", True)):
+                ClockSanitizer.reset_aggregate()
                 module._exchange_latency(4, model, mode=mode, overlap=overlap)
+                report(f"bench_fig14_overlap.py[mode={mode}, overlap={overlap}]", failures,
+                       posts_expected=overlap)
         except Exception as exc:  # noqa: BLE001 - any failure fails the replay
             failures.append(f"bench_fig14_overlap.py: {type(exc).__name__}: {exc}")
             print(f"   FAILED: {type(exc).__name__}: {exc}", file=sys.stderr)
-        else:
-            report("bench_fig14_overlap.py", failures)
     if failures:
         print(f"sanitize: {len(failures)} failure(s)", file=sys.stderr)
         for failure in failures:

@@ -79,6 +79,9 @@ class Communicator:
         self.world = world
         self.baseline = BaselineDatatypeEngine(runtime)
         self._ndups = 0
+        #: Persistent requests bound on this rank (by either library) and not
+        #: freed; ``World.run`` reports the ones a rank function leaves active.
+        self.requests: list[Request] = []
 
     # ------------------------------------------------------------------ intro
     def Get_rank(self) -> int:
@@ -282,6 +285,34 @@ class Communicator:
         # Readiness derives from the arrival probe: completable once the
         # matching message is present and its wire time has passed.
         return Request("recv", complete=complete, arrival=arrival, clock=self.clock)
+
+    # -------------------------------------------------------------- persistent
+    def _persistent(self, kind: str, post, spec: BufferSpec, peer: int, tag: int) -> Request:
+        """Bind ``post`` — an ``Isend`` or ``Irecv`` — to its arguments.
+
+        Every ``Start`` of the returned request *is* that call: it posts once
+        more and the persistent request completes as the posted one does.
+        """
+        self._check_peer(peer, allow_any=kind == "recv")
+
+        def start() -> None:
+            posted = post(spec, peer, tag)
+            request.arm(posted.Wait, lambda: posted.Test()[0], posted.arrival_hint)
+
+        request = Request(kind, start=start, peer=peer, tag=tag, registry=self.requests)
+        return request
+
+    def Send_init(self, spec: BufferSpec, dest: int, tag: int = 0) -> Request:
+        """``MPI_Send_init``: a send whose every ``Start`` is one ``Isend``."""
+        return self._persistent("send", self.Isend, spec, dest, tag)
+
+    def Recv_init(self, spec: BufferSpec, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
+        """``MPI_Recv_init``: a receive whose every ``Start`` is one ``Irecv``."""
+        return self._persistent("recv", self.Irecv, spec, source, tag)
+
+    #: ``MPI_Start`` / ``MPI_Startall``: the request knows which library bound it.
+    Start = staticmethod(Request.Start)
+    Startall = staticmethod(Request.Startall)
 
     def Sendrecv(
         self,

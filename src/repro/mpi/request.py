@@ -29,6 +29,12 @@ class Request:
     earliest-arriving request instead of list order.  Probes supplied by the
     TEMPI progress engine also advance deferred wire state (flushing batched
     sends), so ``Test``/``Testall`` genuinely make progress.
+
+    A **persistent** request (``Send_init``/``Recv_init``) carries ``start``,
+    the bound operation, which posts one round and :meth:`arm`-s this same
+    request.  It is born *inactive* — ``Wait``/``Test`` return an empty
+    status and leave the clock alone — :meth:`Start` makes it active, its
+    completion inactive again, and :meth:`Free` ends it.
     """
 
     KINDS = ("send", "recv", "coll", "null")
@@ -42,6 +48,10 @@ class Request:
         clock=None,
         ready: Optional[Callable[[], bool]] = None,
         arrival: Optional[Callable[[], Optional[float]]] = None,
+        start: Optional[Callable[[], None]] = None,
+        peer: Optional[int] = None,
+        tag: Optional[int] = None,
+        registry: Optional[list["Request"]] = None,
     ) -> None:
         if kind not in self.KINDS:
             raise MpiError(f"unknown request kind {kind!r}")
@@ -51,20 +61,84 @@ class Request:
         self._clock = clock
         self._ready = ready
         self._arrival = arrival
-        self._done = False
+        self._start = start
+        #: What a bound point-to-point request names in error reports.
+        self.peer = peer
+        self.tag = tag
+        #: The binding rank's list of persistent requests: ``Free`` takes the
+        #: request off it, ``World.run`` scans it when the rank returns.
+        self._registry = registry
+        if registry is not None:
+            registry.append(self)
+        self._done = start is not None
         self._status = Status()
+
+    def __repr__(self) -> str:
+        bound = "" if self.peer is None else f" peer={self.peer} tag={self.tag}"
+        return f"<Request {self.kind}{bound}>"
+
+    # ------------------------------------------------------------- persistence
+    def arm(self, complete=None, ready=None, arrival=None, *, completion_time=None, clock=None):
+        """Make the request active for one operation — the constructor's five
+        fields, on the object the caller already holds; returns the request."""
+        self._complete, self._ready, self._arrival = complete, ready, arrival
+        self._completion_time, self._clock = completion_time, clock
+        self._done = False
+        return self
+
+    def Start(self) -> None:
+        """``MPI_Start``: post one round of a persistent request."""
+        if self._start is None:
+            raise MpiError(f"Start on {self!r}, which is not persistent or was freed")
+        if not self._done:
+            raise MpiError(f"Start on {self!r}, which is still active: Wait or Test it first")
+        self._start()
+
+    def Free(self) -> None:
+        """``MPI_Request_free``: the request can never be started again.
+
+        An active one still completes, as MPI lets it; an inactive one has
+        nothing left to complete, so a later ``Wait``/``Test`` raises.
+        """
+        if self._start is None:
+            raise MpiError(f"Free on {self!r}, which is not persistent or was already freed")
+        self._start = None
+        if self._registry is not None:
+            self._registry.remove(self)
+            self._registry = None
+        if self._done:
+            self.arm(self._use_after_free, self._use_after_free)
+
+    def _use_after_free(self):
+        raise MpiError(f"{self!r} used after Free")
+
+    @staticmethod
+    def Startall(requests: list["Request"]) -> None:
+        """``MPI_Startall``: start every persistent request, in list order."""
+        for request in requests:
+            request.Start()
+
+    @staticmethod
+    def active(requests: list["Request"]) -> list["Request"]:
+        """Those of ``requests`` that were started and not completed."""
+        return [request for request in requests if not request._done]
 
     # ------------------------------------------------------------------ waits
     def Wait(self) -> Status:
         """Block until the operation completes; returns its :class:`Status`."""
         if self._done:
             return self._status
+        status = self._status
         if self._complete is not None:
-            self._status = self._complete()
+            status = self._complete()
         if self._completion_time is not None and self._clock is not None:
             self._clock.advance_to(self._completion_time)
         self._done = True
-        return self._status
+        if self._start is None:
+            # A one-shot request remembers its outcome; a persistent one is
+            # inactive again, and an inactive request's status is empty.
+            self._status = status
+        return status
 
     def Test(self) -> tuple[bool, Optional[Status]]:
         """Nonblocking completion check.
@@ -130,13 +204,18 @@ class Request:
         null requests can never complete an operation — MPI returns
         ``MPI_UNDEFINED`` there, and a caller looping on ``Waitany`` until
         every request finishes would spin forever — so it raises instead.
+        Inactive persistent requests are ignored the same way.
         """
         if not requests:
             raise MpiError("Waitany requires at least one request")
-        active = [index for index, request in enumerate(requests) if request.kind != "null"]
+        active = [
+            index
+            for index, request in enumerate(requests)
+            if request.kind != "null" and not (request._done and request._start is not None)
+        ]
         if not active:
             raise MpiError(
-                "Waitany on a list of null requests would never complete an operation"
+                "Waitany on a list of null or inactive requests would never complete an operation"
             )
         for index in active:
             if requests[index].completed:

@@ -32,6 +32,7 @@ from repro.machine.topology import Topology, TopologySpec
 from repro.mpi.communicator import Communicator
 from repro.mpi.errors import MpiError
 from repro.mpi.p2p import MessageRouter
+from repro.mpi.request import Request
 
 
 @dataclass
@@ -133,7 +134,9 @@ class World:
         run token.  Any exception raised by a rank aborts the whole world
         (waking blocked receivers and barrier waiters) and is re-raised as
         :class:`WorldError`; so is a deadlock, the moment every unfinished
-        rank is blocked, with each rank's error naming what it waited for.
+        rank is blocked, with each rank's error naming what it waited for,
+        and a rank that returns with a persistent request still active, with
+        the request's peer and tag.
         ``timeout`` bounds the wall-clock wait for the whole run.
         """
         results: list[object] = [None] * self.nranks
@@ -144,6 +147,12 @@ class World:
             router.enter(ctx.rank)
             try:
                 results[ctx.rank] = fn(ctx, *args)
+                leaked = ctx.comm.requests and Request.active(ctx.comm.requests)
+                if leaked:
+                    raise MpiError(
+                        f"rank {ctx.rank} returned with persistent requests started "
+                        f"and never completed: {leaked}"
+                    )
             except BaseException as exc:  # noqa: BLE001 - propagate to the caller
                 failures[ctx.rank] = exc
                 router.shutdown()

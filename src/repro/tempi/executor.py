@@ -94,8 +94,11 @@ class PlanExecutor:
         engine.bind(self)
 
     # ------------------------------------------------------------------ entry
-    def execute(self, plan: MessagePlan) -> Request:
+    def execute(self, plan: MessagePlan, request: Optional[Request] = None) -> Request:
         """Run a plan's send side now; return the request that drives the rest.
+
+        A ``send`` or ``recv`` plan arms ``request`` (its bind's, armed again
+        every round of a persistent operation; a fresh one when omitted).
 
         * ``send`` plans return a send request (completion at buffer-reuse
           time for nonblocking plans, at wire-completion time for blocking
@@ -113,10 +116,14 @@ class PlanExecutor:
         """
         self.stats.plans_built += 1
         if plan.op == "send":
-            return self._execute_send(plan)
+            return self._execute_send(plan, request if request is not None else Request("send"))
         self.engine.progress()
         if plan.op == "recv":
-            return self._execute_recv(plan)
+            # All of a receive happens at ``Wait``/``Test``: executing it arms
+            # the request with the plan's probes, built the first time only.
+            if plan.probes is None:
+                plan.probes = self._recv_probes(plan)
+            return (request if request is not None else Request("recv")).arm(*plan.probes)
         if plan.op == "bcast":
             return self._execute_bcast(plan)
         if plan.op == "allreduce":
@@ -254,10 +261,10 @@ class PlanExecutor:
         )
 
     # -------------------------------------------------------------------- send
-    def _execute_send(self, plan: MessagePlan) -> Request:
+    def _execute_send(self, plan: MessagePlan, request: Request) -> Request:
         comm = self.comm
         if self.overlap:
-            batched = self.engine.offer_send(plan)
+            batched = self.engine.offer_send(plan, request)
             if batched is not None:
                 return batched
         self.engine.progress()
@@ -284,7 +291,7 @@ class PlanExecutor:
         if self.overlap:
             self.stats.stages_overlapped += 1
         completion = ready + self.injection_overhead if plan.nonblocking else arrival
-        return Request("send", completion_time=completion, clock=comm.clock)
+        return request.arm(completion_time=completion, clock=comm.clock)
 
     # ------------------------------------------------------------------- bcast
     def _execute_bcast(self, plan: MessagePlan) -> Request:
@@ -325,15 +332,21 @@ class PlanExecutor:
         )
 
     # -------------------------------------------------------------------- recv
-    def _execute_recv(self, plan: MessagePlan) -> Request:
+    def _recv_probes(self, plan: MessagePlan) -> tuple:
+        """A receive plan's ``(complete, ready, arrival)``.
+
+        They hold the plan's fields, not the plan, which holds them: a cycle
+        would leave every one-shot receive to the garbage collector.
+        """
         comm = self.comm
         stage = plan.unpack_stages[0]
+        tag, nonblocking, recv_buffer = plan.tag, plan.nonblocking, plan.recv_buffer
 
         def complete() -> Status:
             self.engine.progress()
-            if plan.nonblocking:
+            if nonblocking:
                 self.stats.deferred_unpacks += 1
-            envelope = comm.router.receive(comm.rank, stage.peer, plan.tag, comm.context)
+            envelope = comm.router.receive(comm.rank, stage.peer, tag, comm.context)
             comm.clock.advance_to(self.engine.ingest_one(envelope))
             nbytes = envelope.nbytes
             if nbytes > stage.nbytes:
@@ -343,21 +356,21 @@ class PlanExecutor:
                 )
             staging = _StagingTracker(self.cache)
             try:
-                self._unpack_stage(stage, envelope.payload, plan.recv_buffer, staging, None)
+                self._unpack_stage(stage, envelope.payload, recv_buffer, staging, None)
             finally:
                 staging.release()
             return Status(source=envelope.source, tag=envelope.tag, count_bytes=nbytes)
 
         def ready() -> bool:
-            return self.engine.arrived(stage.peer, plan.tag)
+            return self.engine.arrived(stage.peer, tag)
 
         def arrival() -> Optional[float]:
-            envelope = comm.router.probe(comm.rank, stage.peer, plan.tag, comm.context)
+            envelope = comm.router.probe(comm.rank, stage.peer, tag, comm.context)
             if envelope is None:
                 return None
             return self.engine.arrival_preview(envelope)
 
-        return Request("recv", complete=complete, ready=ready, arrival=arrival)
+        return complete, ready, arrival
 
     # --------------------------------------------------------------- exchange
     def _execute_exchange(self, plan: MessagePlan) -> Request:

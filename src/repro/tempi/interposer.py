@@ -9,10 +9,10 @@ structure with plain object composition:
 * :class:`TempiCommunicator` exposes the same call surface as
   :class:`repro.mpi.communicator.Communicator`;
 * the calls TEMPI accelerates (``Type_commit``, ``Pack``, ``Unpack``,
-  ``Send``/``Isend``, ``Recv``/``Irecv``, ``Sendrecv``, ``Bcast``, and the
-  datatype-carrying ``Alltoallv`` / ``Neighbor_alltoallv`` /
-  ``Allgather`` / ``Allgatherv`` with their nonblocking forms) are
-  overridden here;
+  ``Send``/``Isend``/``Send_init``, ``Recv``/``Irecv``/``Recv_init``,
+  ``Sendrecv``, ``Bcast``, and the datatype-carrying ``Alltoallv`` /
+  ``Neighbor_alltoallv`` / ``Allgather`` / ``Allgatherv`` with their
+  nonblocking forms) are overridden here;
 * every other attribute falls through to the underlying communicator via
   ``__getattr__`` — the analogue of unresolved symbols binding to the system
   MPI.
@@ -27,7 +27,11 @@ completes.  Every collective entry point goes through one starter
 is a progress point followed by the system's split-phase call; either way a
 :class:`~repro.mpi.request.Request` comes back, which the nonblocking calls
 return (the receive-side unpack deferred to ``Wait``/``Test``) and the
-blocking calls wait on at once.  All wire
+blocking calls wait on at once.  Point-to-point messages have one entry too
+(:meth:`TempiCommunicator._bind_p2p`): what no round changes is bound once,
+and every start of the bound request pays the round's charges and executes
+the bound plan — once for ``Isend``/``Irecv``, every round for
+``Send_init``/``Recv_init`` + ``Start``.  All wire
 state lives in the per-rank :class:`~repro.tempi.progress.ProgressEngine`
 (cross-plan NIC accounting on the world's shared
 :class:`~repro.machine.nic.NicTimeline`, small-plan send batching,
@@ -467,35 +471,24 @@ class TempiCommunicator:
             self._comm.gpu, source, buffer, count, src_offset=position
         )
 
-    # ------------------------------------------------------- p2p plan compilers
-    def _compile_p2p_send(self, spec, dest: int, tag: int, *, nonblocking: bool):
-        """Compile a send to a plan, or return None for the system path."""
-        buffer, count, datatype = self._comm._resolve(spec)
-        handler = (
-            self._can_accelerate(datatype, buffer)
-            if self.config.send_handling
-            else None
-        )
-        if handler is None or handler.contiguous:
-            return None
-        self._comm._check_peer(dest)
-        self._charge_interposition_overhead()
-        packer = handler.packer
-        # The destination peer rides along so a duplex-aware selector can
-        # price the link to — and the ingestion backlog of — that rank.
-        method = self._selector(packer, packer.packed_size(count), peer=dest)
-        stats = self.tempi.stats
-        stats.sends += 1
-        name = method._value_  # ``.value`` without the descriptor's two Python calls
-        stats.method_counts[name] = stats.method_counts.get(name, 0) + 1
-        handler.uses += 1
-        return _plan.compile_send(
-            packer, buffer, count, dest, tag, method, nonblocking=nonblocking
-        )
+    # ------------------------------------------------------------ p2p binding
+    def _bind_p2p(
+        self, kind: str, spec, peer: int, tag: int, nonblocking: bool, persistent: bool = False
+    ) -> Optional[Request]:
+        """Bind one send or receive; ``None`` means it is the system's call.
 
-    def _compile_p2p_recv(self, spec, source: int, tag: int, *, nonblocking: bool):
-        """Compile a receive to a plan, or return None for the system path."""
-        buffer, count, datatype = self._comm._resolve(spec)
+        The one place a point-to-point message meets TEMPI.  What no round
+        changes happens here, once: the spec is resolved, the commit-time
+        handler found, the peer checked, the packed size taken.  The request's
+        ``start`` is what every round owes — the interposition charge, the
+        selector's charge-and-count, the stats lines — and executes the bound
+        plan, compiled at the first start and again only if the selector's
+        answer changes.  ``Isend``/``Irecv``/``Send``/``Recv`` are this bind
+        started once, here; ``persistent`` (``Send_init``/``Recv_init``)
+        hands the request out inactive, to be started every round.
+        """
+        comm = self._comm
+        buffer, count, datatype = comm._resolve(spec)
         handler = (
             self._can_accelerate(datatype, buffer)
             if self.config.send_handling
@@ -503,18 +496,75 @@ class TempiCommunicator:
         )
         if handler is None or handler.contiguous:
             return None
-        self._comm._check_peer(source, allow_any=True)
-        self._charge_interposition_overhead()
+        send = kind == "send"
+        comm._check_peer(peer, allow_any=not send)
         packer = handler.packer
-        method = self._selector(packer, packer.packed_size(count))
+        nbytes = packer.packed_size(count)
+        # A send's destination rides along so a duplex-aware selector can
+        # price the link to — and the ingestion backlog of — that rank.
+        select_peer = peer if send else None
+        # The first start asks the selector as any call does; a restart
+        # replays it — ``select_many(count=1)`` is one scalar selection,
+        # charge for charge, and by then a memo hit found in one probe.
+        selector = self._selector
+        reselect = selector.select_many if self._selector_batchable else selector
+        compile_plan = _plan.compile_send if send else _plan.compile_recv
+        clock = self._clock
+        overhead = self._overhead_s
         stats = self.tempi.stats
-        stats.recvs += 1
-        name = method._value_
-        stats.method_counts[name] = stats.method_counts.get(name, 0) + 1
-        handler.uses += 1
-        return _plan.compile_recv(
-            packer, buffer, count, source, tag, method, nonblocking=nonblocking
-        )
+        execute = self._executor.execute
+        plan: Optional[MessagePlan] = None
+        bound_method = None
+
+        def start() -> None:
+            nonlocal plan, bound_method
+            # _charge_interposition_overhead, inlined as _plan_from_template does.
+            clock.now += overhead
+            clock._events += 1
+            method = (selector if plan is None else reselect)(packer, nbytes, select_peer)
+            if send:
+                stats.sends += 1
+            else:
+                stats.recvs += 1
+            name = method._value_  # ``.value`` without the descriptor's two Python calls
+            stats.method_counts[name] = stats.method_counts.get(name, 0) + 1
+            handler.uses += 1
+            if method is not bound_method:
+                bound_method = method
+                plan = compile_plan(
+                    packer, buffer, count, peer, tag, method, nonblocking=nonblocking
+                )
+            execute(plan, request)
+
+        if persistent:
+            request = Request(kind, start=start, peer=peer, tag=tag, registry=comm.requests)
+        else:
+            request = Request(kind, peer=peer, tag=tag)
+            start()
+        return request
+
+    def _init_p2p(self, kind: str, post, spec, peer: int, tag: int) -> Request:
+        """``Send_init``/``Recv_init``: the bind, handed out to be restarted.
+
+        The system's message becomes the system's persistent request around
+        ``post`` — this communicator's own ``Isend``/``Irecv``, which falls
+        through (and counts its ``fallbacks``) at every start as it does today.
+        """
+        stats = self.tempi.stats
+        fallbacks = stats.fallbacks
+        request = self._bind_p2p(kind, spec, peer, tag, True, persistent=True)
+        if request is None:
+            stats.fallbacks = fallbacks  # a start owes the count, not the bind
+            request = self._comm._persistent(kind, post, spec, peer, tag)
+        return request
+
+    def Send_init(self, spec, dest: int, tag: int = 0) -> Request:
+        """``MPI_Send_init``: bind once, ``Start`` every round."""
+        return self._init_p2p("send", self.Isend, spec, dest, tag)
+
+    def Recv_init(self, spec, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
+        """``MPI_Recv_init``: bind once, ``Start`` every round."""
+        return self._init_p2p("recv", self.Irecv, spec, source, tag)
 
     @staticmethod
     def _into_status(result: Status, status: Optional[Status]) -> Status:
@@ -522,20 +572,20 @@ class TempiCommunicator:
 
     # -------------------------------------------------------------------- send
     def Send(self, spec, dest: int, tag: int = 0) -> None:
-        """``MPI_Send``: compile to a plan, execute, wait."""
-        plan = self._compile_p2p_send(spec, dest, tag, nonblocking=False)
-        if plan is None:
+        """``MPI_Send``: bind, start, wait."""
+        request = self._bind_p2p("send", spec, dest, tag, False)
+        if request is None:
             self._fall_through(self._comm.Send, False, spec, dest, tag)
         else:
-            self._executor.execute(plan).Wait()
+            request.Wait()
 
     def Isend(self, spec, dest: int, tag: int = 0) -> Request:
         """``MPI_Isend``: the plan's pack runs on its own stream; the request
         completes when the user buffer is reusable (pack done + injection)."""
-        plan = self._compile_p2p_send(spec, dest, tag, nonblocking=True)
-        if plan is None:
+        request = self._bind_p2p("send", spec, dest, tag, True)
+        if request is None:
             return self._fall_through(self._comm.Isend, False, spec, dest, tag)
-        return self._executor.execute(plan)
+        return request
 
     def Recv(
         self,
@@ -544,18 +594,18 @@ class TempiCommunicator:
         tag: int = ANY_TAG,
         status: Optional[Status] = None,
     ) -> Status:
-        """``MPI_Recv``: compile to a plan, execute, wait."""
-        plan = self._compile_p2p_recv(spec, source, tag, nonblocking=False)
-        if plan is None:
+        """``MPI_Recv``: bind, start, wait."""
+        request = self._bind_p2p("recv", spec, source, tag, False)
+        if request is None:
             return self._fall_through(self._comm.Recv, False, spec, source, tag, status)
-        return self._into_status(self._executor.execute(plan).Wait(), status)
+        return self._into_status(request.Wait(), status)
 
     def Irecv(self, spec, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
         """``MPI_Irecv``: matching and unpacking deferred to ``Wait``/``Test``."""
-        plan = self._compile_p2p_recv(spec, source, tag, nonblocking=True)
-        if plan is None:
+        request = self._bind_p2p("recv", spec, source, tag, True)
+        if request is None:
             return self._fall_through(self._comm.Irecv, False, spec, source, tag)
-        return self._executor.execute(plan)
+        return request
 
     def Sendrecv(
         self,

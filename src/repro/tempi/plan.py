@@ -216,6 +216,10 @@ class MessagePlan:
     reduce_stages: list[ReduceStage] = field(default_factory=list)
     reduce_dtype: Optional[str] = None
     reduce_nbytes: int = 0
+    #: A ``recv`` plan's ``(complete, ready, arrival)``, set by the executor
+    #: the first time it runs the plan; a persistent receive runs one plan
+    #: every round and arms its request with the same three.
+    probes: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @property
     def nstages(self) -> int:

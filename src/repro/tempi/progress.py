@@ -355,12 +355,12 @@ class ProgressEngine:
         )
 
     # -------------------------------------------------------------- batching
-    def offer_send(self, plan: MessagePlan) -> Optional[Request]:
+    def offer_send(self, plan: MessagePlan, request: Request) -> Optional[Request]:
         """Consider a nonblocking send plan for batching.
 
-        Returns the request driving the deferred send, or ``None`` when the
-        plan is not batchable (batching off, message at/above the eager
-        threshold) — the caller then executes it immediately.
+        Returns ``request`` armed to drive the deferred send, or ``None``
+        when the plan is not batchable (batching off, message at/above the
+        eager threshold) — the caller then executes it immediately.
         """
         if not self.batching or self.executor is None:
             return None
@@ -428,7 +428,7 @@ class ProgressEngine:
             """Buffer-reuse time (known at enqueue for a batched send)."""
             return entry.completion
 
-        return Request("send", complete=complete, ready=ready_probe, arrival=arrival)
+        return request.arm(complete, ready_probe, arrival)
 
     def pending_sends(self, peer: Optional[int] = None) -> int:
         """Enqueued-but-unposted send plans (for tests and stats)."""

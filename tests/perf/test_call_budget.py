@@ -1,15 +1,21 @@
-"""The warm ``Isend``/``Irecv``/``Wait`` path on a call budget (ISSUE 18).
+"""The warm point-to-point path on a call budget (ISSUES 18 and 21).
 
 ``calls_per_op`` of the ``halo_world`` benchmark workload is the noise-free
 witness of per-message host overhead: Python and C function calls per
 simulated wire message, counted by the benchmark's own ``CallCounter``
 (``benchmarks/e2e/measure.py``, loaded from its file, never edited here).
-The parent of PR 18 ran 354 calls per message on Python 3.11; the budget is
-230, and this file keeps the path from growing back:
+The parent of PR 18 ran 354 calls per message on Python 3.11 and PR 18 left
+205; PR 21 binds each halo message once (``Send_init``/``Recv_init``) and
+restarts it every round, on a budget of 165.  This file keeps the path from
+growing back:
 
 * a per-message ceiling over warm rounds of the benchmark's own shape
   (8 ranks, ``HaloExchange(mode="overlap")``) — budget + 5 % for the
   interpreter's own differences (3.12, for one, inlines comprehensions);
+* the same 26 messages posted as fresh ``Irecv``/``Isend`` every round (the
+  shape ``apps/replay.py`` and ``apps/pipeline.py`` use) cost what they cost
+  at PR 21's parent: a request that is never restarted pays nothing for the
+  ones that are;
 * an idle progress point is one attribute test, and a one-record ingest
   sorts nothing;
 * the diet changed no counter: ``InterposerStats``, ``CacheStats``,
@@ -20,11 +26,13 @@ The parent of PR 18 ran 354 calls per message on Python 3.11; the budget is
 from __future__ import annotations
 
 import dataclasses
+import gc
 import importlib.util
+import sys
 from pathlib import Path
 
-from repro.apps.halo import DIRECTIONS, HaloSpec
-from repro.apps.stencil import HaloExchange
+from repro.apps.halo import DIRECTIONS, HaloSpec, negate
+from repro.apps.stencil import HaloExchange, direction_tag
 from repro.machine.nic import IngestRecord, NicTimeline
 from repro.mpi.world import World
 from repro.tempi.config import TempiConfig
@@ -32,8 +40,11 @@ from repro.tempi.interposer import interpose
 
 MEASURE = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e" / "measure.py"
 RANKS = 8
-#: ``halo_world``'s budget (230 calls per message) plus 5 %; the parent ran 354.
-CEILING = 241.5
+#: ``halo_world``'s budget (165 calls per message) plus 5 %; PR 21's parent ran 205.4.
+CEILING = 173.25
+#: Calls per message of :func:`_one_shot_rounds` at PR 21's parent (07d8f20),
+#: Python 3.11: 137 624 calls over 3 rounds x 8 ranks x 26 messages.
+ONE_SHOT_PARENT = 137_624 / 624
 
 
 def _benchmark_call_counter():
@@ -48,10 +59,10 @@ def _benchmark_call_counter():
 CallCounter = _benchmark_call_counter()
 
 
-def _halo_world(model):
+def _halo_world(model, mode: str = "overlap"):
     world = World(RANKS, ranks_per_node=2)
     exchanges = [
-        HaloExchange(ctx, interpose(ctx, TempiConfig(), model=model), HaloSpec(), mode="overlap")
+        HaloExchange(ctx, interpose(ctx, TempiConfig(), model=model), HaloSpec(), mode=mode)
         for ctx in world.contexts
     ]
 
@@ -71,6 +82,50 @@ def test_warm_halo_message_stays_under_the_call_ceiling(summit_model):
     assert per_message <= CEILING, (
         f"{per_message:.1f} Python/C calls per halo message, ceiling {CEILING}: "
         f"run tools/call_histogram.py --workload halo to see which layer grew"
+    )
+
+
+def _one_shot_rounds(exchanges):
+    """The overlap exchange spelled with requests nothing ever restarts."""
+
+    def rounds(ctx, count: int) -> None:
+        exchange = exchanges[ctx.rank]
+        comm, local, grid, rank = exchange.comm, exchange.local, exchange.grid, ctx.rank
+        for _ in range(count):
+            comm.Barrier()
+            requests = []
+            for d in DIRECTIONS:
+                spec = (local, 1, exchange.recv_types[d])
+                requests.append(comm.Irecv(spec, grid.neighbor(rank, d), direction_tag(negate(d))))
+            for d in DIRECTIONS:
+                spec = (local, 1, exchange.send_types[d])
+                requests.append(comm.Isend(spec, grid.neighbor(rank, d), direction_tag(d)))
+            for request in requests:
+                request.Wait()
+            comm.Barrier()
+
+    return rounds
+
+
+def test_one_shot_messages_cost_what_they_cost_at_the_parent(summit_model):
+    # mode="neighbor": the same datatypes and grid, no persistent requests bound.
+    world, exchanges, _ = _halo_world(summit_model, mode="neighbor")
+    rounds = _one_shot_rounds(exchanges)
+    world.run(rounds, 3)
+    gc.collect()
+    gc.disable()  # a collection would count the gc callbacks Hypothesis registers
+    try:
+        with CallCounter() as counter:
+            world.run(rounds, 3)
+    finally:
+        gc.enable()
+    per_message = counter.calls / (3 * RANKS * len(DIRECTIONS))
+    # Exact on the interpreter the parent's count was taken on; elsewhere the
+    # same 5 % the ceiling above allows.
+    slack = 1.0 if sys.version_info[:2] == (3, 11) else 1.05
+    assert per_message <= ONE_SHOT_PARENT * slack, (
+        f"{counter.calls} calls ({per_message:.3f} per message) for one-shot "
+        f"Irecv/Isend/Wait; the parent ran {ONE_SHOT_PARENT:.3f}"
     )
 
 

@@ -428,7 +428,7 @@ class TestSmallPlanBatcher:
                     plan = _plan.compile_send(
                         handler.packer, buf, 1, 1, 7, method, nonblocking=True
                     )
-                    assert engine.offer_send(plan) is not None
+                    assert engine.offer_send(plan, Request("send")) is not None
                 # The ONESHOT enqueue must have flushed the first DEVICE
                 # message already; flush the rest and check wire order.
                 engine.progress()

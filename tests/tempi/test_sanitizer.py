@@ -261,6 +261,30 @@ class TestInterposedRuns:
         assert counters["ingests"] > 0
         assert counters["violations"] == 0
 
+    def test_sanitized_persistent_halo_is_bit_identical_and_not_vacuous(self, summit_model):
+        """What ``repro sanitize`` asks of Fig. 14's isend/irecv column: the
+        overlap exchange posts through persistent requests, the sanitizer
+        sees those posts and ingests, and the clocks are the plain run's."""
+        from repro.apps.halo import HaloSpec
+        from repro.apps.stencil import HaloExchange
+
+        def run() -> list[float]:
+            def program(ctx):
+                comm = interpose(ctx, TempiConfig(), model=summit_model)
+                HaloExchange(ctx, comm, HaloSpec(nx=8, ny=8, nz=8), mode="overlap").run(2)
+                return ctx.clock.now
+
+            return World(4, ranks_per_node=2).run(program)
+
+        plain = run()
+        ClockSanitizer.reset_aggregate()
+        with sanitize_default(True):
+            sanitized = run()
+        assert plain == sanitized
+        counters = ClockSanitizer.aggregate_counters()
+        assert counters["posts"] > 0 and counters["ingests"] >= 2 * 4 * 26
+        assert counters["violations"] == 0
+
     def test_ambient_default_flips_constructed_configs(self):
         assert TempiConfig().sanitize is False
         with sanitize_default(True):
