@@ -24,10 +24,11 @@ Two harnesses share the acceptance claims:
   port), while the ``selection="model"`` run stays bit-identical (clocks
   and counts) to the default configuration, i.e. PR-3's numbers.
 
-The analytic companion is
-:func:`repro.apps.exchange_model.model_selected_exchange`, which routes its
-per-message decisions through the same
-:func:`repro.tempi.selection.contended_estimate`.
+The analytic companion is :func:`repro.tempi.selection.contended_estimate`
+— the one pricing the ``ContendedSelector`` of the grid sweep calls, and
+``repro select-table`` tabulates at a stated backlog;
+``tests/tempi/test_selection.py`` pins that it equals the contention-free
+model at zero backlog and shifts under load.
 
 Run as a script (the CI smoke check) or under pytest:
 

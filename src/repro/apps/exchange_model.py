@@ -1,48 +1,44 @@
-"""Analytic halo-exchange model for paper-scale rank counts (Fig. 12).
+"""Analytic twins: the runtime's schedules at paper scale, on the runtime's objects.
 
-The functional :class:`~repro.apps.stencil.HaloExchange` moves real bytes and
-is limited to tens of ranks of modest grids on one machine.  Fig. 12 runs
-256³ points per rank on up to 512 nodes × 6 GPUs = 3072 ranks; this module
-evaluates the *same per-rank cost expressions* the functional path charges —
-baseline per-block memcpys or TEMPI kernels for pack/unpack, the network
-model for the all-to-all-v — without allocating gigabytes or spawning
-thousands of threads.
+The functional apps (:mod:`repro.apps.stencil`, :mod:`~repro.apps.moe`,
+:mod:`~repro.apps.pipeline`) move real bytes on one thread per rank and stop
+at tens of ranks; Fig. 12 runs 256³ points per rank on 512 nodes × 6 GPUs.
+Each ``model_*`` function here is the **schedule** of one of those workloads
+— who launches, posts and lands what, in which order — written out for rank
+counts no ``World`` can hold, and *nothing else*: every price and every
+serialisation rule under the schedule is the runtime's own object, so a twin
+cannot drift from the simulator (``docs/ARCHITECTURE.md`` § "Scalar message
+path" lists each rule's one home).
 
-Three engines are priced:
+* the host is a :class:`~repro.gpu.clock.VirtualClock` and every per-peer
+  kernel chain a :class:`~repro.gpu.stream.Stream` on it (the stream rule);
+* every wire message is a :meth:`NicTimeline.reserve
+  <repro.machine.nic.NicTimeline.reserve>` and every receive-side commit a
+  :meth:`~repro.machine.nic.NicTimeline.ingest` (port, link, rail, uplink and
+  ingest-mirror rules) — :func:`_book` is the one burst walker;
+* every wire time is :meth:`Topology.message_time
+  <repro.machine.topology.Topology.message_time>` on a placed topology, flat
+  unless the caller brings a hierarchical one (the wire rule);
+* allreduce rounds come from :func:`repro.tempi.plan.allreduce_schedule` over
+  :meth:`Topology.islands <repro.machine.topology.Topology.islands>`, the
+  lists the plan compiler executes.
 
-* :func:`model_halo_exchange` — the paper's pack / exchange / unpack phases
-  (``mode="packed"``), with baseline or TEMPI datatype handling;
-* :func:`model_fused_exchange` — the fused datatype-carrying collective
-  (``mode="neighbor"`` under the serial PR-1 engine): one kernel per
-  destination, but packs, wire and unpacks still add up;
-* :func:`model_overlap_exchange` — the overlapped plan-executor pipeline:
-  per-peer packs run concurrently, each message enters the NIC when its pack
-  completes, and each peer's unpack starts at its arrival, so the exchange
-  costs the slowest chain instead of the sum of phases;
-* :func:`model_contended_exchange` — the same pipeline with ``plans``
-  concurrent exchanges sharing one rank's injection port and links (the
-  :class:`~repro.machine.nic.NicTimeline` rules), with a per-plan ablation;
-  :func:`overlap_efficiency` is the Fig. 15 degradation curve;
-* :func:`model_duplex_exchange` — the receive-side companion: an
-  N-senders→1-receiver **incast**, where every sender's port is idle and the
-  whole burst converges on the hot receiver's ingestion port; the
-  ``nic="inject_only"`` ablation prices the same burst the PR-3/PR-4 way
-  (arrivals land whenever their senders computed) and
-  :func:`incast_efficiency` is the ratio — how much of the advertised
-  arrival schedule survives the receiver bottleneck;
-* :func:`model_fabric_exchange` — the *fabric* companion: a hierarchical
-  cross-leaf burst where every flow owns its injection port, NIC rail and
-  destination, and the only shared resource is the source leaf's
-  oversubscribed uplink bundle (the structural incast no endpoint queue can
-  explain); the ``fabric="independent"`` ablation prices each flow on a
-  private timeline and :func:`uplink_efficiency` is the degradation curve
-  as the oversubscription factor (or flow count) grows.
+The schedules: :func:`model_halo_exchange` (the paper's pack / all-to-all-v
+/ unpack phases, baseline or TEMPI) and :func:`model_fused_exchange` (one
+kernel per section, phases still adding up); :func:`model_contended_exchange`
+(``plans`` overlapped plan-executor pipelines sharing one rank's NIC —
+:func:`model_overlap_exchange` is ``plans=1``, :func:`overlap_efficiency` the
+Fig. 15 curve); :func:`model_duplex_exchange` (an N→1 incast on the hot
+receiver's ingestion port, :func:`incast_efficiency`);
+:func:`model_fabric_exchange` (a cross-leaf burst through one oversubscribed
+uplink bundle, :func:`uplink_efficiency`); :func:`model_allreduce`,
+:func:`model_moe_exchange` and :func:`model_pipeline_chain` (the ML-training
+workloads).  Each validates its arguments first, in declaration order, and
+raises a :class:`ValueError` naming the offender before anything is priced.
 
-Because every rank owns an identical sub-domain and the decomposition is
-periodic, ranks are statistically identical; the model evaluates one
-representative rank per node position and reports the maximum across the
-distinct neighbour placements, which is what the paper's "maximum time across
-all ranks" reduces to.
+Ranks of a periodic decomposition are statistically identical, so the halo
+twins evaluate one representative rank per node position and report the
+maximum — what the paper's "maximum time across all ranks" reduces to.
 """
 
 from __future__ import annotations
@@ -50,11 +46,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.apps.halo import DIRECTIONS, HaloSpec, RankGrid
+from repro.gpu.clock import VirtualClock
+from repro.gpu.stream import Stream
 from repro.machine.network import NetworkModel
 from repro.machine.nic import IngestRecord, NicTimeline
 from repro.machine.spec import SUMMIT, MachineSpec
 from repro.machine.topology import Topology, TopologySpec
-from repro.tempi.config import HANDLER_LOOKUP_S, POINTER_CHECK_S
+from repro.tempi.config import ALLREDUCE_ALGORITHMS, HANDLER_LOOKUP_S, POINTER_CHECK_S
+from repro.tempi.plan import allreduce_schedule
 
 
 @dataclass(frozen=True)
@@ -95,12 +94,7 @@ def _pack_phase_time(
     return total
 
 
-def _comm_phase_time(
-    spec: HaloSpec,
-    grid: RankGrid,
-    topology: Topology,
-    network: NetworkModel,
-) -> float:
+def _comm_phase_time(spec: HaloSpec, grid: RankGrid, topology: Topology) -> float:
     """Time the slowest rank spends in the all-to-all-v.
 
     Every rank exchanges the same 26 sections; what differs is how many of its
@@ -110,9 +104,9 @@ def _comm_phase_time(
     the same node position are identical it only needs to examine one node's
     worth of ranks.
     """
-    representatives = range(min(grid.nranks, topology.ranks_per_node))
+    network = NetworkModel(topology.machine)
     worst = 0.0
-    for rank in representatives:
+    for rank in range(min(grid.nranks, topology.ranks_per_node)):
         per_pair = [0] * grid.nranks
         for direction, peer in grid.neighbors(rank):
             per_pair[peer] += spec.halo_bytes(direction)
@@ -121,6 +115,21 @@ def _comm_phase_time(
             network.alltoallv_time(per_pair, topology, rank, device_buffers=True),
         )
     return worst
+
+
+def _halo_world(
+    nodes: int, ranks_per_node: int, spec: HaloSpec | None, machine: MachineSpec
+) -> tuple[HaloSpec, RankGrid, Topology]:
+    """What every halo twin prices on: the geometry (the paper's by default),
+    the periodic rank grid and the flat block placement of its ranks."""
+    if nodes <= 0 or ranks_per_node <= 0:
+        raise ValueError("nodes and ranks_per_node must be positive")
+    nranks = nodes * ranks_per_node
+    return (
+        spec if spec is not None else HaloSpec.paper(),
+        RankGrid.for_ranks(nranks),
+        Topology(nranks, ranks_per_node=ranks_per_node, machine=machine),
+    )
 
 
 def model_halo_exchange(
@@ -139,24 +148,14 @@ def model_halo_exchange(
     which is why the paper's speedup shrinks as communication grows with the
     rank count.
     """
-    if nodes <= 0 or ranks_per_node <= 0:
-        raise ValueError("nodes and ranks_per_node must be positive")
-    spec = spec if spec is not None else HaloSpec.paper()
-    nranks = nodes * ranks_per_node
-    grid = RankGrid.for_ranks(nranks)
-    topology = Topology(nranks, ranks_per_node=ranks_per_node, machine=machine)
-    network = NetworkModel(machine)
-
-    pack = _pack_phase_time(spec, machine, tempi=tempi, unpack=False)
-    unpack = _pack_phase_time(spec, machine, tempi=tempi, unpack=True)
-    comm = _comm_phase_time(spec, grid, topology, network)
+    spec, grid, topology = _halo_world(nodes, ranks_per_node, spec, machine)
     return ExchangeBreakdown(
         nodes=nodes,
         ranks_per_node=ranks_per_node,
-        nranks=nranks,
-        pack_s=pack,
-        comm_s=comm,
-        unpack_s=unpack,
+        nranks=grid.nranks,
+        pack_s=_pack_phase_time(spec, machine, tempi=tempi, unpack=False),
+        comm_s=_comm_phase_time(spec, grid, topology),
+        unpack_s=_pack_phase_time(spec, machine, tempi=tempi, unpack=True),
     )
 
 
@@ -204,25 +203,15 @@ def model_fused_exchange(
     packs, wire and unpacks still add up, which is exactly what the
     overlapped pipeline removes.
     """
-    if nodes <= 0 or ranks_per_node <= 0:
-        raise ValueError("nodes and ranks_per_node must be positive")
-    spec = spec if spec is not None else HaloSpec.paper()
-    nranks = nodes * ranks_per_node
-    grid = RankGrid.for_ranks(nranks)
-    topology = Topology(nranks, ranks_per_node=ranks_per_node, machine=machine)
-    network = NetworkModel(machine)
-
-    overhead = HANDLER_LOOKUP_S + POINTER_CHECK_S
-    pack = _kernel_sum(spec, machine, DIRECTIONS, unpack=False) + overhead
-    unpack = _kernel_sum(spec, machine, DIRECTIONS, unpack=True)
-    comm = _comm_phase_time(spec, grid, topology, network)
+    spec, grid, topology = _halo_world(nodes, ranks_per_node, spec, machine)
     return ExchangeBreakdown(
         nodes=nodes,
         ranks_per_node=ranks_per_node,
-        nranks=nranks,
-        pack_s=pack,
-        comm_s=comm,
-        unpack_s=unpack,
+        nranks=grid.nranks,
+        pack_s=_kernel_sum(spec, machine, DIRECTIONS, unpack=False)
+        + (HANDLER_LOOKUP_S + POINTER_CHECK_S),
+        comm_s=_comm_phase_time(spec, grid, topology),
+        unpack_s=_kernel_sum(spec, machine, DIRECTIONS, unpack=True),
     )
 
 
@@ -267,14 +256,16 @@ def model_contended_exchange(
 ) -> ExchangeBreakdown:
     """Price ``plans`` concurrent overlapped exchanges sharing one rank's NIC.
 
-    The contention-aware companion of :func:`model_overlap_exchange`: every
-    message of every plan reserves its slot against the *same* injection-port
-    cursor (occupied for ``wire_overlap`` of each message's wire time, the
-    :class:`~repro.machine.nic.NicTimeline` port rule) and against a per-peer
-    link cursor on which repeat messages to one peer serialise fully (the
-    timeline's link rule).  ``shared_nic=False`` gives each plan a private
-    port cursor instead — the PR-2 ``progress="per_plan"`` accounting, which
-    prices concurrent plans as if the NIC were infinitely wide.
+    The executor's schedule at paper scale, walked on the runtime's objects:
+    the host is a :class:`~repro.gpu.clock.VirtualClock`; every peer's pack
+    (and later unpack) kernels are enqueued, one launch each, on a fresh
+    :class:`~repro.gpu.stream.Stream`; every message of every plan is
+    reserved, when its pack stream drains, on **one**
+    :class:`~repro.machine.nic.NicTimeline` — so repeat visits to the
+    injection port and to a peer's link serialise by the timeline's own
+    rules.  ``shared_nic=False`` gives each plan a private timeline instead —
+    the ``progress="per_plan"`` accounting, which prices concurrent plans as
+    if the NIC were infinitely wide.
 
     With ``plans=1`` the schedule reduces to :func:`model_overlap_exchange`'s
     exactly.  As ``plans`` grows the shared port saturates, so the **overlap
@@ -282,36 +273,30 @@ def model_contended_exchange(
     (contended) one — degrades monotonically from 1.0 toward the injection
     bound; ``bench_fig15_contention.py`` measures the same ratio functionally.
 
-    ``nic="duplex"`` (the default, matching the runtime) additionally
-    serialises the mirror arrivals on the rank's ingestion port before the
-    unpacks start.  For this *balanced* exchange the mirror arrivals are, by
-    symmetry, the rank's own outgoing arrivals — already spaced by at least
-    the injection-port occupancy of their predecessors — so the ingestion
-    replay is provably a no-op: a balanced all-to-all has no receive-side
-    skew to price, and duplex accounting leaves Fig. 15 untouched (a
-    property the test suite pins).  The skewed case where the receive side
-    *does* bite is :func:`model_duplex_exchange`.  ``nic="inject_only"``
-    skips the replay outright (the PR-3/PR-4 books).
+    ``nic="duplex"`` (the default, matching the runtime) additionally commits
+    the mirror arrivals to the rank's ingestion port
+    (:meth:`NicTimeline.ingest <repro.machine.nic.NicTimeline.ingest>`)
+    before the unpacks start.  For this *balanced* exchange the mirror
+    arrivals are, by symmetry, the rank's own outgoing arrivals — already
+    spaced by at least the injection-port occupancy of their predecessors —
+    so the commit delays nothing: a balanced all-to-all has no receive-side
+    skew to price, and duplex accounting leaves Fig. 15 untouched (a property
+    the test suite pins through the real ``ingest``).  The skewed case where
+    the receive side *does* bite is :func:`model_duplex_exchange`.
+    ``nic="inject_only"`` skips the commit outright.
 
     The returned breakdown covers the whole ``plans``-wide burst: ``pack_s``
     until the last pack is wire-ready, ``comm_s`` until the last arrival,
     ``unpack_s`` the receive tail.
     """
-    if nodes <= 0 or ranks_per_node <= 0:
-        raise ValueError("nodes and ranks_per_node must be positive")
+    spec, grid, topology = _halo_world(nodes, ranks_per_node, spec, machine)
     if plans <= 0:
         raise ValueError(f"plans must be positive, got {plans}")
     if nic not in ("duplex", "inject_only"):
         raise ValueError(f"nic must be 'duplex' or 'inject_only', got {nic!r}")
-    spec = spec if spec is not None else HaloSpec.paper()
-    nranks = nodes * ranks_per_node
-    grid = RankGrid.for_ranks(nranks)
-    topology = Topology(nranks, ranks_per_node=ranks_per_node, machine=machine)
-    network = NetworkModel(machine)
     gpu = machine.node.gpu
     launch_s = gpu.kernel_launch_s
     sync_s = gpu.kernel_sync_s
-    overhead = HANDLER_LOOKUP_S + POINTER_CHECK_S
 
     def kernel_device_s(direction, *, unpack: bool) -> float:
         return (
@@ -326,71 +311,47 @@ def model_contended_exchange(
         )
 
     worst = (0.0, 0.0, 0.0)
-    representatives = range(min(grid.nranks, topology.ranks_per_node))
-    for rank in representatives:
+    for rank in range(min(grid.nranks, ranks_per_node)):
         groups = _send_groups(grid, rank)
         local_dirs = [d for d, peer in grid.neighbors(rank) if peer == rank]
-        host = 0.0
-        # The analytic walk reserves on a real NicTimeline, so the port and
-        # link rules can never drift from what the simulator charges.
+        host = VirtualClock()
         timeline = NicTimeline(ledger_limit=0)
-        arrivals: list[tuple[list, float, float]] = []
+        posted = []  # (directions, peer, reservation), in post order
         last_pack = 0.0
         for _ in range(plans):
             if not shared_nic:
-                # PR-2 per-plan accounting: a fresh cursor per plan.
                 timeline = NicTimeline(ledger_limit=0)
-            host += overhead  # handler lookup + pointer check, once per plan
+            host.advance(HANDLER_LOOKUP_S + POINTER_CHECK_S)  # once per plan
             for peer, directions in groups.items():
-                ready = host
+                stream = Stream(host)
                 for direction in directions:
-                    host += launch_s
-                    ready = max(ready, host) + kernel_device_s(direction, unpack=False)
+                    stream.enqueue(kernel_device_s(direction, unpack=False), host_overhead=launch_s)
+                ready = stream.ready_time
                 nbytes = sum(spec.halo_bytes(d) for d in directions)
-                wire = network.message_time(
-                    nbytes,
-                    same_node=topology.same_node(rank, peer),
-                    device_buffers=True,
-                )
-                reservation = timeline.reserve(rank, peer, ready, wire, nbytes)
-                arrivals.append((directions, reservation, wire))
+                wire = topology.message_time(rank, peer, nbytes, device_buffers=True)
+                posted.append((directions, peer, timeline.reserve(rank, peer, ready, wire, nbytes)))
                 last_pack = max(last_pack, ready)
             # Each plan's off-wire self-exchange runs synchronously.
-            for direction in local_dirs:
-                host += launch_s + kernel_device_s(direction, unpack=False) + sync_s
-            for direction in local_dirs:
-                host += launch_s + kernel_device_s(direction, unpack=True) + sync_s
-        last_pack = max(last_pack, host)
+            for unpack in (False, True):
+                for direction in local_dirs:
+                    host.advance(launch_s + kernel_device_s(direction, unpack=unpack) + sync_s)
+        last_pack = max(last_pack, host.now)
+        arrivals = [reservation.arrival for _, _, reservation in posted]
         if shared_nic and nic == "duplex":
-            # Serialise the mirror arrivals on the rank's ingestion port (the
-            # NicTimeline mirror rule) in reservation order — the key order of
-            # this single-source walk.  Balanced mirror arrivals are already
-            # spaced by the injection-port rule, so this is an exact no-op
-            # here; it guards the walk against ever drifting from the
-            # simulator's two-sided accounting.
-            ingest_free = 0.0
-            adjusted = []
-            for directions, reservation, wire in arrivals:
-                landing = max(reservation.arrival, ingest_free + wire)
-                ingest_free = max(reservation.start, ingest_free) + timeline.wire_overlap * wire
-                adjusted.append((directions, landing, wire))
-            arrivals = adjusted
-        else:
-            arrivals = [
-                (directions, reservation.arrival, wire)
-                for directions, reservation, wire in arrivals
-            ]
+            arrivals = timeline.ingest(
+                rank,
+                [IngestRecord(r.start, peer, r.seq, r.wire_s, r.arrival) for _, peer, r in posted],
+            )
         finishes = []
-        last_arrival = host
-        for directions, arrival, _ in arrivals:
-            host = max(host, arrival)
+        last_arrival = host.now
+        for (directions, _, _), arrival in zip(posted, arrivals):
+            host.advance_to(arrival)
             last_arrival = max(last_arrival, arrival)
-            ready = host
+            stream = Stream(host)
             for direction in directions:
-                host += launch_s
-                ready = max(ready, host) + kernel_device_s(direction, unpack=True)
-            finishes.append(ready)
-        makespan = max([host] + finishes) + sync_s * len(finishes)
+                stream.enqueue(kernel_device_s(direction, unpack=True), host_overhead=launch_s)
+            finishes.append(stream.ready_time)
+        makespan = max([host.now] + finishes) + sync_s * len(finishes)
         if makespan > sum(worst):
             pack_s = last_pack
             comm_s = max(0.0, last_arrival - last_pack)
@@ -399,11 +360,38 @@ def model_contended_exchange(
     return ExchangeBreakdown(
         nodes=nodes,
         ranks_per_node=ranks_per_node,
-        nranks=nranks,
+        nranks=grid.nranks,
         pack_s=worst[0],
         comm_s=worst[1],
         unpack_s=worst[2],
     )
+
+
+def _book(timeline: NicTimeline, flows, *, nic: str) -> list[tuple[float, float]]:
+    """Book one burst on ``timeline``; ``(arrival, landing)`` per flow, in order.
+
+    Every ``(source, dest, ready, wire_s, nbytes, path)`` flow is reserved in
+    the order given; then, under ``nic="duplex"``, each destination's
+    arrivals are committed with one :meth:`NicTimeline.ingest`, destinations
+    ascending — the order the receiving ranks' programs would commit them.
+    ``nic="inject_only"`` leaves every landing at its sender-computed arrival.
+    """
+    arrivals: list[float] = []
+    inbound: dict[int, list[tuple[int, IngestRecord]]] = {}
+    for index, (source, dest, ready, wire_s, nbytes, path) in enumerate(flows):
+        booked = timeline.reserve(source, dest, ready, wire_s, nbytes, path=path)
+        arrivals.append(booked.arrival)
+        rail = path.ingest_rail if path is not None else None
+        inbound.setdefault(dest, []).append(
+            (index, IngestRecord(booked.start, source, booked.seq, wire_s, booked.arrival, rail))
+        )
+    landings = list(arrivals)
+    if nic == "duplex":
+        for dest in sorted(inbound):
+            indices, records = zip(*inbound[dest])
+            for index, landing in zip(indices, timeline.ingest(dest, records)):
+                landings[index] = landing
+    return list(zip(arrivals, landings))
 
 
 @dataclass(frozen=True)
@@ -433,59 +421,46 @@ def model_duplex_exchange(
 ) -> IncastBreakdown:
     """Price an N-senders→1-receiver incast on the duplex NIC rules.
 
-    The skew the balanced-exchange models cannot exhibit: every sender packs
-    one ``nbytes`` message (device kernels, ``block_length`` runs) and
-    injects it on its **own, idle** port, so all N wire transfers start
-    together and their last bytes would land at the hot receiver at the same
-    instant.  Under ``nic="duplex"`` the landings serialise on the receiver's
-    ingestion port (the :class:`~repro.machine.nic.NicTimeline` mirror rule,
-    evaluated on a real timeline so this walk can never drift from the
-    simulator): completion grows by ``wire_overlap * wire`` per extra sender.
-    Under the ``nic="inject_only"`` ablation every landing stays at its
-    sender-computed arrival and completion is flat in N — the PR-3/PR-4
-    books, which is exactly what ``bench_incast.py`` measures functionally.
+    The skew the balanced-exchange models cannot exhibit: every sender (one
+    per node) packs one ``nbytes`` message (device kernels, ``block_length``
+    runs) and injects it on its **own, idle** port, so all N wire transfers
+    start together and their last bytes would land at the hot receiver at the
+    same instant.  Under ``nic="duplex"`` the landings serialise on the
+    receiver's ingestion port (:func:`_book` commits them through the real
+    :meth:`NicTimeline.ingest <repro.machine.nic.NicTimeline.ingest>`):
+    completion grows by one port occupancy (``wire_overlap`` of a wire) per
+    extra sender.  Under the ``nic="inject_only"`` ablation every landing
+    stays at its sender-computed arrival and completion is flat in N —
+    exactly what ``bench_incast.py`` measures functionally.
     """
     if senders <= 0:
         raise ValueError(f"senders must be positive, got {senders}")
     if nbytes <= 0:
         raise ValueError(f"nbytes must be positive, got {nbytes}")
+    if block_length <= 0:
+        raise ValueError(f"block_length must be positive, got {block_length}")
     if nic not in ("duplex", "inject_only"):
         raise ValueError(f"nic must be 'duplex' or 'inject_only', got {nic!r}")
-    network = NetworkModel(machine)
-    gpu = machine.node.gpu
-    pack = gpu.kernel_time(nbytes, min(block_length, nbytes), target="device", unpack=False)
-    wire = network.message_time(nbytes, same_node=False, device_buffers=True)
-    timeline = NicTimeline(ledger_limit=0)
-    reservations = [
-        timeline.reserve(source, 0, pack, wire, nbytes)
-        for source in range(1, senders + 1)
-    ]
-    arrivals = [r.arrival for r in reservations]
-    if nic == "duplex":
-        landings = timeline.ingest(
-            0,
-            [
-                IngestRecord(
-                    post_time=r.start,
-                    source=source,
-                    seq=r.seq,
-                    wire_s=wire,
-                    arrival=r.arrival,
-                )
-                for source, r in enumerate(reservations, start=1)
-            ],
-        )
-    else:
-        landings = arrivals
+    topology = Topology(senders + 1, machine=machine)  # receiver 0, one rank per node
+    pack = machine.node.gpu.kernel_time(
+        nbytes, min(block_length, nbytes), target="device", unpack=False
+    )
+    booked = _book(
+        NicTimeline(ledger_limit=0),
+        [
+            (source, 0, pack, topology.message_time(source, 0, nbytes, device_buffers=True),
+             nbytes, None)
+            for source in range(1, senders + 1)
+        ],
+        nic=nic,
+    )
     return IncastBreakdown(
         senders=senders,
         nbytes=nbytes,
         pack_s=pack,
-        first_landing_s=min(landings),
-        completion_s=max(landings),
-        ingest_stalled_s=sum(
-            landing - arrival for landing, arrival in zip(landings, arrivals)
-        ),
+        first_landing_s=min(landing for _, landing in booked),
+        completion_s=max(landing for _, landing in booked),
+        ingest_stalled_s=sum(landing - arrival for arrival, landing in booked),
     )
 
 
@@ -549,20 +524,17 @@ def model_fabric_exchange(
     leaf 1, so every flow owns its injection port, its NIC rail and its
     destination — and the only shared resource is the source leaf's uplink
     bundle (and the destination leaf's down bundle), whose bandwidth the
-    spec's ``oversubscription`` divides.  Every reservation goes through a
-    real :class:`~repro.machine.nic.NicTimeline` with the resolved
-    :class:`~repro.machine.topology.PathSpec` bound, so this walk can never
-    drift from what the simulator charges; ``fabric="independent"`` prices
-    each flow on a private timeline instead (the same resolved wire, no
-    shared cursors) — completion flat in ``flows``, the full-bisection
-    fiction.  ``bench_topology.py`` measures the same burst functionally.
+    spec's ``oversubscription`` divides.  :func:`_book` reserves every flow
+    with its resolved :class:`~repro.machine.topology.PathSpec` bound on one
+    timeline; ``fabric="independent"`` books each flow on a private timeline
+    instead (the same resolved wire, no shared cursors) — completion flat in
+    ``flows``, the full-bisection fiction.  ``bench_topology.py`` measures
+    the same burst functionally.
     """
     if flows <= 0:
         raise ValueError(f"flows must be positive, got {flows}")
     if nbytes <= 0:
         raise ValueError(f"nbytes must be positive, got {nbytes}")
-    if fabric not in ("shared", "independent"):
-        raise ValueError(f"fabric must be 'shared' or 'independent', got {fabric!r}")
     if spec.leaf_radix <= 0:
         raise ValueError("spec must define a fat-tree (leaf_radix > 0) to have uplinks")
     if flows > spec.leaf_radix:
@@ -570,29 +542,31 @@ def model_fabric_exchange(
             f"flows={flows} exceeds the {spec.leaf_radix} nodes under one leaf "
             "(one flow per source node keeps ports and rails private)"
         )
-    nranks = 2 * spec.leaf_radix * spec.ranks_per_node
-    topology = Topology(nranks, machine=machine, spec=spec)
-    gpu = machine.node.gpu
-    pack = gpu.kernel_time(nbytes, min(block_length, nbytes), target="device", unpack=False)
-    timeline = NicTimeline(ledger_limit=0)
-    wire = 0.0
-    landings = []
+    if block_length <= 0:
+        raise ValueError(f"block_length must be positive, got {block_length}")
+    if fabric not in ("shared", "independent"):
+        raise ValueError(f"fabric must be 'shared' or 'independent', got {fabric!r}")
+    topology = Topology(2 * spec.leaf_radix * spec.ranks_per_node, machine=machine, spec=spec)
+    pack = machine.node.gpu.kernel_time(
+        nbytes, min(block_length, nbytes), target="device", unpack=False
+    )
+    burst = []
     for flow in range(flows):
         src = flow * spec.ranks_per_node
         dst = (spec.leaf_radix + flow) * spec.ranks_per_node
-        path = topology.resolve(src, dst, device_buffers=True)
         wire = topology.message_time(src, dst, nbytes, device_buffers=True)
-        if fabric == "independent":
-            solo = NicTimeline(ledger_limit=0)
-            landings.append(solo.reserve(src, dst, pack, wire, nbytes, path=path).arrival)
-        else:
-            landings.append(timeline.reserve(src, dst, pack, wire, nbytes, path=path).arrival)
+        burst.append((src, dst, pack, wire, nbytes, topology.resolve(src, dst, device_buffers=True)))
+    timeline = NicTimeline(ledger_limit=0)
+    if fabric == "shared":
+        booked = _book(timeline, burst, nic="duplex")
+    else:
+        booked = [_book(NicTimeline(ledger_limit=0), [flow], nic="duplex")[0] for flow in burst]
     return FabricBreakdown(
         flows=flows,
         nbytes=nbytes,
-        wire_s=wire,
+        wire_s=burst[-1][3],
         pack_s=pack,
-        completion_s=max(landings),
+        completion_s=max(landing for _, landing in booked),
         fabric_stalls=timeline.fabric_stalls,
         fabric_stalled_s=timeline.fabric_stalled_s,
     )
@@ -627,119 +601,6 @@ def uplink_efficiency(
     return independent.completion_s / shared.completion_s
 
 
-def model_selected_exchange(
-    nodes: int,
-    ranks_per_node: int,
-    *,
-    model,
-    plans: int = 1,
-    selection: str = "contended",
-    spec: HaloSpec | None = None,
-    machine: MachineSpec = SUMMIT,
-) -> tuple[ExchangeBreakdown, dict[str, int]]:
-    """Price ``plans`` concurrent exchanges with *selected* per-message methods.
-
-    The selection-aware companion of :func:`model_contended_exchange`: every
-    wire message's packing method is chosen by the **same pricing the runtime
-    selectors use** — :meth:`~repro.tempi.perf_model.PerformanceModel.choose_method`
-    for ``selection="model"``, :func:`repro.tempi.selection.contended_estimate`
-    at the walk's live injection-port backlog for ``selection="contended"`` —
-    so the analytic decision path and the simulated interposer's cannot
-    drift apart.  The message is then priced the way the executor charges
-    it: pack/unpack from the measured tables of the chosen strategy, the
-    wire from the topology-aware network model (same-node peers on the
-    cheap path, one-shot payloads on the host path), each slot reserved on
-    a real :class:`~repro.machine.nic.NicTimeline`.
-
-    Mirroring the runtime exactly, each plan's methods are selected at
-    *compile* time: the backlog is read once per plan, before any of that
-    plan's messages reserve the port — which is why ``plans=1`` contended
-    selection coincides with ``selection="model"`` (zero backlog at compile).
-
-    Returns ``(breakdown, method_counts)``: the burst's phase partition (to
-    last pack ready / to last arrival / the unpack tail) of the worst
-    representative rank, and its wire-message counts per selected method.
-    """
-    from repro.tempi.selection import contended_estimate
-
-    if nodes <= 0 or ranks_per_node <= 0:
-        raise ValueError("nodes and ranks_per_node must be positive")
-    if plans <= 0:
-        raise ValueError(f"plans must be positive, got {plans}")
-    if selection not in ("model", "contended"):
-        raise ValueError(f"selection must be 'model' or 'contended', got {selection!r}")
-    spec = spec if spec is not None else HaloSpec.paper()
-    nranks = nodes * ranks_per_node
-    grid = RankGrid.for_ranks(nranks)
-    topology = Topology(nranks, ranks_per_node=ranks_per_node, machine=machine)
-    network = NetworkModel(machine)
-
-    worst: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    worst_counts: dict[str, int] = {}
-    representatives = range(min(grid.nranks, topology.ranks_per_node))
-    for rank in representatives:
-        groups = _send_groups(grid, rank)
-        nic = NicTimeline(ledger_limit=0)
-        counts: dict[str, int] = {}
-        arrivals: list[tuple[float, float]] = []  # (arrival, unpack tail)
-        last_pack = 0.0
-        for _ in range(plans):
-            # Compile-time selection: one backlog reading for the whole plan.
-            backlog = max(0.0, nic.port_free_at(rank) - 0.0)
-            for peer, directions in groups.items():
-                nbytes = sum(spec.halo_bytes(d) for d in directions)
-                block = spec.halo_block_length(directions[0])
-                if selection == "model":
-                    method = model.choose_method(nbytes, block)
-                else:
-                    method = contended_estimate(model, nbytes, block, backlog).best()
-                counts[method.value] = counts.get(method.value, 0) + 1
-                strategy = "oneshot" if method.value == "oneshot" else "device"
-                ready = model.pack_time(strategy, "pack", nbytes, block)
-                wire = network.message_time(
-                    nbytes,
-                    same_node=topology.same_node(rank, peer),
-                    device_buffers=strategy != "oneshot",
-                )
-                reservation = nic.reserve(rank, peer, ready, wire, nbytes)
-                arrivals.append(
-                    (reservation.arrival, model.pack_time(strategy, "unpack", nbytes, block))
-                )
-                last_pack = max(last_pack, ready)
-        last_arrival = max(arrival for arrival, _ in arrivals)
-        makespan = max(arrival + unpack for arrival, unpack in arrivals)
-        if makespan > sum(worst):
-            worst = (last_pack, last_arrival - last_pack, makespan - last_arrival)
-            worst_counts = counts
-
-    breakdown = ExchangeBreakdown(
-        nodes=nodes,
-        ranks_per_node=ranks_per_node,
-        nranks=nranks,
-        pack_s=worst[0],
-        comm_s=worst[1],
-        unpack_s=worst[2],
-    )
-    return breakdown, worst_counts
-
-
-def contended_overlap_speedup(
-    nodes: int,
-    ranks_per_node: int,
-    *,
-    plans: int = 1,
-    spec: HaloSpec | None = None,
-    machine: MachineSpec = SUMMIT,
-) -> float:
-    """Speedup of ``plans`` concurrent overlapped exchanges over the serial
-    engine running them back-to-back, under honest shared-NIC accounting."""
-    fused = model_fused_exchange(nodes, ranks_per_node, spec=spec, machine=machine)
-    contended = model_contended_exchange(
-        nodes, ranks_per_node, plans=plans, spec=spec, machine=machine
-    )
-    return plans * fused.total_s / contended.total_s
-
-
 def overlap_efficiency(
     nodes: int,
     ranks_per_node: int,
@@ -751,8 +612,8 @@ def overlap_efficiency(
     """How much of the advertised overlap win survives NIC contention.
 
     The ratio of the ``plans``-wide burst's **time to last arrival**
-    (``pack_s + comm_s``) priced per-plan (PR-2 accounting, an infinitely
-    wide NIC) to the same quantity priced on the shared injection port.
+    (``pack_s + comm_s``) priced per-plan (an infinitely wide NIC) to the
+    same quantity priced on the shared injection port.
     Arrival time is the quantity the NIC governs — the receive-side unpack
     tail is identical under both accountings and would wash the contention
     out of the ratio at large ``plans``.  1.0 at ``plans=1`` by
@@ -766,37 +627,6 @@ def overlap_efficiency(
         nodes, ranks_per_node, plans=plans, spec=spec, machine=machine, shared_nic=True
     )
     return (uncontended.pack_s + uncontended.comm_s) / (contended.pack_s + contended.comm_s)
-
-
-def overlap_speedup(
-    nodes: int,
-    ranks_per_node: int,
-    *,
-    spec: HaloSpec | None = None,
-    machine: MachineSpec = SUMMIT,
-) -> float:
-    """Whole-exchange speedup of the overlapped pipeline over the fused serial
-    collective — the quantity ``bench_fig14_overlap.py`` measures functionally."""
-    fused = model_fused_exchange(nodes, ranks_per_node, spec=spec, machine=machine)
-    overlapped = model_overlap_exchange(nodes, ranks_per_node, spec=spec, machine=machine)
-    return fused.total_s / overlapped.total_s
-
-
-def halo_exchange_speedup(
-    nodes: int,
-    ranks_per_node: int,
-    *,
-    spec: HaloSpec | None = None,
-    machine: MachineSpec = SUMMIT,
-) -> float:
-    """Whole-exchange speedup of TEMPI over the baseline (Fig. 12b)."""
-    baseline = model_halo_exchange(
-        nodes, ranks_per_node, spec=spec, machine=machine, tempi=False
-    )
-    accelerated = model_halo_exchange(
-        nodes, ranks_per_node, spec=spec, machine=machine, tempi=True
-    )
-    return baseline.total_s / accelerated.total_s
 
 
 # --------------------------------------------------------------------------- #
@@ -818,13 +648,6 @@ class AllreduceBreakdown:
     completion_s: float
 
 
-def _allreduce_wire(src, dst, nbytes, network, topology, ranks_per_node):
-    if topology is not None and topology.hierarchical:
-        return topology.message_time(src, dst, nbytes, device_buffers=True)
-    same_node = (src // ranks_per_node) == (dst // ranks_per_node)
-    return network.message_time(nbytes, same_node=same_node, device_buffers=True)
-
-
 def model_allreduce(
     nranks: int,
     count: int,
@@ -836,60 +659,42 @@ def model_allreduce(
     ranks_per_node: int = 2,
 ) -> AllreduceBreakdown:
     """Price one allreduce schedule by walking the *same* round lists the
-    plan compiler emits (:mod:`repro.tempi.plan`), so the twin can never
-    disagree with the simulated path about who sends what when.
+    plan compiler executes (:func:`repro.tempi.plan.allreduce_schedule` over
+    :meth:`Topology.islands <repro.machine.topology.Topology.islands>`), so
+    the twin can never disagree with the simulated path about who sends what
+    when.
 
     Every round's posts are priced from the sender's current clock, every
-    receive lands at post + wire (the topology's path-class wire when a
-    hierarchical ``topology`` is given), and every combining receive charges
-    the unpack-priced reduction kernel — the exact charge schedule
-    :meth:`~repro.tempi.executor.PlanExecutor` applies, minus the
-    per-call interposition overheads.  The lockstep round walk makes it
-    analytic: no buffers move, rank counts are free.
+    receive lands at post + wire (:meth:`Topology.message_time
+    <repro.machine.topology.Topology.message_time>` on the caller's
+    ``topology``, or on a flat ``ranks_per_node`` placement when none is
+    given), and every combining receive charges the unpack-priced reduction
+    kernel — the exact charge schedule
+    :meth:`~repro.tempi.executor.PlanExecutor` applies, minus the per-call
+    interposition overheads.  The lockstep round walk makes it analytic: no
+    buffers move, rank counts are free.
     """
-    from repro.tempi.plan import (
-        hierarchical_allreduce_schedule,
-        ring_allreduce_schedule,
-        tree_allreduce_schedule,
-    )
-
     if nranks <= 0:
         raise ValueError(f"nranks must be positive, got {nranks}")
     if count <= 0:
         raise ValueError(f"count must be positive, got {count}")
-    network = NetworkModel(machine)
-    gpu = machine.node.gpu
-    if topology is not None and topology.hierarchical:
-        groups: dict[tuple[int, int], list[int]] = {}
-        for rank in range(nranks):
-            groups.setdefault(topology.island_of(rank), []).append(rank)
-        islands = [groups[key] for key in sorted(groups)]
-    else:
-        islands = [[rank] for rank in range(nranks)]
-    everyone = list(range(nranks))
-    if algorithm == "ring":
-        schedules = {
-            rank: ring_allreduce_schedule(rank, everyone, count, element_size, "sum")
-            for rank in everyone
-        }
-    elif algorithm == "tree":
-        schedules = {
-            rank: tree_allreduce_schedule(rank, nranks, count, element_size, "sum")
-            for rank in everyone
-        }
-    elif algorithm == "hierarchical":
-        schedules = {
-            rank: hierarchical_allreduce_schedule(
-                rank, nranks, count, element_size, "sum", islands
-            )
-            for rank in everyone
-        }
-    else:
+    if element_size <= 0:
+        raise ValueError(f"element_size must be positive, got {element_size}")
+    if algorithm not in ALLREDUCE_ALGORITHMS[1:]:  # "auto" is a policy, not a schedule
         raise ValueError(f"unknown allreduce algorithm {algorithm!r}")
-
+    if topology is not None and topology.nranks != nranks:
+        raise ValueError(f"topology places {topology.nranks} ranks, nranks is {nranks}")
+    if ranks_per_node <= 0:
+        raise ValueError(f"ranks_per_node must be positive, got {ranks_per_node}")
+    if topology is None:
+        topology = Topology(nranks, ranks_per_node, machine)
+    gpu = machine.node.gpu
+    islands = topology.islands()
     by_round: dict[int, list[tuple[int, object]]] = {}
-    for rank, stages in schedules.items():
-        for stage in stages:
+    for rank in range(nranks):
+        for stage in allreduce_schedule(
+            algorithm, rank, nranks, count, element_size, "sum", islands
+        ):
             by_round.setdefault(stage.round, []).append((rank, stage))
     clocks = [0.0] * nranks
     reduce_charged = [0.0] * nranks
@@ -897,10 +702,9 @@ def model_allreduce(
         arrivals: dict[tuple[int, int], float] = {}
         for rank, stage in by_round[round_index]:
             if stage.dest >= 0:
-                wire = _allreduce_wire(
-                    rank, stage.dest, stage.send_nbytes, network, topology, ranks_per_node
+                arrivals[(rank, stage.dest)] = clocks[rank] + topology.message_time(
+                    rank, stage.dest, stage.send_nbytes, device_buffers=True
                 )
-                arrivals[(rank, stage.dest)] = clocks[rank] + wire
         for rank, stage in by_round[round_index]:
             if stage.source < 0:
                 continue
@@ -977,76 +781,57 @@ def model_moe_exchange(
     ``counts`` is the :func:`repro.apps.moe.moe_counts` routing matrix; each
     off-diagonal ``(sender, expert)`` cell with tokens becomes one packed
     message (one pack kernel, ``token_bytes/2`` runs — the pitched-row
-    datatype's block) reserved on the sender's injection port and ingested
-    at the expert, all on one real :class:`~repro.machine.nic.NicTimeline`
-    so the walk can never drift from the simulator's contention rules.  The
-    skew signature is ``hot_ingest_stalled_s`` pulling away from the worst
-    cold expert's as the hot expert's share grows — the analytic companion
-    of ``bench_moe.py``'s functional ``hot_excess_stalls``.
+    datatype's block) between two of ``nranks`` one-rank nodes, reserved on
+    the sender's injection port and ingested at the expert — one
+    :func:`_book` burst on one real :class:`~repro.machine.nic.NicTimeline`.
+    The skew signature is ``hot_ingest_stalled_s`` pulling away from the
+    worst cold expert's as the hot expert's share grows — the analytic
+    companion of ``bench_moe.py``'s functional ``hot_excess_stalls``.
     """
-    if nic not in ("duplex", "inject_only"):
-        raise ValueError(f"nic must be 'duplex' or 'inject_only', got {nic!r}")
-    matrix = [list(map(int, row)) for row in counts]
+    matrix = [list(row) for row in counts]
     nranks = len(matrix)
     if nranks == 0 or any(len(row) != nranks for row in matrix):
         raise ValueError("counts must be a non-empty square matrix")
+    for i, row in enumerate(matrix):
+        for j, tokens in enumerate(row):
+            if not tokens >= 0 or tokens % 1:  # NaN fails the first, inf the second
+                raise ValueError(
+                    f"counts[{i}][{j}] must be a non-negative whole number, got {tokens!r}"
+                )
+            row[j] = int(tokens)
     if token_bytes <= 0 or token_bytes % 2:
         raise ValueError(f"token_bytes must be positive and even, got {token_bytes}")
-    hot = hot_expert % nranks
-    network = NetworkModel(machine)
+    if not 0 <= hot_expert < nranks:
+        raise ValueError(f"hot_expert must be in [0, {nranks}), got {hot_expert}")
+    if nic not in ("duplex", "inject_only"):
+        raise ValueError(f"nic must be 'duplex' or 'inject_only', got {nic!r}")
+    topology = Topology(nranks, machine=machine)  # one expert per node
     gpu = machine.node.gpu
-    timeline = NicTimeline(ledger_limit=0)
-    flows: dict[int, list[tuple[int, object, float]]] = {dst: [] for dst in range(nranks)}
+    burst = []
     for sender in range(nranks):
         for expert in range(nranks):
-            tokens = matrix[sender][expert]
-            if sender == expert or tokens == 0:
+            nbytes = matrix[sender][expert] * token_bytes
+            if sender == expert or nbytes == 0:
                 continue
-            nbytes = tokens * token_bytes
-            pack = gpu.kernel_time(
-                nbytes, token_bytes // 2, target="device", unpack=False
-            )
-            wire = network.message_time(nbytes, same_node=False, device_buffers=True)
-            reservation = timeline.reserve(sender, expert, pack, wire, nbytes)
-            flows[expert].append((sender, reservation, wire))
-    completion = 0.0
+            pack = gpu.kernel_time(nbytes, token_bytes // 2, target="device", unpack=False)
+            wire = topology.message_time(sender, expert, nbytes, device_buffers=True)
+            burst.append((sender, expert, pack, wire, nbytes, None))
+    booked = _book(NicTimeline(ledger_limit=0), burst, nic=nic)
     stalled = [0.0] * nranks
-    for expert in range(nranks):
-        if not flows[expert]:
-            continue
-        arrivals = [reservation.arrival for _, reservation, _ in flows[expert]]
-        if nic == "duplex":
-            landings = timeline.ingest(
-                expert,
-                [
-                    IngestRecord(
-                        post_time=reservation.start,
-                        source=sender,
-                        seq=reservation.seq,
-                        wire_s=wire,
-                        arrival=reservation.arrival,
-                    )
-                    for sender, reservation, wire in flows[expert]
-                ],
-            )
-        else:
-            landings = arrivals
-        completion = max(completion, max(landings))
-        stalled[expert] = sum(
-            landing - arrival for landing, arrival in zip(landings, arrivals)
-        )
+    for (_, expert, *_), (arrival, landing) in zip(burst, booked):
+        stalled[expert] += landing - arrival
     received = [
         sum(matrix[sender][expert] for sender in range(nranks) if sender != expert)
         for expert in range(nranks)
     ]
-    cold = [index for index in range(nranks) if index != hot]
+    cold = [index for index in range(nranks) if index != hot_expert]
     return MoEBreakdown(
         nranks=nranks,
-        hot_expert=hot,
-        hot_tokens=received[hot],
+        hot_expert=hot_expert,
+        hot_tokens=received[hot_expert],
         cold_tokens=max((received[index] for index in cold), default=0),
-        completion_s=completion,
-        hot_ingest_stalled_s=stalled[hot],
+        completion_s=max((landing for _, landing in booked), default=0.0),
+        hot_ingest_stalled_s=stalled[hot_expert],
         cold_ingest_stalled_s=max((stalled[index] for index in cold), default=0.0),
     )
 
@@ -1078,13 +863,21 @@ def model_pipeline_chain(
 ) -> PipelineBreakdown:
     """Price a forward activation relay through an ``nranks`` chain.
 
-    The recurrence mirrors :func:`repro.apps.pipeline.run_pipeline` exactly:
-    stage ``r`` hands microbatch ``m`` to the wire once it holds the payload
-    *and* has finished handing off microbatch ``m-1`` (its port serialises),
-    each hop pays one pack kernel plus the wire, and each delivery pays the
+    The reference ``tests/apps/test_workloads.py`` orders
+    :func:`repro.apps.pipeline.run_pipeline` against.  Stage ``r`` hands
+    microbatch ``m`` to the wire once it holds the payload *and* has finished
+    packing microbatch ``m-1``, each hop pays one pack kernel plus the wire
+    (:meth:`Topology.message_time
+    <repro.machine.topology.Topology.message_time>`, flat ``ranks_per_node``
+    placement unless a ``topology`` is given), and each delivery pays the
     scatter-side unpack.  Completion is the last stage's receipt of the last
-    microbatch: the classic ``fill + (M-1) * interval`` pipeline law, with
-    the interval set by the slowest of pack and wire.
+    microbatch: the classic ``fill + (M-1) * interval`` pipeline law.
+
+    **Deliberately omitted** — this is a chain law, not a NIC walk: no
+    injection-port, link or ingestion cursor (a stage's hand-offs serialise
+    on its *pack*, never on wire occupancy, so a wire slower than the pack
+    does not throttle the interval here as it does in the simulator), one
+    hop in flight per stage, and no per-call interposition overhead.
     """
     if nranks <= 0:
         raise ValueError(f"nranks must be positive, got {nranks}")
@@ -1094,7 +887,12 @@ def model_pipeline_chain(
         raise ValueError(
             f"activation_bytes must be positive and even, got {activation_bytes}"
         )
-    network = NetworkModel(machine)
+    if ranks_per_node <= 0:
+        raise ValueError(f"ranks_per_node must be positive, got {ranks_per_node}")
+    if topology is not None and topology.nranks < nranks:
+        raise ValueError(f"topology places {topology.nranks} ranks, nranks is {nranks}")
+    if topology is None:
+        topology = Topology(nranks, ranks_per_node, machine)
     gpu = machine.node.gpu
     half = activation_bytes // 2
     pack = gpu.kernel_time(activation_bytes, half, target="device", unpack=False)
@@ -1103,9 +901,7 @@ def model_pipeline_chain(
     sent = [[0.0] * microbatches for _ in range(nranks)]
     first_hop_wire = 0.0
     for rank in range(nranks - 1):
-        wire = _allreduce_wire(
-            rank, rank + 1, activation_bytes, network, topology, ranks_per_node
-        )
+        wire = topology.message_time(rank, rank + 1, activation_bytes, device_buffers=True)
         if rank == 0:
             first_hop_wire = wire
         for microbatch in range(microbatches):

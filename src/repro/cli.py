@@ -227,12 +227,13 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_halo(args: argparse.Namespace) -> int:
-    if args.nodes <= 0 or args.ranks_per_node <= 0:
-        print("error: --nodes and --ranks-per-node must be positive", file=sys.stderr)
+    try:
+        spec = HaloSpec(nx=args.points, ny=args.points, nz=args.points, radius=args.radius)
+        baseline = model_halo_exchange(args.nodes, args.ranks_per_node, spec=spec, tempi=False)
+        accelerated = model_halo_exchange(args.nodes, args.ranks_per_node, spec=spec, tempi=True)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    spec = HaloSpec(nx=args.points, ny=args.points, nz=args.points, radius=args.radius)
-    baseline = model_halo_exchange(args.nodes, args.ranks_per_node, spec=spec, tempi=False)
-    accelerated = model_halo_exchange(args.nodes, args.ranks_per_node, spec=spec, tempi=True)
     print(f"scale             : {args.nodes} nodes x {args.ranks_per_node} ranks/node "
           f"= {baseline.nranks} ranks")
     print(f"domain            : {args.points}^3 points/rank, radius {args.radius}, "

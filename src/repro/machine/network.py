@@ -111,19 +111,6 @@ class NetworkModel:
             nbytes, same_node=same_node, device_buffers=device_buffers
         ).total_s
 
-    def message_time_between(
-        self,
-        src_rank: int,
-        dst_rank: int,
-        nbytes: int,
-        topology: Topology,
-        *,
-        device_buffers: bool = False,
-    ) -> float:
-        """Message time between two placed ranks."""
-        same = topology.same_node(src_rank, dst_rank)
-        return self.message_time(nbytes, same_node=same, device_buffers=device_buffers)
-
     # ------------------------------------------------------------ collectives
     def alltoallv_time(
         self,

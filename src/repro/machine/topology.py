@@ -352,6 +352,21 @@ class Topology:
         """True when two ranks share an NVLink island."""
         return self.island_of(a) == self.island_of(b)
 
+    def islands(self) -> list[list[int]]:
+        """The placed ranks grouped by NVLink island, groups and members ascending.
+
+        The partition the hierarchical allreduce folds over, for the runtime
+        and its analytic twin alike.  A flat shape has no island structure to
+        exploit, so every rank is its own group (that schedule then degrades
+        to a pure leader ring).
+        """
+        if not self.hierarchical:
+            return [[rank] for rank in range(self.nranks)]
+        groups: dict[tuple[int, int], list[int]] = {}
+        for rank in range(self.nranks):
+            groups.setdefault(self.island_of(rank), []).append(rank)
+        return [groups[key] for key in sorted(groups)]
+
     def rail_of(self, rank: int) -> Optional[int]:
         """Rail index a rank injects on (``None`` for a dedicated NIC).
 

@@ -1235,21 +1235,6 @@ class TempiCommunicator:
         )
 
     # --------------------------------------------------------------- allreduce
-    def _allreduce_islands(self) -> Optional[list[list[int]]]:
-        """Rank groups sharing an NVLink island, for the hierarchical schedule.
-
-        ``None`` under a flat (or absent) topology — the singleton-island
-        default of :func:`repro.tempi.plan.compile_allreduce` then degrades
-        the hierarchical schedule to a pure leader ring.
-        """
-        topology = self._topology
-        if topology is None or not topology.hierarchical:
-            return None
-        groups: dict[tuple[int, int], list[int]] = {}
-        for rank in range(self._comm.size):
-            groups.setdefault(topology.island_of(rank), []).append(rank)
-        return [groups[key] for key in sorted(groups)]
-
     def _compile_allreduce(
         self, sendbuf, recvbuf, op: str, *, nonblocking: bool
     ) -> Optional[MessagePlan]:
@@ -1288,7 +1273,10 @@ class TempiCommunicator:
             topology=self._topology,
             algorithm=cfg.allreduce_algorithm,
         )
-        islands = self._allreduce_islands() if algorithm == "hierarchical" else None
+        topology = self._topology
+        islands = (
+            topology.islands() if algorithm == "hierarchical" and topology is not None else None
+        )
         self._charge_interposition_overhead()
         self.tempi.stats.collective_hits += 1
         return _plan.compile_allreduce(

@@ -24,7 +24,6 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.machine.network import DEFAULT_WIRE_OVERLAP
 from repro.tempi.config import PackMethod
 from repro.tempi.measurement import SystemMeasurement
 
@@ -162,88 +161,6 @@ class PerformanceModel:
     def choose_method(self, nbytes: int, block_length: int) -> PackMethod:
         """The faster of one-shot and device for this object (Sec. 6.3)."""
         return self.estimate(nbytes, block_length).best()
-
-    # ---------------------------------------------------- multi-peer pipelines
-    def _message_parts(self, nbytes: int, block_length: int) -> Tuple[float, float, float]:
-        """(pack, wire, unpack) seconds of one message under its best method."""
-        estimate = self.estimate(nbytes, block_length)
-        if estimate.best() is PackMethod.ONESHOT:
-            strategy, wire = "oneshot", self.transfer_time("cpu_cpu", nbytes)
-        else:
-            strategy, wire = "device", self.transfer_time("gpu_gpu", nbytes)
-        pack = self.pack_time(strategy, "pack", nbytes, block_length)
-        unpack = self.pack_time(strategy, "unpack", nbytes, block_length)
-        return pack, wire, unpack
-
-    def exchange_estimate(
-        self,
-        messages,
-        *,
-        wire_overlap: float = DEFAULT_WIRE_OVERLAP,
-        nic: str = "duplex",
-    ) -> Tuple[float, float]:
-        """Price a multi-peer exchange serially and as an overlapped pipeline.
-
-        ``messages`` is a sequence of ``(nbytes, block_length)`` pairs, one
-        per wire peer; each is priced under its model-chosen method, and
-        zero-byte entries contribute nothing (an empty section never touches
-        a kernel or the wire).  The default occupancy factor is the one
-        canonical :data:`~repro.machine.network.DEFAULT_WIRE_OVERLAP` the NIC
-        timeline and the analytic all-to-all-v share.  Returns
-        ``(serial_s, overlapped_s)``:
-
-        * **serial** — the PR-1 engine: packs back-to-back on the host, the
-          wire as an overlap-discounted serial sum, unpacks back-to-back;
-        * **overlapped** — the plan executor's schedule: packs run
-          concurrently on per-peer streams, each message enters the NIC when
-          its pack completes (serialising at ``wire_overlap`` occupancy), and
-          each peer's unpack starts at its arrival — the makespan of the
-          pipeline's slowest chain.
-
-        ``nic`` selects the receive-side mirror the overlapped makespan
-        prices.  ``"duplex"`` (the default, matching the runtime) treats each
-        incoming message as sent by an *independent* peer — arriving at its
-        own ``pack + wire`` with no shared injection port behind it — and
-        serialises the landings on this rank's ingestion port at
-        ``wire_overlap`` occupancy (the :class:`~repro.machine.nic.NicTimeline`
-        mirror rule), so heterogeneous arrivals that cluster get queued.
-        ``"inject_only"`` keeps the PR-4 symmetric mirror (each incoming
-        unpack starts at the matching *outgoing* arrival).  For a uniform
-        message list the two coincide exactly — a balanced exchange has no
-        receive-side skew to price.
-        """
-        if not 0 < wire_overlap <= 1:
-            raise ValueError("wire_overlap must be in (0, 1]")
-        if nic not in ("duplex", "inject_only"):
-            raise ValueError(f"nic must be 'duplex' or 'inject_only', got {nic!r}")
-        parts = [self._message_parts(int(n), int(b)) for n, b in messages if int(n) > 0]
-        if not parts:
-            return 0.0, 0.0
-        serial = (
-            sum(p for p, _, _ in parts)
-            + wire_overlap * sum(w for _, w, _ in parts)
-            + sum(u for _, _, u in parts)
-        )
-        nic_free = 0.0
-        makespan = 0.0
-        for pack, wire, unpack in sorted(parts, key=lambda p: p[0]):
-            start = max(pack, nic_free)
-            nic_free = start + wire_overlap * wire
-            makespan = max(makespan, start + wire + unpack)
-        if nic == "duplex":
-            # Independent-sender arrivals, serialised on this rank's
-            # ingestion port in arrival order (the deterministic key order of
-            # a one-message-per-source batch).  The result is combined with
-            # the send-side (outgoing-mirror) bound above by max: pricing the
-            # second end of the wire can only ever add, never undercut the
-            # inject-only books.
-            ingest_free = 0.0
-            for pack, wire, unpack in sorted(parts, key=lambda p: (p[0] + p[1], p[1])):
-                arrival = pack + wire
-                landing = max(arrival, ingest_free + wire)
-                ingest_free = max(pack, ingest_free) + wire_overlap * wire
-                makespan = max(makespan, landing + unpack)
-        return serial, makespan
 
     # ------------------------------------------------------------- inspection
     @property

@@ -62,6 +62,7 @@ __all__ = [
     "RecordingSelector",
     "ReduceStage",
     "UnpackStage",
+    "allreduce_schedule",
     "compile_allgather",
     "compile_allreduce",
     "compile_bcast",
@@ -1058,6 +1059,33 @@ def hierarchical_allreduce_schedule(
     return stages
 
 
+def allreduce_schedule(
+    algorithm: str,
+    rank: int,
+    size: int,
+    count: int,
+    element_size: int,
+    op: str,
+    islands: Optional[Sequence[Sequence[int]]] = None,
+) -> list[ReduceStage]:
+    """One rank's rounds under ``algorithm`` — the one algorithm → schedule map.
+
+    Read by :func:`compile_allreduce` (the runtime) and by the analytic twin
+    ``repro.apps.exchange_model.model_allreduce``, so the two cannot disagree
+    about who sends what when.  ``islands`` (hierarchical only) defaults to
+    singletons, which degrades that schedule to a pure leader ring.
+    """
+    if algorithm == "ring":
+        return ring_allreduce_schedule(rank, list(range(size)), count, element_size, op)
+    if algorithm == "tree":
+        return tree_allreduce_schedule(rank, size, count, element_size, op)
+    if algorithm == "hierarchical":
+        if islands is None:
+            islands = [[r] for r in range(size)]
+        return hierarchical_allreduce_schedule(rank, size, count, element_size, op, islands)
+    raise PlanError(f"unknown allreduce algorithm {algorithm!r}")
+
+
 def compile_allreduce(
     rank: int,
     size: int,
@@ -1090,24 +1118,14 @@ def compile_allreduce(
             f"allreduce of {nbytes} bytes does not fit its buffers "
             f"(send {send_buffer.nbytes}, recv {recv_buffer.nbytes})"
         )
-    if algorithm == "ring":
-        stages = ring_allreduce_schedule(rank, list(range(size)), count, element_size, op)
-    elif algorithm == "tree":
-        stages = tree_allreduce_schedule(rank, size, count, element_size, op)
-    elif algorithm == "hierarchical":
-        if islands is None:
-            islands = [[r] for r in range(size)]
-        stages = hierarchical_allreduce_schedule(
-            rank, size, count, element_size, op, islands
-        )
-    else:
-        raise PlanError(f"unknown allreduce algorithm {algorithm!r}")
     return MessagePlan(
         op="allreduce",
         send_buffer=send_buffer,
         recv_buffer=recv_buffer,
         nonblocking=nonblocking,
-        reduce_stages=stages,
+        reduce_stages=allreduce_schedule(
+            algorithm, rank, size, count, element_size, op, islands
+        ),
         reduce_dtype=dtype,
         reduce_nbytes=nbytes,
     )

@@ -33,9 +33,9 @@ knows the rank's live injection-port occupancy.  This module owns all of it:
   method with the cheaper wire-plus-unpack tail and the one-shot/device
   crossover of Fig. 9 shifts; a single hot *receiver* does the same to
   every sender targeting it (``bench_incast.py``).
-  ``bench_fig9_selection.py`` measures the injection-side shift,
-  :func:`repro.apps.exchange_model.model_selected_exchange` prices it
-  analytically through the *same* :func:`contended_estimate`;
+  ``bench_fig9_selection.py`` measures the injection-side shift and
+  ``repro select-table`` tabulates it analytically through the *same*
+  :func:`contended_estimate`;
 * :class:`CalibrationRegistry` — measurement files keyed per
   :class:`~repro.machine.spec.MachineSpec`, so several machines' models
   coexist in one process (machine sweeps measure each system once, in the

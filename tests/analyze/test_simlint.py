@@ -485,6 +485,73 @@ class TestSim006PrivateBlocking:
         assert findings == []
 
 
+class TestSim007RestatedPricingRule:
+    def test_hand_copied_rules_fire(self, tmp_path):
+        findings = lint_tree(tmp_path, {
+            "src/repro/apps/twin.py": """\
+                def walk(timeline, messages, launch):
+                    host = ready = ingest_free = 0.0
+                    for post, wire, kernel in messages:
+                        held = timeline.wire_overlap * wire
+                        ingest_free = max(post, ingest_free) + held
+                        host += launch
+                        ready = max(ready, host) + kernel
+                    ports = {}
+                    ports["port_free"] = 0.0
+                    return ingest_free, ready
+
+                class Window:
+                    def book(self, start, wire):
+                        self._nic_free = max(start, self._nic_free) + self._wire_overlap * wire
+            """,
+        })
+        assert codes(findings) == ["SIM007"] * 5
+        assert [finding.line for finding in findings] == [4, 5, 7, 14, 14]
+        assert "wire_overlap" in findings[0].message
+
+    def test_driving_the_real_objects_is_clean(self, tmp_path):
+        findings = lint_tree(tmp_path, {
+            "src/repro/apps/twin.py": """\
+                def walk(timeline, stream, host, messages, launch):
+                    for source, ready, wire, kernel in messages:
+                        stream.enqueue(kernel, host_overhead=launch)
+                        booked = timeline.reserve(source, 0, stream.ready_time, wire)
+                        host.advance_to(booked.arrival)
+                    # Sums, maxima and cursors read back are not recurrences.
+                    last_ready = max(ready for _, ready, _, _ in messages)
+                    port_free = timeline.port_free_at(0)
+                    backlog = max(0.0, port_free - host.now) + launch
+                    return last_ready, backlog, timeline.wire_overlap
+            """,
+        })
+        assert findings == []
+
+    def test_only_the_rules_homes_may_state_them(self, tmp_path):
+        body = """\
+            def occupy(self, start, wire):
+                self.port_free = max(start, self.port_free) + self.wire_overlap * wire
+        """
+        homes = (
+            "src/repro/machine/nic.py", "src/repro/gpu/stream.py",
+            "src/repro/machine/network.py", "src/repro/tempi/progress.py",
+            "src/repro/tempi/sanitizer.py",
+        )
+        findings = lint_tree(
+            tmp_path,
+            {path: body for path in homes + ("src/repro/tempi/perf_model.py", "tools/walk.py")},
+        )
+        assert {(f.path, f.code) for f in findings} == {("src/repro/tempi/perf_model.py", "SIM007")}
+
+    def test_justified_disable_suppresses(self, tmp_path):
+        findings = lint_tree(tmp_path, {
+            "src/repro/apps/twin.py": """\
+                def held(timeline, wire):
+                    return timeline.wire_overlap * wire  # simlint: disable=SIM007 -- reporting only
+            """,
+        })
+        assert findings == []
+
+
 class TestDriverAndCli:
     def test_findings_sort_stably(self, tmp_path):
         findings = lint_tree(tmp_path, {

@@ -1,19 +1,24 @@
 """Tests for the analytic halo-exchange model (Fig. 12)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps.exchange_model import (
     ExchangeBreakdown,
-    contended_overlap_speedup,
-    halo_exchange_speedup,
     model_contended_exchange,
     model_fused_exchange,
     model_halo_exchange,
     model_overlap_exchange,
     overlap_efficiency,
-    overlap_speedup,
 )
 from repro.apps.halo import HaloSpec
+from repro.machine.topology import Topology, TopologySpec
+
+
+def _tempi_speedup(nodes: int, ranks_per_node: int) -> float:
+    """Whole-exchange speedup of TEMPI over the baseline (Fig. 12b)."""
+    baseline = model_halo_exchange(nodes, ranks_per_node, tempi=False)
+    return baseline.total_s / model_halo_exchange(nodes, ranks_per_node, tempi=True).total_s
 
 
 class TestBreakdownBasics:
@@ -66,16 +71,14 @@ class TestShapes:
 
     def test_speedup_decreases_with_scale(self):
         """Fig. 12b: communication dilutes the datatype-handling win."""
-        small = halo_exchange_speedup(1, 1)
-        mid = halo_exchange_speedup(8, 6)
-        large = halo_exchange_speedup(512, 6)
+        small, mid, large = (_tempi_speedup(*shape) for shape in ((1, 1), (8, 6), (512, 6)))
         assert small > mid >= large
 
     def test_speedup_order_of_magnitude_matches_paper(self):
         """Paper: ~917x at 3072 ranks, thousands at small scale."""
-        large = halo_exchange_speedup(512, 6)
+        large = _tempi_speedup(512, 6)
         assert 50 < large < 20000
-        small = halo_exchange_speedup(1, 1)
+        small = _tempi_speedup(1, 1)
         assert small > large
 
     def test_smaller_domains_have_smaller_absolute_times(self):
@@ -123,12 +126,13 @@ class TestOverlapPipelineModel:
         """With sizeable packs per peer the pipeline hides them behind the
         wire; the fused serial engine pays them up front."""
         spec = HaloSpec(nx=16, ny=16, nz=16, radius=2, fields=4, bytes_per_field=8)
-        assert overlap_speedup(2, 4, spec=spec) > 1.2
+        fused = model_fused_exchange(2, 4, spec=spec)
+        assert fused.total_s / model_overlap_exchange(2, 4, spec=spec).total_s > 1.2
 
     def test_overlap_comm_dominated_at_paper_scale(self):
         """At 512x6 the wire dominates either engine; overlap neither helps
         much nor hurts (the pipeline's last message is undiscounted)."""
-        ratio = overlap_speedup(512, 6)
+        ratio = model_fused_exchange(512, 6).total_s / model_overlap_exchange(512, 6).total_s
         assert 0.8 < ratio < 1.5
 
     def test_single_rank_is_all_local(self):
@@ -180,8 +184,10 @@ class TestContendedModel:
 
     def test_contended_speedup_stays_above_one(self):
         # Even saturated, overlapping still beats the serial engine run k times.
+        fused = model_fused_exchange(8, 1, spec=self.SPEC)
         for k in (1, 2, 4):
-            assert contended_overlap_speedup(8, 1, plans=k, spec=self.SPEC) > 1.0
+            contended = model_contended_exchange(8, 1, plans=k, spec=self.SPEC)
+            assert k * fused.total_s / contended.total_s > 1.0
 
 
 class TestAnalyticMatchesSimulation:
@@ -297,70 +303,85 @@ class TestDuplexExchangeModel:
             inject = model_contended_exchange(8, 1, plans=plans, nic="inject_only")
             assert duplex == inject
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        nodes=st.integers(1, 12),
+        ranks_per_node=st.integers(1, 6),
+        plans=st.integers(1, 5),
+        dims=st.tuples(st.integers(3, 24), st.integers(3, 24), st.integers(3, 24)),
+        radius=st.integers(1, 3),
+        fields=st.integers(1, 8),
+    )
+    def test_any_balanced_walk_is_duplex_invariant(
+        self, nodes, ranks_per_node, plans, dims, radius, fields
+    ):
+        """The same claim for drawn shapes, through the real
+        ``NicTimeline.ingest``: committing a balanced exchange's mirror
+        arrivals delays none of them, field for field."""
+        spec = HaloSpec(*dims, radius=radius, fields=fields)
+        duplex, inject = (
+            model_contended_exchange(nodes, ranks_per_node, plans=plans, spec=spec, nic=nic)
+            for nic in ("duplex", "inject_only")
+        )
+        assert duplex == inject
+
     def test_contended_walk_validates_nic(self):
         with pytest.raises(ValueError):
             model_contended_exchange(2, 1, nic="psychic")
 
 
-class TestSelectedExchangeModel:
-    """model_selected_exchange: analytic selection shares the runtime's code."""
 
-    def test_single_plan_contended_equals_model(self, summit_model):
-        from repro.apps.exchange_model import model_selected_exchange
 
-        modelled, model_counts = model_selected_exchange(
-            2, 6, model=summit_model, plans=1, selection="model"
-        )
-        contended, contended_counts = model_selected_exchange(
-            2, 6, model=summit_model, plans=1, selection="contended"
-        )
-        assert contended_counts == model_counts
-        assert contended.total_s == pytest.approx(modelled.total_s)
+class TestBadTwinInputs:
+    """Every twin rejects a bad argument by name, before pricing anything."""
 
-    def test_selection_shifts_under_load(self, summit_model):
-        from repro.apps.exchange_model import model_selected_exchange
+    FATTREE = dict(ranks_per_node=2, rails_per_node=1, leaf_radix=4, oversubscription=2.0)
 
-        _, model_counts = model_selected_exchange(
-            4, 6, model=summit_model, plans=8, selection="model"
-        )
-        _, contended_counts = model_selected_exchange(
-            4, 6, model=summit_model, plans=8, selection="contended"
-        )
-        assert contended_counts != model_counts
-        # The shift trades device messages for one-shot ones, never new kinds.
-        assert set(contended_counts) <= {"device", "oneshot"}
+    @pytest.mark.parametrize(
+        "call, named",
+        [
+            pytest.param(lambda m: m.model_duplex_exchange(2, 4096, block_length=0),
+                         "block_length", id="incast-block_length-0"),
+            pytest.param(lambda m: m.model_duplex_exchange(2, 4096, block_length=-1),
+                         "block_length", id="incast-block_length-negative"),
+            pytest.param(lambda m: m.model_fabric_exchange(
+                             2, 4096, spec=TopologySpec(**TestBadTwinInputs.FATTREE), block_length=0),
+                         "block_length", id="fabric-block_length-0"),
+            pytest.param(lambda m: m.model_allreduce(4, 16, 4, ranks_per_node=0),
+                         "ranks_per_node", id="allreduce-ranks_per_node-0"),
+            pytest.param(lambda m: m.model_pipeline_chain(4, 2, 1024, ranks_per_node=0),
+                         "ranks_per_node", id="pipeline-ranks_per_node-0"),
+            pytest.param(lambda m: m.model_allreduce(4, 16, element_size=0),
+                         "element_size", id="allreduce-element_size-0"),
+            pytest.param(lambda m: m.model_allreduce(4, 16, algorithm="auto"),
+                         "algorithm", id="allreduce-algorithm-auto"),
+            pytest.param(lambda m: m.model_moe_exchange([[0, 2.7], [2, 0]], 64),
+                         r"counts\[0\]\[1\]", id="moe-counts-fractional"),
+            pytest.param(lambda m: m.model_moe_exchange([[0, -3], [2, 0]], 64),
+                         r"counts\[0\]\[1\]", id="moe-counts-negative"),
+            pytest.param(lambda m: m.model_moe_exchange([[0, float("nan")], [2, 0]], 64),
+                         r"counts\[0\]\[1\]", id="moe-counts-nan"),
+            pytest.param(lambda m: m.model_moe_exchange([[0, 1], [2, 0]], 64, hot_expert=7),
+                         "hot_expert", id="moe-hot_expert-past-end"),
+            pytest.param(lambda m: m.model_moe_exchange([[0, 1], [2, 0]], 64, hot_expert=-1),
+                         "hot_expert", id="moe-hot_expert-negative"),
+            pytest.param(lambda m: m.model_allreduce(8, 16, topology=Topology(4, 2)),
+                         "topology", id="allreduce-topology-too-small"),
+            pytest.param(lambda m: m.model_pipeline_chain(8, 2, 1024, topology=Topology(4, 2)),
+                         "topology", id="pipeline-topology-too-small"),
+        ],
+    )
+    def test_value_error_names_the_argument(self, call, named):
+        from repro.apps import exchange_model
 
-    def test_model_selection_matches_choose_method(self, summit_model):
-        """Analytic decisions are literally PerformanceModel.choose_method."""
-        from repro.apps.exchange_model import _send_groups, model_selected_exchange
-        from repro.apps.halo import HaloSpec, RankGrid
+        with pytest.raises(ValueError, match=named):
+            call(exchange_model)
 
-        spec = HaloSpec.paper()
-        _, counts = model_selected_exchange(
-            2, 6, model=summit_model, plans=1, selection="model", spec=spec
-        )
-        grid = RankGrid.for_ranks(12)
-        expected: dict[str, int] = {}
-        worst = None
-        # Reproduce the walk's group shapes for one representative rank set;
-        # the counts of the worst rank must come from choose_method verbatim.
-        for rank in range(min(12, 6)):
-            rank_counts: dict[str, int] = {}
-            for _, directions in _send_groups(grid, rank).items():
-                nbytes = sum(spec.halo_bytes(d) for d in directions)
-                block = spec.halo_block_length(directions[0])
-                method = summit_model.choose_method(nbytes, block)
-                rank_counts[method.value] = rank_counts.get(method.value, 0) + 1
-            if rank_counts == counts:
-                worst = rank_counts
-        assert worst == counts
+    def test_first_declared_offender_wins(self):
+        """Checks run in declaration order, so the message is predictable."""
+        from repro.apps.exchange_model import model_duplex_exchange, model_moe_exchange
 
-    def test_invalid_arguments_rejected(self, summit_model):
-        from repro.apps.exchange_model import model_selected_exchange
-
-        with pytest.raises(ValueError):
-            model_selected_exchange(0, 6, model=summit_model)
-        with pytest.raises(ValueError):
-            model_selected_exchange(2, 6, model=summit_model, plans=0)
-        with pytest.raises(ValueError):
-            model_selected_exchange(2, 6, model=summit_model, selection="fixed")
+        with pytest.raises(ValueError, match="block_length"):
+            model_duplex_exchange(2, 4096, block_length=0, nic="psychic")
+        with pytest.raises(ValueError, match="counts"):
+            model_moe_exchange([[0, -1], [2, 0]], 63, hot_expert=9, nic="psychic")

@@ -67,9 +67,12 @@ class TestMessageCost:
 
     def test_between_ranks_uses_topology(self, network):
         topo = Topology(4, ranks_per_node=2)
-        same = network.message_time_between(0, 1, 1024, topo)
-        cross = network.message_time_between(1, 2, 1024, topo)
+        same = topo.message_time(0, 1, 1024)
+        cross = topo.message_time(1, 2, 1024)
         assert same < cross
+        # A flat topology prices exactly like the placement-free model.
+        assert same == network.message_time(1024, same_node=True)
+        assert cross == network.message_time(1024, same_node=False)
 
 
 class TestCollectiveCost:

@@ -141,87 +141,3 @@ class TestMemoisation:
 
     def test_hit_rate_zero_before_queries(self, summit_measurement):
         assert PerformanceModel(summit_measurement).hit_rate == 0.0
-
-
-class TestExchangeEstimate:
-    """Costing of overlapped stages: (serial, overlapped) pipeline estimates."""
-
-    MESSAGES = [(64 * KIB, 8), (128 * KIB, 8), (256 * KIB, 8), (64 * KIB, 8)]
-
-    def test_overlapped_never_exceeds_serial(self, summit_model):
-        serial, overlapped = summit_model.exchange_estimate(self.MESSAGES)
-        assert overlapped <= serial
-
-    def test_single_message_has_no_overlap_win(self, summit_model):
-        """One message is one chain: serial and overlapped coincide up to the
-        wire-overlap discount of the serial sum."""
-        serial, overlapped = summit_model.exchange_estimate([(MIB, 8)], wire_overlap=1.0)
-        assert overlapped == pytest.approx(serial)
-
-    def test_empty_exchange_is_free(self, summit_model):
-        assert summit_model.exchange_estimate([]) == (0.0, 0.0)
-
-    def test_zero_byte_messages_contribute_nothing(self, summit_model):
-        """Empty sections never reach the pricing primitives (which reject
-        nbytes <= 0) and never occupy the pipeline."""
-        padded = [(0, 8)] + self.MESSAGES + [(0, 64)]
-        assert summit_model.exchange_estimate(padded) == summit_model.exchange_estimate(
-            self.MESSAGES
-        )
-        assert summit_model.exchange_estimate([(0, 8)]) == (0.0, 0.0)
-
-    def test_default_overlap_is_the_canonical_constant(self, summit_model):
-        from repro.machine.network import DEFAULT_WIRE_OVERLAP
-
-        explicit = summit_model.exchange_estimate(
-            self.MESSAGES, wire_overlap=DEFAULT_WIRE_OVERLAP
-        )
-        assert summit_model.exchange_estimate(self.MESSAGES) == explicit
-
-    def test_more_peers_grow_both_estimates(self, summit_model):
-        serial_2, overlapped_2 = summit_model.exchange_estimate(self.MESSAGES[:2])
-        serial_4, overlapped_4 = summit_model.exchange_estimate(self.MESSAGES)
-        assert serial_4 > serial_2
-        assert overlapped_4 > overlapped_2
-
-    def test_overlap_win_grows_with_peer_count(self, summit_model):
-        """More peers mean more pack time hidden behind the wire."""
-        def win(messages):
-            serial, overlapped = summit_model.exchange_estimate(messages)
-            return serial / overlapped
-
-        few = win(self.MESSAGES[:2])
-        many = win(self.MESSAGES * 3)
-        assert many >= few
-
-    def test_invalid_wire_overlap_rejected(self, summit_model):
-        with pytest.raises(ValueError):
-            summit_model.exchange_estimate(self.MESSAGES, wire_overlap=0.0)
-        with pytest.raises(ValueError):
-            summit_model.exchange_estimate(self.MESSAGES, wire_overlap=1.5)
-
-    def test_invalid_nic_rejected(self, summit_model):
-        with pytest.raises(ValueError):
-            summit_model.exchange_estimate(self.MESSAGES, nic="psychic")
-
-    def test_duplex_never_undercuts_inject_only(self, summit_model):
-        """Pricing the second end of the wire can only ever add — including
-        on heterogeneous message lists whose pack ordering clusters arrivals
-        (regression: the duplex branch used to discard the send-side bound)."""
-        lists = [
-            self.MESSAGES,
-            [(MIB, 8)],
-            [(KIB, 1), (4 * MIB, 512), (64 * KIB, 8), (KIB, 64)],
-            [(4 * MIB, 1), (KIB, 512), (KIB, 512), (KIB, 512)],
-        ]
-        for messages in lists:
-            _, inject = summit_model.exchange_estimate(messages, nic="inject_only")
-            _, duplex = summit_model.exchange_estimate(messages, nic="duplex")
-            assert duplex >= inject
-
-    def test_uniform_messages_are_duplex_invariant(self, summit_model):
-        """A balanced list has no receive-side skew: identical books."""
-        uniform = [(256 * KIB, 8)] * 4
-        assert summit_model.exchange_estimate(uniform) == summit_model.exchange_estimate(
-            uniform, nic="inject_only"
-        )

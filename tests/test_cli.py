@@ -54,6 +54,19 @@ class TestHaloCommand:
     def test_invalid_scale_rejected(self, capsys):
         assert main(["halo", "--nodes", "0"]) == 2
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--nodes", "2", "--points", "2"], "stencil radius"),
+            (["--nodes", "2", "--ranks-per-node", "7"], "ranks_per_node=7"),
+        ],
+    )
+    def test_bad_flag_is_an_error_line_not_a_traceback(self, flags, named, capsys):
+        assert main(["halo", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and named in captured.err
+        assert captured.out == ""
+
 
 class TestSelectTableCommand:
     @pytest.fixture(scope="class")

@@ -26,6 +26,12 @@ SIM006    no private blocking primitive (``threading.Condition``/``Event``/
           ``Barrier``/``Semaphore``, ``queue.Queue``, ``time.sleep``) in
           ``src/repro`` outside ``mpi/p2p.py``/``mpi/world.py``: one rank
           runs at a time, and a wait the run token cannot see stalls all
+SIM007    a pricing rule is written down once: a product with
+          ``wire_overlap`` or a cursor recurrence ``x = max(..., x) + ...``
+          (``x`` named ``*free``/``*ready``) appears in ``src/repro`` only
+          in the rules' homes (``machine/nic.py``, ``gpu/stream.py``,
+          ``machine/network.py``, ``tempi/progress.py``,
+          ``tempi/sanitizer.py``); everything else drives those objects
 ========  ==================================================================
 
 Each rule carries an escape hatch: a ``# simlint: disable=SIMxxx -- reason``

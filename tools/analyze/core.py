@@ -1,7 +1,7 @@
 """simlint core: violations, suppressions, file model and the lint driver.
 
 The driver walks every Python file under ``src/`` of the repository root,
-parses each once, runs the per-file rules (SIM001/SIM003/SIM005/SIM006) and the
+parses each once, runs the per-file rules (SIM001/SIM003/SIM005/SIM006/SIM007) and the
 project-level rules (SIM002 call-graph purity, SIM004 doc coverage), then
 filters the result through the per-line suppression comments.
 
@@ -24,7 +24,9 @@ from typing import Iterable, Optional
 
 #: Every rule code this package can emit (SIM000 is the meta-rule that a
 #: suppression must carry a justification; it cannot itself be suppressed).
-RULE_CODES = ("SIM000", "SIM001", "SIM002", "SIM003", "SIM004", "SIM005", "SIM006")
+RULE_CODES = (
+    "SIM000", "SIM001", "SIM002", "SIM003", "SIM004", "SIM005", "SIM006", "SIM007",
+)
 
 _DISABLE_RE = re.compile(
     r"#\s*simlint:\s*disable=(?P<codes>SIM\d{3}(?:\s*,\s*SIM\d{3})*)"

@@ -1,4 +1,4 @@
-"""The per-file simlint rules: SIM001, SIM003, SIM005 and SIM006.
+"""The per-file simlint rules: SIM001, SIM003, SIM005, SIM006 and SIM007.
 
 Each rule is a callable ``rule(source_file) -> list[Violation]``; the driver
 in :mod:`tools.analyze.core` runs every entry of :data:`FILE_RULES` over
@@ -384,10 +384,92 @@ def check_private_blocking(source_file: SourceFile) -> list[Violation]:
     ]
 
 
+# --------------------------------------------------------------------------- #
+# SIM007 — a pricing rule is written down in its home, nowhere else
+# --------------------------------------------------------------------------- #
+
+#: The rules' homes: the NIC's port/link/ingest recurrences, the stream
+#: recurrence, the analytic all-to-all-v discount, the ``per_plan``
+#: ablation's private window and the sanitizer's expected-cursor line.
+#: Everything else *drives* those objects (``docs/ARCHITECTURE.md`` §
+#: "Scalar message path").
+SIM007_HOMES = frozenset(
+    {
+        "src/repro/machine/nic.py",
+        "src/repro/gpu/stream.py",
+        "src/repro/machine/network.py",
+        "src/repro/tempi/progress.py",
+        "src/repro/tempi/sanitizer.py",
+    }
+)
+
+_CURSOR_NAME = re.compile(r"(^|_)(free|ready)$")
+
+
+def _cursor_name(node: ast.expr) -> Optional[str]:
+    """Terminal name of an assignment target, looking through ``x[key]``."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return _terminal_name(node)
+
+
+def _restates_cursor_rule(node: ast.Assign) -> bool:
+    """True for ``x = max(..., x) + ...`` with ``x`` named like a cursor."""
+    if len(node.targets) != 1 or not isinstance(node.value, ast.BinOp):
+        return False
+    target = _cursor_name(node.targets[0])
+    if target is None or not _CURSOR_NAME.search(target):
+        return False
+    value = node.value
+    if not isinstance(value.op, ast.Add):
+        return False
+    for side in (value.left, value.right):
+        if isinstance(side, ast.Call) and _terminal_name(side.func) == "max":
+            if any(_cursor_name(arg) == target for arg in side.args):
+                return True
+    return False
+
+
+def check_restated_pricing_rule(source_file: SourceFile) -> list[Violation]:
+    """SIM007: flag occupancy products and cursor recurrences outside the homes."""
+    relpath = source_file.relpath
+    if not relpath.startswith("src/repro/") or relpath in SIM007_HOMES:
+        return []
+    tree = source_file.tree
+    if tree is None:
+        return []
+    findings: list[Violation] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            names = {(_terminal_name(side) or "").lstrip("_") for side in (node.left, node.right)}
+            if "wire_overlap" in names:
+                findings.append(
+                    Violation(
+                        relpath,
+                        node.lineno,
+                        "SIM007",
+                        "`wire_overlap * wire` restates the NIC's occupancy rule; "
+                        "reserve/ingest on a NicTimeline instead",
+                    )
+                )
+        elif isinstance(node, ast.Assign) and _restates_cursor_rule(node):
+            findings.append(
+                Violation(
+                    relpath,
+                    node.lineno,
+                    "SIM007",
+                    "`x = max(..., x) + ...` restates a cursor recurrence; drive a "
+                    "Stream (enqueue) or a NicTimeline (reserve/ingest) instead",
+                )
+            )
+    return findings
+
+
 #: The per-file rules the driver runs, in reporting order.
 FILE_RULES = (
     check_wall_clock,
     check_unordered_iteration,
     check_ledger_accumulation,
     check_private_blocking,
+    check_restated_pricing_rule,
 )

@@ -16,7 +16,9 @@ ledger and received bytes pin the runtime's one booking path) into
 ``tests/fixtures/golden_figures.json``, together with a ``collective_twins``
 section (:func:`run_collective_twins`: every collective entry point, blocking
 and split-phase, on the system library and through the interposer's plan and
-fall-through paths), and
+fall-through paths) and a ``twins`` section (:func:`run_twins`: every public
+analytic twin of ``repro.apps.exchange_model`` over a wide argument grid,
+floats as ``float.hex()``), and
 ``tests/test_golden_figures.py`` replays them under exact equality every
 tier-1 run.  Any change that moves a priced figure value — however small —
 fails the replay and must either be a bug or come with a deliberate
@@ -27,6 +29,7 @@ fixture regeneration:
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import sys
@@ -53,6 +56,12 @@ UNIFORM_RANKS = 8
 UNIFORM_ROUNDS = 5
 TWIN_RANKS = 8
 TWIN_ROUNDS = 3
+#: The analytic twins' grid (:func:`run_twins`).
+TWIN_NODES = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
+TWIN_CONTENDED_NODES = (1, 2, 8)
+TWIN_SENDERS = (1, 2, 3, 4, 8, 16, 33)
+TWIN_NBYTES = (1, 512, 4096, 1 << 16, 1 << 20, 1 << 22)
+TWIN_ALLREDUCE_RANKS = (2, 3, 4, 6, 8, 12, 16, 32)
 #: ``InterposerStats`` counters frozen per rank by :func:`run_collective_twins`.
 TWIN_STATS = (
     "fallbacks", "collective_hits", "collective_fallbacks", "plans_built",
@@ -254,6 +263,129 @@ def run_collective_twins(model) -> dict:
     return fixture
 
 
+def _hexed(value) -> str:
+    """A twin's result on one line: floats as ``float.hex()``, the rest as ``str``."""
+    fields = dataclasses.astuple(value) if dataclasses.is_dataclass(value) else (value,)
+    return " ".join(f.hex() if isinstance(f, float) else str(f) for f in fields)
+
+
+def run_twins() -> dict:
+    """Every public analytic twin over a grid wider than any figure reads.
+
+    Pure functions of their arguments (no measured model, no threads): the
+    halo/fused/overlap/contended breakdowns over nodes x ranks-per-node x
+    plans x accounting switches at the paper's 256^3 geometry and a 32^3
+    one, the incast over senders x message sizes, the fat-tree burst over
+    flows x oversubscription x both fabric modes, every allreduce schedule
+    flat and on a fat-tree, the MoE round over skews, and the pipeline
+    chain over stages x microbatches.
+    """
+    from repro.apps import exchange_model as twins
+    from repro.apps.halo import HaloSpec
+    from repro.apps.moe import MoESpec, moe_counts
+    from repro.machine.topology import Topology, TopologySpec
+
+    specs = {"paper": HaloSpec.paper(), "32": HaloSpec(nx=32, ny=32, nz=32)}
+    shapes = [(nodes, rpn) for nodes in TWIN_NODES for rpn in (1, 2, 6)]
+    halo, contended, efficiency = {}, {}, {}
+    for label, spec in specs.items():
+        for nodes, rpn in shapes:
+            at = f"{label}:{nodes}x{rpn}"
+            halo[at] = {
+                "baseline": _hexed(twins.model_halo_exchange(nodes, rpn, spec=spec, tempi=False)),
+                "tempi": _hexed(twins.model_halo_exchange(nodes, rpn, spec=spec, tempi=True)),
+                "fused": _hexed(twins.model_fused_exchange(nodes, rpn, spec=spec)),
+                "overlap": _hexed(twins.model_overlap_exchange(nodes, rpn, spec=spec)),
+            }
+            if nodes not in TWIN_CONTENDED_NODES:
+                continue
+            for plans in (1, 2, 4, 8):
+                efficiency[f"{at}:{plans}"] = _hexed(
+                    twins.overlap_efficiency(nodes, rpn, plans=plans, spec=spec)
+                )
+                for shared_nic in (True, False):
+                    for nic in ("duplex", "inject_only"):
+                        contended[f"{at}:{plans}:{shared_nic}:{nic}"] = _hexed(
+                            twins.model_contended_exchange(
+                                nodes, rpn, plans=plans, spec=spec,
+                                shared_nic=shared_nic, nic=nic,
+                            )
+                        )
+
+    incast = {}
+    for senders in TWIN_SENDERS:
+        for nbytes in TWIN_NBYTES:
+            for nic in ("duplex", "inject_only"):
+                incast[f"{senders}:{nbytes}:{nic}"] = _hexed(
+                    twins.model_duplex_exchange(senders, nbytes, nic=nic)
+                )
+            incast[f"{senders}:{nbytes}:efficiency"] = _hexed(
+                twins.incast_efficiency(senders, nbytes)
+            )
+
+    fabric = {}
+    for oversubscription in (1.0, 2.0, 4.0):
+        spec = TopologySpec(
+            ranks_per_node=2, rails_per_node=1, leaf_radix=8,
+            oversubscription=oversubscription,
+        )
+        for flows in range(1, 9):
+            at = f"{oversubscription}:{flows}"
+            for mode in ("shared", "independent"):
+                fabric[f"{at}:{mode}"] = _hexed(
+                    twins.model_fabric_exchange(flows, 1 << 20, spec=spec, fabric=mode)
+                )
+            fabric[f"{at}:efficiency"] = _hexed(
+                twins.uplink_efficiency(flows, 1 << 20, spec=spec)
+            )
+
+    fattree = TopologySpec(**json.loads((REPO / "examples" / "topology_fattree.json").read_text()))
+    allreduce = {}
+    for nranks in TWIN_ALLREDUCE_RANKS:
+        placed = {"flat": None, "fattree": Topology(nranks, spec=fattree)}
+        for where, topology in placed.items():
+            for count in (16, 4096, 1 << 18):
+                at = f"{where}:{nranks}:{count}"
+                for algorithm in ("ring", "tree", "hierarchical"):
+                    allreduce[f"{at}:{algorithm}"] = _hexed(
+                        twins.model_allreduce(
+                            nranks, count, 4, algorithm=algorithm, topology=topology
+                        )
+                    )
+                allreduce[f"{at}:speedup"] = _hexed(
+                    twins.allreduce_hierarchy_speedup(nranks, count, 4, topology=topology)
+                )
+
+    moe = {}
+    for nranks in (4, 8):
+        for skew in (1.0, 2.0, 4.0, 8.0):
+            spec = MoESpec(skew=skew)
+            for nic in ("duplex", "inject_only"):
+                moe[f"{nranks}:{skew}:{nic}"] = _hexed(
+                    twins.model_moe_exchange(
+                        moe_counts(spec, nranks), spec.token_bytes,
+                        hot_expert=spec.hot_expert, nic=nic,
+                    )
+                )
+
+    pipeline = {}
+    for stages in range(1, 9):
+        placed = {"flat": None, "fattree": Topology(stages, spec=fattree)}
+        for where, topology in placed.items():
+            for microbatches in (1, 4):
+                pipeline[f"{where}:{stages}:{microbatches}"] = _hexed(
+                    twins.model_pipeline_chain(
+                        stages, microbatches, 1 << 16, topology=topology
+                    )
+                )
+
+    return {
+        "halo": halo, "contended": contended, "overlap_efficiency": efficiency,
+        "incast": incast, "fabric": fabric, "allreduce": allreduce, "moe": moe,
+        "pipeline": pipeline,
+    }
+
+
 def build_fixture(model) -> dict:
     """Run the pinned sweeps and shape them into a JSON-native document."""
     sys.path.insert(0, str(BENCHMARKS))
@@ -329,6 +461,7 @@ def build_fixture(model) -> dict:
         "moe": moes,
         "alltoallv_uniform": run_alltoallv_uniform(model),
         "collective_twins": run_collective_twins(model),
+        "twins": run_twins(),
     }
 
 
