@@ -41,6 +41,7 @@ class BaselineCost:
 
     @property
     def total_s(self) -> float:
+        """Seconds the whole pack or unpack costs."""
         return self.blocks * self.per_block_s + self.bandwidth_s
 
 
@@ -48,6 +49,7 @@ class BaselineDatatypeEngine:
     """Per-block ``cudaMemcpyAsync`` datatype handling (the system MPI's path)."""
 
     def __init__(self, runtime: CudaRuntime, *, move_data: bool = True) -> None:
+        """Charge ``runtime``'s clock; ``move_data=False`` prices without copying."""
         self.runtime = runtime
         self.move_data = move_data
 
@@ -194,11 +196,11 @@ class BaselineDatatypeEngine:
     @staticmethod
     def check_fits(buffer: Buffer, datatype: Datatype, count: int, offset: int = 0) -> None:
         """Verify ``count`` elements of ``datatype`` fit in ``buffer`` at ``offset``."""
-        needed = offset + datatype.lb + (count - 1) * datatype.extent + datatype.ub - datatype.lb
+        needed = offset + (count - 1) * datatype.extent + datatype.ub
         if needed > buffer.nbytes:
             raise MpiArgumentError(
-                f"{count} element(s) of extent {datatype.extent} need {needed} bytes "
-                f"but the buffer holds {buffer.nbytes}"
+                f"user buffer of {buffer.nbytes} bytes cannot hold {count} element(s) "
+                f"of extent {datatype.extent}: {needed} bytes needed"
             )
 
 
@@ -207,16 +209,22 @@ def contiguous_payload(
 ) -> Optional[np.ndarray]:
     """Return a zero-copy view of the payload when the datatype is contiguous.
 
-    The system MPI uses this fast path to skip the baseline engine whenever
-    the application's datatype is contiguous bytes (named types, contiguous
-    compositions); returns ``None`` otherwise.
+    This is the system library's one statement of "a contiguous section is
+    not packed": when ``count`` elements of ``datatype`` are adjacent bytes
+    (named types, dense compositions) the caller copies this one slice
+    instead of running the per-block engine, and pays no baseline charge.
+    The view starts where the engine places the first byte — ``offset`` plus
+    the first offset of the type map, which is the ``lb`` of an indexed or
+    struct type — so both routes move the same bytes.  Returns ``None`` for
+    any other datatype.
     """
     if not datatype.is_contiguous_bytes:
         return None
-    nbytes = datatype.size * count
-    if offset + nbytes > buffer.nbytes:
+    begin = offset + next(datatype.layout(), (0, 0))[0]
+    end = begin + datatype.size * count
+    if end > buffer.nbytes:
         raise MpiArgumentError(
-            f"{count} contiguous element(s) of {datatype.size} bytes at offset {offset} "
+            f"{count} contiguous element(s) of {datatype.size} bytes at offset {begin} "
             f"escape the {buffer.nbytes}-byte buffer"
         )
-    return buffer.data[offset : offset + nbytes]
+    return buffer.data[begin:end]

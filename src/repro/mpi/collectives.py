@@ -3,25 +3,30 @@
 Only a small set is needed by the paper's evaluation: ``Barrier`` for phase
 timing, ``Bcast``/``Allgather``/``Allreduce`` for bookkeeping in the examples,
 ``Alltoallv`` / ``Neighbor_alltoallv`` for the 3-D stencil halo exchange
-(Sec. 6.4), and ``Allgatherv`` (byte and datatype-carrying, the root-less
-fan-out TEMPI also routes through plans).  All of them are composed from the
-point-to-point router; their
-virtual-time cost is charged analytically from the network model so that the
+(Sec. 6.4), and ``Allgatherv`` (the root-less fan-out TEMPI also routes
+through plans).  All of them are composed from the
+point-to-point router; their virtual-time cost is charged analytically from the network model so that the
 functional data movement (which is interleaved arbitrarily by the thread
 scheduler) does not distort the reported latencies.
 
-The all-to-all collectives come in two flavours:
+Every all-to-all-v and all-gather-v speaks one datatype language: a section
+is ``count`` elements of a committed (possibly derived) datatype starting
+``displ`` bytes into the user buffer (``MPI_Alltoallw``'s displacement
+convention, which the halo exchange needs for its subarray types).  The byte
+signature of the ``Communicator`` methods is not a second engine: a missing
+datatype is ``MPI_BYTE``, so counts and displacements are byte ranges of a
+pre-packed buffer — the shape the paper's halo uses after its explicit
+``MPI_Pack`` loop (Sec. 6.4).  ``Bcast`` moves its datatype's elements the
+same way.
 
-* the **byte** signature (``sendtypes``/``recvtypes`` omitted), where counts
-  and displacements are raw byte ranges of pre-packed buffers — the shape the
-  original halo-exchange implementation uses after its explicit ``MPI_Pack``
-  loop;
-* the **datatype-carrying** signature, where each section is ``count``
-  elements of a committed (possibly derived) datatype starting ``displ``
-  bytes into the user buffer.  The system path packs every section with the
-  per-block baseline engine — which is exactly what makes it slow for
-  non-contiguous types, and what TEMPI's interposed collectives accelerate
-  with one pack kernel per destination (Sec. 5).
+How a section moves is decided in one place,
+:func:`~repro.mpi.baseline.contiguous_payload`: a contiguous section is not
+packed — its bytes are one slice copy, free of the baseline charge, as they
+are for a system ``Send`` — and any other goes through the per-block baseline
+engine, which is exactly what makes the system path slow for non-contiguous
+types and what TEMPI's interposed collectives accelerate with one pack kernel
+per destination (Sec. 5).  :func:`_pack_sections` and
+:func:`_unpack_sections` are the only two places either happens.
 
 Every all-to-all-v and all-gather-v here is **split-phase** and exists in
 that form only: a ``*_begin`` starter validates, posts this rank's sends and
@@ -45,6 +50,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from repro.gpu.memory import HostBuffer, MemoryKind
+from repro.mpi.baseline import contiguous_payload
 from repro.mpi.datatype import Datatype
 from repro.mpi.errors import MpiArgumentError
 from repro.mpi.p2p import Envelope
@@ -124,54 +130,55 @@ def _split_phase(comm, tag: int, now: float, expected, per_pair, device: bool) -
     return Request("coll", complete=finish, ready=ready)
 
 
-def _land_bytes(recv, offset: int, envelope: Envelope) -> None:
-    """Land a byte section: the payload goes to ``recv[offset:]``."""
-    if offset + envelope.nbytes > recv.nbytes:
-        raise MpiArgumentError("receive section escapes the receive buffer")
-    recv.data[offset : offset + envelope.nbytes] = envelope.payload
-
-
-def _expected_bytes(comm, recv, recvcounts: Sequence[int], recvdispls: Sequence[int]) -> list:
-    """What a byte collective still expects: every other rank's nonempty
-    section, landing at its displacement in ``recv``."""
-    return [
-        (peer, int(recvcounts[peer]), partial(_land_bytes, recv, int(recvdispls[peer])))
-        for peer in range(comm.size)
-        if peer != comm.rank and int(recvcounts[peer])
-    ]
-
-
 def _pack_sections(comm, send, sections) -> HostBuffer:
-    """Pack ``sections`` of ``send`` back to back into a fresh staging buffer
-    with the per-block baseline engine (one memcpy per block, charged)."""
+    """Pack ``sections`` of ``send`` back to back into a fresh staging buffer.
+
+    A contiguous section is one slice copy, uncharged; any other goes through
+    the per-block baseline engine (one memcpy per block, charged).
+    """
     staging = HostBuffer(sum(s.packed_bytes for s in sections), MemoryKind.HOST_PINNED)
     offset = 0
     for section in sections:
-        offset = comm.baseline.pack(
-            send, section.datatype, section.count, staging, offset, in_offset=section.displ
-        )
+        view = contiguous_payload(send, section.datatype, section.count, section.displ)
+        if view is None:
+            offset = comm.baseline.pack(
+                send, section.datatype, section.count, staging, offset, in_offset=section.displ
+            )
+        else:
+            staging.data[offset : offset + view.size] = view
+            offset += view.size
     return staging
 
 
 def _unpack_sections(comm, recv, sections, staging) -> None:
-    """The reverse of :func:`_pack_sections`: ``sections`` of ``recv`` are
-    unpacked from ``staging`` in order."""
+    """Unpack ``sections`` of ``recv`` from ``staging`` in order.
+
+    The reverse of :func:`_pack_sections`, by the same contiguous rule.
+    """
     offset = 0
     for section in sections:
-        offset = comm.baseline.unpack(
-            staging, offset, recv, section.datatype, section.count, out_offset=section.displ
-        )
+        view = contiguous_payload(recv, section.datatype, section.count, section.displ)
+        if view is None:
+            offset = comm.baseline.unpack(
+                staging, offset, recv, section.datatype, section.count, out_offset=section.displ
+            )
+        else:
+            view[:] = staging.data[offset : offset + view.size]
+            offset += view.size
 
 
 def _land_sections(comm, recv, sections, envelope: Envelope) -> None:
-    """Land a typed peer segment: unpack ``sections`` from the payload."""
+    """Land a peer's segment: unpack ``sections`` from the payload."""
     staging = HostBuffer(envelope.nbytes, MemoryKind.HOST_PINNED, _array=envelope.payload)
     _unpack_sections(comm, recv, sections, staging)
 
 
 def _expected_sections(comm, recv, peer: int, sections) -> tuple:
-    """What a typed collective still expects from ``peer``: the packed bytes
-    of ``sections``, unpacked into ``recv`` on arrival."""
+    """One ``(peer, nbytes, land)`` entry of :func:`_split_phase`.
+
+    What is still expected from ``peer``: the packed bytes of ``sections``,
+    unpacked into ``recv`` on arrival.
+    """
     return (
         peer,
         sum(s.packed_bytes for s in sections),
@@ -184,8 +191,11 @@ def _expected_sections(comm, recv, peer: int, sections) -> tuple:
 # --------------------------------------------------------------------------- #
 
 def barrier(comm) -> None:
-    """Synchronise all ranks: clocks advance to the global maximum plus a
-    logarithmic latency term (a dissemination barrier's critical path)."""
+    """Synchronise all ranks.
+
+    Clocks advance to the global maximum plus a logarithmic latency term (a
+    dissemination barrier's critical path).
+    """
     import math
 
     latency = comm.network.machine.inter_cpu.latency_s
@@ -323,165 +333,7 @@ def allreduce(comm, send_spec, recv_spec, op: str = "sum") -> None:
 
 
 # --------------------------------------------------------------------------- #
-# All-to-all-v
-# --------------------------------------------------------------------------- #
-
-def _validate_vector_args(comm, counts: Sequence[int], displs: Sequence[int], what: str) -> None:
-    if len(counts) != comm.size or len(displs) != comm.size:
-        raise MpiArgumentError(
-            f"{what} counts/displacements must have one entry per rank ({comm.size})"
-        )
-    if any(c < 0 for c in counts) or any(d < 0 for d in displs):
-        raise MpiArgumentError(f"{what} counts and displacements must be non-negative")
-
-
-def alltoallv_begin(
-    comm,
-    sendbuf,
-    sendcounts: Sequence[int],
-    senddispls: Sequence[int],
-    recvbuf,
-    recvcounts: Sequence[int],
-    recvdispls: Sequence[int],
-):
-    """Start a byte all-to-all-v (``MPI_Ialltoallv``): validate, post sends,
-    copy the self section; the returned request receives the rest.
-
-    Counts and displacements are in bytes; this matches the halo-exchange
-    implementation the paper describes, which packs every halo into one byte
-    buffer and exchanges it with a single all-to-all-v.
-    """
-    from repro.mpi.communicator import as_buffer
-
-    _validate_vector_args(comm, sendcounts, senddispls, "send")
-    _validate_vector_args(comm, recvcounts, recvdispls, "recv")
-    send = as_buffer(sendbuf)
-    recv = as_buffer(recvbuf)
-    tag = _next_collective_tag(comm)
-    now = comm.clock.now
-
-    # Post every outgoing section.
-    for peer in range(comm.size):
-        count = int(sendcounts[peer])
-        if count == 0 or peer == comm.rank:
-            continue
-        offset = int(senddispls[peer])
-        if offset + count > send.nbytes:
-            raise MpiArgumentError("send section escapes the send buffer")
-        _post_raw(comm, peer, tag, send.data[offset : offset + count].copy(), now)
-
-    # Local section copies directly.
-    local = int(sendcounts[comm.rank])
-    if local:
-        src = int(senddispls[comm.rank])
-        dst = int(recvdispls[comm.rank])
-        if local != int(recvcounts[comm.rank]):
-            raise MpiArgumentError("self send/recv counts disagree")
-        recv.data[dst : dst + local] = send.data[src : src + local]
-
-    expected = _expected_bytes(comm, recv, recvcounts, recvdispls)
-    per_pair = [max(int(s), int(r)) for s, r in zip(sendcounts, recvcounts)]
-    return _split_phase(comm, tag, now, expected, per_pair, send.is_device or recv.is_device)
-
-
-def neighbor_alltoallv_begin(
-    comm,
-    neighbors: Sequence[int],
-    sendbuf,
-    sendcounts: Sequence[int],
-    senddispls: Sequence[int],
-    recvbuf,
-    recvcounts: Sequence[int],
-    recvdispls: Sequence[int],
-):
-    """Start a byte ``MPI_Ineighbor_alltoallv`` over an explicit neighbour list.
-
-    Equivalent to an :func:`alltoallv_begin` whose counts are zero for every
-    rank not in ``neighbors``; implemented exactly that way so the two share
-    semantics and cost accounting.
-    """
-    if not (len(neighbors) == len(sendcounts) == len(senddispls) == len(recvcounts) == len(recvdispls)):
-        raise MpiArgumentError("neighbour argument lists must have equal lengths")
-    if len(set(neighbors)) != len(neighbors):
-        raise MpiArgumentError(
-            "neighbour list contains duplicates; aggregate per-destination sections "
-            "and use Alltoallv instead (as the halo-exchange application does)"
-        )
-    full_sendcounts = [0] * comm.size
-    full_senddispls = [0] * comm.size
-    full_recvcounts = [0] * comm.size
-    full_recvdispls = [0] * comm.size
-    for index, peer in enumerate(neighbors):
-        if not 0 <= peer < comm.size:
-            raise MpiArgumentError(f"neighbour {peer} outside communicator of size {comm.size}")
-        full_sendcounts[peer] = int(sendcounts[index])
-        full_senddispls[peer] = int(senddispls[index])
-        full_recvcounts[peer] = int(recvcounts[index])
-        full_recvdispls[peer] = int(recvdispls[index])
-    return alltoallv_begin(
-        comm,
-        sendbuf,
-        full_sendcounts,
-        full_senddispls,
-        recvbuf,
-        full_recvcounts,
-        full_recvdispls,
-    )
-
-
-# --------------------------------------------------------------------------- #
-# All-gather-v
-# --------------------------------------------------------------------------- #
-
-def allgatherv_begin(
-    comm,
-    sendbuf,
-    sendcount: int,
-    recvbuf,
-    recvcounts: Sequence[int],
-    recvdispls: Sequence[int],
-):
-    """Start a byte all-gather-v: every rank's ``sendcount`` bytes to everyone.
-
-    The root-less fan-out sibling of :func:`alltoallv_begin`
-    (``MPI_Iallgatherv``): this rank posts one copy of its contribution to
-    every peer and copies its own section directly; the returned request
-    receives every peer's contribution into ``recvdispls``.
-    """
-    from repro.mpi.communicator import as_buffer
-
-    _validate_vector_args(comm, recvcounts, recvdispls, "recv")
-    sendcount = int(sendcount)
-    if sendcount < 0:
-        raise MpiArgumentError(f"sendcount must be non-negative, got {sendcount}")
-    send = as_buffer(sendbuf)
-    recv = as_buffer(recvbuf)
-    if sendcount > send.nbytes:
-        raise MpiArgumentError("send section escapes the send buffer")
-    if sendcount != int(recvcounts[comm.rank]):
-        raise MpiArgumentError("this rank's contribution disagrees with its recv count")
-    tag = _next_collective_tag(comm)
-    now = comm.clock.now
-
-    if sendcount:
-        # Validate the self section before any post: an invalid call must
-        # fail on this rank without leaving peers a half-completed collective.
-        offset = int(recvdispls[comm.rank])
-        if offset + sendcount > recv.nbytes:
-            raise MpiArgumentError("receive section escapes the receive buffer")
-        payload = send.data[:sendcount].copy()
-        for peer in range(comm.size):
-            if peer != comm.rank:
-                _post_raw(comm, peer, tag, payload, now)
-        recv.data[offset : offset + sendcount] = send.data[:sendcount]
-
-    expected = _expected_bytes(comm, recv, recvcounts, recvdispls)
-    per_pair = [max(sendcount, int(count)) for count in recvcounts]
-    return _split_phase(comm, tag, now, expected, per_pair, send.is_device or recv.is_device)
-
-
-# --------------------------------------------------------------------------- #
-# Datatype-carrying all-to-all-v
+# Sections
 # --------------------------------------------------------------------------- #
 
 #: ``sendtypes``/``recvtypes`` arguments: one datatype for every section, or
@@ -492,7 +344,7 @@ TypesArg = Union[Datatype, Sequence[Datatype]]
 
 @dataclass(frozen=True)
 class TypedSection:
-    """One section of a datatype-carrying all-to-all-v.
+    """One section of a collective.
 
     ``count`` elements of ``datatype`` starting ``displ`` bytes into the user
     buffer, exchanged with ``peer``.  Several sections may address the same
@@ -508,9 +360,11 @@ class TypedSection:
 
     @property
     def packed_bytes(self) -> int:
+        """Bytes this section occupies on the wire (``MPI_Pack_size``)."""
         return typemap.packed_size(self.datatype, self.count) if self.count else 0
 
     def check(self, comm, buffer, what: str) -> None:
+        """Raise ``MpiArgumentError`` unless the section is valid on ``buffer``."""
         if not 0 <= self.peer < comm.size:
             raise MpiArgumentError(
                 f"{what} peer {self.peer} outside communicator of size {comm.size}"
@@ -551,7 +405,7 @@ def build_sections(
     types: TypesArg,
     what: str,
 ) -> list[TypedSection]:
-    """Validate and assemble the section list of one typed collective side."""
+    """Validate and assemble the section list of one collective side."""
     if not (len(peers) == len(counts) == len(displs)):
         raise MpiArgumentError(f"{what} argument lists must have equal lengths")
     datatypes = normalize_types(types, len(peers), what)
@@ -572,7 +426,11 @@ def group_by_peer(sections: Sequence[TypedSection]) -> dict[int, list[TypedSecti
     return groups
 
 
-def alltoallv_typed_begin(
+# --------------------------------------------------------------------------- #
+# All-to-all-v
+# --------------------------------------------------------------------------- #
+
+def alltoallv_begin(
     comm,
     sendbuf,
     sendcounts: Sequence[int],
@@ -583,24 +441,23 @@ def alltoallv_typed_begin(
     recvdispls: Sequence[int],
     recvtypes: TypesArg,
 ):
-    """Start a datatype-carrying ``MPI_Ialltoallv`` (one section per rank).
+    """Start an ``MPI_Ialltoallv`` (one section per rank).
 
     Counts are elements of the per-rank datatype; displacements are byte
-    offsets of the first element in the user buffer (``MPI_Alltoallw``'s
-    convention, which the halo exchange needs for its subarray types).  It is
-    the neighbour exchange over every rank in rank order.
+    offsets of the first element in the user buffer.  It is the neighbour
+    exchange over every rank in rank order.
     """
     if len(sendcounts) != comm.size or len(recvcounts) != comm.size:
         raise MpiArgumentError(
-            f"typed counts/displacements must have one entry per rank ({comm.size})"
+            f"counts/displacements must have one entry per rank ({comm.size})"
         )
-    return neighbor_alltoallv_typed_begin(
+    return neighbor_alltoallv_begin(
         comm, range(comm.size), sendbuf, sendcounts, senddispls, sendtypes,
         recvbuf, recvcounts, recvdispls, recvtypes,
     )
 
 
-def neighbor_alltoallv_typed_begin(
+def neighbor_alltoallv_begin(
     comm,
     neighbors: Sequence[int],
     sendbuf,
@@ -612,22 +469,19 @@ def neighbor_alltoallv_typed_begin(
     recvdispls: Sequence[int],
     recvtypes: TypesArg,
 ):
-    """Start a datatype-carrying ``MPI_Ineighbor_alltoallv`` over an explicit list.
+    """Start an ``MPI_Ineighbor_alltoallv`` over an explicit neighbour list.
 
-    Unlike the byte variant, duplicate neighbours are allowed: several
-    sections addressed to the same peer travel concatenated in list order, so
-    callers with multiple regions per peer (small periodic halo grids) must
-    order the two sides of each pair consistently — the halo application
-    orders send sections by direction and receive sections by negated
-    direction, as its packed layout already does.
+    Duplicate neighbours are allowed: several sections addressed to the same
+    peer travel concatenated in list order, so callers with multiple regions
+    per peer (small periodic halo grids) must order the two sides of each
+    pair consistently — the halo application orders send sections by
+    direction and receive sections by negated direction, as its packed
+    layout already does.
 
-    This is the system-MPI engine of the datatype-carrying all-to-all-v:
-    every outgoing section is packed with the per-block baseline engine
-    (charging its one-memcpy-per-block cost on the virtual clock),
-    concatenated per peer and posted; the self sections round-trip through a
-    staging buffer immediately.  The returned request receives and unpacks
-    every incoming peer segment and charges the analytic wire cost once,
-    exactly like the byte path, so the two signatures are comparable.
+    Every outgoing section is packed (:func:`_pack_sections`), concatenated
+    per peer and posted; the self sections round-trip through a staging
+    buffer immediately.  The returned request receives and unpacks every
+    incoming peer segment and charges the analytic wire cost once.
     """
     from repro.mpi.communicator import as_buffer
 
@@ -669,10 +523,10 @@ def neighbor_alltoallv_typed_begin(
 
 
 # --------------------------------------------------------------------------- #
-# Datatype-carrying all-gather-v
+# All-gather-v
 # --------------------------------------------------------------------------- #
 
-def allgatherv_typed_begin(
+def allgatherv_begin(
     comm,
     sendbuf,
     sendcount: int,
@@ -682,20 +536,19 @@ def allgatherv_typed_begin(
     recvdispls: Sequence[int],
     recvtypes: TypesArg,
 ):
-    """Start the system-MPI engine of the datatype-carrying all-gather-v
-    (``MPI_Iallgatherv``, one receive section per rank).
+    """Start an ``MPI_Iallgatherv`` (one receive section per rank).
 
     Counts are elements of the per-rank datatypes; displacements are byte
-    offsets of the first element in the receive buffer, as in the typed
-    all-to-all-v.  Every rank's ``sendcount * sendtype.size`` must equal the
-    packed size of the section its peers expect from it.
+    offsets of the first element in the receive buffer, as in
+    :func:`alltoallv_begin`.  Every rank's ``sendcount * sendtype.size`` must
+    equal the packed size of the section its peers expect from it.
 
-    This rank's ``sendcount`` elements of ``sendtype`` are packed **once**
-    with the per-block baseline engine, the packed bytes are posted to every
-    peer (the root-less fan-out), and the self-contribution is unpacked
-    directly.  The returned request unpacks every incoming contribution
-    through its receive section's datatype and charges the analytic wire cost
-    once — comparable message-for-message with TEMPI's plan-compiled path.
+    This rank's ``sendcount`` elements of ``sendtype`` are packed **once**,
+    the packed bytes are posted to every peer (the root-less fan-out), and
+    the self-contribution is unpacked directly.  The returned request unpacks
+    every incoming contribution through its receive section's datatype and
+    charges the analytic wire cost once — comparable message-for-message
+    with TEMPI's plan-compiled path.
     """
     from repro.mpi.communicator import as_buffer
 
@@ -703,7 +556,7 @@ def allgatherv_typed_begin(
     recv = as_buffer(recvbuf)
     if len(recvcounts) != comm.size or len(recvdispls) != comm.size:
         raise MpiArgumentError(
-            f"typed recv counts/displacements must have one entry per rank ({comm.size})"
+            f"recv counts/displacements must have one entry per rank ({comm.size})"
         )
     peers = list(range(comm.size))
     recv_sections = build_sections(comm, recv, peers, recvcounts, recvdispls, recvtypes, "recv")

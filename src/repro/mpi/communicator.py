@@ -28,7 +28,7 @@ from repro.machine.network import NetworkModel
 from repro.machine.topology import Topology
 from repro.mpi import collectives as _collectives
 from repro.mpi import typemap
-from repro.mpi.baseline import BaselineDatatypeEngine
+from repro.mpi.baseline import BaselineDatatypeEngine, contiguous_payload
 from repro.mpi.datatype import BYTE, Datatype
 from repro.mpi.errors import MpiArgumentError, MpiRankError, MpiTruncationError
 from repro.mpi.p2p import Envelope, MessageRouter
@@ -154,19 +154,16 @@ class Communicator:
     ) -> tuple[np.ndarray, bool]:
         """Produce the contiguous wire payload for a send.
 
-        Contiguous datatypes ship straight from the user buffer; derived
-        datatypes go through the baseline engine into a host staging buffer,
-        which is exactly the per-block path the paper measures.
+        A contiguous datatype is not packed (:func:`contiguous_payload`): it
+        ships straight from the user buffer.  Any other goes through the
+        baseline engine into a host staging buffer, which is exactly the
+        per-block path the paper measures.
         """
         datatype._check_committed()
-        nbytes = typemap.packed_size(datatype, count)
-        if datatype.is_contiguous_bytes:
-            if nbytes > buffer.nbytes:
-                raise MpiArgumentError(
-                    f"sending {nbytes} bytes from a {buffer.nbytes}-byte buffer"
-                )
-            return buffer.data[:nbytes].copy(), buffer.is_device
-        staging = HostBuffer(nbytes, MemoryKind.HOST_PINNED)
+        view = contiguous_payload(buffer, datatype, count)
+        if view is not None:
+            return view.copy(), buffer.is_device
+        staging = HostBuffer(typemap.packed_size(datatype, count), MemoryKind.HOST_PINNED)
         self.baseline.pack(buffer, datatype, count, staging)
         return staging.data, False
 
@@ -180,8 +177,9 @@ class Communicator:
             raise MpiTruncationError(
                 f"message of {envelope.nbytes} bytes truncates a receive of {capacity} bytes"
             )
-        if datatype.is_contiguous_bytes:
-            buffer.data[: envelope.nbytes] = envelope.payload[: envelope.nbytes]
+        view = contiguous_payload(buffer, datatype, count)
+        if view is not None:
+            view[: envelope.nbytes] = envelope.payload
         else:
             staging = HostBuffer(envelope.nbytes, MemoryKind.HOST_PINNED, _array=envelope.payload)
             elements = envelope.nbytes // datatype.size if datatype.size else 0
@@ -338,6 +336,23 @@ class Communicator:
         return Status(source=envelope.source, tag=envelope.tag, count_bytes=envelope.nbytes)
 
     # ------------------------------------------------------------------- pack
+    def _check_pack(
+        self, user: Buffer, count: int, datatype: Datatype, packed: Buffer, position: int
+    ) -> int:
+        """Validate a ``Pack``/``Unpack`` call; return its packed byte count.
+
+        ``position`` must leave room for the packed bytes inside ``packed``,
+        and ``user`` must hold ``count`` elements of ``datatype``.
+        """
+        nbytes = typemap.packed_size(datatype, count)
+        if position < 0 or position + nbytes > packed.nbytes:
+            raise MpiArgumentError(
+                f"position {position}: {nbytes} packed bytes there do not fit the "
+                f"{packed.nbytes}-byte packed buffer"
+            )
+        self.baseline.check_fits(user, datatype, count)
+        return nbytes
+
     def Pack(
         self,
         in_spec: BufferSpec,
@@ -350,8 +365,8 @@ class Communicator:
         """
         buffer, count, datatype = self._resolve(in_spec)
         out = as_buffer(outbuf)
+        nbytes = self._check_pack(buffer, count, datatype, out, position)
         if datatype.is_contiguous_bytes:
-            nbytes = typemap.packed_size(datatype, count)
             self.gpu.memcpy_async(out, buffer, nbytes, dst_offset=position)
             self.gpu.stream_synchronize()
             return position + nbytes
@@ -366,8 +381,8 @@ class Communicator:
         """``MPI_Unpack`` with the baseline engine; returns the updated position."""
         buffer, count, datatype = self._resolve(out_spec)
         source = as_buffer(inbuf)
+        nbytes = self._check_pack(buffer, count, datatype, source, position)
         if datatype.is_contiguous_bytes:
-            nbytes = typemap.packed_size(datatype, count)
             self.gpu.memcpy_async(buffer, source, nbytes, src_offset=position)
             self.gpu.stream_synchronize()
             return position + nbytes
@@ -406,21 +421,34 @@ class Communicator:
         """Allgather of one picklable Python object per rank."""
         return _collectives.allgather_object(self, value)
 
+    @staticmethod
+    def _types(sendtypes, recvtypes, names: str) -> tuple:
+        """Both datatype arguments, or ``MPI_BYTE`` for both when neither is given.
+
+        A missing datatype is ``MPI_BYTE``, so the byte signature is the one
+        datatype path with counts and displacements in bytes; giving one side
+        only is an error.
+        """
+        if (sendtypes is None) != (recvtypes is None):
+            raise MpiArgumentError(f"{names} must be given together")
+        if sendtypes is None:
+            return BYTE, BYTE
+        return sendtypes, recvtypes
+
     def _allgather_uniform(
         self, sendcount: int, sendtype: Optional[Datatype], recvtype: Optional[Datatype]
     ) -> tuple[list[int], list[int]]:
         """Expand ``MPI_Allgather``'s uniform contribution to the v-form lists.
 
-        Byte form: each rank's ``sendcount`` bytes land at ``rank * sendcount``.
-        Typed form: ``sendcount`` elements land at ``rank * sendcount * extent``
-        (MPI's extent-based placement rule for the receive type).
+        ``sendcount`` elements land at ``rank * sendcount * extent`` (MPI's
+        extent-based placement rule for the receive type; ``MPI_BYTE`` when
+        no datatype is given, i.e. ``rank * sendcount`` bytes).
         """
-        if (sendtype is None) != (recvtype is None):
-            raise MpiArgumentError("sendtype and recvtype must be given together")
+        _, recvtype = self._types(sendtype, recvtype, "sendtype and recvtype")
         sendcount = int(sendcount)
         if sendcount < 0:
             raise MpiArgumentError(f"sendcount must be non-negative, got {sendcount}")
-        stride = sendcount if recvtype is None else sendcount * recvtype.extent
+        stride = sendcount * recvtype.extent
         counts = [sendcount] * self.size
         displs = [peer * stride for peer in range(self.size)]
         return counts, displs
@@ -537,13 +565,8 @@ class Communicator:
         ``Wait``/``Test``.  Like all collectives, every rank must post it in
         the same order and eventually complete it.
         """
-        if (sendtypes is None) != (recvtypes is None):
-            raise MpiArgumentError("sendtypes and recvtypes must be given together")
-        if sendtypes is None:
-            return _collectives.alltoallv_begin(
-                self, sendbuf, sendcounts, senddispls, recvbuf, recvcounts, recvdispls
-            )
-        return _collectives.alltoallv_typed_begin(
+        sendtypes, recvtypes = self._types(sendtypes, recvtypes, "sendtypes and recvtypes")
+        return _collectives.alltoallv_begin(
             self, sendbuf, sendcounts, senddispls, sendtypes,
             recvbuf, recvcounts, recvdispls, recvtypes,
         )
@@ -576,13 +599,8 @@ class Communicator:
     ) -> Request:
         """Nonblocking ``MPI_Iallgatherv``: contribution posted now, receives
         and unpacks deferred to the returned request's ``Wait``/``Test``."""
-        if (sendtype is None) != (recvtypes is None):
-            raise MpiArgumentError("sendtype and recvtypes must be given together")
-        if sendtype is None:
-            return _collectives.allgatherv_begin(
-                self, sendbuf, sendcount, recvbuf, recvcounts, recvdispls
-            )
-        return _collectives.allgatherv_typed_begin(
+        sendtype, recvtypes = self._types(sendtype, recvtypes, "sendtype and recvtypes")
+        return _collectives.allgatherv_begin(
             self, sendbuf, sendcount, sendtype, recvbuf, recvcounts, recvdispls, recvtypes
         )
 
@@ -600,13 +618,8 @@ class Communicator:
         recvtypes: Optional[_collectives.TypesArg] = None,
     ) -> Request:
         """Nonblocking ``MPI_Ineighbor_alltoallv`` over an explicit neighbour list."""
-        if (sendtypes is None) != (recvtypes is None):
-            raise MpiArgumentError("sendtypes and recvtypes must be given together")
-        if sendtypes is None:
-            return _collectives.neighbor_alltoallv_begin(
-                self, neighbors, sendbuf, sendcounts, senddispls, recvbuf, recvcounts, recvdispls
-            )
-        return _collectives.neighbor_alltoallv_typed_begin(
+        sendtypes, recvtypes = self._types(sendtypes, recvtypes, "sendtypes and recvtypes")
+        return _collectives.neighbor_alltoallv_begin(
             self, neighbors, sendbuf, sendcounts, senddispls, sendtypes,
             recvbuf, recvcounts, recvdispls, recvtypes,
         )

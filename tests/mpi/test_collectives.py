@@ -175,20 +175,20 @@ class TestNeighborAlltoallv:
 
         assert all(world.run(program))
 
-    def test_duplicate_neighbours_rejected(self):
-        world = World(2)
+    def test_duplicate_neighbours_concatenate_in_list_order(self):
+        """Byte sections to one peer travel concatenated in list order, as
+        typed ones do: the first receive section gets the first send section."""
+        world = World(2, ranks_per_node=2)
 
         def program(ctx):
-            with pytest.raises(MpiArgumentError):
-                ctx.comm.Neighbor_alltoallv(
-                    [0, 0],
-                    np.zeros(2, np.uint8),
-                    [1, 1],
-                    [0, 1],
-                    np.zeros(2, np.uint8),
-                    [1, 1],
-                    [0, 1],
-                )
+            peer = 1 - ctx.rank
+            send = np.zeros(6, np.uint8)
+            send[:2] = 10 * ctx.rank + 1
+            send[2:] = 10 * ctx.rank + 2
+            recv = np.zeros(6, np.uint8)
+            ctx.comm.Neighbor_alltoallv([peer, peer], send, [2, 4], [0, 2], recv, [2, 4], [4, 0])
+            assert (recv[4:] == 10 * peer + 1).all()
+            assert (recv[:4] == 10 * peer + 2).all()
             return True
 
         assert all(world.run(program))
@@ -511,3 +511,87 @@ class TestTypedAllgatherv:
             return True
 
         assert all(World(1).run(program))
+
+
+# ------------------------------------------------------------------ one language
+#: Byte counts are multiples of this, so a ``Type_contiguous(UNIT, BYTE)``
+#: signature can carry the same sections in elements.
+UNIT = 4
+#: Every section's slot in the user buffers (the largest count is 3 units).
+SLOT = 16
+
+
+def _fold_call(op: str, ctx, send, recv, unit: int):
+    """``(method, args)`` of one non-uniform call whose counts are in
+    elements of ``unit`` bytes and whose displacements are in bytes."""
+    rank, size = ctx.rank, ctx.size
+
+    def units(a, b):
+        return (1 + (a + 2 * b) % 3) * UNIT // unit
+
+    if op == "Alltoallv":
+        displs = [peer * SLOT for peer in range(size)]
+        sendcounts = [units(rank, peer) for peer in range(size)]
+        recvcounts = [units(peer, rank) for peer in range(size)]
+        return op, (send, sendcounts, displs, recv, recvcounts, displs)
+    if op == "Neighbor_alltoallv":
+        # On two ranks both neighbours are the same peer: the duplicates
+        # travel concatenated in list order.
+        left, right = (rank - 1) % size, (rank + 1) % size
+        sendcounts = [units(rank, 0), units(rank, 1)]
+        recvcounts = [units(left, 1), units(right, 0)]
+        displs = [0, SLOT]
+        return op, ([left, right], send, sendcounts, displs, recv, recvcounts, displs)
+    counts = [units(peer, peer) for peer in range(size)]
+    displs = [peer * SLOT for peer in range(size)]
+    return op, (send, counts[rank], recv, counts, displs)
+
+
+def _fold_run(op: str, nranks: int, form: str, split: bool) -> list:
+    """Every rank's ``(clock hex, received bytes)`` after two calls in ``form``.
+
+    ``form`` is ``"bytes"`` (datatypes omitted), ``"BYTE"`` (``MPI_BYTE``
+    given) or ``"contiguous"`` (a committed ``Type_contiguous(UNIT, BYTE)``).
+    """
+    from repro.mpi.constructors import Type_contiguous
+    from repro.mpi.datatype import BYTE
+
+    def program(ctx):
+        comm = ctx.comm
+        datatype = {"BYTE": BYTE, "contiguous": comm.Type_commit(Type_contiguous(UNIT, BYTE))}
+        send = ctx.gpu.malloc(SLOT * max(2, ctx.size))
+        recv = ctx.gpu.malloc(SLOT * max(2, ctx.size))
+        send.data[:] = (np.arange(send.nbytes) * (ctx.rank + 3) % 251).astype(np.uint8)
+        method, args = _fold_call(op, ctx, send, recv, UNIT if form == "contiguous" else 1)
+        kwargs = {}
+        if form != "bytes":
+            sendkey, recvkey = ("sendtype", "recvtypes") if op == "Allgatherv" else (
+                "sendtypes", "recvtypes"
+            )
+            kwargs = {sendkey: datatype[form], recvkey: datatype[form]}
+        for _ in range(2):
+            if split:
+                getattr(comm, "I" + method.lower())(*args, **kwargs).Wait()
+            else:
+                getattr(comm, method)(*args, **kwargs)
+        return ctx.clock.now.hex(), recv.data.tobytes()
+
+    return World(nranks, ranks_per_node=2).run(program)
+
+
+class TestMissingDatatypeIsByte:
+    """The byte signature *is* the datatype signature with ``MPI_BYTE``.
+
+    Same clocks, same bytes — a contiguous section is not packed, whichever
+    contiguous datatype describes it, so it pays no per-block charge.
+    """
+
+    @pytest.mark.parametrize("nranks", [2, 3, 4, 5])
+    @pytest.mark.parametrize("split", [False, True], ids=["blocking", "split"])
+    @pytest.mark.parametrize("op", ["Alltoallv", "Neighbor_alltoallv", "Allgatherv"])
+    def test_byte_call_equals_byte_typed_call(self, op, split, nranks):
+        untyped = _fold_run(op, nranks, "bytes", split)
+        assert all(any(received) for _, received in untyped)
+        assert _fold_run(op, nranks, "BYTE", split) == untyped
+        contiguous = _fold_run(op, nranks, "contiguous", split)
+        assert [received for _, received in contiguous] == [r for _, r in untyped]

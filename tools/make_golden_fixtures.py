@@ -25,10 +25,17 @@ fails the replay and must either be a bug or come with a deliberate
 fixture regeneration:
 
     PYTHONPATH=src python tools/make_golden_fixtures.py
+
+``--diff`` regenerates without writing and prints the dotted path of every
+leaf whose value differs from the committed fixture (exit status 1 if any
+does), which is how a regeneration names what it moved:
+
+    PYTHONPATH=src python tools/make_golden_fixtures.py --diff
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -465,13 +472,56 @@ def build_fixture(model) -> dict:
     }
 
 
-def main() -> int:
+#: Stands for a key or index one side of :func:`changed_leaves` lacks.
+_MISSING = object()
+
+
+def changed_leaves(old, new, path: str = "") -> list[str]:
+    """Dotted paths of every leaf where ``new`` differs from ``old``.
+
+    Dicts recurse by key (sorted), lists by index; a key or index present on
+    one side only is one changed leaf at its path, whatever lies under it.
+    """
+    if isinstance(old, dict) and isinstance(new, dict):
+        keys = sorted(set(old) | set(new), key=str)
+        children = [(key, old.get(key, _MISSING), new.get(key, _MISSING)) for key in keys]
+    elif isinstance(old, list) and isinstance(new, list):
+        children = [
+            (index,
+             old[index] if index < len(old) else _MISSING,
+             new[index] if index < len(new) else _MISSING)
+            for index in range(max(len(old), len(new)))
+        ]
+    else:
+        return [] if old == new else [path]
+    changed = []
+    for key, before, after in children:
+        changed += changed_leaves(before, after, f"{path}.{key}" if path else str(key))
+    return changed
+
+
+def main(argv=None) -> int:
     from repro.machine.spec import SUMMIT
     from repro.tempi.measurement import measure_system
     from repro.tempi.perf_model import PerformanceModel
 
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--diff", action="store_true",
+        help="print the leaves that differ from the committed fixture instead of writing it",
+    )
+    args = parser.parse_args(argv)
     model = PerformanceModel(measure_system(SUMMIT))
     fixture = build_fixture(model)
+    if args.diff:
+        # The JSON round-trip is the one the replay test compares after.
+        changed = changed_leaves(
+            json.loads(FIXTURE.read_text()), json.loads(json.dumps(fixture))
+        )
+        for leaf in changed:
+            print(leaf)
+        print(f"{len(changed)} leaves differ from {FIXTURE.relative_to(REPO)}", file=sys.stderr)
+        return 1 if changed else 0
     FIXTURE.parent.mkdir(parents=True, exist_ok=True)
     FIXTURE.write_text(json.dumps(fixture, indent=2, sort_keys=True) + "\n")
     print(f"wrote {FIXTURE.relative_to(REPO)}")
