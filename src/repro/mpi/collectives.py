@@ -211,14 +211,22 @@ def barrier(comm) -> None:
 # --------------------------------------------------------------------------- #
 
 def bcast(comm, spec, root: int = 0) -> None:
-    """Broadcast the buffer contents of ``root`` to every rank (linear tree)."""
+    """Broadcast ``root``'s elements of the datatype to every rank (linear tree).
+
+    The root packs its ``count`` elements once (:func:`_pack_sections`) and
+    posts the payload to every peer; receivers land it element-wise
+    (:func:`_land_sections`), so the gaps of a derived datatype are left
+    alone on every rank.
+    """
     if not 0 <= root < comm.size:
         raise MpiArgumentError(f"root {root} outside communicator of size {comm.size}")
     tag = _next_collective_tag(comm)
     buffer, count, datatype = comm._resolve(spec)
-    nbytes = datatype.size * count
+    sections = [TypedSection(root, count, 0, datatype)]
+    sections[0].check(comm, buffer, "bcast")
+    nbytes = sections[0].packed_bytes
     if comm.rank == root:
-        payload = buffer.data[:nbytes].copy()
+        payload = _pack_sections(comm, buffer, sections).data
         for peer in range(comm.size):
             if peer == root:
                 continue
@@ -227,8 +235,13 @@ def bcast(comm, spec, root: int = 0) -> None:
         comm.clock.advance(comm._message_time(nbytes, (root + 1) % comm.size, buffer.is_device))
     else:
         envelope = _receive_raw(comm, root, tag)
+        if envelope.nbytes != nbytes:
+            raise MpiArgumentError(
+                f"rank {comm.rank} expected a {nbytes}-byte broadcast from root {root}, "
+                f"got {envelope.nbytes}"
+            )
         comm.clock.advance_to(envelope.available_at)
-        buffer.data[: envelope.nbytes] = envelope.payload
+        _land_sections(comm, buffer, sections, envelope)
 
 
 def allgather_object(comm, value) -> list:

@@ -315,9 +315,9 @@ def compile_bcast(
 
     The root packs **once** and fans the same payload out over one post stage
     per peer (all sharing the single pack stage); every other rank is simply
-    a receive plan from the root.  Unlike the byte-copy system broadcast, the
-    packed payload round-trips through the datatype, so receivers get the
-    root's strided elements, not its raw buffer prefix.
+    a receive plan from the root.  As in the system broadcast, the packed
+    payload round-trips through the datatype, so receivers get the root's
+    strided elements and their gap bytes are left alone.
     """
     if size < 2:
         raise PlanError("a broadcast plan needs at least two ranks")

@@ -40,6 +40,33 @@ class TestBcast:
 
         assert world4.run(program) == [77, 77, 77, 77]
 
+    @pytest.mark.parametrize("library", ["system", "interposed-host"])
+    def test_strided_elements_reach_everyone_and_gaps_stay(self, library, summit_model):
+        """A derived datatype broadcasts its elements, not the raw buffer
+        prefix: every element byte arrives and no gap byte is written."""
+        from repro.mpi import typemap
+        from repro.mpi.constructors import Type_vector
+        from repro.mpi.datatype import BYTE
+        from repro.tempi.interposer import interpose
+
+        def program(ctx):
+            comm = ctx.comm if library == "system" else interpose(ctx, model=summit_model)
+            t = comm.Type_commit(Type_vector(8, 16, 32, BYTE))
+            buf = ctx.gpu.host_alloc(t.extent)
+            buf.data[:] = 200 + ctx.rank
+            if ctx.rank == 1:
+                buf.data[:] = np.arange(t.extent) % 199
+            comm.Bcast((buf, 1, t), root=1)
+            return buf.data.copy()
+
+        results = World(2, ranks_per_node=2).run(program)
+        t = Type_vector(8, 16, 32, BYTE).Commit()
+        element = np.zeros(t.extent, dtype=bool)
+        for offset, length in zip(*typemap.offsets_and_lengths(t)):
+            element[offset : offset + length] = True
+        assert np.array_equal(results[0][element], results[1][element])
+        assert (results[0][~element] == 200).all()
+
     def test_invalid_root_rejected(self):
         world = World(2)
 
