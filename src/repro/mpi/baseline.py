@@ -220,7 +220,7 @@ def contiguous_payload(
     """
     if not datatype.is_contiguous_bytes:
         return None
-    begin = offset + next(datatype.layout(), (0, 0))[0]
+    begin = offset + next(datatype.layout())[0]
     end = begin + datatype.size * count
     if end > buffer.nbytes:
         raise MpiArgumentError(

@@ -4,29 +4,23 @@ Only a small set is needed by the paper's evaluation: ``Barrier`` for phase
 timing, ``Bcast``/``Allgather``/``Allreduce`` for bookkeeping in the examples,
 ``Alltoallv`` / ``Neighbor_alltoallv`` for the 3-D stencil halo exchange
 (Sec. 6.4), and ``Allgatherv`` (the root-less fan-out TEMPI also routes
-through plans).  All of them are composed from the
-point-to-point router; their virtual-time cost is charged analytically from the network model so that the
-functional data movement (which is interleaved arbitrarily by the thread
-scheduler) does not distort the reported latencies.
+through plans).  All of them are composed from the point-to-point router;
+their virtual-time cost is charged analytically from the network model so
+that the functional data movement (which is interleaved arbitrarily by the
+thread scheduler) does not distort the reported latencies.
 
-Every all-to-all-v and all-gather-v speaks one datatype language: a section
-is ``count`` elements of a committed (possibly derived) datatype starting
-``displ`` bytes into the user buffer (``MPI_Alltoallw``'s displacement
-convention, which the halo exchange needs for its subarray types).  The byte
-signature of the ``Communicator`` methods is not a second engine: a missing
-datatype is ``MPI_BYTE``, so counts and displacements are byte ranges of a
-pre-packed buffer — the shape the paper's halo uses after its explicit
-``MPI_Pack`` loop (Sec. 6.4).  ``Bcast`` moves its datatype's elements the
-same way.
-
-How a section moves is decided in one place,
-:func:`~repro.mpi.baseline.contiguous_payload`: a contiguous section is not
-packed — its bytes are one slice copy, free of the baseline charge, as they
-are for a system ``Send`` — and any other goes through the per-block baseline
-engine, which is exactly what makes the system path slow for non-contiguous
-types and what TEMPI's interposed collectives accelerate with one pack kernel
-per destination (Sec. 5).  :func:`_pack_sections` and
-:func:`_unpack_sections` are the only two places either happens.
+One datatype language: a section is ``count`` elements of a committed
+(possibly derived) datatype starting ``displ`` bytes into the user buffer
+(``MPI_Alltoallw``'s displacement convention).  A missing datatype is
+``MPI_BYTE``, so the byte signature — the paper's halo after its explicit
+``MPI_Pack`` loop (Sec. 6.4) — is not a second engine.  How a section moves
+is decided once, by :func:`~repro.mpi.baseline.contiguous_payload`, and
+applied only in :func:`_pack_sections` / :func:`_unpack_sections`: a
+contiguous section is one uncharged slice copy, as for a system ``Send``;
+any other goes through the per-block baseline engine — what makes the system
+path slow for non-contiguous types and what TEMPI's interposed collectives
+accelerate with one pack kernel per destination (Sec. 5).  ``Bcast`` moves
+its datatype's elements the same way.
 
 Every all-to-all-v and all-gather-v here is **split-phase** and exists in
 that form only: a ``*_begin`` starter validates, posts this rank's sends and
@@ -500,8 +494,6 @@ def neighbor_alltoallv_begin(
 
     send = as_buffer(sendbuf)
     recv = as_buffer(recvbuf)
-    if len(neighbors) != len(sendcounts) or len(neighbors) != len(recvcounts):
-        raise MpiArgumentError("neighbour argument lists must have equal lengths")
     send_sections = build_sections(comm, send, neighbors, sendcounts, senddispls, sendtypes, "send")
     recv_sections = build_sections(comm, recv, neighbors, recvcounts, recvdispls, recvtypes, "recv")
     tag = _next_collective_tag(comm)

@@ -336,19 +336,12 @@ class Communicator:
         return Status(source=envelope.source, tag=envelope.tag, count_bytes=envelope.nbytes)
 
     # ------------------------------------------------------------------- pack
-    def _check_pack(
-        self, user: Buffer, count: int, datatype: Datatype, packed: Buffer, position: int
-    ) -> int:
-        """Validate a ``Pack``/``Unpack`` call; return its packed byte count.
-
-        ``position`` must leave room for the packed bytes inside ``packed``,
-        and ``user`` must hold ``count`` elements of ``datatype``.
-        """
+    def _check_pack(self, user: Buffer, count: int, datatype: Datatype, packed: Buffer, position: int) -> int:
+        """Check ``position`` in ``packed`` and the extent of ``user``; return the packed bytes."""
         nbytes = typemap.packed_size(datatype, count)
         if position < 0 or position + nbytes > packed.nbytes:
             raise MpiArgumentError(
-                f"position {position}: {nbytes} packed bytes there do not fit the "
-                f"{packed.nbytes}-byte packed buffer"
+                f"position {position}: {nbytes} packed bytes do not fit the {packed.nbytes}-byte buffer"
             )
         self.baseline.check_fits(user, datatype, count)
         return nbytes
@@ -423,12 +416,7 @@ class Communicator:
 
     @staticmethod
     def _types(sendtypes, recvtypes, names: str) -> tuple:
-        """Both datatype arguments, or ``MPI_BYTE`` for both when neither is given.
-
-        A missing datatype is ``MPI_BYTE``, so the byte signature is the one
-        datatype path with counts and displacements in bytes; giving one side
-        only is an error.
-        """
+        """Both datatype arguments — a missing datatype is ``MPI_BYTE`` — or an error for one."""
         if (sendtypes is None) != (recvtypes is None):
             raise MpiArgumentError(f"{names} must be given together")
         if sendtypes is None:
@@ -484,11 +472,11 @@ class Communicator:
     ) -> None:
         """``MPI_Allgatherv``.
 
-        Without ``sendtype``/``recvtypes`` the counts and displacements are
-        raw byte ranges.  With datatypes each rank contributes ``sendcount``
-        elements of ``sendtype`` and section *i* of ``recvbuf`` is unpacked as
-        ``recvcounts[i]`` elements of rank *i*'s receive datatype at byte
-        displacement ``recvdispls[i]``.
+        Each rank contributes ``sendcount`` elements of ``sendtype`` and
+        section *i* of ``recvbuf`` is unpacked as ``recvcounts[i]`` elements
+        of rank *i*'s receive datatype at byte displacement ``recvdispls[i]``.
+        A missing datatype is ``MPI_BYTE``: without ``sendtype``/``recvtypes``
+        the counts are bytes, through the same path.
         """
         self.Iallgatherv(
             sendbuf, sendcount, recvbuf, recvcounts, recvdispls,
@@ -509,9 +497,11 @@ class Communicator:
     ) -> None:
         """``MPI_Alltoallv``.
 
-        Without ``sendtypes``/``recvtypes`` the counts and displacements are
-        raw byte ranges of pre-packed buffers.  With datatypes the counts are
-        elements and each section is packed/unpacked by the baseline engine —
+        Counts are elements of the section's datatype and displacements are
+        bytes.  A missing datatype is ``MPI_BYTE``: without
+        ``sendtypes``/``recvtypes`` the counts are byte ranges of pre-packed
+        buffers, through the same path.  A contiguous section is one slice
+        copy; any other is packed/unpacked by the per-block baseline engine —
         the datatype-carrying signature TEMPI's interposer accelerates.
         """
         self.Ialltoallv(
@@ -534,9 +524,9 @@ class Communicator:
     ) -> None:
         """``MPI_Neighbor_alltoallv`` over an explicit neighbour list.
 
-        The datatype-carrying form (``sendtypes``/``recvtypes`` given) allows
-        duplicate neighbours; sections of one pair travel concatenated in
-        list order.
+        Sections as in :meth:`Alltoallv` (a missing datatype is ``MPI_BYTE``).
+        Duplicate neighbours are allowed; sections of one pair travel
+        concatenated in list order.
         """
         self.Ineighbor_alltoallv(
             neighbors, sendbuf, sendcounts, senddispls, recvbuf, recvcounts, recvdispls,
@@ -558,7 +548,7 @@ class Communicator:
         sendtypes: Optional[_collectives.TypesArg] = None,
         recvtypes: Optional[_collectives.TypesArg] = None,
     ) -> Request:
-        """Nonblocking ``MPI_Ialltoallv`` (byte or datatype-carrying form).
+        """Nonblocking ``MPI_Ialltoallv`` (a missing datatype is ``MPI_BYTE``).
 
         Outgoing sections are validated, packed and posted immediately; the
         receive (and unpack) side is deferred to the returned request's
@@ -580,7 +570,7 @@ class Communicator:
         sendtype: Optional[Datatype] = None,
         recvtype: Optional[Datatype] = None,
     ) -> Request:
-        """Nonblocking ``MPI_Iallgather`` (byte or datatype-carrying form)."""
+        """Nonblocking ``MPI_Iallgather`` (a missing datatype is ``MPI_BYTE``)."""
         counts, displs = self._allgather_uniform(sendcount, sendtype, recvtype)
         return self.Iallgatherv(
             sendbuf, sendcount, recvbuf, counts, displs, sendtype=sendtype, recvtypes=recvtype
