@@ -1,27 +1,30 @@
 """Simulated-throughput harness for the event-driven fast path.
 
-The simulator's wall-clock cost lives in its control plane: compiling a
-typed collective into a :class:`~repro.tempi.plan.MessagePlan` (validation,
-section building, method selection) and pricing each wire message through
-the shared :class:`~repro.machine.nic.NicTimeline`.  This module drives
-exactly that path — every rank posts one ``Ialltoallv``-shaped halo
-exchange per round, each post is reserved on the shared NIC and the
-arrivals are ingested at their destinations — and reports **simulated
-messages per wall-clock second** across three legs:
+The simulator's wall-clock cost lives in its control plane: charging a
+typed collective's start (a :class:`~repro.tempi.plan.MessagePlan` compile
+the first time, a replay of its selections after that) and pricing each
+wire message through the shared :class:`~repro.machine.nic.NicTimeline`.
+This module drives exactly that path — every rank binds one
+``Neighbor_alltoallv_init`` halo exchange and starts it once per round,
+each post is reserved on the shared NIC and the arrivals are ingested at
+their destinations — and reports **simulated messages per wall-clock
+second** across three legs:
 
 ``eager``
-    plan cache and selection memo off, the pre-fast-path behaviour;
+    plan cache and selection memo off: every start recompiles, the
+    pre-fast-path behaviour;
 ``cached``
-    both caches on, scalar per-message booking;
+    both caches on, one ``charge()`` per rank, scalar per-message booking;
 ``batched``
-    caches on *and* the whole round booked through the vectorized batch
-    kernels (:meth:`~repro.machine.nic.NicTimeline.reserve_batch` and
-    :meth:`~repro.machine.nic.NicTimeline.ingest_batch_vec`) — one numpy
-    pass per round instead of one Python call per message.
+    caches on, the round charged by one
+    :func:`~repro.tempi.interposer.charge_batch` and booked through the
+    vectorized kernels (:meth:`~repro.machine.nic.NicTimeline.reserve_batch`
+    and :meth:`~repro.machine.nic.NicTimeline.ingest_batch_vec`) — numpy
+    passes per round instead of Python calls per rank and per message.
 
-All legs price identically — the caches replay the selection transcript
-through the live selector and the batch kernels perform the scalar
-pricing arithmetic operation-for-operation, so every clock charge and
+All legs price identically — a restart replays the selection transcript
+through the live selector, ``charge_batch`` and the batch kernels perform
+the scalar arithmetic operation-for-operation, so every clock charge and
 cursor matches the eager path bit for bit (pinned by
 ``tests/property/test_property_fastpath.py`` and the batch-booking
 property tests, which compare :meth:`HaloDriver.digest` across legs).
@@ -53,7 +56,7 @@ from repro.mpi.constructors import Type_vector
 from repro.mpi.datatype import BYTE
 from repro.mpi.world import World
 from repro.tempi.config import TempiConfig
-from repro.tempi.interposer import interpose
+from repro.tempi.interposer import charge_batch, interpose
 from repro.tempi.measurement import measure_system
 from repro.tempi.perf_model import PerformanceModel
 
@@ -135,34 +138,36 @@ def _neighbors(rank: int, size: int, degree: int) -> list[int]:
 class HaloDriver:
     """One halo-exchange workload, steppable round by round.
 
-    Builds a ``nranks``-rank world where every rank compiles one sparse
-    ``alltoallv`` against its ``degree`` ring neighbours per round, reserves
-    each post on the shared NIC and ingests the arrivals per destination.
-    The collective is *compact*: each rank's peer list names only its
-    neighbours and its buffers hold only those slots (``degree`` extents,
-    not one per rank), so the per-round compile cost and the buffer
-    footprint stay O(degree) — at 8192 ranks the dense layout would need
-    tens of gigabytes of simulated device memory and hash O(nranks) cache
-    keys per compile.
+    Builds a ``nranks``-rank world where every rank binds one typed
+    ``Neighbor_alltoallv_init`` against its ``degree`` ring neighbours at
+    construction; every round charges each rank's start, reserves each post
+    on the shared NIC and ingests the arrivals per destination.  The
+    neighbour list is *compact* — only the ``degree`` neighbours, with
+    buffers holding only those slots — so the per-round charge and the
+    buffer footprint stay O(degree): at 8192 ranks a dense ``Alltoallv``
+    layout would need tens of gigabytes of simulated device memory.
 
-    ``booking`` selects how the round's wire slots are priced:
+    ``booking`` selects how a round is charged and its wire slots priced:
 
     ``"scalar"``
-        one :meth:`~repro.machine.nic.NicTimeline.reserve` call per post and
-        one :meth:`~repro.machine.nic.NicTimeline.ingest` call per
+        one :meth:`~repro.tempi.interposer.PersistentCollective.charge` per
+        rank, one :meth:`~repro.machine.nic.NicTimeline.reserve` call per
+        post and one :meth:`~repro.machine.nic.NicTimeline.ingest` call per
         destination — the per-message control plane;
     ``"batched"``
-        the whole round in one
+        one :func:`~repro.tempi.interposer.charge_batch` over every rank,
+        then the whole round in one
         :meth:`~repro.machine.nic.NicTimeline.reserve_batch` call and one
         :meth:`~repro.machine.nic.NicTimeline.ingest_batch_vec` call; a
         hierarchical topology adds its frozen
         :class:`~repro.machine.topology.RouteTable` (rail and uplink-bundle
         cursors deepen the kernel's level schedule, nothing else changes).
 
-    Both modes compile every rank's plan every round — the clock charges
-    *are* the workload — and price bit-identically: :meth:`digest` over a
-    scalar and a batched driver of the same shape must agree exactly, which
-    the batch-booking property tests pin.
+    Both modes charge every rank's start every round — the first compiles,
+    later ones replay the bound template (or recompile, with ``plan_cache``
+    off); the clock charges *are* the workload — and price bit-identically:
+    :meth:`digest` over a scalar and a batched driver of the same shape must
+    agree exactly, which the batch-booking property tests pin.
     """
 
     def __init__(
@@ -192,12 +197,13 @@ class HaloDriver:
             counts = (1,) * len(peers)
             displs = tuple(slot * datatype.extent for slot in range(len(peers)))
             span = (len(peers) - 1) * datatype.extent + datatype.ub
-            send = ctx.gpu.malloc(span)
-            recv = ctx.gpu.malloc(span)
-            self._setup.append(
-                (ctx, comm, datatype, tuple(peers), counts, displs, send, recv, {})
+            request = comm.Neighbor_alltoallv_init(
+                peers, ctx.gpu.malloc(span), counts, displs, ctx.gpu.malloc(span), counts, displs,
+                sendtypes=datatype, recvtypes=datatype,
             )
+            self._setup.append((ctx, comm, request, {}))
             neighbor_rows.append(peers)
+        self._requests = [request for _, _, request, _ in self._setup]
         if booking == "batched":
             self._init_batched(neighbor_rows)
         # Per-message wire times and payload size, learned from the first
@@ -240,18 +246,6 @@ class HaloDriver:
         self._gather_cols = np.asarray(
             [[j for _, j in buckets[d]] for d in order], dtype=np.int64
         )
-        self._nows = np.empty(n, dtype=np.float64)
-        # Flat (bound-method, clock, args) rows keep the per-rank compile
-        # loop free of per-round tuple unpacking.
-        self._compile_rows = [
-            (
-                comm._compile_collective,
-                ctx.clock,
-                ("alltoallv", peers, send, counts, displs, datatype,
-                 recv, counts, displs, datatype),
-            )
-            for ctx, comm, datatype, peers, counts, displs, send, recv, _ in self._setup
-        ]
         # The exchange's routes, resolved once: which rail and uplink
         # bundles each post binds, and the rail each landing serialises on.
         self._routes = None
@@ -272,24 +266,19 @@ class HaloDriver:
         return self._round_scalar()
 
     def _round_scalar(self) -> int:
-        """Compile, reserve and ingest one round through the scalar calls."""
+        """Charge, reserve and ingest one round through the scalar calls."""
         posted = 0
         topo = self.topo
         nic = self.nic
         inbound: dict[int, list[IngestRecord]] = {}
-        for ctx, comm, datatype, peers, counts, displs, send, recv, wires in self._setup:
-            plan = comm._compile_collective(
-                "alltoallv", peers,
-                send, counts, displs, datatype,
-                recv, counts, displs, datatype,
-                nonblocking=True,
-            )
+        for ctx, comm, request, wires in self._setup:
+            plan = request.charge()
             now = ctx.clock.now
             rank = ctx.rank
             for post in plan.post_stages:
                 wire_s = wires.get(post.peer)
                 if wire_s is None:
-                    wires[post.peer] = wire_s = comm._message_time(post.nbytes, post.peer, True)
+                    wires[post.peer] = wire_s = comm.progress_engine.message_time(post.nbytes, post.peer, True)
                 path = None
                 rail = None
                 if topo is not None:
@@ -307,7 +296,7 @@ class HaloDriver:
         return posted
 
     def _learn_round_shape(self, rank: int, plan, comm) -> None:
-        """Fill the wire matrix row of ``rank`` from its first compiled plan."""
+        """Fill the wire matrix row of ``rank`` from its first charged plan."""
         assert self._wire_mat is not None
         row = self._dest_mat[rank]
         posts = plan.post_stages
@@ -324,34 +313,21 @@ class HaloDriver:
                 self._nbytes = post.nbytes
             elif post.nbytes != self._nbytes:
                 raise RuntimeError("batched booking needs a homogeneous halo payload")
-            self._wire_mat[rank, j] = comm._message_time(post.nbytes, post.peer, True)
+            self._wire_mat[rank, j] = comm.progress_engine.message_time(post.nbytes, post.peer, True)
 
     def _round_batched(self) -> int:
-        """Compile every rank, then book the whole round in batch kernels."""
+        """Charge every rank, then book the whole round in batch kernels."""
         n, k = self.nranks, self.degree
-        learn = self._wire_mat is None
-        if learn:
+        if self._wire_mat is None:
+            # The first round compiles: charge rank by rank (as charge_batch
+            # would) and learn the wire shape from the plans.
             self._wire_mat = np.empty((n, k), dtype=np.float64)
-            for i, (ctx, comm, datatype, peers, counts, displs, send, recv, _) in enumerate(
-                self._setup
-            ):
-                plan = comm._compile_collective(
-                    "alltoallv", peers,
-                    send, counts, displs, datatype,
-                    recv, counts, displs, datatype,
-                    nonblocking=True,
-                )
-                self._nows[i] = ctx.clock.now
-                self._learn_round_shape(i, plan, comm)
+            for i, (_, comm, request, _) in enumerate(self._setup):
+                self._learn_round_shape(i, request.charge(), comm)
             self._wire_mat.flags.writeable = False
-            nows = self._nows
+            nows = np.array([ctx.clock.now for ctx in self.world.contexts])
         else:
-            nows_list = []
-            append = nows_list.append
-            for compile_fn, clock, args in self._compile_rows:
-                compile_fn(*args, nonblocking=True)
-                append(clock.now)
-            nows = np.asarray(nows_list, dtype=np.float64)
+            nows = charge_batch(self._requests)
         batch = self.nic.reserve_batch(
             self._sources, self._dest_mat, nows[:, None], self._wire_mat,
             self._nbytes, ingest=True, paths=self._routes,
@@ -388,7 +364,7 @@ class HaloDriver:
                best_round_s: float) -> ThroughputResult:
         """Fold one timed run's counters into a :class:`ThroughputResult`."""
         per_round = messages // iters if iters else 0
-        stats = [entry[1].tempi.stats for entry in self._setup]
+        stats = [entry[1].stats for entry in self._setup]
         return ThroughputResult(
             nranks=self.nranks,
             iters=iters,
@@ -417,11 +393,11 @@ def drive(
 ) -> ThroughputResult:
     """Time ``iters`` halo-exchange rounds of the control plane.
 
-    Every rank compiles one sparse ``alltoallv`` against its ``degree`` ring
-    neighbours, reserves each post on the shared NIC and the arrivals are
-    ingested per destination — single-threaded, so the wall clock measures
-    the simulator, not the thread scheduler.  One untimed warm-up round
-    populates the caches (and, in eager mode, the stream/staging pools) so
+    Every rank starts its bound neighbour exchange against its ``degree``
+    ring neighbours, reserves each post on the shared NIC and the arrivals
+    are ingested per destination — single-threaded, so the wall clock
+    measures the simulator, not the thread scheduler.  One untimed warm-up
+    round compiles every rank's plan and populates the caches so
     the timed region sees the steady state of each configuration.
     ``messages_per_s`` comes from the *best* round (min timing, robust to GC
     and scheduler noise); ``wall_s`` is the whole timed region.
@@ -473,7 +449,7 @@ def profile_drive(
     """Profile ``iters`` rounds of the booking loop; return the hotspot table.
 
     Runs the same steady-state region :func:`drive` times (one untimed
-    warm-up round first, so compiles are cache hits and pools are primed)
+    warm-up round first, so starts are restarts and pools are primed)
     under :mod:`cProfile` and renders the ``top`` functions by cumulative
     time — the ``--profile`` flag of ``bench_sim_throughput.py``.
     """

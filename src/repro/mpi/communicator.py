@@ -285,16 +285,19 @@ class Communicator:
         return Request("recv", complete=complete, arrival=arrival, clock=self.clock)
 
     # -------------------------------------------------------------- persistent
-    def _persistent(self, kind: str, post, spec: BufferSpec, peer: int, tag: int) -> Request:
-        """Bind ``post`` — an ``Isend`` or ``Irecv`` — to its arguments.
+    def _persistent(self, kind: str, post, *args, peer=None, tag=None, **kwargs) -> Request:
+        """Bind ``post`` — a nonblocking call: ``Isend``, ``Irecv``,
+        ``Ialltoallv``, ``Ineighbor_alltoallv`` — to its arguments.
 
         Every ``Start`` of the returned request *is* that call: it posts once
-        more and the persistent request completes as the posted one does.
+        more and the persistent request completes as the posted one does.  A
+        point-to-point bind names its ``peer`` and ``tag``, checked here.
         """
-        self._check_peer(peer, allow_any=kind == "recv")
+        if peer is not None:
+            self._check_peer(peer, allow_any=kind == "recv")
 
         def start() -> None:
-            posted = post(spec, peer, tag)
+            posted = post(*args, **kwargs)
             request.arm(posted.Wait, lambda: posted.Test()[0], posted.arrival_hint)
 
         request = Request(kind, start=start, peer=peer, tag=tag, registry=self.requests)
@@ -302,11 +305,11 @@ class Communicator:
 
     def Send_init(self, spec: BufferSpec, dest: int, tag: int = 0) -> Request:
         """``MPI_Send_init``: a send whose every ``Start`` is one ``Isend``."""
-        return self._persistent("send", self.Isend, spec, dest, tag)
+        return self._persistent("send", self.Isend, spec, dest, tag, peer=dest, tag=tag)
 
     def Recv_init(self, spec: BufferSpec, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
         """``MPI_Recv_init``: a receive whose every ``Start`` is one ``Irecv``."""
-        return self._persistent("recv", self.Irecv, spec, source, tag)
+        return self._persistent("recv", self.Irecv, spec, source, tag, peer=source, tag=tag)
 
     #: ``MPI_Start`` / ``MPI_Startall``: the request knows which library bound it.
     Start = staticmethod(Request.Start)
@@ -613,6 +616,17 @@ class Communicator:
             self, neighbors, sendbuf, sendcounts, senddispls, sendtypes,
             recvbuf, recvcounts, recvdispls, recvtypes,
         )
+
+    # ---------------------------------------------------- persistent collectives
+    def Alltoallv_init(self, *args, sendtypes=None, recvtypes=None) -> Request:
+        """``MPI_Alltoallv_init``: every ``Start`` is one :meth:`Ialltoallv`
+        of these arguments (validated at the ``Start``, as that call does)."""
+        return self._persistent("coll", self.Ialltoallv, *args, sendtypes=sendtypes, recvtypes=recvtypes)
+
+    def Neighbor_alltoallv_init(self, *args, sendtypes=None, recvtypes=None) -> Request:
+        """``MPI_Neighbor_alltoallv_init``: every ``Start`` is one
+        :meth:`Ineighbor_alltoallv` of these arguments."""
+        return self._persistent("coll", self.Ineighbor_alltoallv, *args, sendtypes=sendtypes, recvtypes=recvtypes)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Communicator rank {self.rank}/{self.size} ctx={self.context}>"

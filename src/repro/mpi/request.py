@@ -38,6 +38,10 @@ class Request:
     """
 
     KINDS = ("send", "recv", "coll", "null")
+    #: The bound operation (``None``: one-shot, or freed).  A persistent
+    #: subclass may define it as a method, which keeps the request out of a
+    #: reference cycle with a bound method of its own.
+    _start: Optional[Callable[[], None]] = None
 
     def __init__(
         self,
@@ -61,7 +65,8 @@ class Request:
         self._clock = clock
         self._ready = ready
         self._arrival = arrival
-        self._start = start
+        if start is not None:
+            self._start = start
         #: What a bound point-to-point request names in error reports.
         self.peer = peer
         self.tag = tag
@@ -70,7 +75,7 @@ class Request:
         self._registry = registry
         if registry is not None:
             registry.append(self)
-        self._done = start is not None
+        self._done = self._start is not None
         self._status = Status()
 
     def __repr__(self) -> str:

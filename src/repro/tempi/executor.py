@@ -97,8 +97,9 @@ class PlanExecutor:
     def execute(self, plan: MessagePlan, request: Optional[Request] = None) -> Request:
         """Run a plan's send side now; return the request that drives the rest.
 
-        A ``send`` or ``recv`` plan arms ``request`` (its bind's, armed again
-        every round of a persistent operation; a fresh one when omitted).
+        A ``send``, ``recv`` or exchange plan arms ``request`` (its bind's,
+        armed again every round of a persistent operation; a fresh one when
+        omitted).
 
         * ``send`` plans return a send request (completion at buffer-reuse
           time for nonblocking plans, at wire-completion time for blocking
@@ -128,7 +129,7 @@ class PlanExecutor:
             return self._execute_bcast(plan)
         if plan.op == "allreduce":
             return self._execute_allreduce(plan)
-        return self._execute_exchange(plan)
+        return self._execute_exchange(plan, request)
 
     # ---------------------------------------------------------------- helpers
     @staticmethod
@@ -373,7 +374,7 @@ class PlanExecutor:
         return complete, ready, arrival
 
     # --------------------------------------------------------------- exchange
-    def _execute_exchange(self, plan: MessagePlan) -> Request:
+    def _execute_exchange(self, plan: MessagePlan, request: Optional[Request]) -> Request:
         comm = self.comm
         if plan.tag is None:
             plan.tag = _next_collective_tag(comm)
@@ -479,6 +480,8 @@ class PlanExecutor:
                 latest = when if latest is None else max(latest, when)
             return latest
 
+        if request is not None:
+            return request.arm(complete, ready, arrival)
         return Request("coll", complete=complete, ready=ready, arrival=arrival)
 
     # --------------------------------------------------------------- allreduce

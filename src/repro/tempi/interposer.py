@@ -12,7 +12,8 @@ structure with plain object composition:
   ``Send``/``Isend``/``Send_init``, ``Recv``/``Irecv``/``Recv_init``,
   ``Sendrecv``, ``Bcast``, and the datatype-carrying ``Alltoallv`` /
   ``Neighbor_alltoallv`` / ``Allgather`` / ``Allgatherv`` with their
-  nonblocking forms) are overridden here;
+  nonblocking forms, and the persistent ``Alltoallv_init`` /
+  ``Neighbor_alltoallv_init``) are overridden here;
 * every other attribute falls through to the underlying communicator via
   ``__getattr__`` — the analogue of unresolved symbols binding to the system
   MPI.
@@ -31,7 +32,10 @@ blocking calls wait on at once.  Point-to-point messages have one entry too
 (:meth:`TempiCommunicator._bind_p2p`): what no round changes is bound once,
 and every start of the bound request pays the round's charges and executes
 the bound plan — once for ``Isend``/``Irecv``, every round for
-``Send_init``/``Recv_init`` + ``Start``.  All wire
+``Send_init``/``Recv_init`` + ``Start``.  A persistent collective
+(:class:`PersistentCollective`) is bound the same way; its
+:meth:`~PersistentCollective.charge` is what a start owes, and
+:func:`charge_batch` charges a whole round of them at once.  All wire
 state lives in the per-rank :class:`~repro.tempi.progress.ProgressEngine`
 (cross-plan NIC accounting on the world's shared
 :class:`~repro.machine.nic.NicTimeline`, small-plan send batching,
@@ -63,7 +67,7 @@ from repro.mpi.status import ANY_SOURCE, ANY_TAG, Status
 from repro.tempi import plan as _plan
 from repro.tempi.cache import ResourceCache
 from repro.tempi.canonicalize import simplify
-from repro.tempi.config import HANDLER_LOOKUP_S, POINTER_CHECK_S, TempiConfig
+from repro.tempi.config import HANDLER_LOOKUP_S, MODEL_CACHED_QUERY_S, POINTER_CHECK_S, TempiConfig
 from repro.tempi.executor import PlanExecutor
 from repro.tempi.measurement import SystemMeasurement, host_timer
 from repro.tempi.packer import Packer
@@ -71,6 +75,7 @@ from repro.tempi.progress import ProgressEngine
 from repro.tempi.perf_model import PerformanceModel
 from repro.tempi.plan import MessagePlan, PlanSection
 from repro.tempi.selection import (
+    ModelSelector,
     choose_allreduce_algorithm,
     default_registry,
     make_selector,
@@ -134,7 +139,9 @@ class InterposerStats:
     #: earlier arrivals were still draining (duplex accounting only).
     ingest_stalls: int = 0
     #: Typed collectives answered from / compiled into the plan cache
-    #: (counted only when ``TempiConfig.plan_cache`` consults it).
+    #: (counted only when ``TempiConfig.plan_cache`` consults it).  A
+    #: persistent collective's restart, which replays its bound template,
+    #: counts as a hit.
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
     #: Method selections whose *value* came from the selection memo (with
@@ -288,12 +295,6 @@ class TempiCommunicator:
         #: What every interposed call is charged (Sec. 6.3): the handler
         #: lookup plus the pointer check.
         self._overhead_s = HANDLER_LOOKUP_S + POINTER_CHECK_S
-        #: Single-slot compile memo: the last plan-cache hit's raw arguments
-        #: (by identity), built cache key, buffers and template, pinned to
-        #: the cache generation that proved the entry present.  A steady
-        #: workload re-issuing the same collective revalidates by identity
-        #: instead of rebuilding the key — see :meth:`_compile_collective`.
-        self._compile_memo: Optional[tuple] = None
 
     # ------------------------------------------------------------ passthrough
     def __getattr__(self, name: str):
@@ -555,7 +556,7 @@ class TempiCommunicator:
         request = self._bind_p2p(kind, spec, peer, tag, True, persistent=True)
         if request is None:
             stats.fallbacks = fallbacks  # a start owes the count, not the bind
-            request = self._comm._persistent(kind, post, spec, peer, tag)
+            request = self._comm._persistent(kind, post, spec, peer, tag, peer=peer, tag=tag)
         return request
 
     def Send_init(self, spec, dest: int, tag: int = 0) -> Request:
@@ -692,7 +693,7 @@ class TempiCommunicator:
         size = self._comm.size
         plan = None
         if size >= 2:
-            plan = self._compile_collective(
+            plan, _ = self._compile_collective(
                 "allgather", range(size),
                 sendbuf, [sendcount], [0], sendtype,
                 recvbuf, recvcounts, recvdispls, recvtypes,
@@ -1012,34 +1013,6 @@ class TempiCommunicator:
             self._count_methods(plan)
         return plan
 
-    def _memoize_compile(
-        self, op, peers, sendbuf, sendcounts, senddispls, sendtypes,
-        recvbuf, recvcounts, recvdispls, recvtypes, nonblocking,
-        key, send, recv, template,
-    ) -> None:
-        """Pin one cached compile's raw arguments for identity revalidation.
-
-        Only argument shapes whose identity *implies* key equality are
-        memoized: tuples (immutable, so `is` means equal contents) and
-        uniform :class:`Datatype` arguments (whose signature names exactly
-        the ``(datatype, attachment)`` identities the probe re-checks).
-        Lists or exotic count objects could mutate under an unchanged
-        identity, so they always take the full key-building path.
-        """
-        if (
-            type(peers) is tuple
-            and type(sendcounts) is tuple and type(senddispls) is tuple
-            and type(recvcounts) is tuple and type(recvdispls) is tuple
-            and isinstance(sendtypes, Datatype)
-            and isinstance(recvtypes, Datatype)
-        ):
-            self._compile_memo = (
-                op, nonblocking, peers, sendbuf, sendcounts, senddispls,
-                sendtypes, sendtypes.attachment, recvbuf, recvcounts,
-                recvdispls, recvtypes, recvtypes.attachment, key,
-                send, recv, template, self.plan_cache.generation,
-            )
-
     def _compile_collective(
         self,
         op: str,
@@ -1056,16 +1029,18 @@ class TempiCommunicator:
         nonblocking: bool,
         sections=None,
         compiler=_plan.compile_exchange,
-    ) -> Optional[MessagePlan]:
+    ) -> tuple[Optional[MessagePlan], Optional[_plan.PlanTemplate]]:
         """Compile (or cache-hit) a typed collective to a plan, fully charged.
 
-        The front half of :meth:`_start_exchange` — everything up to the
-        executable plan, with every clock charge and stats count applied —
-        split out so ``bench_sim_throughput.py`` can drive the compile/cache
-        pipeline without the executor.  Returns ``None`` when the call is not
-        TEMPI's business or must fall back (the caller then runs the system
-        path).  Under ``config.plan_cache`` a repeated shape skips validation
-        and compilation entirely (see :meth:`_plan_from_template`).
+        The front half of every collective start — everything up to the
+        executable plan, with every clock charge and stats count applied.
+        Returns ``(plan, template)``: the plan is ``None`` when the call is
+        not TEMPI's business or must fall back (the caller then runs the
+        system path); the template is the plan cache's entry for the shape
+        (``None`` unless ``config.plan_cache`` holds one), which a persistent
+        collective replays at every restart.  Under ``config.plan_cache`` a
+        repeated shape skips validation and compilation entirely (see
+        :meth:`_plan_from_template`).
 
         ``sections`` and ``compiler`` are the two steps that differ between
         collectives: the section builder (default :meth:`_exchange_sections`)
@@ -1074,39 +1049,9 @@ class TempiCommunicator:
         if sendtypes is None or recvtypes is None:
             # The byte signature (or a half-specified typed one, which the
             # system path rejects) is not TEMPI's business.
-            return None
+            return None, None
         if not (self.config.enabled and self.config.datatype_handling):
-            return None
-        memo = self._compile_memo
-        if (
-            memo is not None
-            # The generation pin proves no put/evict/clear touched the cache
-            # since the memo was taken, so the memoized template is still the
-            # entry the rebuilt key would find; the identity checks prove the
-            # rebuilt key would be equal (every component is either immutable
-            # and identical, or — for the datatype signatures — named by
-            # exactly the (datatype, attachment) identities compared here).
-            and memo[17] == self.plan_cache.generation
-            and memo[0] == op
-            and memo[1] == nonblocking
-            and memo[2] is peers
-            and memo[3] is sendbuf
-            and memo[4] is sendcounts
-            and memo[5] is senddispls
-            and memo[6] is sendtypes
-            and memo[7] is sendtypes.attachment
-            and memo[8] is recvbuf
-            and memo[9] is recvcounts
-            and memo[10] is recvdispls
-            and memo[11] is recvtypes
-            and memo[12] is recvtypes.attachment
-            and self.config.plan_cache
-        ):
-            # Same bookkeeping as the full hit path below: the hit count,
-            # the key's LRU refresh, then the fully charged materialization.
-            self.plan_cache.touch(memo[13])
-            self.tempi.stats.plan_cache_hits += 1
-            return self._plan_from_template(memo[16], memo[14], memo[15])
+            return None, None
         send = as_buffer(sendbuf)
         recv = as_buffer(recvbuf)
         key = retained = None
@@ -1122,12 +1067,7 @@ class TempiCommunicator:
                 key, retained, template = None, (), None
             if template is not None:
                 self.tempi.stats.plan_cache_hits += 1
-                self._memoize_compile(
-                    op, peers, sendbuf, sendcounts, senddispls, sendtypes,
-                    recvbuf, recvcounts, recvdispls, recvtypes, nonblocking,
-                    key, send, recv, template,
-                )
-                return self._plan_from_template(template, send, recv)
+                return self._plan_from_template(template, send, recv), template
             if key is not None:
                 self.tempi.stats.plan_cache_misses += 1
         built = (sections or self._exchange_sections)(
@@ -1136,7 +1076,7 @@ class TempiCommunicator:
         )
         if built is None or not (built[0] or built[1]):
             self.tempi.stats.collective_fallbacks += 1
-            return None
+            return None, None
         send_sections, recv_sections, handlers = built
         # Both sides confirmed accelerable: only now count the handler uses.
         for handler in handlers:
@@ -1144,6 +1084,7 @@ class TempiCommunicator:
         self._charge_interposition_overhead()
         self.tempi.stats.collective_hits += 1
         recording = _plan.RecordingSelector(self._selector) if key is not None else None
+        template = None
         plan: MessagePlan = compiler(
             self._comm.rank,
             send,
@@ -1159,15 +1100,8 @@ class TempiCommunicator:
                 plan, recording, handlers=handlers, retained=retained,
             )
             self.plan_cache.put(key, template)
-            # The put bumped the generation; memoize against the new one so
-            # the very next repeat of this shape hits the identity lane.
-            self._memoize_compile(
-                op, peers, sendbuf, sendcounts, senddispls, sendtypes,
-                recvbuf, recvcounts, recvdispls, recvtypes, nonblocking,
-                key, send, recv, template,
-            )
         self._count_methods(plan)
-        return plan
+        return plan, template
 
     def _start_exchange(
         self, op: str, system, head: tuple, peers: Sequence[int],
@@ -1179,7 +1113,7 @@ class TempiCommunicator:
         host buffers and unhandled datatypes are ``system`` — the underlying
         ``Ialltoallv``, or ``Ineighbor_alltoallv`` with the neighbour list as
         ``head``."""
-        plan = self._compile_collective(
+        plan, _ = self._compile_collective(
             op, peers, sendbuf, sendcounts, senddispls, sendtypes,
             recvbuf, recvcounts, recvdispls, recvtypes, nonblocking=nonblocking,
         )
@@ -1360,8 +1294,160 @@ class TempiCommunicator:
             sendtypes, recvtypes, True,
         )
 
+    # ---------------------------------------------------- persistent collectives
+    def Alltoallv_init(self, sendbuf, sendcounts, senddispls, recvbuf, recvcounts, recvdispls,
+                       *, sendtypes=None, recvtypes=None) -> "PersistentCollective":
+        """``MPI_Alltoallv_init``: :meth:`Ialltoallv` bound once, ``Start`` every round."""
+        buffers = (sendbuf, sendcounts, senddispls, recvbuf, recvcounts, recvdispls)
+        return PersistentCollective(self, "alltoallv", self._comm.Ialltoallv, (), list(range(self._comm.size)),
+                                    buffers, (sendtypes, recvtypes))
+
+    def Neighbor_alltoallv_init(self, neighbors, sendbuf, sendcounts, senddispls, recvbuf, recvcounts,
+                                recvdispls, *, sendtypes=None, recvtypes=None) -> "PersistentCollective":
+        """``MPI_Neighbor_alltoallv_init``: :meth:`Ineighbor_alltoallv` bound once, ``Start`` every round."""
+        buffers = (sendbuf, sendcounts, senddispls, recvbuf, recvcounts, recvdispls)
+        return PersistentCollective(self, "neighbor_alltoallv", self._comm.Ineighbor_alltoallv, (neighbors,),
+                                    list(neighbors), buffers, (sendtypes, recvtypes))
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<TempiCommunicator over {self._comm!r} method={self.config.method.value}>"
+
+
+class PersistentCollective(Request):
+    """A typed all-to-all-v bound once (``Alltoallv_init``/``Neighbor_alltoallv_init``).
+
+    The bind only captures the arguments.  :meth:`charge` is what one
+    ``Start`` owes: the first is the one-shot call's compile (validation, the
+    fallback decision, every charge); a restart replays the bound plan
+    template through :meth:`TempiCommunicator._plan_from_template` — no key,
+    no LRU touch — and counts one ``plan_cache_hits``.  With ``plan_cache``
+    off, or a call that falls back, a restart compiles again, as the
+    one-shot call would.  ``Start`` executes the charged plan into this
+    request, or runs the system's call when there is none.  The request
+    joins the rank's registry at its first ``Start``, the first time it can
+    be active.
+    """
+
+    def __init__(self, owner: TempiCommunicator, op: str, system, head: tuple, peers: list,
+                 buffers: tuple, types: tuple) -> None:
+        super().__init__("coll")
+        self._owner = owner
+        self._op, self._system, self._head, self._peers = op, system, head, peers
+        self._buffers, self._types = buffers, types
+        self._template: Optional[_plan.PlanTemplate] = None
+        self._send = self._recv = None
+        self._clock_id = id(owner._clock)
+        #: What :func:`charge_batch` needs of a steady restart, when the
+        #: template allows one (else None): the selection memo, the probe
+        #: key, the bound method, the ``(overhead, count)`` class, then the
+        #: clock, the two stats objects, ``(handler, uses)`` pairs and the
+        #: per-method message counts a restart bumps.
+        self._steady: Optional[tuple] = None
+
+    def _bind(self, template: _plan.PlanTemplate) -> None:
+        owner = self._owner
+        self._template = template
+        self._send, self._recv = as_buffer(self._buffers[0]), as_buffer(self._buffers[3])
+        selector = owner._selector
+        runs = template._class_runs
+        if not (
+            len(runs) == 1 and runs[0][1] > 0 and owner._selector_batchable
+            and isinstance(selector, ModelSelector) and selector.cache.enabled
+            and selector.config.selection_memo and len(set(template.methods)) == 1
+        ):
+            return
+        packer, nbytes, _, count = runs[0]
+        uses: dict[int, list] = {}  # id -> [handler, sections of it in the template]
+        for handler in template.handlers:
+            uses.setdefault(id(handler), [handler, 0])[1] += 1
+        self._steady = (
+            selector.cache._queries,
+            ("method", int(nbytes), int(packer.block.block_length)),
+            template.methods[0],
+            (owner._overhead_s, count),
+            owner._clock,
+            owner.tempi.stats,
+            selector.cache.stats,
+            tuple(map(tuple, uses.values())),
+            tuple(template._steady_counts.items()),
+        )
+
+    def charge(self) -> Optional[MessagePlan]:
+        """Apply every charge and stats line one ``Start`` owes; return the
+        plan to execute, or ``None`` when the round is the system's call."""
+        owner = self._owner
+        if self._template is not None:
+            owner.tempi.stats.plan_cache_hits += 1
+            return owner._plan_from_template(self._template, self._send, self._recv)
+        sendbuf, sendcounts, senddispls, recvbuf, recvcounts, recvdispls = self._buffers
+        plan, template = owner._compile_collective(
+            self._op, self._peers, sendbuf, sendcounts, senddispls, self._types[0],
+            recvbuf, recvcounts, recvdispls, self._types[1], nonblocking=True,
+        )
+        if template is not None:
+            self._bind(template)
+        return plan
+
+    def _start(self) -> None:
+        if self._registry is None:
+            self._registry = self._owner._comm.requests
+            self._registry.append(self)
+        plan = self.charge()
+        if plan is not None:
+            self._owner._executor.execute(plan, self)
+            return
+        sendtypes, recvtypes = self._types
+        posted = self._owner._fall_through(
+            self._system, False, *self._head, *self._buffers,
+            sendtypes=sendtypes, recvtypes=recvtypes,
+        )
+        self.arm(posted.Wait, lambda: posted.Test()[0], posted.arrival_hint)
+
+
+def charge_batch(requests: Sequence[PersistentCollective]) -> np.ndarray:
+    """``[r.charge() for r in requests]``, then each request's ``clock.now``.
+
+    Bit for bit that loop, without materialising a plan per request.  A
+    member is *steady* when its restart would replay a one-class template
+    whose recorded method the member's selection memo still holds — probed
+    once per member, exactly as ``select_many`` probes it.  Its charges are
+    then the interposition overhead plus ``count`` cached-query charges, the
+    same for its whole ``(overhead, count)`` class, so they are applied as
+    numpy vector adds over the class's clocks (the same serial float sums)
+    and the counters are bumped in place.  Every other member — a first
+    start, a memo miss, a changed method, ``plan_cache`` off, a selector that
+    is not batchable — takes its scalar :meth:`~PersistentCollective.charge`,
+    and so does the whole batch when two members share a clock.
+    """
+    flags = None
+    if len({r._clock_id for r in requests}) == len(requests):
+        flags = [(s := r._steady) is not None and s[0].get(s[1]) is s[2] for r in requests]
+    for request in requests if flags is None else [r for r, f in zip(requests, flags) if not f]:
+        request.charge()
+    steady = [] if flags is None else [r._steady for r, f in zip(requests, flags) if f]
+    classes = {s[3] for s in steady}
+    for overhead, count in classes:
+        members = steady if len(classes) == 1 else [s for s in steady if s[3] == (overhead, count)]
+        nows = np.array([s[4].now for s in members])
+        nows += overhead
+        for _ in range(count):
+            nows += MODEL_CACHED_QUERY_S
+        events = 1 + count
+        for (_, _, _, _, clock, stats, cache_stats, uses, counts), now in zip(members, nows.tolist()):
+            clock.now = now
+            clock._events += events
+            stats.plan_cache_hits += 1
+            stats.collective_hits += 1
+            stats.selection_memo_hits += count
+            cache_stats.query_hits += count
+            for handler, n in uses:
+                handler.uses += n
+            methods = stats.method_counts
+            for name, hits in counts:
+                methods[name] = methods[name] + hits if name in methods else hits
+        if len(members) == len(requests):
+            return nows
+    return np.array([r._owner._clock.now for r in requests])
 
 
 def interpose(ctx, config: Optional[TempiConfig] = None, **kwargs) -> TempiCommunicator:

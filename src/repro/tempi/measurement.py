@@ -39,6 +39,13 @@ DEFAULT_BLOCKS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
 #: Pitch used between contiguous runs while measuring, as in Fig. 8 (512 B),
 #: widened when the block itself is larger.
 MEASUREMENT_PITCH = 512
+#: The per-size latency curves and the ``[block][size]`` pack tables.
+_CURVES = ("t_cpu_cpu", "t_gpu_gpu", "t_d2h", "t_h2d")
+_TABLES = ("t_pack_device", "t_unpack_device", "t_pack_oneshot", "t_unpack_oneshot")
+
+
+class MeasurementError(ValueError):
+    """A measurement file that cannot be read as one; the message names the field."""
 
 
 def host_timer() -> float:
@@ -92,17 +99,45 @@ class SystemMeasurement:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SystemMeasurement":
+        """The measurement :meth:`to_dict` wrote, checked field by field.
+
+        Raises :class:`MeasurementError` naming the field for a missing key,
+        ``sizes``/``block_lengths`` that are not strictly increasing positive
+        integers, a curve that is not one latency per size, a table that is
+        not ``(len(block_lengths), len(sizes))``, or a negative or
+        non-finite latency — here, instead of as a numpy or index error at
+        the first model query.
+        """
+        if not isinstance(payload, dict):
+            raise MeasurementError("a measurement file holds one JSON object")
+        for name in ("sizes", "block_lengths") + _CURVES + _TABLES:
+            if name not in payload:
+                raise MeasurementError(f"measurement file has no {name!r}")
+        axes = {}
+        for name in ("sizes", "block_lengths"):
+            values = payload[name]
+            if not (
+                isinstance(values, (list, tuple)) and values
+                and all(isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in values)
+                and all(a < b for a, b in zip(values, values[1:]))
+            ):
+                raise MeasurementError(f"{name} must be strictly increasing positive integers")
+            axes[name] = tuple(values)
+        shapes = dict.fromkeys(_CURVES, (len(axes["sizes"]),))
+        shapes.update(dict.fromkeys(_TABLES, (len(axes["block_lengths"]), len(axes["sizes"]))))
+        for name, shape in shapes.items():
+            try:
+                values = np.asarray(payload[name], dtype=np.float64)
+            except (TypeError, ValueError):
+                raise MeasurementError(f"{name} must be a {len(shape)}-D array of latencies") from None
+            if values.shape != shape:
+                raise MeasurementError(f"{name} has shape {values.shape}, expected {shape}")
+            if not (np.isfinite(values).all() and (values >= 0).all()):
+                raise MeasurementError(f"{name} holds a negative or non-finite latency")
         return cls(
-            sizes=tuple(payload["sizes"]),
-            block_lengths=tuple(payload["block_lengths"]),
-            t_cpu_cpu=tuple(payload["t_cpu_cpu"]),
-            t_gpu_gpu=tuple(payload["t_gpu_gpu"]),
-            t_d2h=tuple(payload["t_d2h"]),
-            t_h2d=tuple(payload["t_h2d"]),
-            t_pack_device=tuple(tuple(row) for row in payload["t_pack_device"]),
-            t_unpack_device=tuple(tuple(row) for row in payload["t_unpack_device"]),
-            t_pack_oneshot=tuple(tuple(row) for row in payload["t_pack_oneshot"]),
-            t_unpack_oneshot=tuple(tuple(row) for row in payload["t_unpack_oneshot"]),
+            **axes,
+            **{name: tuple(payload[name]) for name in _CURVES},
+            **{name: tuple(tuple(row) for row in payload[name]) for name in _TABLES},
             machine_name=payload.get("machine_name", "unknown"),
             notes=payload.get("notes", {}),
         )
@@ -116,7 +151,7 @@ class SystemMeasurement:
 
     @classmethod
     def load(cls, path: Path | str) -> "SystemMeasurement":
-        """Read a measurement file written by :meth:`save`."""
+        """Read a measurement file written by :meth:`save`, checked by :meth:`from_dict`."""
         return cls.from_dict(json.loads(Path(path).read_text()))
 
     # -------------------------------------------------------------- inspection

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from itertools import count as _count
 from typing import Hashable, Optional, Sequence
 
 from repro.gpu.memory import Buffer, MemoryKind
@@ -684,22 +683,11 @@ class PlanCache:
     ``clear()`` is the explicit invalidation hook.
     """
 
-    #: Process-wide generation source: every mutation of *any* cache takes a
-    #: fresh value, so a generation captured from one cache instance can
-    #: never collide with another instance's (or a later state of its own).
-    _generations = _count()
-
     def __init__(self, size: int = PLAN_CACHE_SIZE) -> None:
         if size < 1:
             raise PlanError(f"plan cache size must be >= 1, got {size}")
         self.size = size
         self._entries: "OrderedDict[Hashable, PlanTemplate]" = OrderedDict()
-        #: Changes on every ``put``/``clear`` (the only ways an entry can
-        #: appear, move out by eviction, or vanish).  A caller that captured
-        #: ``(key, template, generation)`` may treat an unchanged generation
-        #: as proof the entry is still cached — the interposer's single-slot
-        #: compile memo rides on this.
-        self.generation = next(PlanCache._generations)
 
     def get(self, key: Hashable) -> Optional[PlanTemplate]:
         """The template for ``key`` (refreshing its LRU position), or None."""
@@ -709,7 +697,7 @@ class PlanCache:
         return template
 
     def touch(self, key: Hashable) -> None:
-        """Refresh a *known-present* key's LRU position (memoized hits)."""
+        """Refresh a *known-present* key's LRU position."""
         self._entries.move_to_end(key)
 
     def put(self, key: Hashable, template: PlanTemplate) -> None:
@@ -718,12 +706,10 @@ class PlanCache:
         self._entries.move_to_end(key)
         while len(self._entries) > self.size:
             self._entries.popitem(last=False)
-        self.generation = next(PlanCache._generations)
 
     def clear(self) -> None:
         """Drop every template (explicit invalidation)."""
         self._entries.clear()
-        self.generation = next(PlanCache._generations)
 
     def __len__(self) -> int:
         return len(self._entries)
