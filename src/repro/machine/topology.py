@@ -94,14 +94,21 @@ class TopologySpec:
     oversubscription: float = 1.0
 
     def __post_init__(self) -> None:
-        """Validate the shape."""
+        """Validate the shape, naming the first field that is wrong."""
+        for name in ("ranks_per_node", "island_size", "rails_per_node", "leaf_radix"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TopologyError(f"{name} must be an integer, got {value!r}")
+        over = self.oversubscription
+        if isinstance(over, bool) or not isinstance(over, (int, float)) or not math.isfinite(over):
+            raise TopologyError(f"oversubscription must be a finite number, got {over!r}")
         if self.ranks_per_node <= 0:
             raise TopologyError(f"ranks_per_node must be positive, got {self.ranks_per_node}")
         if self.island_size < 0:
             raise TopologyError(f"island_size must be non-negative, got {self.island_size}")
         if self.rails_per_node < 0:
             raise TopologyError(f"rails_per_node must be non-negative, got {self.rails_per_node}")
-        if self.rail_policy not in RAIL_POLICIES:
+        if not isinstance(self.rail_policy, str) or self.rail_policy not in RAIL_POLICIES:
             raise TopologyError(
                 f"rail_policy must be one of {RAIL_POLICIES}, got {self.rail_policy!r}"
             )
@@ -128,7 +135,13 @@ class TopologySpec:
 
     @staticmethod
     def from_dict(data: dict[str, object]) -> "TopologySpec":
-        """Build a spec from a mapping (inverse of :meth:`to_dict`)."""
+        """Build a spec from a mapping (inverse of :meth:`to_dict`).
+
+        Unknown keys and malformed values raise :class:`TopologyError`
+        naming the key or field.
+        """
+        if not isinstance(data, dict):
+            raise TopologyError(f"topology spec must be a JSON object, got {type(data).__name__}")
         fields = {
             "ranks_per_node", "island_size", "rails_per_node",
             "rail_policy", "leaf_radix", "oversubscription",
@@ -145,9 +158,10 @@ class TopologySpec:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise TopologyError(f"{path}: not valid JSON ({exc})") from exc
-        if not isinstance(data, dict):
-            raise TopologyError(f"{path}: topology spec must be a JSON object")
-        return TopologySpec.from_dict(data)
+        try:
+            return TopologySpec.from_dict(data)
+        except TopologyError as exc:
+            raise TopologyError(f"{path}: {exc}") from None
 
     def save(self, path: Union[str, Path]) -> None:
         """Write the spec as JSON (inverse of :meth:`load`)."""

@@ -61,9 +61,6 @@ MODEL_CACHED_QUERY_S = 277.0e-9
 HANDLER_LOOKUP_S = 1.2e-6
 POINTER_CHECK_S = 0.6e-6
 
-#: Most compiled plan templates a communicator's
-#: :class:`~repro.tempi.plan.PlanCache` retains (LRU eviction).
-PLAN_CACHE_SIZE = 256
 #: Most quantized-backlog entries a
 #: :class:`~repro.tempi.selection.ContendedSelector` memoises (LRU eviction).
 SELECTION_MEMO_SIZE = 1024
@@ -156,11 +153,12 @@ class TempiConfig:
     batch_eager_sends: bool = True
     #: Reuse streams, intermediate buffers and model query results (Sec. 5).
     use_cache: bool = True
-    #: Reuse compiled :class:`~repro.tempi.plan.MessagePlan` templates for
-    #: repeated exchange shapes.  A hit skips argument validation and plan
+    #: Let a persistent collective's restart reuse the plan template its
+    #: first start recorded.  A restart skips argument validation and plan
     #: construction but *replays* method selection call-for-call, so every
     #: priced charge (model queries, interposition overhead) is identical to
-    #: a fresh compile — ``bench_sim_throughput.py`` measures what it buys.
+    #: a fresh compile; off, every start compiles again.  One-shot calls
+    #: always compile — ``bench_sim_throughput.py`` measures what it buys.
     plan_cache: bool = True
     #: Memoise method-selection results for repeated ``(method, size, block)``
     #: queries, including a bounded cache of quantized-backlog states for the

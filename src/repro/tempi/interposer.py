@@ -138,10 +138,9 @@ class InterposerStats:
     #: Messages whose landing this rank's ingestion port delayed because
     #: earlier arrivals were still draining (duplex accounting only).
     ingest_stalls: int = 0
-    #: Typed collectives answered from / compiled into the plan cache
-    #: (counted only when ``TempiConfig.plan_cache`` consults it).  A
-    #: persistent collective's restart, which replays its bound template,
-    #: counts as a hit.
+    #: Persistent-collective starts under ``TempiConfig.plan_cache``: a
+    #: restart that replays the bound template is a hit, the first start that
+    #: records it a miss.  One-shot collectives count neither.
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
     #: Method selections whose *value* came from the selection memo (with
@@ -278,13 +277,7 @@ class TempiCommunicator:
             stats=self.tempi.stats,
             topology=topology,
         )
-        #: Compiled-plan templates for repeated typed-collective shapes,
-        #: owned per communicator (so keys never need to name the selector,
-        #: config or communicator — all three are fixed here) and consulted
-        #: only under ``config.plan_cache``.  ``plan_cache.clear()`` is the
-        #: explicit invalidation hook.
-        self.plan_cache = _plan.PlanCache()
-        #: Hoisted off the per-hit replay path: the selector is fixed for the
+        #: Hoisted off the per-restart replay path: the selector is fixed for the
         #: interposer's lifetime, so its batched-replay capability is too,
         #: and the communicator's clock never changes identity.
         self._selector_batchable = bool(
@@ -871,76 +864,7 @@ class TempiCommunicator:
             return None
         return send_side[0], recv_side[0], send_side[1] + recv_side[1]
 
-    # ------------------------------------------------------------- plan cache
-    @staticmethod
-    def _type_signature(types):
-        """Identity signature of one side's datatype argument, plus pins.
-
-        Datatypes are named by ``id(datatype), id(datatype.attachment)`` —
-        the attachment is replaced at every ``Type_commit``, so re-committing
-        a datatype (new handler, new packer) changes the signature and misses
-        the cache.  Returns ``(signature, retained)`` where ``retained``
-        strongly references every object the signature names, or
-        ``(None, ())`` for arguments the cache should not describe.
-        """
-        if isinstance(types, Datatype):
-            # Cache the signature on the datatype: both tuples are rebuilt
-            # only when a re-commit swaps the attachment (the identity the
-            # signature names), which is exactly when they must change.
-            attachment = types.attachment
-            cached = getattr(types, "_tempi_type_sig", None)
-            if cached is not None and cached[0] is attachment:
-                return cached[1], cached[2]
-            signature = ("uniform", id(types), id(attachment))
-            retained = (types, attachment)
-            types._tempi_type_sig = (attachment, signature, retained)
-            return signature, retained
-        try:
-            seq = list(types)
-        except TypeError:
-            return None, ()
-        if not all(isinstance(t, Datatype) for t in seq):
-            return None, ()
-        signature = tuple((id(t), id(t.attachment)) for t in seq)
-        retained = tuple(seq) + tuple(t.attachment for t in seq)
-        return signature, retained
-
-    def _plan_cache_key(
-        self, op, peers, send, sendcounts, senddispls, sendtypes,
-        recv, recvcounts, recvdispls, recvtypes, nonblocking,
-    ):
-        """The canonical cache key of a typed collective, or ``None``.
-
-        Captures every input the fallback decision, validation and compile
-        depend on (the communicator, config and selector are fixed per
-        cache): operation, peer list, buffer size/residency, count and
-        displacement signatures, and datatype identities.  Anything read
-        *live* on a hit — resource-cache state, NIC backlog, the clock —
-        deliberately stays out.  ``None`` (unhashable or non-datatype
-        arguments) sends the call down the uncached path.
-        """
-        send_sig, send_retained = self._type_signature(sendtypes)
-        recv_sig, recv_retained = self._type_signature(recvtypes)
-        if send_sig is None or recv_sig is None:
-            return None, ()
-        try:
-            key = (
-                op,
-                bool(nonblocking),
-                tuple(peers),
-                send.nbytes, send.is_device,
-                recv.nbytes, recv.is_device,
-                tuple(sendcounts), tuple(senddispls), send_sig,
-                tuple(recvcounts), tuple(recvdispls), recv_sig,
-            )
-        except TypeError:
-            return None, ()
-        # Unhashable components (exotic count objects) surface as TypeError
-        # at the first cache access — the call sites catch it and fall back
-        # to the uncached path, so the key is not pre-hashed here (hashing a
-        # nested tuple twice per hit is measurable on the fast path).
-        return key, send_retained + recv_retained
-
+    # ---------------------------------------------------------- plan templates
     def _count_methods(self, plan: MessagePlan) -> None:
         """Fold one plan's per-method message counts into the stats."""
         for name, hits in plan.method_counts().items():
@@ -949,13 +873,13 @@ class TempiCommunicator:
             )
 
     def _plan_from_template(self, template: _plan.PlanTemplate, send, recv) -> MessagePlan:
-        """Materialize a cached collective: same charges as a fresh compile.
+        """Materialize a bound template: same charges as a fresh compile.
 
-        Mirrors the uncached path step for step — handler-use accounting,
-        interposition overhead, then the selection transcript replayed
-        through the live selector (so every model-query charge lands on the
-        clock exactly as a recompile would charge it) — and materializes a
-        fresh plan around the retained stages.
+        Mirrors :meth:`_compile_collective` step for step — handler-use
+        accounting, interposition overhead, then the selection transcript
+        replayed through the live selector (so every model-query charge lands
+        on the clock exactly as a recompile would charge it) — and
+        materializes a fresh plan around the template's stages.
         """
         for handler in template.handlers:
             handler.uses += 1
@@ -978,7 +902,7 @@ class TempiCommunicator:
             # recorded transcript the plan is rebuilt straight from the
             # template's steady-state caches.
             # The steady caches are plain attributes, filled eagerly by
-            # PlanTemplate.from_plan (the only constructor of cached
+            # PlanTemplate.from_plan (the only constructor of bound
             # templates) — read them directly rather than through the lazy
             # accessor methods.
             runs = template._class_runs
@@ -1029,18 +953,18 @@ class TempiCommunicator:
         nonblocking: bool,
         sections=None,
         compiler=_plan.compile_exchange,
-    ) -> tuple[Optional[MessagePlan], Optional[_plan.PlanTemplate]]:
-        """Compile (or cache-hit) a typed collective to a plan, fully charged.
+    ) -> tuple[Optional[MessagePlan], list[TypeHandler]]:
+        """Compile a typed collective to a plan, fully charged.
 
-        The front half of every collective start — everything up to the
-        executable plan, with every clock charge and stats count applied.
-        Returns ``(plan, template)``: the plan is ``None`` when the call is
-        not TEMPI's business or must fall back (the caller then runs the
-        system path); the template is the plan cache's entry for the shape
-        (``None`` unless ``config.plan_cache`` holds one), which a persistent
-        collective replays at every restart.  Under ``config.plan_cache`` a
-        repeated shape skips validation and compilation entirely (see
-        :meth:`_plan_from_template`).
+        The front half of every collective start — validation, the fallback
+        decision and the compile, with every clock charge and stats count
+        applied.  Returns ``(plan, handlers)``: the plan is ``None`` when the
+        call is not TEMPI's business or must fall back (the caller then runs
+        the system path); ``handlers`` are the datatype handlers whose
+        ``uses`` the compile counted, which a persistent collective's
+        template counts again at every restart.  No cache is consulted: a
+        one-shot call always compiles, and only a persistent collective
+        reuses its first compile (see :class:`PersistentCollective`).
 
         ``sections`` and ``compiler`` are the two steps that differ between
         collectives: the section builder (default :meth:`_exchange_sections`)
@@ -1049,59 +973,30 @@ class TempiCommunicator:
         if sendtypes is None or recvtypes is None:
             # The byte signature (or a half-specified typed one, which the
             # system path rejects) is not TEMPI's business.
-            return None, None
+            return None, []
         if not (self.config.enabled and self.config.datatype_handling):
-            return None, None
+            return None, []
         send = as_buffer(sendbuf)
         recv = as_buffer(recvbuf)
-        key = retained = None
-        if self.config.plan_cache:
-            key, retained = self._plan_cache_key(
-                op, peers, send, sendcounts, senddispls, sendtypes,
-                recv, recvcounts, recvdispls, recvtypes, nonblocking,
-            )
-        if key is not None:
-            try:
-                template = self.plan_cache.get(key)
-            except TypeError:
-                key, retained, template = None, (), None
-            if template is not None:
-                self.tempi.stats.plan_cache_hits += 1
-                return self._plan_from_template(template, send, recv), template
-            if key is not None:
-                self.tempi.stats.plan_cache_misses += 1
         built = (sections or self._exchange_sections)(
             peers, send, sendcounts, senddispls, sendtypes,
             recv, recvcounts, recvdispls, recvtypes,
         )
         if built is None or not (built[0] or built[1]):
             self.tempi.stats.collective_fallbacks += 1
-            return None, None
+            return None, []
         send_sections, recv_sections, handlers = built
         # Both sides confirmed accelerable: only now count the handler uses.
         for handler in handlers:
             handler.uses += 1
         self._charge_interposition_overhead()
         self.tempi.stats.collective_hits += 1
-        recording = _plan.RecordingSelector(self._selector) if key is not None else None
-        template = None
         plan: MessagePlan = compiler(
-            self._comm.rank,
-            send,
-            send_sections,
-            recv,
-            recv_sections,
-            recording if recording is not None else self._selector,
-            op=op,
-            nonblocking=nonblocking,
+            self._comm.rank, send, send_sections, recv, recv_sections, self._selector,
+            op=op, nonblocking=nonblocking,
         )
-        if recording is not None:
-            template = _plan.PlanTemplate.from_plan(
-                plan, recording, handlers=handlers, retained=retained,
-            )
-            self.plan_cache.put(key, template)
         self._count_methods(plan)
-        return plan, template
+        return plan, handlers
 
     def _start_exchange(
         self, op: str, system, head: tuple, peers: Sequence[int],
@@ -1177,8 +1072,8 @@ class TempiCommunicator:
         Returns ``None`` when the call is not TEMPI's business (host buffers,
         non-elementary or mismatched datatypes, interposition disabled) — the
         caller then runs the naive system fan-in, a collective join that has
-        finished when it returns.  Reduction plans never
-        consult the plan cache: the schedule is a pure function of
+        finished when it returns.  Reduction plans are never kept as
+        templates: the schedule is a pure function of
         ``(rank, size, count, algorithm)`` and compiles in microseconds, so
         the priced clocks stay trivially bit-identical across ``plan_cache``
         configs (the property wall pins this).
@@ -1318,12 +1213,14 @@ class PersistentCollective(Request):
 
     The bind only captures the arguments.  :meth:`charge` is what one
     ``Start`` owes: the first is the one-shot call's compile (validation, the
-    fallback decision, every charge); a restart replays the bound plan
-    template through :meth:`TempiCommunicator._plan_from_template` — no key,
-    no LRU touch — and counts one ``plan_cache_hits``.  With ``plan_cache``
-    off, or a call that falls back, a restart compiles again, as the
-    one-shot call would.  ``Start`` executes the charged plan into this
-    request, or runs the system's call when there is none.  The request
+    fallback decision, every charge), and under ``plan_cache`` it records
+    the compiled plan as a :class:`~repro.tempi.plan.PlanTemplate` and counts
+    one ``plan_cache_misses``; a restart replays that template through
+    :meth:`TempiCommunicator._plan_from_template` and counts one
+    ``plan_cache_hits``.  With ``plan_cache`` off, or a call that falls back,
+    a restart compiles again, as the one-shot call would.  This template is
+    the only plan reuse there is.  ``Start`` executes the charged plan into
+    this request, or runs the system's call when there is none.  The request
     joins the rank's registry at its first ``Start``, the first time it can
     be active.
     """
@@ -1380,12 +1277,13 @@ class PersistentCollective(Request):
             owner.tempi.stats.plan_cache_hits += 1
             return owner._plan_from_template(self._template, self._send, self._recv)
         sendbuf, sendcounts, senddispls, recvbuf, recvcounts, recvdispls = self._buffers
-        plan, template = owner._compile_collective(
+        plan, handlers = owner._compile_collective(
             self._op, self._peers, sendbuf, sendcounts, senddispls, self._types[0],
             recvbuf, recvcounts, recvdispls, self._types[1], nonblocking=True,
         )
-        if template is not None:
-            self._bind(template)
+        if plan is not None and owner.config.plan_cache:
+            owner.tempi.stats.plan_cache_misses += 1
+            self._bind(_plan.PlanTemplate.from_plan(plan, handlers=handlers))
         return plan
 
     def _start(self) -> None:

@@ -25,27 +25,24 @@ the per-message method selection (through the caller's selector callback, so
 model-query overhead stays charged where the paper charges it).  No bytes
 move until the executor runs the plan.
 
-Because iterative applications repeat the same exchange shape thousands of
-times, this module also provides the plan-compilation cache of the
-event-driven core: a :class:`RecordingSelector` captures the selector calls
-a fresh compile makes, :class:`PlanTemplate` retains the compiled stages
-plus that selection transcript, and :class:`PlanCache` holds templates in a
-bounded LRU.  A cache hit *replays* the transcript through the live selector
-— same calls, same order, same charges — so priced results are bit-identical
-to a fresh compile, then materializes a new :class:`MessagePlan` around the
-retained stages (rebuilding any stage whose replayed method diverged, e.g.
-under shifting contended backlog).
+Because iterative applications repeat the same exchange every round, a
+persistent collective keeps its first compile as a :class:`PlanTemplate`:
+the compiled stages plus the selector calls the compile made.  A restart
+*replays* those calls through the live selector — same calls, same order,
+same charges — so priced results are bit-identical to a fresh compile, then
+materializes a new :class:`MessagePlan` around the template's stages
+(rebuilding any stage whose replayed method diverged, e.g. under shifting
+contended backlog).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Hashable, Optional, Sequence
 
 from repro.gpu.memory import Buffer, MemoryKind
 from repro.gpu.stream import Stream
-from repro.tempi.config import PLAN_CACHE_SIZE, PackMethod
+from repro.tempi.config import PackMethod
 from repro.tempi.packer import Packer
 from repro.tempi.selection import MethodSelector
 
@@ -53,12 +50,10 @@ __all__ = [
     "MessagePlan",
     "MethodSelector",
     "PackStage",
-    "PlanCache",
     "PlanError",
     "PlanSection",
     "PlanTemplate",
     "PostStage",
-    "RecordingSelector",
     "ReduceStage",
     "UnpackStage",
     "allreduce_schedule",
@@ -448,41 +443,19 @@ def compile_allgather(
 
 
 # --------------------------------------------------------------------------- #
-# Plan-compilation cache (the event-driven core's hot path)
+# Plan templates (a persistent collective's restart)
 # --------------------------------------------------------------------------- #
-
-class RecordingSelector:
-    """Wraps a selector and records every call a compile makes.
-
-    The transcript — ``(packer, nbytes, peer)`` triples plus the returned
-    methods, in call order — is what a :class:`PlanTemplate` replays on a
-    cache hit, so hits charge the rank's clock selector-call-for-selector-call
-    identically to the fresh compile that produced the template.
-    """
-
-    def __init__(self, select: MethodSelector) -> None:
-        self._select = select
-        self.calls: list[tuple[Packer, int, Optional[int]]] = []
-        self.methods: list[PackMethod] = []
-
-    def __call__(self, packer, nbytes: int, peer: Optional[int] = None) -> PackMethod:
-        """Delegate to the wrapped selector, recording the call."""
-        method = self._select(packer, nbytes, peer)
-        self.calls.append((packer, int(nbytes), peer))
-        self.methods.append(method)
-        return method
-
 
 @dataclass(frozen=True)
 class PlanTemplate:
-    """One compiled collective plan, retained for replay.
+    """One compiled exchange plan, kept for replay at every restart.
 
     Holds the compile's stages (shared across materializations — the executor
-    only touches per-execution state on them), the selection transcript, and
-    strong references to everything the cache key names by ``id()`` so a
-    collected object can never alias a live key.  ``post_specs`` keeps post
-    stages as ``(peer, nbytes, pack_index)`` indices into ``pack_stages`` so
-    rebuilt pack stages re-link without object surgery.
+    only touches per-execution state on them) and the selection transcript:
+    ``(packer, nbytes, peer)`` per selector call plus the returned methods,
+    in call order.  ``post_specs`` keeps post stages as
+    ``(peer, nbytes, pack_index)`` indices into ``pack_stages`` so rebuilt
+    pack stages re-link without object surgery.
     """
 
     op: str
@@ -495,30 +468,34 @@ class PlanTemplate:
     methods: tuple[PackMethod, ...]
     #: Datatype handlers the interposer bumps ``uses`` on per call.
     handlers: tuple = ()
-    #: Strong refs pinning every object the cache key names by ``id()``.
-    retained: tuple = ()
 
     @classmethod
-    def from_plan(cls, plan: MessagePlan, recording: RecordingSelector,
-                  *, handlers=(), retained=()) -> "PlanTemplate":
-        """Capture a freshly compiled plan and its selection transcript."""
-        index = {id(stage): i for i, stage in enumerate(plan.pack_stages)}
+    def from_plan(cls, plan: MessagePlan, *, handlers=()) -> "PlanTemplate":
+        """Capture a plan fresh from :func:`compile_exchange`.
+
+        The transcript is read off the stages: that compiler calls the
+        selector once per wire pack stage, as ``(packer, nbytes, peer)`` in
+        pack order, then once per wire unpack stage with no peer, and each
+        stage keeps the method its call returned.
+        """
+        packs, unpacks = tuple(plan.pack_stages), tuple(plan.unpack_stages)
+        index = {id(stage): i for i, stage in enumerate(packs)}
         template = cls(
             op=plan.op,
             nonblocking=plan.nonblocking,
-            pack_stages=tuple(plan.pack_stages),
-            unpack_stages=tuple(plan.unpack_stages),
+            pack_stages=packs,
+            unpack_stages=unpacks,
             post_specs=tuple(
                 (post.peer, post.nbytes, index[id(post.pack)]) for post in plan.post_stages
             ),
             local=plan.local,
-            selections=tuple(recording.calls),
-            methods=tuple(recording.methods),
+            selections=tuple((s.sections[0].packer, int(s.nbytes), s.peer) for s in packs)
+            + tuple((s.sections[0].packer, int(s.nbytes), None) for s in unpacks),
+            methods=tuple(stage.method for stage in packs + unpacks),
             handlers=tuple(handlers),
-            retained=tuple(retained),
         )
-        # Fill the steady-state caches at capture time: every plan-cache hit
-        # reads them, so lazily building them on the first hit just moves a
+        # Fill the steady-state caches at capture time: every restart reads
+        # them, so lazily building them on the first restart just moves a
         # cold branch onto the hot path.
         template.class_runs()
         template.steady_method_counts()
@@ -531,7 +508,7 @@ class PlanTemplate:
         Each run is ``(packer, nbytes, peer, count)`` — maximal stretches of
         the recorded transcript sharing one ``(nbytes, block_length)`` class.
         The transcript is immutable, so the grouping is computed once and
-        cached on the template (the batched replay is a per-hit hot path).
+        cached on the template (the batched replay is a per-restart hot path).
         """
         runs = getattr(self, "_class_runs", None)
         if runs is None:
@@ -581,7 +558,7 @@ class PlanTemplate:
 
         Equals ``materialize(self.methods, ...).method_counts()`` — valid for
         folding into stats whenever a replay returned the recorded transcript
-        (the steady state), sparing the per-hit dict rebuild.
+        (the steady state), sparing the per-restart dict rebuild.
         """
         counts = getattr(self, "_steady_counts", None)
         if counts is None:
@@ -631,7 +608,7 @@ class PlanTemplate:
         send_buffer: Optional[Buffer],
         recv_buffer: Optional[Buffer],
     ) -> MessagePlan:
-        """A fresh :class:`MessagePlan` around the retained stages.
+        """A fresh :class:`MessagePlan` around the template's stages.
 
         ``methods`` is the replayed transcript; when it matches the recorded
         one (the steady state) every stage is shared, otherwise the diverging
@@ -668,54 +645,6 @@ class PlanTemplate:
             local=self.local,
             nonblocking=self.nonblocking,
         )
-
-
-class PlanCache:
-    """A bounded LRU of :class:`PlanTemplate` entries (one per rank).
-
-    Owned by the per-rank :class:`~repro.tempi.interposer.Tempi` instance and
-    only ever touched from that rank's thread, so it carries no lock.  Keys
-    are built by the interposer from everything a compile depends on
-    (operation, selector identity, peer/count/displacement signatures,
-    datatype identities including their commit-time handlers); anything the
-    key does not capture — resource-cache state, NIC backlog — is replayed
-    live on every hit, so it never needs to be in the key.
-    ``clear()`` is the explicit invalidation hook.
-    """
-
-    def __init__(self, size: int = PLAN_CACHE_SIZE) -> None:
-        if size < 1:
-            raise PlanError(f"plan cache size must be >= 1, got {size}")
-        self.size = size
-        self._entries: "OrderedDict[Hashable, PlanTemplate]" = OrderedDict()
-
-    def get(self, key: Hashable) -> Optional[PlanTemplate]:
-        """The template for ``key`` (refreshing its LRU position), or None."""
-        template = self._entries.get(key)
-        if template is not None:
-            self._entries.move_to_end(key)
-        return template
-
-    def touch(self, key: Hashable) -> None:
-        """Refresh a *known-present* key's LRU position."""
-        self._entries.move_to_end(key)
-
-    def put(self, key: Hashable, template: PlanTemplate) -> None:
-        """Retain ``template``, evicting the least recently used beyond size."""
-        self._entries[key] = template
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.size:
-            self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        """Drop every template (explicit invalidation)."""
-        self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._entries
 
 
 def _group_sections(sections: Sequence[PlanSection]) -> dict[int, list[PlanSection]]:

@@ -19,6 +19,11 @@ TRACER = Path(__file__).resolve().parent.parent.parent / "benchmarks" / "e2e" / 
 REMOVED = {
     # PR 12 deleted the per-rank batch-booking fork.
     ("repro.tempi.progress", "ProgressEngine.reserve_wire_batch"),
+    # Deleted with the one-shot plan LRU: a persistent collective's bound
+    # template is the only plan reuse left.
+    ("repro.tempi.plan", "PlanCache.get"),
+    ("repro.tempi.plan", "PlanCache.touch"),
+    ("repro.tempi.plan", "PlanCache.put"),
 }
 
 

@@ -3,21 +3,26 @@
 The placement tests live in ``test_topology.py``; this module pins the
 resolver's corners: self paths bind nothing, single-node worlds never grow
 fabric classes, islands that do not divide the node still cover every rank,
-and the rail assignment is a pure function of the (node, local rank) slot —
-renumbering the world cannot move a slot's rail.
+the rail assignment is a pure function of the (node, local rank) slot —
+renumbering the world cannot move a slot's rail — and a malformed spec
+fails at load with its field named.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.machine.network import NetworkModel
 from repro.machine.spec import SUMMIT
 from repro.machine.topology import (
     PATH_KINDS,
+    RAIL_POLICIES,
     RouteTable,
     Topology,
     TopologyError,
@@ -121,6 +126,91 @@ class TestOddShapes:
     def test_unknown_spec_key_rejected(self):
         with pytest.raises(TopologyError):
             TopologySpec.from_dict({"ranks_per_node": 2, "rails": 1})
+
+
+# --------------------------------------------------------------------------- #
+# Malformed spec files fail at load, naming the field
+# --------------------------------------------------------------------------- #
+
+INTEGER_FIELDS = ("ranks_per_node", "island_size", "rails_per_node", "leaf_radix")
+#: Values no field accepts: wrong JSON types, and ``true`` (a ``bool`` is an
+#: ``int`` to Python, never to a spec).
+NOT_A_NUMBER = ("4", None, True, False, [2], {"n": 2})
+
+
+@st.composite
+def well_formed_specs(draw):
+    """The JSON mapping of any valid spec."""
+    return {
+        "ranks_per_node": draw(st.integers(min_value=1, max_value=64)),
+        "island_size": draw(st.integers(min_value=0, max_value=8)),
+        "rails_per_node": draw(st.integers(min_value=0, max_value=4)),
+        "rail_policy": draw(st.sampled_from(RAIL_POLICIES)),
+        "leaf_radix": draw(st.integers(min_value=0, max_value=16)),
+        "oversubscription": draw(
+            st.integers(min_value=1, max_value=8)
+            | st.floats(min_value=1e-3, max_value=64.0, allow_nan=False)
+        ),
+    }
+
+
+@st.composite
+def malformed_specs(draw):
+    """``(mapping, field)``: a valid spec mapping with one field broken."""
+    data = draw(well_formed_specs())
+    name = draw(st.sampled_from(INTEGER_FIELDS + ("oversubscription", "rail_policy")))
+    if name in INTEGER_FIELDS:
+        lowest = 1 if name == "ranks_per_node" else 0
+        bad = st.sampled_from(NOT_A_NUMBER) | st.floats(allow_nan=True) | st.integers(
+            max_value=lowest - 1
+        )
+    elif name == "oversubscription":
+        bad = st.sampled_from(NOT_A_NUMBER + (math.inf, -math.inf, math.nan)) | st.floats(
+            max_value=0.0
+        ) | st.integers(max_value=0)
+    else:
+        bad = st.sampled_from(NOT_A_NUMBER + (2,)) | st.text().filter(
+            lambda text: text not in RAIL_POLICIES
+        )
+    data[name] = draw(bad)
+    return data, name
+
+
+class TestMalformedSpecs:
+    @settings(max_examples=200, deadline=None)
+    @given(case=malformed_specs())
+    def test_a_broken_field_is_named(self, case):
+        data, name = case
+        with pytest.raises(TopologyError, match=rf"\b{name}\b"):
+            TopologySpec.from_dict(data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=well_formed_specs())
+    def test_any_well_formed_spec_round_trips(self, data):
+        spec = TopologySpec.from_dict(data)
+        assert spec.to_dict() == data
+        assert TopologySpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
+
+    def test_the_failures_seen_before_now_name_their_field(self, tmp_path):
+        """Three used to escape as a bare ``TypeError`` from a comparison, and
+        four were accepted — each from a file."""
+        for index, (name, text) in enumerate((
+            ("ranks_per_node", '{"ranks_per_node": "4"}'),
+            ("ranks_per_node", '{"ranks_per_node": null}'),
+            ("oversubscription", '{"oversubscription": "2"}'),
+            ("ranks_per_node", '{"ranks_per_node": 2.5}'),
+            ("island_size", '{"island_size": 1.5}'),
+            ("leaf_radix", '{"leaf_radix": true}'),
+            ("oversubscription", '{"oversubscription": Infinity}'),
+        )):
+            path = tmp_path / f"spec{index}.json"
+            path.write_text(text)
+            with pytest.raises(TopologyError, match=rf"^{re.escape(str(path))}: {name}\b"):
+                TopologySpec.load(path)
+
+    def test_a_file_that_is_not_an_object_is_refused(self):
+        with pytest.raises(TopologyError, match="JSON object"):
+            TopologySpec.from_dict([{"ranks_per_node": 2}])
 
 
 class TestRailDeterminism:

@@ -1,15 +1,16 @@
 """Property-based test: the fast-path caches can never move a priced result.
 
-The plan cache replays the recorded selection transcript through the live
-selector and the selection memo preserves the cached-query charge schedule,
-so for *any* typed exchange, any round count and any cache configuration —
-everything on, plan cache off, selection memo off, everything off — the
-bytes delivered to every receive buffer AND every rank's virtual completion
-time must be exactly identical.  A divergence in either means a cache
-leaked into the priced simulation, the one thing the fast path must never
-do.
+A persistent collective's restart replays its bound template's selection
+transcript through the live selector, and the selection memo preserves the
+cached-query charge schedule, so for *any* typed exchange, any round count,
+one-shot ``Ialltoallv`` or ``Alltoallv_init`` restarts, and any cache
+configuration — everything on, plan cache off, selection memo off,
+everything off — the bytes delivered to every receive buffer AND every
+rank's virtual completion time must be exactly identical.  A divergence in
+either means a cache leaked into the priced simulation, the one thing the
+fast path must never do.
 
-Driven single-threaded (every rank posts its ``Ialltoallv``, then every
+Driven single-threaded (every rank posts or starts its exchange, then every
 rank waits, in rank order) so the shared-NIC interleaving is deterministic
 and clock equality is meaningful.  The incast case aims every rank at one
 hot receiver under ``selection="contended"`` + ``nic="duplex"``, the
@@ -56,8 +57,13 @@ def exchange_cases(draw):
     return nranks, nblocks, block, block + gap, counts, rounds, seed
 
 
-def _drive(config, summit_model, nranks, nblocks, block, pitch, counts, rounds, seed):
-    """Run ``rounds`` identical-shape exchanges inline; bytes + clocks per rank."""
+def _drive(config, summit_model, nranks, nblocks, block, pitch, counts, rounds, seed,
+           persistent):
+    """Run ``rounds`` identical-shape exchanges inline: bytes + clocks per rank,
+    and the summed ``(plan_cache_hits, plan_cache_misses)``.
+
+    ``persistent`` binds each rank's ``Alltoallv_init`` once and restarts it
+    every round; otherwise every round is a one-shot ``Ialltoallv``."""
     world = World(nranks, ranks_per_node=2)
     setup = []
     for ctx in world.contexts:
@@ -72,24 +78,35 @@ def _drive(config, summit_model, nranks, nblocks, block, pitch, counts, rounds, 
         recv = ctx.gpu.malloc(max(1, sum(recvcounts) * extent))
         setup.append((ctx, comm, datatype, sendcounts, senddispls,
                       recvcounts, recvdispls, send, recv))
+
+    def post(start):
+        return [
+            start(comm)(send, sendcounts, senddispls, recv, recvcounts, recvdispls,
+                        sendtypes=datatype, recvtypes=datatype)
+            for (ctx, comm, datatype, sendcounts, senddispls,
+                 recvcounts, recvdispls, send, recv) in setup
+        ]
+
+    bound = post(lambda comm: comm.Alltoallv_init) if persistent else None
     for round_index in range(rounds):
-        # Fresh payload every round: a cached plan must deliver live bytes.
+        # Fresh payload every round: a bound template must deliver live bytes.
         for entry in setup:
             ctx, send = entry[0], entry[7]
             rng = np.random.default_rng(seed + 7919 * round_index + ctx.rank)
             send.data[:] = rng.integers(0, 255, send.nbytes, dtype=np.uint8)
-        requests = []
-        for (ctx, comm, datatype, sendcounts, senddispls,
-             recvcounts, recvdispls, send, recv) in setup:
-            requests.append(comm.Ialltoallv(
-                send, sendcounts, senddispls,
-                recv, recvcounts, recvdispls,
-                sendtypes=datatype, recvtypes=datatype,
-            ))
+        if persistent:
+            requests = bound
+            for request in requests:
+                request.Start()
+        else:
+            requests = post(lambda comm: comm.Ialltoallv)
         for request in requests:
             request.Wait()
-    plan_cache_hits = sum(entry[1].tempi.stats.plan_cache_hits for entry in setup)
-    return [(entry[8].data.copy(), entry[0].clock.now) for entry in setup], plan_cache_hits
+    counters = tuple(
+        sum(getattr(entry[1].tempi.stats, name) for entry in setup)
+        for name in ("plan_cache_hits", "plan_cache_misses")
+    )
+    return [(entry[8].data.copy(), entry[0].clock.now) for entry in setup], counters
 
 
 def _assert_identical(reference, candidate, label):
@@ -109,26 +126,30 @@ def _assert_identical(reference, candidate, label):
 @given(exchange_cases())
 def test_caches_never_move_bytes_or_clocks(summit_model, case):
     nranks, nblocks, block, pitch, counts, rounds, seed = case
+    strided = nblocks > 1 and pitch > block  # else canonicalized contiguous
+    cross_rank = any(
+        count for rank, row in enumerate(counts)
+        for peer, count in enumerate(row) if peer != rank
+    )
     reference = None
     for overrides in CONFIG_GRID:
         config = TempiConfig(**overrides)
-        outcome, plan_cache_hits = _drive(config, summit_model, nranks, nblocks,
-                                          block, pitch, counts, rounds, seed)
-        strided = nblocks > 1 and pitch > block  # else canonicalized contiguous
-        cross_rank = any(
-            count for rank, row in enumerate(counts)
-            for peer, count in enumerate(row) if peer != rank
-        )
-        if overrides["plan_cache"] and strided and cross_rank:
-            # The repeated-shape rounds must actually exercise the fast path
-            # (contiguous vectors fall back and never reach the plan cache).
-            assert plan_cache_hits > 0, "plan cache never hit on a repeated shape"
-        if not overrides["plan_cache"]:
-            assert plan_cache_hits == 0, "plan cache hit while disabled"
-        if reference is None:
-            reference = outcome
-            continue
-        _assert_identical(reference, outcome, f"TempiConfig(**{overrides})")
+        for persistent in (False, True):
+            outcome, (hits, misses) = _drive(config, summit_model, nranks, nblocks,
+                                             block, pitch, counts, rounds, seed, persistent)
+            label = f"TempiConfig(**{overrides}), persistent={persistent}"
+            if not persistent:
+                assert (hits, misses) == (0, 0), f"a one-shot call counted a template: {label}"
+            elif not overrides["plan_cache"]:
+                assert (hits, misses) == (0, 0), f"template kept while disabled: {label}"
+            elif strided and cross_rank:
+                # The restarts must actually exercise the bound template
+                # (contiguous vectors fall back and never record one).
+                assert hits > 0, "no restart replayed its bound template"
+            if reference is None:
+                reference = outcome
+                continue
+            _assert_identical(reference, outcome, label)
 
 
 @settings(max_examples=10, deadline=None)
@@ -145,8 +166,13 @@ def test_duplex_incast_caches_never_move_results(summit_model, nranks, messages,
     reference = None
     for overrides in CONFIG_GRID:
         config = TempiConfig(selection="contended", nic="duplex", **overrides)
-        outcome, _ = _drive(config, summit_model, nranks, 4, 8, 24, counts, rounds, seed)
-        if reference is None:
-            reference = outcome
-            continue
-        _assert_identical(reference, outcome, f"incast TempiConfig(**{overrides})")
+        for persistent in (False, True):
+            outcome, _ = _drive(config, summit_model, nranks, 4, 8, 24, counts, rounds, seed,
+                                persistent)
+            if reference is None:
+                reference = outcome
+                continue
+            _assert_identical(
+                reference, outcome,
+                f"incast TempiConfig(**{overrides}), persistent={persistent}",
+            )

@@ -1,33 +1,33 @@
-"""Plan-cache and selection-memo invalidation: every key change must miss.
+"""Plan templates and the selection-memo counters.
 
-The fast path may only ever reuse a compiled plan for the *exact* same
-call: same counts, same displacements, same committed datatype object,
-same blocking mode.  Each test mutates one of those and asserts — through
-the ``InterposerStats`` hit/miss counters — that the cache missed.  A hit
-on a changed shape would replay the wrong transcript and silently corrupt
-the simulation, so these are correctness tests, not performance tests.
-
-Config and machine changes invalidate structurally: the cache lives on the
-communicator, and a different ``TempiConfig`` or machine spec means a
-different interposed communicator with its own empty cache.
+A persistent collective's first ``Start`` compiles and, under
+``TempiConfig.plan_cache``, records the plan as a template; every restart
+replays it.  That is the only plan reuse: one-shot collectives always
+compile.  These tests drive ``Alltoallv_init`` restarts and assert, through
+the ``InterposerStats`` counters, that the knob governs exactly that reuse —
+and that a restart whose replayed selection differs from the recorded one
+rebuilds its stages instead of reusing stale ones.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 
 import numpy as np
-import pytest
 
 from repro.mpi.constructors import Type_vector
 from repro.mpi.datatype import BYTE
 from repro.mpi.request import Request
 from repro.mpi.world import World
 from repro.tempi.config import PackMethod, TempiConfig
-from repro.tempi.interposer import interpose
-from repro.tempi.plan import PlanCache, PlanError, PlanTemplate
+from repro.tempi.interposer import TempiCommunicator, interpose
+from repro.tempi.packer import Packer
+from repro.tempi.plan import PlanSection, PlanTemplate, compile_exchange
+from repro.tempi.strided_block import StridedBlock
 
 NRANKS = 2
+ROUNDS = 3
 
 
 def _world(config=None, summit_model=None):
@@ -44,17 +44,36 @@ def _world(config=None, summit_model=None):
     return setup
 
 
-def _exchange(setup, counts=None, displs=None, datatypes=None):
+def _exchange(setup):
     """One inline nonblocking round: all ranks post, then all ranks wait."""
     requests = []
-    for index, (ctx, comm, datatype, send, recv) in enumerate(setup):
-        dt = datatypes[index] if datatypes is not None else datatype
-        row = counts if counts is not None else [1] * NRANKS
-        dis = displs if displs is not None else [peer * dt.extent * 2 for peer in range(NRANKS)]
+    for ctx, comm, datatype, send, recv in setup:
+        row = [1] * NRANKS
+        dis = [peer * datatype.extent * 2 for peer in range(NRANKS)]
         requests.append(comm.Ialltoallv(
-            send, row, dis, recv, row, dis, sendtypes=dt, recvtypes=dt,
+            send, row, dis, recv, row, dis, sendtypes=datatype, recvtypes=datatype,
         ))
     for request in requests:
+        request.Wait()
+
+
+def _bind(setup):
+    """Each rank's ``Alltoallv_init`` of the exchange :func:`_exchange` posts."""
+    bound = []
+    for ctx, comm, datatype, send, recv in setup:
+        row = [1] * NRANKS
+        dis = [peer * datatype.extent * 2 for peer in range(NRANKS)]
+        bound.append(comm.Alltoallv_init(
+            send, row, dis, recv, row, dis, sendtypes=datatype, recvtypes=datatype,
+        ))
+    return bound
+
+
+def _restart(bound):
+    """One inline round of the bound requests: all ranks start, then wait."""
+    for request in bound:
+        request.Start()
+    for request in bound:
         request.Wait()
 
 
@@ -64,110 +83,29 @@ def _stats(setup):
     return hits, misses
 
 
-class TestPlanCacheKeying:
-    def test_repeated_shape_hits(self, summit_model):
-        setup = _world(summit_model=summit_model)
-        _exchange(setup)
-        assert _stats(setup) == (0, NRANKS)  # cold compile per rank
-        _exchange(setup)
-        _exchange(setup)
-        assert _stats(setup) == (2 * NRANKS, NRANKS)
-
-    def test_mutated_counts_miss(self, summit_model):
-        setup = _world(summit_model=summit_model)
-        _exchange(setup, counts=[1] * NRANKS)
-        _exchange(setup, counts=[2] * NRANKS)
-        hits, misses = _stats(setup)
-        assert hits == 0
-        assert misses == 2 * NRANKS
-
-    def test_mutated_displs_miss(self, summit_model):
-        setup = _world(summit_model=summit_model)
-        extent = setup[0][2].extent
-        _exchange(setup, displs=[peer * extent * 2 for peer in range(NRANKS)])
-        _exchange(setup, displs=[peer * extent * 3 for peer in range(NRANKS)])
-        hits, misses = _stats(setup)
-        assert hits == 0
-        assert misses == 2 * NRANKS
-
-    def test_recommitted_datatype_misses(self, summit_model):
-        """An identical shape under a *new* commit is a new key (id-keyed)."""
-        setup = _world(summit_model=summit_model)
-        _exchange(setup)
-        recommitted = [comm.Type_commit(Type_vector(4, 8, 24, BYTE))
-                       for _, comm, *_ in setup]
-        _exchange(setup, datatypes=recommitted)
-        hits, misses = _stats(setup)
-        assert hits == 0
-        assert misses == 2 * NRANKS
-
-    def test_blocking_and_nonblocking_are_distinct_keys(self, summit_model):
-        """Same shape, blocking vs nonblocking: the flag is part of the key."""
-        world = World(1, ranks_per_node=1)
-        ctx = world.contexts[0]
-        comm = interpose(ctx, TempiConfig(), model=summit_model)
-        datatype = comm.Type_commit(Type_vector(4, 8, 24, BYTE))
-        send = ctx.gpu.malloc(datatype.extent * 4)
-        recv = ctx.gpu.malloc(datatype.extent * 4)
-        args = (send, [1], [0], recv, [1], [0])
-        comm.Ialltoallv(*args, sendtypes=datatype, recvtypes=datatype).Wait()
-        comm.Alltoallv(*args, sendtypes=datatype, recvtypes=datatype)
-        stats = comm.tempi.stats
-        assert (stats.plan_cache_hits, stats.plan_cache_misses) == (0, 2)
-        comm.Ialltoallv(*args, sendtypes=datatype, recvtypes=datatype).Wait()
-        comm.Alltoallv(*args, sendtypes=datatype, recvtypes=datatype)
-        assert (stats.plan_cache_hits, stats.plan_cache_misses) == (2, 2)
-
-    def test_config_change_means_cold_cache(self, summit_model):
-        """A new TempiConfig interposes a new communicator: structurally cold."""
-        warm = _world(summit_model=summit_model)
-        _exchange(warm)
-        _exchange(warm)
-        assert _stats(warm)[0] == NRANKS
-        variant = _world(config=TempiConfig(batch_eager_sends=False),
-                         summit_model=summit_model)
-        _exchange(variant)
-        hits, misses = _stats(variant)
-        assert hits == 0
-        assert misses == NRANKS
-        assert all(len(comm.plan_cache) == 1 for _, comm, *_ in variant)
-
-
 class TestPlanCacheBounds:
-    def test_disabled_cache_never_consulted(self, summit_model):
-        setup = _world(config=TempiConfig(plan_cache=False), summit_model=summit_model)
-        _exchange(setup)
-        _exchange(setup)
-        assert _stats(setup) == (0, 0)
-        assert all(len(comm.plan_cache) == 0 for _, comm, *_ in setup)
+    def test_disabled_cache_never_consulted(self, summit_model, monkeypatch):
+        """``plan_cache=False``: every restart compiles, no template is kept."""
+        compiles = []
+        compile_collective = TempiCommunicator._compile_collective
 
-    def test_bounded_cache_evicts(self, summit_model):
-        setup = _world(summit_model=summit_model)
-        for _, comm, *_ in setup:
-            comm.plan_cache.size = 1
-        for _ in range(2):
-            _exchange(setup, counts=[1] * NRANKS)
-            _exchange(setup, counts=[2] * NRANKS)  # evicts the previous entry
-        hits, misses = _stats(setup)
-        assert hits == 0
-        assert misses == 4 * NRANKS
-        assert all(len(comm.plan_cache) == 1 for _, comm, *_ in setup)
+        def counting(self, *args, **kwargs):
+            compiles.append(self)
+            return compile_collective(self, *args, **kwargs)
 
-    def test_clear_forces_recompile(self, summit_model):
-        setup = _world(summit_model=summit_model)
-        _exchange(setup)
-        _exchange(setup)
-        assert _stats(setup)[0] == NRANKS
-        for _, comm, *_ in setup:
-            comm.plan_cache.clear()
-        _exchange(setup)
-        hits, misses = _stats(setup)
-        assert hits == NRANKS
-        assert misses == 2 * NRANKS
-
-    def test_cache_rejects_degenerate_capacity(self):
-        with pytest.raises(PlanError):
-            PlanCache(0)
+        monkeypatch.setattr(TempiCommunicator, "_compile_collective", counting)
+        for plan_cache, counters, starts_compiled in (
+            (True, ((ROUNDS - 1) * NRANKS, NRANKS), NRANKS),
+            (False, (0, 0), ROUNDS * NRANKS),
+        ):
+            del compiles[:]
+            setup = _world(config=TempiConfig(plan_cache=plan_cache), summit_model=summit_model)
+            bound = _bind(setup)
+            for _ in range(ROUNDS):
+                _restart(bound)
+            assert _stats(setup) == counters
+            assert len(compiles) == starts_compiled
+            assert all((request._template is not None) is plan_cache for request in bound)
 
 
 class TestSelectionMemoCounters:
@@ -208,16 +146,43 @@ class TestSelectionMemoCounters:
         assert len(selector._memo) == 2
 
 
+class TestTemplateTranscript:
+    def test_transcript_is_what_the_compile_asked_the_selector(self):
+        """``from_plan`` reads the transcript off the stages; it must be the
+        calls ``compile_exchange`` made, in order, and the methods returned."""
+        small = StridedBlock(start=0, counts=(8, 4), strides=(1, 16))
+        large = StridedBlock(start=0, counts=(8, 64), strides=(1, 16))
+        small, large = (Packer(shape, object_extent=shape.extent) for shape in (small, large))
+        send = [PlanSection(peer, count, 0, packer) for peer, count, packer in (
+            (0, 2, small), (1, 1, large), (2, 1, large), (2, 3, small), (3, 0, small),
+        )]
+        recv = [PlanSection(peer, count, 0, packer) for peer, count, packer in (
+            (3, 1, small), (1, 1, large), (0, 2, large),
+        )]
+        calls, methods = [], []
+        answers = itertools.cycle((PackMethod.DEVICE, PackMethod.ONESHOT, PackMethod.STAGED))
+
+        def select(packer, nbytes, peer=None):
+            calls.append((packer, nbytes, peer))
+            methods.append(next(answers))
+            return methods[-1]
+
+        template = PlanTemplate.from_plan(compile_exchange(1, None, send, None, recv, select))
+        assert template.selections == tuple(calls)
+        assert template.methods == tuple(methods)
+        assert [peer for _, _, peer in calls] == [0, 2, None, None]
+
+
 class TestTemplateRebind:
-    """A cache hit whose replayed selection *differs* from the recorded one.
+    """A restart whose replayed selection *differs* from the recorded one.
 
     The steady state shares the template's stages; this is the other lane:
     ``PlanTemplate.materialize`` rebuilds every stage around the new method
     (``_rebind``) and the interposer recounts the methods.  It needs a
     selector whose answer for one shape moves between calls, i.e. the
     contended one behind a loaded port — the ``bench_fig9_selection.py``
-    burst (its ``PROBE`` and ``BACKGROUND`` shapes), with the probe compiled
-    once on an idle port first so the template records ``device``.
+    burst (its ``PROBE`` and ``BACKGROUND`` shapes), with the probe bound and
+    first started on an idle port so the template records ``device``.
     """
 
     #: 4 KiB per peer in single-byte runs: device when idle, one-shot queued.
@@ -237,21 +202,25 @@ class TestTemplateRebind:
                 send.data[:] = (ctx.rank + 1) % 251
                 return send, ctx.gpu.malloc(datatype.extent * size)
 
-            def exchange(datatype, send, recv):
+            def arguments(datatype, send, recv):
                 counts = [1] * size
                 displs = [peer * datatype.extent for peer in range(size)]
-                return comm.Ialltoallv(
-                    send, counts, displs, recv, counts, displs,
-                    sendtypes=datatype, recvtypes=datatype,
-                )
+                return (send, counts, displs, recv, counts, displs)
 
             probe_buffers = buffers(probe)
             background = [buffers(big) for _ in range(4)]
-            exchange(probe, *probe_buffers).Wait()  # idle port: records device x3
+            bound = comm.Alltoallv_init(
+                *arguments(probe, *probe_buffers), sendtypes=probe, recvtypes=probe,
+            )
+            bound.Start()  # idle port: records device x3
+            bound.Wait()
             comm.Barrier()
-            requests = [exchange(big, *pair) for pair in background]
-            requests.append(exchange(probe, *probe_buffers))  # same call, queued port
-            Request.Waitall(requests)
+            requests = [
+                comm.Ialltoallv(*arguments(big, *pair), sendtypes=big, recvtypes=big)
+                for pair in background
+            ]
+            bound.Start()  # the same exchange restarted behind the queued port
+            Request.Waitall(requests + [bound])
             return (
                 ctx.clock.now.hex(),
                 hashlib.sha256(probe_buffers[1].data).hexdigest(),
@@ -283,5 +252,5 @@ class TestTemplateRebind:
         ):
             assert (clock, digest, methods) == (f_clock, f_digest, f_methods)
             assert methods == {"device": 15, "oneshot": 3}
-            # Three repeats of the background shape, then the flipped probe.
-            assert (hits, f_hits) == (4, 0)
+            # The one restart, which replayed the flipped probe.
+            assert (hits, f_hits) == (1, 0)
