@@ -4,8 +4,8 @@ A persistent collective's first ``Start`` compiles and, under
 ``TempiConfig.plan_cache``, records the plan as a template; every restart
 replays it.  That is the only plan reuse: one-shot collectives always
 compile.  These tests drive ``Alltoallv_init`` restarts and assert, through
-the ``InterposerStats`` counters, that the knob governs exactly that reuse —
-and that a restart whose replayed selection differs from the recorded one
+the ``InterposerStats`` counters, that the knob governs exactly that reuse,
+that a restart never replays another request's template, and that a restart whose replayed selection differs from the recorded one
 rebuilds its stages instead of reusing stale ones.
 """
 
@@ -44,29 +44,28 @@ def _world(config=None, summit_model=None):
     return setup
 
 
-def _exchange(setup):
+def _calls(setup, counts=None, displs=None, datatypes=None):
+    """Each rank's ``(comm, args, types)`` of one all-to-all-v: unit counts at
+    double-extent displacements of the rank's own datatype unless overridden."""
+    calls = []
+    for index, (ctx, comm, datatype, send, recv) in enumerate(setup):
+        dt = datatypes[index] if datatypes is not None else datatype
+        row = counts if counts is not None else [1] * NRANKS
+        dis = displs if displs is not None else [peer * dt.extent * 2 for peer in range(NRANKS)]
+        calls.append((comm, (send, row, dis, recv, row, dis), {"sendtypes": dt, "recvtypes": dt}))
+    return calls
+
+
+def _exchange(setup, **shape):
     """One inline nonblocking round: all ranks post, then all ranks wait."""
-    requests = []
-    for ctx, comm, datatype, send, recv in setup:
-        row = [1] * NRANKS
-        dis = [peer * datatype.extent * 2 for peer in range(NRANKS)]
-        requests.append(comm.Ialltoallv(
-            send, row, dis, recv, row, dis, sendtypes=datatype, recvtypes=datatype,
-        ))
+    requests = [comm.Ialltoallv(*args, **types) for comm, args, types in _calls(setup, **shape)]
     for request in requests:
         request.Wait()
 
 
-def _bind(setup):
+def _bind(setup, **shape):
     """Each rank's ``Alltoallv_init`` of the exchange :func:`_exchange` posts."""
-    bound = []
-    for ctx, comm, datatype, send, recv in setup:
-        row = [1] * NRANKS
-        dis = [peer * datatype.extent * 2 for peer in range(NRANKS)]
-        bound.append(comm.Alltoallv_init(
-            send, row, dis, recv, row, dis, sendtypes=datatype, recvtypes=datatype,
-        ))
-    return bound
+    return [comm.Alltoallv_init(*args, **types) for comm, args, types in _calls(setup, **shape)]
 
 
 def _restart(bound):
@@ -81,6 +80,132 @@ def _stats(setup):
     hits = sum(comm.tempi.stats.plan_cache_hits for _, comm, *_ in setup)
     misses = sum(comm.tempi.stats.plan_cache_misses for _, comm, *_ in setup)
     return hits, misses
+
+
+def _observed(setup):
+    """Per rank: its clock and a digest of its receive buffer."""
+    return [(ctx.clock.now.hex(), hashlib.sha256(recv.data).hexdigest())
+            for ctx, _, _, _, recv in setup]
+
+
+def _against_one_shot(summit_model, shapes, rounds, config=None):
+    """Bind one request per shape and restart them in turn for ``rounds``,
+    while a second world posts the same calls one-shot; after every call the
+    clocks and received bytes of the two must agree.  ``shapes`` map a setup
+    to :func:`_calls` overrides.  Returns the bound world and its requests."""
+    bound_world, one_shot_world = (_world(config, summit_model) for _ in range(2))
+    bound = [_bind(bound_world, **shape(bound_world)) for shape in shapes]
+    one_shot = [shape(one_shot_world) for shape in shapes]
+    for _ in range(rounds):
+        for requests, shape in zip(bound, one_shot):
+            _restart(requests)
+            _exchange(one_shot_world, **shape)
+            assert _observed(bound_world) == _observed(one_shot_world)
+    return bound_world, bound
+
+
+def _default(setup):
+    return {}
+
+
+def _recommitted(setup):
+    return {"datatypes": [comm.Type_commit(Type_vector(4, 8, 24, BYTE)) for _, comm, *_ in setup]}
+
+
+class TestPlanCacheKeying:
+    """A restart replays only the template its own first ``Start`` recorded.
+
+    Templates belong to bound requests, not to a keyed cache: a request bound
+    with other counts, other displacements or another commit of the same
+    shape — or on a communicator under another config — records its own, and
+    one-shot calls never consult one.  Each test checks the counters and that
+    clocks and received bytes equal the same calls posted one-shot, since a
+    replay of the wrong template would price or move the wrong sections.
+    """
+
+    def test_repeated_shape_hits(self, summit_model):
+        setup, _ = _against_one_shot(summit_model, [_default], rounds=1)
+        assert _stats(setup) == (0, NRANKS)  # first start per rank records
+        setup, _ = _against_one_shot(summit_model, [_default], rounds=3)
+        assert _stats(setup) == (2 * NRANKS, NRANKS)
+
+    def test_mutated_counts_miss(self, summit_model):
+        setup, (ones, twos) = _against_one_shot(summit_model, [
+            lambda setup: {"counts": [1] * NRANKS},
+            lambda setup: {"counts": [2] * NRANKS},
+        ], rounds=2)
+        assert _stats(setup) == (2 * NRANKS, 2 * NRANKS)
+        assert all(a._template is not b._template for a, b in zip(ones, twos))
+
+    def test_mutated_displs_miss(self, summit_model):
+        def spaced(stride):
+            return lambda setup: {"displs": [peer * setup[0][2].extent * stride
+                                             for peer in range(NRANKS)]}
+
+        setup, (near, far) = _against_one_shot(summit_model, [spaced(2), spaced(3)], rounds=2)
+        assert _stats(setup) == (2 * NRANKS, 2 * NRANKS)
+        assert all(a._template is not b._template for a, b in zip(near, far))
+
+    def test_recommitted_datatype_misses(self, summit_model):
+        """An identical shape under a *new* commit binds its own template."""
+        setup, (first, again) = _against_one_shot(
+            summit_model, [_default, _recommitted], rounds=2,
+        )
+        assert _stats(setup) == (2 * NRANKS, 2 * NRANKS)
+        assert all(a._template is not b._template for a, b in zip(first, again))
+
+    def test_blocking_and_nonblocking_are_distinct_keys(self, summit_model):
+        """Blocking and nonblocking one-shot calls of a bound shape never
+        replay its template, and leave it for the next restart."""
+        def run(persistent):
+            world = World(1, ranks_per_node=1)
+            ctx = world.contexts[0]
+            comm = interpose(ctx, TempiConfig(), model=summit_model)
+            datatype = comm.Type_commit(Type_vector(4, 8, 24, BYTE))
+            send = ctx.gpu.malloc(datatype.extent * 4)
+            send.data[:] = np.arange(send.nbytes, dtype=np.uint64).astype(np.uint8)
+            recv = ctx.gpu.malloc(datatype.extent * 4)
+            args = (send, [1], [0], recv, [1], [0])
+            types = {"sendtypes": datatype, "recvtypes": datatype}
+            bound = comm.Alltoallv_init(*args, **types)
+
+            def restart():
+                if persistent:
+                    bound.Start()
+                    bound.Wait()
+                else:
+                    comm.Ialltoallv(*args, **types).Wait()
+
+            stats = comm.tempi.stats
+            observed = []
+            restart()
+            template = bound._template
+            comm.Ialltoallv(*args, **types).Wait()
+            comm.Alltoallv(*args, **types)
+            observed.append((stats.plan_cache_hits, stats.plan_cache_misses))
+            restart()
+            observed.append((stats.plan_cache_hits, stats.plan_cache_misses))
+            assert bound._template is template
+            return observed, ctx.clock.now.hex(), hashlib.sha256(recv.data).hexdigest()
+
+        persistent, one_shot = run(True), run(False)
+        assert persistent[0] == [(0, 1), (1, 1)]
+        assert one_shot[0] == [(0, 0), (0, 0)]
+        assert persistent[1:] == one_shot[1:]
+
+    def test_config_change_means_cold_cache(self, summit_model):
+        """A new TempiConfig interposes a new communicator: structurally cold."""
+        warm, warm_bound = _against_one_shot(summit_model, [_default], rounds=2)
+        assert _stats(warm) == (NRANKS, NRANKS)
+        variant_config = TempiConfig(batch_eager_sends=False)
+        variant, variant_bound = _against_one_shot(
+            summit_model, [_default], rounds=1, config=variant_config,
+        )
+        assert _stats(variant) == (0, NRANKS)
+        assert all(
+            a._template is not None and a._template is not b._template
+            for a, b in zip(variant_bound[0], warm_bound[0])
+        )
 
 
 class TestPlanCacheBounds:
