@@ -6,7 +6,8 @@ strided object (unpack).  Here there is one strided-copy kernel for both
 directions and any number of objects: the strided side and the dense side
 are each exposed as one zero-copy ``np.ndarray`` view of the underlying byte
 array, of the same shape, and the transfer is a single assignment between
-the two — one pass, no temporary, no Python-level loop over objects or runs.
+the two (a cell pack, below, is one cast plus one column) — no temporary,
+no Python-level loop over objects or runs.
 
 * ``count`` objects are one extra outermost dimension whose stride is the
   object extent.
@@ -16,10 +17,22 @@ the two — one pass, no temporary, no Python-level loop over objects or runs.
   exactly one word drops its dimension, so 8-byte runs move as a ``uint64``
   vector, not as an ``(N, 8)`` byte matrix.  The word shapes only this host
   copy; the result is the same bytes for every word size.
+* A pack whose innermost stride is a *cell* — 2, 4 or 8 bytes, wider than
+  the word, over at least 2 elements, e.g. one-byte runs at a two-byte
+  pitch — is not a word-at-a-time gather.  Every element but each row's
+  last is read as one little-endian ``cell``-byte integer and narrowed to
+  its first ``word`` bytes by one ``np.copyto(..., casting="unsafe")``; the
+  last column is peeled off and assigned word by word, so no byte past the
+  object's last run is read.  Unpack stays the plain scatter: a widen, mask
+  and merge unpack was measured no faster.  The choice is geometric, like
+  the word, with no option or size threshold, and the benchmark's
+  ``datatype_pack`` workload packs objects on both sides of it (the 4 MiB
+  one-byte-block object of Fig. 8 is a cell pack, its 512-byte-pitch
+  objects are not).
 * Everything that depends only on the geometry — validation, the word, the
-  shape and strides — is a :class:`StridedLayout`, which callers that launch
-  one geometry repeatedly compute once (:func:`strided_layout`) and hand
-  back through ``layout=``.
+  cell, the shape and strides — is a :class:`StridedLayout`, which callers
+  that launch one geometry repeatedly compute once (:func:`strided_layout`)
+  and hand back through ``layout=``.
 
 The functions below are deliberately free of any timing logic; durations are
 charged by :class:`repro.gpu.runtime.CudaRuntime`, which calls them.
@@ -36,12 +49,14 @@ from repro.gpu.errors import CudaInvalidValue
 
 _UINT8 = np.dtype(np.uint8)
 #: Element dtype per word size.  16 bytes is an opaque ``V16`` so no bit
-#: pattern (NaN payloads included) can be touched in flight.
+#: pattern (NaN payloads included) can be touched in flight.  The integers are
+#: little-endian on every host, so narrowing a cell to a word keeps the cell's
+#: first bytes.
 _WORD_DTYPES = {
     1: _UINT8,
-    2: np.dtype(np.uint16),
-    4: np.dtype(np.uint32),
-    8: np.dtype(np.uint64),
+    2: np.dtype("<u2"),
+    4: np.dtype("<u4"),
+    8: np.dtype("<u8"),
     16: np.dtype("V16"),
 }
 
@@ -92,6 +107,13 @@ class StridedLayout(NamedTuple):
     shape: tuple[int, ...]
     #: Byte strides of the strided view; the dense view is C-contiguous.
     strides: tuple[int, ...]
+    #: The innermost byte stride when it is 2, 4 or 8 bytes, wider than
+    #: ``word``, over at least 2 elements; else 0.  Such a pack reads every
+    #: element but each row's last as one ``cell``-byte integer and narrows
+    #: it to its first ``word`` bytes in one cast; the last column is copied
+    #: word by word, so no byte past the object's last run is read.  Unpack
+    #: ignores it: the widened scatter was measured no faster.
+    cell: int
 
 
 def strided_layout(
@@ -127,6 +149,9 @@ def strided_layout(
     if counts[0] > word:
         shape.append(counts[0] // word)
         byte_strides.append(word * strides[0])
+    cell = byte_strides[-1] if shape and shape[-1] > 1 else 0
+    if cell not in (2, 4, 8) or cell <= word:
+        cell = 0
     return StridedLayout(
         nbytes=packed_size(counts) * count,
         first=start + min(span, 0),
@@ -135,6 +160,7 @@ def strided_layout(
         word=word,
         shape=tuple(shape),
         strides=tuple(byte_strides),
+        cell=cell,
     )
 
 
@@ -145,12 +171,14 @@ def _views(
     geometry: tuple,
     dense_offset: int,
     layout: Optional[StridedLayout],
-) -> tuple[np.ndarray, np.ndarray]:
-    """The strided and the dense view of one launch, same shape and dtype.
+) -> tuple[np.ndarray, np.ndarray, StridedLayout]:
+    """The strided and the dense view of one launch, and the layout they follow.
 
     ``geometry`` is ``(start, counts, strides, count, object_extent,
     word_size)`` and ``layout`` its :func:`strided_layout` if the caller kept
-    it.  ``roles`` names the strided and the dense side in error messages.
+    it.  The views have the same shape and dtype.  The returned layout is
+    ``layout`` re-narrowed when ``dense_offset`` is not a multiple of its
+    word.  ``roles`` names the strided and the dense side in error messages.
     """
     if layout is None:
         layout = strided_layout(*geometry)
@@ -174,6 +202,7 @@ def _views(
     return (
         np.ndarray(layout.shape, dtype, strided, layout.start, layout.strides),
         np.ndarray(layout.shape, dtype, dense, dense_offset),
+        layout,
     )
 
 
@@ -197,8 +226,16 @@ def pack_strided_many(
     be :func:`strided_layout` of the same geometry.  Returns the bytes written.
     """
     geometry = (start, counts, strides, count, object_extent, word_size)
-    strided, dense = _views(src, dst, ("source", "destination"), geometry, dst_offset, layout)
-    dense[...] = strided
+    strided, dense, layout = _views(src, dst, ("source", "destination"), geometry, dst_offset, layout)
+    if layout.cell:
+        shape = layout.shape
+        cells = np.ndarray(
+            (*shape[:-1], shape[-1] - 1), _WORD_DTYPES[layout.cell], src, layout.start, layout.strides
+        )
+        np.copyto(dense[..., :-1], cells, casting="unsafe")
+        dense[..., -1] = strided[..., -1]
+    else:
+        dense[...] = strided
     return dense.nbytes
 
 
@@ -221,7 +258,7 @@ def unpack_strided_many(
     dense side, ``dst`` the strided one.  Returns the bytes read.
     """
     geometry = (start, counts, strides, count, object_extent, word_size)
-    strided, dense = _views(dst, src, ("destination", "source"), geometry, src_offset, layout)
+    strided, dense, _ = _views(dst, src, ("destination", "source"), geometry, src_offset, layout)
     strided[...] = dense
     return dense.nbytes
 

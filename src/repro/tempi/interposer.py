@@ -70,7 +70,7 @@ from repro.tempi.canonicalize import simplify
 from repro.tempi.config import HANDLER_LOOKUP_S, MODEL_CACHED_QUERY_S, POINTER_CHECK_S, TempiConfig
 from repro.tempi.executor import PlanExecutor
 from repro.tempi.measurement import SystemMeasurement, host_timer
-from repro.tempi.packer import Packer
+from repro.tempi.packer import PackError, Packer
 from repro.tempi.progress import ProgressEngine
 from repro.tempi.perf_model import PerformanceModel
 from repro.tempi.plan import MessagePlan, PlanSection
@@ -430,7 +430,12 @@ class TempiCommunicator:
 
     # -------------------------------------------------------------------- pack
     def Pack(self, in_spec, outbuf, position: int = 0) -> int:
-        """``MPI_Pack``: one kernel launch instead of one memcpy per block."""
+        """``MPI_Pack``: one kernel launch instead of one memcpy per block.
+
+        A ``position`` or user buffer the packer refuses raises the system
+        library's ``MpiArgumentError`` naming it; the check runs only once
+        the packer has refused, so a good call pays nothing for it.
+        """
         buffer, count, datatype = self._comm._resolve(in_spec)
         out = as_buffer(outbuf)
         handler = (
@@ -443,9 +448,13 @@ class TempiCommunicator:
         self._charge_interposition_overhead()
         handler.uses += 1
         self.tempi.stats.packs += 1
-        return position + handler.packer.pack(
-            self._comm.gpu, buffer, out, count, dst_offset=position
-        )
+        try:
+            return position + handler.packer.pack(
+                self._comm.gpu, buffer, out, count, dst_offset=position
+            )
+        except PackError:
+            self._comm._check_pack(buffer, count, datatype, out, position)
+            raise
 
     def Unpack(self, inbuf, position: int, out_spec) -> int:
         """``MPI_Unpack`` accelerated symmetrically to :meth:`Pack`."""
@@ -461,9 +470,13 @@ class TempiCommunicator:
         self._charge_interposition_overhead()
         handler.uses += 1
         self.tempi.stats.packs += 1
-        return position + handler.packer.unpack(
-            self._comm.gpu, source, buffer, count, src_offset=position
-        )
+        try:
+            return position + handler.packer.unpack(
+                self._comm.gpu, source, buffer, count, src_offset=position
+            )
+        except PackError:
+            self._comm._check_pack(buffer, count, datatype, source, position)
+            raise
 
     # ------------------------------------------------------------ p2p binding
     def _bind_p2p(

@@ -71,6 +71,7 @@ class Packer:
         object_extent: int,
         properties: DeviceProperties = DeviceProperties(),
     ) -> None:
+        """Select the kernel for ``block``; objects begin ``object_extent`` bytes apart."""
         if object_extent <= 0:
             raise PackError(f"object extent must be positive, got {object_extent}")
         self.block = block

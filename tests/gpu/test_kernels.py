@@ -229,6 +229,68 @@ class TestWordSize:
             kernels.strided_layout(0, [8, 4], [1, 64], word_size=3)
 
 
+class TestCell:
+    """A pack whose innermost stride is 2, 4 or 8 bytes, wider than the word
+    and over at least 2 elements, is one narrowing cast plus the last column."""
+
+    @pytest.mark.parametrize(
+        "start, counts, strides, count, extent, word_size, cell",
+        [
+            (0, [1, 64], [1, 2], 1, 0, 1, 2),
+            (0, [1, 64], [1, 2], 2, 127, 1, 2),
+            (3, [1, 64], [1, 4], 1, 0, 16, 4),
+            (0, [2, 64], [1, 4], 1, 0, 16, 4),
+            (0, [4, 64], [1, 8], 1, 0, 16, 8),
+            (0, [1], [1], 4, 2, 1, 2),
+            (0, [1, 64], [1, 3], 1, 0, 1, 0),
+            (0, [1, 64], [1, 16], 1, 0, 1, 0),
+            (0, [3, 64], [1, 8], 1, 0, 16, 0),
+            (0, [2, 64], [1, 2], 1, 0, 16, 0),
+            (0, [1, 1], [1, 2], 1, 0, 1, 0),
+            (0, [1], [1], 1, 0, 1, 0),
+        ],
+        ids=[
+            "1-byte runs, 2-byte pitch",
+            "count 2 at an odd extent",
+            "odd start, 4-byte pitch",
+            "2-byte words, 4-byte pitch",
+            "4-byte words, 8-byte pitch",
+            "1-byte objects, 2-byte extent",
+            "stride 3",
+            "stride 16",
+            "3-byte run",
+            "dense 2-byte words",
+            "single element",
+            "single element, no dimension",
+        ],
+    )
+    def test_cell_of_the_layout(self, start, counts, strides, count, extent, word_size, cell):
+        assert kernels.strided_layout(start, counts, strides, count, extent, word_size).cell == cell
+
+    def test_cell_pack_reads_nothing_past_the_last_run(self):
+        # The source ends at the last run's byte: a cast of the last column
+        # would need one byte more.
+        geometry = (1, [1, 9], [1, 2], 3, 17)
+        src = make_memory(kernels.required_extent(1, [1, 9], [1, 2]) + 2 * 17, seed=9)
+        assert kernels.strided_layout(*geometry).cell == 2
+        packed = np.zeros(27, dtype=np.uint8)
+        kernels.pack_strided_many(src, packed, *geometry)
+        expected = [src[1 + obj * 17 + 2 * i] for obj in range(3) for i in range(9)]
+        assert packed.tolist() == expected
+
+    def test_odd_dense_offset_recomputes_the_cell(self):
+        # A kept layout of 4-byte words at an 8-byte pitch (cell 8) narrows to
+        # bytes at an odd dense offset, where the run is its own dimension and
+        # there is no cell: 8-byte reads at a 1-byte stride would run past the
+        # last run, which ends the source.
+        layout = kernels.strided_layout(0, [4, 8], [1, 8], word_size=4)
+        assert (layout.word, layout.cell) == (4, 8)
+        src = make_memory(60, seed=10)
+        dst = np.zeros(33, dtype=np.uint8)
+        kernels.pack_strided_many(src, dst, 0, [4, 8], [1, 8], 1, 0, 1, word_size=4, layout=layout)
+        assert np.array_equal(dst[1:], src.reshape(15, 4)[::2].reshape(-1))
+
+
 class TestBlockListCopy:
     def test_gather(self):
         src = make_memory(128, seed=6)

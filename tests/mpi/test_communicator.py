@@ -243,7 +243,7 @@ class TestPackUnpack:
         for offset in offsets:
             assert np.array_equal(out.data[offset : offset + 4], src.data[offset : offset + 4])
 
-    @pytest.mark.parametrize("library", ["system", "interposed-host"])
+    @pytest.mark.parametrize("library", ["system", "interposed-host", "interposed-device"])
     @pytest.mark.parametrize(
         "bad", ["negative position", "position past the end", "short user buffer"]
     )
@@ -252,7 +252,9 @@ class TestPackUnpack:
     def test_bad_input_raises_naming_the_field(self, shape, call, bad, library, summit_model):
         """Checked once, before the contiguous/strided dispatch: a bad
         ``position`` or a user buffer too short for its elements is an
-        ``MpiArgumentError`` that says which, not a numpy or memcpy error."""
+        ``MpiArgumentError`` that says which, not a numpy or memcpy error.
+        Device buffers take TEMPI's packer, whose refusal names the same
+        field."""
         from repro.tempi.interposer import interpose
 
         ctx = World(1).contexts[0]
@@ -260,8 +262,9 @@ class TestPackUnpack:
         t = comm.Type_commit(
             Type_contiguous(16, BYTE) if shape == "contiguous" else Type_vector(4, 4, 8, BYTE)
         )
-        user = ctx.gpu.host_alloc(8 if bad == "short user buffer" else t.extent)
-        packed = ctx.gpu.host_alloc(32)
+        alloc = ctx.gpu.malloc if library == "interposed-device" else ctx.gpu.host_alloc
+        user = alloc(8 if bad == "short user buffer" else t.extent)
+        packed = alloc(32)
         position = {"negative position": -4, "position past the end": 20}.get(bad, 0)
         field = "user buffer" if bad == "short user buffer" else "position"
         with pytest.raises(MpiArgumentError, match=field):
@@ -269,6 +272,8 @@ class TestPackUnpack:
                 comm.Pack((user, 1, t), packed, position)
             else:
                 comm.Unpack(packed, position, (user, 1, t))
+        if library == "interposed-device":
+            assert comm.tempi.stats.packs == 1  # the packer refused, not the system path
 
     def test_pack_size(self):
         world = World(1)

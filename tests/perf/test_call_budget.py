@@ -20,7 +20,10 @@ growing back:
   sorts nothing;
 * the diet changed no counter: ``InterposerStats``, ``CacheStats``,
   ``PackerStats`` and ``NicTimeline`` of a 3-round world equal the values
-  recorded at the parent commit before anything was deleted (rule (b)).
+  recorded at the parent commit before anything was deleted (rule (b));
+* a warm TEMPI ``Pack`` and ``Unpack`` make an exact number of calls: the
+  narrowing cast of a sub-word strided pack costs its one ``np.copyto``,
+  and every other geometry pays nothing for it.
 """
 
 from __future__ import annotations
@@ -31,9 +34,15 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.apps.halo import DIRECTIONS, HaloSpec, negate
 from repro.apps.stencil import HaloExchange, direction_tag
+from repro.bench.workloads import fig8_configurations
+from repro.gpu import kernels
 from repro.machine.nic import IngestRecord, NicTimeline
+from repro.mpi.constructors import Type_vector
+from repro.mpi.datatype import BYTE
 from repro.mpi.world import World
 from repro.tempi.config import TempiConfig
 from repro.tempi.interposer import interpose
@@ -225,3 +234,53 @@ def test_three_round_halo_world_counts_what_the_parent_counted(summit_model):
     world, exchanges, rounds = _halo_world(summit_model)
     world.run(rounds, 3)
     assert _snapshot(world, exchanges) == PARENT_SNAPSHOT
+
+
+# --------------------------------------------------------------------------- #
+# A warm TEMPI Pack/Unpack, with and without the narrowing cast.
+# --------------------------------------------------------------------------- #
+
+#: Exact calls of one warm ``(Pack, Unpack)`` on Python 3.11.  Before the
+#: narrowing cast both objects counted (31, 31).  The non-cell object
+#: ("vec 1KiB 1/8": 8-byte runs at a 512-byte pitch) still does; the cell
+#: object (64 Ki one-byte runs at a 2-byte pitch, count 2) adds the one
+#: ``np.copyto`` to its pack.
+WARM_PACK_CALLS = {"vec 1KiB 1/8": (31, 31), "cell": (32, 31)}
+
+
+def _warm_pack_unpack_calls(model, datatype, count: int) -> tuple[int, int]:
+    ctx = World(1).contexts[0]
+    comm = interpose(ctx, TempiConfig(), model=model)
+    datatype = comm.Type_commit(datatype)
+    user = ctx.gpu.malloc(count * datatype.extent)
+    packed = ctx.gpu.malloc(count * datatype.size)
+    target = ctx.gpu.malloc(count * datatype.extent)
+    comm.Pack((user, count, datatype), packed, 0)  # plans the launch
+    gc.collect()
+    gc.disable()  # a collection would count the gc callbacks Hypothesis registers
+    try:
+        with CallCounter() as empty:
+            pass
+        with CallCounter() as pack:
+            comm.Pack((user, count, datatype), packed, 0)
+        with CallCounter() as unpack:
+            comm.Unpack(packed, 0, (target, count, datatype))
+    finally:
+        gc.enable()
+    return pack.calls - empty.calls, unpack.calls - empty.calls
+
+
+@pytest.mark.parametrize("label", sorted(WARM_PACK_CALLS))
+def test_warm_pack_and_unpack_count_their_calls(label, summit_model):
+    if label == "cell":
+        datatype, count = Type_vector(64 * 1024, 1, 2, BYTE), 2
+        assert kernels.strided_layout(0, [1, 64 * 1024], [1, 2], 2, datatype.extent).cell == 2
+    else:
+        config = next(c for c in fig8_configurations() if c.label == label)
+        datatype, count = config.build(), config.count
+    calls = _warm_pack_unpack_calls(summit_model, datatype, count)
+    expected = WARM_PACK_CALLS[label]
+    if sys.version_info[:2] == (3, 11):
+        assert calls == expected
+    else:
+        assert all(got <= want * 1.05 for got, want in zip(calls, expected)), (calls, expected)
