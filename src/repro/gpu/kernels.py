@@ -30,9 +30,52 @@ no Python-level loop over objects or runs.
   one-byte-block object of Fig. 8 is a cell pack, its 512-byte-pitch
   objects are not).
 * Everything that depends only on the geometry — validation, the word, the
-  cell, the shape and strides — is a :class:`StridedLayout`, which callers
-  that launch one geometry repeatedly compute once (:func:`strided_layout`)
-  and hand back through ``layout=``.
+  cell, the shape and strides, the split below — is a :class:`StridedLayout`,
+  which callers that launch one geometry repeatedly compute once
+  (:func:`strided_layout`) and hand back through ``layout=``.
+* A launch that moves at least ``_SPLIT_ELEMENTS`` (4 Mi) elements runs on
+  every usable host core, as TEMPI's kernel runs on the whole GPU grid
+  (Sec. 3.3).  The outermost view axis with at least 2 entries — the object
+  count, for Fig. 8's 4 MiB object — is cut into one chunk per core
+  (``os.sched_getaffinity``).  The calling thread copies the last chunk, and
+  one lazily started daemon helper per other core copies one chunk each,
+  fed through a ``queue.SimpleQueue``.  Each chunk is the single assignment
+  (or cast plus peel) of its slice, and numpy releases the GIL inside those
+  loops.  With one core no helper starts and the launch is one chunk.
+
+  - *Disjoint chunks.*  Pack chunks write disjoint ranges of the dense side.
+    An unpack splits only when the split axis's stride is at least the span
+    of one entry (``StridedLayout.disjoint``), so its chunks write disjoint
+    strided bytes; an unpack whose entries interleave stays one assignment
+    and keeps its sequential semantics.  Buffers that may share memory
+    stay unsplit, so no chunk reads what another writes.  The bytes
+    therefore do not depend on the schedule, and nothing here is timed, so
+    no virtual clock moves.
+  - *Break-even* (2-core Xeon VM, numpy 2.4, median of 25 alternated runs,
+    one-byte runs at a 2-byte pitch, count 2, the worst geometry measured;
+    µs unsplit → split):
+
+    ============  ==============  ===============
+    elements      pack            unpack
+    ============  ==============  ===============
+    1 Mi          135 → 162       433 → 460
+    1.5 Mi        221 → 249       668 → 700
+    2 Mi          282 → 314       899 → 453
+    2.5 Mi        393 → 193       912 → 593
+    3 Mi          361 → 223       1 136 → 616
+    4 Mi          484 → 297       1 517 → 796
+    8 Mi          1 077 → 685     3 305 → 1 983
+    ============  ==============  ===============
+
+    An earlier sweep put the pack's break-even between 2.5 and 3 Mi.  Runs
+    at a 3-byte pitch (no cell) or 8-byte runs at a 16-byte pitch win from
+    1 Mi on (pack 377 → 226 and 1 012 → 634 µs).  The threshold sits above
+    the worst geometry's break-even, and the benchmark's ``datatype_pack``
+    workload holds objects on both sides of it (its 1 KiB objects below,
+    the 4 MiB one at 8 Mi elements above).
+  - *No split for* ``CudaRuntime.memcpy_async``.  No benchmark workload
+    makes a contiguous copy at all, so a split there would be a path that
+    nothing measures.
 
 The functions below are deliberately free of any timing logic; durations are
 charged by :class:`repro.gpu.runtime.CudaRuntime`, which calls them.
@@ -41,11 +84,19 @@ charged by :class:`repro.gpu.runtime.CudaRuntime`, which calls them.
 from __future__ import annotations
 
 import math
+import os
+import queue
+import threading
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from repro.gpu.errors import CudaInvalidValue
+
+#: A launch whose layout moves at least this many elements (words) is split
+#: across the host's cores; below it one thread copies.  The worst geometry
+#: measured (module docstring) breaks even between 2 and 3 Mi elements.
+_SPLIT_ELEMENTS = 4 << 20
 
 _UINT8 = np.dtype(np.uint8)
 #: Element dtype per word size.  16 bytes is an opaque ``V16`` so no bit
@@ -114,6 +165,15 @@ class StridedLayout(NamedTuple):
     #: word by word, so no byte past the object's last run is read.  Unpack
     #: ignores it: the widened scatter was measured no faster.
     cell: int
+    #: The view axis a launch of at least ``_SPLIT_ELEMENTS`` elements splits
+    #: into one chunk per host core: the outermost with at least 2 entries.
+    #: -1 below the threshold, or when no axis has 2 entries.
+    split: int
+    #: Whether the entries of ``split`` cover disjoint bytes of the strided
+    #: side (its stride is at least the span of one entry), so that unpack
+    #: chunks write disjoint bytes.  Pack chunks always do; an unpack whose
+    #: entries interleave stays one assignment.
+    disjoint: bool
 
 
 def strided_layout(
@@ -152,8 +212,17 @@ def strided_layout(
     cell = byte_strides[-1] if shape and shape[-1] > 1 else 0
     if cell not in (2, 4, 8) or cell <= word:
         cell = 0
+    nbytes = packed_size(counts) * count
+    split, disjoint = -1, False
+    if nbytes // word >= _SPLIT_ELEMENTS:
+        for axis, entries in enumerate(shape):
+            if entries > 1:
+                inner = zip(shape[axis + 1 :], byte_strides[axis + 1 :])
+                split = axis
+                disjoint = byte_strides[axis] >= word + sum((n - 1) * s for n, s in inner)
+                break
     return StridedLayout(
-        nbytes=packed_size(counts) * count,
+        nbytes=nbytes,
         first=start + min(span, 0),
         end=end + max(span, 0),
         start=start,
@@ -161,6 +230,8 @@ def strided_layout(
         shape=tuple(shape),
         strides=tuple(byte_strides),
         cell=cell,
+        split=split,
+        disjoint=disjoint,
     )
 
 
@@ -206,6 +277,104 @@ def _views(
     )
 
 
+#: Job queues of the helper threads, one per usable host core besides the
+#: launching thread's; ``None`` until the first split launch starts them.
+_helpers: Optional[list[queue.SimpleQueue]] = None
+_helpers_lock = threading.Lock()
+
+
+def _forget_helpers() -> None:
+    """After a fork: the child has none of its parent's helper threads."""
+    global _helpers, _helpers_lock
+    _helpers, _helpers_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_helpers)
+
+
+def _start_helpers() -> list[queue.SimpleQueue]:
+    """Start one daemon helper per usable host core but the caller's, once."""
+    global _helpers
+    with _helpers_lock:
+        if _helpers is None:
+            cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+            helpers = []
+            for index in range(1, cores):
+                jobs = queue.SimpleQueue()  # simlint: disable=SIM006 -- a helper waits for chunks, never for a rank
+                threading.Thread(target=_serve, args=(jobs,), name=f"kernel-helper-{index}", daemon=True).start()
+                helpers.append(jobs)
+            _helpers = helpers  # published whole: a launch reads it without the lock
+    return _helpers
+
+
+def _serve(jobs: queue.SimpleQueue) -> None:
+    """A helper thread: copy each job's chunk, then report to the job's queue.
+
+    The chunk's views are dropped before the report, so once a launch has
+    returned no helper keeps its buffers alive.  A ``None`` job ends the loop.
+    """
+    for done, *chunk in iter(jobs.get, None):
+        failure = None
+        try:
+            _copy(*chunk)
+        except Exception as error:  # raised again by the launching thread
+            failure = error
+        del chunk
+        done.put(failure)
+        del failure
+
+
+def _copy(target: np.ndarray, source: np.ndarray, cells: Optional[np.ndarray]) -> None:
+    """One chunk of a split launch.
+
+    ``target[...] = source``; for a cell pack (``cells`` is the cell view of
+    ``source`` without its last column) the narrowing cast plus the peel.
+    An unsplit launch does the same inline, so it pays no call for it.
+    """
+    if cells is None:
+        target[...] = source
+    else:
+        np.copyto(target[..., :-1], cells, casting="unsafe")
+        target[..., -1] = source[..., -1]
+
+
+def _split_copy(target: np.ndarray, source: np.ndarray, cells: Optional[np.ndarray], axis: int) -> None:
+    """Copy ``source`` into ``target`` in one chunk per host core along ``axis``.
+
+    Every axis outside ``axis`` has one entry, so the chunks are the slices
+    of ``axis`` and write disjoint bytes of ``target``.  Helpers copy the
+    first chunks and this thread the last; the call returns once every chunk
+    is done, and raises a chunk's exception.  If ``source`` may share memory
+    with ``target`` a chunk could read what another writes, so the copy
+    stays unsplit.
+    """
+    helpers = _helpers if _helpers is not None else _start_helpers()
+    entries = target.shape[axis]
+    chunks = min(entries, len(helpers) + 1)
+    if chunks < 2 or np.may_share_memory(target, source):
+        _copy(target, source, cells)
+        return
+    lead = (slice(None),) * axis
+    # Split along the innermost axis, every chunk of a cell pack peels its own
+    # last column: its cells stop one element short.
+    peel = int(axis == target.ndim - 1)
+    done = queue.SimpleQueue()  # simlint: disable=SIM006 -- helpers wait for no rank, so this wait ends
+    for index in range(chunks):
+        low, high = entries * index // chunks, entries * (index + 1) // chunks
+        part = (*lead, slice(low, high))
+        chunk = target[part], source[part], None if cells is None else cells[(*lead, slice(low, high - peel))]
+        if index < chunks - 1:
+            helpers[index].put((done, *chunk))
+    failure = None
+    try:
+        _copy(*chunk)
+    finally:
+        for _ in range(chunks - 1):
+            failure = done.get() or failure
+    if failure is not None:
+        raise failure
+
+
 def pack_strided_many(
     src: np.ndarray,
     dst: np.ndarray,
@@ -227,15 +396,19 @@ def pack_strided_many(
     """
     geometry = (start, counts, strides, count, object_extent, word_size)
     strided, dense, layout = _views(src, dst, ("source", "destination"), geometry, dst_offset, layout)
+    cells = None
     if layout.cell:
         shape = layout.shape
         cells = np.ndarray(
             (*shape[:-1], shape[-1] - 1), _WORD_DTYPES[layout.cell], src, layout.start, layout.strides
         )
+    if layout.split >= 0:
+        _split_copy(dense, strided, cells, layout.split)
+    elif cells is None:
+        dense[...] = strided
+    else:
         np.copyto(dense[..., :-1], cells, casting="unsafe")
         dense[..., -1] = strided[..., -1]
-    else:
-        dense[...] = strided
     return dense.nbytes
 
 
@@ -258,8 +431,11 @@ def unpack_strided_many(
     dense side, ``dst`` the strided one.  Returns the bytes read.
     """
     geometry = (start, counts, strides, count, object_extent, word_size)
-    strided, dense, _ = _views(dst, src, ("destination", "source"), geometry, src_offset, layout)
-    strided[...] = dense
+    strided, dense, layout = _views(dst, src, ("destination", "source"), geometry, src_offset, layout)
+    if layout.split >= 0 and layout.disjoint:
+        _split_copy(strided, dense, None, layout.split)
+    else:
+        strided[...] = dense
     return dense.nbytes
 
 

@@ -552,6 +552,84 @@ class TestSim007RestatedPricingRule:
         assert findings == []
 
 
+class TestSim008PrivateThreads:
+    def test_threads_and_executors_fire(self, tmp_path):
+        findings = lint_tree(tmp_path, {
+            "src/repro/apps/fanout.py": """\
+                import concurrent.futures as cf
+                import threading
+                from concurrent.futures import ThreadPoolExecutor
+                from threading import Thread as Worker
+
+                def fan_out(work):
+                    threading.Thread(target=work).start()
+                    Worker(target=work).start()
+                    threading.Timer(1.0, work).start()
+                    with ThreadPoolExecutor(2) as pool:
+                        pool.submit(work)
+                    return cf.ProcessPoolExecutor()
+            """,
+        })
+        assert codes(findings) == ["SIM008"] * 5
+        assert [finding.line for finding in findings] == [7, 8, 9, 10, 12]
+        assert "concurrent.futures.ThreadPoolExecutor" in findings[3].message
+
+    def test_locks_futures_helpers_and_namesakes_are_clean(self, tmp_path):
+        findings = lint_tree(tmp_path, {
+            "src/repro/tempi/plan_pool.py": """\
+                import threading
+                from concurrent.futures import wait
+
+                class Thread:
+                    pass
+
+                def settle(futures):
+                    guard = threading.Lock()
+                    with guard:
+                        wait(futures)
+                    return Thread(), threading.current_thread()
+            """,
+        })
+        assert findings == []
+
+    def test_rank_threads_and_the_kernel_fan_out_are_whitelisted(self, tmp_path):
+        body = """\
+            import threading
+
+            def start(run):
+                threading.Thread(target=run, daemon=True).start()
+        """
+        findings = lint_tree(tmp_path, {
+            "src/repro/mpi/world.py": body,
+            "src/repro/gpu/kernels.py": body,
+            "src/repro/gpu/runtime.py": body,
+            "tools/fanout.py": body,
+        })
+        assert [(f.path, f.code) for f in findings] == [("src/repro/gpu/runtime.py", "SIM008")]
+
+    def test_justified_disable_suppresses(self, tmp_path):
+        findings = lint_tree(tmp_path, {
+            "src/repro/bench/pool.py": """\
+                from concurrent.futures import ThreadPoolExecutor
+
+                def pool():
+                    return ThreadPoolExecutor(2)  # simlint: disable=SIM008 -- fans out whole worlds
+            """,
+        })
+        assert findings == []
+
+    def test_unjustified_disable_is_sim000(self, tmp_path):
+        findings = lint_tree(tmp_path, {
+            "src/repro/bench/pool.py": """\
+                import threading
+
+                def spawn(run):
+                    threading.Thread(target=run).start()  # simlint: disable=SIM008
+            """,
+        })
+        assert codes(findings) == ["SIM000"]
+
+
 class TestDriverAndCli:
     def test_findings_sort_stably(self, tmp_path):
         findings = lint_tree(tmp_path, {

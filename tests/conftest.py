@@ -58,6 +58,28 @@ def moe_seed() -> int:
 
 
 @pytest.fixture
+def host_cores(monkeypatch):
+    """Kernel helpers started afresh, for a host of a chosen core count.
+
+    ``host_cores(n)`` makes the next split launch (``repro.gpu.kernels``)
+    start ``n - 1`` helper threads, as on a host with ``n`` usable cores,
+    and returns the kernels module.  The helpers this test started are
+    stopped afterwards, and the process's own are put back.
+    """
+    from repro.gpu import kernels
+
+    monkeypatch.setattr(kernels, "_helpers", None)
+
+    def pretend(cores: int):
+        monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        return kernels
+
+    yield pretend
+    for jobs in kernels._helpers or ():
+        jobs.put(None)
+
+
+@pytest.fixture
 def small_gpu_cost() -> GpuCostModel:
     """A cost model with round numbers, convenient for arithmetic assertions."""
     return GpuCostModel(

@@ -1,10 +1,20 @@
 """Tests for the functional strided pack/unpack kernels."""
 
+import os
+import queue
+import signal
+import sys
+import threading
+import time
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.gpu import kernels
 from repro.gpu.errors import CudaInvalidValue
+
+MIB = 1 << 20
 
 
 def make_memory(nbytes: int, seed: int = 0) -> np.ndarray:
@@ -289,6 +299,218 @@ class TestCell:
         dst = np.zeros(33, dtype=np.uint8)
         kernels.pack_strided_many(src, dst, 0, [4, 8], [1, 8], 1, 0, 1, word_size=4, layout=layout)
         assert np.array_equal(dst[1:], src.reshape(15, 4)[::2].reshape(-1))
+
+
+#: Two objects of 64 one-byte runs at a 2-byte pitch, back to back: a cell
+#: pack whose count axis splits into two chunks.
+SMALL_SPLIT = (0, [1, 64], [1, 2], 2, 127)
+
+
+def _small_split_runs(src: np.ndarray) -> np.ndarray:
+    """What packing :data:`SMALL_SPLIT` from ``src`` gives."""
+    return np.concatenate([src[0:127:2], src[127:254:2]])
+
+
+def unsplit(monkeypatch, launch, *args, **kwargs):
+    """``launch(*args, **kwargs)`` with splitting off, then back on for the test."""
+    monkeypatch.setattr(kernels, "_SPLIT_ELEMENTS", 1 << 62)
+    try:
+        return launch(*args, **kwargs)
+    finally:
+        monkeypatch.setattr(kernels, "_SPLIT_ELEMENTS", 0)
+
+
+class RefusingHelper:
+    """A helper's job queue that fails any launch handing it a chunk."""
+
+    def put(self, job):
+        raise AssertionError("a chunk was handed to a helper")
+
+
+class TestSplit:
+    """A launch of at least ``_SPLIT_ELEMENTS`` elements copies one chunk per
+    host core; the helper threads behind it keep nothing and lose nothing."""
+
+    @pytest.mark.parametrize(
+        "start, counts, strides, count, extent, word_size, split, disjoint",
+        [
+            (0, [1, 4 * MIB], [1, 2], 2, 8 * MIB - 1, 1, 0, True),
+            (0, [1, 4 * MIB], [1, 2], 1, 0, 1, 0, True),
+            (0, [1, 4 * MIB - 1], [1, 2], 1, 0, 1, -1, False),
+            (0, [1, 1024], [1, 512], 1, 0, 1, -1, False),
+            (0, [8, MIB], [1, 16], 1, 0, 8, -1, False),
+            (0, [8, MIB], [1, 16], 1, 0, 1, 0, True),
+        ],
+        ids=[
+            "Fig. 8's 4 MiB object",
+            "one object of 4 Mi elements",
+            "one element short",
+            "1 KiB object",
+            "1 Mi 8-byte words",
+            "the same bytes as 8 Mi 1-byte words",
+        ],
+    )
+    def test_the_threshold_counts_elements(
+        self, start, counts, strides, count, extent, word_size, split, disjoint
+    ):
+        layout = kernels.strided_layout(start, counts, strides, count, extent, word_size)
+        assert (layout.split, layout.disjoint) == (split, disjoint)
+
+    @pytest.mark.parametrize(
+        "start, counts, strides, count, extent, split, disjoint",
+        [
+            (0, [1, 64], [1, 2], 2, 127, 0, True),
+            (0, [1, 64], [1, 2], 2, 64, 0, False),
+            (0, [1, 64], [1, 2], 1, 0, 0, True),
+            (0, [4, 8, 1], [1, 16, 1000], 1, 0, 1, True),
+            (0, [4, 8], [1, 2], 1, 0, 0, False),
+            (0, [1], [1], 1, 0, -1, False),
+        ],
+        ids=[
+            "objects back to back",
+            "objects interleaved",
+            "one object: the runs' axis",
+            "a leading axis of one entry",
+            "runs interleaved",
+            "one element",
+        ],
+    )
+    def test_split_axis_and_disjointness(
+        self, monkeypatch, start, counts, strides, count, extent, split, disjoint
+    ):
+        monkeypatch.setattr(kernels, "_SPLIT_ELEMENTS", 0)
+        layout = kernels.strided_layout(start, counts, strides, count, extent)
+        assert (layout.split, layout.disjoint) == (split, disjoint)
+
+    def test_a_launch_leaves_no_view_behind(self, host_cores, monkeypatch):
+        host_cores(2)
+        monkeypatch.setattr(kernels, "_SPLIT_ELEMENTS", 0)
+        src, dst = make_memory(256, seed=11), np.zeros(128, dtype=np.uint8)
+        kernels.pack_strided_many(src, dst, *SMALL_SPLIT)
+        assert len(kernels._helpers) == 1
+        # The helper copied one object; once the launch is back, nothing but
+        # this test refers to either buffer.
+        probes = weakref.ref(src), weakref.ref(dst)
+        del src, dst
+        assert [probe() for probe in probes] == [None, None]
+
+        packed, dst = make_memory(128, seed=12), np.zeros(256, dtype=np.uint8)
+        kernels.unpack_strided_many(packed, dst, *SMALL_SPLIT)
+        probes = weakref.ref(packed), weakref.ref(dst)
+        del packed, dst
+        assert [probe() for probe in probes] == [None, None]
+
+    def test_a_failing_chunk_raises_on_the_caller_and_the_helper_survives(self, host_cores, monkeypatch):
+        host_cores(2)
+        monkeypatch.setattr(kernels, "_SPLIT_ELEMENTS", 0)
+        caller, copy = threading.current_thread(), kernels._copy
+
+        def fails_on_a_helper(target, source, cells):
+            if threading.current_thread() is not caller:
+                raise RuntimeError("chunk failed on a helper")
+            copy(target, source, cells)
+
+        monkeypatch.setattr(kernels, "_copy", fails_on_a_helper)
+        src = make_memory(256, seed=13)
+        with pytest.raises(RuntimeError, match="chunk failed on a helper"):
+            kernels.pack_strided_many(src, np.zeros(128, dtype=np.uint8), *SMALL_SPLIT)
+        monkeypatch.setattr(kernels, "_copy", copy)
+
+        (jobs,) = kernels._helpers
+        done = queue.SimpleQueue()
+        target = np.zeros(4, dtype=np.uint8)
+        jobs.put((done, target, np.arange(4, dtype=np.uint8), None))
+        assert done.get(timeout=10) is None and target.tolist() == [0, 1, 2, 3]
+        dst = np.zeros(128, dtype=np.uint8)
+        kernels.pack_strided_many(src, dst, *SMALL_SPLIT)
+        assert kernels._helpers == [jobs]
+        assert np.array_equal(dst, _small_split_runs(src))
+
+    def test_concurrent_launches_share_the_helpers(self, host_cores, monkeypatch):
+        # More launching threads than cores, switching as often as the
+        # interpreter allows: the helpers start once, and every launch gets
+        # its own chunks back.
+        host_cores(3)
+        monkeypatch.setattr(kernels, "_SPLIT_ELEMENTS", 0)
+        geometry = (0, [1, 64], [1, 2], 3, 127)
+        threads_before = threading.active_count()
+        launchers, rounds = 6, 40
+        sources = [make_memory(3 * 127, seed=20 + i) for i in range(launchers)]
+        expected = [np.concatenate([src[o : o + 127 : 2] for o in (0, 127, 254)]) for src in sources]
+        gate = threading.Barrier(launchers)
+        correct = [0] * launchers
+
+        def launch(i: int) -> None:
+            dst = np.zeros(192, dtype=np.uint8)
+            gate.wait(timeout=10)
+            for _ in range(rounds):
+                dst[:] = 0
+                kernels.pack_strided_many(sources[i], dst, *geometry)
+                correct[i] += int(np.array_equal(dst, expected[i]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=launch, args=(i,)) for i in range(launchers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert correct == [rounds] * launchers
+        assert len(kernels._helpers) == 2 and threading.active_count() == threads_before + 2
+
+    def test_one_core_starts_no_thread(self, host_cores, monkeypatch):
+        host_cores(1)
+        monkeypatch.setattr(kernels, "_SPLIT_ELEMENTS", 0)
+        threads = threading.active_count()
+        src, dst = make_memory(256, seed=14), np.zeros(128, dtype=np.uint8)
+        kernels.pack_strided_many(src, dst, *SMALL_SPLIT)
+        assert kernels._helpers == [] and threading.active_count() == threads
+        assert np.array_equal(dst, _small_split_runs(src))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # forking with threads alive is the point
+    def test_a_forked_child_starts_its_own_helpers(self, host_cores, monkeypatch):
+        host_cores(2)
+        monkeypatch.setattr(kernels, "_SPLIT_ELEMENTS", 0)
+        src, dst = make_memory(256, seed=15), np.zeros(128, dtype=np.uint8)
+        kernels.pack_strided_many(src, dst, *SMALL_SPLIT)
+        parents = kernels._helpers
+        assert len(parents) == 1
+        pid = os.fork()
+        if pid == 0:  # the child: its parent's helper thread is not here
+            code = 1
+            try:
+                again = np.zeros_like(dst)
+                kernels.pack_strided_many(src, again, *SMALL_SPLIT)
+                fresh = kernels._helpers is not parents and len(kernels._helpers) == 1
+                code = 0 if fresh and np.array_equal(again, dst) else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30
+        reaped, status = os.waitpid(pid, os.WNOHANG)
+        while not reaped:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child hung in a split launch")
+            time.sleep(0.01)
+            reaped, status = os.waitpid(pid, os.WNOHANG)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_buffers_that_share_memory_copy_unsplit(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_helpers", [RefusingHelper()])
+        monkeypatch.setattr(kernels, "_SPLIT_ELEMENTS", 0)
+        memory = make_memory(400, seed=16)
+        expected = memory.copy()
+        unsplit(monkeypatch, kernels.pack_strided_many, expected, expected[100:], *SMALL_SPLIT)
+        kernels.pack_strided_many(memory, memory[100:], *SMALL_SPLIT)
+        assert np.array_equal(memory, expected)
+        with pytest.raises(AssertionError, match="handed to a helper"):
+            kernels.pack_strided_many(memory, np.zeros(128, dtype=np.uint8), *SMALL_SPLIT)
 
 
 class TestBlockListCopy:

@@ -23,7 +23,10 @@ growing back:
   recorded at the parent commit before anything was deleted (rule (b));
 * a warm TEMPI ``Pack`` and ``Unpack`` make an exact number of calls: the
   narrowing cast of a sub-word strided pack costs its one ``np.copyto``,
-  and every other geometry pays nothing for it.
+  and every other geometry pays nothing for it;
+* a launch split across host cores (Fig. 8's 4 MiB object) costs at most
+  10 calls more than unsplit on the launching thread and at most 4 on each
+  helper thread.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.apps.halo import DIRECTIONS, HaloSpec, negate
@@ -284,3 +288,66 @@ def test_warm_pack_and_unpack_count_their_calls(label, summit_model):
         assert calls == expected
     else:
         assert all(got <= want * 1.05 for got, want in zip(calls, expected)), (calls, expected)
+
+
+# --------------------------------------------------------------------------- #
+# A split launch: Fig. 8's 4 MiB object on two cores.
+# --------------------------------------------------------------------------- #
+
+#: Exact calls of one warm ``(Pack, Unpack)`` of "vec 4MiB 2/1" (4 Mi one-byte
+#: runs at a 2-byte pitch, count 2: 8 Mi elements, over the split threshold)
+#: on Python 3.11 and a 2-core host, per thread.  Unsplit it would count what
+#: the cell object above counts, (32, 31).
+SPLIT_PACK_CALLS = {"caller": (39, 38), "helper": (3, 2)}
+#: Budget per split launch: extra calls on the launching thread over the
+#: unsplit launch, and calls on each helper.
+SPLIT_CALLER_EXTRA, SPLIT_HELPER_CALLS = 10, 4
+
+
+def test_split_pack_and_unpack_count_every_thread(summit_model, host_cores):
+    kernels = host_cores(2)
+    config = next(c for c in fig8_configurations() if c.label == "vec 4MiB 2/1")
+    ctx = World(1).contexts[0]
+    comm = interpose(ctx, TempiConfig(), model=summit_model)
+    datatype = comm.Type_commit(config.build())
+    count = config.count
+    user = ctx.gpu.malloc(count * datatype.extent)
+    packed = ctx.gpu.malloc(count * datatype.size)
+    target = ctx.gpu.malloc(count * datatype.extent)
+    user.data[:] = np.random.default_rng(0).integers(0, 256, user.nbytes, dtype=np.uint8)
+    gc.collect()
+    gc.disable()  # a collection would count the gc callbacks Hypothesis registers
+    try:
+        # ``CallCounter`` counts only threads started while it is active, so
+        # the helper starts in here, at the first (planning) Pack.  Each
+        # thread counts into its own cell; the launching thread's is first.
+        with CallCounter() as counter:
+
+            def tally() -> list[int]:
+                return [cell[0] for cell in counter._cells]
+
+            comm.Pack((user, count, datatype), packed, 0)
+            warm = tally()
+            ready = tally()
+            comm.Pack((user, count, datatype), packed, 0)
+            after_pack = tally()
+            comm.Unpack(packed, 0, (target, count, datatype))
+            after_unpack = tally()
+    finally:
+        gc.enable()
+    assert len(kernels._helpers) == 1 and len(warm) == 2
+    itself = [b - a for a, b in zip(warm, ready)]  # what a tally counts
+    pack = [b - a - t for a, b, t in zip(ready, after_pack, itself)]
+    unpack = [b - a - t for a, b, t in zip(after_pack, after_unpack, itself)]
+    caller, helper = (pack[0], unpack[0]), (pack[1], unpack[1])
+    assert caller[0] - WARM_PACK_CALLS["cell"][0] <= SPLIT_CALLER_EXTRA
+    assert caller[1] - WARM_PACK_CALLS["cell"][1] <= SPLIT_CALLER_EXTRA
+    assert max(helper) <= SPLIT_HELPER_CALLS
+    if sys.version_info[:2] == (3, 11):
+        assert {"caller": caller, "helper": helper} == SPLIT_PACK_CALLS
+    objects = (0, datatype.extent)
+    runs = np.concatenate([user.data[first : first + datatype.extent : 2] for first in objects])
+    assert np.array_equal(packed.data, runs)
+    assert np.array_equal(
+        np.concatenate([target.data[first : first + datatype.extent : 2] for first in objects]), runs
+    )

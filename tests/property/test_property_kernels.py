@@ -12,7 +12,11 @@ word included):
   outside the runs and no byte of the dense side outside ``[offset, offset +
   nbytes)``;
 * bytes move as opaque bits: payloads are arbitrary bit patterns, so a
-  16-byte word whose halves are NaNs with payloads must arrive unchanged.
+  16-byte word whose halves are NaNs with payloads must arrive unchanged;
+* a launch split across helper threads (forced here with a split threshold
+  of 0 on a pretended 3-core host) writes the bytes the unsplit launch
+  writes and no gap byte, and an unpack whose objects interleave is never
+  split.
 """
 
 from __future__ import annotations
@@ -20,11 +24,14 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from repro.gpu import kernels
+from tests.gpu.test_kernels import RefusingHelper, unsplit
 
 WORDS = (1, 2, 4, 8, 16)
+#: The split walls change module state once per test, not per example.
+FIXTURES = dict(suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
 @st.composite
@@ -139,3 +146,57 @@ def test_unpack_inverts_pack_and_touches_only_the_runs(launch, word, offset, see
     repacked = np.zeros_like(packed)
     kernels.pack_strided_many(scattered, repacked, *launch, offset, word_size=word)
     assert repacked.tobytes() == packed.tobytes()
+
+
+@st.composite
+def interleaved_launches(draw):
+    """2-4 objects whose extent is shorter than one object's span."""
+    start, counts, strides, _, _ = draw(launches())
+    span = kernels.required_extent(0, counts, strides)
+    assume(span > 1)
+    return start, counts, strides, draw(st.integers(2, 4)), draw(st.integers(1, span - 1))
+
+
+@settings(max_examples=200, deadline=None, **FIXTURES)
+@given(launches(), st.sampled_from(WORDS), st.integers(0, 9), st.integers(0, 2**31))
+def test_a_split_launch_writes_what_the_unsplit_one_writes(host_cores, monkeypatch, launch, word, offset, seed):
+    host_cores(3)
+    monkeypatch.setattr(kernels, "_SPLIT_ELEMENTS", 0)
+    layout = kernels.strided_layout(*launch, word)
+    assert layout.split >= 0 or max(layout.shape, default=1) == 1
+    src = memory_for(launch, seed, slack=0)
+    runs = enumerate_runs(*launch)
+    nbytes = sum(length for _, length in runs)
+
+    packed = np.full(offset + nbytes + 3, 0xA5, dtype=np.uint8)
+    reference = packed.copy()
+    kernels.pack_strided_many(src, packed, *launch, offset, word_size=word)
+    unsplit(monkeypatch, kernels.pack_strided_many, src, reference, *launch, offset, word_size=word)
+    assert packed.tobytes() == reference.tobytes()
+    assert (packed[:offset] == 0xA5).all() and (packed[offset + nbytes :] == 0xA5).all()
+
+    scattered = np.full_like(src, 0x5A)
+    reference = scattered.copy()
+    kernels.unpack_strided_many(packed, scattered, *launch, offset, word_size=word)
+    unsplit(monkeypatch, kernels.unpack_strided_many, packed, reference, *launch, offset, word_size=word)
+    assert scattered.tobytes() == reference.tobytes()
+    expected = np.full_like(src, 0x5A)
+    kernels.copy_block_list(packed[offset:], expected, runs, gather=False)
+    assert scattered.tobytes() == expected.tobytes()
+    assert layout.split < 0 or len(kernels._helpers) == 2
+
+
+@settings(max_examples=100, deadline=None, **FIXTURES)
+@given(interleaved_launches(), st.sampled_from(WORDS), st.integers(0, 9), st.integers(0, 2**31))
+def test_an_interleaved_unpack_is_never_split(monkeypatch, launch, word, offset, seed):
+    monkeypatch.setattr(kernels, "_helpers", [RefusingHelper(), RefusingHelper()])
+    monkeypatch.setattr(kernels, "_SPLIT_ELEMENTS", 0)
+    layout = kernels.strided_layout(*launch, word)
+    assert layout.split == 0 and not layout.disjoint
+    original = memory_for(launch, seed)
+    nbytes = layout.nbytes
+    packed = np.random.default_rng(seed).integers(0, 256, offset + nbytes, dtype=np.uint8)
+    scattered, reference = original.copy(), original.copy()
+    kernels.unpack_strided_many(packed, scattered, *launch, offset, word_size=word)
+    unsplit(monkeypatch, kernels.unpack_strided_many, packed, reference, *launch, offset, word_size=word)
+    assert scattered.tobytes() == reference.tobytes()

@@ -32,6 +32,10 @@ SIM007    a pricing rule is written down once: a product with
           in the rules' homes (``machine/nic.py``, ``gpu/stream.py``,
           ``machine/network.py``, ``tempi/progress.py``,
           ``tempi/sanitizer.py``); everything else drives those objects
+SIM008    no ``threading.Thread``/``Timer`` or ``concurrent.futures``
+          executor in ``src/repro`` outside ``mpi/world.py`` (the rank
+          threads, ordered by the run token) and ``gpu/kernels.py`` (the
+          fan-out, whose chunks write disjoint bytes)
 ========  ==================================================================
 
 Each rule carries an escape hatch: a ``# simlint: disable=SIMxxx -- reason``

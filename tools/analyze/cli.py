@@ -25,7 +25,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="simlint",
         description=(
             "determinism lint for the TEMPI reproduction "
-            "(SIM001-SIM007; see tools/analyze/__init__.py for the rule table)"
+            "(SIM001-SIM008; see tools/analyze/__init__.py for the rule table)"
         ),
     )
     parser.add_argument(

@@ -1,4 +1,4 @@
-"""The per-file simlint rules: SIM001, SIM003, SIM005, SIM006 and SIM007.
+"""The per-file simlint rules: SIM001, SIM003, SIM005, SIM006, SIM007 and SIM008.
 
 Each rule is a callable ``rule(source_file) -> list[Violation]``; the driver
 in :mod:`tools.analyze.core` runs every entry of :data:`FILE_RULES` over
@@ -465,6 +465,40 @@ def check_restated_pricing_rule(source_file: SourceFile) -> list[Violation]:
     return findings
 
 
+# --------------------------------------------------------------------------- #
+# SIM008 — threads start in two files only
+# --------------------------------------------------------------------------- #
+
+#: Calls that start host threads.  A thread outside the run token runs when
+#: the host's scheduler says, so anything it touches is ordered differently
+#: from run to run.
+THREAD_CALLS = frozenset({"threading.Thread", "threading.Timer"})
+
+#: The rank threads (which take turns under the run token) and the kernels'
+#: fan-out (whose chunks write disjoint bytes and touch no priced state).
+SIM008_WHITELIST = frozenset({"src/repro/mpi/world.py", "src/repro/gpu/kernels.py"})
+
+
+def check_private_threads(source_file: SourceFile) -> list[Violation]:
+    """SIM008: flag threads and ``concurrent.futures`` executors outside the whitelist."""
+    relpath = source_file.relpath
+    if not relpath.startswith("src/repro/") or relpath in SIM008_WHITELIST:
+        return []
+    return [
+        Violation(
+            relpath,
+            node.lineno,
+            "SIM008",
+            f"`{name}` starts a thread the run token does not order, so what it "
+            "touches changes order from run to run; rank work runs on World's "
+            "rank threads, byte copies on the kernels' fan-out",
+        )
+        for node, name in _resolved_calls(source_file)
+        if name in THREAD_CALLS
+        or (name.startswith("concurrent.futures.") and name.endswith("Executor"))
+    ]
+
+
 #: The per-file rules the driver runs, in reporting order.
 FILE_RULES = (
     check_wall_clock,
@@ -472,4 +506,5 @@ FILE_RULES = (
     check_ledger_accumulation,
     check_private_blocking,
     check_restated_pricing_rule,
+    check_private_threads,
 )
