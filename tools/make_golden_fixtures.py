@@ -18,7 +18,10 @@ section (:func:`run_collective_twins`: every collective entry point, blocking
 and split-phase, on the system library and through the interposer's plan and
 fall-through paths) and a ``twins`` section (:func:`run_twins`: every public
 analytic twin of ``repro.apps.exchange_model`` over a wide argument grid,
-floats as ``float.hex()``), and
+floats as ``float.hex()``) and a ``measurement`` section
+(:func:`run_measurement`: the default ``measure_system(SUMMIT)`` sweep every
+other section is priced from, every curve and table entry as
+``float.hex()``), and
 ``tests/test_golden_figures.py`` replays them under exact equality every
 tier-1 run.  Any change that moves a priced figure value — however small —
 fails the replay and must either be a bug or come with a deliberate
@@ -393,6 +396,21 @@ def run_twins() -> dict:
     }
 
 
+def run_measurement(measurement) -> dict:
+    """The measurement file's payload with every latency as ``float.hex()``.
+
+    The free-form ``notes`` are left out: they are metadata, not latencies.
+    """
+    def hexed(value):
+        if isinstance(value, list):
+            return [hexed(item) for item in value]
+        return value.hex() if isinstance(value, float) else value
+
+    payload = measurement.to_dict()
+    del payload["notes"]
+    return {name: hexed(value) for name, value in payload.items()}
+
+
 def build_fixture(model) -> dict:
     """Run the pinned sweeps and shape them into a JSON-native document."""
     sys.path.insert(0, str(BENCHMARKS))
@@ -469,6 +487,7 @@ def build_fixture(model) -> dict:
         "alltoallv_uniform": run_alltoallv_uniform(model),
         "collective_twins": run_collective_twins(model),
         "twins": run_twins(),
+        "measurement": run_measurement(model.measurement),
     }
 
 
