@@ -12,6 +12,26 @@ latencies.
 
 The result, :class:`SystemMeasurement`, is a plain serialisable container; the
 :class:`~repro.tempi.perf_model.PerformanceModel` interpolates it at runtime.
+
+The sweep's contract:
+
+* **One allocation set per call.**  Every grid point packs and copies in the
+  same three buffers (:class:`_SweepBuffers`): a device source as wide as the
+  widest measured object, and a device and a mapped-host staging buffer as
+  large as the largest size.  They are allocated once and each page is
+  first touched once, so the sweep's allocations and page faults do not
+  grow with the grid.
+* **Each point's clock origin.**  Every pack/unpack grid point runs on a
+  fresh :class:`~repro.gpu.runtime.CudaRuntime` whose clock starts where
+  allocating the point's own source, device staging and mapped staging
+  would leave it: ``alloc_s``, ``alloc_s``, then ``host_alloc_pinned_s``,
+  added in that order.  The copy curves' runtime starts after ``alloc_s``
+  then ``host_alloc_pinned_s`` (its device and pinned buffer).  A latency is
+  a difference of two clock readings, and its last bits depend on where the
+  clock stands, so the origin is part of the measured value.
+* **One rule for the axes.**  ``sizes`` and ``block_lengths`` are checked by
+  the rule :meth:`SystemMeasurement.from_dict` applies to a file, so every
+  measurement the sweep returns can be saved and loaded back.
 """
 
 from __future__ import annotations
@@ -20,12 +40,13 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from repro.gpu.clock import VirtualClock
 from repro.gpu.cost_model import GpuCostModel
-from repro.gpu.memory import MemoryKind
+from repro.gpu.memory import DeviceBuffer, HostBuffer, MemoryKind
 from repro.gpu.runtime import CudaRuntime
 from repro.machine.network import NetworkModel
 from repro.machine.spec import SUMMIT, MachineSpec
@@ -36,16 +57,29 @@ from repro.tempi.strided_block import StridedBlock
 DEFAULT_SIZES = tuple(1 << p for p in range(0, 23))
 #: Default contiguous-block lengths for the pack/unpack tables (Fig. 10).
 DEFAULT_BLOCKS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
-#: Pitch used between contiguous runs while measuring, as in Fig. 8 (512 B),
-#: widened when the block itself is larger.
-MEASUREMENT_PITCH = 512
 #: The per-size latency curves and the ``[block][size]`` pack tables.
 _CURVES = ("t_cpu_cpu", "t_gpu_gpu", "t_d2h", "t_h2d")
 _TABLES = ("t_pack_device", "t_unpack_device", "t_pack_oneshot", "t_unpack_oneshot")
 
 
 class MeasurementError(ValueError):
-    """A measurement file that cannot be read as one; the message names the field."""
+    """A measurement file or sweep argument that is not one; the message names the field."""
+
+
+def _checked_axis(name: str, values) -> tuple[int, ...]:
+    """``values`` as a sweep axis, or :class:`MeasurementError` naming ``name``.
+
+    The one rule for ``sizes`` and ``block_lengths``, whether a file or a
+    caller of :func:`measure_system` supplies them: a non-empty list or tuple
+    of strictly increasing positive ``int`` values (``bool`` is not one).
+    """
+    if not (
+        isinstance(values, (list, tuple)) and values
+        and all(isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in values)
+        and all(a < b for a, b in zip(values, values[1:]))
+    ):
+        raise MeasurementError(f"{name} must be strictly increasing positive integers")
+    return tuple(values)
 
 
 def host_timer() -> float:
@@ -78,10 +112,12 @@ class SystemMeasurement:
     t_pack_oneshot: tuple[tuple[float, ...], ...]
     t_unpack_oneshot: tuple[tuple[float, ...], ...]
     machine_name: str = "unknown"
+    #: Free-form metadata carried through the file; the sweep records none.
     notes: dict = field(default_factory=dict)
 
     # ----------------------------------------------------------- serialisation
     def to_dict(self) -> dict:
+        """The measurement as the JSON object :meth:`save` writes."""
         return {
             "machine_name": self.machine_name,
             "sizes": list(self.sizes),
@@ -113,16 +149,7 @@ class SystemMeasurement:
         for name in ("sizes", "block_lengths") + _CURVES + _TABLES:
             if name not in payload:
                 raise MeasurementError(f"measurement file has no {name!r}")
-        axes = {}
-        for name in ("sizes", "block_lengths"):
-            values = payload[name]
-            if not (
-                isinstance(values, (list, tuple)) and values
-                and all(isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in values)
-                and all(a < b for a, b in zip(values, values[1:]))
-            ):
-                raise MeasurementError(f"{name} must be strictly increasing positive integers")
-            axes[name] = tuple(values)
+        axes = {name: _checked_axis(name, payload[name]) for name in ("sizes", "block_lengths")}
         shapes = dict.fromkeys(_CURVES, (len(axes["sizes"]),))
         shapes.update(dict.fromkeys(_TABLES, (len(axes["block_lengths"]), len(axes["sizes"]))))
         for name, shape in shapes.items():
@@ -175,40 +202,65 @@ class SystemMeasurement:
 # The measurement sweep
 # --------------------------------------------------------------------------- #
 
+class _SweepBuffers(NamedTuple):
+    """The one allocation set a :func:`measure_system` call runs in."""
+
+    #: Device memory for the strided side, as wide as the widest object.
+    source: DeviceBuffer
+    #: Device staging as large as the largest size: the device method's
+    #: target, and the device end of the copy curves.
+    device: DeviceBuffer
+    #: Mapped host staging as large as the largest size: the one-shot
+    #: method's target, and the host end of the copy curves (mapped memory
+    #: is page-locked, so a copy sees pinned memory).
+    host: HostBuffer
+
+
+def _runtime_after(gpu_cost: GpuCostModel, *charges: float) -> CudaRuntime:
+    """A fresh runtime whose clock has been advanced by ``charges``, in order.
+
+    ``charges`` are the allocations a measurement's own buffers would cost
+    before its first clock reading (the clock origin, see the module
+    docstring); the buffers themselves come from the shared set.
+    """
+    clock = VirtualClock()
+    for charge in charges:
+        clock.advance(charge)
+    return CudaRuntime(clock, cost_model=gpu_cost)
+
+
 def _measure_transfers(
-    machine: MachineSpec, sizes: Sequence[int]
+    machine: MachineSpec, sizes: Sequence[int], buffers: _SweepBuffers
 ) -> tuple[list[float], list[float], list[float], list[float]]:
-    """Measure the four Fig. 9a curves.
+    """Measure the four Fig. 9a curves, in :data:`_CURVES` order.
 
     Ping-pong latencies come from the network model (the same code that
     prices every simulated message); copy latencies come from running real
-    ``memcpy`` operations on a scratch runtime and reading its clock.
+    ``memcpy`` operations between the sweep's staging buffers on one scratch
+    runtime and reading its clock.
     """
     network = NetworkModel(machine)
-    runtime = CudaRuntime(cost_model=machine.node.gpu)
+    gpu = machine.node.gpu
+    runtime = _runtime_after(gpu, gpu.alloc_s, gpu.host_alloc_pinned_s)
     t_cpu, t_gpu, t_d2h, t_h2d = [], [], [], []
-    device_buf = runtime.malloc(max(sizes))
-    host_buf = runtime.host_alloc(max(sizes), MemoryKind.HOST_PINNED)
     for size in sizes:
         t_cpu.append(network.message_time(size, same_node=False, device_buffers=False))
         t_gpu.append(network.message_time(size, same_node=False, device_buffers=True))
         start = runtime.clock.now
-        runtime.memcpy_async(host_buf, device_buf, size)
+        runtime.memcpy_async(buffers.host, buffers.device, size)
         runtime.stream_synchronize()
         t_d2h.append(runtime.clock.now - start)
         start = runtime.clock.now
-        runtime.memcpy_async(device_buf, host_buf, size)
+        runtime.memcpy_async(buffers.device, buffers.host, size)
         runtime.stream_synchronize()
         t_h2d.append(runtime.clock.now - start)
     return t_cpu, t_gpu, t_d2h, t_h2d
 
 
-def _measurement_block(size: int, block_length: int) -> Optional[StridedBlock]:
+def _measurement_block(size: int, block_length: int) -> StridedBlock:
     """The 2-D strided object used to measure pack/unpack at one grid point."""
     block_length = min(block_length, size)
     nblocks = size // block_length
-    if nblocks < 1:
-        return None
     if nblocks == 1:
         return StridedBlock(start=0, counts=(block_length,), strides=(1,))
     # The simulated kernel cost depends on the block length, not the pitch, so
@@ -222,50 +274,35 @@ def _measurement_block(size: int, block_length: int) -> Optional[StridedBlock]:
 
 def _measure_pack_tables(
     gpu_cost: GpuCostModel,
-    sizes: Sequence[int],
-    blocks: Sequence[int],
-) -> tuple[list[list[float]], list[list[float]], list[list[float]], list[list[float]]]:
-    """Measure pack/unpack latency for the device and one-shot strategies."""
-    pack_dev: list[list[float]] = []
-    unpack_dev: list[list[float]] = []
-    pack_host: list[list[float]] = []
-    unpack_host: list[list[float]] = []
-    for block_length in blocks:
-        row_pd, row_ud, row_ph, row_uh = [], [], [], []
-        for size in sizes:
-            shape = _measurement_block(size, block_length)
-            if shape is None:
-                row_pd.append(0.0)
-                row_ud.append(0.0)
-                row_ph.append(0.0)
-                row_uh.append(0.0)
-                continue
-            runtime = CudaRuntime(cost_model=gpu_cost)
+    grid: list[list[StridedBlock]],
+    buffers: _SweepBuffers,
+) -> tuple[list[list[float]], ...]:
+    """Measure pack/unpack latency for the device and one-shot strategies.
+
+    ``grid[block_index][size_index]`` is the object measured at that point;
+    the four tables, in :data:`_TABLES` order, are indexed the same way.  The
+    four measurements of a point run in turn on its own runtime, all in
+    ``buffers``.
+    """
+    steps = (
+        (Packer.pack, buffers.source, buffers.device),
+        (Packer.unpack, buffers.device, buffers.source),
+        (Packer.pack, buffers.source, buffers.host),
+        (Packer.unpack, buffers.host, buffers.source),
+    )
+    charges = (gpu_cost.alloc_s, gpu_cost.alloc_s, gpu_cost.host_alloc_pinned_s)
+    tables: tuple[list[list[float]], ...] = ([], [], [], [])
+    for row in grid:
+        for table in tables:
+            table.append([])
+        for shape in row:
+            runtime = _runtime_after(gpu_cost, *charges)
             packer = Packer(shape, object_extent=shape.start + shape.extent)
-            source = runtime.malloc(packer.required_input(1))
-            staging_device = runtime.malloc(size)
-            staging_host = runtime.host_alloc(size, MemoryKind.HOST_MAPPED)
-
-            start = runtime.clock.now
-            packer.pack(runtime, source, staging_device)
-            row_pd.append(runtime.clock.now - start)
-
-            start = runtime.clock.now
-            packer.unpack(runtime, staging_device, source)
-            row_ud.append(runtime.clock.now - start)
-
-            start = runtime.clock.now
-            packer.pack(runtime, source, staging_host)
-            row_ph.append(runtime.clock.now - start)
-
-            start = runtime.clock.now
-            packer.unpack(runtime, staging_host, source)
-            row_uh.append(runtime.clock.now - start)
-        pack_dev.append(row_pd)
-        unpack_dev.append(row_ud)
-        pack_host.append(row_ph)
-        unpack_host.append(row_uh)
-    return pack_dev, unpack_dev, pack_host, unpack_host
+            for table, (move, src, dst) in zip(tables, steps):
+                start = runtime.clock.now
+                move(packer, runtime, src, dst)
+                table[-1].append(runtime.clock.now - start)
+    return tables
 
 
 def measure_system(
@@ -278,32 +315,32 @@ def measure_system(
     """Run the full measurement sweep; optionally persist it to ``path``.
 
     This is the reproduction's equivalent of running TEMPI's measurement
-    binary once before using the library (Sec. 6.3).
+    binary once before using the library (Sec. 6.3).  Raises
+    :class:`MeasurementError` naming ``sizes`` or ``block_lengths`` unless
+    each is a non-empty list or tuple of strictly increasing positive
+    integers, the rule a measurement file is loaded under.  The whole sweep
+    runs in one allocation set, each point on a clock with a fixed origin
+    (see the module docstring).
     """
-    sizes = tuple(int(s) for s in sizes)
-    block_lengths = tuple(int(b) for b in block_lengths)
-    if not sizes or not block_lengths:
-        raise ValueError("sizes and block_lengths must be non-empty")
-    if any(s <= 0 for s in sizes) or any(b <= 0 for b in block_lengths):
-        raise ValueError("sizes and block_lengths must be positive")
-
-    t_cpu, t_gpu, t_d2h, t_h2d = _measure_transfers(machine, sizes)
-    pack_dev, unpack_dev, pack_host, unpack_host = _measure_pack_tables(
-        machine.node.gpu, sizes, block_lengths
+    sizes = _checked_axis("sizes", sizes)
+    block_lengths = _checked_axis("block_lengths", block_lengths)
+    grid = [[_measurement_block(size, block) for size in sizes] for block in block_lengths]
+    # The first grid point to write a page faults it in and every later point
+    # reuses it; writing every page up front saved no time and raised peak RSS.
+    scratch = CudaRuntime(cost_model=machine.node.gpu)
+    buffers = _SweepBuffers(
+        scratch.malloc(max(shape.start + shape.extent for row in grid for shape in row)),
+        scratch.malloc(max(sizes)),
+        scratch.host_alloc(max(sizes), MemoryKind.HOST_MAPPED),
     )
+    curves = _measure_transfers(machine, sizes, buffers)
+    tables = _measure_pack_tables(machine.node.gpu, grid, buffers)
     measurement = SystemMeasurement(
         sizes=sizes,
         block_lengths=block_lengths,
-        t_cpu_cpu=tuple(t_cpu),
-        t_gpu_gpu=tuple(t_gpu),
-        t_d2h=tuple(t_d2h),
-        t_h2d=tuple(t_h2d),
-        t_pack_device=tuple(tuple(row) for row in pack_dev),
-        t_unpack_device=tuple(tuple(row) for row in unpack_dev),
-        t_pack_oneshot=tuple(tuple(row) for row in pack_host),
-        t_unpack_oneshot=tuple(tuple(row) for row in unpack_host),
+        **{name: tuple(curve) for name, curve in zip(_CURVES, curves)},
+        **{name: tuple(tuple(row) for row in table) for name, table in zip(_TABLES, tables)},
         machine_name=machine.name,
-        notes={"pitch": MEASUREMENT_PITCH},
     )
     if path is not None:
         measurement.save(path)

@@ -7,16 +7,20 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro.gpu.memory import MemoryKind
+from repro.gpu.runtime import CudaRuntime
 from repro.machine.spec import SUMMIT
 from repro.tempi.measurement import (
     DEFAULT_BLOCKS,
     DEFAULT_SIZES,
     MeasurementError,
     SystemMeasurement,
+    _measurement_block,
     measure_system,
 )
+from repro.tempi.packer import Packer
 
 
 @pytest.fixture(scope="module")
@@ -216,3 +220,142 @@ class TestMalformedFiles:
     def test_a_file_that_is_not_an_object_is_refused(self):
         with pytest.raises(MeasurementError, match="JSON object"):
             SystemMeasurement.from_dict([VALID])
+
+
+# --------------------------------------------------------------------------- #
+# The sweep takes exactly the axes a measurement file may hold
+# --------------------------------------------------------------------------- #
+
+#: Axis entries: mostly small integers, sometimes what no axis may hold.
+AXIS_ITEMS = st.one_of(
+    st.integers(min_value=-2, max_value=1 << 12),
+    st.sampled_from([True, False, 64.5, 64.0, "64", None]),
+)
+#: Candidate axes: lists and tuples of those, and values that are no list.
+AXIS_VALUES = st.one_of(
+    st.lists(AXIS_ITEMS, max_size=4),
+    st.lists(AXIS_ITEMS, max_size=4).map(tuple),
+    st.sampled_from(["64,1024", 64, None, range(1, 3)]),
+)
+#: As :data:`AXIS_VALUES`, half of the draws a well-formed axis.
+SWEEP_AXES = st.one_of(
+    st.lists(st.integers(min_value=1, max_value=1 << 12), min_size=1, max_size=4, unique=True).map(sorted),
+    AXIS_VALUES,
+)
+#: The axis measure_system is not given in the refusal wall: small and valid.
+OTHER_AXIS = {"sizes": [64, 1024], "block_lengths": [1, 8]}
+
+
+def _file_refuses(name, axis) -> bool:
+    """Whether ``from_dict`` refuses a file whose ``name`` axis is ``axis``."""
+    payload = copy.deepcopy(VALID)
+    payload[name] = axis
+    try:
+        SystemMeasurement.from_dict(payload)
+    except MeasurementError as error:
+        return str(error).startswith(f"{name} ")
+    return False
+
+
+class TestSweepAxes:
+    @settings(max_examples=120, deadline=None)
+    @given(name=st.sampled_from(AXES), axis=AXIS_VALUES)
+    @example(name="sizes", axis=(1024, 64))
+    @example(name="sizes", axis=(64, 64))
+    @example(name="sizes", axis=(64.5,))
+    @example(name="block_lengths", axis=(8, 1))
+    @example(name="block_lengths", axis=(True,))
+    def test_the_sweep_refuses_exactly_the_axes_a_file_may_not_hold(self, name, axis):
+        arguments = {**OTHER_AXIS, name: axis}
+        if _file_refuses(name, axis):
+            with pytest.raises(MeasurementError, match=rf"^{name} "):
+                measure_system(SUMMIT, **arguments)
+        else:
+            measure_system(SUMMIT, **arguments)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=SWEEP_AXES, blocks=SWEEP_AXES)
+    def test_every_measurement_the_sweep_returns_loads_back_equal(self, sizes, blocks):
+        try:
+            measurement = measure_system(SUMMIT, sizes=sizes, block_lengths=blocks)
+        except MeasurementError as error:
+            assert str(error).split()[0] in AXES
+            return
+        saved = json.dumps(measurement.to_dict())
+        assert SystemMeasurement.from_dict(json.loads(saved)) == measurement
+
+
+# --------------------------------------------------------------------------- #
+# One allocation set, and each point's clock origin
+# --------------------------------------------------------------------------- #
+
+def _allocations(monkeypatch) -> dict[str, list[int]]:
+    """Record the size of every ``malloc`` and ``host_alloc`` from now on."""
+    calls: dict[str, list[int]] = {"malloc": [], "host_alloc": []}
+    for name, sizes in calls.items():
+        real = getattr(CudaRuntime, name)
+
+        def counted(runtime, nbytes, *args, _real=real, _sizes=sizes, **kwargs):
+            _sizes.append(nbytes)
+            return _real(runtime, nbytes, *args, **kwargs)
+
+        monkeypatch.setattr(CudaRuntime, name, counted)
+    return calls
+
+
+class TestOneAllocationSet:
+    """Call budget: the sweep allocates one set, however large its grid."""
+
+    def test_the_default_sweep_makes_two_mallocs_and_one_host_alloc(self, monkeypatch):
+        calls = _allocations(monkeypatch)
+        measure_system(SUMMIT)
+        # Three allocations per grid point would be 461 mallocs and 231 host
+        # allocations (344 MB).  The source spans the widest object (4 MiB of
+        # 1 B runs at a 2 B pitch); the two staging buffers hold the largest
+        # size.
+        assert calls == {"malloc": [(8 << 20) - 1, 4 << 20], "host_alloc": [4 << 20]}
+
+    def test_the_count_does_not_grow_with_the_grid(self, monkeypatch):
+        calls = _allocations(monkeypatch)
+        measure_system(SUMMIT, sizes=[64], block_lengths=[1])
+        assert calls == {"malloc": [127, 64], "host_alloc": [64]}
+
+
+class TestClockOrigin:
+    """Every latency equals, bit for bit, the one measured on a runtime that
+    allocates the point's own buffers before timing it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(size=st.integers(min_value=1, max_value=1 << 16), block=st.integers(min_value=1, max_value=1024))
+    def test_a_point_prices_as_after_its_own_allocations(self, size, block):
+        measured = measure_system(SUMMIT, sizes=[size], block_lengths=[block])
+        gpu = SUMMIT.node.gpu
+
+        runtime = CudaRuntime(cost_model=gpu)
+        shape = _measurement_block(size, block)
+        packer = Packer(shape, object_extent=shape.extent)
+        source = runtime.malloc(packer.required_input(1))
+        device = runtime.malloc(size)
+        host = runtime.host_alloc(size, MemoryKind.HOST_MAPPED)
+        expected = []
+        for move, src, dst in (
+            (packer.pack, source, device), (packer.unpack, device, source),
+            (packer.pack, source, host), (packer.unpack, host, source),
+        ):
+            start = runtime.clock.now
+            move(runtime, src, dst)
+            expected.append(runtime.clock.now - start)
+
+        runtime = CudaRuntime(cost_model=gpu)
+        device = runtime.malloc(size)
+        host = runtime.host_alloc(size, MemoryKind.HOST_PINNED)
+        for dst, src in ((host, device), (device, host)):
+            start = runtime.clock.now
+            runtime.memcpy_async(dst, src, size)
+            runtime.stream_synchronize()
+            expected.append(runtime.clock.now - start)
+
+        tables = (measured.t_pack_device, measured.t_unpack_device,
+                  measured.t_pack_oneshot, measured.t_unpack_oneshot)
+        got = [table[0][0] for table in tables] + [measured.t_d2h[0], measured.t_h2d[0]]
+        assert [value.hex() for value in got] == [value.hex() for value in expected]
