@@ -57,10 +57,11 @@ used while studying the model:
 
 ``python -m repro.cli sanitize``
     Replay the fig9/fig14/fig15/incast/allreduce/moe benchmarks (``--smoke`` subsets, or
-    ``--full``) under the runtime clock sanitizer
-    (:mod:`repro.tempi.sanitizer`): vector clocks over NIC commits, cross-rank
-    backlog reads audited for a happens-before edge, port monotonicity, and
-    pricing-purity checksums.  Nonzero exit on any violation.
+    ``--full``) with the runtime clock sanitizer (:mod:`repro.tempi.sanitizer`)
+    as the NIC trace sink, one fresh sink per replay: vector clocks over NIC
+    commits, cross-rank backlog reads audited for a happens-before edge, port
+    monotonicity, and pricing-purity checksums.  Prints every audit counter;
+    nonzero exit on any violation.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.apps.exchange_model import model_halo_exchange
 from repro.apps.halo import HaloSpec
@@ -472,8 +473,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 def _cmd_sanitize(args: argparse.Namespace) -> int:
     import importlib.util
+    from functools import partial
 
-    from repro.tempi.config import sanitize_default
+    from repro.tempi.config import trace_default
     from repro.tempi.sanitizer import ClockSanitizer
 
     root = _repo_root()
@@ -482,6 +484,8 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     bench_dir = root / "benchmarks"
+    argv = [] if args.full else ["--smoke"]
+    failures: list[str] = []
 
     def load_bench(filename: str):
         path = bench_dir / filename
@@ -491,55 +495,50 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
         spec.loader.exec_module(module)
         return module
 
-    def report(name: str, failures: list[str], posts_expected: bool = True) -> None:
-        counters = ClockSanitizer.aggregate_counters()
-        print(f"   sanitizer: posts={counters['posts']} ingests={counters['ingests']} "
-              f"joins={counters['joins']} hb_checks={counters['hb_checks']} "
-              f"purity_checks={counters['purity_checks']} "
-              f"violations={counters['violations']}")
+    def replay(name: str, run: Callable[[], int], posts_expected: bool = True) -> None:
+        # One fresh sink per replay.  The ambient default makes every
+        # TempiConfig the benchmark constructs a traced one; priced results
+        # are unchanged (the sink only observes), so each bench's own
+        # internal checks still validate the real numbers.
+        sanitizer = ClockSanitizer()
+        try:
+            with trace_default(sanitizer):
+                code = run()
+        except Exception as exc:  # noqa: BLE001 - any failure fails the replay
+            failures.append(f"{name}: {type(exc).__name__}: {exc}")
+            print(f"   FAILED: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return
+        if code != 0:
+            failures.append(f"{name}: exit code {code}")
+        counters = sanitizer.counters
+        print("   sanitizer: " + " ".join(f"{key}={value}" for key, value in counters.items()))
         if counters["violations"]:
             failures.append(f"{name}: {counters['violations']} recorded violation(s)")
         if posts_expected and counters["posts"] == 0:
             failures.append(f"{name}: sanitizer observed no NIC traffic (vacuous replay)")
 
-    failures: list[str] = []
-    label = "full" if args.full else "--smoke"
-    # The ambient default makes every TempiConfig the benchmarks construct a
-    # sanitized one; priced results are unchanged (the recorder only observes),
-    # so each bench's own internal checks still validate the real numbers.
-    with sanitize_default(True):
-        for name in ("bench_fig9_selection.py", "bench_fig15_contention.py",
-                     "bench_incast.py", "bench_allreduce.py", "bench_moe.py"):
-            ClockSanitizer.reset_aggregate()
-            print(f"== sanitized replay: {name} ({label})")
-            try:
-                module = load_bench(name)
-                code = module.main([] if args.full else ["--smoke"])
-            except Exception as exc:  # noqa: BLE001 - any failure fails the replay
-                failures.append(f"{name}: {type(exc).__name__}: {exc}")
-                print(f"   FAILED: {type(exc).__name__}: {exc}", file=sys.stderr)
-                continue
-            if code != 0:
-                failures.append(f"{name}: exit code {code}")
-            report(name, failures)
-        # fig14 has no standalone entry point; drive its exchange helper over
-        # the serial and overlapped engines directly.  Each column is checked
-        # on its own: the isend/irecv one (``mode="overlap"``) posts through
-        # persistent requests, and must not pass on the other columns'
-        # traffic; the serial engine books nothing on the NIC.
-        print("== sanitized replay: bench_fig14_overlap.py (exchange sweep)")
-        try:
-            module = load_bench("bench_fig14_overlap.py")
-            model = _load_model(None)
-            for mode, overlap in (("neighbor", False), ("neighbor", True),
-                                  ("overlap", True)):
-                ClockSanitizer.reset_aggregate()
-                module._exchange_latency(4, model, mode=mode, overlap=overlap)
-                report(f"bench_fig14_overlap.py[mode={mode}, overlap={overlap}]", failures,
-                       posts_expected=overlap)
-        except Exception as exc:  # noqa: BLE001 - any failure fails the replay
-            failures.append(f"bench_fig14_overlap.py: {type(exc).__name__}: {exc}")
-            print(f"   FAILED: {type(exc).__name__}: {exc}", file=sys.stderr)
+    def run_main(filename: str) -> int:
+        return load_bench(filename).main(argv)
+
+    def run_fig14(mode: str, overlap: bool) -> int:
+        load_bench("bench_fig14_overlap.py")._exchange_latency(
+            4, _load_model(None), mode=mode, overlap=overlap
+        )
+        return 0
+
+    for name in ("bench_fig9_selection.py", "bench_fig15_contention.py",
+                 "bench_incast.py", "bench_allreduce.py", "bench_moe.py"):
+        print(f"== sanitized replay: {name} ({'full' if args.full else '--smoke'})")
+        replay(name, partial(run_main, name))
+    # fig14 has no standalone entry point; drive its exchange helper over
+    # the serial and overlapped engines directly.  Each column is checked
+    # on its own: the isend/irecv one (``mode="overlap"``) posts through
+    # persistent requests, and must not pass on the other columns'
+    # traffic; the serial engine books nothing on the NIC.
+    print("== sanitized replay: bench_fig14_overlap.py (exchange sweep)")
+    for mode, overlap in (("neighbor", False), ("neighbor", True), ("overlap", True)):
+        replay(f"bench_fig14_overlap.py[mode={mode}, overlap={overlap}]",
+               partial(run_fig14, mode, overlap), posts_expected=overlap)
     if failures:
         print(f"sanitize: {len(failures)} failure(s)", file=sys.stderr)
         for failure in failures:

@@ -76,6 +76,18 @@ posts carry a happens-before edge (barrier-phased traffic, single-threaded
 drivers), and the runtime sanitizer audits cross-rank commits on them the
 same way it audits cross-rank backlog reads.
 
+Event stream.  A timeline with a :attr:`~NicTimeline.sink` attached
+(``TempiConfig(trace=...)``) calls it as ``sink(timeline, event)`` once per
+scalar post (:class:`PostEvent`), sequence draw (:class:`SeqEvent`),
+ingestion commit (:class:`IngestEvent`) and reset (:class:`ResetEvent`),
+under the timeline's lock and carrying every cursor the commit set, so a
+sink never reads the timeline back.  The reads and joins only a caller can
+name a rank for — a contended selector's backlog read and pricing bracket,
+the interposer's collective joins — are emitted by those callers into the
+same sink.  With no sink each emit site is one ``is not None`` test.  The
+batch sweep (``reserve_batch``, ``ingest_batch_vec``'s vector path) emits
+nothing.
+
 One timeline is shared by all ranks of a :class:`~repro.mpi.world.World`
 (it hangs off ``world.nic``); the :class:`~repro.tempi.progress.ProgressEngine`
 reserves injection slots and commits ingestion batches on it when
@@ -382,6 +394,79 @@ class IngestRecord(NamedTuple):
         return self[:3]
 
 
+class PostEvent(NamedTuple):
+    """A scalar reservation committed by :meth:`NicTimeline.reserve`."""
+
+    rank: int
+    dest: int
+    reservation: NicReservation
+    #: False for an inject-only post, which no ingestion ever commits.
+    ingest: bool
+    #: The injection-port cursor the post set.
+    port: float
+    #: The shared topology cursors the post set, as ``(label, key, cursor)``:
+    #: the NIC rail (``"rail"``), then each uplink bundle (``"fabric"``).
+    shared: tuple[tuple[str, Any, float], ...]
+
+
+class SeqEvent(NamedTuple):
+    """A sequence number drawn by :meth:`NicTimeline.next_seq` (a batched-send envelope)."""
+
+    rank: int
+
+
+class IngestEvent(NamedTuple):
+    """An ingestion batch committed by :meth:`NicTimeline.ingest`."""
+
+    rank: int
+    #: The batch, as the caller passed it.
+    records: Sequence[IngestRecord]
+    #: The ingestion-port cursor after the commit.
+    port: float
+    #: Each distinct receive-side rail the batch names, ascending, with its
+    #: cursor after the commit.
+    rails: tuple[tuple[RailKey, float], ...]
+
+
+class ResetEvent(NamedTuple):
+    """:meth:`NicTimeline.reset` forgot every cursor."""
+
+
+class BacklogReadEvent(NamedTuple):
+    """A contended selector on ``rank`` read ``dest``'s ingestion backlog at ``now``."""
+
+    rank: int
+    dest: int
+    now: float
+    #: The pending records the read replays (:meth:`NicTimeline.pending_records`).
+    pending: list[IngestRecord]
+
+
+class PricingEvent(NamedTuple):
+    """A contended selector on ``rank`` began (``done=False``) or ended a pricing call."""
+
+    rank: int
+    #: :meth:`NicTimeline.state_fingerprint` of ``rank`` at that point.
+    fingerprint: int
+    done: bool
+
+
+class JoinEvent(NamedTuple):
+    """``rank`` entered a collective join point of a ``size``-rank communicator."""
+
+    rank: int
+    size: int
+
+
+#: One entry of a traced timeline's event stream.
+NicEvent = Union[
+    PostEvent, SeqEvent, IngestEvent, ResetEvent, BacklogReadEvent, PricingEvent, JoinEvent
+]
+#: A trace sink, called as ``sink(timeline, event)``; it must not call back
+#: into the timeline, whose lock it runs under for the timeline's own events.
+NicSink = Callable[["NicTimeline", NicEvent], None]
+
+
 class _PendingBlock(NamedTuple):
     """One batch's advisory pending records, deferred as columns.
 
@@ -597,6 +682,9 @@ class NicTimeline:
             tuple[np.ndarray, np.ndarray, np.ndarray, Optional[RouteTable], float, _BatchPlan]
         ] = None
         self._ingest_shape: Optional[tuple[np.ndarray, Any, _IngestPlan]] = None
+        #: The trace sink ("Event stream" in the module docstring), attached
+        #: by an interposer built with ``TempiConfig(trace=sink)``.
+        self.sink: Optional[NicSink] = None
 
     # ---------------------------------------------------------------- reserve
     def reserve(
@@ -697,13 +785,25 @@ class NicTimeline:
                 dest,
                 IngestRecord(start, source, seq, wire_s, arrival, ingest_rail),
             )
-        return NicReservation(start, arrival, stalled, wire_s, seq)
+        reservation = NicReservation(start, arrival, stalled, wire_s, seq)
+        sink = self.sink
+        if sink is not None:
+            shared: list[tuple[str, Any, float]] = (
+                [("rail", rail_key, self._rail_ports[rail_key])] if rail_key is not None else []
+            )
+            if path is not None:
+                shared += [("fabric", key, self._shared_links[key]) for key, _ in path.shared]
+            sink(self, PostEvent(source, dest, reservation, ingest, self._ports[source], tuple(shared)))
+        return reservation
 
     def next_seq(self, source: int) -> int:
         """Allocate one per-source sequence number (batched-send envelopes)."""
         with self._lock:
             seq = self._seqs.get(source, 0)
             self._seqs[source] = seq + 1
+            sink = self.sink
+            if sink is not None:
+                sink(self, SeqEvent(source))
             return seq
 
     def _register_pending(self, dest: int, record: IngestRecord) -> None:
@@ -1033,6 +1133,12 @@ class NicTimeline:
             for key in stale:
                 del pending[key]
             self._pending_total -= len(stale)
+        sink = self.sink
+        if sink is not None:
+            rails = sorted({record[5] for record in records if record[5] is not None})
+            sink(self, IngestEvent(dest, records, port, tuple(
+                (rail, self._ingest_rails.get(rail, 0.0)) for rail in rails
+            )))
         if lone:
             return landed
         # Input order, through the keys: records sharing a key share the
@@ -1339,8 +1445,9 @@ class NicTimeline:
         """Key-ordered snapshot of the advisory pending ledger for ``dest``.
 
         A pure read over exactly the records :meth:`ingest_backlog` replays —
-        the runtime sanitizer walks it to audit cross-rank backlog reads for
-        a happens-before edge, and tests introspect it.
+        a traced contended selector sends it with each backlog read, which
+        the runtime sanitizer audits for a happens-before edge, and tests
+        introspect it.
         """
         with self._lock:
             if self._block is not None:
@@ -1357,8 +1464,9 @@ class NicTimeline:
         (including the topology rail and shared-uplink cursors) and the
         occupancy counters.  With a rank it covers only the state that
         rank's *own* calls advance — its injection and ingestion cursors,
-        its outgoing links, its sequence counter.  That scope is what the
-        runtime sanitizer checksums around selector pricing calls:
+        its outgoing links, its sequence counter.  That scope is what a
+        traced contended selector brackets each pricing call with, and the
+        runtime sanitizer compares:
         concurrent traffic from other ranks only ever touches *their* keys
         (send side source-scoped, receive side receiver-committed), so the
         rank-scoped digest is immune to scheduling noise while any mutation
@@ -1442,6 +1550,9 @@ class NicTimeline:
             self.fabric_stalls = 0
             self.fabric_stalled_s = 0.0
             self.peak_pending = 0
+            sink = self.sink
+            if sink is not None:
+                sink(self, ResetEvent())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         """Summarise port/link/counter state for debugging."""

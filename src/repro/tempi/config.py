@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator, Optional
 
+from repro.machine.nic import NicSink
 from repro.machine.topology import TopologySpec
 
 
@@ -68,31 +69,31 @@ SELECTION_MEMO_SIZE = 1024
 #: is flushed.
 BATCH_MAX_MESSAGES = 8
 
-#: Ambient default of ``TempiConfig.sanitize``: ``repro sanitize`` (and the
-#: tests) flip it through :func:`sanitize_default` so benchmarks that build
-#: their own configs replay under the sanitizer without modification.
-_SANITIZE_DEFAULT = False
+#: Ambient default of ``TempiConfig.trace``: ``repro sanitize`` (and the
+#: tests) set it through :func:`trace_default` so benchmarks that build
+#: their own configs replay traced without modification.
+_TRACE_DEFAULT: Optional[NicSink] = None
 
 
-def _default_sanitize() -> bool:
-    """The ambient ``sanitize`` default (see :func:`sanitize_default`)."""
-    return _SANITIZE_DEFAULT
+def _default_trace() -> Optional[NicSink]:
+    """The ambient ``trace`` default (see :func:`trace_default`)."""
+    return _TRACE_DEFAULT
 
 
 @contextmanager
-def sanitize_default(enabled: bool) -> Iterator[None]:
-    """Temporarily set the ambient default of ``TempiConfig.sanitize``.
+def trace_default(sink: Optional[NicSink]) -> Iterator[None]:
+    """Temporarily set the ambient default of ``TempiConfig.trace``.
 
     Only configs *constructed inside* the context inherit the default;
-    explicit ``TempiConfig(sanitize=...)`` always wins.
+    explicit ``TempiConfig(trace=...)`` always wins.
     """
-    global _SANITIZE_DEFAULT
-    previous = _SANITIZE_DEFAULT
-    _SANITIZE_DEFAULT = bool(enabled)
+    global _TRACE_DEFAULT
+    previous = _TRACE_DEFAULT
+    _TRACE_DEFAULT = sink
     try:
         yield
     finally:
-        _SANITIZE_DEFAULT = previous
+        _TRACE_DEFAULT = previous
 
 
 @dataclass(frozen=True)
@@ -166,16 +167,16 @@ class TempiConfig:
     #: never the charge schedule: a repeated query is priced at the cached
     #: query cost whether or not the value is retained.
     selection_memo: bool = True
-    #: Run under the clock sanitizer (:mod:`repro.tempi.sanitizer`): every
-    #: rank's NIC handle becomes a recording proxy that maintains per-rank
-    #: vector clocks over reservation/ingest commits, audits cross-rank
-    #: backlog reads for a happens-before edge, asserts port-cursor
-    #: monotonicity, and checksums ledger state around selector pricing
-    #: calls.  Violations raise ``SanitizerError``.  Priced results are
-    #: unchanged — the proxy only observes — but wall-clock slows, so the
-    #: knob defaults off; ``repro sanitize`` replays the figure benchmarks
-    #: with it on (through :func:`sanitize_default`).
-    sanitize: bool = field(default_factory=_default_sanitize)
+    #: A sink for the NIC event stream (:data:`~repro.machine.nic.NicSink`):
+    #: the interposer attaches it to the world's timeline, which then calls
+    #: it once per post, sequence draw, ingestion commit and reset; the
+    #: contended selector adds its backlog reads and pricing brackets, the
+    #: interposer its collective joins.  Priced results are unchanged — a
+    #: sink only observes — and ``None`` (the default) emits nothing.
+    #: ``repro sanitize`` replays the figure benchmarks with a
+    #: :class:`~repro.tempi.sanitizer.ClockSanitizer` as the sink (through
+    #: :func:`trace_default`).
+    trace: Optional[NicSink] = field(default_factory=_default_trace)
     #: Cluster topology the engine routes and prices against
     #: (:class:`~repro.machine.topology.TopologySpec`): NVLink islands,
     #: shared NIC rails and the two-level fat-tree with oversubscribed
@@ -190,6 +191,8 @@ class TempiConfig:
     measurement_path: Optional[Path] = None
 
     def __post_init__(self) -> None:
+        if self.trace is not None and not callable(self.trace):
+            raise ValueError(f"trace must be a sink called as sink(timeline, event), got {self.trace!r}")
         if self.selection not in SELECTION_MODES:
             raise ValueError(
                 f"unknown selection policy {self.selection!r}; expected one of {SELECTION_MODES}"

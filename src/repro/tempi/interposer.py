@@ -57,6 +57,7 @@ import numpy as np
 from typing import Sequence
 
 from repro.gpu.memory import Buffer
+from repro.machine.nic import JoinEvent
 from repro.machine.topology import Topology
 from repro.mpi import collectives as _collectives
 from repro.mpi.collectives import _next_collective_tag
@@ -215,19 +216,6 @@ class TempiCommunicator:
     ) -> None:
         self._comm = comm
         self.config = config
-        #: The clock sanitizer's recording proxy (``config.sanitize`` only):
-        #: handed to the progress engine as its NIC, so every reservation,
-        #: ingest commit and backlog read this rank issues is audited.  The
-        #: selector inherits it through ``self._engine.nic``.
-        self._sanitizer_view = None
-        if config.sanitize:
-            from repro.machine.nic import NicTimeline
-            from repro.tempi.sanitizer import sanitized_view
-
-            base = getattr(getattr(comm, "world", None), "nic", None)
-            if base is None:
-                base = NicTimeline()
-            self._sanitizer_view = sanitized_view(base, comm.rank)
         self.tempi = library if library is not None else Tempi(
             comm.gpu, comm.network.machine, config, model
         )
@@ -253,9 +241,10 @@ class TempiCommunicator:
             mode=config.progress,
             nic_mode=config.nic,
             batching=config.batch_eager_sends and config.overlap,
-            nic=self._sanitizer_view,
             topology=topology,
         )
+        if config.trace is not None:
+            self._engine.nic.sink = config.trace
         self._executor = PlanExecutor(
             comm,
             self.tempi.cache,
@@ -306,15 +295,16 @@ class TempiCommunicator:
         A ``Send``/``Recv`` that compiled to no plan comes through here for
         the same reason: the system's message must not overtake a deferred one.
         ``join`` marks the collective join points (no rank returns before
-        every rank entered): under the sanitizer they merge all ranks' vector
-        clocks, the happens-before edge a barrier establishes.
+        every rank entered): on a traced timeline each emits a
+        :class:`~repro.machine.nic.JoinEvent`, the happens-before edge a
+        barrier establishes.
         """
         self._engine.progress()
-        view = self._sanitizer_view
-        if join and view is not None:
-            # Before the real collective: the last arriver merges the clocks
-            # while every rank is still blocked inside it.
-            view.barrier_enter(self._comm.size)
+        nic = self._engine.nic
+        if join and nic.sink is not None:
+            # Before the real collective: the last arriver's event completes
+            # the join while every rank is still blocked inside it.
+            nic.sink(nic, JoinEvent(self._comm.rank, self._comm.size))
         return system(*args, **kwargs)
 
     def _start(self, plan: Optional[MessagePlan], system, *args, join: bool = False, **kwargs) -> Request:
@@ -1367,7 +1357,7 @@ def interpose(ctx, config: Optional[TempiConfig] = None, **kwargs) -> TempiCommu
     This is the one-liner applications use instead of changing their code:
     the returned object is a drop-in replacement for ``ctx.comm``.  ``config``
     defaults to a ``TempiConfig()`` built *at call time*, so ambient defaults
-    (:func:`repro.tempi.config.sanitize_default`) apply to it.
+    (:func:`repro.tempi.config.trace_default`) apply to it.
     """
     if config is None:
         config = TempiConfig()

@@ -155,7 +155,6 @@ class ProgressEngine:
         nic_mode: str = "duplex",
         batching: bool = True,
         batch_max_messages: int = BATCH_MAX_MESSAGES,
-        nic: Optional[NicTimeline] = None,
         topology: Optional[Topology] = None,
     ) -> None:
         if mode not in PROGRESS_MODES:
@@ -177,8 +176,7 @@ class ProgressEngine:
         #: Requires the shared timeline — the per-plan ablation has nothing to
         #: ingest against, so ``nic="duplex"`` degrades to inject-only there.
         self.duplex = self.shared and nic_mode == "duplex"
-        if nic is None:
-            nic = getattr(getattr(comm, "world", None), "nic", None)
+        nic = getattr(getattr(comm, "world", None), "nic", None)
         self.nic = nic if nic is not None else NicTimeline()
         #: Batching coalesces deferred posts, which only makes sense when the
         #: shared timeline prices them; per-plan mode is the PR-2 ablation.

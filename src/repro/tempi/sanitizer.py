@@ -1,4 +1,4 @@
-"""The runtime clock sanitizer: happens-before auditing for the NIC ledgers.
+"""The runtime clock sanitizer: happens-before auditing of the NIC event stream.
 
 The simulator's determinism argument (``docs/ARCHITECTURE.md``) rests on
 three rules — send side source-scoped, receive side receiver-committed,
@@ -8,50 +8,71 @@ posted backlog with no synchronisation and produced run-to-run jitter that
 took a fuzz seed to find.  This module checks the rule *while the simulator
 runs*.
 
-With ``TempiConfig(sanitize=True)`` every interposed communicator talks to
-the world's shared :class:`~repro.machine.nic.NicTimeline` through a
-per-rank recording proxy (:class:`SanitizedNic`).  One
-:class:`ClockSanitizer` per timeline maintains a **vector clock per rank**
-over the priced commits:
+A :class:`ClockSanitizer` is a trace sink (``TempiConfig(trace=...)``,
+:data:`~repro.machine.nic.NicSink`): it reads the event stream of every
+:class:`~repro.machine.nic.NicTimeline` it is attached to and maintains,
+per timeline, a **vector clock per rank**:
 
-* a **post** (injection reservation) ticks the source's clock and snapshots
-  it under the message identity ``(post_time, source, seq)``;
-* an **ingest** (receive-side commit) ticks the destination's clock and
-  joins each message's sender snapshot into it — the edge a completed
-  receive establishes;
-* a **barrier** (and the other collective fall-throughs) joins all clocks.
+* a **post** (:class:`~repro.machine.nic.PostEvent`, any scalar
+  reservation on the timeline) ticks the source's clock and snapshots it
+  under the message identity ``(post_time, source, seq)``;
+* an **ingest** (:class:`~repro.machine.nic.IngestEvent`) ticks the
+  destination's clock and joins each message's sender snapshot into it —
+  the edge a completed receive establishes;
+* a **join** (:class:`~repro.machine.nic.JoinEvent`, the interposer's
+  ``Barrier`` and other collective fall-throughs) merges all clocks once
+  every rank arrived;
+* a **reset** forgets the timeline's history.
 
-Each audited operation then checks:
+Each audited event then checks:
 
-* **happens-before** — a cross-rank :meth:`~SanitizedNic.ingest_backlog`
-  read must find every foreign pending record's snapshot ≤ the reader's
-  clock, else the read races the post and :class:`SanitizerError` names the
-  two events;
-* **monotonicity** — a rank's injection/ingestion port cursors never move
-  backwards;
-* **pricing purity** — :meth:`SanitizedNic.pricing_guard` checksums the
-  rank-scoped ledger fingerprint (and the per-rank mutation count) around
-  every selector pricing call: the dynamic twin of simlint's SIM002.
+* **happens-before** — a contended selector's cross-rank backlog read
+  (:class:`~repro.machine.nic.BacklogReadEvent`) must find every foreign
+  pending record's snapshot ≤ the reader's clock, else the read races the
+  post and :class:`SanitizerError` names the two events;
+* **monotonicity** — a rank's injection/ingestion port cursors, and every
+  shared rail and uplink cursor, never move backwards; a cross-rank commit
+  on a shared cursor needs a happens-before edge to the previous one;
+* **pricing purity** — the rank-scoped ledger fingerprint and the rank's
+  mutation count are equal at both ends of a selector's pricing bracket
+  (:class:`~repro.machine.nic.PricingEvent`): the dynamic twin of
+  simlint's SIM002.
 
-``repro sanitize`` replays the figure benchmarks under this machinery; the
-class-level aggregate counters are what it reports.
+Every value checked travels on the event, so the sanitizer never reads the
+timeline back.  ``repro sanitize`` replays the figure benchmarks with one
+fresh sanitizer each and prints its :attr:`~ClockSanitizer.counters`.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Any, Callable, NamedTuple
+from weakref import WeakKeyDictionary
 
-from repro.machine.nic import IngestRecord, NicReservation, NicTimeline
-from repro.machine.topology import PathSpec
+from repro.machine.nic import (
+    BacklogReadEvent,
+    IngestEvent,
+    JoinEvent,
+    NicEvent,
+    NicTimeline,
+    PostEvent,
+    PricingEvent,
+    ResetEvent,
+    SeqEvent,
+)
 
-#: Most post snapshots retained (FIFO eviction).  An evicted snapshot makes
-#: the happens-before audit *conservative* (the read is skipped), never
-#: wrong; the cap keeps a long sanitized run's footprint bounded, mirroring
-#: the advisory pending ledger's own ``pending_limit``.
+#: Most post snapshots retained per timeline (FIFO eviction).  An evicted
+#: snapshot makes the happens-before audit *conservative* (the read is
+#: skipped), never wrong; the cap keeps a long sanitized run's footprint
+#: bounded, mirroring the advisory pending ledger's own ``pending_limit``.
 SNAPSHOT_LIMIT = 65536
+
+#: The audit totals a sanitizer keeps, in the order ``repro sanitize`` prints.
+COUNTERS = (
+    "posts", "ingests", "joins", "barriers", "hb_checks", "purity_checks",
+    "shared_commits", "violations",
+)
 
 
 class SanitizerEvent(NamedTuple):
@@ -80,136 +101,61 @@ def _vc_leq(left: dict[int, int], right: dict[int, int]) -> bool:
     return all(right.get(rank, 0) >= tick for rank, tick in left.items())
 
 
-class ClockSanitizer:
-    """Vector clocks and invariant checks for one shared :class:`NicTimeline`."""
+class _TimelineAudit:
+    """Vector clocks and last-seen cursors of one traced timeline."""
 
-    _aggregate_lock = threading.Lock()
-    #: Process-wide audit totals (what ``repro sanitize`` reports).
-    _aggregate: dict[str, int] = {
-        "posts": 0,
-        "ingests": 0,
-        "joins": 0,
-        "barriers": 0,
-        "hb_checks": 0,
-        "purity_checks": 0,
-        "shared_commits": 0,
-        "violations": 0,
-    }
-
-    def __init__(self, timeline: NicTimeline) -> None:
-        self.timeline = timeline
-        self._lock = threading.RLock()
-        self._vc: dict[int, dict[int, int]] = {}
-        self._events: dict[int, int] = {}
-        self._mutations: dict[int, int] = {}
-        self._snapshots: "OrderedDict[tuple[float, int, int], tuple[SanitizerEvent, dict[int, int]]]" = OrderedDict()
-        self._last_post: dict[int, SanitizerEvent] = {}
-        self._last_commit: dict[int, SanitizerEvent] = {}
-        self._inject_cursor: dict[int, float] = {}
-        self._ingest_cursor: dict[int, float] = {}
+    def __init__(self, counters: dict[str, int]) -> None:
+        self.counters = counters
+        self.vc: dict[int, dict[int, int]] = {}
+        #: Per rank, its mutations so far (posts, sequence draws, ingests).
+        self.events: dict[int, int] = {}
+        self.snapshots: OrderedDict[tuple[float, int, int], tuple[SanitizerEvent, dict[int, int]]] = OrderedDict()
+        self.last_post: dict[int, SanitizerEvent] = {}
+        self.last_commit: dict[int, SanitizerEvent] = {}
+        self.inject_cursor: dict[int, float] = {}
+        self.ingest_cursor: dict[int, float] = {}
         #: Last commit per shared topology cursor (NIC rails, leaf-uplink
         #: bundles): the committing event, the committer's clock snapshot and
         #: the cursor value — what the cross-rank audit compares against.
-        self._shared_last: dict[tuple, tuple[SanitizerEvent, dict[int, int], float]] = {}
-        self._barrier_waiting: set[int] = set()
-
-    # ------------------------------------------------------------- accounting
-    @classmethod
-    def _count(cls, key: str, amount: int = 1) -> None:
-        with cls._aggregate_lock:
-            cls._aggregate[key] += amount
-
-    @classmethod
-    def aggregate_counters(cls) -> dict[str, int]:
-        """A snapshot of the process-wide audit totals."""
-        with cls._aggregate_lock:
-            return dict(cls._aggregate)
-
-    @classmethod
-    def reset_aggregate(cls) -> None:
-        """Zero the process-wide audit totals (between bench replays)."""
-        with cls._aggregate_lock:
-            for key in cls._aggregate:
-                cls._aggregate[key] = 0
+        self.shared_last: dict[tuple[str, Any], tuple[SanitizerEvent, dict[int, int], float]] = {}
+        self.barrier_waiting: set[int] = set()
+        #: Per rank inside a pricing bracket: fingerprint and event count.
+        self.pricing: dict[int, tuple[int, int]] = {}
 
     def _clock(self, rank: int) -> dict[int, int]:
-        return self._vc.setdefault(rank, {})
+        return self.vc.setdefault(rank, {})
 
     def _tick(self, rank: int) -> int:
+        """Advance ``rank``'s clock for one mutation; return its event index."""
         clock = self._clock(rank)
         clock[rank] = clock.get(rank, 0) + 1
-        index = self._events.get(rank, 0) + 1
-        self._events[rank] = index
+        index = self.events.get(rank, 0) + 1
+        self.events[rank] = index
         return index
 
-    def mutation_count(self, rank: int) -> int:
-        """Mutating timeline calls rank ``rank`` has issued through its proxy."""
-        with self._lock:
-            return self._mutations.get(rank, 0)
+    def _violation(self, message: str, first: SanitizerEvent, second: SanitizerEvent) -> None:
+        self.counters["violations"] += 1
+        raise SanitizerError(message, first, second)
 
-    # ----------------------------------------------------------------- events
-    def on_reserve(
-        self,
-        source: int,
-        dest: int,
-        reservation: NicReservation,
-        *,
-        ingest: bool,
-        path: Optional[PathSpec] = None,
+    def _monotone(
+        self, last: dict[int, float], rank: int, cursor: float, label: str,
+        previous_event: SanitizerEvent, event: SanitizerEvent,
     ) -> None:
-        """Record one injection reservation; check port monotonicity.
-
-        A ``path`` that binds shared topology cursors (a NIC rail, leaf
-        uplink bundles) additionally runs the shared-cursor audit: the
-        cursor must not move backwards, and a commit racing another rank's
-        commit on the same cursor (no happens-before edge) is the
-        interleaving-dependence the topology determinism caveat forbids.
-        """
-        with self._lock:
-            self._mutations[source] = self._mutations.get(source, 0) + 1
-            index = self._tick(source)
-            event = SanitizerEvent(
-                "post",
-                source,
-                index,
-                f"dest {dest}, post_time={reservation.start:.9g}, seq={reservation.seq}",
+        """Check and record one rank-owned port cursor."""
+        previous = last.get(rank)
+        if previous is not None and cursor < previous:
+            self._violation(
+                f"{label} cursor of rank {rank} moved backwards "
+                f"({previous:.9g} -> {cursor:.9g})",
+                previous_event,
+                event,
             )
-            self._count("posts")
-            port_after = (
-                reservation.start + self.timeline.wire_overlap * reservation.wire_s
-            )
-            previous = self._inject_cursor.get(source)
-            if previous is not None and port_after < previous:
-                self._violation(
-                    f"injection-port cursor of rank {source} moved backwards "
-                    f"({previous:.9g} -> {port_after:.9g})",
-                    self._last_post.get(source, event),
-                    event,
-                )
-            self._inject_cursor[source] = port_after
-            self._last_post[source] = event
-            if path is not None:
-                cursors: list[tuple[str, object, float]] = []
-                if path.rail is not None:
-                    cursors.append(
-                        ("rail", path.rail, self.timeline.rail_free_at(path.rail))
-                    )
-                for share_key, _bandwidth in path.shared:
-                    cursors.append(
-                        ("fabric", share_key, self.timeline.shared_free_at(share_key))
-                    )
-                for label, key, cursor in cursors:
-                    self._shared_commit(source, event, label, key, cursor)
-            if ingest and reservation.wire_s > 0:
-                key = (reservation.start, source, reservation.seq)
-                self._snapshots[key] = (event, dict(self._clock(source)))
-                while len(self._snapshots) > SNAPSHOT_LIMIT:
-                    self._snapshots.popitem(last=False)
+        last[rank] = cursor
 
     def _shared_commit(
-        self, rank: int, event: SanitizerEvent, label: str, key: object, cursor: float
+        self, rank: int, event: SanitizerEvent, label: str, key: Any, cursor: float
     ) -> None:
-        """Audit one commit to a shared topology cursor (lock held).
+        """Audit one commit to a shared topology cursor.
 
         Shared cursors (NIC rails, uplink bundles) mix sources by design;
         they stay deterministic only when cross-rank commits are ordered by
@@ -217,8 +163,8 @@ class ClockSanitizer:
         the booked times interleaving-dependent, so it is a violation even
         though each individual commit is monotone.
         """
-        self._count("shared_commits")
-        previous = self._shared_last.get((label, key))
+        self.counters["shared_commits"] += 1
+        previous = self.shared_last.get((label, key))
         if previous is not None:
             prev_event, prev_clock, prev_cursor = previous
             if cursor < prev_cursor:
@@ -236,262 +182,160 @@ class ClockSanitizer:
                     prev_event,
                     event,
                 )
-        self._shared_last[(label, key)] = (event, dict(self._clock(rank)), cursor)
+        self.shared_last[(label, key)] = (event, dict(self._clock(rank)), cursor)
 
-    def on_next_seq(self, source: int) -> None:
-        """Record a sequence-number allocation (a batched-send envelope)."""
-        with self._lock:
-            self._mutations[source] = self._mutations.get(source, 0) + 1
-            self._tick(source)
-
-    def on_ingest(self, dest: int, records: Sequence[IngestRecord]) -> None:
-        """Record one ingestion commit: join sender snapshots, check cursor."""
-        with self._lock:
-            self._mutations[dest] = self._mutations.get(dest, 0) + 1
-            index = self._tick(dest)
-            event = SanitizerEvent(
-                "ingest-commit", dest, index, f"{len(records)} record(s)"
-            )
-            self._count("ingests")
-            clock = self._clock(dest)
-            for record in records:
-                snapshot = self._snapshots.pop(record.key, None)
-                if snapshot is None:
-                    continue
-                _, sender_clock = snapshot
-                for rank, tick in sender_clock.items():
-                    if clock.get(rank, 0) < tick:
-                        clock[rank] = tick
-                self._count("joins")
-            cursor = self.timeline.ingest_free_at(dest)
-            previous = self._ingest_cursor.get(dest)
-            if previous is not None and cursor < previous:
-                self._violation(
-                    f"ingestion-port cursor of rank {dest} moved backwards "
-                    f"({previous:.9g} -> {cursor:.9g})",
-                    self._last_commit.get(dest, event),
-                    event,
-                )
-            self._ingest_cursor[dest] = cursor
-            self._last_commit[dest] = event
-            # Ingestion rails mix node-mates the same way injection rails do;
-            # audit each distinct rail the batch landed on.
-            for rail in sorted({r.rail for r in records if r.rail is not None}):
-                self._shared_commit(
-                    dest, event, "ingest-rail", rail,
-                    self.timeline.ingest_rail_free_at(rail),
-                )
-
-    def on_backlog_read(self, reader: int, dest: int, now: float) -> None:
-        """Audit a cross-rank backlog read for happens-before coverage."""
-        with self._lock:
-            self._count("hb_checks")
-            reader_clock = self._clock(reader)
-            read_event = SanitizerEvent(
-                "backlog-read",
-                reader,
-                self._events.get(reader, 0),
-                f"dest {dest}, now={now:.9g}",
-            )
-            for record in self.timeline.pending_records(dest):
-                if record.source == reader or record.post_time > now:
-                    # A rank always sees its own posts; records beyond the
-                    # reader's clock are filtered out of the priced signal.
-                    continue
-                snapshot = self._snapshots.get(record.key)
-                if snapshot is None:
-                    # Evicted, or posted outside the sanitized proxies
-                    # (e.g. a bench driving the raw timeline): conservative.
-                    continue
-                post_event, post_clock = snapshot
-                if not _vc_leq(post_clock, reader_clock):
-                    self._violation(
-                        f"rank {reader} read rank {dest}'s ingest backlog "
-                        f"without a happens-before edge to the racing post",
-                        post_event,
-                        read_event,
-                    )
-
-    def barrier_enter(self, rank: int, size: int) -> None:
-        """One rank arriving at a collective join point (``Barrier`` & co).
-
-        The call precedes the real barrier on every rank, so by the time the
-        *last* arriver merges the clocks no rank has been released — every
-        rank leaves the barrier with the fully joined clock in place.
-        """
-        with self._lock:
-            self._barrier_waiting.add(rank)
-            if len(self._barrier_waiting) < size:
-                return
-            merged: dict[int, int] = {}
-            for clock in self._vc.values():
-                for owner, tick in clock.items():
-                    if merged.get(owner, 0) < tick:
-                        merged[owner] = tick
-            for participant in list(self._vc) + list(self._barrier_waiting):
-                self._vc[participant] = dict(merged)
-            self._barrier_waiting.clear()
-            self._count("barriers")
-
-    def note_purity_check(self) -> None:
-        """Count one selector pricing call audited by a guard."""
-        self._count("purity_checks")
-
-    def _violation(
-        self, message: str, first: SanitizerEvent, second: SanitizerEvent
-    ) -> None:
-        self._count("violations")
-        raise SanitizerError(message, first, second)
-
-    def reset(self) -> None:
-        """Forget all recorded history (follows ``NicTimeline.reset``)."""
-        with self._lock:
-            self._vc.clear()
-            self._events.clear()
-            self._mutations.clear()
-            self._snapshots.clear()
-            self._last_post.clear()
-            self._last_commit.clear()
-            self._inject_cursor.clear()
-            self._ingest_cursor.clear()
-            self._shared_last.clear()
-            self._barrier_waiting.clear()
-
-
-class SanitizedNic:
-    """Rank ``rank``'s recording proxy over the shared timeline.
-
-    Forwards the full :class:`NicTimeline` surface; the mutating calls and
-    the cross-rank backlog read additionally notify the attached
-    :class:`ClockSanitizer`.  The proxy is what the progress engine (and
-    through it the selector) holds as ``nic`` under
-    ``TempiConfig(sanitize=True)``.
-    """
-
-    def __init__(self, timeline: NicTimeline, recorder: ClockSanitizer, rank: int) -> None:
-        self._timeline = timeline
-        self._recorder = recorder
-        self.rank = rank
-
-    # ------------------------------------------------------- audited mutators
-    def reserve(
-        self,
-        source: int,
-        dest: int,
-        ready: float,
-        wire_s: float,
-        nbytes: int = 0,
-        *,
-        ingest: bool = True,
-        path: Optional[PathSpec] = None,
-    ) -> NicReservation:
-        """Reserve on the timeline and record the post event."""
-        reservation = self._timeline.reserve(
-            source, dest, ready, wire_s, nbytes, ingest=ingest, path=path
+    # ----------------------------------------------------------------- events
+    def post(self, post: PostEvent) -> None:
+        """A reservation: tick, check the port cursors, snapshot the clock."""
+        source, reservation = post.rank, post.reservation
+        event = SanitizerEvent(
+            "post",
+            source,
+            self._tick(source),
+            f"dest {post.dest}, post_time={reservation.start:.9g}, seq={reservation.seq}",
         )
-        self._recorder.on_reserve(source, dest, reservation, ingest=ingest, path=path)
-        return reservation
+        self.counters["posts"] += 1
+        self._monotone(
+            self.inject_cursor, source, post.port, "injection-port",
+            self.last_post.get(source, event), event,
+        )
+        self.last_post[source] = event
+        for label, key, cursor in post.shared:
+            self._shared_commit(source, event, label, key, cursor)
+        if post.ingest and reservation.wire_s > 0:
+            key = (reservation.start, source, reservation.seq)
+            self.snapshots[key] = (event, dict(self._clock(source)))
+            while len(self.snapshots) > SNAPSHOT_LIMIT:
+                self.snapshots.popitem(last=False)
 
-    def next_seq(self, source: int) -> int:
-        """Allocate a sequence number and record the mutation."""
-        seq = self._timeline.next_seq(source)
-        self._recorder.on_next_seq(source)
-        return seq
+    def seq(self, seq: SeqEvent) -> None:
+        """A sequence-number draw (a batched-send envelope) is a mutation."""
+        self._tick(seq.rank)
 
-    def ingest(self, dest: int, records: Sequence[IngestRecord]) -> list[float]:
-        """Commit an ingestion batch and join the senders' clocks."""
-        landings = self._timeline.ingest(dest, records)
-        self._recorder.on_ingest(dest, records)
-        return landings
+    def ingest(self, ingest: IngestEvent) -> None:
+        """An ingestion commit: join sender snapshots, check the cursors."""
+        dest = ingest.rank
+        event = SanitizerEvent(
+            "ingest-commit", dest, self._tick(dest), f"{len(ingest.records)} record(s)"
+        )
+        self.counters["ingests"] += 1
+        clock = self._clock(dest)
+        for record in ingest.records:
+            snapshot = self.snapshots.pop(record.key, None)
+            if snapshot is None:
+                continue
+            for rank, tick in snapshot[1].items():
+                if clock.get(rank, 0) < tick:
+                    clock[rank] = tick
+            self.counters["joins"] += 1
+        self._monotone(
+            self.ingest_cursor, dest, ingest.port, "ingestion-port",
+            self.last_commit.get(dest, event), event,
+        )
+        self.last_commit[dest] = event
+        # Ingestion rails mix node-mates the same way injection rails do.
+        for rail, cursor in ingest.rails:
+            self._shared_commit(dest, event, "ingest-rail", rail, cursor)
 
-    def reset(self) -> None:
-        """Reset the timeline and the recorded history together."""
-        self._timeline.reset()
-        self._recorder.reset()
+    def read(self, read: BacklogReadEvent) -> None:
+        """Audit a cross-rank backlog read for happens-before coverage."""
+        reader = read.rank
+        self.counters["hb_checks"] += 1
+        reader_clock = self._clock(reader)
+        read_event = SanitizerEvent(
+            "backlog-read",
+            reader,
+            self.events.get(reader, 0),
+            f"dest {read.dest}, now={read.now:.9g}",
+        )
+        for record in read.pending:
+            if record.source == reader or record.post_time > read.now:
+                # A rank always sees its own posts; records beyond the
+                # reader's clock are filtered out of the priced signal.
+                continue
+            snapshot = self.snapshots.get(record.key)
+            if snapshot is None:
+                # Evicted, or posted before the sink was attached: conservative.
+                continue
+            post_event, post_clock = snapshot
+            if not _vc_leq(post_clock, reader_clock):
+                self._violation(
+                    f"rank {reader} read rank {read.dest}'s ingest backlog "
+                    f"without a happens-before edge to the racing post",
+                    post_event,
+                    read_event,
+                )
 
-    # --------------------------------------------------------- audited reads
-    def ingest_backlog(self, dest: int, now: float = 0.0) -> float:
-        """The advisory backlog read, audited for a happens-before edge."""
-        self._recorder.on_backlog_read(self.rank, dest, now)
-        return self._timeline.ingest_backlog(dest, now)
-
-    # ------------------------------------------------------------- the guard
-    @contextmanager
-    def pricing_guard(self) -> Iterator[None]:
-        """Prove a selector pricing call was a pure read (dynamic SIM002).
-
-        Compares the rank-scoped ledger fingerprint and this rank's mutation
-        count around the guarded block; both are immune to concurrent
-        activity by *other* ranks (their commits only touch their own keys),
-        so any change is attributable to the pricing call itself.
-        """
-        recorder = self._recorder
-        recorder.note_purity_check()
-        fingerprint = self._timeline.state_fingerprint(self.rank)
-        mutations = recorder.mutation_count(self.rank)
-        yield
-        if (
-            self._timeline.state_fingerprint(self.rank) != fingerprint
-            or recorder.mutation_count(self.rank) != mutations
-        ):
-            event = SanitizerEvent(
-                "pricing", self.rank, recorder.mutation_count(self.rank),
-                "selector pricing call",
-            )
-            raise SanitizerError(
-                f"selector pricing on rank {self.rank} mutated priced ledger "
-                "state (pricing must be a pure read)",
-                event,
+    def pricing(self, pricing: PricingEvent) -> None:
+        """One end of a selector pricing bracket: nothing may mutate inside."""
+        rank = pricing.rank
+        mutations = self.events.get(rank, 0)
+        if not pricing.done:
+            self.counters["purity_checks"] += 1
+            self.pricing[rank] = (pricing.fingerprint, mutations)
+            return
+        if self.pricing.pop(rank) != (pricing.fingerprint, mutations):
+            self._violation(
+                f"selector pricing on rank {rank} mutated priced ledger state "
+                "(pricing must be a pure read)",
+                SanitizerEvent("pricing", rank, mutations, "selector pricing call"),
                 SanitizerEvent(
-                    "mutation", self.rank, recorder.mutation_count(self.rank),
-                    "ledger fingerprint changed inside the pricing guard",
+                    "mutation", rank, mutations,
+                    "ledger fingerprint changed inside the pricing bracket",
                 ),
             )
 
-    # ------------------------------------------------------------ barrier hook
-    def barrier_enter(self, size: int) -> None:
-        """Join all ranks' clocks at a collective fall-through."""
-        self._recorder.barrier_enter(self.rank, size)
+    def join(self, join: JoinEvent) -> None:
+        """One rank arriving at a collective join point (``Barrier`` & co).
 
-    # ------------------------------------------------------------ passthrough
-    def __getattr__(self, name: str):
-        # Pure reads (port_free_at, link_free_at, ingest_preview, ledgers,
-        # wire_overlap, counters, ...) forward to the timeline unchanged.
-        return getattr(self._timeline, name)
+        The event precedes the real barrier on every rank, so by the time
+        the *last* arriver merges the clocks no rank has been released —
+        every rank leaves the barrier with the fully joined clock in place.
+        """
+        self.barrier_waiting.add(join.rank)
+        if len(self.barrier_waiting) < join.size:
+            return
+        merged: dict[int, int] = {}
+        for clock in self.vc.values():
+            for owner, tick in clock.items():
+                if merged.get(owner, 0) < tick:
+                    merged[owner] = tick
+        for participant in list(self.vc) + list(self.barrier_waiting):
+            self.vc[participant] = dict(merged)
+        self.barrier_waiting.clear()
+        self.counters["barriers"] += 1
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<SanitizedNic rank={self.rank} over {self._timeline!r}>"
+
+_HANDLERS: dict[type, Callable[[_TimelineAudit, Any], None]] = {
+    PostEvent: _TimelineAudit.post,
+    SeqEvent: _TimelineAudit.seq,
+    IngestEvent: _TimelineAudit.ingest,
+    BacklogReadEvent: _TimelineAudit.read,
+    PricingEvent: _TimelineAudit.pricing,
+    JoinEvent: _TimelineAudit.join,
+}
 
 
-_ATTACH_LOCK = threading.Lock()
+class ClockSanitizer:
+    """A trace sink auditing every timeline it is attached to.
 
-
-def attach_sanitizer(timeline: NicTimeline) -> ClockSanitizer:
-    """The one :class:`ClockSanitizer` of a timeline (attached idempotently).
-
-    Also wraps ``timeline.reset`` so a direct reset on the *raw* timeline
-    (``World.reset_clocks`` does this between benchmark repetitions) clears
-    the recorded history with it — stale cursors would otherwise report
-    phantom monotonicity violations.
+    One sink may serve many timelines — a benchmark builds many worlds — so
+    vector clocks are kept per timeline (dropped with it, or on its reset),
+    while :attr:`counters` total the audit over all of them.
     """
-    with _ATTACH_LOCK:
-        recorder: Optional[ClockSanitizer] = getattr(
-            timeline, "_clock_sanitizer", None
-        )
-        if recorder is not None:
-            return recorder
-        recorder = ClockSanitizer(timeline)
-        timeline._clock_sanitizer = recorder  # type: ignore[attr-defined]
-        original_reset = timeline.reset
 
-        def reset_with_history() -> None:
-            original_reset()
-            recorder.reset()
+    def __init__(self) -> None:
+        #: Audit totals by name (:data:`COUNTERS`).
+        self.counters: dict[str, int] = dict.fromkeys(COUNTERS, 0)
+        self._lock = threading.Lock()
+        self._audits: WeakKeyDictionary[NicTimeline, _TimelineAudit] = WeakKeyDictionary()
 
-        timeline.reset = reset_with_history  # type: ignore[method-assign]
-        return recorder
-
-
-def sanitized_view(timeline: NicTimeline, rank: int) -> SanitizedNic:
-    """Rank ``rank``'s recording proxy (attaching the sanitizer on first use)."""
-    return SanitizedNic(timeline, attach_sanitizer(timeline), rank)
+    def __call__(self, timeline: NicTimeline, event: NicEvent) -> None:
+        with self._lock:
+            if isinstance(event, ResetEvent):
+                self._audits.pop(timeline, None)
+                return
+            audit = self._audits.get(timeline)
+            if audit is None:
+                audit = self._audits[timeline] = _TimelineAudit(self.counters)
+            _HANDLERS[type(event)](audit, event)

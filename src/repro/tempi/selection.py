@@ -54,12 +54,11 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, ContextManager, Dict, Optional, Protocol, Union, cast
+from typing import Any, Callable, Dict, Optional, Protocol, Union, cast
 
-from repro.machine.nic import NicTimeline
+from repro.machine.nic import BacklogReadEvent, NicTimeline, PricingEvent
 from repro.machine.spec import MachineSpec
 from repro.machine.topology import Topology
 from repro.tempi.config import (
@@ -534,10 +533,18 @@ class ContendedSelector(ModelSelector):
         return self._quantise(max(0.0, self.nic.link_free_at(self.rank, peer) - self._now))
 
     def ingest_backlog(self, peer: Optional[int]) -> float:
-        """``peer``'s ingestion-port backlog — the hot-peer term (quantised)."""
+        """``peer``'s ingestion-port backlog — the hot-peer term (quantised).
+
+        A cross-rank read: on a traced timeline it emits a
+        :class:`~repro.machine.nic.BacklogReadEvent` carrying the records it
+        replays, which the sanitizer audits for a happens-before edge.
+        """
         if peer is None or not self.duplex:
             return 0.0
-        return self._quantise(self.nic.ingest_backlog(peer, self._now))
+        nic = self.nic
+        if nic.sink is not None:
+            nic.sink(nic, BacklogReadEvent(self.rank, peer, self._now, nic.pending_records(peer)))
+        return self._quantise(nic.ingest_backlog(peer, self._now))
 
     def rail_backlog(self, peer: Optional[int]) -> float:
         """Queue on this rank's shared NIC rail toward ``peer`` (quantised).
@@ -570,21 +577,6 @@ class ContendedSelector(ModelSelector):
         for key, _bandwidth in path.shared:
             worst = max(worst, self.nic.shared_free_at(key) - self._now)
         return self._quantise(max(0.0, worst))
-
-    def _pricing_guard(self) -> ContextManager[None]:
-        """The NIC's pricing purity guard, when it offers one.
-
-        Under the clock sanitizer (``TempiConfig(sanitize=True)``) ``self.nic``
-        is a :class:`~repro.tempi.sanitizer.SanitizedNic` whose guard
-        checksums this rank's ledger slice around the pricing reads and
-        raises if anything mutated mid-decision; a bare
-        :class:`~repro.machine.nic.NicTimeline` has no guard and the
-        selection runs unwatched.
-        """
-        guard = getattr(self.nic, "pricing_guard", None)
-        if guard is None:
-            return nullcontext()
-        return cast(ContextManager[None], guard())
 
     def _contended_memoize(
         self, key: tuple[Any, ...], compute: Callable[[], PackMethod]
@@ -630,58 +622,70 @@ class ContendedSelector(ModelSelector):
         short-circuit is disabled: even an idle NIC prices the two candidates
         along the *resolved path* (intra-island NVLink vs cross-switch rail),
         so the crossover differs per path class — the divergence
-        ``bench_topology.py`` measures.
+        ``bench_topology.py`` measures.  On a traced timeline the pricing is
+        bracketed by two :class:`~repro.machine.nic.PricingEvent` records carrying
+        this rank's ledger fingerprint, which the sanitizer compares: the
+        dynamic twin of simlint's SIM002.
         """
         if nbytes <= 0:
             return NOOP_METHOD
-        with self._pricing_guard():
-            backlog = self.backlog()
-            link = self.link_backlog(peer)
-            ingest = self.ingest_backlog(peer)
-            rail = self.rail_backlog(peer)
-            uplink = self.uplink_backlog(peer)
-            oneshot_wire: Optional[float] = None
-            device_wire: Optional[float] = None
-            kind: Optional[str] = None
-            topology = self.topology
-            if peer is not None and topology is not None and topology.hierarchical:
-                oneshot_wire = topology.message_time(
-                    self.rank, peer, int(nbytes), device_buffers=False
-                )
-                device_wire = topology.message_time(
-                    self.rank, peer, int(nbytes), device_buffers=True
-                )
-                kind = topology.resolve(self.rank, peer, device_buffers=True).kind
-            elif backlog <= 0.0 and link <= 0.0 and ingest <= 0.0:
-                return super().__call__(packer, nbytes)
-            block_length = packer.block.block_length
-            method, cached = self._contended_memoize(
-                (
-                    "method-contended",
-                    int(nbytes),
-                    int(block_length),
-                    float(backlog),
-                    float(link),
-                    float(ingest),
-                    float(rail),
-                    float(uplink),
-                    # The path class (with nbytes) determines both wire
-                    # overrides, so it closes the key over them.
-                    kind,
-                ),
-                lambda: contended_estimate(
-                    self.model,
-                    int(nbytes),
-                    int(block_length),
-                    backlog,
-                    link_backlog_s=link,
-                    ingest_backlog_s=ingest,
-                    rail_backlog_s=rail,
-                    uplink_backlog_s=uplink,
-                    oneshot_wire_s=oneshot_wire,
-                    device_wire_s=device_wire,
-                ).best(),
+        nic = self.nic
+        if nic.sink is None:
+            return self._price(packer, nbytes, peer)
+        nic.sink(nic, PricingEvent(self.rank, nic.state_fingerprint(self.rank), False))
+        method = self._price(packer, nbytes, peer)
+        nic.sink(nic, PricingEvent(self.rank, nic.state_fingerprint(self.rank), True))
+        return method
+
+    def _price(self, packer: Any, nbytes: int, peer: Optional[int]) -> PackMethod:
+        """The pricing :meth:`__call__` brackets: read the backlogs, then decide."""
+        backlog = self.backlog()
+        link = self.link_backlog(peer)
+        ingest = self.ingest_backlog(peer)
+        rail = self.rail_backlog(peer)
+        uplink = self.uplink_backlog(peer)
+        oneshot_wire: Optional[float] = None
+        device_wire: Optional[float] = None
+        kind: Optional[str] = None
+        topology = self.topology
+        if peer is not None and topology is not None and topology.hierarchical:
+            oneshot_wire = topology.message_time(
+                self.rank, peer, int(nbytes), device_buffers=False
             )
+            device_wire = topology.message_time(
+                self.rank, peer, int(nbytes), device_buffers=True
+            )
+            kind = topology.resolve(self.rank, peer, device_buffers=True).kind
+        elif backlog <= 0.0 and link <= 0.0 and ingest <= 0.0:
+            return super().__call__(packer, nbytes)
+        block_length = packer.block.block_length
+        method, cached = self._contended_memoize(
+            (
+                "method-contended",
+                int(nbytes),
+                int(block_length),
+                float(backlog),
+                float(link),
+                float(ingest),
+                float(rail),
+                float(uplink),
+                # The path class (with nbytes) determines both wire
+                # overrides, so it closes the key over them.
+                kind,
+            ),
+            lambda: contended_estimate(
+                self.model,
+                int(nbytes),
+                int(block_length),
+                backlog,
+                link_backlog_s=link,
+                ingest_backlog_s=ingest,
+                rail_backlog_s=rail,
+                uplink_backlog_s=uplink,
+                oneshot_wire_s=oneshot_wire,
+                device_wire_s=device_wire,
+            ).best(),
+        )
         self._charge(cached)
         return method
 

@@ -32,8 +32,9 @@ from repro.mpi.errors import MpiError
 from repro.mpi.request import Request
 from repro.mpi.status import ANY_SOURCE, ANY_TAG, Status
 from repro.mpi.world import World, WorldError
-from repro.tempi.config import TempiConfig, sanitize_default
+from repro.tempi.config import TempiConfig, trace_default
 from repro.tempi.interposer import interpose
+from repro.tempi.sanitizer import ClockSanitizer
 
 #: How each wall variant builds its communicator's config (``None``: the
 #: system communicator, no interposer).
@@ -184,8 +185,8 @@ def test_k_starts_equal_k_one_shot_rounds(summit_model, variant, case):
 @settings(max_examples=12, deadline=None)
 @given(case=exchange_cases())
 def test_k_starts_equal_k_one_shot_rounds_under_the_sanitizer(summit_model, case):
-    with sanitize_default(True):
-        assert TempiConfig().sanitize
+    with trace_default(ClockSanitizer()):
+        assert TempiConfig().trace is not None
         persistent = _run(case, TempiConfig, summit_model, True)
         one_shot = _run(case, TempiConfig, summit_model, False)
     assert persistent == one_shot

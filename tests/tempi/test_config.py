@@ -50,6 +50,11 @@ class TestVariants:
             TempiConfig(progress="per_plan").with_overrides(selection="contended")
         assert TempiConfig(selection="contended").progress == "shared"
 
+    def test_trace_must_be_callable(self):
+        with pytest.raises(ValueError, match="trace must be a sink"):
+            TempiConfig(trace="events.json")
+        assert TempiConfig(trace=print).trace is print
+
     def test_measurement_path_accepted(self):
         config = TempiConfig(measurement_path=Path("/tmp/m.json"))
         assert config.measurement_path == Path("/tmp/m.json")
@@ -71,9 +76,9 @@ KNOBS_WITHOUT_A_CALLER = {
     "batch_eager_sends": "reference switch of tests/property/test_property_batching.py",
     "measurement_path": "deployment path",
 }
-#: ``repro sanitize`` sets ``sanitize`` for every config a replayed benchmark
+#: ``repro sanitize`` sets ``trace`` for every config a replayed benchmark
 #: builds through the ambient default, not by keyword.
-AMBIENT_SETTERS = {"sanitize_default": "sanitize"}
+AMBIENT_SETTERS = {"trace_default": "trace"}
 
 
 def _knobs_set_outside_tests() -> set[str]:

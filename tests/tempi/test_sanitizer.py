@@ -1,32 +1,39 @@
 """Tests for the runtime clock sanitizer (``tempi/sanitizer.py``).
 
-The headline case reconstructs the PR-5 bug class deterministically: one
-rank reads another rank's posted ingestion backlog with no happens-before
-edge, and the sanitizer names the racing post and the racing read.  The
-clean cases pin down every edge that *does* discharge the obligation
-(barrier join, message-chain join, own posts, future posts), plus the
-pricing-purity guard, cursor monotonicity, and reset semantics.
+The sanitizer is a trace sink: it sees a timeline only through the event
+stream the timeline's commit points, the contended selector and the
+interposer's join points emit.  The headline case reconstructs the
+``bench_fig9`` race deterministically: one rank reads another rank's posted
+ingestion backlog with no happens-before edge, and the sanitizer names the
+racing post and the racing read.  The clean cases pin down every edge that *does*
+discharge the obligation (barrier join, message-chain join, own posts,
+future posts), plus the pricing-purity bracket, cursor monotonicity, reset
+semantics, and exact audit counts for interposed runs.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.machine.nic import NicReservation, NicTimeline
+from repro.machine.nic import (
+    BacklogReadEvent,
+    JoinEvent,
+    NicReservation,
+    NicTimeline,
+    PostEvent,
+    PricingEvent,
+    SeqEvent,
+)
 from repro.machine.topology import Topology
 from repro.mpi.constructors import Type_vector
 from repro.mpi.datatype import BYTE
 from repro.mpi.request import Request
 from repro.mpi.world import World
-from repro.tempi.config import TempiConfig, sanitize_default
+from repro.tempi.config import TempiConfig, trace_default
 from repro.tempi.interposer import interpose
-from repro.tempi.sanitizer import (
-    ClockSanitizer,
-    SanitizedNic,
-    SanitizerError,
-    attach_sanitizer,
-    sanitized_view,
-)
+from repro.tempi.sanitizer import ClockSanitizer, SanitizerError
 from repro.tempi.selection import ContendedSelector
 
 from tests.tempi.test_selection import FATTREE, packer_for
@@ -35,18 +42,33 @@ KIB = 1024
 WIRE_S = 1e-4
 
 
-def views(timeline: NicTimeline, *ranks: int) -> list[SanitizedNic]:
-    return [sanitized_view(timeline, rank) for rank in ranks]
+def traced() -> tuple[NicTimeline, ClockSanitizer]:
+    """A fresh timeline with a fresh sanitizer as its sink."""
+    timeline = NicTimeline()
+    sanitizer = ClockSanitizer()
+    timeline.sink = sanitizer
+    return timeline, sanitizer
+
+
+def read_backlog(model, timeline: NicTimeline, reader: int, dest: int, now: float) -> float:
+    """A contended selector on ``reader`` reads ``dest``'s backlog at ``now``."""
+    selector = ContendedSelector(model, timeline, reader, clock=SimpleNamespace(now=now))
+    return selector.ingest_backlog(dest)
+
+
+def join(timeline: NicTimeline, *ranks: int) -> None:
+    """Every rank of ``ranks`` enters one collective join point."""
+    for rank in ranks:
+        timeline.sink(timeline, JoinEvent(rank, len(ranks)))
 
 
 class TestHappensBeforeAudit:
-    def test_unsynchronised_cross_rank_read_races(self):
+    def test_unsynchronised_cross_rank_read_races(self, summit_model):
         """The PR-5 bug class, reconstructed: post on rank 0, read on rank 1."""
-        timeline = NicTimeline()
-        poster, reader = views(timeline, 0, 1)
-        poster.reserve(0, 2, 0.0, WIRE_S, KIB)
+        timeline, _ = traced()
+        timeline.reserve(0, 2, 0.0, WIRE_S, KIB)
         with pytest.raises(SanitizerError) as excinfo:
-            reader.ingest_backlog(2, now=1.0)
+            read_backlog(summit_model, timeline, 1, 2, now=1.0)
         first, second = excinfo.value.events
         assert first.kind == "post" and first.rank == 0
         assert second.kind == "backlog-read" and second.rank == 1
@@ -55,61 +77,67 @@ class TestHappensBeforeAudit:
         assert "happens-before" in message
         assert str(first) in message and str(second) in message
 
-    def test_barrier_establishes_the_edge(self):
-        timeline = NicTimeline()
-        poster, reader, receiver = views(timeline, 0, 1, 2)
-        poster.reserve(0, 2, 0.0, WIRE_S, KIB)
-        for view in (poster, reader, receiver):
-            view.barrier_enter(3)
-        assert reader.ingest_backlog(2, now=WIRE_S / 2) > 0.0
-
-    def test_message_chain_establishes_the_edge(self):
-        """A completed receive from the poster carries its clock with it."""
-        timeline = NicTimeline()
-        poster, reader = views(timeline, 0, 1)
-        poster.reserve(0, 2, 0.0, WIRE_S, KIB)  # the racing post...
-        to_reader = poster.reserve(0, 1, 0.0, WIRE_S, KIB)  # ...then a message
-        assert to_reader.seq == 1
-        reader.ingest(1, timeline.pending_records(1))  # reader receives it
-        # The join covered the earlier post too (it precedes the message).
-        assert reader.ingest_backlog(2, now=WIRE_S / 2) > 0.0
-
-    def test_own_posts_never_race(self):
-        timeline = NicTimeline()
-        (poster,) = views(timeline, 0)
-        poster.reserve(0, 2, 0.0, WIRE_S, KIB)
-        assert poster.ingest_backlog(2, now=WIRE_S / 2) > 0.0
-
-    def test_future_posts_are_not_read(self):
-        """Records beyond the reader's clock never enter the priced signal."""
-        timeline = NicTimeline()
-        poster, reader = views(timeline, 0, 1)
-        poster.reserve(0, 2, 5.0, WIRE_S, KIB)
-        assert reader.ingest_backlog(2, now=1.0) == 0.0
-
-    def test_raw_timeline_posts_are_conservative(self):
-        """Posts that bypassed the proxies have no snapshot: read allowed."""
-        timeline = NicTimeline()
+    def test_barrier_establishes_the_edge(self, summit_model):
+        timeline, _ = traced()
         timeline.reserve(0, 2, 0.0, WIRE_S, KIB)
-        (reader,) = views(timeline, 1)
-        assert reader.ingest_backlog(2, now=WIRE_S / 2) > 0.0
+        join(timeline, 0, 1, 2)
+        assert read_backlog(summit_model, timeline, 1, 2, now=WIRE_S / 2) > 0.0
+
+    def test_message_chain_establishes_the_edge(self, summit_model):
+        """A completed receive from the poster carries its clock with it."""
+        timeline, _ = traced()
+        timeline.reserve(0, 2, 0.0, WIRE_S, KIB)  # the racing post...
+        to_reader = timeline.reserve(0, 1, 0.0, WIRE_S, KIB)  # ...then a message
+        assert to_reader.seq == 1
+        timeline.ingest(1, timeline.pending_records(1))  # reader receives it
+        # The join covered the earlier post too (it precedes the message).
+        assert read_backlog(summit_model, timeline, 1, 2, now=WIRE_S / 2) > 0.0
+
+    def test_own_posts_never_race(self, summit_model):
+        timeline, _ = traced()
+        timeline.reserve(0, 2, 0.0, WIRE_S, KIB)
+        assert read_backlog(summit_model, timeline, 0, 2, now=WIRE_S / 2) > 0.0
+
+    def test_future_posts_are_not_read(self, summit_model):
+        """Records beyond the reader's clock never enter the priced signal."""
+        timeline, _ = traced()
+        timeline.reserve(0, 2, 5.0, WIRE_S, KIB)
+        assert read_backlog(summit_model, timeline, 1, 2, now=1.0) == 0.0
+
+    def test_raw_timeline_posts_are_recorded(self, summit_model):
+        """A post made on the timeline itself — a bench driving it raw, as
+        ``bench_fig9``'s ``loaded_nic`` does — is on the stream like any
+        other, so an unsynchronised read of it races.  Only a post made
+        before the sink was attached has no snapshot: conservative."""
+        timeline = NicTimeline()
+        timeline.reserve(3, 2, 0.0, WIRE_S, KIB)
+        timeline.sink = ClockSanitizer()
+        assert read_backlog(summit_model, timeline, 1, 2, now=WIRE_S / 2) > 0.0
+        timeline.reserve(0, 2, 0.0, WIRE_S, KIB)
+        with pytest.raises(SanitizerError) as excinfo:
+            read_backlog(summit_model, timeline, 1, 2, now=WIRE_S / 2)
+        first, second = excinfo.value.events
+        assert (first.kind, first.rank) == ("post", 0)
+        assert (second.kind, second.rank) == ("backlog-read", 1)
+        message = str(excinfo.value)
+        assert str(first) in message and str(second) in message
 
 
 class TestSharedCursorAudit:
     """Rails and uplink bundles mix sources: cross-rank commits need an edge."""
 
-    def _cross_leaf_post(self, topology, view, src, dst):
+    def _cross_leaf_post(self, topology, timeline, src, dst):
         path = topology.resolve(src, dst, device_buffers=True)
-        return view.reserve(src, dst, 0.0, WIRE_S, KIB, path=path)
+        return timeline.reserve(src, dst, 0.0, WIRE_S, KIB, path=path)
 
     def test_unordered_cross_leaf_posts_race_on_the_uplink(self):
         """Ranks 0 and 4 sit on different nodes of leaf 0: private ports and
         rails, one shared ``('up', 0)`` bundle — and nothing orders them."""
         topology = Topology(16, spec=FATTREE)
-        first_poster, second_poster = views(NicTimeline(), 0, 4)
-        self._cross_leaf_post(topology, first_poster, 0, 8)
+        timeline, _ = traced()
+        self._cross_leaf_post(topology, timeline, 0, 8)
         with pytest.raises(SanitizerError) as excinfo:
-            self._cross_leaf_post(topology, second_poster, 4, 12)
+            self._cross_leaf_post(topology, timeline, 4, 12)
         first, second = excinfo.value.events
         assert (first.kind, first.rank) == ("post", 0)
         assert (second.kind, second.rank) == ("post", 4)
@@ -120,59 +148,67 @@ class TestSharedCursorAudit:
 
     def test_a_barrier_orders_them(self):
         topology = Topology(16, spec=FATTREE)
-        timeline = NicTimeline()
-        first_poster, second_poster = views(timeline, 0, 4)
-        self._cross_leaf_post(topology, first_poster, 0, 8)
-        for view in (first_poster, second_poster):
-            view.barrier_enter(2)
-        reservation = self._cross_leaf_post(topology, second_poster, 4, 12)
+        timeline, _ = traced()
+        self._cross_leaf_post(topology, timeline, 0, 8)
+        join(timeline, 0, 4)
+        reservation = self._cross_leaf_post(topology, timeline, 4, 12)
         assert reservation.stalled_s > 0.0  # it queued behind rank 0 on the bundle
         assert timeline.fabric_stalls == 1
 
 
 class TestPricingGuard:
     def test_pure_read_passes(self):
-        timeline = NicTimeline()
-        (view,) = views(timeline, 0)
-        with view.pricing_guard():
-            view.port_free_at(0)
-            view.ingest_backlog(1, now=0.0)
+        timeline, sanitizer = traced()
+        timeline.sink(timeline, PricingEvent(0, timeline.state_fingerprint(0), False))
+        timeline.port_free_at(0)
+        timeline.ingest_backlog(1, now=0.0)
+        timeline.sink(timeline, PricingEvent(0, timeline.state_fingerprint(0), True))
+        assert sanitizer.counters["purity_checks"] == 1
 
-    def test_mutation_inside_guard_raises(self):
-        timeline = NicTimeline()
-        (view,) = views(timeline, 0)
+    def test_mutation_inside_guard_raises(self, summit_model):
+        """A selector that books while it prices is caught at the bracket's end."""
+
+        class LeakySelector(ContendedSelector):
+            def backlog(self) -> float:
+                self.nic.reserve(self.rank, 1, 0.0, WIRE_S, KIB)
+                return super().backlog()
+
+        timeline, _ = traced()
+        selector = LeakySelector(summit_model, timeline, 0, config=TempiConfig(selection="contended"))
         with pytest.raises(SanitizerError, match="pure read"):
-            with view.pricing_guard():
-                view.reserve(0, 1, 0.0, WIRE_S, KIB)
+            selector(packer_for(8), 64 * KIB, peer=1)
 
     def test_contended_selector_prices_through_the_guard(self, summit_model):
         """The real pricing path runs audited and stays pure under backlog."""
-        timeline = NicTimeline()
-        poster, selector_view = views(timeline, 0, 1)
-        recorder = attach_sanitizer(timeline)
-        poster.reserve(0, 3, 0.0, WIRE_S, KIB)
-        for view in (poster, selector_view):
-            view.barrier_enter(2)
+        timeline, sanitizer = traced()
+        timeline.reserve(0, 3, 0.0, WIRE_S, KIB)
+        join(timeline, 0, 1)
+        events = []
+
+        def tee(timeline, event):
+            events.append(event)
+            sanitizer(timeline, event)
+
+        timeline.sink = tee
         selector = ContendedSelector(
             summit_model,
-            selector_view,
+            timeline,
             1,
             config=TempiConfig(selection="contended"),
         )
-        before = ClockSanitizer.aggregate_counters()["purity_checks"]
         method = selector(packer_for(8), 64 * KIB, peer=3)
         assert method is not None
-        assert ClockSanitizer.aggregate_counters()["purity_checks"] == before + 1
-        assert recorder.mutation_count(1) == 0
+        assert sanitizer.counters["purity_checks"] == 1
+        # Rank 1 priced by reading only: the bracket holds one backlog read.
+        assert [type(event) for event in events] == [PricingEvent, BacklogReadEvent, PricingEvent]
 
     def test_contended_selector_race_is_caught_in_pricing(self, summit_model):
         """The PR-5 race through the *real* selector pricing path."""
-        timeline = NicTimeline()
-        poster, selector_view = views(timeline, 0, 1)
-        poster.reserve(0, 3, 0.0, WIRE_S, KIB)
+        timeline, _ = traced()
+        timeline.reserve(0, 3, 0.0, WIRE_S, KIB)
         selector = ContendedSelector(
             summit_model,
-            selector_view,
+            timeline,
             1,
             config=TempiConfig(selection="contended"),
         )
@@ -184,57 +220,84 @@ class TestPricingGuard:
 
 class TestMonotonicity:
     def test_injection_cursor_may_not_move_backwards(self):
-        timeline = NicTimeline()
-        recorder = attach_sanitizer(timeline)
+        """Fed a synthetic stream whose port cursor steps back, the sink objects."""
+        timeline, sanitizer = NicTimeline(), ClockSanitizer()
         forward = NicReservation(start=10.0, arrival=10.1, stalled_s=0.0, wire_s=0.1, seq=0)
         backward = NicReservation(start=1.0, arrival=1.1, stalled_s=0.0, wire_s=0.1, seq=1)
-        recorder.on_reserve(0, 1, forward, ingest=False)
+        sanitizer(timeline, PostEvent(0, 1, forward, False, 10.065, ()))
         with pytest.raises(SanitizerError, match="moved backwards"):
-            recorder.on_reserve(0, 1, backward, ingest=False)
+            sanitizer(timeline, PostEvent(0, 1, backward, False, 1.065, ()))
 
     def test_real_timeline_never_trips_it(self):
-        timeline = NicTimeline()
-        (view,) = views(timeline, 0)
+        timeline, sanitizer = traced()
         for i in range(16):
-            view.reserve(0, 1 + (i % 3), float(i) * 1e-6, WIRE_S, KIB)
+            timeline.reserve(0, 1 + (i % 3), float(i) * 1e-6, WIRE_S, KIB)
+        assert sanitizer.counters["posts"] == 16
 
 
 class TestResetSemantics:
-    def test_attach_is_idempotent(self):
-        timeline = NicTimeline()
-        assert attach_sanitizer(timeline) is attach_sanitizer(timeline)
+    def test_attach_is_idempotent(self, summit_model):
+        """Every interposer built with the config attaches the same sink to
+        the world's one timeline: a second interposer on a rank attaches
+        nothing new, and the stream is not doubled."""
+
+        def run(interposers: int) -> dict[str, int]:
+            sanitizer = ClockSanitizer()
+
+            def program(ctx):
+                for _ in range(interposers):
+                    comm = interpose(ctx, TempiConfig(trace=sanitizer), model=summit_model)
+                t = comm.Type_commit(Type_vector(64, 8, 512, BYTE))
+                buf = ctx.gpu.malloc(t.extent)
+                if ctx.rank == 0:
+                    comm.Send((buf, 1, t), dest=1)
+                else:
+                    comm.Recv((buf, 1, t), source=0)
+                comm.Barrier()
+
+            world = World(2, ranks_per_node=1)
+            world.run(program)
+            assert world.nic.sink is sanitizer
+            return sanitizer.counters
+
+        once = run(1)
+        assert once["posts"] == once["ingests"] == once["barriers"] == 1
+        assert run(2) == once
 
     def test_raw_reset_clears_recorded_history(self):
-        """``World.reset_clocks`` resets the raw timeline; history must follow."""
-        timeline = NicTimeline()
-        (view,) = views(timeline, 0)
-        view.reserve(0, 1, 10.0, WIRE_S, KIB)
-        timeline.reset()  # the raw reset, as World.reset_clocks issues it
+        """``World.reset_clocks`` resets the timeline; its reset event clears history."""
+        timeline, _ = traced()
+        timeline.reserve(0, 1, 10.0, WIRE_S, KIB)
+        timeline.reset()  # as World.reset_clocks issues it
         # Starting over at earlier virtual times is not a phantom violation.
-        view.reserve(0, 1, 0.0, WIRE_S, KIB)
+        timeline.reserve(0, 1, 0.0, WIRE_S, KIB)
 
-    def test_proxy_reset_clears_both(self):
-        timeline = NicTimeline()
-        (view,) = views(timeline, 0)
-        view.reserve(0, 1, 10.0, WIRE_S, KIB)
-        view.reset()
-        assert timeline.reservations == 0
-        view.reserve(0, 1, 0.0, WIRE_S, KIB)
+    def test_reset_clears_only_its_own_timeline(self):
+        """One sink, two timelines: a reset forgets its own timeline only."""
+        sanitizer = ClockSanitizer()
+        first, second = NicTimeline(), NicTimeline()
+        first.sink = second.sink = sanitizer
+        first.reserve(0, 1, 10.0, WIRE_S, KIB)
+        second.reserve(0, 1, 10.0, WIRE_S, KIB)
+        first.reset()
+        first.reserve(0, 1, 0.0, WIRE_S, KIB)
+        restart = NicReservation(start=0.0, arrival=WIRE_S, stalled_s=0.0, wire_s=WIRE_S, seq=1)
+        with pytest.raises(SanitizerError, match="moved backwards"):
+            sanitizer(second, PostEvent(0, 1, restart, False, 0.65 * WIRE_S, ()))
+        assert sanitizer.counters["posts"] == 4
 
 
 class TestInterposedRuns:
     def test_sanitized_run_is_bit_identical_and_clean(self, summit_model):
         """A sanitized multi-rank exchange: same clocks, no violations."""
-        from repro.mpi.constructors import Type_vector
-        from repro.mpi.datatype import BYTE
 
-        def run(sanitize: bool) -> list[float]:
+        def run(sink) -> list[float]:
             world = World(4)
 
             def program(ctx):
                 comm = interpose(
                     ctx,
-                    TempiConfig(selection="contended", sanitize=sanitize),
+                    TempiConfig(selection="contended", trace=sink),
                     model=summit_model,
                 )
                 t = comm.Type_commit(Type_vector(64, 8, 512, BYTE))
@@ -252,14 +315,13 @@ class TestInterposedRuns:
 
             return world.run(program)
 
-        ClockSanitizer.reset_aggregate()
-        plain = run(False)
-        sanitized = run(True)
-        assert plain == sanitized
-        counters = ClockSanitizer.aggregate_counters()
-        assert counters["posts"] > 0
-        assert counters["ingests"] > 0
-        assert counters["violations"] == 0
+        plain = run(None)
+        sanitizer = ClockSanitizer()
+        assert run(sanitizer) == plain
+        assert sanitizer.counters == {
+            "posts": 12, "ingests": 12, "joins": 12, "barriers": 1, "hb_checks": 12,
+            "purity_checks": 24, "shared_commits": 0, "violations": 0,
+        }
 
     def test_sanitized_persistent_halo_is_bit_identical_and_not_vacuous(self, summit_model):
         """What ``repro sanitize`` asks of Fig. 14's isend/irecv column: the
@@ -277,29 +339,34 @@ class TestInterposedRuns:
             return World(4, ranks_per_node=2).run(program)
 
         plain = run()
-        ClockSanitizer.reset_aggregate()
-        with sanitize_default(True):
+        sanitizer = ClockSanitizer()
+        with trace_default(sanitizer):
             sanitized = run()
         assert plain == sanitized
-        counters = ClockSanitizer.aggregate_counters()
-        assert counters["posts"] > 0 and counters["ingests"] >= 2 * 4 * 26
-        assert counters["violations"] == 0
+        # 2 rounds x 4 ranks x 26 directions, each ingested on its own; they
+        # ride 40 posted wire messages (the other 168 constituents of the
+        # eager batches draw sequence numbers instead).
+        assert sanitizer.counters == {
+            "posts": 40, "ingests": 2 * 4 * 26, "joins": 40, "barriers": 4, "hb_checks": 0,
+            "purity_checks": 0, "shared_commits": 0, "violations": 0,
+        }
 
     def test_ambient_default_flips_constructed_configs(self):
-        assert TempiConfig().sanitize is False
-        with sanitize_default(True):
-            assert TempiConfig().sanitize is True
-            assert TempiConfig(sanitize=False).sanitize is False
-        assert TempiConfig().sanitize is False
+        sink = ClockSanitizer()
+        assert TempiConfig().trace is None
+        with trace_default(sink):
+            assert TempiConfig().trace is sink
+            assert TempiConfig(trace=None).trace is None
+        assert TempiConfig().trace is None
 
     def test_barrier_phased_cross_leaf_run_is_clean(self, summit_model):
         """One cross-leaf sender per phase on the committed fat-tree example:
         every shared rail/uplink commit is ordered by the barriers between."""
         senders = {0: 8, 4: 12, 1: 9}  # two nodes of leaf 0, then rank 0's rail-mate
 
-        def run(sanitize: bool) -> list[float]:
+        def run(sink) -> list[float]:
             def program(ctx):
-                comm = interpose(ctx, TempiConfig(sanitize=sanitize), model=summit_model)
+                comm = interpose(ctx, TempiConfig(trace=sink), model=summit_model)
                 t = comm.Type_commit(Type_vector(64, 8, 512, BYTE))
                 buf = ctx.gpu.malloc(t.extent)
                 for sender, receiver in senders.items():
@@ -313,25 +380,26 @@ class TestInterposedRuns:
             world = World(16, ranks_per_node=FATTREE.ranks_per_node, topology=FATTREE)
             clocks = world.run(program)
             assert world.nic.reservations == len(senders)
+            assert world.nic.sink is sink
             return clocks
 
-        ClockSanitizer.reset_aggregate()
-        plain = run(False)
-        assert ClockSanitizer.aggregate_counters()["shared_commits"] == 0
-        assert run(True) == plain
-        counters = ClockSanitizer.aggregate_counters()
+        plain = run(None)
+        sanitizer = ClockSanitizer()
+        assert run(sanitizer) == plain
         # Per message: the sender's rail and both uplink bundles, then the
         # receiver's ingestion rail.
-        assert counters["shared_commits"] == 4 * len(senders)
-        assert counters["violations"] == 0
+        assert sanitizer.counters == {
+            "posts": 3, "ingests": 3, "joins": 3, "barriers": 3, "hb_checks": 0,
+            "purity_checks": 0, "shared_commits": 4 * len(senders), "violations": 0,
+        }
 
     def test_sanitized_batched_burst_is_bit_identical(self, summit_model):
         """Three sub-eager ``Isend``s ride one wire message; the two later
-        constituents draw their sequence numbers through the proxy."""
+        constituents draw their sequence numbers from the timeline."""
 
-        def run(sanitize: bool):
+        def run(sink):
             def program(ctx):
-                comm = interpose(ctx, TempiConfig(sanitize=sanitize), model=summit_model)
+                comm = interpose(ctx, TempiConfig(trace=sink), model=summit_model)
                 t = comm.Type_commit(Type_vector(64, 8, 64, BYTE))
                 bufs = [ctx.gpu.malloc(t.extent) for _ in range(3)]
                 if ctx.rank == 0:
@@ -346,9 +414,11 @@ class TestInterposedRuns:
             world = World(2, ranks_per_node=1)
             return world, world.run(program)
 
-        _, plain = run(False)
-        world, sanitized = run(True)
-        assert sanitized == plain
-        assert sanitized[0][1] == 3 and world.nic.reservations == 1
-        # Rank 0 mutated the books three times: one reservation, two next_seq.
-        assert attach_sanitizer(world.nic).mutation_count(0) == 3
+        _, plain = run(None)
+        events = []
+        world, traced_run = run(lambda timeline, event: events.append(event))
+        assert traced_run == plain
+        assert traced_run[0][1] == 3 and world.nic.reservations == 1
+        # Rank 0 mutated the books three times: one reservation, two seq draws.
+        mutations = [type(e) for e in events if isinstance(e, (PostEvent, SeqEvent)) and e.rank == 0]
+        assert mutations == [PostEvent, SeqEvent, SeqEvent]

@@ -30,8 +30,8 @@ SIM007    a pricing rule is written down once: a product with
           ``wire_overlap`` or a cursor recurrence ``x = max(..., x) + ...``
           (``x`` named ``*free``/``*ready``) appears in ``src/repro`` only
           in the rules' homes (``machine/nic.py``, ``gpu/stream.py``,
-          ``machine/network.py``, ``tempi/progress.py``,
-          ``tempi/sanitizer.py``); everything else drives those objects
+          ``machine/network.py``, ``tempi/progress.py``); everything else
+          drives those objects
 SIM008    no ``threading.Thread``/``Timer`` or ``concurrent.futures``
           executor in ``src/repro`` outside ``mpi/world.py`` (the rank
           threads, ordered by the run token) and ``gpu/kernels.py`` (the

@@ -389,8 +389,8 @@ def check_private_blocking(source_file: SourceFile) -> list[Violation]:
 # --------------------------------------------------------------------------- #
 
 #: The rules' homes: the NIC's port/link/ingest recurrences, the stream
-#: recurrence, the analytic all-to-all-v discount, the ``per_plan``
-#: ablation's private window and the sanitizer's expected-cursor line.
+#: recurrence, the analytic all-to-all-v discount and the ``per_plan``
+#: ablation's private window.
 #: Everything else *drives* those objects (``docs/ARCHITECTURE.md`` §
 #: "Scalar message path").
 SIM007_HOMES = frozenset(
@@ -399,7 +399,6 @@ SIM007_HOMES = frozenset(
         "src/repro/gpu/stream.py",
         "src/repro/machine/network.py",
         "src/repro/tempi/progress.py",
-        "src/repro/tempi/sanitizer.py",
     }
 )
 
