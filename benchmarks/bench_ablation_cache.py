@@ -9,9 +9,6 @@ the per-iteration latency of each, plus the cache hit rate.
 
 from __future__ import annotations
 
-import pytest
-
-from repro.bench.harness import format_table, format_us
 from repro.mpi.constructors import Type_vector
 from repro.mpi.datatype import BYTE
 from repro.mpi.world import World
@@ -23,7 +20,7 @@ OBJECT_BYTES = 256 * 1024
 BLOCK_BYTES = 32
 
 
-def _iterated_send(summit_model, use_cache: bool):
+def iterated_send(summit_model, use_cache: bool):
     """Per-iteration send latencies (rank 0's virtual time) and cache hit rate."""
 
     def program(ctx):
@@ -44,40 +41,3 @@ def _iterated_send(summit_model, use_cache: bool):
     world = World(2, ranks_per_node=1)
     results = world.run(program)
     return results[0]
-
-
-@pytest.mark.benchmark(group="ablation")
-def test_ablation_resource_cache(benchmark, summit_model, report):
-    def run_both():
-        return _iterated_send(summit_model, True), _iterated_send(summit_model, False)
-
-    (cached_latencies, cached_rate), (uncached_latencies, uncached_rate) = benchmark.pedantic(
-        run_both, rounds=1, iterations=1
-    )
-
-    rows = []
-    for index, (cached, uncached) in enumerate(zip(cached_latencies, uncached_latencies)):
-        rows.append(
-            [index, format_us(cached), format_us(uncached), f"{uncached / cached:6.1f}x"]
-        )
-    print("\nAblation — per-iteration send latency with/without the resource cache (us)")
-    print(format_table(["iteration", "cache on", "cache off", "penalty"], rows))
-    print(f"cache hit rate: {cached_rate:.0%} (on) vs {uncached_rate:.0%} (off)")
-
-    steady_cached = min(cached_latencies[1:])
-    steady_uncached = min(uncached_latencies[1:])
-    # Shape claims: the first iteration is expensive either way (cold
-    # allocations); with the cache, steady-state iterations shed that cost.
-    assert cached_latencies[0] > steady_cached
-    assert steady_uncached > steady_cached * 2
-    assert cached_rate > 0.5
-    assert uncached_rate == 0.0
-
-    report.add(
-        "Ablation (resource cache)",
-        "steady-state interposed send latency, cache on vs off",
-        "amortised to ~ns lookups (Sec. 5)",
-        f"{format_us(steady_cached)} us vs {format_us(steady_uncached)} us",
-        matches_shape=steady_uncached > steady_cached,
-        note=f"cache hit rate {cached_rate:.0%} after warm-up",
-    )

@@ -14,9 +14,6 @@ measures what is lost:
 
 from __future__ import annotations
 
-import pytest
-
-from repro.bench.harness import format_table
 from repro.bench.workloads import fig7_configurations
 from repro.mpi import typemap
 from repro.tempi.canonicalize import simplify
@@ -31,7 +28,7 @@ def _lower(datatype, *, canonicalize: bool):
     return to_strided_block(ir), ir
 
 
-def _sweep():
+def run_sweep():
     rows = []
     for config in fig7_configurations():
         datatype = config.build()
@@ -50,61 +47,19 @@ def _sweep():
     return rows
 
 
-@pytest.mark.benchmark(group="ablation")
-def test_ablation_canonicalisation_coverage(benchmark, report):
-    rows = benchmark.pedantic(_sweep, rounds=1, iterations=1)
+def kernel_shapes(rows):
+    """Distinct ``(counts, strides)`` per geometry: ``(with passes, without)``.
 
-    table = []
-    canonical_forms = {}
-    raw_forms = {}
+    A construction that does not lower without the passes is its own shape.
+    """
+    canonical: dict = {}
+    raw: dict = {}
     for row in rows:
-        config = row["config"]
-        canonical_forms.setdefault(config.geometry, set()).add(
-            (row["canonical_block"].counts, row["canonical_block"].strides)
-        )
-        raw_key = (
-            (row["raw_block"].counts, row["raw_block"].strides)
-            if row["raw_block"] is not None
+        config, block, raw_block = row["config"], row["canonical_block"], row["raw_block"]
+        canonical.setdefault(config.geometry, set()).add((block.counts, block.strides))
+        raw.setdefault(config.geometry, set()).add(
+            (raw_block.counts, raw_block.strides)
+            if raw_block is not None
             else ("unloweable", config.index)
         )
-        raw_forms.setdefault(config.geometry, set()).add(raw_key)
-        table.append(
-            [
-                config.label,
-                row["raw_depth"],
-                row["canonical_depth"],
-                "yes" if row["raw_block"] is not None else "NO",
-                row["canonical_block"].footprint(),
-                f"{row['blocklist_bytes']:,}",
-            ]
-        )
-    print("\nAblation — canonicalisation passes on/off")
-    print(
-        format_table(
-            ["construction", "raw depth", "canonical depth", "lowers without passes",
-             "canonical metadata (B)", "block-list metadata (B)"],
-            table,
-        )
-    )
-
-    # With the passes, each geometry needs exactly one kernel configuration.
-    assert all(len(forms) == 1 for forms in canonical_forms.values())
-    # Without them, equivalent constructions fragment into several shapes
-    # (or fail to lower at all), which is the specialised-kernel explosion the
-    # paper avoids.
-    fragmented = sum(1 for forms in raw_forms.values() if len(forms) > 1)
-    assert fragmented == len(raw_forms)
-    # And the canonical metadata is orders of magnitude below a block list.
-    worst_ratio = max(
-        row["blocklist_bytes"] / row["canonical_block"].footprint() for row in rows
-    )
-    assert worst_ratio > 10
-
-    report.add(
-        "Ablation (canonicalisation)",
-        "distinct kernel shapes per object with/without the passes",
-        "1 with (implied by Sec. 3); many without",
-        f"1 with; {max(len(f) for f in raw_forms.values())} without (worst geometry)",
-        matches_shape=True,
-        note=f"canonical metadata is up to {worst_ratio:,.0f}x smaller than a block list",
-    )
+    return canonical, raw

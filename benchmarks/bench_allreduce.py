@@ -22,28 +22,21 @@ spec (``examples/topology_fattree.json``) and pins three claims:
   agrees on the ordering — its ring/hierarchical speedup is > 1 wherever
   the simulated one is.
 
-Run as a script (the CI smoke check) or under pytest:
+Run through the figure table (``--smoke`` is the CI sweep, ``--full`` the
+larger one):
 
-    PYTHONPATH=src python benchmarks/bench_allreduce.py --smoke
-    PYTHONPATH=src python -m pytest benchmarks/bench_allreduce.py -q -s
-
-Set ``REPRO_BENCH_FULL=1`` for the larger sweep.
+    PYTHONPATH=src python -m repro.cli figures --only allreduce
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
-import os
-import sys
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from repro.apps.exchange_model import allreduce_hierarchy_speedup, model_allreduce
-from repro.bench.harness import format_table
 from repro.machine.spec import SUMMIT
 from repro.machine.topology import Topology, TopologySpec
 from repro.mpi.datatype import FLOAT
@@ -60,12 +53,7 @@ COUNT = 4096
 
 ALGORITHMS = ("ring", "tree", "hierarchical")
 
-NODE_SWEEP_SUBSET = (2, 3)
-NODE_SWEEP_FULL = (2, 3, 4, 6)
-
-
-def full_sweep() -> bool:
-    return os.environ.get("REPRO_BENCH_FULL", "0") not in ("", "0", "false", "no")
+NODE_SWEEPS = {"smoke": (2, 3), "default": (2, 3), "full": (2, 3, 4, 6)}
 
 
 def fattree_spec() -> TopologySpec:
@@ -128,7 +116,7 @@ def run_allreduces(node_counts, model):
 
 
 def check_allreduces(results) -> None:
-    """The acceptance claims, shared by pytest and the CLI."""
+    """The acceptance claims."""
     for nodes, row in sorted(results.items()):
         digests = {algorithm: row[algorithm]["digest"] for algorithm in ALGORITHMS}
         assert len(set(digests.values())) == 1, (
@@ -148,81 +136,3 @@ def check_allreduces(results) -> None:
             f"{nodes} nodes: the analytic twin must agree the hierarchy wins "
             f"(got {row['analytic_speedup']:.3f}x)"
         )
-
-
-def render_allreduces(results) -> str:
-    rows = []
-    for nodes, row in sorted(results.items()):
-        rows.append(
-            [
-                nodes,
-                f"{row['ring']['completion'] * 1e6:10.1f}",
-                f"{row['tree']['completion'] * 1e6:10.1f}",
-                f"{row['hierarchical']['completion'] * 1e6:10.1f}",
-                f"{row['ring']['completion'] / row['hierarchical']['completion']:.2f}x",
-                f"{row['analytic_speedup']:.2f}x",
-            ]
-        )
-    return format_table(
-        ["nodes", "ring us", "tree us", "hier us", "sim speedup", "analytic"],
-        rows,
-    )
-
-
-@pytest.mark.benchmark(group="allreduce")
-def test_allreduce_schedules(benchmark, summit_model, report):
-    nodes = NODE_SWEEP_FULL if full_sweep() else NODE_SWEEP_SUBSET
-
-    def run():
-        return run_allreduces(nodes, summit_model)
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
-    print("\nAllreduce — ring vs tree vs hierarchical on the fat-tree example")
-    print(render_allreduces(results))
-    check_allreduces(results)
-    largest = max(results)
-    report.add(
-        "Allreduce schedules (beyond paper)",
-        "ring vs tree vs hierarchical gradient allreduce on the oversubscribed fat-tree",
-        "hierarchical < ring at every node count; auto picks it (no paper value)",
-        f"{results[largest]['ring']['completion'] / results[largest]['hierarchical']['completion']:.2f}x "
-        f"at {largest} nodes",
-        matches_shape=all(
-            row["hierarchical"]["completion"] < row["ring"]["completion"]
-            for row in results.values()
-        ),
-        note="reductions byte-identical across schedules (Hypothesis-pinned vs naive)",
-    )
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="minimal sweep (CI bit-rot check): 2/3 nodes on the fat-tree example",
-    )
-    args = parser.parse_args(argv)
-    nodes = (
-        NODE_SWEEP_SUBSET
-        if args.smoke
-        else (NODE_SWEEP_FULL if full_sweep() else NODE_SWEEP_SUBSET)
-    )
-
-    from repro.tempi.measurement import measure_system
-    from repro.tempi.perf_model import PerformanceModel
-
-    model = PerformanceModel(measure_system(SUMMIT))
-    results = run_allreduces(nodes, model)
-    print("Allreduce — ring vs tree vs hierarchical on the fat-tree example")
-    print(render_allreduces(results))
-    check_allreduces(results)
-    print(
-        "OK: hierarchical beats the flat ring at every node count, auto reproduces "
-        "it bit-for-bit, and every schedule reduces to identical bytes"
-    )
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import time
 
-import pytest
-
-from repro.bench.harness import format_table, trimean
+from repro.bench.harness import trimean
 from repro.bench.workloads import fig7_configurations
 from repro.mpi.world import World
 from repro.tempi.interposer import interpose
@@ -33,7 +31,7 @@ def _measure_wall(fn, repetitions: int = REPETITIONS) -> float:
     return trimean(samples)
 
 
-def _sweep(summit_model):
+def run_sweep(summit_model):
     """Create/commit times (seconds, wall clock) for every Fig. 7 configuration."""
     world = World(1)
     ctx = world.contexts[0]
@@ -48,47 +46,3 @@ def _sweep(summit_model):
         tempi_commit = max(1e-9, tempi_commit - create_time)
         rows.append((config, create_time, baseline_commit, tempi_commit))
     return rows
-
-
-@pytest.mark.benchmark(group="fig07")
-def test_fig07_commit_overhead(benchmark, summit_model, report):
-    rows = benchmark.pedantic(_sweep, args=(summit_model,), rounds=1, iterations=1)
-
-    table = []
-    slowdowns = []
-    for config, create, base_commit, tempi_commit in rows:
-        slowdown = tempi_commit / base_commit if base_commit > 0 else float("inf")
-        slowdowns.append(tempi_commit / max(base_commit, 1e-9))
-        table.append(
-            [
-                config.index,
-                config.family,
-                f"{create * 1e6:8.2f}",
-                f"{base_commit * 1e6:8.2f}",
-                f"{tempi_commit * 1e6:8.2f}",
-                f"{slowdown:6.1f}x",
-            ]
-        )
-    print("\nFigure 7 — datatype create/commit wall time (us, trimean of "
-          f"{REPETITIONS} repetitions)")
-    print(
-        format_table(
-            ["cfg", "construction", "create", "commit", "commit (TEMPI)", "slowdown"],
-            table,
-        )
-    )
-
-    # Shape claims: TEMPI never changes creation, always slows commit, and the
-    # absolute cost stays tiny (a one-time startup cost).
-    assert all(tempi >= base for _, _, base, tempi in rows)
-    worst_commit = max(tempi for _, _, _, tempi in rows)
-    assert worst_commit < 0.05  # still negligible in absolute terms
-
-    report.add(
-        "Fig. 7",
-        "commit slowdown (TEMPI vs system MPI)",
-        "3.8x - 8.3x",
-        f"{min(slowdowns):.1f}x - {max(slowdowns):.1f}x",
-        matches_shape=all(s >= 1.0 for s in slowdowns),
-        note="wall-clock trimean; absolute commit cost stays microseconds-scale",
-    )

@@ -5,23 +5,19 @@ description, 1 KiB-4 MiB, 1-256 B contiguous blocks, counts 1-2, 512 B pitch)
 and finds speedups from 5.7x to 242,000x: the baseline issues one
 ``cudaMemcpyAsync`` per contiguous block, TEMPI one kernel per call.
 
-Latencies here are simulated (virtual) time; the pytest-benchmark wall time
-measures the harness.  The baseline engine runs in timing-only mode for this
-sweep because enumerating four million block copies moves no information the
-cost model does not already have.
+Latencies here are simulated (virtual) time.  The baseline engine runs in
+timing-only mode for this sweep because enumerating four million block
+copies moves no information the cost model does not already have.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.bench.harness import format_table, format_us
 from repro.bench.workloads import fig8_configurations
 from repro.mpi.world import World
 from repro.tempi.interposer import interpose
 
 
-def _pack_latency(config, summit_model, use_tempi: bool) -> float:
+def pack_latency(config, summit_model, use_tempi: bool) -> float:
     world = World(1)
     ctx = world.contexts[0]
     comm = interpose(ctx, model=summit_model) if use_tempi else ctx.comm
@@ -36,73 +32,10 @@ def _pack_latency(config, summit_model, use_tempi: bool) -> float:
     return ctx.clock.now - start
 
 
-def _sweep(summit_model):
+def run_sweep(summit_model):
     rows = []
     for config in fig8_configurations():
-        baseline = _pack_latency(config, summit_model, use_tempi=False)
-        tempi = _pack_latency(config, summit_model, use_tempi=True)
+        baseline = pack_latency(config, summit_model, use_tempi=False)
+        tempi = pack_latency(config, summit_model, use_tempi=True)
         rows.append((config, baseline, tempi))
     return rows
-
-
-@pytest.mark.benchmark(group="fig08")
-def test_fig08_pack_speedup(benchmark, summit_model, report):
-    rows = benchmark.pedantic(_sweep, args=(summit_model,), rounds=1, iterations=1)
-
-    table = []
-    speedups = []
-    for config, baseline, tempi in rows:
-        speedup = baseline / tempi
-        speedups.append((config.label, speedup))
-        table.append(
-            [
-                config.label,
-                f"{config.nblocks * config.count:,}",
-                format_us(baseline),
-                format_us(tempi),
-                f"{speedup:,.0f}x",
-            ]
-        )
-    print("\nFigure 8 — MPI_Pack latency (simulated us)")
-    print(format_table(["configuration", "blocks", "baseline", "TEMPI", "speedup"], table))
-
-    # Shape claims: TEMPI always wins; the win grows with the block count; the
-    # largest configuration reaches a factor of tens of thousands.
-    assert all(s > 1 for _, s in speedups)
-    by_blocks = sorted(rows, key=lambda row: row[0].nblocks * row[0].count)
-    assert (by_blocks[-1][1] / by_blocks[-1][2]) > (by_blocks[0][1] / by_blocks[0][2])
-    largest = max(s for _, s in speedups)
-    smallest = min(s for _, s in speedups)
-    assert largest > 10_000
-
-    report.add(
-        "Fig. 8",
-        "MPI_Pack speedup range",
-        "5.7x - 242,000x",
-        f"{smallest:,.0f}x - {largest:,.0f}x",
-        matches_shape=largest > 10_000 and smallest > 1,
-        note="largest speedup on the 4 MiB / 1 B-block object, as in the paper",
-    )
-
-
-@pytest.mark.benchmark(group="fig08")
-def test_fig08_construction_independence(benchmark, summit_model, report):
-    """The 'vec 1KiB 1/8' and 'sub 1KiB 1/8' bars: same object, same latency."""
-    configs = {c.label: c for c in fig8_configurations()}
-
-    def measure():
-        vec = _pack_latency(configs["vec 1KiB 1/8"], summit_model, use_tempi=True)
-        sub = _pack_latency(configs["sub 1KiB 1/8"], summit_model, use_tempi=True)
-        return vec, sub
-
-    vec, sub = benchmark.pedantic(measure, rounds=1, iterations=1)
-    print(f"\nvector description : {format_us(vec)} us")
-    print(f"subarray description: {format_us(sub)} us")
-    assert vec == pytest.approx(sub, rel=0.05)
-    report.add(
-        "Fig. 8",
-        "TEMPI latency independent of datatype construction",
-        "vector and subarray bars equal",
-        f"{format_us(vec)} us vs {format_us(sub)} us",
-        matches_shape=abs(vec - sub) / vec < 0.05,
-    )

@@ -9,92 +9,27 @@ higher latency floor gives one-shot an edge for small messages.
 
 from __future__ import annotations
 
-import pytest
-
-from repro.bench.harness import format_table, format_us
 from repro.machine.spec import SUMMIT
 from repro.tempi.measurement import measure_system
 
 SIZES = [1 << p for p in range(0, 21, 2)]
 
 
-@pytest.mark.benchmark(group="fig09")
-def test_fig09a_transfer_curves(benchmark, report):
-    measurement = benchmark.pedantic(
-        lambda: measure_system(SUMMIT, sizes=SIZES, block_lengths=[8]),
-        rounds=1,
-        iterations=1,
-    )
+def transfer_curves():
+    """Fig. 9a: the four measured primitives at :data:`SIZES`."""
+    return measure_system(SUMMIT, sizes=SIZES, block_lengths=[8])
 
+
+def partial_models(model):
+    """Fig. 9b: ``(size, T_device, T_oneshot, T_staged)`` with pack time held at zero."""
     rows = []
-    for index, size in enumerate(measurement.sizes):
-        rows.append(
-            [
-                f"{size:,}",
-                format_us(measurement.t_d2h[index]),
-                format_us(measurement.t_h2d[index]),
-                format_us(measurement.t_cpu_cpu[index]),
-                format_us(measurement.t_gpu_gpu[index]),
-            ]
+    for size in SIZES:
+        t_device = model.transfer_time("gpu_gpu", size)
+        t_oneshot = model.transfer_time("cpu_cpu", size)
+        t_staged = (
+            model.transfer_time("d2h", size)
+            + model.transfer_time("cpu_cpu", size)
+            + model.transfer_time("h2d", size)
         )
-    print("\nFigure 9a — transfer latency vs. size (simulated us)")
-    print(format_table(["size (B)", "T_d2h", "T_h2d", "T_cpu-cpu", "T_gpu-gpu"], rows))
-
-    cpu_floor = measurement.t_cpu_cpu[0]
-    gpu_floor = measurement.t_gpu_gpu[0]
-    # Shape claims from the paper: ~1.3 us CPU floor, ~6 us CUDA-aware floor,
-    # all four curves monotone in size.
-    assert cpu_floor < gpu_floor
-    for curve in (measurement.t_cpu_cpu, measurement.t_gpu_gpu, measurement.t_d2h, measurement.t_h2d):
-        assert list(curve) == sorted(curve)
-
-    report.add(
-        "Fig. 9a",
-        "small-message latency floors (CPU vs CUDA-aware path)",
-        "~1.3 us vs ~6 us",
-        f"{cpu_floor * 1e6:.1f} us vs {gpu_floor * 1e6:.1f} us",
-        matches_shape=cpu_floor < gpu_floor,
-    )
-
-
-@pytest.mark.benchmark(group="fig09")
-def test_fig09b_partial_method_models(benchmark, summit_model, report):
-    def evaluate():
-        rows = []
-        for size in SIZES:
-            t_device = summit_model.transfer_time("gpu_gpu", size)
-            t_oneshot = summit_model.transfer_time("cpu_cpu", size)
-            t_staged = (
-                summit_model.transfer_time("d2h", size)
-                + summit_model.transfer_time("cpu_cpu", size)
-                + summit_model.transfer_time("h2d", size)
-            )
-            rows.append((size, t_device, t_oneshot, t_staged))
-        return rows
-
-    rows = benchmark.pedantic(evaluate, rounds=1, iterations=1)
-
-    print("\nFigure 9b — partial models (pack/unpack = 0), simulated us")
-    print(
-        format_table(
-            ["size (B)", "T_device", "T_oneshot", "T_staged"],
-            [
-                [f"{size:,}", format_us(device), format_us(oneshot), format_us(staged)]
-                for size, device, oneshot, staged in rows
-            ],
-        )
-    )
-
-    # Shape claims: staged is never below device (it adds two copies to the
-    # same wire time), and the one-shot partial model is the cheapest curve.
-    assert all(staged >= device for _, device, oneshot, staged in rows)
-    assert all(oneshot <= device for _, device, oneshot, _ in rows)
-
-    report.add(
-        "Fig. 9b",
-        "staged method never preferable to device",
-        "no crossover",
-        "no crossover",
-        matches_shape=True,
-        note="one-shot partial model cheapest at every size, as in the paper",
-    )
+        rows.append((size, t_device, t_oneshot, t_staged))
+    return rows

@@ -12,9 +12,6 @@ this reproduction checks:
 
 from __future__ import annotations
 
-import pytest
-
-from repro.bench.harness import format_table
 from repro.bench.workloads import FIG10_BLOCK_SIZES, FIG10_OBJECT_SIZES
 from repro.gpu.memory import MemoryKind
 from repro.gpu.runtime import CudaRuntime
@@ -41,7 +38,7 @@ def _latency(object_bytes: int, block_bytes: int, *, target: str, unpack: bool) 
     return runtime.clock.now - start
 
 
-def _panel(target: str, unpack: bool):
+def panel(target: str, unpack: bool):
     grid = {}
     for object_bytes in FIG10_OBJECT_SIZES:
         for block_bytes in FIG10_BLOCK_SIZES:
@@ -51,69 +48,9 @@ def _panel(target: str, unpack: bool):
     return grid
 
 
-def _print_panel(title: str, grid) -> None:
-    rows = []
-    for object_bytes in FIG10_OBJECT_SIZES:
-        row = [f"{object_bytes:,} B"]
-        for block_bytes in FIG10_BLOCK_SIZES:
-            row.append(f"{grid[(object_bytes, block_bytes)] * 1e6:9.1f}")
-        rows.append(row)
-    print(f"\nFigure 10 — {title} latency (simulated us)")
-    print(format_table(["object \\ block"] + [f"{b} B" for b in FIG10_BLOCK_SIZES], rows))
-
-
-@pytest.mark.benchmark(group="fig10")
-@pytest.mark.parametrize("target", ["oneshot", "device"])
-def test_fig10_pack_and_unpack_panels(benchmark, report, target):
-    kernel_target = "host" if target == "oneshot" else "device"
-
-    def sweep():
-        return _panel(kernel_target, unpack=False), _panel(kernel_target, unpack=True)
-
-    pack_grid, unpack_grid = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    _print_panel(f"{target} pack", pack_grid)
-    _print_panel(f"{target} unpack", unpack_grid)
-
-    largest = FIG10_OBJECT_SIZES[-1]
-    # Larger blocks are never slower for a fixed (large) object size.
-    series = [pack_grid[(largest, block)] for block in FIG10_BLOCK_SIZES]
-    assert series == sorted(series, reverse=True)
-    # Unpack is slower than pack at every grid point.
-    assert all(unpack_grid[key] >= pack_grid[key] for key in pack_grid)
-    # Per-byte latency drops as the object grows (GPU utilisation).
-    small_per_byte = pack_grid[(64 * 1024, 8)] / (64 * 1024)
-    large_per_byte = pack_grid[(largest, 8)] / largest
-    assert large_per_byte < small_per_byte
-
-    report.add(
-        "Fig. 10",
-        f"{target} pack latency trends (block length, object size, unpack penalty)",
-        "faster with larger blocks and larger objects; unpack slower than pack",
-        "same ordering at every grid point",
-        matches_shape=True,
-    )
-
-
-@pytest.mark.benchmark(group="fig10")
-def test_fig10_saturation_points(benchmark, report):
-    """One-shot saturates by ~32 B blocks, device keeps improving to ~128 B."""
-
-    def measure():
-        object_bytes = 1 << 20
-        oneshot = {b: _latency(object_bytes, b, target="host", unpack=False) for b in (32, 128)}
-        device = {b: _latency(object_bytes, b, target="device", unpack=False) for b in (32, 128)}
-        return oneshot, device
-
-    oneshot, device = benchmark.pedantic(measure, rounds=1, iterations=1)
-    oneshot_gain = oneshot[32] / oneshot[128]
-    device_gain = device[32] / device[128]
-    print(f"\ngoing from 32 B to 128 B blocks: one-shot gains {oneshot_gain:.2f}x, "
-          f"device gains {device_gain:.2f}x")
-    assert device_gain > oneshot_gain
-    report.add(
-        "Fig. 10",
-        "coalescing saturation block length (one-shot vs device)",
-        "32 B vs 128 B",
-        f"one-shot flat beyond 32 B (gain {oneshot_gain:.2f}x), device still gains {device_gain:.2f}x",
-        matches_shape=device_gain > oneshot_gain,
+def saturation(object_bytes: int = 1 << 20):
+    """One-shot and device pack latency at 32 B and 128 B blocks."""
+    return tuple(
+        {block: _latency(object_bytes, block, target=target, unpack=False) for block in (32, 128)}
+        for target in ("host", "device")
     )

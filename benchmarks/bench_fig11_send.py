@@ -8,17 +8,12 @@ reliably tracks the faster method.
 
 By default a representative subset of block lengths is run functionally
 (every mode through the real interposed send path on a two-rank world);
-set ``REPRO_BENCH_FULL=1`` for the full 27-configuration grid.
+``repro figures --full`` runs the full 27-configuration grid.
 """
 
 from __future__ import annotations
 
-import os
-
-import pytest
-
-from repro.bench.harness import format_table, format_us
-from repro.bench.workloads import FIG11_OBJECT_SIZES, Fig11Config, fig11_configurations
+from repro.bench.workloads import Fig11Config, fig11_configurations
 from repro.mpi.world import World
 from repro.tempi.config import PackMethod, TempiConfig
 from repro.tempi.interposer import interpose
@@ -27,17 +22,13 @@ SUBSET_BLOCKS = (1, 8, 64, 256)
 MODES = ("baseline", "oneshot", "device", "auto")
 
 
-def _full_sweep() -> bool:
-    return os.environ.get("REPRO_BENCH_FULL", "0") not in ("", "0", "false", "no")
-
-
-def _configs():
-    if _full_sweep():
+def _configs(sweep: str):
+    if sweep == "full":
         return fig11_configurations()
     return [c for c in fig11_configurations() if c.block_bytes in SUBSET_BLOCKS]
 
 
-def _send_latency(config: Fig11Config, mode: str, summit_model) -> float:
+def send_latency(config: Fig11Config, mode: str, summit_model) -> float:
     """Steady-state send+recv latency (max over the two ranks), simulated."""
 
     def program(ctx):
@@ -68,111 +59,10 @@ def _send_latency(config: Fig11Config, mode: str, summit_model) -> float:
     return max(world.run(program))
 
 
-def _sweep(summit_model):
+def run_sweep(summit_model, sweep: str):
     results = {}
-    for config in _configs():
+    for config in _configs(sweep):
         results[config] = {
-            mode: _send_latency(config, mode, summit_model) for mode in MODES
+            mode: send_latency(config, mode, summit_model) for mode in MODES
         }
     return results
-
-
-@pytest.mark.benchmark(group="fig11")
-def test_fig11a_send_latency(benchmark, summit_model, report):
-    results = benchmark.pedantic(_sweep, args=(summit_model,), rounds=1, iterations=1)
-
-    rows = []
-    speedups = []
-    for config, modes in results.items():
-        speedup = modes["baseline"] / modes["auto"]
-        speedups.append(speedup)
-        rows.append(
-            [
-                config.label,
-                format_us(modes["baseline"]),
-                format_us(modes["oneshot"]),
-                format_us(modes["device"]),
-                format_us(modes["auto"]),
-                f"{speedup:,.0f}x",
-            ]
-        )
-    print("\nFigure 11a — MPI_Send/Recv latency (simulated us)")
-    print(format_table(["object/block", "baseline", "one-shot", "device", "auto", "speedup"], rows))
-
-    # Shape claims: the datatype handling (any TEMPI mode) provides the vast
-    # majority of the improvement; speedup grows with object size / smaller
-    # blocks; the best case reaches thousands.
-    for config, modes in results.items():
-        assert min(modes["oneshot"], modes["device"]) < modes["baseline"]
-    assert max(speedups) > 1_000
-
-    report.add(
-        "Fig. 11a",
-        "MPI_Send speedup (auto vs baseline), best case",
-        "up to 59,000x",
-        f"up to {max(speedups):,.0f}x",
-        matches_shape=max(speedups) > 1_000,
-        note="largest for big objects with small contiguous blocks, as in the paper",
-    )
-
-
-@pytest.mark.benchmark(group="fig11")
-def test_fig11b_auto_selection_accuracy(benchmark, summit_model, report):
-    results = benchmark.pedantic(_sweep, args=(summit_model,), rounds=1, iterations=1)
-
-    rows = []
-    misselections = 0
-    overheads = []
-    for config, modes in results.items():
-        best = min(modes["oneshot"], modes["device"])
-        worst = max(modes["oneshot"], modes["device"])
-        normalized_auto = modes["auto"] / worst
-        overhead = modes["auto"] / best - 1.0
-        overheads.append(overhead)
-        if modes["auto"] > best * 1.25 and modes["auto"] > worst * 0.95:
-            misselections += 1
-        rows.append(
-            [
-                config.label,
-                f"{modes['oneshot'] / worst:6.3f}",
-                f"{modes['device'] / worst:6.3f}",
-                f"{normalized_auto:6.3f}",
-                "oneshot" if modes["oneshot"] <= modes["device"] else "device",
-            ]
-        )
-    print("\nFigure 11b — latency normalised to the slower forced method")
-    print(format_table(["object/block", "one-shot", "device", "auto", "faster method"], rows))
-
-    assert misselections == 0
-    # The selection overhead stays small relative to the send itself.
-    assert max(overheads) < 0.25
-
-    report.add(
-        "Fig. 11b",
-        "automatic method selection picks the faster method",
-        "reliable, with ~277 ns query overhead",
-        f"0 mis-selections over {len(results)} configurations; "
-        f"max overhead {max(overheads) * 100:.1f}% of the send",
-        matches_shape=misselections == 0,
-    )
-
-
-@pytest.mark.benchmark(group="fig11")
-def test_fig11_latency_floor(benchmark, summit_model, report):
-    """Sec. 6.3: TEMPI's send latency floor is ~30 us, dominated by the
-    pack/unpack kernels on both sides."""
-    config = Fig11Config(object_bytes=FIG11_OBJECT_SIZES[0], block_bytes=256)
-
-    floor = benchmark.pedantic(
-        _send_latency, args=(config, "auto", summit_model), rounds=1, iterations=1
-    )
-    print(f"\nsmallest-object send latency (auto): {format_us(floor)} us")
-    assert 5e-6 < floor < 200e-6
-    report.add(
-        "Sec. 6.3",
-        "TEMPI send latency floor",
-        "~30 us",
-        f"{floor * 1e6:.1f} us",
-        matches_shape=5e-6 < floor < 200e-6,
-        note="dominated by pack/unpack kernel launches on both sides",
-    )

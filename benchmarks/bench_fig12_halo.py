@@ -17,12 +17,9 @@ Two harnesses:
 
 from __future__ import annotations
 
-import pytest
-
 from repro.apps.exchange_model import model_halo_exchange
 from repro.apps.halo import HaloSpec
 from repro.apps.stencil import HaloExchange, aggregate_timings
-from repro.bench.harness import format_table
 from repro.mpi.world import World
 from repro.tempi.interposer import interpose
 
@@ -31,7 +28,7 @@ NODE_SWEEP = [(n, rpn) for n in (1, 2, 4, 8, 16, 32, 64, 128, 256, 512) for rpn 
 FUNCTIONAL_SPEC = HaloSpec(nx=8, ny=8, nz=8, radius=2, fields=4, bytes_per_field=8)
 
 
-def _functional_exchange(summit_model, use_tempi: bool):
+def functional_exchange(summit_model, use_tempi: bool):
     def program(ctx):
         comm = interpose(ctx, model=summit_model) if use_tempi else ctx.comm
         app = HaloExchange(ctx, comm, FUNCTIONAL_SPEC)
@@ -42,115 +39,15 @@ def _functional_exchange(summit_model, use_tempi: bool):
     return aggregate_timings(world.run(program))
 
 
-@pytest.mark.benchmark(group="fig12")
-def test_fig12_functional_exchange(benchmark, summit_model, report):
-    def run_both():
-        return (
-            _functional_exchange(summit_model, use_tempi=False),
-            _functional_exchange(summit_model, use_tempi=True),
-        )
-
-    baseline, accelerated = benchmark.pedantic(run_both, rounds=1, iterations=1)
-    print("\nFigure 12 (functional, 8 ranks, reduced grid) — phase times (simulated us)")
-    print(
-        format_table(
-            ["phase", "baseline", "TEMPI", "speedup"],
-            [
-                ["MPI_Pack", f"{baseline.pack_s * 1e6:10.1f}", f"{accelerated.pack_s * 1e6:10.1f}",
-                 f"{baseline.pack_s / accelerated.pack_s:6.1f}x"],
-                ["Alltoallv", f"{baseline.comm_s * 1e6:10.1f}", f"{accelerated.comm_s * 1e6:10.1f}",
-                 f"{baseline.comm_s / max(accelerated.comm_s, 1e-12):6.1f}x"],
-                ["MPI_Unpack", f"{baseline.unpack_s * 1e6:10.1f}", f"{accelerated.unpack_s * 1e6:10.1f}",
-                 f"{baseline.unpack_s / accelerated.unpack_s:6.1f}x"],
-            ],
-        )
-    )
-    assert baseline.pack_s / accelerated.pack_s > 2
-    assert accelerated.total_s < baseline.total_s
-    report.add(
-        "Fig. 12 (functional)",
-        "halo-exchange phases with real byte movement and ghost verification",
-        "pack/unpack dominate the baseline; TEMPI removes that cost",
-        f"pack speedup {baseline.pack_s / accelerated.pack_s:.0f}x, "
-        f"comm unchanged ({accelerated.comm_s * 1e6:.1f} us)",
-        matches_shape=True,
-    )
+def phases_at_scale():
+    """Fig. 12a: the TEMPI phase breakdown at every point of :data:`NODE_SWEEP`."""
+    return {(nodes, rpn): model_halo_exchange(nodes, rpn, tempi=True) for nodes, rpn in NODE_SWEEP}
 
 
-@pytest.mark.benchmark(group="fig12")
-def test_fig12a_phase_breakdown_at_scale(benchmark, report):
-    def sweep():
-        return {
-            (nodes, rpn): model_halo_exchange(nodes, rpn, tempi=True)
-            for nodes, rpn in NODE_SWEEP
-        }
-
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
-
-    rows = []
-    for (nodes, rpn), breakdown in results.items():
-        rows.append(
-            [
-                f"{nodes}/{rpn}",
-                breakdown.nranks,
-                f"{breakdown.pack_s * 1e3:8.2f}",
-                f"{breakdown.comm_s * 1e3:8.2f}",
-                f"{breakdown.unpack_s * 1e3:8.2f}",
-                f"{breakdown.total_s * 1e3:8.2f}",
-            ]
-        )
-    print("\nFigure 12a — TEMPI halo-exchange phases at paper scale (ms, modeled)")
-    print(format_table(["nodes/rpn", "ranks", "pack", "alltoallv", "unpack", "total"], rows))
-
-    # Shape claims: pack/unpack constant across the sweep; alltoallv larger
-    # with more ranks per node and more nodes (until the neighbour set saturates).
-    packs = {breakdown.pack_s for breakdown in results.values()}
-    assert max(packs) / min(packs) < 1.01
-    assert results[(512, 6)].comm_s >= results[(1, 6)].comm_s
-    assert results[(8, 6)].comm_s >= results[(8, 1)].comm_s * 0.5
-
-    report.add(
-        "Fig. 12a",
-        "phase behaviour across the node sweep",
-        "pack/unpack constant; alltoallv grows with ranks",
-        "pack/unpack constant; alltoallv grows then saturates",
-        matches_shape=True,
-        note="saturation is earlier than on Summit because the model has no network contention term",
-    )
-
-
-@pytest.mark.benchmark(group="fig12")
-def test_fig12b_speedup_at_scale(benchmark, report):
-    def sweep():
-        table = {}
-        for nodes, rpn in NODE_SWEEP:
-            baseline = model_halo_exchange(nodes, rpn, tempi=False)
-            accelerated = model_halo_exchange(nodes, rpn, tempi=True)
-            table[(nodes, rpn)] = baseline.total_s / accelerated.total_s
-        return table
-
-    speedups = benchmark.pedantic(sweep, rounds=1, iterations=1)
-
-    rows = [
-        [f"{nodes}/{rpn}", nodes * rpn, f"{speedup:10.0f}x"]
-        for (nodes, rpn), speedup in speedups.items()
-    ]
-    print("\nFigure 12b — whole-exchange speedup (modeled)")
-    print(format_table(["nodes/rpn", "ranks", "speedup"], rows))
-
-    at_3072 = speedups[(512, 6)]
-    at_192 = speedups[(32, 6)]
-    single = speedups[(1, 1)]
-    # Shape claims: speedup is large everywhere, largest at small scale, and
-    # remains in the hundreds at 3072 ranks (paper: 917x).
-    assert single > at_192 >= at_3072
-    assert at_3072 > 100
-
-    report.add(
-        "Fig. 12b",
-        "halo-exchange speedup at 3072 ranks / 192 ranks",
-        "~917x / ~1050x",
-        f"{at_3072:.0f}x / {at_192:.0f}x",
-        matches_shape=at_3072 > 100 and single > at_3072,
-        note="speedup declines with scale exactly as in the paper; absolute factor depends on the network model",
-    )
+def speedups_at_scale():
+    """Fig. 12b: whole-exchange speedup over the baseline at every sweep point."""
+    return {
+        (nodes, rpn): model_halo_exchange(nodes, rpn, tempi=False).total_s
+        / model_halo_exchange(nodes, rpn, tempi=True).total_s
+        for nodes, rpn in NODE_SWEEP
+    }

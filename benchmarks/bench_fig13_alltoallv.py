@@ -10,17 +10,12 @@ pays one ``cudaMemcpyAsync`` per contiguous block of every section.
 This harness sweeps world size x contiguous block length for a fixed-size
 strided object per peer and reports the steady-state (second-iteration)
 exchange latency of both paths head-to-head — same signature, same wire
-charge, only the datatype handling differs.  Set ``REPRO_BENCH_FULL=1`` for
+charge, only the datatype handling differs.  ``repro figures --full`` runs
 the full grid.
 """
 
 from __future__ import annotations
 
-import os
-
-import pytest
-
-from repro.bench.harness import format_table
 from repro.mpi.constructors import Type_vector
 from repro.mpi.datatype import BYTE
 from repro.mpi.world import World
@@ -31,14 +26,8 @@ OBJECT_BYTES = 16384
 PITCH = 512
 
 RANK_SWEEP = (2, 4, 8)
-BLOCK_SWEEP_SUBSET = (8, 64, 512)
-BLOCK_SWEEP_FULL = (1, 8, 64, 512, 4096)
-
-
-def _blocks() -> tuple[int, ...]:
-    if os.environ.get("REPRO_BENCH_FULL", "0") not in ("", "0", "false", "no"):
-        return BLOCK_SWEEP_FULL
-    return BLOCK_SWEEP_SUBSET
+#: Block lengths per sweep, smallest first.
+BLOCK_SWEEPS = {"smoke": (8, 64, 512), "default": (8, 64, 512), "full": (1, 8, 64, 512, 4096)}
 
 
 def _exchange_latency(nranks: int, block_bytes: int, summit_model, use_tempi: bool) -> float:
@@ -71,52 +60,13 @@ def _exchange_latency(nranks: int, block_bytes: int, summit_model, use_tempi: bo
     return max(world.run(program))
 
 
-@pytest.mark.benchmark(group="fig13")
-def test_fig13_typed_alltoallv_sweep(benchmark, summit_model, report):
-    def sweep():
-        table = {}
-        for nranks in RANK_SWEEP:
-            for block_bytes in _blocks():
-                baseline = _exchange_latency(nranks, block_bytes, summit_model, use_tempi=False)
-                accelerated = _exchange_latency(nranks, block_bytes, summit_model, use_tempi=True)
-                table[(nranks, block_bytes)] = (baseline, accelerated)
-        return table
-
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
-
-    rows = [
-        [
-            nranks,
-            block_bytes,
-            f"{baseline * 1e6:10.1f}",
-            f"{accelerated * 1e6:10.1f}",
-            f"{baseline / accelerated:8.1f}x",
-        ]
-        for (nranks, block_bytes), (baseline, accelerated) in results.items()
-    ]
-    print("\nFigure 13 — datatype-carrying Alltoallv, 16 KiB strided object per peer (simulated us)")
-    print(format_table(["ranks", "block B", "baseline", "TEMPI", "speedup"], rows))
-
-    # Shape claims: TEMPI wins everywhere on this strided family, the win
-    # grows as blocks shrink (more per-block copies saved), and it holds at
-    # every rank count of the sweep — in particular at >= 4 ranks.
-    for (nranks, block_bytes), (baseline, accelerated) in results.items():
-        assert accelerated < baseline, (
-            f"TEMPI typed alltoallv slower than baseline at {nranks} ranks, "
-            f"{block_bytes} B blocks"
+def run_sweep(blocks, summit_model):
+    """``(baseline, TEMPI)`` latency per ``(ranks, block length)`` cell."""
+    return {
+        (nranks, block_bytes): (
+            _exchange_latency(nranks, block_bytes, summit_model, use_tempi=False),
+            _exchange_latency(nranks, block_bytes, summit_model, use_tempi=True),
         )
-    for nranks in RANK_SWEEP:
-        blocks = _blocks()
-        speedups = [
-            results[(nranks, b)][0] / results[(nranks, b)][1] for b in blocks
-        ]
-        assert speedups[0] > speedups[-1], "speedup should grow as blocks shrink"
-    at_4 = results[(4, _blocks()[0])]
-    report.add(
-        "Fig. 13 (beyond paper)",
-        "typed alltoallv speedup, 4 ranks, smallest blocks",
-        "TEMPI beats per-block baseline (no paper value)",
-        f"{at_4[0] / at_4[1]:.0f}x",
-        matches_shape=all(a < b for b, a in results.values()),
-        note="collective analogue of Fig. 11: per-block copies replaced by one kernel per peer",
-    )
+        for nranks in RANK_SWEEP
+        for block_bytes in blocks
+    }

@@ -17,19 +17,13 @@ compares three engines head-to-head on identical plans and identical bytes:
   application out of per-direction ``Isend``/``Irecv``/``Waitall``, the way
   real halo codes hide pack latency.
 
-Set ``REPRO_BENCH_FULL=1`` for the larger grid.
+``repro figures --full`` runs the larger grid.
 """
 
 from __future__ import annotations
 
-import os
-
-import pytest
-
-from repro.apps.exchange_model import model_fused_exchange, model_overlap_exchange
 from repro.apps.halo import HaloSpec
 from repro.apps.stencil import HaloExchange
-from repro.bench.harness import format_table
 from repro.mpi.world import World
 from repro.tempi.config import TempiConfig
 from repro.tempi.interposer import interpose
@@ -37,17 +31,10 @@ from repro.tempi.interposer import interpose
 #: Per-rank sub-domain: large enough that per-peer packs are worth hiding.
 SPEC = HaloSpec(nx=16, ny=16, nz=16, radius=2, fields=4, bytes_per_field=8)
 
-RANK_SWEEP_SUBSET = (2, 4, 8)
-RANK_SWEEP_FULL = (2, 4, 8, 12)
+RANK_SWEEPS = {"smoke": (2, 4, 8), "default": (2, 4, 8), "full": (2, 4, 8, 12)}
 
 
-def _ranks() -> tuple[int, ...]:
-    if os.environ.get("REPRO_BENCH_FULL", "0") not in ("", "0", "false", "no"):
-        return RANK_SWEEP_FULL
-    return RANK_SWEEP_SUBSET
-
-
-def _exchange_latency(nranks: int, summit_model, *, mode: str, overlap: bool) -> float:
+def exchange_latency(nranks: int, summit_model, *, mode: str, overlap: bool) -> float:
     """Steady-state halo-exchange latency (max over ranks), simulated seconds."""
     config = TempiConfig(overlap=overlap)
 
@@ -61,64 +48,14 @@ def _exchange_latency(nranks: int, summit_model, *, mode: str, overlap: bool) ->
     return max(world.run(program))
 
 
-@pytest.mark.benchmark(group="fig14")
-def test_fig14_overlap_sweep(benchmark, summit_model, report):
-    def sweep():
-        table = {}
-        for nranks in _ranks():
-            serial = _exchange_latency(nranks, summit_model, mode="neighbor", overlap=False)
-            overlapped = _exchange_latency(nranks, summit_model, mode="neighbor", overlap=True)
-            packed = _exchange_latency(nranks, summit_model, mode="packed", overlap=True)
-            nonblocking = _exchange_latency(nranks, summit_model, mode="overlap", overlap=True)
-            table[nranks] = (serial, overlapped, packed, nonblocking)
-        return table
-
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
-
-    rows = [
-        [
-            nranks,
-            f"{serial * 1e6:10.1f}",
-            f"{overlapped * 1e6:10.1f}",
-            f"{packed * 1e6:10.1f}",
-            f"{nonblocking * 1e6:10.1f}",
-            f"{serial / overlapped:8.2f}x",
-        ]
-        for nranks, (serial, overlapped, packed, nonblocking) in results.items()
-    ]
-    print("\nFigure 14 — pack/wire overlap, 26-direction halo exchange (simulated us)")
-    print(
-        format_table(
-            ["ranks", "serial coll", "overlap coll", "pack+a2av", "isend/irecv", "speedup"],
-            rows,
+def run_sweep(rank_counts, summit_model):
+    """The four engines' latencies at each world size."""
+    return {
+        nranks: dict(
+            serial=exchange_latency(nranks, summit_model, mode="neighbor", overlap=False),
+            overlapped=exchange_latency(nranks, summit_model, mode="neighbor", overlap=True),
+            packed=exchange_latency(nranks, summit_model, mode="packed", overlap=True),
+            nonblocking=exchange_latency(nranks, summit_model, mode="overlap", overlap=True),
         )
-    )
-
-    # The acceptance claim: on a multi-peer halo exchange the overlapped
-    # engine beats the PR-1 serial engine at every rank count.  The
-    # application-level Isend/Irecv pipeline pays one message per *direction*
-    # where the collectives pay one per *peer*, so its honest baseline is the
-    # structure it replaces in real halo codes — pack everything, exchange,
-    # unpack (``mode="packed"``) — which it beats by hiding pack latency.
-    for nranks, (serial, overlapped, packed, nonblocking) in results.items():
-        assert overlapped < serial, (
-            f"overlapped engine slower than serial at {nranks} ranks"
-        )
-        assert nonblocking < packed, (
-            f"Isend/Irecv pipeline slower than pack-then-exchange at {nranks} ranks"
-        )
-
-    # The analytic pipeline model agrees on the winner at the matched scale.
-    fused = model_fused_exchange(2, 4, spec=SPEC)
-    piped = model_overlap_exchange(2, 4, spec=SPEC)
-    assert piped.total_s < fused.total_s
-
-    at_8 = results[8]
-    report.add(
-        "Fig. 14 (beyond paper)",
-        "halo exchange, 8 ranks: overlapped vs serial engine",
-        "pack kernels hidden behind wire time (no paper value)",
-        f"{at_8[0] / at_8[1]:.2f}x",
-        matches_shape=all(o < s for s, o, _, _ in results.values()),
-        note="plan executor posts each peer at pack completion; PR-1 packed all peers then posted",
-    )
+        for nranks in rank_counts
+    }

@@ -30,24 +30,16 @@ over the serial engine is strictly below the per-plan claim.  The analytic
 companion is :func:`repro.apps.exchange_model.overlap_efficiency`; the
 receive-side skew in isolation is ``bench_incast.py``.
 
-Run as a script (the CI smoke check) or under pytest:
+Run through the figure table (``--smoke`` is the CI sweep, ``--full`` the
+larger one):
 
-    PYTHONPATH=src python benchmarks/bench_fig15_contention.py --smoke
-    PYTHONPATH=src python -m pytest benchmarks/bench_fig15_contention.py -q -s
-
-Set ``REPRO_BENCH_FULL=1`` for the larger sweep.
+    PYTHONPATH=src python -m repro.cli figures --only fig15
 """
 
 from __future__ import annotations
 
-import argparse
-import os
-import sys
 from typing import Optional
 
-import pytest
-
-from repro.bench.harness import format_table
 from repro.mpi.constructors import Type_vector
 from repro.mpi.datatype import BYTE
 from repro.mpi.request import Request
@@ -60,14 +52,7 @@ from repro.tempi.interposer import interpose
 VECTOR = dict(nblocks=1024, block=256, pitch=512)
 
 NRANKS = 4  # one rank per node: every wire peer is inter-node
-PLAN_SWEEP_SUBSET = (1, 2, 4)
-PLAN_SWEEP_FULL = (1, 2, 4, 8)
-
-
-def _plans() -> tuple[int, ...]:
-    if os.environ.get("REPRO_BENCH_FULL", "0") not in ("", "0", "false", "no"):
-        return PLAN_SWEEP_FULL
-    return PLAN_SWEEP_SUBSET
+PLAN_SWEEPS = {"smoke": (1, 2), "default": (1, 2, 4), "full": (1, 2, 4, 8)}
 
 
 def measure_burst(
@@ -150,7 +135,7 @@ def run_sweep(plan_counts, model, nranks: int = NRANKS) -> dict[int, dict[str, f
 
 
 def check_sweep(results: dict[int, dict[str, float]]) -> None:
-    """The acceptance claims, shared by the pytest harness and the CLI."""
+    """The acceptance claims."""
     plan_counts = sorted(results)
     # The inject-only books reproduce the PR-2 numbers where no second plan
     # exists to contend with; the duplex engine may already sit above them
@@ -184,88 +169,3 @@ def check_sweep(results: dict[int, dict[str, float]]) -> None:
             assert row["serial"] / row["shared_total"] < row["serial"] / row["per_plan_total"], (
                 f"shared engine not slower than per-plan at {plans} plans"
             )
-
-
-def render_table(results: dict[int, dict[str, float]]) -> str:
-    rows = [
-        [
-            plans,
-            f"{row['serial'] * 1e6:10.1f}",
-            f"{row['shared_arrival'] * 1e6:10.1f}",
-            f"{row['inject_arrival'] * 1e6:10.1f}",
-            f"{row['per_plan_arrival'] * 1e6:10.1f}",
-            f"{row['serial'] / row['shared_total']:7.2f}x",
-            f"{row['serial'] / row['per_plan_total']:7.2f}x",
-            f"{row['efficiency']:10.4f}",
-        ]
-        for plans, row in sorted(results.items())
-    ]
-    return format_table(
-        [
-            "plans",
-            "serial us",
-            "duplex arr",
-            "inject arr",
-            "per-plan arr",
-            "speedup",
-            "claimed",
-            "efficiency",
-        ],
-        rows,
-    )
-
-
-@pytest.mark.benchmark(group="fig15")
-def test_fig15_contention_sweep(benchmark, summit_model, report):
-    results = benchmark.pedantic(
-        lambda: run_sweep(_plans(), summit_model), rounds=1, iterations=1
-    )
-    print("\nFigure 15 — concurrent-plan NIC contention (simulated, virtual us)")
-    print(render_table(results))
-    check_sweep(results)
-    largest = max(results)
-    report.add(
-        "Fig. 15 (beyond paper)",
-        f"{largest} concurrent Ialltoallv plans: overlap efficiency under shared NIC",
-        "per-plan overlap win degrades as the injection port saturates (no paper value)",
-        f"{results[largest]['efficiency']:.2f}",
-        matches_shape=all(
-            results[a]["efficiency"] >= results[b]["efficiency"]
-            for a, b in zip(sorted(results), sorted(results)[1:])
-        ),
-        note="progress=per_plan ablation reproduces PR-2 pricing at every plan count",
-    )
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="minimal sweep (CI bit-rot check): 1 and 2 plans on the small world",
-    )
-    parser.add_argument(
-        "--plans",
-        type=int,
-        nargs="*",
-        default=None,
-        help="explicit concurrent-plan counts to sweep",
-    )
-    args = parser.parse_args(argv)
-    plan_counts = args.plans if args.plans else ((1, 2) if args.smoke else _plans())
-
-    from repro.machine.spec import SUMMIT
-    from repro.tempi.measurement import measure_system
-    from repro.tempi.perf_model import PerformanceModel
-
-    model = PerformanceModel(measure_system(SUMMIT))
-    results = run_sweep(plan_counts, model)
-    print("Figure 15 — concurrent-plan NIC contention (simulated, virtual us)")
-    print(render_table(results))
-    check_sweep(results)
-    print("OK: overlap efficiency degrades monotonically; per-plan ablation matches at k=1")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

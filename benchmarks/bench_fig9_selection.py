@@ -30,23 +30,14 @@ The analytic companion is :func:`repro.tempi.selection.contended_estimate`
 ``tests/tempi/test_selection.py`` pins that it equals the contention-free
 model at zero backlog and shifts under load.
 
-Run as a script (the CI smoke check) or under pytest:
+Run through the figure table (``--smoke`` is the CI sweep, ``--full`` the
+larger one):
 
-    PYTHONPATH=src python benchmarks/bench_fig9_selection.py --smoke
-    PYTHONPATH=src python -m pytest benchmarks/bench_fig9_selection.py -q -s
-
-Set ``REPRO_BENCH_FULL=1`` for the larger sweep.
+    PYTHONPATH=src python -m repro.cli figures --only fig9
 """
 
 from __future__ import annotations
 
-import argparse
-import os
-import sys
-
-import pytest
-
-from repro.bench.harness import format_table
 from repro.machine.network import NetworkModel
 from repro.machine.nic import NicTimeline
 from repro.machine.spec import SUMMIT
@@ -71,17 +62,17 @@ BACKGROUND = dict(nblocks=1024, block=256, pitch=512)
 
 NRANKS = 4  # one rank per node: every wire peer is inter-node
 LOAD_SWEEP = (0, 4, 8)
-PLAN_SWEEP_SUBSET = (0, 4)
-PLAN_SWEEP_FULL = (0, 1, 2, 4, 8)
-
-GRID_BLOCKS_SUBSET = (1, 8, 64, 512)
-GRID_BLOCKS_FULL = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
 GRID_SIZES_SUBSET = tuple(1 << p for p in range(8, 23, 2))
-GRID_SIZES_FULL = tuple(1 << p for p in range(8, 23))
-
-
-def full_sweep() -> bool:
-    return os.environ.get("REPRO_BENCH_FULL", "0") not in ("", "0", "false", "no")
+#: Grid sizes, grid block lengths and background-plan counts per sweep.
+SWEEPS = {
+    "smoke": dict(sizes=GRID_SIZES_SUBSET, blocks=(1, 64), plans=(0, 4)),
+    "default": dict(sizes=GRID_SIZES_SUBSET, blocks=(1, 8, 64, 512), plans=(0, 4)),
+    "full": dict(
+        sizes=tuple(1 << p for p in range(8, 23)),
+        blocks=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512),
+        plans=(0, 1, 2, 4, 8),
+    ),
+}
 
 
 def measurement_packer(size: int, block_length: int) -> Packer:
@@ -137,9 +128,18 @@ def run_grid(model, sizes, blocks, loads) -> dict[tuple[int, int], dict[int, str
     return grid
 
 
-def check_grid(grid, model, loads) -> list[tuple[int, int, int]]:
-    """The grid's acceptance claims; returns the flipped cells."""
-    flips = []
+def flipped_cells(grid, loads) -> list[tuple[int, int, int]]:
+    """``(size, block, load)`` of every cell whose method differs from idle."""
+    return [
+        (size, block, plans)
+        for (size, block), cell in grid.items()
+        for plans in loads
+        if plans and cell[plans] != cell[0]
+    ]
+
+
+def check_grid(grid, model, loads) -> None:
+    """The grid's acceptance claims."""
     for (size, block), cell in grid.items():
         # Zero load is the PR-3 path: identical to the model's idle decision.
         packer = measurement_packer(size, block)
@@ -148,26 +148,8 @@ def check_grid(grid, model, loads) -> list[tuple[int, int, int]]:
         assert cell[0] == idle, f"ModelSelector diverged from choose_method at {size}/{block}"
         zero_load = ContendedSelector(model, NicTimeline(), 0)(packer, nbytes).value
         assert zero_load == idle, f"idle ContendedSelector diverged at {size}/{block}"
-        for plans in loads:
-            if plans and cell[plans] != cell[0]:
-                flips.append((size, block, plans))
-    heavy = [f for f in flips if f[2] >= 4]
+    heavy = [f for f in flipped_cells(grid, loads) if f[2] >= 4]
     assert heavy, "no (size, block) cell changed method at >=4 concurrent plans"
-    return flips
-
-
-def render_grid(grid, loads) -> str:
-    rows = []
-    for (size, block), cell in sorted(grid.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-        marker = "  <-- flip" if len(set(cell.values())) > 1 else ""
-        rows.append(
-            [f"{size:>9}", f"{block:>5}"]
-            + [f"{cell[plans]:>8}" for plans in loads]
-            + [marker]
-        )
-    return format_table(
-        ["bytes", "block"] + [f"k={plans}" for plans in loads] + [""], rows
-    )
 
 
 # --------------------------------------------------------------------------- #
@@ -271,7 +253,7 @@ def run_bursts(plan_counts, model, nranks: int = NRANKS):
 
 
 def check_bursts(results) -> None:
-    """The functional acceptance claims, shared by pytest and the CLI."""
+    """The functional acceptance claims."""
     shifted = []
     for background, row in sorted(results.items()):
         # selection="model" *is* the PR-3 path: identical counts and clocks
@@ -291,92 +273,3 @@ def check_bursts(results) -> None:
             shifted.append(background)
     heavy = [background for background in shifted if background >= 4]
     assert heavy, "contended selection never shifted the probe at >=4 concurrent plans"
-
-
-def render_bursts(results) -> str:
-    def fmt(counts):
-        return ",".join(f"{k}={v}" for k, v in sorted(counts.items())) or "-"
-
-    rows = [
-        [
-            background,
-            fmt(row["model_probe"]),
-            fmt(row["contended_probe"]),
-            f"{row['model_time'] * 1e6:10.1f}",
-            f"{row['contended_time'] * 1e6:10.1f}",
-            "shifted" if row["contended_probe"] != row["model_probe"] else "same",
-        ]
-        for background, row in sorted(results.items())
-    ]
-    return format_table(
-        ["bg plans", "model probe", "contended probe", "model us", "contended us", ""],
-        rows,
-    )
-
-
-# --------------------------------------------------------------------------- #
-# Harnesses
-# --------------------------------------------------------------------------- #
-
-@pytest.mark.benchmark(group="fig9-selection")
-def test_fig9_selection_crossover(benchmark, summit_model, report):
-    sizes = GRID_SIZES_FULL if full_sweep() else GRID_SIZES_SUBSET
-    blocks = GRID_BLOCKS_FULL if full_sweep() else GRID_BLOCKS_SUBSET
-    plans = PLAN_SWEEP_FULL if full_sweep() else PLAN_SWEEP_SUBSET
-
-    def run():
-        grid = run_grid(summit_model, sizes, blocks, LOAD_SWEEP)
-        bursts = run_bursts(plans, summit_model)
-        return grid, bursts
-
-    grid, bursts = benchmark.pedantic(run, rounds=1, iterations=1)
-    print("\nFigure 9 (extended) — method selection vs injection-port load")
-    print(render_grid(grid, LOAD_SWEEP))
-    print(render_bursts(bursts))
-    flips = check_grid(grid, summit_model, LOAD_SWEEP)
-    check_bursts(bursts)
-    report.add(
-        "Fig. 9 (extended)",
-        "one-shot/device crossover under NIC contention",
-        "crossover shifts under load; idle selection reproduces Fig. 9b (no paper value)",
-        f"{len(flips)} flipped cells",
-        matches_shape=bool(flips),
-        note="selection='model' bit-identical to the default (PR-3) configuration",
-    )
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="minimal sweep (CI bit-rot check): coarse grid, 1 and 4 plan bursts",
-    )
-    args = parser.parse_args(argv)
-    if args.smoke:
-        sizes, blocks, plans = GRID_SIZES_SUBSET, (1, 64), (0, 4)
-    else:
-        sizes = GRID_SIZES_FULL if full_sweep() else GRID_SIZES_SUBSET
-        blocks = GRID_BLOCKS_FULL if full_sweep() else GRID_BLOCKS_SUBSET
-        plans = PLAN_SWEEP_FULL if full_sweep() else PLAN_SWEEP_SUBSET
-
-    from repro.tempi.measurement import measure_system
-    from repro.tempi.perf_model import PerformanceModel
-
-    model = PerformanceModel(measure_system(SUMMIT))
-    grid = run_grid(model, sizes, blocks, LOAD_SWEEP)
-    bursts = run_bursts(plans, model)
-    print("Figure 9 (extended) — method selection vs injection-port load")
-    print(render_grid(grid, LOAD_SWEEP))
-    print(render_bursts(bursts))
-    flips = check_grid(grid, model, LOAD_SWEEP)
-    check_bursts(bursts)
-    print(
-        f"OK: {len(flips)} cell(s) flipped under load; selection='model' reproduces "
-        "the default (PR-3) numbers exactly"
-    )
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -31,24 +31,17 @@ Two harnesses share the acceptance claims:
   ``nic="inject_only"`` ablation (the PR-4 pricing: the probe's own idle
   injection port) never flips.
 
-Run as a script (the CI smoke check) or under pytest:
+Run through the figure table (``--smoke`` is the CI sweep, ``--full`` the
+larger one):
 
-    PYTHONPATH=src python benchmarks/bench_incast.py --smoke
-    PYTHONPATH=src python -m pytest benchmarks/bench_incast.py -q -s
-
-Set ``REPRO_BENCH_FULL=1`` for the larger sweep.
+    PYTHONPATH=src python -m repro.cli figures --only incast
 """
 
 from __future__ import annotations
 
-import argparse
-import os
-import sys
-
 import pytest
 
 from repro.apps.exchange_model import incast_efficiency, model_duplex_exchange
-from repro.bench.harness import format_table
 from repro.machine.network import DEFAULT_WIRE_OVERLAP, NetworkModel
 from repro.machine.spec import SUMMIT
 from repro.mpi.constructors import Type_vector
@@ -75,14 +68,12 @@ PROBES = (
     dict(nblocks=2048, block=64, pitch=128),
 )
 
-SENDER_SWEEP_SUBSET = (1, 2, 4)
-SENDER_SWEEP_FULL = (1, 2, 4, 8, 16)
-BACKGROUND_SWEEP_SUBSET = (0, 4)
-BACKGROUND_SWEEP_FULL = (0, 1, 2, 4, 8)
-
-
-def full_sweep() -> bool:
-    return os.environ.get("REPRO_BENCH_FULL", "0") not in ("", "0", "false", "no")
+#: Sender counts and background-sender counts per sweep.
+SWEEPS = {
+    "smoke": dict(senders=(1, 2, 4), backgrounds=(0, 4)),
+    "default": dict(senders=(1, 2, 4), backgrounds=(0, 4)),
+    "full": dict(senders=(1, 2, 4, 8, 16), backgrounds=(0, 1, 2, 4, 8)),
+}
 
 
 def incast_wire_s(machine=SUMMIT) -> float:
@@ -148,7 +139,7 @@ def run_incasts(sender_counts, model):
 
 
 def check_incasts(results) -> None:
-    """The completion acceptance claims, shared by pytest and the CLI."""
+    """The completion acceptance claims."""
     wire = incast_wire_s()
     previous_efficiency = 1.0 + 1e-12
     for senders, row in sorted(results.items()):
@@ -179,24 +170,6 @@ def check_incasts(results) -> None:
             "incast efficiency must degrade monotonically with senders"
         )
         previous_efficiency = row["efficiency"]
-
-
-def render_incasts(results) -> str:
-    rows = [
-        [
-            senders,
-            f"{row['inject'] * 1e6:10.1f}",
-            f"{row['duplex'] * 1e6:10.1f}",
-            f"{row['analytic'].completion_s * 1e6:10.1f}",
-            row["duplex_stalls"],
-            f"{row['efficiency']:.3f}",
-        ]
-        for senders, row in sorted(results.items())
-    ]
-    return format_table(
-        ["senders", "inject us", "duplex us", "analytic us", "stalls", "efficiency"],
-        rows,
-    )
 
 
 # --------------------------------------------------------------------------- #
@@ -285,92 +258,3 @@ def check_probes(results) -> list[tuple[int, int]]:
     heavy = [flip for flip in flips if flip[0] >= 4]
     assert heavy, "no probe shape flipped behind >=4 incast senders"
     return flips
-
-
-def render_probes(results) -> str:
-    def fmt(counts):
-        return ",".join(f"{k}={v}" for k, v in sorted(counts.items())) or "-"
-
-    rows = []
-    for background, row in sorted(results.items()):
-        for index, cell in enumerate(row):
-            probe = cell["probe"]
-            rows.append(
-                [
-                    background,
-                    f"{probe['nblocks']}x{probe['block']}B",
-                    fmt(cell["idle"]),
-                    fmt(cell["duplex"]),
-                    fmt(cell["inject"]),
-                    "flip" if cell["duplex"] != cell["idle"] else "same",
-                ]
-            )
-    return format_table(
-        ["bg senders", "probe", "idle", "duplex", "inject_only", ""], rows
-    )
-
-
-# --------------------------------------------------------------------------- #
-# Harnesses
-# --------------------------------------------------------------------------- #
-
-@pytest.mark.benchmark(group="incast")
-def test_incast_duplex_accounting(benchmark, summit_model, report):
-    senders = SENDER_SWEEP_FULL if full_sweep() else SENDER_SWEEP_SUBSET
-    backgrounds = BACKGROUND_SWEEP_FULL if full_sweep() else BACKGROUND_SWEEP_SUBSET
-
-    def run():
-        return run_incasts(senders, summit_model), run_probes(backgrounds, summit_model)
-
-    incasts, probes = benchmark.pedantic(run, rounds=1, iterations=1)
-    print("\nIncast — duplex (ingestion-port) accounting vs the inject-only ablation")
-    print(render_incasts(incasts))
-    print(render_probes(probes))
-    check_incasts(incasts)
-    flips = check_probes(probes)
-    report.add(
-        "Incast (beyond paper)",
-        "N senders -> 1 receiver: ingestion-port serialisation and selection shift",
-        "duplex prices the hot receiver above inject_only; selection flips (no paper value)",
-        f"{len(flips)} probe flips; efficiency "
-        f"{min(row['efficiency'] for row in incasts.values()):.2f} at "
-        f"{max(incasts)} senders",
-        matches_shape=bool(flips),
-        note="nic='inject_only' bit-identical to the PR-4 books (property-pinned)",
-    )
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="minimal sweep (CI bit-rot check): 1/2/4 senders, 0/4 background",
-    )
-    args = parser.parse_args(argv)
-    if args.smoke:
-        senders, backgrounds = (1, 2, 4), (0, 4)
-    else:
-        senders = SENDER_SWEEP_FULL if full_sweep() else SENDER_SWEEP_SUBSET
-        backgrounds = BACKGROUND_SWEEP_FULL if full_sweep() else BACKGROUND_SWEEP_SUBSET
-
-    from repro.tempi.measurement import measure_system
-    from repro.tempi.perf_model import PerformanceModel
-
-    model = PerformanceModel(measure_system(SUMMIT))
-    incasts = run_incasts(senders, model)
-    probes = run_probes(backgrounds, model)
-    print("Incast — duplex (ingestion-port) accounting vs the inject-only ablation")
-    print(render_incasts(incasts))
-    print(render_probes(probes))
-    check_incasts(incasts)
-    flips = check_probes(probes)
-    print(
-        f"OK: duplex prices the hot receiver above the ablation at every sender count; "
-        f"{len(flips)} probe selection(s) flipped; inject_only never flipped"
-    )
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -20,26 +20,16 @@ skew axis and pins the onset:
   fallbacks), delivers every token's stamp intact (``verify=True``), and
   replays bit-identically run to run.
 
-Run as a script (the CI smoke check) or under pytest:
+Run through the figure table (``--smoke`` is the CI sweep, ``--full`` the
+larger one):
 
-    PYTHONPATH=src python benchmarks/bench_moe.py --smoke
-    PYTHONPATH=src python -m pytest benchmarks/bench_moe.py -q -s
-
-Set ``REPRO_BENCH_FULL=1`` for the larger sweep.
+    PYTHONPATH=src python -m repro.cli figures --only moe
 """
 
 from __future__ import annotations
 
-import argparse
-import os
-import sys
-
-import pytest
-
 from repro.apps.exchange_model import model_moe_exchange
 from repro.apps.moe import MoESpec, moe_counts, run_moe
-from repro.bench.harness import format_table
-from repro.machine.spec import SUMMIT
 
 #: Eight experts, one per rank — small enough for CI, wide enough that the
 #: hot port sees seven concurrent senders.
@@ -55,12 +45,11 @@ SEED = 3
 #: it at skew >= 4.  Skew 2 is the unasserted transition zone.
 EXCESS_STALL_ONSET = 2.0
 
-SKEW_SWEEP_SUBSET = (1.0, 4.0, 16.0)
-SKEW_SWEEP_FULL = (1.0, 2.0, 4.0, 8.0, 16.0)
-
-
-def full_sweep() -> bool:
-    return os.environ.get("REPRO_BENCH_FULL", "0") not in ("", "0", "false", "no")
+SKEW_SWEEPS = {
+    "smoke": (1.0, 4.0, 16.0),
+    "default": (1.0, 4.0, 16.0),
+    "full": (1.0, 2.0, 4.0, 8.0, 16.0),
+}
 
 
 def moe_spec(skew: float) -> MoESpec:
@@ -98,7 +87,7 @@ def run_moes(skews, model):
 
 
 def check_moes(results) -> None:
-    """The incast-onset claims, shared by pytest and the CLI."""
+    """The incast-onset claims."""
     for skew, row in sorted(results.items()):
         result = row["result"]
         assert result.collective_fallbacks == 0, (
@@ -129,81 +118,3 @@ def check_moes(results) -> None:
         result = row["result"]
         assert rerun.clocks == result.clocks, "MoE round must replay bit-identically"
         assert rerun.digests == result.digests, "MoE payloads must replay bit-identically"
-
-
-def render_moes(results) -> str:
-    rows = []
-    for skew, row in sorted(results.items()):
-        result = row["result"]
-        hot_tokens = int(row["twin"].hot_tokens)
-        rows.append(
-            [
-                f"{skew:.0f}x",
-                hot_tokens,
-                f"{result.completion_s * 1e3:8.3f}",
-                result.ingest_stalls,
-                f"{row['excess']:6.2f}",
-                f"{row['twin'].hot_ingest_stalled_s * 1e6:8.1f}",
-                f"{row['twin'].cold_ingest_stalled_s * 1e6:8.1f}",
-            ]
-        )
-    return format_table(
-        ["skew", "hot tok", "sim ms", "stalls", "hot excess", "twin hot us", "twin cold us"],
-        rows,
-    )
-
-
-@pytest.mark.benchmark(group="moe")
-def test_moe_skew(benchmark, summit_model, report):
-    skews = SKEW_SWEEP_FULL if full_sweep() else SKEW_SWEEP_SUBSET
-
-    def run():
-        return run_moes(skews, summit_model)
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
-    print("\nMoE dispatch — hot-expert incast onset across the skew axis")
-    print(render_moes(results))
-    check_moes(results)
-    hottest = max(results)
-    report.add(
-        "MoE hot-expert incast (beyond paper)",
-        "skewed expert-parallel Alltoallv through the interposer and NIC ledgers",
-        "hot-port excess stalls < 2 at skew 1, >= 2 at skew >= 4 (no paper value)",
-        f"excess {results[1.0]['excess']:.2f} at 1x, "
-        f"{results[hottest]['excess']:.2f} at {hottest:.0f}x",
-        matches_shape=results[hottest]["excess"] >= EXCESS_STALL_ONSET,
-        note="twin's hot-port stalled-seconds overtake cold at the same onset",
-    )
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="minimal sweep (CI bit-rot check): skew 1/4/16 at 8 ranks",
-    )
-    args = parser.parse_args(argv)
-    skews = (
-        SKEW_SWEEP_SUBSET
-        if args.smoke
-        else (SKEW_SWEEP_FULL if full_sweep() else SKEW_SWEEP_SUBSET)
-    )
-
-    from repro.tempi.measurement import measure_system
-    from repro.tempi.perf_model import PerformanceModel
-
-    model = PerformanceModel(measure_system(SUMMIT))
-    results = run_moes(skews, model)
-    print("MoE dispatch — hot-expert incast onset across the skew axis")
-    print(render_moes(results))
-    check_moes(results)
-    print(
-        "OK: hot-expert ingest stalls appear at skew >= 4x, the analytic twin "
-        "agrees on the onset, and the round replays bit-identically"
-    )
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

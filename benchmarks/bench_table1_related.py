@@ -15,9 +15,6 @@ same relative standing: competitive at small (latency-bound) and large
 
 from __future__ import annotations
 
-import pytest
-
-from repro.bench.harness import format_table
 from repro.bench.workloads import Fig11Config
 from repro.mpi.constructors import Type_vector
 from repro.mpi.datatype import BYTE
@@ -74,45 +71,8 @@ def _pingpong_latency(object_bytes: int, summit_model) -> float:
     return World(2, ranks_per_node=1).run(program)[0]
 
 
-@pytest.mark.benchmark(group="table1")
-def test_table1_microbenchmark_comparison(benchmark, summit_model, report):
-    def measure():
-        packs = {size: _pack_latency(size, summit_model) for size in (64 << 10, 4 << 20)}
-        pingpongs = {
-            size: _pingpong_latency(size, summit_model) for size in (1024, 1 << 20, 4 << 20)
-        }
-        return packs, pingpongs
-
-    packs, pingpongs = benchmark.pedantic(measure, rounds=1, iterations=1)
-
-    rows = []
-    for work, platform, pack_obs, ping_obs in RELATED_WORK:
-        pack_text = ", ".join(f"{v:,.0f} us @ {k >> 10} KiB" for k, v in pack_obs.items())
-        ping_text = ", ".join(f"{v:,.0f} us @ {k >> 10} KiB" for k, v in ping_obs.items()) or "-"
-        rows.append([work, platform, pack_text, ping_text])
-    rows.append(
-        [
-            "This reproduction",
-            "simulated Summit node",
-            ", ".join(f"{v * 1e6:,.0f} us @ {k >> 10} KiB" for k, v in packs.items()),
-            ", ".join(f"{v * 1e6:,.0f} us @ {k >> 10} KiB" for k, v in pingpongs.items()),
-        ]
-    )
-    print("\nTable 1 — non-contiguous microbenchmarks, related work vs this reproduction")
-    print(format_table(["work", "platform", "pack", "ping-pong"], rows))
-
-    # Shape claims: the reproduced numbers sit in the same order of magnitude
-    # as the paper's own row (tens of microseconds for pack, sub-millisecond
-    # for the large ping-pong) and well below the older related-work numbers.
-    assert packs[4 << 20] * 1e6 < 1_000
-    assert pingpongs[4 << 20] * 1e6 < 7_000
-    assert pingpongs[1024] * 1e6 < 70.0
-
-    report.add(
-        "Table 1",
-        "pack 4 MiB / ping-pong 4 MiB latency (TEMPI row)",
-        "21 us / 888 us",
-        f"{packs[4 << 20] * 1e6:.0f} us / {pingpongs[4 << 20] * 1e6:.0f} us",
-        matches_shape=True,
-        note="same order of magnitude; remains far below the pre-V100 related-work rows",
-    )
+def measure(summit_model):
+    """This reproduction's row: pack and ping-pong latency per object size."""
+    packs = {size: _pack_latency(size, summit_model) for size in (64 << 10, 4 << 20)}
+    pingpongs = {size: _pingpong_latency(size, summit_model) for size in (1024, 1 << 20, 4 << 20)}
+    return packs, pingpongs

@@ -25,24 +25,17 @@ fat-tree — and two consequences follow, each with a functional harness:
   exactly; :func:`repro.apps.exchange_model.uplink_efficiency` is the
   degradation curve as flows or the oversubscription factor grow.
 
-Run as a script (the CI smoke check) or under pytest:
+Run through the figure table (``--smoke`` is the CI sweep, ``--full`` the
+larger one):
 
-    PYTHONPATH=src python benchmarks/bench_topology.py --smoke
-    PYTHONPATH=src python -m pytest benchmarks/bench_topology.py -q -s
-
-Set ``REPRO_BENCH_FULL=1`` for the larger sweep.
+    PYTHONPATH=src python -m repro.cli figures --only topology
 """
 
 from __future__ import annotations
 
-import argparse
-import os
-import sys
-
 import pytest
 
 from repro.apps.exchange_model import model_fabric_exchange, uplink_efficiency
-from repro.bench.harness import format_table
 from repro.machine.nic import NicTimeline
 from repro.machine.spec import SUMMIT
 from repro.machine.topology import Topology, TopologySpec
@@ -82,19 +75,20 @@ def fabric_spec(oversubscription: float) -> TopologySpec:
 #: dwarfs pack/unpack, so completion isolates the uplink serialisation.
 FABRIC = dict(nblocks=1024, block=4096, pitch=8192)
 
-GRID_BLOCKS_SUBSET = (1, 64, 512)
-GRID_BLOCKS_FULL = (1, 8, 64, 512)
 GRID_SIZES_SUBSET = tuple(1 << p for p in range(8, 23, 2))
-GRID_SIZES_FULL = tuple(1 << p for p in range(8, 23))
-
-FLOW_SWEEP_SUBSET = (1, 2, 4)
-FLOW_SWEEP_FULL = (1, 2, 3, 4)
-OVERSUB_SWEEP_SUBSET = (1.0, 4.0)
-OVERSUB_SWEEP_FULL = (1.0, 4.0, 16.0)
-
-
-def full_sweep() -> bool:
-    return os.environ.get("REPRO_BENCH_FULL", "0") not in ("", "0", "false", "no")
+#: Grid sizes, grid block lengths, flow counts and oversubscriptions per sweep.
+SWEEPS = {
+    "smoke": dict(sizes=GRID_SIZES_SUBSET, blocks=(64, 512), flows=(1, 2, 4), oversubs=(1.0, 4.0)),
+    "default": dict(
+        sizes=GRID_SIZES_SUBSET, blocks=(1, 64, 512), flows=(1, 2, 4), oversubs=(1.0, 4.0)
+    ),
+    "full": dict(
+        sizes=tuple(1 << p for p in range(8, 23)),
+        blocks=(1, 8, 64, 512),
+        flows=(1, 2, 3, 4),
+        oversubs=(1.0, 4.0, 16.0),
+    ),
+}
 
 
 def measurement_packer(size: int, block_length: int):
@@ -155,11 +149,20 @@ def crossover_size(row: dict[int, str]):
     return chosen[0] if chosen else None
 
 
-def check_crossovers(grid, model) -> list[int]:
-    """The crossover acceptance claims; returns the diverging blocks."""
+def diverging_blocks(grid) -> list[int]:
+    """Blocks whose device crossover sits later (or nowhere) behind the spine."""
     diverging = []
-    blocks = sorted({block for block, _ in grid})
-    for block in blocks:
+    for block in sorted({block for block, _ in grid}):
+        island = crossover_size(grid[(block, "island")])
+        spine = crossover_size(grid[(block, "spine")])
+        if island is not None and (spine is None or spine > island):
+            diverging.append(block)
+    return diverging
+
+
+def check_crossovers(grid, model) -> None:
+    """The crossover acceptance claims."""
+    for block in sorted({block for block, _ in grid}):
         flat = grid[(block, "flat")]
         # The topology-free idle selection is the Fig. 9b map, cell for cell.
         for size, method in flat.items():
@@ -172,33 +175,10 @@ def check_crossovers(grid, model) -> list[int]:
         assert island is not None, f"block {block}: no island cell ever picked device"
         # Behind the oversubscribed uplink the device wire's bandwidth edge
         # shrinks, so the device method can only win later (or never).
-        if spine is None or spine > island:
-            diverging.append(block)
-        else:
-            assert spine >= island, (
-                f"block {block}: spine crossover {spine} below island {island}"
-            )
-    assert diverging, "no block's crossover diverged between island and spine paths"
-    return diverging
-
-
-def render_crossovers(grid, sizes) -> str:
-    classes = ("island", "node", "leaf", "spine", "flat")
-    rows = []
-    for block in sorted({block for block, _ in grid}):
-        for kind in classes:
-            row = grid.get((block, kind))
-            if row is None:
-                continue
-            cells = "".join("d" if row[size] == "device" else "o" for size in sizes)
-            cross = crossover_size(row)
-            rows.append(
-                [block, kind, cells, cross if cross is not None else "-"]
-            )
-    return format_table(
-        ["block", "path", "o=oneshot d=device (sizes ascending)", "crossover B"], rows
-    )
-
+        assert spine is None or spine >= island, (
+            f"block {block}: spine crossover {spine} below island {island}"
+        )
+    assert diverging_blocks(grid), "no block's crossover diverged between island and spine paths"
 
 # --------------------------------------------------------------------------- #
 # Structural incast (cross-leaf flows sharing one uplink bundle)
@@ -262,7 +242,7 @@ def run_fabric(flow_counts, oversubs, model):
 
 
 def check_fabric(results) -> None:
-    """The fabric acceptance claims, shared by pytest and the CLI."""
+    """The fabric acceptance claims."""
     previous: dict[float, float] = {}
     for (oversub, flows), row in sorted(results.items()):
         analytic = row["analytic"]
@@ -300,97 +280,3 @@ def check_fabric(results) -> None:
             results[(heaviest, flow_max)]["efficiency"]
             < results[(lightest, flow_max)]["efficiency"]
         ), "uplink efficiency must degrade with oversubscription"
-
-
-def render_fabric(results) -> str:
-    rows = [
-        [
-            f"{oversub:g}",
-            flows,
-            f"{row['completion'] * 1e6:10.1f}",
-            f"{row['analytic'].completion_s * 1e6:10.1f}",
-            row["stalls"],
-            f"{row['stalled_s'] * 1e6:9.1f}",
-            f"{row['efficiency']:.3f}",
-        ]
-        for (oversub, flows), row in sorted(results.items())
-    ]
-    return format_table(
-        ["oversub", "flows", "completion us", "analytic us", "stalls",
-         "stalled us", "efficiency"],
-        rows,
-    )
-
-
-# --------------------------------------------------------------------------- #
-# Harnesses
-# --------------------------------------------------------------------------- #
-
-@pytest.mark.benchmark(group="topology")
-def test_topology_paths(benchmark, summit_model, report):
-    sizes = GRID_SIZES_FULL if full_sweep() else GRID_SIZES_SUBSET
-    blocks = GRID_BLOCKS_FULL if full_sweep() else GRID_BLOCKS_SUBSET
-    flows = FLOW_SWEEP_FULL if full_sweep() else FLOW_SWEEP_SUBSET
-    oversubs = OVERSUB_SWEEP_FULL if full_sweep() else OVERSUB_SWEEP_SUBSET
-
-    def run():
-        return (
-            run_crossovers(summit_model, sizes, blocks),
-            run_fabric(flows, oversubs, summit_model),
-        )
-
-    grid, fabric = benchmark.pedantic(run, rounds=1, iterations=1)
-    print("\nTopology — per-path-class crossovers and the shared uplink bundle")
-    print(render_crossovers(grid, sizes))
-    print(render_fabric(fabric))
-    diverging = check_crossovers(grid, summit_model)
-    check_fabric(fabric)
-    report.add(
-        "Topology (beyond paper)",
-        "path-class selection crossovers; cross-leaf uplink incast",
-        "island/spine crossovers diverge; shared uplink serialises (no paper value)",
-        f"{len(diverging)} diverging blocks; efficiency "
-        f"{min(row['efficiency'] for row in fabric.values()):.2f} at "
-        f"oversub {max(o for o, _ in fabric):g}",
-        matches_shape=bool(diverging),
-        note="flat spec bit-identical to the pre-topology books (property-pinned)",
-    )
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="minimal sweep (CI bit-rot check): coarse grid, 1/2/4 flows",
-    )
-    args = parser.parse_args(argv)
-    if args.smoke:
-        sizes, blocks = GRID_SIZES_SUBSET, (64, 512)
-        flows, oversubs = (1, 2, 4), (1.0, 4.0)
-    else:
-        sizes = GRID_SIZES_FULL if full_sweep() else GRID_SIZES_SUBSET
-        blocks = GRID_BLOCKS_FULL if full_sweep() else GRID_BLOCKS_SUBSET
-        flows = FLOW_SWEEP_FULL if full_sweep() else FLOW_SWEEP_SUBSET
-        oversubs = OVERSUB_SWEEP_FULL if full_sweep() else OVERSUB_SWEEP_SUBSET
-
-    from repro.tempi.measurement import measure_system
-    from repro.tempi.perf_model import PerformanceModel
-
-    model = PerformanceModel(measure_system(SUMMIT))
-    grid = run_crossovers(model, sizes, blocks)
-    fabric = run_fabric(flows, oversubs, model)
-    print("Topology — per-path-class crossovers and the shared uplink bundle")
-    print(render_crossovers(grid, sizes))
-    print(render_fabric(fabric))
-    diverging = check_crossovers(grid, model)
-    check_fabric(fabric)
-    print(
-        f"OK: crossover diverged island vs spine at {len(diverging)} block length(s); "
-        "fabric stalls and stalled seconds match the analytic walk exactly"
-    )
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

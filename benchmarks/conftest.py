@@ -1,88 +1,31 @@
-"""Shared fixtures for the figure/table benchmarks.
+"""Fixtures for ``bench_sim_throughput.py``, the one pytest module left here.
 
-Every benchmark module regenerates one table or figure of the paper's
-evaluation section.  Two kinds of numbers are produced:
-
-* **simulated latencies** (virtual time) — these are the quantities the paper
-  plots, printed as fixed-width tables and recorded in the paper-vs-measured
-  report (``benchmarks/bench_report.json`` + ``EXPERIMENTS.md``);
-* **wall-clock timings** from pytest-benchmark — these measure the harness
-  itself (how long the simulation takes to run on the host) and are what
-  ``--benchmark-only`` reports.
-
-Set ``REPRO_BENCH_FULL=1`` to sweep the full paper grids where the default
-keeps a representative subset for wall-clock friendliness.
+The figure benchmarks run through ``python -m repro.cli figures``
+(``benchmarks/figures.py``).  ROADMAP item 11 folds the simulator-throughput
+harness into ``benchmarks/e2e`` and deletes both fixtures with it.
 """
 
 from __future__ import annotations
 
-import os
-from pathlib import Path
-
 import pytest
 
-from repro.bench.reporting import ReportCollector
 from repro.machine.spec import SUMMIT
 from repro.tempi.measurement import measure_system
 from repro.tempi.perf_model import PerformanceModel
 
-#: Where the paper-vs-measured records of a benchmark session are written.
-REPORT_PATH = Path(__file__).parent / "bench_report.json"
+
+@pytest.fixture(scope="session")
+def summit_model() -> PerformanceModel:
+    return PerformanceModel(measure_system(SUMMIT))
 
 
-def full_sweep() -> bool:
-    """True when the user asked for the complete paper grids."""
-    return os.environ.get("REPRO_BENCH_FULL", "0") not in ("", "0", "false", "no")
+class _DiscardedReport:
+    """Takes the row ``bench_sim_throughput.py`` reports and keeps nothing."""
+
+    def add(self, *args, **kwargs) -> None:
+        pass
 
 
 @pytest.fixture(scope="session")
-def summit_measurement():
-    """One measurement sweep of the simulated machine per benchmark session."""
-    return measure_system(SUMMIT)
-
-
-@pytest.fixture(scope="session")
-def summit_model(summit_measurement) -> PerformanceModel:
-    return PerformanceModel(summit_measurement)
-
-
-@pytest.fixture(scope="session")
-def report() -> ReportCollector:
-    """The session-wide paper-vs-measured collector (saved at teardown)."""
-    collector = ReportCollector()
-    yield collector
-    if collector.records:
-        collector.save(REPORT_PATH)
-
-
-_REPORT_FOR_SUMMARY: list[ReportCollector] = []
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _register_report(report):
-    _REPORT_FOR_SUMMARY.append(report)
-    return report
-
-
-def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    """Replay each benchmark's printed figure table after the run.
-
-    The tables of simulated latencies are the benchmarks' real output; pytest
-    captures stdout of passing tests, so they are written again here (and end
-    up in ``bench_output.txt`` when the run is teed to a file).
-    """
-    sections = [
-        (report.nodeid, report.capstdout)
-        for report in terminalreporter.getreports("passed")
-        if report.when == "call" and report.capstdout.strip()
-    ]
-    if sections:
-        terminalreporter.write_sep("=", "figure/table harness output (simulated latencies)")
-        for nodeid, text in sections:
-            terminalreporter.write_sep("-", nodeid)
-            terminalreporter.write_line(text)
-    for collector in _REPORT_FOR_SUMMARY:
-        if collector.records:
-            terminalreporter.write_sep("=", "paper-vs-measured summary")
-            terminalreporter.write_line(collector.to_text())
-            terminalreporter.write_line(f"(saved to {REPORT_PATH})")
+def report() -> _DiscardedReport:
+    return _DiscardedReport()

@@ -1,27 +1,17 @@
 """Benchmark harness helpers.
 
-The ``benchmarks/`` directory contains one pytest-benchmark module per table
-or figure of the paper's evaluation; this package holds what they share:
+``benchmarks/figures.py`` is the paper-vs-measured table of the evaluation
+(run by ``repro figures``); this package holds what its ``bench_*`` modules
+share:
 
-* :mod:`repro.bench.harness` — virtual-time measurement helpers (trimean of
-  repeated runs, as Fig. 7 reports), simple fixed-width table rendering and
-  speedup formatting;
+* :mod:`repro.bench.harness` — the trimean Fig. 7 reports, microsecond
+  formatting and the fixed-width tables the runner prints;
 * :mod:`repro.bench.workloads` — the exact datatype configurations the
   figures sweep (the 15 commit configurations of Fig. 7, the 2-D objects of
-  Figs. 8/10/11);
-* :mod:`repro.bench.reporting` — paper-vs-measured rows collected while the
-  benchmarks run, so ``EXPERIMENTS.md`` can be regenerated from a benchmark
-  session.
+  Figs. 8/10/11).
 """
 
-from repro.bench.harness import (
-    BenchResult,
-    format_speedup,
-    format_table,
-    measure_virtual,
-    trimean,
-)
-from repro.bench.reporting import ExperimentRecord, ReportCollector
+from repro.bench.harness import format_table, format_us, trimean
 from repro.bench.workloads import (
     Fig7Config,
     Fig8Config,
@@ -33,18 +23,14 @@ from repro.bench.workloads import (
 )
 
 __all__ = [
-    "BenchResult",
-    "ExperimentRecord",
     "Fig11Config",
     "Fig7Config",
     "Fig8Config",
-    "ReportCollector",
     "fig10_configurations",
     "fig11_configurations",
     "fig7_configurations",
     "fig8_configurations",
-    "format_speedup",
     "format_table",
-    "measure_virtual",
+    "format_us",
     "trimean",
 ]

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -14,48 +13,6 @@ def trimean(values: Sequence[float]) -> float:
         raise ValueError("trimean of an empty sequence")
     q1, median, q3 = np.percentile(np.asarray(values, dtype=np.float64), [25, 50, 75])
     return float((q1 + 2.0 * median + q3) / 4.0)
-
-
-@dataclass
-class BenchResult:
-    """One measured quantity with its repetitions."""
-
-    label: str
-    samples: list[float] = field(default_factory=list)
-
-    def add(self, value: float) -> None:
-        self.samples.append(float(value))
-
-    @property
-    def trimean(self) -> float:
-        return trimean(self.samples)
-
-    @property
-    def mean(self) -> float:
-        return float(np.mean(self.samples))
-
-    @property
-    def best(self) -> float:
-        return float(np.min(self.samples))
-
-
-def measure_virtual(clock, fn: Callable[[], object], repetitions: int = 1) -> BenchResult:
-    """Run ``fn`` ``repetitions`` times and record the virtual time of each run."""
-    if repetitions <= 0:
-        raise ValueError("repetitions must be positive")
-    result = BenchResult(label=getattr(fn, "__name__", "measurement"))
-    for _ in range(repetitions):
-        start = clock.now
-        fn()
-        result.add(clock.now - start)
-    return result
-
-
-def format_speedup(baseline_s: float, accelerated_s: float) -> str:
-    """Human-readable speedup (``12,345x``); guards against zero denominators."""
-    if accelerated_s <= 0:
-        return "inf"
-    return f"{baseline_s / accelerated_s:,.1f}x"
 
 
 def format_us(seconds: float) -> str:
@@ -81,12 +38,3 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> st
     ]
     return "\n".join([line, separator, *body])
 
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean, used for aggregate speedup summaries."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("geometric mean of an empty sequence")
-    if np.any(arr <= 0):
-        raise ValueError("geometric mean requires positive values")
-    return float(np.exp(np.mean(np.log(arr))))

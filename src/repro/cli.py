@@ -55,18 +55,27 @@ used while studying the model:
     undocumented knobs/counters, raw float accumulation in the NIC ledgers.
     Nonzero exit on any finding.
 
+``python -m repro.cli figures [--smoke | --full] [--only fig12b ...]``
+    Run the paper-vs-measured table (``benchmarks/figures.py``): each row
+    measures one figure claim at its default, ``--smoke`` or ``--full`` grid,
+    prints its tables and checks its claim, the rows spread over one worker
+    process per core and printed in table order.  Nonzero exit naming every
+    failing row; a default run of the whole table that passes rewrites
+    ``benchmarks/bench_report.json``.
+
 ``python -m repro.cli sanitize``
-    Replay the fig9/fig14/fig15/incast/allreduce/moe benchmarks (``--smoke`` subsets, or
-    ``--full``) with the runtime clock sanitizer (:mod:`repro.tempi.sanitizer`)
-    as the NIC trace sink, one fresh sink per replay: vector clocks over NIC
-    commits, cross-rank backlog reads audited for a happens-before edge, port
-    monotonicity, and pricing-purity checksums.  Prints every audit counter;
-    nonzero exit on any violation.
+    Replay the table's fig9/fig15/incast/allreduce/moe rows (``--smoke``
+    grids, or ``--full``) and Fig. 14's three engines with the runtime clock
+    sanitizer (:mod:`repro.tempi.sanitizer`) as the NIC trace sink, one fresh
+    sink per replay: vector clocks over NIC commits, cross-rank backlog reads
+    audited for a happens-before edge, port monotonicity, and pricing-purity
+    checksums.  Prints every audit counter; nonzero exit on any violation.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -169,6 +178,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument("--select", nargs="*", default=None, metavar="SIMxxx",
                       help="only run these rule codes (default: all rules)")
+
+    figures = sub.add_parser(
+        "figures",
+        help="run the paper-vs-measured figure table and check every row's claim",
+    )
+    grid = figures.add_mutually_exclusive_group()
+    grid.add_argument("--smoke", action="store_true", help="the smallest grids (CI)")
+    grid.add_argument("--full", action="store_true", help="the paper's full grids")
+    figures.add_argument("--only", nargs="+", default=None, metavar="ID",
+                         help="run only these rows (default: the whole table)")
 
     sanitize = sub.add_parser(
         "sanitize",
@@ -400,9 +419,9 @@ def _repo_root() -> Optional[Path]:
     """The repository checkout this package was imported from, if any.
 
     ``repro`` lives at ``<root>/src/repro``; the lint tool and the figure
-    benchmarks live beside ``src`` at ``<root>/tools`` and
-    ``<root>/benchmarks``.  An installed copy of the package has neither, in
-    which case the source-tree commands (``lint``, ``sanitize``) refuse.
+    table live beside ``src`` at ``<root>/tools`` and ``<root>/benchmarks``.
+    An installed copy of the package has neither, in which case the
+    source-tree commands (``lint``, ``figures``, ``sanitize``) refuse.
     """
     root = Path(__file__).resolve().parents[2]
     if (root / "tools" / "analyze" / "__init__.py").exists():
@@ -471,45 +490,133 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return lint_main(argv)
 
 
-def _cmd_sanitize(args: argparse.Namespace) -> int:
-    import importlib.util
-    from functools import partial
-
-    from repro.tempi.config import trace_default
-    from repro.tempi.sanitizer import ClockSanitizer
+def _load_figures():
+    """``benchmarks/figures.py`` of this checkout, imported beside its ``bench_*`` modules."""
+    import importlib
 
     root = _repo_root()
     if root is None:
-        print("error: 'repro sanitize' needs the source checkout (benchmarks/ not found)",
+        raise FileNotFoundError("the figure table needs the source checkout (benchmarks/ not found)")
+    bench_dir = str(root / "benchmarks")
+    sys.path.insert(0, bench_dir)
+    try:
+        return importlib.import_module("figures")
+    finally:
+        sys.path.remove(bench_dir)
+
+
+@functools.lru_cache(maxsize=None)
+def _figure_model() -> PerformanceModel:
+    """The model every row of one process prices with (measured once)."""
+    return _load_model(None)
+
+
+def _run_figure(row, sweep: str) -> tuple[str, Optional[dict], Optional[str]]:
+    """Run one row: ``(printed tables, report record, failure)``.
+
+    The record is ``None`` and the failure is the traceback when the
+    measurement raised or the row's check did not hold.
+    """
+    import traceback
+
+    from repro.bench.harness import format_table
+
+    text = ""
+    try:
+        result = row.run(_figure_model(), sweep)
+        text = "\n".join(format_table(headers, rows) for headers, rows in row.table(result))
+        row.check(result)
+        return text, row.record(result), None
+    except Exception:  # noqa: BLE001 - any failure fails the row
+        return text, None, traceback.format_exc().rstrip()
+
+
+def _figure_task(row_id: str, sweep: str):
+    """One worker process's share: the row named ``row_id``."""
+    rows = {row.id: row for row in _load_figures().FIGURES}
+    return _run_figure(rows[row_id], sweep)
+
+
+def _cmd_figures(args: argparse.Namespace) -> int:
+    import json
+    import os
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    try:
+        figures = _load_figures()
+    except FileNotFoundError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    ids = [row.id for row in figures.FIGURES]
+    unknown = [row_id for row_id in args.only or () if row_id not in ids]
+    if unknown:
+        print(f"error: no figure row {', '.join(unknown)} (rows: {' '.join(ids)})",
               file=sys.stderr)
         return 2
-    bench_dir = root / "benchmarks"
-    argv = [] if args.full else ["--smoke"]
+    sweep = "smoke" if args.smoke else "full" if args.full else "default"
+    selected = [row for row in figures.FIGURES if args.only is None or row.id in args.only]
+    if len(selected) == 1:
+        # One row runs in this process: a pool would only add a process start.
+        outcomes = iter([_run_figure(selected[0], sweep)])
+        pool = None
+    else:
+        # Spawned, not forked: a fork of a process whose kernel helpers run
+        # would inherit their bookkeeping without the threads.
+        pool = ProcessPoolExecutor(  # simlint: disable=SIM008 -- a process per row, nothing shared
+            max_workers=os.cpu_count(), mp_context=get_context("spawn")
+        )
+        outcomes = pool.map(_figure_task, [row.id for row in selected], [sweep] * len(selected))
+    failures, records = [], []
+    try:
+        for row, (text, record, failure) in zip(selected, outcomes):
+            print(f"== {row.id}: {row.experiment}")
+            if text:
+                print(text)
+            if failure is None:
+                records.append(record)
+                print(f"   measured {record['measured_value']} (paper: {row.paper})")
+            else:
+                failures.append(row.id)
+                print(f"   FAILED: {failure}")
+    finally:
+        if pool is not None:
+            pool.shutdown()
+    if failures:
+        print(f"figures: {len(failures)} failing row(s): {', '.join(failures)}", file=sys.stderr)
+        return 1
+    print(f"figures: {len(records)} row(s) hold ({sweep} grids)")
+    if sweep == "default" and args.only is None:
+        figures.REPORT.write_text(json.dumps(records, indent=2) + "\n")
+        print(f"wrote {figures.REPORT}")
+    return 0
+
+
+def _cmd_sanitize(args: argparse.Namespace) -> int:
+    from repro.tempi.config import trace_default
+    from repro.tempi.sanitizer import ClockSanitizer
+
+    try:
+        figures = _load_figures()
+    except FileNotFoundError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    rows = {row.id: row for row in figures.FIGURES}
+    sweep = "full" if args.full else "smoke"
     failures: list[str] = []
 
-    def load_bench(filename: str):
-        path = bench_dir / filename
-        spec = importlib.util.spec_from_file_location(f"_sanitized_{path.stem}", path)
-        assert spec is not None and spec.loader is not None
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-
-    def replay(name: str, run: Callable[[], int], posts_expected: bool = True) -> None:
+    def replay(name: str, run: Callable[[], Optional[str]], posts_expected: bool = True) -> None:
         # One fresh sink per replay.  The ambient default makes every
-        # TempiConfig the benchmark constructs a traced one; priced results
-        # are unchanged (the sink only observes), so each bench's own
-        # internal checks still validate the real numbers.
+        # TempiConfig the row constructs a traced one; priced results are
+        # unchanged (the sink only observes), so each row's own check still
+        # validates the real numbers.
         sanitizer = ClockSanitizer()
-        try:
-            with trace_default(sanitizer):
-                code = run()
-        except Exception as exc:  # noqa: BLE001 - any failure fails the replay
-            failures.append(f"{name}: {type(exc).__name__}: {exc}")
-            print(f"   FAILED: {type(exc).__name__}: {exc}", file=sys.stderr)
+        with trace_default(sanitizer):
+            failure = run()
+        if failure is not None:
+            failures.append(f"{name}: {failure}")
+            print(f"   FAILED: {failure}", file=sys.stderr)
             return
-        if code != 0:
-            failures.append(f"{name}: exit code {code}")
         counters = sanitizer.counters
         print("   sanitizer: " + " ".join(f"{key}={value}" for key, value in counters.items()))
         if counters["violations"]:
@@ -517,28 +624,29 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
         if posts_expected and counters["posts"] == 0:
             failures.append(f"{name}: sanitizer observed no NIC traffic (vacuous replay)")
 
-    def run_main(filename: str) -> int:
-        return load_bench(filename).main(argv)
+    def run_row(row_id: str) -> Optional[str]:
+        text, _, failure = _run_figure(rows[row_id], sweep)
+        print(text)
+        return failure
 
-    def run_fig14(mode: str, overlap: bool) -> int:
-        load_bench("bench_fig14_overlap.py")._exchange_latency(
-            4, _load_model(None), mode=mode, overlap=overlap
-        )
-        return 0
+    def run_fig14(mode: str, overlap: bool) -> Optional[str]:
+        try:
+            figures.fig14.exchange_latency(4, _figure_model(), mode=mode, overlap=overlap)
+        except Exception as exc:  # noqa: BLE001 - any failure fails the replay
+            return f"{type(exc).__name__}: {exc}"
+        return None
 
-    for name in ("bench_fig9_selection.py", "bench_fig15_contention.py",
-                 "bench_incast.py", "bench_allreduce.py", "bench_moe.py"):
-        print(f"== sanitized replay: {name} ({'full' if args.full else '--smoke'})")
-        replay(name, partial(run_main, name))
-    # fig14 has no standalone entry point; drive its exchange helper over
-    # the serial and overlapped engines directly.  Each column is checked
-    # on its own: the isend/irecv one (``mode="overlap"``) posts through
-    # persistent requests, and must not pass on the other columns'
-    # traffic; the serial engine books nothing on the NIC.
-    print("== sanitized replay: bench_fig14_overlap.py (exchange sweep)")
+    for row_id in ("fig9", "fig15", "incast", "allreduce", "moe"):
+        print(f"== sanitized replay: {row_id} ({sweep} grids)")
+        replay(row_id, functools.partial(run_row, row_id))
+    # Fig. 14's columns are checked on their own: the isend/irecv one
+    # (``mode="overlap"``) posts through persistent requests, and must not
+    # pass on the other columns' traffic; the serial engine books nothing
+    # on the NIC.
+    print("== sanitized replay: fig14 (exchange sweep at 4 ranks)")
     for mode, overlap in (("neighbor", False), ("neighbor", True), ("overlap", True)):
-        replay(f"bench_fig14_overlap.py[mode={mode}, overlap={overlap}]",
-               partial(run_fig14, mode, overlap), posts_expected=overlap)
+        replay(f"fig14[mode={mode}, overlap={overlap}]",
+               functools.partial(run_fig14, mode, overlap), posts_expected=overlap)
     if failures:
         print(f"sanitize: {len(failures)} failure(s)", file=sys.stderr)
         for failure in failures:
@@ -648,6 +756,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_replay(args)
     if args.command == "lint":
         return _cmd_lint(args)
+    if args.command == "figures":
+        return _cmd_figures(args)
     if args.command == "sanitize":
         return _cmd_sanitize(args)
     if args.command == "bench":

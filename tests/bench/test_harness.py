@@ -2,16 +2,7 @@
 
 import pytest
 
-from repro.bench.harness import (
-    BenchResult,
-    format_speedup,
-    format_table,
-    format_us,
-    geometric_mean,
-    measure_virtual,
-    trimean,
-)
-from repro.gpu.clock import VirtualClock
+from repro.bench.harness import format_table, format_us, trimean
 
 
 class TestTrimean:
@@ -31,31 +22,7 @@ class TestTrimean:
             trimean([])
 
 
-class TestBenchResult:
-    def test_statistics(self):
-        result = BenchResult("label")
-        for value in (1.0, 2.0, 3.0):
-            result.add(value)
-        assert result.mean == pytest.approx(2.0)
-        assert result.best == 1.0
-        assert result.trimean == pytest.approx(2.0)
-
-    def test_measure_virtual_records_elapsed(self):
-        clock = VirtualClock()
-        result = measure_virtual(clock, lambda: clock.advance(2e-6), repetitions=5)
-        assert len(result.samples) == 5
-        assert result.mean == pytest.approx(2e-6)
-
-    def test_measure_virtual_invalid_repetitions(self):
-        with pytest.raises(ValueError):
-            measure_virtual(VirtualClock(), lambda: None, repetitions=0)
-
-
 class TestFormatting:
-    def test_format_speedup(self):
-        assert format_speedup(1.0, 0.001) == "1,000.0x"
-        assert format_speedup(1.0, 0.0) == "inf"
-
     def test_format_us(self):
         assert format_us(1.5e-3) == "1,500.0"
 
@@ -70,15 +37,3 @@ class TestFormatting:
         text = format_table(["a"], [])
         assert "a" in text
 
-
-class TestGeometricMean:
-    def test_value(self):
-        assert geometric_mean([1.0, 100.0]) == pytest.approx(10.0)
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            geometric_mean([])

@@ -413,29 +413,20 @@ def run_measurement(measurement) -> dict:
 
 def build_fixture(model) -> dict:
     """Run the pinned sweeps and shape them into a JSON-native document."""
+    # The figure table imports its bench_* modules from beside itself.
     sys.path.insert(0, str(BENCHMARKS))
     try:
-        import bench_allreduce as allreduce
-        import bench_fig9_selection as fig9
-        import bench_fig14_overlap as fig14
-        import bench_fig15_contention as fig15
-        import bench_incast as incast
-        import bench_moe as moe
+        import figures
     finally:
         sys.path.remove(str(BENCHMARKS))
+    fig9, incast, allreduce, moe = figures.fig9, figures.incast, figures.allreduce, figures.moe
 
     grid = fig9.run_grid(model, FIG9_SIZES, FIG9_BLOCKS, FIG9_LOADS)
     bursts = fig9.run_bursts(FIG9_BURSTS, model)
     overlap = {
-        str(nranks): {
-            "serial": fig14._exchange_latency(nranks, model, mode="neighbor", overlap=False),
-            "overlapped": fig14._exchange_latency(nranks, model, mode="neighbor", overlap=True),
-            "packed": fig14._exchange_latency(nranks, model, mode="packed", overlap=True),
-            "nonblocking": fig14._exchange_latency(nranks, model, mode="overlap", overlap=True),
-        }
-        for nranks in FIG14_RANKS
+        str(nranks): row for nranks, row in figures.fig14.run_sweep(FIG14_RANKS, model).items()
     }
-    contention = fig15.run_sweep(FIG15_PLANS, model)
+    contention = figures.fig15.run_sweep(FIG15_PLANS, model)
     incasts = {
         str(senders): {
             "duplex": row["duplex"],
