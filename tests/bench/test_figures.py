@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import json
 
 import pytest
 
+from repro import cli
 from repro.cli import _load_figures, main
 
 
@@ -71,3 +74,110 @@ def test_one_row_runs_end_to_end(capsys):
     assert "== fig09b: Fig. 9b" in out
     assert "T_staged" in out
     assert "measured no crossover" in out
+
+
+@pytest.mark.parametrize(
+    "argv, sweep, writes",
+    [([], "default", True), (["--smoke"], "smoke", False), (["--full"], "full", False)],
+)
+def test_each_grid_flag_runs_its_grid_and_only_default_writes(
+    figures, monkeypatch, tmp_path, argv, sweep, writes
+):
+    (row,) = [row for row in figures.FIGURES if row.id == "fig09b"]
+    seen = []
+
+    def run(model, grid):
+        seen.append(grid)
+        return row.run(model, "smoke")
+
+    report = _only(figures, monkeypatch, tmp_path, run=run)
+    assert main(["figures", *argv]) == 0
+    assert seen == [sweep]
+    assert report.exists() == writes
+
+
+def test_a_raising_measurement_fails_its_row(figures, monkeypatch, tmp_path, capsys):
+    def broken(model, sweep):
+        raise RuntimeError("no such grid")
+
+    report = _only(figures, monkeypatch, tmp_path, run=broken)
+    assert main(["figures"]) == 1
+    captured = capsys.readouterr()
+    assert "RuntimeError: no such grid" in captured.out
+    assert "fig09b" in captured.err
+    assert not report.exists()
+
+
+def test_a_subset_run_writes_no_report(figures, monkeypatch, tmp_path):
+    report = _only(figures, monkeypatch, tmp_path)
+    assert main(["figures", "--only", "fig09b"]) == 0
+    assert not report.exists(), "only a run of the whole table writes the report"
+
+
+def test_smoke_and_full_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["figures", "--smoke", "--full"])
+    assert excinfo.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["figures", "sanitize"])
+def test_outside_a_checkout_the_table_commands_exit_2(monkeypatch, capsys, command):
+    monkeypatch.setattr(cli, "_repo_root", lambda: None)
+    assert main([command]) == 2
+    assert "source checkout" in capsys.readouterr().err
+
+
+def test_a_record_evaluates_computed_strings(figures):
+    (row,) = [row for row in figures.FIGURES if row.id == "fig09b"]
+    row = dataclasses.replace(
+        row,
+        quantity=lambda result: f"q{result}",
+        measured=lambda result: f"m{result}",
+        note=lambda result: f"n{result}",
+    )
+    assert row.record(7) == {
+        "experiment": "Fig. 9b",
+        "quantity": "q7",
+        "paper_value": row.paper,
+        "measured_value": "m7",
+        "note": "n7",
+    }
+
+
+#: ``repro sanitize``'s audit counters, one line per replay in print order.
+SANITIZED_REPLAYS = {
+    "fig9": "posts=216 ingests=48 joins=144 barriers=0 hb_checks=0 purity_checks=144 "
+    "shared_commits=0 violations=0",
+    "fig15": "posts=120 ingests=20 joins=60 barriers=14 hb_checks=0 purity_checks=0 "
+    "shared_commits=0 violations=0",
+    "incast": "posts=56 ingests=31 joins=31 barriers=18 hb_checks=24 purity_checks=84 "
+    "shared_commits=0 violations=0",
+    "allreduce": "posts=620 ingests=620 joins=620 barriers=0 hb_checks=0 purity_checks=0 "
+    "shared_commits=540 violations=0",
+    "moe": "posts=184 ingests=32 joins=184 barriers=0 hb_checks=0 purity_checks=0 "
+    "shared_commits=0 violations=0",
+    "fig14-serial": "posts=0 ingests=0 joins=0 barriers=4 hb_checks=0 purity_checks=0 "
+    "shared_commits=0 violations=0",
+    "fig14-overlap": "posts=24 ingests=8 joins=24 barriers=4 hb_checks=0 purity_checks=0 "
+    "shared_commits=0 violations=0",
+    "fig14-isend-irecv": "posts=40 ingests=208 joins=40 barriers=4 hb_checks=0 "
+    "purity_checks=0 shared_commits=0 violations=0",
+}
+
+
+@pytest.fixture(scope="module")
+def sanitized_counters():
+    """``repro sanitize``'s counter lines, keyed like :data:`SANITIZED_REPLAYS`."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["sanitize"]) == 0
+    prefix = "   sanitizer: "
+    lines = [line[len(prefix):] for line in out.getvalue().splitlines() if line.startswith(prefix)]
+    assert len(lines) == len(SANITIZED_REPLAYS)
+    return dict(zip(SANITIZED_REPLAYS, lines))
+
+
+@pytest.mark.parametrize("replay", list(SANITIZED_REPLAYS))
+def test_sanitize_replays_keep_their_counters(sanitized_counters, replay):
+    assert sanitized_counters[replay] == SANITIZED_REPLAYS[replay]
