@@ -29,7 +29,7 @@ from repro.machine.topology import Topology
 from repro.mpi import collectives as _collectives
 from repro.mpi import typemap
 from repro.mpi.baseline import BaselineDatatypeEngine, contiguous_payload
-from repro.mpi.datatype import BYTE, Datatype
+from repro.mpi.datatype import BYTE, Datatype, check_datatype
 from repro.mpi.errors import MpiArgumentError, MpiRankError, MpiTruncationError
 from repro.mpi.p2p import Envelope, MessageRouter
 from repro.mpi.request import Request
@@ -394,7 +394,7 @@ class Communicator:
         Exposed on the communicator so that applications written against the
         interposed surface run unmodified against the plain system MPI.
         """
-        return datatype.Commit()
+        return check_datatype(datatype, "datatype").Commit()
 
     # ------------------------------------------------------------- collectives
     def Barrier(self) -> None:

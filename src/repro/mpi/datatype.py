@@ -242,10 +242,10 @@ def check_positive_count(count: int, what: str = "count") -> int:
     return int(count)
 
 
-def check_datatype(oldtype: Datatype) -> Datatype:
-    """Validate an ``oldtype`` argument."""
+def check_datatype(oldtype: Datatype, what: str = "oldtype") -> Datatype:
+    """Validate a datatype argument; ``what`` names it in the error."""
     if not isinstance(oldtype, Datatype):
-        raise MpiTypeError(f"expected a Datatype, got {type(oldtype).__name__}")
+        raise MpiTypeError(f"{what}: expected a Datatype, got {type(oldtype).__name__}")
     oldtype._check_alive()
     return oldtype
 

@@ -9,9 +9,8 @@ reduce them to a canonical form:
     dense run (Alg. 2, Fig. 3).
 ``stream_elision``
     A stream of one element adds no structure and is removed (Alg. 3,
-    Fig. 4).  This implementation also elides a *parent* stream whose own
-    count is one, which makes e.g. ``vector(1, n, 1, T)`` and
-    ``contiguous(n, T)`` canonicalise identically.
+    Fig. 4); its offset moves down to the level below.  This makes e.g.
+    ``vector(1, n, 1, T)`` and ``contiguous(n, T)`` canonicalise identically.
 ``stream_flatten``
     Nested streams whose strides chain exactly (parent stride equals child
     count × child stride) collapse into one longer stream (Alg. 4, Fig. 5).
@@ -19,110 +18,141 @@ reduce them to a canonical form:
     Stream levels are ordered by decreasing stride so that row-of-column and
     column-of-row constructions agree (Sec. 3.2.4).
 
-All passes preserve the set of bytes the type describes; the property-based
+A translated Type is always a chain of streams over one dense leaf, so the
+rules work on that chain unpacked once: a list of ``[offset, stride, count]``
+rows, outermost first, over a ``[offset, extent]`` leaf.  Each rule rewrites
+the list in place and reports whether it changed anything; :func:`simplify`
+builds the canonical Type once, at the fixed point.
+
+All rules preserve the set of bytes the type describes; the property-based
 tests check exactly that invariant against the MPI type map.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Tuple
 
-from repro.tempi.ir import DenseData, Type
+from repro.tempi.ir import DenseData, StreamData, Type
 
 #: Safety bound on the fixed-point iteration; in practice a handful of passes
 #: suffice (each pass strictly reduces depth or orders the chain).
 MAX_PASSES = 64
 
+Rows = list[list[int]]
+_STRIDE = itemgetter(1)
+
 
 # --------------------------------------------------------------------------- #
-# Individual passes.  Each returns (possibly new root, changed flag).
+# The chain as a list of rows
 # --------------------------------------------------------------------------- #
+
+def _unpack(ty: Type) -> Tuple[Rows, list[int]]:
+    """``([offset, stride, count] per stream, outermost first; [offset, extent])``."""
+    rows = []
+    node = ty
+    try:
+        while node.child is not None:
+            data = node.data
+            rows.append([data.offset, data.stride, data.count])
+            node = node.child
+        return rows, [node.data.offset, node.data.extent]
+    except AttributeError:
+        raise ValueError(f"not a chain of streams over one dense leaf: {ty}") from None
+
+
+def _build(rows: Rows, leaf: list[int]) -> Type:
+    """The Type chain of ``rows`` over ``leaf``."""
+    node = Type(DenseData(leaf[0], leaf[1]))
+    for offset, stride, count in reversed(rows):
+        node = Type(StreamData(offset, stride, count), node)
+    return node
+
+
+# --------------------------------------------------------------------------- #
+# The four rules.  Each rewrites (rows, leaf) in place and returns changed.
+# --------------------------------------------------------------------------- #
+
+def _fold_dense(rows: Rows, leaf: list[int]) -> bool:
+    """Bottom-up, fold the innermost stream into the leaf while its stride is the extent."""
+    changed = False
+    while rows and rows[-1][1] == leaf[1]:
+        offset, stride, count = rows[-1]
+        del rows[-1]
+        leaf[0] += offset
+        leaf[1] = count * stride
+        changed = True
+    return changed
+
+
+def _elide_unit_streams(rows: Rows, leaf: list[int]) -> bool:
+    """Drop streams of one element, adding each offset to the next level kept below."""
+    below = leaf
+    changed = False
+    for row in reversed(rows):
+        if row[2] == 1:
+            below[0] += row[0]
+            changed = True
+        else:
+            below = row
+    if changed:
+        rows[:] = [row for row in rows if row[2] != 1]
+    return changed
+
+
+def _flatten_streams(rows: Rows, leaf: list[int]) -> bool:
+    """Bottom-up, merge each stream with the one below it once when their strides chain."""
+    changed = False
+    i = len(rows) - 2
+    while i >= 0:
+        upper, lower = rows[i], rows[i + 1]
+        if upper[1] == lower[2] * lower[1]:
+            upper[0] += lower[0]
+            upper[1] = lower[1]
+            upper[2] *= lower[2]
+            del rows[i + 1]
+            changed = True
+        i -= 1
+    return changed
+
+
+def _sort_streams(rows: Rows, leaf: list[int]) -> bool:
+    """Stable sort of the streams by decreasing stride."""
+    for upper, lower in zip(rows, rows[1:]):
+        if lower[1] > upper[1]:
+            rows.sort(key=_STRIDE, reverse=True)
+            return True
+    return False
+
+
+# --------------------------------------------------------------------------- #
+# One-rule adapters on a Type (the unit tests drive each rule through these)
+# --------------------------------------------------------------------------- #
+
+def _apply(rule, node: Type) -> Tuple[Type, bool]:
+    rows, leaf = _unpack(node)
+    changed = rule(rows, leaf)
+    return _build(rows, leaf), changed
+
 
 def dense_folding(node: Type) -> Tuple[Type, bool]:
     """Fold ``Stream -> Dense`` pairs whose stride equals the dense extent."""
-    changed = False
-    if node.child is not None:
-        node.child, child_changed = dense_folding(node.child)
-        changed = changed or child_changed
-    if node.is_stream and node.child is not None and node.child.is_dense:
-        stream = node.data
-        dense_child = node.child.data
-        if dense_child.extent == stream.stride:
-            folded = DenseData(
-                offset=stream.offset + dense_child.offset,
-                extent=stream.count * stream.stride,
-            )
-            return Type(folded), True
-    return node, changed
+    return _apply(_fold_dense, node)
 
 
 def stream_elision(node: Type) -> Tuple[Type, bool]:
-    """Remove streams of a single element (child streams and unit parents)."""
-    changed = False
-    if node.child is not None:
-        node.child, child_changed = stream_elision(node.child)
-        changed = changed or child_changed
-    # Child stream of count 1: splice it out, keeping its offset.
-    if (
-        node.is_stream
-        and node.child is not None
-        and node.child.is_stream
-        and node.child.data.count == 1
-    ):
-        child = node.child
-        node.data.offset += 0  # parent offset unchanged; child's moves down
-        grandchild = child.child
-        assert grandchild is not None
-        grandchild.data.offset += child.data.offset
-        node.child = grandchild
-        changed = True
-    # This level itself is a stream of one element: it adds no structure.
-    if node.is_stream and node.data.count == 1 and node.child is not None:
-        child = node.child
-        child.data.offset += node.data.offset
-        return child, True
-    return node, changed
+    """Remove streams of a single element."""
+    return _apply(_elide_unit_streams, node)
 
 
 def stream_flatten(node: Type) -> Tuple[Type, bool]:
     """Merge nested streams whose strides chain exactly."""
-    changed = False
-    if node.child is not None:
-        node.child, child_changed = stream_flatten(node.child)
-        changed = changed or child_changed
-    if (
-        node.is_stream
-        and node.child is not None
-        and node.child.is_stream
-        and node.data.stride == node.child.data.count * node.child.data.stride
-    ):
-        child = node.child
-        node.data.count *= child.data.count
-        node.data.stride = child.data.stride
-        node.data.offset += child.data.offset
-        node.child = child.child
-        changed = True
-    return node, changed
+    return _apply(_flatten_streams, node)
 
 
 def sort_streams(node: Type) -> Tuple[Type, bool]:
     """Order stream levels by decreasing stride (largest stride at the top)."""
-    levels = list(node.levels())
-    if len(levels) < 3:  # a single stream over a leaf cannot be out of order
-        return node, False
-    leaf = levels[-1]
-    streams = levels[:-1]
-    if not all(level.is_stream for level in streams):
-        return node, False
-    original = [id(level) for level in streams]
-    ordered = sorted(streams, key=lambda level: level.data.stride, reverse=True)
-    if [id(level) for level in ordered] == original:
-        return node, False
-    # Rebuild the chain top-down over the same leaf.
-    for upper, lower in zip(ordered, ordered[1:]):
-        upper.child = lower
-    ordered[-1].child = leaf
-    return ordered[0], True
+    return _apply(_sort_streams, node)
 
 
 # --------------------------------------------------------------------------- #
@@ -130,25 +160,21 @@ def sort_streams(node: Type) -> Tuple[Type, bool]:
 # --------------------------------------------------------------------------- #
 
 def simplify(ty: Type) -> Type:
-    """Apply the four transformations until none changes the tree (Alg. 1).
+    """Apply the four transformations until none changes the chain (Alg. 1).
 
-    The input is not modified; a canonicalised clone is returned.
+    The input is not modified; a new canonical Type is returned.
     """
-    node = ty.clone()
+    rows, leaf = _unpack(ty)
     for _ in range(MAX_PASSES):
-        changed = False
-        node, step = dense_folding(node)
-        changed = changed or step
-        node, step = stream_elision(node)
-        changed = changed or step
-        node, step = stream_flatten(node)
-        changed = changed or step
-        node, step = sort_streams(node)
-        changed = changed or step
+        changed = _fold_dense(rows, leaf)
+        changed |= _elide_unit_streams(rows, leaf)
+        changed |= _flatten_streams(rows, leaf)
+        changed |= _sort_streams(rows, leaf)
         if not changed:
             break
-    else:  # pragma: no cover - defensive: the passes always reach a fixed point
+    else:  # pragma: no cover - defensive: the rules always reach a fixed point
         raise RuntimeError("canonicalisation did not converge")
+    node = _build(rows, leaf)
     node.validate()
     return node
 

@@ -62,7 +62,7 @@ from repro.machine.topology import Topology
 from repro.mpi import collectives as _collectives
 from repro.mpi.collectives import _next_collective_tag
 from repro.mpi.communicator import Communicator, as_buffer
-from repro.mpi.datatype import Datatype
+from repro.mpi.datatype import Datatype, check_datatype
 from repro.mpi.request import Request, null_request
 from repro.mpi.status import ANY_SOURCE, ANY_TAG, Status
 from repro.tempi import plan as _plan
@@ -368,7 +368,7 @@ class TempiCommunicator:
         bound to a packer, and the handler is cached on the datatype for
         every later communication call (Sec. 3).
         """
-        datatype.Commit()
+        check_datatype(datatype, "datatype").Commit()
         self.tempi.stats.commits += 1
         if not (self.config.enabled and self.config.datatype_handling):
             return datatype

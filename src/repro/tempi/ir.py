@@ -43,9 +43,6 @@ class DenseData:
         if self.extent <= 0:
             raise ValueError(f"DenseData extent must be positive, got {self.extent}")
 
-    def clone(self) -> "DenseData":
-        return DenseData(self.offset, self.extent)
-
 
 @dataclass
 class StreamData:
@@ -72,9 +69,6 @@ class StreamData:
             raise ValueError(f"StreamData stride must be positive, got {self.stride}")
         if self.count <= 0:
             raise ValueError(f"StreamData count must be positive, got {self.count}")
-
-    def clone(self) -> "StreamData":
-        return StreamData(self.offset, self.stride, self.count)
 
 
 TypeData = Union[DenseData, StreamData]
@@ -124,16 +118,15 @@ class Type:
         * ``DenseData`` levels are leaves (a dense run has no children);
         * ``StreamData`` levels have exactly one child.
         """
-        for level in self.levels():
-            level.data.validate()
-            if level.is_dense and level.child is not None:
+        node: Optional[Type] = self
+        while node is not None:
+            node.data.validate()
+            if node.child is None:
+                if type(node.data) is StreamData:
+                    raise ValueError("StreamData levels must have a child")
+            elif type(node.data) is DenseData:
                 raise ValueError("DenseData levels cannot have children")
-            if level.is_stream and level.child is None:
-                raise ValueError("StreamData levels must have a child")
-
-    def clone(self) -> "Type":
-        """Deep copy of the chain (canonicalisation mutates in place)."""
-        return Type(self.data.clone(), self.child.clone() if self.child is not None else None)
+            node = node.child
 
     def total_bytes(self) -> int:
         """Payload bytes described by one element of this Type."""

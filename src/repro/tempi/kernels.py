@@ -40,17 +40,11 @@ def select_word_size(block: StridedBlock) -> int:
 
     Alignment of every element of the object is guaranteed when both the
     start offset and every stride are multiples of the word, which is the
-    "aligned to the object" condition of the paper.
+    "aligned to the object" condition of the paper.  Every word size is a
+    power of two up to 16, so the widest is their greatest common divisor
+    with 16 — the narrowing ``gpu.kernels.strided_layout`` applies too.
     """
-    for word in WORD_SIZES:
-        if block.block_length % word:
-            continue
-        if block.start % word:
-            continue
-        if any(stride % word for stride in block.strides[1:]):
-            continue
-        return word
-    return 1
+    return math.gcd(WORD_SIZES[0], block.counts[0], block.start, *block.strides[1:])
 
 
 def _next_power_of_two(value: int) -> int:

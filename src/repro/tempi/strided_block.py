@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
-from repro.tempi.ir import Type
+from repro.tempi.ir import DenseData, StreamData, Type
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,9 @@ class StridedBlock:
             raise ValueError("counts and strides must have the same length")
         if not self.counts:
             raise ValueError("a StridedBlock needs at least one dimension")
-        if any(c <= 0 for c in self.counts) or any(s <= 0 for s in self.strides):
-            raise ValueError("counts and strides must be positive")
+        for count, stride in zip(self.counts, self.strides):
+            if count <= 0 or stride <= 0:
+                raise ValueError("counts and strides must be positive")
         if self.strides[0] != 1:
             raise ValueError("dimension 0 must be the contiguous run (stride 1)")
 
@@ -97,23 +98,23 @@ def to_strided_block(ty: Type) -> Optional[StridedBlock]:
     leaf — the "not strided" case of the paper, which falls back to the
     baseline path.
     """
-    levels = list(ty.levels())
-    leaf = levels[-1]
-    if not leaf.is_dense:
+    start, counts, strides = 0, [], []
+    node = ty
+    while node.child is not None:  # the streams, outermost first
+        data = node.data
+        if type(data) is not StreamData:
+            return None
+        start += data.offset
+        counts.append(data.count)
+        strides.append(data.stride)
+        node = node.child
+    leaf = node.data
+    if type(leaf) is not DenseData:
         return None
-    if not all(level.is_stream for level in levels[:-1]):
-        return None
-
-    start = leaf.data.offset
-    counts = [leaf.data.extent]
-    strides = [1]
-    # Walk from the level directly above the leaf up to the root so that
-    # dimension i+1 is the next-slower dimension, as the kernels expect.
-    for level in reversed(levels[:-1]):
-        start += level.data.offset
-        counts.append(level.data.count)
-        strides.append(level.data.stride)
-    return StridedBlock(start=start, counts=tuple(counts), strides=tuple(strides))
+    counts.append(leaf.extent)
+    strides.append(1)
+    # Innermost first: dimension i+1 is the next-slower one, as the kernels expect.
+    return StridedBlock(start + leaf.offset, tuple(counts[::-1]), tuple(strides[::-1]))
 
 
 @dataclass(frozen=True)

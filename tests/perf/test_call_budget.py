@@ -26,7 +26,9 @@ growing back:
   and every other geometry pays nothing for it;
 * a launch split across host cores (Fig. 8's 4 MiB object) costs at most
   10 calls more than unsplit on the launching thread and at most 4 on each
-  helper thread.
+  helper thread;
+* one TEMPI ``Type_commit`` makes an exact number of calls: canonicalising
+  a flat list of stream rows instead of a recursive Type tree.
 """
 
 from __future__ import annotations
@@ -41,15 +43,16 @@ import numpy as np
 import pytest
 
 from repro.apps.halo import DIRECTIONS, HaloSpec, negate
+from repro.apps.replay import _pitched_datatype
 from repro.apps.stencil import HaloExchange, direction_tag
-from repro.bench.workloads import fig8_configurations
+from repro.bench.workloads import fig7_configurations, fig8_configurations
 from repro.gpu import kernels
 from repro.machine.nic import IngestRecord, NicTimeline
 from repro.mpi.constructors import Type_vector
 from repro.mpi.datatype import BYTE
 from repro.mpi.world import World
 from repro.tempi.config import TempiConfig
-from repro.tempi.interposer import interpose
+from repro.tempi.interposer import TempiCommunicator, interpose
 
 MEASURE = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e" / "measure.py"
 RANKS = 8
@@ -351,3 +354,45 @@ def test_split_pack_and_unpack_count_every_thread(summit_model, host_cores):
     assert np.array_equal(
         np.concatenate([target.data[first : first + datatype.extent : 2] for first in objects]), runs
     )
+
+
+# --------------------------------------------------------------------------- #
+# One TEMPI commit: translate → simplify → to_strided_block → Packer.
+# --------------------------------------------------------------------------- #
+
+#: Exact calls of one ``Type_commit`` on Python 3.11, the counter's own exit
+#: calls excluded.  The parent's recursive canonicaliser counted (288, 335,
+#: 188); canonicalising one flat list of stream rows left these.
+COMMIT_CALLS = {"fig7 0:subarray": 111, "fig7 6:hvector(hvector(vector))": 124, "replay pitched": 94}
+
+
+def _commit_builders() -> dict:
+    fig7 = {config.label: config.build for config in fig7_configurations()}
+    return {
+        "fig7 0:subarray": fig7["0:subarray"],
+        "fig7 6:hvector(hvector(vector))": fig7["6:hvector(hvector(vector))"],
+        "replay pitched": lambda: _pitched_datatype(2048, 64),
+    }
+
+
+@pytest.mark.parametrize("label", sorted(COMMIT_CALLS))
+def test_commit_counts_its_calls(label, summit_model):
+    build = _commit_builders()[label]
+    comm = interpose(World(1).contexts[0], TempiConfig(), model=summit_model)
+    comm.Type_commit(build())  # first-use imports and caches
+    datatype = build()
+    gc.collect()
+    gc.disable()  # a collection would count the gc callbacks Hypothesis registers
+    try:
+        with CallCounter() as empty:
+            pass
+        with CallCounter() as commit:
+            comm.Type_commit(datatype)
+    finally:
+        gc.enable()
+    calls = commit.calls - empty.calls
+    assert TempiCommunicator.handler_of(datatype).accelerated
+    if sys.version_info[:2] == (3, 11):
+        assert calls == COMMIT_CALLS[label]
+    else:
+        assert calls <= COMMIT_CALLS[label] * 1.05, (calls, COMMIT_CALLS[label])

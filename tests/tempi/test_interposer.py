@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.mpi.constructors import Type_contiguous, Type_indexed, Type_vector
 from repro.mpi.datatype import BYTE, FLOAT
+from repro.mpi.errors import MpiTypeError
 from repro.mpi.world import World
 from repro.tempi.config import PackMethod, TempiConfig
 from repro.tempi.interposer import Tempi, TempiCommunicator, interpose
@@ -62,6 +64,34 @@ class TestTypeCommit:
         assert comm.Get_size() == 1
         assert comm.system is ctx.comm
         assert comm.gpu is ctx.gpu
+
+
+@pytest.fixture(scope="module")
+def both_communicators(summit_model):
+    """The system communicator and the TEMPI one interposed on it."""
+    ctx = World(1).contexts[0]
+    return ctx.comm, interpose(ctx, model=summit_model)
+
+
+NOT_DATATYPES = st.one_of(
+    st.none(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=16),
+    st.sampled_from(["MPI_FLOAT", "MPI_BYTE"]),
+    st.lists(st.integers(), max_size=3),
+    st.builds(object),
+)
+
+
+class TestMalformedCommit:
+    @settings(max_examples=60, deadline=None)
+    @given(bad=NOT_DATATYPES)
+    def test_a_non_datatype_is_named(self, both_communicators, bad):
+        for comm in both_communicators:
+            with pytest.raises(MpiTypeError, match=r"^datatype: expected a Datatype, got "):
+                comm.Type_commit(bad)
+        assert both_communicators[1].stats.commits == 0
 
 
 class TestPackInterposition:

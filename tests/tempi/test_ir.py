@@ -22,12 +22,6 @@ class TestTypeData:
         with pytest.raises(ValueError):
             StreamData(offset=-1, stride=4, count=1).validate()
 
-    def test_clone_is_independent(self):
-        data = StreamData(offset=1, stride=2, count=3)
-        copy = data.clone()
-        copy.count = 99
-        assert data.count == 3
-
 
 class TestTypeChain:
     def chain(self) -> Type:
@@ -59,12 +53,6 @@ class TestTypeChain:
     def test_str_rendering(self):
         text = str(self.chain())
         assert "Stream" in text and "Dense" in text and "->" in text
-
-    def test_clone_deep_copies(self):
-        ty = self.chain()
-        copy = ty.clone()
-        copy.child.data.count = 1000
-        assert ty.child.data.count == 8
 
     def test_validate_accepts_well_formed(self):
         self.chain().validate()

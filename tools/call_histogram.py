@@ -1,15 +1,18 @@
-"""Where a threaded ``World`` workload's Python/C calls go, per message.
+"""Where a benchmark workload's Python/C calls go, per op.
 
-    python tools/call_histogram.py --workload halo|replay [--top N]
+    python tools/call_histogram.py --workload halo|replay|pack [--top N]
 
-Runs the benchmark's own ``halo_world`` / ``ml_replay`` workload
-(``benchmarks/e2e/workloads.py``, read only) warm, then six more rounds with
-one ``cProfile`` per thread — the driver's and every rank thread's — and
-prints the merged profile per *message* (the workload's op): calls and
-self-µs per source file, then per function, most calls first.  The calls
-column is exact; ``cProfile`` inflates call-heavy Python against numpy, so
-read the µs column as a ranking (``benchmarks/e2e/run.py`` has the gated
-numbers).  ``docs/ARCHITECTURE.md`` § "Scalar message path" is sized from it.
+Runs the benchmark's own ``halo_world`` / ``ml_replay`` / ``datatype_pack``
+workload (``benchmarks/e2e/workloads.py``, read only) warm, then six more
+rounds with one ``cProfile`` per thread — the driver's and every rank
+thread's; ``pack`` runs on the driver's thread alone — and prints the merged
+profile per *op* (the workload's: a wire message, an executed plan, a
+``Pack`` or ``Unpack`` call): calls and self-µs per source file, then per
+function, most calls first.  The calls column is exact; ``cProfile``
+inflates call-heavy Python against numpy, so read the µs column as a
+ranking (``benchmarks/e2e/run.py`` has the gated numbers).
+``docs/ARCHITECTURE.md`` § "Scalar message path" and § "Commit path" are
+sized from it.
 """
 
 from __future__ import annotations
@@ -47,13 +50,15 @@ def profile_threads(run) -> tuple[object, pstats.Stats]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", choices=("halo", "replay"), required=True)
+    parser.add_argument("--workload", choices=("halo", "replay", "pack"), required=True)
     parser.add_argument("--top", type=int, default=40, help="functions to list")
     args = parser.parse_args(argv)
     import workloads
     from repro.tempi import measurement
     from repro.tempi.perf_model import PerformanceModel
-    cls = {"halo": workloads.HaloWorld, "replay": workloads.MlReplay}[args.workload]
+    cls = {
+        "halo": workloads.HaloWorld, "replay": workloads.MlReplay, "pack": workloads.DatatypePack,
+    }[args.workload]
     workload = cls(PerformanceModel(measurement.measure_system()), seed=1)
     workload.block(cls.warmup_rounds)
     ops, stats = profile_threads(lambda: workload.block(6))
@@ -66,9 +71,9 @@ def main(argv: list[str] | None = None) -> int:
     for calls, self_us, file, _ in functions:
         calls_in[file] += calls
         us_in[file] += self_us
-    print(f"{args.workload}: {ops} messages, {sum(calls_in.values()):.1f} calls and "
-          f"{sum(us_in.values()):.1f} profiled self-us per message")
-    print(f"{'calls/msg':>10} {'self-us/msg':>12}  file, then function")
+    print(f"{args.workload}: {ops} ops ({cls.op}), {sum(calls_in.values()):.1f} calls and "
+          f"{sum(us_in.values()):.1f} profiled self-us per op")
+    print(f"{'calls/op':>10} {'self-us/op':>12}  file, then function")
     for file, calls in calls_in.most_common():
         print(f"{calls:10.3f} {us_in[file]:12.3f}  {file}")
     for calls, self_us, file, where in functions[: args.top]:
