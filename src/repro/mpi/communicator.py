@@ -29,7 +29,7 @@ from repro.machine.topology import Topology
 from repro.mpi import collectives as _collectives
 from repro.mpi import typemap
 from repro.mpi.baseline import BaselineDatatypeEngine, contiguous_payload
-from repro.mpi.datatype import BYTE, Datatype, check_datatype
+from repro.mpi.datatype import BYTE, Datatype, check_datatype, check_int
 from repro.mpi.errors import MpiArgumentError, MpiRankError, MpiTruncationError
 from repro.mpi.p2p import Envelope, MessageRouter
 from repro.mpi.request import Request
@@ -121,9 +121,11 @@ class Communicator:
                     buffer = as_buffer(buffer)
                 if not isinstance(datatype, Datatype):
                     raise MpiArgumentError("third element of a 3-tuple spec must be a Datatype")
+                if type(count) is not int:
+                    count = check_int(count, "count", MpiArgumentError)
                 if count <= 0:
                     raise MpiArgumentError(f"count must be positive, got {count}")
-                return buffer, int(count), datatype
+                return buffer, count, datatype
             if len(spec) == 2:
                 buffer, datatype = spec
                 buffer = as_buffer(buffer)

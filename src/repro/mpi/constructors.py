@@ -30,6 +30,7 @@ from repro.mpi.datatype import (
     ORDER_C,
     ORDER_FORTRAN,
     check_datatype,
+    check_int,
     check_order,
     check_positive_count,
     sequence_of_ints,
@@ -86,13 +87,15 @@ class VectorDatatype(DerivedDatatype):
     def __init__(self, count: int, blocklength: int, stride: int, oldtype: Datatype) -> None:
         self.count = check_positive_count(count)
         self.blocklength = check_positive_count(blocklength, "blocklength")
+        if type(stride) is not int:
+            stride = check_int(stride, "stride")
         if stride <= 0:
             raise MpiTypeError(f"only positive vector strides are supported, got {stride}")
         if self.count > 1 and stride < blocklength:
             raise MpiTypeError(
                 f"vector stride {stride} smaller than blocklength {blocklength} would overlap"
             )
-        self.stride = int(stride)
+        self.stride = stride
         self.oldtype = check_datatype(oldtype)
         extent = ((self.count - 1) * self.stride + self.blocklength) * oldtype.extent
         super().__init__(
@@ -137,6 +140,8 @@ class HvectorDatatype(DerivedDatatype):
         self.count = check_positive_count(count)
         self.blocklength = check_positive_count(blocklength, "blocklength")
         self.oldtype = check_datatype(oldtype)
+        if type(stride_bytes) is not int:
+            stride_bytes = check_int(stride_bytes, "stride_bytes")
         if stride_bytes <= 0:
             raise MpiTypeError(f"only positive hvector strides are supported, got {stride_bytes}")
         if self.count > 1 and stride_bytes < blocklength * oldtype.extent:
@@ -144,7 +149,7 @@ class HvectorDatatype(DerivedDatatype):
                 f"hvector stride {stride_bytes} B smaller than one block "
                 f"({blocklength * oldtype.extent} B) would overlap"
             )
-        self.stride_bytes = int(stride_bytes)
+        self.stride_bytes = stride_bytes
         extent = (self.count - 1) * self.stride_bytes + self.blocklength * oldtype.extent
         super().__init__(
             size=self.count * self.blocklength * oldtype.size,
@@ -356,7 +361,12 @@ class StructDatatype(DerivedDatatype):
     ) -> None:
         self.blocklengths = sequence_of_ints(blocklengths, "blocklengths")
         self.displacements = sequence_of_ints(displacements, "displacements")
-        if not (len(self.blocklengths) == len(self.displacements) == len(datatypes)):
+        try:
+            datatypes = tuple(datatypes)
+        except TypeError as exc:
+            raise MpiTypeError(f"datatypes must be a sequence of Datatypes, got {datatypes!r}") from exc
+        self.datatypes = tuple([check_datatype(t, f"datatypes[{i}]") for i, t in enumerate(datatypes)])
+        if not (len(self.blocklengths) == len(self.displacements) == len(self.datatypes)):
             raise MpiTypeError("struct arguments must have equal lengths")
         if not self.blocklengths:
             raise MpiTypeError("struct type needs at least one block")
@@ -364,7 +374,6 @@ class StructDatatype(DerivedDatatype):
             raise MpiTypeError("blocklengths must be positive")
         if any(d < 0 for d in self.displacements):
             raise MpiTypeError("only non-negative displacements are supported")
-        self.datatypes = tuple(check_datatype(t) for t in datatypes)
         ub = max(
             d + b * t.extent
             for d, b, t in zip(self.displacements, self.blocklengths, self.datatypes)
@@ -413,6 +422,10 @@ class ResizedDatatype(DerivedDatatype):
 
     def __init__(self, oldtype: Datatype, lb: int, extent: int) -> None:
         self.oldtype = check_datatype(oldtype)
+        if type(lb) is not int:
+            lb = check_int(lb, "lb")
+        if type(extent) is not int:
+            extent = check_int(extent, "extent")
         if extent <= 0:
             raise MpiTypeError(f"resized extent must be positive, got {extent}")
         if lb < 0:

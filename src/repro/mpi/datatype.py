@@ -233,13 +233,25 @@ NAMED_TYPES: dict[str, NamedDatatype] = {
 }
 
 
+def check_int(value: object, what: str, error: type[Exception] = MpiTypeError) -> int:
+    """The one integer rule: an ``int`` or NumPy integer, never a ``bool``.
+
+    Raises ``error`` naming ``what`` for anything else.  Hot callers test
+    ``type(value) is int`` first and call this only otherwise, so a plain
+    ``int`` argument costs no call.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise error(f"{what} must be an integer, got {value!r}")
+
+
 def check_positive_count(count: int, what: str = "count") -> int:
     """Validate a strictly positive count argument (shared by constructors)."""
-    if not isinstance(count, (int, np.integer)) or isinstance(count, bool):
-        raise MpiTypeError(f"{what} must be an integer, got {count!r}")
+    if type(count) is not int:
+        count = check_int(count, what)
     if count <= 0:
         raise MpiTypeError(f"{what} must be positive, got {count}")
-    return int(count)
+    return count
 
 
 def check_datatype(oldtype: Datatype, what: str = "oldtype") -> Datatype:
@@ -252,15 +264,23 @@ def check_datatype(oldtype: Datatype, what: str = "oldtype") -> Datatype:
 
 def check_order(order: int) -> int:
     """Validate a subarray storage order."""
+    if type(order) is not int:
+        order = check_int(order, "order")
     if order not in (ORDER_C, ORDER_FORTRAN):
         raise MpiTypeError(f"order must be ORDER_C or ORDER_FORTRAN, got {order!r}")
     return order
 
 
 def sequence_of_ints(values: Sequence[int], what: str) -> tuple[int, ...]:
-    """Validate an integer sequence argument (sizes, subsizes, displacements …)."""
+    """Validate an integer sequence argument (sizes, subsizes, displacements …).
+
+    Every element goes through :func:`check_int`, named by its index.
+    """
     try:
-        result = tuple(int(v) for v in values)
-    except (TypeError, ValueError) as exc:
-        raise MpiTypeError(f"{what} must be a sequence of integers") from exc
+        result = tuple(values)
+    except TypeError as exc:
+        raise MpiTypeError(f"{what} must be a sequence of integers, got {values!r}") from exc
+    for value in result:
+        if type(value) is not int:  # convert, or reject naming the index
+            return tuple([check_int(v, f"{what}[{i}]") for i, v in enumerate(result)])
     return result

@@ -47,12 +47,6 @@ def select_word_size(block: StridedBlock) -> int:
     return math.gcd(WORD_SIZES[0], block.counts[0], block.start, *block.strides[1:])
 
 
-def _next_power_of_two(value: int) -> int:
-    if value <= 1:
-        return 1
-    return 1 << (value - 1).bit_length()
-
-
 @dataclass(frozen=True)
 class KernelSpec:
     """Everything needed to launch one pack/unpack kernel."""
@@ -82,12 +76,19 @@ def select_kernel(
     *,
     count: int = 1,
 ) -> KernelSpec:
-    """Choose the kernel configuration for a strided block (Sec. 3.3)."""
+    """Choose the kernel configuration for a strided block (Sec. 3.3).
+
+    The block's ``counts`` are read once.  Thread-block dimensions are the
+    next powers of two of the counts they cover and grid dimensions their
+    integer ceilings, both in integer arithmetic.
+    """
     if count <= 0:
         raise ValueError(f"count must be positive, got {count}")
     word = select_word_size(block)
+    counts = block.counts
+    ndims = len(counts)
 
-    if block.is_contiguous:
+    if ndims == 1:
         return KernelSpec(
             dimensions=1,
             word_size=word,
@@ -96,39 +97,39 @@ def select_kernel(
             count_strategy="memcpy",
         )
 
-    # Elements the X dimension must cover: contiguous bytes divided by the word.
-    x_elements = max(1, block.block_length // word)
-    y_elements = block.counts[1]
-    z_elements = block.counts[2] if block.ndims >= 3 else 1
-
+    # Elements the X dimension must cover: contiguous bytes divided by the
+    # word, which divides them (so at least one).
+    x_elements = counts[0] // word
+    y_elements = counts[1]
     max_threads = properties.max_threads_per_block
-    max_dim = properties.max_block_dim
+    max_x, max_y, max_z = properties.max_block_dim
 
-    x = min(_next_power_of_two(x_elements), max_dim[0], max_threads)
-    y = min(_next_power_of_two(y_elements), max_dim[1], max(1, max_threads // x))
-    z = min(_next_power_of_two(z_elements), max_dim[2], max(1, max_threads // (x * y)))
-
-    grid_x = math.ceil(x_elements / x)
-    grid_y = math.ceil(y_elements / y)
-    grid_z = math.ceil(z_elements / z)
-
-    if block.ndims == 2:
+    # ``1 << (n - 1).bit_length()`` is the smallest power of two >= n >= 1,
+    # and ``-(-a // b)`` the ceiling of a / b.  Each dimension takes what
+    # the previous ones left of ``max_threads``, which is at least 1.
+    x = min(1 << (x_elements - 1).bit_length(), max_x, max_threads)
+    y = min(1 << (y_elements - 1).bit_length(), max_y, max_threads // x)
+    if ndims == 2:
         # The dynamic object count rides on the grid's Z dimension.
-        grid_z = max(grid_z, count)
+        z, grid_z = 1, count
         strategy = "grid-z"
         dimensions = 2
     else:
+        z_elements = counts[2]
+        z = min(1 << (z_elements - 1).bit_length(), max_z, max_threads // (x * y))
+        grid_z = -(-z_elements // z)
         strategy = "loop"
         dimensions = 3
 
-    grid_x = min(grid_x, properties.max_grid_dim[0])
-    grid_y = min(grid_y, properties.max_grid_dim[1])
-    grid_z = min(grid_z, properties.max_grid_dim[2])
-
+    max_grid_x, max_grid_y, max_grid_z = properties.max_grid_dim
     return KernelSpec(
         dimensions=dimensions,
         word_size=word,
         block_dim=(x, y, z),
-        grid_dim=(grid_x, grid_y, grid_z),
+        grid_dim=(
+            min(-(-x_elements // x), max_grid_x),
+            min(-(-y_elements // y), max_grid_y),
+            min(grid_z, max_grid_z),
+        ),
         count_strategy=strategy,
     )

@@ -8,7 +8,15 @@ Each MPI constructor maps onto the IR as the paper prescribes:
 * *vector*/*hvector* become two nested ``StreamData`` — the parent for the
   repeated blocks, the child for the elements within a block;
 * *subarray* becomes one ``StreamData`` per dimension, outer (largest stride)
-  levels above inner ones, with the start offsets converted to bytes.
+  levels above inner ones, with the start offsets converted to bytes;
+* *resized* adds no level: it changes only the spacing of consecutive
+  elements, not the bytes of one.
+
+:func:`translate` is one loop down the ``oldtype`` chain.  A step table keyed
+on the exact constructor class maps each class to a step that appends the
+class's ``(offset, stride, count)`` rows, outermost first, and returns its
+``oldtype``.  The loop stops at the named leaf and builds the ``Type`` chain
+once, bottom-up.
 
 Datatypes TEMPI does not canonicalise (indexed, struct) raise
 :class:`TranslationError`; the interposer catches it and falls back to the
@@ -16,6 +24,8 @@ system MPI's block-list path, mirroring the paper's coverage.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from repro.mpi.constructors import (
     ContiguousDatatype,
@@ -26,8 +36,11 @@ from repro.mpi.constructors import (
     SubarrayDatatype,
     VectorDatatype,
 )
-from repro.mpi.datatype import Datatype, NamedDatatype
+from repro.mpi.datatype import ORDER_C, Datatype, NamedDatatype
 from repro.tempi.ir import DenseData, StreamData, Type
+
+#: One level of the chain: ``(offset, stride, count)`` of a ``StreamData``.
+Row = tuple[int, int, int]
 
 
 class TranslationError(ValueError):
@@ -43,94 +56,91 @@ def translate(datatype: Datatype) -> Type:
         For datatype families TEMPI does not handle (indexed, struct);
         callers are expected to fall back to the baseline engine.
     """
-    if isinstance(datatype, NamedDatatype):
-        return _translate_named(datatype)
-    if isinstance(datatype, ContiguousDatatype):
-        return _translate_contiguous(datatype)
-    if isinstance(datatype, VectorDatatype):
-        return _translate_vector(datatype)
-    if isinstance(datatype, HvectorDatatype):
-        return _translate_hvector(datatype)
-    if isinstance(datatype, SubarrayDatatype):
-        return _translate_subarray(datatype)
-    if isinstance(datatype, ResizedDatatype):
-        # Resizing changes only the extent (the spacing of *consecutive*
-        # elements); the bytes of one element are those of the inner type.
-        return translate(datatype.oldtype)
-    if isinstance(datatype, (IndexedDatatype, StructDatatype)):
-        raise TranslationError(
+    rows: list[Row] = []  # outermost first
+    node = datatype
+    while type(node) is not NamedDatatype:
+        try:
+            step = _STEPS[type(node)]
+        except KeyError:
+            raise TranslationError(_refusal(node)) from None
+        node = step(node, rows)
+    ty = Type(DenseData(0, node.extent))
+    for row in reversed(rows):
+        ty = Type(StreamData(*row), ty)
+    return ty
+
+
+def _refusal(datatype: object) -> str:
+    if type(datatype) in (IndexedDatatype, StructDatatype):
+        return (
             f"{type(datatype).__name__} is handled by the baseline block-list path, "
             f"not by TEMPI's canonical representation"
         )
-    raise TranslationError(f"unknown datatype class {type(datatype).__name__}")
+    return f"unknown datatype class {type(datatype).__name__}"
 
 
 # --------------------------------------------------------------------------- #
-# Per-combiner translations
+# Per-constructor steps: append the class's rows, return its oldtype
 # --------------------------------------------------------------------------- #
 
-def _translate_named(datatype: NamedDatatype) -> Type:
-    """A named type is a dense run of its own extent with offset 0."""
-    return Type(DenseData(offset=0, extent=datatype.extent))
+def _contiguous(datatype: ContiguousDatatype, rows: list[Row]) -> Datatype:
+    """A stream whose stride equals the old type's extent."""
+    oldtype = datatype.oldtype
+    rows.append((0, oldtype.extent, datatype.count))
+    return oldtype
 
 
-def _translate_contiguous(datatype: ContiguousDatatype) -> Type:
-    """A contiguous type is a stream whose stride equals the old type's extent."""
-    child = translate(datatype.oldtype)
-    data = StreamData(offset=0, stride=datatype.oldtype.extent, count=datatype.count)
-    return Type(data, child)
+def _vector(datatype: VectorDatatype, rows: list[Row]) -> Datatype:
+    """Blocks (parent) of elements (child); the stride counts old-type extents."""
+    oldtype = datatype.oldtype
+    extent = oldtype.extent
+    rows += ((0, datatype.stride * extent, datatype.count), (0, extent, datatype.blocklength))
+    return oldtype
 
 
-def _translate_vector(datatype: VectorDatatype) -> Type:
-    """A vector is two nested streams: blocks (parent) of elements (child).
-
-    The child's stride is the old type's extent; the parent's stride is the
-    child stride times the vector stride (the vector stride is given in
-    elements of the old type).
-    """
-    element = translate(datatype.oldtype)
-    child = Type(
-        StreamData(offset=0, stride=datatype.oldtype.extent, count=datatype.blocklength),
-        element,
-    )
-    parent = StreamData(
-        offset=0,
-        stride=datatype.stride * datatype.oldtype.extent,
-        count=datatype.count,
-    )
-    return Type(parent, child)
-
-
-def _translate_hvector(datatype: HvectorDatatype) -> Type:
+def _hvector(datatype: HvectorDatatype, rows: list[Row]) -> Datatype:
     """Like a vector, but the parent stride is the hvector's byte stride."""
-    element = translate(datatype.oldtype)
-    child = Type(
-        StreamData(offset=0, stride=datatype.oldtype.extent, count=datatype.blocklength),
-        element,
-    )
-    parent = StreamData(offset=0, stride=datatype.stride_bytes, count=datatype.count)
-    return Type(parent, child)
+    oldtype = datatype.oldtype
+    rows += ((0, datatype.stride_bytes, datatype.count), (0, oldtype.extent, datatype.blocklength))
+    return oldtype
 
 
-def _translate_subarray(datatype: SubarrayDatatype) -> Type:
-    """One StreamData per dimension, slowest dimension at the top.
+def _subarray(datatype: SubarrayDatatype, rows: list[Row]) -> Datatype:
+    """One stream per dimension, slowest on top.
 
-    For dimension ``d`` the count is its subsize, the stride is the product of
-    the full-array sizes of all faster dimensions times the old type's extent,
-    and the offset is the start index converted to bytes with that stride.
+    Walking the dimensions fastest first, a dimension's byte stride is the
+    running product of the faster dimensions' full sizes and the old type's
+    extent; its offset is its start index times that stride.
     """
-    node = translate(datatype.oldtype)
-    old_extent = datatype.oldtype.extent
-    # Build from the fastest dimension upwards so the slowest ends up on top.
-    for dim in datatype.fastest_first:
-        stride = datatype.dimension_stride_elements(dim) * old_extent
-        data = StreamData(
-            offset=datatype.starts[dim] * stride,
-            stride=stride,
-            count=datatype.subsizes[dim],
-        )
-        node = Type(data, node)
-    return node
+    oldtype = datatype.oldtype
+    sizes, subsizes, starts = datatype.sizes, datatype.subsizes, datatype.starts
+    dims = range(datatype.ndims)
+    if datatype.order == ORDER_C:  # the last listed dimension varies fastest
+        dims = reversed(dims)
+    stride = oldtype.extent
+    levels: list[Row] = []
+    for dim in dims:
+        levels.append((starts[dim] * stride, stride, subsizes[dim]))
+        stride *= sizes[dim]
+    rows += reversed(levels)
+    return oldtype
+
+
+def _resized(datatype: ResizedDatatype, rows: list[Row]) -> Datatype:
+    """Resizing changes only the extent (the spacing of *consecutive*
+    elements); the bytes of one element are those of the inner type."""
+    return datatype.oldtype
+
+
+#: Exact constructor class -> its step.  Indexed and struct types are absent:
+#: they stay on the baseline block-list path.
+_STEPS: dict[type, Callable[..., Datatype]] = {
+    ContiguousDatatype: _contiguous,
+    VectorDatatype: _vector,
+    HvectorDatatype: _hvector,
+    SubarrayDatatype: _subarray,
+    ResizedDatatype: _resized,
+}
 
 
 def translatable(datatype: Datatype) -> bool:

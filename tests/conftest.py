@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.gpu.clock import VirtualClock
@@ -64,11 +66,12 @@ def host_cores(monkeypatch):
     ``host_cores(n)`` makes the next split launch (``repro.gpu.kernels``)
     start ``n - 1`` helper threads, as on a host with ``n`` usable cores,
     and returns the kernels module.  The helpers this test started are
-    stopped afterwards, and the process's own are put back.
+    stopped and waited for afterwards, and the process's own are put back.
     """
     from repro.gpu import kernels
 
     monkeypatch.setattr(kernels, "_helpers", None)
+    before = set(threading.enumerate())
 
     def pretend(cores: int):
         monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
@@ -77,6 +80,10 @@ def host_cores(monkeypatch):
     yield pretend
     for jobs in kernels._helpers or ():
         jobs.put(None)
+    # Wait until they have exited, so the next test counts only its own threads.
+    for thread in threading.enumerate():
+        if thread not in before and thread.name.startswith("kernel-helper-"):
+            thread.join(timeout=10)
 
 
 @pytest.fixture

@@ -28,7 +28,14 @@ growing back:
   10 calls more than unsplit on the launching thread and at most 4 on each
   helper thread;
 * one TEMPI ``Type_commit`` makes an exact number of calls: canonicalising
-  a flat list of stream rows instead of a recursive Type tree.
+  a flat list of stream rows instead of a recursive Type tree, translating
+  in one loop over a per-class step table, and selecting the kernel from
+  the block's counts read once;
+* building the 22 ``datatype_pack`` datatypes makes an exact number of
+  calls: a plain ``int`` argument passes every constructor check with no
+  call;
+* ``tools/call_histogram.py --stages`` accounts for every call of a
+  ``datatype_pack`` round.
 """
 
 from __future__ import annotations
@@ -361,9 +368,10 @@ def test_split_pack_and_unpack_count_every_thread(summit_model, host_cores):
 # --------------------------------------------------------------------------- #
 
 #: Exact calls of one ``Type_commit`` on Python 3.11, the counter's own exit
-#: calls excluded.  The parent's recursive canonicaliser counted (288, 335,
-#: 188); canonicalising one flat list of stream rows left these.
-COMMIT_CALLS = {"fig7 0:subarray": 111, "fig7 6:hvector(hvector(vector))": 124, "replay pitched": 94}
+#: calls excluded.  The recursive canonicaliser counted (288, 335, 188) and
+#: canonicalising one flat list of stream rows (111, 124, 94); the step-table
+#: translator and kernel selection without property calls left these.
+COMMIT_CALLS = {"fig7 0:subarray": 83, "fig7 6:hvector(hvector(vector))": 92, "replay pitched": 70}
 
 
 def _commit_builders() -> dict:
@@ -396,3 +404,70 @@ def test_commit_counts_its_calls(label, summit_model):
         assert calls == COMMIT_CALLS[label]
     else:
         assert calls <= COMMIT_CALLS[label] * 1.05, (calls, COMMIT_CALLS[label])
+
+
+# --------------------------------------------------------------------------- #
+# Building datatype_pack's datatypes, and its round by stage.
+# --------------------------------------------------------------------------- #
+
+#: Exact calls of building the 22 Fig. 7 and Fig. 8 datatypes ``datatype_pack``
+#: commits each round, on Python 3.11, the counter's own exit calls excluded.
+#: Constructor checks that cost a call per argument counted 716.
+BUILD_CALLS = 527
+TOOLS, E2E = MEASURE.parents[2] / "tools", MEASURE.parent
+
+
+def test_building_the_pack_datatypes_counts_its_calls():
+    builders = [config.build for config in fig7_configurations()]
+    builders += [config.build for config in fig8_configurations()]
+    for build in builders:
+        build()  # first-use imports and caches
+    gc.collect()
+    gc.disable()  # a collection would count the gc callbacks Hypothesis registers
+    try:
+        with CallCounter() as empty:
+            pass
+        with CallCounter() as counter:
+            for build in builders:
+                build()
+    finally:
+        gc.enable()
+    calls = counter.calls - empty.calls
+    if sys.version_info[:2] == (3, 11):
+        assert calls == BUILD_CALLS
+    else:
+        assert calls <= BUILD_CALLS * 1.05, (calls, BUILD_CALLS)
+
+
+def _load(path: Path, name: str):
+    """A module from its file, leaving ``sys.path`` as it found it."""
+    saved = list(sys.path)
+    try:
+        spec = importlib.util.spec_from_file_location(name, path)
+        assert spec is not None and spec.loader is not None
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = saved
+    return module
+
+
+def test_stage_rows_sum_to_the_round_total(summit_model):
+    histogram = _load(TOOLS / "call_histogram.py", "_call_histogram")
+    workloads = _load(E2E / "workloads.py", "_e2e_workloads")
+    workload = workloads.DatatypePack(summit_model, seed=1)
+    workload.block(workload.warmup_rounds)
+    gc.collect()
+    gc.disable()  # a collection would count the gc callbacks Hypothesis registers
+    try:
+        stages = histogram.stage_calls(workload)
+        with CallCounter() as empty:
+            pass
+        with CallCounter() as counter:
+            workload.block(1)
+    finally:
+        gc.enable()
+    assert sorted(stages) == sorted(histogram.STAGES)
+    # The counter also counts the ``block`` call itself, which no stage owns.
+    assert sum(stages.values()) == counter.calls - empty.calls - 1
+    assert workload.failed_ops == 0

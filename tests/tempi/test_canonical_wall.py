@@ -8,7 +8,14 @@ fixed seed from ``strided_datatypes()``.  Each entry carries its constructor
 recipe, so the wall replays without Hypothesis.  A rewrite of the
 canonicaliser or the lowering must replay it exactly.
 
-Regenerate (only for an intended change of the canonical form)::
+``tests/fixtures/commit_stages.json`` holds, for the same entries in the same
+order, the stages either side of the canonical form: the raw ``translate``
+``structure()`` (which the canonicalisation ablation prices) and the full
+:class:`KernelSpec` that ``select_kernel`` picks for the block at object
+counts 1 and 3.  A rewrite of the translator or of kernel selection must
+replay it exactly.
+
+Regenerate both (only for an intended change of a recorded form)::
 
     PYTHONPATH=src:. python tests/tempi/test_canonical_wall.py
 """
@@ -39,10 +46,14 @@ from repro.mpi.constructors import (
 )
 from repro.mpi.datatype import NAMED_TYPES, NamedDatatype
 from repro.tempi.canonicalize import simplify
+from repro.tempi.kernels import select_kernel
 from repro.tempi.strided_block import to_strided_block
 from repro.tempi.translate import translate
 
 FIXTURE = Path(__file__).resolve().parents[1] / "fixtures" / "canonical_forms.json"
+STAGES = FIXTURE.with_name("commit_stages.json")
+#: Object counts each block's kernel is selected for (2-D kernels put it on grid z).
+KERNEL_COUNTS = (1, 3)
 #: Hypothesis seed and size of the drawn half of the wall.
 DRAW_SEED, DRAWN = 20261016, 500
 #: Entries replayed per test case.
@@ -132,6 +143,20 @@ def canonical_form(datatype) -> dict:
     }
 
 
+def stage_forms(datatype) -> dict:
+    """The raw translation of ``datatype`` and its block's kernels, as plain JSON."""
+    raw = translate(datatype)
+    block = to_strided_block(simplify(raw))
+    kernels = None
+    if block is not None:
+        kernels = []
+        for count in KERNEL_COUNTS:
+            spec = select_kernel(block, count=count)
+            kernels.append([spec.dimensions, spec.word_size, list(spec.block_dim),
+                            list(spec.grid_dim), spec.count_strategy])
+    return {"translation": [list(level) for level in raw.structure()], "kernels": kernels}
+
+
 def record() -> list[dict]:
     entries = [{"name": name, "recipe": encode(datatype)} for name, datatype in workload_datatypes()]
     entries += [{"name": f"drawn {i}", "recipe": encode(datatype)}
@@ -142,6 +167,7 @@ def record() -> list[dict]:
 
 
 ENTRIES = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else []
+STAGE_ENTRIES = json.loads(STAGES.read_text()) if STAGES.exists() else []
 
 
 def test_the_wall_holds_every_workload_datatype_and_the_drawn_ones():
@@ -159,6 +185,22 @@ def test_commit_pipeline_replays_the_recorded_canonical_forms(first):
         assert got == {"structure": entry["structure"], "block": entry["block"]}, entry["name"]
 
 
+def test_the_stage_wall_names_the_canonical_entries_in_order():
+    assert [entry["name"] for entry in STAGE_ENTRIES] == [entry["name"] for entry in ENTRIES]
+
+
+@pytest.mark.parametrize("first", range(0, max(1, len(ENTRIES)), CHUNK))
+def test_translation_and_kernel_selection_replay_the_recorded_stages(first):
+    for entry, stages in zip(ENTRIES[first : first + CHUNK], STAGE_ENTRIES[first : first + CHUNK]):
+        got = stage_forms(decode(entry["recipe"]))
+        assert got == {"translation": stages["translation"], "kernels": stages["kernels"]}, entry["name"]
+        for kernel in got["kernels"] or ():
+            assert all(type(v) is int for v in kernel[2] + kernel[3]), entry["name"]
+
+
 if __name__ == "__main__":
-    FIXTURE.write_text(json.dumps(record(), separators=(",", ":")) + "\n")
-    print(f"wrote {FIXTURE}")
+    entries = record()
+    FIXTURE.write_text(json.dumps(entries, separators=(",", ":")) + "\n")
+    stages = [{"name": entry["name"], **stage_forms(decode(entry["recipe"]))} for entry in entries]
+    STAGES.write_text(json.dumps(stages, separators=(",", ":")) + "\n")
+    print(f"wrote {FIXTURE} and {STAGES}")
