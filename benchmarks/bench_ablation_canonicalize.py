@@ -7,7 +7,6 @@ covers them all with negligible metadata.  This ablation disables the
 canonicalisation passes (lowering the *raw* translated Type instead) and
 measures what is lost:
 
-* how many of the Fig. 7 constructions still lower to a strided block at all;
 * how many distinct kernel configurations are needed per object;
 * the metadata footprint compared with a block-list representation.
 """
@@ -48,18 +47,11 @@ def run_sweep():
 
 
 def kernel_shapes(rows):
-    """Distinct ``(counts, strides)`` per geometry: ``(with passes, without)``.
-
-    A construction that does not lower without the passes is its own shape.
-    """
+    """Distinct ``(counts, strides)`` per geometry: ``(with passes, without)``."""
     canonical: dict = {}
     raw: dict = {}
     for row in rows:
         config, block, raw_block = row["config"], row["canonical_block"], row["raw_block"]
         canonical.setdefault(config.geometry, set()).add((block.counts, block.strides))
-        raw.setdefault(config.geometry, set()).add(
-            (raw_block.counts, raw_block.strides)
-            if raw_block is not None
-            else ("unloweable", config.index)
-        )
+        raw.setdefault(config.geometry, set()).add((raw_block.counts, raw_block.strides))
     return canonical, raw

@@ -109,11 +109,10 @@ def _cache_check(result) -> None:
 
 def _canon_table(rows) -> list[Table]:
     return [(
-        ["construction", "raw depth", "canonical depth", "lowers without passes",
+        ["construction", "raw depth", "canonical depth",
          "canonical metadata (B)", "block-list metadata (B)"],
         [
             [row["config"].label, row["raw_depth"], row["canonical_depth"],
-             "yes" if row["raw_block"] is not None else "NO",
              row["canonical_block"].footprint(), f"{row['blocklist_bytes']:,}"]
             for row in rows
         ],
@@ -128,8 +127,8 @@ def _canon_ratio(rows) -> float:
 def _canon_check(rows) -> None:
     canonical, raw = canon.kernel_shapes(rows)
     # With the passes, each geometry needs exactly one kernel configuration;
-    # without them every geometry fragments (or fails to lower) — the
-    # specialised-kernel explosion the paper avoids.
+    # without them every geometry fragments — the specialised-kernel
+    # explosion the paper avoids.
     assert all(len(shapes) == 1 for shapes in canonical.values())
     assert all(len(shapes) > 1 for shapes in raw.values())
     assert _canon_ratio(rows) > 10

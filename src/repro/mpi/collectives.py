@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.gpu.memory import HostBuffer, MemoryKind
 from repro.mpi.baseline import contiguous_payload
-from repro.mpi.datatype import Datatype
+from repro.mpi.datatype import Datatype, check_int
 from repro.mpi.errors import MpiArgumentError
 from repro.mpi.p2p import Envelope
 from repro.mpi.request import Request
@@ -412,13 +412,24 @@ def build_sections(
     types: TypesArg,
     what: str,
 ) -> list[TypedSection]:
-    """Validate and assemble the section list of one collective side."""
+    """Validate and assemble the section list of one collective side.
+
+    Peers, counts and displacements obey :func:`check_int`; a bad one raises
+    ``MpiArgumentError`` naming it (``neighbors[i]``, ``sendcounts[i]``,
+    ``recvdispls[i]`` …).  A plain ``int`` costs no call.
+    """
     if not (len(peers) == len(counts) == len(displs)):
         raise MpiArgumentError(f"{what} argument lists must have equal lengths")
     datatypes = normalize_types(types, len(peers), what)
     sections = []
-    for peer, count, displ, datatype in zip(peers, counts, displs, datatypes):
-        section = TypedSection(int(peer), int(count), int(displ), datatype)
+    for index, (peer, count, displ, datatype) in enumerate(zip(peers, counts, displs, datatypes)):
+        if type(peer) is not int:
+            peer = check_int(peer, f"neighbors[{index}]", MpiArgumentError)
+        if type(count) is not int:
+            count = check_int(count, f"{what}counts[{index}]", MpiArgumentError)
+        if type(displ) is not int:
+            displ = check_int(displ, f"{what}displs[{index}]", MpiArgumentError)
+        section = TypedSection(peer, count, displ, datatype)
         section.check(comm, buffer, what)
         sections.append(section)
     return sections
@@ -565,7 +576,9 @@ def allgatherv_begin(
         )
     peers = list(range(comm.size))
     recv_sections = build_sections(comm, recv, peers, recvcounts, recvdispls, recvtypes, "recv")
-    send_section = TypedSection(comm.rank, int(sendcount), 0, sendtype)
+    if type(sendcount) is not int:
+        sendcount = check_int(sendcount, "sendcount", MpiArgumentError)
+    send_section = TypedSection(comm.rank, sendcount, 0, sendtype)
     send_section.check(comm, send, "send")
     nbytes = send_section.packed_bytes
     my_recv = recv_sections[comm.rank]

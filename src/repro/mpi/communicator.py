@@ -438,7 +438,8 @@ class Communicator:
         no datatype is given, i.e. ``rank * sendcount`` bytes).
         """
         _, recvtype = self._types(sendtype, recvtype, "sendtype and recvtype")
-        sendcount = int(sendcount)
+        if type(sendcount) is not int:
+            sendcount = check_int(sendcount, "sendcount", MpiArgumentError)
         if sendcount < 0:
             raise MpiArgumentError(f"sendcount must be non-negative, got {sendcount}")
         stride = sendcount * recvtype.extent

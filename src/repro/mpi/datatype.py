@@ -238,9 +238,12 @@ def check_int(value: object, what: str, error: type[Exception] = MpiTypeError) -
 
     Raises ``error`` naming ``what`` for anything else.  Hot callers test
     ``type(value) is int`` first and call this only otherwise, so a plain
-    ``int`` argument costs no call.
+    ``int`` argument costs no call and a NumPy integer (the replay's
+    displacements) one test.
     """
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
         return int(value)
     raise error(f"{what} must be an integer, got {value!r}")
 

@@ -1,7 +1,7 @@
 """Type canonicalisation (Sec. 3.2).
 
-Semantically equivalent MPI datatypes translate to different Type trees; four
-transformations, applied repeatedly until none of them changes the tree,
+Semantically equivalent MPI datatypes translate to different Types; four
+transformations, applied repeatedly until none of them changes the chain,
 reduce them to a canonical form:
 
 ``dense_folding``
@@ -18,11 +18,11 @@ reduce them to a canonical form:
     Stream levels are ordered by decreasing stride so that row-of-column and
     column-of-row constructions agree (Sec. 3.2.4).
 
-A translated Type is always a chain of streams over one dense leaf, so the
-rules work on that chain unpacked once: a list of ``[offset, stride, count]``
-rows, outermost first, over a ``[offset, extent]`` leaf.  Each rule rewrites
-the list in place and reports whether it changed anything; :func:`simplify`
-builds the canonical Type once, at the fixed point.
+A Type is stored flat (:mod:`repro.tempi.ir`): stream rows over one dense
+base.  :func:`simplify` copies them once into a list of ``[offset, stride,
+count]`` rows, outermost first, over an ``[offset, extent]`` leaf; each rule
+rewrites that list in place and reports whether it changed anything, and the
+canonical Type is made once, at the fixed point.
 
 All rules preserve the set of bytes the type describes; the property-based
 tests check exactly that invariant against the MPI type map.
@@ -33,7 +33,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Tuple
 
-from repro.tempi.ir import DenseData, StreamData, Type
+from repro.tempi.ir import Type
 
 #: Safety bound on the fixed-point iteration; in practice a handful of passes
 #: suffice (each pass strictly reduces depth or orders the chain).
@@ -41,32 +41,6 @@ MAX_PASSES = 64
 
 Rows = list[list[int]]
 _STRIDE = itemgetter(1)
-
-
-# --------------------------------------------------------------------------- #
-# The chain as a list of rows
-# --------------------------------------------------------------------------- #
-
-def _unpack(ty: Type) -> Tuple[Rows, list[int]]:
-    """``([offset, stride, count] per stream, outermost first; [offset, extent])``."""
-    rows = []
-    node = ty
-    try:
-        while node.child is not None:
-            data = node.data
-            rows.append([data.offset, data.stride, data.count])
-            node = node.child
-        return rows, [node.data.offset, node.data.extent]
-    except AttributeError:
-        raise ValueError(f"not a chain of streams over one dense leaf: {ty}") from None
-
-
-def _build(rows: Rows, leaf: list[int]) -> Type:
-    """The Type chain of ``rows`` over ``leaf``."""
-    node = Type(DenseData(leaf[0], leaf[1]))
-    for offset, stride, count in reversed(rows):
-        node = Type(StreamData(offset, stride, count), node)
-    return node
 
 
 # --------------------------------------------------------------------------- #
@@ -130,9 +104,9 @@ def _sort_streams(rows: Rows, leaf: list[int]) -> bool:
 # --------------------------------------------------------------------------- #
 
 def _apply(rule, node: Type) -> Tuple[Type, bool]:
-    rows, leaf = _unpack(node)
+    rows, leaf = list(map(list, node.rows)), [*node.base]
     changed = rule(rows, leaf)
-    return _build(rows, leaf), changed
+    return Type(tuple(map(tuple, rows)), (leaf[0], leaf[1])), changed
 
 
 def dense_folding(node: Type) -> Tuple[Type, bool]:
@@ -162,9 +136,10 @@ def sort_streams(node: Type) -> Tuple[Type, bool]:
 def simplify(ty: Type) -> Type:
     """Apply the four transformations until none changes the chain (Alg. 1).
 
-    The input is not modified; a new canonical Type is returned.
+    The input is not modified; a new canonical Type is returned, after
+    checking that each of its levels is self-consistent.
     """
-    rows, leaf = _unpack(ty)
+    rows, leaf = list(map(list, ty.rows)), [*ty.base]
     for _ in range(MAX_PASSES):
         changed = _fold_dense(rows, leaf)
         changed |= _elide_unit_streams(rows, leaf)
@@ -174,7 +149,7 @@ def simplify(ty: Type) -> Type:
             break
     else:  # pragma: no cover - defensive: the rules always reach a fixed point
         raise RuntimeError("canonicalisation did not converge")
-    node = _build(rows, leaf)
+    node = Type(tuple(map(tuple, rows)), (leaf[0], leaf[1]))
     node.validate()
     return node
 

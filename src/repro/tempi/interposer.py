@@ -62,7 +62,8 @@ from repro.machine.topology import Topology
 from repro.mpi import collectives as _collectives
 from repro.mpi.collectives import _next_collective_tag
 from repro.mpi.communicator import Communicator, as_buffer
-from repro.mpi.datatype import Datatype, check_datatype
+from repro.mpi.datatype import Datatype, check_datatype, check_int
+from repro.mpi.errors import MpiArgumentError
 from repro.mpi.request import Request, null_request
 from repro.mpi.status import ANY_SOURCE, ANY_TAG, Status
 from repro.tempi import plan as _plan
@@ -70,7 +71,7 @@ from repro.tempi.cache import ResourceCache
 from repro.tempi.canonicalize import simplify
 from repro.tempi.config import HANDLER_LOOKUP_S, MODEL_CACHED_QUERY_S, POINTER_CHECK_S, TempiConfig
 from repro.tempi.executor import PlanExecutor
-from repro.tempi.measurement import SystemMeasurement, host_timer
+from repro.tempi.measurement import SystemMeasurement
 from repro.tempi.packer import PackError, Packer
 from repro.tempi.progress import ProgressEngine
 from repro.tempi.perf_model import PerformanceModel
@@ -92,9 +93,6 @@ class TypeHandler:
     packer: Optional[Packer]
     #: Why there is no packer, when there is none (fallback reporting).
     fallback_reason: Optional[str] = None
-    #: Wall-clock seconds spent in translation/canonicalisation/kernel
-    #: selection (the "commit" overhead of Fig. 7).
-    commit_seconds: float = 0.0
     uses: int = 0
     #: Whether the committed type is one contiguous run — such a message is
     #: the system MPI's to send as it is.  Known at commit; every
@@ -102,7 +100,7 @@ class TypeHandler:
     contiguous: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        self.contiguous = self.packer is not None and self.packer.block.is_contiguous
+        self.contiguous = self.packer is not None and len(self.packer.block.counts) == 1
 
     @property
     def accelerated(self) -> bool:
@@ -372,13 +370,8 @@ class TempiCommunicator:
         self.tempi.stats.commits += 1
         if not (self.config.enabled and self.config.datatype_handling):
             return datatype
-        # Wall-clock (diagnostic, never priced): how long the simulator's own
-        # translation pipeline took, read through the measurement seam.
-        started = host_timer()
-        handler = self._build_handler(datatype)
-        handler.commit_seconds = host_timer() - started
-        datatype.attachment = handler
-        if handler.accelerated:
+        handler = datatype.attachment = self._build_handler(datatype)
+        if handler.packer is not None:
             self.tempi.stats.accelerated_commits += 1
         return datatype
 
@@ -387,10 +380,7 @@ class TempiCommunicator:
             ir = translate(datatype)
         except TranslationError as exc:
             return TypeHandler(packer=None, fallback_reason=str(exc))
-        canonical = simplify(ir)
-        block = to_strided_block(canonical)
-        if block is None:
-            return TypeHandler(packer=None, fallback_reason="not a strided block")
+        block = to_strided_block(simplify(ir))
         packer = Packer(block, object_extent=datatype.extent, properties=self._comm.gpu.device.properties)
         return TypeHandler(packer=packer)
 
@@ -686,6 +676,8 @@ class TempiCommunicator:
         fan-out plan; the byte signature, disabled interposition, host buffers
         and unhandled datatypes are the system's ``Iallgatherv`` — exactly
         like the typed all-to-all-v."""
+        if type(sendcount) is not int:  # named as the system path names it
+            sendcount = check_int(sendcount, "sendcount", MpiArgumentError)
         size = self._comm.size
         plan = None
         if size >= 2:
@@ -726,7 +718,7 @@ class TempiCommunicator:
             send_sections, recv_sections, _ = built
             sent = send_sections[0].packed_bytes if send_sections else 0
             if sum(s.packed_bytes for s in recv_sections if s.peer == rank) != sent:
-                raise _collectives.MpiArgumentError(
+                raise MpiArgumentError(
                     "this rank's contribution disagrees with its recv section"
                 )
         return built

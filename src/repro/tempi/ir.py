@@ -10,7 +10,17 @@ child level.  Two kinds of ``TypeData`` exist:
     A strided sequence of ``count`` elements of the single child type,
     ``stride`` bytes apart, starting ``offset`` bytes in.
 
-Distinct-but-equivalent MPI datatypes produce distinct Type trees; the
+Every type TEMPI canonicalises is a *chain*: stream levels, each with one
+child, over a single dense leaf (indexed and struct types, the only MPI
+constructors that would branch, never reach the IR).  So a :class:`Type` is
+stored flat, as one object: a tuple of ``(offset, stride, count)`` stream
+rows, outermost first, over one ``(offset, extent)`` dense base.  Translation
+appends rows, canonicalisation rewrites them and lowering reads them, with no
+level objects built in between.  The level-by-level reading of the paper's
+hierarchy (``data``, ``child``, ``levels()`` …) is a set of views built on
+request.
+
+Distinct-but-equivalent MPI datatypes produce distinct Types; the
 canonicalisation passes in :mod:`repro.tempi.canonicalize` reduce them to a
 common form.  The IR is deliberately tiny — that is the point of the paper:
 a handful of integers per level instead of a device-resident block list.
@@ -19,11 +29,13 @@ a handful of integers per level instead of a device-resident block list.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
+
+#: One stream level: ``(offset, stride, count)``.
+Row = tuple[int, int, int]
 
 
-@dataclass
-class DenseData:
+class DenseData(NamedTuple):
     """A contiguous run of bytes.
 
     Attributes
@@ -37,15 +49,8 @@ class DenseData:
     offset: int = 0
     extent: int = 0
 
-    def validate(self) -> None:
-        if self.offset < 0:
-            raise ValueError(f"DenseData offset must be non-negative, got {self.offset}")
-        if self.extent <= 0:
-            raise ValueError(f"DenseData extent must be positive, got {self.extent}")
 
-
-@dataclass
-class StreamData:
+class StreamData(NamedTuple):
     """A strided stream of ``count`` child elements.
 
     Attributes
@@ -62,78 +67,74 @@ class StreamData:
     stride: int = 0
     count: int = 0
 
-    def validate(self) -> None:
-        if self.offset < 0:
-            raise ValueError(f"StreamData offset must be non-negative, got {self.offset}")
-        if self.stride <= 0:
-            raise ValueError(f"StreamData stride must be positive, got {self.stride}")
-        if self.count <= 0:
-            raise ValueError(f"StreamData count must be positive, got {self.count}")
-
 
 TypeData = Union[DenseData, StreamData]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Type:
-    """One level of the Type hierarchy: a ``TypeData`` plus zero or one child."""
+    """A Type hierarchy: stream ``rows``, outermost first, over a dense ``base``."""
 
-    data: TypeData
-    child: Optional["Type"] = None
+    rows: tuple[Row, ...]
+    #: ``(offset, extent)`` of the dense leaf.
+    base: tuple[int, int]
 
-    # ----------------------------------------------------------------- shape
+    def validate(self) -> None:
+        """Check that every level is self-consistent: offsets non-negative,
+        strides, counts and the extent positive."""
+        for offset, stride, count in self.rows:
+            if offset < 0:
+                raise ValueError(f"StreamData offset must be non-negative, got {offset}")
+            if stride <= 0:
+                raise ValueError(f"StreamData stride must be positive, got {stride}")
+            if count <= 0:
+                raise ValueError(f"StreamData count must be positive, got {count}")
+        offset, extent = self.base
+        if offset < 0:
+            raise ValueError(f"DenseData offset must be non-negative, got {offset}")
+        if extent <= 0:
+            raise ValueError(f"DenseData extent must be positive, got {extent}")
+
+    # ------------------------------------------------- views of the hierarchy
     @property
     def is_dense(self) -> bool:
-        """True when this level is a :class:`DenseData`."""
-        return isinstance(self.data, DenseData)
+        """True when the top level is a :class:`DenseData` (there are no streams)."""
+        return not self.rows
 
     @property
     def is_stream(self) -> bool:
-        """True when this level is a :class:`StreamData`."""
-        return isinstance(self.data, StreamData)
+        """True when the top level is a :class:`StreamData`."""
+        return bool(self.rows)
+
+    @property
+    def data(self) -> TypeData:
+        """The top level's ``TypeData``."""
+        return StreamData(*self.rows[0]) if self.rows else DenseData(*self.base)
+
+    @property
+    def child(self) -> Optional["Type"]:
+        """The chain below the top level (``None`` for the dense leaf)."""
+        return Type(self.rows[1:], self.base) if self.rows else None
 
     def depth(self) -> int:
-        """Number of levels below and including this one."""
-        return 1 + (self.child.depth() if self.child is not None else 0)
+        """Number of levels, the dense leaf included."""
+        return len(self.rows) + 1
 
     def levels(self) -> Iterator["Type"]:
         """Iterate the chain from this level down to the leaf."""
-        node: Optional[Type] = self
-        while node is not None:
-            yield node
-            node = node.child
+        for first in range(len(self.rows) + 1):
+            yield Type(self.rows[first:], self.base)
 
     def leaf(self) -> "Type":
         """The bottom level of the chain."""
-        node = self
-        while node.child is not None:
-            node = node.child
-        return node
-
-    # ------------------------------------------------------------- utilities
-    def validate(self) -> None:
-        """Check structural invariants of the whole chain.
-
-        * every ``TypeData`` is self-consistent;
-        * ``DenseData`` levels are leaves (a dense run has no children);
-        * ``StreamData`` levels have exactly one child.
-        """
-        node: Optional[Type] = self
-        while node is not None:
-            node.data.validate()
-            if node.child is None:
-                if type(node.data) is StreamData:
-                    raise ValueError("StreamData levels must have a child")
-            elif type(node.data) is DenseData:
-                raise ValueError("DenseData levels cannot have children")
-            node = node.child
+        return Type((), self.base)
 
     def total_bytes(self) -> int:
         """Payload bytes described by one element of this Type."""
-        if self.is_dense:
-            return self.data.extent
-        assert self.child is not None
-        return self.data.count * self.child.total_bytes()
+        total = self.base[1]
+        for _, _, count in self.rows:
+            total *= count
+        return total
 
     def footprint(self) -> int:
         """Bytes of metadata this representation needs (Sec. 2's argument).
@@ -141,36 +142,24 @@ class Type:
         Each level is three integers at most; compare with the 16 bytes per
         block of the generic block-list representation.
         """
-        return sum(24 for _ in self.levels())
+        return 24 * self.depth()
 
     def structure(self) -> tuple:
         """A hashable summary used for equality in tests and memoisation."""
-        parts = []
-        for level in self.levels():
-            if level.is_dense:
-                parts.append(("dense", level.data.offset, level.data.extent))
-            else:
-                parts.append(("stream", level.data.offset, level.data.stride, level.data.count))
-        return tuple(parts)
+        return (*[("stream", *row) for row in self.rows], ("dense", *self.base))
 
     def __str__(self) -> str:
-        pieces = []
-        for level in self.levels():
-            if level.is_dense:
-                pieces.append(f"Dense(off={level.data.offset}, extent={level.data.extent})")
-            else:
-                pieces.append(
-                    f"Stream(off={level.data.offset}, stride={level.data.stride}, "
-                    f"count={level.data.count})"
-                )
+        pieces = [f"Stream(off={offset}, stride={stride}, count={count})"
+                  for offset, stride, count in self.rows]
+        pieces.append(f"Dense(off={self.base[0]}, extent={self.base[1]})")
         return " -> ".join(pieces)
 
 
 def dense(extent: int, offset: int = 0) -> Type:
     """Convenience constructor for a leaf dense level."""
-    return Type(DenseData(offset=offset, extent=extent))
+    return Type((), (offset, extent))
 
 
 def stream(count: int, stride: int, child: Type, offset: int = 0) -> Type:
     """Convenience constructor for a stream level over ``child``."""
-    return Type(StreamData(offset=offset, stride=stride, count=count), child)
+    return Type(((offset, stride, count), *child.rows), child.base)

@@ -1,8 +1,8 @@
 """StridedBlock: the compact canonical representation (Sec. 3.3, Alg. 5).
 
-After canonicalisation the Type chain is a stack of ``StreamData`` levels over
-one ``DenseData`` leaf.  Such a chain is semantically an MPI subarray, and
-TEMPI lowers it to a :class:`StridedBlock`:
+A Type is a stack of stream rows over one dense base, which is semantically
+an MPI subarray; after canonicalisation TEMPI lowers it to a
+:class:`StridedBlock`:
 
 * ``start`` — byte offset of the first byte from the buffer origin
   (the accumulated per-level offsets);
@@ -19,9 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
 
-from repro.tempi.ir import DenseData, StreamData, Type
+from repro.tempi.ir import Type
 
 
 @dataclass(frozen=True)
@@ -91,30 +90,20 @@ class StridedBlock:
         return f"StridedBlock(start={self.start}, {dims}, strides={list(self.strides)})"
 
 
-def to_strided_block(ty: Type) -> Optional[StridedBlock]:
-    """Lower a canonicalised Type chain to a StridedBlock (Alg. 5).
+def to_strided_block(ty: Type) -> StridedBlock:
+    """Lower a canonicalised Type to a StridedBlock (Alg. 5).
 
-    Returns ``None`` when the chain is not a stack of streams over a dense
-    leaf — the "not strided" case of the paper, which falls back to the
-    baseline path.
+    The offsets of every level add up to ``start``; the dense base is the
+    contiguous dimension 0 and the stream rows, innermost first, the slower
+    dimensions the kernels expect.
     """
-    start, counts, strides = 0, [], []
-    node = ty
-    while node.child is not None:  # the streams, outermost first
-        data = node.data
-        if type(data) is not StreamData:
-            return None
-        start += data.offset
-        counts.append(data.count)
-        strides.append(data.stride)
-        node = node.child
-    leaf = node.data
-    if type(leaf) is not DenseData:
-        return None
-    counts.append(leaf.extent)
-    strides.append(1)
-    # Innermost first: dimension i+1 is the next-slower one, as the kernels expect.
-    return StridedBlock(start + leaf.offset, tuple(counts[::-1]), tuple(strides[::-1]))
+    start, extent = ty.base
+    counts, strides = (extent,), (1,)
+    for offset, stride, count in reversed(ty.rows):
+        start += offset
+        counts += (count,)
+        strides += (stride,)
+    return StridedBlock(start, counts, strides)
 
 
 @dataclass(frozen=True)

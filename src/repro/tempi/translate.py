@@ -15,8 +15,8 @@ Each MPI constructor maps onto the IR as the paper prescribes:
 :func:`translate` is one loop down the ``oldtype`` chain.  A step table keyed
 on the exact constructor class maps each class to a step that appends the
 class's ``(offset, stride, count)`` rows, outermost first, and returns its
-``oldtype``.  The loop stops at the named leaf and builds the ``Type`` chain
-once, bottom-up.
+``oldtype``.  The loop stops at the named leaf, whose extent is the dense
+base: the rows and the base are the flat :class:`~repro.tempi.ir.Type`.
 
 Datatypes TEMPI does not canonicalise (indexed, struct) raise
 :class:`TranslationError`; the interposer catches it and falls back to the
@@ -37,10 +37,7 @@ from repro.mpi.constructors import (
     VectorDatatype,
 )
 from repro.mpi.datatype import ORDER_C, Datatype, NamedDatatype
-from repro.tempi.ir import DenseData, StreamData, Type
-
-#: One level of the chain: ``(offset, stride, count)`` of a ``StreamData``.
-Row = tuple[int, int, int]
+from repro.tempi.ir import Row, Type
 
 
 class TranslationError(ValueError):
@@ -64,10 +61,7 @@ def translate(datatype: Datatype) -> Type:
         except KeyError:
             raise TranslationError(_refusal(node)) from None
         node = step(node, rows)
-    ty = Type(DenseData(0, node.extent))
-    for row in reversed(rows):
-        ty = Type(StreamData(*row), ty)
-    return ty
+    return Type(tuple(rows), (0, node.extent))
 
 
 def _refusal(datatype: object) -> str:
@@ -142,11 +136,3 @@ _STEPS: dict[type, Callable[..., Datatype]] = {
     ResizedDatatype: _resized,
 }
 
-
-def translatable(datatype: Datatype) -> bool:
-    """True when :func:`translate` accepts the datatype (used by the interposer)."""
-    try:
-        translate(datatype)
-    except TranslationError:
-        return False
-    return True

@@ -9,7 +9,10 @@ element of a sequence is named by its index), instead of being truncated
 (``2.5`` → 2), parsed (``"4"`` → 4) or escaping as a bare ``TypeError``.
 The count of a ``(buffer, count, datatype)`` message spec follows the same
 rule on the system and the TEMPI communicator and raises
-:class:`MpiArgumentError` naming ``count``.
+:class:`MpiArgumentError` naming ``count``; so do the neighbours, counts,
+displacements and ``sendcount`` of every v-collective, blocking, nonblocking
+and persistent (``sendcounts[1]``, ``recvdispls[0]`` …), where ``int()``
+used to truncate a float and accept a bool or a string.
 """
 
 from __future__ import annotations
@@ -184,3 +187,130 @@ class TestMessageCount:
         _, comms, buffer, datatype = rank0
         _, count, _ = comms["system"]._resolve((buffer, np.int64(3), datatype))
         assert type(count) is int and count == 3
+
+
+# --------------------------------------------------------------------------- #
+# Peers, counts and displacements of the v-collectives, on both communicators.
+# --------------------------------------------------------------------------- #
+
+#: Positional arguments of each collective, in call order.
+V_SIGNATURES = {
+    "alltoallv": ("sendbuf", "sendcounts", "senddispls", "recvbuf", "recvcounts", "recvdispls"),
+    "neighbor_alltoallv": (
+        "neighbors", "sendbuf", "sendcounts", "senddispls", "recvbuf", "recvcounts", "recvdispls",
+    ),
+    "allgather": ("sendbuf", "sendcount", "recvbuf"),
+    "allgatherv": ("sendbuf", "sendcount", "recvbuf", "recvcounts", "recvdispls"),
+}
+#: ``(collective, form)`` -> the communicator method.
+V_METHODS = {
+    ("alltoallv", "blocking"): "Alltoallv",
+    ("alltoallv", "nonblocking"): "Ialltoallv",
+    ("alltoallv", "persistent"): "Alltoallv_init",
+    ("neighbor_alltoallv", "blocking"): "Neighbor_alltoallv",
+    ("neighbor_alltoallv", "nonblocking"): "Ineighbor_alltoallv",
+    ("neighbor_alltoallv", "persistent"): "Neighbor_alltoallv_init",
+    ("allgather", "blocking"): "Allgather",
+    ("allgather", "nonblocking"): "Iallgather",
+    ("allgatherv", "blocking"): "Allgatherv",
+    ("allgatherv", "nonblocking"): "Iallgatherv",
+}
+#: ``(collective, argument, index or None, bad value, the name in the message)``.
+V_ARGUMENTS = [
+    ("alltoallv", "sendcounts", 1, 1.9, "sendcounts[1]"),
+    ("alltoallv", "sendcounts", 0, True, "sendcounts[0]"),
+    ("alltoallv", "recvcounts", 1, "1", "recvcounts[1]"),
+    ("alltoallv", "senddispls", 1, 8.0, "senddispls[1]"),
+    ("alltoallv", "recvdispls", 0, np.float64(0), "recvdispls[0]"),
+    ("neighbor_alltoallv", "neighbors", 0, 1.0, "neighbors[0]"),
+    ("neighbor_alltoallv", "recvcounts", 0, None, "recvcounts[0]"),
+    ("allgather", "sendcount", None, 2.7, "sendcount"),
+    ("allgather", "sendcount", None, "2", "sendcount"),
+    ("allgatherv", "sendcount", None, 1.0, "sendcount"),
+    ("allgatherv", "recvcounts", 1, 1.5, "recvcounts[1]"),
+    ("allgatherv", "recvdispls", 1, False, "recvdispls[1]"),
+]
+
+
+def v_arguments(collective: str, sendbuf, recvbuf, **values) -> list:
+    """Well-formed positional arguments of ``collective`` on a 2-rank world."""
+    valid = {
+        "sendbuf": sendbuf, "recvbuf": recvbuf, "neighbors": [1, 0], "sendcount": 1,
+        "sendcounts": [1, 1], "senddispls": [0, 8], "recvcounts": [1, 1], "recvdispls": [0, 8],
+    }
+    valid.update(values)
+    return [valid[name] for name in V_SIGNATURES[collective]]
+
+
+def v_types(collective: str, datatype) -> dict:
+    if collective == "allgather":
+        return {"sendtype": datatype, "recvtype": datatype}
+    if collective == "allgatherv":
+        return {"sendtype": datatype, "recvtypes": datatype}
+    return {"sendtypes": datatype, "recvtypes": datatype}
+
+
+def v_call(comm, collective: str, form: str, args: list, types: dict) -> None:
+    """Run ``collective`` in ``form`` to completion."""
+    request = getattr(comm, V_METHODS[collective, form])(*args, **types)
+    if form == "persistent":
+        request.Start()
+    if form != "blocking":
+        request.Wait()
+
+
+#: Every broken argument in every form its collective has.
+V_CASES = [
+    pytest.param(form, *case, id=f"{form}-{case[0]}-{case[4]}-{case[3]!r}")
+    for case in V_ARGUMENTS
+    for form in ("blocking", "nonblocking", "persistent")
+    if (case[0], form) in V_METHODS
+]
+
+
+class TestVCollectiveArguments:
+    @pytest.mark.parametrize("kind", ["system", "tempi"])
+    @pytest.mark.parametrize("form, collective, arg, index, bad, name", V_CASES)
+    def test_a_non_integer_is_named(self, rank0, kind, form, collective, arg, index, bad, name):
+        world, comms, buffer, datatype = rank0
+        args = v_arguments(collective, buffer, buffer)
+        position = V_SIGNATURES[collective].index(arg)
+        if index is None:
+            args[position] = bad
+        else:
+            args[position] = list(args[position])
+            args[position][index] = bad
+
+        def attempt(ctx) -> None:
+            if ctx.rank == 0:
+                with pytest.raises(MpiArgumentError, match=rf"^{re.escape(name)} must be an integer"):
+                    v_call(comms[kind], collective, form, args, v_types(collective, datatype))
+
+        world.run(attempt)
+
+    @pytest.mark.parametrize("kind", ["system", "tempi"])
+    @pytest.mark.parametrize("collective", sorted(V_SIGNATURES))
+    def test_numpy_integers_move_what_ints_move(self, kind, collective):
+        def received(widen) -> list:
+            world = World(2)
+
+            def program(ctx) -> bytes:
+                comm = ctx.comm if kind == "system" else interpose(ctx, TempiConfig())
+                datatype = comm.Type_commit(Type_vector(2, 1, 2, BYTE))
+                send, recv = ctx.gpu.malloc(64), ctx.gpu.malloc(64)
+                send.data[:] = np.arange(64, dtype=np.uint8) + 64 * ctx.rank
+                values = {name: widen(value) for name, value in (
+                    ("neighbors", [1 - ctx.rank, 1 - ctx.rank]), ("sendcount", 1),
+                    ("sendcounts", [1, 1]), ("senddispls", [0, 8]),
+                    ("recvcounts", [1, 1]), ("recvdispls", [0, 8]),
+                )}
+                args = v_arguments(collective, send, recv, **values)
+                v_call(comm, collective, "blocking", args, v_types(collective, datatype))
+                return recv.data.tobytes()
+
+            return world.run(program)
+
+        def to_numpy(value):
+            return np.int64(value) if type(value) is int else list(np.array(value, dtype=np.int64))
+
+        assert received(to_numpy) == received(lambda value: value)

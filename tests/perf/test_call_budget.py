@@ -29,13 +29,15 @@ growing back:
   helper thread;
 * one TEMPI ``Type_commit`` makes an exact number of calls: canonicalising
   a flat list of stream rows instead of a recursive Type tree, translating
-  in one loop over a per-class step table, and selecting the kernel from
-  the block's counts read once;
+  in one loop over a per-class step table, selecting the kernel from the
+  block's counts read once, and storing the Type flat, one object per stage;
+  so do the 22 commits of a warm ``datatype_pack`` round;
 * building the 22 ``datatype_pack`` datatypes makes an exact number of
   calls: a plain ``int`` argument passes every constructor check with no
   call;
 * ``tools/call_histogram.py --stages`` accounts for every call of a
-  ``datatype_pack`` round.
+  ``datatype_pack`` round, and ``docs/ARCHITECTURE.md`` § "Commit path"
+  prints what it measures.
 """
 
 from __future__ import annotations
@@ -368,10 +370,11 @@ def test_split_pack_and_unpack_count_every_thread(summit_model, host_cores):
 # --------------------------------------------------------------------------- #
 
 #: Exact calls of one ``Type_commit`` on Python 3.11, the counter's own exit
-#: calls excluded.  The recursive canonicaliser counted (288, 335, 188) and
-#: canonicalising one flat list of stream rows (111, 124, 94); the step-table
-#: translator and kernel selection without property calls left these.
-COMMIT_CALLS = {"fig7 0:subarray": 83, "fig7 6:hvector(hvector(vector))": 92, "replay pitched": 70}
+#: calls excluded.  The recursive canonicaliser counted (288, 335, 188),
+#: canonicalising one flat list of stream rows (111, 124, 94), and the
+#: step-table translator with kernel selection free of property calls
+#: (83, 92, 70); a Type stored flat, made once per stage, left these.
+COMMIT_CALLS = {"fig7 0:subarray": 50, "fig7 6:hvector(hvector(vector))": 50, "replay pitched": 45}
 
 
 def _commit_builders() -> dict:
@@ -452,11 +455,15 @@ def _load(path: Path, name: str):
     return module
 
 
+def _warm_pack_workload(model):
+    workload = _load(E2E / "workloads.py", "_e2e_workloads").DatatypePack(model, seed=1)
+    workload.block(workload.warmup_rounds)
+    return workload
+
+
 def test_stage_rows_sum_to_the_round_total(summit_model):
     histogram = _load(TOOLS / "call_histogram.py", "_call_histogram")
-    workloads = _load(E2E / "workloads.py", "_e2e_workloads")
-    workload = workloads.DatatypePack(summit_model, seed=1)
-    workload.block(workload.warmup_rounds)
+    workload = _warm_pack_workload(summit_model)
     gc.collect()
     gc.disable()  # a collection would count the gc callbacks Hypothesis registers
     try:
@@ -471,3 +478,72 @@ def test_stage_rows_sum_to_the_round_total(summit_model):
     # The counter also counts the ``block`` call itself, which no stage owns.
     assert sum(stages.values()) == counter.calls - empty.calls - 1
     assert workload.failed_ops == 0
+
+
+#: Exact calls of the 22 commits of one warm ``datatype_pack`` round on Python
+#: 3.11, building the datatypes excluded.  Linked Type levels counted 1 753.
+PACK_ROUND_COMMIT_CALLS = 1054
+
+
+def test_a_pack_rounds_commits_count_their_calls(summit_model):
+    workload = _warm_pack_workload(summit_model)
+    datatypes = [build() for build in workload.builders]
+    commit = workload.comm.Type_commit
+    gc.collect()
+    gc.disable()  # a collection would count the gc callbacks Hypothesis registers
+    try:
+        with CallCounter() as empty:
+            pass
+        with CallCounter() as counter:
+            for datatype in datatypes:
+                commit(datatype)
+    finally:
+        gc.enable()
+    calls = counter.calls - empty.calls
+    assert len(datatypes) == 22
+    if sys.version_info[:2] == (3, 11):
+        assert calls == PACK_ROUND_COMMIT_CALLS
+    else:
+        assert calls <= PACK_ROUND_COMMIT_CALLS * 1.05, (calls, PACK_ROUND_COMMIT_CALLS)
+
+
+#: Row label of ``docs/ARCHITECTURE.md`` § "Commit path" -> its stage in
+#: ``tools/call_histogram.py``; the "22 commits" and "round" rows are sums.
+DOC_STAGES = {
+    "simplify": "simplify",
+    "Packer (kernel selection)": "Packer",
+    "to_strided_block": "to_strided_block",
+    "translate": "translate",
+    "rest of Type_commit": "rest of Type_commit",
+    "building the 22 datatypes": "building",
+    "14 Pack/Unpack": "Pack/Unpack",
+    "round loop": "round loop",
+}
+
+
+def _commit_path_table() -> dict[str, int]:
+    """Row label -> the newest (rightmost) column of § "Commit path"'s table."""
+    text = (MEASURE.parents[2] / "docs" / "ARCHITECTURE.md").read_text()
+    section = text.split("\n## Commit path\n", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        cells = [cell.strip().strip("*").replace("`", "") for cell in line.strip("|").split("|")]
+        if line.startswith("|") and cells[-1].replace(" ", "").isdigit():
+            table[cells[0]] = int(cells[-1].replace(" ", ""))
+    return table
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="the table is measured on Python 3.11")
+def test_the_commit_path_table_is_what_the_histogram_measures(summit_model):
+    histogram = _load(TOOLS / "call_histogram.py", "_call_histogram")
+    workload = _warm_pack_workload(summit_model)
+    gc.collect()
+    gc.disable()  # a collection would count the gc callbacks Hypothesis registers
+    try:
+        stages = histogram.stage_calls(workload)
+    finally:
+        gc.enable()
+    measured = {label: stages[stage] for label, stage in DOC_STAGES.items()}
+    measured["22 commits"] = sum(stages[stage] for stage in histogram.COMMIT_STAGES)
+    measured["round"] = sum(stages.values())
+    assert _commit_path_table() == measured

@@ -139,7 +139,7 @@ def canonical_form(datatype) -> dict:
     block = to_strided_block(canonical)
     return {
         "structure": [list(level) for level in canonical.structure()],
-        "block": None if block is None else [block.start, list(block.counts), list(block.strides)],
+        "block": [block.start, list(block.counts), list(block.strides)],
     }
 
 
@@ -147,13 +147,11 @@ def stage_forms(datatype) -> dict:
     """The raw translation of ``datatype`` and its block's kernels, as plain JSON."""
     raw = translate(datatype)
     block = to_strided_block(simplify(raw))
-    kernels = None
-    if block is not None:
-        kernels = []
-        for count in KERNEL_COUNTS:
-            spec = select_kernel(block, count=count)
-            kernels.append([spec.dimensions, spec.word_size, list(spec.block_dim),
-                            list(spec.grid_dim), spec.count_strategy])
+    kernels = []
+    for count in KERNEL_COUNTS:
+        spec = select_kernel(block, count=count)
+        kernels.append([spec.dimensions, spec.word_size, list(spec.block_dim),
+                        list(spec.grid_dim), spec.count_strategy])
     return {"translation": [list(level) for level in raw.structure()], "kernels": kernels}
 
 
@@ -194,7 +192,7 @@ def test_translation_and_kernel_selection_replay_the_recorded_stages(first):
     for entry, stages in zip(ENTRIES[first : first + CHUNK], STAGE_ENTRIES[first : first + CHUNK]):
         got = stage_forms(decode(entry["recipe"]))
         assert got == {"translation": stages["translation"], "kernels": stages["kernels"]}, entry["name"]
-        for kernel in got["kernels"] or ():
+        for kernel in got["kernels"]:
             assert all(type(v) is int for v in kernel[2] + kernel[3]), entry["name"]
 
 
@@ -204,3 +202,31 @@ if __name__ == "__main__":
     stages = [{"name": entry["name"], **stage_forms(decode(entry["recipe"]))} for entry in entries]
     STAGES.write_text(json.dumps(stages, separators=(",", ":")) + "\n")
     print(f"wrote {FIXTURE} and {STAGES}")
+
+
+def _assert_views_read(ty, structure: list, name: str) -> None:
+    """Every read-only view of the flat ``ty`` agrees with its recorded ``structure``."""
+    assert [list(level) for level in ty.structure()] == structure, name
+    assert ty.depth() == len(structure), name
+    node, levels = ty, list(ty.levels())
+    for depth, (kind, *data) in enumerate(structure):
+        for level in (node, levels[depth]):
+            assert level.structure() == tuple(tuple(part) for part in structure[depth:]), name
+            assert (level.is_stream, level.is_dense) == (kind == "stream", kind == "dense"), name
+            assert list(level.data) == data, name
+        node = node.child
+    assert node is None, name
+    assert ty.leaf().structure() == (tuple(structure[-1]),), name
+    assert ty.footprint() == 24 * len(structure), name
+    assert str(ty).count(" -> ") == len(structure) - 1, name
+
+
+def test_the_views_read_what_structure_records():
+    """The level-by-level views of the paper's hierarchy, on every canonical
+    form and raw translation of the wall."""
+    for entry, stages in zip(ENTRIES, STAGE_ENTRIES):
+        datatype = decode(entry["recipe"])
+        raw = translate(datatype)
+        _assert_views_read(simplify(raw), entry["structure"], entry["name"])
+        _assert_views_read(raw, stages["translation"], entry["name"])
+        assert raw.total_bytes() == simplify(raw).total_bytes() == datatype.size, entry["name"]

@@ -6,26 +6,38 @@ from repro.tempi.ir import DenseData, StreamData, Type, dense, stream
 
 
 class TestTypeData:
+    """The flat Type rejects each level that is not self-consistent, naming it."""
+
     def test_dense_validation(self):
-        DenseData(offset=0, extent=4).validate()
-        with pytest.raises(ValueError):
-            DenseData(offset=-1, extent=4).validate()
-        with pytest.raises(ValueError):
-            DenseData(offset=0, extent=0).validate()
+        dense(4).validate()
+        for base, message in [
+            ((-1, 4), "DenseData offset must be non-negative, got -1"),
+            ((0, 0), "DenseData extent must be positive, got 0"),
+            ((0, -4), "DenseData extent must be positive, got -4"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                Type(((0, 8, 2),), base).validate()
 
     def test_stream_validation(self):
-        StreamData(offset=0, stride=4, count=2).validate()
-        with pytest.raises(ValueError):
-            StreamData(offset=0, stride=0, count=2).validate()
-        with pytest.raises(ValueError):
-            StreamData(offset=0, stride=4, count=0).validate()
-        with pytest.raises(ValueError):
-            StreamData(offset=-1, stride=4, count=1).validate()
+        stream(2, 4, dense(4)).validate()
+        for rows, message in [
+            (((0, 0, 2),), "StreamData stride must be positive, got 0"),
+            (((0, -8, 2),), "StreamData stride must be positive, got -8"),
+            (((0, 4, 0),), "StreamData count must be positive, got 0"),
+            (((-1, 4, 1),), "StreamData offset must be non-negative, got -1"),
+            (((0, 16, 2), (0, 4, -3)), "StreamData count must be positive, got -3"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                Type(rows, (0, 4)).validate()
 
 
 class TestTypeChain:
     def chain(self) -> Type:
         return stream(4, 64, stream(8, 8, dense(4)))
+
+    def test_is_stored_flat(self):
+        ty = stream(4, 64, stream(8, 8, dense(4, offset=2)), offset=1)
+        assert ty == Type(((1, 64, 4), (0, 8, 8)), (2, 4))
 
     def test_depth_and_levels(self):
         ty = self.chain()
@@ -57,24 +69,13 @@ class TestTypeChain:
     def test_validate_accepts_well_formed(self):
         self.chain().validate()
 
-    def test_validate_rejects_dense_with_child(self):
-        bad = Type(DenseData(0, 4), dense(4))
-        with pytest.raises(ValueError):
-            bad.validate()
-
-    def test_validate_rejects_stream_without_child(self):
-        bad = Type(StreamData(0, 4, 2))
-        with pytest.raises(ValueError):
-            bad.validate()
-
     def test_dense_helper(self):
         ty = dense(16, offset=2)
         assert ty.is_dense
-        assert ty.data.extent == 16
-        assert ty.data.offset == 2
+        assert ty.data == DenseData(offset=2, extent=16)
 
     def test_stream_helper(self):
         ty = stream(3, 12, dense(4), offset=1)
         assert ty.is_stream
-        assert ty.data.count == 3
+        assert ty.data == StreamData(offset=1, stride=12, count=3)
         assert ty.child.is_dense

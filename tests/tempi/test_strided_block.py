@@ -5,7 +5,7 @@ import pytest
 from repro.mpi.constructors import Type_contiguous, Type_create_subarray, Type_vector
 from repro.mpi.datatype import BYTE, FLOAT, ORDER_C
 from repro.tempi.canonicalize import simplify
-from repro.tempi.ir import Type, StreamData, dense, stream
+from repro.tempi.ir import dense, stream
 from repro.tempi.strided_block import ObjectShape, StridedBlock, to_strided_block
 from repro.tempi.translate import translate
 
@@ -81,19 +81,11 @@ class TestLowering:
         t = Type_create_subarray([16, 8, 64], [7, 3, 24], [2, 1, 8], ORDER_C, BYTE)
         assert lower(t).packed_bytes == t.size
 
-    def test_non_strided_chain_returns_none(self):
-        # A chain whose leaf is a stream (never produced by simplify, but the
-        # lowering must reject it rather than crash).
-        bogus = Type(StreamData(0, 4, 4), Type(StreamData(0, 1, 4), dense(1)))
-        bogus.child.child = None
-        bogus.child.data = StreamData(0, 1, 4)
-        assert to_strided_block(bogus) is None
-
-    def test_stream_below_dense_rejected(self):
-        weird = stream(4, 16, stream(2, 4, dense(2)))
-        # hand-build an invalid ordering: dense in the middle
-        weird.child = Type(dense(4).data, stream(2, 4, dense(2)))
-        assert to_strided_block(weird) is None
+    def test_an_uncanonical_chain_lowers_as_it_stands(self):
+        # The ablation lowers raw translations: one dimension per stream row,
+        # innermost first, and the offsets of every level summed.
+        block = to_strided_block(stream(2, 64, stream(4, 4, dense(4, offset=1)), offset=8))
+        assert block == StridedBlock(9, (4, 4, 2), (1, 4, 64))
 
 
 class TestObjectShape:

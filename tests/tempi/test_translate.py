@@ -12,7 +12,7 @@ from repro.mpi.constructors import (
     Type_vector,
 )
 from repro.mpi.datatype import BYTE, DOUBLE, FLOAT, ORDER_C, ORDER_FORTRAN
-from repro.tempi.translate import TranslationError, translatable, translate
+from repro.tempi.translate import TranslationError, translate
 
 
 class TestNamed:
@@ -116,7 +116,3 @@ class TestResizedAndUnsupported:
     def test_struct_rejected(self):
         with pytest.raises(TranslationError):
             translate(Type_create_struct([1], [0], [FLOAT]))
-
-    def test_translatable_predicate(self):
-        assert translatable(Type_vector(2, 2, 4, FLOAT))
-        assert not translatable(Type_indexed([1], [0], FLOAT))
