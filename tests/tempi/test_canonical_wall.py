@@ -47,6 +47,8 @@ from repro.mpi.constructors import (
 from repro.mpi.datatype import NAMED_TYPES, NamedDatatype
 from repro.tempi.canonicalize import simplify
 from repro.tempi.kernels import select_kernel
+from repro.gpu.runtime import CudaRuntime
+from repro.tempi.packer import Packer
 from repro.tempi.strided_block import to_strided_block
 from repro.tempi.translate import translate
 
@@ -144,7 +146,12 @@ def canonical_form(datatype) -> dict:
 
 
 def stage_forms(datatype) -> dict:
-    """The raw translation of ``datatype`` and its block's kernels, as plain JSON."""
+    """The raw translation of ``datatype`` and its block's kernels and launches, as plain JSON.
+
+    A launch is what the commit-time :class:`Packer` plans for ``count``
+    objects ``datatype.extent`` bytes apart: ``"memcpy"``, or the launch
+    layout's word, view shape, view strides, cell and split axis.
+    """
     raw = translate(datatype)
     block = to_strided_block(simplify(raw))
     kernels = []
@@ -152,7 +159,17 @@ def stage_forms(datatype) -> dict:
         spec = select_kernel(block, count=count)
         kernels.append([spec.dimensions, spec.word_size, list(spec.block_dim),
                         list(spec.grid_dim), spec.count_strategy])
-    return {"translation": [list(level) for level in raw.structure()], "kernels": kernels}
+    packer, runtime, launches = Packer(block, object_extent=datatype.extent), CudaRuntime(), []
+    for count in KERNEL_COUNTS:
+        launch = packer._plan(runtime, count).launch
+        if launch is None:
+            launches.append("memcpy")
+        else:
+            layout = launch.layout
+            launches.append([layout.word, list(layout.shape), list(layout.strides),
+                             layout.cell, layout.split])
+    return {"translation": [list(level) for level in raw.structure()], "kernels": kernels,
+            "launch": launches}
 
 
 def record() -> list[dict]:
@@ -191,7 +208,8 @@ def test_the_stage_wall_names_the_canonical_entries_in_order():
 def test_translation_and_kernel_selection_replay_the_recorded_stages(first):
     for entry, stages in zip(ENTRIES[first : first + CHUNK], STAGE_ENTRIES[first : first + CHUNK]):
         got = stage_forms(decode(entry["recipe"]))
-        assert got == {"translation": stages["translation"], "kernels": stages["kernels"]}, entry["name"]
+        assert got == {"translation": stages["translation"], "kernels": stages["kernels"],
+                       "launch": stages["launch"]}, entry["name"]
         for kernel in got["kernels"]:
             assert all(type(v) is int for v in kernel[2] + kernel[3]), entry["name"]
 
