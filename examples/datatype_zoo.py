@@ -7,7 +7,8 @@ object with several different constructor compositions and prints, for each:
 
 * the raw Type IR produced by translation,
 * the canonical Type after dense folding / elision / flattening / sorting,
-* the StridedBlock and the selected kernel parameters.
+* the StridedBlock and the launch its pack kernel runs: the word ``W`` and
+  the shape of the view it moves.
 
 All constructions end at the same StridedBlock — which is exactly why TEMPI
 needs only a small family of generic kernels.
@@ -17,6 +18,7 @@ Run with:  python examples/datatype_zoo.py
 
 from __future__ import annotations
 
+from repro.gpu.kernels import strided_layout
 from repro.mpi.constructors import (
     Type_contiguous,
     Type_create_hvector,
@@ -26,7 +28,6 @@ from repro.mpi.constructors import (
 )
 from repro.mpi.datatype import BYTE, FLOAT, ORDER_C
 from repro.tempi.canonicalize import simplify
-from repro.tempi.kernels import select_kernel
 from repro.tempi.strided_block import to_strided_block
 from repro.tempi.translate import translate
 
@@ -76,7 +77,7 @@ def main() -> None:
         raw = translate(datatype)
         canonical = simplify(raw)
         block = to_strided_block(canonical)
-        kernel = select_kernel(block)
+        launch = strided_layout(block.start, block.counts, block.strides)
         blocks.append(block)
 
         print(f"== {name}")
@@ -84,10 +85,7 @@ def main() -> None:
         print(f"   raw IR          : {raw}")
         print(f"   canonical IR    : {canonical}")
         print(f"   strided block   : {block}")
-        print(
-            f"   kernel          : {kernel.dimensions}-D, word {kernel.word_size} B, "
-            f"block {kernel.block_dim}, grid {kernel.grid_dim}"
-        )
+        print(f"   launch          : word {launch.word} B, view {launch.shape}")
         print()
 
     identical = all(b == blocks[0] for b in blocks[1:])

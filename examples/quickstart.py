@@ -45,9 +45,11 @@ def pack_once(use_tempi: bool) -> tuple[float, np.ndarray]:
     if use_tempi:
         handler = TempiCommunicator.handler_of(datatype)
         print("TEMPI committed handler:")
-        print(f"  canonical strided block : {handler.packer.block}")
-        print(f"  kernel word size        : {handler.packer.kernel.word_size} B")
-        print(f"  kernel block dim        : {handler.packer.kernel.block_dim}")
+        block = handler.packer.block
+        layout = ctx.gpu.plan_launch(block.start, block.counts, block.strides).layout
+        print(f"  canonical strided block : {block}")
+        print(f"  kernel word size        : {layout.word} B")
+        print(f"  kernel view shape       : {layout.shape}")
     return elapsed, packed.data.copy()
 
 

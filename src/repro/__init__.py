@@ -16,8 +16,8 @@ substrates (see ``DESIGN.md``):
 ``repro.mpi``
     A functional simulated MPI with the Spectrum-like baseline datatype path.
 ``repro.tempi``
-    The paper's contribution: datatype canonicalisation, kernel selection,
-    the packing-method performance model and the interposer.
+    The paper's contribution: datatype canonicalisation, the packer, the
+    packing-method performance model and the interposer.
 ``repro.apps``
     The 3-D stencil halo exchange used by the evaluation.
 ``repro.bench``

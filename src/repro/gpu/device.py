@@ -1,10 +1,10 @@
 """Simulated GPU device description.
 
-TEMPI queries a handful of device properties when sizing its pack kernels:
-the maximum number of threads per block (1024 on V100, used to fill the
-X/Y/Z block dimensions, Sec. 3.3) and whether a pointer is device resident
-(checked on every send, Sec. 6.3).  :class:`DeviceProperties` carries those
-numbers; :class:`Device` owns the memory accounting for one GPU.
+:class:`DeviceProperties` describes a simulated GPU (a V100 by default);
+:class:`Device` owns the memory accounting for one GPU.  The pack kernels
+read no device property: their launch layout is geometric
+(:func:`repro.gpu.kernels.strided_layout`) and their price comes from
+:class:`~repro.gpu.cost_model.GpuCostModel`.
 """
 
 from __future__ import annotations
@@ -20,9 +20,6 @@ class DeviceProperties:
 
     name: str = "Tesla V100-SXM2-16GB (simulated)"
     total_memory: int = 16 * 1024**3
-    max_threads_per_block: int = 1024
-    max_block_dim: tuple[int, int, int] = (1024, 1024, 64)
-    max_grid_dim: tuple[int, int, int] = (2**31 - 1, 65535, 65535)
     warp_size: int = 32
     multiprocessors: int = 80
     clock_rate_khz: int = 1530000
@@ -30,8 +27,6 @@ class DeviceProperties:
     def __post_init__(self) -> None:
         if self.total_memory <= 0:
             raise CudaInvalidValue("total_memory must be positive")
-        if self.max_threads_per_block <= 0:
-            raise CudaInvalidValue("max_threads_per_block must be positive")
 
 
 @dataclass

@@ -11,12 +11,13 @@ no Python-level loop over objects or runs.
 
 * ``count`` objects are one extra outermost dimension whose stride is the
   object extent.
-* Elements are words of ``word_size`` bytes (the ``W`` TEMPI specialises its
-  kernels to, Sec. 3.3), narrowed until the run length, the start and dense
-  offsets, every stride and the object extent are multiples of it; a run of
+* Elements are words of ``W`` bytes, the width TEMPI specialises its
+  kernels to (Sec. 3.3), chosen here and nowhere else: the widest of 16, 8,
+  4, 2 and 1 bytes that divides the run length, the start and dense offsets,
+  every stride and, for more than one object, the object extent.  A run of
   exactly one word drops its dimension, so 8-byte runs move as a ``uint64``
   vector, not as an ``(N, 8)`` byte matrix.  The word shapes only this host
-  copy; the result is the same bytes for every word size.
+  copy and has no price; the result is the same bytes for every word.
 * A pack whose innermost stride is a *cell* — 2, 4 or 8 bytes, wider than
   the word, over at least 2 elements, e.g. one-byte runs at a two-byte
   pitch — is not a word-at-a-time gather.  Every element but each row's
@@ -99,6 +100,8 @@ from repro.gpu.errors import CudaInvalidValue
 _SPLIT_ELEMENTS = 4 << 20
 
 _UINT8 = np.dtype(np.uint8)
+#: The widest word a launch moves, in bytes: a ``float4``.
+_WIDEST = 16
 #: Element dtype per word size.  16 bytes is an opaque ``V16`` so no bit
 #: pattern (NaN payloads included) can be touched in flight.  The integers are
 #: little-endian on every host, so narrowing a cell to a word keeps the cell's
@@ -182,18 +185,18 @@ def strided_layout(
     strides: Sequence[int],
     count: int = 1,
     object_extent: int = 0,
-    word_size: int = 1,
+    dense_offset: int = 0,
 ) -> StridedLayout:
     """Validate one launch geometry and lay out its view.
 
     Dimension order follows the :class:`~repro.tempi.strided_block.StridedBlock`
     convention: index 0 is the innermost (contiguous, stride 1) dimension.
-    ``object_extent`` is only read for ``count > 1``.
+    ``object_extent`` is only read for ``count > 1``.  The layout serves a
+    dense side at any multiple of its word; ``dense_offset`` narrows the word
+    for one that is not.
     """
     if count <= 0:
         raise CudaInvalidValue(f"count must be positive, got {count}")
-    if word_size not in _WORD_DTYPES:
-        raise CudaInvalidValue(f"word size must be one of 1, 2, 4, 8, 16, got {word_size}")
     if not counts:
         raise CudaInvalidValue("a strided object needs at least one dimension")
     end = required_extent(start, counts, strides)
@@ -203,9 +206,10 @@ def strided_layout(
     if count > 1:
         shape.insert(0, count)
         byte_strides.insert(0, object_extent)
-    # word_size is a power of two, so the gcd is the widest word that every
-    # argument is a multiple of.  A strided "run" has no words to widen.
-    word = math.gcd(word_size, counts[0], start, *byte_strides) if strides[0] == 1 else 1
+    # Every word is a power of two up to _WIDEST, so the gcd is the widest
+    # word that every argument is a multiple of.  A strided "run" has no
+    # words to widen.
+    word = math.gcd(_WIDEST, counts[0], start, dense_offset, *byte_strides) if strides[0] == 1 else 1
     if counts[0] > word:
         shape.append(counts[0] // word)
         byte_strides.append(word * strides[0])
@@ -245,14 +249,15 @@ def _views(
 ) -> tuple[np.ndarray, np.ndarray, StridedLayout]:
     """The strided and the dense view of one launch, and the layout they follow.
 
-    ``geometry`` is ``(start, counts, strides, count, object_extent,
-    word_size)`` and ``layout`` its :func:`strided_layout` if the caller kept
-    it.  The views have the same shape and dtype.  The returned layout is
-    ``layout`` re-narrowed when ``dense_offset`` is not a multiple of its
-    word.  ``roles`` names the strided and the dense side in error messages.
+    ``geometry`` is ``(start, counts, strides, count, object_extent)`` and
+    ``layout`` its :func:`strided_layout` if the caller kept it.  The views
+    have the same shape and dtype.  The returned layout is ``layout``, or the
+    geometry's own at ``dense_offset`` when none was kept or the offset is not
+    a multiple of its word.  ``roles`` names the strided and the dense side in
+    error messages.
     """
-    if layout is None:
-        layout = strided_layout(*geometry)
+    if layout is None or dense_offset % layout.word:
+        layout = strided_layout(*geometry, dense_offset)
     for memory, role in ((strided, roles[0]), (dense, roles[1])):
         if memory.ndim != 1 or memory.dtype != _UINT8 or not memory.flags.c_contiguous:
             raise CudaInvalidValue(f"kernel {role} must be a 1-D C-contiguous uint8 array")
@@ -266,9 +271,6 @@ def _views(
             f"packed object of {layout.nbytes} bytes at offset {dense_offset} escapes "
             f"{roles[1]} of {dense.nbytes} bytes"
         )
-    if dense_offset % layout.word:
-        # Its lowest set bit is the widest word the dense offset is a multiple of.
-        layout = strided_layout(*geometry[:5], dense_offset & -dense_offset)
     dtype = _WORD_DTYPES[layout.word]
     return (
         np.ndarray(layout.shape, dtype, strided, layout.start, layout.strides),
@@ -385,7 +387,6 @@ def pack_strided_many(
     object_extent: int,
     dst_offset: int = 0,
     *,
-    word_size: int = 1,
     layout: Optional[StridedLayout] = None,
 ) -> int:
     """Pack ``count`` repetitions of a strided object (MPI's *incount* argument).
@@ -394,7 +395,7 @@ def pack_strided_many(
     packed back to back in ``dst[dst_offset:]``.  ``layout``, when given, must
     be :func:`strided_layout` of the same geometry.  Returns the bytes written.
     """
-    geometry = (start, counts, strides, count, object_extent, word_size)
+    geometry = (start, counts, strides, count, object_extent)
     strided, dense, layout = _views(src, dst, ("source", "destination"), geometry, dst_offset, layout)
     cells = None
     if layout.cell:
@@ -422,7 +423,6 @@ def unpack_strided_many(
     object_extent: int,
     src_offset: int = 0,
     *,
-    word_size: int = 1,
     layout: Optional[StridedLayout] = None,
 ) -> int:
     """Unpack ``count`` back-to-back packed objects into strided storage.
@@ -430,7 +430,7 @@ def unpack_strided_many(
     The inverse of :func:`pack_strided_many`: ``src[src_offset:]`` is the
     dense side, ``dst`` the strided one.  Returns the bytes read.
     """
-    geometry = (start, counts, strides, count, object_extent, word_size)
+    geometry = (start, counts, strides, count, object_extent)
     strided, dense, layout = _views(dst, src, ("destination", "source"), geometry, src_offset, layout)
     if layout.split >= 0 and layout.disjoint:
         _split_copy(strided, dense, None, layout.split)

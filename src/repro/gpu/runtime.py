@@ -202,12 +202,13 @@ class CudaRuntime:
         *,
         count: int = 1,
         object_extent: int = 0,
-        word_size: int = 1,
     ) -> KernelLaunch:
         """Everything about a pack/unpack launch that no buffer decides.
 
-        The geometry is validated and laid out and the kernel is priced for
-        both directions and both targets, once; :meth:`launch_pack` and
+        The geometry is validated and laid out (the word too:
+        :func:`~repro.gpu.kernels.strided_layout` is the one place it is
+        chosen) and the kernel is priced for both directions and both
+        targets, once; :meth:`launch_pack` and
         :meth:`launch_unpack` take the result back as ``plan=``.  Layout and
         prices are pure functions of the arguments and of the frozen cost
         model, so a plan is good for any runtime whose ``cost`` is the one
@@ -216,9 +217,9 @@ class CudaRuntime:
         if count > 1 and not object_extent:
             # Objects tile the buffer when the caller names no extent.
             object_extent = kernels.required_extent(0, counts, strides)
-        layout = kernels.strided_layout(start, counts, strides, count, object_extent, word_size)
+        layout = kernels.strided_layout(start, counts, strides, count, object_extent)
         # The coalescing behaviour is governed by the contiguous run length
-        # (counts[0]); the specialised word only changes instruction counts,
+        # (counts[0]); the layout's word only changes instruction counts,
         # which the model folds into the launch constant, so it has no price.
         # The launch itself is charged to the host separately.
         durations = [
@@ -243,23 +244,18 @@ class CudaRuntime:
         object_extent: int = 0,
         dst_offset: int = 0,
         stream: Optional[Stream] = None,
-        word_size: int = 1,
         plan: Optional[KernelLaunch] = None,
     ) -> int:
         """Launch a pack kernel: gather the strided object in ``src`` into ``dst``.
 
-        ``word_size`` is the element width TEMPI specialises the kernel to
-        (Sec. 3.3).  It changes neither the result nor the virtual price —
-        only how wide the elements of the host copy are.  ``plan`` is
-        :meth:`plan_launch` of the same geometry, for callers that kept it.
+        ``plan`` is :meth:`plan_launch` of the same geometry, for callers
+        that kept it.
         """
         if plan is None:
-            plan = self.plan_launch(
-                start, counts, strides, count=count, object_extent=object_extent, word_size=word_size
-            )
+            plan = self.plan_launch(start, counts, strides, count=count, object_extent=object_extent)
         written = kernels.pack_strided_many(
             src.data, dst.data, start, counts, strides, count, plan.object_extent, dst_offset,
-            word_size=word_size, layout=plan.layout,
+            layout=plan.layout,
         )
         self.kernel_launches += 1
         (stream or self.default_stream).enqueue(
@@ -280,17 +276,14 @@ class CudaRuntime:
         object_extent: int = 0,
         src_offset: int = 0,
         stream: Optional[Stream] = None,
-        word_size: int = 1,
         plan: Optional[KernelLaunch] = None,
     ) -> int:
         """Launch an unpack kernel: scatter ``src`` into the strided object in ``dst``."""
         if plan is None:
-            plan = self.plan_launch(
-                start, counts, strides, count=count, object_extent=object_extent, word_size=word_size
-            )
+            plan = self.plan_launch(start, counts, strides, count=count, object_extent=object_extent)
         consumed = kernels.unpack_strided_many(
             src.data, dst.data, start, counts, strides, count, plan.object_extent, src_offset,
-            word_size=word_size, layout=plan.layout,
+            layout=plan.layout,
         )
         self.kernel_launches += 1
         (stream or self.default_stream).enqueue(

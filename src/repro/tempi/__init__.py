@@ -7,8 +7,9 @@ simulated substrates:
    translated into a small IR (:mod:`repro.tempi.ir`, :mod:`repro.tempi.translate`),
    canonicalised by four fixed-point transformations
    (:mod:`repro.tempi.canonicalize`), lowered to a :class:`~repro.tempi.strided_block.StridedBlock`
-   and bound to a parameterised pack kernel (:mod:`repro.tempi.kernels`,
-   :mod:`repro.tempi.packer`).
+   and bound to a :class:`~repro.tempi.packer.Packer`, whose launches run the
+   strided pack kernel of :mod:`repro.gpu.kernels` at the widest word the
+   geometry allows.
 2. **Model-driven method selection** (Sec. 4): a measurement sweep
    (:mod:`repro.tempi.measurement`) feeds an interpolating performance model
    (:mod:`repro.tempi.perf_model`); the unified selection subsystem

@@ -4,17 +4,17 @@ Semantically equivalent MPI datatypes translate to different Types; four
 transformations, applied repeatedly until none of them changes the chain,
 reduce them to a canonical form:
 
-``dense_folding``
+Dense folding (``_fold_dense``)
     A stream whose stride equals its dense child's extent is a single larger
     dense run (Alg. 2, Fig. 3).
-``stream_elision``
+Stream elision (``_elide_unit_streams``)
     A stream of one element adds no structure and is removed (Alg. 3,
     Fig. 4); its offset moves down to the level below.  This makes e.g.
     ``vector(1, n, 1, T)`` and ``contiguous(n, T)`` canonicalise identically.
-``stream_flatten``
+Stream flattening (``_flatten_streams``)
     Nested streams whose strides chain exactly (parent stride equals child
     count × child stride) collapse into one longer stream (Alg. 4, Fig. 5).
-``sort_streams``
+Sorting (``_sort_streams``)
     Stream levels are ordered by decreasing stride so that row-of-column and
     column-of-row constructions agree (Sec. 3.2.4).
 
@@ -31,7 +31,6 @@ tests check exactly that invariant against the MPI type map.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Tuple
 
 from repro.tempi.ir import Type
 
@@ -97,36 +96,6 @@ def _sort_streams(rows: Rows, leaf: list[int]) -> bool:
             rows.sort(key=_STRIDE, reverse=True)
             return True
     return False
-
-
-# --------------------------------------------------------------------------- #
-# One-rule adapters on a Type (the unit tests drive each rule through these)
-# --------------------------------------------------------------------------- #
-
-def _apply(rule, node: Type) -> Tuple[Type, bool]:
-    rows, leaf = list(map(list, node.rows)), [*node.base]
-    changed = rule(rows, leaf)
-    return Type(tuple(map(tuple, rows)), (leaf[0], leaf[1])), changed
-
-
-def dense_folding(node: Type) -> Tuple[Type, bool]:
-    """Fold ``Stream -> Dense`` pairs whose stride equals the dense extent."""
-    return _apply(_fold_dense, node)
-
-
-def stream_elision(node: Type) -> Tuple[Type, bool]:
-    """Remove streams of a single element."""
-    return _apply(_elide_unit_streams, node)
-
-
-def stream_flatten(node: Type) -> Tuple[Type, bool]:
-    """Merge nested streams whose strides chain exactly."""
-    return _apply(_flatten_streams, node)
-
-
-def sort_streams(node: Type) -> Tuple[Type, bool]:
-    """Order stream levels by decreasing stride (largest stride at the top)."""
-    return _apply(_sort_streams, node)
 
 
 # --------------------------------------------------------------------------- #

@@ -381,8 +381,7 @@ class TempiCommunicator:
         except TranslationError as exc:
             return TypeHandler(packer=None, fallback_reason=str(exc))
         block = to_strided_block(simplify(ir))
-        packer = Packer(block, object_extent=datatype.extent, properties=self._comm.gpu.device.properties)
-        return TypeHandler(packer=packer)
+        return TypeHandler(packer=Packer(block, object_extent=datatype.extent))
 
     @staticmethod
     def handler_of(datatype: Datatype) -> Optional[TypeHandler]:

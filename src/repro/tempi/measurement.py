@@ -37,7 +37,6 @@ The sweep's contract:
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
@@ -80,20 +79,6 @@ def _checked_axis(name: str, values) -> tuple[int, ...]:
     ):
         raise MeasurementError(f"{name} must be strictly increasing positive integers")
     return tuple(values)
-
-
-def host_timer() -> float:
-    """Read the host's monotonic wall clock, in seconds.
-
-    The one sanctioned wall-clock seam: everything *priced* runs on virtual
-    clocks, and simlint's SIM001 bans ``time.*`` reads on those paths — this
-    module (together with the benchmark harness) is the whitelist.  Callers
-    that want to report how long the *simulator* spent on something
-    diagnostic (a ``Type_commit`` translation, a sweep) time it through this
-    function, so every wall-clock read in the priced tree funnels through one
-    auditable place.
-    """
-    return time.perf_counter()
 
 
 @dataclass

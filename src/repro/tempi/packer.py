@@ -2,9 +2,8 @@
 
 At ``MPI_Type_commit`` time TEMPI builds one :class:`Packer` per datatype and
 caches it on the datatype (Sec. 3).  A packer knows the datatype's
-:class:`~repro.tempi.strided_block.StridedBlock`, its MPI extent (spacing of
-consecutive objects in a user buffer) and the selected
-:class:`~repro.tempi.kernels.KernelSpec`; its :meth:`Packer.pack` /
+:class:`~repro.tempi.strided_block.StridedBlock` and its MPI extent (spacing
+of consecutive objects in a user buffer); its :meth:`Packer.pack` /
 :meth:`Packer.unpack` move any number of objects between the strided user
 buffer and a contiguous buffer.
 
@@ -13,7 +12,9 @@ plus one kernel launch.  The packer does the same with what only the object
 count adds: the first pack or unpack of a ``count`` plans that transfer
 (:class:`PackPlan`: sizes, memcpy or kernel, the runtime's launch layout and
 its four durations) and every later one replays the plan — two bounds
-comparisons and one launch.
+comparisons and one launch.  The kernel's word (``W``, Sec. 3.3) is part of
+that launch layout, chosen by :func:`repro.gpu.kernels.strided_layout` from
+the block, the count and the extent, so a commit selects nothing.
 
 Whether a pack lands in device memory (the *device* method) or in mapped host
 memory (the *one-shot* method) is decided by the caller simply by handing a
@@ -28,10 +29,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from repro.gpu.cost_model import GpuCostModel
-from repro.gpu.device import DeviceProperties
 from repro.gpu.memory import Buffer
 from repro.gpu.runtime import CudaRuntime, KernelLaunch
-from repro.tempi.kernels import KernelSpec, select_kernel
 from repro.tempi.strided_block import StridedBlock
 
 
@@ -65,22 +64,15 @@ class PackPlan(NamedTuple):
 class Packer:
     """Pack/unpack engine for one committed datatype."""
 
-    def __init__(
-        self,
-        block: StridedBlock,
-        object_extent: int,
-        properties: DeviceProperties = DeviceProperties(),
-    ) -> None:
-        """Select the kernel for ``block``; objects begin ``object_extent`` bytes apart."""
+    def __init__(self, block: StridedBlock, object_extent: int) -> None:
+        """Pack ``block``; objects begin ``object_extent`` bytes apart."""
         if object_extent <= 0:
             raise PackError(f"object extent must be positive, got {object_extent}")
         self.block = block
         self.object_extent = object_extent
-        self.properties = properties
-        self.kernel: KernelSpec = select_kernel(block, properties)
         self.stats = PackerStats()
-        #: count -> plan.  Block, extent and kernel never change after
-        #: construction, so an entry can only go stale by its cost model.
+        #: count -> plan.  Block and extent never change after construction,
+        #: so an entry can only go stale by its cost model.
         self._plans: dict[int, PackPlan] = {}
 
     # ------------------------------------------------------------------ sizes
@@ -121,7 +113,6 @@ class Packer:
                 self.block.strides,
                 count=count,
                 object_extent=self.object_extent,
-                word_size=self.kernel.word_size,
             )
         plan = self._plans[count] = PackPlan(
             nbytes, self.required_input(count), runtime.cost, launch
@@ -181,7 +172,6 @@ class Packer:
                 object_extent=self.object_extent,
                 dst_offset=dst_offset,
                 stream=stream,
-                word_size=self.kernel.word_size,
                 plan=plan.launch,
             )
         if sync:
@@ -232,7 +222,6 @@ class Packer:
                 object_extent=self.object_extent,
                 src_offset=src_offset,
                 stream=stream,
-                word_size=self.kernel.word_size,
                 plan=plan.launch,
             )
         if sync:
@@ -266,7 +255,4 @@ class Packer:
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<Packer {self.block} word={self.kernel.word_size} "
-            f"dims={self.kernel.dimensions}>"
-        )
+        return f"<Packer {self.block} extent={self.object_extent}>"

@@ -17,7 +17,7 @@ block-list representations of prior work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from repro.tempi.ir import Type
@@ -105,27 +105,3 @@ def to_strided_block(ty: Type) -> StridedBlock:
         strides += (stride,)
     return StridedBlock(start, counts, strides)
 
-
-@dataclass(frozen=True)
-class ObjectShape:
-    """A StridedBlock plus the dynamic ``count`` of objects an MPI call names.
-
-    The object count is not known at commit time (Sec. 3.3), so it travels
-    separately; ``object_extent`` is the spacing between consecutive objects
-    in the user buffer (the MPI extent of the committed datatype).
-    """
-
-    block: StridedBlock
-    count: int = 1
-    object_extent: int = field(default=0)
-
-    def __post_init__(self) -> None:
-        if self.count <= 0:
-            raise ValueError(f"object count must be positive, got {self.count}")
-        if self.object_extent < 0:
-            raise ValueError("object_extent must be non-negative")
-
-    @property
-    def total_bytes(self) -> int:
-        """Packed payload of all objects."""
-        return self.block.packed_bytes * self.count

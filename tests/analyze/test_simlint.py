@@ -66,7 +66,7 @@ class TestSim001WallClock:
         assert codes(findings) == ["SIM001"]
         assert "random" in findings[0].message
 
-    def test_measurement_seam_is_whitelisted(self, tmp_path):
+    def test_only_the_bench_harness_is_whitelisted(self, tmp_path):
         findings = lint_tree(tmp_path, {
             "src/repro/tempi/measurement.py": """\
                 import time
@@ -81,7 +81,7 @@ class TestSim001WallClock:
                     return time.perf_counter()
             """,
         })
-        assert findings == []
+        assert [(f.path, f.code) for f in findings] == [("src/repro/tempi/measurement.py", "SIM001")]
 
     def test_justified_disable_suppresses(self, tmp_path):
         findings = lint_tree(tmp_path, {

@@ -9,17 +9,12 @@ from repro.gpu.errors import CudaInvalidValue, CudaOutOfMemory
 class TestDeviceProperties:
     def test_defaults_look_like_a_v100(self):
         props = DeviceProperties()
-        assert props.max_threads_per_block == 1024
         assert props.total_memory == 16 * 1024**3
         assert props.warp_size == 32
 
     def test_invalid_memory_rejected(self):
         with pytest.raises(CudaInvalidValue):
             DeviceProperties(total_memory=0)
-
-    def test_invalid_threads_rejected(self):
-        with pytest.raises(CudaInvalidValue):
-            DeviceProperties(max_threads_per_block=0)
 
 
 class TestDeviceAccounting:

@@ -183,33 +183,38 @@ class TestManyObjects:
 
 
 class TestWordSize:
-    """The word only widens the elements of the host copy, never the result."""
+    """The layout chooses the word; it widens only the elements of the host
+    copy, never the result."""
 
     @pytest.mark.parametrize("word", [1, 2, 4, 8, 16])
     def test_every_word_moves_the_same_bytes(self, word):
+        # Run, strides and extent are multiples of 16, so the start is the word.
+        geometry = (word, [32, 5, 3], [1, 48, 512], 2, 1600)
+        assert kernels.strided_layout(*geometry).word == word
         src = make_memory(4096, seed=7)
-        geometry = (16, [32, 5, 3], [1, 48, 512], 2, 1600)
-        expected = np.zeros(2 * 480, dtype=np.uint8)
-        kernels.pack_strided_many(src, expected, *geometry)
+        expected = np.concatenate([
+            src[word + obj * 1600 + plane * 512 + row * 48 :][:32]
+            for obj in range(2) for plane in range(3) for row in range(5)
+        ])
         packed = np.zeros_like(expected)
-        assert kernels.pack_strided_many(src, packed, *geometry, word_size=word) == 960
+        assert kernels.pack_strided_many(src, packed, *geometry) == 960
         assert np.array_equal(packed, expected)
         scattered = np.zeros_like(src)
-        kernels.unpack_strided_many(packed, scattered, *geometry, word_size=word)
+        kernels.unpack_strided_many(packed, scattered, *geometry)
         repacked = np.zeros_like(expected)
         kernels.pack_strided_many(scattered, repacked, *geometry)
         assert np.array_equal(repacked, expected)
 
     def test_layout_uses_the_selected_word(self):
-        layout = kernels.strided_layout(0, [64, 8], [1, 128], word_size=16)
+        layout = kernels.strided_layout(0, [64, 8], [1, 128])
         assert (layout.word, layout.shape, layout.strides) == (16, (8, 4), (128, 16))
 
     def test_run_of_one_word_drops_its_dimension(self):
-        layout = kernels.strided_layout(0, [8, 1024], [1, 16], word_size=8)
+        layout = kernels.strided_layout(0, [8, 1024], [1, 16])
         assert (layout.word, layout.shape, layout.strides) == (8, (1024,), (16,))
 
     def test_count_is_the_outermost_dimension(self):
-        layout = kernels.strided_layout(0, [8, 4], [1, 32], 64, 256, 8)
+        layout = kernels.strided_layout(0, [8, 4], [1, 32], 64, 256)
         assert (layout.shape, layout.strides, layout.nbytes) == ((64, 4), (256, 32), 2048)
 
     @pytest.mark.parametrize(
@@ -223,20 +228,21 @@ class TestWordSize:
         ],
     )
     def test_word_narrows_to_the_geometry(self, start, counts, strides, count, extent, expected):
-        assert kernels.strided_layout(start, counts, strides, count, extent, 16).word == expected
+        assert kernels.strided_layout(start, counts, strides, count, extent).word == expected
+
+    @pytest.mark.parametrize("dense_offset, expected", [(0, 16), (32, 16), (8, 8), (6, 2), (3, 1)])
+    def test_the_dense_offset_narrows_the_word(self, dense_offset, expected):
+        assert kernels.strided_layout(0, [16, 4], [1, 64], 1, 0, dense_offset).word == expected
 
     def test_odd_dense_offset_narrows_the_launch(self):
         src = make_memory(512, seed=8)
         dst = np.zeros(70, dtype=np.uint8)
-        layout = kernels.strided_layout(0, [16, 4], [1, 64], word_size=16)
-        kernels.pack_strided_many(src, dst, 0, [16, 4], [1, 64], 1, 0, 3, word_size=16, layout=layout)
+        layout = kernels.strided_layout(0, [16, 4], [1, 64])
+        assert layout.word == 16
+        kernels.pack_strided_many(src, dst, 0, [16, 4], [1, 64], 1, 0, 3, layout=layout)
         expected = np.concatenate([src[i * 64 : i * 64 + 16] for i in range(4)])
         assert np.array_equal(dst[3:67], expected)
         assert not dst[:3].any() and not dst[67:].any()
-
-    def test_unknown_word_rejected(self):
-        with pytest.raises(CudaInvalidValue, match="word size"):
-            kernels.strided_layout(0, [8, 4], [1, 64], word_size=3)
 
 
 class TestCell:
@@ -244,20 +250,20 @@ class TestCell:
     and over at least 2 elements, is one narrowing cast plus the last column."""
 
     @pytest.mark.parametrize(
-        "start, counts, strides, count, extent, word_size, cell",
+        "start, counts, strides, count, extent, cell",
         [
-            (0, [1, 64], [1, 2], 1, 0, 1, 2),
-            (0, [1, 64], [1, 2], 2, 127, 1, 2),
-            (3, [1, 64], [1, 4], 1, 0, 16, 4),
-            (0, [2, 64], [1, 4], 1, 0, 16, 4),
-            (0, [4, 64], [1, 8], 1, 0, 16, 8),
-            (0, [1], [1], 4, 2, 1, 2),
-            (0, [1, 64], [1, 3], 1, 0, 1, 0),
-            (0, [1, 64], [1, 16], 1, 0, 1, 0),
-            (0, [3, 64], [1, 8], 1, 0, 16, 0),
-            (0, [2, 64], [1, 2], 1, 0, 16, 0),
-            (0, [1, 1], [1, 2], 1, 0, 1, 0),
-            (0, [1], [1], 1, 0, 1, 0),
+            (0, [1, 64], [1, 2], 1, 0, 2),
+            (0, [1, 64], [1, 2], 2, 127, 2),
+            (3, [1, 64], [1, 4], 1, 0, 4),
+            (0, [2, 64], [1, 4], 1, 0, 4),
+            (0, [4, 64], [1, 8], 1, 0, 8),
+            (0, [1], [1], 4, 2, 2),
+            (0, [1, 64], [1, 3], 1, 0, 0),
+            (0, [1, 64], [1, 16], 1, 0, 0),
+            (0, [3, 64], [1, 8], 1, 0, 0),
+            (0, [2, 64], [1, 2], 1, 0, 0),
+            (0, [1, 1], [1, 2], 1, 0, 0),
+            (0, [1], [1], 1, 0, 0),
         ],
         ids=[
             "1-byte runs, 2-byte pitch",
@@ -274,8 +280,8 @@ class TestCell:
             "single element, no dimension",
         ],
     )
-    def test_cell_of_the_layout(self, start, counts, strides, count, extent, word_size, cell):
-        assert kernels.strided_layout(start, counts, strides, count, extent, word_size).cell == cell
+    def test_cell_of_the_layout(self, start, counts, strides, count, extent, cell):
+        assert kernels.strided_layout(start, counts, strides, count, extent).cell == cell
 
     def test_cell_pack_reads_nothing_past_the_last_run(self):
         # The source ends at the last run's byte: a cast of the last column
@@ -293,11 +299,11 @@ class TestCell:
         # bytes at an odd dense offset, where the run is its own dimension and
         # there is no cell: 8-byte reads at a 1-byte stride would run past the
         # last run, which ends the source.
-        layout = kernels.strided_layout(0, [4, 8], [1, 8], word_size=4)
+        layout = kernels.strided_layout(0, [4, 8], [1, 8])
         assert (layout.word, layout.cell) == (4, 8)
         src = make_memory(60, seed=10)
         dst = np.zeros(33, dtype=np.uint8)
-        kernels.pack_strided_many(src, dst, 0, [4, 8], [1, 8], 1, 0, 1, word_size=4, layout=layout)
+        kernels.pack_strided_many(src, dst, 0, [4, 8], [1, 8], 1, 0, 1, layout=layout)
         assert np.array_equal(dst[1:], src.reshape(15, 4)[::2].reshape(-1))
 
 
@@ -332,14 +338,14 @@ class TestSplit:
     host core; the helper threads behind it keep nothing and lose nothing."""
 
     @pytest.mark.parametrize(
-        "start, counts, strides, count, extent, word_size, split, disjoint",
+        "start, counts, strides, count, extent, split, disjoint",
         [
-            (0, [1, 4 * MIB], [1, 2], 2, 8 * MIB - 1, 1, 0, True),
-            (0, [1, 4 * MIB], [1, 2], 1, 0, 1, 0, True),
-            (0, [1, 4 * MIB - 1], [1, 2], 1, 0, 1, -1, False),
-            (0, [1, 1024], [1, 512], 1, 0, 1, -1, False),
-            (0, [8, MIB], [1, 16], 1, 0, 8, -1, False),
-            (0, [8, MIB], [1, 16], 1, 0, 1, 0, True),
+            (0, [1, 4 * MIB], [1, 2], 2, 8 * MIB - 1, 0, True),
+            (0, [1, 4 * MIB], [1, 2], 1, 0, 0, True),
+            (0, [1, 4 * MIB - 1], [1, 2], 1, 0, -1, False),
+            (0, [1, 1024], [1, 512], 1, 0, -1, False),
+            (0, [8, MIB], [1, 16], 1, 0, -1, False),
+            (1, [8, MIB], [1, 16], 1, 0, 0, True),  # an odd start narrows to bytes
         ],
         ids=[
             "Fig. 8's 4 MiB object",
@@ -351,9 +357,9 @@ class TestSplit:
         ],
     )
     def test_the_threshold_counts_elements(
-        self, start, counts, strides, count, extent, word_size, split, disjoint
+        self, start, counts, strides, count, extent, split, disjoint
     ):
-        layout = kernels.strided_layout(start, counts, strides, count, extent, word_size)
+        layout = kernels.strided_layout(start, counts, strides, count, extent)
         assert (layout.split, layout.disjoint) == (split, disjoint)
 
     @pytest.mark.parametrize(

@@ -54,7 +54,8 @@ class TestEquivalentConstructionsBehaveIdentically:
                 continue
             datatype = comm.Type_commit(config.build())
             handler = TempiCommunicator.handler_of(datatype)
-            specs.add((handler.packer.block.counts, handler.packer.kernel.word_size))
+            launch = handler.packer._plan(world.contexts[0].gpu, 1).launch
+            specs.add((handler.packer.block.counts, launch.layout))
         assert len(specs) == 1
 
 

@@ -29,8 +29,8 @@ growing back:
   helper thread;
 * one TEMPI ``Type_commit`` makes an exact number of calls: canonicalising
   a flat list of stream rows instead of a recursive Type tree, translating
-  in one loop over a per-class step table, selecting the kernel from the
-  block's counts read once, and storing the Type flat, one object per stage;
+  in one loop over a per-class step table, storing the Type flat, one object
+  per stage, and selecting no kernel (the launch layout chooses the word);
   so do the 22 commits of a warm ``datatype_pack`` round;
 * building the 22 ``datatype_pack`` datatypes makes an exact number of
   calls: a plain ``int`` argument passes every constructor check with no
@@ -371,10 +371,11 @@ def test_split_pack_and_unpack_count_every_thread(summit_model, host_cores):
 
 #: Exact calls of one ``Type_commit`` on Python 3.11, the counter's own exit
 #: calls excluded.  The recursive canonicaliser counted (288, 335, 188),
-#: canonicalising one flat list of stream rows (111, 124, 94), and the
+#: canonicalising one flat list of stream rows (111, 124, 94), the
 #: step-table translator with kernel selection free of property calls
-#: (83, 92, 70); a Type stored flat, made once per stage, left these.
-COMMIT_CALLS = {"fig7 0:subarray": 50, "fig7 6:hvector(hvector(vector))": 50, "replay pitched": 45}
+#: (83, 92, 70), and a Type stored flat, made once per stage, (50, 50, 45);
+#: a Packer that selects no kernel left these.
+COMMIT_CALLS = {"fig7 0:subarray": 36, "fig7 6:hvector(hvector(vector))": 36, "replay pitched": 33}
 
 
 def _commit_builders() -> dict:
@@ -481,8 +482,9 @@ def test_stage_rows_sum_to_the_round_total(summit_model):
 
 
 #: Exact calls of the 22 commits of one warm ``datatype_pack`` round on Python
-#: 3.11, building the datatypes excluded.  Linked Type levels counted 1 753.
-PACK_ROUND_COMMIT_CALLS = 1054
+#: 3.11, building the datatypes excluded.  Linked Type levels counted 1 753,
+#: and kernel selection 1 054.
+PACK_ROUND_COMMIT_CALLS = 770
 
 
 def test_a_pack_rounds_commits_count_their_calls(summit_model):
@@ -511,7 +513,7 @@ def test_a_pack_rounds_commits_count_their_calls(summit_model):
 #: ``tools/call_histogram.py``; the "22 commits" and "round" rows are sums.
 DOC_STAGES = {
     "simplify": "simplify",
-    "Packer (kernel selection)": "Packer",
+    "Packer": "Packer",
     "to_strided_block": "to_strided_block",
     "translate": "translate",
     "rest of Type_commit": "rest of Type_commit",

@@ -1,13 +1,13 @@
 """Property-based tests of the strided-copy kernel.
 
-Invariants, for random geometries, object counts, extents, offsets and
-every word size (odd offsets and extents that are not a multiple of the
-word included):
+Invariants, for random geometries, object counts, extents and offsets
+(odd offsets and extents that are not a multiple of the word included), so
+that the launch layout picks every word from 1 to 16 bytes:
 
 * a pack equals the byte-level reference — :func:`copy_block_list` over the
-  enumerated contiguous runs — whatever word the launch is specialised to,
-  and reads no byte past the last run (half the geometries are sub-word runs
-  at a 2, 4 or 8-byte pitch, which pack by one narrowing cast);
+  enumerated contiguous runs — whatever word the launch layout chooses, and
+  reads no byte past the last run (half the geometries are sub-word runs at
+  a 2, 4 or 8-byte pitch, which pack by one narrowing cast);
 * unpack is the inverse of pack on the packed bytes, and touches no byte
   outside the runs and no byte of the dense side outside ``[offset, offset +
   nbytes)``;
@@ -106,8 +106,8 @@ def memory_for(launch, seed, slack=5):
 
 
 @settings(max_examples=200, deadline=None)
-@given(launches(), st.sampled_from(WORDS), st.integers(0, 9), st.integers(0, 2**31))
-def test_pack_equals_block_list_reference(launch, word, offset, seed):
+@given(launches(), st.integers(0, 9), st.integers(0, 2**31))
+def test_pack_equals_block_list_reference(launch, offset, seed):
     # No slack: the last run ends the source, so a pack that reads past it
     # (a cell cast over the last column) fails.
     src = memory_for(launch, seed, slack=0)
@@ -117,34 +117,34 @@ def test_pack_equals_block_list_reference(launch, word, offset, seed):
     assert kernels.copy_block_list(src, reference, runs, gather=True) == nbytes
 
     dst = np.full(offset + nbytes + 3, 0xA5, dtype=np.uint8)
-    assert kernels.pack_strided_many(src, dst, *launch, offset, word_size=word) == nbytes
+    assert kernels.pack_strided_many(src, dst, *launch, offset) == nbytes
     assert dst[offset : offset + nbytes].tobytes() == reference.tobytes()
     assert (dst[:offset] == 0xA5).all() and (dst[offset + nbytes :] == 0xA5).all()
 
     # A kept layout is the same launch.
-    layout = kernels.strided_layout(*launch, word)
+    layout = kernels.strided_layout(*launch)
     again = np.zeros_like(dst)
-    kernels.pack_strided_many(src, again, *launch, offset, word_size=word, layout=layout)
+    kernels.pack_strided_many(src, again, *launch, offset, layout=layout)
     assert again[offset : offset + nbytes].tobytes() == reference.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
-@given(launches(), st.sampled_from(WORDS), st.integers(0, 9), st.integers(0, 2**31))
-def test_unpack_inverts_pack_and_touches_only_the_runs(launch, word, offset, seed):
+@given(launches(), st.integers(0, 9), st.integers(0, 2**31))
+def test_unpack_inverts_pack_and_touches_only_the_runs(launch, offset, seed):
     original = memory_for(launch, seed)
     runs = enumerate_runs(*launch)
     nbytes = sum(length for _, length in runs)
     packed = np.zeros(offset + nbytes, dtype=np.uint8)
-    kernels.pack_strided_many(original, packed, *launch, offset, word_size=word)
+    kernels.pack_strided_many(original, packed, *launch, offset)
 
     scattered = np.full_like(original, 0x5A)
-    assert kernels.unpack_strided_many(packed, scattered, *launch, offset, word_size=word) == nbytes
+    assert kernels.unpack_strided_many(packed, scattered, *launch, offset) == nbytes
     expected = np.full_like(original, 0x5A)
     kernels.copy_block_list(packed[offset:], expected, runs, gather=False)
     assert scattered.tobytes() == expected.tobytes()
 
     repacked = np.zeros_like(packed)
-    kernels.pack_strided_many(scattered, repacked, *launch, offset, word_size=word)
+    kernels.pack_strided_many(scattered, repacked, *launch, offset)
     assert repacked.tobytes() == packed.tobytes()
 
 
@@ -158,11 +158,11 @@ def interleaved_launches(draw):
 
 
 @settings(max_examples=200, deadline=None, **FIXTURES)
-@given(launches(), st.sampled_from(WORDS), st.integers(0, 9), st.integers(0, 2**31))
-def test_a_split_launch_writes_what_the_unsplit_one_writes(host_cores, monkeypatch, launch, word, offset, seed):
+@given(launches(), st.integers(0, 9), st.integers(0, 2**31))
+def test_a_split_launch_writes_what_the_unsplit_one_writes(host_cores, monkeypatch, launch, offset, seed):
     host_cores(3)
     monkeypatch.setattr(kernels, "_SPLIT_ELEMENTS", 0)
-    layout = kernels.strided_layout(*launch, word)
+    layout = kernels.strided_layout(*launch)
     assert layout.split >= 0 or max(layout.shape, default=1) == 1
     src = memory_for(launch, seed, slack=0)
     runs = enumerate_runs(*launch)
@@ -170,15 +170,15 @@ def test_a_split_launch_writes_what_the_unsplit_one_writes(host_cores, monkeypat
 
     packed = np.full(offset + nbytes + 3, 0xA5, dtype=np.uint8)
     reference = packed.copy()
-    kernels.pack_strided_many(src, packed, *launch, offset, word_size=word)
-    unsplit(monkeypatch, kernels.pack_strided_many, src, reference, *launch, offset, word_size=word)
+    kernels.pack_strided_many(src, packed, *launch, offset)
+    unsplit(monkeypatch, kernels.pack_strided_many, src, reference, *launch, offset)
     assert packed.tobytes() == reference.tobytes()
     assert (packed[:offset] == 0xA5).all() and (packed[offset + nbytes :] == 0xA5).all()
 
     scattered = np.full_like(src, 0x5A)
     reference = scattered.copy()
-    kernels.unpack_strided_many(packed, scattered, *launch, offset, word_size=word)
-    unsplit(monkeypatch, kernels.unpack_strided_many, packed, reference, *launch, offset, word_size=word)
+    kernels.unpack_strided_many(packed, scattered, *launch, offset)
+    unsplit(monkeypatch, kernels.unpack_strided_many, packed, reference, *launch, offset)
     assert scattered.tobytes() == reference.tobytes()
     expected = np.full_like(src, 0x5A)
     kernels.copy_block_list(packed[offset:], expected, runs, gather=False)
@@ -187,16 +187,16 @@ def test_a_split_launch_writes_what_the_unsplit_one_writes(host_cores, monkeypat
 
 
 @settings(max_examples=100, deadline=None, **FIXTURES)
-@given(interleaved_launches(), st.sampled_from(WORDS), st.integers(0, 9), st.integers(0, 2**31))
-def test_an_interleaved_unpack_is_never_split(monkeypatch, launch, word, offset, seed):
+@given(interleaved_launches(), st.integers(0, 9), st.integers(0, 2**31))
+def test_an_interleaved_unpack_is_never_split(monkeypatch, launch, offset, seed):
     monkeypatch.setattr(kernels, "_helpers", [RefusingHelper(), RefusingHelper()])
     monkeypatch.setattr(kernels, "_SPLIT_ELEMENTS", 0)
-    layout = kernels.strided_layout(*launch, word)
+    layout = kernels.strided_layout(*launch)
     assert layout.split == 0 and not layout.disjoint
     original = memory_for(launch, seed)
     nbytes = layout.nbytes
     packed = np.random.default_rng(seed).integers(0, 256, offset + nbytes, dtype=np.uint8)
     scattered, reference = original.copy(), original.copy()
-    kernels.unpack_strided_many(packed, scattered, *launch, offset, word_size=word)
-    unsplit(monkeypatch, kernels.unpack_strided_many, packed, reference, *launch, offset, word_size=word)
+    kernels.unpack_strided_many(packed, scattered, *launch, offset)
+    unsplit(monkeypatch, kernels.unpack_strided_many, packed, reference, *launch, offset)
     assert scattered.tobytes() == reference.tobytes()

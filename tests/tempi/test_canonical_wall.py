@@ -10,14 +10,16 @@ canonicaliser or the lowering must replay it exactly.
 
 ``tests/fixtures/commit_stages.json`` holds, for the same entries in the same
 order, the stages either side of the canonical form: the raw ``translate``
-``structure()`` (which the canonicalisation ablation prices) and the full
-:class:`KernelSpec` that ``select_kernel`` picks for the block at object
-counts 1 and 3.  A rewrite of the translator or of kernel selection must
-replay it exactly.
+``structure()`` (which the canonicalisation ablation prices) and the launch
+the :class:`Packer` that commit builds plans at object counts 1 and 3.  A
+rewrite of the translator, the packer or the launch layout must replay it
+exactly.
 
 Regenerate both (only for an intended change of a recorded form)::
 
     PYTHONPATH=src:. python tests/tempi/test_canonical_wall.py
+
+and the wall checks that this regenerates both files byte for byte.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from repro.apps.moe import MoESpec, token_datatype
 from repro.apps.pipeline import PipelineSpec, activation_datatype
 from repro.apps.replay import _pitched_datatype
 from repro.bench.workloads import fig7_configurations, fig8_configurations
+from repro.gpu.runtime import CudaRuntime
 from repro.mpi.constructors import (
     ContiguousDatatype,
     HvectorDatatype,
@@ -46,16 +49,14 @@ from repro.mpi.constructors import (
 )
 from repro.mpi.datatype import NAMED_TYPES, NamedDatatype
 from repro.tempi.canonicalize import simplify
-from repro.tempi.kernels import select_kernel
-from repro.gpu.runtime import CudaRuntime
 from repro.tempi.packer import Packer
 from repro.tempi.strided_block import to_strided_block
 from repro.tempi.translate import translate
 
 FIXTURE = Path(__file__).resolve().parents[1] / "fixtures" / "canonical_forms.json"
 STAGES = FIXTURE.with_name("commit_stages.json")
-#: Object counts each block's kernel is selected for (2-D kernels put it on grid z).
-KERNEL_COUNTS = (1, 3)
+#: Object counts each entry's launch is planned for (3 puts the extent in the view).
+LAUNCH_COUNTS = (1, 3)
 #: Hypothesis seed and size of the drawn half of the wall.
 DRAW_SEED, DRAWN = 20261016, 500
 #: Entries replayed per test case.
@@ -146,21 +147,16 @@ def canonical_form(datatype) -> dict:
 
 
 def stage_forms(datatype) -> dict:
-    """The raw translation of ``datatype`` and its block's kernels and launches, as plain JSON.
+    """The raw translation of ``datatype`` and its launches, as plain JSON.
 
-    A launch is what the commit-time :class:`Packer` plans for ``count``
-    objects ``datatype.extent`` bytes apart: ``"memcpy"``, or the launch
+    A launch is what the :class:`Packer` that commit builds plans for
+    ``count`` objects ``datatype.extent`` bytes apart: ``"memcpy"``, or the launch
     layout's word, view shape, view strides, cell and split axis.
     """
     raw = translate(datatype)
     block = to_strided_block(simplify(raw))
-    kernels = []
-    for count in KERNEL_COUNTS:
-        spec = select_kernel(block, count=count)
-        kernels.append([spec.dimensions, spec.word_size, list(spec.block_dim),
-                        list(spec.grid_dim), spec.count_strategy])
     packer, runtime, launches = Packer(block, object_extent=datatype.extent), CudaRuntime(), []
-    for count in KERNEL_COUNTS:
+    for count in LAUNCH_COUNTS:
         launch = packer._plan(runtime, count).launch
         if launch is None:
             launches.append("memcpy")
@@ -168,8 +164,7 @@ def stage_forms(datatype) -> dict:
             layout = launch.layout
             launches.append([layout.word, list(layout.shape), list(layout.strides),
                              layout.cell, layout.split])
-    return {"translation": [list(level) for level in raw.structure()], "kernels": kernels,
-            "launch": launches}
+    return {"translation": [list(level) for level in raw.structure()], "launch": launches}
 
 
 def record() -> list[dict]:
@@ -179,6 +174,13 @@ def record() -> list[dict]:
     for entry in entries:
         entry.update(canonical_form(decode(entry["recipe"])))
     return entries
+
+
+def render() -> tuple[str, str]:
+    """The text of both fixture files, regenerated from the recipes."""
+    entries = record()
+    stages = [{"name": entry["name"], **stage_forms(decode(entry["recipe"]))} for entry in entries]
+    return tuple(json.dumps(forms, separators=(",", ":")) + "\n" for forms in (entries, stages))
 
 
 ENTRIES = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else []
@@ -205,20 +207,19 @@ def test_the_stage_wall_names_the_canonical_entries_in_order():
 
 
 @pytest.mark.parametrize("first", range(0, max(1, len(ENTRIES)), CHUNK))
-def test_translation_and_kernel_selection_replay_the_recorded_stages(first):
+def test_translation_and_the_packers_launches_replay_the_recorded_stages(first):
     for entry, stages in zip(ENTRIES[first : first + CHUNK], STAGE_ENTRIES[first : first + CHUNK]):
         got = stage_forms(decode(entry["recipe"]))
-        assert got == {"translation": stages["translation"], "kernels": stages["kernels"],
-                       "launch": stages["launch"]}, entry["name"]
-        for kernel in got["kernels"]:
-            assert all(type(v) is int for v in kernel[2] + kernel[3]), entry["name"]
+        assert got == {"translation": stages["translation"], "launch": stages["launch"]}, entry["name"]
+
+
+def test_the_regenerator_writes_both_fixtures_byte_for_byte():
+    assert render() == (FIXTURE.read_text(), STAGES.read_text())
 
 
 if __name__ == "__main__":
-    entries = record()
-    FIXTURE.write_text(json.dumps(entries, separators=(",", ":")) + "\n")
-    stages = [{"name": entry["name"], **stage_forms(decode(entry["recipe"]))} for entry in entries]
-    STAGES.write_text(json.dumps(stages, separators=(",", ":")) + "\n")
+    for path, text in zip((FIXTURE, STAGES), render()):
+        path.write_text(text)
     print(f"wrote {FIXTURE} and {STAGES}")
 
 

@@ -10,97 +10,96 @@ from repro.mpi.constructors import (
 )
 from repro.mpi.datatype import BYTE, FLOAT, ORDER_C
 from repro.tempi.canonicalize import (
-    dense_folding,
+    _elide_unit_streams,
+    _flatten_streams,
+    _fold_dense,
+    _sort_streams,
     simplify,
-    sort_streams,
-    stream_elision,
-    stream_flatten,
 )
 from repro.tempi.ir import dense, stream
 from repro.tempi.translate import translate
 
 
+def rows_of(ty):
+    """The ``[offset, stride, count]`` rows and ``[offset, extent]`` leaf the rules rewrite."""
+    return [list(row) for row in ty.rows], list(ty.base)
+
+
 class TestDenseFolding:
     def test_folds_matching_stride(self):
         # Stream of 10 elements, stride 4, over dense 4 bytes -> dense 40 bytes.
-        ty, changed = dense_folding(stream(10, 4, dense(4)))
-        assert changed
-        assert ty.is_dense
-        assert ty.data.extent == 40
+        rows, leaf = rows_of(stream(10, 4, dense(4)))
+        assert _fold_dense(rows, leaf)
+        assert rows == []
+        assert leaf == [0, 40]
 
     def test_keeps_offsets(self):
-        ty, _ = dense_folding(stream(10, 4, dense(4, offset=3), offset=5))
-        assert ty.data.offset == 8
+        rows, leaf = rows_of(stream(10, 4, dense(4, offset=3), offset=5))
+        _fold_dense(rows, leaf)
+        assert leaf[0] == 8
 
     def test_does_not_fold_mismatched_stride(self):
-        ty, changed = dense_folding(stream(10, 8, dense(4)))
-        assert not changed
-        assert ty.is_stream
+        rows, leaf = rows_of(stream(10, 8, dense(4)))
+        assert not _fold_dense(rows, leaf)
+        assert rows == [[0, 8, 10]]
 
     def test_applies_bottom_up(self):
         # The inner pair folds even though the outer stream stays.
-        ty, changed = dense_folding(stream(3, 512, stream(10, 4, dense(4))))
-        assert changed
-        assert ty.is_stream
-        assert ty.child.is_dense
-        assert ty.child.data.extent == 40
+        rows, leaf = rows_of(stream(3, 512, stream(10, 4, dense(4))))
+        assert _fold_dense(rows, leaf)
+        assert rows == [[0, 512, 3]]
+        assert leaf == [0, 40]
 
 
 class TestStreamElision:
     def test_child_stream_of_one_removed(self):
-        ty, changed = stream_elision(stream(5, 100, stream(1, 7, dense(4), offset=2)))
-        assert changed
-        assert ty.data.count == 5
-        assert ty.child.is_dense
-        assert ty.child.data.offset == 2
+        rows, leaf = rows_of(stream(5, 100, stream(1, 7, dense(4), offset=2)))
+        assert _elide_unit_streams(rows, leaf)
+        assert rows == [[0, 100, 5]]
+        assert leaf == [2, 4]
 
     def test_unit_parent_removed(self):
-        ty, changed = stream_elision(stream(1, 100, dense(8), offset=4))
-        assert changed
-        assert ty.is_dense
-        assert ty.data.offset == 4
+        rows, leaf = rows_of(stream(1, 100, dense(8), offset=4))
+        assert _elide_unit_streams(rows, leaf)
+        assert rows == []
+        assert leaf == [4, 8]
 
     def test_non_unit_streams_untouched(self):
-        ty, changed = stream_elision(stream(5, 100, stream(2, 7, dense(3))))
-        assert not changed
-        assert ty.depth() == 3
+        rows, leaf = rows_of(stream(5, 100, stream(2, 7, dense(3))))
+        assert not _elide_unit_streams(rows, leaf)
+        assert len(rows) == 2
 
 
 class TestStreamFlatten:
     def test_chaining_strides_flatten(self):
         # parent stride 32 == child count 8 * child stride 4.
-        ty, changed = stream_flatten(stream(3, 32, stream(8, 4, dense(2))))
-        assert changed
-        assert ty.data.count == 24
-        assert ty.data.stride == 4
-        assert ty.child.is_dense
+        rows, leaf = rows_of(stream(3, 32, stream(8, 4, dense(2))))
+        assert _flatten_streams(rows, leaf)
+        assert rows == [[0, 4, 24]]
+        assert leaf == [0, 2]
 
     def test_offsets_accumulate(self):
-        ty, _ = stream_flatten(stream(3, 32, stream(8, 4, dense(2), offset=6), offset=10))
-        assert ty.data.offset == 16
+        rows, leaf = rows_of(stream(3, 32, stream(8, 4, dense(2), offset=6), offset=10))
+        _flatten_streams(rows, leaf)
+        assert rows[0][0] == 16
 
     def test_non_chaining_strides_untouched(self):
-        ty, changed = stream_flatten(stream(3, 100, stream(8, 4, dense(2))))
-        assert not changed
-        assert ty.data.count == 3
+        rows, leaf = rows_of(stream(3, 100, stream(8, 4, dense(2))))
+        assert not _flatten_streams(rows, leaf)
+        assert rows[0][2] == 3
 
 
 class TestSorting:
     def test_streams_ordered_by_stride_descending(self):
-        out_of_order = stream(4, 16, stream(2, 512, dense(8)))
-        ty, changed = sort_streams(out_of_order)
-        assert changed
-        strides = [level.data.stride for level in ty.levels() if level.is_stream]
-        assert strides == [512, 16]
+        rows, leaf = rows_of(stream(4, 16, stream(2, 512, dense(8))))
+        assert _sort_streams(rows, leaf)
+        assert [row[1] for row in rows] == [512, 16]
 
     def test_already_sorted_unchanged(self):
-        ordered = stream(2, 512, stream(4, 16, dense(8)))
-        _, changed = sort_streams(ordered)
-        assert not changed
+        assert not _sort_streams(*rows_of(stream(2, 512, stream(4, 16, dense(8)))))
 
     def test_short_chains_skipped(self):
-        _, changed = sort_streams(stream(4, 16, dense(8)))
-        assert not changed
+        assert not _sort_streams(*rows_of(stream(4, 16, dense(8))))
 
 
 class TestSimplifyEquivalences:

@@ -1,83 +1,32 @@
-"""Tests for kernel selection and word-size specialisation (Sec. 3.3)."""
+"""The word TEMPI specialises its pack kernels to (Sec. 3.3).
 
-import pytest
+The launch layout chooses it, in one place: the widest of 16, 8, 4, 2 and 1
+bytes that divides the contiguous run, the start and every stride.
+"""
 
-from repro.gpu.device import DeviceProperties
-from repro.tempi.kernels import KernelSpec, select_kernel, select_word_size
+from repro.gpu.kernels import strided_layout
 from repro.tempi.strided_block import StridedBlock
+
+
+def word(block: StridedBlock) -> int:
+    """The word of a one-object launch of ``block``."""
+    return strided_layout(block.start, block.counts, block.strides).word
 
 
 class TestWordSize:
     def test_widest_word_dividing_block(self):
-        assert select_word_size(StridedBlock(0, (400, 13), (1, 512))) == 16
-        assert select_word_size(StridedBlock(0, (12, 4), (1, 64))) == 4
-        assert select_word_size(StridedBlock(0, (6, 4), (1, 64))) == 2
-        assert select_word_size(StridedBlock(0, (7, 4), (1, 64))) == 1
+        assert word(StridedBlock(0, (400, 13), (1, 512))) == 16
+        assert word(StridedBlock(0, (12, 4), (1, 64))) == 4
+        assert word(StridedBlock(0, (6, 4), (1, 64))) == 2
+        assert word(StridedBlock(0, (7, 4), (1, 64))) == 1
 
     def test_start_alignment_limits_word(self):
-        assert select_word_size(StridedBlock(2, (16, 4), (1, 64))) == 2
-        assert select_word_size(StridedBlock(3, (16, 4), (1, 64))) == 1
+        assert word(StridedBlock(2, (16, 4), (1, 64))) == 2
+        assert word(StridedBlock(3, (16, 4), (1, 64))) == 1
 
     def test_stride_alignment_limits_word(self):
-        assert select_word_size(StridedBlock(0, (16, 4), (1, 68))) == 4
-        assert select_word_size(StridedBlock(0, (16, 4), (1, 61))) == 1
+        assert word(StridedBlock(0, (16, 4), (1, 68))) == 4
+        assert word(StridedBlock(0, (16, 4), (1, 61))) == 1
 
     def test_contiguous_block_word(self):
-        assert select_word_size(StridedBlock(0, (1024,), (1,))) == 16
-
-
-class TestKernelSelection:
-    def test_contiguous_uses_memcpy(self):
-        spec = select_kernel(StridedBlock(0, (4096,), (1,)))
-        assert spec.count_strategy == "memcpy"
-        assert not spec.uses_kernel
-        assert spec.dimensions == 1
-
-    def test_2d_block_dimensions_are_powers_of_two(self):
-        spec = select_kernel(StridedBlock(0, (400, 13), (1, 512)))
-        assert spec.dimensions == 2
-        x, y, z = spec.block_dim
-        assert x & (x - 1) == 0 and y & (y - 1) == 0
-        assert spec.threads_per_block <= 1024
-
-    def test_2d_count_rides_grid_z(self):
-        spec = select_kernel(StridedBlock(0, (8, 128), (1, 512)), count=7)
-        assert spec.count_strategy == "grid-z"
-        assert spec.grid_dim[2] >= 7
-
-    def test_3d_uses_loop_strategy(self):
-        spec = select_kernel(StridedBlock(0, (64, 13, 47), (1, 512, 262144)))
-        assert spec.dimensions == 3
-        assert spec.count_strategy == "loop"
-
-    def test_grid_covers_object(self):
-        block = StridedBlock(0, (400, 13), (1, 512))
-        spec = select_kernel(block)
-        x_elements = block.block_length // spec.word_size
-        assert spec.grid_dim[0] * spec.block_dim[0] >= x_elements
-        assert spec.grid_dim[1] * spec.block_dim[1] >= 13
-
-    def test_thread_limit_respected_for_wide_objects(self):
-        props = DeviceProperties(max_threads_per_block=256)
-        spec = select_kernel(StridedBlock(0, (4096, 64), (1, 8192)), props)
-        assert spec.threads_per_block <= 256
-
-    def test_block_dim_limits_respected(self):
-        props = DeviceProperties(max_block_dim=(64, 4, 2))
-        spec = select_kernel(StridedBlock(0, (4096, 64, 16), (1, 8192, 1 << 20)), props)
-        assert spec.block_dim[0] <= 64
-        assert spec.block_dim[1] <= 4
-        assert spec.block_dim[2] <= 2
-
-    def test_invalid_count_rejected(self):
-        with pytest.raises(ValueError):
-            select_kernel(StridedBlock(0, (8, 2), (1, 64)), count=0)
-
-    def test_word_size_recorded_in_spec(self):
-        spec = select_kernel(StridedBlock(0, (400, 13), (1, 512)))
-        assert spec.word_size == 16
-
-    def test_kernelspec_threads_property(self):
-        spec = KernelSpec(2, 4, (32, 8, 1), (1, 2, 1), "grid-z")
-        assert spec.threads_per_block == 256
-        assert spec.uses_kernel
+        assert word(StridedBlock(0, (1024,), (1,))) == 16

@@ -6,7 +6,7 @@ from repro.mpi.constructors import Type_contiguous, Type_create_subarray, Type_v
 from repro.mpi.datatype import BYTE, FLOAT, ORDER_C
 from repro.tempi.canonicalize import simplify
 from repro.tempi.ir import dense, stream
-from repro.tempi.strided_block import ObjectShape, StridedBlock, to_strided_block
+from repro.tempi.strided_block import StridedBlock, to_strided_block
 from repro.tempi.translate import translate
 
 
@@ -87,19 +87,3 @@ class TestLowering:
         block = to_strided_block(stream(2, 64, stream(4, 4, dense(4, offset=1)), offset=8))
         assert block == StridedBlock(9, (4, 4, 2), (1, 4, 64))
 
-
-class TestObjectShape:
-    def test_total_bytes(self):
-        block = StridedBlock(0, (16, 8), (1, 64))
-        shape = ObjectShape(block, count=3, object_extent=1024)
-        assert shape.total_bytes == 16 * 8 * 3
-
-    def test_invalid_count_rejected(self):
-        block = StridedBlock(0, (16,), (1,))
-        with pytest.raises(ValueError):
-            ObjectShape(block, count=0)
-
-    def test_negative_extent_rejected(self):
-        block = StridedBlock(0, (16,), (1,))
-        with pytest.raises(ValueError):
-            ObjectShape(block, count=1, object_extent=-1)

@@ -9,8 +9,7 @@ with repo-specific rules:
 
 ========  ==================================================================
 SIM001    no wall-clock (``time.time``/``perf_counter``/``datetime.now``) or
-          ``random`` calls on priced paths (whitelist:
-          ``tempi/measurement.py``, ``repro/bench/*``)
+          ``random`` calls on priced paths (whitelist: ``repro/bench/*``)
 SIM002    selector/pricing code (the ``tempi/selection.py`` reachable set)
           may not call mutating ``NicTimeline``/``ProgressEngine`` APIs —
           pricing must be a pure read

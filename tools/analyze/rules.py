@@ -19,8 +19,8 @@ from tools.analyze.core import SourceFile, Violation
 # --------------------------------------------------------------------------- #
 
 #: Exact dotted names whose *call* reads the host clock.  Anything priced
-#: must advance virtual clocks only; host time belongs behind the
-#: ``repro.tempi.measurement`` seam.
+#: must advance virtual clocks only; host time belongs to the benchmark
+#: harness, ``repro.bench``.
 WALL_CLOCK_CALLS = frozenset(
     {
         "time.time",
@@ -42,10 +42,8 @@ WALL_CLOCK_CALLS = frozenset(
 #: Module prefixes whose every call is a nondeterminism source.
 RANDOM_PREFIXES = ("random.", "numpy.random.")
 
-#: Files allowed to read the host clock: the measurement seam (which owns
-#: the wall-clock boundary) and the simulator's own benchmark harness
-#: (which times the *simulator*, not the simulation).
-SIM001_WHITELIST_EXACT = frozenset({"src/repro/tempi/measurement.py"})
+#: Files allowed to read the host clock: the simulator's own benchmark
+#: harness, which times the *simulator*, not the simulation.
 SIM001_WHITELIST_PREFIXES = ("src/repro/bench/",)
 
 
@@ -104,9 +102,7 @@ def check_wall_clock(source_file: SourceFile) -> list[Violation]:
     relpath = source_file.relpath
     if not relpath.startswith("src/"):
         return []
-    if relpath in SIM001_WHITELIST_EXACT or relpath.startswith(
-        SIM001_WHITELIST_PREFIXES
-    ):
+    if relpath.startswith(SIM001_WHITELIST_PREFIXES):
         return []
     findings: list[Violation] = []
     for node, name in _resolved_calls(source_file):
@@ -117,7 +113,7 @@ def check_wall_clock(source_file: SourceFile) -> list[Violation]:
                     node.lineno,
                     "SIM001",
                     f"wall-clock call `{name}` on a priced path; host timing "
-                    "belongs behind the repro.tempi.measurement seam",
+                    "belongs in the benchmark harness (repro.bench)",
                 )
             )
         elif name.startswith(RANDOM_PREFIXES) or name == "random":
