@@ -132,7 +132,10 @@ class GpuCostModel:
         if block_bytes <= 0:
             raise ValueError(f"block_bytes must be positive, got {block_bytes}")
         eff = block_bytes / float(saturation_block)
-        return min(1.0, max(self.min_efficiency, eff))
+        # min(1.0, max(self.min_efficiency, eff)) without calls; no operand is NaN.
+        if not eff > self.min_efficiency:
+            eff = self.min_efficiency
+        return eff if eff < 1.0 else 1.0
 
     def kernel_time(
         self,
@@ -172,8 +175,9 @@ class GpuCostModel:
             saturation = self.zero_copy_saturation_block
         else:
             raise ValueError(f"unknown kernel target {target!r}")
-        block = max(1, min(block_bytes, total_bytes)) if total_bytes else 1
-        eff = self.coalescing_efficiency(block, saturation)
+        # max(1, min(block_bytes, total_bytes)) without calls.
+        block = total_bytes if total_bytes < block_bytes else block_bytes
+        eff = self.coalescing_efficiency(block if block > 1 else 1, saturation)
         transfer = total_bytes / (bandwidth * eff)
         if unpack:
             transfer *= self.unpack_penalty

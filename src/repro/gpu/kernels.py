@@ -24,8 +24,11 @@ no Python-level loop over objects or runs.
   last is read as one little-endian ``cell``-byte integer and narrowed to
   its first ``word`` bytes by one ``np.copyto(..., casting="unsafe")``; the
   last column is peeled off and assigned word by word, so no byte past the
-  object's last run is read.  Unpack stays the plain scatter: a widen, mask
-  and merge unpack was measured no faster.  The choice is geometric, like
+  object's last run is read.  Unpack stays the plain scatter: on Fig. 8's
+  4 MiB object (numpy 2.4.6, 2 cores) ``cells &= 0xFF00; cells |= src``
+  beat ``dst[::2] = src`` only on aligned ``uint16`` cells (1.27 vs 1.69
+  ms); the split's second object starts at the odd extent 8 Mi - 1, and
+  there it took 2.14 ms against 1.75 ms.  The choice is geometric, like
   the word, with no option or size threshold, and the benchmark's
   ``datatype_pack`` workload packs objects on both sides of it (the 4 MiB
   one-byte-block object of Fig. 8 is a cell pack, its 512-byte-pitch
@@ -166,7 +169,8 @@ class StridedLayout(NamedTuple):
     #: element but each row's last as one ``cell``-byte integer and narrows
     #: it to its first ``word`` bytes in one cast; the last column is copied
     #: word by word, so no byte past the object's last run is read.  Unpack
-    #: ignores it: the widened scatter was measured no faster.
+    #: ignores it: a masked merge of the cells loses on an unaligned object
+    #: (see the module docstring).
     cell: int
     #: The view axis a launch of at least ``_SPLIT_ELEMENTS`` elements splits
     #: into one chunk per host core: the outermost with at least 2 entries.

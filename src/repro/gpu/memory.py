@@ -45,10 +45,12 @@ class Buffer:
     """A contiguous simulated allocation (or a view into one).
 
     Views share the underlying NumPy storage with their parent, mirroring
-    pointer arithmetic on a real allocation.
+    pointer arithmetic on a real allocation; a view's parent is always the
+    root allocation.  What construction fixes is a slot, read with no call:
+    ``nbytes`` (the size) and ``is_device`` (the bytes live on the GPU).
     """
 
-    __slots__ = ("_array", "kind", "device", "_freed", "_parent", "offset")
+    __slots__ = ("_array", "kind", "device", "_freed", "_parent", "offset", "nbytes", "is_device")
 
     def __init__(
         self,
@@ -70,24 +72,16 @@ class Buffer:
         self._freed = False
         self._parent = _parent
         self.offset = _offset
+        self.nbytes: int = _array.nbytes
+        self.is_device: bool = kind is MemoryKind.DEVICE
 
     # ------------------------------------------------------------------ basics
     @property
-    def nbytes(self) -> int:
-        """Size of the buffer in bytes."""
-        return int(self._array.nbytes)
-
-    @property
     def data(self) -> np.ndarray:
         """The backing ``uint8`` array (shared with any views)."""
-        if self._freed or self._parent is not None:
-            self._check_alive()
+        if self._freed or self._parent is not None and self._parent._freed:
+            raise CudaBufferError("buffer used after free")
         return self._array
-
-    @property
-    def is_device(self) -> bool:
-        """True when the buffer lives in simulated device memory."""
-        return self.kind is MemoryKind.DEVICE
 
     @property
     def is_view(self) -> bool:
@@ -97,12 +91,10 @@ class Buffer:
     @property
     def freed(self) -> bool:
         """True once the allocation (or its parent) has been freed."""
-        if self._parent is not None:
-            return self._parent.freed
-        return self._freed
+        return self._freed or self._parent is not None and self._parent._freed
 
     def _check_alive(self) -> None:
-        if self.freed:
+        if self._freed or self._parent is not None and self._parent._freed:
             raise CudaBufferError("buffer used after free")
 
     # ------------------------------------------------------------------- views
@@ -111,7 +103,8 @@ class Buffer:
 
         This is the moral equivalent of pointer arithmetic on a ``void*``.
         """
-        self._check_alive()
+        if self._freed or self._parent is not None and self._parent._freed:
+            raise CudaBufferError("buffer used after free")
         if nbytes is None:
             nbytes = self.nbytes - offset
         if offset < 0 or nbytes < 0 or offset + nbytes > self.nbytes:
@@ -223,7 +216,7 @@ class MemoryPool:
 
     def release(self, buffer: Buffer) -> None:
         """Return a buffer to the pool for reuse."""
-        if buffer._freed or buffer._parent is not None and buffer.freed:
+        if buffer._freed or buffer._parent is not None and buffer._parent._freed:
             raise CudaBufferError("cannot pool a freed buffer")
         bucket = self._bucket(buffer._array.nbytes)
         self._free.setdefault((buffer.kind, bucket), []).append(buffer)

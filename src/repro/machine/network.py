@@ -57,23 +57,20 @@ class NetworkModel:
 
     def __init__(self, machine: MachineSpec = SUMMIT) -> None:
         self.machine = machine
+        node = machine.node
+        #: ``(same_node, device_buffers)`` -> the path a message takes and
+        #: the interconnect that prices it; both are fixed by the machine.
+        self._routes: dict[tuple[bool, bool], tuple[TransferPath, InterconnectSpec]] = {
+            (True, False): (TransferPath.INTRA_CPU, node.intra_cpu),
+            (True, True): (TransferPath.INTRA_GPU, node.gpu_gpu),
+            (False, False): (TransferPath.INTER_CPU, machine.inter_cpu),
+            (False, True): (TransferPath.INTER_GPU, machine.inter_gpu),
+        }
 
     # ----------------------------------------------------------------- paths
     def path(self, *, same_node: bool, device_buffers: bool) -> TransferPath:
         """Select the transfer path for a message."""
-        if same_node:
-            return TransferPath.INTRA_GPU if device_buffers else TransferPath.INTRA_CPU
-        return TransferPath.INTER_GPU if device_buffers else TransferPath.INTER_CPU
-
-    def _interconnect(self, path: TransferPath) -> InterconnectSpec:
-        node = self.machine.node
-        if path is TransferPath.INTRA_CPU:
-            return node.intra_cpu
-        if path is TransferPath.INTRA_GPU:
-            return node.gpu_gpu
-        if path is TransferPath.INTER_CPU:
-            return self.machine.inter_cpu
-        return self.machine.inter_gpu
+        return self._routes[same_node, device_buffers][0]
 
     # -------------------------------------------------------------- messages
     def message_cost(
@@ -86,8 +83,7 @@ class NetworkModel:
         """Cost of one matched send/recv pair carrying ``nbytes``."""
         if nbytes < 0:
             raise ValueError(f"nbytes must be non-negative, got {nbytes}")
-        path = self.path(same_node=same_node, device_buffers=device_buffers)
-        link = self._interconnect(path)
+        path, link = self._routes[same_node, device_buffers]
         rendezvous = (
             self.machine.rendezvous_overhead_s if nbytes > self.machine.eager_threshold else 0.0
         )
@@ -106,10 +102,13 @@ class NetworkModel:
         same_node: bool = False,
         device_buffers: bool = False,
     ) -> float:
-        """Total time of one message; the quantity Fig. 9a plots."""
-        return self.message_cost(
-            nbytes, same_node=same_node, device_buffers=device_buffers
-        ).total_s
+        """Total time of one message (Fig. 9a): ``message_cost(...).total_s``, bit for bit."""
+        if nbytes < 0:
+            raise ValueError(f"nbytes must be non-negative, got {nbytes}")
+        link = self._routes[same_node, device_buffers][1]
+        machine = self.machine
+        rendezvous = machine.rendezvous_overhead_s if nbytes > machine.eager_threshold else 0.0
+        return link.latency_s + link.per_message_overhead_s + nbytes / link.bandwidth_Bps + rendezvous
 
     # ------------------------------------------------------------ collectives
     def alltoallv_time(

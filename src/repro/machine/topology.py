@@ -323,13 +323,10 @@ class Topology:
         island = self.spec.island_size
         self._island_span = island if island > 0 else ranks_per_node
         self._paths: dict[tuple[int, int, bool], PathSpec] = {}
+        #: True when the shape adds structure beyond the flat model (the spec is frozen).
+        self.hierarchical: bool = not self.spec.is_flat
 
     # ------------------------------------------------------------- placement
-    @property
-    def hierarchical(self) -> bool:
-        """True when the shape adds structure beyond the flat model."""
-        return not self.spec.is_flat
-
     def placement(self, rank: int) -> RankPlacement:
         """Node/local-rank/GPU/island of one rank (block placement)."""
         self._check_rank(rank)
@@ -342,12 +339,17 @@ class Topology:
 
     def node_of(self, rank: int) -> int:
         """Node index of a rank."""
-        self._check_rank(rank)
+        if not 0 <= rank < self.nranks:
+            self._check_rank(rank)
         return rank // self.ranks_per_node
 
     def same_node(self, a: int, b: int) -> bool:
-        """True when two ranks share a node."""
-        return self.node_of(a) == self.node_of(b)
+        """True when two ranks share a node (``_check_rank`` runs only to name a bad one)."""
+        nranks = self.nranks
+        if not (0 <= a < nranks and 0 <= b < nranks):
+            self._check_rank(a)
+            self._check_rank(b)
+        return a // self.ranks_per_node == b // self.ranks_per_node
 
     def ranks_on_node(self, node: int) -> list[int]:
         """All ranks placed on ``node``."""

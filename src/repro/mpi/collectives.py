@@ -398,8 +398,9 @@ def normalize_types(types: TypesArg, nsections: int, what: str) -> list[Datatype
         raise MpiArgumentError(
             f"{what} needs one datatype per section ({nsections}), got {len(result)}"
         )
-    if not all(isinstance(t, Datatype) for t in result):
-        raise MpiArgumentError(f"{what} must contain Datatype instances")
+    for index, datatype in enumerate(result):
+        if not isinstance(datatype, Datatype):
+            raise MpiArgumentError(f"{what}types[{index}]: expected a Datatype, got {datatype!r}")
     return result
 
 

@@ -388,7 +388,9 @@ class Communicator:
 
     def Pack_size(self, count: int, datatype: Datatype) -> int:
         """``MPI_Pack_size``: bytes needed to pack ``count`` elements."""
-        return typemap.packed_size(datatype, count)
+        if type(count) is not int:
+            count = check_int(count, "count", MpiArgumentError)
+        return typemap.packed_size(check_datatype(datatype, "datatype"), count)
 
     def Type_commit(self, datatype: Datatype) -> Datatype:
         """``MPI_Type_commit`` as the system MPI performs it (no acceleration).

@@ -85,7 +85,12 @@ class PerformanceModel:
         if nbytes <= 0:
             raise ValueError(f"nbytes must be positive, got {nbytes}")
         key = ("transfer", kind, int(nbytes))
-        return self._memoized(key, lambda: self._interp_transfer(kind, nbytes))
+        self.queries += 1
+        if key in self._memo:
+            self.cache_hits += 1
+            return self._memo[key]
+        value = self._memo[key] = self._interp_transfer(kind, nbytes)
+        return value
 
     def _interp_transfer(self, kind: str, nbytes: int) -> float:
         curve = self._transfer_curves[kind]
@@ -100,9 +105,12 @@ class PerformanceModel:
     def pack_time(self, strategy: str, operation: str, nbytes: int, block_length: int) -> float:
         """Interpolated pack/unpack latency for a strategy (``device``/``oneshot``)."""
         key = ("pack", strategy, operation, int(nbytes), int(block_length))
-        return self._memoized(
-            key, lambda: self._interp_pack(strategy, operation, nbytes, block_length)
-        )
+        self.queries += 1
+        if key in self._memo:
+            self.cache_hits += 1
+            return self._memo[key]
+        value = self._memo[key] = self._interp_pack(strategy, operation, nbytes, block_length)
+        return value
 
     def _interp_pack(self, strategy: str, operation: str, nbytes: int, block_length: int) -> float:
         if (strategy, operation) not in self._pack_rows:
@@ -126,15 +134,6 @@ class PerformanceModel:
             + rows[i0 + 1][i1 + 1] * y0 * y1
         )
         return max(0.0, value)
-
-    def _memoized(self, key: Tuple, compute) -> float:
-        self.queries += 1
-        if key in self._memo:
-            self.cache_hits += 1
-            return self._memo[key]
-        value = compute()
-        self._memo[key] = value
-        return value
 
     # --------------------------------------------------------------- the model
     def estimate(self, nbytes: int, block_length: int) -> MethodEstimate:

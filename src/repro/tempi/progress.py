@@ -53,9 +53,9 @@ forces the post.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.machine.nic import IngestRecord, NicTimeline
+from repro.machine.nic import IngestRecord, NicReservation, NicTimeline
 from repro.machine.topology import PathSpec, Topology
 from repro.mpi.p2p import Envelope
 from repro.mpi.request import Request
@@ -63,22 +63,6 @@ from repro.mpi.status import Status
 from repro.tempi.cache import _StagingTracker
 from repro.tempi.config import BATCH_MAX_MESSAGES, NIC_MODES, PROGRESS_MODES, PackMethod
 from repro.tempi.plan import MessagePlan
-
-
-class WireSlot(NamedTuple):
-    """One reserved wire slot, with the identity its envelope must carry.
-
-    ``seq >= 0`` marks a slot reserved on the shared timeline (and therefore
-    subject to receive-side ingestion under duplex accounting); per-plan
-    reservations carry ``seq == -1`` and opt out.  A
-    :class:`~typing.NamedTuple`: slots are minted once per posted message on
-    the hot path and carry no mutable state.
-    """
-
-    start: float
-    arrival: float
-    wire_s: float
-    seq: int = -1
 
 
 class ProgressError(RuntimeError):
@@ -100,11 +84,11 @@ class PlanWindow:
 
     def reserve_wire(
         self, peer: int, ready: float, wire_s: float, nbytes: int = 0, *, device: bool = True
-    ) -> WireSlot:
-        """Place one message; returns the full :class:`WireSlot`."""
+    ) -> NicReservation:
+        """Place one message; ``seq == -1``: nothing is booked for ingestion."""
         start = max(ready, self._nic_free)
         self._nic_free = start + self._wire_overlap * wire_s
-        return WireSlot(start=start, arrival=start + wire_s, wire_s=wire_s, seq=-1)
+        return NicReservation(start, start + wire_s, start - ready, wire_s, -1)
 
 
 @dataclass(slots=True)
@@ -250,17 +234,20 @@ class ProgressEngine:
 
     def reserve_wire(
         self, peer: int, ready: float, wire_s: float, nbytes: int = 0, *, device: bool = True
-    ) -> WireSlot:
-        """Reserve one message's wire slot; returns the full :class:`WireSlot`.
+    ) -> NicReservation:
+        """Reserve one message's wire slot; returns the NIC's :class:`NicReservation`.
 
-        The slot carries the NIC identity (``post_time``/``seq``) the
+        The reservation carries the NIC identity (``start``/``seq``) the
         executor stamps on the envelope, which is what lets the *receiving*
         rank commit the message to its ingestion port under duplex
-        accounting.  ``device`` picks the wire path the route is resolved
-        for (GPU rails vs host rails); it only matters under a topology.
+        accounting.  ``seq >= 0`` marks a reservation on the shared timeline
+        (subject to receive-side ingestion); outside ``shared`` mode the
+        message is placed at ``ready`` with ``seq == -1`` and opts out.
+        ``device`` picks the wire path the route is resolved for (GPU rails
+        vs host rails); it only matters under a topology.
         """
         if not self.shared:
-            return WireSlot(start=ready, arrival=ready + wire_s, wire_s=wire_s, seq=-1)
+            return NicReservation(ready, ready + wire_s, 0.0, wire_s, -1)
         # Inject-only books never feed the destination's advisory pending
         # ledger: their messages are never ingested, so they must not look
         # like receive-side backlog to a duplex reader sharing the world.
@@ -268,10 +255,9 @@ class ProgressEngine:
             self.comm.rank, peer, ready, wire_s, nbytes, ingest=self.duplex,
             path=self._route(peer, device),
         )
-        start, arrival, stalled_s, _, seq = reservation
-        if stalled_s > 0.0:
+        if reservation.stalled_s > 0.0:
             self.stats.contention_stalls += 1
-        return WireSlot(start, arrival, wire_s, seq)
+        return reservation
 
     # ------------------------------------------------------------- ingestion
     def _ingest_record(self, envelope: Envelope) -> IngestRecord:

@@ -1,6 +1,8 @@
 """Tests for the GPU cost model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gpu.cost_model import FREE_GPU, SUMMIT_GPU, GpuCostModel
 
@@ -129,3 +131,69 @@ class TestOverridesAndPresets:
 
     def test_free_model_kernel_time_negligible(self):
         assert FREE_GPU.kernel_time(1 << 30, 1) < 1e-12
+
+
+def _reference_kernel_time(
+    model: GpuCostModel, total_bytes, block_bytes, target, unpack, include_sync
+) -> float:
+    """``kernel_time`` with its clamps spelled as ``min``/``max`` calls, as they were."""
+    if target == "device":
+        bandwidth, saturation = model.d2d_bandwidth, model.device_saturation_block
+    else:
+        bandwidth, saturation = model.zero_copy_bandwidth, model.zero_copy_saturation_block
+    block = max(1, min(block_bytes, total_bytes)) if total_bytes else 1
+    eff = min(1.0, max(model.min_efficiency, block / float(saturation)))
+    transfer = total_bytes / (bandwidth * eff)
+    if unpack:
+        transfer *= model.unpack_penalty
+    duration = model.kernel_launch_s + transfer
+    if include_sync:
+        duration += model.kernel_sync_s
+    return duration
+
+
+overridden_models = st.builds(
+    SUMMIT_GPU.with_overrides,
+    d2d_bandwidth=st.floats(1e3, 1e13),
+    zero_copy_bandwidth=st.floats(1e3, 1e13),
+    device_saturation_block=st.integers(1, 4096),
+    zero_copy_saturation_block=st.integers(1, 4096),
+    min_efficiency=st.floats(1e-6, 1.0),
+    unpack_penalty=st.floats(1.0, 4.0),
+    kernel_launch_s=st.floats(0.0, 1e-4),
+    kernel_sync_s=st.floats(0.0, 1e-4),
+)
+
+
+class TestClampsWithoutCalls:
+    """The comparison-spelled clamps price what ``min``/``max`` priced, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        model=st.one_of(st.just(SUMMIT_GPU), overridden_models),
+        total_bytes=st.integers(0, 1 << 32),
+        block_bytes=st.integers(1, 1 << 20),
+        target=st.sampled_from(["device", "host"]),
+        unpack=st.booleans(),
+        include_sync=st.booleans(),
+    )
+    def test_kernel_time_equals_the_min_max_reference(
+        self, model, total_bytes, block_bytes, target, unpack, include_sync
+    ):
+        got = model.kernel_time(
+            total_bytes, block_bytes, target=target, unpack=unpack, include_sync=include_sync
+        )
+        want = _reference_kernel_time(model, total_bytes, block_bytes, target, unpack, include_sync)
+        assert got.hex() == want.hex()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        model=st.one_of(st.just(SUMMIT_GPU), overridden_models),
+        block_bytes=st.integers(1, 1 << 16),
+        saturation=st.integers(1, 4096),
+    )
+    def test_coalescing_efficiency_equals_the_min_max_reference(
+        self, model, block_bytes, saturation
+    ):
+        want = min(1.0, max(model.min_efficiency, block_bytes / float(saturation)))
+        assert model.coalescing_efficiency(block_bytes, saturation).hex() == want.hex()

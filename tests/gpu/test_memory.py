@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gpu.device import Device
 from repro.gpu.errors import CudaBufferError, CudaInvalidValue
 from repro.gpu.memory import Buffer, DeviceBuffer, HostBuffer, MemoryKind, MemoryPool
+from repro.gpu.runtime import CudaRuntime
 
 
 class TestBufferBasics:
@@ -124,6 +127,94 @@ class TestFreedBuffers:
         view = buf.view(4)
         buf._freed = True
         assert view.freed
+
+
+def _reference_freed(buffer: Buffer) -> bool:
+    """``Buffer.freed`` as a property that recursed to the parent computed it."""
+    if buffer._parent is not None:
+        return _reference_freed(buffer._parent)
+    return buffer._freed
+
+
+def _reference(buffer: Buffer) -> tuple:
+    """``(nbytes, is_device, is_view, freed)`` as the properties computed them."""
+    return (
+        int(buffer._array.nbytes),
+        buffer.kind is MemoryKind.DEVICE,
+        buffer._parent is not None,
+        _reference_freed(buffer),
+    )
+
+
+@st.composite
+def view_chains(draw):
+    """A buffer kind and size, and a chain of views, each of the previous one."""
+    kind = draw(st.sampled_from(list(MemoryKind)))
+    size = draw(st.integers(0, 256))
+    chain, remaining = [], size
+    for _ in range(draw(st.integers(0, 4))):
+        offset = draw(st.integers(0, remaining))
+        nbytes = draw(st.one_of(st.none(), st.integers(0, remaining - offset)))
+        chain.append((offset, nbytes))
+        remaining = remaining - offset if nbytes is None else nbytes
+    return kind, size, chain
+
+
+def _allocate(runtime: CudaRuntime, kind: MemoryKind, size: int) -> Buffer:
+    if kind is MemoryKind.DEVICE:
+        return runtime.malloc(size)
+    return runtime.host_alloc(size, kind)
+
+
+class TestSlottedFacts:
+    """Size and kind are slots; a view's parent is its root; freeing is seen through it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=view_chains())
+    def test_facts_equal_what_the_properties_returned(self, case):
+        kind, size, chain = case
+        runtime = CudaRuntime()
+        root = _allocate(runtime, kind, size)
+        buffers = [root]
+        for offset, nbytes in chain:
+            buffers.append(buffers[-1].view(offset, nbytes))
+        for buffer in buffers:
+            assert (buffer.nbytes, buffer.is_device, buffer.is_view, buffer.freed) == _reference(buffer)
+            assert buffer._parent in (None, root)
+            assert len(buffer) == buffer.nbytes
+        runtime.free(root)
+        for buffer in buffers:
+            assert (buffer.nbytes, buffer.is_device, buffer.is_view, buffer.freed) == _reference(buffer)
+            assert buffer.freed
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=view_chains())
+    def test_every_view_of_a_freed_root_raises(self, case):
+        kind, size, chain = case
+        runtime = CudaRuntime()
+        root = _allocate(runtime, kind, size)
+        buffers = [root]
+        for offset, nbytes in chain:
+            buffers.append(buffers[-1].view(offset, nbytes))
+        for view in buffers[1:]:
+            with pytest.raises(CudaInvalidValue, match="cannot free a view"):
+                runtime.free(view)
+        runtime.free(root)
+        uses = {
+            "data": lambda b: b.data,
+            "view": lambda b: b.view(0, 0),
+            "as_ndarray": lambda b: b.as_ndarray(),
+            "fill": lambda b: b.fill(1),
+            "copy_from_host": lambda b: b.copy_from_host(np.zeros(0, dtype=np.uint8)),
+            "to_host": lambda b: b.to_host(),
+        }
+        for buffer in buffers:
+            for use in uses.values():
+                with pytest.raises(CudaBufferError, match="^buffer used after free$"):
+                    use(buffer)
+        for view in buffers[1:]:
+            with pytest.raises(CudaInvalidValue, match="cannot free a view"):
+                runtime.free(view)
 
 
 class TestMemoryPool:

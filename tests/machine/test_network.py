@@ -1,9 +1,11 @@
 """Tests for the network model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.machine.network import NetworkModel, TransferPath
-from repro.machine.spec import SUMMIT
+from repro.machine.spec import SUMMIT, InterconnectSpec, summit_like
 from repro.machine.topology import Topology
 
 
@@ -101,3 +103,41 @@ class TestCollectiveCost:
     def test_d2h_and_h2d_times(self, network):
         assert network.d2h_time(0) == pytest.approx(SUMMIT.node.cpu_gpu.latency_s)
         assert network.h2d_time(1 << 20) > network.h2d_time(1)
+
+
+PATHS = [(same, device) for same in (False, True) for device in (False, True)]
+
+
+class TestMessageTimeIsTheCostTotal:
+    """``message_time`` prices without a ``MessageCost``, bit for bit its ``total_s``."""
+
+    @pytest.mark.parametrize("same_node, device_buffers", PATHS)
+    def test_every_path_at_the_eager_edges(self, network, same_node, device_buffers):
+        threshold = network.machine.eager_threshold
+        for nbytes in (0, 1, threshold, threshold + 1, 1 << 30):
+            cost = network.message_cost(nbytes, same_node=same_node, device_buffers=device_buffers)
+            time = network.message_time(nbytes, same_node=same_node, device_buffers=device_buffers)
+            assert time.hex() == cost.total_s.hex()
+            assert cost.path is network.path(same_node=same_node, device_buffers=device_buffers)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        nbytes=st.integers(0, 1 << 34),
+        path=st.sampled_from(PATHS),
+        latency=st.floats(0.0, 1e-3),
+        overhead=st.floats(0.0, 1e-4),
+        bandwidth=st.floats(1e3, 1e12),
+        eager=st.integers(0, 1 << 20),
+    )
+    def test_drawn_machines(self, nbytes, path, latency, overhead, bandwidth, eager):
+        link = InterconnectSpec("drawn", latency, bandwidth, overhead)
+        network = NetworkModel(summit_like(inter_cpu=link, inter_gpu=link, eager_threshold=eager))
+        same_node, device_buffers = path
+        cost = network.message_cost(nbytes, same_node=same_node, device_buffers=device_buffers)
+        time = network.message_time(nbytes, same_node=same_node, device_buffers=device_buffers)
+        assert time.hex() == cost.total_s.hex()
+
+    def test_a_negative_size_raises_on_both(self, network):
+        for price in (network.message_cost, network.message_time):
+            with pytest.raises(ValueError, match="^nbytes must be non-negative, got -1$"):
+                price(-1)

@@ -1,9 +1,13 @@
 """Tests for rank placement."""
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.machine.spec import SUMMIT
-from repro.machine.topology import Topology
+from repro.machine.topology import Topology, TopologySpec
 
 
 class TestConstruction:
@@ -69,3 +73,39 @@ class TestPlacement:
     def test_out_of_range_node_rejected(self):
         with pytest.raises(ValueError):
             Topology(4, ranks_per_node=2).ranks_on_node(5)
+
+
+def _rank_error(rank: int, nranks: int) -> str:
+    """The ``ValueError`` text a rank outside the world has always raised."""
+    return f"^{re.escape(f'rank {rank} outside [0, {nranks})')}$"
+
+
+class TestRankChecks:
+    """``node_of``/``same_node`` check ranks inline and name the first bad one."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        nranks=st.integers(1, 40),
+        ranks_per_node=st.integers(1, SUMMIT.node.gpus),
+        a=st.integers(-3, 44),
+        b=st.integers(-3, 44),
+    )
+    def test_lookups_equal_the_checked_reference(self, nranks, ranks_per_node, a, b):
+        topo = Topology(nranks, ranks_per_node)
+        for rank in (a, b):
+            if 0 <= rank < nranks:
+                assert topo.node_of(rank) == rank // ranks_per_node
+            else:
+                with pytest.raises(ValueError, match=_rank_error(rank, nranks)):
+                    topo.node_of(rank)
+        bad = [rank for rank in (a, b) if not 0 <= rank < nranks]
+        if bad:
+            with pytest.raises(ValueError, match=_rank_error(bad[0], nranks)):
+                topo.same_node(a, b)
+        else:
+            assert topo.same_node(a, b) == (a // ranks_per_node == b // ranks_per_node)
+
+    def test_hierarchical_is_fixed_at_construction(self):
+        assert not Topology(8, 2).hierarchical
+        assert not Topology(8, spec=TopologySpec.flat(2)).hierarchical
+        assert Topology(8, spec=TopologySpec(ranks_per_node=2, rails_per_node=1)).hierarchical

@@ -12,7 +12,11 @@ rule on the system and the TEMPI communicator and raises
 :class:`MpiArgumentError` naming ``count``; so do the neighbours, counts,
 displacements and ``sendcount`` of every v-collective, blocking, nonblocking
 and persistent (``sendcounts[1]``, ``recvdispls[0]`` …), where ``int()``
-used to truncate a float and accept a bool or a string.
+used to truncate a float and accept a bool or a string.  ``Pack_size``
+checks its count the same way and its datatype as ``Type_commit`` does
+(``datatype: expected a Datatype``), where ``Pack_size(2.5, FLOAT)`` returned
+``10.0``; a v-collective's list of datatypes names its bad element
+(``sendtypes[1]: expected a Datatype, got 'x'``).
 """
 
 from __future__ import annotations
@@ -189,6 +193,56 @@ class TestMessageCount:
         assert type(count) is int and count == 3
 
 
+class TestPackSize:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        kind=st.sampled_from(["system", "tempi"]),
+        count=non_integers | st.just(0.5) | st.just(2.5),
+    )
+    def test_a_non_integer_count_is_named(self, rank0, kind, count):
+        _, comms, _, datatype = rank0
+        with pytest.raises(MpiArgumentError, match=r"^count must be an integer, got "):
+            comms[kind].Pack_size(count, datatype)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["system", "tempi"]), datatype=non_datatypes)
+    def test_a_non_datatype_is_named(self, rank0, kind, datatype):
+        _, comms, _, _ = rank0
+        with pytest.raises(MpiTypeError, match=r"^datatype: expected a Datatype, got "):
+            comms[kind].Pack_size(1, datatype)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["system", "tempi"]),
+        count=st.integers(-4, 1 << 20),
+        numpy=st.booleans(),
+        datatype=st.sampled_from([BYTE, FLOAT, DOUBLE, Type_vector(3, 2, 5, FLOAT)]),
+    )
+    def test_an_integer_count_is_priced_and_positivity_stays(
+        self, rank0, kind, count, numpy, datatype
+    ):
+        _, comms, _, _ = rank0
+        pack_size = comms[kind].Pack_size
+        drawn = np.int64(count) if numpy else count
+        if count <= 0:
+            with pytest.raises(MpiTypeError, match=r"^count must be positive, got "):
+                pack_size(drawn, datatype)
+        else:
+            size = pack_size(drawn, datatype)
+            assert type(size) is int and size == count * datatype.size
+
+    def test_the_reported_cases_raise(self, rank0):
+        _, comms, _, _ = rank0
+        for comm in comms.values():
+            assert comm.Pack_size(3, FLOAT) == 12
+            for count in (2.5, True, "3"):
+                with pytest.raises(MpiArgumentError, match="^count must be an integer"):
+                    comm.Pack_size(count, FLOAT)
+            for datatype in ("MPI_FLOAT", None, 4):
+                with pytest.raises(MpiTypeError, match="^datatype: expected a Datatype"):
+                    comm.Pack_size(1, datatype)
+
+
 # --------------------------------------------------------------------------- #
 # Peers, counts and displacements of the v-collectives, on both communicators.
 # --------------------------------------------------------------------------- #
@@ -314,3 +368,36 @@ class TestVCollectiveArguments:
             return np.int64(value) if type(value) is int else list(np.array(value, dtype=np.int64))
 
         assert received(to_numpy) == received(lambda value: value)
+
+
+#: ``(collective, form)`` of every v-collective that takes a list of datatypes,
+#: and the list arguments it takes.
+V_TYPE_LISTS = [
+    pytest.param(form, collective, arg, id=f"{form}-{collective}-{arg}")
+    for collective, args in (
+        ("alltoallv", ("sendtypes", "recvtypes")),
+        ("neighbor_alltoallv", ("sendtypes", "recvtypes")),
+        ("allgatherv", ("recvtypes",)),
+    )
+    for arg in args
+    for form in ("blocking", "nonblocking", "persistent")
+    if (collective, form) in V_METHODS
+]
+
+
+class TestVCollectiveTypeLists:
+    @pytest.mark.parametrize("kind", ["system", "tempi"])
+    @pytest.mark.parametrize("form, collective, arg", V_TYPE_LISTS)
+    def test_a_non_datatype_element_is_named(self, rank0, kind, form, collective, arg):
+        world, comms, buffer, datatype = rank0
+        args = v_arguments(collective, buffer, buffer)
+        types = v_types(collective, datatype)
+        types[arg] = [datatype, "x"]
+
+        def attempt(ctx) -> None:
+            if ctx.rank == 0:
+                message = rf"^{arg}\[1\]: expected a Datatype, got 'x'$"
+                with pytest.raises(MpiArgumentError, match=message):
+                    v_call(comms[kind], collective, form, args, types)
+
+        world.run(attempt)

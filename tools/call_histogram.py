@@ -1,6 +1,7 @@
 """Where a benchmark workload's Python/C calls go, per op.
 
     python tools/call_histogram.py --workload halo|replay|pack [--top N]
+    python tools/call_histogram.py --workload halo|replay|pack --callers NAME
     python tools/call_histogram.py --workload pack --stages
 
 Runs the benchmark's own ``halo_world`` / ``ml_replay`` / ``datatype_pack``
@@ -14,6 +15,11 @@ inflates call-heavy Python against numpy, so read the µs column as a
 ranking (``benchmarks/e2e/run.py`` has the gated numbers).
 ``docs/ARCHITECTURE.md`` § "Scalar message path" and § "Commit path" are
 sized from it.
+
+``--callers NAME`` prints, instead of the two tables, every profiled function
+whose name contains ``NAME`` (``is_device``, ``_check_rank``, ``builtins.max``
+…) with its calls per op, and under it each caller and the calls per op it
+makes, most first: which call sites a per-op count is worth chasing at.
 
 ``--stages`` (``pack`` only) prints § "Commit path"'s table instead: the
 calls of one warm ``datatype_pack`` round, each charged to the innermost
@@ -91,7 +97,7 @@ def stage_calls(workload, rounds: int = 1) -> Counter:
     running when it is made; a call that enters a stage counts in it.
     """
     codes = stage_codes(workload)
-    calls: Counter = Counter()
+    calls: Counter = Counter(dict.fromkeys(STAGES, 0))  # a stage may make no call
     stack: list[tuple[str, object]] = [("round loop", None)]
     outer = sys._getframe()
 
@@ -129,15 +135,33 @@ def print_stages(workload, rounds: int) -> None:
     print(f"{sum(calls.values()) / rounds:12.1f}  = round")
 
 
+def print_callers(stats: pstats.Stats, ops: int, name: str) -> None:
+    """Each profiled function whose name contains ``name``, and its callers, per op."""
+    for (path, line, function), (_, ncalls, _, _, callers) in sorted(
+        stats.stats.items(), key=lambda item: -item[1][1]
+    ):
+        if name not in function:
+            continue
+        print(f"{ncalls / ops:10.3f}  {Path(path).name}:{line}({function})")
+        for (caller_path, caller_line, caller), counts in sorted(
+            callers.items(), key=lambda item: -item[1][0]
+        ):
+            print(f"{counts[0] / ops:10.3f}    <- {Path(caller_path).name}:{caller_line}({caller})")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", choices=("halo", "replay", "pack"), required=True)
     parser.add_argument("--top", type=int, default=40, help="functions to list")
     parser.add_argument("--stages", action="store_true",
                         help="calls per round by commit stage (pack only)")
+    parser.add_argument("--callers", metavar="NAME",
+                        help="callers per op of each function whose name contains NAME")
     args = parser.parse_args(argv)
     if args.stages and args.workload != "pack":
         parser.error("--stages needs --workload pack")
+    if args.stages and args.callers:
+        parser.error("--stages and --callers print different tables; pick one")
     import workloads
     from repro.tempi import measurement
     from repro.tempi.perf_model import PerformanceModel
@@ -150,6 +174,9 @@ def main(argv: list[str] | None = None) -> int:
         print_stages(workload, cls.counted_rounds)
         return 1 if workload.failed_ops else 0
     ops, stats = profile_threads(lambda: workload.block(6))
+    if args.callers:
+        print_callers(stats, ops, args.callers)
+        return 1 if workload.failed_ops else 0
     functions = sorted((
         (ncalls / ops, 1e6 * self_s / ops, Path(path).name, f"{line}({name})")
         for (path, line, name), (_, ncalls, self_s, _, _) in stats.stats.items()
