@@ -232,9 +232,19 @@ def _load_model(measurement_path: Optional[Path]) -> PerformanceModel:
     return PerformanceModel(measure_system(SUMMIT))
 
 
+def _bad_flag(values, *, zero_ok: bool = False) -> bool:
+    """Print the error line naming the first ``(flag, value)`` out of range
+    (below 1, or below 0 when ``zero_ok``); return whether there was one."""
+    for flag, value in values:
+        if value < 0 or (value == 0 and not zero_ok):
+            need = "non-negative" if zero_ok else "positive"
+            print(f"error: {flag} must be {need}, got {value}", file=sys.stderr)
+            return True
+    return False
+
+
 def _cmd_predict(args: argparse.Namespace) -> int:
-    if args.size <= 0 or args.block <= 0:
-        print("error: --size and --block must be positive", file=sys.stderr)
+    if _bad_flag([("--size", args.size), ("--block", args.block)]):
         return 2
     model = _load_model(args.measurement)
     estimate = model.estimate(args.size, args.block)
@@ -272,13 +282,15 @@ def _cmd_select_table(args: argparse.Namespace) -> int:
     from repro.tempi.measurement import DEFAULT_BLOCKS
     from repro.tempi.selection import contended_estimate
 
-    if args.plans < 0 or args.incast < 0 or args.link_busy < 0:
-        print("error: --plans, --incast and --link-busy must be non-negative", file=sys.stderr)
+    if _bad_flag(
+        [("--plans", args.plans), ("--incast", args.incast), ("--link-busy", args.link_busy)],
+        zero_ok=True,
+    ):
         return 2
     sizes = args.sizes if args.sizes else [1 << p for p in range(8, 23)]
     blocks = args.blocks if args.blocks else list(DEFAULT_BLOCKS)
-    if any(s <= 0 for s in sizes) or any(b <= 0 for b in blocks):
-        print("error: sizes and blocks must be positive", file=sys.stderr)
+    if _bad_flag([(f"--sizes[{i}]", size) for i, size in enumerate(sizes)]
+                 + [(f"--blocks[{i}]", block) for i, block in enumerate(blocks)]):
         return 2
     topology: Optional[Topology] = None
     if args.topology is not None:
@@ -366,8 +378,7 @@ def _cmd_select_table(args: argparse.Namespace) -> int:
 def _cmd_topo_show(args: argparse.Namespace) -> int:
     from repro.machine.topology import Topology, TopologyError, TopologySpec
 
-    if args.ranks <= 0 or args.size <= 0:
-        print("error: --ranks and --size must be positive", file=sys.stderr)
+    if _bad_flag([("--ranks", args.ranks), ("--size", args.size)]):
         return 2
     try:
         if args.spec is not None:

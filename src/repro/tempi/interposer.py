@@ -264,13 +264,6 @@ class TempiCommunicator:
             stats=self.tempi.stats,
             topology=topology,
         )
-        #: Hoisted off the per-restart replay path: the selector is fixed for the
-        #: interposer's lifetime, so its batched-replay capability is too,
-        #: and the communicator's clock never changes identity.
-        self._selector_batchable = bool(
-            getattr(self._selector, "peer_invariant", False)
-            and hasattr(self._selector, "select_many")
-        )
         self._clock = comm.clock
         #: What every interposed call is charged (Sec. 6.3): the handler
         #: lookup plus the pointer check.
@@ -490,10 +483,10 @@ class TempiCommunicator:
         # price the link to — and the ingestion backlog of — that rank.
         select_peer = peer if send else None
         # The first start asks the selector as any call does; a restart
-        # replays it — ``select_many(count=1)`` is one scalar selection,
-        # charge for charge, and by then a memo hit found in one probe.
+        # replays it through ``select_many``, the same selection charge for
+        # charge, and by then a memo hit found in one probe.
         selector = self._selector
-        reselect = selector.select_many if self._selector_batchable else selector
+        reselect = selector.select_many
         compile_plan = _plan.compile_send if send else _plan.compile_recv
         clock = self._clock
         overhead = self._overhead_s
@@ -504,7 +497,7 @@ class TempiCommunicator:
 
         def start() -> None:
             nonlocal plan, bound_method
-            # _charge_interposition_overhead, inlined as _plan_from_template does.
+            # _charge_interposition_overhead, inlined: every start pays it.
             clock.now += overhead
             clock._events += 1
             method = (selector if plan is None else reselect)(packer, nbytes, select_peer)
@@ -866,71 +859,6 @@ class TempiCommunicator:
                 self.tempi.stats.method_counts.get(name, 0) + hits
             )
 
-    def _plan_from_template(self, template: _plan.PlanTemplate, send, recv) -> MessagePlan:
-        """Materialize a bound template: same charges as a fresh compile.
-
-        Mirrors :meth:`_compile_collective` step for step — handler-use
-        accounting, interposition overhead, then the selection transcript
-        replayed through the live selector (so every model-query charge lands
-        on the clock exactly as a recompile would charge it) — and
-        materializes a fresh plan around the template's stages.
-        """
-        for handler in template.handlers:
-            handler.uses += 1
-        # Inlined _charge_interposition_overhead: this is the hottest call
-        # site and the method body is a single clock advance.
-        cost = self._overhead_s
-        clock = self._clock
-        clock.now += cost
-        clock._events += 1
-        stats = self.tempi.stats
-        stats.collective_hits += 1
-        selector = self._selector
-        methods: Optional[tuple] = None
-        if self._selector_batchable:
-            # Batched replay prices one representative per equivalence class
-            # and replays the per-member charges — bit-identical clocks,
-            # fewer calls.  Single-class templates (every homogeneous halo
-            # exchange) skip the generic replay/materialize walk entirely:
-            # one select_many carries all charges, and when it confirms the
-            # recorded transcript the plan is rebuilt straight from the
-            # template's steady-state caches.
-            # The steady caches are plain attributes, filled eagerly by
-            # PlanTemplate.from_plan (the only constructor of bound
-            # templates) — read them directly rather than through the lazy
-            # accessor methods.
-            runs = template._class_runs
-            if len(runs) == 1:
-                packer, nbytes, peer, count = runs[0]
-                method = selector.select_many(packer, nbytes, peer, count=count)
-                methods = (method,) * count
-                if methods == template.methods:
-                    counts = stats.method_counts
-                    for name, hits in template._steady_counts.items():
-                        counts[name] = counts.get(name, 0) + hits
-                    return MessagePlan(
-                        op=template.op,
-                        send_buffer=send,
-                        recv_buffer=recv,
-                        pack_stages=list(template.pack_stages),
-                        post_stages=list(template._steady_posts),
-                        unpack_stages=list(template.unpack_stages),
-                        local=template.local,
-                        nonblocking=template.nonblocking,
-                    )
-        if methods is None:
-            methods = tuple(template.replay(selector))
-        plan = template.materialize(methods, send, recv)
-        if methods == template.methods:
-            # Steady state: the replay confirmed the recorded transcript, so
-            # the per-method counts are the template's cached ones.
-            counts = stats.method_counts
-            for name, hits in template.steady_method_counts().items():
-                counts[name] = counts.get(name, 0) + hits
-        else:
-            self._count_methods(plan)
-        return plan
-
     def _compile_collective(
         self,
         op: str,
@@ -1209,14 +1137,16 @@ class PersistentCollective(Request):
     ``Start`` owes: the first is the one-shot call's compile (validation, the
     fallback decision, every charge), and under ``plan_cache`` it records
     the compiled plan as a :class:`~repro.tempi.plan.PlanTemplate` and counts
-    one ``plan_cache_misses``; a restart replays that template through
-    :meth:`TempiCommunicator._plan_from_template` and counts one
-    ``plan_cache_hits``.  With ``plan_cache`` off, or a call that falls back,
-    a restart compiles again, as the one-shot call would.  This template is
-    the only plan reuse there is.  ``Start`` executes the charged plan into
-    this request, or runs the system's call when there is none.  The request
-    joins the rank's registry at its first ``Start``, the first time it can
-    be active.
+    one ``plan_cache_misses``; a restart replays that template and counts one
+    ``plan_cache_hits``.  A *steady* restart (see :attr:`_steady`) skips the
+    replay: its memo probe proves the replay would be all memo hits
+    returning the recorded method, so it writes those books directly, as
+    :func:`charge_batch` does for one member.  With ``plan_cache`` off, or
+    a call that falls back, a restart compiles again, as the one-shot call
+    would.  This template is the only plan reuse there is.  ``Start``
+    executes the charged plan into this request, or runs the system's call
+    when there is none.  The request joins the rank's registry at its first
+    ``Start``, the first time it can be active.
     """
 
     def __init__(self, owner: TempiCommunicator, op: str, system, head: tuple, peers: list,
@@ -1228,57 +1158,97 @@ class PersistentCollective(Request):
         self._template: Optional[_plan.PlanTemplate] = None
         self._send = self._recv = None
         self._clock_id = id(owner._clock)
-        #: What :func:`charge_batch` needs of a steady restart, when the
-        #: template allows one (else None): the selection memo, the probe
-        #: key, the bound method, the ``(overhead, count)`` class, then the
-        #: clock, the two stats objects, ``(handler, uses)`` pairs and the
-        #: per-method message counts a restart bumps.
+        #: What a steady restart needs, read by :meth:`charge` and
+        #: :func:`charge_batch`, when the template allows one (else None):
+        #: the selection memo, the probe key, the bound method, the
+        #: ``(overhead, count)`` class, then the clock, the two stats
+        #: objects, ``(handler, uses)`` pairs and the per-method message
+        #: counts a restart bumps.
         self._steady: Optional[tuple] = None
 
-    def _bind(self, template: _plan.PlanTemplate) -> None:
+    def _bind(self, plan: MessagePlan, handlers: list) -> None:
+        """Record the first start's ``plan`` as the template every restart
+        replays, and fill :attr:`_steady` when a restart may be charged
+        without replaying it: one ``(nbytes, block_length)`` class of
+        positive size, one recorded method, and a peer-invariant model
+        selector whose memo can hold it."""
         owner = self._owner
-        self._template = template
+        template = self._template = _plan.PlanTemplate.from_plan(plan, handlers=handlers)
         self._send, self._recv = as_buffer(self._buffers[0]), as_buffer(self._buffers[3])
         selector = owner._selector
-        runs = template._class_runs
+        classes = {(n, p.block.block_length) for p, n, _ in template.selections}
+        if len(classes) != 1:  # a self-only exchange asks the selector nothing
+            return
+        ((nbytes, block_length),) = classes
         if not (
-            len(runs) == 1 and runs[0][1] > 0 and owner._selector_batchable
-            and isinstance(selector, ModelSelector) and selector.cache.enabled
-            and selector.config.selection_memo and len(set(template.methods)) == 1
+            nbytes > 0 and len(set(template.methods)) == 1
+            and isinstance(selector, ModelSelector) and selector.peer_invariant
+            and selector.cache.enabled and selector.config.selection_memo
         ):
             return
-        packer, nbytes, _, count = runs[0]
         uses: dict[int, list] = {}  # id -> [handler, sections of it in the template]
         for handler in template.handlers:
             uses.setdefault(id(handler), [handler, 0])[1] += 1
         self._steady = (
             selector.cache._queries,
-            ("method", int(nbytes), int(packer.block.block_length)),
+            ("method", int(nbytes), int(block_length)),
             template.methods[0],
-            (owner._overhead_s, count),
+            (owner._overhead_s, len(template.selections)),
             owner._clock,
             owner.tempi.stats,
             selector.cache.stats,
             tuple(map(tuple, uses.values())),
-            tuple(template._steady_counts.items()),
+            tuple(plan.method_counts().items()),
         )
 
     def charge(self) -> Optional[MessagePlan]:
         """Apply every charge and stats line one ``Start`` owes; return the
-        plan to execute, or ``None`` when the round is the system's call."""
+        plan to execute, or ``None`` when the round is the system's call.
+
+        A restart pays a recompile's charges without the compile: handler
+        uses, the interposition overhead and the replayed selection
+        transcript; a steady one writes the books of an all-hit replay
+        without replaying.
+        """
         owner = self._owner
-        if self._template is not None:
-            owner.tempi.stats.plan_cache_hits += 1
-            return owner._plan_from_template(self._template, self._send, self._recv)
-        sendbuf, sendcounts, senddispls, recvbuf, recvcounts, recvdispls = self._buffers
-        plan, handlers = owner._compile_collective(
-            self._op, self._peers, sendbuf, sendcounts, senddispls, self._types[0],
-            recvbuf, recvcounts, recvdispls, self._types[1], nonblocking=True,
-        )
-        if plan is not None and owner.config.plan_cache:
-            owner.tempi.stats.plan_cache_misses += 1
-            self._bind(_plan.PlanTemplate.from_plan(plan, handlers=handlers))
-        return plan
+        template = self._template
+        if template is None:
+            sendbuf, sendcounts, senddispls, recvbuf, recvcounts, recvdispls = self._buffers
+            plan, handlers = owner._compile_collective(
+                self._op, self._peers, sendbuf, sendcounts, senddispls, self._types[0],
+                recvbuf, recvcounts, recvdispls, self._types[1], nonblocking=True,
+            )
+            if plan is not None and owner.config.plan_cache:
+                owner.tempi.stats.plan_cache_misses += 1
+                self._bind(plan, handlers)
+            return plan
+        stats = owner.tempi.stats
+        stats.plan_cache_hits += 1
+        stats.collective_hits += 1
+        steady = self._steady
+        if steady is None or steady[0].get(steady[1]) is not steady[2]:
+            for handler in template.handlers:
+                handler.uses += 1
+            owner._charge_interposition_overhead()
+            plan = template.materialize(template.replay(owner._selector), self._send, self._recv)
+            owner._count_methods(plan)
+            return plan
+        # A steady restart: the books :func:`charge_batch` writes for one
+        # member, in the replay's order of clock additions.
+        _, _, _, (overhead, count), clock, _, cache_stats, uses, counts = steady
+        now = clock.now + overhead
+        for _ in range(count):
+            now += MODEL_CACHED_QUERY_S
+        clock.now = now
+        clock._events += 1 + count
+        stats.selection_memo_hits += count
+        cache_stats.query_hits += count
+        for handler, n in uses:
+            handler.uses += n
+        methods = stats.method_counts
+        for name, hits in counts:
+            methods[name] = methods[name] + hits if name in methods else hits
+        return template.materialize(template.methods, self._send, self._recv)
 
     def _start(self) -> None:
         if self._registry is None:
@@ -1308,7 +1278,7 @@ def charge_batch(requests: Sequence[PersistentCollective]) -> np.ndarray:
     numpy vector adds over the class's clocks (the same serial float sums)
     and the counters are bumped in place.  Every other member — a first
     start, a memo miss, a changed method, ``plan_cache`` off, a selector that
-    is not batchable — takes its scalar :meth:`~PersistentCollective.charge`,
+    is not peer-invariant — takes its scalar :meth:`~PersistentCollective.charge`,
     and so does the whole batch when two members share a clock.
     """
     flags = None

@@ -453,16 +453,17 @@ class PlanTemplate:
     Holds the compile's stages (shared across materializations — the executor
     only touches per-execution state on them) and the selection transcript:
     ``(packer, nbytes, peer)`` per selector call plus the returned methods,
-    in call order.  ``post_specs`` keeps post stages as
-    ``(peer, nbytes, pack_index)`` indices into ``pack_stages`` so rebuilt
-    pack stages re-link without object surgery.
+    in call order.  ``posts`` keeps each recorded post stage with the index
+    of its pack stage in ``pack_stages``, so a post re-links only when its
+    pack stage was rebuilt.  A restart is :meth:`replay` then
+    :meth:`materialize`.
     """
 
     op: str
     nonblocking: bool
     pack_stages: tuple[PackStage, ...]
     unpack_stages: tuple[UnpackStage, ...]
-    post_specs: tuple[tuple[int, int, int], ...]
+    posts: tuple[tuple[PostStage, int], ...]
     local: Optional[tuple[PackStage, UnpackStage]]
     selections: tuple[tuple[Packer, int, Optional[int]], ...]
     methods: tuple[PackMethod, ...]
@@ -480,117 +481,30 @@ class PlanTemplate:
         """
         packs, unpacks = tuple(plan.pack_stages), tuple(plan.unpack_stages)
         index = {id(stage): i for i, stage in enumerate(packs)}
-        template = cls(
+        return cls(
             op=plan.op,
             nonblocking=plan.nonblocking,
             pack_stages=packs,
             unpack_stages=unpacks,
-            post_specs=tuple(
-                (post.peer, post.nbytes, index[id(post.pack)]) for post in plan.post_stages
-            ),
+            posts=tuple((post, index[id(post.pack)]) for post in plan.post_stages),
             local=plan.local,
             selections=tuple((s.sections[0].packer, int(s.nbytes), s.peer) for s in packs)
             + tuple((s.sections[0].packer, int(s.nbytes), None) for s in unpacks),
             methods=tuple(stage.method for stage in packs + unpacks),
             handlers=tuple(handlers),
         )
-        # Fill the steady-state caches at capture time: every restart reads
-        # them, so lazily building them on the first restart just moves a
-        # cold branch onto the hot path.
-        template.class_runs()
-        template.steady_method_counts()
-        template._steady_post_stages()
-        return template
-
-    def class_runs(self) -> tuple:
-        """Consecutive transcript runs over one equivalence class.
-
-        Each run is ``(packer, nbytes, peer, count)`` — maximal stretches of
-        the recorded transcript sharing one ``(nbytes, block_length)`` class.
-        The transcript is immutable, so the grouping is computed once and
-        cached on the template (the batched replay is a per-restart hot path).
-        """
-        runs = getattr(self, "_class_runs", None)
-        if runs is None:
-            built = []
-            calls = self.selections
-            total = len(calls)
-            i = 0
-            while i < total:
-                packer, nbytes, peer = calls[i]
-                block_length = packer.block.block_length
-                j = i + 1
-                while (
-                    j < total
-                    and calls[j][1] == nbytes
-                    and calls[j][0].block.block_length == block_length
-                ):
-                    j += 1
-                built.append((packer, nbytes, peer, j - i))
-                i = j
-            runs = tuple(built)
-            object.__setattr__(self, "_class_runs", runs)
-        return runs
 
     def replay(self, select: MethodSelector) -> list[PackMethod]:
-        """Re-run the recorded selector calls (same order, same charges).
+        """Re-run the recorded selector calls: same order, so same charges.
 
-        With a peer-invariant selector, consecutive transcript runs over one
-        equivalence class — same ``nbytes``, same block length — collapse
-        into a single :meth:`~repro.tempi.selection.ModelSelector.select_many`
-        call, which prices the representative once and replays the per-member
-        charges, so the returned methods *and* the priced clock match the
-        scalar replay bit for bit.  Peer-dependent selectors (or selectors
-        without ``select_many``) take the scalar loop.
+        Each call goes through the selector's ``select_many``, the entry
+        every restart asks again through (a point-to-point restart too).
         """
-        if not getattr(select, "peer_invariant", False) or not hasattr(
-            select, "select_many"
-        ):
-            return [select(packer, nbytes, peer) for packer, nbytes, peer in self.selections]
-        methods: list[PackMethod] = []
-        for packer, nbytes, peer, count in self.class_runs():
-            method = select.select_many(packer, nbytes, peer, count=count)
-            methods.extend([method] * count)
-        return methods
-
-    def steady_method_counts(self) -> dict[str, int]:
-        """Wire messages per recorded method, cached on the template.
-
-        Equals ``materialize(self.methods, ...).method_counts()`` — valid for
-        folding into stats whenever a replay returned the recorded transcript
-        (the steady state), sparing the per-restart dict rebuild.
-        """
-        counts = getattr(self, "_steady_counts", None)
-        if counts is None:
-            counts = {}
-            for _, _, i in self.post_specs:
-                name = self.pack_stages[i].method.value
-                counts[name] = counts.get(name, 0) + 1
-            object.__setattr__(self, "_steady_counts", counts)
-        return counts
-
-    def _steady_post_stages(self) -> tuple:
-        """The post-stage list of a steady-state materialization, cached.
-
-        Post stages are immutable ``(peer, nbytes, pack)`` triples over the
-        *shared* pack stages, so when a replay keeps the recorded methods the
-        same objects can serve every materialization.
-        """
-        posts = getattr(self, "_steady_posts", None)
-        if posts is None:
-            packs = self.pack_stages
-            posts = tuple(
-                PostStage(peer=peer, nbytes=nbytes, pack=packs[i])
-                for peer, nbytes, i in self.post_specs
-            )
-            object.__setattr__(self, "_steady_posts", posts)
-        return posts
+        return [select.select_many(packer, nbytes, peer) for packer, nbytes, peer in self.selections]
 
     @staticmethod
     def _rebind(stage, method: PackMethod):
-        """The stage with ``method`` swapped in (shared unless it changed)."""
-        if method is stage.method:
-            return stage
+        """A copy of the stage with ``method`` and its staging kind."""
         key = stage.staging_key
         if key is not None:
             key = key[:-1] + (staging_kind(method),)
@@ -610,38 +524,31 @@ class PlanTemplate:
     ) -> MessagePlan:
         """A fresh :class:`MessagePlan` around the template's stages.
 
-        ``methods`` is the replayed transcript; when it matches the recorded
-        one (the steady state) every stage is shared, otherwise the diverging
-        stages are rebuilt with their new method and staging kind.  The plan
-        object itself is always new — the executor stamps the collective
-        ``tag`` onto it, which must not leak across calls.
+        ``methods`` is the replayed transcript.  A stage whose method it
+        keeps is shared; a stage whose method changed is rebuilt with the new
+        method and staging kind (:meth:`_rebind`), and only the posts of a
+        rebuilt pack stage are rebuilt to link to it.  The plan object itself
+        is always new — the executor stamps the collective ``tag`` onto it,
+        which must not leak across calls.
         """
-        methods = tuple(methods)
-        if methods == self.methods:
-            packs: Sequence[PackStage] = self.pack_stages
-            unpacks: Sequence[UnpackStage] = self.unpack_stages
-            posts: Sequence[PostStage] = self._steady_post_stages()
-        else:
-            npack = len(self.pack_stages)
-            packs = [
-                self._rebind(stage, method)
-                for stage, method in zip(self.pack_stages, methods[:npack])
-            ]
-            unpacks = [
-                self._rebind(stage, method)
-                for stage, method in zip(self.unpack_stages, methods[npack:])
-            ]
-            posts = [
-                PostStage(peer=peer, nbytes=nbytes, pack=packs[i])
-                for peer, nbytes, i in self.post_specs
-            ]
+        packs = [
+            stage if method is stage.method else self._rebind(stage, method)
+            for stage, method in zip(self.pack_stages, methods)
+        ]
         return MessagePlan(
             op=self.op,
             send_buffer=send_buffer,
             recv_buffer=recv_buffer,
-            pack_stages=list(packs),
-            post_stages=list(posts),
-            unpack_stages=list(unpacks),
+            pack_stages=packs,
+            post_stages=[
+                post if post.pack is packs[i]
+                else PostStage(peer=post.peer, nbytes=post.nbytes, pack=packs[i])
+                for post, i in self.posts
+            ],
+            unpack_stages=[
+                stage if method is stage.method else self._rebind(stage, method)
+                for stage, method in zip(self.unpack_stages, methods[len(packs):])
+            ],
             local=self.local,
             nonblocking=self.nonblocking,
         )

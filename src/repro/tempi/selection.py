@@ -104,6 +104,12 @@ class MethodSelector(Protocol):
     ) -> PackMethod:  # pragma: no cover - protocol
         ...
 
+    def select_many(
+        self, packer: Any, nbytes: int, peer: Optional[int] = None
+    ) -> PackMethod:  # pragma: no cover - protocol
+        """Select as ``__call__`` does, charge for charge (a restart asks here)."""
+        ...
+
 
 # --------------------------------------------------------------------------- #
 # Contended pricing (shared by the selector, the benchmark and the analytic
@@ -237,12 +243,10 @@ def contended_estimate(
 # --------------------------------------------------------------------------- #
 
 class FixedSelector:
-    """Always the configured method — ``TEMPI_PLACE_*``-style forcing."""
+    """Always the configured method — ``TEMPI_PLACE_*``-style forcing.
 
-    #: Decisions ignore ``peer`` entirely, so one selection prices a whole
-    #: equivalence class (the batch-booking contract :meth:`select_many`
-    #: relies on).
-    peer_invariant = True
+    Nothing is priced, so a restart's :meth:`select_many` is the plain call.
+    """
 
     def __init__(self, method: PackMethod) -> None:
         if method is PackMethod.AUTO:
@@ -255,10 +259,8 @@ class FixedSelector:
             return NOOP_METHOD
         return self.method
 
-    def select_many(
-        self, packer: Any, nbytes: int, peer: Optional[int] = None, count: int = 1
-    ) -> PackMethod:
-        """Select for ``count`` same-shape messages — free, nothing is priced."""
+    def select_many(self, packer: Any, nbytes: int, peer: Optional[int] = None) -> PackMethod:
+        """Return the forced method, as :meth:`__call__` does (a restart's call)."""
         return self(packer, nbytes, peer)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -278,8 +280,10 @@ class ModelSelector:
     """
 
     #: The contention-free decision is a pure function of
-    #: ``(nbytes, block_length)`` — ``peer`` never participates — so one
-    #: representative prices a whole homogeneous batch (:meth:`select_many`).
+    #: ``(nbytes, block_length)`` — ``peer`` never participates — so a memo
+    #: hit found by that key alone is the answer (:meth:`select_many`), and a
+    #: steady restart's charge is the same for every rank
+    #: (:func:`~repro.tempi.interposer.charge_batch`).
     peer_invariant = True
 
     def __init__(
@@ -363,76 +367,39 @@ class ModelSelector:
         self._charge(cached)
         return method
 
-    def select_many(
-        self, packer: Any, nbytes: int, peer: Optional[int] = None, count: int = 1
-    ) -> PackMethod:
-        """Select once for ``count`` same-shape messages, replaying the charges.
+    def select_many(self, packer: Any, nbytes: int, peer: Optional[int] = None) -> PackMethod:
+        """Select as :meth:`__call__` does, charge for charge (a restart's call).
 
-        Defined as exactly ``count`` scalar calls: the representative call
-        runs first (memoising the decision, charging hit or miss as the cache
-        finds it), and because the decision for a ``(nbytes, block_length)``
-        class is then guaranteed memoised, members ``2..count`` are replayed
-        as the bookkeeping a scalar hit performs — one cache query hit, one
-        memo-hit note and one cached-query clock charge each, with the clock
-        advanced *per member* so event counts (and thus priced clocks) cannot
-        drift from the loop.  When the memo cannot guarantee hits (cache off
-        or absent, ``selection_memo`` disabled) the members simply run as the
-        scalar loop.
+        With the memo on, a restart's decision is usually stored already: one
+        probe finds it and writes the books a scalar hit writes (one query
+        hit, one memo-hit note, one cached-query charge) without the scalar
+        call chain; anything else takes the scalar call.  The shortcut is kept
+        for ``halo_world``'s timed point-to-point restarts, and the name,
+        though it selects for one message, because the e2e tracer names it.
         """
         if nbytes <= 0:
             return NOOP_METHOD
         cache = self.cache
-        replayable = (
+        if (
             self.peer_invariant
             and cache is not None
             and cache.enabled
             and self.config.selection_memo
-        )
-        if replayable:
-            # Fast path: probe the memo store directly.  A present key means
-            # the representative and every member would each replay as one
-            # scalar hit — one query hit, one memo-hit note and one
-            # cached-query clock charge — so writing those books ``count``
-            # times here is bit-identical to the decomposition below, minus
-            # the per-member call chain.  An absent key falls through to the
-            # representative call, which memoises and charges the miss.
+        ):
             value = cache._queries.get(
                 ("method", int(nbytes), int(packer.block.block_length))
             )
             if value is not None:
-                cache.stats.query_hits += count
+                cache.stats.query_hits += 1
                 if self.stats is not None:
-                    self.stats.selection_memo_hits += count
+                    self.stats.selection_memo_hits += 1
                 clock = self.clock
                 if clock is not None:
-                    cost = MODEL_CACHED_QUERY_S
-                    # Unrolled clock.advance(cost) x count: the same serial
-                    # float additions (and event count) a per-member advance
-                    # loop performs, without the per-call overhead.
-                    now = clock.now
-                    for _ in range(count):
-                        now += cost
-                    clock.now = now
-                    clock._events += count
+                    # Inlined self._charge(True).
+                    clock.now += MODEL_CACHED_QUERY_S
+                    clock._events += 1
                 return cast(PackMethod, value)
-        method = self(packer, nbytes, peer)
-        extra = count - 1
-        if extra <= 0:
-            return method
-        if not replayable:
-            for _ in range(extra):
-                method = self(packer, nbytes, peer)
-            return method
-        self.cache.stats.query_hits += extra
-        if self.stats is not None:
-            self.stats.selection_memo_hits += extra
-        clock = self.clock
-        if clock is not None:
-            # Inlined self._charge(True) per member: the clock must advance
-            # once per replayed query so event counts match the scalar loop.
-            for _ in range(extra):
-                clock.advance(MODEL_CACHED_QUERY_S)
-        return method
+        return self(packer, nbytes, peer)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__}>"
@@ -466,9 +433,10 @@ class ContendedSelector(ModelSelector):
     """
 
     #: Pricing reads the link to — and the ingestion backlog of — the
-    #: specific ``peer`` at the *current* clock, so no single representative
-    #: can stand in for a batch: :meth:`select_many` degrades to the scalar
-    #: loop and the batched post path never engages.
+    #: specific ``peer`` at the *current* clock, so a memo probe by
+    #: ``(nbytes, block_length)`` cannot answer: :meth:`select_many` takes
+    #: the scalar call and :func:`~repro.tempi.interposer.charge_batch`
+    #: charges every restart through its plan.
     peer_invariant = False
 
     def __init__(

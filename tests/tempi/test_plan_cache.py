@@ -3,14 +3,18 @@
 A persistent collective's first ``Start`` compiles and, under
 ``TempiConfig.plan_cache``, records the plan as a template; every restart
 replays it.  That is the only plan reuse: one-shot collectives always
-compile.  These tests drive ``Alltoallv_init`` restarts and assert, through
-the ``InterposerStats`` counters, that the knob governs exactly that reuse,
-that a restart never replays another request's template, and that a restart whose replayed selection differs from the recorded one
-rebuilds its stages instead of reusing stale ones.
+compile.  These tests drive ``Alltoallv_init`` and ``Neighbor_alltoallv_init``
+restarts and assert, through the ``InterposerStats`` counters, that the knob
+governs exactly that reuse, that a restart never replays another request's
+template, and that a restart whose replayed selection differs from the
+recorded one rebuilds its stages instead of reusing stale ones.  Every
+restart is checked against the same call posted one-shot: clocks, clock
+events, every counter and the received bytes.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 
@@ -26,12 +30,13 @@ from repro.tempi.packer import Packer
 from repro.tempi.plan import PlanSection, PlanTemplate, compile_exchange
 from repro.tempi.strided_block import StridedBlock
 
-NRANKS = 2
+NRANKS = 3
 ROUNDS = 3
 
 
 def _world(config=None, summit_model=None):
-    """An interposed 2-rank world: per-rank (ctx, comm, datatype, buffers)."""
+    """An interposed world of ``NRANKS`` ranks, two per node: per-rank
+    (ctx, comm, datatype, buffers)."""
     world = World(NRANKS, ranks_per_node=2)
     setup = []
     for ctx in world.contexts:
@@ -44,28 +49,41 @@ def _world(config=None, summit_model=None):
     return setup
 
 
-def _calls(setup, counts=None, displs=None, datatypes=None):
-    """Each rank's ``(comm, args, types)`` of one all-to-all-v: unit counts at
-    double-extent displacements of the rank's own datatype unless overridden."""
+def _calls(setup, counts=None, displs=None, datatypes=None, sent=None, neighbor=False):
+    """Each rank's ``(post, bind, args, types)`` of one all-to-all-v: unit
+    counts at double-extent displacements of the rank's own datatype unless
+    overridden.  ``sent[r][p]`` is what rank ``r`` sends rank ``p`` (its
+    receive counts are the transpose).  ``neighbor`` makes the call a
+    neighbour exchange over the other ranks; ``post`` and ``bind`` are the
+    nonblocking and the persistent form of whichever call it is."""
     calls = []
     for index, (ctx, comm, datatype, send, recv) in enumerate(setup):
         dt = datatypes[index] if datatypes is not None else datatype
-        row = counts if counts is not None else [1] * NRANKS
-        dis = displs if displs is not None else [peer * dt.extent * 2 for peer in range(NRANKS)]
-        calls.append((comm, (send, row, dis, recv, row, dis), {"sendtypes": dt, "recvtypes": dt}))
+        peers = [peer for peer in range(NRANKS) if not neighbor or peer != index]
+        sends = recvs = counts if counts is not None else [1] * len(peers)
+        if sent is not None:
+            sends = [sent[index][peer] for peer in peers]
+            recvs = [sent[peer][index] for peer in peers]
+        dis = displs if displs is not None else [i * dt.extent * 2 for i in range(len(peers))]
+        args = (send, sends, dis, recv, recvs, dis)
+        if neighbor:
+            post, bind, args = comm.Ineighbor_alltoallv, comm.Neighbor_alltoallv_init, (peers,) + args
+        else:
+            post, bind = comm.Ialltoallv, comm.Alltoallv_init
+        calls.append((post, bind, args, {"sendtypes": dt, "recvtypes": dt}))
     return calls
 
 
 def _exchange(setup, **shape):
     """One inline nonblocking round: all ranks post, then all ranks wait."""
-    requests = [comm.Ialltoallv(*args, **types) for comm, args, types in _calls(setup, **shape)]
+    requests = [post(*args, **types) for post, _, args, types in _calls(setup, **shape)]
     for request in requests:
         request.Wait()
 
 
 def _bind(setup, **shape):
-    """Each rank's ``Alltoallv_init`` of the exchange :func:`_exchange` posts."""
-    return [comm.Alltoallv_init(*args, **types) for comm, args, types in _calls(setup, **shape)]
+    """Each rank's persistent form of the exchange :func:`_exchange` posts."""
+    return [bind(*args, **types) for _, bind, args, types in _calls(setup, **shape)]
 
 
 def _restart(bound):
@@ -83,16 +101,27 @@ def _stats(setup):
 
 
 def _observed(setup):
-    """Per rank: its clock and a digest of its receive buffer."""
-    return [(ctx.clock.now.hex(), hashlib.sha256(recv.data).hexdigest())
-            for ctx, _, _, _, recv in setup]
+    """Per rank: its clock, the clock's event count, the interposer and cache
+    counters (a restart counts a plan-cache hit where the one-shot call counts
+    nothing, so those two are left out) and a digest of its receive buffer."""
+    observed = []
+    for ctx, comm, _, _, recv in setup:
+        stats = dataclasses.asdict(comm.tempi.stats)
+        del stats["plan_cache_hits"], stats["plan_cache_misses"]
+        observed.append((
+            ctx.clock.now.hex(), ctx.clock.events, stats,
+            dataclasses.asdict(comm.tempi.cache.stats),
+            hashlib.sha256(recv.data).hexdigest(),
+        ))
+    return observed
 
 
 def _against_one_shot(summit_model, shapes, rounds, config=None):
     """Bind one request per shape and restart them in turn for ``rounds``,
     while a second world posts the same calls one-shot; after every call the
-    clocks and received bytes of the two must agree.  ``shapes`` map a setup
-    to :func:`_calls` overrides.  Returns the bound world and its requests."""
+    two must agree on everything :func:`_observed` reads.  ``shapes`` map a
+    setup to :func:`_calls` overrides.  Returns the bound world and its
+    requests."""
     bound_world, one_shot_world = (_world(config, summit_model) for _ in range(2))
     bound = [_bind(bound_world, **shape(bound_world)) for shape in shapes]
     one_shot = [shape(one_shot_world) for shape in shapes]
@@ -108,8 +137,28 @@ def _default(setup):
     return {}
 
 
+def _neighbor(setup):
+    return {"neighbor": True}
+
+
+def _two_classes(setup):
+    """Unequal per-peer counts: each rank's transcript spans two
+    ``(nbytes, block_length)`` classes, in runs of one and of two."""
+    return {"sent": [[1, 2, 2], [1, 1, 2], [1, 1, 1]]}
+
+
 def _recommitted(setup):
     return {"datatypes": [comm.Type_commit(Type_vector(4, 8, 24, BYTE)) for _, comm, *_ in setup]}
+
+
+#: The configs whose restarts the equivalence wall replays: the default, the
+#: peer-dependent selector, and the two that take the selection memo away.
+CONFIGS = (
+    TempiConfig(),
+    TempiConfig(selection="contended"),
+    TempiConfig(selection_memo=False),
+    TempiConfig(use_cache=False),
+)
 
 
 class TestPlanCacheKeying:
@@ -124,10 +173,13 @@ class TestPlanCacheKeying:
     """
 
     def test_repeated_shape_hits(self, summit_model):
+        """Under every wall config, an all-to-all-v, a neighbour exchange and
+        a two-class transcript each restart as their one-shot calls run."""
         setup, _ = _against_one_shot(summit_model, [_default], rounds=1)
         assert _stats(setup) == (0, NRANKS)  # first start per rank records
-        setup, _ = _against_one_shot(summit_model, [_default], rounds=3)
-        assert _stats(setup) == (2 * NRANKS, NRANKS)
+        for config, shape in itertools.product(CONFIGS, (_default, _neighbor, _two_classes)):
+            setup, _ = _against_one_shot(summit_model, [shape], rounds=4, config=config)
+            assert _stats(setup) == (3 * NRANKS, NRANKS)
 
     def test_mutated_counts_miss(self, summit_model):
         setup, (ones, twos) = _against_one_shot(summit_model, [
@@ -301,8 +353,8 @@ class TestTemplateTranscript:
 class TestTemplateRebind:
     """A restart whose replayed selection *differs* from the recorded one.
 
-    The steady state shares the template's stages; this is the other lane:
-    ``PlanTemplate.materialize`` rebuilds every stage around the new method
+    The replay changes the method of every stage, so
+    ``PlanTemplate.materialize`` rebuilds each of them around the new method
     (``_rebind``) and the interposer recounts the methods.  It needs a
     selector whose answer for one shape moves between calls, i.e. the
     contended one behind a loaded port — the ``bench_fig9_selection.py``

@@ -7,6 +7,13 @@ import pytest
 from repro.cli import main
 
 
+def _assert_error_line(argv, line, capsys):
+    """``argv`` exits 2 with the one stderr line ``error: <line>`` and no stdout."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.err, captured.out) == (f"error: {line}\n", "")
+
+
 class TestMeasureCommand:
     def test_writes_measurement_file(self, tmp_path, capsys):
         output = tmp_path / "m.json"
@@ -36,8 +43,12 @@ class TestPredictCommand:
         assert "selected method : oneshot" in capsys.readouterr().out
 
     def test_invalid_arguments_return_error(self, capsys):
-        assert main(["predict", "--size", "0", "--block", "8"]) == 2
-        assert "must be positive" in capsys.readouterr().err
+        for flags, line in (
+            (["--size", "0", "--block", "8"], "--size must be positive, got 0"),
+            (["--size", "-5", "--block", "8"], "--size must be positive, got -5"),
+            (["--size", "64", "--block", "-8"], "--block must be positive, got -8"),
+        ):
+            _assert_error_line(["predict", *flags], line, capsys)
 
 
 class TestHaloCommand:
@@ -97,12 +108,18 @@ class TestSelectTableCommand:
         assert "oneshot" in loaded and "device" not in loaded.splitlines()[-1]
 
     def test_invalid_arguments_return_error(self, measurement_file, capsys):
-        assert main(["select-table", "--measurement", str(measurement_file),
-                     "--plans", "-1"]) == 2
-        assert main(["select-table", "--measurement", str(measurement_file),
-                     "--sizes", "0"]) == 2
-        assert main(["select-table", "--measurement", str(measurement_file),
-                     "--incast", "-1"]) == 2
+        for flags, line in (
+            (["--plans", "-1"], "--plans must be non-negative, got -1"),
+            (["--sizes", "0"], "--sizes[0] must be positive, got 0"),
+            (["--incast", "-1"], "--incast must be non-negative, got -1"),
+            (["--link-busy", "-2"], "--link-busy must be non-negative, got -2"),
+            (["--sizes", "0", "-4"], "--sizes[0] must be positive, got 0"),
+            (["--sizes", "8", "-4"], "--sizes[1] must be positive, got -4"),
+            (["--blocks", "1", "0"], "--blocks[1] must be positive, got 0"),
+        ):
+            _assert_error_line(
+                ["select-table", "--measurement", str(measurement_file), *flags], line, capsys
+            )
 
     def test_incast_flips_and_names_the_binding_port(self, measurement_file, capsys):
         """The docs' worked example: a hot receiver flips the 4 KiB cell and
@@ -130,6 +147,15 @@ class TestSelectTableCommand:
         main(["select-table", "--measurement", str(measurement_file),
               "--sizes", "4096", "--blocks", "1", "--link-busy", "4"])
         assert "/lnk" in capsys.readouterr().out
+
+
+class TestTopoShowCommand:
+    def test_invalid_arguments_return_error(self, capsys):
+        for flags, line in (
+            (["--ranks", "0"], "--ranks must be positive, got 0"),
+            (["--size", "-3"], "--size must be positive, got -3"),
+        ):
+            _assert_error_line(["topo", "show", *flags], line, capsys)
 
 
 class TestParser:
