@@ -18,7 +18,6 @@ from repro.bench.workloads import (
     Fig11Config,
     fig7_configurations,
     fig8_configurations,
-    fig10_configurations,
     fig11_configurations,
 )
 
@@ -26,7 +25,6 @@ __all__ = [
     "Fig11Config",
     "Fig7Config",
     "Fig8Config",
-    "fig10_configurations",
     "fig11_configurations",
     "fig7_configurations",
     "fig8_configurations",

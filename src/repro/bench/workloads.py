@@ -249,15 +249,6 @@ FIG10_OBJECT_SIZES = (64, 64 * KIB, 256 * KIB, MIB, 4 * MIB)
 FIG10_BLOCK_SIZES = (1, 2, 4, 8, 16, 32, 64, 128)
 
 
-def fig10_configurations() -> list[tuple[int, int]]:
-    """(object bytes, block bytes) grid of Fig. 10, block capped at the object."""
-    grid = []
-    for object_bytes in FIG10_OBJECT_SIZES:
-        for block_bytes in FIG10_BLOCK_SIZES:
-            grid.append((object_bytes, min(block_bytes, object_bytes)))
-    return grid
-
-
 @dataclass(frozen=True)
 class Fig11Config:
     """One bar group of Fig. 11: a 2-D object sent between two ranks."""
@@ -303,13 +294,3 @@ def fig11_configurations() -> list[Fig11Config]:
         for block_bytes in FIG11_BLOCK_SIZES:
             configs.append(Fig11Config(object_bytes, block_bytes))
     return configs
-
-
-def total_configurations() -> dict[str, int]:
-    """Configuration counts per figure (used by documentation tests)."""
-    return {
-        "fig7": len(fig7_configurations()),
-        "fig8": len(fig8_configurations()),
-        "fig10": len(fig10_configurations()),
-        "fig11": len(fig11_configurations()),
-    }

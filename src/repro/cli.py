@@ -445,7 +445,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     from repro.tempi.config import TempiConfig
 
     if args.runs < 1:
-        print("error: --runs must be >= 1", file=sys.stderr)
+        print(f"error: --runs must be >= 1, got {args.runs}", file=sys.stderr)
         return 2
     try:
         trace = load_trace(args.trace)
@@ -688,13 +688,14 @@ def _cmd_bench_sim(args: argparse.Namespace) -> int:
     if args.ranks:
         rank_counts = tuple(args.ranks)
         mode = "custom"
+        for i, n in enumerate(rank_counts):
+            if n < 4:
+                print(f"error: --ranks[{i}] must be at least 4, got {n}", file=sys.stderr)
+                return 2
     elif args.smoke:
         rank_counts, mode = SMOKE_RANKS, "smoke"
     else:
         rank_counts, mode = FULL_RANKS, "full"
-    if any(n < 4 for n in rank_counts):
-        print("error: --ranks entries must be at least 4", file=sys.stderr)
-        return 2
     spec = None
     if args.topology is not None:
         if args.topology == "fabric":

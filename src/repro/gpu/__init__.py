@@ -2,7 +2,7 @@
 
 The paper's system (TEMPI) performs all of its non-contiguous data handling
 with the CUDA runtime: device allocations, pinned/mapped host allocations,
-streams, events, ``cudaMemcpyAsync`` and hand-written pack/unpack kernels.
+streams, ``cudaMemcpyAsync`` and hand-written pack/unpack kernels.
 No GPU is available to this reproduction, so this package provides a
 *functional* simulation of that runtime:
 
@@ -34,7 +34,7 @@ from repro.gpu.memory import (
     MemoryPool,
 )
 from repro.gpu.runtime import CudaRuntime, MemcpyKind
-from repro.gpu.stream import Event, Stream
+from repro.gpu.stream import Stream
 
 __all__ = [
     "CudaError",
@@ -45,7 +45,6 @@ __all__ = [
     "Device",
     "DeviceBuffer",
     "DeviceProperties",
-    "Event",
     "GpuCostModel",
     "HostBuffer",
     "MemcpyKind",

@@ -56,41 +56,7 @@ class VirtualClock:
             self._events += 1
         return self.now
 
-    def reset(self, to: float = 0.0) -> None:
-        """Reset the clock (used between benchmark repetitions)."""
-        self.now = float(to)
-        self._events = 0
-
     @property
     def events(self) -> int:
         """Number of advancements applied; useful for overhead accounting tests."""
         return self._events
-
-    def elapsed_since(self, start: float) -> float:
-        """Convenience: ``now - start``."""
-        return self.now - start
-
-
-class ClockRegion:
-    """Context manager measuring elapsed virtual time on a clock.
-
-    Example
-    -------
-    >>> clock = VirtualClock()
-    >>> with ClockRegion(clock) as region:
-    ...     _ = clock.advance(1e-6)
-    >>> region.elapsed
-    1e-06
-    """
-
-    def __init__(self, clock: VirtualClock):
-        self._clock = clock
-        self.start = 0.0
-        self.elapsed = 0.0
-
-    def __enter__(self) -> "ClockRegion":
-        self.start = self._clock.now
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.elapsed = self._clock.now - self.start

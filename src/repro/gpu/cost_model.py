@@ -21,7 +21,7 @@ models (e.g. zero launch latency) to isolate effects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 def _positive(name: str, value: float) -> None:
@@ -185,11 +185,6 @@ class GpuCostModel:
         if include_sync:
             duration += self.kernel_sync_s
         return duration
-
-    # ------------------------------------------------------------------ tuning
-    def with_overrides(self, **kwargs: float) -> "GpuCostModel":
-        """Return a copy with the given fields replaced (for ablations)."""
-        return replace(self, **kwargs)
 
 
 #: Cost model approximating one Summit node (V100 + NVLink 2).  Used as the

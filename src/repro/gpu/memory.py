@@ -36,10 +36,6 @@ class MemoryKind(enum.Enum):
     # C (``Enum.__hash__`` is a Python-level call per dict probe of the pool).
     __hash__ = object.__hash__
 
-    @property
-    def is_host(self) -> bool:
-        return self is not MemoryKind.DEVICE
-
 
 class Buffer:
     """A contiguous simulated allocation (or a view into one).
@@ -121,36 +117,10 @@ class Buffer:
         )
 
     # ------------------------------------------------------------------ access
-    def as_ndarray(self, dtype: np.dtype | str = np.uint8, shape: Optional[tuple] = None) -> np.ndarray:
-        """Reinterpret the bytes as an ndarray of ``dtype`` (optionally reshaped)."""
-        self._check_alive()
-        arr = self._array.view(np.dtype(dtype))
-        if shape is not None:
-            arr = arr.reshape(shape)
-        return arr
-
     def fill(self, value: int) -> None:
         """Set every byte to ``value`` (like ``cudaMemset``)."""
         self._check_alive()
         self._array[:] = value
-
-    def copy_from_host(self, source: np.ndarray) -> None:
-        """Copy host bytes into the buffer (functional part of ``cudaMemcpy``)."""
-        self._check_alive()
-        src = np.ascontiguousarray(source).view(np.uint8).ravel()
-        if src.nbytes > self.nbytes:
-            raise CudaBufferError(
-                f"source of {src.nbytes} bytes does not fit in buffer of {self.nbytes} bytes"
-            )
-        self._array[: src.nbytes] = src
-
-    def to_host(self) -> np.ndarray:
-        """Return a copy of the bytes as a host array."""
-        self._check_alive()
-        return self._array.copy()
-
-    def __len__(self) -> int:
-        return self.nbytes
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         where = f"gpu{self.device.ordinal}" if self.device is not None else "host"
@@ -220,10 +190,6 @@ class MemoryPool:
             raise CudaBufferError("cannot pool a freed buffer")
         bucket = self._bucket(buffer._array.nbytes)
         self._free.setdefault((buffer.kind, bucket), []).append(buffer)
-
-    def clear(self) -> None:
-        """Drop every pooled buffer."""
-        self._free.clear()
 
     def __len__(self) -> int:
         return sum(len(v) for v in self._free.values())

@@ -67,7 +67,6 @@ class CudaRuntime:
         self.cost = cost_model
         self.device = device if device is not None else Device(0, properties or DeviceProperties())
         self.default_stream = Stream(self.clock, name="default")
-        self._streams: list[Stream] = [self.default_stream]
         self.kernel_launches = 0
         self.memcpy_calls = 0
 
@@ -100,27 +99,16 @@ class CudaRuntime:
     # ---------------------------------------------------------------- streams
     def stream_create(self, name: Optional[str] = None) -> Stream:
         """``cudaStreamCreate``."""
-        stream = Stream(self.clock, name=name)
-        self._streams.append(stream)
-        return stream
+        return Stream(self.clock, name=name)
 
     def stream_destroy(self, stream: Stream) -> None:
         """``cudaStreamDestroy``."""
         stream.destroy()
-        if stream in self._streams:
-            self._streams.remove(stream)
 
     def stream_synchronize(self, stream: Optional[Stream] = None) -> float:
         """``cudaStreamSynchronize``: block the host until the stream drains."""
         stream = stream or self.default_stream
         return stream.synchronize(self.cost.kernel_sync_s)
-
-    def device_synchronize(self) -> float:
-        """``cudaDeviceSynchronize``: block until every stream drains."""
-        latest = max((s.ready_time for s in self._streams), default=self.clock.now)
-        self.clock.advance_to(latest)
-        self.clock.advance(self.cost.kernel_sync_s)
-        return self.clock.now
 
     # ----------------------------------------------------------------- copies
     @staticmethod
@@ -291,11 +279,6 @@ class CudaRuntime:
             host_overhead=self.cost.kernel_launch_s,
         )
         return consumed
-
-    # ------------------------------------------------------------- utilities
-    def elapsed(self, start: float) -> float:
-        """Virtual seconds elapsed since ``start``."""
-        return self.clock.now - start
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

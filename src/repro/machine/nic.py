@@ -78,15 +78,14 @@ same way it audits cross-rank backlog reads.
 
 Event stream.  A timeline with a :attr:`~NicTimeline.sink` attached
 (``TempiConfig(trace=...)``) calls it as ``sink(timeline, event)`` once per
-scalar post (:class:`PostEvent`), sequence draw (:class:`SeqEvent`),
-ingestion commit (:class:`IngestEvent`) and reset (:class:`ResetEvent`),
-under the timeline's lock and carrying every cursor the commit set, so a
-sink never reads the timeline back.  The reads and joins only a caller can
-name a rank for — a contended selector's backlog read and pricing bracket,
-the interposer's collective joins — are emitted by those callers into the
-same sink.  With no sink each emit site is one ``is not None`` test.  The
-batch sweep (``reserve_batch``, ``ingest_batch_vec``'s vector path) emits
-nothing.
+scalar post (:class:`PostEvent`), sequence draw (:class:`SeqEvent`) and
+ingestion commit (:class:`IngestEvent`), under the timeline's lock and
+carrying every cursor the commit set, so a sink never reads the timeline
+back.  The reads and joins only a caller can name a rank for — a contended
+selector's backlog read and pricing bracket, the interposer's collective
+joins — are emitted by those callers into the same sink.  With no sink
+each emit site is one ``is not None`` test.  The batch sweep
+(``reserve_batch``, ``ingest_batch_vec``'s vector path) emits nothing.
 
 One timeline is shared by all ranks of a :class:`~repro.mpi.world.World`
 (it hangs off ``world.nic``); the :class:`~repro.tempi.progress.ProgressEngine`
@@ -428,10 +427,6 @@ class IngestEvent(NamedTuple):
     rails: tuple[tuple[RailKey, float], ...]
 
 
-class ResetEvent(NamedTuple):
-    """:meth:`NicTimeline.reset` forgot every cursor."""
-
-
 class BacklogReadEvent(NamedTuple):
     """A contended selector on ``rank`` read ``dest``'s ingestion backlog at ``now``."""
 
@@ -460,7 +455,7 @@ class JoinEvent(NamedTuple):
 
 #: One entry of a traced timeline's event stream.
 NicEvent = Union[
-    PostEvent, SeqEvent, IngestEvent, ResetEvent, BacklogReadEvent, PricingEvent, JoinEvent
+    PostEvent, SeqEvent, IngestEvent, BacklogReadEvent, PricingEvent, JoinEvent
 ]
 #: A trace sink, called as ``sink(timeline, event)``; it must not call back
 #: into the timeline, whose lock it runs under for the timeline's own events.
@@ -597,11 +592,6 @@ class _LedgerRing:
             for r in self._window()
             if source is None or int(r["source"]) == source
         ]
-
-    def clear(self) -> None:
-        """Forget every resident row."""
-        self._next = 0
-        self._count = 0
 
     def __len__(self) -> int:
         return self._count
@@ -1525,34 +1515,6 @@ class NicTimeline:
         """Resident bytes of the ledger's backing struct-array ring."""
         with self._lock:
             return self._ledger.nbytes
-
-    # -------------------------------------------------------------- lifecycle
-    def reset(self) -> None:
-        """Forget all occupancy (between benchmark repetitions)."""
-        with self._lock:
-            self._ports.clear()
-            self._links.clear()
-            self._ingest_ports.clear()
-            self._seqs.clear()
-            self._rail_ports.clear()
-            self._ingest_rails.clear()
-            self._shared_links.clear()
-            self._pending.clear()
-            self._pending_total = 0
-            self._block = None
-            self._ledger.clear()
-            self.reservations = 0
-            self.stalls = 0
-            self.stalled_s = 0.0
-            self.ingests = 0
-            self.ingest_stalls = 0
-            self.ingest_stalled_s = 0.0
-            self.fabric_stalls = 0
-            self.fabric_stalled_s = 0.0
-            self.peak_pending = 0
-            sink = self.sink
-            if sink is not None:
-                sink(self, ResetEvent())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         """Summarise port/link/counter state for debugging."""

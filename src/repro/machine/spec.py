@@ -86,15 +86,6 @@ class MachineSpec:
     rendezvous_overhead_s: float = 1.6e-6
     max_nodes: int = 4608
 
-    def with_overrides(self, **kwargs: object) -> "MachineSpec":
-        """Return a copy with fields replaced (for what-if studies)."""
-        return replace(self, **kwargs)
-
-    @property
-    def ranks_per_node_max(self) -> int:
-        """The evaluation uses at most one rank per GPU."""
-        return self.node.gpus
-
 
 def summit_like(
     *,
@@ -113,7 +104,7 @@ def summit_like(
         overrides["inter_gpu"] = inter_gpu
     if eager_threshold is not None:
         overrides["eager_threshold"] = eager_threshold
-    return spec.with_overrides(**overrides) if overrides else spec
+    return replace(spec, **overrides) if overrides else spec
 
 
 #: The default machine used throughout the benchmarks: OLCF-Summit-like.

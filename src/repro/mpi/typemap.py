@@ -104,32 +104,6 @@ def packed_size(datatype: Datatype, count: int = 1) -> int:
     return datatype.size * count
 
 
-def block_lengths_histogram(datatype: Datatype) -> dict[int, int]:
-    """Histogram of contiguous-block lengths for one element.
-
-    Useful for the performance model, which interpolates over the contiguous
-    block length of a datatype (Sec. 6.3).
-    """
-    histogram: dict[int, int] = {}
-    for _, length in flatten(datatype):
-        histogram[length] = histogram.get(length, 0) + 1
-    return histogram
-
-
-def dominant_block_length(datatype: Datatype) -> int:
-    """The most common contiguous-block length of one element.
-
-    For the strided types TEMPI targets this is simply *the* block length;
-    for irregular types it is the mode, which is what the performance model
-    keys its 2-D interpolation on.
-    """
-    histogram = block_lengths_histogram(datatype)
-    if not histogram:
-        return 0
-    best_length = max(histogram.items(), key=lambda item: (item[1], item[0]))
-    return best_length[0]
-
-
 def offsets_and_lengths(datatype: Datatype, count: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Block offsets and lengths as NumPy arrays (for vectorised block copies)."""
     pairs = list(flatten_many(datatype, count))

@@ -226,19 +226,6 @@ class World:
         """Latest virtual time across all ranks (a run's makespan)."""
         return max(self.clocks)
 
-    def reset_clocks(self) -> None:
-        """Reset every rank's clock to zero (between benchmark repetitions).
-
-        Every stream of every runtime is reset with the clock — the plan
-        executor runs pack kernels on cached per-peer streams, whose ready
-        times would otherwise leak across repetitions.
-        """
-        self.nic.reset()
-        for ctx in self.contexts:
-            ctx.clock.reset()
-            for stream in ctx.gpu._streams:  # noqa: SLF001 - world owns its runtimes
-                stream._ready_time = 0.0  # noqa: SLF001
-
     def shutdown(self) -> None:
         """Tear the world down, waking any blocked receiver."""
         self.router.shutdown()

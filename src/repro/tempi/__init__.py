@@ -16,8 +16,9 @@ simulated substrates:
    (:mod:`repro.tempi.selection`) picks between the *one-shot*, *device* and
    *staged* send methods (:class:`~repro.tempi.config.PackMethod`) —
    contention-free by default, or against the live NIC injection-port backlog
-   (``TempiConfig(selection="contended")``), with performance models keyed
-   per machine by a :class:`~repro.tempi.selection.CalibrationRegistry`.
+   (``TempiConfig(selection="contended")``).  Like the paper's measurement
+   binary, the sweep runs once per machine: every rank of a process shares
+   its model (:attr:`~repro.tempi.interposer.Tempi.model`).
 3. **The interposer** (Sec. 5): :class:`~repro.tempi.interposer.TempiCommunicator`
    exports the same call surface as the system MPI
    (:class:`repro.mpi.communicator.Communicator`), overriding exactly the calls
@@ -69,14 +70,12 @@ from repro.tempi.plan import (
     compile_send,
 )
 from repro.tempi.selection import (
-    CalibrationRegistry,
     ContendedSelector,
     FixedSelector,
     MethodSelector,
     ModelSelector,
     SelectionError,
     contended_estimate,
-    default_registry,
     make_selector,
 )
 from repro.tempi.progress import PlanWindow, ProgressEngine, ProgressError
@@ -84,7 +83,6 @@ from repro.tempi.strided_block import StridedBlock, to_strided_block
 from repro.tempi.translate import TranslationError, translate
 
 __all__ = [
-    "CalibrationRegistry",
     "ContendedSelector",
     "DenseData",
     "FixedSelector",
@@ -118,7 +116,6 @@ __all__ = [
     "compile_recv",
     "compile_send",
     "contended_estimate",
-    "default_registry",
     "make_selector",
     "measure_system",
     "simplify",

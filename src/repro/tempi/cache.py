@@ -150,7 +150,7 @@ class ResourceCache:
 
     def clear(self) -> None:
         """Drop everything (between benchmark configurations)."""
-        self._pool.clear()
+        self._pool = MemoryPool()
         self._streams.clear()
         self._queries.clear()
         self._query_keys.clear()

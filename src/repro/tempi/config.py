@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -169,7 +169,7 @@ class TempiConfig:
     selection_memo: bool = True
     #: A sink for the NIC event stream (:data:`~repro.machine.nic.NicSink`):
     #: the interposer attaches it to the world's timeline, which then calls
-    #: it once per post, sequence draw, ingestion commit and reset; the
+    #: it once per post, sequence draw and ingestion commit; the
     #: contended selector adds its backlog reads and pricing brackets, the
     #: interposer its collective joins.  Priced results are unchanged — a
     #: sink only observes — and ``None`` (the default) emits nothing.
@@ -222,10 +222,6 @@ class TempiConfig:
                 "selection='contended' would never price one: the combination is "
                 "inert; use method=PackMethod.AUTO (or selection='model')"
             )
-
-    def with_overrides(self, **kwargs) -> "TempiConfig":
-        """Copy with fields replaced (ablations, forced methods)."""
-        return replace(self, **kwargs)
 
     @staticmethod
     def disabled() -> "TempiConfig":

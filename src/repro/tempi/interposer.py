@@ -49,6 +49,7 @@ baseline and TEMPI.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -58,6 +59,7 @@ from typing import Sequence
 
 from repro.gpu.memory import Buffer
 from repro.machine.nic import JoinEvent
+from repro.machine.spec import MachineSpec
 from repro.machine.topology import Topology
 from repro.mpi import collectives as _collectives
 from repro.mpi.collectives import _next_collective_tag
@@ -71,15 +73,15 @@ from repro.tempi.cache import ResourceCache
 from repro.tempi.canonicalize import simplify
 from repro.tempi.config import HANDLER_LOOKUP_S, MODEL_CACHED_QUERY_S, POINTER_CHECK_S, TempiConfig
 from repro.tempi.executor import PlanExecutor
-from repro.tempi.measurement import SystemMeasurement
+from repro.tempi.measurement import SystemMeasurement, measure_system
 from repro.tempi.packer import PackError, Packer
 from repro.tempi.progress import ProgressEngine
 from repro.tempi.perf_model import PerformanceModel
 from repro.tempi.plan import MessagePlan, PlanSection
 from repro.tempi.selection import (
     ModelSelector,
+    SelectionError,
     choose_allreduce_algorithm,
-    default_registry,
     make_selector,
 )
 from repro.tempi.strided_block import to_strided_block
@@ -169,6 +171,12 @@ class InterposerStats:
         )
 
 
+#: Each machine's measured model, shared by every rank of the process: like
+#: the paper's measurement binary, the sweep runs once per system.
+_MODELS: dict[MachineSpec, PerformanceModel] = {}
+_MODELS_LOCK = threading.Lock()
+
+
 class Tempi:
     """Per-rank library state shared by all interposed communicators."""
 
@@ -189,15 +197,27 @@ class Tempi:
     def model(self) -> PerformanceModel:
         """The performance model, lazily loaded or measured.
 
-        Measured through the process-wide registry, so every rank of a world
-        shares one sweep per machine.
+        ``config.measurement_path`` loads a file, which must be for this
+        machine (or for ``"unknown"``); otherwise the machine's sweep runs
+        once per process and every rank shares its model.
         """
         if self._model is None:
-            if self.config.measurement_path is not None:
-                measurement = SystemMeasurement.load(self.config.measurement_path)
+            machine = self._machine
+            path = self.config.measurement_path
+            if path is not None:
+                measurement = SystemMeasurement.load(path)
+                if measurement.machine_name not in ("unknown", machine.name):
+                    raise SelectionError(
+                        f"measurement file {str(path)!r} is for machine "
+                        f"{measurement.machine_name!r}, not {machine.name!r}"
+                    )
                 self._model = PerformanceModel(measurement)
             else:
-                self._model = default_registry().model_for(self._machine)
+                with _MODELS_LOCK:
+                    model = _MODELS.get(machine)
+                    if model is None:
+                        model = _MODELS[machine] = PerformanceModel(measure_system(machine))
+                self._model = model
         return self._model
 
 

@@ -216,17 +216,6 @@ class MessagePlan:
     #: every round and arms its request with the same three.
     probes: Optional[tuple] = field(default=None, repr=False, compare=False)
 
-    @property
-    def nstages(self) -> int:
-        local = 2 if self.local is not None else 0
-        return (
-            len(self.pack_stages)
-            + len(self.post_stages)
-            + len(self.unpack_stages)
-            + len(self.reduce_stages)
-            + local
-        )
-
     def method_counts(self) -> dict[str, int]:
         """Wire messages per method (one per post stage), for stats."""
         counts: dict[str, int] = {}

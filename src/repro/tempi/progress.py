@@ -220,18 +220,6 @@ class ProgressEngine:
             return None
         return self.topology.resolve(self.comm.rank, peer, device_buffers=device)
 
-    def reserve(
-        self, peer: int, ready: float, wire_s: float, nbytes: int = 0, *, device: bool = True
-    ) -> tuple[float, float]:
-        """Reserve one message's wire slot; returns ``(start, arrival)``.
-
-        In ``per_plan`` mode a lone message never contends (PR-2 semantics);
-        in ``shared`` mode it queues on the rank's injection port and the
-        per-peer link, and stalls are counted on the interposer stats.
-        """
-        slot = self.reserve_wire(peer, ready, wire_s, nbytes, device=device)
-        return slot.start, slot.arrival
-
     def reserve_wire(
         self, peer: int, ready: float, wire_s: float, nbytes: int = 0, *, device: bool = True
     ) -> NicReservation:
@@ -242,9 +230,11 @@ class ProgressEngine:
         rank commit the message to its ingestion port under duplex
         accounting.  ``seq >= 0`` marks a reservation on the shared timeline
         (subject to receive-side ingestion); outside ``shared`` mode the
-        message is placed at ``ready`` with ``seq == -1`` and opts out.
-        ``device`` picks the wire path the route is resolved for (GPU rails
-        vs host rails); it only matters under a topology.
+        message is placed at ``ready`` with ``seq == -1`` and opts out (a lone
+        message never contends); inside it a stall is counted on the
+        interposer stats.  ``device`` picks the wire path the route is
+        resolved for (GPU rails vs host rails); it only matters under a
+        topology.
         """
         if not self.shared:
             return NicReservation(ready, ready + wire_s, 0.0, wire_s, -1)

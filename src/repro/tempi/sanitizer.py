@@ -21,8 +21,7 @@ per timeline, a **vector clock per rank**:
   the edge a completed receive establishes;
 * a **join** (:class:`~repro.machine.nic.JoinEvent`, the interposer's
   ``Barrier`` and other collective fall-throughs) merges all clocks once
-  every rank arrived;
-* a **reset** forgets the timeline's history.
+  every rank arrived.
 
 Each audited event then checks:
 
@@ -58,7 +57,6 @@ from repro.machine.nic import (
     NicTimeline,
     PostEvent,
     PricingEvent,
-    ResetEvent,
     SeqEvent,
 )
 
@@ -320,7 +318,7 @@ class ClockSanitizer:
     """A trace sink auditing every timeline it is attached to.
 
     One sink may serve many timelines — a benchmark builds many worlds — so
-    vector clocks are kept per timeline (dropped with it, or on its reset),
+    vector clocks are kept per timeline (dropped with it),
     while :attr:`counters` total the audit over all of them.
     """
 
@@ -332,9 +330,6 @@ class ClockSanitizer:
 
     def __call__(self, timeline: NicTimeline, event: NicEvent) -> None:
         with self._lock:
-            if isinstance(event, ResetEvent):
-                self._audits.pop(timeline, None)
-                return
             audit = self._audits.get(timeline)
             if audit is None:
                 audit = self._audits[timeline] = _TimelineAudit(self.counters)

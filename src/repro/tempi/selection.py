@@ -35,11 +35,7 @@ knows the rank's live injection-port occupancy.  This module owns all of it:
   every sender targeting it (``bench_incast.py``).
   ``bench_fig9_selection.py`` measures the injection-side shift and
   ``repro select-table`` tabulates it analytically through the *same*
-  :func:`contended_estimate`;
-* :class:`CalibrationRegistry` — measurement files keyed per
-  :class:`~repro.machine.spec.MachineSpec`, so several machines' models
-  coexist in one process (machine sweeps measure each system once, in the
-  spirit of the paper's run-once measurement binary).
+  :func:`contended_estimate`.
 
 Every selector accepts ``(packer, nbytes, peer=...)`` — ``peer`` being the
 destination rank of a send-side decision, or ``None`` when the message has
@@ -52,14 +48,11 @@ nothing, so any staging kind is trivially correct and pricing primitives
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Protocol, Union, cast
+from typing import Any, Callable, Optional, Protocol, Union, cast
 
 from repro.machine.nic import BacklogReadEvent, NicTimeline, PricingEvent
-from repro.machine.spec import MachineSpec
 from repro.machine.topology import Topology
 from repro.tempi.config import (
     MODEL_CACHED_QUERY_S,
@@ -68,7 +61,6 @@ from repro.tempi.config import (
     PackMethod,
     TempiConfig,
 )
-from repro.tempi.measurement import SystemMeasurement, measure_system
 from repro.tempi.perf_model import PerformanceModel
 
 #: The trivial selection for a zero-byte section: nothing is packed and
@@ -85,7 +77,7 @@ BACKLOG_RESOLUTION_S = 1e-7
 
 
 class SelectionError(ValueError):
-    """A selector or registry was configured impossibly."""
+    """A selector was configured impossibly, or a measurement is for another machine."""
 
 
 class MethodSelector(Protocol):
@@ -733,108 +725,3 @@ def choose_allreduce_algorithm(
     if nbytes <= ALLREDUCE_TREE_CUTOFF_BYTES:
         return "tree"
     return "ring"
-
-
-# --------------------------------------------------------------------------- #
-# Calibration registry
-# --------------------------------------------------------------------------- #
-
-class CalibrationRegistry:
-    """Per-machine performance models, measured once and shared process-wide.
-
-    The paper's measurement binary runs once per *system*; this registry is
-    that discipline as an object: the first query for a machine runs the
-    sweep (or loads its measurement file) and every later query — from any
-    rank, any communicator, any thread — reuses the interpolated model.
-    Distinct machines coexist, so a halo/exchange study can sweep
-    :func:`~repro.machine.spec.summit_like` variants in one process.
-
-    ``directory`` (optional) gives measurement files a home, one JSON per
-    machine named ``<machine>.json``: models are loaded from there when
-    present and the sweep's result is persisted there when not.
-    """
-
-    def __init__(self, directory: Optional[Path | str] = None) -> None:
-        self.directory = Path(directory) if directory is not None else None
-        self._models: Dict[str, PerformanceModel] = {}
-        self._lock = threading.Lock()
-
-    @staticmethod
-    def measurement_path(directory: Path | str, machine_name: str) -> Path:
-        """Where one machine's measurement file lives under ``directory``."""
-        return Path(directory) / f"{machine_name}.json"
-
-    # ------------------------------------------------------------------ query
-    def model_for(self, machine: MachineSpec) -> PerformanceModel:
-        """The machine's model: cached, else loaded from disk, else measured."""
-        with self._lock:
-            model = self._models.get(machine.name)
-            if model is not None:
-                return model
-            measurement = self._load_or_measure(machine)
-            model = PerformanceModel(measurement)
-            self._models[machine.name] = model
-            return model
-
-    def _load_or_measure(self, machine: MachineSpec) -> SystemMeasurement:
-        """Load the machine's measurement file, else run the sweep."""
-        if self.directory is not None:
-            path = self.measurement_path(self.directory, machine.name)
-            if path.exists():
-                return self._check(SystemMeasurement.load(path), machine.name)
-            measurement = measure_system(machine)
-            measurement.save(path)
-            return measurement
-        return measure_system(machine)
-
-    # --------------------------------------------------------------- mutation
-    def register(self, measurement: SystemMeasurement) -> PerformanceModel:
-        """Adopt an existing measurement (tests, pre-measured files)."""
-        if measurement.machine_name == "unknown":
-            raise SelectionError(
-                "a registry measurement must carry its machine_name "
-                "(re-run measure_system, or set it before registering)"
-            )
-        model = PerformanceModel(measurement)
-        with self._lock:
-            self._models[measurement.machine_name] = model
-        return model
-
-    def load(self, path: Path | str, machine: Optional[MachineSpec] = None) -> PerformanceModel:
-        """Register a measurement file, optionally checking its machine."""
-        measurement = SystemMeasurement.load(path)
-        if machine is not None:
-            self._check(measurement, machine.name)
-        return self.register(measurement)
-
-    @staticmethod
-    def _check(measurement: SystemMeasurement, machine_name: str) -> SystemMeasurement:
-        """Reject a measurement recorded for a different machine."""
-        if measurement.machine_name not in ("unknown", machine_name):
-            raise SelectionError(
-                f"measurement file is for machine {measurement.machine_name!r}, "
-                f"not {machine_name!r}"
-            )
-        return measurement
-
-    # ------------------------------------------------------------- inspection
-    def machines(self) -> list[str]:
-        """Names of the machines calibrated so far."""
-        with self._lock:
-            return sorted(self._models)
-
-    def __contains__(self, machine: Union[MachineSpec, str]) -> bool:
-        name = machine.name if isinstance(machine, MachineSpec) else machine
-        with self._lock:
-            return name in self._models
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<CalibrationRegistry machines={self.machines()}>"
-
-
-_DEFAULT_REGISTRY = CalibrationRegistry()
-
-
-def default_registry() -> CalibrationRegistry:
-    """The process-wide registry (performance models are expensive to build)."""
-    return _DEFAULT_REGISTRY

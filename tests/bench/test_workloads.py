@@ -9,9 +9,7 @@ from repro.bench.workloads import (
     Fig8Config,
     fig7_configurations,
     fig8_configurations,
-    fig10_configurations,
     fig11_configurations,
-    total_configurations,
 )
 from repro.tempi.canonicalize import simplify
 from repro.tempi.strided_block import to_strided_block
@@ -87,11 +85,6 @@ class TestFig8:
 
 
 class TestFig10And11:
-    def test_fig10_grid_dimensions(self):
-        grid = fig10_configurations()
-        assert len(grid) == 5 * 8
-        assert all(block <= size for size, block in grid)
-
     def test_fig11_group_count(self):
         configs = fig11_configurations()
         assert len(configs) == 27
@@ -106,7 +99,3 @@ class TestFig10And11:
             block = to_strided_block(simplify(translate(config.build())))
             assert block is not None
             assert block.packed_bytes == config.object_bytes
-
-    def test_total_configurations_summary(self):
-        totals = total_configurations()
-        assert totals == {"fig7": 15, "fig8": 7, "fig10": 40, "fig11": 27}

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.gpu.clock import ClockError, ClockRegion, VirtualClock
+from repro.gpu.clock import ClockError, VirtualClock
 
 
 class TestAdvance:
@@ -55,48 +55,19 @@ class TestAdvanceTo:
         clock.advance_to(2.0)
         assert clock.events == events
 
+    def test_past_target_counts_no_event(self):
+        clock = VirtualClock()
+        clock.advance(10.0)
+        clock.advance_to(3.0)
+        assert clock.events == 1
+
+    def test_clock_may_start_later(self):
+        """A fresh clock, not a reset, is how a run starts over."""
+        clock = VirtualClock(now=5.0)
+        assert clock.events == 0
+        assert clock.advance_to(3.0) == pytest.approx(5.0)
+        assert clock.advance(1.0) == pytest.approx(6.0)
+
     def test_returns_current_time(self):
         clock = VirtualClock()
         assert clock.advance_to(4.0) == pytest.approx(4.0)
-
-
-class TestResetAndElapsed:
-    def test_reset_to_zero(self):
-        clock = VirtualClock()
-        clock.advance(9.0)
-        clock.reset()
-        assert clock.now == 0.0
-        assert clock.events == 0
-
-    def test_reset_to_value(self):
-        clock = VirtualClock()
-        clock.reset(2.5)
-        assert clock.now == pytest.approx(2.5)
-
-    def test_elapsed_since(self):
-        clock = VirtualClock()
-        start = clock.now
-        clock.advance(1.25)
-        assert clock.elapsed_since(start) == pytest.approx(1.25)
-
-
-class TestClockRegion:
-    def test_region_measures_elapsed(self):
-        clock = VirtualClock()
-        with ClockRegion(clock) as region:
-            clock.advance(2e-6)
-            clock.advance(3e-6)
-        assert region.elapsed == pytest.approx(5e-6)
-
-    def test_region_with_no_work(self):
-        clock = VirtualClock()
-        with ClockRegion(clock) as region:
-            pass
-        assert region.elapsed == 0.0
-
-    def test_region_start_recorded(self):
-        clock = VirtualClock()
-        clock.advance(1.0)
-        with ClockRegion(clock) as region:
-            clock.advance(1.0)
-        assert region.start == pytest.approx(1.0)

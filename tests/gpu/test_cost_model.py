@@ -1,5 +1,8 @@
 """Tests for the GPU cost model."""
 
+from dataclasses import replace
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -119,18 +122,24 @@ class TestKernelTime:
 
 
 class TestOverridesAndPresets:
-    def test_with_overrides_returns_new_model(self):
-        base = SUMMIT_GPU
-        fast = base.with_overrides(kernel_launch_s=0.0)
-        assert fast.kernel_launch_s == 0.0
-        assert base.kernel_launch_s > 0.0
-
     def test_free_model_has_no_launch_cost(self):
         assert FREE_GPU.kernel_launch_s == 0.0
         assert FREE_GPU.memcpy_call_s == 0.0
 
     def test_free_model_kernel_time_negligible(self):
         assert FREE_GPU.kernel_time(1 << 30, 1) < 1e-12
+
+    def test_replace_makes_a_changed_copy(self):
+        fast = replace(SUMMIT_GPU, kernel_launch_s=0.0)
+        assert fast.kernel_launch_s == 0.0
+        assert SUMMIT_GPU.kernel_launch_s > 0.0
+        assert fast.kernel_time(1 << 20, 8) < SUMMIT_GPU.kernel_time(1 << 20, 8)
+
+    def test_replace_is_validated(self):
+        with pytest.raises(ValueError, match="min_efficiency"):
+            replace(SUMMIT_GPU, min_efficiency=0.0)
+        with pytest.raises(ValueError, match="unpack_penalty"):
+            replace(SUMMIT_GPU, unpack_penalty=0.5)
 
 
 def _reference_kernel_time(
@@ -153,7 +162,7 @@ def _reference_kernel_time(
 
 
 overridden_models = st.builds(
-    SUMMIT_GPU.with_overrides,
+    partial(replace, SUMMIT_GPU),
     d2d_bandwidth=st.floats(1e3, 1e13),
     zero_copy_bandwidth=st.floats(1e3, 1e13),
     device_saturation_block=st.integers(1, 4096),

@@ -1,6 +1,5 @@
 """Tests for simulated device/host memory."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,41 +37,12 @@ class TestBufferBasics:
         buf = HostBuffer(128)
         assert not buf.data.any()
 
-    def test_len_matches_nbytes(self):
-        assert len(HostBuffer(37)) == 37
-
-    def test_host_kind_is_host(self):
-        assert MemoryKind.HOST_PINNED.is_host
-        assert not MemoryKind.DEVICE.is_host
-
 
 class TestFillAndCopy:
     def test_fill(self):
         buf = HostBuffer(32)
         buf.fill(7)
         assert (buf.data == 7).all()
-
-    def test_copy_from_host_roundtrip(self):
-        buf = HostBuffer(40)
-        values = np.arange(10, dtype=np.float32)
-        buf.copy_from_host(values)
-        assert np.array_equal(buf.as_ndarray("float32"), values)
-
-    def test_copy_from_host_too_large_rejected(self):
-        buf = HostBuffer(8)
-        with pytest.raises(CudaBufferError):
-            buf.copy_from_host(np.zeros(16, dtype=np.uint8))
-
-    def test_to_host_is_a_copy(self):
-        buf = HostBuffer(8)
-        copy = buf.to_host()
-        copy[:] = 99
-        assert not buf.data.any()
-
-    def test_as_ndarray_with_shape(self):
-        buf = HostBuffer(24)
-        arr = buf.as_ndarray("float64", shape=(3,))
-        assert arr.shape == (3,)
 
 
 class TestViews:
@@ -94,6 +64,19 @@ class TestViews:
         buf = HostBuffer(16)
         with pytest.raises(CudaBufferError):
             buf.view(8, 16)
+
+    def test_view_defaults_to_the_rest_of_the_buffer(self):
+        buf = HostBuffer(64)
+        view = buf.view(24)
+        assert (view.offset, view.nbytes) == (24, 40)
+        assert view.view().nbytes == 40
+
+    def test_negative_view_rejected(self):
+        buf = HostBuffer(16)
+        with pytest.raises(CudaBufferError):
+            buf.view(-1, 4)
+        with pytest.raises(CudaBufferError):
+            buf.view(4, -1)
 
     def test_view_is_flagged(self):
         buf = HostBuffer(16)
@@ -181,7 +164,7 @@ class TestSlottedFacts:
         for buffer in buffers:
             assert (buffer.nbytes, buffer.is_device, buffer.is_view, buffer.freed) == _reference(buffer)
             assert buffer._parent in (None, root)
-            assert len(buffer) == buffer.nbytes
+            assert len(buffer.data) == buffer.nbytes
         runtime.free(root)
         for buffer in buffers:
             assert (buffer.nbytes, buffer.is_device, buffer.is_view, buffer.freed) == _reference(buffer)
@@ -203,10 +186,7 @@ class TestSlottedFacts:
         uses = {
             "data": lambda b: b.data,
             "view": lambda b: b.view(0, 0),
-            "as_ndarray": lambda b: b.as_ndarray(),
             "fill": lambda b: b.fill(1),
-            "copy_from_host": lambda b: b.copy_from_host(np.zeros(0, dtype=np.uint8)),
-            "to_host": lambda b: b.to_host(),
         }
         for buffer in buffers:
             for use in uses.values():
@@ -247,6 +227,31 @@ class TestMemoryPool:
         assert pool.acquire(43008, MemoryKind.HOST_PINNED) is small  # ... for a fit
         assert (pool.hits, pool.misses) == (2, 1)
 
+    def test_zero_byte_request_uses_the_smallest_bucket(self):
+        assert MemoryPool._bucket(0) == 1
+        pool = MemoryPool()
+        empty = HostBuffer(0, MemoryKind.HOST_PINNED)
+        pool.release(empty)
+        assert pool.acquire(1, MemoryKind.HOST_PINNED) is None
+        assert pool.acquire(0, MemoryKind.HOST_PINNED) is empty
+
+    def test_newest_fitting_buffer_is_reused_first(self):
+        pool = MemoryPool()
+        older, newer = HostBuffer(64, MemoryKind.HOST_PINNED), HostBuffer(64, MemoryKind.HOST_PINNED)
+        pool.release(older)
+        pool.release(newer)
+        assert pool.acquire(64, MemoryKind.HOST_PINNED) is newer
+        assert pool.acquire(64, MemoryKind.HOST_PINNED) is older
+
+    def test_len_counts_pooled_buffers_across_buckets(self):
+        pool = MemoryPool()
+        device = Device(0)
+        for buf in (DeviceBuffer(8, device), HostBuffer(8, MemoryKind.HOST_PINNED), DeviceBuffer(300, device)):
+            pool.release(buf)
+        assert len(pool) == 3
+        assert pool.acquire(257, MemoryKind.DEVICE).nbytes == 300
+        assert len(pool) == 2
+
     def test_kind_is_part_of_key(self):
         pool = MemoryPool()
         pool.release(HostBuffer(64, MemoryKind.HOST_PINNED))
@@ -259,9 +264,11 @@ class TestMemoryPool:
         with pytest.raises(CudaBufferError):
             pool.release(buf)
 
-    def test_clear_empties_pool(self):
+    def test_cannot_pool_view_of_freed_parent(self):
         pool = MemoryPool()
-        pool.release(HostBuffer(16))
-        pool.clear()
+        buf = HostBuffer(16)
+        view = buf.view(4)
+        buf._freed = True
+        with pytest.raises(CudaBufferError):
+            pool.release(view)
         assert len(pool) == 0
-        assert pool.acquire(16, MemoryKind.HOST_PAGEABLE) is None

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.gpu.cost_model import FREE_GPU, SUMMIT_GPU
-from repro.gpu.errors import CudaInvalidValue, CudaMemcpyError, CudaOutOfMemory
+from repro.gpu.errors import CudaBufferError, CudaInvalidValue, CudaMemcpyError, CudaOutOfMemory
 from repro.gpu.memory import MemoryKind
 from repro.gpu.runtime import CudaRuntime, MemcpyKind
 
@@ -52,6 +52,13 @@ class TestAllocation:
         with pytest.raises(CudaInvalidValue):
             summit_runtime.host_alloc(64, MemoryKind.DEVICE)
 
+    def test_freeing_host_memory_charges_no_time(self, summit_runtime):
+        buf = summit_runtime.host_alloc(64, MemoryKind.HOST_PINNED)
+        before = summit_runtime.clock.now
+        summit_runtime.free(buf)
+        assert buf.freed
+        assert summit_runtime.clock.now == before
+
 
 class TestMemcpy:
     def test_functional_copy(self, free_runtime):
@@ -97,13 +104,26 @@ class TestMemcpy:
         before = summit_runtime.clock.now
         summit_runtime.memcpy_async(a, b)
         assert summit_runtime.clock.now == before
-        assert summit_runtime.default_stream.busy
+        assert summit_runtime.default_stream.ready_time > summit_runtime.clock.now
 
     def test_too_large_copy_rejected(self, free_runtime):
         a = free_runtime.malloc(16)
         b = free_runtime.malloc(8)
         with pytest.raises(CudaMemcpyError):
             free_runtime.memcpy(a, b, 12)
+
+    def test_negative_copy_size_rejected(self, free_runtime):
+        a = free_runtime.malloc(8)
+        with pytest.raises(CudaMemcpyError, match="negative"):
+            free_runtime.memcpy(a, a, -1)
+        assert free_runtime.memcpy_calls == 0
+
+    def test_copy_from_freed_buffer_raises(self, free_runtime):
+        src = free_runtime.malloc(8)
+        dst = free_runtime.malloc(8)
+        free_runtime.free(src)
+        with pytest.raises(CudaBufferError):
+            free_runtime.memcpy(dst, src, 8)
 
     def test_memcpy_counter(self, free_runtime):
         a = free_runtime.malloc(8)
@@ -171,6 +191,21 @@ class TestKernelLaunches:
         host_time = summit_runtime.clock.now - start
         assert host_time > device_time
 
+    def test_kept_plan_moves_and_charges_what_a_fresh_one_does(self):
+        """``plan=`` skips only the planning: bytes and prices are the same."""
+        plan = CudaRuntime(cost_model=SUMMIT_GPU).plan_launch(0, [8, 4], [1, 64])
+        results = []
+        for extra in ({"plan": plan}, {}):
+            runtime = CudaRuntime(cost_model=SUMMIT_GPU)
+            src = runtime.malloc(256)
+            dst = runtime.malloc(32)
+            src.data[:] = np.arange(256, dtype=np.uint8)
+            start = runtime.clock.now
+            assert runtime.launch_pack(src, dst, 0, [8, 4], [1, 64], **extra) == 32
+            runtime.stream_synchronize()
+            results.append((runtime.clock.now - start, dst.data.tobytes()))
+        assert results[0] == results[1]
+
     def test_kernel_counter(self, free_runtime):
         src = free_runtime.malloc(128)
         dst = free_runtime.malloc(16)
@@ -184,15 +219,24 @@ class TestStreamsAndSync:
         assert stream.name == "pack"
         free_runtime.stream_destroy(stream)
 
-    def test_device_synchronize_waits_for_all_streams(self, summit_runtime):
-        first = summit_runtime.stream_create()
-        second = summit_runtime.stream_create()
-        first.enqueue(5e-6)
-        second.enqueue (9e-6)
-        summit_runtime.device_synchronize()
-        assert summit_runtime.clock.now >= 9e-6
+    def test_stream_synchronize_charges_the_sync_overhead(self, summit_runtime):
+        stream = summit_runtime.stream_create()
+        ready = stream.enqueue(1e-3)
+        assert summit_runtime.stream_synchronize(stream) == pytest.approx(
+            ready + SUMMIT_GPU.kernel_sync_s
+        )
 
-    def test_elapsed_helper(self, summit_runtime):
+    def test_work_on_separate_streams_overlaps(self, summit_runtime):
+        """Draining two streams waits for the later one, not for the sum."""
+        a = summit_runtime.malloc(1 << 20)
+        b = summit_runtime.malloc(1 << 20)
+        first, second = summit_runtime.stream_create(), summit_runtime.stream_create()
         start = summit_runtime.clock.now
-        summit_runtime.clock.advance(5e-6)
-        assert summit_runtime.elapsed(start) == pytest.approx(5e-6)
+        done_first = summit_runtime.memcpy_async(a, b, stream=first)
+        done_second = summit_runtime.memcpy_async(b, a, stream=second)
+        assert done_first == done_second
+        summit_runtime.stream_synchronize(first)
+        summit_runtime.stream_synchronize(second)
+        copy_s = done_first - start
+        assert summit_runtime.clock.now - start < 2 * copy_s
+        assert summit_runtime.clock.now == pytest.approx(done_first + 2 * SUMMIT_GPU.kernel_sync_s)

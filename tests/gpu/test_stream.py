@@ -1,10 +1,10 @@
-"""Tests for streams and events."""
+"""Tests for streams."""
 
 import pytest
 
 from repro.gpu.clock import VirtualClock
 from repro.gpu.errors import CudaStreamError
-from repro.gpu.stream import Event, Stream
+from repro.gpu.stream import Stream
 
 
 class TestStreamOrdering:
@@ -30,17 +30,53 @@ class TestStreamOrdering:
         stream.enqueue(1e-6)
         assert stream.ready_time == pytest.approx(11e-6)
 
-    def test_busy_reflects_outstanding_work(self):
-        clock = VirtualClock()
-        stream = Stream(clock)
-        assert not stream.busy
-        stream.enqueue(5e-6)
-        assert stream.busy
-
     def test_negative_duration_rejected(self):
         stream = Stream(VirtualClock())
         with pytest.raises(CudaStreamError):
             stream.enqueue(-1e-6)
+
+    def test_negative_host_overhead_rejected(self):
+        clock = VirtualClock()
+        stream = Stream(clock)
+        with pytest.raises(CudaStreamError):
+            stream.enqueue(1e-6, host_overhead=-1e-6)
+        assert (clock.now, stream.ready_time, stream.operations) == (0.0, 0.0, 0)
+
+    def test_enqueue_returns_completion_time(self):
+        clock = VirtualClock()
+        stream = Stream(clock)
+        assert stream.enqueue(2e-6) == pytest.approx(2e-6)
+        assert stream.enqueue(1e-6, host_overhead=5e-6) == pytest.approx(6e-6)
+        assert stream.enqueue(1e-6) == stream.ready_time
+
+    def test_new_stream_is_ready_at_host_time(self):
+        clock = VirtualClock()
+        clock.advance(4e-6)
+        stream = Stream(clock)
+        assert stream.ready_time == clock.now
+        stream.synchronize()
+        assert clock.now == pytest.approx(4e-6)
+
+    def test_streams_on_one_clock_overlap(self):
+        """Work on two streams runs concurrently: draining both waits for
+        the longer one, not for the sum."""
+        clock = VirtualClock()
+        pack, unpack = Stream(clock), Stream(clock)
+        pack.enqueue(5e-6)
+        unpack.enqueue(3e-6)
+        unpack.synchronize()
+        assert clock.now == pytest.approx(3e-6)
+        pack.synchronize()
+        assert clock.now == pytest.approx(5e-6)
+        # Work enqueued after the host caught up starts from the host's time.
+        assert unpack.enqueue(1e-6) == pytest.approx(6e-6)
+
+    def test_handles_are_unique_and_name_unnamed_streams(self):
+        clock = VirtualClock()
+        first, second, named = Stream(clock), Stream(clock), Stream(clock, name="pack")
+        assert len({first.handle, second.handle, named.handle}) == 3
+        assert first.name == f"stream-{first.handle}"
+        assert named.name == "pack"
 
 
 class TestSynchronize:
@@ -50,7 +86,7 @@ class TestSynchronize:
         stream.enqueue(7e-6)
         stream.synchronize()
         assert clock.now == pytest.approx(7e-6)
-        assert not stream.busy
+        assert stream.ready_time <= clock.now
 
     def test_synchronize_overhead(self):
         clock = VirtualClock()
@@ -58,6 +94,12 @@ class TestSynchronize:
         stream.enqueue(1e-6)
         stream.synchronize(sync_overhead=2e-6)
         assert clock.now == pytest.approx(3e-6)
+
+    def test_synchronize_returns_host_time(self):
+        clock = VirtualClock()
+        stream = Stream(clock)
+        stream.enqueue(2e-6)
+        assert stream.synchronize(sync_overhead=1e-6) == clock.now == pytest.approx(3e-6)
 
     def test_synchronize_idle_stream_is_cheap(self):
         clock = VirtualClock()
@@ -77,63 +119,3 @@ class TestSynchronize:
         stream.enqueue(1e-6)
         stream.enqueue(1e-6)
         assert stream.operations == 2
-
-
-class TestEvents:
-    def test_record_captures_stream_time(self):
-        clock = VirtualClock()
-        stream = Stream(clock)
-        stream.enqueue(3e-6)
-        event = Event(clock)
-        event.record(stream)
-        assert event.time == pytest.approx(3e-6)
-
-    def test_synchronize_advances_to_event(self):
-        clock = VirtualClock()
-        stream = Stream(clock)
-        stream.enqueue(5e-6)
-        event = Event(clock)
-        event.record(stream)
-        event.synchronize()
-        assert clock.now == pytest.approx(5e-6)
-
-    def test_query(self):
-        clock = VirtualClock()
-        stream = Stream(clock)
-        stream.enqueue(5e-6)
-        event = Event(clock)
-        event.record(stream)
-        assert not event.query()
-        clock.advance(5e-6)
-        assert event.query()
-
-    def test_unrecorded_event_rejected(self):
-        clock = VirtualClock()
-        event = Event(clock)
-        with pytest.raises(CudaStreamError):
-            event.synchronize()
-        with pytest.raises(CudaStreamError):
-            event.query()
-        with pytest.raises(CudaStreamError):
-            Stream(clock).wait_event(event)
-
-    def test_elapsed_time_between_events(self):
-        clock = VirtualClock()
-        stream = Stream(clock)
-        first = Event(clock)
-        first.record(stream)
-        stream.enqueue(4e-6)
-        second = Event(clock)
-        second.record(stream)
-        assert Event.elapsed_time(first, second) == pytest.approx(4e-6)
-
-    def test_wait_event_orders_streams(self):
-        clock = VirtualClock()
-        producer = Stream(clock)
-        consumer = Stream(clock)
-        producer.enqueue(9e-6)
-        event = Event(clock)
-        event.record(producer)
-        consumer.wait_event(event)
-        consumer.enqueue(1e-6)
-        assert consumer.ready_time == pytest.approx(10e-6)

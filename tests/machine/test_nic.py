@@ -323,17 +323,20 @@ class TestLedger:
         assert [r.dest for r in records] == [2, 3]
         assert nic.ledger(source=7) == []
 
-    def test_reset_forgets_everything(self):
-        nic = NicTimeline()
-        nic.reserve(0, 1, ready=0.0, wire_s=10.0)
-        nic.reserve(0, 2, ready=0.0, wire_s=10.0)
-        nic.reset()
-        assert nic.reservations == 0
-        assert nic.stalls == 0
-        assert nic.port_free_at(0) == 0.0
-        assert nic.ledger() == []
-        fresh = nic.reserve(0, 3, ready=0.0, wire_s=1.0)
-        assert fresh.start == 0.0
+    def test_timelines_share_no_state(self):
+        """A timeline is never reset: a run that starts over builds a new
+        one, which prices its first post as if nothing had been sent."""
+        busy = NicTimeline()
+        busy.reserve(0, 1, ready=0.0, wire_s=10.0, nbytes=64)
+        reservation = busy.reserve(0, 2, ready=0.0, wire_s=10.0, nbytes=64)
+        busy.ingest(2, records_for([(0, reservation)], 10.0))
+        fresh = NicTimeline()
+        assert (fresh.reservations, fresh.stalls, fresh.ingests, fresh.ingest_stalls) == (0, 0, 0, 0)
+        assert fresh.port_free_at(0) == fresh.ingest_free_at(2) == 0.0
+        assert fresh.ledger() == [] and fresh.in_flight(7.0) == 0
+        first = fresh.reserve(0, 3, ready=0.0, wire_s=1.0)
+        assert (first.start, first.stalled_s) == (0.0, 0.0)
+        assert busy.reservations == 2 and busy.port_free_at(0) > 0.0
 
 
 class TestIngest:
@@ -424,16 +427,6 @@ class TestIngest:
         nic.ingest(0, records_for(reservations, 10.0))
         assert {s: nic.port_free_at(s) for s in (1, 2)} == ports
         assert {s: nic.link_free_at(s, 0) for s in (1, 2)} == links
-
-    def test_reset_clears_ingestion_state(self):
-        nic = NicTimeline()
-        reservation = nic.reserve(1, 0, ready=0.0, wire_s=10.0)
-        nic.ingest(0, records_for([(1, reservation)], 10.0))
-        nic.reset()
-        assert nic.ingests == 0
-        assert nic.ingest_stalls == 0
-        assert nic.ingest_free_at(0) == 0.0
-        assert nic.pending_ingest(0) == 0
 
 
 class TestIngestBacklog:

@@ -1,5 +1,7 @@
 """Tests for machine specifications."""
 
+from dataclasses import FrozenInstanceError, replace
+
 import pytest
 
 from repro.gpu.cost_model import GpuCostModel
@@ -32,7 +34,6 @@ class TestInterconnectSpec:
 class TestSummitPreset:
     def test_six_gpus_per_node(self):
         assert SUMMIT.node.gpus == 6
-        assert SUMMIT.ranks_per_node_max == 6
 
     def test_cpu_floor_below_gpu_floor(self):
         """Fig. 9a: ~1.3 us host path vs ~6 us CUDA-aware path."""
@@ -46,10 +47,17 @@ class TestSummitPreset:
     def test_max_nodes_matches_summit(self):
         assert SUMMIT.max_nodes == 4608
 
-    def test_with_overrides_creates_copy(self):
-        other = SUMMIT.with_overrides(eager_threshold=1)
-        assert other.eager_threshold == 1
-        assert SUMMIT.eager_threshold != 1
+    def test_replace_makes_a_changed_copy(self):
+        other = replace(SUMMIT, name="other-machine", eager_threshold=1)
+        assert (other.name, other.eager_threshold) == ("other-machine", 1)
+        assert (SUMMIT.name, SUMMIT.eager_threshold) == ("summit-like", 64 * 1024)
+        assert other.node is SUMMIT.node and other != SUMMIT
+        with pytest.raises(FrozenInstanceError):
+            SUMMIT.eager_threshold = 1
+
+    def test_replaced_path_is_validated(self):
+        with pytest.raises(ValueError, match="edr-ib-gpu: latencies must be non-negative"):
+            replace(SUMMIT, inter_gpu=replace(SUMMIT.inter_gpu, latency_s=-1e-6))
 
 
 class TestSummitLike:

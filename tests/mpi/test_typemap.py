@@ -108,20 +108,17 @@ class TestSizesAndHistograms:
         with pytest.raises(MpiTypeError):
             typemap.packed_size(FLOAT, -1)
 
-    def test_block_length_histogram(self):
-        t = Type_indexed([2, 2, 1], [0, 10, 20], FLOAT)
-        assert typemap.block_lengths_histogram(t) == {8: 2, 4: 1}
-
-    def test_dominant_block_length(self):
-        t = Type_indexed([2, 2, 1], [0, 10, 20], FLOAT)
-        assert typemap.dominant_block_length(t) == 8
-
-    def test_dominant_block_length_of_vector(self):
-        assert typemap.dominant_block_length(Type_vector(16, 3, 8, FLOAT)) == 12
-
     def test_offsets_and_lengths_arrays(self):
         t = Type_vector(3, 1, 2, FLOAT)
         offsets, lengths = typemap.offsets_and_lengths(t)
         assert isinstance(offsets, np.ndarray)
         assert offsets.tolist() == [0, 8, 16]
         assert lengths.tolist() == [4, 4, 4]
+
+    def test_offsets_and_lengths_of_indexed_blocks(self):
+        """Unequal blocks keep their own lengths, in type-map order."""
+        t = Type_indexed([2, 2, 1], [0, 10, 20], FLOAT)
+        offsets, lengths = typemap.offsets_and_lengths(t)
+        assert offsets.tolist() == [0, 40, 80]
+        assert lengths.tolist() == [8, 8, 4]
+        assert int(lengths.sum()) == typemap.packed_size(t, 1)

@@ -110,17 +110,27 @@ class TestRun:
         finally:
             release.set()
 
+    def test_a_second_world_starts_from_zero(self):
+        """Worlds share no clocks or timeline: running the same exchange in a
+        fresh world after another reproduces its times exactly."""
+
+        def exchange(ctx):
+            ctx.clock.advance(ctx.rank * 1e-6)
+            ctx.comm.Barrier()
+            return ctx.clock.now
+
+        first = World(2)
+        times = first.run(exchange)
+        second = World(2)
+        assert second.clocks == [0.0, 0.0]
+        assert second.run(exchange) == times
+        assert first.clocks == second.clocks
+
     def test_clock_inspection(self):
         world = World(2)
         world.run(lambda ctx: ctx.clock.advance((ctx.rank + 1) * 1e-3))
         assert world.max_clock() == pytest.approx(2e-3)
         assert world.clocks[0] == pytest.approx(1e-3)
-
-    def test_reset_clocks(self):
-        world = World(2)
-        world.run(lambda ctx: ctx.clock.advance(1.0))
-        world.reset_clocks()
-        assert world.clocks == [0.0, 0.0]
 
 
 class TestDeadlock:

@@ -462,7 +462,7 @@ def block_walks(draw):
         vec, vec, vec, batch, read, read,
         st.tuples(st.just("reserve"), _RANK, _RANK, _SECONDS, _WIRE),
         st.tuples(st.just("ingest"), _RANK),
-        st.tuples(st.just("reset")),
+        st.tuples(st.just("fresh")),
     )
     # (one_of drops repeated alternatives; an index keeps the weights.)
     other = st.integers(0, len(others) - 1).flatmap(others.__getitem__)
@@ -493,8 +493,11 @@ class TestPendingBlockLifeCycle:
 
     def _run(self, limit, routed, steps):
         """Drive both timelines through ``steps``; return them."""
-        batched = NicTimeline(ledger_limit=4, pending_limit=limit)
-        scalar = NicTimeline(ledger_limit=4, pending_limit=limit)
+        def twins():
+            return (NicTimeline(ledger_limit=4, pending_limit=limit),
+                    NicTimeline(ledger_limit=4, pending_limit=limit))
+
+        batched, scalar = twins()
         resolve = self._TOPOLOGY.resolve if routed else (lambda s, d: None)
         posted = {}     # dest -> records reserved and not yet committed by the script
 
@@ -551,8 +554,8 @@ class TestPendingBlockLifeCycle:
             elif step[0] == "count":
                 assert batched.pending_ingest(step[1]) == scalar.pending_ingest(step[1])
             else:
-                batched.reset()
-                scalar.reset()
+                # A timeline has no reset: a new world builds a fresh pair.
+                batched, scalar = twins()
                 posted.clear()
             # What holds straight after any call, read without settling.
             assert batched.state_fingerprint() == scalar.state_fingerprint()

@@ -1,8 +1,8 @@
 """Property wall for the NIC event stream: deterministic, and it only observes.
 
 A list-appending sink (``TempiConfig(trace=...)``) records every event a run
-emits — the timeline's posts, sequence draws, ingestion commits and resets,
-the contended selector's backlog reads and pricing brackets, the
+emits — the timeline's posts, sequence draws and ingestion commits, the
+contended selector's backlog reads and pricing brackets, the
 interposer's joins.  Over ``selection`` × ``nic`` × ``batch_eager_sends``,
 on a 4-rank ring of nonblocking bursts and on the fat-tree barrier-phased
 cross-leaf run:

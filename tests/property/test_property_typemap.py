@@ -51,13 +51,6 @@ def test_analytic_block_count_matches_flatten_for_one_element(datatype):
     assert datatype.block_count() >= len(list(typemap.flatten(datatype)))
 
 
-@settings(max_examples=80, deadline=None)
-@given(strided_datatypes())
-def test_dominant_block_length_is_a_real_block_length(datatype):
-    lengths = {length for _, length in typemap.flatten(datatype)}
-    assert typemap.dominant_block_length(datatype) in lengths
-
-
 @settings(max_examples=60, deadline=None)
 @given(strided_datatypes(), st.integers(min_value=1, max_value=3))
 def test_offsets_and_lengths_agree_with_flatten(datatype, count):

@@ -6,7 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.mpi.world import World
 from repro.tempi.config import MODEL_CACHED_QUERY_S, MODEL_QUERY_S, PackMethod, TempiConfig
+from repro.tempi.interposer import interpose
+from repro.tempi.selection import SelectionError
 
 
 class TestDefaults:
@@ -25,12 +28,18 @@ class TestDefaults:
 
 
 class TestVariants:
-    def test_with_overrides(self):
-        config = TempiConfig().with_overrides(method=PackMethod.DEVICE, use_cache=False)
+    def test_replace_makes_a_changed_copy(self):
+        base = TempiConfig()
+        config = dataclasses.replace(base, method=PackMethod.DEVICE, use_cache=False)
         assert config.method is PackMethod.DEVICE
         assert not config.use_cache
-        # original untouched (frozen dataclass semantics)
-        assert TempiConfig().method is PackMethod.AUTO
+        assert base.method is PackMethod.AUTO and base.use_cache
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            base.use_cache = False
+
+    def test_replace_is_validated(self):
+        with pytest.raises(ValueError, match="unknown nic mode 'nosuch'"):
+            dataclasses.replace(TempiConfig(), nic="nosuch")
 
     def test_disabled_factory(self):
         config = TempiConfig.disabled()
@@ -45,9 +54,9 @@ class TestVariants:
         with pytest.raises(ValueError, match="selection='contended'.*progress='per_plan'"):
             TempiConfig(selection="contended", progress="per_plan")
         with pytest.raises(ValueError, match="selection='contended'.*progress='per_plan'"):
-            TempiConfig(selection="contended").with_overrides(progress="per_plan")
+            dataclasses.replace(TempiConfig(selection="contended"), progress="per_plan")
         with pytest.raises(ValueError, match="selection='contended'.*progress='per_plan'"):
-            TempiConfig(progress="per_plan").with_overrides(selection="contended")
+            dataclasses.replace(TempiConfig(progress="per_plan"), selection="contended")
         assert TempiConfig(selection="contended").progress == "shared"
 
     def test_trace_must_be_callable(self):
@@ -58,6 +67,29 @@ class TestVariants:
     def test_measurement_path_accepted(self):
         config = TempiConfig(measurement_path=Path("/tmp/m.json"))
         assert config.measurement_path == Path("/tmp/m.json")
+
+
+@pytest.mark.parametrize(
+    "machine_name, loads",
+    [("other-machine", False), ("summit-like", True), ("unknown", True)],
+)
+def test_measurement_file_must_be_for_this_machine(
+    machine_name, loads, summit_measurement, tmp_path
+):
+    """``measurement_path`` loads a file recorded on this machine, or on an
+    unnamed one; a file for another machine is refused with the file and
+    both machine names, not silently adopted."""
+    path = tmp_path / "m.json"
+    dataclasses.replace(summit_measurement, machine_name=machine_name).save(path)
+    comm = interpose(World(1).contexts[0], TempiConfig(measurement_path=path))
+    if loads:
+        assert comm.tempi.model.measurement.machine_name == machine_name
+    else:
+        with pytest.raises(SelectionError) as refused:
+            comm.tempi.model
+        message = str(refused.value)
+        assert str(path) in message
+        assert "'other-machine'" in message and "'summit-like'" in message
 
 
 class TestPackMethod:
@@ -82,7 +114,7 @@ AMBIENT_SETTERS = {"trace_default": "trace"}
 
 
 def _knobs_set_outside_tests() -> set[str]:
-    """Fields some shipped ``.py`` passes to ``TempiConfig``/``with_overrides``."""
+    """Fields some shipped ``.py`` passes to ``TempiConfig`` or ``dataclasses.replace``."""
     repo = Path(__file__).resolve().parents[2]
     knobs = {field.name for field in dataclasses.fields(TempiConfig)}
     found = set()
@@ -94,7 +126,7 @@ def _knobs_set_outside_tests() -> set[str]:
                 if not isinstance(node, ast.Call):
                     continue
                 callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-                if callee in ("TempiConfig", "with_overrides"):
+                if callee in ("TempiConfig", "replace"):
                     found.update(kw.arg for kw in node.keywords if kw.arg in knobs)
                 elif callee in AMBIENT_SETTERS:
                     found.add(AMBIENT_SETTERS[callee])

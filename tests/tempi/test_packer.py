@@ -2,6 +2,7 @@
 
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -218,7 +219,7 @@ class TestLaunchPlan:
 
     def test_plan_is_repriced_under_another_cost_model(self):
         packer = Packer(block_2d(), object_extent=512)
-        slow = SUMMIT_GPU.with_overrides(d2d_bandwidth=1.0e9)
+        slow = replace(SUMMIT_GPU, d2d_bandwidth=1.0e9)
         elapsed = []
         for cost in (SUMMIT_GPU, slow, SUMMIT_GPU):
             runtime = CudaRuntime(cost_model=cost)

@@ -102,7 +102,7 @@ class TestCompileExchange:
         # one selection per wire peer per side
         assert len(selections) == 6
         assert plan.method_counts() == {"device": 3}
-        assert plan.nstages == 3 + 3 + 3 + 2
+        assert len(plan.post_stages) == 3 and not plan.reduce_stages
 
     def test_staging_keys_follow_role_peer_kind(self):
         packer = make_packer()

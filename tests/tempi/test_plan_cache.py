@@ -422,7 +422,7 @@ class TestTemplateRebind:
         cached = self._burst(config, summit_model)
         # 3 pack + 3 unpack stages per rank, all device -> one-shot.
         assert rebound == [PackMethod.ONESHOT] * 24
-        fresh = self._burst(config.with_overrides(plan_cache=False), summit_model)
+        fresh = self._burst(dataclasses.replace(config, plan_cache=False), summit_model)
         assert len(rebound) == 24  # nothing to rebind without templates
         for (clock, digest, methods, hits), (f_clock, f_digest, f_methods, f_hits) in zip(
             cached, fresh

@@ -35,9 +35,11 @@ class TestEngineModes:
     def test_per_plan_reserve_is_uncontended(self, summit_model):
         def program(ctx):
             engine = ProgressEngine(ctx.comm, None, InterposerStats(), mode="per_plan")
-            assert engine.reserve(0, ready=1.0, wire_s=5.0) == (1.0, 6.0)
+            slot = engine.reserve_wire(0, ready=1.0, wire_s=5.0)
+            assert (slot.start, slot.arrival) == (1.0, 6.0)
             # A second reservation sees no port: PR-2 semantics.
-            assert engine.reserve(1, ready=1.0, wire_s=5.0) == (1.0, 6.0)
+            slot = engine.reserve_wire(1, ready=1.0, wire_s=5.0)
+            assert (slot.start, slot.arrival) == (1.0, 6.0)
             assert not engine.shared
             return True
 
@@ -47,10 +49,10 @@ class TestEngineModes:
         def program(ctx):
             engine = ProgressEngine(ctx.comm, None, InterposerStats(), mode="shared")
             assert engine.nic is ctx.world.nic
-            start, arrival = engine.reserve(1, ready=0.0, wire_s=10.0)
-            assert (start, arrival) == (0.0, 10.0)
-            start2, _ = engine.reserve(0, ready=0.0, wire_s=10.0)
-            assert start2 == pytest.approx(DEFAULT_WIRE_OVERLAP * 10.0)
+            slot = engine.reserve_wire(1, ready=0.0, wire_s=10.0)
+            assert (slot.start, slot.arrival) == (0.0, 10.0)
+            slot = engine.reserve_wire(0, ready=0.0, wire_s=10.0)
+            assert slot.start == pytest.approx(DEFAULT_WIRE_OVERLAP * 10.0)
             return True
 
         assert all(World(2).run(program))

@@ -7,8 +7,8 @@ interposer's join points emit.  The headline case reconstructs the
 ingestion backlog with no happens-before edge, and the sanitizer names the
 racing post and the racing read.  The clean cases pin down every edge that *does*
 discharge the obligation (barrier join, message-chain join, own posts,
-future posts), plus the pricing-purity bracket, cursor monotonicity, reset
-semantics, and exact audit counts for interposed runs.
+future posts), plus the pricing-purity bracket, cursor monotonicity, one
+sink over several timelines, and exact audit counts for interposed runs.
 """
 
 from __future__ import annotations
@@ -236,6 +236,8 @@ class TestMonotonicity:
 
 
 class TestResetSemantics:
+    """A sink's state across attaches and timelines (a timeline has no reset)."""
+
     def test_attach_is_idempotent(self, summit_model):
         """Every interposer built with the config attaches the same sink to
         the world's one timeline: a second interposer on a rank attaches
@@ -264,27 +266,18 @@ class TestResetSemantics:
         assert once["posts"] == once["ingests"] == once["barriers"] == 1
         assert run(2) == once
 
-    def test_raw_reset_clears_recorded_history(self):
-        """``World.reset_clocks`` resets the timeline; its reset event clears history."""
-        timeline, _ = traced()
-        timeline.reserve(0, 1, 10.0, WIRE_S, KIB)
-        timeline.reset()  # as World.reset_clocks issues it
-        # Starting over at earlier virtual times is not a phantom violation.
-        timeline.reserve(0, 1, 0.0, WIRE_S, KIB)
-
-    def test_reset_clears_only_its_own_timeline(self):
-        """One sink, two timelines: a reset forgets its own timeline only."""
+    def test_one_sink_audits_each_timeline_apart(self):
+        """One sink, two timelines: each keeps its own cursors and history."""
         sanitizer = ClockSanitizer()
         first, second = NicTimeline(), NicTimeline()
         first.sink = second.sink = sanitizer
         first.reserve(0, 1, 10.0, WIRE_S, KIB)
-        second.reserve(0, 1, 10.0, WIRE_S, KIB)
-        first.reset()
-        first.reserve(0, 1, 0.0, WIRE_S, KIB)
-        restart = NicReservation(start=0.0, arrival=WIRE_S, stalled_s=0.0, wire_s=WIRE_S, seq=1)
+        # An earlier post on the other timeline is not a phantom violation.
+        second.reserve(0, 1, 0.0, WIRE_S, KIB)
+        restart = NicReservation(start=0.0, arrival=WIRE_S, stalled_s=0.0, wire_s=WIRE_S, seq=0)
         with pytest.raises(SanitizerError, match="moved backwards"):
-            sanitizer(second, PostEvent(0, 1, restart, False, 0.65 * WIRE_S, ()))
-        assert sanitizer.counters["posts"] == 4
+            sanitizer(first, PostEvent(0, 1, restart, False, 0.65 * WIRE_S, ()))
+        assert sanitizer.counters["posts"] == 3
 
 
 class TestInterposedRuns:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,12 +13,15 @@ from repro.gpu.runtime import CudaRuntime
 from repro.machine.nic import NicTimeline
 from repro.machine.spec import SUMMIT, summit_like
 from repro.machine.topology import Topology, TopologySpec
+from repro.mpi.world import World
+from repro.tempi import interposer
 from repro.tempi.cache import ResourceCache
 from repro.tempi.config import MODEL_CACHED_QUERY_S, MODEL_QUERY_S, PackMethod, TempiConfig
+from repro.tempi.interposer import Tempi, interpose
+from repro.tempi.measurement import measure_system
 from repro.tempi.packer import Packer
 from repro.tempi.selection import (
     NOOP_METHOD,
-    CalibrationRegistry,
     ContendedSelector,
     FixedSelector,
     ModelSelector,
@@ -282,9 +286,9 @@ class TestMakeSelector:
         with pytest.raises(ValueError, match=pattern):
             TempiConfig(selection="contended", method=PackMethod.DEVICE)
         with pytest.raises(ValueError, match=pattern):
-            TempiConfig(selection="contended").with_overrides(method=PackMethod.DEVICE)
+            replace(TempiConfig(selection="contended"), method=PackMethod.DEVICE)
         with pytest.raises(ValueError, match=pattern):
-            TempiConfig(method=PackMethod.DEVICE).with_overrides(selection="contended")
+            replace(TempiConfig(method=PackMethod.DEVICE), selection="contended")
 
     def test_fixed_policy_requires_concrete_method(self, summit_model):
         """Forcing is spelled by ``method`` alone; there is no ``"fixed"``
@@ -308,48 +312,55 @@ class TestMakeSelector:
             TempiConfig(batch_max_messages=0)
 
 
-class TestCalibrationRegistry:
-    def test_models_are_cached_per_machine(self, summit_measurement):
-        registry = CalibrationRegistry()
-        model = registry.register(summit_measurement)
-        assert registry.model_for(SUMMIT) is model
-        assert registry.machines() == [SUMMIT.name]
-        assert SUMMIT in registry and "summit-like" in registry
+class TestMeasuredModel:
+    """``interpose`` without a model: one sweep per machine, shared by every rank."""
 
-    def test_machines_coexist(self, summit_measurement):
-        registry = CalibrationRegistry()
-        registry.register(summit_measurement)
-        other = summit_like(eager_threshold=8 * KIB).with_overrides(name="other-machine")
-        other_model = registry.model_for(other)
-        assert registry.model_for(SUMMIT) is not other_model
-        assert registry.machines() == ["other-machine", SUMMIT.name]
+    def test_ranks_without_a_model_share_one_sweep(self, monkeypatch):
+        sweeps = []
 
-    def test_directory_round_trip(self, summit_measurement, tmp_path):
-        path = CalibrationRegistry.measurement_path(tmp_path, SUMMIT.name)
-        summit_measurement.save(path)
-        registry = CalibrationRegistry(tmp_path)
-        model = registry.model_for(SUMMIT)
-        assert model.measurement.machine_name == SUMMIT.name
-        # A second registry measures nothing: the file is already there.
-        assert CalibrationRegistry(tmp_path).model_for(SUMMIT) is not model
+        def counted(machine):
+            sweeps.append(machine)
+            return measure_system(machine)
 
-    def test_directory_persists_fresh_measurements(self, tmp_path):
-        tiny = summit_like().with_overrides(name="tiny-machine")
-        registry = CalibrationRegistry(tmp_path)
-        registry.model_for(tiny)
-        assert CalibrationRegistry.measurement_path(tmp_path, "tiny-machine").exists()
+        monkeypatch.setattr(interposer, "_MODELS", {})
+        monkeypatch.setattr(interposer, "measure_system", counted)
+        first, second = World(2).run(lambda ctx: interpose(ctx).tempi.model)
+        assert first is second
+        assert sweeps == [SUMMIT]
 
-    def test_wrong_machine_file_is_rejected(self, summit_measurement, tmp_path):
+    def test_machines_coexist(self, monkeypatch):
+        monkeypatch.setattr(interposer, "_MODELS", {})
+        other = replace(summit_like(eager_threshold=8 * KIB), name="other-machine")
+
+        def model_of(machine):
+            return Tempi(CudaRuntime(), machine).model
+
+        summit, other_model = model_of(SUMMIT), model_of(other)
+        assert other_model is not summit
+        assert model_of(SUMMIT) is summit and model_of(other) is other_model
+        assert other_model.measurement.machine_name == "other-machine"
+
+    def test_specs_sharing_a_name_do_not_share_a_model(self, monkeypatch):
+        """The memo is keyed by the whole spec, not by its name."""
+        monkeypatch.setattr(interposer, "_MODELS", {})
+        twin = summit_like(eager_threshold=8 * KIB)
+        assert twin.name == SUMMIT.name and twin != SUMMIT
+        summit = Tempi(CudaRuntime(), SUMMIT).model
+        assert Tempi(CudaRuntime(), twin).model is not summit
+        assert len(interposer._MODELS) == 2
+
+    def test_a_measurement_file_or_a_given_model_runs_no_sweep(
+        self, summit_measurement, summit_model, tmp_path, monkeypatch
+    ):
+        def refused(machine):
+            raise AssertionError(f"swept {machine.name}")
+
+        monkeypatch.setattr(interposer, "_MODELS", {})
+        monkeypatch.setattr(interposer, "measure_system", refused)
         path = tmp_path / "m.json"
         summit_measurement.save(path)
-        registry = CalibrationRegistry()
-        other = summit_like().with_overrides(name="not-summit")
-        with pytest.raises(SelectionError):
-            registry.load(path, other)
-
-    def test_register_requires_machine_name(self, summit_measurement):
-        from dataclasses import replace
-
-        anonymous = replace(summit_measurement, machine_name="unknown")
-        with pytest.raises(SelectionError):
-            CalibrationRegistry().register(anonymous)
+        tempi = Tempi(CudaRuntime(), SUMMIT, TempiConfig(measurement_path=path))
+        assert tempi.model is tempi.model
+        assert tempi.model.measurement.machine_name == SUMMIT.name
+        assert Tempi(CudaRuntime(), SUMMIT, model=summit_model).model is summit_model
+        assert interposer._MODELS == {}

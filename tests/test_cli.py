@@ -158,6 +158,33 @@ class TestTopoShowCommand:
             _assert_error_line(["topo", "show", *flags], line, capsys)
 
 
+class TestReplayCommand:
+    @pytest.mark.parametrize(
+        "flags, line",
+        [
+            (["--runs", "0"], "--runs must be >= 1, got 0"),
+            (["--runs", "-2"], "--runs must be >= 1, got -2"),
+        ],
+        ids=["zero-runs", "negative-runs"],
+    )
+    def test_invalid_arguments_return_error(self, flags, line, tmp_path, capsys):
+        trace = str(tmp_path / "never-read.json")
+        _assert_error_line(["replay", trace, *flags], line, capsys)
+
+
+class TestSimThroughputCommand:
+    @pytest.mark.parametrize(
+        "flags, line",
+        [
+            (["--ranks", "2"], "--ranks[0] must be at least 4, got 2"),
+            (["--ranks", "8", "2"], "--ranks[1] must be at least 4, got 2"),
+        ],
+        ids=["first-rank-count", "second-rank-count"],
+    )
+    def test_invalid_arguments_return_error(self, flags, line, capsys):
+        _assert_error_line(["bench", "sim-throughput", *flags], line, capsys)
+
+
 class TestParser:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
