@@ -733,12 +733,23 @@ class NicTimeline:
 
         The single place the scalar injection rules live: :meth:`reserve`
         wraps it per message, and it is the reference :meth:`reserve_batch`'s
-        level sweep is pinned against.
+        level sweep is pinned against.  It runs once per wire message, so it
+        is spelled in as few calls as the rules allow: a cursor it writes
+        below is probed with ``in`` (never a ``defaultdict``, whose reads
+        would create keys :meth:`ingest_backlog` and the sanitizer see), the
+        flat clamp is comparisons keeping ``max``'s tie rule (the first
+        maximal argument wins), and both tuples are built by one
+        ``tuple.__new__`` each.
         """
-        port = self._ports.get(source, 0.0)
+        ports, links, seqs = self._ports, self._links, self._seqs
+        port = ports[source] if source in ports else 0.0
         link_key = (source, dest)
-        link = self._links.get(link_key, 0.0)
-        start = max(ready, port, link)
+        link = links[link_key] if link_key in links else 0.0
+        start = ready
+        if port > start:
+            start = port
+        if link > start:
+            start = link
         rail_key: Optional[RailKey] = None
         ingest_rail: Optional[RailKey] = None
         if path is not None:
@@ -753,16 +764,16 @@ class NicTimeline:
                 self.fabric_stalls += 1
                 self.fabric_stalled_s += start - base
         arrival = start + wire_s
-        self._ports[source] = start + self.wire_overlap * wire_s
+        ports[source] = start + self.wire_overlap * wire_s
         if rail_key is not None:
             self._rail_ports[rail_key] = start + self.wire_overlap * wire_s
         if path is not None:
             for share_key, bandwidth in path.shared:
                 self._shared_links[share_key] = start + nbytes / bandwidth
-        self._links[link_key] = arrival
+        links[link_key] = arrival
         self.reservations += 1
-        seq = self._seqs.get(source, 0)
-        self._seqs[source] = seq + 1
+        seq = seqs[source] if source in seqs else 0
+        seqs[source] = seq + 1
         stalled = start - ready  # never negative: start is a max over ready
         if stalled > 0:
             self.stalls += 1
@@ -773,9 +784,9 @@ class NicTimeline:
         if ingest and wire_s > 0 and self.pending_limit:
             self._register_pending(
                 dest,
-                IngestRecord(start, source, seq, wire_s, arrival, ingest_rail),
+                tuple.__new__(IngestRecord, (start, source, seq, wire_s, arrival, ingest_rail)),
             )
-        reservation = NicReservation(start, arrival, stalled, wire_s, seq)
+        reservation = tuple.__new__(NicReservation, (start, arrival, stalled, wire_s, seq))
         sink = self.sink
         if sink is not None:
             shared: list[tuple[str, Any, float]] = (
@@ -1067,12 +1078,17 @@ class NicTimeline:
 
         The single place the scalar ingestion rules live: :meth:`ingest`
         wraps it per batch and :meth:`ingest_batch_vec`'s serialised fallback
-        row-loops it, so the two paths cannot drift.
+        row-loops it, so the two paths cannot drift.  Spelled like
+        :meth:`_reserve_one`: the cursors are probed with ``in``, and each
+        clamp is a comparison that keeps ``max``'s tie rule.  The stale-record
+        prune stays a comprehension: simlint's SIM003 rejects a loop over a
+        rank-keyed dict view that feeds clock arithmetic.
         """
         if self._block is not None:
             self._settle()
-        port = self._ingest_ports.get(dest, 0.0)
-        pending = self._pending.get(dest)
+        ports, pendings = self._ingest_ports, self._pending
+        port = ports[dest] if dest in ports else 0.0
+        pending = pendings[dest] if dest in pendings else None
         overlap = self.wire_overlap
         # Service order is (post_time, source, seq) — the tuple's leading
         # fields — over the records with wire time.  One such record is its
@@ -1088,14 +1104,16 @@ class NicTimeline:
             # written so an undelayed landing equals the arrival
             # *exactly*, and using the true wire-entry time rather than
             # re-deriving it as arrival - wire (no float re-rounding).
-            landing = max(arrival, port + wire_s)
+            landing = port + wire_s
+            if arrival >= landing:
+                landing = arrival
             if rail is not None:
                 # The shared receive-side rail mirrors the port rule in
                 # its own cursor; the flat books never reach this branch.
                 rail_port = self._ingest_rails.get(rail, 0.0)
                 landing = max(landing, rail_port + wire_s)
                 self._ingest_rails[rail] = max(post_time, rail_port) + overlap * wire_s
-            port = max(post_time, port) + overlap * wire_s
+            port = (post_time if post_time >= port else port) + overlap * wire_s
             self.ingests += 1
             stalled = landing - arrival
             if stalled > 0:
@@ -1108,7 +1126,7 @@ class NicTimeline:
             # Fold the stall seconds in batch order through the ledger helper
             # — the same adds in the same order as accumulating in the loop.
             self.ingest_stalled_s = ledger_sum(stalls, start=self.ingest_stalled_s)
-        self._ingest_ports[dest] = port
+        ports[dest] = port
         # Receiver-program-order housekeeping (the only deterministic
         # place to prune): pending records that would have fully drained
         # behind the committed cursor were consumed on another path (a

@@ -46,7 +46,7 @@ import numpy as np
 from repro.gpu.memory import HostBuffer, MemoryKind
 from repro.mpi.baseline import contiguous_payload
 from repro.mpi.datatype import Datatype, check_int
-from repro.mpi.errors import MpiArgumentError
+from repro.mpi.errors import MpiArgumentError, MpiTypeError
 from repro.mpi.p2p import Envelope
 from repro.mpi.request import Request
 from repro.mpi.status import Status
@@ -281,6 +281,31 @@ _REDUCE_UFUNCS = {
 }
 
 
+def check_allreduce(op: str, send_type: Datatype, recv_type: Datatype) -> np.dtype:
+    """The element dtype an allreduce combines, or the error MPI gives.
+
+    Both communicators call this before anything is charged.  ``op`` must
+    name one of :data:`_REDUCE_UFUNCS` (``MpiArgumentError``), and both
+    datatypes must be elementary with one numpy dtype (``MpiTypeError``
+    naming both): a FLOAT send summed as INT, or a strided send copied as
+    contiguous bytes, would otherwise return wrong bytes without an error.
+    """
+    if op not in _REDUCE_UFUNCS:
+        raise MpiArgumentError(
+            f"unsupported reduction {op!r}; expected one of {tuple(_REDUCE_UFUNCS)}"
+        )
+    send_dtype = getattr(send_type, "numpy_dtype", None)
+    recv_dtype = getattr(recv_type, "numpy_dtype", None)
+    # Both tested against None: numpy reads ``dtype == None`` as float64.
+    if send_dtype is None or recv_dtype is None or send_dtype != recv_dtype:
+        names = [getattr(t, "name", f"a derived {t.combiner.value} type") for t in (send_type, recv_type)]
+        raise MpiTypeError(
+            f"allreduce needs one elementary datatype on both sides, "
+            f"got send {names[0]} and recv {names[1]}"
+        )
+    return send_dtype
+
+
 def allreduce(comm, send_spec, recv_spec, op: str = "sum") -> None:
     """Naive vector allreduce: every rank fans its contribution to every peer.
 
@@ -291,19 +316,11 @@ def allreduce(comm, send_spec, recv_spec, op: str = "sum") -> None:
     the reference schedule the interposed ring/tree/hierarchical plans are
     pinned against byte-for-byte (``tests/property/test_property_allreduce``).
     """
-    ufunc = _REDUCE_UFUNCS.get(op)
-    if ufunc is None:
-        raise MpiArgumentError(
-            f"unsupported reduction {op!r}; expected one of {tuple(_REDUCE_UFUNCS)}"
-        )
-    tag = _next_collective_tag(comm)
     send_buffer, send_count, send_type = comm._resolve(send_spec)
     recv_buffer, recv_count, recv_type = comm._resolve(recv_spec)
-    if recv_type.numpy_dtype is None:
-        raise MpiArgumentError(
-            f"allreduce needs an elementary datatype, got {recv_type.name}"
-        )
-    dtype = np.dtype(recv_type.numpy_dtype)
+    dtype = check_allreduce(op, send_type, recv_type)
+    ufunc = _REDUCE_UFUNCS[op]
+    tag = _next_collective_tag(comm)
     nbytes = recv_type.size * recv_count
     if send_type.size * send_count != nbytes:
         raise MpiArgumentError(

@@ -41,7 +41,8 @@ from typing import Optional
 import numpy as np
 
 from repro.gpu.memory import MemoryKind
-from repro.mpi.collectives import _next_collective_tag, _receive_raw
+from repro.machine.nic import NicReservation
+from repro.mpi.collectives import _REDUCE_UFUNCS, _next_collective_tag, _receive_raw
 from repro.mpi.errors import MpiTruncationError
 from repro.mpi.p2p import Envelope
 from repro.mpi.request import Request
@@ -57,16 +58,6 @@ from repro.tempi.plan import (
     staging_kind,
 )
 from repro.tempi.progress import ProgressEngine
-
-#: Elementwise reduction kernels a :class:`~repro.tempi.plan.ReduceStage`
-#: may name.  All four are deterministic numpy ufuncs; the combine order is
-#: the schedule's, so run-to-run results are bit-identical by construction.
-_REDUCE_UFUNCS = {
-    "sum": np.add,
-    "prod": np.multiply,
-    "min": np.minimum,
-    "max": np.maximum,
-}
 
 
 class PlanExecutor:
@@ -209,49 +200,28 @@ class PlanExecutor:
         self,
         peer: int,
         tag: int,
-        payload_buffer,
-        nbytes: int,
+        payload: np.ndarray,
+        device: bool,
         available_at: float,
-        *,
-        wire_s: float = 0.0,
-        post_time: float = 0.0,
-        source_seq: int = -1,
+        slot: Optional[NicReservation] = None,
     ) -> None:
-        self.comm.router.post(
-            Envelope(
-                source=self.comm.rank,
-                dest=peer,
-                tag=tag,
-                context=self.comm.context,
-                payload=payload_buffer.data[:nbytes].copy(),
-                available_at=available_at,
-                device=payload_buffer.is_device,
-                wire_s=wire_s,
-                post_time=post_time,
-                source_seq=source_seq,
-            )
-        )
+        """Post one wire message carrying a copy of ``payload``, a view of its bytes.
 
-    def _post_slot(self, peer: int, tag: int, payload_buffer, nbytes: int, slot) -> None:
-        """Post one reserved wire message, carrying its NIC identity.
-
-        Only slots reserved on the shared timeline (``seq >= 0``) stamp the
-        envelope for receive-side ingestion; per-plan and serial posts opt
-        out and keep the sender-computed arrival final.
+        The one post helper of every plan.  Only a ``slot`` reserved on the
+        shared timeline (``seq >= 0``) stamps the envelope with its NIC
+        identity for receive-side ingestion; per-plan and serial posts opt
+        out and keep ``available_at``, the sender-computed arrival, final.
         """
-        if slot.seq >= 0:
-            self._post(
-                peer,
-                tag,
-                payload_buffer,
-                nbytes,
-                slot.arrival,
-                wire_s=slot.wire_s,
-                post_time=slot.start,
-                source_seq=slot.seq,
-            )
-        else:
-            self._post(peer, tag, payload_buffer, nbytes, slot.arrival)
+        comm = self.comm
+        wire_s, post_time, seq = (
+            (slot.wire_s, slot.start, slot.seq) if slot is not None and slot.seq >= 0
+            else (0.0, 0.0, -1)
+        )
+        comm.router.post(Envelope(
+            source=comm.rank, dest=peer, tag=tag, context=comm.context, payload=payload.copy(),
+            available_at=available_at, device=device, wire_s=wire_s, post_time=post_time,
+            source_seq=seq,
+        ))
 
     def _run_local(self, plan: MessagePlan, staging: _StagingTracker) -> None:
         """Self-sections bounce through device staging without the wire."""
@@ -281,10 +251,9 @@ class PlanExecutor:
                     post.peer, ready, wire, post.nbytes, device=payload.is_device
                 )
                 arrival = slot.arrival
-                self._post_slot(post.peer, plan.tag, payload, post.nbytes, slot)
             else:
-                arrival = ready + wire
-                self._post(post.peer, plan.tag, payload, post.nbytes, arrival)
+                arrival, slot = ready + wire, None
+            self._post(post.peer, plan.tag, payload.data[: post.nbytes], payload.is_device, arrival, slot)
         finally:
             staging.release()
             if stream is not None:
@@ -313,15 +282,16 @@ class PlanExecutor:
             payload, ready = self._pack_stage(stage, plan.send_buffer, staging, stream)
             for post in plan.post_stages:
                 wire = self.engine.message_time(post.nbytes, post.peer, payload.is_device)
+                data = payload.data[: post.nbytes]
                 if window is not None:
                     slot = window.reserve_wire(
                         post.peer, ready, wire, post.nbytes, device=payload.is_device
                     )
-                    self._post_slot(post.peer, plan.tag, payload, post.nbytes, slot)
+                    self._post(post.peer, plan.tag, data, payload.is_device, slot.arrival, slot)
                 else:
                     # The serial ablation prices each transfer independently,
                     # exactly like serial sends (no NIC serialisation).
-                    self._post(post.peer, plan.tag, payload, post.nbytes, ready + wire)
+                    self._post(post.peer, plan.tag, data, payload.is_device, ready + wire)
         finally:
             staging.release()
             if stream is not None:
@@ -405,12 +375,14 @@ class PlanExecutor:
                     slot = window.reserve_wire(
                         post.peer, ready, wire, post.nbytes, device=payload.is_device
                     )
-                    self._post_slot(post.peer, tag, payload, post.nbytes, slot)
+                    data = payload.data[: post.nbytes]
+                    self._post(post.peer, tag, data, payload.is_device, slot.arrival, slot)
                 self.stats.stages_overlapped += len(plan.pack_stages)
             else:
                 for post in plan.post_stages:
                     payload, ready = pack_once(post.pack, None)
-                    self._post(post.peer, tag, payload, post.nbytes, comm.clock.now)
+                    data = payload.data[: post.nbytes]
+                    self._post(post.peer, tag, data, payload.is_device, comm.clock.now)
             if plan.local is not None:
                 self._run_local(plan, staging)
         finally:
@@ -502,43 +474,61 @@ class PlanExecutor:
             include_sync=True,
         )
 
-    def _allreduce_round(self, stage: ReduceStage, plan: MessagePlan, dtype) -> None:
-        """Walk one reduction round: post the send half, fold the receive half."""
+    def _allreduce_round(
+        self, stage: ReduceStage, plan: MessagePlan, dtype, priced: dict
+    ) -> None:
+        """Walk one reduction round: post the send half, fold the receive half.
+
+        Runs once per round of every allreduce, so it takes the fewest calls
+        the round allows.  ``priced`` is the calling ``complete()``'s own dict
+        of wire times (keyed ``(send_nbytes, dest)``) and combine charges
+        (keyed by ``recv_nbytes``): a ring's rounds repeat both, and each
+        distinct one is priced once per plan execution, never across plans.
+        The chunk is posted from a slice of the accumulator's bytes (no
+        buffer view), received straight from the router, and checked by its
+        payload's size.
+        """
         comm = self.comm
         acc = plan.recv_buffer
-        if stage.dest >= 0:
-            wire = self.engine.message_time(stage.send_nbytes, stage.dest, acc.is_device)
-            payload = acc.view(stage.send_offset) if stage.send_offset else acc
+        device = acc.is_device
+        dest, send_nbytes = stage.dest, stage.send_nbytes
+        if dest >= 0:
+            key = (send_nbytes, dest)
+            if key in priced:
+                wire = priced[key]
+            else:
+                wire = priced[key] = self.engine.message_time(send_nbytes, dest, device)
+            offset = stage.send_offset
+            payload = acc.data[offset : offset + send_nbytes]
+            now = comm.clock.now
             if self.overlap:
-                slot = self.engine.reserve_wire(
-                    stage.dest, comm.clock.now, wire, stage.send_nbytes,
-                    device=acc.is_device,
-                )
-                self._post_slot(stage.dest, plan.tag, payload, stage.send_nbytes, slot)
+                slot = self.engine.reserve_wire(dest, now, wire, send_nbytes, device=device)
+                self._post(dest, plan.tag, payload, device, slot.arrival, slot)
             else:
                 # The serial ablation prices each transfer independently,
                 # exactly like serial sends (no NIC serialisation).
-                self._post(
-                    stage.dest, plan.tag, payload, stage.send_nbytes,
-                    comm.clock.now + wire,
-                )
+                self._post(dest, plan.tag, payload, device, now + wire)
         if stage.source < 0:
             return
-        envelope = _receive_raw(comm, stage.source, plan.tag)
+        envelope = comm.router.receive(comm.rank, stage.source, plan.tag, comm.context)
         comm.clock.advance_to(self.engine.ingest_one(envelope))
-        if envelope.nbytes != stage.recv_nbytes:
+        nbytes = stage.recv_nbytes
+        if envelope.payload.nbytes != nbytes:
             raise PlanError(
-                f"rank {comm.rank} expected a {stage.recv_nbytes}-byte reduction "
-                f"chunk from {stage.source}, got {envelope.nbytes}"
+                f"rank {comm.rank} expected a {nbytes}-byte reduction "
+                f"chunk from {stage.source}, got {envelope.payload.nbytes}"
             )
-        if not stage.recv_nbytes:
+        if not nbytes:
             return
-        region = acc.data[stage.recv_offset : stage.recv_offset + stage.recv_nbytes]
+        region = acc.data[stage.recv_offset : stage.recv_offset + nbytes]
         if stage.combine:
-            comm.clock.advance(self._reduce_time(stage.recv_nbytes, acc.is_device))
-            ufunc = _REDUCE_UFUNCS[stage.op]
+            if nbytes in priced:
+                charge = priced[nbytes]
+            else:
+                charge = priced[nbytes] = self._reduce_time(nbytes, device)
+            comm.clock.advance(charge)
             folded = region.view(dtype)
-            ufunc(folded, envelope.payload.view(dtype), out=folded)
+            _REDUCE_UFUNCS[stage.op](folded, envelope.payload.view(dtype), out=folded)
         else:
             region[:] = envelope.payload
 
@@ -564,8 +554,9 @@ class PlanExecutor:
             self.engine.progress()
             nbytes = plan.reduce_nbytes
             plan.recv_buffer.data[:nbytes] = plan.send_buffer.data[:nbytes]
+            priced: dict = {}
             for stage in plan.reduce_stages:
-                self._allreduce_round(stage, plan, dtype)
+                self._allreduce_round(stage, plan, dtype, priced)
             return Status()
 
         def ready() -> bool:

@@ -62,7 +62,7 @@ from repro.machine.nic import JoinEvent
 from repro.machine.spec import MachineSpec
 from repro.machine.topology import Topology
 from repro.mpi import collectives as _collectives
-from repro.mpi.collectives import _next_collective_tag
+from repro.mpi.collectives import _next_collective_tag, check_allreduce
 from repro.mpi.communicator import Communicator, as_buffer
 from repro.mpi.datatype import Datatype, check_datatype, check_int
 from repro.mpi.errors import MpiArgumentError
@@ -1011,11 +1011,14 @@ class TempiCommunicator:
     ) -> Optional[MessagePlan]:
         """Compile an allreduce to a :class:`MessagePlan`, fully charged.
 
-        Returns ``None`` when the call is not TEMPI's business (host buffers,
-        non-elementary or mismatched datatypes, interposition disabled) — the
-        caller then runs the naive system fan-in, a collective join that has
-        finished when it returns.  Reduction plans are never kept as
-        templates: the schedule is a pure function of
+        An unknown ``op``, a derived datatype or two datatypes of different
+        element types raise what the system communicator raises
+        (:func:`~repro.mpi.collectives.check_allreduce`), before anything is
+        charged.  Returns ``None`` when the call is not TEMPI's business (host
+        buffers, send and receive extents that differ, interposition
+        disabled) — the caller then runs the naive system fan-in, a
+        collective join that has finished when it returns.  Reduction plans
+        are never kept as templates: the schedule is a pure function of
         ``(rank, size, count, algorithm)`` and compiles in microseconds, so
         the priced clocks stay trivially bit-identical across ``plan_cache``
         configs (the property wall pins this).
@@ -1026,12 +1029,7 @@ class TempiCommunicator:
         comm = self._comm
         send_buffer, send_count, send_type = comm._resolve(sendbuf)
         recv_buffer, recv_count, recv_type = comm._resolve(recvbuf)
-        if send_type.numpy_dtype is None or recv_type.numpy_dtype is None:
-            self.tempi.stats.collective_fallbacks += 1
-            return None
-        if np.dtype(send_type.numpy_dtype) != np.dtype(recv_type.numpy_dtype):
-            self.tempi.stats.collective_fallbacks += 1
-            return None
+        dtype = check_allreduce(op, send_type, recv_type)
         if not (send_buffer.is_device and recv_buffer.is_device):
             self.tempi.stats.collective_fallbacks += 1
             return None
@@ -1057,7 +1055,7 @@ class TempiCommunicator:
             recv_buffer,
             recv_count,
             recv_type.size,
-            np.dtype(recv_type.numpy_dtype).name,
+            dtype.name,
             op=op,
             algorithm=algorithm,
             islands=islands,

@@ -42,6 +42,7 @@ from typing import Hashable, Optional, Sequence
 
 from repro.gpu.memory import Buffer, MemoryKind
 from repro.gpu.stream import Stream
+from repro.mpi.collectives import _REDUCE_UFUNCS
 from repro.tempi.config import PackMethod
 from repro.tempi.packer import Packer
 from repro.tempi.selection import MethodSelector
@@ -146,11 +147,12 @@ class UnpackStage:
     stream: Optional[Stream] = None
 
 
-#: Reduction operators a :class:`ReduceStage` may carry.  All four are
-#: elementwise numpy kernels on the executor side; the property wall drives
-#: exactly-representable values so every schedule's combine order lands on
-#: the same bits (see ``docs/ARCHITECTURE.md`` § Workloads).
-REDUCE_OPS = ("sum", "prod", "min", "max")
+#: Reduction operators a :class:`ReduceStage` may carry: the system
+#: allreduce's own table, whose elementwise numpy kernels the executor folds
+#: with.  The property wall drives exactly-representable values so every
+#: schedule's combine order lands on the same bits (see
+#: ``docs/ARCHITECTURE.md`` § Workloads).
+REDUCE_OPS = tuple(_REDUCE_UFUNCS)
 
 
 @dataclass

@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.machine.nic import IngestRecord, NicReservation, NicTimeline
-from repro.machine.topology import PathSpec, Topology
+from repro.machine.topology import Topology
 from repro.mpi.p2p import Envelope
 from repro.mpi.request import Request
 from repro.mpi.status import Status
@@ -208,18 +208,6 @@ class ProgressEngine:
             )
         return self.comm._message_time(nbytes, peer, device)
 
-    def _route(self, peer: int, device: bool) -> Optional[PathSpec]:
-        """The path a post to ``peer`` binds (``None`` without a topology).
-
-        Resolution is memoised inside :class:`~repro.machine.topology.Topology`
-        so the hot path is one dict probe; a *flat* topology resolves every
-        pair to an unbinding path, which the NIC prices bit-identically to
-        no path at all.
-        """
-        if self.topology is None:
-            return None
-        return self.topology.resolve(self.comm.rank, peer, device_buffers=device)
-
     def reserve_wire(
         self, peer: int, ready: float, wire_s: float, nbytes: int = 0, *, device: bool = True
     ) -> NicReservation:
@@ -235,15 +223,21 @@ class ProgressEngine:
         interposer stats.  ``device`` picks the wire path the route is
         resolved for (GPU rails vs host rails); it only matters under a
         topology.
+
+        Runs once per wire message, so the path is resolved inline: none
+        without a topology, else the memo inside
+        :meth:`~repro.machine.topology.Topology.resolve` (one dict probe; a
+        flat topology's unbinding path prices bit-identically to none).
         """
         if not self.shared:
             return NicReservation(ready, ready + wire_s, 0.0, wire_s, -1)
+        rank, topology = self.comm.rank, self.topology
         # Inject-only books never feed the destination's advisory pending
         # ledger: their messages are never ingested, so they must not look
         # like receive-side backlog to a duplex reader sharing the world.
         reservation = self.nic.reserve(
-            self.comm.rank, peer, ready, wire_s, nbytes, ingest=self.duplex,
-            path=self._route(peer, device),
+            rank, peer, ready, wire_s, nbytes, ingest=self.duplex,
+            path=None if topology is None else topology.resolve(rank, peer, device_buffers=device),
         )
         if reservation.stalled_s > 0.0:
             self.stats.contention_stalls += 1
@@ -284,10 +278,21 @@ class ProgressEngine:
         to.  Under ``nic="inject_only"`` — or for envelopes that never went
         through the shared timeline (system path, serial engine) — this is
         exactly the sender-computed ``available_at``, bit-for-bit.
+
+        Runs once per received wire message, so the :meth:`_ingestable` test
+        is inlined and, with no topology to bind a rail, the record is built
+        by one ``tuple.__new__``; a topology takes :meth:`_ingest_record`.
         """
-        if not self._ingestable(envelope):
+        if not (self.duplex and envelope.wire_s > 0 and envelope.source_seq >= 0):
             return envelope.available_at
-        landing = self.nic.ingest(self.comm.rank, [self._ingest_record(envelope)])[0]
+        if self.topology is None:
+            record = tuple.__new__(IngestRecord, (
+                envelope.post_time, envelope.source, envelope.source_seq,
+                envelope.wire_s, envelope.available_at, None,
+            ))
+        else:
+            record = self._ingest_record(envelope)
+        landing = self.nic.ingest(self.comm.rank, [record])[0]
         if landing > envelope.available_at:
             self.stats.ingest_stalls += 1
         return landing
@@ -462,16 +467,11 @@ class ProgressEngine:
                     seq = slot.seq if index == 0 else self.nic.next_seq(self.comm.rank)
                 else:
                     share, seq = 0.0, -1
-                executor._post(
-                    post.peer,
-                    entry.plan.tag,
-                    entry.payload,
-                    post.nbytes,
-                    slot.arrival,
-                    wire_s=share,
-                    post_time=slot.start,
-                    source_seq=seq,
-                )
+                # The constituent's own slot: the batch's start and arrival,
+                # its share of the wire and its seq (a tuple built in one call).
+                own = tuple.__new__(NicReservation, (slot.start, slot.arrival, 0.0, share, seq))
+                data, device = entry.payload.data[: post.nbytes], entry.payload.is_device
+                executor._post(post.peer, entry.plan.tag, data, device, slot.arrival, own)
         finally:
             batch.staging.release()
         if len(batch.entries) > 1:

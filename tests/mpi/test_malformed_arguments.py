@@ -16,7 +16,12 @@ used to truncate a float and accept a bool or a string.  ``Pack_size``
 checks its count the same way and its datatype as ``Type_commit`` does
 (``datatype: expected a Datatype``), where ``Pack_size(2.5, FLOAT)`` returned
 ``10.0``; a v-collective's list of datatypes names its bad element
-(``sendtypes[1]: expected a Datatype, got 'x'``).
+(``sendtypes[1]: expected a Datatype, got 'x'``).  ``Allreduce`` raises
+the same error with the same message on both communicators before anything
+is charged: :class:`MpiArgumentError` for an unknown ``op``, and
+:class:`MpiTypeError` naming both datatypes unless both are elementary with
+one element type, where a FLOAT send reduced into an INT receive used to sum
+bit patterns and a derived send type was copied as contiguous bytes.
 """
 
 from __future__ import annotations
@@ -38,11 +43,12 @@ from repro.mpi.constructors import (
     Type_indexed,
     Type_vector,
 )
-from repro.mpi.datatype import BYTE, DOUBLE, FLOAT, ORDER_C
-from repro.mpi.errors import MpiArgumentError, MpiTypeError
+from repro.mpi.datatype import BYTE, CHAR, DOUBLE, FLOAT, INT, INT64, ORDER_C, SHORT, UNSIGNED
+from repro.mpi.errors import MpiArgumentError, MpiError, MpiTypeError
 from repro.mpi.world import World
 from repro.tempi.config import TempiConfig
 from repro.tempi.interposer import interpose
+from repro.tempi.plan import REDUCE_OPS
 
 #: Each constructor with well-formed keyword arguments, and which of them are
 #: integer scalars, integer sequences and datatypes.
@@ -399,5 +405,75 @@ class TestVCollectiveTypeLists:
                 message = rf"^{arg}\[1\]: expected a Datatype, got 'x'$"
                 with pytest.raises(MpiArgumentError, match=message):
                     v_call(comms[kind], collective, form, args, types)
+
+        world.run(attempt)
+
+
+# --------------------------------------------------------------------------- #
+# Allreduce's op and datatypes, on both communicators.
+# --------------------------------------------------------------------------- #
+
+ELEMENTARY = [BYTE, CHAR, SHORT, INT, INT64, UNSIGNED, FLOAT, DOUBLE]
+#: Two elements of each fit the 64-byte buffer of ``rank0``.
+DERIVED = [Type_vector(2, 1, 2, FLOAT), Type_contiguous(2, FLOAT), Type_create_resized(FLOAT, 0, 8)]
+
+
+def _allreduce_error(comm, buffer, send, recv, op) -> tuple:
+    """``(class, message)`` of the error ``Allreduce`` raises, or ``None``."""
+    try:
+        comm.Allreduce((buffer, 2, send), (buffer, 2, recv), op)
+    except MpiError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestAllreduceArguments:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        send=st.sampled_from(ELEMENTARY + DERIVED),
+        recv=st.sampled_from(ELEMENTARY + DERIVED),
+        op=st.sampled_from(REDUCE_OPS) | st.text(max_size=6),
+    )
+    def test_both_communicators_raise_the_same_error(self, rank0, send, recv, op):
+        world, comms, buffer, _ = rank0
+        elementary = send in ELEMENTARY and recv in ELEMENTARY
+        if op in REDUCE_OPS and elementary and send.numpy_dtype == recv.numpy_dtype:
+            return  # a well-formed call: the property wall's business
+        errors = {}
+
+        def attempt(ctx) -> None:
+            if ctx.rank == 0:
+                errors.update(
+                    (kind, _allreduce_error(comm, buffer, send, recv, op))
+                    for kind, comm in comms.items()
+                )
+
+        world.run(attempt)
+        assert errors["system"] == errors["tempi"]
+        cls, message = errors["tempi"]
+        if op not in REDUCE_OPS:
+            assert cls is MpiArgumentError and message.startswith(f"unsupported reduction {op!r}")
+        else:
+            assert cls is MpiTypeError
+            for datatype in (send, recv):
+                name = datatype.name if elementary else "a derived "
+                assert name in message
+
+    def test_the_reported_cases_raise(self, rank0):
+        world, comms, buffer, _ = rank0
+        vector = Type_vector(2, 1, 2, FLOAT)
+        cases = [
+            (FLOAT, INT, "sum", MpiTypeError, "got send MPI_FLOAT and recv MPI_INT"),
+            (vector, FLOAT, "sum", MpiTypeError, "got send a derived vector type and recv MPI_FLOAT"),
+            (FLOAT, FLOAT, "avg", MpiArgumentError, "unsupported reduction 'avg'"),
+        ]
+
+        def attempt(ctx) -> None:
+            if ctx.rank != 0:
+                return
+            for send, recv, op, cls, text in cases:
+                for comm in comms.values():
+                    with pytest.raises(cls, match=re.escape(text)):
+                        comm.Allreduce((buffer, 2, send), (buffer, 2, recv), op)
 
         world.run(attempt)

@@ -41,7 +41,11 @@ growing back:
 * a warm ``ml_replay`` step stays under a per-plan ceiling, and the scalar
   lookups beside its pricing count exactly: a buffer's size and kind are
   slots, a rank is checked inline, and a flat-world wire price builds no
-  ``MessageCost``;
+  ``MessageCost``; so do one warm flat ``NicTimeline.reserve`` and one
+  lone-record ``ingest``: a cursor is probed with ``in``, a clamp is a
+  comparison, and a record is built by one ``tuple.__new__``;
+* ``tools/call_histogram.py --workload replay --stages`` lists every stage
+  of a wire message, and its rows sum to the total it prints;
 * ``tools/call_histogram.py --callers`` names the callers of a function.
 """
 
@@ -70,8 +74,10 @@ from repro.tempi.interposer import TempiCommunicator, interpose
 
 MEASURE = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e" / "measure.py"
 RANKS = 8
-#: ``halo_world``'s budget (165 calls per message) plus 5 %; PR 21's parent ran 205.4.
-CEILING = 173.25
+#: Calls per message of the warm rounds below, 141.4 on Python 3.11, plus 5 %.
+#: With a NIC wire message booked and ingested through ``dict.get``, ``max``
+#: and NamedTuple constructors, and posted through two helpers, they ran 150.1.
+CEILING = 148.5
 #: Calls per message of :func:`_one_shot_rounds` at PR 21's parent (07d8f20),
 #: Python 3.11: 137 624 calls over 3 rounds x 8 ranks x 26 messages.
 ONE_SHOT_PARENT = 137_624 / 624
@@ -564,12 +570,14 @@ def test_the_commit_path_table_is_what_the_histogram_measures(summit_model):
 # --------------------------------------------------------------------------- #
 
 #: ``ml_replay``'s first counted step (seed 1, after the benchmark's two
-#: warm-up steps) counted 48 290 calls over 88 executed plans, 548.8 per plan,
+#: warm-up steps) counted 41 727 calls over 88 executed plans, 474.2 per plan,
 #: on Python 3.11; this is that plus 5 %.  A ceiling, not an exact count, as
 #: for the halo: the threaded world's count moves about 1 % with the
 #: schedule.  Buffer facts read through properties, rank checks per lookup and
-#: a ``MessageCost`` built per priced message counted 675.1.
-REPLAY_CEILING = 576.0
+#: a ``MessageCost`` built per priced message counted 675.1; the NIC's scalar
+#: rules through ``dict.get``, ``max`` and NamedTuple constructors, and an
+#: allreduce pricing every round's chunk again, counted 547.9.
+REPLAY_CEILING = 498.0
 
 
 def test_a_warm_replay_step_stays_under_its_ceiling(summit_model):
@@ -592,8 +600,14 @@ def test_a_warm_replay_step_stays_under_its_ceiling(summit_model):
 
 #: Exact calls on Python 3.11, the counter's own exit calls excluded: one
 #: flat-world ``_message_time`` (itself, ``same_node``, ``message_time``),
-#: one ``same_node`` and two slot reads.  They counted 14, 5 and 2.
-SCALAR_CALLS = {"_message_time": 3, "same_node": 1, "nbytes and is_device": 0}
+#: one ``same_node`` and two slot reads, which counted 14, 5 and 2; one warm
+#: flat ``NicTimeline.reserve`` (duplex, no path, no sink) and one
+#: lone-record ``ingest``, which counted 15 and 13 through ``dict.get``,
+#: ``max`` and NamedTuple constructors.
+SCALAR_CALLS = {
+    "_message_time": 3, "same_node": 1, "nbytes and is_device": 0,
+    "NicTimeline.reserve": 9, "NicTimeline.ingest": 9,
+}
 
 
 def _scalar_calls(label: str) -> int:
@@ -601,6 +615,10 @@ def _scalar_calls(label: str) -> int:
     topology = comm.topology
     buffer = comm.gpu.malloc(64).view(8)
     assert topology is not None and not topology.hierarchical
+    nic = NicTimeline()
+    nic.reserve(0, 1, 0.0, 2e-6, 64)  # the port, link and seq cursors exist
+    reservation = nic.reserve(0, 1, 0.0, 2e-6, 64)
+    record = IngestRecord(reservation.start, 0, reservation.seq, 2e-6, reservation.arrival)
     gc.collect()
     gc.disable()  # a collection would count the gc callbacks Hypothesis registers
     try:
@@ -611,6 +629,10 @@ def _scalar_calls(label: str) -> int:
                 comm._message_time(4096, 5, True)
             elif label == "same_node":
                 topology.same_node(0, 5)
+            elif label == "NicTimeline.reserve":
+                nic.reserve(0, 1, 0.0, 2e-6, 64)
+            elif label == "NicTimeline.ingest":
+                nic.ingest(1, [record])
             else:
                 _ = buffer.nbytes, buffer.is_device
     finally:
@@ -625,6 +647,21 @@ def test_scalar_lookups_count_their_calls(label):
         assert calls == SCALAR_CALLS[label]
     else:
         assert calls <= SCALAR_CALLS[label] + 1, (calls, SCALAR_CALLS[label])
+
+
+def test_wire_stage_rows_sum_to_the_printed_total(summit_model, capsys):
+    histogram = _load(TOOLS / "call_histogram.py", "_call_histogram")
+    workload = _load(E2E / "workloads.py", "_e2e_workloads").MlReplay(summit_model, seed=1)
+    workload.block(workload.warmup_rounds)
+    capsys.readouterr()
+    histogram.print_wire_stages(workload, 1)
+    lines = capsys.readouterr().out.splitlines()
+    # Each row: calls/plan, entries/plan and calls/entry in fixed columns, then the stage.
+    rows = {line[40:]: float(line[:11]) for line in lines[2:]}
+    total = rows.pop("= plan")
+    assert list(rows) == list(histogram.WIRE_STAGES)
+    assert sum(rows.values()) == pytest.approx(total, abs=0.05 * (len(rows) + 1))
+    assert workload.failed_ops == 0
 
 
 def test_callers_prints_who_calls_a_function(monkeypatch, capsys):

@@ -2,7 +2,7 @@
 
     python tools/call_histogram.py --workload halo|replay|pack [--top N]
     python tools/call_histogram.py --workload halo|replay|pack --callers NAME
-    python tools/call_histogram.py --workload pack --stages
+    python tools/call_histogram.py --workload pack|replay --stages
 
 Runs the benchmark's own ``halo_world`` / ``ml_replay`` / ``datatype_pack``
 workload (``benchmarks/e2e/workloads.py``, read only) warm, then six more
@@ -21,13 +21,19 @@ whose name contains ``NAME`` (``is_device``, ``_check_rank``, ``builtins.max``
 …) with its calls per op, and under it each caller and the calls per op it
 makes, most first: which call sites a per-op count is worth chasing at.
 
-``--stages`` (``pack`` only) prints § "Commit path"'s table instead: the
-calls of one warm ``datatype_pack`` round, each charged to the innermost
-stage running when it was made — ``translate``, ``simplify``,
+``--stages`` prints a table of stages instead, each call charged to the
+innermost stage running when it was made, counted exactly as the
+benchmark's ``CallCounter`` counts; the rows sum to the total printed last.
+With ``pack`` it is § "Commit path"'s table: the calls of one warm
+``datatype_pack`` round by ``translate``, ``simplify``,
 ``to_strided_block``, ``Packer``, the rest of ``Type_commit``, building the
-datatypes, ``Pack``/``Unpack``, and the round loop for the remainder.  The
-rows sum to the round's total, counted exactly as the benchmark's
-``CallCounter`` counts.
+datatypes, ``Pack``/``Unpack``, and the round loop for the remainder.  With
+``replay`` it is § "Scalar message path"'s table: the calls of six warm
+``ml_replay`` steps on every thread, per plan and per entry of each stage
+of a wire message — ``message_time``, ``reserve_wire``, the post,
+``router.receive``, ``ingest_one``, ``ingest_batch``, the run-token hand-off
+(``MessageRouter.block``), the rest of an allreduce round, the rest of
+``PlanExecutor.execute``, and other for the remainder.
 """
 
 from __future__ import annotations
@@ -66,6 +72,11 @@ def profile_threads(run) -> tuple[object, pstats.Stats]:
 #: Rows of the ``--stages`` table, in print order; the first five are a commit's.
 COMMIT_STAGES = ("translate", "simplify", "to_strided_block", "Packer", "rest of Type_commit")
 STAGES = COMMIT_STAGES + ("building", "Pack/Unpack", "round loop")
+#: Rows of the ``--workload replay --stages`` table, in print order.
+WIRE_STAGES = (
+    "message_time", "reserve_wire", "post", "router.receive", "ingest_one", "ingest_batch",
+    "token hand-off", "rest of allreduce round", "rest of execute", "other",
+)
 
 
 def stage_codes(workload) -> dict[object, str]:
@@ -90,24 +101,51 @@ def stage_codes(workload) -> dict[object, str]:
     return codes
 
 
-def stage_calls(workload, rounds: int = 1) -> Counter:
-    """Calls of ``workload.block(rounds)`` by stage, the ``block`` call itself excluded.
+def wire_stage_codes() -> dict[object, str]:
+    """Code object -> stage, for the scalar path of one wire message."""
+    from repro.mpi.p2p import MessageRouter
+    from repro.tempi.executor import PlanExecutor
+    from repro.tempi.progress import ProgressEngine
 
-    Every Python and C call is charged to the innermost stage whose frame is
-    running when it is made; a call that enters a stage counts in it.
+    return {
+        ProgressEngine.message_time.__code__: "message_time",
+        ProgressEngine.reserve_wire.__code__: "reserve_wire",
+        PlanExecutor._post.__code__: "post",
+        MessageRouter.receive.__code__: "router.receive",
+        ProgressEngine.ingest_one.__code__: "ingest_one",
+        ProgressEngine.ingest_batch.__code__: "ingest_batch",
+        MessageRouter.block.__code__: "token hand-off",
+        PlanExecutor._allreduce_round.__code__: "rest of allreduce round",
+        PlanExecutor.execute.__code__: "rest of execute",
+    }
+
+
+def census(block, rounds: int, codes: dict, stages: tuple) -> tuple[object, Counter, Counter]:
+    """``block(rounds)``, and its calls and stage entries by stage, on every thread.
+
+    Every Python and C call, on this thread and each thread it starts, is
+    charged to the innermost stage whose frame is running when it is made
+    (a call that enters a stage counts in it), and to ``stages[-1]`` outside
+    them all; the ``block`` call itself is not counted.  Each thread tallies
+    into its own counters, so no update is lost to a thread switch.
     """
-    codes = stage_codes(workload)
-    calls: Counter = Counter(dict.fromkeys(STAGES, 0))  # a stage may make no call
-    stack: list[tuple[str, object]] = [("round loop", None)]
+    tallies: list[tuple[Counter, Counter]] = []
+    local = threading.local()
     outer = sys._getframe()
 
     def hook(frame, event: str, _arg) -> None:
+        try:
+            stack, calls, entries = local.state
+        except AttributeError:
+            stack, calls, entries = local.state = [(stages[-1], None)], Counter(), Counter()
+            tallies.append((calls, entries))
         if event == "call":
             if frame.f_back is outer:
                 return  # ``block`` itself
             stage = codes.get(frame.f_code)
             if stage is not None:
                 stack.append((stage, frame))
+                entries[stage] += 1
             calls[stack[-1][0]] += 1
         elif event == "c_call":
             if frame is not outer:  # not ``sys.setprofile(None)`` below
@@ -115,12 +153,23 @@ def stage_calls(workload, rounds: int = 1) -> Counter:
         elif event == "return" and frame is stack[-1][1]:
             stack.pop()
 
+    threading.setprofile(hook)
     sys.setprofile(hook)
     try:
-        workload.block(rounds)
+        result = block(rounds)
     finally:
         sys.setprofile(None)
-    return calls
+        threading.setprofile(None)
+    calls, entries = Counter(dict.fromkeys(stages, 0)), Counter()  # a stage may make no call
+    for thread_calls, thread_entries in tallies:
+        calls.update(thread_calls)
+        entries.update(thread_entries)
+    return result, calls, entries
+
+
+def stage_calls(workload, rounds: int = 1) -> Counter:
+    """Calls of ``workload.block(rounds)`` by commit stage, the ``block`` call itself excluded."""
+    return census(workload.block, rounds, stage_codes(workload), STAGES)[1]
 
 
 def print_stages(workload, rounds: int) -> None:
@@ -133,6 +182,20 @@ def print_stages(workload, rounds: int) -> None:
         if stage == COMMIT_STAGES[-1]:
             print(f"{commits / rounds:12.1f}  = {len(workload.builders)} commits")
     print(f"{sum(calls.values()) / rounds:12.1f}  = round")
+
+
+def print_wire_stages(workload, rounds: int) -> None:
+    """Per plan and per entry, the calls of ``rounds`` warm replay steps by wire stage."""
+    plans, calls, entries = census(workload.block, rounds, wire_stage_codes(), WIRE_STAGES)
+    print(f"replay: calls by stage, {rounds} warm steps, {plans} plans, every thread")
+    print(f"{'calls/plan':>11} {'entries/plan':>13} {'calls/entry':>12}  stage")
+    for stage in WIRE_STAGES:
+        if entries[stage]:
+            per_entry = f"{entries[stage] / plans:13.2f} {calls[stage] / entries[stage]:12.1f}"
+        else:
+            per_entry = f"{'':13} {'':12}"
+        print(f"{calls[stage] / plans:11.1f} {per_entry}  {stage}")
+    print(f"{sum(calls.values()) / plans:11.1f} {'':13} {'':12}  = plan")
 
 
 def print_callers(stats: pstats.Stats, ops: int, name: str) -> None:
@@ -154,12 +217,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", choices=("halo", "replay", "pack"), required=True)
     parser.add_argument("--top", type=int, default=40, help="functions to list")
     parser.add_argument("--stages", action="store_true",
-                        help="calls per round by commit stage (pack only)")
+                        help="calls by commit stage (pack) or wire stage (replay)")
     parser.add_argument("--callers", metavar="NAME",
                         help="callers per op of each function whose name contains NAME")
     args = parser.parse_args(argv)
-    if args.stages and args.workload != "pack":
-        parser.error("--stages needs --workload pack")
+    if args.stages and args.workload == "halo":
+        parser.error("--stages needs --workload pack or replay")
     if args.stages and args.callers:
         parser.error("--stages and --callers print different tables; pick one")
     import workloads
@@ -171,7 +234,9 @@ def main(argv: list[str] | None = None) -> int:
     workload = cls(PerformanceModel(measurement.measure_system()), seed=1)
     workload.block(cls.warmup_rounds)
     if args.stages:
-        print_stages(workload, cls.counted_rounds)
+        (print_stages if args.workload == "pack" else print_wire_stages)(
+            workload, cls.counted_rounds
+        )
         return 1 if workload.failed_ops else 0
     ops, stats = profile_threads(lambda: workload.block(6))
     if args.callers:
