@@ -151,8 +151,8 @@ def _replay_alltoallv(ctx, comm, record: dict, index: int, digest) -> None:
     extent = datatype.extent
     sendcounts = [int(c) for c in counts[ctx.rank]]
     recvcounts = [int(counts[peer][ctx.rank]) for peer in range(ctx.size)]
-    senddispls = list(np.cumsum([0] + [c * extent for c in sendcounts[:-1]]).astype(int))
-    recvdispls = list(np.cumsum([0] + [c * extent for c in recvcounts[:-1]]).astype(int))
+    senddispls = np.cumsum([0] + [c * extent for c in sendcounts[:-1]]).tolist()
+    recvdispls = np.cumsum([0] + [c * extent for c in recvcounts[:-1]]).tolist()
     send = ctx.gpu.malloc(max(1, sum(sendcounts) * extent))
     recv = ctx.gpu.malloc(max(1, sum(recvcounts) * extent))
     send.data[:] = (index + ctx.rank) % 251

@@ -397,8 +397,11 @@ class TypedSection:
             raise MpiArgumentError(f"{what} counts and displacements must be non-negative")
         if self.count == 0:
             return
-        self.datatype._check_committed()
-        span = self.displ + (self.count - 1) * self.datatype.extent + self.datatype.ub
+        datatype = self.datatype
+        if datatype.freed or not datatype.committed:
+            datatype._check_committed()  # raises, naming which
+        extent = datatype.extent
+        span = self.displ + (self.count - 1) * extent + datatype.lb + extent
         if span > buffer.nbytes:
             raise MpiArgumentError(
                 f"{what} section to/from peer {self.peer} spans {span} bytes, "

@@ -238,8 +238,7 @@ def check_int(value: object, what: str, error: type[Exception] = MpiTypeError) -
 
     Raises ``error`` naming ``what`` for anything else.  Hot callers test
     ``type(value) is int`` first and call this only otherwise, so a plain
-    ``int`` argument costs no call and a NumPy integer (the replay's
-    displacements) one test.
+    ``int`` argument costs no call and a NumPy integer one call.
     """
     if isinstance(value, np.integer):
         return int(value)

@@ -19,8 +19,15 @@ only the destination rank, and only when the envelope matches what it waits
 for.  A virtual-time simulator gains nothing from host concurrency — free
 -running rank threads only convoy on the GIL — and the fixed hand-off order
 makes a threaded run repeat exactly.  Threads that use a router without a
-``World.run`` hold no token: they block on the same per-rank wake-up, with a
+``World.run`` hold no token: they block on the same per-rank baton, with a
 wall-clock timeout instead of deadlock detection.
+
+The token moves through one **baton** per rank: a ``threading.Lock`` held
+from the start, which :meth:`~MessageRouter._dispatch` releases to hand the
+rank the token and the rank acquires to take it.  A hand-off is one release
+and one acquire — a ``threading.Condition`` wait and notify are pure Python
+and cost twice the calls — and every release is matched by exactly one
+acquire, so no baton is ever left released for a later wait to fall through.
 """
 
 from __future__ import annotations
@@ -73,7 +80,11 @@ class MessageRouter:
         #: Guards every field below and the world's barrier state, for short
         #: critical sections only (the *token* is ``_running``, not this lock).
         self.lock = threading.Lock()
-        self._wakeups = [threading.Condition(self.lock) for _ in range(nranks)]
+        #: One baton per rank, held while the rank may not run: a release
+        #: wakes the rank, its acquire is the rank's wait.
+        self._batons = [threading.Lock() for _ in range(nranks)]
+        for baton in self._batons:
+            baton.acquire()
         self._sequence = itertools.count()
         self.stopped = False
         self._deadlocked = False
@@ -185,8 +196,14 @@ class MessageRouter:
     # -------------------------------------------------------------- run token
     def launch(self) -> None:
         """Schedule every rank for one ``World.run``, in rank order; the
-        token is first handed out once every rank thread is in :meth:`enter`."""
+        token is first handed out once every rank thread is in :meth:`enter`.
+
+        A run starts unstopped: a previous run's deadlock or failure stopped
+        that run, not the router (its undelivered envelopes stay, as a
+        finished run's do)."""
         with self.lock:
+            self.stopped = False
+            self._deadlocked = False
             self._scheduled = set(range(self.nranks))
             self._running = None
             self._runnable = deque(range(self.nranks))
@@ -230,10 +247,20 @@ class MessageRouter:
         if self._running == rank:
             self._pass_token(rank)
             return True
-        self._wakeups[rank].wait(timeout)
+        baton = self._batons[rank]
+        self.lock.release()
+        try:
+            woken = baton.acquire(timeout=-1 if timeout is None else timeout)
+        finally:
+            self.lock.acquire()
+        if woken:
+            return True
         if rank in self._waiting:
             del self._waiting[rank]
             return False
+        # A wake landed between the timeout and re-taking ``lock``: consume
+        # its release, or the next wait would fall through it.
+        baton.acquire()
         return True
 
     def wake(self, rank: int) -> None:
@@ -243,7 +270,7 @@ class MessageRouter:
         if rank in self._scheduled:
             self._runnable.append(rank)
         else:
-            self._wakeups[rank].notify()
+            self._batons[rank].release()
 
     def stop_error(self, rank: int, waited_for: str) -> MpiCommError:
         """The error a rank raises when a stopped world ends its wait."""
@@ -259,19 +286,24 @@ class MessageRouter:
         self._await_token(rank)
 
     def _await_token(self, rank: int) -> None:
-        wakeup = self._wakeups[rank]
-        while self._running != rank:
-            wakeup.wait()
+        """Wait, ``lock`` let go, for the one release :meth:`_dispatch` makes."""
+        lock = self.lock
+        lock.release()
+        self._batons[rank].acquire()
+        lock.acquire()
 
     def _dispatch(self) -> None:
-        """Hand the token to the rank that became runnable first."""
+        """Hand the token to the rank that became runnable first: release
+        its baton (every dispatch is matched by one :meth:`_await_token`)."""
         if not self._runnable and self._scheduled:
             # Every unfinished rank is blocked, and only a rank could wake one.
             self._deadlocked = True
             self._stop()
-        self._running = self._runnable.popleft() if self._runnable else None
-        if self._running is not None:
-            self._wakeups[self._running].notify()
+        if self._runnable:
+            self._running = self._runnable.popleft()
+            self._batons[self._running].release()
+        else:
+            self._running = None
 
     def _stop(self) -> None:
         self.stopped = True

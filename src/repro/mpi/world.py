@@ -159,6 +159,9 @@ class World:
             finally:
                 router.retire(ctx.rank)
 
+        # Ranks leave a run only between barrier phases, so a phase still
+        # open here is a failed run's: this run starts its own.
+        self._barrier_count, self._barrier_latest = 0, float("-inf")
         router.launch()
         if self.nranks == 1:
             target(self.contexts[0])

@@ -12,7 +12,7 @@ ablation benchmark ``bench_ablation_cache.py`` measures what it buys.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Optional
+from typing import Hashable, Optional
 
 from repro.gpu.memory import Buffer, MemoryKind, MemoryPool
 from repro.gpu.runtime import CudaRuntime
@@ -54,6 +54,10 @@ class ResourceCache:
         self.stats = CacheStats()
         self._pool = MemoryPool()
         self._streams: list[Stream] = []
+        #: The model-query memo, key -> decision: probed and filled by
+        #: :class:`~repro.tempi.selection.ModelSelector`, which books its
+        #: ``query_hits``/``query_misses`` (and a steady persistent restart
+        #: probes it, :func:`~repro.tempi.interposer.charge_batch`).
         self._queries: dict[Hashable, object] = {}
         self._query_keys: set[Hashable] = set()
         self._persistent: dict[Hashable, Buffer] = {}
@@ -121,24 +125,13 @@ class ResourceCache:
             self.runtime.stream_destroy(stream)
 
     # ---------------------------------------------------------------- queries
-    def memoize(self, key: Hashable, compute: Callable[[], object]) -> object:
-        """Cache a pure computation (performance-model interpolation)."""
-        if self.enabled and key in self._queries:
-            self.stats.query_hits += 1
-            return self._queries[key]
-        self.stats.query_misses += 1
-        value = compute()
-        if self.enabled:
-            self._queries[key] = value
-        return value
-
     def note_query(self, key: Hashable) -> bool:
         """Record that ``key`` was queried; True if it was seen before.
 
-        The selection-memo-off path uses this to keep the *charge schedule*
-        of :meth:`memoize` (first query cold, repeats at the cached-query
-        cost) while discarding the memoised value itself, so ablations price
-        identically to the memoised path.
+        The selection-memo-off path uses this to keep the memo's *charge
+        schedule* (first query cold, repeats at the cached-query cost) while
+        discarding the memoised value itself, so ablations price identically
+        to the memoised path.
         """
         if self.enabled and key in self._query_keys:
             self.stats.query_hits += 1

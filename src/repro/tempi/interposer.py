@@ -502,11 +502,8 @@ class TempiCommunicator:
         # A send's destination rides along so a duplex-aware selector can
         # price the link to — and the ingestion backlog of — that rank.
         select_peer = peer if send else None
-        # The first start asks the selector as any call does; a restart
-        # replays it through ``select_many``, the same selection charge for
-        # charge, and by then a memo hit found in one probe.
+        # Every start asks the selector; a restart's is by then a memo hit.
         selector = self._selector
-        reselect = selector.select_many
         compile_plan = _plan.compile_send if send else _plan.compile_recv
         clock = self._clock
         overhead = self._overhead_s
@@ -520,7 +517,7 @@ class TempiCommunicator:
             # _charge_interposition_overhead, inlined: every start pays it.
             clock.now += overhead
             clock._events += 1
-            method = (selector if plan is None else reselect)(packer, nbytes, select_peer)
+            method = selector(packer, nbytes, select_peer)
             if send:
                 stats.sends += 1
             else:
@@ -838,12 +835,17 @@ class TempiCommunicator:
         )
         sections = []
         handlers = []
+        datatype = handler = None
         for section in validated:
             if section.count == 0:
                 continue
-            handler = self.handler_of(section.datatype)
-            if handler is None or not handler.accelerated or handler.contiguous:
-                return None
+            if section.datatype is not datatype:
+                # One lookup per run of sections sharing a datatype; one
+                # handler per section still, as ``uses`` counts sections.
+                datatype = section.datatype
+                handler = self.handler_of(datatype)
+                if handler is None or not handler.accelerated or handler.contiguous:
+                    return None
             handlers.append(handler)
             sections.append(
                 PlanSection(section.peer, section.count, section.displ, handler.packer)
@@ -1290,11 +1292,11 @@ def charge_batch(requests: Sequence[PersistentCollective]) -> np.ndarray:
     Bit for bit that loop, without materialising a plan per request.  A
     member is *steady* when its restart would replay a one-class template
     whose recorded method the member's selection memo still holds — probed
-    once per member, exactly as ``select_many`` probes it.  Its charges are
-    then the interposition overhead plus ``count`` cached-query charges, the
-    same for its whole ``(overhead, count)`` class, so they are applied as
-    numpy vector adds over the class's clocks (the same serial float sums)
-    and the counters are bumped in place.  Every other member — a first
+    once per member, exactly as ``ModelSelector.__call__`` probes it.  Its
+    charges are then the interposition overhead plus ``count`` cached-query
+    charges, the same for its whole ``(overhead, count)`` class, so they are
+    applied as numpy vector adds over the class's clocks (the same serial
+    float sums) and the counters are bumped in place.  Every other member — a first
     start, a memo miss, a changed method, ``plan_cache`` off, a selector that
     is not peer-invariant — takes its scalar :meth:`~PersistentCollective.charge`,
     and so does the whole batch when two members share a clock.

@@ -158,8 +158,24 @@ class PerformanceModel:
         return MethodEstimate(oneshot=oneshot, device=device, staged=staged)
 
     def choose_method(self, nbytes: int, block_length: int) -> PackMethod:
-        """The faster of one-shot and device for this object (Sec. 6.3)."""
-        return self.estimate(nbytes, block_length).best()
+        """The faster of one-shot and device for this object (Sec. 6.3).
+
+        :meth:`estimate`'s ``best()``, summing only the two terms it compares
+        (in :meth:`estimate`'s term order, so every sum is bit-identical):
+        staged is never preferred, so it is not priced.
+        """
+        pack, transfer = self.pack_time, self.transfer_time
+        oneshot = (
+            pack("oneshot", "pack", nbytes, block_length)
+            + transfer("cpu_cpu", nbytes)
+            + pack("oneshot", "unpack", nbytes, block_length)
+        )
+        device = (
+            pack("device", "pack", nbytes, block_length)
+            + transfer("gpu_gpu", nbytes)
+            + pack("device", "unpack", nbytes, block_length)
+        )
+        return PackMethod.ONESHOT if oneshot <= device else PackMethod.DEVICE
 
     # ------------------------------------------------------------- inspection
     @property

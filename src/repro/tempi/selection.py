@@ -251,9 +251,8 @@ class FixedSelector:
             return NOOP_METHOD
         return self.method
 
-    def select_many(self, packer: Any, nbytes: int, peer: Optional[int] = None) -> PackMethod:
-        """Return the forced method, as :meth:`__call__` does (a restart's call)."""
-        return self(packer, nbytes, peer)
+    #: A restart's selection: the same call.
+    select_many = __call__
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<FixedSelector {self.method.value}>"
@@ -273,7 +272,7 @@ class ModelSelector:
 
     #: The contention-free decision is a pure function of
     #: ``(nbytes, block_length)`` — ``peer`` never participates — so a memo
-    #: hit found by that key alone is the answer (:meth:`select_many`), and a
+    #: hit found by that key alone is the answer (:meth:`__call__`), and a
     #: steady restart's charge is the same for every rank
     #: (:func:`~repro.tempi.interposer.charge_batch`).
     peer_invariant = True
@@ -316,23 +315,17 @@ class ModelSelector:
     def _memoize(
         self, key: tuple[Any, ...], compute: Callable[[], PackMethod]
     ) -> tuple[PackMethod, bool]:
-        """Memoise a decision and charge the query overhead on the clock.
+        """Decide without the memo (``config.selection_memo`` off, or no cache).
 
-        With ``config.selection_memo`` off the value is recomputed on every
-        call, but the *charge schedule* is untouched: the resource cache
-        still remembers which keys were queried (:meth:`ResourceCache.note_query`),
-        so a repeated query is priced at the cached-query cost either way and
-        the knob can never move a priced result.
+        The value is recomputed on every call, but the *charge schedule* is
+        the memo's: the resource cache still remembers which keys were
+        queried (:meth:`ResourceCache.note_query`), so a repeated query is
+        priced at the cached-query cost either way and the knob can never
+        move a priced result.
         """
         if self.cache is None:
             self._note_memo(False)
             return compute(), False
-        if self.config.selection_memo:
-            hits_before = self.cache.stats.query_hits
-            value: PackMethod = self.cache.memoize(key, compute)
-            cached = bool(self.cache.stats.query_hits > hits_before)
-            self._note_memo(cached)
-            return value, cached
         cached = bool(self.cache.note_query(key))
         self._note_memo(False)
         return compute(), cached
@@ -348,50 +341,46 @@ class ModelSelector:
         return self.model.choose_method(nbytes, block_length)
 
     def __call__(self, packer: Any, nbytes: int, peer: Optional[int] = None) -> PackMethod:
-        """Select the contention-free best method (``peer`` is ignored)."""
-        if nbytes <= 0:
-            return NOOP_METHOD
-        block_length = packer.block.block_length
-        method, cached = self._memoize(
-            ("method", int(nbytes), int(block_length)),
-            lambda: self._decide(int(nbytes), int(block_length)),
-        )
-        self._charge(cached)
-        return method
+        """Select the contention-free best method (``peer`` is ignored).
 
-    def select_many(self, packer: Any, nbytes: int, peer: Optional[int] = None) -> PackMethod:
-        """Select as :meth:`__call__` does, charge for charge (a restart's call).
-
-        With the memo on, a restart's decision is usually stored already: one
-        probe finds it and writes the books a scalar hit writes (one query
-        hit, one memo-hit note, one cached-query charge) without the scalar
-        call chain; anything else takes the scalar call.  The shortcut is kept
-        for ``halo_world``'s timed point-to-point restarts, and the name,
-        though it selects for one message, because the e2e tracer names it.
+        With the memo on, one probe of the resource cache's query memo
+        decides hit or miss, and the books are written inline: the cache's
+        query hit or miss, the memo note on the stats, and the cached (~277
+        ns, as the paper measures) or cold query charge on the clock.  A
+        restart selects through this same call (:attr:`select_many`).
         """
         if nbytes <= 0:
             return NOOP_METHOD
+        nbytes, block_length = int(nbytes), int(packer.block.block_length)
+        key = ("method", nbytes, block_length)
         cache = self.cache
-        if (
-            self.peer_invariant
-            and cache is not None
-            and cache.enabled
-            and self.config.selection_memo
-        ):
-            value = cache._queries.get(
-                ("method", int(nbytes), int(packer.block.block_length))
-            )
-            if value is not None:
-                cache.stats.query_hits += 1
-                if self.stats is not None:
-                    self.stats.selection_memo_hits += 1
-                clock = self.clock
-                if clock is not None:
-                    # Inlined self._charge(True).
-                    clock.now += MODEL_CACHED_QUERY_S
-                    clock._events += 1
-                return cast(PackMethod, value)
-        return self(packer, nbytes, peer)
+        if cache is None or not self.config.selection_memo:
+            method, cached = self._memoize(key, lambda: self._decide(nbytes, block_length))
+            self._charge(cached)
+            return method
+        queries, stats, clock = cache._queries, self.stats, self.clock
+        if cache.enabled and key in queries:
+            stored: PackMethod = queries[key]  # not ``cast``, a call per hit
+            cache.stats.query_hits += 1
+            if stats is not None:
+                stats.selection_memo_hits += 1
+            if clock is not None:
+                clock.now += MODEL_CACHED_QUERY_S
+                clock._events += 1
+            return stored
+        cache.stats.query_misses += 1
+        method = self._decide(nbytes, block_length)
+        if cache.enabled:
+            queries[key] = method
+        if stats is not None:
+            stats.selection_memo_misses += 1
+        if clock is not None:
+            clock.now += MODEL_QUERY_S
+            clock._events += 1
+        return method
+
+    #: A restart's selection (the e2e tracer names it): the same call.
+    select_many = __call__
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__}>"
@@ -426,9 +415,9 @@ class ContendedSelector(ModelSelector):
 
     #: Pricing reads the link to — and the ingestion backlog of — the
     #: specific ``peer`` at the *current* clock, so a memo probe by
-    #: ``(nbytes, block_length)`` cannot answer: :meth:`select_many` takes
-    #: the scalar call and :func:`~repro.tempi.interposer.charge_batch`
-    #: charges every restart through its plan.
+    #: ``(nbytes, block_length)`` cannot answer: a restart prices again and
+    #: :func:`~repro.tempi.interposer.charge_batch` charges every restart
+    #: through its plan.
     peer_invariant = False
 
     def __init__(
@@ -596,6 +585,8 @@ class ContendedSelector(ModelSelector):
         method = self._price(packer, nbytes, peer)
         nic.sink(nic, PricingEvent(self.rank, nic.state_fingerprint(self.rank), True))
         return method
+
+    select_many = __call__
 
     def _price(self, packer: Any, nbytes: int, peer: Optional[int]) -> PackMethod:
         """The pricing :meth:`__call__` brackets: read the backlogs, then decide."""

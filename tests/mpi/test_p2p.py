@@ -1,5 +1,8 @@
 """Tests for the message router and requests."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from repro.mpi.errors import MpiCommError, MpiError
 from repro.mpi.p2p import Envelope, MessageRouter
 from repro.mpi.request import Request, null_request
 from repro.mpi.status import ANY_SOURCE, ANY_TAG, Status
+from repro.mpi.world import World, WorldError
 
 
 def envelope(source=0, dest=1, tag=0, context=0, nbytes=8, available_at=0.0):
@@ -103,6 +107,115 @@ class TestRouterMatching:
     def test_zero_ranks_rejected(self):
         with pytest.raises(ValueError):
             MessageRouter(0)
+
+
+def _until(predicate, seconds: float = 10.0) -> None:
+    """Poll ``predicate`` (a wall-clock wait for another thread's progress)."""
+    deadline = time.monotonic() + seconds
+    while not predicate():
+        assert time.monotonic() < deadline, "the other thread never got there"
+        time.sleep(0.005)
+
+
+class _RecordingBaton:
+    """A rank's baton that records what each acquire returned, and holds its
+    first timed-out acquire until the test lets it return."""
+
+    def __init__(self, baton) -> None:
+        self.baton, self.acquired = baton, []
+        self.timed_out, self.proceed = threading.Event(), threading.Event()
+
+    def acquire(self, *args, **kwargs) -> bool:
+        got = self.baton.acquire(*args, **kwargs)
+        self.acquired.append(got)
+        if not got and not self.timed_out.is_set():
+            self.timed_out.set()
+            self.proceed.wait(10.0)
+        return got
+
+    def release(self) -> None:
+        self.baton.release()
+
+    def locked(self) -> bool:
+        return self.baton.locked()
+
+
+class TestBaton:
+    """The run token moves by one release and one acquire of a per-rank lock,
+    and no release outlives the wait it was made for."""
+
+    def test_a_receive_off_the_run_still_times_out(self):
+        router = MessageRouter(2)
+        errors = []
+
+        def receive():
+            try:
+                router.receive(1, 0, 0, 0, timeout=0.05)
+            except MpiCommError as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=receive)
+        thread.start()
+        thread.join(10.0)
+        assert not thread.is_alive()
+        assert len(errors) == 1 and "rank 1 timed out" in str(errors[0])
+        assert router._waiting == {} and router._batons[1].locked()
+
+    def test_a_wake_racing_the_timeout_leaves_no_stale_release(self):
+        """The wake lands after the baton wait timed out, before ``lock`` is
+        taken back: the wait consumes its release and reports the wake, and
+        the next wait blocks until the rank is woken again."""
+        router = MessageRouter(2)
+        baton = router._batons[1] = _RecordingBaton(router._batons[1])
+        returned = []
+
+        def waiter():
+            with router.lock:
+                returned.append(router.block(1, None, timeout=0.05))
+                returned.append(router.block(1, None, timeout=30.0))
+
+        thread = threading.Thread(target=waiter)
+        thread.start()
+        assert baton.timed_out.wait(10.0)
+        with router.lock:  # the waiter let it go, and has not taken it back
+            router.wake(1)
+        baton.proceed.set()
+        _until(lambda: len(returned) > 1 or (returned and 1 in router._waiting))
+        time.sleep(0.2)
+        assert returned == [True], "the second wait fell through a stale release"
+        with router.lock:
+            router.wake(1)
+        thread.join(10.0)
+        assert returned == [True, True]
+        assert baton.acquired == [False, True, True]  # timeout, consumed wake, wake
+        assert baton.locked()
+
+    def test_a_world_runs_again_after_a_deadlock_with_the_fifo_clocks(self):
+        def crossed(ctx):
+            """Ranks 0 and 1 receive from each other, 2 and 3 wait in a barrier."""
+            if ctx.rank < 2:
+                ctx.comm.Recv(ctx.gpu.host_alloc(8), source=1 - ctx.rank, tag=4)
+            ctx.comm.Barrier()
+
+        def ring(ctx, trail, clocks):
+            ctx.clock.advance_to(clocks[ctx.rank])  # where the deadlocked run left it
+            buffer = ctx.gpu.host_alloc(64)
+            right, left = (ctx.rank + 1) % ctx.size, (ctx.rank - 1) % ctx.size
+            for step in range(3):
+                trail.append((ctx.rank, step))
+                ctx.comm.Send(buffer, dest=right, tag=step)
+                ctx.comm.Recv(buffer, source=left, tag=step)
+            ctx.comm.Barrier()
+            return ctx.clock.now.hex()
+
+        world = World(4)
+        with pytest.raises(WorldError, match="rank 2 is blocked in barrier"):
+            world.run(crossed)
+        assert all(baton.locked() for baton in world.router._batons)
+        again, fresh, clocks = [], [], world.clocks
+        assert world.run(ring, again, clocks) == World(4).run(ring, fresh, clocks)
+        assert again == fresh
+        assert all(baton.locked() for baton in world.router._batons)
 
 
 class TestRequests:

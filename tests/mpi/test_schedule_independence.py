@@ -62,7 +62,7 @@ def permute_dispatch(monkeypatch, seed: int) -> list[int]:
         else:
             router._running = runnable.popleft() if runnable else None
         if router._running is not None:
-            router._wakeups[router._running].notify()
+            router._batons[router._running].release()
 
     monkeypatch.setattr(MessageRouter, "_dispatch", dispatch)
     return choices

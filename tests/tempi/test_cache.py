@@ -5,6 +5,9 @@ import pytest
 from repro.gpu.cost_model import SUMMIT_GPU
 from repro.gpu.memory import MemoryKind
 from repro.tempi.cache import ResourceCache
+from repro.tempi.packer import Packer
+from repro.tempi.selection import ModelSelector
+from repro.tempi.strided_block import StridedBlock
 
 
 class TestBufferCache:
@@ -63,25 +66,6 @@ class TestStreamCache:
         assert cache.get_stream() is not stream
 
 
-class TestQueryMemoisation:
-    def test_compute_called_once(self, summit_runtime):
-        cache = ResourceCache(summit_runtime)
-        calls = []
-        compute = lambda: calls.append(1) or 42  # noqa: E731
-        assert cache.memoize("key", compute) == 42
-        assert cache.memoize("key", compute) == 42
-        assert len(calls) == 1
-        assert cache.stats.query_hits == 1
-
-    def test_disabled_cache_recomputes(self, summit_runtime):
-        cache = ResourceCache(summit_runtime, enabled=False)
-        calls = []
-        compute = lambda: calls.append(1) or 42  # noqa: E731
-        cache.memoize("key", compute)
-        cache.memoize("key", compute)
-        assert len(calls) == 2
-
-
 class TestStatsAndClear:
     def test_hit_rate(self, summit_runtime):
         cache = ResourceCache(summit_runtime)
@@ -91,11 +75,12 @@ class TestStatsAndClear:
         cache.get_buffer(64, MemoryKind.DEVICE)
         assert cache.stats.hit_rate() == pytest.approx(0.5)
 
-    def test_clear_and_len(self, summit_runtime):
+    def test_clear_and_len(self, summit_runtime, summit_model):
         cache = ResourceCache(summit_runtime)
         cache.put_buffer(cache.get_buffer(64, MemoryKind.DEVICE))
         cache.put_stream(cache.get_stream())
-        cache.memoize("x", lambda: 1)
+        packer = Packer(StridedBlock(start=0, counts=(8, 4), strides=(1, 16)), object_extent=64)
+        ModelSelector(summit_model, cache=cache)(packer, packer.packed_size(1))  # one memo entry
         assert len(cache) == 3
         cache.clear()
         assert len(cache) == 0

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.tempi.config import PackMethod
 from repro.tempi.perf_model import PerformanceModel
@@ -124,6 +125,25 @@ class TestMethodSelection:
         estimate = summit_model.estimate(MIB, 16)
         expected = PackMethod.ONESHOT if estimate.oneshot <= estimate.device else PackMethod.DEVICE
         assert estimate.best() is expected
+
+    def test_choose_method_is_the_estimates_best_on_the_sweep_grid(
+        self, summit_model, summit_measurement, monkeypatch
+    ):
+        """``choose_method`` sums only the one-shot and device terms, in
+        ``estimate``'s term order: its choice is ``estimate(...).best()`` at
+        every measured (size, block length) point, without calling it."""
+        grid = [(n, b) for n in summit_measurement.sizes for b in summit_measurement.block_lengths]
+        expected = [summit_model.estimate(n, b).best() for n, b in grid]
+        monkeypatch.setattr(PerformanceModel, "estimate", None)
+        assert [summit_model.choose_method(n, b) for n, b in grid] == expected
+        assert len(set(expected)) == 2  # the grid spans the crossover
+
+    @settings(max_examples=200, deadline=None)
+    @given(nbytes=st.integers(1, 1 << 26), block_length=st.integers(1, 1 << 14))
+    def test_choose_method_is_the_estimates_best_anywhere(self, summit_model, nbytes, block_length):
+        assert summit_model.choose_method(nbytes, block_length) is summit_model.estimate(
+            nbytes, block_length
+        ).best()
 
     def test_estimates_are_positive(self, summit_model):
         estimate = summit_model.estimate(KIB, 1)

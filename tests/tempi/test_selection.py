@@ -85,6 +85,32 @@ class TestModelSelector:
         selector(packer_for(8), KIB)
         assert clock.now - cold == pytest.approx(MODEL_CACHED_QUERY_S)
 
+    def _asked(self, model, monkeypatch) -> list:
+        """The ``(nbytes, block_length)`` of every question put to ``model``."""
+        asked, choose = [], model.choose_method
+        monkeypatch.setattr(model, "choose_method", lambda *query: asked.append(query) or choose(*query))
+        return asked
+
+    def test_a_memo_hit_asks_the_model_nothing(self, summit_model, monkeypatch):
+        cache = ResourceCache(CudaRuntime(cost_model=FREE_GPU))
+        selector = ModelSelector(summit_model, cache=cache)
+        asked = self._asked(summit_model, monkeypatch)
+        first = selector(packer_for(8), KIB)
+        assert selector(packer_for(8), KIB) is first
+        assert asked == [(KIB, 8)]
+        assert (cache.stats.query_hits, cache.stats.query_misses) == (1, 1)
+
+    def test_a_disabled_cache_asks_the_model_every_time(self, summit_model, monkeypatch):
+        cache = ResourceCache(CudaRuntime(cost_model=FREE_GPU), enabled=False)
+        clock = VirtualClock()
+        selector = ModelSelector(summit_model, cache=cache, clock=clock)
+        asked = self._asked(summit_model, monkeypatch)
+        assert selector(packer_for(8), KIB) is selector(packer_for(8), KIB)
+        assert asked == [(KIB, 8)] * 2
+        assert (cache.stats.query_hits, cache.stats.query_misses) == (0, 2)
+        assert clock.now == MODEL_QUERY_S + MODEL_QUERY_S  # cold both times
+        assert len(cache) == 0
+
     def test_lazy_model_provider(self, summit_model):
         calls = []
 

@@ -33,7 +33,9 @@ datatypes, ``Pack``/``Unpack``, and the round loop for the remainder.  With
 of a wire message — ``message_time``, ``reserve_wire``, the post,
 ``router.receive``, ``ingest_one``, ``ingest_batch``, the run-token hand-off
 (``MessageRouter.block``), the rest of an allreduce round, the rest of
-``PlanExecutor.execute``, and other for the remainder.
+``PlanExecutor.execute`` — then the plan around them: method selection, the
+collective, allreduce and point-to-point compiles, ``Type_commit`` — and
+other for the remainder (the step's ``World``, its threads, the replay app).
 """
 
 from __future__ import annotations
@@ -75,7 +77,8 @@ STAGES = COMMIT_STAGES + ("building", "Pack/Unpack", "round loop")
 #: Rows of the ``--workload replay --stages`` table, in print order.
 WIRE_STAGES = (
     "message_time", "reserve_wire", "post", "router.receive", "ingest_one", "ingest_batch",
-    "token hand-off", "rest of allreduce round", "rest of execute", "other",
+    "token hand-off", "rest of allreduce round", "rest of execute",
+    "selection", "compile", "Type_commit", "other",
 )
 
 
@@ -102,9 +105,12 @@ def stage_codes(workload) -> dict[object, str]:
 
 
 def wire_stage_codes() -> dict[object, str]:
-    """Code object -> stage, for the scalar path of one wire message."""
+    """Code object -> stage, for the scalar path of one wire message and
+    the plan around it."""
     from repro.mpi.p2p import MessageRouter
+    from repro.tempi import plan, selection
     from repro.tempi.executor import PlanExecutor
+    from repro.tempi.interposer import TempiCommunicator
     from repro.tempi.progress import ProgressEngine
 
     return {
@@ -117,6 +123,15 @@ def wire_stage_codes() -> dict[object, str]:
         MessageRouter.block.__code__: "token hand-off",
         PlanExecutor._allreduce_round.__code__: "rest of allreduce round",
         PlanExecutor.execute.__code__: "rest of execute",
+        selection.FixedSelector.__call__.__code__: "selection",
+        selection.ModelSelector.__call__.__code__: "selection",
+        selection.ContendedSelector.__call__.__code__: "selection",
+        selection.choose_allreduce_algorithm.__code__: "selection",
+        TempiCommunicator._compile_collective.__code__: "compile",
+        TempiCommunicator._compile_allreduce.__code__: "compile",
+        plan.compile_send.__code__: "compile",
+        plan.compile_recv.__code__: "compile",
+        TempiCommunicator.Type_commit.__code__: "Type_commit",
     }
 
 
