@@ -121,21 +121,57 @@ class GpuCostModel:
         return 0.3e-6 + nbytes / (2.0 * self.d2h_bandwidth)
 
     # ----------------------------------------------------------------- kernels
-    def coalescing_efficiency(self, block_bytes: int, saturation_block: int) -> float:
-        """Fraction of peak bandwidth achieved for ``block_bytes`` contiguous runs.
+    def kernel_times(self, total_bytes: int, block_bytes: int) -> tuple[float, float, float, float]:
+        """Durations of one pack or unpack kernel, launch in and sync out.
 
-        Short blocks waste memory / interconnect transactions; efficiency grows
-        linearly with the block length until it saturates at
-        ``saturation_block`` bytes, matching the qualitative description of
-        Fig. 10.
+        The kernel gathers or scatters ``total_bytes`` payload bytes in
+        contiguous runs of ``block_bytes``.  The four durations are, in order:
+        pack into device memory, pack into mapped host memory, unpack from
+        device memory, unpack from mapped host memory, each the
+        :meth:`kernel_time` of its target and direction without the sync.
         """
-        if block_bytes <= 0:
-            raise ValueError(f"block_bytes must be positive, got {block_bytes}")
-        eff = block_bytes / float(saturation_block)
-        # min(1.0, max(self.min_efficiency, eff)) without calls; no operand is NaN.
+        pack_device, unpack_device = self._kernel_times_into(total_bytes, block_bytes, False)
+        pack_host, unpack_host = self._kernel_times_into(total_bytes, block_bytes, True)
+        return pack_device, pack_host, unpack_device, unpack_host
+
+    def _kernel_times_into(
+        self, total_bytes: int, block_bytes: int, host: bool
+    ) -> tuple[float, float]:
+        """The pack and the unpack duration, launch in and sync out, with the
+        dense side in device memory, or in mapped host memory if ``host``.
+
+        This is the one statement of the kernel's price:
+
+        * The *device* target moves bytes at ``d2d_bandwidth`` and saturates
+          at ``device_saturation_block``; the *host* target (the one-shot
+          method's mapped buffer) at ``zero_copy_bandwidth`` and
+          ``zero_copy_saturation_block``.
+        * Short runs waste memory and interconnect transactions.  The
+          coalescing efficiency grows linearly with the run length,
+          ``run / saturation``, clamped to ``[min_efficiency, 1]`` (Fig. 10).
+          The run is ``block_bytes``, at most ``total_bytes`` and at least 1.
+        * Unpack writes the strided side, which coalesces worse: its transfer
+          is ``unpack_penalty`` times the pack's.
+        """
+        if total_bytes < 0:
+            raise ValueError(f"total_bytes must be non-negative, got {total_bytes}")
+        if host:
+            bandwidth, saturation = self.zero_copy_bandwidth, self.zero_copy_saturation_block
+        else:
+            bandwidth, saturation = self.d2d_bandwidth, self.device_saturation_block
+        # max(1, min(block_bytes, total_bytes)) without calls.
+        block = total_bytes if total_bytes < block_bytes else block_bytes
+        if not block > 1:
+            block = 1
+        # min(1.0, max(min_efficiency, eff)) without calls; no operand is NaN.
+        eff = block / float(saturation)
         if not eff > self.min_efficiency:
             eff = self.min_efficiency
-        return eff if eff < 1.0 else 1.0
+        if not eff < 1.0:
+            eff = 1.0
+        transfer = total_bytes / (bandwidth * eff)
+        launch = self.kernel_launch_s
+        return launch + transfer, launch + transfer * self.unpack_penalty
 
     def kernel_time(
         self,
@@ -165,23 +201,10 @@ class GpuCostModel:
             Include the trailing ``cudaStreamSynchronize`` latency, which
             TEMPI always performs before handing the buffer to MPI.
         """
-        if total_bytes < 0:
-            raise ValueError(f"total_bytes must be non-negative, got {total_bytes}")
-        if target == "device":
-            bandwidth = self.d2d_bandwidth
-            saturation = self.device_saturation_block
-        elif target == "host":
-            bandwidth = self.zero_copy_bandwidth
-            saturation = self.zero_copy_saturation_block
-        else:
+        pack, scatter = self._kernel_times_into(total_bytes, block_bytes, target == "host")
+        if target != "device" and target != "host":
             raise ValueError(f"unknown kernel target {target!r}")
-        # max(1, min(block_bytes, total_bytes)) without calls.
-        block = total_bytes if total_bytes < block_bytes else block_bytes
-        eff = self.coalescing_efficiency(block if block > 1 else 1, saturation)
-        transfer = total_bytes / (bandwidth * eff)
-        if unpack:
-            transfer *= self.unpack_penalty
-        duration = self.kernel_launch_s + transfer
+        duration = scatter if unpack else pack
         if include_sync:
             duration += self.kernel_sync_s
         return duration

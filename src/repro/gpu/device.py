@@ -49,7 +49,8 @@ class Device:
                 f"({self._allocated} in use)"
             )
         self._allocated += nbytes
-        self._peak = max(self._peak, self._allocated)
+        if self._allocated > self._peak:
+            self._peak = self._allocated
 
     def release(self, nbytes: int) -> None:
         """Account for a device free."""

@@ -119,33 +119,13 @@ _WORD_DTYPES = {
 
 
 def required_extent(start: int, counts: Sequence[int], strides: Sequence[int]) -> int:
-    """Bytes of the underlying allocation touched by a strided object.
+    """Bytes of the underlying allocation touched by one strided object.
 
-    The object's last byte lives at
-    ``start + sum((counts[i] - 1) * strides[i]) + counts[0] * strides[0] - ...``;
-    because dimension 0 is the contiguous run (stride 1), the formula below is
-    the usual max-offset computation for positive strides.
+    The object's last byte lives at ``start + sum((counts[i] - 1) *
+    strides[i])``; this is one past it, :attr:`StridedLayout.end` of the
+    object's :func:`strided_layout`, with the same checks.
     """
-    if len(counts) != len(strides):
-        raise CudaInvalidValue("counts and strides must have the same length")
-    if not counts:
-        return start
-    last = start
-    for count, stride in zip(counts, strides):
-        if count <= 0:
-            raise CudaInvalidValue(f"counts must be positive, got {count}")
-        if stride <= 0:
-            raise CudaInvalidValue(f"strides must be positive, got {stride}")
-        last += (count - 1) * stride
-    return last + 1
-
-
-def packed_size(counts: Sequence[int]) -> int:
-    """Number of payload bytes in one strided object (product of counts)."""
-    size = 1
-    for count in counts:
-        size *= int(count)
-    return size
+    return strided_layout(start, counts, strides).end
 
 
 class StridedLayout(NamedTuple):
@@ -203,44 +183,50 @@ def strided_layout(
         raise CudaInvalidValue(f"count must be positive, got {count}")
     if not counts:
         raise CudaInvalidValue("a strided object needs at least one dimension")
-    end = required_extent(start, counts, strides)
-    span = (count - 1) * object_extent
-    shape = [int(c) for c in reversed(counts[1:])]
-    byte_strides = [int(s) for s in reversed(strides[1:])]
+    if len(counts) != len(strides):
+        raise CudaInvalidValue("counts and strides must have the same length")
+    # One pass: the checks, the last byte touched and the payload size.
+    last, size = start, count
+    for entries, stride in zip(counts, strides):
+        if entries <= 0:
+            raise CudaInvalidValue(f"counts must be positive, got {entries}")
+        if stride <= 0:
+            raise CudaInvalidValue(f"strides must be positive, got {stride}")
+        last += (entries - 1) * stride
+        size *= entries
+    # The view's dimensions, outermost first: the objects, then the block's
+    # dimensions but its contiguous run, reversed.
     if count > 1:
-        shape.insert(0, count)
-        byte_strides.insert(0, object_extent)
+        shape, byte_strides = (count, *counts[:0:-1]), (object_extent, *strides[:0:-1])
+    else:
+        shape, byte_strides = (*counts[:0:-1],), (*strides[:0:-1],)
     # Every word is a power of two up to _WIDEST, so the gcd is the widest
     # word that every argument is a multiple of.  A strided "run" has no
     # words to widen.
     word = math.gcd(_WIDEST, counts[0], start, dense_offset, *byte_strides) if strides[0] == 1 else 1
     if counts[0] > word:
-        shape.append(counts[0] // word)
-        byte_strides.append(word * strides[0])
+        shape, byte_strides = (*shape, counts[0] // word), (*byte_strides, word * strides[0])
     cell = byte_strides[-1] if shape and shape[-1] > 1 else 0
     if cell not in (2, 4, 8) or cell <= word:
         cell = 0
-    nbytes = packed_size(counts) * count
     split, disjoint = -1, False
-    if nbytes // word >= _SPLIT_ELEMENTS:
+    if size // word >= _SPLIT_ELEMENTS:
         for axis, entries in enumerate(shape):
             if entries > 1:
                 inner = zip(shape[axis + 1 :], byte_strides[axis + 1 :])
                 split = axis
                 disjoint = byte_strides[axis] >= word + sum((n - 1) * s for n, s in inner)
                 break
-    return StridedLayout(
-        nbytes=nbytes,
-        first=start + min(span, 0),
-        end=end + max(span, 0),
-        start=start,
-        word=word,
-        shape=tuple(shape),
-        strides=tuple(byte_strides),
-        cell=cell,
-        split=split,
-        disjoint=disjoint,
-    )
+    # The objects span ``(count - 1) * object_extent`` bytes past the first
+    # one's range, or before it for a negative extent.
+    span, first, end = (count - 1) * object_extent, start, last + 1
+    if span < 0:
+        first += span
+    else:
+        end += span
+    return tuple.__new__(StridedLayout, (
+        size, first, end, start, word, shape, byte_strides, cell, split, disjoint
+    ))
 
 
 def _views(

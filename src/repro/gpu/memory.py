@@ -158,15 +158,10 @@ class MemoryPool:
         self.hits = 0
         self.misses = 0
 
-    @staticmethod
-    def _bucket(nbytes: int) -> int:
-        if nbytes <= 1:
-            return 1
-        return 1 << (int(nbytes) - 1).bit_length()
-
     def acquire(self, nbytes: int, kind: MemoryKind) -> Optional[Buffer]:
         """Return a cached buffer of at least ``nbytes`` of ``kind``, or None."""
-        stack = self._free.get((kind, self._bucket(nbytes)))
+        # The bucket: the next power of two, 1 for 0 and 1 bytes.
+        stack = self._free.get((kind, 1 << (nbytes - 1).bit_length() if nbytes > 1 else 1))
         if stack:
             # Newest first.  Callers allocate exactly what they asked for on
             # a miss, so a bucket also holds buffers smaller than this
@@ -188,7 +183,8 @@ class MemoryPool:
         """Return a buffer to the pool for reuse."""
         if buffer._freed or buffer._parent is not None and buffer._parent._freed:
             raise CudaBufferError("cannot pool a freed buffer")
-        bucket = self._bucket(buffer._array.nbytes)
+        nbytes = buffer._array.nbytes
+        bucket = 1 << (nbytes - 1).bit_length() if nbytes > 1 else 1
         self._free.setdefault((buffer.kind, bucket), []).append(buffer)
 
     def __len__(self) -> int:

@@ -196,7 +196,8 @@ class CudaRuntime:
         The geometry is validated and laid out (the word too:
         :func:`~repro.gpu.kernels.strided_layout` is the one place it is
         chosen) and the kernel is priced for both directions and both
-        targets, once; :meth:`launch_pack` and
+        targets by one :meth:`~repro.gpu.cost_model.GpuCostModel.kernel_times`
+        call; :meth:`launch_pack` and
         :meth:`launch_unpack` take the result back as ``plan=``.  Layout and
         prices are pure functions of the arguments and of the frozen cost
         model, so a plan is good for any runtime whose ``cost`` is the one
@@ -209,16 +210,20 @@ class CudaRuntime:
         # The coalescing behaviour is governed by the contiguous run length
         # (counts[0]); the layout's word only changes instruction counts,
         # which the model folds into the launch constant, so it has no price.
-        # The launch itself is charged to the host separately.
-        durations = [
-            self.cost.kernel_time(
-                layout.nbytes, int(counts[0]), target=target, unpack=unpack, include_sync=False
-            )
-            - self.cost.kernel_launch_s
-            for unpack in (False, True)
-            for target in ("device", "host")
-        ]
-        return KernelLaunch(layout, object_extent, *durations)
+        # The launch itself is charged to the host separately: each duration
+        # is ``kernel_time(..., include_sync=False) - kernel_launch_s``.
+        launch = self.cost.kernel_launch_s
+        pack_device, pack_host, unpack_device, unpack_host = self.cost.kernel_times(
+            layout.nbytes, int(counts[0])
+        )
+        return tuple.__new__(KernelLaunch, (
+            layout,
+            object_extent,
+            pack_device - launch,
+            pack_host - launch,
+            unpack_device - launch,
+            unpack_host - launch,
+        ))
 
     def launch_pack(
         self,

@@ -54,7 +54,9 @@ class Stream:
             raise CudaStreamError("durations must be non-negative")
         if host_overhead:
             self._clock.advance(host_overhead)
-        start = max(self._ready_time, self._clock.now)
+        # max(ready, now) without a call: on a tie the stream's time stands.
+        now = self._clock.now
+        start = now if now > self._ready_time else self._ready_time
         self._ready_time = start + duration
         self.operations += 1
         return self._ready_time

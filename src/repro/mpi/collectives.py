@@ -413,7 +413,12 @@ def normalize_types(types: TypesArg, nsections: int, what: str) -> list[Datatype
     """Expand a single datatype (or check a per-section list) to one per section."""
     if isinstance(types, Datatype):
         return [types] * nsections
-    result = list(types)
+    try:
+        result = list(types)
+    except TypeError:
+        raise MpiArgumentError(
+            f"{what}types: expected a Datatype or one per section, got {types!r}"
+        ) from None
     if len(result) != nsections:
         raise MpiArgumentError(
             f"{what} needs one datatype per section ({nsections}), got {len(result)}"

@@ -439,7 +439,9 @@ class Communicator:
         extent-based placement rule for the receive type; ``MPI_BYTE`` when
         no datatype is given, i.e. ``rank * sendcount`` bytes).
         """
-        _, recvtype = self._types(sendtype, recvtype, "sendtype and recvtype")
+        sendtype, recvtype = self._types(sendtype, recvtype, "sendtype and recvtype")
+        check_datatype(sendtype, "sendtype")
+        check_datatype(recvtype, "recvtype")
         if type(sendcount) is not int:
             sendcount = check_int(sendcount, "sendcount", MpiArgumentError)
         if sendcount < 0:
@@ -598,6 +600,7 @@ class Communicator:
         """Nonblocking ``MPI_Iallgatherv``: contribution posted now, receives
         and unpacks deferred to the returned request's ``Wait``/``Test``."""
         sendtype, recvtypes = self._types(sendtype, recvtypes, "sendtype and recvtypes")
+        check_datatype(sendtype, "sendtype")
         return _collectives.allgatherv_begin(
             self, sendbuf, sendcount, sendtype, recvbuf, recvcounts, recvdispls, recvtypes
         )

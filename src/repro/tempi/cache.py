@@ -75,9 +75,11 @@ class ResourceCache:
                 self.stats.buffer_hits += 1
                 return cached
         self.stats.buffer_misses += 1
+        if nbytes < 1:
+            nbytes = 1
         if kind is MemoryKind.DEVICE:
-            return self.runtime.malloc(max(1, nbytes))
-        return self.runtime.host_alloc(max(1, nbytes), kind)
+            return self.runtime.malloc(nbytes)
+        return self.runtime.host_alloc(nbytes, kind)
 
     def put_buffer(self, buffer: Buffer) -> None:
         """Return an intermediate buffer for reuse (freed when caching is off)."""

@@ -687,6 +687,8 @@ class TempiCommunicator:
         like the typed all-to-all-v."""
         if type(sendcount) is not int:  # named as the system path names it
             sendcount = check_int(sendcount, "sendcount", MpiArgumentError)
+        if sendtype is not None:  # one datatype, not a list: checked as the system checks it
+            check_datatype(sendtype, "sendtype")
         size = self._comm.size
         plan = None
         if size >= 2:

@@ -12,7 +12,10 @@ plus one kernel launch.  The packer does the same with what only the object
 count adds: the first pack or unpack of a ``count`` plans that transfer
 (:class:`PackPlan`: sizes, memcpy or kernel, the runtime's launch layout and
 its four durations) and every later one replays the plan — two bounds
-comparisons and one launch.  The kernel's word (``W``, Sec. 3.3) is part of
+comparisons and one launch.  The plan reads the block's fields itself, the
+layout is laid out in one pass, and the four durations (pack and unpack,
+into device or mapped host memory) are priced by one
+:meth:`~repro.gpu.cost_model.GpuCostModel.kernel_times` call.  The kernel's word (``W``, Sec. 3.3) is part of
 that launch layout, chosen by :func:`repro.gpu.kernels.strided_layout` from
 the block, the count and the extent, so a commit selects nothing.
 
@@ -86,37 +89,31 @@ class Packer:
         """Bytes of user buffer needed to hold ``count`` objects."""
         return self.block.start + (count - 1) * self.object_extent + self.block.extent
 
-    def _memcpyable(self, count: int) -> bool:
-        """True when the whole transfer is one contiguous run.
-
-        A contiguous block is a single memcpy for one object; for several
-        objects it remains one memcpy only if consecutive objects tile the
-        buffer without holes (MPI extent equals the payload size).
-        """
-        if not self.block.is_contiguous:
-            return False
-        return count == 1 or self.object_extent == self.block.packed_bytes
-
     def _plan(self, runtime: CudaRuntime, count: int) -> PackPlan:
         """Plan moving ``count`` objects on ``runtime`` and keep the plan.
 
         Everything here follows from the committed datatype, ``count`` and
         the runtime's frozen cost model; a plan priced under another cost
-        model is replaced.
+        model is replaced.  The transfer is one memcpy when it is one
+        contiguous run: a contiguous block for one object, or for several
+        when consecutive objects tile the buffer without holes (MPI extent
+        equals the payload size).  Otherwise it is one planned launch.
         """
-        nbytes = self.packed_size(count)
+        if count <= 0:
+            raise PackError(f"count must be positive, got {count}")
+        block, extent = self.block, self.object_extent
+        payload = block.packed_bytes
         launch = None
-        if not self._memcpyable(count):
+        if block.counts[1:] or count > 1 and extent != payload:
             launch = runtime.plan_launch(
-                self.block.start,
-                self.block.counts,
-                self.block.strides,
-                count=count,
-                object_extent=self.object_extent,
+                block.start, block.counts, block.strides, count=count, object_extent=extent
             )
-        plan = self._plans[count] = PackPlan(
-            nbytes, self.required_input(count), runtime.cost, launch
-        )
+        plan = self._plans[count] = tuple.__new__(PackPlan, (
+            payload * count,
+            block.start + (count - 1) * extent + block.extent,
+            runtime.cost,
+            launch,
+        ))
         return plan
 
     # ------------------------------------------------------------------- pack

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gpu.cost_model import FREE_GPU, SUMMIT_GPU, GpuCostModel
+from repro.gpu.runtime import CudaRuntime
 
 
 class TestValidation:
@@ -57,24 +58,32 @@ class TestMemcpy:
         assert SUMMIT_GPU.memcpy_h2h_time(0) < SUMMIT_GPU.memcpy_call_s
 
 
+def _transfers(cost: GpuCostModel, total_bytes: int, block_bytes: int) -> tuple:
+    """:meth:`GpuCostModel.kernel_times` with no launch latency: the four transfers."""
+    return replace(cost, kernel_launch_s=0.0).kernel_times(total_bytes, block_bytes)
+
+
 class TestCoalescingEfficiency:
+    """The clamp inside ``kernel_times``: efficiency grows with the run
+    length up to the saturation block, never below ``min_efficiency``."""
+
     def test_saturates_at_saturation_block(self):
-        cost = SUMMIT_GPU
-        assert cost.coalescing_efficiency(cost.device_saturation_block, cost.device_saturation_block) == 1.0
-        assert cost.coalescing_efficiency(4 * cost.device_saturation_block, cost.device_saturation_block) == 1.0
+        cost, total = SUMMIT_GPU, 1 << 20
+        saturated = total / cost.d2d_bandwidth
+        assert _transfers(cost, total, cost.device_saturation_block)[0] == saturated
+        assert _transfers(cost, total, 4 * cost.device_saturation_block)[0] == saturated
 
     def test_monotonic_in_block_length(self):
-        cost = SUMMIT_GPU
-        effs = [cost.coalescing_efficiency(b, 128) for b in (1, 2, 8, 32, 64, 128)]
-        assert effs == sorted(effs)
+        transfers = [_transfers(SUMMIT_GPU, 1 << 20, b)[0] for b in (1, 2, 8, 32, 64, 128)]
+        assert transfers == sorted(transfers, reverse=True)
 
     def test_floor_applies_to_tiny_blocks(self):
-        cost = SUMMIT_GPU
-        assert cost.coalescing_efficiency(1, 1024) >= cost.min_efficiency
+        cost = replace(SUMMIT_GPU, device_saturation_block=1024)
+        floor = (1 << 20) / (cost.d2d_bandwidth * cost.min_efficiency)
+        assert _transfers(cost, 1 << 20, 1)[0] == floor
 
-    def test_zero_block_rejected(self):
-        with pytest.raises(ValueError):
-            SUMMIT_GPU.coalescing_efficiency(0, 128)
+    def test_zero_block_prices_as_one_byte(self):
+        assert SUMMIT_GPU.kernel_times(1 << 20, 0) == SUMMIT_GPU.kernel_times(1 << 20, 1)
 
 
 class TestKernelTime:
@@ -199,10 +208,45 @@ class TestClampsWithoutCalls:
     @given(
         model=st.one_of(st.just(SUMMIT_GPU), overridden_models),
         block_bytes=st.integers(1, 1 << 16),
-        saturation=st.integers(1, 4096),
     )
-    def test_coalescing_efficiency_equals_the_min_max_reference(
-        self, model, block_bytes, saturation
-    ):
-        want = min(1.0, max(model.min_efficiency, block_bytes / float(saturation)))
-        assert model.coalescing_efficiency(block_bytes, saturation).hex() == want.hex()
+    def test_coalescing_efficiency_equals_the_min_max_reference(self, model, block_bytes):
+        total = 1 << 20
+        got = _transfers(model, total, block_bytes)
+        for index, (bandwidth, saturation) in enumerate((
+            (model.d2d_bandwidth, model.device_saturation_block),
+            (model.zero_copy_bandwidth, model.zero_copy_saturation_block),
+        )):
+            eff = min(1.0, max(model.min_efficiency, block_bytes / float(saturation)))
+            assert got[index].hex() == (total / (bandwidth * eff)).hex()
+
+
+class TestPlannedDurations:
+    """``plan_launch``'s four durations are ``kernel_time`` less the launch,
+    bit for bit: one ``kernel_times`` call prices what four ``kernel_time``
+    calls priced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        model=st.one_of(st.just(SUMMIT_GPU), st.just(FREE_GPU), overridden_models),
+        run=st.integers(1, 4096),
+        rows=st.integers(1, 64),
+        pitch=st.integers(0, 256),
+        count=st.integers(1, 4),
+    )
+    def test_each_duration_is_kernel_time_less_the_launch(self, model, run, rows, pitch, count):
+        launch = CudaRuntime(cost_model=model).plan_launch(
+            0, [run, rows], [1, run + pitch], count=count
+        )
+        nbytes = run * rows * count
+        assert launch.layout.nbytes == nbytes
+        fields = {
+            ("device", False): launch.pack_device,
+            ("host", False): launch.pack_host,
+            ("device", True): launch.unpack_device,
+            ("host", True): launch.unpack_host,
+        }
+        for (target, unpack), got in fields.items():
+            timed = model.kernel_time(nbytes, run, target=target, unpack=unpack, include_sync=False)
+            reference = _reference_kernel_time(model, nbytes, run, target, unpack, False)
+            assert got.hex() == (timed - model.kernel_launch_s).hex()
+            assert got.hex() == (reference - model.kernel_launch_s).hex()

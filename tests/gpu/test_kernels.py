@@ -1,5 +1,6 @@
 """Tests for the functional strided pack/unpack kernels."""
 
+import math
 import os
 import queue
 import signal
@@ -10,6 +11,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gpu import kernels
 from repro.gpu.errors import CudaInvalidValue
@@ -43,7 +46,149 @@ class TestRequiredExtent:
             kernels.required_extent(0, [2, 2], [1, 0])
 
     def test_packed_size_is_product(self):
-        assert kernels.packed_size([8, 4, 3]) == 96
+        assert kernels.strided_layout(0, [8, 4, 3], [1, 8, 32]).nbytes == 96
+        assert kernels.strided_layout(0, [8, 4, 3], [1, 8, 32], 2, 96).nbytes == 192
+
+
+# The parent's ``required_extent``, ``packed_size`` and ``strided_layout``,
+# verbatim but for their names: the oracle of the one-pass layout.
+def _parent_required_extent(start, counts, strides):
+    if len(counts) != len(strides):
+        raise CudaInvalidValue("counts and strides must have the same length")
+    if not counts:
+        return start
+    last = start
+    for count, stride in zip(counts, strides):
+        if count <= 0:
+            raise CudaInvalidValue(f"counts must be positive, got {count}")
+        if stride <= 0:
+            raise CudaInvalidValue(f"strides must be positive, got {stride}")
+        last += (count - 1) * stride
+    return last + 1
+
+
+def _parent_packed_size(counts):
+    size = 1
+    for count in counts:
+        size *= int(count)
+    return size
+
+
+def _parent_strided_layout(start, counts, strides, count=1, object_extent=0, dense_offset=0):
+    if count <= 0:
+        raise CudaInvalidValue(f"count must be positive, got {count}")
+    if not counts:
+        raise CudaInvalidValue("a strided object needs at least one dimension")
+    end = _parent_required_extent(start, counts, strides)
+    span = (count - 1) * object_extent
+    shape = [int(c) for c in reversed(counts[1:])]
+    byte_strides = [int(s) for s in reversed(strides[1:])]
+    if count > 1:
+        shape.insert(0, count)
+        byte_strides.insert(0, object_extent)
+    word = (
+        math.gcd(kernels._WIDEST, counts[0], start, dense_offset, *byte_strides)
+        if strides[0] == 1 else 1
+    )
+    if counts[0] > word:
+        shape.append(counts[0] // word)
+        byte_strides.append(word * strides[0])
+    cell = byte_strides[-1] if shape and shape[-1] > 1 else 0
+    if cell not in (2, 4, 8) or cell <= word:
+        cell = 0
+    nbytes = _parent_packed_size(counts) * count
+    split, disjoint = -1, False
+    if nbytes // word >= kernels._SPLIT_ELEMENTS:
+        for axis, entries in enumerate(shape):
+            if entries > 1:
+                inner = zip(shape[axis + 1 :], byte_strides[axis + 1 :])
+                split = axis
+                disjoint = byte_strides[axis] >= word + sum((n - 1) * s for n, s in inner)
+                break
+    return kernels.StridedLayout(
+        nbytes=nbytes,
+        first=start + min(span, 0),
+        end=end + max(span, 0),
+        start=start,
+        word=word,
+        shape=tuple(shape),
+        strides=tuple(byte_strides),
+        cell=cell,
+        split=split,
+        disjoint=disjoint,
+    )
+
+
+def _layout_or_error(layout, *args):
+    try:
+        return layout(*args)
+    except CudaInvalidValue as error:
+        return str(error)
+
+
+@st.composite
+def launch_geometries(draw):
+    """``(start, counts, strides, count, object_extent, dense_offset)``, some
+    of them invalid, some over the split threshold."""
+    ndims = draw(st.integers(0, 4))
+    big = draw(st.booleans())  # dimensions large enough to cross the split threshold
+    counts = draw(st.lists(st.integers(-1, 4096 if big else 40), min_size=ndims, max_size=ndims))
+    strides = draw(st.lists(st.integers(-1, 1 << 14), min_size=ndims, max_size=ndims))
+    if strides and draw(st.integers(0, 3)):
+        strides[0] = 1  # usually a contiguous run
+    if draw(st.integers(0, 7)) == 0:
+        strides = strides[:-1] if strides else [1]  # mismatched lengths
+    sequence = draw(st.sampled_from([list, tuple]))
+    return (
+        draw(st.integers(0, 64)),
+        sequence(counts),
+        sequence(strides),
+        draw(st.integers(-1, 4)),
+        draw(st.integers(-64, 1 << 16)),
+        draw(st.integers(0, 64)),
+    )
+
+
+class TestLayoutOracle:
+    """The one-pass ``strided_layout`` equals the parent's, field for field
+    and error message for error message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(geometry=launch_geometries())
+    def test_strided_layout_equals_the_parents(self, geometry):
+        want = _layout_or_error(_parent_strided_layout, *geometry)
+        got = _layout_or_error(kernels.strided_layout, *geometry)
+        assert got == want
+        if isinstance(want, str):
+            return
+        assert type(got) is kernels.StridedLayout
+        assert all(type(value) is tuple for value in (got.shape, got.strides))
+        start, counts, strides = geometry[:3]
+        assert kernels.required_extent(start, counts, strides) == _parent_required_extent(
+            start, counts, strides
+        )
+
+    @pytest.mark.parametrize(
+        "geometry",
+        [
+            pytest.param((0, [4], [1], 0, 0, 0), id="count"),
+            pytest.param((0, [], [], 1, 0, 0), id="no-dimension"),
+            pytest.param((0, [4, 2], [1], 1, 0, 0), id="lengths"),
+            pytest.param((0, [4, 0], [1, 8], 1, 0, 0), id="zero-count"),
+            pytest.param((0, [4, 2], [1, -8], 1, 0, 0), id="negative-stride"),
+        ],
+    )
+    def test_every_error_message_is_the_parents(self, geometry):
+        want = _layout_or_error(_parent_strided_layout, *geometry)
+        assert isinstance(want, str)
+        assert _layout_or_error(kernels.strided_layout, *geometry) == want
+
+    def test_the_split_threshold_is_the_parents(self):
+        below = (0, [1, kernels._SPLIT_ELEMENTS - 1], [1, 2], 1, 0, 0)
+        at = (0, [1, kernels._SPLIT_ELEMENTS // 2], [1, 2], 2, kernels._SPLIT_ELEMENTS, 0)
+        for geometry, split in ((below, -1), (at, 0)):
+            assert kernels.strided_layout(*geometry) == _parent_strided_layout(*geometry)
+            assert kernels.strided_layout(*geometry).split == split
 
 
 class TestPackUnpack2D:

@@ -209,10 +209,12 @@ class TestMemoryPool:
         assert pool.misses == 1
 
     def test_bucketing_rounds_up(self):
-        assert MemoryPool._bucket(1) == 1
-        assert MemoryPool._bucket(3) == 4
-        assert MemoryPool._bucket(1024) == 1024
-        assert MemoryPool._bucket(1025) == 2048
+        pool = MemoryPool()
+        for nbytes in (1, 3, 1024, 1025):
+            pool.release(HostBuffer(nbytes, MemoryKind.HOST_PINNED))
+        assert sorted(bucket for _, bucket in pool._free) == [1, 4, 1024, 2048]
+        for nbytes, bucket in ((1, 1), (3, 4), (1024, 1024), (1025, 2048)):
+            assert pool._free[MemoryKind.HOST_PINNED, bucket][0].nbytes == nbytes
 
     def test_smaller_buffer_of_the_same_bucket_is_not_handed_out(self):
         """43 008 and 45 056 bytes share the 65 536 bucket; only one fits both."""
@@ -228,10 +230,10 @@ class TestMemoryPool:
         assert (pool.hits, pool.misses) == (2, 1)
 
     def test_zero_byte_request_uses_the_smallest_bucket(self):
-        assert MemoryPool._bucket(0) == 1
         pool = MemoryPool()
         empty = HostBuffer(0, MemoryKind.HOST_PINNED)
         pool.release(empty)
+        assert list(pool._free) == [(MemoryKind.HOST_PINNED, 1)]
         assert pool.acquire(1, MemoryKind.HOST_PINNED) is None
         assert pool.acquire(0, MemoryKind.HOST_PINNED) is empty
 

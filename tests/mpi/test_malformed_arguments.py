@@ -22,6 +22,16 @@ is charged: :class:`MpiArgumentError` for an unknown ``op``, and
 :class:`MpiTypeError` naming both datatypes unless both are elementary with
 one element type, where a FLOAT send reduced into an INT receive used to sum
 bit patterns and a derived send type was copied as contiguous bytes.
+A freed, uncommitted or non-datatype argument raises the same
+``MpiError`` on both communicators at every gate a datatype reaches:
+``Pack``, ``Unpack``, ``Pack_size``, ``Type_commit``, the point-to-point
+calls, ``Bcast`` and the v-collectives.  ``Allgather``'s and
+``Allgatherv``'s one-datatype arguments are checked as ``Type_commit``
+checks its datatype (``sendtype: expected a Datatype, got int``), and a
+``sendtypes``/``recvtypes`` that is neither a datatype nor a sequence
+names itself.  Both raised a bare ``AttributeError`` or ``TypeError``
+there, and for a non-datatype ``sendtype`` the TEMPI ``Allgather(v)``
+raised another error than the system one.
 """
 
 from __future__ import annotations
@@ -43,7 +53,9 @@ from repro.mpi.constructors import (
     Type_indexed,
     Type_vector,
 )
-from repro.mpi.datatype import BYTE, CHAR, DOUBLE, FLOAT, INT, INT64, ORDER_C, SHORT, UNSIGNED
+from repro.mpi.datatype import (
+    BYTE, CHAR, DOUBLE, FLOAT, INT, INT64, ORDER_C, SHORT, UNSIGNED, Datatype,
+)
 from repro.mpi.errors import MpiArgumentError, MpiError, MpiTypeError
 from repro.mpi.world import World
 from repro.tempi.config import TempiConfig
@@ -477,3 +489,110 @@ class TestAllreduceArguments:
                         comm.Allreduce((buffer, 2, send), (buffer, 2, recv), op)
 
         world.run(attempt)
+
+
+# --------------------------------------------------------------------------- #
+# A bad datatype at every interposer gate, on both communicators.
+# --------------------------------------------------------------------------- #
+
+#: Gates rank 0 calls alone, gates from rank 0 to rank 1, and collectives.
+LOCAL_GATES = ("Pack", "Unpack", "Pack_size", "Type_commit")
+P2P_GATES = ("Isend", "Irecv", "Send_init", "Recv_init")
+COLLECTIVE_GATES = ("Bcast", "Allgather", "Allgatherv", "Alltoallv", "Neighbor_alltoallv")
+
+
+def _freed_vector():
+    datatype = Type_vector(2, 1, 2, BYTE)
+    datatype.Commit()
+    datatype.Free()
+    return datatype
+
+
+#: A freed datatype, an uncommitted one, or something that is no datatype.
+bad_datatypes = st.one_of(
+    st.builds(_freed_vector),
+    st.builds(Type_vector, st.just(2), st.just(1), st.just(2), st.just(BYTE)),
+    non_datatypes,
+    st.floats(allow_nan=False),
+    st.lists(st.integers(0, 4), min_size=1, max_size=2),
+)
+
+
+def _run_gate(comm, rank: int, gate: str, side: str, buffer, bad, good) -> None:
+    """Call ``gate`` with ``bad`` as its datatype on ``side`` and run it to completion.
+
+    A local gate runs on rank 0; a point-to-point gate runs on rank 0 against
+    a well-formed partner on rank 1 (which sends first to a receiving gate,
+    so an accepted receive completes); a collective runs on both ranks.
+    """
+    if gate in LOCAL_GATES or gate in P2P_GATES:
+        if rank == 1:
+            if gate in ("Irecv", "Recv_init"):
+                comm.Isend((buffer, 1, good), 0, 0).Wait()
+            return
+        if gate == "Pack":
+            comm.Pack((buffer, 1, bad), buffer, 0)
+        elif gate == "Unpack":
+            comm.Unpack(buffer, 0, (buffer, 1, bad))
+        elif gate == "Pack_size":
+            comm.Pack_size(1, bad)
+        elif gate == "Type_commit":
+            comm.Type_commit(bad)
+        elif gate.endswith("_init"):
+            request = getattr(comm, gate)((buffer, 1, bad), 1, 0)
+            try:
+                request.Start()
+                request.Wait()
+            finally:
+                request.Free()
+        else:
+            getattr(comm, gate)((buffer, 1, bad), 1, 0).Wait()
+        return
+    send, recv = (bad, good) if side == "send" else (good, bad)
+    if gate == "Bcast":
+        comm.Bcast((buffer, 1, bad), 0)
+    elif gate == "Allgather":
+        comm.Allgather(buffer, 1, buffer, sendtype=send, recvtype=recv)
+    elif gate == "Allgatherv":
+        comm.Allgatherv(buffer, 1, buffer, [1, 1], [0, 8], sendtype=send, recvtypes=recv)
+    elif gate == "Alltoallv":
+        comm.Alltoallv(buffer, [1, 1], [0, 8], buffer, [1, 1], [0, 8], sendtypes=send, recvtypes=recv)
+    else:
+        comm.Neighbor_alltoallv(
+            [1 - rank], buffer, [1], [0], buffer, [1], [0], sendtypes=send, recvtypes=recv
+        )
+
+
+def _gate_outcome(kind: str, gate: str, side: str, bad) -> tuple:
+    """Per rank of a fresh 2-rank world: ``(class, message)`` of what the gate raised, or None."""
+
+    def attempt(ctx):
+        comm = ctx.comm if kind == "system" else interpose(ctx, TempiConfig())
+        good = comm.Type_commit(Type_vector(2, 1, 2, BYTE))
+        try:
+            _run_gate(comm, ctx.rank, gate, side, ctx.gpu.malloc(64), bad, good)
+        except MpiError as exc:
+            return type(exc), str(exc)
+        return None
+
+    return tuple(World(2).run(attempt))
+
+
+class TestDatatypeGates:
+    """A freed, uncommitted or non-datatype argument raises the same error on
+    both communicators at every gate, and that error is an ``MpiError``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        gate=st.sampled_from(LOCAL_GATES + P2P_GATES + COLLECTIVE_GATES),
+        side=st.sampled_from(["send", "recv"]),
+        bad=bad_datatypes,
+    )
+    def test_both_communicators_raise_the_same_error(self, gate, side, bad):
+        system = _gate_outcome("system", gate, side, bad)
+        assert _gate_outcome("tempi", gate, side, bad) == system
+        uncommitted = isinstance(bad, Datatype) and not bad.freed
+        if gate in ("Pack_size", "Type_commit") and uncommitted:
+            assert system == (None, None)  # neither needs a committed type
+        else:
+            assert system[0] is not None

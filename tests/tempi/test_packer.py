@@ -197,8 +197,8 @@ class TestLaunchPlan:
     """A pack costs what the paper says it does: a lookup and one launch."""
 
     def test_warm_pack_replans_nothing(self, monkeypatch, summit_runtime):
-        priced = _Spy(monkeypatch, GpuCostModel, "kernel_time")
-        extents = _Spy(monkeypatch, kernels, "required_extent")
+        priced = _Spy(monkeypatch, GpuCostModel, "kernel_times")
+        extents = _Spy(monkeypatch, kernels, "strided_layout")
         packer = Packer(block_2d(), object_extent=512)
         src = summit_runtime.malloc(packer.required_input(2))
         dst = summit_runtime.malloc(packer.packed_size(2))

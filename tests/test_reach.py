@@ -88,7 +88,7 @@ def test_table_first_lines_are_the_code_objects_first_lines():
         checked += 1
     assert checked > 50
     qualnames = {f.qualname for f in reach.functions() if f.path == "src/repro/gpu/memory.py"}
-    assert {"Buffer.data", "Buffer.view", "MemoryPool._bucket", "MemoryPool.acquire"} <= qualnames
+    assert {"Buffer.data", "Buffer.view", "MemoryPool.acquire", "MemoryPool.release"} <= qualnames
 
 
 def test_calls_on_a_thread_started_inside_the_census_are_recorded():

@@ -33,9 +33,12 @@ datatypes, ``Pack``/``Unpack``, and the round loop for the remainder.  With
 of a wire message — ``message_time``, ``reserve_wire``, the post,
 ``router.receive``, ``ingest_one``, ``ingest_batch``, the run-token hand-off
 (``MessageRouter.block``), the rest of an allreduce round, the rest of
-``PlanExecutor.execute`` — then the plan around them: method selection, the
-collective, allreduce and point-to-point compiles, ``Type_commit`` — and
-other for the remainder (the step's ``World``, its threads, the replay app).
+``PlanExecutor.execute``, a pack's plan of a new count (``Packer._plan``) and
+staging (``_StagingTracker.get``/``release``, the cache's
+``get_stream``/``put_stream``) — then the plan around them: method
+selection, the collective, allreduce and point-to-point compiles,
+``Type_commit`` — and other for the remainder (the step's ``World``, its
+threads, the replay app).
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ STAGES = COMMIT_STAGES + ("building", "Pack/Unpack", "round loop")
 #: Rows of the ``--workload replay --stages`` table, in print order.
 WIRE_STAGES = (
     "message_time", "reserve_wire", "post", "router.receive", "ingest_one", "ingest_batch",
-    "token hand-off", "rest of allreduce round", "rest of execute",
+    "token hand-off", "rest of allreduce round", "rest of execute", "pack plan", "staging",
     "selection", "compile", "Type_commit", "other",
 )
 
@@ -109,8 +112,10 @@ def wire_stage_codes() -> dict[object, str]:
     the plan around it."""
     from repro.mpi.p2p import MessageRouter
     from repro.tempi import plan, selection
+    from repro.tempi.cache import ResourceCache, _StagingTracker
     from repro.tempi.executor import PlanExecutor
     from repro.tempi.interposer import TempiCommunicator
+    from repro.tempi.packer import Packer
     from repro.tempi.progress import ProgressEngine
 
     return {
@@ -123,6 +128,11 @@ def wire_stage_codes() -> dict[object, str]:
         MessageRouter.block.__code__: "token hand-off",
         PlanExecutor._allreduce_round.__code__: "rest of allreduce round",
         PlanExecutor.execute.__code__: "rest of execute",
+        Packer._plan.__code__: "pack plan",
+        _StagingTracker.get.__code__: "staging",
+        _StagingTracker.release.__code__: "staging",
+        ResourceCache.get_stream.__code__: "staging",
+        ResourceCache.put_stream.__code__: "staging",
         selection.FixedSelector.__call__.__code__: "selection",
         selection.ModelSelector.__call__.__code__: "selection",
         selection.ContendedSelector.__call__.__code__: "selection",
