@@ -64,12 +64,14 @@ used while studying the model:
     ``benchmarks/bench_report.json``.
 
 ``python -m repro.cli sanitize``
-    Replay the table's fig9/fig15/incast/allreduce/moe rows (``--smoke``
-    grids, or ``--full``) and Fig. 14's three engines with the runtime clock
-    sanitizer (:mod:`repro.tempi.sanitizer`) as the NIC trace sink, one fresh
-    sink per replay: vector clocks over NIC commits, cross-rank backlog reads
-    audited for a happens-before edge, port monotonicity, and pricing-purity
-    checksums.  Prints every audit counter; nonzero exit on any violation.
+    Replay the table's fig9/fig15/incast/topology/allreduce/moe rows
+    (``--smoke`` grids, or ``--full``) and Fig. 14's three engines with the
+    runtime clock sanitizer (:mod:`repro.tempi.sanitizer`) as the NIC trace
+    sink, one fresh sink per replay: vector clocks over NIC commits,
+    cross-rank backlog reads audited for a happens-before edge, shared
+    rails and uplink bundles for key order, port monotonicity, and
+    pricing-purity checksums.  Prints every audit counter; nonzero exit on
+    any violation.
 """
 
 from __future__ import annotations
@@ -647,7 +649,7 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
             return f"{type(exc).__name__}: {exc}"
         return None
 
-    for row_id in ("fig9", "fig15", "incast", "allreduce", "moe"):
+    for row_id in ("fig9", "fig15", "incast", "topology", "allreduce", "moe"):
         print(f"== sanitized replay: {row_id} ({sweep} grids)")
         replay(row_id, functools.partial(run_row, row_id))
     # Fig. 14's columns are checked on their own: the isend/irecv one

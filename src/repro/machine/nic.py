@@ -71,10 +71,11 @@ stay byte-identical when no path is given:
   discipline applied to a shared fabric link, which is what makes incast
   on an oversubscribed uplink structural rather than hand-built.
 
-Shared-hop cursors necessarily mix sources: they are exact when contending
-posts carry a happens-before edge (barrier-phased traffic, single-threaded
-drivers), and the runtime sanitizer audits cross-rank commits on them the
-same way it audits cross-rank backlog reads.
+Shared-hop cursors necessarily mix sources, so a threaded world commits to
+a send-side rail or bundle in ``(ready, source)`` key order: the progress
+engine waits for its key first (:meth:`~repro.mpi.p2p.MessageRouter.await_key`),
+and the runtime sanitizer checks the order.  Receive-side rails are
+committed by receivers and stay under the happens-before rule.
 
 Event stream.  A timeline with a :attr:`~NicTimeline.sink` attached
 (``TempiConfig(trace=...)``) calls it as ``sink(timeline, event)`` once per
@@ -406,6 +407,9 @@ class PostEvent(NamedTuple):
     #: The shared topology cursors the post set, as ``(label, key, cursor)``:
     #: the NIC rail (``"rail"``), then each uplink bundle (``"fabric"``).
     shared: tuple[tuple[str, Any, float], ...]
+    #: The ready time the post was booked at: with ``rank``, the key
+    #: send-side shared cursors take commits in.
+    ready: float
 
 
 class SeqEvent(NamedTuple):
@@ -794,7 +798,9 @@ class NicTimeline:
             )
             if path is not None:
                 shared += [("fabric", key, self._shared_links[key]) for key, _ in path.shared]
-            sink(self, PostEvent(source, dest, reservation, ingest, self._ports[source], tuple(shared)))
+            sink(self, PostEvent(
+                source, dest, reservation, ingest, self._ports[source], tuple(shared), ready
+            ))
         return reservation
 
     def next_seq(self, source: int) -> int:

@@ -40,6 +40,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.gpu.clock import VirtualClock
 from repro.mpi.errors import MpiCommError
 from repro.mpi.status import ANY_SOURCE, ANY_TAG
 
@@ -89,6 +90,9 @@ class MessageRouter:
         self.stopped = False
         self._deadlocked = False
         self.messages_posted = 0
+        #: Envelopes taken by a receive: ``messages_posted`` minus this is
+        #: what the mailboxes hold, without a call to count them.
+        self.messages_received = 0
         #: Blocked ranks -> the ``(source, tag, context)`` they wait to
         #: receive (``None``: blocked on something no post can satisfy).
         self._waiting: dict[int, Optional[tuple[int, int, int]]] = {}
@@ -99,6 +103,15 @@ class MessageRouter:
         self._runnable: deque[int] = deque()
         #: Launched rank threads that have reached :meth:`enter`.
         self._entered = 0
+        #: Each rank's clock (handed over by the ``World``) and the ranks
+        #: parked in :meth:`await_key` with their keys: the ranks' bounds.
+        self.clocks: list[VirtualClock] = []
+        self._parked: dict[int, float] = {}
+        #: Each rank's ``(messages_posted, clock)`` at its last probe miss,
+        #: and the ranks suspended in a miss that repeats it (a spin: only
+        #: another rank's post can end it) with the post count they saw.
+        self._missed: dict[int, tuple[int, float]] = {}
+        self._spinning: dict[int, int] = {}
 
     # ------------------------------------------------------------------- post
     def post(self, envelope: Envelope) -> None:
@@ -167,6 +180,7 @@ class MessageRouter:
             while True:
                 index = self._find(rank, source, tag, context)
                 if index is not None:
+                    self.messages_received += 1
                     return self._mailboxes[rank].pop(index)
                 if self.stopped:
                     raise self.stop_error(
@@ -182,16 +196,56 @@ class MessageRouter:
         """Nonblocking check for a matching envelope (not removed).
 
         A miss passes the run token round once before returning, so a
-        ``Test`` poll loop lets the rank it is waiting for run.
+        ``Test`` poll loop lets the rank it is waiting for run.  A miss with
+        no post anywhere and no move of the rank's clock since its previous
+        miss marks the rank spinning while it waits for the token, so a
+        rank parked in :meth:`await_key` does not wait on it.
         """
         with self.lock:
             index = self._find(rank, source, tag, context)
             if index is not None:
                 return self._mailboxes[rank][index]
             if self._running == rank and self._runnable:
+                missed, mark = self._missed, (self.messages_posted, self.clocks[rank].now)
+                spin = rank in missed and missed[rank] == mark
+                missed[rank] = mark
+                if spin:
+                    self._spinning[rank] = mark[0]
                 self._runnable.append(rank)
                 self._pass_token(rank)
+                if spin:
+                    del self._spinning[rank]
             return None
+
+    def await_key(self, rank: int, time: float) -> None:
+        """Wait, holding the run token, until this rank's commit is least by key.
+
+        A commit to a shared NIC rail or uplink bundle is keyed ``(time,
+        rank)``.  The wait returns once no other unfinished rank that is
+        neither blocked nor spinning in :meth:`probe` since the last post
+        has a bound below that key: its parked key, or else its clock
+        (``docs/ARCHITECTURE.md`` § Determinism says why that is a bound).
+        Until then the rank parks with its key and passes the token round,
+        as a missed :meth:`probe` does.  Threads outside ``World.run`` and
+        1-rank worlds return at once.
+        """
+        if self._running != rank or self.nranks == 1:
+            return
+        key = (time, rank)
+        clocks, parked, waiting, spinning = self.clocks, self._parked, self._waiting, self._spinning
+        with self.lock:
+            while not self.stopped:
+                for other in self._scheduled:
+                    if other != rank and other not in waiting and (
+                        other not in spinning or spinning[other] != self.messages_posted
+                    ) and (parked[other] if other in parked else clocks[other].now, other) < key:
+                        break
+                else:
+                    break
+                parked[rank] = time
+                self._runnable.append(rank)
+                self._pass_token(rank)
+            parked.pop(rank, None)
 
     # -------------------------------------------------------------- run token
     def launch(self) -> None:
@@ -199,8 +253,9 @@ class MessageRouter:
         token is first handed out once every rank thread is in :meth:`enter`.
 
         A run starts unstopped: a previous run's deadlock or failure stopped
-        that run, not the router (its undelivered envelopes stay, as a
-        finished run's do)."""
+        that run, not the router.  A failed run's undelivered envelopes stay
+        for the next run to receive; a run that succeeds leaves none, or
+        ``World.run`` fails it naming them (:meth:`undelivered`)."""
         with self.lock:
             self.stopped = False
             self._deadlocked = False
@@ -208,6 +263,7 @@ class MessageRouter:
             self._running = None
             self._runnable = deque(range(self.nranks))
             self._entered = 0
+            self._missed = {}
 
     def enter(self, rank: int) -> None:
         """First thing a launched rank thread does: wait for its turn.
@@ -315,6 +371,11 @@ class MessageRouter:
         """Wake every blocked rank with an error (world teardown)."""
         with self.lock:
             self._stop()
+
+    def undelivered(self) -> dict[int, list[Envelope]]:
+        """Every rank's envelopes that no receive took, by destination."""
+        with self.lock:
+            return {rank: list(mailbox) for rank, mailbox in self._mailboxes.items() if mailbox}
 
     def pending(self, rank: int) -> int:
         """Number of undelivered envelopes for a rank (used by tests)."""

@@ -113,6 +113,7 @@ class World:
                     world=self,
                 )
             )
+        self.router.clocks = [ctx.clock for ctx in self.contexts]
         # One barrier phase, guarded by ``router.lock``: arrivals fold their
         # time into ``_barrier_latest``; the last one publishes the result and
         # opens the next generation.
@@ -136,7 +137,8 @@ class World:
         :class:`WorldError`; so is a deadlock, the moment every unfinished
         rank is blocked, with each rank's error naming what it waited for,
         and a rank that returns with a persistent request still active, with
-        the request's peer and tag.
+        the request's peer and tag, and a run that leaves a message no rank
+        received, with its source, destination, tag and context.
         ``timeout`` bounds the wall-clock wait for the whole run.
         """
         results: list[object] = [None] * self.nranks
@@ -184,6 +186,17 @@ class World:
                 )
         if failures:
             raise WorldError(failures)
+        if router.messages_posted != router.messages_received:
+            raise WorldError({
+                dest: MpiError(
+                    f"rank {dest} never received "
+                    + ", ".join(
+                        f"(source={e.source}, dest={dest}, tag={e.tag}, context={e.context})"
+                        for e in envelopes
+                    )
+                )
+                for dest, envelopes in router.undelivered().items()
+            })
         return results
 
     # ----------------------------------------------------------------- barrier

@@ -232,12 +232,18 @@ class ProgressEngine:
         if not self.shared:
             return NicReservation(ready, ready + wire_s, 0.0, wire_s, -1)
         rank, topology = self.comm.rank, self.topology
+        if topology is None:
+            path = None
+        else:
+            path = topology.resolve(rank, peer, device_buffers=device)
+            if path.rail is not None or path.shared:
+                # A rail or an uplink bundle mixes ranks: commit in key order.
+                self.comm.router.await_key(rank, ready)
         # Inject-only books never feed the destination's advisory pending
         # ledger: their messages are never ingested, so they must not look
         # like receive-side backlog to a duplex reader sharing the world.
         reservation = self.nic.reserve(
-            rank, peer, ready, wire_s, nbytes, ingest=self.duplex,
-            path=None if topology is None else topology.resolve(rank, peer, device_buffers=device),
+            rank, peer, ready, wire_s, nbytes, ingest=self.duplex, path=path
         )
         if reservation.stalled_s > 0.0:
             self.stats.contention_stalls += 1

@@ -30,8 +30,13 @@ Each audited event then checks:
   pending record's snapshot ≤ the reader's clock, else the read races the
   post and :class:`SanitizerError` names the two events;
 * **monotonicity** — a rank's injection/ingestion port cursors, and every
-  shared rail and uplink cursor, never move backwards; a cross-rank commit
-  on a shared cursor needs a happens-before edge to the previous one;
+  shared rail and uplink cursor, never move backwards;
+* **key order** — a post that commits to a send-side rail or uplink bundle
+  carries a ``(ready, source)`` key no lower than any key another rank
+  committed there before it (the order the router's
+  :meth:`~repro.mpi.p2p.MessageRouter.await_key` enforces), and a
+  cross-rank commit on a receive-side rail needs a happens-before edge to
+  the previous one;
 * **pricing purity** — the rank-scoped ledger fingerprint and the rank's
   mutation count are equal at both ends of a selector's pricing bracket
   (:class:`~repro.machine.nic.PricingEvent`): the dynamic twin of
@@ -46,7 +51,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, NamedTuple, Optional
 from weakref import WeakKeyDictionary
 
 from repro.machine.nic import (
@@ -112,10 +117,12 @@ class _TimelineAudit:
         self.last_commit: dict[int, SanitizerEvent] = {}
         self.inject_cursor: dict[int, float] = {}
         self.ingest_cursor: dict[int, float] = {}
-        #: Last commit per shared topology cursor (NIC rails, leaf-uplink
-        #: bundles): the committing event, the committer's clock snapshot and
-        #: the cursor value — what the cross-rank audit compares against.
-        self.shared_last: dict[tuple[str, Any], tuple[SanitizerEvent, dict[int, int], float]] = {}
+        #: Last commit per shared topology cursor: the committing event, the
+        #: cursor value and, on an ingestion rail, the committer's clock.
+        self.shared_last: dict[tuple[str, Any], tuple[SanitizerEvent, float, Optional[dict[int, int]]]] = {}
+        #: Per send-side rail or uplink bundle: each committing rank's
+        #: highest ``(ready, source)`` key there, with its event.
+        self.shared_keys: dict[tuple[str, Any], dict[int, tuple[tuple[float, int], SanitizerEvent]]] = {}
         self.barrier_waiting: set[int] = set()
         #: Per rank inside a pricing bracket: fingerprint and event count.
         self.pricing: dict[int, tuple[int, int]] = {}
@@ -151,36 +158,24 @@ class _TimelineAudit:
         last[rank] = cursor
 
     def _shared_commit(
-        self, rank: int, event: SanitizerEvent, label: str, key: Any, cursor: float
-    ) -> None:
-        """Audit one commit to a shared topology cursor.
-
-        Shared cursors (NIC rails, uplink bundles) mix sources by design;
-        they stay deterministic only when cross-rank commits are ordered by
-        happens-before (barrier-phased drivers).  An unordered pair makes
-        the booked times interleaving-dependent, so it is a violation even
-        though each individual commit is monotone.
+        self, event: SanitizerEvent, label: str, key: Any, cursor: float,
+        clock: Optional[dict[int, int]] = None,
+    ) -> Any:
+        """Audit one commit to a shared topology cursor, which mixes sources
+        by design: it may not move the cursor backwards.  Records it with
+        ``clock`` and returns the previous ``(event, cursor, clock)``.
         """
         self.counters["shared_commits"] += 1
         previous = self.shared_last.get((label, key))
-        if previous is not None:
-            prev_event, prev_clock, prev_cursor = previous
-            if cursor < prev_cursor:
-                self._violation(
-                    f"shared {label} cursor {key!r} moved backwards "
-                    f"({prev_cursor:.9g} -> {cursor:.9g})",
-                    prev_event,
-                    event,
-                )
-            if prev_event.rank != rank and not _vc_leq(prev_clock, self._clock(rank)):
-                self._violation(
-                    f"rank {rank} committed to shared {label} cursor {key!r} "
-                    f"without a happens-before edge to rank {prev_event.rank}'s "
-                    "commit",
-                    prev_event,
-                    event,
-                )
-        self.shared_last[(label, key)] = (event, dict(self._clock(rank)), cursor)
+        self.shared_last[(label, key)] = (event, cursor, clock)
+        if previous is not None and cursor < previous[1]:
+            self._violation(
+                f"shared {label} cursor {key!r} moved backwards "
+                f"({previous[1]:.9g} -> {cursor:.9g})",
+                previous[0],
+                event,
+            )
+        return previous
 
     # ----------------------------------------------------------------- events
     def post(self, post: PostEvent) -> None:
@@ -198,8 +193,21 @@ class _TimelineAudit:
             self.last_post.get(source, event), event,
         )
         self.last_post[source] = event
+        order = (post.ready, source)
         for label, key, cursor in post.shared:
-            self._shared_commit(source, event, label, key, cursor)
+            self._shared_commit(event, label, key, cursor)
+            keys = self.shared_keys.setdefault((label, key), {})
+            highest = max((entry for rank, entry in keys.items() if rank != source), default=None)
+            if highest is not None and order < highest[0]:
+                self._violation(
+                    f"rank {source} committed to shared {label} cursor {key!r} out of "
+                    f"key order: (ready, source) {order} is below rank "
+                    f"{highest[1].rank}'s {highest[0]}",
+                    highest[1],
+                    event,
+                )
+            if source not in keys or keys[source][0] < order:
+                keys[source] = (order, event)
         if post.ingest and reservation.wire_s > 0:
             key = (reservation.start, source, reservation.seq)
             self.snapshots[key] = (event, dict(self._clock(source)))
@@ -231,9 +239,17 @@ class _TimelineAudit:
             self.last_commit.get(dest, event), event,
         )
         self.last_commit[dest] = event
-        # Ingestion rails mix node-mates the same way injection rails do.
+        # Ingestion rails mix node-mates; their receivers commit in program
+        # order, so a cross-rank pair needs a happens-before edge.
         for rail, cursor in ingest.rails:
-            self._shared_commit(dest, event, "ingest-rail", rail, cursor)
+            previous = self._shared_commit(event, "ingest-rail", rail, cursor, dict(clock))
+            if previous is not None and previous[0].rank != dest and not _vc_leq(previous[2], clock):
+                self._violation(
+                    f"rank {dest} committed to shared ingest-rail cursor {rail!r} "
+                    f"without a happens-before edge to rank {previous[0].rank}'s commit",
+                    previous[0],
+                    event,
+                )
 
     def read(self, read: BacklogReadEvent) -> None:
         """Audit a cross-rank backlog read for happens-before coverage."""

@@ -153,6 +153,8 @@ SANITIZED_REPLAYS = {
     "shared_commits=0 violations=0",
     "incast": "posts=56 ingests=31 joins=31 barriers=18 hb_checks=24 purity_checks=84 "
     "shared_commits=0 violations=0",
+    "topology": "posts=14 ingests=14 joins=14 barriers=0 hb_checks=0 purity_checks=0 "
+    "shared_commits=56 violations=0",
     "allreduce": "posts=620 ingests=620 joins=620 barriers=0 hb_checks=0 purity_checks=0 "
     "shared_commits=540 violations=0",
     "moe": "posts=184 ingests=32 joins=184 barriers=0 hb_checks=0 purity_checks=0 "

@@ -523,7 +523,9 @@ def _run_gate(comm, rank: int, gate: str, side: str, buffer, bad, good) -> None:
 
     A local gate runs on rank 0; a point-to-point gate runs on rank 0 against
     a well-formed partner on rank 1 (which sends first to a receiving gate,
-    so an accepted receive completes); a collective runs on both ranks.
+    so an accepted receive completes, and a refused one drains the send with
+    a well-formed receive before it re-raises); a collective runs on both
+    ranks.
     """
     if gate in LOCAL_GATES or gate in P2P_GATES:
         if rank == 1:
@@ -538,15 +540,21 @@ def _run_gate(comm, rank: int, gate: str, side: str, buffer, bad, good) -> None:
             comm.Pack_size(1, bad)
         elif gate == "Type_commit":
             comm.Type_commit(bad)
-        elif gate.endswith("_init"):
-            request = getattr(comm, gate)((buffer, 1, bad), 1, 0)
-            try:
-                request.Start()
-                request.Wait()
-            finally:
-                request.Free()
         else:
-            getattr(comm, gate)((buffer, 1, bad), 1, 0).Wait()
+            try:
+                if gate.endswith("_init"):
+                    request = getattr(comm, gate)((buffer, 1, bad), 1, 0)
+                    try:
+                        request.Start()
+                        request.Wait()
+                    finally:
+                        request.Free()
+                else:
+                    getattr(comm, gate)((buffer, 1, bad), 1, 0).Wait()
+            except MpiError:
+                if gate in ("Irecv", "Recv_init"):
+                    comm.Recv((buffer, 1, good), 1, 0)
+                raise
         return
     send, recv = (bad, good) if side == "send" else (good, bad)
     if gate == "Bcast":

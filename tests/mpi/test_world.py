@@ -98,6 +98,45 @@ class TestRun:
         assert isinstance(excinfo.value.failures[2], RuntimeError)
         assert set(excinfo.value.failures) == {0, 1, 2, 3}
 
+    def test_a_message_never_received_fails_the_run_naming_it(self):
+        world = World(3)
+
+        def send_and_leave(ctx):
+            if ctx.rank == 0:
+                ctx.comm.Send(ctx.gpu.host_alloc(8), dest=2, tag=5)
+                ctx.comm.Send(ctx.gpu.host_alloc(8), dest=2, tag=6)
+            return ctx.rank
+
+        with pytest.raises(WorldError) as excinfo:
+            world.run(send_and_leave)
+        assert set(excinfo.value.failures) == {2}
+        assert str(excinfo.value.failures[2]) == (
+            "rank 2 never received (source=0, dest=2, tag=5, context=0), "
+            "(source=0, dest=2, tag=6, context=0)"
+        )
+
+    def test_a_failed_runs_messages_wait_for_the_next_run(self):
+        """Only a run that succeeds is reported; a failed run's envelopes stay."""
+        world = World(2)
+
+        def send_then_fail(ctx):
+            if ctx.rank == 0:
+                ctx.comm.Send(ctx.gpu.host_alloc(8), dest=1, tag=5)
+            else:
+                raise RuntimeError("receiver died")
+
+        with pytest.raises(WorldError) as excinfo:
+            world.run(send_then_fail)
+        assert set(excinfo.value.failures) == {1}
+        assert world.router.pending(1) == 1
+
+        def receive(ctx):
+            if ctx.rank == 1:
+                ctx.comm.Recv(ctx.gpu.host_alloc(8), source=0, tag=5)
+
+        world.run(receive)
+        assert world.router.pending(1) == 0
+
     def test_timeout_is_one_deadline_for_the_whole_run(self):
         """``timeout=`` bounds the run, not each of the ``nranks`` joins."""
         world = World(8)

@@ -124,36 +124,93 @@ class TestHappensBeforeAudit:
 
 
 class TestSharedCursorAudit:
-    """Rails and uplink bundles mix sources: cross-rank commits need an edge."""
+    """Rails and uplink bundles mix sources: cross-rank commits come in key
+    order, ``(ready, source)``, with or without an edge between them."""
 
-    def _cross_leaf_post(self, topology, timeline, src, dst):
+    def _cross_leaf_post(self, topology, timeline, src, dst, ready=0.0):
         path = topology.resolve(src, dst, device_buffers=True)
-        return timeline.reserve(src, dst, 0.0, WIRE_S, KIB, path=path)
+        return timeline.reserve(src, dst, ready, WIRE_S, KIB, path=path)
 
-    def test_unordered_cross_leaf_posts_race_on_the_uplink(self):
+    def test_an_unordered_pair_in_key_order_passes(self):
         """Ranks 0 and 4 sit on different nodes of leaf 0: private ports and
-        rails, one shared ``('up', 0)`` bundle — and nothing orders them."""
+        rails, one shared ``('up', 0)`` bundle, nothing orders them — and at
+        equal ready times rank 0's key is the lower, so it commits first."""
         topology = Topology(16, spec=FATTREE)
-        timeline, _ = traced()
+        timeline, sanitizer = traced()
         self._cross_leaf_post(topology, timeline, 0, 8)
-        with pytest.raises(SanitizerError) as excinfo:
-            self._cross_leaf_post(topology, timeline, 4, 12)
-        first, second = excinfo.value.events
-        assert (first.kind, first.rank) == ("post", 0)
-        assert (second.kind, second.rank) == ("post", 4)
-        message = str(excinfo.value)
-        assert "shared fabric cursor ('up', 0)" in message
-        assert "without a happens-before edge to rank 0's commit" in message
-        assert str(first) in message and str(second) in message
-
-    def test_a_barrier_orders_them(self):
-        topology = Topology(16, spec=FATTREE)
-        timeline, _ = traced()
-        self._cross_leaf_post(topology, timeline, 0, 8)
-        join(timeline, 0, 4)
         reservation = self._cross_leaf_post(topology, timeline, 4, 12)
         assert reservation.stalled_s > 0.0  # it queued behind rank 0 on the bundle
         assert timeline.fabric_stalls == 1
+        assert sanitizer.counters["violations"] == 0
+
+    def test_an_out_of_order_pair_raises_naming_both_posts(self):
+        topology = Topology(16, spec=FATTREE)
+        timeline, _ = traced()
+        self._cross_leaf_post(topology, timeline, 4, 12)
+        with pytest.raises(SanitizerError) as excinfo:
+            self._cross_leaf_post(topology, timeline, 0, 8)
+        first, second = excinfo.value.events
+        assert (first.kind, first.rank) == ("post", 4)
+        assert (second.kind, second.rank) == ("post", 0)
+        message = str(excinfo.value)
+        assert "shared fabric cursor ('up', 0) out of key order" in message
+        assert "(0.0, 0) is below rank 4's (0.0, 4)" in message
+        assert str(first) in message and str(second) in message
+
+    def test_a_barrier_does_not_excuse_a_lower_key(self):
+        """The order is by key, not by happens-before: a later ready time
+        commits first, and a barrier does not let the earlier one follow."""
+        topology = Topology(16, spec=FATTREE)
+        timeline, _ = traced()
+        self._cross_leaf_post(topology, timeline, 4, 12, ready=2e-6)
+        join(timeline, 0, 4)
+        with pytest.raises(SanitizerError, match="out of key order"):
+            self._cross_leaf_post(topology, timeline, 0, 8, ready=1e-6)
+
+    def test_own_commits_are_not_ordered_against_each_other(self):
+        """A rank's own posts follow its program order (a batch flushed
+        behind its clock) whatever their keys."""
+        topology = Topology(16, spec=FATTREE)
+        timeline, sanitizer = traced()
+        self._cross_leaf_post(topology, timeline, 0, 8, ready=2e-6)
+        self._cross_leaf_post(topology, timeline, 0, 9, ready=1e-6)
+        assert sanitizer.counters["violations"] == 0
+
+    def test_a_rank_s_own_lower_key_does_not_hide_its_higher_one(self):
+        """Rank 0 commits key 5 µs, then its own 3 µs flush; rank 4's 4 µs
+        commit comes after rank 0's 5 µs one, so it is out of order."""
+        topology = Topology(16, spec=FATTREE)
+        timeline, _ = traced()
+        self._cross_leaf_post(topology, timeline, 0, 8, ready=5e-6)
+        self._cross_leaf_post(topology, timeline, 0, 9, ready=3e-6)
+        with pytest.raises(SanitizerError) as excinfo:
+            self._cross_leaf_post(topology, timeline, 4, 12, ready=4e-6)
+        first, second = excinfo.value.events
+        assert (first.kind, first.rank, second.rank) == ("post", 0, 4)
+        assert "dest 8" in str(first) and "below rank 0's (5e-06, 0)" in str(excinfo.value)
+
+    def test_receive_side_rails_still_need_a_happens_before_edge(self):
+        """Node-mates 8 and 9 share leaf 1's ingestion rail; their receivers
+        commit in program order, so an unordered pair is a violation."""
+        topology = Topology(16, spec=FATTREE)
+        timeline, _ = traced()
+        for src, dst in ((0, 8), (4, 9)):
+            self._cross_leaf_post(topology, timeline, src, dst, ready=float(src) * 1e-3)
+        records = {dst: timeline.pending_records(dst) for dst in (8, 9)}
+        timeline.ingest(8, records[8])
+        with pytest.raises(SanitizerError, match="ingest-rail .* without a happens-before edge"):
+            timeline.ingest(9, records[9])
+
+    def test_receive_side_rails_are_ordered_by_a_barrier(self):
+        topology = Topology(16, spec=FATTREE)
+        timeline, sanitizer = traced()
+        for src, dst in ((0, 8), (4, 9)):
+            self._cross_leaf_post(topology, timeline, src, dst, ready=float(src) * 1e-3)
+        records = {dst: timeline.pending_records(dst) for dst in (8, 9)}
+        timeline.ingest(8, records[8])
+        join(timeline, *range(16))
+        timeline.ingest(9, records[9])
+        assert sanitizer.counters["violations"] == 0
 
 
 class TestPricingGuard:
@@ -224,9 +281,9 @@ class TestMonotonicity:
         timeline, sanitizer = NicTimeline(), ClockSanitizer()
         forward = NicReservation(start=10.0, arrival=10.1, stalled_s=0.0, wire_s=0.1, seq=0)
         backward = NicReservation(start=1.0, arrival=1.1, stalled_s=0.0, wire_s=0.1, seq=1)
-        sanitizer(timeline, PostEvent(0, 1, forward, False, 10.065, ()))
+        sanitizer(timeline, PostEvent(0, 1, forward, False, 10.065, (), 10.0))
         with pytest.raises(SanitizerError, match="moved backwards"):
-            sanitizer(timeline, PostEvent(0, 1, backward, False, 1.065, ()))
+            sanitizer(timeline, PostEvent(0, 1, backward, False, 1.065, (), 1.0))
 
     def test_real_timeline_never_trips_it(self):
         timeline, sanitizer = traced()
@@ -276,7 +333,7 @@ class TestResetSemantics:
         second.reserve(0, 1, 0.0, WIRE_S, KIB)
         restart = NicReservation(start=0.0, arrival=WIRE_S, stalled_s=0.0, wire_s=WIRE_S, seq=0)
         with pytest.raises(SanitizerError, match="moved backwards"):
-            sanitizer(first, PostEvent(0, 1, restart, False, 0.65 * WIRE_S, ()))
+            sanitizer(first, PostEvent(0, 1, restart, False, 0.65 * WIRE_S, (), 0.0))
         assert sanitizer.counters["posts"] == 3
 
 
