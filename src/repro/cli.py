@@ -606,6 +606,15 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 
 def _cmd_sanitize(args: argparse.Namespace) -> int:
+    """Replay benchmark rows under a :class:`ClockSanitizer`; 1 on any violation.
+
+    The sanitizer sees only what a traced ``TempiConfig`` books: the
+    interposed posts of a ``World``.  The ``topology`` row's analytic twin,
+    ``model_fabric_exchange``, books its shared-cursor commits (126 at
+    smoke, 270 full, against 14 and 30 interposed posts) on private
+    ``NicTimeline``s no sink reaches, so they are not audited here; making
+    twins commit as a ``World`` does is ROADMAP item 8.
+    """
     from repro.tempi.config import trace_default
     from repro.tempi.sanitizer import ClockSanitizer
 

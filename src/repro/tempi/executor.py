@@ -55,7 +55,6 @@ from repro.tempi.plan import (
     PlanError,
     ReduceStage,
     UnpackStage,
-    staging_kind,
 )
 from repro.tempi.progress import ProgressEngine
 
@@ -140,8 +139,7 @@ class PlanExecutor:
         already synchronised past it.
         """
         comm = self.comm
-        kind = staging_kind(stage.method)
-        buffer = staging.get(stage.staging_key, stage.nbytes, kind)
+        buffer = staging.get(stage.staging_key, stage.nbytes, stage.kind)
         sync = stream is None
         offset = 0
         for section in stage.sections:
@@ -169,8 +167,7 @@ class PlanExecutor:
     def _unpack_stage(self, stage: UnpackStage, payload: np.ndarray, dest, staging, stream):
         """Scatter one peer's packed payload into the user buffer."""
         comm = self.comm
-        kind = staging_kind(stage.method)
-        buffer = staging.get(stage.staging_key, stage.nbytes, kind)
+        buffer = staging.get(stage.staging_key, stage.nbytes, stage.kind)
         sync = stream is None
         nbytes = min(stage.nbytes, int(payload.nbytes))
         if stage.method is PackMethod.STAGED:
@@ -548,7 +545,7 @@ class PlanExecutor:
         comm = self.comm
         if plan.tag is None:
             plan.tag = _next_collective_tag(comm)
-        dtype = np.dtype(plan.reduce_dtype)
+        dtype = plan.reduce_dtype
 
         def complete() -> Status:
             self.engine.progress()

@@ -661,7 +661,7 @@ class TempiCommunicator:
             method,
             tag=_next_collective_tag(comm),
         )
-        self._count_methods(plan)
+        self._count_methods(plan, self.tempi.stats.method_counts)
         return plan
 
     def Bcast(self, spec, root: int = 0) -> None:
@@ -727,8 +727,8 @@ class TempiCommunicator:
         built = self._exchange_sections(list(peers), *sides, send_peers=[rank])
         if built is not None:
             send_sections, recv_sections, _ = built
-            sent = send_sections[0].packed_bytes if send_sections else 0
-            if sum(s.packed_bytes for s in recv_sections if s.peer == rank) != sent:
+            sent = sum(s.packer.packed_size(s.count) for s in send_sections)
+            if sum(s.packer.packed_size(s.count) for s in recv_sections if s.peer == rank) != sent:
                 raise MpiArgumentError(
                     "this rank's contribution disagrees with its recv section"
                 )
@@ -820,7 +820,7 @@ class TempiCommunicator:
         displs: Sequence[int],
         types,
         what: str,
-    ) -> Optional[tuple[list[PlanSection], list[TypeHandler]]]:
+    ) -> Optional[tuple[list[PlanSection], list[tuple]]]:
         """Build the plan-section list of one typed-collective side.
 
         Arguments are validated with the system path's own checks first, so
@@ -828,37 +828,45 @@ class TempiCommunicator:
         ``None`` (fall back to the system path) unless every nonzero section
         carries a committed datatype whose handler holds a non-contiguous
         packer — the family the kernels accelerate — and the user buffer is
-        device resident.
+        device resident.  Otherwise returns the sections and one
+        ``(handler, sections)`` pair per run of nonzero sections sharing a
+        datatype, as ``uses`` counts sections.
         """
         if not buffer.is_device:
             return None
         validated = _collectives.build_sections(
             self._comm, buffer, peers, counts, displs, types, what
         )
-        sections = []
-        handlers = []
+        runs: list[tuple] = []
         datatype = handler = None
+        length = 0
         for section in validated:
             if section.count == 0:
                 continue
             if section.datatype is not datatype:
-                # One lookup per run of sections sharing a datatype; one
-                # handler per section still, as ``uses`` counts sections.
+                # One handler lookup per run of sections sharing a datatype.
+                if length:
+                    runs.append((handler, length))
                 datatype = section.datatype
                 handler = self.handler_of(datatype)
                 if handler is None or not handler.accelerated or handler.contiguous:
                     return None
-            handlers.append(handler)
-            sections.append(
-                PlanSection(section.peer, section.count, section.displ, handler.packer)
-            )
-        return sections, handlers
+                length = 0
+            length += 1
+        if length:
+            runs.append((handler, length))
+        sections = [
+            PlanSection(section.peer, section.count, section.displ, section.datatype.attachment.packer)
+            for section in validated
+            if section.count
+        ]
+        return sections, runs
 
     def _exchange_sections(
         self, peers, send, sendcounts, senddispls, sendtypes,
         recv, recvcounts, recvdispls, recvtypes, send_peers=None,
-    ) -> Optional[tuple[list[PlanSection], list[PlanSection], list[TypeHandler]]]:
-        """Both sides' sections and their handlers, or ``None`` to fall back.
+    ) -> Optional[tuple[list[PlanSection], list[PlanSection], list[tuple]]]:
+        """Both sides' sections and their handler runs, or ``None`` to fall back.
 
         ``send_peers`` defaults to ``peers`` (the all-to-all-v shapes).
         """
@@ -876,12 +884,13 @@ class TempiCommunicator:
         return send_side[0], recv_side[0], send_side[1] + recv_side[1]
 
     # ---------------------------------------------------------- plan templates
-    def _count_methods(self, plan: MessagePlan) -> None:
-        """Fold one plan's per-method message counts into the stats."""
-        for name, hits in plan.method_counts().items():
-            self.tempi.stats.method_counts[name] = (
-                self.tempi.stats.method_counts.get(name, 0) + hits
-            )
+    @staticmethod
+    def _count_methods(plan: MessagePlan, counts: dict) -> None:
+        """Fold one plan's wire messages per method (one per post stage) into
+        ``counts``, keyed by the method's value."""
+        for post in plan.post_stages:
+            name = post.pack.method._value_  # ``.value`` without the descriptor's two Python calls
+            counts[name] = counts[name] + 1 if name in counts else 1
 
     def _compile_collective(
         self,
@@ -899,15 +908,15 @@ class TempiCommunicator:
         nonblocking: bool,
         sections=None,
         compiler=_plan.compile_exchange,
-    ) -> tuple[Optional[MessagePlan], list[TypeHandler]]:
+    ) -> tuple[Optional[MessagePlan], list[tuple]]:
         """Compile a typed collective to a plan, fully charged.
 
         The front half of every collective start — validation, the fallback
         decision and the compile, with every clock charge and stats count
         applied.  Returns ``(plan, handlers)``: the plan is ``None`` when the
         call is not TEMPI's business or must fall back (the caller then runs
-        the system path); ``handlers`` are the datatype handlers whose
-        ``uses`` the compile counted, which a persistent collective's
+        the system path); ``handlers`` are the ``(handler, sections)`` runs
+        whose ``uses`` the compile counted, which a persistent collective's
         template counts again at every restart.  No cache is consulted: a
         one-shot call always compiles, and only a persistent collective
         reuses its first compile (see :class:`PersistentCollective`).
@@ -933,15 +942,16 @@ class TempiCommunicator:
             return None, []
         send_sections, recv_sections, handlers = built
         # Both sides confirmed accelerable: only now count the handler uses.
-        for handler in handlers:
-            handler.uses += 1
+        for handler, sections in handlers:
+            handler.uses += sections
         self._charge_interposition_overhead()
-        self.tempi.stats.collective_hits += 1
+        stats = self.tempi.stats
+        stats.collective_hits += 1
         plan: MessagePlan = compiler(
             self._comm.rank, send, send_sections, recv, recv_sections, self._selector,
             op=op, nonblocking=nonblocking,
         )
-        self._count_methods(plan)
+        self._count_methods(plan, stats.method_counts)
         return plan, handlers
 
     def _start_exchange(
@@ -1059,7 +1069,7 @@ class TempiCommunicator:
             recv_buffer,
             recv_count,
             recv_type.size,
-            dtype.name,
+            dtype,
             op=op,
             algorithm=algorithm,
             islands=islands,
@@ -1209,8 +1219,10 @@ class PersistentCollective(Request):
         ):
             return
         uses: dict[int, list] = {}  # id -> [handler, sections of it in the template]
-        for handler in template.handlers:
-            uses.setdefault(id(handler), [handler, 0])[1] += 1
+        for handler, sections in template.handlers:
+            uses.setdefault(id(handler), [handler, 0])[1] += sections
+        counts: dict[str, int] = {}
+        owner._count_methods(plan, counts)
         self._steady = (
             selector.cache._queries,
             ("method", int(nbytes), int(block_length)),
@@ -1220,7 +1232,7 @@ class PersistentCollective(Request):
             owner.tempi.stats,
             selector.cache.stats,
             tuple(map(tuple, uses.values())),
-            tuple(plan.method_counts().items()),
+            tuple(counts.items()),
         )
 
     def charge(self) -> Optional[MessagePlan]:
@@ -1249,11 +1261,11 @@ class PersistentCollective(Request):
         stats.collective_hits += 1
         steady = self._steady
         if steady is None or steady[0].get(steady[1]) is not steady[2]:
-            for handler in template.handlers:
-                handler.uses += 1
+            for handler, sections in template.handlers:
+                handler.uses += sections
             owner._charge_interposition_overhead()
             plan = template.materialize(template.replay(owner._selector), self._send, self._recv)
-            owner._count_methods(plan)
+            owner._count_methods(plan, stats.method_counts)
             return plan
         # A steady restart: the books :func:`charge_batch` writes for one
         # member, in the replay's order of clock additions.

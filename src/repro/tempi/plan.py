@@ -40,6 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Hashable, Optional, Sequence
 
+import numpy as np
+
 from repro.gpu.memory import Buffer, MemoryKind
 from repro.gpu.stream import Stream
 from repro.mpi.collectives import _REDUCE_UFUNCS
@@ -86,6 +88,8 @@ def staging_kind(method: PackMethod) -> MemoryKind:
     raise PlanError(f"{method} is not a concrete packing method")
 
 
+
+
 @dataclass(frozen=True)
 class PlanSection:
     """One section of a plan stage.
@@ -102,10 +106,6 @@ class PlanSection:
     displ: int
     packer: Packer
 
-    @property
-    def packed_bytes(self) -> int:
-        return self.packer.packed_size(self.count) if self.count else 0
-
 
 @dataclass
 class PackStage:
@@ -115,6 +115,8 @@ class PackStage:
     sections: tuple[PlanSection, ...]
     method: PackMethod
     nbytes: int
+    #: Where the staging buffer lives, ``staging_kind(method)``, fixed at compile.
+    kind: MemoryKind
     #: Key of the persistent per-peer staging buffer; ``None`` checks a
     #: transient buffer out of the size-bucketed pool instead (p2p sends).
     staging_key: Optional[Hashable] = None
@@ -143,6 +145,7 @@ class UnpackStage:
     sections: tuple[PlanSection, ...]
     method: PackMethod
     nbytes: int
+    kind: MemoryKind
     staging_key: Optional[Hashable] = None
     stream: Optional[Stream] = None
 
@@ -211,20 +214,12 @@ class MessagePlan:
     #: walks, in order.  ``reduce_dtype`` is the numpy element type the
     #: combines operate on; ``reduce_nbytes`` the flat vector's size.
     reduce_stages: list[ReduceStage] = field(default_factory=list)
-    reduce_dtype: Optional[str] = None
+    reduce_dtype: Optional[np.dtype] = None
     reduce_nbytes: int = 0
     #: A ``recv`` plan's ``(complete, ready, arrival)``, set by the executor
     #: the first time it runs the plan; a persistent receive runs one plan
     #: every round and arms its request with the same three.
     probes: Optional[tuple] = field(default=None, repr=False, compare=False)
-
-    def method_counts(self) -> dict[str, int]:
-        """Wire messages per method (one per post stage), for stats."""
-        counts: dict[str, int] = {}
-        for post in self.post_stages:
-            name = post.pack.method.value
-            counts[name] = counts.get(name, 0) + 1
-        return counts
 
 
 # --------------------------------------------------------------------------- #
@@ -247,6 +242,7 @@ def compile_send(
         sections=(PlanSection(dest, count, 0, packer),),
         method=method,
         nbytes=packer.packed_size(count),
+        kind=staging_kind(method),
     )
     return MessagePlan(
         op="send",
@@ -274,6 +270,7 @@ def compile_recv(
         sections=(PlanSection(source, count, 0, packer),),
         method=method,
         nbytes=packer.packed_size(count),
+        kind=staging_kind(method),
     )
     return MessagePlan(
         op="recv",
@@ -310,13 +307,14 @@ def compile_bcast(
         raise PlanError(f"root {root} outside communicator of size {size}")
     if rank != root:
         return compile_recv(packer, buffer, count, root, tag, method, nonblocking=nonblocking)
-    section = PlanSection(root, count, 0, packer)
+    kind = staging_kind(method)
     stage = PackStage(
         peer=root,
-        sections=(section,),
+        sections=(PlanSection(root, count, 0, packer),),
         method=method,
-        nbytes=section.packed_bytes,
-        staging_key=("collective", "bcast", root, staging_kind(method)),
+        nbytes=packer.packed_size(count) if count else 0,
+        kind=kind,
+        staging_key=("collective", "bcast", root, kind),
     )
     return MessagePlan(
         op="bcast",
@@ -360,23 +358,25 @@ def compile_allgather(
         raise PlanError("an allgather plan needs at least two ranks")
     if send_section.peer != rank:
         raise PlanError("the send section of an allgather is this rank's own contribution")
-    recv_groups = _group_sections(recv_sections)
-    nbytes = send_section.packed_bytes
-
-    local_recv = recv_groups.get(rank, [])
-    if sum(s.packed_bytes for s in local_recv) != nbytes:
+    packer, count = send_section.packer, send_section.count
+    nbytes = packer.packed_size(count) if count else 0
+    recv_groups = _peer_groups(recv_sections)
+    local_recv = recv_groups.pop(rank, None)
+    if (local_recv[1] if local_recv else 0) != nbytes:
         raise PlanError("self send/recv sections disagree on packed size")
 
     pack_stages: list[PackStage] = []
     post_stages: list[PostStage] = []
     if nbytes:
-        method = select(send_section.packer, nbytes)
+        method = select(packer, nbytes)
+        kind = staging_kind(method)
         stage = PackStage(
             peer=rank,
             sections=(send_section,),
             method=method,
             nbytes=nbytes,
-            staging_key=("collective", "gather-send", rank, staging_kind(method)),
+            kind=kind,
+            staging_key=("collective", "gather-send", rank, kind),
         )
         pack_stages.append(stage)
         post_stages.extend(
@@ -385,50 +385,19 @@ def compile_allgather(
             if peer != rank
         )
 
-    local: Optional[tuple[PackStage, UnpackStage]] = None
-    if local_recv:
-        local = (
-            PackStage(
-                peer=rank,
-                sections=(send_section,),
-                method=PackMethod.DEVICE,
-                nbytes=nbytes,
-                staging_key=("collective", "gather-send", rank, staging_kind(PackMethod.DEVICE)),
-            ),
-            UnpackStage(
-                peer=rank,
-                sections=tuple(local_recv),
-                method=PackMethod.DEVICE,
-                nbytes=nbytes,
-                staging_key=("collective", "gather-recv", rank, staging_kind(PackMethod.DEVICE)),
-            ),
-        )
-
-    unpack_stages: list[UnpackStage] = []
-    for peer in sorted(recv_groups):
-        if peer == rank:
-            continue
-        group = recv_groups[peer]
-        peer_bytes = sum(section.packed_bytes for section in group)
-        method = select(group[0].packer, peer_bytes)
-        unpack_stages.append(
-            UnpackStage(
-                peer=peer,
-                sections=tuple(group),
-                method=method,
-                nbytes=peer_bytes,
-                staging_key=("collective", "gather-recv", peer, staging_kind(method)),
-            )
-        )
-
     return MessagePlan(
         op=op,
         send_buffer=send_buffer,
         recv_buffer=recv_buffer,
         pack_stages=pack_stages,
         post_stages=post_stages,
-        unpack_stages=unpack_stages,
-        local=local,
+        unpack_stages=_unpack_stages(
+            {peer: recv_groups[peer] for peer in sorted(recv_groups)}, select, "gather-recv"
+        ),
+        local=(
+            _local_pair(rank, (send_section,), local_recv[0], nbytes, "gather-send", "gather-recv")
+            if local_recv else None
+        ),
         nonblocking=nonblocking,
     )
 
@@ -458,7 +427,8 @@ class PlanTemplate:
     local: Optional[tuple[PackStage, UnpackStage]]
     selections: tuple[tuple[Packer, int, Optional[int]], ...]
     methods: tuple[PackMethod, ...]
-    #: Datatype handlers the interposer bumps ``uses`` on per call.
+    #: ``(handler, sections)`` runs: each datatype handler the interposer
+    #: bumps ``uses`` on per call, by its count of sections.
     handlers: tuple = ()
 
     @classmethod
@@ -496,14 +466,16 @@ class PlanTemplate:
     @staticmethod
     def _rebind(stage, method: PackMethod):
         """A copy of the stage with ``method`` and its staging kind."""
+        kind = staging_kind(method)
         key = stage.staging_key
         if key is not None:
-            key = key[:-1] + (staging_kind(method),)
+            key = key[:-1] + (kind,)
         return type(stage)(
             peer=stage.peer,
             sections=stage.sections,
             method=method,
             nbytes=stage.nbytes,
+            kind=kind,
             staging_key=key,
         )
 
@@ -545,12 +517,68 @@ class PlanTemplate:
         )
 
 
-def _group_sections(sections: Sequence[PlanSection]) -> dict[int, list[PlanSection]]:
-    groups: dict[int, list[PlanSection]] = {}
+def _peer_groups(sections: Sequence[PlanSection]) -> dict[int, list]:
+    """One side's nonempty sections per peer, sized in the same pass.
+
+    ``{peer: [sections, nbytes]}``: peers in order of first appearance, each
+    peer's sections a tuple in section order (they travel concatenated) and
+    ``nbytes`` their packed size, one ``packed_size`` per section.
+    """
+    groups: dict[int, list] = {}
     for section in sections:
-        if section.count:
-            groups.setdefault(section.peer, []).append(section)
+        count = section.count
+        if count:
+            nbytes = section.packer.packed_size(count)
+            peer = section.peer
+            if peer in groups:
+                group = groups[peer]
+                group[0] += (section,)
+                group[1] += nbytes
+            else:
+                groups[peer] = [(section,), nbytes]
     return groups
+
+
+def _unpack_stages(groups: dict[int, list], select: MethodSelector, role: str) -> list[UnpackStage]:
+    """One unpack stage per peer of ``groups``, in their order.
+
+    Receive-side selections carry no peer: there is no single remote port to
+    price.  The staging kind is looked up again only when the selected
+    method changes.
+    """
+    stages: list[UnpackStage] = []
+    method = kind = None
+    for peer, (sections, nbytes) in groups.items():
+        selected = select(sections[0].packer, nbytes)
+        if selected is not method:
+            method, kind = selected, staging_kind(selected)
+        stages.append(
+            UnpackStage(
+                peer=peer,
+                sections=sections,
+                method=method,
+                nbytes=nbytes,
+                kind=kind,
+                staging_key=("collective", role, peer, kind),
+            )
+        )
+    return stages
+
+
+#: Staging of a local stage pair, which always packs on the device.
+_LOCAL_KIND = staging_kind(PackMethod.DEVICE)
+
+
+def _local_pair(
+    rank: int, send: tuple, recv: tuple, nbytes: int, send_role: str, recv_role: str
+) -> tuple[PackStage, UnpackStage]:
+    """A rank's self-sections as an off-wire stage pair: packed into device
+    staging and unpacked from it, never posted."""
+    method, kind = PackMethod.DEVICE, _LOCAL_KIND
+    return (
+        PackStage(rank, send, method, nbytes, kind, ("collective", send_role, rank, kind)),
+        UnpackStage(rank, recv, method, nbytes, kind, ("collective", recv_role, rank, kind)),
+    )
 
 
 def compile_exchange(
@@ -570,71 +598,35 @@ def compile_exchange(
     peer, and a local stage pair for self-sections; each wire peer's method is
     selected per message through ``select``.  Staging keys preserve the
     per-``(role, peer, kind)`` binding of the resource cache so iterative
-    applications find the same buffers on every exchange (Sec. 5).
+    applications find the same buffers on every exchange (Sec. 5).  Each
+    side is grouped and sized in one pass (:func:`_peer_groups`).
     """
-    send_groups = _group_sections(send_sections)
-    recv_groups = _group_sections(recv_sections)
-
-    local_send = send_groups.get(rank, [])
-    local_recv = recv_groups.get(rank, [])
-    if sum(s.packed_bytes for s in local_send) != sum(s.packed_bytes for s in local_recv):
+    send_groups = _peer_groups(send_sections)
+    recv_groups = _peer_groups(recv_sections)
+    local_send = send_groups.pop(rank, None)
+    local_recv = recv_groups.pop(rank, None)
+    if (local_send[1] if local_send else 0) != (local_recv[1] if local_recv else 0):
         raise PlanError("self send/recv sections disagree on packed size")
 
     pack_stages: list[PackStage] = []
     post_stages: list[PostStage] = []
-    for peer, group in send_groups.items():
-        if peer == rank:
-            continue
-        nbytes = sum(section.packed_bytes for section in group)
+    method = kind = None
+    for peer, (sections, nbytes) in send_groups.items():
         # Send-side selections carry the destination peer so NIC-aware
-        # selectors can price its link and ingestion backlog; receive-side
-        # selections (below) have no single remote port to price.
-        method = select(group[0].packer, nbytes, peer=peer)
+        # selectors can price its link and ingestion backlog.
+        selected = select(sections[0].packer, nbytes, peer=peer)
+        if selected is not method:
+            method, kind = selected, staging_kind(selected)
         stage = PackStage(
             peer=peer,
-            sections=tuple(group),
+            sections=sections,
             method=method,
             nbytes=nbytes,
-            staging_key=("collective", "send", peer, staging_kind(method)),
+            kind=kind,
+            staging_key=("collective", "send", peer, kind),
         )
         pack_stages.append(stage)
         post_stages.append(PostStage(peer=peer, nbytes=nbytes, pack=stage))
-
-    local: Optional[tuple[PackStage, UnpackStage]] = None
-    if local_send:
-        nbytes = sum(section.packed_bytes for section in local_send)
-        local = (
-            PackStage(
-                peer=rank,
-                sections=tuple(local_send),
-                method=PackMethod.DEVICE,
-                nbytes=nbytes,
-                staging_key=("collective", "send", rank, staging_kind(PackMethod.DEVICE)),
-            ),
-            UnpackStage(
-                peer=rank,
-                sections=tuple(local_recv),
-                method=PackMethod.DEVICE,
-                nbytes=nbytes,
-                staging_key=("collective", "recv", rank, staging_kind(PackMethod.DEVICE)),
-            ),
-        )
-
-    unpack_stages: list[UnpackStage] = []
-    for peer, group in recv_groups.items():
-        if peer == rank:
-            continue
-        nbytes = sum(section.packed_bytes for section in group)
-        method = select(group[0].packer, nbytes)
-        unpack_stages.append(
-            UnpackStage(
-                peer=peer,
-                sections=tuple(group),
-                method=method,
-                nbytes=nbytes,
-                staging_key=("collective", "recv", peer, staging_kind(method)),
-            )
-        )
 
     return MessagePlan(
         op=op,
@@ -642,8 +634,11 @@ def compile_exchange(
         recv_buffer=recv_buffer,
         pack_stages=pack_stages,
         post_stages=post_stages,
-        unpack_stages=unpack_stages,
-        local=local,
+        unpack_stages=_unpack_stages(recv_groups, select, "recv"),
+        local=(
+            _local_pair(rank, local_send[0], local_recv[0], local_send[1], "send", "recv")
+            if local_send else None
+        ),
         nonblocking=nonblocking,
     )
 
@@ -663,14 +658,13 @@ def _chunk_layout(count: int, parts: int, element_size: int) -> list[tuple[int, 
     if parts <= 0:
         raise PlanError(f"cannot split a vector into {parts} chunks")
     base, extra = divmod(count, parts)
-    layout = []
-    offset = 0
-    for index in range(parts):
-        elements = base + (1 if index < extra else 0)
-        nbytes = elements * element_size
-        layout.append((offset, nbytes))
-        offset += nbytes
-    return layout
+    small = base * element_size
+    large = small + element_size
+    tail = extra * large  # where the first one-element-shorter part starts
+    return [
+        (index * large, large) if index < extra else (tail + (index - extra) * small, small)
+        for index in range(parts)
+    ]
 
 
 def ring_allreduce_schedule(
@@ -698,40 +692,23 @@ def ring_allreduce_schedule(
     chunks = _chunk_layout(count, size, element_size)
     right = ranks[(index + 1) % size]
     left = ranks[(index - 1) % size]
-    stages = []
-    for step in range(size - 1):
-        send_chunk = (index - step) % size
-        recv_chunk = (index - step - 1) % size
-        stages.append(
-            ReduceStage(
-                round=round_base + step,
-                op=op,
-                dest=right,
-                send_offset=chunks[send_chunk][0],
-                send_nbytes=chunks[send_chunk][1],
-                source=left,
-                recv_offset=chunks[recv_chunk][0],
-                recv_nbytes=chunks[recv_chunk][1],
-                combine=True,
-            )
+    # Round ``step`` sends chunk ``index - step`` and takes chunk
+    # ``index - step - 1``: the allgather's rounds continue the
+    # reduce-scatter's walk round the ring, copying instead of folding.
+    return [
+        ReduceStage(
+            round=round_base + step,
+            op=op,
+            dest=right,
+            send_offset=chunks[(index - step) % size][0],
+            send_nbytes=chunks[(index - step) % size][1],
+            source=left,
+            recv_offset=chunks[(index - step - 1) % size][0],
+            recv_nbytes=chunks[(index - step - 1) % size][1],
+            combine=step < size - 1,
         )
-    for step in range(size - 1):
-        send_chunk = (index - step + 1) % size
-        recv_chunk = (index - step) % size
-        stages.append(
-            ReduceStage(
-                round=round_base + size - 1 + step,
-                op=op,
-                dest=right,
-                send_offset=chunks[send_chunk][0],
-                send_nbytes=chunks[send_chunk][1],
-                source=left,
-                recv_offset=chunks[recv_chunk][0],
-                recv_nbytes=chunks[recv_chunk][1],
-                combine=False,
-            )
-        )
-    return stages
+        for step in range(2 * (size - 1))
+    ]
 
 
 def tree_allreduce_schedule(
@@ -906,7 +883,7 @@ def compile_allreduce(
     recv_buffer: Buffer,
     count: int,
     element_size: int,
-    dtype: str,
+    dtype: np.dtype,
     *,
     op: str = "sum",
     algorithm: str = "ring",

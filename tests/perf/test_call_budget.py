@@ -40,6 +40,9 @@ growing back:
 * ``tools/call_histogram.py --stages`` accounts for every call of a
   ``datatype_pack`` round, and ``docs/ARCHITECTURE.md`` § "Commit path"
   prints what it measures;
+* one warm compile counts exactly: a typed ``Alltoallv`` groups and sizes
+  each section once, and an allreduce builds its rounds by comprehension and
+  keeps its numpy dtype;
 * a warm ``ml_replay`` step stays under a per-plan ceiling, and the scalar
   lookups beside its pricing count exactly: a buffer's size and kind are
   slots, a rank is checked inline, and a flat-world wire price builds no
@@ -76,7 +79,7 @@ from repro.gpu import kernels
 from repro.machine.nic import IngestRecord, NicTimeline
 from repro.mpi.constructors import Type_vector
 from repro.mpi.p2p import MessageRouter
-from repro.mpi.datatype import BYTE
+from repro.mpi.datatype import BYTE, FLOAT
 from repro.mpi.world import World
 from repro.tempi.config import TempiConfig
 from repro.tempi.interposer import TempiCommunicator, interpose
@@ -619,7 +622,7 @@ def test_the_commit_path_table_is_what_the_histogram_measures(summit_model):
 # --------------------------------------------------------------------------- #
 
 #: ``ml_replay``'s first counted step (seed 1, after the benchmark's two
-#: warm-up steps) counted 34 426 calls over 88 executed plans, 391.2 per plan,
+#: warm-up steps) counted 32 419 calls over 88 executed plans, 368.4 per plan,
 #: on Python 3.11; this is that plus 5 %.  A ceiling, not an exact count, as
 #: for the halo: the threaded world's count moves about 1 % with the
 #: schedule.  Buffer facts read through properties, rank checks per lookup and
@@ -630,8 +633,10 @@ def test_the_commit_path_table_is_what_the_histogram_measures(summit_model):
 #: call chain and a section check through ``_check_committed`` and ``ub``
 #: counted 474.2; a cold pack planned through ``packed_size`` →
 #: ``_memcpyable`` → ``is_contiguous`` and priced by four ``kernel_time``
-#: calls, and staging buckets through ``_bucket``, counted 425.9.
-REPLAY_CEILING = 410.8
+#: calls, and staging buckets through ``_bucket``, counted 425.9; a compile
+#: that built and sized each section twice, called ``staging_kind`` per
+#: stage and built a ring by ``append``, counted 391.2.
+REPLAY_CEILING = 386.8
 
 
 def test_a_warm_replay_step_stays_under_its_ceiling(summit_model):
@@ -650,6 +655,74 @@ def test_a_warm_replay_step_stays_under_its_ceiling(summit_model):
         f"{per_plan:.1f} Python/C calls per executed replay plan, ceiling {REPLAY_CEILING}: "
         f"run tools/call_histogram.py --workload replay to see which layer grew"
     )
+
+
+# --------------------------------------------------------------------------- #
+# One compile: a typed alltoallv, and a ring and a tree allreduce.
+# --------------------------------------------------------------------------- #
+
+#: Exact calls on Python 3.11 of one warm compile at 8 ranks, the counter's
+#: own exit calls and the selections' own calls included: rank 0's typed
+#: ``_compile_collective`` of an ``Alltoallv`` of ``ml_replay``'s pitched
+#: datatype with 1..8 objects per peer (16 sections, 14 on the wire), and
+#: rank 3's ``_compile_allreduce`` of 1 001 floats under each schedule.  At
+#: the parent they counted 365, 72 and 40 (``ml_replay``'s census measured
+#: 341 and 61.4 calls per entry of the two compiles, selection excluded):
+#: each section was built as a ``TypedSection``, then as a ``PlanSection``
+#: with one handler appended per section, grouped by ``setdefault`` and sized
+#: twice through ``PlanSection.packed_bytes`` and ``sum(genexpr)`` per peer;
+#: each stage called ``staging_kind``; the method tally went through
+#: ``method_counts()`` and ``PackMethod.value``; a ring built its chunks and
+#: rounds by ``append``; and ``dtype.name`` ran numpy's name chain, which the
+#: executor turned back into a dtype.
+COMPILE_CALLS = {"alltoallv": 200, "ring allreduce": 42, "tree allreduce": 30}
+
+
+def _compile_probe(label: str, model):
+    world = World(RANKS)
+    if label == "alltoallv":
+        ctx = world.contexts[0]
+        comm = interpose(ctx, TempiConfig(), model=model)
+        datatype = comm.Type_commit(_pitched_datatype(2048, 64))
+        counts = [1 + peer for peer in range(RANKS)]
+        displs = [sum(counts[:peer]) * datatype.extent for peer in range(RANKS)]
+        send = ctx.gpu.malloc(sum(counts) * datatype.extent)
+        recv = ctx.gpu.malloc(sum(counts) * datatype.extent)
+        args = (
+            "alltoallv", list(range(RANKS)), send, counts, displs, datatype,
+            recv, counts, displs, datatype,
+        )
+        return lambda: comm._compile_collective(*args, nonblocking=False)
+    ctx = world.contexts[3]
+    algorithm = label.split()[0]
+    comm = interpose(ctx, TempiConfig(allreduce_algorithm=algorithm), model=model)
+    send, recv = ctx.gpu.malloc(1001 * 4), ctx.gpu.malloc(1001 * 4)
+    return lambda: comm._compile_allreduce((send, 1001, FLOAT), (recv, 1001, FLOAT), "sum", nonblocking=False)
+
+
+@pytest.mark.parametrize("label", sorted(COMPILE_CALLS))
+def test_a_compile_counts_its_calls(label, summit_model):
+    probe = _compile_probe(label, summit_model)
+    probe()  # the selection memo and the packer's sizes are warm
+    gc.collect()
+    gc.disable()  # a collection would count the gc callbacks Hypothesis registers
+    try:
+        with CallCounter() as empty:
+            pass
+        with CallCounter() as counter:
+            plan = probe()
+    finally:
+        gc.enable()
+    calls = counter.calls - empty.calls
+    if label == "alltoallv":
+        plan = plan[0]
+        assert [stage.peer for stage in plan.pack_stages] == list(range(1, RANKS))
+    else:
+        assert len(plan.reduce_stages) == (14 if label.startswith("ring") else 2)
+    if sys.version_info[:2] == (3, 11):
+        assert calls == COMPILE_CALLS[label]
+    else:
+        assert calls <= COMPILE_CALLS[label] * 1.05, (calls, COMPILE_CALLS[label])
 
 
 #: Exact calls on Python 3.11, the counter's own exit calls excluded: one
@@ -810,7 +883,10 @@ def test_wire_stage_rows_sum_to_the_printed_total(summit_model, capsys):
     assert sum(rows.values()) == pytest.approx(total, abs=0.05 * (len(rows) + 1))
     # The plan around the messages has rows of its own, and so do a cold
     # pack's plan and staging inside ``execute``.
-    stages = ("selection", "compile", "Type_commit", "pack plan", "staging")
+    stages = (
+        "selection", "collective compile", "allreduce compile", "p2p compile", "Type_commit",
+        "pack plan", "staging",
+    )
     assert all(rows[stage] > 0 for stage in stages)
     assert workload.failed_ops == 0
 

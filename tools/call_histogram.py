@@ -36,9 +36,10 @@ of a wire message — ``message_time``, ``reserve_wire``, the post,
 ``PlanExecutor.execute``, a pack's plan of a new count (``Packer._plan``) and
 staging (``_StagingTracker.get``/``release``, the cache's
 ``get_stream``/``put_stream``) — then the plan around them: method
-selection, the collective, allreduce and point-to-point compiles,
-``Type_commit`` — and other for the remainder (the step's ``World``, its
-threads, the replay app).
+selection, the collective compile (``_compile_collective``), the allreduce
+compile (``_compile_allreduce``), the point-to-point compile
+(``compile_send``/``compile_recv``), ``Type_commit`` — and other for the
+remainder (the step's ``World``, its threads, the replay app).
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ STAGES = COMMIT_STAGES + ("building", "Pack/Unpack", "round loop")
 WIRE_STAGES = (
     "message_time", "reserve_wire", "post", "router.receive", "ingest_one", "ingest_batch",
     "token hand-off", "rest of allreduce round", "rest of execute", "pack plan", "staging",
-    "selection", "compile", "Type_commit", "other",
+    "selection", "collective compile", "allreduce compile", "p2p compile", "Type_commit", "other",
 )
 
 
@@ -137,10 +138,10 @@ def wire_stage_codes() -> dict[object, str]:
         selection.ModelSelector.__call__.__code__: "selection",
         selection.ContendedSelector.__call__.__code__: "selection",
         selection.choose_allreduce_algorithm.__code__: "selection",
-        TempiCommunicator._compile_collective.__code__: "compile",
-        TempiCommunicator._compile_allreduce.__code__: "compile",
-        plan.compile_send.__code__: "compile",
-        plan.compile_recv.__code__: "compile",
+        TempiCommunicator._compile_collective.__code__: "collective compile",
+        TempiCommunicator._compile_allreduce.__code__: "allreduce compile",
+        plan.compile_send.__code__: "p2p compile",
+        plan.compile_recv.__code__: "p2p compile",
         TempiCommunicator.Type_commit.__code__: "Type_commit",
     }
 
