@@ -99,16 +99,18 @@ def _validate_record(record, index: int, nranks: int) -> None:
     else:  # p2p
         edges = record.get("edges")
         _require(isinstance(edges, list) and edges, where, "edges must be a non-empty list")
+        # Checked inline, not by ``_require``: no call and no message per edge.
         for position, edge in enumerate(edges):
-            _require(
+            if not (
                 isinstance(edge, list) and len(edge) == 3
-                and all(isinstance(entry, int) for entry in edge),
-                where, f"edges[{position}] must be [src, dst, nitems] integers",
-            )
+                and isinstance(edge[0], int) and isinstance(edge[1], int) and isinstance(edge[2], int)
+            ):
+                raise TraceError(f"{where}: edges[{position}] must be [src, dst, nitems] integers")
             src, dst, nitems = edge
-            _require(0 <= src < nranks and 0 <= dst < nranks and src != dst, where,
-                     f"edges[{position}] endpoints ({src}, {dst}) invalid for {nranks} ranks")
-            _require(nitems > 0, where, f"edges[{position}] nitems must be positive, got {nitems}")
+            if not (0 <= src < nranks and 0 <= dst < nranks and src != dst):
+                raise TraceError(f"{where}: edges[{position}] endpoints ({src}, {dst}) invalid for {nranks} ranks")
+            if not nitems > 0:
+                raise TraceError(f"{where}: edges[{position}] nitems must be positive, got {nitems}")
         _check_pitched_item(record, where)
 
 

@@ -817,7 +817,8 @@ class NicTimeline:
         """Track one posted arrival on the (bounded) advisory ledger."""
         if self._block is not None:
             self._settle()
-        pending = self._pending.setdefault(dest, {})
+        # Buckets are never deleted: only a destination's first record calls ``setdefault``.
+        pending = self._pending[dest] if dest in self._pending else self._pending.setdefault(dest, {})
         key = record[:3]
         if key not in pending:
             self._pending_total += 1

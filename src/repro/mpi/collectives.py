@@ -389,28 +389,36 @@ class TypedSection:
 
     def check(self, comm, buffer, what: str) -> None:
         """Raise ``MpiArgumentError`` unless the section is valid on ``buffer``."""
-        if not 0 <= self.peer < comm.size:
-            raise MpiArgumentError(
-                f"{what} peer {self.peer} outside communicator of size {comm.size}"
-            )
-        if self.count < 0 or self.displ < 0:
-            raise MpiArgumentError(f"{what} counts and displacements must be non-negative")
-        if self.count == 0:
-            return
-        datatype = self.datatype
-        if datatype.freed or not datatype.committed:
-            datatype._check_committed()  # raises, naming which
-        extent = datatype.extent
-        span = self.displ + (self.count - 1) * extent + datatype.lb + extent
-        if span > buffer.nbytes:
-            raise MpiArgumentError(
-                f"{what} section to/from peer {self.peer} spans {span} bytes, "
-                f"escaping the {buffer.nbytes}-byte buffer"
-            )
+        check_section(comm, buffer, self.peer, self.count, self.displ, self.datatype, what)
 
 
-def normalize_types(types: TypesArg, nsections: int, what: str) -> list[Datatype]:
-    """Expand a single datatype (or check a per-section list) to one per section."""
+def check_section(comm, buffer, peer: int, count: int, displ: int, datatype: Datatype, what: str) -> None:
+    """Raise ``MpiArgumentError`` unless the section is valid on ``buffer``.
+
+    The one section check of the system path and of the interposer's section loop.
+    """
+    if not 0 <= peer < comm.size:
+        raise MpiArgumentError(f"{what} peer {peer} outside communicator of size {comm.size}")
+    if count < 0 or displ < 0:
+        raise MpiArgumentError(f"{what} counts and displacements must be non-negative")
+    if count == 0:
+        return
+    if datatype.freed or not datatype.committed:
+        datatype._check_committed()  # raises, naming which
+    extent = datatype.extent
+    span = displ + (count - 1) * extent + datatype.lb + extent
+    if span > buffer.nbytes:
+        raise MpiArgumentError(
+            f"{what} section to/from peer {peer} spans {span} bytes, "
+            f"escaping the {buffer.nbytes}-byte buffer"
+        )
+
+
+def section_types(peers, counts, displs, types: TypesArg, what: str) -> list[Datatype]:
+    """Check the argument lists' lengths, then expand ``types`` to one datatype per section."""
+    if not (len(peers) == len(counts) == len(displs)):
+        raise MpiArgumentError(f"{what} argument lists must have equal lengths")
+    nsections = len(peers)
     if isinstance(types, Datatype):
         return [types] * nsections
     try:
@@ -444,9 +452,7 @@ def build_sections(
     ``MpiArgumentError`` naming it (``neighbors[i]``, ``sendcounts[i]``,
     ``recvdispls[i]`` …).  A plain ``int`` costs no call.
     """
-    if not (len(peers) == len(counts) == len(displs)):
-        raise MpiArgumentError(f"{what} argument lists must have equal lengths")
-    datatypes = normalize_types(types, len(peers), what)
+    datatypes = section_types(peers, counts, displs, types, what)
     sections = []
     for index, (peer, count, displ, datatype) in enumerate(zip(peers, counts, displs, datatypes)):
         if type(peer) is not int:
@@ -455,9 +461,8 @@ def build_sections(
             count = check_int(count, f"{what}counts[{index}]", MpiArgumentError)
         if type(displ) is not int:
             displ = check_int(displ, f"{what}displs[{index}]", MpiArgumentError)
-        section = TypedSection(peer, count, displ, datatype)
-        section.check(comm, buffer, what)
-        sections.append(section)
+        check_section(comm, buffer, peer, count, displ, datatype, what)
+        sections.append(TypedSection(peer, count, displ, datatype))
     return sections
 
 

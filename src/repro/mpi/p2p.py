@@ -3,8 +3,9 @@
 The :class:`MessageRouter` is the shared mailbox of one :class:`~repro.mpi.world.World`:
 sending ranks post :class:`Envelope` objects, receiving ranks block until a
 matching one arrives.  Matching follows MPI rules — ``(source, tag,
-communicator)`` with wildcards, FIFO per (source, communicator) pair — and
-every envelope carries the *virtual* time at which its payload becomes
+communicator)`` with wildcards, FIFO per (source, communicator) pair, which
+holds because a mailbox lists its envelopes in post order — and every
+envelope carries the *virtual* time at which its payload becomes
 available at the destination, so receivers can advance their clocks
 consistently regardless of the order in which the rank threads run.
 
@@ -32,7 +33,6 @@ acquire, so no baton is ever left released for a later wait to fall through.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from collections import deque
 from dataclasses import dataclass, field
@@ -56,7 +56,6 @@ class Envelope:
     payload: np.ndarray
     available_at: float
     device: bool
-    sequence: int = field(default=0)
     #: Receive-side NIC identity (duplex accounting): the serial wire seconds
     #: this message occupies, the virtual time it entered the wire, and its
     #: per-source sequence number.  ``wire_s <= 0`` (system-path and serial
@@ -86,7 +85,6 @@ class MessageRouter:
         self._batons = [threading.Lock() for _ in range(nranks)]
         for baton in self._batons:
             baton.acquire()
-        self._sequence = itertools.count()
         self.stopped = False
         self._deadlocked = False
         self.messages_posted = 0
@@ -123,7 +121,6 @@ class MessageRouter:
         with self.lock:
             if self.stopped:
                 raise MpiCommError("message posted after world shutdown")
-            envelope.sequence = next(self._sequence)
             self._mailboxes[dest].append(envelope)
             self.messages_posted += 1
             awaited = self._waiting.get(dest)
@@ -142,8 +139,8 @@ class MessageRouter:
         return True
 
     def _find(self, rank: int, source: int, tag: int, context: int) -> Optional[int]:
-        """Mailbox index of the oldest matching envelope (mailboxes are
-        appended in ``sequence`` order, so the first match is the oldest)."""
+        """Mailbox index of the oldest matching envelope (a mailbox lists
+        its envelopes in post order, so the first match is the oldest)."""
         any_source = source == ANY_SOURCE
         any_tag = tag == ANY_TAG
         for index, envelope in enumerate(self._mailboxes[rank]):

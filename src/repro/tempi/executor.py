@@ -472,22 +472,23 @@ class PlanExecutor:
         )
 
     def _allreduce_round(
-        self, stage: ReduceStage, plan: MessagePlan, dtype, priced: dict
+        self, stage: ReduceStage, plan: MessagePlan, acc, typed, priced: dict
     ) -> None:
         """Walk one reduction round: post the send half, fold the receive half.
 
         Runs once per round of every allreduce, so it takes the fewest calls
-        the round allows.  ``priced`` is the calling ``complete()``'s own dict
-        of wire times (keyed ``(send_nbytes, dest)``) and combine charges
+        the round allows.  ``acc`` is the accumulator's byte array and
+        ``typed`` its one view as ``plan.reduce_dtype``, both taken once per
+        execution by the calling ``complete()``; ``priced`` is that call's own
+        dict of wire times (keyed ``(send_nbytes, dest)``) and combine charges
         (keyed by ``recv_nbytes``): a ring's rounds repeat both, and each
         distinct one is priced once per plan execution, never across plans.
-        The chunk is posted from a slice of the accumulator's bytes (no
-        buffer view), received straight from the router, and checked by its
-        payload's size.
+        The chunk is posted from a slice of ``acc`` (no buffer view), received
+        straight from the router, checked by its payload's size, and folded
+        into the slice of ``typed`` over the stage's elements.
         """
         comm = self.comm
-        acc = plan.recv_buffer
-        device = acc.is_device
+        device = plan.recv_buffer.is_device
         dest, send_nbytes = stage.dest, stage.send_nbytes
         if dest >= 0:
             key = (send_nbytes, dest)
@@ -496,7 +497,7 @@ class PlanExecutor:
             else:
                 wire = priced[key] = self.engine.message_time(send_nbytes, dest, device)
             offset = stage.send_offset
-            payload = acc.data[offset : offset + send_nbytes]
+            payload = acc[offset : offset + send_nbytes]
             now = comm.clock.now
             if self.overlap:
                 slot = self.engine.reserve_wire(dest, now, wire, send_nbytes, device=device)
@@ -517,17 +518,18 @@ class PlanExecutor:
             )
         if not nbytes:
             return
-        region = acc.data[stage.recv_offset : stage.recv_offset + nbytes]
+        offset = stage.recv_offset
         if stage.combine:
             if nbytes in priced:
                 charge = priced[nbytes]
             else:
                 charge = priced[nbytes] = self._reduce_time(nbytes, device)
             comm.clock.advance(charge)
-            folded = region.view(dtype)
-            _REDUCE_UFUNCS[stage.op](folded, envelope.payload.view(dtype), out=folded)
+            # Chunk boundaries are element-aligned (``_chunk_layout``).
+            folded = typed[offset // typed.itemsize : (offset + nbytes) // typed.itemsize]
+            _REDUCE_UFUNCS[stage.op](folded, envelope.payload.view(typed.dtype), out=folded)
         else:
-            region[:] = envelope.payload
+            acc[offset : offset + nbytes] = envelope.payload
 
     def _execute_allreduce(self, plan: MessagePlan) -> Request:
         """Walk a reduction plan's rounds: each posts its chunk and folds the
@@ -545,15 +547,18 @@ class PlanExecutor:
         comm = self.comm
         if plan.tag is None:
             plan.tag = _next_collective_tag(comm)
-        dtype = plan.reduce_dtype
 
         def complete() -> Status:
             self.engine.progress()
             nbytes = plan.reduce_nbytes
-            plan.recv_buffer.data[:nbytes] = plan.send_buffer.data[:nbytes]
+            # The execution's one ``Buffer.data`` read of the accumulator:
+            # it keeps the use-after-free check, and the rounds slice it.
+            acc = plan.recv_buffer.data
+            acc[:nbytes] = plan.send_buffer.data[:nbytes]
+            typed = acc[:nbytes].view(plan.reduce_dtype)
             priced: dict = {}
             for stage in plan.reduce_stages:
-                self._allreduce_round(stage, plan, dtype, priced)
+                self._allreduce_round(stage, plan, acc, typed, priced)
             return Status()
 
         def ready() -> bool:

@@ -61,8 +61,7 @@ from repro.gpu.memory import Buffer
 from repro.machine.nic import JoinEvent
 from repro.machine.spec import MachineSpec
 from repro.machine.topology import Topology
-from repro.mpi import collectives as _collectives
-from repro.mpi.collectives import _next_collective_tag, check_allreduce
+from repro.mpi.collectives import _next_collective_tag, check_allreduce, check_section, section_types
 from repro.mpi.communicator import Communicator, as_buffer
 from repro.mpi.datatype import Datatype, check_datatype, check_int
 from repro.mpi.errors import MpiArgumentError
@@ -823,43 +822,48 @@ class TempiCommunicator:
     ) -> Optional[tuple[list[PlanSection], list[tuple]]]:
         """Build the plan-section list of one typed-collective side.
 
-        Arguments are validated with the system path's own checks first, so
-        invalid calls raise the same MPI errors whichever path runs.  Returns
-        ``None`` (fall back to the system path) unless every nonzero section
-        carries a committed datatype whose handler holds a non-contiguous
-        packer — the family the kernels accelerate — and the user buffer is
-        device resident.  Otherwise returns the sections and one
-        ``(handler, sections)`` pair per run of nonzero sections sharing a
-        datatype, as ``uses`` counts sections.
+        Every section is validated with the system path's own checks before
+        any fallback, so invalid calls raise the same MPI errors whichever
+        path runs.  Returns ``None`` (fall back to the system path) unless
+        every nonzero section carries a committed datatype whose handler
+        holds a non-contiguous packer — the family the kernels accelerate —
+        and the user buffer is device resident.  Otherwise returns the
+        sections and one ``(handler, sections)`` pair per run of nonzero
+        sections sharing a datatype, as ``uses`` counts sections.
         """
         if not buffer.is_device:
             return None
-        validated = _collectives.build_sections(
-            self._comm, buffer, peers, counts, displs, types, what
-        )
+        datatypes = section_types(peers, counts, displs, types, what)
+        sections: Optional[list[PlanSection]] = []
         runs: list[tuple] = []
         datatype = handler = None
         length = 0
-        for section in validated:
-            if section.count == 0:
-                continue
-            if section.datatype is not datatype:
+        for index, (peer, count, displ, section_type) in enumerate(zip(peers, counts, displs, datatypes)):
+            if type(peer) is not int:
+                peer = check_int(peer, f"neighbors[{index}]", MpiArgumentError)
+            if type(count) is not int:
+                count = check_int(count, f"{what}counts[{index}]", MpiArgumentError)
+            if type(displ) is not int:
+                displ = check_int(displ, f"{what}displs[{index}]", MpiArgumentError)
+            check_section(self._comm, buffer, peer, count, displ, section_type, what)
+            if sections is None or count == 0:
+                continue  # a fallback still checks the sections after it
+            if section_type is not datatype:
                 # One handler lookup per run of sections sharing a datatype.
                 if length:
                     runs.append((handler, length))
-                datatype = section.datatype
+                datatype = section_type
                 handler = self.handler_of(datatype)
-                if handler is None or not handler.accelerated or handler.contiguous:
-                    return None
+                if handler is None or handler.packer is None or handler.contiguous:
+                    sections = None
+                    continue
                 length = 0
             length += 1
+            sections.append(PlanSection(peer, count, displ, handler.packer))
+        if sections is None:
+            return None
         if length:
             runs.append((handler, length))
-        sections = [
-            PlanSection(section.peer, section.count, section.displ, section.datatype.attachment.packer)
-            for section in validated
-            if section.count
-        ]
         return sections, runs
 
     def _exchange_sections(
@@ -1208,7 +1212,7 @@ class PersistentCollective(Request):
         template = self._template = _plan.PlanTemplate.from_plan(plan, handlers=handlers)
         self._send, self._recv = as_buffer(self._buffers[0]), as_buffer(self._buffers[3])
         selector = owner._selector
-        classes = {(n, p.block.block_length) for p, n, _ in template.selections}
+        classes = {(n, p.block_length) for p, n, _ in template.selections}
         if len(classes) != 1:  # a self-only exchange asks the selector nothing
             return
         ((nbytes, block_length),) = classes

@@ -72,6 +72,9 @@ class Packer:
         if object_extent <= 0:
             raise PackError(f"object extent must be positive, got {object_extent}")
         self.block = block
+        #: ``block.block_length`` (bytes per contiguous run), read by every
+        #: method selection: an attribute, where the property is a call.
+        self.block_length = block.counts[0]
         self.object_extent = object_extent
         self.stats = PackerStats()
         #: count -> plan.  Block and extent never change after construction,

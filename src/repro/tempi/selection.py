@@ -351,7 +351,7 @@ class ModelSelector:
         """
         if nbytes <= 0:
             return NOOP_METHOD
-        nbytes, block_length = int(nbytes), int(packer.block.block_length)
+        nbytes, block_length = int(nbytes), int(packer.block_length)
         key = ("method", nbytes, block_length)
         cache = self.cache
         if cache is None or not self.config.selection_memo:
@@ -609,7 +609,7 @@ class ContendedSelector(ModelSelector):
             kind = topology.resolve(self.rank, peer, device_buffers=True).kind
         elif backlog <= 0.0 and link <= 0.0 and ingest <= 0.0:
             return super().__call__(packer, nbytes)
-        block_length = packer.block.block_length
+        block_length = packer.block_length
         method, cached = self._contended_memoize(
             (
                 "method-contended",

@@ -40,17 +40,19 @@ growing back:
 * ``tools/call_histogram.py --stages`` accounts for every call of a
   ``datatype_pack`` round, and ``docs/ARCHITECTURE.md`` § "Commit path"
   prints what it measures;
-* one warm compile counts exactly: a typed ``Alltoallv`` groups and sizes
-  each section once, and an allreduce builds its rounds by comprehension and
+* one warm compile counts exactly: a typed ``Alltoallv`` builds, groups
+  and sizes each section once, and an allreduce builds its rounds by comprehension and
   keeps its numpy dtype;
 * a warm ``ml_replay`` step stays under a per-plan ceiling, and the scalar
   lookups beside its pricing count exactly: a buffer's size and kind are
   slots, a rank is checked inline, and a flat-world wire price builds no
   ``MessageCost``; so do one warm flat ``NicTimeline.reserve`` and one
-  lone-record ``ingest``: a cursor is probed with ``in``, a clamp is a
-  comparison, and a record is built by one ``tuple.__new__``;
-* one selection counts exactly: a memo hit is one probe of the resource
-  cache's query memo with its books written inline, ``select_many`` is the
+  lone-record ``ingest``: a cursor or pending bucket is probed with ``in``,
+  a clamp is a comparison, and a record is built by one ``tuple.__new__``;
+  and so does one ``MessageRouter.post``, which numbers no envelope;
+* one selection counts exactly: a memo hit reads the packer's
+  ``block_length`` attribute and makes one probe of the resource cache's
+  query memo with its books written inline, ``select_many`` is the
   same call, and ``choose_method`` prices only the two methods it compares;
 * one run-token hand-off is one baton release and one baton acquire: an
   exact number of calls per ``MessageRouter.block`` entry;
@@ -78,7 +80,7 @@ from repro.bench.workloads import fig7_configurations, fig8_configurations
 from repro.gpu import kernels
 from repro.machine.nic import IngestRecord, NicTimeline
 from repro.mpi.constructors import Type_vector
-from repro.mpi.p2p import MessageRouter
+from repro.mpi.p2p import Envelope, MessageRouter
 from repro.mpi.datatype import BYTE, FLOAT
 from repro.mpi.world import World
 from repro.tempi.config import TempiConfig
@@ -86,12 +88,13 @@ from repro.tempi.interposer import TempiCommunicator, interpose
 
 MEASURE = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e" / "measure.py"
 RANKS = 8
-#: Calls per message of the warm rounds below, 130.0 on Python 3.11, plus 5 %.
+#: Calls per message of the warm rounds below, 124.6 on Python 3.11, plus 5 %.
 #: With a NIC wire message booked and ingested through ``dict.get``, ``max``
 #: and NamedTuple constructors, and posted through two helpers, they ran 150.1;
 #: with the staging pool's bucket through ``_bucket`` and a stream's start
-#: clamped by ``max``, 136.0.
-CEILING = 136.5
+#: clamped by ``max``, 136.0; with every envelope numbered by ``next`` at its
+#: post and every pending record's bucket taken by ``setdefault``, 128.0.
+CEILING = 130.9
 #: Calls per message of :func:`_one_shot_rounds` at PR 21's parent (07d8f20),
 #: Python 3.11: 137 624 calls over 3 rounds x 8 ranks x 26 messages.
 ONE_SHOT_PARENT = 137_624 / 624
@@ -622,7 +625,7 @@ def test_the_commit_path_table_is_what_the_histogram_measures(summit_model):
 # --------------------------------------------------------------------------- #
 
 #: ``ml_replay``'s first counted step (seed 1, after the benchmark's two
-#: warm-up steps) counted 32 419 calls over 88 executed plans, 368.4 per plan,
+#: warm-up steps) counted 30 644 calls over 88 executed plans, 348.2 per plan,
 #: on Python 3.11; this is that plus 5 %.  A ceiling, not an exact count, as
 #: for the halo: the threaded world's count moves about 1 % with the
 #: schedule.  Buffer facts read through properties, rank checks per lookup and
@@ -635,8 +638,12 @@ def test_the_commit_path_table_is_what_the_histogram_measures(summit_model):
 #: ``_memcpyable`` → ``is_contiguous`` and priced by four ``kernel_time``
 #: calls, and staging buckets through ``_bucket``, counted 425.9; a compile
 #: that built and sized each section twice, called ``staging_kind`` per
-#: stage and built a ring by ``append``, counted 391.2.
-REPLAY_CEILING = 386.8
+#: stage and built a ring by ``append``, counted 391.2; an allreduce round
+#: that read its accumulator's ``Buffer.data`` twice and viewed each folded
+#: chunk again, envelopes numbered by ``next``, pending buckets taken by
+#: ``setdefault``, each collective section built twice and selection through
+#: the ``block_length`` property counted 368.4.
+REPLAY_CEILING = 365.6
 
 
 def test_a_warm_replay_step_stays_under_its_ceiling(summit_model):
@@ -674,8 +681,11 @@ def test_a_warm_replay_step_stays_under_its_ceiling(summit_model):
 #: each stage called ``staging_kind``; the method tally went through
 #: ``method_counts()`` and ``PackMethod.value``; a ring built its chunks and
 #: rounds by ``append``; and ``dtype.name`` ran numpy's name chain, which the
-#: executor turned back into a dtype.
-COMPILE_CALLS = {"alltoallv": 200, "ring allreduce": 42, "tree allreduce": 30}
+#: executor turned back into a dtype.  The alltoallv then counted 200 while
+#: each section was still built as a ``TypedSection`` (its constructor,
+#: ``check`` and an ``append``) before its ``PlanSection``, and each run's
+#: handler was tested through the ``accelerated`` property.
+COMPILE_CALLS = {"alltoallv": 164, "ring allreduce": 42, "tree allreduce": 30}
 
 
 def _compile_probe(label: str, model):
@@ -730,10 +740,13 @@ def test_a_compile_counts_its_calls(label, summit_model):
 #: one ``same_node`` and two slot reads, which counted 14, 5 and 2; one warm
 #: flat ``NicTimeline.reserve`` (duplex, no path, no sink) and one
 #: lone-record ``ingest``, which counted 15 and 13 through ``dict.get``,
-#: ``max`` and NamedTuple constructors.
+#: ``max`` and NamedTuple constructors, and the reserve 9 while its pending
+#: record took its bucket by ``setdefault``; one ``MessageRouter.post`` to a
+#: rank that is not waiting, which counted 5 while it numbered each envelope
+#: by ``next``.
 SCALAR_CALLS = {
     "_message_time": 3, "same_node": 1, "nbytes and is_device": 0,
-    "NicTimeline.reserve": 9, "NicTimeline.ingest": 9,
+    "NicTimeline.reserve": 8, "NicTimeline.ingest": 9, "MessageRouter.post": 4,
 }
 
 
@@ -746,6 +759,11 @@ def _scalar_calls(label: str) -> int:
     nic.reserve(0, 1, 0.0, 2e-6, 64)  # the port, link and seq cursors exist
     reservation = nic.reserve(0, 1, 0.0, 2e-6, 64)
     record = IngestRecord(reservation.start, 0, reservation.seq, 2e-6, reservation.arrival)
+    router = MessageRouter(2)
+    envelope = Envelope(
+        source=0, dest=1, tag=0, context=0, payload=np.zeros(1, dtype=np.uint8),
+        available_at=0.0, device=False,
+    )
     gc.collect()
     gc.disable()  # a collection would count the gc callbacks Hypothesis registers
     try:
@@ -760,6 +778,8 @@ def _scalar_calls(label: str) -> int:
                 nic.reserve(0, 1, 0.0, 2e-6, 64)
             elif label == "NicTimeline.ingest":
                 nic.ingest(1, [record])
+            elif label == "MessageRouter.post":
+                router.post(envelope)
             else:
                 _ = buffer.nbytes, buffer.is_device
     finally:
@@ -785,8 +805,10 @@ def test_scalar_lookups_count_their_calls(label):
 #: ``select_many``, a miss on a warm model memo, and ``choose_method`` on a
 #: warm model memo.  Through ``_memoize``, ``_note_memo`` and ``_charge``, a
 #: ``select_many`` of its own that ``cast`` its hit, and a ``choose_method``
-#: that priced the staged method too, they counted 8, 5, 27 and 16.
-SELECTION_CALLS = {"hit": 3, "select_many hit": 3, "miss, warm model": 13, "choose_method": 8}
+#: that priced the staged method too, they counted 8, 5, 27 and 16; reading
+#: the ``StridedBlock.block_length`` property instead of the packer's
+#: attribute, the first three counted 3, 3 and 13.
+SELECTION_CALLS = {"hit": 2, "select_many hit": 2, "miss, warm model": 12, "choose_method": 8}
 
 
 def _selection_calls(label: str, model) -> int:

@@ -33,9 +33,12 @@ datatypes, ``Pack``/``Unpack``, and the round loop for the remainder.  With
 of a wire message — ``message_time``, ``reserve_wire``, the post,
 ``router.receive``, ``ingest_one``, ``ingest_batch``, the run-token hand-off
 (``MessageRouter.block``), the rest of an allreduce round, the rest of
-``PlanExecutor.execute``, a pack's plan of a new count (``Packer._plan``) and
+``PlanExecutor.execute``, the rest of a pack stage and of an unpack stage
+(``PlanExecutor._pack_stage``/``_unpack_stage``: the kernel or copy launch,
+wherever it runs), a pack's plan of a new count (``Packer._plan``) and
 staging (``_StagingTracker.get``/``release``, the cache's
-``get_stream``/``put_stream``) — then the plan around them: method
+``get_stream``/``put_stream``), both nested inside those two stages — then
+the plan around them: method
 selection, the collective compile (``_compile_collective``), the allreduce
 compile (``_compile_allreduce``), the point-to-point compile
 (``compile_send``/``compile_recv``), ``Type_commit`` — and other for the
@@ -81,7 +84,8 @@ STAGES = COMMIT_STAGES + ("building", "Pack/Unpack", "round loop")
 #: Rows of the ``--workload replay --stages`` table, in print order.
 WIRE_STAGES = (
     "message_time", "reserve_wire", "post", "router.receive", "ingest_one", "ingest_batch",
-    "token hand-off", "rest of allreduce round", "rest of execute", "pack plan", "staging",
+    "token hand-off", "rest of allreduce round", "rest of execute", "pack stage", "unpack stage",
+    "pack plan", "staging",
     "selection", "collective compile", "allreduce compile", "p2p compile", "Type_commit", "other",
 )
 
@@ -129,6 +133,8 @@ def wire_stage_codes() -> dict[object, str]:
         MessageRouter.block.__code__: "token hand-off",
         PlanExecutor._allreduce_round.__code__: "rest of allreduce round",
         PlanExecutor.execute.__code__: "rest of execute",
+        PlanExecutor._pack_stage.__code__: "pack stage",
+        PlanExecutor._unpack_stage.__code__: "unpack stage",
         Packer._plan.__code__: "pack plan",
         _StagingTracker.get.__code__: "staging",
         _StagingTracker.release.__code__: "staging",
