@@ -123,9 +123,10 @@ class MessageRouter:
                 raise MpiCommError("message posted after world shutdown")
             self._mailboxes[dest].append(envelope)
             self.messages_posted += 1
-            awaited = self._waiting.get(dest)
-            if awaited is not None and self._matches(envelope, *awaited):
-                self.wake(dest)
+            if dest in self._waiting:
+                awaited = self._waiting[dest]
+                if awaited is not None and self._matches(envelope, *awaited):
+                    self.wake(dest)
 
     # ------------------------------------------------------------------ match
     @staticmethod
@@ -178,7 +179,10 @@ class MessageRouter:
                 index = self._find(rank, source, tag, context)
                 if index is not None:
                     self.messages_received += 1
-                    return self._mailboxes[rank].pop(index)
+                    mailbox = self._mailboxes[rank]
+                    envelope = mailbox[index]
+                    del mailbox[index]  # not ``pop``, a call per receive
+                    return envelope
                 if self.stopped:
                     raise self.stop_error(
                         rank, f"receive(source={source}, tag={tag}, context={context})"

@@ -182,4 +182,4 @@ class _StagingTracker:
     def release(self) -> None:
         for buffer in self._transient:
             self.cache.put_buffer(buffer)
-        self._transient.clear()
+        self._transient = []  # not ``clear()``, a call per execution

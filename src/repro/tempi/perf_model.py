@@ -74,6 +74,11 @@ class PerformanceModel:
             ("oneshot", "unpack"): arrays["t_unpack_oneshot"].tolist(),
         }
         self._memo: Dict[Tuple, float] = {}
+        #: ``(nbytes, block_length) -> PackMethod``: :meth:`choose_method`'s
+        #: answers.  The choice is a pure function of its key on a fixed model,
+        #: and the model outlives the worlds that share it, so a decision is
+        #: made once per process; ``ModelSelector`` probes this dict directly.
+        self._decisions: Dict[Tuple[int, int], PackMethod] = {}
         self.queries = 0
         self.cache_hits = 0
 
@@ -162,8 +167,17 @@ class PerformanceModel:
 
         :meth:`estimate`'s ``best()``, summing only the two terms it compares
         (in :meth:`estimate`'s term order, so every sum is bit-identical):
-        staged is never preferred, so it is not priced.
+        staged is never preferred, so it is not priced.  Memoised by
+        ``(nbytes, block_length)``: a repeat is one query and one hit, and a
+        first ask counts only its six probes.  An argument the probes reject
+        raises before anything is stored.
         """
+        key = (nbytes, block_length)
+        decisions = self._decisions
+        if key in decisions:
+            self.queries += 1
+            self.cache_hits += 1
+            return decisions[key]
         pack, transfer = self.pack_time, self.transfer_time
         oneshot = (
             pack("oneshot", "pack", nbytes, block_length)
@@ -175,7 +189,8 @@ class PerformanceModel:
             + transfer("gpu_gpu", nbytes)
             + pack("device", "unpack", nbytes, block_length)
         )
-        return PackMethod.ONESHOT if oneshot <= device else PackMethod.DEVICE
+        method = decisions[key] = PackMethod.ONESHOT if oneshot <= device else PackMethod.DEVICE
+        return method
 
     # ------------------------------------------------------------- inspection
     @property

@@ -336,18 +336,18 @@ class ModelSelector:
             self.clock.advance(MODEL_CACHED_QUERY_S if cached else MODEL_QUERY_S)
 
     # -------------------------------------------------------------- selection
-    def _decide(self, nbytes: int, block_length: int) -> PackMethod:
-        """The contention-free Eqs. 1-3 comparison."""
-        return self.model.choose_method(nbytes, block_length)
-
     def __call__(self, packer: Any, nbytes: int, peer: Optional[int] = None) -> PackMethod:
         """Select the contention-free best method (``peer`` is ignored).
 
         With the memo on, one probe of the resource cache's query memo
         decides hit or miss, and the books are written inline: the cache's
         query hit or miss, the memo note on the stats, and the cached (~277
-        ns, as the paper measures) or cold query charge on the clock.  A
-        restart selects through this same call (:attr:`select_many`).
+        ns, as the paper measures) or cold query charge on the clock.  A miss
+        takes the model's answer from its decision memo, and asks
+        :meth:`~repro.tempi.perf_model.PerformanceModel.choose_method` only
+        for a decision the model has not made yet; the charge is the cold
+        one either way.  A restart selects through this same call
+        (:attr:`select_many`).
         """
         if nbytes <= 0:
             return NOOP_METHOD
@@ -355,7 +355,7 @@ class ModelSelector:
         key = ("method", nbytes, block_length)
         cache = self.cache
         if cache is None or not self.config.selection_memo:
-            method, cached = self._memoize(key, lambda: self._decide(nbytes, block_length))
+            method, cached = self._memoize(key, lambda: self.model.choose_method(nbytes, block_length))
             self._charge(cached)
             return method
         queries, stats, clock = cache._queries, self.stats, self.clock
@@ -369,7 +369,13 @@ class ModelSelector:
                 clock._events += 1
             return stored
         cache.stats.query_misses += 1
-        method = self._decide(nbytes, block_length)
+        model, pair = self.model, (nbytes, block_length)
+        if pair in model._decisions:
+            model.queries += 1
+            model.cache_hits += 1
+            method = model._decisions[pair]
+        else:
+            method = model.choose_method(nbytes, block_length)
         if cache.enabled:
             queries[key] = method
         if stats is not None:

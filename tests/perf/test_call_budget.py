@@ -48,17 +48,22 @@ growing back:
   slots, a rank is checked inline, and a flat-world wire price builds no
   ``MessageCost``; so do one warm flat ``NicTimeline.reserve`` and one
   lone-record ``ingest``: a cursor or pending bucket is probed with ``in``,
-  a clamp is a comparison, and a record is built by one ``tuple.__new__``;
-  and so does one ``MessageRouter.post``, which numbers no envelope;
+  a clamp is a comparison, a record is built by one ``tuple.__new__``, and
+  the reserve writes its ledger row and pending record inline; and so does
+  one ``MessageRouter.post``, which numbers no envelope and probes the
+  waiting ranks with ``in``;
 * one selection counts exactly: a memo hit reads the packer's
   ``block_length`` attribute and makes one probe of the resource cache's
   query memo with its books written inline, ``select_many`` is the
-  same call, and ``choose_method`` prices only the two methods it compares;
+  same call, a miss reads the model's decision memo, and ``choose_method``
+  answers a repeat from that memo and prices a new decision from only the
+  two methods it compares;
 * one run-token hand-off is one baton release and one baton acquire: an
   exact number of calls per ``MessageRouter.block`` entry;
 * ``tools/call_histogram.py --workload replay --stages`` lists every stage
-  of a wire message and of the plan around it, and its rows sum to the
-  total it prints;
+  of a wire message and of the plan around it, its rows sum to the total
+  it prints, and ``--markdown`` prints the table ``docs/ARCHITECTURE.md``
+  § "Scalar message path" carries (exact on 3.11);
 * ``tools/call_histogram.py --callers`` names the callers of a function.
 """
 
@@ -85,16 +90,20 @@ from repro.mpi.datatype import BYTE, FLOAT
 from repro.mpi.world import World
 from repro.tempi.config import TempiConfig
 from repro.tempi.interposer import TempiCommunicator, interpose
+from repro.tempi.perf_model import PerformanceModel
 
 MEASURE = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e" / "measure.py"
 RANKS = 8
-#: Calls per message of the warm rounds below, 124.6 on Python 3.11, plus 5 %.
+#: Calls per message of the warm rounds below, 120.1 on Python 3.11, plus 5 %.
 #: With a NIC wire message booked and ingested through ``dict.get``, ``max``
 #: and NamedTuple constructors, and posted through two helpers, they ran 150.1;
 #: with the staging pool's bucket through ``_bucket`` and a stream's start
 #: clamped by ``max``, 136.0; with every envelope numbered by ``next`` at its
-#: post and every pending record's bucket taken by ``setdefault``, 128.0.
-CEILING = 130.9
+#: post and every pending record's bucket taken by ``setdefault``, 128.0;
+#: with a ledger row and a pending record written through helper calls, a
+#: router post probing its waiters by ``dict.get``, an ingest dropping each
+#: record by ``pop`` and a receive taking its envelope by ``pop``, 124.6.
+CEILING = 126.1
 #: Calls per message of :func:`_one_shot_rounds` at PR 21's parent (07d8f20),
 #: Python 3.11: 137 624 calls over 3 rounds x 8 ranks x 26 messages.
 ONE_SHOT_PARENT = 137_624 / 624
@@ -625,8 +634,8 @@ def test_the_commit_path_table_is_what_the_histogram_measures(summit_model):
 # --------------------------------------------------------------------------- #
 
 #: ``ml_replay``'s first counted step (seed 1, after the benchmark's two
-#: warm-up steps) counted 30 644 calls over 88 executed plans, 348.2 per plan,
-#: on Python 3.11; this is that plus 5 %.  A ceiling, not an exact count, as
+#: warm-up steps, on a fresh model) counted 28 424 calls over 88 executed
+#: plans, 323.0 per plan, on Python 3.11; this is that plus 5 %.  A ceiling, not an exact count, as
 #: for the halo: the threaded world's count moves about 1 % with the
 #: schedule.  Buffer facts read through properties, rank checks per lookup and
 #: a ``MessageCost`` built per priced message counted 675.1; the NIC's scalar
@@ -642,8 +651,12 @@ def test_the_commit_path_table_is_what_the_histogram_measures(summit_model):
 #: that read its accumulator's ``Buffer.data`` twice and viewed each folded
 #: chunk again, envelopes numbered by ``next``, pending buckets taken by
 #: ``setdefault``, each collective section built twice and selection through
-#: the ``block_length`` property counted 368.4.
-REPLAY_CEILING = 365.6
+#: the ``block_length`` property counted 368.4; a selection miss deciding
+#: through six probes of the model although the model had made that decision
+#: for an earlier world, and the scalar books of a wire message written
+#: through ``_LedgerRing.append``, ``_register_pending``, ``dict.get`` and
+#: ``pop``, counted 348.2.
+REPLAY_CEILING = 339.2
 
 
 def test_a_warm_replay_step_stays_under_its_ceiling(summit_model):
@@ -741,12 +754,15 @@ def test_a_compile_counts_its_calls(label, summit_model):
 #: flat ``NicTimeline.reserve`` (duplex, no path, no sink) and one
 #: lone-record ``ingest``, which counted 15 and 13 through ``dict.get``,
 #: ``max`` and NamedTuple constructors, and the reserve 9 while its pending
-#: record took its bucket by ``setdefault``; one ``MessageRouter.post`` to a
-#: rank that is not waiting, which counted 5 while it numbered each envelope
-#: by ``next``.
+#: record took its bucket by ``setdefault``, and 8 and 9 while the reserve
+#: wrote its ledger row and pending record through ``_LedgerRing.append`` and
+#: ``_register_pending`` and the ingest dropped its record by ``pop``; one
+#: ``MessageRouter.post`` to a rank that is not waiting, which counted 5 while
+#: it numbered each envelope by ``next``, and 4 while it probed the waiting
+#: ranks by ``dict.get``.
 SCALAR_CALLS = {
     "_message_time": 3, "same_node": 1, "nbytes and is_device": 0,
-    "NicTimeline.reserve": 8, "NicTimeline.ingest": 9, "MessageRouter.post": 4,
+    "NicTimeline.reserve": 6, "NicTimeline.ingest": 8, "MessageRouter.post": 3,
 }
 
 
@@ -802,13 +818,20 @@ def test_scalar_lookups_count_their_calls(label):
 
 #: Exact calls on Python 3.11 of one selection, counting the one call of the
 #: probe that makes it: a warm ``ModelSelector`` hit, the same hit through
-#: ``select_many``, a miss on a warm model memo, and ``choose_method`` on a
-#: warm model memo.  Through ``_memoize``, ``_note_memo`` and ``_charge``, a
-#: ``select_many`` of its own that ``cast`` its hit, and a ``choose_method``
-#: that priced the staged method too, they counted 8, 5, 27 and 16; reading
-#: the ``StridedBlock.block_length`` property instead of the packer's
-#: attribute, the first three counted 3, 3 and 13.
-SELECTION_CALLS = {"hit": 2, "select_many hit": 2, "miss, warm model": 12, "choose_method": 8}
+#: ``select_many``, a miss whose decision the model has made already,
+#: ``choose_method`` of a decision it has made (a decision-memo hit), and
+#: ``choose_method`` of a new decision on a warm probe memo.  Through
+#: ``_memoize``, ``_note_memo`` and ``_charge``, a ``select_many`` of its own
+#: that ``cast`` its hit, and a ``choose_method`` that priced the staged
+#: method too, the first four counted 8, 5, 27 and 16; reading the
+#: ``StridedBlock.block_length`` property instead of the packer's attribute,
+#: the first three counted 3, 3 and 13; before the model memoised its
+#: decisions, a miss asked ``_decide`` for six probes of the model (12), and
+#: ``choose_method`` made them again every time (8).
+SELECTION_CALLS = {
+    "hit": 2, "select_many hit": 2, "miss, warm model": 4, "choose_method": 2,
+    "choose_method, new decision": 8,
+}
 
 
 def _selection_calls(label: str, model) -> int:
@@ -818,12 +841,15 @@ def _selection_calls(label: str, model) -> int:
     block_length = packer.block.block_length
     selector, nbytes = comm._selector, packer.packed_size(8)
     selector(packer, nbytes)  # the selection memo holds ``nbytes``
-    model.choose_method(2 * nbytes, block_length)  # the model memo holds ``2 * nbytes``
+    model.choose_method(2 * nbytes, block_length)  # the model has decided ``2 * nbytes``
+    fresh = PerformanceModel(model.measurement)
+    fresh.estimate(2 * nbytes, block_length)  # its probe memo is warm, its decisions empty
     probe = {
         "hit": lambda: selector(packer, nbytes),
         "select_many hit": lambda: selector.select_many(packer, nbytes),
         "miss, warm model": lambda: selector(packer, 2 * nbytes),
         "choose_method": lambda: model.choose_method(2 * nbytes, block_length),
+        "choose_method, new decision": lambda: fresh.choose_method(2 * nbytes, block_length),
     }[label]
     books = dataclasses.asdict(comm.tempi.cache.stats), comm.stats.selection_memo_misses
     gc.collect()
@@ -837,7 +863,7 @@ def _selection_calls(label: str, model) -> int:
         gc.enable()
     stats = dataclasses.asdict(comm.tempi.cache.stats)
     missed = label == "miss, warm model"
-    if label != "choose_method":  # a selection wrote its books
+    if not label.startswith("choose_method"):  # a selection wrote its books
         assert stats["query_misses"] - books[0]["query_misses"] == missed
         assert stats["query_hits"] - books[0]["query_hits"] == (not missed)
         assert comm.stats.selection_memo_misses - books[1] == missed
@@ -891,12 +917,24 @@ def test_a_token_hand_off_is_one_release_and_one_acquire():
         assert calls[stages[0]] <= (HANDOFF_CALLS + 1) * blocks, (calls[stages[0]], blocks)
 
 
-def test_wire_stage_rows_sum_to_the_printed_total(summit_model, capsys):
+def _census_table() -> str:
+    """The table between ``docs/ARCHITECTURE.md``'s census markers."""
+    text = (MEASURE.parents[2] / "docs" / "ARCHITECTURE.md").read_text()
+    begin = "<!-- census: python tools/call_histogram.py --workload replay --stages --markdown -->\n"
+    return text[text.index(begin) + len(begin):text.index("<!-- /census -->")].strip()
+
+
+def test_wire_stage_rows_sum_to_the_printed_total(monkeypatch, capsys):
+    """One census run, as ``--workload replay --stages`` makes it: its rows
+    sum to the printed total, and on Python 3.11 its Markdown is the table
+    in ``docs/ARCHITECTURE.md`` § "Scalar message path"."""
     histogram = _load(TOOLS / "call_histogram.py", "_call_histogram")
-    workload = _load(E2E / "workloads.py", "_e2e_workloads").MlReplay(summit_model, seed=1)
-    workload.block(workload.warmup_rounds)
+    monkeypatch.syspath_prepend(str(E2E))  # ``warm_workload`` imports the benchmark's workloads
+    workload = histogram.warm_workload("replay")
+    rounds = workload.counted_rounds
+    census = histogram.wire_census(workload, rounds)
     capsys.readouterr()
-    histogram.print_wire_stages(workload, 1)
+    histogram.print_wire_stages(rounds, *census)
     lines = capsys.readouterr().out.splitlines()
     # Each row: calls/plan, entries/plan and calls/entry in fixed columns, then the stage.
     rows = {line[40:]: float(line[:11]) for line in lines[2:]}
@@ -911,6 +949,10 @@ def test_wire_stage_rows_sum_to_the_printed_total(summit_model, capsys):
     )
     assert all(rows[stage] > 0 for stage in stages)
     assert workload.failed_ops == 0
+    if sys.version_info[:2] == (3, 11):
+        assert histogram.wire_markdown(*census) == _census_table(), (
+            "regenerate the table: python tools/call_histogram.py --workload replay --stages --markdown"
+        )
 
 
 def test_callers_prints_who_calls_a_function(monkeypatch, capsys):

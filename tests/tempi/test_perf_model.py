@@ -161,3 +161,29 @@ class TestMemoisation:
 
     def test_hit_rate_zero_before_queries(self, summit_measurement):
         assert PerformanceModel(summit_measurement).hit_rate == 0.0
+
+
+class TestDecisionMemo:
+    """``choose_method`` remembers each ``(nbytes, block_length)`` decision."""
+
+    def test_first_and_repeated_choices_are_the_estimates_best(self, summit_measurement):
+        """Every measured grid point, and sizes past the sweep (extrapolated)."""
+        model = PerformanceModel(summit_measurement)
+        largest = summit_measurement.sizes[-1]
+        sizes = list(summit_measurement.sizes) + [2 * largest, 16 * largest, 5 * largest + 3]
+        grid = [(n, b) for n in sizes for b in summit_measurement.block_lengths]
+        expected = [model.estimate(n, b).best() for n, b in grid]
+        assert [model.choose_method(n, b) for n, b in grid] == expected
+        queries, hits = model.queries, model.cache_hits
+        assert [model.choose_method(n, b) for n, b in grid] == expected
+        # A repeat is one query answered from the memo, and prices nothing.
+        assert (model.queries - queries, model.cache_hits - hits) == (len(grid), len(grid))
+        assert len(set(expected)) == 2
+
+    @pytest.mark.parametrize("nbytes, block_length", [(0, 8), (-4, 8), (KIB, 0), (KIB, -1)])
+    def test_a_bad_query_raises_and_is_never_remembered(self, summit_measurement, nbytes, block_length):
+        model = PerformanceModel(summit_measurement)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                model.choose_method(nbytes, block_length)
+        assert model._decisions == {} and model.cache_hits == 0

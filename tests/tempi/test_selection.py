@@ -20,6 +20,7 @@ from repro.tempi.config import MODEL_CACHED_QUERY_S, MODEL_QUERY_S, PackMethod, 
 from repro.tempi.interposer import Tempi, interpose
 from repro.tempi.measurement import measure_system
 from repro.tempi.packer import Packer
+from repro.tempi.perf_model import PerformanceModel
 from repro.tempi.selection import (
     NOOP_METHOD,
     ContendedSelector,
@@ -86,30 +87,54 @@ class TestModelSelector:
         assert clock.now - cold == pytest.approx(MODEL_CACHED_QUERY_S)
 
     def _asked(self, model, monkeypatch) -> list:
-        """The ``(nbytes, block_length)`` of every question put to ``model``."""
+        """The ``(nbytes, block_length)`` of every question put to ``model``'s
+        ``choose_method`` (a miss reads the model's decision memo first)."""
         asked, choose = [], model.choose_method
         monkeypatch.setattr(model, "choose_method", lambda *query: asked.append(query) or choose(*query))
         return asked
 
-    def test_a_memo_hit_asks_the_model_nothing(self, summit_model, monkeypatch):
+    def test_a_memo_hit_asks_the_model_nothing(self, summit_measurement, monkeypatch):
+        model = PerformanceModel(summit_measurement)  # no decision made yet
         cache = ResourceCache(CudaRuntime(cost_model=FREE_GPU))
-        selector = ModelSelector(summit_model, cache=cache)
-        asked = self._asked(summit_model, monkeypatch)
+        selector = ModelSelector(model, cache=cache)
+        asked = self._asked(model, monkeypatch)
         first = selector(packer_for(8), KIB)
+        queries = model.queries
         assert selector(packer_for(8), KIB) is first
-        assert asked == [(KIB, 8)]
+        assert asked == [(KIB, 8)] and model.queries == queries
         assert (cache.stats.query_hits, cache.stats.query_misses) == (1, 1)
 
-    def test_a_disabled_cache_asks_the_model_every_time(self, summit_model, monkeypatch):
+    def test_a_disabled_cache_asks_the_model_every_time(self, summit_measurement, monkeypatch):
+        model = PerformanceModel(summit_measurement)
         cache = ResourceCache(CudaRuntime(cost_model=FREE_GPU), enabled=False)
         clock = VirtualClock()
-        selector = ModelSelector(summit_model, cache=cache, clock=clock)
-        asked = self._asked(summit_model, monkeypatch)
-        assert selector(packer_for(8), KIB) is selector(packer_for(8), KIB)
-        assert asked == [(KIB, 8)] * 2
+        selector = ModelSelector(model, cache=cache, clock=clock)
+        asked = self._asked(model, monkeypatch)
+        first = selector(packer_for(8), KIB)
+        queries, hits = model.queries, model.cache_hits
+        assert selector(packer_for(8), KIB) is first
+        # Asked again, and answered from the decision it made the first time.
+        assert asked == [(KIB, 8)]
+        assert (model.queries - queries, model.cache_hits - hits) == (1, 1)
         assert (cache.stats.query_hits, cache.stats.query_misses) == (0, 2)
         assert clock.now == MODEL_QUERY_S + MODEL_QUERY_S  # cold both times
         assert len(cache) == 0
+
+    def test_a_fresh_world_takes_a_decision_the_model_made(self, summit_measurement, monkeypatch):
+        """Two worlds share one model: the second world's selection misses its
+        own memo and books and charges that miss, but the model decides once."""
+        model = PerformanceModel(summit_measurement)
+        asked = self._asked(model, monkeypatch)
+        methods, books = [], []
+        for _ in range(2):
+            cache, clock = ResourceCache(CudaRuntime(cost_model=FREE_GPU)), VirtualClock()
+            stats = interposer.InterposerStats()
+            selector = ModelSelector(model, cache=cache, clock=clock, stats=stats)
+            methods.append(selector(packer_for(8), 64 * KIB))
+            books.append((cache.stats.query_misses, stats.selection_memo_misses, clock.now))
+        assert methods[0] is methods[1] is model.estimate(64 * KIB, 8).best()
+        assert books == [(1, 1, MODEL_QUERY_S)] * 2
+        assert asked == [(64 * KIB, 8)]
 
     def test_lazy_model_provider(self, summit_model):
         calls = []

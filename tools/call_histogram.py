@@ -3,6 +3,7 @@
     python tools/call_histogram.py --workload halo|replay|pack [--top N]
     python tools/call_histogram.py --workload halo|replay|pack --callers NAME
     python tools/call_histogram.py --workload pack|replay --stages
+    python tools/call_histogram.py --workload replay --stages --markdown
 
 Runs the benchmark's own ``halo_world`` / ``ml_replay`` / ``datatype_pack``
 workload (``benchmarks/e2e/workloads.py``, read only) warm, then six more
@@ -43,12 +44,17 @@ selection, the collective compile (``_compile_collective``), the allreduce
 compile (``_compile_allreduce``), the point-to-point compile
 (``compile_send``/``compile_recv``), ``Type_commit`` — and other for the
 remainder (the step's ``World``, its threads, the replay app).
+``--markdown`` prints that table as the Markdown ``docs/ARCHITECTURE.md``
+carries between its census markers; a tier-1 test holds the two equal.
+The collector is off while a census runs, so the count does not depend on
+when a collection falls.
 """
 
 from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import pstats
 import sys
 import threading
@@ -185,6 +191,8 @@ def census(block, rounds: int, codes: dict, stages: tuple) -> tuple[object, Coun
         elif event == "return" and frame is stack[-1][1]:
             stack.pop()
 
+    gc.collect()
+    gc.disable()
     threading.setprofile(hook)
     sys.setprofile(hook)
     try:
@@ -192,6 +200,7 @@ def census(block, rounds: int, codes: dict, stages: tuple) -> tuple[object, Coun
     finally:
         sys.setprofile(None)
         threading.setprofile(None)
+        gc.enable()
     calls, entries = Counter(dict.fromkeys(stages, 0)), Counter()  # a stage may make no call
     for thread_calls, thread_entries in tallies:
         calls.update(thread_calls)
@@ -216,9 +225,26 @@ def print_stages(workload, rounds: int) -> None:
     print(f"{sum(calls.values()) / rounds:12.1f}  = round")
 
 
-def print_wire_stages(workload, rounds: int) -> None:
-    """Per plan and per entry, the calls of ``rounds`` warm replay steps by wire stage."""
-    plans, calls, entries = census(workload.block, rounds, wire_stage_codes(), WIRE_STAGES)
+def wire_census(workload, rounds: int) -> tuple[int, Counter, Counter]:
+    """Plans, and calls and entries by wire stage, of ``rounds`` warm replay steps."""
+    return census(workload.block, rounds, wire_stage_codes(), WIRE_STAGES)
+
+
+def wire_markdown(plans: int, calls: Counter, entries: Counter) -> str:
+    """The ``--markdown`` table of a :func:`wire_census`."""
+    lines = ["| stage | entries/plan | calls/entry | calls/plan |", "|---|---|---|---|"]
+    for stage in WIRE_STAGES:
+        if entries[stage]:
+            lines.append(f"| {stage} | {entries[stage] / plans:.2f} | "
+                         f"{calls[stage] / entries[stage]:.1f} | {calls[stage] / plans:.1f} |")
+        else:
+            lines.append(f"| {stage} | | | {calls[stage] / plans:.1f} |")
+    lines.append(f"| **plan** | | | **{sum(calls.values()) / plans:.1f}** |")
+    return "\n".join(lines)
+
+
+def print_wire_stages(rounds: int, plans: int, calls: Counter, entries: Counter) -> None:
+    """Per plan and per entry, a :func:`wire_census` of ``rounds`` warm replay steps."""
     print(f"replay: calls by stage, {rounds} warm steps, {plans} plans, every thread")
     print(f"{'calls/plan':>11} {'entries/plan':>13} {'calls/entry':>12}  stage")
     for stage in WIRE_STAGES:
@@ -244,6 +270,19 @@ def print_callers(stats: pstats.Stats, ops: int, name: str) -> None:
             print(f"{counts[0] / ops:10.3f}    <- {Path(caller_path).name}:{caller_line}({caller})")
 
 
+def warm_workload(name: str):
+    """The benchmark's ``halo``/``replay``/``pack`` workload at seed 1, warmed up."""
+    import workloads
+    from repro.tempi import measurement
+    from repro.tempi.perf_model import PerformanceModel
+    cls = {
+        "halo": workloads.HaloWorld, "replay": workloads.MlReplay, "pack": workloads.DatatypePack,
+    }[name]
+    workload = cls(PerformanceModel(measurement.measure_system()), seed=1)
+    workload.block(cls.warmup_rounds)
+    return workload
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", choices=("halo", "replay", "pack"), required=True)
@@ -252,23 +291,26 @@ def main(argv: list[str] | None = None) -> int:
                         help="calls by commit stage (pack) or wire stage (replay)")
     parser.add_argument("--callers", metavar="NAME",
                         help="callers per op of each function whose name contains NAME")
+    parser.add_argument("--markdown", action="store_true",
+                        help="with --workload replay --stages: the table as Markdown")
     args = parser.parse_args(argv)
     if args.stages and args.workload == "halo":
         parser.error("--stages needs --workload pack or replay")
     if args.stages and args.callers:
         parser.error("--stages and --callers print different tables; pick one")
-    import workloads
-    from repro.tempi import measurement
-    from repro.tempi.perf_model import PerformanceModel
-    cls = {
-        "halo": workloads.HaloWorld, "replay": workloads.MlReplay, "pack": workloads.DatatypePack,
-    }[args.workload]
-    workload = cls(PerformanceModel(measurement.measure_system()), seed=1)
-    workload.block(cls.warmup_rounds)
+    if args.markdown and not (args.stages and args.workload == "replay"):
+        parser.error("--markdown needs --workload replay --stages")
+    workload = warm_workload(args.workload)
+    rounds = workload.counted_rounds
+    if args.stages and args.workload == "pack":
+        print_stages(workload, rounds)
+    elif args.stages:
+        census = wire_census(workload, rounds)
+        if args.markdown:
+            print(wire_markdown(*census))
+        else:
+            print_wire_stages(rounds, *census)
     if args.stages:
-        (print_stages if args.workload == "pack" else print_wire_stages)(
-            workload, cls.counted_rounds
-        )
         return 1 if workload.failed_ops else 0
     ops, stats = profile_threads(lambda: workload.block(6))
     if args.callers:
@@ -283,7 +325,7 @@ def main(argv: list[str] | None = None) -> int:
     for calls, self_us, file, _ in functions:
         calls_in[file] += calls
         us_in[file] += self_us
-    print(f"{args.workload}: {ops} ops ({cls.op}), {sum(calls_in.values()):.1f} calls and "
+    print(f"{args.workload}: {ops} ops ({workload.op}), {sum(calls_in.values()):.1f} calls and "
           f"{sum(us_in.values()):.1f} profiled self-us per op")
     print(f"{'calls/op':>10} {'self-us/op':>12}  file, then function")
     for file, calls in calls_in.most_common():
