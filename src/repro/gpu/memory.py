@@ -161,7 +161,8 @@ class MemoryPool:
     def acquire(self, nbytes: int, kind: MemoryKind) -> Optional[Buffer]:
         """Return a cached buffer of at least ``nbytes`` of ``kind``, or None."""
         # The bucket: the next power of two, 1 for 0 and 1 bytes.
-        stack = self._free.get((kind, 1 << (nbytes - 1).bit_length() if nbytes > 1 else 1))
+        free, key = self._free, (kind, 1 << (nbytes - 1).bit_length() if nbytes > 1 else 1)
+        stack = free[key] if key in free else None
         if stack:
             # Newest first.  Callers allocate exactly what they asked for on
             # a miss, so a bucket also holds buffers smaller than this

@@ -533,9 +533,8 @@ _LEDGER_DTYPE = np.dtype(
 class _LedgerRing:
     """A fixed-capacity numpy struct-array ring of link reservations.
 
-    A row write overwrites the oldest slot in O(1) (one per reservation in
-    :meth:`NicTimeline._reserve_one`, a block in :meth:`extend`); queries
-    run vectorised over the resident window.  Peak residency is therefore ``capacity`` structs,
+    Appends overwrite the oldest slot in O(1); queries run vectorised over
+    the resident window.  Peak residency is therefore ``capacity`` structs,
     however many messages the simulation posts — the compact replacement for
     the old per-message ``deque`` of frozen dataclasses.
     """
@@ -546,13 +545,20 @@ class _LedgerRing:
         self._next = 0
         self._count = 0
 
+    def append(self, source: int, dest: int, start: float, arrival: float, nbytes: int) -> None:
+        """Write one reservation, overwriting the oldest beyond capacity."""
+        self._rows[self._next] = (source, dest, start, arrival, nbytes)
+        nxt = self._next + 1
+        self._next = 0 if nxt == self.capacity else nxt
+        if self._count < self.capacity:
+            self._count += 1
+
     def extend(self, rows: np.ndarray) -> None:
-        """Write a block of reservations, exactly as one row at a time.
+        """Write a block of reservations, exactly as repeated :meth:`append`.
 
         ``rows`` is a struct array of :data:`_LEDGER_DTYPE`; the ring ends in
-        the same state (contents, cursor and count) as writing the rows one
-        by one the way :meth:`NicTimeline._reserve_one` writes its row, but
-        the writes land as at most two numpy slice assignments.
+        the same state (contents, cursor and count) as appending the rows one
+        by one, but the writes land as at most two numpy slice assignments.
         """
         total = len(rows)
         if total == 0:
@@ -777,28 +783,13 @@ class NicTimeline:
             self.stalls += 1
             self.stalled_s += stalled
         if self.ledger_limit:
-            # One row of the struct-array ring, overwriting the oldest.
-            ring = self._ledger
-            row = ring._next
-            ring._rows[row] = (source, dest, start, arrival, nbytes)
-            ring._next = 0 if row + 1 == ring.capacity else row + 1
-            if ring._count < ring.capacity:
-                ring._count += 1
+            # The struct-array ring overwrites the oldest row in O(1).
+            self._ledger.append(source, dest, start, arrival, nbytes)
         if ingest and wire_s > 0 and self.pending_limit:
-            record = tuple.__new__(IngestRecord, (start, source, seq, wire_s, arrival, ingest_rail))
-            pending = self._pending
-            bucket = pending[dest] if dest in pending else None
-            if self._block is None and bucket is not None and len(bucket) < self.pending_limit:
-                # :meth:`_register_pending` where nothing is settled, created
-                # or evicted.
-                key = (start, source, seq)
-                if key not in bucket:
-                    self._pending_total += 1
-                    if self._pending_total > self.peak_pending:
-                        self.peak_pending = self._pending_total
-                bucket[key] = record
-            else:
-                self._register_pending(dest, record)
+            self._register_pending(
+                dest,
+                tuple.__new__(IngestRecord, (start, source, seq, wire_s, arrival, ingest_rail)),
+            )
         reservation = tuple.__new__(NicReservation, (start, arrival, stalled, wire_s, seq))
         sink = self.sink
         if sink is not None:
@@ -1159,7 +1150,7 @@ class NicTimeline:
             ]
             for key in stale:
                 del pending[key]
-            self._pending_total -= len(stale)
+                self._pending_total -= 1
         sink = self.sink
         if sink is not None:
             rails = sorted({record[5] for record in records if record[5] is not None})

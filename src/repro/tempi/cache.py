@@ -98,7 +98,8 @@ class ResourceCache:
         A buffer too small (or of the wrong kind) for its key is replaced
         through the pool, which charges the allocation latency.
         """
-        cached = self._persistent.get(key) if self.enabled else None
+        persistent = self._persistent
+        cached = persistent[key] if self.enabled and key in persistent else None
         if cached is not None and cached.nbytes >= nbytes and cached.kind is kind:
             self.stats.persistent_hits += 1
             return cached

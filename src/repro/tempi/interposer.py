@@ -522,7 +522,8 @@ class TempiCommunicator:
             else:
                 stats.recvs += 1
             name = method._value_  # ``.value`` without the descriptor's two Python calls
-            stats.method_counts[name] = stats.method_counts.get(name, 0) + 1
+            counts = stats.method_counts
+            counts[name] = counts[name] + 1 if name in counts else 1
             handler.uses += 1
             if method is not bound_method:
                 bound_method = method

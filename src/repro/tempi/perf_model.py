@@ -77,7 +77,7 @@ class PerformanceModel:
         #: ``(nbytes, block_length) -> PackMethod``: :meth:`choose_method`'s
         #: answers.  The choice is a pure function of its key on a fixed model,
         #: and the model outlives the worlds that share it, so a decision is
-        #: made once per process; ``ModelSelector`` probes this dict directly.
+        #: made once per process.  Only :meth:`choose_method` reads or writes it.
         self._decisions: Dict[Tuple[int, int], PackMethod] = {}
         self.queries = 0
         self.cache_hits = 0

@@ -317,8 +317,10 @@ class ModelSelector:
     ) -> tuple[PackMethod, bool]:
         """Decide without the memo (``config.selection_memo`` off, or no cache).
 
-        The value is recomputed on every call, but the *charge schedule* is
-        the memo's: the resource cache still remembers which keys were
+        The selector retains nothing and asks the model on every call (the
+        model may answer from its own decision memo, which no knob turns
+        off: the choice is a pure function of its key), but the *charge
+        schedule* is the memo's: the resource cache still remembers which keys were
         queried (:meth:`ResourceCache.note_query`), so a repeated query is
         priced at the cached-query cost either way and the knob can never
         move a priced result.
@@ -343,10 +345,10 @@ class ModelSelector:
         decides hit or miss, and the books are written inline: the cache's
         query hit or miss, the memo note on the stats, and the cached (~277
         ns, as the paper measures) or cold query charge on the clock.  A miss
-        takes the model's answer from its decision memo, and asks
-        :meth:`~repro.tempi.perf_model.PerformanceModel.choose_method` only
-        for a decision the model has not made yet; the charge is the cold
-        one either way.  A restart selects through this same call
+        asks :meth:`~repro.tempi.perf_model.PerformanceModel.choose_method`,
+        which answers a decision the model has made before (for this world or
+        an earlier one sharing the model) from its decision memo; the charge
+        is the cold one either way.  A restart selects through this same call
         (:attr:`select_many`).
         """
         if nbytes <= 0:
@@ -369,13 +371,7 @@ class ModelSelector:
                 clock._events += 1
             return stored
         cache.stats.query_misses += 1
-        model, pair = self.model, (nbytes, block_length)
-        if pair in model._decisions:
-            model.queries += 1
-            model.cache_hits += 1
-            method = model._decisions[pair]
-        else:
-            method = model.choose_method(nbytes, block_length)
+        method = self.model.choose_method(nbytes, block_length)
         if cache.enabled:
             queries[key] = method
         if stats is not None:

@@ -48,15 +48,14 @@ growing back:
   slots, a rank is checked inline, and a flat-world wire price builds no
   ``MessageCost``; so do one warm flat ``NicTimeline.reserve`` and one
   lone-record ``ingest``: a cursor or pending bucket is probed with ``in``,
-  a clamp is a comparison, a record is built by one ``tuple.__new__``, and
-  the reserve writes its ledger row and pending record inline; and so does
-  one ``MessageRouter.post``, which numbers no envelope and probes the
+  a clamp is a comparison, and a record is built by one ``tuple.__new__``;
+  and so does one ``MessageRouter.post``, which numbers no envelope and probes the
   waiting ranks with ``in``;
 * one selection counts exactly: a memo hit reads the packer's
   ``block_length`` attribute and makes one probe of the resource cache's
   query memo with its books written inline, ``select_many`` is the
-  same call, a miss reads the model's decision memo, and ``choose_method``
-  answers a repeat from that memo and prices a new decision from only the
+  same call, a miss asks ``choose_method``, and ``choose_method``
+  answers a repeat from the model's decision memo and prices a new decision from only the
   two methods it compares;
 * one run-token hand-off is one baton release and one baton acquire: an
   exact number of calls per ``MessageRouter.block`` entry;
@@ -94,16 +93,17 @@ from repro.tempi.perf_model import PerformanceModel
 
 MEASURE = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e" / "measure.py"
 RANKS = 8
-#: Calls per message of the warm rounds below, 120.1 on Python 3.11, plus 5 %.
+#: Calls per message of the warm rounds below, 116.4 on Python 3.11, plus 5 %.
 #: With a NIC wire message booked and ingested through ``dict.get``, ``max``
 #: and NamedTuple constructors, and posted through two helpers, they ran 150.1;
 #: with the staging pool's bucket through ``_bucket`` and a stream's start
 #: clamped by ``max``, 136.0; with every envelope numbered by ``next`` at its
 #: post and every pending record's bucket taken by ``setdefault``, 128.0;
-#: with a ledger row and a pending record written through helper calls, a
-#: router post probing its waiters by ``dict.get``, an ingest dropping each
-#: record by ``pop`` and a receive taking its envelope by ``pop``, 124.6.
-CEILING = 126.1
+#: with a router post probing its waiters, the staging pool its bucket and a
+#: persistent buffer its key by ``dict.get``, an ingest
+#: dropping each record by ``pop`` and counting its stale prune by ``len``,
+#: and a receive taking its envelope by ``pop``, 124.2.
+CEILING = 122.3
 #: Calls per message of :func:`_one_shot_rounds` at PR 21's parent (07d8f20),
 #: Python 3.11: 137 624 calls over 3 rounds x 8 ranks x 26 messages.
 ONE_SHOT_PARENT = 137_624 / 624
@@ -634,10 +634,11 @@ def test_the_commit_path_table_is_what_the_histogram_measures(summit_model):
 # --------------------------------------------------------------------------- #
 
 #: ``ml_replay``'s first counted step (seed 1, after the benchmark's two
-#: warm-up steps, on a fresh model) counted 28 424 calls over 88 executed
-#: plans, 323.0 per plan, on Python 3.11; this is that plus 5 %.  A ceiling, not an exact count, as
-#: for the halo: the threaded world's count moves about 1 % with the
-#: schedule.  Buffer facts read through properties, rank checks per lookup and
+#: warm-up steps, on a fresh model) counted 28 627 calls over 88 executed
+#: plans, 325.3 per plan, on Python 3.11; this is that plus 5 %.  The run
+#: token fixes the threaded world's schedule, so on one interpreter the count
+#: repeats exactly run to run; a ceiling, not an exact count, as for the
+#: halo, leaves room for other interpreters.  Buffer facts read through properties, rank checks per lookup and
 #: a ``MessageCost`` built per priced message counted 675.1; the NIC's scalar
 #: rules through ``dict.get``, ``max`` and NamedTuple constructors, and an
 #: allreduce pricing every round's chunk again, counted 547.9; a
@@ -653,10 +654,10 @@ def test_the_commit_path_table_is_what_the_histogram_measures(summit_model):
 #: ``setdefault``, each collective section built twice and selection through
 #: the ``block_length`` property counted 368.4; a selection miss deciding
 #: through six probes of the model although the model had made that decision
-#: for an earlier world, and the scalar books of a wire message written
-#: through ``_LedgerRing.append``, ``_register_pending``, ``dict.get`` and
-#: ``pop``, counted 348.2.
-REPLAY_CEILING = 339.2
+#: for an earlier world, a wire message's cursors read by ``dict.get`` and
+#: its ingested record dropped by ``pop``, and the staging pool, persistent
+#: buffers and method counts read by ``dict.get``, counted 348.2.
+REPLAY_CEILING = 341.6
 
 
 def test_a_warm_replay_step_stays_under_its_ceiling(summit_model):
@@ -754,15 +755,15 @@ def test_a_compile_counts_its_calls(label, summit_model):
 #: flat ``NicTimeline.reserve`` (duplex, no path, no sink) and one
 #: lone-record ``ingest``, which counted 15 and 13 through ``dict.get``,
 #: ``max`` and NamedTuple constructors, and the reserve 9 while its pending
-#: record took its bucket by ``setdefault``, and 8 and 9 while the reserve
-#: wrote its ledger row and pending record through ``_LedgerRing.append`` and
-#: ``_register_pending`` and the ingest dropped its record by ``pop``; one
+#: record took its bucket by ``setdefault``, and the ingest 9 while it
+#: dropped its record by ``pop`` and 8 while it counted its stale prune by
+#: ``len``; one
 #: ``MessageRouter.post`` to a rank that is not waiting, which counted 5 while
 #: it numbered each envelope by ``next``, and 4 while it probed the waiting
 #: ranks by ``dict.get``.
 SCALAR_CALLS = {
     "_message_time": 3, "same_node": 1, "nbytes and is_device": 0,
-    "NicTimeline.reserve": 6, "NicTimeline.ingest": 8, "MessageRouter.post": 3,
+    "NicTimeline.reserve": 8, "NicTimeline.ingest": 7, "MessageRouter.post": 3,
 }
 
 
@@ -827,9 +828,10 @@ def test_scalar_lookups_count_their_calls(label):
 #: ``StridedBlock.block_length`` property instead of the packer's attribute,
 #: the first three counted 3, 3 and 13; before the model memoised its
 #: decisions, a miss asked ``_decide`` for six probes of the model (12), and
-#: ``choose_method`` made them again every time (8).
+#: ``choose_method`` made them again every time (8).  A miss is now the
+#: selector's books plus one ``choose_method`` decision-memo hit (2).
 SELECTION_CALLS = {
-    "hit": 2, "select_many hit": 2, "miss, warm model": 4, "choose_method": 2,
+    "hit": 2, "select_many hit": 2, "miss, warm model": 5, "choose_method": 2,
     "choose_method, new decision": 8,
 }
 

@@ -43,15 +43,6 @@ from repro.tempi.config import TempiConfig
 from repro.tempi.interposer import interpose
 
 
-def _ring_append(ring, source: int, dest: int, start: float, arrival: float, nbytes: int) -> None:
-    """The parent's ``_LedgerRing.append`` (verbatim body): one row, overwriting the oldest."""
-    ring._rows[ring._next] = (source, dest, start, arrival, nbytes)
-    nxt = ring._next + 1
-    ring._next = 0 if nxt == ring.capacity else nxt
-    if ring._count < ring.capacity:
-        ring._count += 1
-
-
 class ParentNic(NicTimeline):
     """The timeline with the parent commit's scalar rules (verbatim copies)."""
 
@@ -105,7 +96,7 @@ class ParentNic(NicTimeline):
             self.stalled_s += stalled
         if self.ledger_limit:
             # The struct-array ring overwrites the oldest row in O(1).
-            _ring_append(self._ledger, source, dest, start, arrival, int(nbytes))
+            self._ledger.append(source, dest, start, arrival, int(nbytes))
         if ingest and wire_s > 0 and self.pending_limit:
             self._register_pending(
                 dest,

@@ -87,8 +87,7 @@ class TestModelSelector:
         assert clock.now - cold == pytest.approx(MODEL_CACHED_QUERY_S)
 
     def _asked(self, model, monkeypatch) -> list:
-        """The ``(nbytes, block_length)`` of every question put to ``model``'s
-        ``choose_method`` (a miss reads the model's decision memo first)."""
+        """The ``(nbytes, block_length)`` of every question put to ``model``."""
         asked, choose = [], model.choose_method
         monkeypatch.setattr(model, "choose_method", lambda *query: asked.append(query) or choose(*query))
         return asked
@@ -114,7 +113,7 @@ class TestModelSelector:
         queries, hits = model.queries, model.cache_hits
         assert selector(packer_for(8), KIB) is first
         # Asked again, and answered from the decision it made the first time.
-        assert asked == [(KIB, 8)]
+        assert asked == [(KIB, 8)] * 2
         assert (model.queries - queries, model.cache_hits - hits) == (1, 1)
         assert (cache.stats.query_hits, cache.stats.query_misses) == (0, 2)
         assert clock.now == MODEL_QUERY_S + MODEL_QUERY_S  # cold both times
@@ -122,7 +121,8 @@ class TestModelSelector:
 
     def test_a_fresh_world_takes_a_decision_the_model_made(self, summit_measurement, monkeypatch):
         """Two worlds share one model: the second world's selection misses its
-        own memo and books and charges that miss, but the model decides once."""
+        own memo, books and charges that miss and asks the model, which
+        answers from its decision memo (one query, one hit, no probe)."""
         model = PerformanceModel(summit_measurement)
         asked = self._asked(model, monkeypatch)
         methods, books = [], []
@@ -130,11 +130,13 @@ class TestModelSelector:
             cache, clock = ResourceCache(CudaRuntime(cost_model=FREE_GPU)), VirtualClock()
             stats = interposer.InterposerStats()
             selector = ModelSelector(model, cache=cache, clock=clock, stats=stats)
+            queries, hits = model.queries, model.cache_hits
             methods.append(selector(packer_for(8), 64 * KIB))
             books.append((cache.stats.query_misses, stats.selection_memo_misses, clock.now))
+        assert (model.queries - queries, model.cache_hits - hits) == (1, 1)
+        assert asked == [(64 * KIB, 8)] * 2
         assert methods[0] is methods[1] is model.estimate(64 * KIB, 8).best()
         assert books == [(1, 1, MODEL_QUERY_S)] * 2
-        assert asked == [(64 * KIB, 8)]
 
     def test_lazy_model_provider(self, summit_model):
         calls = []
