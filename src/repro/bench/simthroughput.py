@@ -90,9 +90,7 @@ FULL_RANKS = (256, 512, 1024, 2048, 4096, 8192)
 #: the smaller points already establish, so the sweep records ``None``.
 EAGER_MAX_RANKS = 2048
 
-#: The pre-fast-path control plane: recompile and reselect every round.  A
-#: reselection asks the model again; the model answers a contention-free
-#: choice it has made before from its decision memo, which no knob turns off.
+#: The pre-fast-path control plane: recompile and reselect every round.
 EAGER_CONFIG = TempiConfig(plan_cache=False, selection_memo=False)
 #: The fast path: plan-template cache plus retained selection memo.
 CACHED_CONFIG = TempiConfig()

@@ -165,10 +165,9 @@ class TempiConfig:
     #: queries, including a bounded cache of quantized-backlog states for the
     #: contended selector.  Disabling changes only *where* results come from,
     #: never the charge schedule: a repeated query is priced at the cached
-    #: query cost whether or not the value is retained.  Off, the model-driven
-    #: selector asks the model every time, and the model may answer from its
-    #: own decision memo (``PerformanceModel.choose_method``), which this knob
-    #: does not reach: that choice is a pure function of its key.
+    #: query cost whether or not the value is retained.  Off, no value is
+    #: retained: the model-driven selector decides every query afresh
+    #: (``PerformanceModel.decide``), past the model's decision memo too.
     selection_memo: bool = True
     #: A sink for the NIC event stream (:data:`~repro.machine.nic.NicSink`):
     #: the interposer attaches it to the world's timeline, which then calls

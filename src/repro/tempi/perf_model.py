@@ -77,7 +77,8 @@ class PerformanceModel:
         #: ``(nbytes, block_length) -> PackMethod``: :meth:`choose_method`'s
         #: answers.  The choice is a pure function of its key on a fixed model,
         #: and the model outlives the worlds that share it, so a decision is
-        #: made once per process.  Only :meth:`choose_method` reads or writes it.
+        #: made once per process.  Only :meth:`choose_method` reads or writes
+        #: it; :meth:`decide` is the comparison without it.
         self._decisions: Dict[Tuple[int, int], PackMethod] = {}
         self.queries = 0
         self.cache_hits = 0
@@ -163,14 +164,11 @@ class PerformanceModel:
         return MethodEstimate(oneshot=oneshot, device=device, staged=staged)
 
     def choose_method(self, nbytes: int, block_length: int) -> PackMethod:
-        """The faster of one-shot and device for this object (Sec. 6.3).
+        """:meth:`decide`, memoised by ``(nbytes, block_length)``.
 
-        :meth:`estimate`'s ``best()``, summing only the two terms it compares
-        (in :meth:`estimate`'s term order, so every sum is bit-identical):
-        staged is never preferred, so it is not priced.  Memoised by
-        ``(nbytes, block_length)``: a repeat is one query and one hit, and a
-        first ask counts only its six probes.  An argument the probes reject
-        raises before anything is stored.
+        A repeat is one query and one hit; a first ask counts only
+        :meth:`decide`'s six probes.  An argument the probes reject raises
+        before anything is stored.
         """
         key = (nbytes, block_length)
         decisions = self._decisions
@@ -178,6 +176,17 @@ class PerformanceModel:
             self.queries += 1
             self.cache_hits += 1
             return decisions[key]
+        method = decisions[key] = self.decide(nbytes, block_length)
+        return method
+
+    def decide(self, nbytes: int, block_length: int) -> PackMethod:
+        """The faster of one-shot and device for this object (Sec. 6.3).
+
+        :meth:`estimate`'s ``best()``, summing only the two terms it compares
+        (in :meth:`estimate`'s term order, so every sum is bit-identical):
+        staged is never preferred, so it is not priced.  Nothing is
+        remembered: a selector whose memo is off decides here every time.
+        """
         pack, transfer = self.pack_time, self.transfer_time
         oneshot = (
             pack("oneshot", "pack", nbytes, block_length)
@@ -189,8 +198,7 @@ class PerformanceModel:
             + transfer("gpu_gpu", nbytes)
             + pack("device", "unpack", nbytes, block_length)
         )
-        method = decisions[key] = PackMethod.ONESHOT if oneshot <= device else PackMethod.DEVICE
-        return method
+        return PackMethod.ONESHOT if oneshot <= device else PackMethod.DEVICE
 
     # ------------------------------------------------------------- inspection
     @property

@@ -317,13 +317,13 @@ class ModelSelector:
     ) -> tuple[PackMethod, bool]:
         """Decide without the memo (``config.selection_memo`` off, or no cache).
 
-        The selector retains nothing and asks the model on every call (the
-        model may answer from its own decision memo, which no knob turns
-        off: the choice is a pure function of its key), but the *charge
-        schedule* is the memo's: the resource cache still remembers which keys were
-        queried (:meth:`ResourceCache.note_query`), so a repeated query is
-        priced at the cached-query cost either way and the knob can never
-        move a priced result.
+        The value is recomputed on every call (by
+        :meth:`~repro.tempi.perf_model.PerformanceModel.decide`, past the
+        model's decision memo), but the *charge schedule* is the memo's: the
+        resource cache still remembers which keys were queried
+        (:meth:`ResourceCache.note_query`), so a repeated query is priced at
+        the cached-query cost either way and the knob can never move a priced
+        result.
         """
         if self.cache is None:
             self._note_memo(False)
@@ -357,7 +357,7 @@ class ModelSelector:
         key = ("method", nbytes, block_length)
         cache = self.cache
         if cache is None or not self.config.selection_memo:
-            method, cached = self._memoize(key, lambda: self.model.choose_method(nbytes, block_length))
+            method, cached = self._memoize(key, lambda: self.model.decide(nbytes, block_length))
             self._charge(cached)
             return method
         queries, stats, clock = cache._queries, self.stats, self.clock

@@ -54,8 +54,8 @@ growing back:
 * one selection counts exactly: a memo hit reads the packer's
   ``block_length`` attribute and makes one probe of the resource cache's
   query memo with its books written inline, ``select_many`` is the
-  same call, a miss asks ``choose_method``, and ``choose_method``
-  answers a repeat from the model's decision memo and prices a new decision from only the
+  same call, a miss asks ``choose_method``, which answers a repeat from the
+  model's decision memo, and ``decide`` prices a new decision from only the
   two methods it compares;
 * one run-token hand-off is one baton release and one baton acquire: an
   exact number of calls per ``MessageRouter.block`` entry;
@@ -89,7 +89,6 @@ from repro.mpi.datatype import BYTE, FLOAT
 from repro.mpi.world import World
 from repro.tempi.config import TempiConfig
 from repro.tempi.interposer import TempiCommunicator, interpose
-from repro.tempi.perf_model import PerformanceModel
 
 MEASURE = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e" / "measure.py"
 RANKS = 8
@@ -821,18 +820,19 @@ def test_scalar_lookups_count_their_calls(label):
 #: probe that makes it: a warm ``ModelSelector`` hit, the same hit through
 #: ``select_many``, a miss whose decision the model has made already,
 #: ``choose_method`` of a decision it has made (a decision-memo hit), and
-#: ``choose_method`` of a new decision on a warm probe memo.  Through
+#: ``decide``, the comparison alone, on a warm probe memo (a new decision is
+#: ``choose_method``'s frame around it).  Through
 #: ``_memoize``, ``_note_memo`` and ``_charge``, a ``select_many`` of its own
 #: that ``cast`` its hit, and a ``choose_method`` that priced the staged
 #: method too, the first four counted 8, 5, 27 and 16; reading the
 #: ``StridedBlock.block_length`` property instead of the packer's attribute,
 #: the first three counted 3, 3 and 13; before the model memoised its
 #: decisions, a miss asked ``_decide`` for six probes of the model (12), and
-#: ``choose_method`` made them again every time (8).  A miss is now the
-#: selector's books plus one ``choose_method`` decision-memo hit (2).
+#: ``choose_method`` made them again every time (8, what ``decide`` counts
+#: now).  A miss is now the selector's books plus one ``choose_method``
+#: decision-memo hit (2).
 SELECTION_CALLS = {
-    "hit": 2, "select_many hit": 2, "miss, warm model": 5, "choose_method": 2,
-    "choose_method, new decision": 8,
+    "hit": 2, "select_many hit": 2, "miss, warm model": 5, "choose_method": 2, "decide": 8,
 }
 
 
@@ -844,14 +844,12 @@ def _selection_calls(label: str, model) -> int:
     selector, nbytes = comm._selector, packer.packed_size(8)
     selector(packer, nbytes)  # the selection memo holds ``nbytes``
     model.choose_method(2 * nbytes, block_length)  # the model has decided ``2 * nbytes``
-    fresh = PerformanceModel(model.measurement)
-    fresh.estimate(2 * nbytes, block_length)  # its probe memo is warm, its decisions empty
     probe = {
         "hit": lambda: selector(packer, nbytes),
         "select_many hit": lambda: selector.select_many(packer, nbytes),
         "miss, warm model": lambda: selector(packer, 2 * nbytes),
         "choose_method": lambda: model.choose_method(2 * nbytes, block_length),
-        "choose_method, new decision": lambda: fresh.choose_method(2 * nbytes, block_length),
+        "decide": lambda: model.decide(2 * nbytes, block_length),
     }[label]
     books = dataclasses.asdict(comm.tempi.cache.stats), comm.stats.selection_memo_misses
     gc.collect()
@@ -865,7 +863,7 @@ def _selection_calls(label: str, model) -> int:
         gc.enable()
     stats = dataclasses.asdict(comm.tempi.cache.stats)
     missed = label == "miss, warm model"
-    if not label.startswith("choose_method"):  # a selection wrote its books
+    if label not in ("choose_method", "decide"):  # a selection wrote its books
         assert stats["query_misses"] - books[0]["query_misses"] == missed
         assert stats["query_hits"] - books[0]["query_hits"] == (not missed)
         assert comm.stats.selection_memo_misses - books[1] == missed

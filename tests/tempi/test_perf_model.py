@@ -173,6 +173,7 @@ class TestDecisionMemo:
         sizes = list(summit_measurement.sizes) + [2 * largest, 16 * largest, 5 * largest + 3]
         grid = [(n, b) for n in sizes for b in summit_measurement.block_lengths]
         expected = [model.estimate(n, b).best() for n, b in grid]
+        assert [model.decide(n, b) for n, b in grid] == expected
         assert [model.choose_method(n, b) for n, b in grid] == expected
         queries, hits = model.queries, model.cache_hits
         assert [model.choose_method(n, b) for n, b in grid] == expected

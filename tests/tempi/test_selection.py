@@ -119,6 +119,21 @@ class TestModelSelector:
         assert clock.now == MODEL_QUERY_S + MODEL_QUERY_S  # cold both times
         assert len(cache) == 0
 
+    def test_a_selector_without_its_memo_decides_every_time(self, summit_measurement, monkeypatch):
+        """``selection_memo=False`` retains no value anywhere: each query is
+        decided afresh, past the model's decision memo, at the memo's charges."""
+        model = PerformanceModel(summit_measurement)
+        clock = VirtualClock()
+        selector = ModelSelector(
+            model, cache=ResourceCache(CudaRuntime(cost_model=FREE_GPU)), clock=clock,
+            config=TempiConfig(selection_memo=False),
+        )
+        asked, decide = [], model.decide
+        monkeypatch.setattr(model, "decide", lambda *query: asked.append(query) or decide(*query))
+        assert selector(packer_for(8), KIB) is selector(packer_for(8), KIB)
+        assert asked == [(KIB, 8)] * 2 and model._decisions == {}
+        assert clock.now == pytest.approx(MODEL_QUERY_S + MODEL_CACHED_QUERY_S)
+
     def test_a_fresh_world_takes_a_decision_the_model_made(self, summit_measurement, monkeypatch):
         """Two worlds share one model: the second world's selection misses its
         own memo, books and charges that miss and asks the model, which
