@@ -46,9 +46,14 @@ import time
 from pathlib import Path
 from typing import IO, Any, Optional, Sequence
 
-#: An interval that reaches closer to 1 than this is never a verdict: two
-#: processes of one tree have read up to 1.2 % apart (``datatype_pack``),
-#: and null intervals have reached 1.3 % past 1 (``ml_replay``, 40 pairs).
+#: An interval that reaches closer to 1 than this is never a verdict.  Null
+#: runs (one tree in both workers) on a 2-core shared VM read medians from
+#: 0.978 to 1.058; the worst interval, ``ml_replay`` over 40 pairs, was
+#: [1.013, 1.071], which a rule of "median past 1.5 % and an interval that
+#: excludes 1" called slower.  The 2 % margin was chosen after those runs.
+#: Four null runs of 60 pairs made after it was fixed (``ml_replay`` twice,
+#: ``halo_world``, ``datatype_pack``) read medians 1.000-1.025, with
+#: interval ends 0.981 and 1.053 at the widest, all unresolved.
 MARGIN = 0.02
 #: Two-sided level of the order-statistic interval.
 ALPHA = 0.05
