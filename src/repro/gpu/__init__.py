@@ -31,7 +31,6 @@ from repro.gpu.memory import (
     DeviceBuffer,
     HostBuffer,
     MemoryKind,
-    MemoryPool,
 )
 from repro.gpu.runtime import CudaRuntime, MemcpyKind
 from repro.gpu.stream import Stream
@@ -49,7 +48,6 @@ __all__ = [
     "HostBuffer",
     "MemcpyKind",
     "MemoryKind",
-    "MemoryPool",
     "Stream",
     "VirtualClock",
 ]

@@ -89,10 +89,6 @@ class Buffer:
         """True once the allocation (or its parent) has been freed."""
         return self._freed or self._parent is not None and self._parent._freed
 
-    def _check_alive(self) -> None:
-        if self._freed or self._parent is not None and self._parent._freed:
-            raise CudaBufferError("buffer used after free")
-
     # ------------------------------------------------------------------- views
     def view(self, offset: int = 0, nbytes: Optional[int] = None) -> "Buffer":
         """Return a sub-buffer aliasing ``[offset, offset + nbytes)``.
@@ -119,8 +115,7 @@ class Buffer:
     # ------------------------------------------------------------------ access
     def fill(self, value: int) -> None:
         """Set every byte to ``value`` (like ``cudaMemset``)."""
-        self._check_alive()
-        self._array[:] = value
+        self.data[:] = value
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         where = f"gpu{self.device.ordinal}" if self.device is not None else "host"
@@ -141,52 +136,3 @@ class HostBuffer(Buffer):
         if kind is MemoryKind.DEVICE:
             raise CudaInvalidValue("HostBuffer cannot have DEVICE kind")
         super().__init__(nbytes, kind, None, **kwargs)
-
-
-class MemoryPool:
-    """A size-bucketed free list of buffers.
-
-    TEMPI keeps a cache of intermediate device and pinned host buffers so
-    repeated sends of the same datatype do not pay ``cudaMalloc`` /
-    ``cudaHostAlloc`` latency every iteration (Sec. 5).  The pool rounds
-    requests up to the next power of two and reuses returned buffers of the
-    same bucket.
-    """
-
-    def __init__(self) -> None:
-        self._free: dict[tuple[MemoryKind, int], list[Buffer]] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def acquire(self, nbytes: int, kind: MemoryKind) -> Optional[Buffer]:
-        """Return a cached buffer of at least ``nbytes`` of ``kind``, or None."""
-        # The bucket: the next power of two, 1 for 0 and 1 bytes.
-        free, key = self._free, (kind, 1 << (nbytes - 1).bit_length() if nbytes > 1 else 1)
-        stack = free[key] if key in free else None
-        if stack:
-            # Newest first.  Callers allocate exactly what they asked for on
-            # a miss, so a bucket also holds buffers smaller than this
-            # request: those are skipped and stay pooled.  Negative indices
-            # and the raw array size keep this per-message path call-free.
-            index = -1
-            try:
-                while stack[index]._array.nbytes < nbytes:
-                    index -= 1
-            except IndexError:
-                pass
-            else:
-                self.hits += 1
-                return stack.pop(index)
-        self.misses += 1
-        return None
-
-    def release(self, buffer: Buffer) -> None:
-        """Return a buffer to the pool for reuse."""
-        if buffer._freed or buffer._parent is not None and buffer._parent._freed:
-            raise CudaBufferError("cannot pool a freed buffer")
-        nbytes = buffer._array.nbytes
-        bucket = 1 << (nbytes - 1).bit_length() if nbytes > 1 else 1
-        self._free.setdefault((buffer.kind, bucket), []).append(buffer)
-
-    def __len__(self) -> int:
-        return sum(len(v) for v in self._free.values())

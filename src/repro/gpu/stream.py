@@ -25,7 +25,8 @@ class Stream:
 
     def __init__(self, clock: VirtualClock, name: Optional[str] = None) -> None:
         self._clock = clock
-        self._ready_time = clock.now
+        #: Virtual time at which all currently enqueued work completes.
+        self.ready_time = clock.now
         self._destroyed = False
         self.handle = next(_stream_ids)
         self.name = name or f"stream-{self.handle}"
@@ -34,11 +35,6 @@ class Stream:
     def _check_alive(self) -> None:
         if self._destroyed:
             raise CudaStreamError(f"{self.name} used after destruction")
-
-    @property
-    def ready_time(self) -> float:
-        """Virtual time at which all currently enqueued work completes."""
-        return self._ready_time
 
     def enqueue(self, duration: float, host_overhead: float = 0.0) -> float:
         """Enqueue ``duration`` seconds of device work.
@@ -56,16 +52,16 @@ class Stream:
             self._clock.advance(host_overhead)
         # max(ready, now) without a call: on a tie the stream's time stands.
         now = self._clock.now
-        start = now if now > self._ready_time else self._ready_time
-        self._ready_time = start + duration
+        start = now if now > self.ready_time else self.ready_time
+        self.ready_time = start + duration
         self.operations += 1
-        return self._ready_time
+        return self.ready_time
 
     def synchronize(self, sync_overhead: float = 0.0) -> float:
         """Block the host until all enqueued work completes (``cudaStreamSynchronize``)."""
         if self._destroyed:
             self._check_alive()
-        self._clock.advance_to(self._ready_time)
+        self._clock.advance_to(self.ready_time)
         if sync_overhead:
             self._clock.advance(sync_overhead)
         return self._clock.now
@@ -75,4 +71,4 @@ class Stream:
         self._destroyed = True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Stream {self.name} ready_at={self._ready_time:.9f}>"
+        return f"<Stream {self.name} ready_at={self.ready_time:.9f}>"

@@ -413,7 +413,7 @@ class PostEvent(NamedTuple):
 
 
 class SeqEvent(NamedTuple):
-    """A sequence number drawn by :meth:`NicTimeline.next_seq` (a batched-send envelope)."""
+    """A seq drawn by a coalesced batch's later constituent (:meth:`NicTimeline.reserve`)."""
 
     rank: int
 
@@ -691,6 +691,7 @@ class NicTimeline:
         *,
         ingest: bool = True,
         path: Optional[PathSpec] = None,
+        messages: int = 1,
     ) -> NicReservation:
         """Place one message of ``wire_s`` seconds on the timeline (send side).
 
@@ -712,6 +713,10 @@ class NicTimeline:
         byte-identically.  The receive-side mirror rail (``path.ingest_rail``)
         travels on the pending :class:`IngestRecord` and binds at
         :meth:`ingest` time.
+
+        A coalesced batch of ``messages`` envelopes is one reservation: its
+        ``seq`` is the first's, and the rest draw the next seqs in enqueue
+        order under the same lock (one :class:`SeqEvent` each).
         """
         # Chained comparisons: NaN fails every one, and none costs a call.
         if not 0 <= wire_s < np.inf:
@@ -721,7 +726,13 @@ class NicTimeline:
         if nbytes < 0:
             raise NicError(f"nbytes must be non-negative, got {nbytes}")
         with self._lock:
-            return self._reserve_one(source, dest, ready, wire_s, int(nbytes), ingest, path)
+            reservation = self._reserve_one(source, dest, ready, wire_s, int(nbytes), ingest, path)
+            if messages > 1:
+                self._seqs[source] += messages - 1
+                if self.sink is not None:
+                    for _ in range(1, messages):
+                        self.sink(self, SeqEvent(source))
+            return reservation
 
     def _reserve_one(
         self,
@@ -802,16 +813,6 @@ class NicTimeline:
                 source, dest, reservation, ingest, self._ports[source], tuple(shared), ready
             ))
         return reservation
-
-    def next_seq(self, source: int) -> int:
-        """Allocate one per-source sequence number (batched-send envelopes)."""
-        with self._lock:
-            seq = self._seqs.get(source, 0)
-            self._seqs[source] = seq + 1
-            sink = self.sink
-            if sink is not None:
-                sink(self, SeqEvent(source))
-            return seq
 
     def _register_pending(self, dest: int, record: IngestRecord) -> None:
         """Track one posted arrival on the (bounded) advisory ledger."""

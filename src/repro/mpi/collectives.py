@@ -101,10 +101,10 @@ def _split_phase(comm, tag: int, now: float, expected, per_pair, device: bool) -
         latest = now
         for peer, nbytes, land in expected:
             envelope = _receive_raw(comm, peer, tag)
-            if envelope.nbytes != nbytes:
+            if envelope.payload.nbytes != nbytes:
                 raise MpiArgumentError(
                     f"rank {comm.rank} expected {nbytes} bytes from {peer}, "
-                    f"got {envelope.nbytes}"
+                    f"got {envelope.payload.nbytes}"
                 )
             land(envelope)
             latest = max(latest, envelope.available_at)
@@ -163,7 +163,7 @@ def _unpack_sections(comm, recv, sections, staging) -> None:
 
 def _land_sections(comm, recv, sections, envelope: Envelope) -> None:
     """Land a peer's segment: unpack ``sections`` from the payload."""
-    staging = HostBuffer(envelope.nbytes, MemoryKind.HOST_PINNED, _array=envelope.payload)
+    staging = HostBuffer(envelope.payload.nbytes, MemoryKind.HOST_PINNED, _array=envelope.payload)
     _unpack_sections(comm, recv, sections, staging)
 
 
@@ -229,10 +229,10 @@ def bcast(comm, spec, root: int = 0) -> None:
         comm.clock.advance(comm._message_time(nbytes, (root + 1) % comm.size, buffer.is_device))
     else:
         envelope = _receive_raw(comm, root, tag)
-        if envelope.nbytes != nbytes:
+        if envelope.payload.nbytes != nbytes:
             raise MpiArgumentError(
                 f"rank {comm.rank} expected a {nbytes}-byte broadcast from root {root}, "
-                f"got {envelope.nbytes}"
+                f"got {envelope.payload.nbytes}"
             )
         comm.clock.advance_to(envelope.available_at)
         _land_sections(comm, buffer, sections, envelope)
@@ -341,10 +341,10 @@ def allreduce(comm, send_spec, recv_spec, op: str = "sum") -> None:
     for _ in range(comm.size - 1):
         envelope = _receive_raw(comm, -1, tag)
         comm.clock.advance_to(envelope.available_at)
-        if envelope.nbytes != nbytes:
+        if envelope.payload.nbytes != nbytes:
             raise MpiArgumentError(
                 f"rank {comm.rank} expected a {nbytes}-byte allreduce contribution "
-                f"from rank {envelope.source}, got {envelope.nbytes}"
+                f"from rank {envelope.source}, got {envelope.payload.nbytes}"
             )
         contributions[envelope.source] = envelope.payload
     accumulator = recv_buffer.data[:nbytes].view(dtype)

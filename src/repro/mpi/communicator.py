@@ -82,6 +82,9 @@ class Communicator:
         #: Persistent requests bound on this rank (by either library) and not
         #: freed; ``World.run`` reports the ones a rank function leaves active.
         self.requests: list[Request] = []
+        #: One-shot sends bound on this communicator and not completed:
+        #: ``World.run`` fails a rank that returns with any.
+        self.open_sends = 0
 
     # ------------------------------------------------------------------ intro
     def Get_rank(self) -> int:
@@ -175,19 +178,20 @@ class Communicator:
         """Copy a received payload into the user buffer; returns bytes received."""
         datatype._check_committed()
         capacity = typemap.packed_size(datatype, count)
-        if envelope.nbytes > capacity:
+        nbytes = envelope.payload.nbytes
+        if nbytes > capacity:
             raise MpiTruncationError(
-                f"message of {envelope.nbytes} bytes truncates a receive of {capacity} bytes"
+                f"message of {nbytes} bytes truncates a receive of {capacity} bytes"
             )
         view = contiguous_payload(buffer, datatype, count)
         if view is not None:
-            view[: envelope.nbytes] = envelope.payload
+            view[:nbytes] = envelope.payload
         else:
-            staging = HostBuffer(envelope.nbytes, MemoryKind.HOST_PINNED, _array=envelope.payload)
-            elements = envelope.nbytes // datatype.size if datatype.size else 0
+            staging = HostBuffer(nbytes, MemoryKind.HOST_PINNED, _array=envelope.payload)
+            elements = nbytes // datatype.size if datatype.size else 0
             if elements:
                 self.baseline.unpack(staging, 0, buffer, datatype, elements)
-        return envelope.nbytes
+        return nbytes
 
     def _message_time(self, nbytes: int, peer: int, device: bool) -> float:
         if self.topology is not None and self.topology.hierarchical:
@@ -238,7 +242,7 @@ class Communicator:
         # The send buffer is reusable once the payload is captured; charge the
         # injection overhead only.
         injection = self.network.message_cost(0, same_node=True, device_buffers=False).latency_s
-        return Request("send", completion_time=self.clock.now + injection, clock=self.clock)
+        return Request("send", completion_time=self.clock.now + injection, clock=self.clock, ledger=self)
 
     # ----------------------------------------------------------------- receives
     def Recv(
@@ -338,7 +342,7 @@ class Communicator:
         envelope = self.router.probe(self.rank, source, tag, self.context)
         if envelope is None:
             return None
-        return Status(source=envelope.source, tag=envelope.tag, count_bytes=envelope.nbytes)
+        return Status(source=envelope.source, tag=envelope.tag, count_bytes=envelope.payload.nbytes)
 
     # ------------------------------------------------------------------- pack
     def _check_pack(self, user: Buffer, count: int, datatype: Datatype, packed: Buffer, position: int) -> int:

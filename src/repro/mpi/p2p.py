@@ -47,7 +47,9 @@ from repro.mpi.status import ANY_SOURCE, ANY_TAG
 
 @dataclass(eq=False)
 class Envelope:
-    """One in-flight message (compared by identity: payloads are arrays)."""
+    """One in-flight message (compared by identity: payloads are arrays).
+
+    Its size is ``payload.nbytes``, read where it is needed."""
 
     source: int
     dest: int
@@ -63,10 +65,6 @@ class Envelope:
     wire_s: float = field(default=0.0)
     post_time: float = field(default=0.0)
     source_seq: int = field(default=-1)
-
-    @property
-    def nbytes(self) -> int:
-        return int(self.payload.nbytes)
 
 
 class MessageRouter:

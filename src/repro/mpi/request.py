@@ -35,6 +35,10 @@ class Request:
     request.  It is born *inactive* — ``Wait``/``Test`` return an empty
     status and leave the clock alone — :meth:`Start` makes it active, its
     completion inactive again, and :meth:`Free` ends it.
+
+    A **one-shot send** counts itself on its communicator's ``open_sends``
+    (the ``ledger``) from bind to completion, with no call; ``World.run``
+    checks the count.
     """
 
     KINDS = ("send", "recv", "coll", "null")
@@ -42,6 +46,8 @@ class Request:
     #: subclass may define it as a method, which keeps the request out of a
     #: reference cycle with a bound method of its own.
     _start: Optional[Callable[[], None]] = None
+    #: A one-shot send's ledger until it completes (see above).
+    _ledger = None
 
     def __init__(
         self,
@@ -56,6 +62,7 @@ class Request:
         peer: Optional[int] = None,
         tag: Optional[int] = None,
         registry: Optional[list["Request"]] = None,
+        ledger=None,
     ) -> None:
         if kind not in self.KINDS:
             raise MpiError(f"unknown request kind {kind!r}")
@@ -75,6 +82,9 @@ class Request:
         self._registry = registry
         if registry is not None:
             registry.append(self)
+        if ledger is not None:
+            self._ledger = ledger
+            ledger.open_sends += 1
         self._done = self._start is not None
         self._status = Status()
 
@@ -143,6 +153,8 @@ class Request:
             # A one-shot request remembers its outcome; a persistent one is
             # inactive again, and an inactive request's status is empty.
             self._status = status
+            if self._ledger is not None:
+                self._ledger.open_sends -= 1
         return status
 
     def Test(self) -> tuple[bool, Optional[Status]]:
@@ -157,8 +169,7 @@ class Request:
             return True, self._status
         if self.kind == "send" and self._completion_time is not None and self._clock is not None:
             if self._clock.now >= self._completion_time:
-                self._done = True
-                return True, self._status
+                return True, self.Wait()
         if self._ready is not None:
             if self._ready():
                 return True, self.Wait()

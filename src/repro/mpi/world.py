@@ -137,7 +137,8 @@ class World:
         :class:`WorldError`; so is a deadlock, the moment every unfinished
         rank is blocked, with each rank's error naming what it waited for,
         and a rank that returns with a persistent request still active, with
-        the request's peer and tag, and a run that leaves a message no rank
+        the request's peer and tag, or with one-shot sends never completed,
+        with their count, and a run that leaves a message no rank
         received, with its source, destination, tag and context.
         ``timeout`` bounds the wall-clock wait for the whole run.
         """
@@ -154,6 +155,11 @@ class World:
                     raise MpiError(
                         f"rank {ctx.rank} returned with persistent requests started "
                         f"and never completed: {leaked}"
+                    )
+                if ctx.comm.open_sends:
+                    raise MpiError(
+                        f"rank {ctx.rank} returned with {ctx.comm.open_sends} one-shot "
+                        f"send request(s) never completed"
                     )
             except BaseException as exc:  # noqa: BLE001 - propagate to the caller
                 failures[ctx.rank] = exc

@@ -139,7 +139,7 @@ class PlanExecutor:
         already synchronised past it.
         """
         comm = self.comm
-        buffer = staging.get(stage.staging_key, stage.nbytes, stage.kind)
+        buffer = staging.get(stage.staging_key, stage.nbytes, stage.kind, stage.bucket)
         sync = stream is None
         offset = 0
         for section in stage.sections:
@@ -154,7 +154,7 @@ class PlanExecutor:
             )
         if stage.method is PackMethod.STAGED:
             host = staging.get(
-                self._host_key(stage.staging_key), stage.nbytes, MemoryKind.HOST_PINNED
+                self._host_key(stage.staging_key), stage.nbytes, MemoryKind.HOST_PINNED, stage.bucket
             )
             comm.gpu.memcpy_async(host, buffer, stage.nbytes, stream=stream)
             if sync:
@@ -167,12 +167,12 @@ class PlanExecutor:
     def _unpack_stage(self, stage: UnpackStage, payload: np.ndarray, dest, staging, stream):
         """Scatter one peer's packed payload into the user buffer."""
         comm = self.comm
-        buffer = staging.get(stage.staging_key, stage.nbytes, stage.kind)
+        buffer = staging.get(stage.staging_key, stage.nbytes, stage.kind, stage.bucket)
         sync = stream is None
-        nbytes = min(stage.nbytes, int(payload.nbytes))
+        nbytes = payload.nbytes  # every caller has checked it against stage.nbytes
         if stage.method is PackMethod.STAGED:
             host = staging.get(
-                self._host_key(stage.staging_key), stage.nbytes, MemoryKind.HOST_PINNED
+                self._host_key(stage.staging_key), stage.nbytes, MemoryKind.HOST_PINNED, stage.bucket
             )
             host.data[:nbytes] = payload[:nbytes]
             comm.gpu.memcpy_async(buffer, host, nbytes, stream=stream)
@@ -316,7 +316,7 @@ class PlanExecutor:
                 self.stats.deferred_unpacks += 1
             envelope = comm.router.receive(comm.rank, stage.peer, tag, comm.context)
             comm.clock.advance_to(self.engine.ingest_one(envelope))
-            nbytes = envelope.nbytes
+            nbytes = envelope.payload.nbytes
             if nbytes > stage.nbytes:
                 raise MpiTruncationError(
                     f"message of {nbytes} bytes truncates a receive of "
@@ -402,10 +402,10 @@ class PlanExecutor:
                 envelopes = [_receive_raw(comm, stage.peer, tag) for stage in plan.unpack_stages]
                 landings = self.engine.ingest_batch(envelopes)
                 for stage, envelope, landing in zip(plan.unpack_stages, envelopes, landings):
-                    if envelope.nbytes != stage.nbytes:
+                    if envelope.payload.nbytes != stage.nbytes:
                         raise PlanError(
                             f"rank {comm.rank} expected {stage.nbytes} packed bytes from "
-                            f"{stage.peer}, got {envelope.nbytes}"
+                            f"{stage.peer}, got {envelope.payload.nbytes}"
                         )
                     latest = max(latest, landing)
                     if self.overlap:

@@ -535,8 +535,12 @@ class TempiCommunicator:
         if persistent:
             request = Request(kind, start=start, peer=peer, tag=tag, registry=comm.requests)
         else:
-            request = Request(kind, peer=peer, tag=tag)
-            start()
+            request = Request(kind, peer=peer, tag=tag, ledger=comm if send else None)
+            try:
+                start()
+            except BaseException:
+                request.Wait()  # never started, so never left open
+                raise
         return request
 
     def _init_p2p(self, kind: str, post, spec, peer: int, tag: int) -> Request:

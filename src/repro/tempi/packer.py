@@ -142,7 +142,8 @@ class Packer:
         the plan executor uses this to overlap per-peer packs with wire time;
         the stream's ``ready_time`` is the pack's completion time.
         """
-        plan = self._plans.get(count)
+        plans = self._plans
+        plan = plans[count] if count in plans else None
         if plan is None or plan.cost is not runtime.cost:
             plan = self._plan(runtime, count)
         nbytes = plan.nbytes
@@ -192,7 +193,8 @@ class Packer:
         sync: bool = True,
     ) -> int:
         """Scatter ``count`` packed objects from contiguous ``src`` into ``dst``."""
-        plan = self._plans.get(count)
+        plans = self._plans
+        plan = plans[count] if count in plans else None
         if plan is None or plan.cost is not runtime.cost:
             plan = self._plan(runtime, count)
         nbytes = plan.nbytes

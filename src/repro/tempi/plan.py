@@ -45,6 +45,7 @@ import numpy as np
 from repro.gpu.memory import Buffer, MemoryKind
 from repro.gpu.stream import Stream
 from repro.mpi.collectives import _REDUCE_UFUNCS
+from repro.tempi.cache import pool_bucket
 from repro.tempi.config import PackMethod
 from repro.tempi.packer import Packer
 from repro.tempi.selection import MethodSelector
@@ -120,6 +121,8 @@ class PackStage:
     #: Key of the persistent per-peer staging buffer; ``None`` checks a
     #: transient buffer out of the size-bucketed pool instead (p2p sends).
     staging_key: Optional[Hashable] = None
+    #: A keyless stage's pool size class, ``pool_bucket(nbytes)``, from compile.
+    bucket: Optional[int] = None
     #: The stream the executor issued this stage's kernels on (set at run time).
     stream: Optional[Stream] = None
 
@@ -147,6 +150,7 @@ class UnpackStage:
     nbytes: int
     kind: MemoryKind
     staging_key: Optional[Hashable] = None
+    bucket: Optional[int] = None
     stream: Optional[Stream] = None
 
 
@@ -237,13 +241,9 @@ def compile_send(
     nonblocking: bool = False,
 ) -> MessagePlan:
     """Compile ``MPI_Send``/``MPI_Isend`` of one strided object group."""
-    stage = PackStage(
-        peer=dest,
-        sections=(PlanSection(dest, count, 0, packer),),
-        method=method,
-        nbytes=packer.packed_size(count),
-        kind=staging_kind(method),
-    )
+    nbytes = packer.packed_size(count)
+    sections = (PlanSection(dest, count, 0, packer),)
+    stage = PackStage(dest, sections, method, nbytes, staging_kind(method), bucket=pool_bucket(nbytes))
     return MessagePlan(
         op="send",
         send_buffer=buffer,
@@ -265,13 +265,9 @@ def compile_recv(
     nonblocking: bool = False,
 ) -> MessagePlan:
     """Compile ``MPI_Recv``/``MPI_Irecv`` of one strided object group."""
-    stage = UnpackStage(
-        peer=source,
-        sections=(PlanSection(source, count, 0, packer),),
-        method=method,
-        nbytes=packer.packed_size(count),
-        kind=staging_kind(method),
-    )
+    nbytes = packer.packed_size(count)
+    sections = (PlanSection(source, count, 0, packer),)
+    stage = UnpackStage(source, sections, method, nbytes, staging_kind(method), bucket=pool_bucket(nbytes))
     return MessagePlan(
         op="recv",
         recv_buffer=buffer,
@@ -477,6 +473,7 @@ class PlanTemplate:
             nbytes=stage.nbytes,
             kind=kind,
             staging_key=key,
+            bucket=stage.bucket,
         )
 
     def materialize(

@@ -209,7 +209,8 @@ class ProgressEngine:
         return self.comm._message_time(nbytes, peer, device)
 
     def reserve_wire(
-        self, peer: int, ready: float, wire_s: float, nbytes: int = 0, *, device: bool = True
+        self, peer: int, ready: float, wire_s: float, nbytes: int = 0, *,
+        device: bool = True, messages: int = 1,
     ) -> NicReservation:
         """Reserve one message's wire slot; returns the NIC's :class:`NicReservation`.
 
@@ -222,7 +223,7 @@ class ProgressEngine:
         message never contends); inside it a stall is counted on the
         interposer stats.  ``device`` picks the wire path the route is
         resolved for (GPU rails vs host rails); it only matters under a
-        topology.
+        topology.  A coalesced batch's ``messages`` envelopes each draw a seq.
 
         Runs once per wire message, so the path is resolved inline: none
         without a topology, else the memo inside
@@ -243,7 +244,7 @@ class ProgressEngine:
         # ledger: their messages are never ingested, so they must not look
         # like receive-side backlog to a duplex reader sharing the world.
         reservation = self.nic.reserve(
-            rank, peer, ready, wire_s, nbytes, ingest=self.duplex, path=path
+            rank, peer, ready, wire_s, nbytes, ingest=self.duplex, path=path, messages=messages
         )
         if reservation.stalled_s > 0.0:
             self.stats.contention_stalls += 1
@@ -435,16 +436,15 @@ class ProgressEngine:
         if self._batches:
             self.flush()
 
-    def flush(self, peer: Optional[int] = None) -> None:
-        """Post pending batches (all of them, or one peer's)."""
-        keys = [key for key in self._batches if peer is None or key[0] == peer]
-        for key in keys:
+    def flush(self) -> None:
+        """Post every pending batch."""
+        for key in list(self._batches):
             self._flush_batch(key)
 
     def _flush_batch(self, key: tuple[int, bool]) -> None:
         """Post one pending batch as a single coalesced wire message."""
-        batch = self._batches.pop(key, None)
-        if batch is None or not batch.entries:
+        batch = self._batches.pop(key)
+        if not batch.entries:  # its first pack failed
             return
         executor = self.executor  # bound: only offer_send creates batches
         try:
@@ -459,18 +459,18 @@ class ProgressEngine:
             # carrying its own per-source seq so receive-side ordering stays
             # well defined.
             wire = self.message_time(batch.nbytes, batch.peer, batch.device)
+            messages = len(batch.entries)
             slot = self.reserve_wire(
-                batch.peer, batch.ready, wire, batch.nbytes, device=batch.device
+                batch.peer, batch.ready, wire, batch.nbytes, device=batch.device, messages=messages
             )
             for index, entry in enumerate(batch.entries):
                 post = entry.plan.post_stages[0]
                 if slot.seq >= 0:
                     share = wire * entry.nbytes / batch.nbytes if batch.nbytes else 0.0
-                    # The first constituent inherits the reservation's seq, so
-                    # ingesting it consumes the batch's pending-ledger record;
-                    # later constituents draw fresh (larger) seqs and keep the
-                    # deterministic enqueue order.
-                    seq = slot.seq if index == 0 else self.nic.next_seq(self.comm.rank)
+                    # The reservation drew one seq per constituent, in enqueue
+                    # order: the first, the reservation's own, consumes the
+                    # batch's pending-ledger record on ingestion.
+                    seq = slot.seq + index
                 else:
                     share, seq = 0.0, -1
                 # The constituent's own slot: the batch's start and arrival,
@@ -480,8 +480,8 @@ class ProgressEngine:
                 executor._post(post.peer, entry.plan.tag, data, device, slot.arrival, own)
         finally:
             batch.staging.release()
-        if len(batch.entries) > 1:
-            self.stats.batched_plans += len(batch.entries)
+        if messages > 1:
+            self.stats.batched_plans += messages
 
     # -------------------------------------------------------------- arrivals
     def arrived(self, peer: int, tag: int) -> bool:

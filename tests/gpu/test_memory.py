@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.gpu.device import Device
 from repro.gpu.errors import CudaBufferError, CudaInvalidValue
-from repro.gpu.memory import Buffer, DeviceBuffer, HostBuffer, MemoryKind, MemoryPool
+from repro.gpu.memory import Buffer, DeviceBuffer, HostBuffer, MemoryKind
 from repro.gpu.runtime import CudaRuntime
 
 
@@ -195,82 +195,3 @@ class TestSlottedFacts:
         for view in buffers[1:]:
             with pytest.raises(CudaInvalidValue, match="cannot free a view"):
                 runtime.free(view)
-
-
-class TestMemoryPool:
-    def test_miss_then_hit(self):
-        pool = MemoryPool()
-        assert pool.acquire(100, MemoryKind.DEVICE) is None
-        buf = HostBuffer(128, MemoryKind.HOST_PINNED)
-        pool.release(buf)
-        again = pool.acquire(100, MemoryKind.HOST_PINNED)
-        assert again is buf
-        assert pool.hits == 1
-        assert pool.misses == 1
-
-    def test_bucketing_rounds_up(self):
-        pool = MemoryPool()
-        for nbytes in (1, 3, 1024, 1025):
-            pool.release(HostBuffer(nbytes, MemoryKind.HOST_PINNED))
-        assert sorted(bucket for _, bucket in pool._free) == [1, 4, 1024, 2048]
-        for nbytes, bucket in ((1, 1), (3, 4), (1024, 1024), (1025, 2048)):
-            assert pool._free[MemoryKind.HOST_PINNED, bucket][0].nbytes == nbytes
-
-    def test_smaller_buffer_of_the_same_bucket_is_not_handed_out(self):
-        """43 008 and 45 056 bytes share the 65 536 bucket; only one fits both."""
-        pool = MemoryPool()
-        small = HostBuffer(43008, MemoryKind.HOST_PINNED)
-        pool.release(small)
-        assert pool.acquire(45056, MemoryKind.HOST_PINNED) is None
-        assert len(pool) == 1  # the small buffer stays pooled ...
-        large = HostBuffer(45056, MemoryKind.HOST_PINNED)
-        pool.release(large)
-        assert pool.acquire(45056, MemoryKind.HOST_PINNED) is large
-        assert pool.acquire(43008, MemoryKind.HOST_PINNED) is small  # ... for a fit
-        assert (pool.hits, pool.misses) == (2, 1)
-
-    def test_zero_byte_request_uses_the_smallest_bucket(self):
-        pool = MemoryPool()
-        empty = HostBuffer(0, MemoryKind.HOST_PINNED)
-        pool.release(empty)
-        assert list(pool._free) == [(MemoryKind.HOST_PINNED, 1)]
-        assert pool.acquire(1, MemoryKind.HOST_PINNED) is None
-        assert pool.acquire(0, MemoryKind.HOST_PINNED) is empty
-
-    def test_newest_fitting_buffer_is_reused_first(self):
-        pool = MemoryPool()
-        older, newer = HostBuffer(64, MemoryKind.HOST_PINNED), HostBuffer(64, MemoryKind.HOST_PINNED)
-        pool.release(older)
-        pool.release(newer)
-        assert pool.acquire(64, MemoryKind.HOST_PINNED) is newer
-        assert pool.acquire(64, MemoryKind.HOST_PINNED) is older
-
-    def test_len_counts_pooled_buffers_across_buckets(self):
-        pool = MemoryPool()
-        device = Device(0)
-        for buf in (DeviceBuffer(8, device), HostBuffer(8, MemoryKind.HOST_PINNED), DeviceBuffer(300, device)):
-            pool.release(buf)
-        assert len(pool) == 3
-        assert pool.acquire(257, MemoryKind.DEVICE).nbytes == 300
-        assert len(pool) == 2
-
-    def test_kind_is_part_of_key(self):
-        pool = MemoryPool()
-        pool.release(HostBuffer(64, MemoryKind.HOST_PINNED))
-        assert pool.acquire(64, MemoryKind.HOST_MAPPED) is None
-
-    def test_cannot_pool_freed_buffer(self):
-        pool = MemoryPool()
-        buf = HostBuffer(16)
-        buf._freed = True
-        with pytest.raises(CudaBufferError):
-            pool.release(buf)
-
-    def test_cannot_pool_view_of_freed_parent(self):
-        pool = MemoryPool()
-        buf = HostBuffer(16)
-        view = buf.view(4)
-        buf._freed = True
-        with pytest.raises(CudaBufferError):
-            pool.release(view)
-        assert len(pool) == 0

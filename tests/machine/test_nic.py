@@ -501,7 +501,9 @@ class TestIngestBacklog:
         other = nic.reserve(4, 0, ready=0.0, wire_s=1.0)
         assert (first.seq, second.seq) == (0, 1)
         assert other.seq == 0  # counters are per source
-        assert nic.next_seq(3) == 2
+        # A coalesced batch of three draws seqs 2, 3 and 4 in its one reservation.
+        assert nic.reserve(3, 2, ready=0.0, wire_s=1.0, messages=3).seq == 2
+        assert nic.reserve(3, 0, ready=0.0, wire_s=1.0).seq == 5
 
 
 class TestThreadSafety:

@@ -285,9 +285,10 @@ class TestVirtualArrivalGating:
         def program(ctx):
             nbytes = 4 * 1024 * 1024  # big enough that wire time >> barrier time
             if ctx.rank == 0:
-                ctx.comm.Isend(np.ones(nbytes, dtype=np.uint8), dest=1)
+                send = ctx.comm.Isend(np.ones(nbytes, dtype=np.uint8), dest=1)
                 ctx.comm.Barrier()
                 ctx.comm.Barrier()
+                send.Wait()
                 return True
             buf = np.zeros(nbytes, dtype=np.uint8)
             request = ctx.comm.Irecv(buf, source=0)

@@ -32,7 +32,7 @@ class TestRouterMatching:
         router.post(envelope(tag=7))
         received = router.receive(1, 0, 7, 0)
         assert received.tag == 7
-        assert received.nbytes == 8
+        assert received.payload.nbytes == 8
 
     def test_wildcard_source_and_tag(self):
         router = MessageRouter(2)
@@ -58,15 +58,15 @@ class TestRouterMatching:
         second = envelope(tag=1, nbytes=2)
         router.post(first)
         router.post(second)
-        assert router.receive(1, 0, 1, 0).nbytes == 1
-        assert router.receive(1, 0, 1, 0).nbytes == 2
+        assert router.receive(1, 0, 1, 0).payload.nbytes == 1
+        assert router.receive(1, 0, 1, 0).payload.nbytes == 2
 
     def test_receive_from_the_middle_keeps_the_rest_in_order(self):
         router = MessageRouter(2)
         for tag, nbytes in ((1, 1), (2, 2), (1, 3), (2, 4)):
             router.post(envelope(tag=tag, nbytes=nbytes))
-        assert router.receive(1, 0, 2, 0).nbytes == 2
-        assert [router.receive(1, 0, ANY_TAG, 0).nbytes for _ in range(3)] == [1, 3, 4]
+        assert router.receive(1, 0, 2, 0).payload.nbytes == 2
+        assert [router.receive(1, 0, ANY_TAG, 0).payload.nbytes for _ in range(3)] == [1, 3, 4]
 
     def test_envelopes_compare_by_identity(self):
         """Field-by-field equality would reach ``payload == payload``."""

@@ -10,6 +10,8 @@ import pytest
 from repro.apps.halo import HaloSpec
 from repro.apps.stencil import HaloExchange
 from repro.gpu.cost_model import FREE_GPU
+from repro.mpi.constructors import Type_vector
+from repro.mpi.datatype import BYTE
 from repro.mpi.errors import MpiError
 from repro.mpi.world import World, WorldError
 from repro.tempi.interposer import interpose
@@ -114,6 +116,45 @@ class TestRun:
             "rank 2 never received (source=0, dest=2, tag=5, context=0), "
             "(source=0, dest=2, tag=6, context=0)"
         )
+
+    @pytest.mark.parametrize("library", ["system", "tempi"])
+    def test_a_one_shot_send_never_completed_fails_the_run(self, library, summit_model):
+        """Delivered, but never waited: the rank's count of open sends names it."""
+
+        def program(ctx):
+            if library == "tempi":
+                comm = interpose(ctx, model=summit_model)
+                spec = (ctx.gpu.malloc(64), 1, comm.Type_commit(Type_vector(8, 1, 2, BYTE)))
+            else:
+                comm, spec = ctx.comm, ctx.gpu.host_alloc(8)
+            if ctx.rank == 0:
+                comm.Isend(spec, 1, 3)
+                comm.Isend(spec, 1, 4).Wait()
+                assert ctx.comm.open_sends == 1
+            else:
+                for tag in (3, 4):
+                    comm.Recv(spec, 0, tag)
+
+        with pytest.raises(WorldError) as excinfo:
+            World(2).run(program)
+        assert set(excinfo.value.failures) == {0}
+        assert str(excinfo.value.failures[0]) == (
+            "rank 0 returned with 1 one-shot send request(s) never completed"
+        )
+
+    def test_a_send_completed_by_test_is_counted_once(self):
+        def program(ctx):
+            if ctx.rank == 0:
+                request = ctx.comm.Isend(ctx.gpu.host_alloc(8), dest=1)
+                assert ctx.comm.open_sends == 1
+                ctx.clock.advance(1.0)
+                assert request.Test()[0] and ctx.comm.open_sends == 0
+                request.Wait()
+                assert ctx.comm.open_sends == 0
+            else:
+                ctx.comm.Recv(ctx.gpu.host_alloc(8), source=0)
+
+        World(2).run(program)
 
     def test_a_failed_runs_messages_wait_for_the_next_run(self):
         """Only a run that succeeds is reported; a failed run's envelopes stay."""

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.gpu.cost_model import SUMMIT_GPU
-from repro.gpu.memory import MemoryKind
-from repro.tempi.cache import ResourceCache
+from repro.gpu.device import Device
+from repro.gpu.errors import CudaBufferError
+from repro.gpu.memory import DeviceBuffer, HostBuffer, MemoryKind
+from repro.tempi.cache import ResourceCache, _StagingTracker, pool_bucket
 from repro.tempi.packer import Packer
 from repro.tempi.selection import ModelSelector
 from repro.tempi.strided_block import StridedBlock
@@ -49,6 +51,100 @@ class TestBufferCache:
         cache.put_buffer(pinned)
         mapped = cache.get_buffer(256, MemoryKind.HOST_MAPPED)
         assert mapped is not pinned
+
+
+class TestStagingPool:
+    """The size-bucketed free lists the cache keeps its intermediate buffers in."""
+
+    PINNED = MemoryKind.HOST_PINNED
+
+    def test_miss_then_hit(self, summit_runtime):
+        cache = ResourceCache(summit_runtime)
+        assert cache.get_buffer(100, MemoryKind.DEVICE).nbytes == 100  # a miss allocates
+        buf = HostBuffer(128, self.PINNED)
+        cache.put_buffer(buf)
+        again = cache.get_buffer(100, self.PINNED)
+        assert again is buf
+        assert (cache.stats.buffer_hits, cache.stats.buffer_misses) == (1, 1)
+
+    def test_bucketing_rounds_up(self, summit_runtime):
+        cache = ResourceCache(summit_runtime)
+        for nbytes in (1, 3, 1024, 1025):
+            cache.put_buffer(HostBuffer(nbytes, self.PINNED))
+        assert sorted(bucket for _, bucket in cache._free) == [1, 4, 1024, 2048]
+        for nbytes, bucket in ((1, 1), (3, 4), (1024, 1024), (1025, 2048)):
+            assert pool_bucket(nbytes) == bucket
+            assert cache._free[self.PINNED, bucket][0].nbytes == nbytes
+
+    def test_smaller_buffer_of_the_same_bucket_is_not_handed_out(self, summit_runtime):
+        """43 008 and 45 056 bytes share the 65 536 bucket; only one fits both."""
+        cache = ResourceCache(summit_runtime)
+        small = HostBuffer(43008, self.PINNED)
+        cache.put_buffer(small)
+        large = cache.get_buffer(45056, self.PINNED)
+        assert large is not small and large.nbytes == 45056
+        assert len(cache) == 1  # the small buffer stays pooled ...
+        cache.put_buffer(large)
+        assert cache.get_buffer(45056, self.PINNED) is large
+        assert cache.get_buffer(43008, self.PINNED) is small  # ... for a fit
+        assert (cache.stats.buffer_hits, cache.stats.buffer_misses) == (2, 1)
+
+    def test_zero_byte_request_uses_the_smallest_bucket(self, summit_runtime):
+        cache = ResourceCache(summit_runtime)
+        empty = HostBuffer(0, self.PINNED)
+        cache.put_buffer(empty)
+        assert list(cache._free) == [(self.PINNED, 1)]
+        assert cache.get_buffer(1, self.PINNED) is not empty
+        assert cache.get_buffer(0, self.PINNED) is empty
+
+    def test_newest_fitting_buffer_is_reused_first(self, summit_runtime):
+        cache = ResourceCache(summit_runtime)
+        older, newer = HostBuffer(64, self.PINNED), HostBuffer(64, self.PINNED)
+        cache.put_buffer(older)
+        cache.put_buffer(newer)
+        assert cache.get_buffer(64, self.PINNED) is newer
+        assert cache.get_buffer(64, self.PINNED) is older
+
+    def test_len_counts_pooled_buffers_across_buckets(self, summit_runtime):
+        cache = ResourceCache(summit_runtime)
+        device = Device(0)
+        for buf in (DeviceBuffer(8, device), HostBuffer(8, self.PINNED), DeviceBuffer(300, device)):
+            cache.put_buffer(buf)
+        assert len(cache) == 3
+        assert cache.get_buffer(257, MemoryKind.DEVICE).nbytes == 300
+        assert len(cache) == 2
+
+    def test_kind_is_part_of_key(self, summit_runtime):
+        cache = ResourceCache(summit_runtime)
+        pinned = HostBuffer(64, self.PINNED)
+        cache.put_buffer(pinned)
+        assert cache.get_buffer(64, MemoryKind.HOST_MAPPED) is not pinned
+
+    def test_cannot_pool_freed_buffer(self, summit_runtime):
+        cache = ResourceCache(summit_runtime)
+        buf = HostBuffer(16)
+        buf._freed = True
+        with pytest.raises(CudaBufferError):
+            cache.put_buffer(buf)
+
+    def test_cannot_pool_view_of_freed_parent(self, summit_runtime):
+        cache = ResourceCache(summit_runtime)
+        buf = HostBuffer(16)
+        view = buf.view(4)
+        buf._freed = True
+        with pytest.raises(CudaBufferError):
+            cache.put_buffer(view)
+        assert len(cache) == 0
+
+    def test_a_carried_bucket_is_the_one_the_size_gives(self, summit_runtime):
+        """A tracker checks out and returns with its stage's bucket: the same
+        free list the pool would compute, and the buffer comes back to it."""
+        cache = ResourceCache(summit_runtime)
+        staging = _StagingTracker(cache)
+        first = staging.get(None, 3000, self.PINNED, pool_bucket(3000))
+        staging.release()
+        assert list(cache._free) == [(self.PINNED, 4096)]
+        assert cache.get_buffer(2100, self.PINNED) is first
 
 
 class TestStreamCache:

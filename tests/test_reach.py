@@ -87,8 +87,9 @@ def test_table_first_lines_are_the_code_objects_first_lines():
         ), function
         checked += 1
     assert checked > 50
-    qualnames = {f.qualname for f in reach.functions() if f.path == "src/repro/gpu/memory.py"}
-    assert {"Buffer.data", "Buffer.view", "MemoryPool.acquire", "MemoryPool.release"} <= qualnames
+    paths = ("src/repro/gpu/memory.py", "src/repro/tempi/cache.py")
+    qualnames = {f.qualname for f in reach.functions() if f.path in paths}
+    assert {"Buffer.data", "Buffer.view", "ResourceCache.get_buffer", "ResourceCache.put_buffer"} <= qualnames
 
 
 def test_calls_on_a_thread_started_inside_the_census_are_recorded():

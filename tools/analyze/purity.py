@@ -37,7 +37,6 @@ MUTATING_APIS = frozenset(
         # NicTimeline
         "reserve",
         "ingest",
-        "next_seq",
         "reset",
         "_register_pending",
         # ProgressEngine

@@ -2,8 +2,8 @@
 
     python tools/call_histogram.py --workload halo|replay|pack [--top N]
     python tools/call_histogram.py --workload halo|replay|pack --callers NAME
-    python tools/call_histogram.py --workload pack|replay --stages
-    python tools/call_histogram.py --workload replay --stages --markdown
+    python tools/call_histogram.py --workload pack|replay|halo --stages
+    python tools/call_histogram.py --workload replay|halo --stages --markdown
 
 Runs the benchmark's own ``halo_world`` / ``ml_replay`` / ``datatype_pack``
 workload (``benchmarks/e2e/workloads.py``, read only) warm, then six more
@@ -43,8 +43,11 @@ the plan around them: method
 selection, the collective compile (``_compile_collective``), the allreduce
 compile (``_compile_allreduce``), the point-to-point compile
 (``compile_send``/``compile_recv``), ``Type_commit`` — and other for the
-remainder (the step's ``World``, its threads, the replay app).
-``--markdown`` prints that table as the Markdown ``docs/ARCHITECTURE.md``
+remainder (the step's ``World``, its threads, the replay app).  With
+``halo`` it is the same table per wire message of six warm ``halo_world``
+rounds, with two more rows: a bound request's ``Request.Start`` and every
+``Request.Wait``, each around the stages it runs.
+``--markdown`` prints either table as the Markdown ``docs/ARCHITECTURE.md``
 carries between its census markers; a tier-1 test holds the two equal.
 The collector is off while a census runs, so the count does not depend on
 when a collection falls.
@@ -94,6 +97,9 @@ WIRE_STAGES = (
     "pack plan", "staging",
     "selection", "collective compile", "allreduce compile", "p2p compile", "Type_commit", "other",
 )
+#: Rows of the ``--workload halo --stages`` table: a bound request's start and
+#: its wait join the rows of a wire message.
+HALO_STAGES = WIRE_STAGES[:-1] + ("Request.Start", "Request.Wait", "other")
 
 
 def stage_codes(workload) -> dict[object, str]:
@@ -122,6 +128,7 @@ def wire_stage_codes() -> dict[object, str]:
     """Code object -> stage, for the scalar path of one wire message and
     the plan around it."""
     from repro.mpi.p2p import MessageRouter
+    from repro.mpi.request import Request
     from repro.tempi import plan, selection
     from repro.tempi.cache import ResourceCache, _StagingTracker
     from repro.tempi.executor import PlanExecutor
@@ -155,6 +162,8 @@ def wire_stage_codes() -> dict[object, str]:
         plan.compile_send.__code__: "p2p compile",
         plan.compile_recv.__code__: "p2p compile",
         TempiCommunicator.Type_commit.__code__: "Type_commit",
+        Request.Start.__code__: "Request.Start",
+        Request.Wait.__code__: "Request.Wait",
     }
 
 
@@ -226,34 +235,45 @@ def print_stages(workload, rounds: int) -> None:
 
 
 def wire_census(workload, rounds: int) -> tuple[int, Counter, Counter]:
-    """Plans, and calls and entries by wire stage, of ``rounds`` warm replay steps."""
-    return census(workload.block, rounds, wire_stage_codes(), WIRE_STAGES)
+    """Ops, and calls and entries by wire stage, of ``rounds`` warm rounds of
+    the ``halo_world`` or ``ml_replay`` workload (whose op is an executed plan)."""
+    stages = HALO_STAGES if workload.name == "halo_world" else WIRE_STAGES
+    codes = {code: stage for code, stage in wire_stage_codes().items() if stage in stages}
+    return census(workload.block, rounds, codes, stages)
 
 
-def wire_markdown(plans: int, calls: Counter, entries: Counter) -> str:
+def _unit(calls: Counter) -> tuple[str, tuple]:
+    """What a wire census counts per, and its rows."""
+    return ("op", HALO_STAGES) if "Request.Wait" in calls else ("plan", WIRE_STAGES)
+
+
+def wire_markdown(ops: int, calls: Counter, entries: Counter) -> str:
     """The ``--markdown`` table of a :func:`wire_census`."""
-    lines = ["| stage | entries/plan | calls/entry | calls/plan |", "|---|---|---|---|"]
-    for stage in WIRE_STAGES:
+    unit, stages = _unit(calls)
+    lines = [f"| stage | entries/{unit} | calls/entry | calls/{unit} |", "|---|---|---|---|"]
+    for stage in stages:
         if entries[stage]:
-            lines.append(f"| {stage} | {entries[stage] / plans:.2f} | "
-                         f"{calls[stage] / entries[stage]:.1f} | {calls[stage] / plans:.1f} |")
+            lines.append(f"| {stage} | {entries[stage] / ops:.2f} | "
+                         f"{calls[stage] / entries[stage]:.1f} | {calls[stage] / ops:.1f} |")
         else:
-            lines.append(f"| {stage} | | | {calls[stage] / plans:.1f} |")
-    lines.append(f"| **plan** | | | **{sum(calls.values()) / plans:.1f}** |")
+            lines.append(f"| {stage} | | | {calls[stage] / ops:.1f} |")
+    lines.append(f"| **{unit}** | | | **{sum(calls.values()) / ops:.1f}** |")
     return "\n".join(lines)
 
 
-def print_wire_stages(rounds: int, plans: int, calls: Counter, entries: Counter) -> None:
-    """Per plan and per entry, a :func:`wire_census` of ``rounds`` warm replay steps."""
-    print(f"replay: calls by stage, {rounds} warm steps, {plans} plans, every thread")
-    print(f"{'calls/plan':>11} {'entries/plan':>13} {'calls/entry':>12}  stage")
-    for stage in WIRE_STAGES:
+def print_wire_stages(rounds: int, ops: int, calls: Counter, entries: Counter) -> None:
+    """Per op and per entry, a :func:`wire_census` of ``rounds`` warm rounds."""
+    unit, stages = _unit(calls)
+    workload, steps = ("halo", "rounds") if unit == "op" else ("replay", "steps")
+    print(f"{workload}: calls by stage, {rounds} warm {steps}, {ops} {unit}s, every thread")
+    print(f"{'calls/' + unit:>11} {'entries/' + unit:>13} {'calls/entry':>12}  stage")
+    for stage in stages:
         if entries[stage]:
-            per_entry = f"{entries[stage] / plans:13.2f} {calls[stage] / entries[stage]:12.1f}"
+            per_entry = f"{entries[stage] / ops:13.2f} {calls[stage] / entries[stage]:12.1f}"
         else:
             per_entry = f"{'':13} {'':12}"
-        print(f"{calls[stage] / plans:11.1f} {per_entry}  {stage}")
-    print(f"{sum(calls.values()) / plans:11.1f} {'':13} {'':12}  = plan")
+        print(f"{calls[stage] / ops:11.1f} {per_entry}  {stage}")
+    print(f"{sum(calls.values()) / ops:11.1f} {'':13} {'':12}  = {unit}")
 
 
 def print_callers(stats: pstats.Stats, ops: int, name: str) -> None:
@@ -288,18 +308,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", choices=("halo", "replay", "pack"), required=True)
     parser.add_argument("--top", type=int, default=40, help="functions to list")
     parser.add_argument("--stages", action="store_true",
-                        help="calls by commit stage (pack) or wire stage (replay)")
+                        help="calls by commit stage (pack) or wire stage (replay, halo)")
     parser.add_argument("--callers", metavar="NAME",
                         help="callers per op of each function whose name contains NAME")
     parser.add_argument("--markdown", action="store_true",
-                        help="with --workload replay --stages: the table as Markdown")
+                        help="with --workload replay|halo --stages: the table as Markdown")
     args = parser.parse_args(argv)
-    if args.stages and args.workload == "halo":
-        parser.error("--stages needs --workload pack or replay")
     if args.stages and args.callers:
         parser.error("--stages and --callers print different tables; pick one")
-    if args.markdown and not (args.stages and args.workload == "replay"):
-        parser.error("--markdown needs --workload replay --stages")
+    if args.markdown and not (args.stages and args.workload != "pack"):
+        parser.error("--markdown needs --workload replay or halo, and --stages")
     workload = warm_workload(args.workload)
     rounds = workload.counted_rounds
     if args.stages and args.workload == "pack":
