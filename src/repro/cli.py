@@ -198,26 +198,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sanitize.add_argument("--full", action="store_true",
                           help="full benchmark sweeps instead of the --smoke subsets")
 
-    bench = sub.add_parser("bench", help="benchmarks of the simulator itself")
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-    sim = bench_sub.add_parser(
-        "sim-throughput",
-        help="simulated messages/sec, eager vs cached control plane "
-             "(the event-core fast path)",
-    )
-    sim.add_argument("--smoke", action="store_true",
-                     help="CI sweep (256/512/1024 ranks) without the 2048-rank point")
-    sim.add_argument("--ranks", type=int, nargs="*", default=None,
-                     help="explicit rank counts to sweep")
-    sim.add_argument("--output", type=Path, default=None,
-                     help="write the sweep as a BENCH_sim.json baseline here")
-    sim.add_argument("--topology", default=None,
-                     help="add a hierarchical sweep leg: 'fabric' (the built-in "
-                          "fat-tree preset) or a TopologySpec JSON file")
-    sim.add_argument("--profile", action="store_true",
-                     help="cProfile the booking loop at the largest requested rank "
-                          "count (scalar and batched legs, top 20 by cumulative time) "
-                          "instead of sweeping")
     return parser
 
 
@@ -678,86 +658,6 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_sim(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.bench.simthroughput import (
-        CACHED_CONFIG,
-        FABRIC_SPEC,
-        FULL_RANKS,
-        HALO_DEGREE,
-        SMOKE_RANKS,
-        _cached_iters,
-        check_sweep,
-        default_model,
-        profile_drive,
-        render_table,
-        run_sweep,
-    )
-    from repro.machine.topology import TopologyError, TopologySpec
-
-    if args.ranks:
-        rank_counts = tuple(args.ranks)
-        mode = "custom"
-        for i, n in enumerate(rank_counts):
-            if n < 4:
-                print(f"error: --ranks[{i}] must be at least 4, got {n}", file=sys.stderr)
-                return 2
-    elif args.smoke:
-        rank_counts, mode = SMOKE_RANKS, "smoke"
-    else:
-        rank_counts, mode = FULL_RANKS, "full"
-    spec = None
-    if args.topology is not None:
-        if args.topology == "fabric":
-            spec = FABRIC_SPEC
-        else:
-            try:
-                spec = TopologySpec.load(args.topology)
-            except (OSError, TopologyError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-        if spec.is_flat:
-            print("error: --topology needs a hierarchical spec (flat is the base leg)",
-                  file=sys.stderr)
-            return 2
-    if args.profile:
-        nranks = max(rank_counts)
-        iters = _cached_iters(nranks)
-        model = default_model()
-        for booking in ("scalar", "batched"):
-            print(f"profile — {booking} booking, {nranks} ranks, {iters} rounds")
-            print(profile_drive(nranks, CACHED_CONFIG, model, iters=iters,
-                                topology=spec, booking=booking))
-        return 0
-    results = run_sweep(rank_counts)
-    print("simulator throughput — eager vs cached control plane (wall-clock)")
-    print(render_table(results))
-    check_sweep(results)
-    topo_results = None
-    if spec is not None:
-        topo_results = run_sweep(rank_counts, topology=spec)
-        print("with topology — every post resolves a path and binds its ledgers")
-        print(render_table(topo_results))
-        check_sweep(topo_results)
-    if args.output is not None:
-        payload = {
-            "schema": 1,
-            "benchmark": "sim-throughput",
-            "mode": mode,
-            "halo_degree": HALO_DEGREE,
-            "results": {str(n): entry for n, entry in sorted(results.items())},
-        }
-        if spec is not None and topo_results is not None:
-            payload["topology"] = {
-                "spec": spec.to_dict(),
-                "results": {str(n): entry for n, entry in sorted(topo_results.items())},
-            }
-        args.output.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote baseline {args.output}")
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point for ``python -m repro.cli`` (returns a process exit code)."""
     args = _build_parser().parse_args(argv)
@@ -783,12 +683,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_figures(args)
     if args.command == "sanitize":
         return _cmd_sanitize(args)
-    if args.command == "bench":
-        if args.bench_command == "sim-throughput":
-            return _cmd_bench_sim(args)
-        raise AssertionError(
-            f"unhandled bench command {args.bench_command!r}"
-        )  # pragma: no cover
     raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
 
 

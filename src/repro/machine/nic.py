@@ -664,7 +664,8 @@ class NicTimeline:
         self.fabric_stalled_s = 0.0
         #: High-water mark of advisory pending records resident at once —
         #: with the bounded ring this is the timeline's whole variable-size
-        #: footprint, which ``bench_sim_throughput.py`` reports.
+        #: footprint, which ``tests/perf/test_call_budget.py`` pins for the
+        #: halo pricing driver (four records per rank).
         self.peak_pending = 0
         #: Frozen batch-shape memos: when a caller re-posts the *same*
         #: read-only arrays (and frozen route table, under an unchanged

@@ -85,6 +85,10 @@ class Communicator:
         #: One-shot sends bound on this communicator and not completed:
         #: ``World.run`` fails a rank that returns with any.
         self.open_sends = 0
+        #: The communicator that keeps this one's ``requests`` and
+        #: ``open_sends``: itself, or for a ``Dup`` the rank's communicator
+        #: it descends from, whose books ``World.run`` reads.
+        self.books = self
 
     # ------------------------------------------------------------------ intro
     def Get_rank(self) -> int:
@@ -100,10 +104,11 @@ class Communicator:
 
         The new context id is derived deterministically from the parent's so
         that every rank calling ``Dup`` collectively (as MPI requires) agrees
-        on it without central coordination.
+        on it without central coordination.  Its requests are booked on
+        :attr:`books`, so ``World.run`` reports what a rank left open on it.
         """
         self._ndups += 1
-        return Communicator(
+        dup = Communicator(
             self.rank,
             self.size,
             self.router,
@@ -113,6 +118,9 @@ class Communicator:
             context=self.context * 1009 + self._ndups,
             world=self.world,
         )
+        dup.books = self.books
+        dup.requests = self.books.requests
+        return dup
 
     # --------------------------------------------------------------- resolve
     def _resolve(self, spec: BufferSpec) -> tuple[Buffer, int, Datatype]:
@@ -242,7 +250,7 @@ class Communicator:
         # The send buffer is reusable once the payload is captured; charge the
         # injection overhead only.
         injection = self.network.message_cost(0, same_node=True, device_buffers=False).latency_s
-        return Request("send", completion_time=self.clock.now + injection, clock=self.clock, ledger=self)
+        return Request("send", completion_time=self.clock.now + injection, clock=self.clock, ledger=self.books)
 
     # ----------------------------------------------------------------- receives
     def Recv(
@@ -304,6 +312,10 @@ class Communicator:
 
         def start() -> None:
             posted = post(*args, **kwargs)
+            ledger = posted._ledger
+            if ledger is not None:  # this request answers for its post
+                ledger.open_sends -= 1
+                posted._ledger = None
             request.arm(posted.Wait, lambda: posted.Test()[0], posted.arrival_hint)
 
         request = Request(kind, start=start, peer=peer, tag=tag, registry=self.requests)

@@ -58,6 +58,16 @@ class WorldError(MpiError):
         super().__init__(f"{len(failures)} rank(s) failed: {summary}")
 
 
+def _left_open(rank: int, leaked: list, open_sends: int) -> str:
+    """The exit report of a rank that returned with requests still open."""
+    parts = []
+    if leaked:
+        parts.append(f"persistent requests started and never completed: {leaked}")
+    if open_sends:
+        parts.append(f"{open_sends} one-shot send request(s) never completed")
+    return f"rank {rank} returned with " + " and ".join(parts)
+
+
 class World:
     """A set of simulated ranks sharing a message router and a machine."""
 
@@ -136,10 +146,11 @@ class World:
         (waking blocked receivers and barrier waiters) and is re-raised as
         :class:`WorldError`; so is a deadlock, the moment every unfinished
         rank is blocked, with each rank's error naming what it waited for,
-        and a rank that returns with a persistent request still active, with
-        the request's peer and tag, or with one-shot sends never completed,
-        with their count, and a run that leaves a message no rank
-        received, with its source, destination, tag and context.
+        and a rank that returns with persistent requests still active (their
+        peers and tags) or one-shot sends never completed (their count), on
+        its communicator or any ``Dup`` of it, and a run that leaves a
+        message no rank received, with its source, destination, tag and
+        context.
         ``timeout`` bounds the wall-clock wait for the whole run.
         """
         results: list[object] = [None] * self.nranks
@@ -151,16 +162,8 @@ class World:
             try:
                 results[ctx.rank] = fn(ctx, *args)
                 leaked = ctx.comm.requests and Request.active(ctx.comm.requests)
-                if leaked:
-                    raise MpiError(
-                        f"rank {ctx.rank} returned with persistent requests started "
-                        f"and never completed: {leaked}"
-                    )
-                if ctx.comm.open_sends:
-                    raise MpiError(
-                        f"rank {ctx.rank} returned with {ctx.comm.open_sends} one-shot "
-                        f"send request(s) never completed"
-                    )
+                if leaked or ctx.comm.open_sends:
+                    raise MpiError(_left_open(ctx.rank, leaked, ctx.comm.open_sends))
             except BaseException as exc:  # noqa: BLE001 - propagate to the caller
                 failures[ctx.rank] = exc
                 router.shutdown()

@@ -69,7 +69,6 @@ class ResourceCache:
         #: ``query_hits``/``query_misses`` (and a steady persistent restart
         #: probes it, :func:`~repro.tempi.interposer.charge_batch`).
         self._queries: dict[Hashable, object] = {}
-        self._query_keys: set[Hashable] = set()
         self._persistent: dict[Hashable, Buffer] = {}
 
     # ---------------------------------------------------------------- buffers
@@ -158,29 +157,11 @@ class ResourceCache:
         else:
             self.runtime.stream_destroy(stream)
 
-    # ---------------------------------------------------------------- queries
-    def note_query(self, key: Hashable) -> bool:
-        """Record that ``key`` was queried; True if it was seen before.
-
-        The selection-memo-off path uses this to keep the memo's *charge
-        schedule* (first query cold, repeats at the cached-query cost) while
-        discarding the memoised value itself, so ablations price identically
-        to the memoised path.
-        """
-        if self.enabled and key in self._query_keys:
-            self.stats.query_hits += 1
-            return True
-        self.stats.query_misses += 1
-        if self.enabled:
-            self._query_keys.add(key)
-        return False
-
     def clear(self) -> None:
         """Drop everything (between benchmark configurations)."""
         self._free.clear()
         self._streams.clear()
         self._queries.clear()
-        self._query_keys.clear()
         self._persistent.clear()
 
     def __len__(self) -> int:

@@ -159,16 +159,10 @@ class TempiConfig:
     #: construction but *replays* method selection call-for-call, so every
     #: priced charge (model queries, interposition overhead) is identical to
     #: a fresh compile; off, every start compiles again.  One-shot calls
-    #: always compile — ``bench_sim_throughput.py`` measures what it buys.
+    #: always compile.  Off is the reference switch of
+    #: ``tests/property/test_property_fastpath.py``, and
+    #: ``tests/perf/test_call_budget.py`` counts what the template saves.
     plan_cache: bool = True
-    #: Memoise method-selection results for repeated ``(method, size, block)``
-    #: queries, including a bounded cache of quantized-backlog states for the
-    #: contended selector.  Disabling changes only *where* results come from,
-    #: never the charge schedule: a repeated query is priced at the cached
-    #: query cost whether or not the value is retained.  Off, no value is
-    #: retained: the model-driven selector decides every query afresh
-    #: (``PerformanceModel.decide``), past the model's decision memo too.
-    selection_memo: bool = True
     #: A sink for the NIC event stream (:data:`~repro.machine.nic.NicSink`):
     #: the interposer attaches it to the world's timeline, which then calls
     #: it once per post, sequence draw and ingestion commit; the

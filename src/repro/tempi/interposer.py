@@ -143,9 +143,8 @@ class InterposerStats:
     #: records it a miss.  One-shot collectives count neither.
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
-    #: Method selections whose *value* came from the selection memo (with
-    #: ``selection_memo`` off every selection counts as a miss, even though
-    #: the charge schedule is unchanged).
+    #: Method selections whose *value* came from the selection memo (a
+    #: selector without a resource cache counts every selection a miss).
     selection_memo_hits: int = 0
     selection_memo_misses: int = 0
     method_counts: dict = field(default_factory=dict)
@@ -535,7 +534,7 @@ class TempiCommunicator:
         if persistent:
             request = Request(kind, start=start, peer=peer, tag=tag, registry=comm.requests)
         else:
-            request = Request(kind, peer=peer, tag=tag, ledger=comm if send else None)
+            request = Request(kind, peer=peer, tag=tag, ledger=comm.books if send else None)
             try:
                 start()
             except BaseException:
@@ -1179,10 +1178,8 @@ class PersistentCollective(Request):
     fallback decision, every charge), and under ``plan_cache`` it records
     the compiled plan as a :class:`~repro.tempi.plan.PlanTemplate` and counts
     one ``plan_cache_misses``; a restart replays that template and counts one
-    ``plan_cache_hits``.  A *steady* restart (see :attr:`_steady`) skips the
-    replay: its memo probe proves the replay would be all memo hits
-    returning the recorded method, so it writes those books directly, as
-    :func:`charge_batch` does for one member.  With ``plan_cache`` off, or
+    ``plan_cache_hits``.  :func:`charge_batch` charges a *steady* restart
+    (see :attr:`_steady`) without the replay.  With ``plan_cache`` off, or
     a call that falls back, a restart compiles again, as the one-shot call
     would.  This template is the only plan reuse there is.  ``Start``
     executes the charged plan into this request, or runs the system's call
@@ -1199,8 +1196,8 @@ class PersistentCollective(Request):
         self._template: Optional[_plan.PlanTemplate] = None
         self._send = self._recv = None
         self._clock_id = id(owner._clock)
-        #: What a steady restart needs, read by :meth:`charge` and
-        #: :func:`charge_batch`, when the template allows one (else None):
+        #: What a steady restart needs, read by :func:`charge_batch`, when
+        #: the template allows one (else None):
         #: the selection memo, the probe key, the bound method, the
         #: ``(overhead, count)`` class, then the clock, the two stats
         #: objects, ``(handler, uses)`` pairs and the per-method message
@@ -1224,7 +1221,7 @@ class PersistentCollective(Request):
         if not (
             nbytes > 0 and len(set(template.methods)) == 1
             and isinstance(selector, ModelSelector) and selector.peer_invariant
-            and selector.cache.enabled and selector.config.selection_memo
+            and selector.cache.enabled
         ):
             return
         uses: dict[int, list] = {}  # id -> [handler, sections of it in the template]
@@ -1250,8 +1247,7 @@ class PersistentCollective(Request):
 
         A restart pays a recompile's charges without the compile: handler
         uses, the interposition overhead and the replayed selection
-        transcript; a steady one writes the books of an all-hit replay
-        without replaying.
+        transcript.
         """
         owner = self._owner
         template = self._template
@@ -1268,30 +1264,12 @@ class PersistentCollective(Request):
         stats = owner.tempi.stats
         stats.plan_cache_hits += 1
         stats.collective_hits += 1
-        steady = self._steady
-        if steady is None or steady[0].get(steady[1]) is not steady[2]:
-            for handler, sections in template.handlers:
-                handler.uses += sections
-            owner._charge_interposition_overhead()
-            plan = template.materialize(template.replay(owner._selector), self._send, self._recv)
-            owner._count_methods(plan, stats.method_counts)
-            return plan
-        # A steady restart: the books :func:`charge_batch` writes for one
-        # member, in the replay's order of clock additions.
-        _, _, _, (overhead, count), clock, _, cache_stats, uses, counts = steady
-        now = clock.now + overhead
-        for _ in range(count):
-            now += MODEL_CACHED_QUERY_S
-        clock.now = now
-        clock._events += 1 + count
-        stats.selection_memo_hits += count
-        cache_stats.query_hits += count
-        for handler, n in uses:
-            handler.uses += n
-        methods = stats.method_counts
-        for name, hits in counts:
-            methods[name] = methods[name] + hits if name in methods else hits
-        return template.materialize(template.methods, self._send, self._recv)
+        for handler, sections in template.handlers:
+            handler.uses += sections
+        owner._charge_interposition_overhead()
+        plan = template.materialize(template.replay(owner._selector), self._send, self._recv)
+        owner._count_methods(plan, stats.method_counts)
+        return plan
 
     def _start(self) -> None:
         if self._registry is None:

@@ -185,7 +185,8 @@ class PerformanceModel:
         :meth:`estimate`'s ``best()``, summing only the two terms it compares
         (in :meth:`estimate`'s term order, so every sum is bit-identical):
         staged is never preferred, so it is not priced.  Nothing is
-        remembered: a selector whose memo is off decides here every time.
+        remembered: a selector without a resource cache decides here every
+        time.
         """
         pack, transfer = self.pack_time, self.transfer_time
         oneshot = (

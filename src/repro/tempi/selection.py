@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Protocol, Union, cast
+from typing import Any, Callable, Optional, Protocol, Union
 
 from repro.machine.nic import BacklogReadEvent, NicTimeline, PricingEvent
 from repro.machine.topology import Topology
@@ -312,26 +312,6 @@ class ModelSelector:
         else:
             self.stats.selection_memo_misses += 1
 
-    def _memoize(
-        self, key: tuple[Any, ...], compute: Callable[[], PackMethod]
-    ) -> tuple[PackMethod, bool]:
-        """Decide without the memo (``config.selection_memo`` off, or no cache).
-
-        The value is recomputed on every call (by
-        :meth:`~repro.tempi.perf_model.PerformanceModel.decide`, past the
-        model's decision memo), but the *charge schedule* is the memo's: the
-        resource cache still remembers which keys were queried
-        (:meth:`ResourceCache.note_query`), so a repeated query is priced at
-        the cached-query cost either way and the knob can never move a priced
-        result.
-        """
-        if self.cache is None:
-            self._note_memo(False)
-            return compute(), False
-        cached = bool(self.cache.note_query(key))
-        self._note_memo(False)
-        return compute(), cached
-
     def _charge(self, cached: bool) -> None:
         """Advance the rank's clock by the (cached or cold) query cost."""
         if self.clock is not None:
@@ -341,14 +321,14 @@ class ModelSelector:
     def __call__(self, packer: Any, nbytes: int, peer: Optional[int] = None) -> PackMethod:
         """Select the contention-free best method (``peer`` is ignored).
 
-        With the memo on, one probe of the resource cache's query memo
-        decides hit or miss, and the books are written inline: the cache's
-        query hit or miss, the memo note on the stats, and the cached (~277
-        ns, as the paper measures) or cold query charge on the clock.  A miss
-        asks :meth:`~repro.tempi.perf_model.PerformanceModel.choose_method`,
-        which answers a decision the model has made before (for this world or
-        an earlier one sharing the model) from its decision memo; the charge
-        is the cold one either way.  A restart selects through this same call
+        One probe of the resource cache's query memo decides hit or miss, and
+        the books are written inline: the cache's query hit or miss, the memo
+        note on the stats, and the cached (~277 ns, as the paper measures) or
+        cold query charge on the clock.  A miss asks
+        :meth:`~repro.tempi.perf_model.PerformanceModel.choose_method`, which
+        answers a decision the model has made before (for this world or an
+        earlier one sharing the model) from its decision memo; the charge is
+        the cold one either way.  A restart selects through this same call
         (:attr:`select_many`).
         """
         if nbytes <= 0:
@@ -356,9 +336,10 @@ class ModelSelector:
         nbytes, block_length = int(nbytes), int(packer.block_length)
         key = ("method", nbytes, block_length)
         cache = self.cache
-        if cache is None or not self.config.selection_memo:
-            method, cached = self._memoize(key, lambda: self.model.decide(nbytes, block_length))
-            self._charge(cached)
+        if cache is None:  # no resource cache: decide afresh, charged cold
+            self._note_memo(False)
+            method = self.model.decide(nbytes, block_length)
+            self._charge(False)
             return method
         queries, stats, clock = cache._queries, self.stats, self.clock
         if cache.enabled and key in queries:
@@ -447,10 +428,8 @@ class ContendedSelector(ModelSelector):
         #: Bounded LRU over quantized-backlog selection keys.  Unlike the
         #: unbounded resource-cache memo a long contended run cannot grow one
         #: entry per observed queue depth; :attr:`memo_size` bounds
-        #: residency.  With ``selection_memo`` off only the *keys* are
-        #: retained (values recomputed), keeping the charge schedule — and
-        #: the eviction order — identical in both modes.
-        self._memo: OrderedDict[tuple[Any, ...], Optional[PackMethod]] = OrderedDict()
+        #: residency.
+        self._memo: OrderedDict[tuple[Any, ...], PackMethod] = OrderedDict()
         #: Most entries :attr:`_memo` retains (the eviction tests shrink it).
         self.memo_size = SELECTION_MEMO_SIZE
 
@@ -532,14 +511,12 @@ class ContendedSelector(ModelSelector):
     def _contended_memoize(
         self, key: tuple[Any, ...], compute: Callable[[], PackMethod]
     ) -> tuple[PackMethod, bool]:
-        """Bounded-LRU memoisation with a knob-independent charge schedule.
+        """Bounded-LRU memoisation on the resource cache's books.
 
         Mirrors the resource cache's ``query_hits``/``query_misses`` counters
         (and its ``use_cache=False`` always-cold semantics) so existing
         ablation accounting is unchanged; eviction follows strict LRU order
-        with :attr:`memo_size` entries.  With ``selection_memo``
-        off the key is tracked but the value discarded, so repeats charge the
-        cached-query cost in both modes while the decision is recomputed.
+        with :attr:`memo_size` entries.
         """
         if self.cache is None:
             self._note_memo(False)
@@ -549,19 +526,14 @@ class ContendedSelector(ModelSelector):
             stats.query_misses += 1
             self._note_memo(False)
             return compute(), False
-        remember = self.config.selection_memo
         if key in self._memo:
             self._memo.move_to_end(key)
             stats.query_hits += 1
-            if remember:
-                self._note_memo(True)
-                return cast(PackMethod, self._memo[key]), True
-            self._note_memo(False)
-            return compute(), True
+            self._note_memo(True)
+            return self._memo[key], True
         stats.query_misses += 1
         self._note_memo(False)
-        value = compute()
-        self._memo[key] = value if remember else None
+        value = self._memo[key] = compute()
         while len(self._memo) > self.memo_size:
             self._memo.popitem(last=False)
         return value, False

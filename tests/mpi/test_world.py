@@ -142,6 +142,28 @@ class TestRun:
             "rank 0 returned with 1 one-shot send request(s) never completed"
         )
 
+    def test_a_dups_open_requests_fail_the_run(self):
+        """A ``Dup``'ed communicator books its requests on the rank's own: a
+        one-shot send never waited and a persistent send started and never
+        waited on it fail the run, with the rank and the count."""
+
+        def program(ctx):
+            comm, buffer = ctx.comm.Dup(), ctx.gpu.host_alloc(8)
+            if ctx.rank == 0:
+                comm.Isend(buffer, 1, 3)
+                comm.Send_init(buffer, 1, 4).Start()
+            else:
+                for tag in (3, 4):
+                    comm.Recv(buffer, 0, tag)
+
+        with pytest.raises(WorldError) as excinfo:
+            World(2).run(program)
+        assert set(excinfo.value.failures) == {0}
+        assert str(excinfo.value.failures[0]) == (
+            "rank 0 returned with persistent requests started and never completed: "
+            "[<Request send peer=1 tag=4>] and 1 one-shot send request(s) never completed"
+        )
+
     def test_a_send_completed_by_test_is_counted_once(self):
         def program(ctx):
             if ctx.rank == 0:

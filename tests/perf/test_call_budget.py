@@ -71,12 +71,18 @@ growing back:
   request's ``Start`` and every ``Wait`` rows of their own, its rows sum to
   the total it prints, and ``--markdown`` prints the halo table
   ``docs/ARCHITECTURE.md`` carries (exact on 3.11);
-* ``tools/call_histogram.py --callers`` names the callers of a function.
+* ``tools/call_histogram.py --callers`` names the callers of a function;
+* one warm round of the halo pricing driver counts exactly at 256 and 1024
+  ranks, flat and on the fat-tree preset: batched booking makes fewer
+  calls per message than scalar, and no more at 1024 ranks than at 256; a
+  replayed template makes fewer calls than a recompile and prices the
+  same; the NIC's ledger ring and pending peak stay at their bounds.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import gc
 import importlib.util
 import sys
@@ -88,6 +94,7 @@ import pytest
 from repro.apps.halo import DIRECTIONS, HaloSpec, negate
 from repro.apps.replay import _pitched_datatype
 from repro.apps.stencil import HaloExchange, direction_tag
+from repro.bench.simthroughput import FABRIC_SPEC, HaloDriver
 from repro.bench.workloads import fig7_configurations, fig8_configurations
 from repro.gpu import kernels
 from repro.gpu.memory import MemoryKind
@@ -1045,3 +1052,126 @@ def test_callers_prints_who_calls_a_function(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines and "pack_strided_many" in lines[0]
     assert any("<- " in line and "launch_pack" in line for line in lines[1:])
+
+
+# --------------------------------------------------------------------------- #
+# The halo pricing driver: one warm round, batched, scalar and eager.
+# --------------------------------------------------------------------------- #
+
+#: Exact calls on Python 3.11 of the third round of a
+#: :class:`~repro.bench.simthroughput.HaloDriver` (the driver
+#: ``halo_pricing`` and ``fabric_pricing`` time), by ``(topology, ranks,
+#: leg)``: ``batched`` and ``scalar`` booking on the default config, and
+#: ``eager``, the scalar booking with ``plan_cache`` off (every start
+#: compiles).  Each round posts four messages per rank.  The tests below
+#: hold, without a clock, what a wall-clock sweep of these legs once gated:
+#: batched booking beats scalar pricing, and its cost per message does not
+#: grow from 256 to 1024 ranks.  While a scalar restart wrote the books of
+#: an all-hit replay instead of replaying, ``scalar`` counted 18 720 (flat,
+#: 256), 74 784 (flat, 1024), 25 813 (fabric, 256) and 103 237 (fabric,
+#: 1024).
+PRICING_ROUND_CALLS = {
+    ("flat", 256, "batched"): 533,
+    ("flat", 256, "scalar"): 21_792,
+    ("flat", 256, "eager"): 43_552,
+    ("flat", 1024, "batched"): 1_301,
+    ("flat", 1024, "scalar"): 87_072,
+    ("fabric", 256, "batched"): 892,
+    ("fabric", 256, "scalar"): 28_885,
+    ("fabric", 256, "eager"): 50_645,
+    ("fabric", 1024, "batched"): 2_620,
+    ("fabric", 1024, "scalar"): 115_525,
+}
+#: The points counted: both legs of the default config at 256 and 1024
+#: ranks, flat and on the fat-tree preset, and the eager leg at 256.
+PRICING_POINTS = [
+    (topology, nranks, leg)
+    for topology in ("flat", "fabric") for nranks in (256, 1024)
+    for leg in ("batched", "scalar", "eager") if leg != "eager" or nranks == 256
+]
+
+
+@dataclasses.dataclass(frozen=True)
+class _PricingRound:
+    calls: int
+    messages: int
+    digest: tuple
+    plan_cache_hits: int
+    ledger_nbytes: int
+    peak_pending: int
+
+    @property
+    def per_message(self) -> float:
+        return self.calls / self.messages
+
+
+def _pricing_round(model, topology: str, nranks: int, leg: str) -> _PricingRound:
+    driver = HaloDriver(
+        nranks, TempiConfig(plan_cache=leg != "eager"), model,
+        topology=FABRIC_SPEC if topology == "fabric" else None,
+        booking="batched" if leg == "batched" else "scalar",
+    )
+    for _ in range(2):  # the first start compiles, the second is a restart
+        driver.round()
+    gc.collect()
+    gc.disable()  # a collection would count the gc callbacks Hypothesis registers
+    try:
+        with CallCounter() as empty:
+            pass
+        with CallCounter() as counter:
+            messages = driver.round()
+    finally:
+        gc.enable()
+    return _PricingRound(
+        counter.calls - empty.calls, messages, driver.digest(),
+        sum(comm.stats.plan_cache_hits for _, comm, _, _ in driver._setup),
+        driver.nic.ledger_nbytes(), driver.nic.peak_pending,
+    )
+
+
+@pytest.fixture(scope="module")
+def pricing_round(summit_model):
+    """``_pricing_round`` on the session's model, each point counted once."""
+    return functools.cache(functools.partial(_pricing_round, summit_model))
+
+
+@pytest.mark.parametrize("point", PRICING_POINTS, ids=["-".join(map(str, p)) for p in PRICING_POINTS])
+def test_a_pricing_round_counts_its_calls(point, pricing_round):
+    got = pricing_round(*point)
+    topology, nranks, leg = point
+    assert got.messages == 4 * nranks
+    # The compact ledger is the NIC's whole variable-size footprint: a
+    # fixed ring, and one advisory pending record per message in flight.
+    assert (got.ledger_nbytes, got.peak_pending) == (163_840, 4 * nranks)
+    if leg == "eager":
+        assert got.plan_cache_hits == 0
+    else:
+        assert got.plan_cache_hits == 2 * nranks  # the second and third starts
+    expected = PRICING_ROUND_CALLS[point]
+    if sys.version_info[:2] == (3, 11):
+        assert got.calls == expected
+    else:
+        assert got.calls <= expected * 1.05, (got.calls, expected)
+
+
+@pytest.mark.parametrize("nranks", [256, 1024])
+@pytest.mark.parametrize("topology", ["flat", "fabric"])
+def test_batched_booking_costs_fewer_calls_than_scalar(topology, nranks, pricing_round):
+    batched, scalar = (pricing_round(topology, nranks, leg) for leg in ("batched", "scalar"))
+    assert batched.per_message < scalar.per_message, (batched.per_message, scalar.per_message)
+
+
+@pytest.mark.parametrize("topology", ["flat", "fabric"])
+def test_batched_calls_per_message_do_not_grow_with_the_ranks(topology, pricing_round):
+    small, large = (pricing_round(topology, nranks, "batched") for nranks in (256, 1024))
+    assert large.per_message <= small.per_message, (small.per_message, large.per_message)
+
+
+@pytest.mark.parametrize("topology", ["flat", "fabric"])
+def test_the_plan_template_saves_calls_and_prices_the_same(topology, pricing_round):
+    """A restart that replays its template costs fewer calls than one that
+    compiles again, and every leg leaves the same clocks and NIC books."""
+    batched, scalar, eager = (pricing_round(topology, 256, leg)
+                              for leg in ("batched", "scalar", "eager"))
+    assert scalar.calls < eager.calls, (scalar.calls, eager.calls)
+    assert batched.digest == scalar.digest == eager.digest

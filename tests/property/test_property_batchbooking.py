@@ -27,10 +27,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bench.simthroughput import CACHED_CONFIG, EAGER_CONFIG, FABRIC_SPEC, HaloDriver
+from repro.bench.simthroughput import CACHED_CONFIG, FABRIC_SPEC, HaloDriver
 from repro.machine.nic import IngestRecord, NicReservation, NicTimeline
 from repro.machine.spec import SUMMIT
 from repro.machine.topology import Topology
+from repro.tempi.config import TempiConfig
 from repro.tempi.measurement import measure_system
 from repro.tempi.perf_model import PerformanceModel
 
@@ -746,7 +747,7 @@ class TestBatchedBookingEndToEnd:
         cached and eager."""
         model = PerformanceModel(measure_system(SUMMIT))
         for topology in (None, FABRIC_SPEC):
-            for config in (CACHED_CONFIG, EAGER_CONFIG):
+            for config in (CACHED_CONFIG, TempiConfig(plan_cache=False)):
                 digests = []
                 for booking in ("scalar", "batched"):
                     driver = HaloDriver(16, config, model,

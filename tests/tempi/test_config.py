@@ -106,6 +106,7 @@ KNOBS_WITHOUT_A_CALLER = {
     "datatype_handling": "the real library's per-feature disable switch: Pack/Unpack, collectives",
     "send_handling": "the real library's per-feature disable switch: Send/Recv",
     "batch_eager_sends": "reference switch of tests/property/test_property_batching.py",
+    "plan_cache": "reference switch of tests/property/test_property_fastpath.py",
     "measurement_path": "deployment path",
 }
 #: ``repro sanitize`` sets ``trace`` for every config a replayed benchmark
@@ -138,7 +139,7 @@ def test_every_knob_has_a_caller():
     file outside ``tests/`` gives it a second value, or for a reason written
     down here.  Adding a knob only tests would set fails this test."""
     knobs = [field.name for field in dataclasses.fields(TempiConfig)]
-    assert len(knobs) == 16
+    assert len(knobs) == 15
     called = _knobs_set_outside_tests()
     assert not called & set(KNOBS_WITHOUT_A_CALLER), "drop the allowlist entry: it has a caller now"
     orphans = [name for name in knobs if name not in called and name not in KNOBS_WITHOUT_A_CALLER]

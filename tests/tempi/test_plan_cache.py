@@ -152,11 +152,10 @@ def _recommitted(setup):
 
 
 #: The configs whose restarts the equivalence wall replays: the default, the
-#: peer-dependent selector, and the two that take the selection memo away.
+#: peer-dependent selector, and the one that takes the selection memo away.
 CONFIGS = (
     TempiConfig(),
     TempiConfig(selection="contended"),
-    TempiConfig(selection_memo=False),
     TempiConfig(use_cache=False),
 )
 
@@ -292,14 +291,6 @@ class TestSelectionMemoCounters:
         _exchange(setup)
         stats = setup[0][1].tempi.stats
         assert stats.selection_memo_hits > 0
-
-    def test_memo_off_never_hits_but_still_counts(self, summit_model):
-        setup = _world(config=TempiConfig(selection_memo=False), summit_model=summit_model)
-        _exchange(setup)
-        _exchange(setup)
-        stats = setup[0][1].tempi.stats
-        assert stats.selection_memo_hits == 0
-        assert stats.selection_memo_misses > 0
 
     def test_contended_memo_stays_bounded(self, summit_model, free_runtime):
         """Distinct message sizes are distinct memo keys; the LRU must evict."""

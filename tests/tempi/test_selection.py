@@ -119,20 +119,17 @@ class TestModelSelector:
         assert clock.now == MODEL_QUERY_S + MODEL_QUERY_S  # cold both times
         assert len(cache) == 0
 
-    def test_a_selector_without_its_memo_decides_every_time(self, summit_measurement, monkeypatch):
-        """``selection_memo=False`` retains no value anywhere: each query is
-        decided afresh, past the model's decision memo, at the memo's charges."""
+    def test_a_memoised_answer_is_the_models_decision(self, summit_measurement):
+        """The memo changes where an answer comes from, never what it is: a
+        miss and the hit after it both equal a fresh ``decide``."""
         model = PerformanceModel(summit_measurement)
-        clock = VirtualClock()
-        selector = ModelSelector(
-            model, cache=ResourceCache(CudaRuntime(cost_model=FREE_GPU)), clock=clock,
-            config=TempiConfig(selection_memo=False),
-        )
-        asked, decide = [], model.decide
-        monkeypatch.setattr(model, "decide", lambda *query: asked.append(query) or decide(*query))
-        assert selector(packer_for(8), KIB) is selector(packer_for(8), KIB)
-        assert asked == [(KIB, 8)] * 2 and model._decisions == {}
-        assert clock.now == pytest.approx(MODEL_QUERY_S + MODEL_CACHED_QUERY_S)
+        cache = ResourceCache(CudaRuntime(cost_model=FREE_GPU))
+        selector = ModelSelector(model, cache=cache)
+        grid = ((KIB, 8), (64 * KIB, 64), (4 * MIB, 8), (4 * MIB, 1))
+        for nbytes, block in grid:
+            for _ in range(2):
+                assert selector(packer_for(block), nbytes) is model.decide(nbytes, block)
+        assert (cache.stats.query_hits, cache.stats.query_misses) == (len(grid), len(grid))
 
     def test_a_fresh_world_takes_a_decision_the_model_made(self, summit_measurement, monkeypatch):
         """Two worlds share one model: the second world's selection misses its
@@ -198,6 +195,24 @@ class TestContendedSelector:
     def test_requires_a_timeline(self, summit_model):
         with pytest.raises(SelectionError):
             ContendedSelector(summit_model, None, 0)
+
+    def test_a_memo_hit_is_a_fresh_price_at_the_same_backlog(self, summit_model):
+        """A hit at a quantised backlog returns what a selector with no memo
+        prices at that backlog, to a peer and without one."""
+        nic = NicTimeline()
+        nic.reserve(0, 1, 0.0, 200e-6, 4 * KIB)  # port and link backlog
+        cache = ResourceCache(CudaRuntime(cost_model=FREE_GPU))
+        memoised = ContendedSelector(summit_model, nic, 0, cache=cache)
+        fresh = ContendedSelector(summit_model, nic, 0)
+        cases = [(block, nbytes, peer) for block in (1, 8, 64)
+                 for nbytes in (4 * KIB, 64 * KIB, MIB) for peer in (None, 1)]
+        for block, nbytes, peer in cases:
+            memoised(packer_for(block), nbytes, peer)
+        assert cache.stats.query_hits == 0
+        for block, nbytes, peer in cases:
+            hit = memoised(packer_for(block), nbytes, peer)
+            assert hit is fresh._price(packer_for(block), nbytes, peer), (block, nbytes, peer)
+        assert cache.stats.query_hits == len(cases)
 
     def test_estimate_rejects_negative_backlog(self, summit_model):
         with pytest.raises(SelectionError):

@@ -172,19 +172,6 @@ class TestReplayCommand:
         _assert_error_line(["replay", trace, *flags], line, capsys)
 
 
-class TestSimThroughputCommand:
-    @pytest.mark.parametrize(
-        "flags, line",
-        [
-            (["--ranks", "2"], "--ranks[0] must be at least 4, got 2"),
-            (["--ranks", "8", "2"], "--ranks[1] must be at least 4, got 2"),
-        ],
-        ids=["first-rank-count", "second-rank-count"],
-    )
-    def test_invalid_arguments_return_error(self, flags, line, capsys):
-        _assert_error_line(["bench", "sim-throughput", *flags], line, capsys)
-
-
 class TestParser:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):

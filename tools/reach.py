@@ -15,16 +15,14 @@ tests call is what this lists.
 * ``e2e`` — the five ``benchmarks/e2e/run.py`` leaves, ``--quick --trace 0``;
 * ``examples`` — every ``examples/*.py``;
 * ``cli`` — ``repro predict``, ``halo``, ``select-table``, ``topo show
-  --spec``, ``sanitize``, ``lint``, ``measure`` and ``bench sim-throughput
-  --smoke --topology fabric``, then CI's ``benchmarks/bench_sim_throughput.py
-  --smoke --topology fabric --baseline BENCH_sim.json``;
+  --spec``, ``sanitize``, ``lint`` and ``measure``;
 * ``all`` — the four together (4 to 7 minutes on 2 cores).
 
 The e2e harness sets and clears its own call-counting hook around counted
 rounds.  While the census runs, ``sys.setprofile`` and
 ``threading.setprofile`` are wrapped, so a hook set by an entry runs after
-the census's instead of replacing it.  An entry that fails or exits (a gate
-of the CI script, say) is reported on stderr, what it reached until then
+the census's instead of replacing it.  An entry that fails or exits (a
+failed check, say) is reported on stderr, what it reached until then
 counts, and the census goes on.  Entries' own output is discarded.
 ``docs/ARCHITECTURE.md`` § "Reach census" says why each unreached function
 stays.
@@ -213,16 +211,8 @@ def _cli() -> Iterator[tuple[str, Callable[[], object]]]:
             ["sanitize"],
             ["lint"],
             ["measure", "--output", str(Path(scratch) / "measurement.json")],
-            ["bench", "sim-throughput", "--smoke", "--topology", "fabric"],
         ):
             yield "repro " + " ".join(argv[:2]), lambda argv=argv: main(argv)
-
-    def ci_sim_throughput():
-        argv = ["--smoke", "--topology", "fabric", "--baseline", str(ROOT / "BENCH_sim.json")]
-        with _path(ROOT / "benchmarks"):
-            return runpy.run_path(str(ROOT / "benchmarks" / "bench_sim_throughput.py"))["main"](argv)
-
-    yield "bench_sim_throughput.py --smoke --topology fabric", ci_sim_throughput
 
 
 ENTRIES = {"figures": _figures, "e2e": _e2e, "examples": _examples, "cli": _cli}
