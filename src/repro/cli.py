@@ -588,14 +588,14 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 def _cmd_sanitize(args: argparse.Namespace) -> int:
     """Replay benchmark rows under a :class:`ClockSanitizer`; 1 on any violation.
 
-    The sanitizer sees only what a traced ``TempiConfig`` books: the
-    interposed posts of a ``World``.  The ``topology`` row's analytic twin,
-    ``model_fabric_exchange``, books its shared-cursor commits (126 at
-    smoke, 270 full, against 14 and 30 interposed posts) on private
-    ``NicTimeline``s no sink reaches, so they are not audited here; making
-    twins commit as a ``World`` does is ROADMAP item 8.
+    Every ``NicTimeline`` a replay builds carries the sanitizer: a
+    ``World``'s, and the private ones the analytic twins and the benches'
+    own selectors book on.  So the ``topology`` row audits its twins' 42
+    posts at smoke (168 shared-cursor commits: a rail and two uplink
+    bundles per post, an ingestion rail per ingest) beside its 14
+    interposed ones.
     """
-    from repro.tempi.config import trace_default
+    from repro.machine.nic import trace_default
     from repro.tempi.sanitizer import ClockSanitizer
 
     try:
@@ -608,10 +608,9 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
     failures: list[str] = []
 
     def replay(name: str, run: Callable[[], Optional[str]], posts_expected: bool = True) -> None:
-        # One fresh sink per replay.  The ambient default makes every
-        # TempiConfig the row constructs a traced one; priced results are
-        # unchanged (the sink only observes), so each row's own check still
-        # validates the real numbers.
+        # One fresh sink per replay, on every timeline the row builds;
+        # priced results are unchanged (the sink only observes), so each
+        # row's own check still validates the real numbers.
         sanitizer = ClockSanitizer()
         with trace_default(sanitizer):
             failure = run()

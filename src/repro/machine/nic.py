@@ -77,12 +77,13 @@ engine waits for its key first (:meth:`~repro.mpi.p2p.MessageRouter.await_key`),
 and the runtime sanitizer checks the order.  Receive-side rails are
 committed by receivers and stay under the happens-before rule.
 
-Event stream.  A timeline with a :attr:`~NicTimeline.sink` attached
-(``TempiConfig(trace=...)``) calls it as ``sink(timeline, event)`` once per
-scalar post (:class:`PostEvent`), sequence draw (:class:`SeqEvent`) and
-ingestion commit (:class:`IngestEvent`), under the timeline's lock and
-carrying every cursor the commit set, so a sink never reads the timeline
-back.  The reads and joins only a caller can name a rank for — a contended
+Event stream.  A timeline built inside :func:`trace_default` — a
+``World``'s, or a private one an analytic twin or a benchmark books on —
+keeps that :attr:`~NicTimeline.sink` and calls it as ``sink(timeline,
+event)`` once per scalar post (:class:`PostEvent`), sequence draw
+(:class:`SeqEvent`) and ingestion commit (:class:`IngestEvent`), under the
+timeline's lock and carrying every cursor the commit set, so a sink never
+reads the timeline back.  The reads and joins only a caller can name a rank for — a contended
 selector's backlog read and pricing bracket, the interposer's collective
 joins — are emitted by those callers into the same sink.  With no sink
 each emit site is one ``is not None`` test.  The batch sweep
@@ -99,6 +100,7 @@ accounting, bit-for-bit).
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -465,6 +467,27 @@ NicEvent = Union[
 #: into the timeline, whose lock it runs under for the timeline's own events.
 NicSink = Callable[["NicTimeline", NicEvent], None]
 
+#: The sink every :class:`NicTimeline` built now carries (see :func:`trace_default`).
+_TRACE_SINK: Optional[NicSink] = None
+
+
+@contextmanager
+def trace_default(sink: Optional[NicSink]) -> Iterator[None]:
+    """Attach ``sink`` to every :class:`NicTimeline` built inside the context.
+
+    The one way to trace a run: ``repro sanitize`` and the tests wrap a
+    ``World`` or an analytic twin in it, and the timelines they build carry
+    the sink for their lifetime.  ``None`` switches tracing off inside.
+    """
+    if sink is not None and not callable(sink):
+        raise ValueError(f"trace sink must be called as sink(timeline, event), got {sink!r}")
+    global _TRACE_SINK
+    previous, _TRACE_SINK = _TRACE_SINK, sink
+    try:
+        yield
+    finally:
+        _TRACE_SINK = previous
+
 
 class _PendingBlock(NamedTuple):
     """One batch's advisory pending records, deferred as columns.
@@ -677,9 +700,9 @@ class NicTimeline:
             tuple[np.ndarray, np.ndarray, np.ndarray, Optional[RouteTable], float, _BatchPlan]
         ] = None
         self._ingest_shape: Optional[tuple[np.ndarray, Any, _IngestPlan]] = None
-        #: The trace sink ("Event stream" in the module docstring), attached
-        #: by an interposer built with ``TempiConfig(trace=sink)``.
-        self.sink: Optional[NicSink] = None
+        #: The trace sink ("Event stream" in the module docstring): the one
+        #: :func:`trace_default` set when this timeline was built.
+        self.sink: Optional[NicSink] = _TRACE_SINK
 
     # ---------------------------------------------------------------- reserve
     def reserve(

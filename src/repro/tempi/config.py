@@ -12,12 +12,10 @@ is a module constant below.
 from __future__ import annotations
 
 import enum
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Optional
 
-from repro.machine.nic import NicSink
 from repro.machine.topology import TopologySpec
 
 
@@ -68,33 +66,6 @@ SELECTION_MEMO_SIZE = 1024
 #: Most sub-eager send plans one progress-engine batch coalesces before it
 #: is flushed.
 BATCH_MAX_MESSAGES = 8
-
-#: Ambient default of ``TempiConfig.trace``: ``repro sanitize`` (and the
-#: tests) set it through :func:`trace_default` so benchmarks that build
-#: their own configs replay traced without modification.
-_TRACE_DEFAULT: Optional[NicSink] = None
-
-
-def _default_trace() -> Optional[NicSink]:
-    """The ambient ``trace`` default (see :func:`trace_default`)."""
-    return _TRACE_DEFAULT
-
-
-@contextmanager
-def trace_default(sink: Optional[NicSink]) -> Iterator[None]:
-    """Temporarily set the ambient default of ``TempiConfig.trace``.
-
-    Only configs *constructed inside* the context inherit the default;
-    explicit ``TempiConfig(trace=...)`` always wins.
-    """
-    global _TRACE_DEFAULT
-    previous = _TRACE_DEFAULT
-    _TRACE_DEFAULT = sink
-    try:
-        yield
-    finally:
-        _TRACE_DEFAULT = previous
-
 
 @dataclass(frozen=True)
 class TempiConfig:
@@ -163,16 +134,6 @@ class TempiConfig:
     #: ``tests/property/test_property_fastpath.py``, and
     #: ``tests/perf/test_call_budget.py`` counts what the template saves.
     plan_cache: bool = True
-    #: A sink for the NIC event stream (:data:`~repro.machine.nic.NicSink`):
-    #: the interposer attaches it to the world's timeline, which then calls
-    #: it once per post, sequence draw and ingestion commit; the
-    #: contended selector adds its backlog reads and pricing brackets, the
-    #: interposer its collective joins.  Priced results are unchanged — a
-    #: sink only observes — and ``None`` (the default) emits nothing.
-    #: ``repro sanitize`` replays the figure benchmarks with a
-    #: :class:`~repro.tempi.sanitizer.ClockSanitizer` as the sink (through
-    #: :func:`trace_default`).
-    trace: Optional[NicSink] = field(default_factory=_default_trace)
     #: Cluster topology the engine routes and prices against
     #: (:class:`~repro.machine.topology.TopologySpec`): NVLink islands,
     #: shared NIC rails and the two-level fat-tree with oversubscribed
@@ -187,8 +148,6 @@ class TempiConfig:
     measurement_path: Optional[Path] = None
 
     def __post_init__(self) -> None:
-        if self.trace is not None and not callable(self.trace):
-            raise ValueError(f"trace must be a sink called as sink(timeline, event), got {self.trace!r}")
         if self.selection not in SELECTION_MODES:
             raise ValueError(
                 f"unknown selection policy {self.selection!r}; expected one of {SELECTION_MODES}"

@@ -259,8 +259,6 @@ class TempiCommunicator:
             batching=config.batch_eager_sends and config.overlap,
             topology=topology,
         )
-        if config.trace is not None:
-            self._engine.nic.sink = config.trace
         self._executor = PlanExecutor(
             comm,
             self.tempi.cache,
@@ -1338,8 +1336,7 @@ def interpose(ctx, config: Optional[TempiConfig] = None, **kwargs) -> TempiCommu
 
     This is the one-liner applications use instead of changing their code:
     the returned object is a drop-in replacement for ``ctx.comm``.  ``config``
-    defaults to a ``TempiConfig()`` built *at call time*, so ambient defaults
-    (:func:`repro.tempi.config.trace_default`) apply to it.
+    defaults to ``TempiConfig()``.
     """
     if config is None:
         config = TempiConfig()

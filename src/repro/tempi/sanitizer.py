@@ -8,9 +8,10 @@ posted backlog with no synchronisation and produced run-to-run jitter that
 took a fuzz seed to find.  This module checks the rule *while the simulator
 runs*.
 
-A :class:`ClockSanitizer` is a trace sink (``TempiConfig(trace=...)``,
-:data:`~repro.machine.nic.NicSink`): it reads the event stream of every
-:class:`~repro.machine.nic.NicTimeline` it is attached to and maintains,
+A :class:`ClockSanitizer` is a trace sink (:data:`~repro.machine.nic.NicSink`,
+attached to every :class:`~repro.machine.nic.NicTimeline` built inside
+:func:`~repro.machine.nic.trace_default`): it reads the event stream of each
+timeline it is attached to and maintains,
 per timeline, a **vector clock per rank**:
 
 * a **post** (:class:`~repro.machine.nic.PostEvent`, any scalar
@@ -43,7 +44,8 @@ Each audited event then checks:
   simlint's SIM002.
 
 Every value checked travels on the event, so the sanitizer never reads the
-timeline back.  ``repro sanitize`` replays the figure benchmarks with one
+timeline back.  ``repro sanitize`` replays the figure benchmarks — the
+worlds' timelines and the analytic twins' private ones alike — with one
 fresh sanitizer each and prints its :attr:`~ClockSanitizer.counters`.
 """
 

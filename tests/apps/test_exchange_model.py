@@ -1,18 +1,31 @@
 """Tests for the analytic halo-exchange model (Fig. 12)."""
 
+import dataclasses
+import functools
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.apps import exchange_model
 from repro.apps.exchange_model import (
     ExchangeBreakdown,
+    incast_efficiency,
     model_contended_exchange,
+    model_duplex_exchange,
+    model_fabric_exchange,
     model_fused_exchange,
     model_halo_exchange,
+    model_moe_exchange,
     model_overlap_exchange,
     overlap_efficiency,
+    uplink_efficiency,
 )
 from repro.apps.halo import HaloSpec
+from repro.apps.moe import MoESpec, moe_counts
+from repro.machine.nic import NicTimeline, PostEvent, trace_default
 from repro.machine.topology import Topology, TopologySpec
+from repro.tempi.sanitizer import ClockSanitizer
 
 
 def _tempi_speedup(nodes: int, ranks_per_node: int) -> float:
@@ -385,3 +398,110 @@ class TestBadTwinInputs:
             model_duplex_exchange(2, 4096, block_length=0, nic="psychic")
         with pytest.raises(ValueError, match="counts"):
             model_moe_exchange([[0, -1], [2, 0]], 63, hot_expert=9, nic="psychic")
+
+
+def _hexed(value):
+    """A twin's result with every float as ``float.hex()``."""
+    fields = dataclasses.astuple(value) if dataclasses.is_dataclass(value) else (value,)
+    return tuple(f.hex() if isinstance(f, float) else f for f in fields)
+
+
+def _fabric_spec(oversubscription: float) -> TopologySpec:
+    return TopologySpec(
+        ranks_per_node=2, rails_per_node=1, leaf_radix=8, oversubscription=oversubscription
+    )
+
+
+_HALO_SPECS = (HaloSpec.paper(), HaloSpec(nx=32, ny=32, nz=32))
+_SHAPES = [(nodes, rpn) for nodes in (1, 2, 8) for rpn in (1, 2, 6)]
+_INCASTS = [(senders, nbytes) for senders in (1, 2, 3, 4, 8, 16, 33)
+            for nbytes in (1, 512, 4096, 1 << 16, 1 << 20, 1 << 22)]
+_MOE = [MoESpec(skew=skew) for skew in (1.0, 2.0, 4.0, 8.0)]
+
+#: Every twin that books on a ``NicTimeline``, called over its grid in
+#: ``tools/make_golden_fixtures.py``'s ``run_twins``.
+BOOKING_TWINS = {
+    "model_contended_exchange": [
+        functools.partial(model_contended_exchange, nodes, rpn, plans=plans, spec=spec,
+                          shared_nic=shared_nic, nic=nic)
+        for spec in _HALO_SPECS for nodes, rpn in _SHAPES for plans in (1, 2, 4, 8)
+        for shared_nic in (True, False) for nic in ("duplex", "inject_only")
+    ],
+    "overlap_efficiency": [
+        functools.partial(overlap_efficiency, nodes, rpn, plans=plans, spec=spec)
+        for spec in _HALO_SPECS for nodes, rpn in _SHAPES for plans in (1, 2, 4, 8)
+    ],
+    "model_duplex_exchange": [
+        functools.partial(model_duplex_exchange, senders, nbytes, nic=nic)
+        for senders, nbytes in _INCASTS for nic in ("duplex", "inject_only")
+    ],
+    "incast_efficiency": [
+        functools.partial(incast_efficiency, senders, nbytes) for senders, nbytes in _INCASTS
+    ],
+    "model_fabric_exchange": [
+        functools.partial(model_fabric_exchange, flows, 1 << 20,
+                          spec=_fabric_spec(oversubscription), fabric=fabric)
+        for oversubscription in (1.0, 2.0, 4.0) for flows in range(1, 9)
+        for fabric in ("shared", "independent")
+    ],
+    "uplink_efficiency": [
+        functools.partial(uplink_efficiency, flows, 1 << 20, spec=_fabric_spec(oversubscription))
+        for oversubscription in (1.0, 2.0, 4.0) for flows in range(1, 9)
+    ],
+    "model_moe_exchange": [
+        functools.partial(model_moe_exchange, moe_counts(spec, nranks), spec.token_bytes,
+                          hot_expert=spec.hot_expert, nic=nic)
+        for nranks in (4, 8) for spec in _MOE for nic in ("duplex", "inject_only")
+    ],
+}
+
+
+class TestTwinsOnTheSink:
+    """A twin's private timelines carry the sink ``trace_default`` set when
+    they were built, so ``repro sanitize`` audits the twins' walks."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every timeline the twins build, in build order."""
+        timelines: list[NicTimeline] = []
+
+        def recording(*args, **kwargs):
+            timelines.append(NicTimeline(*args, **kwargs))
+            return timelines[-1]
+
+        monkeypatch.setattr(exchange_model, "NicTimeline", recording)
+        return timelines
+
+    @pytest.mark.parametrize("twin", list(BOOKING_TWINS))
+    def test_a_traced_twin_prices_alike_and_posts_every_reservation(self, built, twin):
+        for call in BOOKING_TWINS[twin]:
+            built.clear()
+            plain = _hexed(call())
+            assert built and all(timeline.sink is None for timeline in built)
+
+            built.clear()
+            sanitizer, posts = ClockSanitizer(), Counter()
+
+            def sink(timeline, event):
+                if isinstance(event, PostEvent):
+                    posts[id(timeline)] += 1
+                sanitizer(timeline, event)
+
+            with trace_default(sink):
+                assert _hexed(call()) == plain
+            assert sanitizer.counters["violations"] == 0
+            assert [posts[id(timeline)] for timeline in built] == [
+                timeline.reservations for timeline in built
+            ]
+
+    def test_contended_mirror_ingest_joins_no_post(self):
+        """A known gap, pinned: the duplex mirror ingest of
+        ``model_contended_exchange`` names the *peer* as each record's
+        source, so no record matches a post's snapshot and the sanitizer
+        joins none of them.  Naming the rank that posted may move priced
+        clocks, so the fix belongs with making the twins exact."""
+        sanitizer = ClockSanitizer()
+        with trace_default(sanitizer):
+            model_contended_exchange(2, 6, plans=4)
+        counters = sanitizer.counters
+        assert (counters["posts"], counters["ingests"], counters["joins"]) == (264, 6, 0)

@@ -146,18 +146,22 @@ def test_a_record_evaluates_computed_strings(figures):
 
 
 #: ``repro sanitize``'s audit counters, one line per replay in print order.
+#: They cover every timeline a replay builds: a ``World``'s, the analytic
+#: twins' (``topology``'s 42 twin posts, 168 shared-cursor commits) and the
+#: benches' own selectors' (``fig9``'s ``loaded_nic``, ``topology``'s
+#: crossover reads and pricing brackets).
 SANITIZED_REPLAYS = {
-    "fig9": "posts=216 ingests=48 joins=144 barriers=0 hb_checks=0 purity_checks=144 "
+    "fig9": "posts=408 ingests=48 joins=144 barriers=0 hb_checks=0 purity_checks=192 "
     "shared_commits=0 violations=0",
     "fig15": "posts=120 ingests=20 joins=60 barriers=14 hb_checks=0 purity_checks=0 "
     "shared_commits=0 violations=0",
-    "incast": "posts=56 ingests=31 joins=31 barriers=18 hb_checks=24 purity_checks=84 "
+    "incast": "posts=84 ingests=37 joins=45 barriers=18 hb_checks=24 purity_checks=84 "
     "shared_commits=0 violations=0",
-    "topology": "posts=14 ingests=14 joins=14 barriers=0 hb_checks=0 purity_checks=0 "
-    "shared_commits=56 violations=0",
+    "topology": "posts=56 ingests=56 joins=56 barriers=0 hb_checks=80 purity_checks=80 "
+    "shared_commits=224 violations=0",
     "allreduce": "posts=620 ingests=620 joins=620 barriers=0 hb_checks=0 purity_checks=0 "
     "shared_commits=540 violations=0",
-    "moe": "posts=184 ingests=32 joins=184 barriers=0 hb_checks=0 purity_checks=0 "
+    "moe": "posts=315 ingests=56 joins=315 barriers=0 hb_checks=0 purity_checks=0 "
     "shared_commits=0 violations=0",
     "fig14-serial": "posts=0 ingests=0 joins=0 barriers=4 hb_checks=0 purity_checks=0 "
     "shared_commits=0 violations=0",

@@ -34,7 +34,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import _load_figures
-from repro.machine.nic import PostEvent
+from repro.machine.nic import PostEvent, trace_default
 from repro.machine.topology import TopologySpec
 from repro.mpi.constructors import Type_vector
 from repro.mpi.datatype import BYTE
@@ -231,10 +231,12 @@ def test_a_burst_flushed_behind_its_clock_posts_behind_it(summit_model):
     flushed_at, events = [], []
 
     def program(ctx):
-        comm = interpose(ctx, TempiConfig(trace=lambda _, event: events.append(event)), model=summit_model)
+        comm = interpose(ctx, TempiConfig(), model=summit_model)
         return _burst_behind_clock(flushed_at)(ctx, comm)
 
-    results = World(3, topology=THREE_RANK_FATTREE).run(program)
+    with trace_default(lambda _, event: events.append(event)):
+        world = World(3, topology=THREE_RANK_FATTREE)
+    results = world.run(program)
     (flush,) = [event for event in events if isinstance(event, PostEvent) and event.rank == 0]
     assert results[0][1] == 3 and flush.ready < flushed_at[0]
 

@@ -26,13 +26,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.gpu.memory import CudaBufferError
+from repro.machine.nic import trace_default
 from repro.mpi.constructors import Type_indexed, Type_vector
 from repro.mpi.datatype import BYTE
 from repro.mpi.errors import MpiError
 from repro.mpi.request import Request
 from repro.mpi.status import ANY_SOURCE, ANY_TAG, Status
 from repro.mpi.world import World, WorldError
-from repro.tempi.config import TempiConfig, trace_default
+from repro.tempi.config import TempiConfig
 from repro.tempi.interposer import interpose
 from repro.tempi.sanitizer import ClockSanitizer
 
@@ -186,7 +187,6 @@ def test_k_starts_equal_k_one_shot_rounds(summit_model, variant, case):
 @given(case=exchange_cases())
 def test_k_starts_equal_k_one_shot_rounds_under_the_sanitizer(summit_model, case):
     with trace_default(ClockSanitizer()):
-        assert TempiConfig().trace is not None
         persistent = _run(case, TempiConfig, summit_model, True)
         one_shot = _run(case, TempiConfig, summit_model, False)
     assert persistent == one_shot

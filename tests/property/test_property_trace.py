@@ -1,7 +1,7 @@
 """Property wall for the NIC event stream: deterministic, and it only observes.
 
-A list-appending sink (``TempiConfig(trace=...)``) records every event a run
-emits — the timeline's posts, sequence draws and ingestion commits, the
+A list-appending sink (attached with ``trace_default``) records every event a
+run emits — the timeline's posts, sequence draws and ingestion commits, the
 contended selector's backlog reads and pricing brackets, the
 interposer's joins.  Over ``selection`` × ``nic`` × ``batch_eager_sends``,
 on a 4-rank ring of nonblocking bursts and on the fat-tree barrier-phased
@@ -21,6 +21,7 @@ import hashlib
 from hypothesis import given, settings, strategies as st
 import pytest
 
+from repro.machine.nic import trace_default
 from repro.mpi.constructors import Type_vector
 from repro.mpi.datatype import BYTE
 from repro.mpi.request import Request
@@ -103,7 +104,7 @@ def _run(scenario: str, case, model, sink):
     """One world's per-rank (clock, received bytes) and its virtual digest."""
     (selection, nic, batch), (nblocks, block, gap), burst, rounds = case
     program, make_world = SCENARIOS[scenario]
-    config = TempiConfig(selection=selection, nic=nic, batch_eager_sends=batch, trace=sink)
+    config = TempiConfig(selection=selection, nic=nic, batch_eager_sends=batch)
 
     def rank(ctx):
         comm = interpose(ctx, config, model=model)
@@ -111,7 +112,8 @@ def _run(scenario: str, case, model, sink):
         received = program(ctx, comm, datatype, burst, rounds)
         return ctx.clock.now.hex(), hashlib.sha256(b"".join(b.data.tobytes() for b in received)).hexdigest()
 
-    world = make_world()
+    with trace_default(sink):
+        world = make_world()
     results = world.run(rank)
     timeline = world.nic
     digest = hashlib.sha256(repr((

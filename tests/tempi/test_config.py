@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.machine.nic import trace_default
 from repro.mpi.world import World
 from repro.tempi.config import MODEL_CACHED_QUERY_S, MODEL_QUERY_S, PackMethod, TempiConfig
 from repro.tempi.interposer import interpose
@@ -60,9 +61,9 @@ class TestVariants:
         assert TempiConfig(selection="contended").progress == "shared"
 
     def test_trace_must_be_callable(self):
-        with pytest.raises(ValueError, match="trace must be a sink"):
-            TempiConfig(trace="events.json")
-        assert TempiConfig(trace=print).trace is print
+        with pytest.raises(ValueError, match="trace sink must be called as sink"):
+            with trace_default("events.json"):
+                pass
 
     def test_measurement_path_accepted(self):
         config = TempiConfig(measurement_path=Path("/tmp/m.json"))
@@ -109,9 +110,6 @@ KNOBS_WITHOUT_A_CALLER = {
     "plan_cache": "reference switch of tests/property/test_property_fastpath.py",
     "measurement_path": "deployment path",
 }
-#: ``repro sanitize`` sets ``trace`` for every config a replayed benchmark
-#: builds through the ambient default, not by keyword.
-AMBIENT_SETTERS = {"trace_default": "trace"}
 
 
 def _knobs_set_outside_tests() -> set[str]:
@@ -129,8 +127,6 @@ def _knobs_set_outside_tests() -> set[str]:
                 callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
                 if callee in ("TempiConfig", "replace"):
                     found.update(kw.arg for kw in node.keywords if kw.arg in knobs)
-                elif callee in AMBIENT_SETTERS:
-                    found.add(AMBIENT_SETTERS[callee])
     return found
 
 
@@ -139,7 +135,7 @@ def test_every_knob_has_a_caller():
     file outside ``tests/`` gives it a second value, or for a reason written
     down here.  Adding a knob only tests would set fails this test."""
     knobs = [field.name for field in dataclasses.fields(TempiConfig)]
-    assert len(knobs) == 15
+    assert len(knobs) == 14
     called = _knobs_set_outside_tests()
     assert not called & set(KNOBS_WITHOUT_A_CALLER), "drop the allowlist entry: it has a caller now"
     orphans = [name for name in knobs if name not in called and name not in KNOBS_WITHOUT_A_CALLER]

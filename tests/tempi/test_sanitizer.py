@@ -25,13 +25,14 @@ from repro.machine.nic import (
     PostEvent,
     PricingEvent,
     SeqEvent,
+    trace_default,
 )
 from repro.machine.topology import Topology
 from repro.mpi.constructors import Type_vector
 from repro.mpi.datatype import BYTE
 from repro.mpi.request import Request
 from repro.mpi.world import World
-from repro.tempi.config import TempiConfig, trace_default
+from repro.tempi.config import TempiConfig
 from repro.tempi.interposer import interpose
 from repro.tempi.sanitizer import ClockSanitizer, SanitizerError
 from repro.tempi.selection import ContendedSelector
@@ -44,10 +45,9 @@ WIRE_S = 1e-4
 
 def traced() -> tuple[NicTimeline, ClockSanitizer]:
     """A fresh timeline with a fresh sanitizer as its sink."""
-    timeline = NicTimeline()
     sanitizer = ClockSanitizer()
-    timeline.sink = sanitizer
-    return timeline, sanitizer
+    with trace_default(sanitizer):
+        return NicTimeline(), sanitizer
 
 
 def read_backlog(model, timeline: NicTimeline, reader: int, dest: int, now: float) -> float:
@@ -296,16 +296,16 @@ class TestResetSemantics:
     """A sink's state across attaches and timelines (a timeline has no reset)."""
 
     def test_attach_is_idempotent(self, summit_model):
-        """Every interposer built with the config attaches the same sink to
-        the world's one timeline: a second interposer on a rank attaches
-        nothing new, and the stream is not doubled."""
+        """The world's one timeline carries the sink from its build: a
+        second interposer on a rank attaches nothing new, and the stream is
+        not doubled."""
 
         def run(interposers: int) -> dict[str, int]:
             sanitizer = ClockSanitizer()
 
             def program(ctx):
                 for _ in range(interposers):
-                    comm = interpose(ctx, TempiConfig(trace=sanitizer), model=summit_model)
+                    comm = interpose(ctx, TempiConfig(), model=summit_model)
                 t = comm.Type_commit(Type_vector(64, 8, 512, BYTE))
                 buf = ctx.gpu.malloc(t.extent)
                 if ctx.rank == 0:
@@ -314,7 +314,8 @@ class TestResetSemantics:
                     comm.Recv((buf, 1, t), source=0)
                 comm.Barrier()
 
-            world = World(2, ranks_per_node=1)
+            with trace_default(sanitizer):
+                world = World(2, ranks_per_node=1)
             world.run(program)
             assert world.nic.sink is sanitizer
             return sanitizer.counters
@@ -326,8 +327,8 @@ class TestResetSemantics:
     def test_one_sink_audits_each_timeline_apart(self):
         """One sink, two timelines: each keeps its own cursors and history."""
         sanitizer = ClockSanitizer()
-        first, second = NicTimeline(), NicTimeline()
-        first.sink = second.sink = sanitizer
+        with trace_default(sanitizer):
+            first, second = NicTimeline(), NicTimeline()
         first.reserve(0, 1, 10.0, WIRE_S, KIB)
         # An earlier post on the other timeline is not a phantom violation.
         second.reserve(0, 1, 0.0, WIRE_S, KIB)
@@ -342,14 +343,11 @@ class TestInterposedRuns:
         """A sanitized multi-rank exchange: same clocks, no violations."""
 
         def run(sink) -> list[float]:
-            world = World(4)
+            with trace_default(sink):
+                world = World(4)
 
             def program(ctx):
-                comm = interpose(
-                    ctx,
-                    TempiConfig(selection="contended", trace=sink),
-                    model=summit_model,
-                )
+                comm = interpose(ctx, TempiConfig(selection="contended"), model=summit_model)
                 t = comm.Type_commit(Type_vector(64, 8, 512, BYTE))
                 sendbuf = ctx.gpu.malloc(t.extent)
                 recvbuf = ctx.gpu.malloc(t.extent)
@@ -401,13 +399,16 @@ class TestInterposedRuns:
             "purity_checks": 0, "shared_commits": 0, "violations": 0,
         }
 
-    def test_ambient_default_flips_constructed_configs(self):
+    def test_timelines_built_inside_the_context_carry_the_sink(self):
         sink = ClockSanitizer()
-        assert TempiConfig().trace is None
         with trace_default(sink):
-            assert TempiConfig().trace is sink
-            assert TempiConfig(trace=None).trace is None
-        assert TempiConfig().trace is None
+            inside = NicTimeline()
+            with trace_default(None):
+                switched_off = NicTimeline()
+        outside = NicTimeline()
+        assert inside.sink is sink
+        assert outside.sink is None
+        assert switched_off.sink is None
 
     def test_barrier_phased_cross_leaf_run_is_clean(self, summit_model):
         """One cross-leaf sender per phase on the committed fat-tree example:
@@ -416,7 +417,7 @@ class TestInterposedRuns:
 
         def run(sink) -> list[float]:
             def program(ctx):
-                comm = interpose(ctx, TempiConfig(trace=sink), model=summit_model)
+                comm = interpose(ctx, TempiConfig(), model=summit_model)
                 t = comm.Type_commit(Type_vector(64, 8, 512, BYTE))
                 buf = ctx.gpu.malloc(t.extent)
                 for sender, receiver in senders.items():
@@ -427,7 +428,8 @@ class TestInterposedRuns:
                     comm.Barrier()
                 return ctx.clock.now
 
-            world = World(16, ranks_per_node=FATTREE.ranks_per_node, topology=FATTREE)
+            with trace_default(sink):
+                world = World(16, ranks_per_node=FATTREE.ranks_per_node, topology=FATTREE)
             clocks = world.run(program)
             assert world.nic.reservations == len(senders)
             assert world.nic.sink is sink
@@ -449,7 +451,7 @@ class TestInterposedRuns:
 
         def run(sink):
             def program(ctx):
-                comm = interpose(ctx, TempiConfig(trace=sink), model=summit_model)
+                comm = interpose(ctx, TempiConfig(), model=summit_model)
                 t = comm.Type_commit(Type_vector(64, 8, 64, BYTE))
                 bufs = [ctx.gpu.malloc(t.extent) for _ in range(3)]
                 if ctx.rank == 0:
@@ -461,7 +463,8 @@ class TestInterposedRuns:
                         comm.Recv((buf, 1, t), source=0, tag=tag)
                 return ctx.clock.now.hex(), comm.stats.batched_plans
 
-            world = World(2, ranks_per_node=1)
+            with trace_default(sink):
+                world = World(2, ranks_per_node=1)
             return world, world.run(program)
 
         _, plain = run(None)
