@@ -124,7 +124,6 @@ class MoEResult:
     counts: np.ndarray
     clocks: list
     rank_ingest_stalls: list
-    rank_contention_stalls: list
     collective_hits: int
     collective_fallbacks: int
     digests: list
@@ -138,11 +137,6 @@ class MoEResult:
     def ingest_stalls(self) -> int:
         """Total arrivals delayed at ingestion ports, across all ranks."""
         return sum(self.rank_ingest_stalls)
-
-    @property
-    def contention_stalls(self) -> int:
-        """Total injections delayed at NIC ports/links, across all ranks."""
-        return sum(self.rank_contention_stalls)
 
     def hot_excess_stalls(self, hot_expert: int) -> float:
         """The incast signature: the hot expert's ingest stalls beyond the
@@ -214,7 +208,6 @@ def run_moe(
         return (
             ctx.clock.now,
             stats.ingest_stalls,
-            stats.contention_stalls,
             stats.collective_hits,
             stats.collective_fallbacks,
             digest,
@@ -228,10 +221,9 @@ def run_moe(
         counts=counts,
         clocks=[row[0] for row in rows],
         rank_ingest_stalls=[row[1] for row in rows],
-        rank_contention_stalls=[row[2] for row in rows],
-        collective_hits=sum(row[3] for row in rows),
-        collective_fallbacks=sum(row[4] for row in rows),
-        digests=[row[5] for row in rows],
+        collective_hits=sum(row[2] for row in rows),
+        collective_fallbacks=sum(row[3] for row in rows),
+        digests=[row[4] for row in rows],
     )
 
 

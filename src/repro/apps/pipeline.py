@@ -76,8 +76,6 @@ class PipelineResult:
     """One forward pass's observables (per-rank lists, rank order)."""
 
     clocks: list
-    contention_stalls: int
-    ingest_stalls: int
     digests: list
 
     @property
@@ -125,20 +123,13 @@ def run_pipeline(
                 comm.Recv(spec_tuple, ctx.rank - 1, microbatch_tag(microbatch))
             if ctx.rank < ctx.size - 1:
                 comm.Isend(spec_tuple, ctx.rank + 1, microbatch_tag(microbatch)).Wait()
-        stats = comm.stats
-        digest = hashlib.sha256(buffer.data.tobytes()).hexdigest()
-        return ctx.clock.now, stats.contention_stalls, stats.ingest_stalls, digest
+        return ctx.clock.now, hashlib.sha256(buffer.data.tobytes()).hexdigest()
 
     kwargs = {"ranks_per_node": ranks_per_node}
     if topology is not None:
         kwargs["topology"] = topology
     rows = World(nranks, **kwargs).run(program)
-    return PipelineResult(
-        clocks=[row[0] for row in rows],
-        contention_stalls=sum(row[1] for row in rows),
-        ingest_stalls=sum(row[2] for row in rows),
-        digests=[row[3] for row in rows],
-    )
+    return PipelineResult(clocks=[row[0] for row in rows], digests=[row[1] for row in rows])
 
 
 def pipeline_trace(spec: PipelineSpec, nranks: int, *, ranks_per_node: int = 2) -> dict:

@@ -72,6 +72,12 @@ used while studying the model:
     rails and uplink bundles for key order, port monotonicity, and
     pricing-purity checksums.  Prints every audit counter; nonzero exit on
     any violation.
+
+``python -m repro.cli explain incast``
+    Replay one row at the smoke grid under the sanitizer and print, per
+    traced timeline, each resource's busy and stall seconds and each rank's
+    stall by binding resource; exit 1 if the batch sweep, which emits no
+    events, booked on one of them.
 """
 
 from __future__ import annotations
@@ -197,6 +203,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sanitize.add_argument("--full", action="store_true",
                           help="full benchmark sweeps instead of the --smoke subsets")
+
+    explain = sub.add_parser("explain", help="print where one figure row's virtual time went")
+    explain.add_argument("row", help="a figure row id (figures --only nosuch lists them)")
 
     return parser
 
@@ -530,25 +539,35 @@ def _figure_task(row_id: str, sweep: str):
     return _run_figure(rows[row_id], sweep)
 
 
+def _figure_rows(wanted: Sequence[str]):
+    """The figure table and its rows by id, or ``None`` once it printed why
+    not: no checkout, or a row of ``wanted`` it does not have."""
+    try:
+        figures = _load_figures()
+    except FileNotFoundError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+    rows = {row.id: row for row in figures.FIGURES}
+    unknown = [row_id for row_id in wanted if row_id not in rows]
+    if unknown:
+        print(f"error: no figure row {', '.join(unknown)} (rows: {' '.join(rows)})",
+              file=sys.stderr)
+        return None
+    return figures, rows
+
+
 def _cmd_figures(args: argparse.Namespace) -> int:
     import json
     import os
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
 
-    try:
-        figures = _load_figures()
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    loaded = _figure_rows(args.only or ())
+    if loaded is None:
         return 2
-    ids = [row.id for row in figures.FIGURES]
-    unknown = [row_id for row_id in args.only or () if row_id not in ids]
-    if unknown:
-        print(f"error: no figure row {', '.join(unknown)} (rows: {' '.join(ids)})",
-              file=sys.stderr)
-        return 2
+    figures, rows = loaded
     sweep = "smoke" if args.smoke else "full" if args.full else "default"
-    selected = [row for row in figures.FIGURES if args.only is None or row.id in args.only]
+    selected = [row for row in rows.values() if args.only is None or row.id in args.only]
     if len(selected) == 1:
         # One row runs in this process: a pool would only add a process start.
         outcomes = iter([_run_figure(selected[0], sweep)])
@@ -585,50 +604,46 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sanitize(args: argparse.Namespace) -> int:
-    """Replay benchmark rows under a :class:`ClockSanitizer`; 1 on any violation.
-
-    Every ``NicTimeline`` a replay builds carries the sanitizer: a
-    ``World``'s, and the private ones the analytic twins and the benches'
-    own selectors book on.  So the ``topology`` row audits its twins' 42
-    posts at smoke (168 shared-cursor commits: a rail and two uplink
-    bundles per post, an ingestion rail per ingest) beside its 14
-    interposed ones.
-    """
+def _sanitized(name: str, run: Callable[[], Optional[str]], failures: list[str],
+               posts_expected: bool = True):
+    """Run one replay with a fresh sanitizer on every timeline it builds,
+    print its counters and add to ``failures`` what went wrong; the sink only
+    observes, so each row's own check still validates the real numbers."""
     from repro.machine.nic import trace_default
     from repro.tempi.sanitizer import ClockSanitizer
 
-    try:
-        figures = _load_figures()
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    sanitizer = ClockSanitizer()
+    with trace_default(sanitizer):
+        failure = run()
+    if failure is not None:
+        failures.append(f"{name}: {failure}")
+        print(f"   FAILED: {failure}", file=sys.stderr)
+        return sanitizer
+    counters = sanitizer.counters
+    print("   sanitizer: " + " ".join(f"{key}={value}" for key, value in counters.items()))
+    if counters["violations"]:
+        failures.append(f"{name}: {counters['violations']} recorded violation(s)")
+    if posts_expected and counters["posts"] == 0:
+        failures.append(f"{name}: sanitizer observed no NIC traffic (vacuous replay)")
+    return sanitizer
+
+
+def _print_row(row, sweep: str) -> Optional[str]:
+    """Run one row, print its tables and return its failure (``None`` if it held)."""
+    text, _, failure = _run_figure(row, sweep)
+    print(text)
+    return failure
+
+
+def _cmd_sanitize(args: argparse.Namespace) -> int:
+    """Replay benchmark rows under a :class:`ClockSanitizer`; 1 on any violation."""
+    replays = ("fig9", "fig15", "incast", "topology", "allreduce", "moe")
+    loaded = _figure_rows(replays)
+    if loaded is None:
         return 2
-    rows = {row.id: row for row in figures.FIGURES}
+    figures, rows = loaded
     sweep = "full" if args.full else "smoke"
     failures: list[str] = []
-
-    def replay(name: str, run: Callable[[], Optional[str]], posts_expected: bool = True) -> None:
-        # One fresh sink per replay, on every timeline the row builds;
-        # priced results are unchanged (the sink only observes), so each
-        # row's own check still validates the real numbers.
-        sanitizer = ClockSanitizer()
-        with trace_default(sanitizer):
-            failure = run()
-        if failure is not None:
-            failures.append(f"{name}: {failure}")
-            print(f"   FAILED: {failure}", file=sys.stderr)
-            return
-        counters = sanitizer.counters
-        print("   sanitizer: " + " ".join(f"{key}={value}" for key, value in counters.items()))
-        if counters["violations"]:
-            failures.append(f"{name}: {counters['violations']} recorded violation(s)")
-        if posts_expected and counters["posts"] == 0:
-            failures.append(f"{name}: sanitizer observed no NIC traffic (vacuous replay)")
-
-    def run_row(row_id: str) -> Optional[str]:
-        text, _, failure = _run_figure(rows[row_id], sweep)
-        print(text)
-        return failure
 
     def run_fig14(mode: str, overlap: bool) -> Optional[str]:
         try:
@@ -637,17 +652,17 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
             return f"{type(exc).__name__}: {exc}"
         return None
 
-    for row_id in ("fig9", "fig15", "incast", "topology", "allreduce", "moe"):
+    for row_id in replays:
         print(f"== sanitized replay: {row_id} ({sweep} grids)")
-        replay(row_id, functools.partial(run_row, row_id))
+        _sanitized(row_id, functools.partial(_print_row, rows[row_id], sweep), failures)
     # Fig. 14's columns are checked on their own: the isend/irecv one
     # (``mode="overlap"``) posts through persistent requests, and must not
     # pass on the other columns' traffic; the serial engine books nothing
     # on the NIC.
     print("== sanitized replay: fig14 (exchange sweep at 4 ranks)")
     for mode, overlap in (("neighbor", False), ("neighbor", True), ("overlap", True)):
-        replay(f"fig14[mode={mode}, overlap={overlap}]",
-               functools.partial(run_fig14, mode, overlap), posts_expected=overlap)
+        _sanitized(f"fig14[mode={mode}, overlap={overlap}]",
+                   functools.partial(run_fig14, mode, overlap), failures, posts_expected=overlap)
     if failures:
         print(f"sanitize: {len(failures)} failure(s)", file=sys.stderr)
         for failure in failures:
@@ -657,32 +672,54 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_explain(args: argparse.Namespace) -> int:
+    loaded = _figure_rows([args.row])
+    if loaded is None:
+        return 2
+    failures: list[str] = []
+    sanitizer = _sanitized(args.row, functools.partial(_print_row, loaded[1][args.row], "smoke"), failures)
+    if failures:
+        print(f"explain: {'; '.join(failures)}", file=sys.stderr)
+        return 1
+    return _explain(args.row, sanitizer)
+
+
+def _explain(row_id: str, sanitizer) -> int:
+    """Print each traced timeline's accounts, or refuse (1) if the batch
+    sweep, which emits no events, booked on one."""
+    from repro.bench.harness import format_table
+    from repro.tempi.sanitizer import RESOURCES
+
+    unseen = sum(timeline.reservations - audit.posts for timeline, audit in sanitizer.audits.items())
+    if unseen:
+        print(f"explain: {row_id}: {unseen} reservation(s) booked by the batch sweep are "
+              "not in the event stream; nothing explained", file=sys.stderr)
+        return 1
+    for index, audit in enumerate(sanitizer.audits.values(), 1):
+        print(f"== timeline {index} of {len(sanitizer.audits)}: {audit.posts} posts, "
+              f"{audit.stalls} stalled ({audit.fabric_stalls} by the fabric, "
+              f"{audit.fabric_stalled_s:.6g} s); {audit.ingest_stalls} landings stalled")
+        ranks = sorted(audit.rank_stall.items())
+        print(format_table(["resource", "busy s", "stall s"], [
+            [name, f"{audit.busy[name]:.6g}", f"{sum(stalls[name] for _, stalls in ranks):.6g}"]
+            for name in RESOURCES
+        ]))
+        print(format_table(["rank stall s", *RESOURCES], [
+            [rank, *(f"{stalls[name]:.6g}" for name in RESOURCES)]
+            for rank, stalls in ranks
+        ]))
+    return 0
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point for ``python -m repro.cli`` (returns a process exit code)."""
     args = _build_parser().parse_args(argv)
-    if args.command == "measure":
-        return _cmd_measure(args)
-    if args.command == "predict":
-        return _cmd_predict(args)
-    if args.command == "halo":
-        return _cmd_halo(args)
-    if args.command == "select-table":
-        return _cmd_select_table(args)
-    if args.command == "topo":
-        if args.topo_command == "show":
-            return _cmd_topo_show(args)
-        raise AssertionError(
-            f"unhandled topo command {args.topo_command!r}"
-        )  # pragma: no cover
-    if args.command == "replay":
-        return _cmd_replay(args)
-    if args.command == "lint":
-        return _cmd_lint(args)
-    if args.command == "figures":
-        return _cmd_figures(args)
-    if args.command == "sanitize":
-        return _cmd_sanitize(args)
-    raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
+    return {
+        "measure": _cmd_measure, "predict": _cmd_predict, "halo": _cmd_halo,
+        "select-table": _cmd_select_table, "topo": _cmd_topo_show, "replay": _cmd_replay,
+        "lint": _cmd_lint, "figures": _cmd_figures, "sanitize": _cmd_sanitize,
+        "explain": _cmd_explain,
+    }[args.command](args)
 
 
 if __name__ == "__main__":  # pragma: no cover

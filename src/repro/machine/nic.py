@@ -82,8 +82,8 @@ Event stream.  A timeline built inside :func:`trace_default` — a
 keeps that :attr:`~NicTimeline.sink` and calls it as ``sink(timeline,
 event)`` once per scalar post (:class:`PostEvent`), sequence draw
 (:class:`SeqEvent`) and ingestion commit (:class:`IngestEvent`), under the
-timeline's lock and carrying every cursor the commit set, so a sink never
-reads the timeline back.  The reads and joins only a caller can name a rank for — a contended
+timeline's lock and carrying every cursor the commit set (and every
+landing), so a sink never reads the timeline back.  The reads and joins only a caller can name a rank for — a contended
 selector's backlog read and pricing bracket, the interposer's collective
 joins — are emitted by those callers into the same sink.  With no sink
 each emit site is one ``is not None`` test.  The batch sweep
@@ -327,11 +327,6 @@ class NicReservation(NamedTuple):
     #: Per-source sequence number (the deterministic ingestion tie-break).
     seq: int = -1
 
-    @property
-    def stalled(self) -> bool:
-        """True when NIC contention delayed the injection."""
-        return self.stalled_s > 0.0
-
 
 class BatchReservation(NamedTuple):
     """Outcome of :meth:`NicTimeline.reserve_batch`: one array per column.
@@ -431,6 +426,8 @@ class IngestEvent(NamedTuple):
     #: Each distinct receive-side rail the batch names, ascending, with its
     #: cursor after the commit.
     rails: tuple[tuple[RailKey, float], ...]
+    #: Each served record (wire time > 0), in service order, with its landing.
+    landings: list[tuple[IngestRecord, float]]
 
 
 class BacklogReadEvent(NamedTuple):
@@ -675,10 +672,8 @@ class NicTimeline:
         self._lock = threading.Lock()
         self.reservations = 0
         self.stalls = 0
-        self.stalled_s = 0.0
         self.ingests = 0
         self.ingest_stalls = 0
-        self.ingest_stalled_s = 0.0
         #: Reservations delayed specifically by a shared NIC rail or a
         #: shared uplink bundle (beyond any port/link stall), and by how
         #: much — the structural-congestion signal ``bench_topology.py``
@@ -816,7 +811,6 @@ class NicTimeline:
         stalled = start - ready  # never negative: start is a max over ready
         if stalled > 0:
             self.stalls += 1
-            self.stalled_s += stalled
         if self.ledger_limit:
             # The struct-array ring overwrites the oldest row in O(1).
             self._ledger.append(source, dest, start, arrival, nbytes)
@@ -999,8 +993,8 @@ class NicTimeline:
         slots and every cursor becomes ``start`` plus its own advance — the
         same IEEE-754 double operations the scalar loop performs per
         message, in an order that respects every cursor's row-major chain:
-        hence bit-identical cursors.  Stall seconds fold in row-major order
-        through :func:`ledger_sum`, ledger rows block-append through
+        hence bit-identical cursors.  Fabric stall seconds fold in row-major
+        order through :func:`ledger_sum`, ledger rows block-append through
         :meth:`_LedgerRing.extend`, and the pending records are counted at
         once but wait as one :class:`_PendingBlock` when registering them
         can neither collide nor evict (else :meth:`_register_pending` takes
@@ -1054,11 +1048,7 @@ class NicTimeline:
         np.add(seq0.take(plan.src_id), plan.seq_rank, out=out.seq.reshape(total))
         self._seqs.update(zip(sources, (seq0 + plan.src_count).tolist()))
         stalled = starts - rdy
-        positive = stalled > 0
-        self.stalls += int(np.count_nonzero(positive))
-        # Row-major fold of the positive stall seconds — the same adds in
-        # the same order as the scalar loop's accumulation.
-        self.stalled_s = ledger_sum(stalled[positive].tolist(), start=self.stalled_s)
+        self.stalls += int(np.count_nonzero(stalled > 0))
         if self.ledger_limit:
             rows = np.empty(total, dtype=_LEDGER_DTYPE)
             rows["source"] = plan.source
@@ -1130,7 +1120,6 @@ class NicTimeline:
             [record for record in records if record[3] > 0], key=_SERVICE_KEY
         )
         landed: list[float] = []
-        stalls: list[float] = []
         for post_time, source, seq, wire_s, arrival, rail in served:
             # landing = begin + wire with begin = max(post_time, port) —
             # written so an undelayed landing equals the arrival
@@ -1147,20 +1136,14 @@ class NicTimeline:
                 self._ingest_rails[rail] = max(post_time, rail_port) + overlap * wire_s
             port = (post_time if post_time >= port else port) + overlap * wire_s
             self.ingests += 1
-            stalled = landing - arrival
-            if stalled > 0:
+            if landing > arrival:
                 self.ingest_stalls += 1
-                stalls.append(stalled)
             landed.append(landing)
             if pending:
                 key = (post_time, source, seq)
                 if key in pending:
                     del pending[key]
                     self._pending_total -= 1
-        if stalls:
-            # Fold the stall seconds in batch order through the ledger helper
-            # — the same adds in the same order as accumulating in the loop.
-            self.ingest_stalled_s = ledger_sum(stalls, start=self.ingest_stalled_s)
         ports[dest] = port
         # Receiver-program-order housekeeping (the only deterministic
         # place to prune): pending records that would have fully drained
@@ -1181,7 +1164,7 @@ class NicTimeline:
             rails = sorted({record[5] for record in records if record[5] is not None})
             sink(self, IngestEvent(dest, records, port, tuple(
                 (rail, self._ingest_rails.get(rail, 0.0)) for rail in rails
-            )))
+            ), list(zip(served, landed))))
         if lone:
             return landed
         # Input order, through the keys: records sharing a key share the
@@ -1357,14 +1340,7 @@ class NicTimeline:
         if slots is not None:
             self._ingest_rails.update(zip(rail_keys, rail_cur[:-1].tolist()))
         self.ingests += m * k
-        stalled = served - arr_sorted
-        positive = stalled > 0
-        self.ingest_stalls += int(np.count_nonzero(positive))
-        # Row-major fold over the service-ordered stalls — the same adds
-        # in the same order as the per-destination scalar batches.
-        self.ingest_stalled_s = ledger_sum(
-            stalled[positive].tolist(), start=self.ingest_stalled_s
-        )
+        self.ingest_stalls += int(np.count_nonzero(served > arr_sorted))
         if self._block is not None:
             # The batch just booked, still columnar: its records go in a
             # few array operations, and survivors join the dict book.

@@ -47,6 +47,9 @@ Every value checked travels on the event, so the sanitizer never reads the
 timeline back.  ``repro sanitize`` replays the figure benchmarks — the
 worlds' timelines and the analytic twins' private ones alike — with one
 fresh sanitizer each and prints its :attr:`~ClockSanitizer.counters`.
+The same walk charges each wait to the cursor that bound it, per resource
+(:data:`RESOURCES`) and per rank, beside each resource's busy seconds:
+what ``repro explain`` prints.
 """
 
 from __future__ import annotations
@@ -54,7 +57,6 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from typing import Any, Callable, NamedTuple, Optional
-from weakref import WeakKeyDictionary
 
 from repro.machine.nic import (
     BacklogReadEvent,
@@ -78,6 +80,11 @@ COUNTERS = (
     "posts", "ingests", "joins", "barriers", "hb_checks", "purity_checks",
     "shared_commits", "violations",
 )
+
+#: The cursors a wait is charged to, in the NIC's clamp order.
+RESOURCES = ("injection port", "link", "NIC rail", "uplink bundle", "ingestion port")
+#: The resource each :attr:`~repro.machine.nic.PostEvent.shared` label names.
+_SHARED = {"rail": "NIC rail", "fabric": "uplink bundle"}
 
 
 class SanitizerEvent(NamedTuple):
@@ -107,18 +114,17 @@ def _vc_leq(left: dict[int, int], right: dict[int, int]) -> bool:
 
 
 class _TimelineAudit:
-    """Vector clocks and last-seen cursors of one traced timeline."""
+    """Vector clocks, last-seen cursors and accounts of one traced timeline."""
 
-    def __init__(self, counters: dict[str, int]) -> None:
+    def __init__(self, counters: dict[str, int], overlap: float) -> None:
         self.counters = counters
         self.vc: dict[int, dict[int, int]] = {}
         #: Per rank, its mutations so far (posts, sequence draws, ingests).
         self.events: dict[int, int] = {}
         self.snapshots: OrderedDict[tuple[float, int, int], tuple[SanitizerEvent, dict[int, int]]] = OrderedDict()
-        self.last_post: dict[int, SanitizerEvent] = {}
-        self.last_commit: dict[int, SanitizerEvent] = {}
-        self.inject_cursor: dict[int, float] = {}
-        self.ingest_cursor: dict[int, float] = {}
+        #: Per rank, its port cursors with the event that last set each.
+        self.inject_cursor: dict[int, tuple[float, SanitizerEvent]] = {}
+        self.ingest_cursor: dict[int, tuple[float, SanitizerEvent]] = {}
         #: Last commit per shared topology cursor: the committing event, the
         #: cursor value and, on an ingestion rail, the committer's clock.
         self.shared_last: dict[tuple[str, Any], tuple[SanitizerEvent, float, Optional[dict[int, int]]]] = {}
@@ -128,6 +134,14 @@ class _TimelineAudit:
         self.barrier_waiting: set[int] = set()
         #: Per rank inside a pricing bracket: fingerprint and event count.
         self.pricing: dict[int, tuple[int, int]] = {}
+        #: The accounts: the NIC's own counts and fabric seconds, from the
+        #: events; busy seconds per resource, and stall per rank and resource.
+        self.overlap = overlap
+        self.link_last: dict[tuple[int, int], float] = {}
+        self.posts = self.stalls = self.ingest_stalls = self.fabric_stalls = 0
+        self.fabric_stalled_s = 0.0
+        self.busy = dict.fromkeys(RESOURCES, 0.0)
+        self.rank_stall: dict[int, dict[str, float]] = {}
 
     def _clock(self, rank: int) -> dict[int, int]:
         return self.vc.setdefault(rank, {})
@@ -145,19 +159,19 @@ class _TimelineAudit:
         raise SanitizerError(message, first, second)
 
     def _monotone(
-        self, last: dict[int, float], rank: int, cursor: float, label: str,
-        previous_event: SanitizerEvent, event: SanitizerEvent,
+        self, last: dict[int, tuple[float, SanitizerEvent]], rank: int, cursor: float,
+        label: str, event: SanitizerEvent,
     ) -> None:
         """Check and record one rank-owned port cursor."""
         previous = last.get(rank)
-        if previous is not None and cursor < previous:
+        if previous is not None and cursor < previous[0]:
             self._violation(
                 f"{label} cursor of rank {rank} moved backwards "
-                f"({previous:.9g} -> {cursor:.9g})",
-                previous_event,
+                f"({previous[0]:.9g} -> {cursor:.9g})",
+                previous[1],
                 event,
             )
-        last[rank] = cursor
+        last[rank] = (cursor, event)
 
     def _shared_commit(
         self, event: SanitizerEvent, label: str, key: Any, cursor: float,
@@ -179,6 +193,19 @@ class _TimelineAudit:
             )
         return previous
 
+    def _free(self, label: str, key: Any) -> float:
+        """A shared cursor as its last commit left it."""
+        return self.shared_last.get((label, key), (None, 0.0))[1]
+
+    def _charge(self, rank: int, begin: float, end: float, cursors: list[tuple[str, float]]) -> None:
+        """Charge ``end - begin`` to ``rank`` and the first ``(resource, free
+        time)`` freeing at ``end``; none does only after a booking no event
+        showed (the batch sweep's), which ``repro explain`` refuses."""
+        stalls = self.rank_stall.setdefault(rank, dict.fromkeys(RESOURCES, 0.0))
+        bound = next((resource for resource, free in cursors if free == end), None)
+        if end > begin and bound is not None:
+            stalls[bound] += end - begin
+
     # ----------------------------------------------------------------- events
     def post(self, post: PostEvent) -> None:
         """A reservation: tick, check the port cursors, snapshot the clock."""
@@ -190,11 +217,25 @@ class _TimelineAudit:
             f"dest {post.dest}, post_time={reservation.start:.9g}, seq={reservation.seq}",
         )
         self.counters["posts"] += 1
-        self._monotone(
-            self.inject_cursor, source, post.port, "injection-port",
-            self.last_post.get(source, event), event,
-        )
-        self.last_post[source] = event
+        # Account first: the cursors below still hold the values this post met.
+        start, port = reservation.start, self.inject_cursor.get(source, (0.0,))[0]
+        link = self.link_last.get((source, post.dest), 0.0)
+        base = max(post.ready, port, link)
+        self._charge(source, post.ready, base, [("injection port", port), ("link", link)])
+        self._charge(source, base, start, [
+            (_SHARED[label], self._free(label, key)) for label, key, _ in post.shared
+        ])
+        self.busy["injection port"] += post.port - start
+        self.busy["link"] += reservation.wire_s
+        for label, _, cursor in post.shared:
+            self.busy[_SHARED[label]] += cursor - start
+        self.link_last[(source, post.dest)] = reservation.arrival
+        self.posts += 1
+        self.stalls += reservation.stalled_s > 0
+        if start > base:
+            self.fabric_stalls += 1
+            self.fabric_stalled_s += start - base
+        self._monotone(self.inject_cursor, source, post.port, "injection-port", event)
         order = (post.ready, source)
         for label, key, cursor in post.shared:
             self._shared_commit(event, label, key, cursor)
@@ -227,6 +268,22 @@ class _TimelineAudit:
             "ingest-commit", dest, self._tick(dest), f"{len(ingest.records)} record(s)"
         )
         self.counters["ingests"] += 1
+        # The event carries each landing; the cursors it waited for are the
+        # last commit's, advanced over the records served before it.
+        port = self.ingest_cursor.get(dest, (0.0,))[0]
+        rails: dict[Any, float] = {}
+        for (post_time, _, _, wire, arrival, rail), landing in ingest.landings:
+            held = self.overlap * wire
+            cursors = [("ingestion port", port + wire)]
+            port = max(post_time, port) + held
+            self.busy["ingestion port"] += held
+            if rail is not None:
+                free = rails.get(rail, self._free("ingest-rail", rail))
+                cursors.append(("NIC rail", free + wire))
+                rails[rail] = max(post_time, free) + held
+                self.busy["NIC rail"] += held
+            self._charge(dest, arrival, landing, cursors)
+            self.ingest_stalls += landing > arrival
         clock = self._clock(dest)
         for record in ingest.records:
             snapshot = self.snapshots.pop(record.key, None)
@@ -236,11 +293,7 @@ class _TimelineAudit:
                 if clock.get(rank, 0) < tick:
                     clock[rank] = tick
             self.counters["joins"] += 1
-        self._monotone(
-            self.ingest_cursor, dest, ingest.port, "ingestion-port",
-            self.last_commit.get(dest, event), event,
-        )
-        self.last_commit[dest] = event
+        self._monotone(self.ingest_cursor, dest, ingest.port, "ingestion-port", event)
         # Ingestion rails mix node-mates; their receivers commit in program
         # order, so a cross-rank pair needs a happens-before edge.
         for rail, cursor in ingest.rails:
@@ -336,19 +389,21 @@ class ClockSanitizer:
     """A trace sink auditing every timeline it is attached to.
 
     One sink may serve many timelines — a benchmark builds many worlds — so
-    vector clocks are kept per timeline (dropped with it),
-    while :attr:`counters` total the audit over all of them.
+    vector clocks and accounts are kept per timeline, while :attr:`counters`
+    total the audit over all of them.
     """
 
     def __init__(self) -> None:
         #: Audit totals by name (:data:`COUNTERS`).
         self.counters: dict[str, int] = dict.fromkeys(COUNTERS, 0)
         self._lock = threading.Lock()
-        self._audits: WeakKeyDictionary[NicTimeline, _TimelineAudit] = WeakKeyDictionary()
+        #: Each traced timeline's audit, in first-event order, kept for the
+        #: sanitizer's life so ``repro explain`` reports every one.
+        self.audits: dict[NicTimeline, _TimelineAudit] = {}
 
     def __call__(self, timeline: NicTimeline, event: NicEvent) -> None:
         with self._lock:
-            audit = self._audits.get(timeline)
+            audit = self.audits.get(timeline)
             if audit is None:
-                audit = self._audits[timeline] = _TimelineAudit(self.counters)
+                audit = self.audits[timeline] = _TimelineAudit(self.counters, timeline.wire_overlap)
             _HANDLERS[type(event)](audit, event)

@@ -7,10 +7,13 @@ import dataclasses
 import io
 import json
 
+import numpy as np
 import pytest
 
 from repro import cli
 from repro.cli import _load_figures, main
+from repro.machine.nic import NicTimeline, trace_default
+from repro.tempi.sanitizer import ClockSanitizer
 
 
 @pytest.fixture
@@ -187,3 +190,67 @@ def sanitized_counters():
 @pytest.mark.parametrize("replay", list(SANITIZED_REPLAYS))
 def test_sanitize_replays_keep_their_counters(sanitized_counters, replay):
     assert sanitized_counters[replay] == SANITIZED_REPLAYS[replay]
+
+
+def test_explain_an_unknown_row_exits_2_listing_the_rows(figures, capsys):
+    assert main(["explain", "nosuch"]) == 2
+    err = capsys.readouterr().err
+    assert "no figure row nosuch" in err
+    assert all(row.id in err for row in figures.FIGURES)
+
+
+def test_explain_refuses_what_the_batch_sweep_booked(capsys):
+    """The batch sweep emits no events: beside one scalar post, one
+    ``reserve_batch`` call books four reservations no account saw."""
+    sanitizer = ClockSanitizer()
+    with trace_default(sanitizer):
+        timeline = NicTimeline()
+    timeline.reserve(0, 1, 0.0, 1e-6)
+    timeline.reserve_batch([0, 1], np.asarray([[1, 2], [2, 3]]), 0.0, 1e-6)
+    assert cli._explain("incast", sanitizer) == 1
+    captured = capsys.readouterr()
+    assert "incast: 4 reservation(s) booked by the batch sweep" in captured.err
+    assert not captured.out
+
+
+@pytest.fixture(scope="module", params=["incast", "topology"])
+def explained(request):
+    """``repro explain ROW``: its exit code, its output and its sanitizer."""
+    sanitizers = []
+    report = cli._explain
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out):
+        patch.setattr(cli, "_explain", lambda row_id, sanitizer: (
+            sanitizers.append(sanitizer) or report(row_id, sanitizer)
+        ))
+        code = main(["explain", request.param])
+    return request.param, code, out.getvalue(), sanitizers[0]
+
+
+def test_explain_prints_both_tables_per_timeline(explained):
+    _, code, out, sanitizer = explained
+    assert code == 0
+    timelines = len(sanitizer.audits)
+    assert timelines and out.count("== timeline ") == timelines
+    assert out.count("busy s") == out.count("rank stall s") == timelines
+
+
+def test_the_event_stream_counts_what_the_nic_counted(explained):
+    """On every traced timeline the accounts equal the NIC's own books:
+    posts, stalled posts, stalled ingests, fabric-bound posts, and the
+    event-order left fold of ``start - max(ready, port, link)`` as
+    ``fabric_stalled_s``, by ``float.hex()``."""
+    row_id, _, _, sanitizer = explained
+    for timeline, audit in sanitizer.audits.items():
+        assert (audit.posts, audit.stalls, audit.ingest_stalls, audit.fabric_stalls,
+                audit.fabric_stalled_s.hex()) == (
+            timeline.reservations, timeline.stalls, timeline.ingest_stalls,
+            timeline.fabric_stalls, timeline.fabric_stalled_s.hex(),
+        )
+    # Neither row is vacuous: incast queues at ingestion ports, topology
+    # on shared uplink bundles.
+    audits = sanitizer.audits.values()
+    if row_id == "incast":
+        assert sum(audit.ingest_stalls for audit in audits) > 0
+    else:
+        assert sum(audit.fabric_stalls for audit in audits) > 0

@@ -9,9 +9,40 @@ import pytest
 
 from repro.bench.simthroughput import FABRIC_SPEC
 from repro.machine.network import DEFAULT_WIRE_OVERLAP
-from repro.machine.nic import IngestRecord, NicError, NicTimeline
+from repro.machine.nic import IngestEvent, IngestRecord, NicError, NicTimeline, PostEvent
 from repro.machine.spec import SUMMIT
 from repro.machine.topology import Topology
+
+
+class MessageLog:
+    """A trace sink keeping what a run's stall seconds are made of.
+
+    :attr:`per_rank` holds, in each rank's own (deterministic) order, the
+    ``stalled_s`` of every post it booked and the landing of every record it
+    ingested, as ``float.hex()``; :attr:`stalls` and :attr:`ingest_stalls`
+    the positive waits in event (booking) order.  Every event is passed on
+    to ``then``.
+    """
+
+    def __init__(self, then=None) -> None:
+        self.then = then
+        self.per_rank: dict[int, list[str]] = {}
+        self.stalls: list[float] = []
+        self.ingest_stalls: list[float] = []
+
+    def __call__(self, timeline, event) -> None:
+        if isinstance(event, PostEvent):
+            stalled = event.reservation.stalled_s
+            self.per_rank.setdefault(event.rank, []).append(f"post {stalled.hex()}")
+            if stalled > 0:
+                self.stalls.append(stalled)
+        elif isinstance(event, IngestEvent):
+            for record, landing in event.landings:
+                self.per_rank.setdefault(event.rank, []).append(f"land {landing.hex()}")
+                if landing > record.arrival:
+                    self.ingest_stalls.append(landing - record.arrival)
+        if self.then is not None:
+            self.then(timeline, event)
 
 
 def records_for(reservations, wire_s):
@@ -30,7 +61,6 @@ class TestReserve:
         reservation = nic.reserve(0, 1, ready=2.0, wire_s=1.0)
         assert reservation.start == 2.0
         assert reservation.arrival == 3.0
-        assert not reservation.stalled
         assert reservation.stalled_s == 0.0
 
     def test_distinct_peers_serialise_at_wire_overlap(self):
@@ -40,7 +70,6 @@ class TestReserve:
         assert first.start == 0.0
         # The port frees after the overlap fraction, not the full wire time.
         assert second.start == pytest.approx(DEFAULT_WIRE_OVERLAP * 10.0)
-        assert second.stalled
         assert second.stalled_s == pytest.approx(DEFAULT_WIRE_OVERLAP * 10.0)
 
     def test_same_peer_serialises_fully(self):
@@ -63,15 +92,15 @@ class TestReserve:
         nic.reserve(0, 1, ready=0.0, wire_s=1.0)
         late = nic.reserve(0, 2, ready=100.0, wire_s=1.0)
         assert late.start == 100.0
-        assert not late.stalled
+        assert late.stalled_s == 0.0
 
     def test_counters_and_accessors(self):
         nic = NicTimeline()
-        nic.reserve(0, 1, ready=0.0, wire_s=10.0)
-        nic.reserve(0, 2, ready=0.0, wire_s=10.0)
+        first = nic.reserve(0, 1, ready=0.0, wire_s=10.0)
+        second = nic.reserve(0, 2, ready=0.0, wire_s=10.0)
         assert nic.reservations == 2
         assert nic.stalls == 1
-        assert nic.stalled_s > 0.0
+        assert (first.stalled_s, second.stalled_s) == (0.0, DEFAULT_WIRE_OVERLAP * 10.0)
         assert nic.port_free_at(0) == pytest.approx(
             DEFAULT_WIRE_OVERLAP * 10.0 + DEFAULT_WIRE_OVERLAP * 10.0
         )
@@ -202,7 +231,7 @@ class TestReserveBatchSchedule:
         assert batch.start.ravel().tolist() == [r.start for r in loop]
         assert batch.seq.ravel().tolist() == [0, 1, 2, 3, 4, 5]
         assert batched.state_fingerprint() == scalar.state_fingerprint()
-        assert batched.stalled_s == scalar.stalled_s
+        assert batch.stalled_s.ravel().tolist() == [r.stalled_s for r in loop]
 
     def test_mismatched_route_table_rejected(self):
         from repro.machine.topology import RouteTable
@@ -359,7 +388,9 @@ class TestIngest:
         assert landings[1] == pytest.approx(10.0 + DEFAULT_WIRE_OVERLAP * 10.0)
         assert landings[2] == pytest.approx(10.0 + 2 * DEFAULT_WIRE_OVERLAP * 10.0)
         assert nic.ingest_stalls == 2
-        assert nic.ingest_stalled_s == pytest.approx(3 * DEFAULT_WIRE_OVERLAP * 10.0)
+        assert [landing - 10.0 for landing in landings] == pytest.approx(
+            [0.0, DEFAULT_WIRE_OVERLAP * 10.0, 2 * DEFAULT_WIRE_OVERLAP * 10.0]
+        )
 
     def test_port_spaced_arrivals_pass_undelayed(self):
         """One sender's stream to several peers is already port-spaced; its

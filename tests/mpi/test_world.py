@@ -10,11 +10,14 @@ import pytest
 from repro.apps.halo import HaloSpec
 from repro.apps.stencil import HaloExchange
 from repro.gpu.cost_model import FREE_GPU
+from repro.machine.nic import trace_default
 from repro.mpi.constructors import Type_vector
 from repro.mpi.datatype import BYTE
 from repro.mpi.errors import MpiError
 from repro.mpi.world import World, WorldError
 from repro.tempi.interposer import interpose
+
+from tests.machine.test_nic import MessageLog
 
 
 class TestConstruction:
@@ -335,10 +338,13 @@ class TestRunToken:
         assert World(2).run(program, timeout=10.0)[0] == 1
 
     def test_threaded_halo_repeats_bit_for_bit(self, summit_model):
-        """The NIC's float stall sums accumulate in the order ranks run."""
+        """Every message's stall seconds and landing, per rank, and the
+        NIC's fabric stall sum, which accumulates in the order ranks run."""
 
-        def stall_sums() -> tuple[str, str, str]:
-            world = World(8, ranks_per_node=2)
+        def stall_sums() -> tuple[dict, str]:
+            log = MessageLog()
+            with trace_default(log):
+                world = World(8, ranks_per_node=2)
             apps = [
                 HaloExchange(ctx, interpose(ctx, model=summit_model), HaloSpec(), mode="overlap")
                 for ctx in world.contexts
@@ -349,9 +355,8 @@ class TestRunToken:
                     apps[ctx.rank].exchange()
 
             world.run(rounds)
-            nic = world.nic
-            assert nic.stalled_s > 0.0
-            return nic.stalled_s.hex(), nic.ingest_stalled_s.hex(), nic.fabric_stalled_s.hex()
+            assert log.stalls and log.ingest_stalls
+            return log.per_rank, world.nic.fabric_stalled_s.hex()
 
         assert stall_sums() == stall_sums()
 

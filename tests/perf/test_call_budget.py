@@ -84,6 +84,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import gc
+import hashlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -98,7 +99,7 @@ from repro.bench.simthroughput import FABRIC_SPEC, HaloDriver
 from repro.bench.workloads import fig7_configurations, fig8_configurations
 from repro.gpu import kernels
 from repro.gpu.memory import MemoryKind
-from repro.machine.nic import IngestRecord, NicTimeline
+from repro.machine.nic import IngestRecord, NicTimeline, ledger_sum, trace_default
 from repro.mpi.constructors import Type_vector
 from repro.mpi.p2p import Envelope, MessageRouter
 from repro.mpi.datatype import BYTE, FLOAT
@@ -106,6 +107,8 @@ from repro.mpi.world import World
 from repro.tempi.cache import ResourceCache, _StagingTracker, pool_bucket
 from repro.tempi.config import TempiConfig
 from repro.tempi.interposer import TempiCommunicator, interpose
+
+from tests.machine.test_nic import MessageLog
 
 MEASURE = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e" / "measure.py"
 RANKS = 8
@@ -242,8 +245,13 @@ def test_one_record_ingest_never_sorts(monkeypatch):
 # Counters recorded at the parent commit (67121b3), before the diet.
 # --------------------------------------------------------------------------- #
 
-def _snapshot(world, exchanges) -> dict:
-    """Every counter the warm path touches, summed over ranks."""
+def _snapshot(world, exchanges, log) -> dict:
+    """Every counter the warm path touches, summed over ranks.
+
+    The NIC's stall seconds are the left folds of ``log``'s waits in event
+    order, the order the timeline once summed them in itself, and
+    ``messages`` digests every message's stall seconds and landing.
+    """
 
     def total(rows: list[dict]) -> dict:
         return {key: sum(row[key] for row in rows) for key in rows[0]}
@@ -267,14 +275,15 @@ def _snapshot(world, exchanges) -> dict:
         "nic": {
             "reservations": nic.reservations,
             "stalls": nic.stalls,
-            "stalled_s": nic.stalled_s.hex(),
+            "stalled_s": ledger_sum(log.stalls).hex(),
             "ingests": nic.ingests,
             "ingest_stalls": nic.ingest_stalls,
-            "ingest_stalled_s": nic.ingest_stalled_s.hex(),
+            "ingest_stalled_s": ledger_sum(log.ingest_stalls).hex(),
             "fabric_stalls": nic.fabric_stalls,
             "peak_pending": nic.peak_pending,
             "ledger_len": nic.ledger_len(),
         },
+        "messages": hashlib.sha256(repr(sorted(log.per_rank.items())).encode()).hexdigest(),
         "clocks": [clock.hex() for clock in world.clocks],
     }
 
@@ -300,14 +309,19 @@ PARENT_SNAPSHOT = {
         "ingests": 624, "ingest_stalls": 528, "ingest_stalled_s": "0x1.4127f3f9874a9p-4",
         "fabric_stalls": 0, "peak_pending": 75, "ledger_len": 240,
     },
+    #: Every message's stall seconds and landing, per rank, as the parent
+    #: of the change that deleted the timeline's stall-seconds sums priced them.
+    "messages": "7b7a537536276a1de08835146c9394582fff457d2703c3f79a4c4244d549e09a",
     "clocks": ["0x1.d11f70f4fc023p-8"] * RANKS,
 }
 
 
 def test_three_round_halo_world_counts_what_the_parent_counted(summit_model):
-    world, exchanges, rounds = _halo_world(summit_model)
+    log = MessageLog()
+    with trace_default(log):
+        world, exchanges, rounds = _halo_world(summit_model)
     world.run(rounds, 3)
-    assert _snapshot(world, exchanges) == PARENT_SNAPSHOT
+    assert _snapshot(world, exchanges, log) == PARENT_SNAPSHOT
 
 
 # --------------------------------------------------------------------------- #
@@ -1069,18 +1083,20 @@ def test_callers_prints_who_calls_a_function(monkeypatch, capsys):
 #: grow from 256 to 1024 ranks.  While a scalar restart wrote the books of
 #: an all-hit replay instead of replaying, ``scalar`` counted 18 720 (flat,
 #: 256), 74 784 (flat, 1024), 25 813 (fabric, 256) and 103 237 (fabric,
-#: 1024).
+#: 1024).  While the timeline folded its own stall seconds, every leg
+#: counted more: batched 533, 1 301, 892 and 2 620, scalar 21 792, 87 072,
+#: 28 885 and 115 525, eager 43 552 and 50 645.
 PRICING_ROUND_CALLS = {
-    ("flat", 256, "batched"): 533,
-    ("flat", 256, "scalar"): 21_792,
-    ("flat", 256, "eager"): 43_552,
-    ("flat", 1024, "batched"): 1_301,
-    ("flat", 1024, "scalar"): 87_072,
-    ("fabric", 256, "batched"): 892,
-    ("fabric", 256, "scalar"): 28_885,
-    ("fabric", 256, "eager"): 50_645,
-    ("fabric", 1024, "batched"): 2_620,
-    ("fabric", 1024, "scalar"): 115_525,
+    ("flat", 256, "batched"): 529,
+    ("flat", 256, "scalar"): 21_763,
+    ("flat", 256, "eager"): 43_523,
+    ("flat", 1024, "batched"): 1_297,
+    ("flat", 1024, "scalar"): 87_043,
+    ("fabric", 256, "batched"): 888,
+    ("fabric", 256, "scalar"): 28_035,
+    ("fabric", 256, "eager"): 49_795,
+    ("fabric", 1024, "batched"): 2_616,
+    ("fabric", 1024, "scalar"): 112_131,
 }
 #: The points counted: both legs of the default config at 256 and 1024
 #: ranks, flat and on the fat-tree preset, and the eager leg at 256.

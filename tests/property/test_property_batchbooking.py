@@ -87,17 +87,51 @@ def _scalar_reference(nic, sources, dests, ready, wire, nbytes, ingest, paths=No
 _DESTS = range(64)
 
 
+def _record_messages(nic):
+    """Wrap ``nic``'s booking calls, scalar and batch, to keep every message's
+    stall seconds (in booking order) and landing (by destination, source and
+    seq), as ``float.hex()``; returns the two growing records."""
+    stalls: list[str] = []
+    landings: dict[tuple[int, int, int], str] = {}
+    reserve, reserve_batch, ingest, ingest_vec = (
+        nic.reserve, nic.reserve_batch, nic.ingest, nic.ingest_batch_vec
+    )
+
+    def scalar_reserve(*args, **kwargs):
+        reservation = reserve(*args, **kwargs)
+        stalls.append(reservation.stalled_s.hex())
+        return reservation
+
+    def batch_reserve(*args, **kwargs):
+        batch = reserve_batch(*args, **kwargs)
+        stalls.extend(value.hex() for value in batch.stalled_s.ravel().tolist())
+        return batch
+
+    def scalar_ingest(dest, records):
+        landed = ingest(dest, records)
+        landings.update(((dest, r.source, r.seq), t.hex()) for r, t in zip(records, landed))
+        return landed
+
+    def batch_ingest(dests, post, sources, seqs, *args, **kwargs):
+        landed = ingest_vec(dests, post, sources, seqs, *args, **kwargs)
+        for dest, row, src, seq in zip(dests, landed.tolist(), sources.tolist(), seqs.tolist()):
+            landings.update(((int(dest), s, q), t.hex()) for s, q, t in zip(src, seq, row))
+        return landed
+
+    nic.reserve, nic.reserve_batch = scalar_reserve, batch_reserve
+    nic.ingest, nic.ingest_batch_vec = scalar_ingest, batch_ingest
+    return stalls, landings
+
+
 def _books(nic, dests=_DESTS):
     """Every observable the batch kernels must keep bit-identical."""
     return (
         nic.state_fingerprint(),
         nic.reservations,
         nic.stalls,
-        nic.stalled_s,
         nic.fabric_stalls,
         nic.fabric_stalled_s,
         nic.ingest_stalls,
-        nic.ingest_stalled_s,
         nic.peak_pending,
         nic._pending_total,
         {dest: nic.pending_records(dest) for dest in dests},
@@ -250,7 +284,6 @@ class TestIngestBatchIsTheScalarLoop:
         assert _books(nics[1]) == _books(nics[0])
         assert nics[1].ingests == nics[0].ingests
         assert nics[1].ingest_stalls == nics[0].ingest_stalls
-        assert nics[1].ingest_stalled_s == nics[0].ingest_stalled_s
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -760,22 +793,25 @@ class TestBatchedBookingEndToEnd:
     def test_fabric_halo_is_deterministic_at_benchmark_size(self):
         """Determinism where we benchmark (1024 ranks on the fat-tree, the
         ``fabric_pricing`` shape), not only where Hypothesis draws: batched
-        == scalar on the digest and the fabric stall books, and the level
-        schedule has the measured depth — 322 levels, the first eight
-        holding 3281 of the 4096 messages — so a change to the scheduling
-        rule is seen here, not absorbed."""
+        == scalar on the digest, the fabric stall books and every message's
+        stall seconds and landing, and the level schedule has the measured
+        depth — 322 levels, the first eight holding 3281 of the 4096
+        messages — so a change to the scheduling rule is seen here, not
+        absorbed."""
         model = PerformanceModel(measure_system(SUMMIT))
         books = []
         for booking in ("scalar", "batched"):
             driver = HaloDriver(1024, CACHED_CONFIG, model,
                                 topology=FABRIC_SPEC, booking=booking)
+            stalls, landings = _record_messages(driver.nic)
             for _ in range(3):
                 driver.round()
             books.append((driver.digest(), driver.nic.fabric_stalls,
-                          driver.nic.fabric_stalled_s.hex(), driver.nic.stalled_s.hex(),
-                          driver.nic.ingest_stalls, driver.nic.ingest_stalled_s.hex()))
+                          driver.nic.fabric_stalled_s.hex(), driver.nic.ingest_stalls,
+                          stalls, landings))
         assert books[0] == books[1]
         assert books[1][1] > 0
+        assert any(float.fromhex(s) > 0 for s in books[1][4])
         plan = driver.nic._batch_shape[-1]
         widths = [hi - lo for lo, hi, _ in plan.levels]
         assert len(widths) == 322

@@ -37,6 +37,8 @@ from repro.tempi.config import TempiConfig
 from repro.tempi.interposer import interpose
 from repro.tempi.sanitizer import ClockSanitizer
 
+from tests.machine.test_nic import MessageLog
+
 #: How each wall variant builds its communicator's config (``None``: the
 #: system communicator, no interposer).
 CONFIGS = {
@@ -95,22 +97,23 @@ def exchange_cases(draw):
     return nranks, shapes, messages, rounds, any_source, seed
 
 
-def _counters(nic) -> dict:
+def _counters(nic, log: MessageLog) -> dict:
     return {
         "reservations": nic.reservations,
         "stalls": nic.stalls,
-        "stalled_s": nic.stalled_s.hex(),
         "ingests": nic.ingests,
         "ingest_stalls": nic.ingest_stalls,
-        "ingest_stalled_s": nic.ingest_stalled_s.hex(),
+        "messages": log.per_rank,
         "fabric_stalls": nic.fabric_stalls,
         "peak_pending": nic.peak_pending,
         "ledger_len": nic.ledger_len(),
     }
 
 
-def _run(case, make_config, model, persistent: bool):
-    """Everything one variant leaves behind: per-rank observations + NIC counters."""
+def _run(case, make_config, model, persistent: bool, sink=None):
+    """Everything one variant leaves behind: per-rank observations, NIC
+    counters and every message's stall seconds and landing (``sink`` sees
+    the events too)."""
     nranks, shapes, messages, rounds, any_source, seed = case
 
     def program(ctx):
@@ -171,8 +174,10 @@ def _run(case, make_config, model, persistent: bool):
             ]
         return observed
 
-    world = World(nranks, ranks_per_node=2)
-    return world.run(program), _counters(world.nic)
+    log = MessageLog(then=sink)
+    with trace_default(log):
+        world = World(nranks, ranks_per_node=2)
+    return world.run(program), _counters(world.nic, log)
 
 
 @pytest.mark.parametrize("variant", sorted(CONFIGS))
@@ -186,9 +191,9 @@ def test_k_starts_equal_k_one_shot_rounds(summit_model, variant, case):
 @settings(max_examples=12, deadline=None)
 @given(case=exchange_cases())
 def test_k_starts_equal_k_one_shot_rounds_under_the_sanitizer(summit_model, case):
-    with trace_default(ClockSanitizer()):
-        persistent = _run(case, TempiConfig, summit_model, True)
-        one_shot = _run(case, TempiConfig, summit_model, False)
+    sanitizer = ClockSanitizer()
+    persistent = _run(case, TempiConfig, summit_model, True, sanitizer)
+    one_shot = _run(case, TempiConfig, summit_model, False, sanitizer)
     assert persistent == one_shot
 
 

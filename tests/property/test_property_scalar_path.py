@@ -12,8 +12,10 @@ priced value, so:
   :class:`~repro.machine.nic.NicTimeline` through the same operations —
   mixed ingest sizes including one, zero-wire passthroughs, duplicate keys,
   rails and uplink bundles, a deferred ``_PendingBlock`` to settle,
-  ``pending_limit`` eviction — comparing landings, ports, counters,
-  ``ingest_stalled_s.hex()`` and ``state_fingerprint()`` after every step;
+  ``pending_limit`` eviction — comparing every reservation (its stall
+  seconds too), landings, ports, counters and ``state_fingerprint()`` after
+  every step (the stall-seconds sums the timeline no longer keeps are cut
+  from the copies);
 * ``_Batch.nbytes``/``.ready`` equal the re-summed totals after every
   enqueue and flush;
 * the router's scan finds exactly the envelope ``_matches`` names first:
@@ -27,12 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.machine.nic import (
-    IngestRecord,
-    NicReservation,
-    NicTimeline,
-    ledger_sum,
-)
+from repro.machine.nic import IngestRecord, NicReservation, NicTimeline
 from repro.machine.topology import PathSpec, RailKey
 from repro.mpi.constructors import Type_vector
 from repro.mpi.datatype import BYTE
@@ -44,7 +41,8 @@ from repro.tempi.interposer import interpose
 
 
 class ParentNic(NicTimeline):
-    """The timeline with the parent commit's scalar rules (verbatim copies)."""
+    """The timeline with the parent commit's scalar rules (verbatim copies,
+    less the stall-seconds sums)."""
 
     def _reserve_one(
         self,
@@ -93,7 +91,6 @@ class ParentNic(NicTimeline):
         stalled = start - ready
         if stalled > 0:
             self.stalls += 1
-            self.stalled_s += stalled
         if self.ledger_limit:
             # The struct-array ring overwrites the oldest row in O(1).
             self._ledger.append(source, dest, start, arrival, int(nbytes))
@@ -137,7 +134,6 @@ class ParentNic(NicTimeline):
             self._settle()
         landings = {record.key: record.arrival for record in records}
         port = self._ingest_ports.get(dest, 0.0)
-        stalls: list[float] = []
         for record in sorted(
             (r for r in records if r.wire_s > 0), key=lambda r: r.key
         ):
@@ -160,13 +156,9 @@ class ParentNic(NicTimeline):
             stalled = landing - record.arrival
             if stalled > 0:
                 self.ingest_stalls += 1
-                stalls.append(stalled)
             landings[record.key] = landing
             if self._pending.get(dest, {}).pop(record.key, None) is not None:
                 self._pending_total -= 1
-        # Fold the stall seconds in batch order through the ledger helper
-        # — the same adds in the same order as accumulating in the loop.
-        self.ingest_stalled_s = ledger_sum(stalls, start=self.ingest_stalled_s)
         self._ingest_ports[dest] = port
         # Receiver-program-order housekeeping (the only deterministic
         # place to prune): pending records that would have fully drained
@@ -225,9 +217,9 @@ def _cursors(nic: NicTimeline) -> tuple:
         [nic.state_fingerprint(rank) for rank in range(_RANKS)],
         dict(nic._ports), dict(nic._links), dict(nic._ingest_ports), dict(nic._seqs),
         dict(nic._rail_ports), dict(nic._ingest_rails), dict(nic._shared_links),
-        nic.reservations, nic.stalls, nic.stalled_s.hex(),
+        nic.reservations, nic.stalls,
         nic.fabric_stalls, nic.fabric_stalled_s.hex(),
-        nic.ingests, nic.ingest_stalls, nic.ingest_stalled_s.hex(),
+        nic.ingests, nic.ingest_stalls,
         nic.peak_pending, nic._pending_total, nic._block is None, nic.ledger(),
     )
 

@@ -71,8 +71,7 @@ def _run(events, topology, *, bind_paths):
     for dst in sorted(pending):
         trace.append(tuple(nic.ingest(dst, pending.pop(dst))))
     trace.append(nic.state_fingerprint())
-    trace.append((nic.stalls, nic.stalled_s, nic.ingest_stalls, nic.ingest_stalled_s,
-                  nic.fabric_stalls, nic.fabric_stalled_s))
+    trace.append((nic.stalls, nic.ingest_stalls, nic.fabric_stalls, nic.fabric_stalled_s))
     return trace
 
 

@@ -8,10 +8,11 @@ on a 4-rank ring of nonblocking bursts and on the fat-tree barrier-phased
 cross-leaf run:
 
 * two traced runs emit equal event lists, every virtual field compared by
-  ``float.hex()`` (the run token makes the interleaving, hence the global
-  order, repeat);
-* every rank's clock, the received bytes and the run's virtual digest are
-  bit-identical with and without the sink.
+  ``float.hex()`` — each post's stall seconds and each landing among them
+  (the run token makes the interleaving, hence the global order, repeat);
+* every rank's clock, the received bytes and the run's virtual digest —
+  every reservation's start and arrival in it — are bit-identical with and
+  without the sink.
 """
 
 from __future__ import annotations
@@ -118,10 +119,9 @@ def _run(scenario: str, case, model, sink):
     timeline = world.nic
     digest = hashlib.sha256(repr((
         [ctx.clock.events for ctx in world.contexts],
-        timeline.reservations, timeline.stalls, timeline.stalled_s.hex(),
-        timeline.ingests, timeline.ingest_stalls, timeline.ingest_stalled_s.hex(),
+        timeline.reservations, timeline.stalls, timeline.ingests, timeline.ingest_stalls,
         timeline.fabric_stalls, timeline.fabric_stalled_s.hex(), timeline.peak_pending,
-        timeline.state_fingerprint(),
+        timeline.state_fingerprint(), _hexed(timeline.ledger()),
     )).encode()).hexdigest()
     return results, digest
 

@@ -19,6 +19,7 @@ import pytest
 
 from repro.machine.nic import (
     BacklogReadEvent,
+    IngestRecord,
     JoinEvent,
     NicReservation,
     NicTimeline,
@@ -27,7 +28,7 @@ from repro.machine.nic import (
     SeqEvent,
     trace_default,
 )
-from repro.machine.topology import Topology
+from repro.machine.topology import PathSpec, Topology
 from repro.mpi.constructors import Type_vector
 from repro.mpi.datatype import BYTE
 from repro.mpi.request import Request
@@ -336,6 +337,52 @@ class TestResetSemantics:
         with pytest.raises(SanitizerError, match="moved backwards"):
             sanitizer(first, PostEvent(0, 1, restart, False, 0.65 * WIRE_S, (), 0.0))
         assert sanitizer.counters["posts"] == 3
+
+
+class TestAccounts:
+    """Where virtual time went, read from the events alone."""
+
+    def test_each_wait_is_charged_to_the_cursor_that_bound_it(self):
+        timeline, sanitizer = traced()
+        timeline.reserve(0, 1, 0.0, 10.0)
+        timeline.reserve(0, 2, 0.0, 10.0)  # the port frees at 6.5
+        timeline.reserve(1, 3, 0.0, 10.0)
+        timeline.reserve(1, 3, 0.0, 1.0)  # the (1, 3) link frees at 10, the port at 6.5
+        for rank in (2, 3):  # one rail, one uplink bundle held 1000 B / 100 B/s
+            path = PathSpec(rank, 4, "fabric", (), rail=(0, 0), shared=((("up", 0), 100.0),))
+            timeline.reserve(rank, 4, 0.0, 1.0, 1000, path=path)
+        incast = [timeline.reserve(source, 9, 0.0, 10.0) for source in (6, 7, 8)]
+        timeline.ingest(9, [IngestRecord(r.start, s, r.seq, 10.0, r.arrival)
+                            for s, r in zip((6, 7, 8), incast)])
+        for rank, source in ((10, 6), (11, 7)):  # node-mates on one receive-side rail
+            posted = timeline.reserve(source, rank, 20.0, 10.0)
+            timeline.ingest(rank, [IngestRecord(posted.start, source, posted.seq, 10.0,
+                                                posted.arrival, (1, 0))])
+            join(timeline, 10, 11)
+        audit = sanitizer.audits[timeline]
+        charged = {rank: {name: wait for name, wait in waits.items() if wait}
+                   for rank, waits in audit.rank_stall.items()}
+        assert charged == {
+            0: {"injection port": 6.5}, 1: {"link": 10.0}, 2: {}, 3: {"uplink bundle": 10.0},
+            6: {}, 7: {}, 8: {},
+            9: {"ingestion port": 6.5 + 13.0}, 10: {}, 11: {"NIC rail": 6.5},
+        }
+        assert (audit.posts, audit.stalls, audit.ingest_stalls, audit.fabric_stalls,
+                audit.fabric_stalled_s) == (timeline.reservations, timeline.stalls,
+                                            timeline.ingest_stalls, 1, 10.0)
+        assert audit.busy == pytest.approx({
+            "injection port": 0.65 * 83.0, "link": 83.0, "NIC rail": 0.65 * 22.0,
+            "uplink bundle": 20.0, "ingestion port": 0.65 * 50.0,
+        })
+
+    def test_the_sink_keeps_every_timeline_it_saw(self):
+        """In first-event order, past their run: ``repro explain`` reports each."""
+        sanitizer = ClockSanitizer()
+        with trace_default(sanitizer):
+            first, second, silent = NicTimeline(), NicTimeline(), NicTimeline()
+        second.reserve(0, 1, 0.0, WIRE_S)
+        first.reserve(0, 1, 0.0, WIRE_S)
+        assert list(sanitizer.audits) == [second, first]
 
 
 class TestInterposedRuns:

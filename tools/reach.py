@@ -14,8 +14,9 @@ tests call is what this lists.
   ``tools/make_golden_fixtures.py --diff``;
 * ``e2e`` — the five ``benchmarks/e2e/run.py`` leaves, ``--quick --trace 0``;
 * ``examples`` — every ``examples/*.py``;
-* ``cli`` — ``repro predict``, ``halo``, ``select-table``, ``topo show
-  --spec``, ``sanitize``, ``lint`` and ``measure``;
+* ``cli`` — ``repro predict``, ``halo``, ``select-table`` (unloaded and
+  ``--plans 2``), ``topo show --spec``, ``sanitize``, ``explain incast``,
+  ``lint`` and ``measure``;
 * ``all`` — the four together (4 to 7 minutes on 2 cores).
 
 The e2e harness sets and clears its own call-counting hook around counted
@@ -207,8 +208,10 @@ def _cli() -> Iterator[tuple[str, Callable[[], object]]]:
             ["predict", "--size", "1048576", "--block", "8"],
             ["halo", "--nodes", "2", "--ranks-per-node", "6"],
             ["select-table"],
+            ["select-table", "--plans", "2"],
             ["topo", "show", "--spec", spec],
             ["sanitize"],
+            ["explain", "incast"],
             ["lint"],
             ["measure", "--output", str(Path(scratch) / "measurement.json")],
         ):
