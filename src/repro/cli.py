@@ -685,12 +685,12 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _explain(row_id: str, sanitizer) -> int:
-    """Print each traced timeline's accounts, or refuse (1) if the batch
-    sweep, which emits no events, booked on one."""
+    """Print each traced timeline's accounts, or refuse (1) if a batch
+    sweep, whose event carries no cursor, booked on one."""
     from repro.bench.harness import format_table
     from repro.tempi.sanitizer import RESOURCES
 
-    unseen = sum(timeline.reservations - audit.posts for timeline, audit in sanitizer.audits.items())
+    unseen = sum(audit.unseen for audit in sanitizer.audits.values())
     if unseen:
         print(f"explain: {row_id}: {unseen} reservation(s) booked by the batch sweep are "
               "not in the event stream; nothing explained", file=sys.stderr)

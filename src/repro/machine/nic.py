@@ -82,12 +82,13 @@ Event stream.  A timeline built inside :func:`trace_default` — a
 keeps that :attr:`~NicTimeline.sink` and calls it as ``sink(timeline,
 event)`` once per scalar post (:class:`PostEvent`), sequence draw
 (:class:`SeqEvent`) and ingestion commit (:class:`IngestEvent`), under the
-timeline's lock and carrying every cursor the commit set (and every
-landing), so a sink never reads the timeline back.  The reads and joins only a caller can name a rank for — a contended
+timeline's lock and carrying every cursor the commit set and every wait
+where the timeline clamps it, so a sink never reads the timeline back.
+The reads and joins only a caller can name a rank for — a contended
 selector's backlog read and pricing bracket, the interposer's collective
 joins — are emitted by those callers into the same sink.  With no sink
-each emit site is one ``is not None`` test.  The batch sweep
-(``reserve_batch``, ``ingest_batch_vec``'s vector path) emits nothing.
+each emit site is one ``is not None`` test.  The batch sweep emits only its
+count (:class:`BatchEvent`); ``ingest_batch_vec``'s vector path, nothing.
 
 One timeline is shared by all ranks of a :class:`~repro.mpi.world.World`
 (it hangs off ``world.nic``); the :class:`~repro.tempi.progress.ProgressEngine`
@@ -407,6 +408,8 @@ class PostEvent(NamedTuple):
     #: The ready time the post was booked at: with ``rank``, the key
     #: send-side shared cursors take commits in.
     ready: float
+    #: The start the port and link allowed (a rail or bundle added ``start - base``).
+    base: float
 
 
 class SeqEvent(NamedTuple):
@@ -426,8 +429,15 @@ class IngestEvent(NamedTuple):
     #: Each distinct receive-side rail the batch names, ascending, with its
     #: cursor after the commit.
     rails: tuple[tuple[RailKey, float], ...]
-    #: Each served record (wire time > 0), in service order, with its landing.
-    landings: list[tuple[IngestRecord, float]]
+    #: Each served record (wire time > 0), in service order, as ``(record, landing,
+    #: bound, held)``: the cursor that delayed it, if any, and its seconds on the port.
+    landings: list[tuple[IngestRecord, float, Optional[str], float]]
+
+
+class BatchEvent(NamedTuple):
+    """A :meth:`NicTimeline.reserve_batch` sweep booked ``messages`` reservations."""
+
+    messages: int
 
 
 class BacklogReadEvent(NamedTuple):
@@ -458,7 +468,7 @@ class JoinEvent(NamedTuple):
 
 #: One entry of a traced timeline's event stream.
 NicEvent = Union[
-    PostEvent, SeqEvent, IngestEvent, BacklogReadEvent, PricingEvent, JoinEvent
+    PostEvent, SeqEvent, IngestEvent, BatchEvent, BacklogReadEvent, PricingEvent, JoinEvent
 ]
 #: A trace sink, called as ``sink(timeline, event)``; it must not call back
 #: into the timeline, whose lock it runs under for the timeline's own events.
@@ -548,6 +558,8 @@ _LEDGER_DTYPE = np.dtype(
         ("nbytes", np.int64),
     ]
 )
+#: The rows of a ring nothing was written to yet.
+_NO_ROWS = np.zeros(0, dtype=_LEDGER_DTYPE)
 
 
 class _LedgerRing:
@@ -556,17 +568,20 @@ class _LedgerRing:
     Appends overwrite the oldest slot in O(1); queries run vectorised over
     the resident window.  Peak residency is therefore ``capacity`` structs,
     however many messages the simulation posts — the compact replacement for
-    the old per-message ``deque`` of frozen dataclasses.
+    the old per-message ``deque`` of frozen dataclasses.  The rows are
+    allocated by the first write, so a timeline that books nothing holds none.
     """
 
     def __init__(self, capacity: int) -> None:
         self.capacity = max(1, int(capacity))
-        self._rows = np.zeros(self.capacity, dtype=_LEDGER_DTYPE)
+        self._rows = _NO_ROWS
         self._next = 0
         self._count = 0
 
     def append(self, source: int, dest: int, start: float, arrival: float, nbytes: int) -> None:
         """Write one reservation, overwriting the oldest beyond capacity."""
+        if self._rows is _NO_ROWS:
+            self._rows = np.zeros(self.capacity, dtype=_LEDGER_DTYPE)
         self._rows[self._next] = (source, dest, start, arrival, nbytes)
         nxt = self._next + 1
         self._next = 0 if nxt == self.capacity else nxt
@@ -583,6 +598,8 @@ class _LedgerRing:
         total = len(rows)
         if total == 0:
             return
+        if self._rows is _NO_ROWS:
+            self._rows = np.zeros(self.capacity, dtype=_LEDGER_DTYPE)
         keep = min(total, self.capacity)
         # Row j of the block lands at slot (next + j) % capacity; only the
         # last `capacity` rows survive, starting at the cursor below.
@@ -784,10 +801,10 @@ class NicTimeline:
             start = port
         if link > start:
             start = link
+        base = start
         rail_key: Optional[RailKey] = None
         ingest_rail: Optional[RailKey] = None
         if path is not None:
-            base = start
             rail_key = path.rail
             ingest_rail = path.ingest_rail
             if rail_key is not None:
@@ -828,7 +845,7 @@ class NicTimeline:
             if path is not None:
                 shared += [("fabric", key, self._shared_links[key]) for key, _ in path.shared]
             sink(self, PostEvent(
-                source, dest, reservation, ingest, self._ports[source], tuple(shared), ready
+                source, dest, reservation, ingest, self._ports[source], tuple(shared), ready, base
             ))
         return reservation
 
@@ -1071,6 +1088,8 @@ class NicTimeline:
                 for dest, record in block.records():
                     self._register_pending(dest, record)
         np.maximum(stalled, 0.0, out=out.stalled_s)
+        if self.sink is not None:
+            self.sink(self, BatchEvent(total))
         return out
 
     # ----------------------------------------------------------------- ingest
@@ -1119,8 +1138,11 @@ class NicTimeline:
         served = records if lone else sorted(
             [record for record in records if record[3] > 0], key=_SERVICE_KEY
         )
+        sink = self.sink
         landed: list[float] = []
-        for post_time, source, seq, wire_s, arrival, rail in served:
+        traced: list[tuple[IngestRecord, float, Optional[str], float]] = []
+        for record in served:
+            post_time, source, seq, wire_s, arrival, rail = record
             # landing = begin + wire with begin = max(post_time, port) —
             # written so an undelayed landing equals the arrival
             # *exactly*, and using the true wire-entry time rather than
@@ -1128,13 +1150,17 @@ class NicTimeline:
             landing = port + wire_s
             if arrival >= landing:
                 landing = arrival
+            held = overlap * wire_s
             if rail is not None:
                 # The shared receive-side rail mirrors the port rule in
                 # its own cursor; the flat books never reach this branch.
                 rail_port = self._ingest_rails.get(rail, 0.0)
                 landing = max(landing, rail_port + wire_s)
-                self._ingest_rails[rail] = max(post_time, rail_port) + overlap * wire_s
-            port = (post_time if post_time >= port else port) + overlap * wire_s
+                self._ingest_rails[rail] = max(post_time, rail_port) + held
+            if sink is not None:  # a tie binds the port, as ``max`` keeps the first
+                traced.append((record, landing, None if landing == arrival else (
+                    "ingestion port" if landing == port + wire_s else "NIC rail"), held))
+            port = (post_time if post_time >= port else port) + held
             self.ingests += 1
             if landing > arrival:
                 self.ingest_stalls += 1
@@ -1159,12 +1185,11 @@ class NicTimeline:
             for key in stale:
                 del pending[key]
                 self._pending_total -= 1
-        sink = self.sink
         if sink is not None:
             rails = sorted({record[5] for record in records if record[5] is not None})
             sink(self, IngestEvent(dest, records, port, tuple(
                 (rail, self._ingest_rails.get(rail, 0.0)) for rail in rails
-            ), list(zip(served, landed))))
+            ), traced))
         if lone:
             return landed
         # Input order, through the keys: records sharing a key share the

@@ -49,7 +49,9 @@ worlds' timelines and the analytic twins' private ones alike — with one
 fresh sanitizer each and prints its :attr:`~ClockSanitizer.counters`.
 The same walk charges each wait to the cursor that bound it, per resource
 (:data:`RESOURCES`) and per rank, beside each resource's busy seconds:
-what ``repro explain`` prints.
+what ``repro explain`` prints.  The waits travel on the events, reported
+where the NIC clamps them, so no cursor recurrence is walked here again; a
+batch sweep's reservations carry none, and ``repro explain`` refuses them.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ from typing import Any, Callable, NamedTuple, Optional
 
 from repro.machine.nic import (
     BacklogReadEvent,
+    BatchEvent,
     IngestEvent,
     JoinEvent,
     NicEvent,
@@ -116,7 +119,7 @@ def _vc_leq(left: dict[int, int], right: dict[int, int]) -> bool:
 class _TimelineAudit:
     """Vector clocks, last-seen cursors and accounts of one traced timeline."""
 
-    def __init__(self, counters: dict[str, int], overlap: float) -> None:
+    def __init__(self, counters: dict[str, int]) -> None:
         self.counters = counters
         self.vc: dict[int, dict[int, int]] = {}
         #: Per rank, its mutations so far (posts, sequence draws, ingests).
@@ -135,10 +138,9 @@ class _TimelineAudit:
         #: Per rank inside a pricing bracket: fingerprint and event count.
         self.pricing: dict[int, tuple[int, int]] = {}
         #: The accounts: the NIC's own counts and fabric seconds, from the
-        #: events; busy seconds per resource, and stall per rank and resource.
-        self.overlap = overlap
-        self.link_last: dict[tuple[int, int], float] = {}
-        self.posts = self.stalls = self.ingest_stalls = self.fabric_stalls = 0
+        #: events; busy seconds per resource, and stall per rank and resource;
+        #: and the reservations batch sweeps booked, which no account saw.
+        self.posts = self.stalls = self.ingest_stalls = self.fabric_stalls = self.unseen = 0
         self.fabric_stalled_s = 0.0
         self.busy = dict.fromkeys(RESOURCES, 0.0)
         self.rank_stall: dict[int, dict[str, float]] = {}
@@ -197,12 +199,11 @@ class _TimelineAudit:
         """A shared cursor as its last commit left it."""
         return self.shared_last.get((label, key), (None, 0.0))[1]
 
-    def _charge(self, rank: int, begin: float, end: float, cursors: list[tuple[str, float]]) -> None:
-        """Charge ``end - begin`` to ``rank`` and the first ``(resource, free
-        time)`` freeing at ``end``; none does only after a booking no event
+    def _charge(self, rank: int, begin: float, end: float, bound: Optional[str]) -> None:
+        """Charge ``end - begin`` to ``rank`` and ``bound``, the resource whose
+        clamp set ``end``; a wait has none only after a booking no event
         showed (the batch sweep's), which ``repro explain`` refuses."""
         stalls = self.rank_stall.setdefault(rank, dict.fromkeys(RESOURCES, 0.0))
-        bound = next((resource for resource, free in cursors if free == end), None)
         if end > begin and bound is not None:
             stalls[bound] += end - begin
 
@@ -217,19 +218,18 @@ class _TimelineAudit:
             f"dest {post.dest}, post_time={reservation.start:.9g}, seq={reservation.seq}",
         )
         self.counters["posts"] += 1
-        # Account first: the cursors below still hold the values this post met.
-        start, port = reservation.start, self.inject_cursor.get(source, (0.0,))[0]
-        link = self.link_last.get((source, post.dest), 0.0)
-        base = max(post.ready, port, link)
-        self._charge(source, post.ready, base, [("injection port", port), ("link", link)])
-        self._charge(source, base, start, [
-            (_SHARED[label], self._free(label, key)) for label, key, _ in post.shared
-        ])
+        # Account first: the cursors below still hold the values this post
+        # met.  The port binds a tie with the link, a rail one with a bundle.
+        start, base = reservation.start, post.base
+        port = self.inject_cursor.get(source, (0.0,))[0]
+        self._charge(source, post.ready, base, "injection port" if port == base else "link")
+        self._charge(source, base, start, next((
+            _SHARED[label] for label, key, _ in post.shared if self._free(label, key) == start
+        ), None))
         self.busy["injection port"] += post.port - start
         self.busy["link"] += reservation.wire_s
         for label, _, cursor in post.shared:
             self.busy[_SHARED[label]] += cursor - start
-        self.link_last[(source, post.dest)] = reservation.arrival
         self.posts += 1
         self.stalls += reservation.stalled_s > 0
         if start > base:
@@ -268,22 +268,13 @@ class _TimelineAudit:
             "ingest-commit", dest, self._tick(dest), f"{len(ingest.records)} record(s)"
         )
         self.counters["ingests"] += 1
-        # The event carries each landing; the cursors it waited for are the
-        # last commit's, advanced over the records served before it.
-        port = self.ingest_cursor.get(dest, (0.0,))[0]
-        rails: dict[Any, float] = {}
-        for (post_time, _, _, wire, arrival, rail), landing in ingest.landings:
-            held = self.overlap * wire
-            cursors = [("ingestion port", port + wire)]
-            port = max(post_time, port) + held
+        # Each landing carries the cursor that delayed it and the port time it held.
+        for record, landing, bound, held in ingest.landings:
             self.busy["ingestion port"] += held
-            if rail is not None:
-                free = rails.get(rail, self._free("ingest-rail", rail))
-                cursors.append(("NIC rail", free + wire))
-                rails[rail] = max(post_time, free) + held
+            if record.rail is not None:
                 self.busy["NIC rail"] += held
-            self._charge(dest, arrival, landing, cursors)
-            self.ingest_stalls += landing > arrival
+            self._charge(dest, record.arrival, landing, bound)
+            self.ingest_stalls += landing > record.arrival
         clock = self._clock(dest)
         for record in ingest.records:
             snapshot = self.snapshots.pop(record.key, None)
@@ -305,6 +296,10 @@ class _TimelineAudit:
                     previous[0],
                     event,
                 )
+
+    def batch(self, batch: BatchEvent) -> None:
+        """A batch sweep's reservations: no cursor travels, so no account sees them."""
+        self.unseen += batch.messages
 
     def read(self, read: BacklogReadEvent) -> None:
         """Audit a cross-rank backlog read for happens-before coverage."""
@@ -379,6 +374,7 @@ _HANDLERS: dict[type, Callable[[_TimelineAudit, Any], None]] = {
     PostEvent: _TimelineAudit.post,
     SeqEvent: _TimelineAudit.seq,
     IngestEvent: _TimelineAudit.ingest,
+    BatchEvent: _TimelineAudit.batch,
     BacklogReadEvent: _TimelineAudit.read,
     PricingEvent: _TimelineAudit.pricing,
     JoinEvent: _TimelineAudit.join,
@@ -405,5 +401,5 @@ class ClockSanitizer:
         with self._lock:
             audit = self.audits.get(timeline)
             if audit is None:
-                audit = self.audits[timeline] = _TimelineAudit(self.counters, timeline.wire_overlap)
+                audit = self.audits[timeline] = _TimelineAudit(self.counters)
             _HANDLERS[type(event)](audit, event)

@@ -509,6 +509,30 @@ class TestSim007RestatedPricingRule:
         assert [finding.line for finding in findings] == [4, 5, 7, 14, 14]
         assert "wire_overlap" in findings[0].message
 
+    def test_renamed_copies_fire(self, tmp_path):
+        """An ingest walk that names its occupancy factor ``overlap`` and its
+        cursor ``port`` still restates the NIC's rules."""
+        findings = lint_tree(tmp_path, {
+            "src/repro/tempi/sanitizer.py": """\
+                class Audit:
+                    def ingest(self, ingest, dest):
+                        port = self.ingest_cursor.get(dest, (0.0,))[0]
+                        rails = {}
+                        for (post_time, _, _, wire, arrival, rail), landing in ingest.landings:
+                            held = self.overlap * wire
+                            cursors = [("ingestion port", port + wire)]
+                            port = max(post_time, port) + held
+                            if rail is not None:
+                                free = rails.get(rail, self._free("ingest-rail", rail))
+                                cursors.append(("NIC rail", free + wire))
+                                rails[rail] = max(post_time, free) + held
+                            self._charge(dest, arrival, landing, cursors)
+            """,
+        })
+        assert codes(findings) == ["SIM007"] * 2
+        assert [finding.line for finding in findings] == [6, 8]
+        assert "overlap" in findings[0].message
+
     def test_driving_the_real_objects_is_clean(self, tmp_path):
         findings = lint_tree(tmp_path, {
             "src/repro/apps/twin.py": """\

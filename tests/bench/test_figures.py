@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 
@@ -200,17 +201,28 @@ def test_explain_an_unknown_row_exits_2_listing_the_rows(figures, capsys):
 
 
 def test_explain_refuses_what_the_batch_sweep_booked(capsys):
-    """The batch sweep emits no events: beside one scalar post, one
-    ``reserve_batch`` call books four reservations no account saw."""
-    sanitizer = ClockSanitizer()
-    with trace_default(sanitizer):
-        timeline = NicTimeline()
-    timeline.reserve(0, 1, 0.0, 1e-6)
-    timeline.reserve_batch([0, 1], np.asarray([[1, 2], [2, 3]]), 0.0, 1e-6)
-    assert cli._explain("incast", sanitizer) == 1
-    captured = capsys.readouterr()
-    assert "incast: 4 reservation(s) booked by the batch sweep" in captured.err
-    assert not captured.out
+    """The batch sweep's event carries no cursor: one ``reserve_batch`` call
+    books four reservations no account saw, beside one scalar post or on a
+    timeline nothing else booked on."""
+    for scalar_posts in (1, 0):
+        sanitizer = ClockSanitizer()
+        with trace_default(sanitizer):
+            timeline = NicTimeline()
+        for _ in range(scalar_posts):
+            timeline.reserve(0, 1, 0.0, 1e-6)
+        timeline.reserve_batch([0, 1], np.asarray([[1, 2], [2, 3]]), 0.0, 1e-6)
+        assert cli._explain("incast", sanitizer) == 1
+        captured = capsys.readouterr()
+        assert "incast: 4 reservation(s) booked by the batch sweep" in captured.err
+        assert not captured.out
+
+
+#: SHA-256 of ``repro explain ROW``'s stdout: the row's tables and every
+#: timeline's accounts, byte for byte.
+EXPLAINED_DIGESTS = {
+    "incast": "2aea8fd9d23df461d8d5ebfcedbd2d7dd5fc77f29fac7faf658425fc961605b0",
+    "topology": "bf16da426ba591e138dbe33cb7f116fff4cddf24d01f2ca6b8f14b96760ae7eb",
+}
 
 
 @pytest.fixture(scope="module", params=["incast", "topology"])
@@ -235,11 +247,16 @@ def test_explain_prints_both_tables_per_timeline(explained):
     assert out.count("busy s") == out.count("rank stall s") == timelines
 
 
+def test_explain_prints_the_pinned_accounts(explained):
+    row_id, _, out, _ = explained
+    assert hashlib.sha256(out.encode()).hexdigest() == EXPLAINED_DIGESTS[row_id]
+
+
 def test_the_event_stream_counts_what_the_nic_counted(explained):
     """On every traced timeline the accounts equal the NIC's own books:
     posts, stalled posts, stalled ingests, fabric-bound posts, and the
-    event-order left fold of ``start - max(ready, port, link)`` as
-    ``fabric_stalled_s``, by ``float.hex()``."""
+    event-order left fold of ``start - base`` as ``fabric_stalled_s``, by
+    ``float.hex()``."""
     row_id, _, _, sanitizer = explained
     for timeline, audit in sanitizer.audits.items():
         assert (audit.posts, audit.stalls, audit.ingest_stalls, audit.fabric_stalls,

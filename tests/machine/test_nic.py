@@ -37,7 +37,7 @@ class MessageLog:
             if stalled > 0:
                 self.stalls.append(stalled)
         elif isinstance(event, IngestEvent):
-            for record, landing in event.landings:
+            for record, landing, _, _ in event.landings:
                 self.per_rank.setdefault(event.rank, []).append(f"land {landing.hex()}")
                 if landing > record.arrival:
                     self.ingest_stalls.append(landing - record.arrival)
@@ -345,10 +345,11 @@ class TestLedger:
 
     def test_ledger_records_and_bounds(self):
         nic = NicTimeline(ledger_limit=2)
+        assert nic.ledger_nbytes() == 0  # the first write allocates the rows
         for peer in (1, 2, 3):
             nic.reserve(0, peer, ready=0.0, wire_s=1.0, nbytes=peer)
         records = nic.ledger()
-        assert len(records) == 2
+        assert len(records) == 2 and nic.ledger_nbytes() == 2 * 40
         assert [r.dest for r in records] == [2, 3]
         assert nic.ledger(source=7) == []
 

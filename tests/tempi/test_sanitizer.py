@@ -282,9 +282,9 @@ class TestMonotonicity:
         timeline, sanitizer = NicTimeline(), ClockSanitizer()
         forward = NicReservation(start=10.0, arrival=10.1, stalled_s=0.0, wire_s=0.1, seq=0)
         backward = NicReservation(start=1.0, arrival=1.1, stalled_s=0.0, wire_s=0.1, seq=1)
-        sanitizer(timeline, PostEvent(0, 1, forward, False, 10.065, (), 10.0))
+        sanitizer(timeline, PostEvent(0, 1, forward, False, 10.065, (), 10.0, 10.0))
         with pytest.raises(SanitizerError, match="moved backwards"):
-            sanitizer(timeline, PostEvent(0, 1, backward, False, 1.065, (), 1.0))
+            sanitizer(timeline, PostEvent(0, 1, backward, False, 1.065, (), 1.0, 1.0))
 
     def test_real_timeline_never_trips_it(self):
         timeline, sanitizer = traced()
@@ -335,7 +335,7 @@ class TestResetSemantics:
         second.reserve(0, 1, 0.0, WIRE_S, KIB)
         restart = NicReservation(start=0.0, arrival=WIRE_S, stalled_s=0.0, wire_s=WIRE_S, seq=0)
         with pytest.raises(SanitizerError, match="moved backwards"):
-            sanitizer(first, PostEvent(0, 1, restart, False, 0.65 * WIRE_S, (), 0.0))
+            sanitizer(first, PostEvent(0, 1, restart, False, 0.65 * WIRE_S, (), 0.0, 0.0))
         assert sanitizer.counters["posts"] == 3
 
 

@@ -25,9 +25,9 @@ SIM006    no private blocking primitive (``threading.Condition``/``Event``/
           ``Barrier``/``Semaphore``, ``queue.Queue``, ``time.sleep``) in
           ``src/repro`` outside ``mpi/p2p.py``/``mpi/world.py``: one rank
           runs at a time, and a wait the run token cannot see stalls all
-SIM007    a pricing rule is written down once: a product with
-          ``wire_overlap`` or a cursor recurrence ``x = max(..., x) + ...``
-          (``x`` named ``*free``/``*ready``) appears in ``src/repro`` only
+SIM007    a pricing rule is written down once: a product with a name
+          ending in ``overlap`` or a cursor recurrence ``x = max(..., x) +
+          ...`` (whatever ``x`` is called) appears in ``src/repro`` only
           in the rules' homes (``machine/nic.py``, ``gpu/stream.py``,
           ``machine/network.py``, ``tempi/progress.py``); everything else
           drives those objects

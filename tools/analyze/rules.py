@@ -398,9 +398,6 @@ SIM007_HOMES = frozenset(
     }
 )
 
-_CURSOR_NAME = re.compile(r"(^|_)(free|ready)$")
-
-
 def _cursor_name(node: ast.expr) -> Optional[str]:
     """Terminal name of an assignment target, looking through ``x[key]``."""
     while isinstance(node, ast.Subscript):
@@ -409,11 +406,11 @@ def _cursor_name(node: ast.expr) -> Optional[str]:
 
 
 def _restates_cursor_rule(node: ast.Assign) -> bool:
-    """True for ``x = max(..., x) + ...`` with ``x`` named like a cursor."""
+    """True for ``x = max(..., x) + ...``, whatever ``x`` is called."""
     if len(node.targets) != 1 or not isinstance(node.value, ast.BinOp):
         return False
     target = _cursor_name(node.targets[0])
-    if target is None or not _CURSOR_NAME.search(target):
+    if target is None:
         return False
     value = node.value
     if not isinstance(value.op, ast.Add):
@@ -436,14 +433,15 @@ def check_restated_pricing_rule(source_file: SourceFile) -> list[Violation]:
     findings: list[Violation] = []
     for node in ast.walk(tree):
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
-            names = {(_terminal_name(side) or "").lstrip("_") for side in (node.left, node.right)}
-            if "wire_overlap" in names:
+            names = [_terminal_name(side) or "" for side in (node.left, node.right)]
+            overlap = next((name for name in names if name.endswith("overlap")), None)
+            if overlap is not None:
                 findings.append(
                     Violation(
                         relpath,
                         node.lineno,
                         "SIM007",
-                        "`wire_overlap * wire` restates the NIC's occupancy rule; "
+                        f"`{overlap} * wire` restates the NIC's occupancy rule; "
                         "reserve/ingest on a NicTimeline instead",
                     )
                 )
