@@ -340,7 +340,7 @@ def model_contended_exchange(
         if shared_nic and nic == "duplex":
             arrivals = timeline.ingest(
                 rank,
-                [IngestRecord(r.start, peer, r.seq, r.wire_s, r.arrival) for _, peer, r in posted],
+                [IngestRecord(r.start, rank, r.seq, r.wire_s, r.arrival) for _, _, r in posted],
             )
         finishes = []
         last_arrival = host.now

@@ -267,8 +267,22 @@ def _cmd_halo(args: argparse.Namespace) -> int:
     return 0
 
 
+def _booked_backlog(plans: int, incast: int, wire: float) -> tuple[float, float]:
+    """Rank 0's injection backlog after ``plans`` posts to distinct peers, and
+    its ingestion backlog after ``incast`` senders' posts, booked on a
+    throwaway timeline: ``select-table``'s synthetic load."""
+    from repro.machine.nic import NicTimeline
+
+    nic = NicTimeline(ledger_limit=0, pending_limit=incast)
+    for peer in range(1, plans + 1):
+        nic.reserve(0, peer, 0.0, wire)
+    for sender in range(1, incast + 1):
+        nic.reserve(sender, 0, 0.0, wire)
+    return nic.port_free_at(0), nic.ingest_backlog(0)
+
+
 def _cmd_select_table(args: argparse.Namespace) -> int:
-    from repro.machine.network import DEFAULT_WIRE_OVERLAP, NetworkModel
+    from repro.machine.network import NetworkModel
     from repro.machine.topology import Topology, TopologyError, TopologySpec
     from repro.tempi.measurement import DEFAULT_BLOCKS
     from repro.tempi.selection import contended_estimate
@@ -330,13 +344,14 @@ def _cmd_select_table(args: argparse.Namespace) -> int:
                 # incast benchmarks sweep — and selection prices the queues it
                 # would see.
                 wire = network.message_time(size, same_node=False, device_buffers=True)
+                inject_s, ingest_s = _booked_backlog(args.plans, incast, wire)
                 estimate = contended_estimate(
                     model,
                     size,
                     min(block, size),
-                    args.plans * DEFAULT_WIRE_OVERLAP * wire,
+                    inject_s,
                     link_backlog_s=link_busy * wire,
-                    ingest_backlog_s=incast * DEFAULT_WIRE_OVERLAP * wire,
+                    ingest_backlog_s=ingest_s,
                     oneshot_wire_s=None if oneshot_wire is None else oneshot_wire(size),
                     device_wire_s=None if device_wire is None else device_wire(size),
                 )
@@ -681,20 +696,14 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     if failures:
         print(f"explain: {'; '.join(failures)}", file=sys.stderr)
         return 1
-    return _explain(args.row, sanitizer)
+    return _explain(sanitizer)
 
 
-def _explain(row_id: str, sanitizer) -> int:
-    """Print each traced timeline's accounts, or refuse (1) if a batch
-    sweep, whose event carries no cursor, booked on one."""
+def _explain(sanitizer) -> int:
+    """Print each traced timeline's accounts."""
     from repro.bench.harness import format_table
     from repro.tempi.sanitizer import RESOURCES
 
-    unseen = sum(audit.unseen for audit in sanitizer.audits.values())
-    if unseen:
-        print(f"explain: {row_id}: {unseen} reservation(s) booked by the batch sweep are "
-              "not in the event stream; nothing explained", file=sys.stderr)
-        return 1
     for index, audit in enumerate(sanitizer.audits.values(), 1):
         print(f"== timeline {index} of {len(sanitizer.audits)}: {audit.posts} posts, "
               f"{audit.stalls} stalled ({audit.fabric_stalls} by the fabric, "

@@ -80,15 +80,17 @@ committed by receivers and stay under the happens-before rule.
 Event stream.  A timeline built inside :func:`trace_default` — a
 ``World``'s, or a private one an analytic twin or a benchmark books on —
 keeps that :attr:`~NicTimeline.sink` and calls it as ``sink(timeline,
-event)`` once per scalar post (:class:`PostEvent`), sequence draw
-(:class:`SeqEvent`) and ingestion commit (:class:`IngestEvent`), under the
-timeline's lock and carrying every cursor the commit set and every wait
-where the timeline clamps it, so a sink never reads the timeline back.
+event)`` once per reservation (:class:`PostEvent`) and ingestion commit
+(:class:`IngestEvent`), under the timeline's lock and carrying every cursor
+the commit set and every wait where the timeline clamps it, so a sink
+never reads the timeline back.  A traced timeline books a batch through
+the scalar rules it is defined as (``reserve_batch`` row by row through
+``_reserve_one``, ``ingest_batch_vec`` through ``_ingest_locked``), so
+every booking reaches the sink; the vector kernels run untraced only.
 The reads and joins only a caller can name a rank for — a contended
 selector's backlog read and pricing bracket, the interposer's collective
 joins — are emitted by those callers into the same sink.  With no sink
-each emit site is one ``is not None`` test.  The batch sweep emits only its
-count (:class:`BatchEvent`); ``ingest_batch_vec``'s vector path, nothing.
+each emit site is one ``is not None`` test.
 
 One timeline is shared by all ranks of a :class:`~repro.mpi.world.World`
 (it hangs off ``world.nic``); the :class:`~repro.tempi.progress.ProgressEngine`
@@ -412,12 +414,6 @@ class PostEvent(NamedTuple):
     base: float
 
 
-class SeqEvent(NamedTuple):
-    """A seq drawn by a coalesced batch's later constituent (:meth:`NicTimeline.reserve`)."""
-
-    rank: int
-
-
 class IngestEvent(NamedTuple):
     """An ingestion batch committed by :meth:`NicTimeline.ingest`."""
 
@@ -432,12 +428,6 @@ class IngestEvent(NamedTuple):
     #: Each served record (wire time > 0), in service order, as ``(record, landing,
     #: bound, held)``: the cursor that delayed it, if any, and its seconds on the port.
     landings: list[tuple[IngestRecord, float, Optional[str], float]]
-
-
-class BatchEvent(NamedTuple):
-    """A :meth:`NicTimeline.reserve_batch` sweep booked ``messages`` reservations."""
-
-    messages: int
 
 
 class BacklogReadEvent(NamedTuple):
@@ -467,9 +457,7 @@ class JoinEvent(NamedTuple):
 
 
 #: One entry of a traced timeline's event stream.
-NicEvent = Union[
-    PostEvent, SeqEvent, IngestEvent, BatchEvent, BacklogReadEvent, PricingEvent, JoinEvent
-]
+NicEvent = Union[PostEvent, IngestEvent, BacklogReadEvent, PricingEvent, JoinEvent]
 #: A trace sink, called as ``sink(timeline, event)``; it must not call back
 #: into the timeline, whose lock it runs under for the timeline's own events.
 NicSink = Callable[["NicTimeline", NicEvent], None]
@@ -752,7 +740,7 @@ class NicTimeline:
 
         A coalesced batch of ``messages`` envelopes is one reservation: its
         ``seq`` is the first's, and the rest draw the next seqs in enqueue
-        order under the same lock (one :class:`SeqEvent` each).
+        order under the same lock, inside the one :class:`PostEvent`.
         """
         # Chained comparisons: NaN fails every one, and none costs a call.
         if not 0 <= wire_s < np.inf:
@@ -765,9 +753,6 @@ class NicTimeline:
             reservation = self._reserve_one(source, dest, ready, wire_s, int(nbytes), ingest, path)
             if messages > 1:
                 self._seqs[source] += messages - 1
-                if self.sink is not None:
-                    for _ in range(1, messages):
-                        self.sink(self, SeqEvent(source))
             return reservation
 
     def _reserve_one(
@@ -889,7 +874,7 @@ class NicTimeline:
         nbytes: np.ndarray | int = 0,
         *,
         ingest: bool = True,
-        paths: Union[RouteTable, Sequence[Sequence[Optional[PathSpec]]], None] = None,
+        paths: Optional[RouteTable] = None,
     ) -> BatchReservation:
         """Book a whole exchange — ``m`` sources × ``k`` messages — at once.
 
@@ -898,7 +883,7 @@ class NicTimeline:
             for i, source in enumerate(sources):
                 for j in range(k):
                     reserve(source, dests[i, j], ready[i, j], wire_s[i, j],
-                            nbytes[i, j], ingest=ingest, path=paths[i][j])
+                            nbytes[i, j], ingest=ingest, path=paths.paths[i][j])
 
         returning the per-message outcomes stacked into a
         :class:`BatchReservation`.  Every cursor, counter, ledger row and
@@ -906,7 +891,9 @@ class NicTimeline:
         *pricing kernel*, not a different model (its pending records may
         wait in columns for :meth:`ingest_batch_vec`; no reader can tell).
 
-        Every batch runs through one level-scheduled sweep.  Two messages
+        A traced timeline runs that loop, so each reservation reaches the
+        sink as its own :class:`PostEvent`.  Otherwise every batch runs
+        through one level-scheduled sweep.  Two messages
         are coupled only through a cursor both bind — a port, a link, a
         shared rail, an uplink bundle — so the scalar recurrence runs one
         wavefront level (:class:`_BatchPlan`) at a time over a gathered
@@ -916,10 +903,8 @@ class NicTimeline:
 
         ``ready``/``wire_s``/``nbytes`` broadcast against ``dests``'s
         ``(m, k)`` shape.  ``paths`` is the exchange's frozen
-        :class:`~repro.machine.topology.RouteTable`, or an ``m × k`` nested
-        sequence of resolved :class:`~repro.machine.topology.PathSpec`,
-        tabulated on every call (a list's identity says nothing of its
-        contents); the schedule is reused only while the *same* read-only
+        :class:`~repro.machine.topology.RouteTable` (``None``: the flat
+        books); the schedule is reused only while the *same* read-only
         arrays and route table come back.
         """
         cached = self._batch_shape
@@ -965,31 +950,35 @@ class NicTimeline:
             wire, np.empty((m, k), dtype=np.int64),
         )
         if plan is None:
-            if isinstance(paths, RouteTable):
-                shaped = paths.rail.shape == (m, k)
-            else:
-                shaped = paths is None or (
-                    len(paths) == m and all(len(row) == k for row in paths)
-                )
-            if not shaped:
-                raise NicError(f"paths must be {m} x {k} (nested, or a route table)")
+            if paths is not None and paths.rail.shape != (m, k):
+                raise NicError(f"paths must be a route table of {m} x {k}")
             if m == 0 or k == 0:
                 return out
-            table = (
-                paths if paths is None or isinstance(paths, RouteTable)
-                else RouteTable.from_paths(paths)
-            )
-            plan = _plan_batch(src, dst, wire, table, self.wire_overlap)
+            if self.sink is not None:
+                # Traced: the scalar loop above, so every reservation reaches the sink.
+                routes = paths.paths if paths is not None else [[None] * k] * m
+                with self._lock:
+                    booked = [
+                        self._reserve_one(source, dest, ready_ij, wire_ij, nbytes_ij, ingest, path)
+                        for source, *row in zip(src.tolist(), dst.tolist(), rdy.tolist(),
+                                                wire.tolist(), nb.tolist(), routes, strict=True)
+                        for dest, ready_ij, wire_ij, nbytes_ij, path in zip(*row)
+                    ]
+                start, arrival, stalled, _, seq = zip(*booked)
+                out.start.flat, out.arrival.flat, out.stalled_s.flat, out.seq.flat = (
+                    start, arrival, stalled, seq
+                )
+                return out
+            plan = _plan_batch(src, dst, wire, paths, self.wire_overlap)
             if (
-                table is paths
-                and src is sources
+                src is sources
                 and dst is dests
                 and wire is wire_s
                 and not src.flags.writeable
                 and not dst.flags.writeable
                 and not wire.flags.writeable
             ):
-                self._batch_shape = (src, dst, wire, table, self.wire_overlap, plan)
+                self._batch_shape = (src, dst, wire, paths, self.wire_overlap, plan)
         with self._lock:
             return self._reserve_batch_sweep(out, rdy, nb, ingest, plan)
 
@@ -1088,8 +1077,6 @@ class NicTimeline:
                 for dest, record in block.records():
                     self._register_pending(dest, record)
         np.maximum(stalled, 0.0, out=out.stalled_s)
-        if self.sink is not None:
-            self.sink(self, BatchEvent(total))
         return out
 
     # ----------------------------------------------------------------- ingest
@@ -1231,10 +1218,10 @@ class NicTimeline:
         more gathered column.  Rows naming a common rail are chained in
         input order (:class:`_IngestPlan`).  Records the last
         :meth:`reserve_batch` left deferred are consumed as arrays, without
-        ever becoming dict entries.  Anything else (an incast
-        sharing a destination row, zero-wire passthroughs, colliding keys)
-        falls back to serialising rows through :meth:`_ingest_locked` under
-        the one lock acquisition.
+        ever becoming dict entries.  Anything else (a traced timeline, an
+        incast sharing a destination row, zero-wire passthroughs, colliding
+        keys) falls back to serialising rows through :meth:`_ingest_locked`
+        under the one lock acquisition.
         """
         dst = np.asarray(dests, dtype=np.int64)
         post = np.ascontiguousarray(np.asarray(post_time, dtype=np.float64))
@@ -1280,7 +1267,7 @@ class NicTimeline:
                         and isinstance(rails[1], tuple))
                 ):
                     self._ingest_shape = (dst, rails, plan)
-            if plan is not None and bool(np.all(wire > 0)):
+            if plan is not None and self.sink is None and bool(np.all(wire > 0)):
                 order = np.lexsort((seq, src, post), axis=-1)
                 post_sorted = np.take_along_axis(post, order, axis=1)
                 src_sorted = np.take_along_axis(src, order, axis=1)

@@ -243,6 +243,9 @@ class RouteTable:
     rail_keys: tuple[RailKey, ...]
     ingest_rail_keys: tuple[RailKey, ...]
     share_keys: tuple[ShareKey, ...]
+    #: The resolved rows the table was tabulated from, which a traced
+    #: timeline books message by message (empty for a hand-built table).
+    paths: tuple[tuple[Optional[PathSpec], ...], ...] = ()
 
     def __post_init__(self) -> None:
         """Make the arrays read-only: a table is frozen however it was built."""
@@ -281,7 +284,7 @@ class RouteTable:
         return RouteTable(
             rail.reshape(m, k), ingest_rail.reshape(m, k),
             shared.reshape(m, k, width), bandwidth.reshape(m, k, width),
-            tuple(rails), tuple(ingest_rails), tuple(shares),
+            tuple(rails), tuple(ingest_rails), tuple(shares), tuple(map(tuple, paths)),
         )
 
 

@@ -50,8 +50,9 @@ fresh sanitizer each and prints its :attr:`~ClockSanitizer.counters`.
 The same walk charges each wait to the cursor that bound it, per resource
 (:data:`RESOURCES`) and per rank, beside each resource's busy seconds:
 what ``repro explain`` prints.  The waits travel on the events, reported
-where the NIC clamps them, so no cursor recurrence is walked here again; a
-batch sweep's reservations carry none, and ``repro explain`` refuses them.
+where the NIC clamps them, so no cursor recurrence is walked here again.
+A traced timeline books its batches through its scalar rules, so every
+reservation and landing, batch-booked or not, reaches these accounts.
 """
 
 from __future__ import annotations
@@ -62,14 +63,12 @@ from typing import Any, Callable, NamedTuple, Optional
 
 from repro.machine.nic import (
     BacklogReadEvent,
-    BatchEvent,
     IngestEvent,
     JoinEvent,
     NicEvent,
     NicTimeline,
     PostEvent,
     PricingEvent,
-    SeqEvent,
 )
 
 #: Most post snapshots retained per timeline (FIFO eviction).  An evicted
@@ -122,7 +121,7 @@ class _TimelineAudit:
     def __init__(self, counters: dict[str, int]) -> None:
         self.counters = counters
         self.vc: dict[int, dict[int, int]] = {}
-        #: Per rank, its mutations so far (posts, sequence draws, ingests).
+        #: Per rank, its mutations so far (posts and ingests).
         self.events: dict[int, int] = {}
         self.snapshots: OrderedDict[tuple[float, int, int], tuple[SanitizerEvent, dict[int, int]]] = OrderedDict()
         #: Per rank, its port cursors with the event that last set each.
@@ -138,9 +137,8 @@ class _TimelineAudit:
         #: Per rank inside a pricing bracket: fingerprint and event count.
         self.pricing: dict[int, tuple[int, int]] = {}
         #: The accounts: the NIC's own counts and fabric seconds, from the
-        #: events; busy seconds per resource, and stall per rank and resource;
-        #: and the reservations batch sweeps booked, which no account saw.
-        self.posts = self.stalls = self.ingest_stalls = self.fabric_stalls = self.unseen = 0
+        #: events; busy seconds per resource, and stall per rank and resource.
+        self.posts = self.stalls = self.ingest_stalls = self.fabric_stalls = 0
         self.fabric_stalled_s = 0.0
         self.busy = dict.fromkeys(RESOURCES, 0.0)
         self.rank_stall: dict[int, dict[str, float]] = {}
@@ -201,8 +199,7 @@ class _TimelineAudit:
 
     def _charge(self, rank: int, begin: float, end: float, bound: Optional[str]) -> None:
         """Charge ``end - begin`` to ``rank`` and ``bound``, the resource whose
-        clamp set ``end``; a wait has none only after a booking no event
-        showed (the batch sweep's), which ``repro explain`` refuses."""
+        clamp set ``end`` (``None`` when nothing waited)."""
         stalls = self.rank_stall.setdefault(rank, dict.fromkeys(RESOURCES, 0.0))
         if end > begin and bound is not None:
             stalls[bound] += end - begin
@@ -257,10 +254,6 @@ class _TimelineAudit:
             while len(self.snapshots) > SNAPSHOT_LIMIT:
                 self.snapshots.popitem(last=False)
 
-    def seq(self, seq: SeqEvent) -> None:
-        """A sequence-number draw (a batched-send envelope) is a mutation."""
-        self._tick(seq.rank)
-
     def ingest(self, ingest: IngestEvent) -> None:
         """An ingestion commit: join sender snapshots, check the cursors."""
         dest = ingest.rank
@@ -296,10 +289,6 @@ class _TimelineAudit:
                     previous[0],
                     event,
                 )
-
-    def batch(self, batch: BatchEvent) -> None:
-        """A batch sweep's reservations: no cursor travels, so no account sees them."""
-        self.unseen += batch.messages
 
     def read(self, read: BacklogReadEvent) -> None:
         """Audit a cross-rank backlog read for happens-before coverage."""
@@ -372,9 +361,7 @@ class _TimelineAudit:
 
 _HANDLERS: dict[type, Callable[[_TimelineAudit, Any], None]] = {
     PostEvent: _TimelineAudit.post,
-    SeqEvent: _TimelineAudit.seq,
     IngestEvent: _TimelineAudit.ingest,
-    BatchEvent: _TimelineAudit.batch,
     BacklogReadEvent: _TimelineAudit.read,
     PricingEvent: _TimelineAudit.pricing,
     JoinEvent: _TimelineAudit.join,

@@ -533,6 +533,22 @@ class TestSim007RestatedPricingRule:
         assert [finding.line for finding in findings] == [6, 8]
         assert "overlap" in findings[0].message
 
+    def test_the_upper_case_constant_fires(self, tmp_path):
+        """The module constant the NIC's factor defaults to is an occupancy
+        factor too: a synthetic backlog priced with it restates the rule."""
+        findings = lint_tree(tmp_path, {
+            "src/repro/cli.py": """\
+                from repro.machine.network import DEFAULT_WIRE_OVERLAP
+
+                def backlog(plans, incast, wire):
+                    inject = plans * DEFAULT_WIRE_OVERLAP * wire
+                    return inject, incast * DEFAULT_WIRE_OVERLAP * wire
+            """,
+        })
+        assert codes(findings) == ["SIM007"] * 2
+        assert [finding.line for finding in findings] == [4, 5]
+        assert "DEFAULT_WIRE_OVERLAP" in findings[0].message
+
     def test_driving_the_real_objects_is_clean(self, tmp_path):
         findings = lint_tree(tmp_path, {
             "src/repro/apps/twin.py": """\

@@ -494,14 +494,12 @@ class TestTwinsOnTheSink:
                 timeline.reservations for timeline in built
             ]
 
-    def test_contended_mirror_ingest_joins_no_post(self):
-        """A known gap, pinned: the duplex mirror ingest of
-        ``model_contended_exchange`` names the *peer* as each record's
-        source, so no record matches a post's snapshot and the sanitizer
-        joins none of them.  Naming the rank that posted may move priced
-        clocks, so the fix belongs with making the twins exact."""
+    def test_contended_mirror_ingest_joins_every_post(self):
+        """The duplex mirror ingest of ``model_contended_exchange`` names the
+        rank that posted as each record's source, so every record matches
+        its post's snapshot and the sanitizer joins all of them."""
         sanitizer = ClockSanitizer()
         with trace_default(sanitizer):
             model_contended_exchange(2, 6, plans=4)
         counters = sanitizer.counters
-        assert (counters["posts"], counters["ingests"], counters["joins"]) == (264, 6, 0)
+        assert (counters["posts"], counters["ingests"], counters["joins"]) == (264, 6, 264)

@@ -200,10 +200,10 @@ def test_explain_an_unknown_row_exits_2_listing_the_rows(figures, capsys):
     assert all(row.id in err for row in figures.FIGURES)
 
 
-def test_explain_refuses_what_the_batch_sweep_booked(capsys):
-    """The batch sweep's event carries no cursor: one ``reserve_batch`` call
-    books four reservations no account saw, beside one scalar post or on a
-    timeline nothing else booked on."""
+def test_explain_accounts_for_what_a_batch_booked(capsys):
+    """A traced timeline books a ``reserve_batch`` through its scalar rules:
+    its four reservations reach the accounts, beside one scalar post or on
+    a timeline nothing else booked on."""
     for scalar_posts in (1, 0):
         sanitizer = ClockSanitizer()
         with trace_default(sanitizer):
@@ -211,10 +211,37 @@ def test_explain_refuses_what_the_batch_sweep_booked(capsys):
         for _ in range(scalar_posts):
             timeline.reserve(0, 1, 0.0, 1e-6)
         timeline.reserve_batch([0, 1], np.asarray([[1, 2], [2, 3]]), 0.0, 1e-6)
-        assert cli._explain("incast", sanitizer) == 1
+        assert cli._explain(sanitizer) == 0
         captured = capsys.readouterr()
-        assert "incast: 4 reservation(s) booked by the batch sweep" in captured.err
-        assert not captured.out
+        assert not captured.err
+        assert captured.out.startswith(f"== timeline 1 of 1: {4 + scalar_posts} posts, ")
+        assert "rank stall s" in captured.out
+        (audit,) = sanitizer.audits.values()
+        assert (audit.posts, audit.stalls) == (timeline.reservations, timeline.stalls)
+        assert audit.posts == 4 + scalar_posts
+
+
+def test_explain_charges_a_batch_ingest_to_the_port(capsys):
+    """Three 10 s posts converge on rank 9 and one ``ingest_batch_vec``
+    serves them: the landings queue on its ingestion port, and the audit
+    counts and charges the waits the NIC clamped."""
+    sanitizer = ClockSanitizer()
+    with trace_default(sanitizer):
+        timeline = NicTimeline()
+    booked = [timeline.reserve(source, 9, 0.0, 10.0) for source in (1, 2, 3)]
+    landings = timeline.ingest_batch_vec(
+        [9], np.asarray([[r.start for r in booked]]), np.asarray([[1, 2, 3]]),
+        np.asarray([[r.seq for r in booked]]), np.full((1, 3), 10.0),
+        np.asarray([[r.arrival for r in booked]]),
+    )
+    assert landings.tolist() == [[10.0, 16.5, 23.0]]
+    (audit,) = sanitizer.audits.values()
+    assert audit.ingest_stalls == timeline.ingest_stalls == 2
+    assert audit.rank_stall[9]["ingestion port"] == 19.5
+    assert cli._explain(sanitizer) == 0
+    out = capsys.readouterr().out
+    assert "2 landings stalled" in out
+    assert any(line.split()[:1] == ["9"] and line.split()[-1] == "19.5" for line in out.splitlines())
 
 
 #: SHA-256 of ``repro explain ROW``'s stdout: the row's tables and every
@@ -232,8 +259,8 @@ def explained(request):
     report = cli._explain
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out):
-        patch.setattr(cli, "_explain", lambda row_id, sanitizer: (
-            sanitizers.append(sanitizer) or report(row_id, sanitizer)
+        patch.setattr(cli, "_explain", lambda sanitizer: (
+            sanitizers.append(sanitizer) or report(sanitizer)
         ))
         code = main(["explain", request.param])
     return request.param, code, out.getvalue(), sanitizers[0]

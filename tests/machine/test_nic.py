@@ -240,17 +240,18 @@ class TestReserveBatchSchedule:
         with pytest.raises(NicError, match="2 x 2"):
             NicTimeline().reserve_batch([0, 1], np.asarray([[2, 3], [4, 5]]), 0.0, 0.5, paths=table)
 
-    def test_ragged_nested_paths_rejected(self):
+    def test_route_table_of_the_wrong_width_rejected(self):
+        from repro.machine.topology import RouteTable
+
+        table = RouteTable.from_paths([[None], [None]])
         with pytest.raises(NicError, match="2 x 2"):
-            NicTimeline().reserve_batch(
-                [0, 1], np.asarray([[2, 3], [4, 5]]), 0.0, 0.5, paths=[[None, None], [None]]
-            )
+            NicTimeline().reserve_batch([0, 1], np.asarray([[2, 3], [4, 5]]), 0.0, 0.5, paths=table)
 
     def test_empty_batch_books_nothing(self):
         nic = NicTimeline()
         batch = nic.reserve_batch(np.arange(3), np.empty((3, 0), dtype=np.int64), 0.0, 0.5)
         assert batch.start.shape == (3, 0)
-        batch = nic.reserve_batch([], np.empty((0, 4), dtype=np.int64), 0.0, 0.5, paths=[])
+        batch = nic.reserve_batch([], np.empty((0, 4), dtype=np.int64), 0.0, 0.5)
         assert batch.start.shape == (0, 4)
         assert nic.reservations == 0 and nic.ledger_len() == 0
 

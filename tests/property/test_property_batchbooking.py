@@ -28,12 +28,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bench.simthroughput import CACHED_CONFIG, FABRIC_SPEC, HaloDriver
-from repro.machine.nic import IngestRecord, NicReservation, NicTimeline
+from repro.machine.nic import IngestEvent, IngestRecord, NicReservation, NicTimeline, PostEvent, trace_default
 from repro.machine.spec import SUMMIT
-from repro.machine.topology import Topology
+from repro.machine.topology import RouteTable, Topology
 from repro.tempi.config import TempiConfig
 from repro.tempi.measurement import measure_system
 from repro.tempi.perf_model import PerformanceModel
+from repro.tempi.sanitizer import ClockSanitizer
 
 #: Clean virtual seconds — exactness is the point, not the values.
 _SECONDS = st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.25))
@@ -190,14 +191,14 @@ class TestReserveBatchIsTheScalarLoop:
             np.asarray(wire, dtype=np.float64),
             np.asarray(nbytes, dtype=np.int64),
             ingest=ingest,
-            paths=paths,
+            paths=RouteTable.from_paths(paths),
         )
         assert batch.start.tolist() == reference[0]
         assert batch.arrival.tolist() == reference[1]
         assert batch.stalled_s.tolist() == reference[2]
         assert batch.seq.tolist() == reference[3]
         assert _books(batched) == _books(scalar)
-        # The frozen route table is the same batch, tabulated once.
+        # Topology.route_table tabulates the same batch, resolving once.
         tabled = NicTimeline(ledger_limit=ledger_limit, pending_limit=pending_limit)
         again = tabled.reserve_batch(
             sources, dests, ready, wire, nbytes, ingest=ingest,
@@ -208,38 +209,15 @@ class TestReserveBatchIsTheScalarLoop:
         assert _books(tabled) == _books(scalar)
         for dest in {d for row in dests for d in row}:
             assert tabled.pending_records(dest) == scalar.pending_records(dest)
-
-    def test_mutated_nested_paths_are_honoured(self):
-        """A nested ``paths`` list is re-read on every call, never memoised:
-        swapping its entries between two calls that reuse the same read-only
-        arrays (and the same list object) must reprice like the loop."""
-        topology = Topology(64, machine=SUMMIT, spec=FABRIC_SPEC)
-        sources = np.asarray([0, 1, 2, 3], dtype=np.int64)
-        dests = np.asarray([[40, 41], [42, 43], [44, 45], [46, 47]], dtype=np.int64)
-        wire = np.full((4, 2), 0.5)
-        for array in (sources, dests, wire):
-            array.flags.writeable = False
-        routed = [[topology.resolve(int(s), int(d)) for d in row]
-                  for s, row in zip(sources, dests)]
-        assert any(path.shared for row in routed for path in row)
-        paths = [[None, None] for _ in range(4)]
-        scalar, batched = NicTimeline(), NicTimeline()
-        for round_index in range(3):
-            if round_index == 1:
-                for i in range(4):
-                    paths[i][:] = routed[i]      # same list objects, new contents
-            if round_index == 2:
-                paths[2][1] = None
-            ready = 0.125 * round_index
-            reference = _scalar_reference(
-                scalar, sources.tolist(), dests.tolist(), [[ready] * 2] * 4,
-                wire.tolist(), [[4096] * 2] * 4, True, paths=paths,
-            )
-            batch = batched.reserve_batch(sources, dests, ready, wire, 4096, paths=paths)
-            assert batch.start.tolist() == reference[0]
-            assert _books(batched) == _books(scalar)
-        assert batched.fabric_stalls > 0
-        assert batched._batch_shape is None
+        # A traced timeline books the table's paths through the scalar rules.
+        with trace_default(lambda timeline, event: None):
+            traced = NicTimeline(ledger_limit=ledger_limit, pending_limit=pending_limit)
+        booked = traced.reserve_batch(
+            sources, dests, ready, wire, nbytes, ingest=ingest,
+            paths=topology.route_table(sources, dests, device_buffers=device),
+        )
+        assert [column.tolist() for column in booked] == [column.tolist() for column in batch]
+        assert _books(traced) == _books(scalar)
 
 
 class TestIngestBatchIsTheScalarLoop:
@@ -422,7 +400,8 @@ class TestFrozenShapeFastLane:
             ready = 0.25 * round_index
             a = frozen.reserve_batch(sources, dests, ready, wire, 1 << 20, paths=table)
             b = fresh.reserve_batch(
-                sources.copy(), dests.copy(), ready, wire.copy(), 1 << 20, paths=nested
+                sources.copy(), dests.copy(), ready, wire.copy(), 1 << 20,
+                paths=RouteTable.from_paths(nested),
             )
             assert a.start.tolist() == b.start.tolist()
             assert a.seq.tolist() == b.seq.tolist()
@@ -789,6 +768,39 @@ class TestBatchedBookingEndToEnd:
                         driver.round()
                     digests.append(driver.digest())
                 assert digests[0] == digests[1], (topology, config)
+
+    def test_a_traced_driver_streams_every_booking(self, summit_model):
+        """Under a sink the batched driver books through the NIC's scalar
+        rules: a 64-rank halo prices alike traced, untraced and scalar, and
+        every reservation and landing of its three rounds reaches the
+        stream.  On the flat books the sanitizer's accounts equal the NIC's;
+        on the fat-tree each fabric stall is a post with ``start > base``."""
+
+        def run(topology, booking, sink=None):
+            with trace_default(sink):
+                driver = HaloDriver(64, CACHED_CONFIG, summit_model,
+                                    topology=topology, booking=booking)
+            for _ in range(3):
+                driver.round()
+            return driver
+
+        sanitizer, events, nics = ClockSanitizer(), [], []
+        for topology, sink in ((None, sanitizer), (FABRIC_SPEC, lambda _, event: events.append(event))):
+            traced = run(topology, "batched", sink)
+            assert traced.nic.sink is sink and traced.nic._batch_shape is None
+            assert traced.digest() == run(topology, "batched").digest()
+            assert traced.digest() == run(topology, "scalar").digest()
+            nics.append(traced.nic)
+        flat, fabric = nics
+        (audit,) = sanitizer.audits.values()
+        assert sanitizer.counters["violations"] == 0
+        assert (audit.posts, audit.stalls, audit.ingest_stalls) == (
+            flat.reservations, flat.stalls, flat.ingest_stalls
+        ) == (768, 704, 63)
+        posts = [event for event in events if isinstance(event, PostEvent)]
+        landed = sum(len(event.landings) for event in events if isinstance(event, IngestEvent))
+        assert len(posts) == landed == 768
+        assert sum(post.reservation.start > post.base for post in posts) == fabric.fabric_stalls == 174
 
     def test_fabric_halo_is_deterministic_at_benchmark_size(self):
         """Determinism where we benchmark (1024 ranks on the fat-tree, the

@@ -25,7 +25,6 @@ from repro.machine.nic import (
     NicTimeline,
     PostEvent,
     PricingEvent,
-    SeqEvent,
     trace_default,
 )
 from repro.machine.topology import PathSpec, Topology
@@ -494,7 +493,7 @@ class TestInterposedRuns:
 
     def test_sanitized_batched_burst_is_bit_identical(self, summit_model):
         """Three sub-eager ``Isend``s ride one wire message; the two later
-        constituents draw their sequence numbers from the timeline."""
+        constituents draw their sequence numbers inside its one reservation."""
 
         def run(sink):
             def program(ctx):
@@ -519,6 +518,8 @@ class TestInterposedRuns:
         world, traced_run = run(lambda timeline, event: events.append(event))
         assert traced_run == plain
         assert traced_run[0][1] == 3 and world.nic.reservations == 1
-        # Rank 0 mutated the books three times: one reservation, two seq draws.
-        mutations = [type(e) for e in events if isinstance(e, (PostEvent, SeqEvent)) and e.rank == 0]
-        assert mutations == [PostEvent, SeqEvent, SeqEvent]
+        # Rank 0 mutated the books once: one reservation, which drew all
+        # three seqs (the next post from rank 0 is seq 3).
+        posts = [e for e in events if isinstance(e, PostEvent) and e.rank == 0]
+        assert len(posts) == 1 and posts[0].reservation.seq == 0
+        assert world.nic.reserve(0, 1, 0.0, 0.0).seq == 3

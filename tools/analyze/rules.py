@@ -434,7 +434,7 @@ def check_restated_pricing_rule(source_file: SourceFile) -> list[Violation]:
     for node in ast.walk(tree):
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
             names = [_terminal_name(side) or "" for side in (node.left, node.right)]
-            overlap = next((name for name in names if name.endswith("overlap")), None)
+            overlap = next((name for name in names if name.lower().endswith("overlap")), None)
             if overlap is not None:
                 findings.append(
                     Violation(
