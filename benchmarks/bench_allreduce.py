@@ -71,7 +71,7 @@ def measure_allreduce(nranks: int, algorithm: str, model, spec: TopologySpec):
     """
 
     def program(ctx):
-        config = TempiConfig(allreduce_algorithm=algorithm, topology=spec)
+        config = TempiConfig(allreduce_algorithm=algorithm)
         comm = interpose(ctx, config, model=model)
         nbytes = COUNT * FLOAT.size
         send = ctx.gpu.malloc(nbytes)

@@ -66,11 +66,11 @@ class HaloDriver:
     """One halo-exchange workload, steppable round by round.
 
     Builds a ``nranks``-rank world where every rank binds one typed
-    ``Neighbor_alltoallv_init`` against its ``degree`` ring neighbours at
-    construction; every round charges each rank's start, reserves each post
-    on the shared NIC and ingests the arrivals per destination.  The
-    neighbour list is *compact* — only the ``degree`` neighbours, with
-    buffers holding only those slots — so the per-round charge and the
+    ``Neighbor_alltoallv_init`` against its :data:`HALO_DEGREE` ring
+    neighbours at construction; every round charges each rank's start,
+    reserves each post on the shared NIC and ingests the arrivals per
+    destination.  The neighbour list is *compact* — only those neighbours,
+    with buffers holding only those slots — so the per-round charge and the
     buffer footprint stay O(degree): at 8192 ranks a dense ``Alltoallv``
     layout would need tens of gigabytes of simulated device memory.
 
@@ -103,14 +103,13 @@ class HaloDriver:
         config: TempiConfig,
         model: PerformanceModel,
         *,
-        degree: int = HALO_DEGREE,
         topology: Optional[TopologySpec] = None,
         booking: str = "scalar",
     ) -> None:
         if booking not in _BOOKING_MODES:
             raise ValueError(f"unknown booking mode {booking!r}; expected one of {_BOOKING_MODES}")
         self.nranks = nranks
-        self.degree = degree
+        self.degree = HALO_DEGREE
         self.booking = booking
         self.world = World(nranks, ranks_per_node=2, topology=topology)
         self.topo = self.world.topology if self.world.topology.hierarchical else None
@@ -120,7 +119,7 @@ class HaloDriver:
         for ctx in self.world.contexts:
             comm = interpose(ctx, config, model=model)
             datatype = comm.Type_commit(Type_vector(_BLOCKS, _BLOCK_BYTES, _STRIDE, BYTE))
-            peers = _neighbors(ctx.rank, nranks, degree)
+            peers = _neighbors(ctx.rank, nranks, self.degree)
             counts = (1,) * len(peers)
             displs = tuple(slot * datatype.extent for slot in range(len(peers)))
             span = (len(peers) - 1) * datatype.extent + datatype.ub
@@ -134,7 +133,7 @@ class HaloDriver:
         if booking == "batched":
             self._init_batched(neighbor_rows)
         # Per-message wire times and payload size, learned from the first
-        # round's plans (message_time is a pure model query, so when it is
+        # round's plans (_message_time is a pure model query, so when it is
         # asked does not affect any clock).
         self._wire_mat: Optional[np.ndarray] = None
         self._nbytes: Optional[int] = None
@@ -198,14 +197,14 @@ class HaloDriver:
         topo = self.topo
         nic = self.nic
         inbound: dict[int, list[IngestRecord]] = {}
-        for ctx, comm, request, wires in self._setup:
+        for ctx, _, request, wires in self._setup:
             plan = request.charge()
             now = ctx.clock.now
             rank = ctx.rank
             for post in plan.post_stages:
                 wire_s = wires.get(post.peer)
                 if wire_s is None:
-                    wires[post.peer] = wire_s = comm.progress_engine.message_time(post.nbytes, post.peer, True)
+                    wires[post.peer] = wire_s = ctx.comm._message_time(post.nbytes, post.peer, True)
                 path = None
                 rail = None
                 if topo is not None:
@@ -223,7 +222,10 @@ class HaloDriver:
         return posted
 
     def _learn_round_shape(self, rank: int, plan, comm) -> None:
-        """Fill the wire matrix row of ``rank`` from its first charged plan."""
+        """Fill the wire matrix row of ``rank`` from its first charged plan.
+
+        ``comm`` is the rank's system communicator, which prices each wire.
+        """
         assert self._wire_mat is not None
         row = self._dest_mat[rank]
         posts = plan.post_stages
@@ -240,7 +242,7 @@ class HaloDriver:
                 self._nbytes = post.nbytes
             elif post.nbytes != self._nbytes:
                 raise RuntimeError("batched booking needs a homogeneous halo payload")
-            self._wire_mat[rank, j] = comm.progress_engine.message_time(post.nbytes, post.peer, True)
+            self._wire_mat[rank, j] = comm._message_time(post.nbytes, post.peer, True)
 
     def _round_batched(self) -> int:
         """Charge every rank, then book the whole round in batch kernels."""
@@ -249,8 +251,8 @@ class HaloDriver:
             # The first round compiles: charge rank by rank (as charge_batch
             # would) and learn the wire shape from the plans.
             self._wire_mat = np.empty((n, k), dtype=np.float64)
-            for i, (_, comm, request, _) in enumerate(self._setup):
-                self._learn_round_shape(i, request.charge(), comm)
+            for i, (ctx, _, request, _) in enumerate(self._setup):
+                self._learn_round_shape(i, request.charge(), ctx.comm)
             self._wire_mat.flags.writeable = False
             nows = np.array([ctx.clock.now for ctx in self.world.contexts])
         else:

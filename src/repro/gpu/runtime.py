@@ -23,7 +23,7 @@ import numpy as np
 from repro.gpu import kernels
 from repro.gpu.clock import VirtualClock
 from repro.gpu.cost_model import SUMMIT_GPU, GpuCostModel
-from repro.gpu.device import Device, DeviceProperties
+from repro.gpu.device import Device
 from repro.gpu.errors import CudaInvalidValue, CudaMemcpyError
 from repro.gpu.memory import Buffer, DeviceBuffer, HostBuffer, MemoryKind
 from repro.gpu.stream import Stream
@@ -61,11 +61,10 @@ class CudaRuntime:
         clock: Optional[VirtualClock] = None,
         cost_model: GpuCostModel = SUMMIT_GPU,
         device: Optional[Device] = None,
-        properties: Optional[DeviceProperties] = None,
     ) -> None:
         self.clock = clock if clock is not None else VirtualClock()
         self.cost = cost_model
-        self.device = device if device is not None else Device(0, properties or DeviceProperties())
+        self.device = device if device is not None else Device(0)
         self.default_stream = Stream(self.clock, name="default")
         self.kernel_launches = 0
         self.memcpy_calls = 0

@@ -33,9 +33,13 @@ landing window — so a lone message (or a stream whose arrivals are already
 spaced by the sender-side port rule) is never delayed, while an **incast**
 (many senders converging on one receiver) queues::
 
-      begin    = max(arrival - wire, ingest_free[dst])
+      begin    = max(post_time, ingest_free[dst])
       landing  = begin + wire                      # the delayed arrival
       ingest_free[dst] = begin + overlap * wire
+
+``post_time`` is when the message entered the wire, carried on its record,
+so the rule never re-derives it as ``arrival - wire``; an undelayed landing
+is the arrival itself.
 
 Determinism.  Send-side reservations are **source-scoped**: a rank's
 injection timing depends only on its own call order, never on the wall-clock
@@ -1438,7 +1442,8 @@ class NicTimeline:
         """Seconds of queued ingestion converging on ``dest``, as of ``now``.
 
         Replays the posted-but-not-yet-ingested arrivals (in key order) over
-        the committed ingestion cursor and reports how far past ``now`` the
+        the committed ingestion cursor, through :meth:`ingest`'s port rule
+        from each record's ``post_time``, and reports how far past ``now`` the
         port would stay busy.  Only records whose ``post_time`` has passed on
         the caller's clock participate — a rank can only know about traffic
         from its virtual past, which is also what keeps the signal
@@ -1461,8 +1466,7 @@ class NicTimeline:
                     record = pending[key]
                     if record.post_time > now:
                         continue
-                    begin = max(record.arrival - record.wire_s, port)
-                    port = begin + self.wire_overlap * record.wire_s
+                    port = max(record.post_time, port) + self.wire_overlap * record.wire_s
             return max(0.0, port - now)
 
     def pending_ingest(self, dest: int) -> int:

@@ -22,7 +22,6 @@ from time import monotonic
 from typing import Callable, Optional, Sequence
 
 from repro.gpu.clock import VirtualClock
-from repro.gpu.cost_model import GpuCostModel
 from repro.gpu.device import Device
 from repro.gpu.runtime import CudaRuntime
 from repro.machine.network import NetworkModel
@@ -77,7 +76,6 @@ class World:
         *,
         ranks_per_node: int = 1,
         machine: MachineSpec = SUMMIT,
-        gpu_cost: Optional[GpuCostModel] = None,
         topology: Optional[TopologySpec] = None,
     ) -> None:
         if nranks <= 0:
@@ -95,12 +93,11 @@ class World:
         #: concurrent plans contend for the wire (``TempiConfig(progress=...)``).
         self.nic = NicTimeline()
         self.router = MessageRouter(nranks)
-        cost = gpu_cost if gpu_cost is not None else machine.node.gpu
         self.contexts: list[ProcessContext] = []
         for rank in range(nranks):
             clock = VirtualClock()
             placement = self.topology.placement(rank)
-            runtime = CudaRuntime(clock=clock, cost_model=cost, device=Device(placement.gpu))
+            runtime = CudaRuntime(clock=clock, cost_model=machine.node.gpu, device=Device(placement.gpu))
             comm = Communicator(
                 rank,
                 nranks,

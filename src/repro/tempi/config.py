@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from repro.machine.topology import TopologySpec
-
 
 class PackMethod(enum.Enum):
     """How a non-contiguous send is staged (Sec. 4)."""
@@ -134,16 +132,6 @@ class TempiConfig:
     #: ``tests/property/test_property_fastpath.py``, and
     #: ``tests/perf/test_call_budget.py`` counts what the template saves.
     plan_cache: bool = True
-    #: Cluster topology the engine routes and prices against
-    #: (:class:`~repro.machine.topology.TopologySpec`): NVLink islands,
-    #: shared NIC rails and the two-level fat-tree with oversubscribed
-    #: uplinks.  ``None`` (the default) keeps the flat pre-topology books,
-    #: bit-identically; a *flat* spec (``TopologySpec.flat(...)``) routes
-    #: every post through path resolution but still reproduces the flat
-    #: books bit-for-bit (Hypothesis-pinned).  Hierarchical specs make the
-    #: wire price, the NIC binding and the contended selection all
-    #: per-path-class — ``bench_topology.py`` measures the divergence.
-    topology: Optional[TopologySpec] = None
     #: Where the system-measurement file lives; None keeps it in memory only.
     measurement_path: Optional[Path] = None
 

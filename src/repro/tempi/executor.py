@@ -242,7 +242,7 @@ class PlanExecutor:
         stream = self.cache.get_stream() if self.overlap else None
         try:
             payload, ready = self._pack_stage(stage, plan.send_buffer, staging, stream)
-            wire = self.engine.message_time(post.nbytes, post.peer, payload.is_device)
+            wire = comm._message_time(post.nbytes, post.peer, payload.is_device)
             if self.overlap:
                 slot = self.engine.reserve_wire(
                     post.peer, ready, wire, post.nbytes, device=payload.is_device
@@ -278,7 +278,7 @@ class PlanExecutor:
         try:
             payload, ready = self._pack_stage(stage, plan.send_buffer, staging, stream)
             for post in plan.post_stages:
-                wire = self.engine.message_time(post.nbytes, post.peer, payload.is_device)
+                wire = comm._message_time(post.nbytes, post.peer, payload.is_device)
                 data = payload.data[: post.nbytes]
                 if window is not None:
                     slot = window.reserve_wire(
@@ -368,7 +368,7 @@ class PlanExecutor:
                     else:
                         stream = post.pack.stream
                     payload, ready = pack_once(post.pack, stream)
-                    wire = self.engine.message_time(post.nbytes, post.peer, payload.is_device)
+                    wire = comm._message_time(post.nbytes, post.peer, payload.is_device)
                     slot = window.reserve_wire(
                         post.peer, ready, wire, post.nbytes, device=payload.is_device
                     )
@@ -495,7 +495,7 @@ class PlanExecutor:
             if key in priced:
                 wire = priced[key]
             else:
-                wire = priced[key] = self.engine.message_time(send_nbytes, dest, device)
+                wire = priced[key] = comm._message_time(send_nbytes, dest, device)
             offset = stage.send_offset
             payload = acc[offset : offset + send_nbytes]
             now = comm.clock.now

@@ -60,7 +60,6 @@ from typing import Sequence
 from repro.gpu.memory import Buffer
 from repro.machine.nic import JoinEvent
 from repro.machine.spec import MachineSpec
-from repro.machine.topology import Topology
 from repro.mpi.collectives import _next_collective_tag, check_allreduce, check_section, section_types
 from repro.mpi.communicator import Communicator, as_buffer
 from repro.mpi.datatype import Datatype, check_datatype, check_int
@@ -235,20 +234,10 @@ class TempiCommunicator:
         self.tempi = library if library is not None else Tempi(
             comm.gpu, comm.network.machine, config, model
         )
-        #: Topology the engine routes against.  An explicit ``config.topology``
-        #: spec builds one over this communicator's size (repricing without
-        #: rebuilding the world); otherwise a hierarchical *world* topology is
-        #: adopted as-is; otherwise ``None`` — the flat pre-topology books,
-        #: with no path resolution on the hot path at all.
-        topology = None
-        if config.topology is not None:
-            topology = Topology(
-                comm.size, machine=comm.network.machine, spec=config.topology
-            )
-        else:
-            world_topology = getattr(comm, "topology", None)
-            if world_topology is not None and world_topology.hierarchical:
-                topology = world_topology
+        #: Topology the engine routes against: the world's own, adopted
+        #: as-is when it is hierarchical, else ``None`` — the flat
+        #: pre-topology books, with no path resolution on the hot path at all.
+        topology = comm.topology if comm.topology.hierarchical else None
         self._topology = topology
         self._engine = ProgressEngine(
             comm,

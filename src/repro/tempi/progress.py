@@ -19,7 +19,7 @@ plans instead:
   when the receive completes (:meth:`ingest_one` / :meth:`ingest_batch`,
   batches served in the deterministic ``(post_time, source, seq)`` order)::
 
-      begin    = max(arrival - wire, ingest_free)
+      begin    = max(post_time, ingest_free)
       landing  = begin + wire                      # what Wait advances to
       ingest_free = begin + overlap * wire
 
@@ -192,21 +192,6 @@ class ProgressEngine:
         if self.shared:
             return self
         return PlanWindow(self.comm.clock.now, self.nic.wire_overlap)
-
-    def message_time(self, nbytes: int, peer: int, device: bool) -> float:
-        """Wire time to ``peer``, priced along the engine's topology.
-
-        With no engine topology this is exactly the communicator's pricing
-        (which itself goes hierarchical when the *world* carries a
-        hierarchical topology); an engine topology — e.g. from
-        ``TempiConfig(topology=...)`` — overrides it, so a config-only
-        topology reprices without rebuilding the world.
-        """
-        if self.topology is not None and self.topology.hierarchical:
-            return self.topology.message_time(
-                self.comm.rank, peer, nbytes, device_buffers=device
-            )
-        return self.comm._message_time(nbytes, peer, device)
 
     def reserve_wire(
         self, peer: int, ready: float, wire_s: float, nbytes: int = 0, *,
@@ -458,7 +443,7 @@ class ProgressEngine:
             # shares sum to the one wire message's occupancy), each envelope
             # carrying its own per-source seq so receive-side ordering stays
             # well defined.
-            wire = self.message_time(batch.nbytes, batch.peer, batch.device)
+            wire = self.comm._message_time(batch.nbytes, batch.peer, batch.device)
             messages = len(batch.entries)
             slot = self.reserve_wire(
                 batch.peer, batch.ready, wire, batch.nbytes, device=batch.device, messages=messages

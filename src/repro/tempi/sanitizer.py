@@ -37,7 +37,9 @@ Each audited event then checks:
   committed there before it (the order the router's
   :meth:`~repro.mpi.p2p.MessageRouter.await_key` enforces), and a
   cross-rank commit on a receive-side rail needs a happens-before edge to
-  the previous one;
+  the previous one, or the same host thread behind both (a ``World`` runs
+  each rank on its own thread, so only a single-threaded driver commits
+  for two ranks, in its program order);
 * **pricing purity** — the rank-scoped ledger fingerprint and the rank's
   mutation count are equal at both ends of a selector's pricing bracket
   (:class:`~repro.machine.nic.PricingEvent`): the dynamic twin of
@@ -110,6 +112,10 @@ class SanitizerError(RuntimeError):
         self.events = (first, second)
 
 
+#: An ingest-rail committer: its host thread's ident and its vector clock.
+_Committer = tuple[int, dict[int, int]]
+
+
 def _vc_leq(left: dict[int, int], right: dict[int, int]) -> bool:
     """Vector-clock ordering: every component of ``left`` is visible in ``right``."""
     return all(right.get(rank, 0) >= tick for rank, tick in left.items())
@@ -128,8 +134,9 @@ class _TimelineAudit:
         self.inject_cursor: dict[int, tuple[float, SanitizerEvent]] = {}
         self.ingest_cursor: dict[int, tuple[float, SanitizerEvent]] = {}
         #: Last commit per shared topology cursor: the committing event, the
-        #: cursor value and, on an ingestion rail, the committer's clock.
-        self.shared_last: dict[tuple[str, Any], tuple[SanitizerEvent, float, Optional[dict[int, int]]]] = {}
+        #: cursor value and, on an ingestion rail, the committer's host
+        #: thread and clock.
+        self.shared_last: dict[tuple[str, Any], tuple[SanitizerEvent, float, Optional[_Committer]]] = {}
         #: Per send-side rail or uplink bundle: each committing rank's
         #: highest ``(ready, source)`` key there, with its event.
         self.shared_keys: dict[tuple[str, Any], dict[int, tuple[tuple[float, int], SanitizerEvent]]] = {}
@@ -175,15 +182,15 @@ class _TimelineAudit:
 
     def _shared_commit(
         self, event: SanitizerEvent, label: str, key: Any, cursor: float,
-        clock: Optional[dict[int, int]] = None,
+        order: Optional[_Committer] = None,
     ) -> Any:
         """Audit one commit to a shared topology cursor, which mixes sources
         by design: it may not move the cursor backwards.  Records it with
-        ``clock`` and returns the previous ``(event, cursor, clock)``.
+        ``order`` and returns the previous ``(event, cursor, order)``.
         """
         self.counters["shared_commits"] += 1
         previous = self.shared_last.get((label, key))
-        self.shared_last[(label, key)] = (event, cursor, clock)
+        self.shared_last[(label, key)] = (event, cursor, order)
         if previous is not None and cursor < previous[1]:
             self._violation(
                 f"shared {label} cursor {key!r} moved backwards "
@@ -279,10 +286,15 @@ class _TimelineAudit:
             self.counters["joins"] += 1
         self._monotone(self.ingest_cursor, dest, ingest.port, "ingestion-port", event)
         # Ingestion rails mix node-mates; their receivers commit in program
-        # order, so a cross-rank pair needs a happens-before edge.
+        # order, so a cross-rank pair needs a happens-before edge, unless one
+        # host thread made both commits and its program order orders them.
+        thread = threading.get_ident()
         for rail, cursor in ingest.rails:
-            previous = self._shared_commit(event, "ingest-rail", rail, cursor, dict(clock))
-            if previous is not None and previous[0].rank != dest and not _vc_leq(previous[2], clock):
+            previous = self._shared_commit(event, "ingest-rail", rail, cursor, (thread, dict(clock)))
+            if previous is None or previous[0].rank == dest:
+                continue
+            committer, committed = previous[2]
+            if committer != thread and not _vc_leq(committed, clock):
                 self._violation(
                     f"rank {dest} committed to shared ingest-rail cursor {rail!r} "
                     f"without a happens-before edge to rank {previous[0].rank}'s commit",

@@ -511,7 +511,8 @@ class TestSim007RestatedPricingRule:
 
     def test_renamed_copies_fire(self, tmp_path):
         """An ingest walk that names its occupancy factor ``overlap`` and its
-        cursor ``port`` still restates the NIC's rules."""
+        cursor ``port`` still restates the NIC's rules, and so does its rail
+        recurrence written through ``free``, a value read back from ``rails``."""
         findings = lint_tree(tmp_path, {
             "src/repro/tempi/sanitizer.py": """\
                 class Audit:
@@ -529,9 +530,29 @@ class TestSim007RestatedPricingRule:
                             self._charge(dest, arrival, landing, cursors)
             """,
         })
-        assert codes(findings) == ["SIM007"] * 2
-        assert [finding.line for finding in findings] == [6, 8]
+        assert codes(findings) == ["SIM007"] * 3
+        assert [finding.line for finding in findings] == [6, 8, 12]
         assert "overlap" in findings[0].message
+
+    def test_a_read_back_alias_fires_only_in_its_own_function(self, tmp_path):
+        """A name read from ``x[k]`` or ``x.get(k, ...)`` stands for ``x`` in
+        its own function; the same name in another function is just a name."""
+        findings = lint_tree(tmp_path, {
+            "src/repro/apps/planted.py": """\
+                def subscripted(cursors, rank, post, wire):
+                    free = cursors[rank]
+                    cursors[rank] = max(post, free) + wire
+
+                def fetched(cursors, rank, post, wire):
+                    free = cursors.get(rank, 0.0)
+                    cursors[rank] = max(post, free) + wire
+
+                def unrelated(cursors, rank, post, free, wire):
+                    cursors[rank] = max(post, free) + wire
+            """,
+        })
+        assert codes(findings) == ["SIM007"] * 2
+        assert [finding.line for finding in findings] == [3, 7]
 
     def test_the_upper_case_constant_fires(self, tmp_path):
         """The module constant the NIC's factor defaults to is an occupancy

@@ -158,7 +158,7 @@ class TestAllreduceTwin:
 
         def clocks_for(algorithm):
             def program(ctx):
-                cfg = TempiConfig(allreduce_algorithm=algorithm, topology=FATTREE)
+                cfg = TempiConfig(allreduce_algorithm=algorithm)
                 comm = interpose(ctx, cfg, model=summit_model)
                 nbytes = count * FLOAT.size
                 send = ctx.gpu.malloc(nbytes)

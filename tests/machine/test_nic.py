@@ -485,6 +485,16 @@ class TestIngestBacklog:
         nic.ingest(0, records_for([(1, reservation)], 10.0))
         assert nic.pending_ingest(0) == 0
 
+    def test_backlog_replays_the_ingest_rule_exactly(self):
+        """The replay starts each record at its ``post_time``, as the commit
+        does, so the backlog equals the committed cursor's lead to the ulp:
+        re-deriving the start as ``arrival - wire`` read one ulp high here."""
+        nic = NicTimeline()
+        nic.reserve(1, 0, ready=0.1, wire_s=0.2)
+        backlog = nic.ingest_backlog(0, now=0.1)
+        nic.ingest(0, nic.pending_records(0))
+        assert backlog == nic.ingest_free_at(0) - 0.1
+
     def test_future_posts_are_invisible(self):
         """A rank can only know about traffic from its virtual past: records
         whose post_time has not passed on the caller's clock are excluded."""

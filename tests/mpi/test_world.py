@@ -9,7 +9,6 @@ import pytest
 
 from repro.apps.halo import HaloSpec
 from repro.apps.stencil import HaloExchange
-from repro.gpu.cost_model import FREE_GPU
 from repro.machine.nic import trace_default
 from repro.mpi.constructors import Type_vector
 from repro.mpi.datatype import BYTE
@@ -44,10 +43,6 @@ class TestConstruction:
     def test_invalid_rank_count_rejected(self):
         with pytest.raises(MpiError):
             World(0)
-
-    def test_gpu_cost_override(self):
-        world = World(1, gpu_cost=FREE_GPU)
-        assert world.contexts[0].gpu.cost is FREE_GPU
 
 
 class TestRun:

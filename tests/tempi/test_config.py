@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.machine.nic import trace_default
+from repro.machine.topology import TopologySpec
 from repro.mpi.world import World
 from repro.tempi.config import MODEL_CACHED_QUERY_S, MODEL_QUERY_S, PackMethod, TempiConfig
 from repro.tempi.interposer import interpose
@@ -101,6 +102,32 @@ class TestPackMethod:
         assert PackMethod.AUTO.value == "auto"
 
 
+#: The committed fat-tree example (two 4-rank nodes per leaf, 2-rank islands).
+FATTREE = TopologySpec.load(Path(__file__).resolve().parents[2] / "examples" / "topology_fattree.json")
+
+
+class TestOneTopology:
+    """A run has one topology, the world's: the interposer prices the
+    machine the communicator it wraps prices."""
+
+    def test_topology_is_not_a_config_field(self):
+        with pytest.raises(TypeError, match="topology"):
+            TempiConfig(topology=FATTREE)
+
+    @pytest.mark.parametrize("spec", [FATTREE, None], ids=["fattree", "flat"])
+    def test_engine_and_selector_hold_the_world_topology(self, spec, summit_model):
+        world = World(8, ranks_per_node=4, topology=spec)
+
+        def program(ctx):
+            comm = interpose(ctx, TempiConfig(selection="contended"), model=summit_model)
+            return comm._engine.topology, comm._selector.topology
+
+        expected = world.topology if spec is not None else None
+        for engine_topology, selector_topology in world.run(program):
+            assert engine_topology is expected
+            assert selector_topology is expected
+
+
 #: Knobs no shipped file sets, and the reason each is a field all the same.
 KNOBS_WITHOUT_A_CALLER = {
     "enabled": "the real library's master disable switch (TempiConfig.disabled())",
@@ -135,7 +162,7 @@ def test_every_knob_has_a_caller():
     file outside ``tests/`` gives it a second value, or for a reason written
     down here.  Adding a knob only tests would set fails this test."""
     knobs = [field.name for field in dataclasses.fields(TempiConfig)]
-    assert len(knobs) == 14
+    assert len(knobs) == 13
     called = _knobs_set_outside_tests()
     assert not called & set(KNOBS_WITHOUT_A_CALLER), "drop the allowlist entry: it has a caller now"
     orphans = [name for name in knobs if name not in called and name not in KNOBS_WITHOUT_A_CALLER]

@@ -13,6 +13,7 @@ sink over several timelines, and exact audit counts for interposed runs.
 
 from __future__ import annotations
 
+import threading
 from types import SimpleNamespace
 
 import pytest
@@ -27,6 +28,7 @@ from repro.machine.nic import (
     PricingEvent,
     trace_default,
 )
+from repro.bench.simthroughput import CACHED_CONFIG, FABRIC_SPEC, HaloDriver
 from repro.machine.topology import PathSpec, Topology
 from repro.mpi.constructors import Type_vector
 from repro.mpi.datatype import BYTE
@@ -54,6 +56,24 @@ def read_backlog(model, timeline: NicTimeline, reader: int, dest: int, now: floa
     """A contended selector on ``reader`` reads ``dest``'s backlog at ``now``."""
     selector = ContendedSelector(model, timeline, reader, clock=SimpleNamespace(now=now))
     return selector.ingest_backlog(dest)
+
+
+def on_another_thread(function, *args) -> None:
+    """Call ``function(*args)`` on a fresh thread, as a ``World`` rank would."""
+    errors: list[Exception] = []
+
+    def body() -> None:
+        try:
+            function(*args)
+        except Exception as error:  # re-raised on the calling thread
+            errors.append(error)
+
+    thread = threading.Thread(target=body)
+    thread.start()
+    thread.join(timeout=10.0)
+    assert not thread.is_alive()
+    if errors:
+        raise errors[0]
 
 
 def join(timeline: NicTimeline, *ranks: int) -> None:
@@ -191,13 +211,14 @@ class TestSharedCursorAudit:
 
     def test_receive_side_rails_still_need_a_happens_before_edge(self):
         """Node-mates 8 and 9 share leaf 1's ingestion rail; their receivers
-        commit in program order, so an unordered pair is a violation."""
+        commit in program order, so an unordered pair on two threads (two
+        ranks of a ``World``) is a violation."""
         topology = Topology(16, spec=FATTREE)
         timeline, _ = traced()
         for src, dst in ((0, 8), (4, 9)):
             self._cross_leaf_post(topology, timeline, src, dst, ready=float(src) * 1e-3)
         records = {dst: timeline.pending_records(dst) for dst in (8, 9)}
-        timeline.ingest(8, records[8])
+        on_another_thread(timeline.ingest, 8, records[8])
         with pytest.raises(SanitizerError, match="ingest-rail .* without a happens-before edge"):
             timeline.ingest(9, records[9])
 
@@ -207,10 +228,35 @@ class TestSharedCursorAudit:
         for src, dst in ((0, 8), (4, 9)):
             self._cross_leaf_post(topology, timeline, src, dst, ready=float(src) * 1e-3)
         records = {dst: timeline.pending_records(dst) for dst in (8, 9)}
-        timeline.ingest(8, records[8])
+        on_another_thread(timeline.ingest, 8, records[8])
         join(timeline, *range(16))
         timeline.ingest(9, records[9])
         assert sanitizer.counters["violations"] == 0
+
+    def test_receive_side_rails_are_ordered_by_one_thread(self):
+        """One host thread committing for two ranks orders them by its
+        program order."""
+        topology = Topology(16, spec=FATTREE)
+        timeline, sanitizer = traced()
+        for src, dst in ((0, 8), (4, 9)):
+            self._cross_leaf_post(topology, timeline, src, dst, ready=float(src) * 1e-3)
+        for dst in (8, 9):
+            timeline.ingest(dst, timeline.pending_records(dst))
+        assert (sanitizer.counters["ingests"], sanitizer.counters["violations"]) == (2, 0)
+
+    @pytest.mark.parametrize("booking", ["scalar", "batched"])
+    def test_single_threaded_fabric_driver_passes(self, summit_model, booking):
+        """The single-threaded ``HaloDriver`` on the fat-tree: ranks 62 and 63
+        share an ingestion rail inside one round and commit there in the
+        driver's program order, with no join between them."""
+        sanitizer = ClockSanitizer()
+        with trace_default(sanitizer):
+            driver = HaloDriver(64, CACHED_CONFIG, summit_model, topology=FABRIC_SPEC, booking=booking)
+        for _ in range(3):
+            driver.round()
+        counters = sanitizer.counters
+        assert counters["violations"] == 0
+        assert (counters["posts"], counters["ingests"], counters["joins"]) == (768, 192, 768)
 
 
 class TestPricingGuard:

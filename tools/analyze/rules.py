@@ -405,8 +405,35 @@ def _cursor_name(node: ast.expr) -> Optional[str]:
     return _terminal_name(node)
 
 
-def _restates_cursor_rule(node: ast.Assign) -> bool:
-    """True for ``x = max(..., x) + ...``, whatever ``x`` is called."""
+def _read_back(value: ast.expr) -> Optional[str]:
+    """The ``x`` that ``x[k]`` or ``x.get(k, ...)`` reads a cursor back from."""
+    if isinstance(value, ast.Subscript):
+        return _cursor_name(value)
+    if isinstance(value, ast.Call) and isinstance(value.func, ast.Attribute) and value.func.attr == "get":
+        return _cursor_name(value.func.value)
+    return None
+
+
+def _read_back_aliases(tree: ast.AST) -> dict[ast.Assign, dict[str, str]]:
+    """Per assignment, its function's read-back aliases: each name assigned
+    from ``x[k]`` or ``x.get(k, ...)`` there, mapped to ``x``."""
+    scopes: dict[ast.Assign, dict[str, str]] = {}
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        assigns = [node for node in ast.walk(function) if isinstance(node, ast.Assign)]
+        aliases: dict[str, str] = {}
+        for node in assigns:
+            container = _read_back(node.value)
+            if container is not None and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
+                aliases[node.targets[0].id] = container
+        scopes.update(dict.fromkeys(assigns, aliases))
+    return scopes
+
+
+def _restates_cursor_rule(node: ast.Assign, aliases: dict[str, str]) -> bool:
+    """True for ``x = max(..., x) + ...``, whatever ``x`` is called, and for
+    ``x[k] = max(..., free) + ...`` where ``free`` was read back from ``x``."""
     if len(node.targets) != 1 or not isinstance(node.value, ast.BinOp):
         return False
     target = _cursor_name(node.targets[0])
@@ -417,8 +444,10 @@ def _restates_cursor_rule(node: ast.Assign) -> bool:
         return False
     for side in (value.left, value.right):
         if isinstance(side, ast.Call) and _terminal_name(side.func) == "max":
-            if any(_cursor_name(arg) == target for arg in side.args):
-                return True
+            for arg in side.args:
+                name = _cursor_name(arg)
+                if name == target or (isinstance(arg, ast.Name) and aliases.get(arg.id) == target):
+                    return True
     return False
 
 
@@ -430,6 +459,7 @@ def check_restated_pricing_rule(source_file: SourceFile) -> list[Violation]:
     tree = source_file.tree
     if tree is None:
         return []
+    aliases = _read_back_aliases(tree)
     findings: list[Violation] = []
     for node in ast.walk(tree):
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
@@ -445,7 +475,7 @@ def check_restated_pricing_rule(source_file: SourceFile) -> list[Violation]:
                         "reserve/ingest on a NicTimeline instead",
                     )
                 )
-        elif isinstance(node, ast.Assign) and _restates_cursor_rule(node):
+        elif isinstance(node, ast.Assign) and _restates_cursor_rule(node, aliases.get(node, {})):
             findings.append(
                 Violation(
                     relpath,

@@ -31,8 +31,9 @@ With ``pack`` it is § "Commit path"'s table: the calls of one warm
 datatypes, ``Pack``/``Unpack``, and the round loop for the remainder.  With
 ``replay`` it is § "Scalar message path"'s table: the calls of six warm
 ``ml_replay`` steps on every thread, per plan and per entry of each stage
-of a wire message — ``message_time``, ``reserve_wire``, the post,
-``router.receive``, ``ingest_one``, ``ingest_batch``, the run-token hand-off
+of a wire message — ``message_time`` (``Communicator._message_time``),
+``reserve_wire``, the post, ``router.receive``, ``ingest_one``,
+``ingest_batch``, the run-token hand-off
 (``MessageRouter.block``), the rest of an allreduce round, the rest of
 ``PlanExecutor.execute``, the rest of a pack stage and of an unpack stage
 (``PlanExecutor._pack_stage``/``_unpack_stage``: the kernel or copy launch,
@@ -127,6 +128,7 @@ def stage_codes(workload) -> dict[object, str]:
 def wire_stage_codes() -> dict[object, str]:
     """Code object -> stage, for the scalar path of one wire message and
     the plan around it."""
+    from repro.mpi.communicator import Communicator
     from repro.mpi.p2p import MessageRouter
     from repro.mpi.request import Request
     from repro.tempi import plan, selection
@@ -137,7 +139,7 @@ def wire_stage_codes() -> dict[object, str]:
     from repro.tempi.progress import ProgressEngine
 
     return {
-        ProgressEngine.message_time.__code__: "message_time",
+        Communicator._message_time.__code__: "message_time",
         ProgressEngine.reserve_wire.__code__: "reserve_wire",
         PlanExecutor._post.__code__: "post",
         MessageRouter.receive.__code__: "router.receive",
