@@ -22,9 +22,10 @@ from repro.machine.topology import Topology
 
 #: Fraction of a message's serial wire time that occupies the NIC when
 #: transfers to distinct peers overlap.  Shared by the analytic
-#: :meth:`NetworkModel.alltoallv_time` discount and the plan executor's
-#: per-message NIC serialisation, so the serial and overlapped engines price
-#: the wire consistently.
+#: :meth:`NetworkModel.alltoallv_time` discount and the port occupancy
+#: :class:`~repro.machine.nic.NicTimeline` books per message
+#: (``wire_overlap``), so the serial and overlapped engines price the wire
+#: consistently.
 DEFAULT_WIRE_OVERLAP = 0.65
 
 

@@ -194,7 +194,7 @@ def barrier(comm) -> None:
 
     latency = comm.network.machine.inter_cpu.latency_s
     rounds = max(1, math.ceil(math.log2(max(2, comm.size))))
-    if comm.world is not None and comm.size > 1:
+    if comm.size > 1:
         latest = comm.world.barrier_wait(comm.rank, comm.clock.now)
         comm.clock.advance_to(latest)
     comm.clock.advance(rounds * latency)

@@ -63,7 +63,7 @@ class Communicator:
         topology: Topology,
         *,
         context: int = 0,
-        world=None,
+        world,
     ) -> None:
         if not 0 <= rank < size:
             raise MpiRankError(f"rank {rank} outside communicator of size {size}")
@@ -202,11 +202,10 @@ class Communicator:
         return nbytes
 
     def _message_time(self, nbytes: int, peer: int, device: bool) -> float:
-        if self.topology is not None and self.topology.hierarchical:
-            return self.topology.message_time(
-                self.rank, peer, nbytes, device_buffers=device
-            )
-        same_node = self.topology.same_node(self.rank, peer) if self.topology else True
+        topology = self.topology
+        if topology.hierarchical:
+            return topology.message_time(self.rank, peer, nbytes, device_buffers=device)
+        same_node = topology.same_node(self.rank, peer)
         return self.network.message_time(nbytes, same_node=same_node, device_buffers=device)
 
     # ------------------------------------------------------------------ sends

@@ -78,7 +78,7 @@ from repro.tempi.selection import (
     contended_estimate,
     make_selector,
 )
-from repro.tempi.progress import PlanWindow, ProgressEngine, ProgressError
+from repro.tempi.progress import PlanWindow, ProgressEngine
 from repro.tempi.strided_block import StridedBlock, to_strided_block
 from repro.tempi.translate import TranslationError, translate
 
@@ -98,7 +98,6 @@ __all__ = [
     "PlanWindow",
     "PostStage",
     "ProgressEngine",
-    "ProgressError",
     "SelectionError",
     "StreamData",
     "StridedBlock",

@@ -115,11 +115,14 @@ class TempiConfig:
     #: ``"inject_only"`` keeps the PR-3/PR-4 send-side-only accounting,
     #: bit-identical, as an ablation — ``bench_incast.py`` measures the
     #: difference.  Only meaningful under ``progress="shared"`` (the
-    #: per-plan ablation has no shared timeline to ingest against).
+    #: per-plan ablation has no shared timeline to ingest against), so
+    #: ``"inject_only"`` is refused there.
     nic: str = "duplex"
     #: Coalesce consecutive sub-eager-threshold nonblocking sends to one peer
-    #: into one pack launch burst and one posted wire message (shared-progress
-    #: mode only; the batch flushes at the next progress point).
+    #: into one pack launch burst and one posted wire message (the batch
+    #: flushes at the next progress point).  Batching needs shared progress
+    #: and the overlapped executor, so ``False`` is refused under
+    #: ``progress="per_plan"`` or ``overlap=False``, where it is already off.
     batch_eager_sends: bool = True
     #: Reuse streams, intermediate buffers and model query results (Sec. 5).
     use_cache: bool = True
@@ -158,6 +161,18 @@ class TempiConfig:
                 "selection='contended' prices the shared NicTimeline's backlog, which "
                 "progress='per_plan' never books: the combination is inert; use "
                 "progress='shared' (or selection='model')"
+            )
+        if self.nic == "inject_only" and self.progress == "per_plan":
+            raise ValueError(
+                "nic='inject_only' picks which ends of the shared NicTimeline are priced, "
+                "and progress='per_plan' books none: the combination is inert; use "
+                "progress='shared' (or nic='duplex')"
+            )
+        if not self.batch_eager_sends and (self.progress == "per_plan" or not self.overlap):
+            already = "progress='per_plan'" if self.progress == "per_plan" else "overlap=False"
+            raise ValueError(
+                f"batch_eager_sends=False turns off batching, which {already} already "
+                "turns off: the combination is inert; use batch_eager_sends=True"
             )
         if self.selection == "contended" and self.method is not PackMethod.AUTO:
             raise ValueError(

@@ -48,7 +48,7 @@ from repro.mpi.p2p import Envelope
 from repro.mpi.request import Request
 from repro.mpi.status import Status
 from repro.tempi.cache import ResourceCache, _StagingTracker
-from repro.tempi.config import PackMethod
+from repro.tempi.config import PackMethod, TempiConfig
 from repro.tempi.plan import (
     MessagePlan,
     PackStage,
@@ -62,26 +62,17 @@ from repro.tempi.progress import ProgressEngine
 class PlanExecutor:
     """Executes :class:`MessagePlan` objects against one rank's communicator."""
 
-    def __init__(
-        self,
-        comm,
-        cache: ResourceCache,
-        stats,
-        *,
-        engine: ProgressEngine,
-        overlap: bool = True,
-    ) -> None:
+    def __init__(self, comm, cache: ResourceCache, stats, config: TempiConfig) -> None:
         self.comm = comm
         self.cache = cache
         self.stats = stats
-        self.overlap = overlap
-        self.engine = engine
+        self.overlap = config.overlap
         #: What a nonblocking send's buffer-reuse completion adds to its pack:
         #: the host-side injection latency, a constant of the machine.
         self.injection_overhead = comm.network.message_cost(
             0, same_node=True, device_buffers=False
         ).latency_s
-        engine.bind(self)
+        self.engine = ProgressEngine(self, config)
 
     # ------------------------------------------------------------------ entry
     def execute(self, plan: MessagePlan, request: Optional[Request] = None) -> Request:

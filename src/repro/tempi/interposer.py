@@ -234,41 +234,13 @@ class TempiCommunicator:
         self.tempi = library if library is not None else Tempi(
             comm.gpu, comm.network.machine, config, model
         )
-        #: Topology the engine routes against: the world's own, adopted
-        #: as-is when it is hierarchical, else ``None`` — the flat
-        #: pre-topology books, with no path resolution on the hot path at all.
-        topology = comm.topology if comm.topology.hierarchical else None
-        self._topology = topology
-        self._engine = ProgressEngine(
-            comm,
-            self.tempi.cache,
-            self.tempi.stats,
-            mode=config.progress,
-            nic_mode=config.nic,
-            batching=config.batch_eager_sends and config.overlap,
-            topology=topology,
-        )
-        self._executor = PlanExecutor(
-            comm,
-            self.tempi.cache,
-            self.tempi.stats,
-            overlap=config.overlap,
-            engine=self._engine,
-        )
+        self._executor = PlanExecutor(comm, self.tempi.cache, self.tempi.stats, config)
+        self._engine = self._executor.engine
         #: The unified method-selection policy (Sec. 4 / selection.py): every
         #: AUTO decision — p2p, bcast, typed collectives — goes through this
         #: one object, which owns memoisation, query-overhead charging and
         #: (for ``selection="contended"``) the live NIC-backlog pricing.
-        self._selector = make_selector(
-            config,
-            lambda: self.tempi.model,
-            cache=self.tempi.cache,
-            clock=comm.clock,
-            nic=self._engine.nic,
-            rank=comm.rank,
-            stats=self.tempi.stats,
-            topology=topology,
-        )
+        self._selector = make_selector(config, lambda: self.tempi.model, self._engine)
         self._clock = comm.clock
         #: What every interposed call is charged (Sec. 6.3): the handler
         #: lookup plus the pointer check.
@@ -1046,12 +1018,10 @@ class TempiCommunicator:
         if send_type.size * send_count != nbytes:
             self.tempi.stats.collective_fallbacks += 1
             return None
+        topology = self._engine.topology
         algorithm = choose_allreduce_algorithm(
-            comm.size, nbytes,
-            topology=self._topology,
-            algorithm=cfg.allreduce_algorithm,
+            comm.size, nbytes, topology=topology, algorithm=cfg.allreduce_algorithm
         )
-        topology = self._topology
         islands = (
             topology.islands() if algorithm == "hierarchical" and topology is not None else None
         )

@@ -61,12 +61,8 @@ from repro.mpi.p2p import Envelope
 from repro.mpi.request import Request
 from repro.mpi.status import Status
 from repro.tempi.cache import _StagingTracker
-from repro.tempi.config import BATCH_MAX_MESSAGES, NIC_MODES, PROGRESS_MODES, PackMethod
+from repro.tempi.config import BATCH_MAX_MESSAGES, PackMethod, TempiConfig
 from repro.tempi.plan import MessagePlan
-
-
-class ProgressError(RuntimeError):
-    """The engine was configured or driven impossibly."""
 
 
 class PlanWindow:
@@ -129,58 +125,30 @@ class _Batch:
 class ProgressEngine:
     """Per-rank owner of deferred wire state for the plan executor."""
 
-    def __init__(
-        self,
-        comm,
-        cache,
-        stats,
-        *,
-        mode: str = "shared",
-        nic_mode: str = "duplex",
-        batching: bool = True,
-        batch_max_messages: int = BATCH_MAX_MESSAGES,
-        topology: Optional[Topology] = None,
-    ) -> None:
-        if mode not in PROGRESS_MODES:
-            raise ProgressError(
-                f"unknown progress mode {mode!r}; expected one of {PROGRESS_MODES}"
-            )
-        if nic_mode not in NIC_MODES:
-            raise ProgressError(
-                f"unknown nic mode {nic_mode!r}; expected one of {NIC_MODES}"
-            )
-        if batch_max_messages < 1:
-            raise ProgressError("batch_max_messages must be at least 1")
+    def __init__(self, executor, config: TempiConfig) -> None:
+        comm = executor.comm
+        self.executor = executor
         self.comm = comm
-        self.cache = cache
-        self.stats = stats
+        self.cache = executor.cache
+        self.stats = executor.stats
         #: True when reservations go through the shared NIC timeline.
-        self.shared = mode == "shared"
+        self.shared = config.progress == "shared"
         #: True when receive-side (ingestion-port) accounting is active.
         #: Requires the shared timeline — the per-plan ablation has nothing to
         #: ingest against, so ``nic="duplex"`` degrades to inject-only there.
-        self.duplex = self.shared and nic_mode == "duplex"
-        nic = getattr(getattr(comm, "world", None), "nic", None)
-        self.nic = nic if nic is not None else NicTimeline()
+        self.duplex = self.shared and config.nic == "duplex"
+        self.nic: NicTimeline = comm.world.nic
         #: Batching coalesces deferred posts, which only makes sense when the
-        #: shared timeline prices them; per-plan mode is the PR-2 ablation.
-        self.batching = bool(batching) and self.shared
-        self.batch_max_messages = batch_max_messages
+        #: shared timeline prices them and the executor overlaps its stages.
+        self.batching = self.shared and config.overlap and config.batch_eager_sends
+        self.batch_max_messages = BATCH_MAX_MESSAGES
         self.eager_threshold = comm.network.machine.eager_threshold
-        #: Topology the engine routes against.  ``None`` keeps the flat
-        #: pre-topology books (no path resolution at all); a flat
-        #: :class:`~repro.machine.topology.Topology` routes every post
-        #: through path resolution but binds nothing (bit-identical,
-        #: Hypothesis-pinned); a hierarchical one makes the wire price and
-        #: the NIC binding per-path-class.
-        self.topology = topology
-        self.executor = None
+        #: Topology the engine routes against: the world's own when it is
+        #: hierarchical, else ``None`` — the flat pre-topology books, with no
+        #: path resolution on the hot path at all (a flat topology would
+        #: route every post but bind nothing, bit-identically).
+        self.topology: Optional[Topology] = comm.topology if comm.topology.hierarchical else None
         self._batches: dict[tuple[int, bool], _Batch] = {}
-
-    # ---------------------------------------------------------------- wiring
-    def bind(self, executor) -> None:
-        """Attach the executor whose stages the engine issues at flush time."""
-        self.executor = executor
 
     # ------------------------------------------------------------------- NIC
     def plan_window(self):
@@ -333,7 +301,7 @@ class ProgressEngine:
         when the plan is not batchable (batching off, message at/above the
         eager threshold) — the caller then executes it immediately.
         """
-        if not self.batching or self.executor is None:
+        if not self.batching:
             return None
         if plan.op != "send" or not plan.nonblocking:
             return None
@@ -431,7 +399,7 @@ class ProgressEngine:
         batch = self._batches.pop(key)
         if not batch.entries:  # its first pack failed
             return
-        executor = self.executor  # bound: only offer_send creates batches
+        executor = self.executor
         try:
             # One posted message: the burst's combined bytes take one wire
             # slot (one latency floor instead of one per plan), entering the

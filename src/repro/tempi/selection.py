@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Protocol, Union
+from typing import TYPE_CHECKING, Any, Callable, Optional, Protocol, Union
 
 from repro.machine.nic import BacklogReadEvent, NicTimeline, PricingEvent
 from repro.machine.topology import Topology
@@ -62,6 +62,9 @@ from repro.tempi.config import (
     TempiConfig,
 )
 from repro.tempi.perf_model import PerformanceModel
+
+if TYPE_CHECKING:  # progress -> plan -> selection: a runtime import would cycle
+    from repro.tempi.progress import ProgressEngine
 
 #: The trivial selection for a zero-byte section: nothing is packed and
 #: nothing is posted, so the method only names a staging kind that is never
@@ -618,30 +621,27 @@ class ContendedSelector(ModelSelector):
 def make_selector(
     config: TempiConfig,
     model: Union[PerformanceModel, Callable[[], PerformanceModel]],
-    *,
-    cache: Any = None,
-    clock: Any = None,
-    nic: Optional[NicTimeline] = None,
-    rank: int = 0,
-    stats: Any = None,
-    topology: Optional[Topology] = None,
+    engine: ProgressEngine,
 ) -> MethodSelector:
     """Build the selector ``config`` asks for (the interposer's factory).
 
     A non-``AUTO`` ``config.method`` forces that method — the ablation knob
     the benchmarks rely on (:class:`TempiConfig` only accepts one under the
-    default policy).  Policy ``"contended"`` degrades to the model path when
-    no NIC timeline exists to consult (an executor driven outside a
-    :class:`~repro.mpi.world.World`).
+    default policy).  Every other selector charges the rank's clock, memoises
+    through the engine's cache and counts on its stats; the contended one
+    also reads the engine's NIC timeline and topology.
     """
     if config.method is not PackMethod.AUTO:
         return FixedSelector(config.method)
-    if config.selection == "contended" and nic is not None:
+    comm = engine.comm
+    if config.selection == "contended":
         return ContendedSelector(
-            model, nic, rank, cache=cache, clock=clock, config=config, stats=stats,
-            topology=topology,
+            model, engine.nic, comm.rank, cache=engine.cache, clock=comm.clock,
+            config=config, stats=engine.stats, topology=engine.topology,
         )
-    return ModelSelector(model, cache=cache, clock=clock, config=config, stats=stats)
+    return ModelSelector(
+        model, cache=engine.cache, clock=comm.clock, config=config, stats=engine.stats
+    )
 
 
 #: Vectors at or below this many bytes are latency-bound: the binomial tree's

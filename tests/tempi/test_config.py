@@ -11,7 +11,7 @@ from repro.machine.topology import TopologySpec
 from repro.mpi.world import World
 from repro.tempi.config import MODEL_CACHED_QUERY_S, MODEL_QUERY_S, PackMethod, TempiConfig
 from repro.tempi.interposer import interpose
-from repro.tempi.selection import SelectionError
+from repro.tempi.selection import ContendedSelector, FixedSelector, ModelSelector, SelectionError
 
 
 class TestDefaults:
@@ -60,6 +60,32 @@ class TestVariants:
         with pytest.raises(ValueError, match="selection='contended'.*progress='per_plan'"):
             dataclasses.replace(TempiConfig(progress="per_plan"), selection="contended")
         assert TempiConfig(selection="contended").progress == "shared"
+
+    def test_inject_only_needs_the_shared_timeline(self):
+        """``nic`` picks which ends of the shared timeline are priced, and
+        ``progress="per_plan"`` books none: the pair is refused, both named."""
+        pattern = "nic='inject_only'.*progress='per_plan'"
+        with pytest.raises(ValueError, match=pattern):
+            TempiConfig(nic="inject_only", progress="per_plan")
+        with pytest.raises(ValueError, match=pattern):
+            dataclasses.replace(TempiConfig(nic="inject_only"), progress="per_plan")
+        with pytest.raises(ValueError, match=pattern):
+            dataclasses.replace(TempiConfig(progress="per_plan"), nic="inject_only")
+
+    @pytest.mark.parametrize("off", [{"progress": "per_plan"}, {"overlap": False}],
+                             ids=["per_plan", "serial"])
+    def test_unbatching_what_is_never_batched_is_refused(self, off):
+        """Batching is already off under ``progress="per_plan"`` and under
+        ``overlap=False``: ``batch_eager_sends=False`` there is refused."""
+        (name, value), = off.items()
+        pattern = f"batch_eager_sends=False.*{name}={value!r}"
+        with pytest.raises(ValueError, match=pattern):
+            TempiConfig(batch_eager_sends=False, **off)
+        with pytest.raises(ValueError, match=pattern):
+            dataclasses.replace(TempiConfig(batch_eager_sends=False), **off)
+        with pytest.raises(ValueError, match=pattern):
+            dataclasses.replace(TempiConfig(**off), batch_eager_sends=False)
+        assert TempiConfig(**off).batch_eager_sends
 
     def test_trace_must_be_callable(self):
         with pytest.raises(ValueError, match="trace sink must be called as sink"):
@@ -114,18 +140,46 @@ class TestOneTopology:
         with pytest.raises(TypeError, match="topology"):
             TempiConfig(topology=FATTREE)
 
+
+#: Each config the engine reads, with the engine flags ``(shared, duplex,
+#: batching)`` and the selector class it wires.
+WIRINGS = {
+    "default": (TempiConfig(), (True, True, True), ModelSelector),
+    "serial": (TempiConfig(overlap=False), (True, True, False), ModelSelector),
+    "per_plan": (TempiConfig(progress="per_plan"), (False, False, False), ModelSelector),
+    "inject_only": (TempiConfig(nic="inject_only"), (True, False, True), ModelSelector),
+    "unbatched": (TempiConfig(batch_eager_sends=False), (True, True, False), ModelSelector),
+    "contended": (TempiConfig(selection="contended"), (True, True, True), ContendedSelector),
+    "device": (TempiConfig(method=PackMethod.DEVICE), (True, True, True), FixedSelector),
+}
+
+
+class TestOneWiring:
+    """A rank's executor, engine and selector follow from the config and the
+    communicator the interposer wraps: its world's NIC, its rank, and its
+    topology when that is hierarchical."""
+
     @pytest.mark.parametrize("spec", [FATTREE, None], ids=["fattree", "flat"])
-    def test_engine_and_selector_hold_the_world_topology(self, spec, summit_model):
+    @pytest.mark.parametrize("name", list(WIRINGS))
+    def test_interpose_wires_from_config_and_communicator(self, name, spec, summit_model):
+        config, flags, selector_type = WIRINGS[name]
         world = World(8, ranks_per_node=4, topology=spec)
+        topology = world.topology if spec is not None else None
 
         def program(ctx):
-            comm = interpose(ctx, TempiConfig(selection="contended"), model=summit_model)
-            return comm._engine.topology, comm._selector.topology
+            comm = interpose(ctx, config, model=summit_model)
+            engine, selector = comm.progress_engine, comm._selector
+            assert comm.executor.engine is engine and comm.executor.overlap is config.overlap
+            assert (engine.shared, engine.duplex, engine.batching) == flags
+            assert engine.nic is world.nic and engine.topology is topology
+            assert type(selector) is selector_type
+            contended = selector_type is ContendedSelector
+            assert getattr(selector, "nic", None) is (world.nic if contended else None)
+            assert getattr(selector, "rank", None) == (ctx.rank if contended else None)
+            assert getattr(selector, "topology", None) is (topology if contended else None)
+            return True
 
-        expected = world.topology if spec is not None else None
-        for engine_topology, selector_topology in world.run(program):
-            assert engine_topology is expected
-            assert selector_topology is expected
+        assert all(world.run(program))
 
 
 #: Knobs no shipped file sets, and the reason each is a field all the same.

@@ -5,12 +5,11 @@ import pytest
 
 from repro.mpi.world import World
 from repro.tempi.cache import ResourceCache
-from repro.tempi.config import PackMethod
+from repro.tempi.config import PackMethod, TempiConfig
 from repro.tempi.executor import PlanExecutor
 from repro.tempi.interposer import InterposerStats
 from repro.tempi.packer import Packer
 from repro.tempi.plan import PlanSection, compile_exchange, compile_recv, compile_send
-from repro.tempi.progress import ProgressEngine
 from repro.tempi.strided_block import StridedBlock
 
 
@@ -22,8 +21,8 @@ def make_packer(block=16, count=32, pitch=64) -> Packer:
 def make_executor(ctx, cache, stats=None, *, overlap) -> PlanExecutor:
     """An executor on the per-plan cursor: each plan priced in isolation."""
     stats = stats if stats is not None else InterposerStats()
-    engine = ProgressEngine(ctx.comm, cache, stats, mode="per_plan")
-    return PlanExecutor(ctx.comm, cache, stats, engine=engine, overlap=overlap)
+    config = TempiConfig(progress="per_plan", overlap=overlap)
+    return PlanExecutor(ctx.comm, cache, stats, config)
 
 
 def _exchange_program(ctx, *, overlap, method=PackMethod.DEVICE, iterations=1):

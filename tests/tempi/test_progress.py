@@ -10,8 +10,9 @@ from repro.mpi.datatype import BYTE
 from repro.mpi.request import Request
 from repro.mpi.world import World
 from repro.tempi.config import TempiConfig
+from repro.tempi.executor import PlanExecutor
 from repro.tempi.interposer import InterposerStats, interpose
-from repro.tempi.progress import ProgressEngine, ProgressError
+from repro.tempi.progress import ProgressEngine
 
 
 def vector_type(comm, nblocks=64, block=8, pitch=64):
@@ -23,18 +24,15 @@ def big_vector_type(comm):
     return comm.Type_commit(Type_vector(1024, 256, 512, BYTE))
 
 
+def make_engine(ctx, **config) -> ProgressEngine:
+    """The progress engine a rank's executor builds from ``TempiConfig(**config)``."""
+    return PlanExecutor(ctx.comm, None, InterposerStats(), TempiConfig(**config)).engine
+
+
 class TestEngineModes:
-    def test_unknown_mode_rejected(self, summit_model):
-        def program(ctx):
-            with pytest.raises(ProgressError):
-                ProgressEngine(ctx.comm, None, InterposerStats(), mode="psychic")
-            return True
-
-        assert all(World(1).run(program))
-
     def test_per_plan_reserve_is_uncontended(self, summit_model):
         def program(ctx):
-            engine = ProgressEngine(ctx.comm, None, InterposerStats(), mode="per_plan")
+            engine = make_engine(ctx, progress="per_plan")
             slot = engine.reserve_wire(0, ready=1.0, wire_s=5.0)
             assert (slot.start, slot.arrival) == (1.0, 6.0)
             # A second reservation sees no port: PR-2 semantics.
@@ -47,7 +45,7 @@ class TestEngineModes:
 
     def test_shared_reserve_uses_world_nic(self, summit_model):
         def program(ctx):
-            engine = ProgressEngine(ctx.comm, None, InterposerStats(), mode="shared")
+            engine = make_engine(ctx)
             assert engine.nic is ctx.world.nic
             slot = engine.reserve_wire(1, ready=0.0, wire_s=10.0)
             assert (slot.start, slot.arrival) == (0.0, 10.0)
@@ -57,30 +55,14 @@ class TestEngineModes:
 
         assert all(World(2).run(program))
 
-    def test_batch_limit_validation(self, summit_model):
-        def program(ctx):
-            with pytest.raises(ProgressError):
-                ProgressEngine(ctx.comm, None, InterposerStats(), batch_max_messages=0)
-            return True
-
-        assert all(World(1).run(program))
-
-    def test_unknown_nic_mode_rejected(self, summit_model):
-        def program(ctx):
-            with pytest.raises(ProgressError):
-                ProgressEngine(ctx.comm, None, InterposerStats(), nic_mode="psychic")
-            return True
-
-        assert all(World(1).run(program))
-
     def test_duplex_requires_the_shared_timeline(self, summit_model):
         """``nic="duplex"`` degrades to inject-only semantics in per-plan
         mode — there is no shared timeline to ingest against."""
 
         def program(ctx):
-            shared = ProgressEngine(ctx.comm, None, InterposerStats(), mode="shared")
-            per_plan = ProgressEngine(ctx.comm, None, InterposerStats(), mode="per_plan")
-            inject = ProgressEngine(ctx.comm, None, InterposerStats(), mode="shared", nic_mode="inject_only")
+            shared = make_engine(ctx)
+            per_plan = make_engine(ctx, progress="per_plan")
+            inject = make_engine(ctx, nic="inject_only")
             assert shared.duplex
             assert not per_plan.duplex
             assert not inject.duplex
@@ -90,11 +72,11 @@ class TestEngineModes:
 
     def test_reserve_wire_carries_the_nic_identity(self, summit_model):
         def program(ctx):
-            engine = ProgressEngine(ctx.comm, None, InterposerStats(), mode="shared")
+            engine = make_engine(ctx)
             slot = engine.reserve_wire(1, ready=0.0, wire_s=10.0, nbytes=64)
             assert (slot.start, slot.arrival, slot.wire_s) == (0.0, 10.0, 10.0)
             assert slot.seq == 0  # shared reservations are ingestable
-            per_plan = ProgressEngine(ctx.comm, None, InterposerStats(), mode="per_plan")
+            per_plan = make_engine(ctx, progress="per_plan")
             assert per_plan.reserve_wire(1, ready=0.0, wire_s=10.0).seq == -1
             return True
 
@@ -107,7 +89,7 @@ class TestDuplexIngestion:
     def _engine_pair(self, ctx, nic_mode):
         from repro.mpi.p2p import Envelope
 
-        engine = ProgressEngine(ctx.comm, None, InterposerStats(), mode="shared", nic_mode=nic_mode)
+        engine = make_engine(ctx, nic=nic_mode)
 
         def envelope(source, seq, available_at, wire_s, post_time):
             import numpy as np

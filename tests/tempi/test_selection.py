@@ -17,7 +17,8 @@ from repro.mpi.world import World
 from repro.tempi import interposer
 from repro.tempi.cache import ResourceCache
 from repro.tempi.config import MODEL_CACHED_QUERY_S, MODEL_QUERY_S, PackMethod, TempiConfig
-from repro.tempi.interposer import Tempi, interpose
+from repro.tempi.executor import PlanExecutor
+from repro.tempi.interposer import InterposerStats, Tempi, interpose
 from repro.tempi.measurement import measure_system
 from repro.tempi.packer import Packer
 from repro.tempi.perf_model import PerformanceModel
@@ -345,26 +346,40 @@ class TestTopologyBacklog:
         assert selector.rail_backlog(1) == selector.rail_backlog(None) == 0.0
 
 
+def _selectors(config: TempiConfig, model, nranks: int = 4) -> list:
+    """``make_selector(config, model, engine)`` on every rank of a flat world,
+    with the assertions that the selector draws its wiring from the engine."""
+
+    def program(ctx):
+        engine = PlanExecutor(ctx.comm, ResourceCache(ctx.gpu), InterposerStats(), config).engine
+        selector = make_selector(config, model, engine)
+        if not isinstance(selector, FixedSelector):
+            assert selector.cache is engine.cache and selector.stats is engine.stats
+            assert selector.clock is ctx.clock and selector.config is config
+        if isinstance(selector, ContendedSelector):
+            assert selector.nic is ctx.world.nic and selector.rank == ctx.rank
+            assert selector.topology is engine.topology
+        return selector
+
+    return World(nranks).run(program)
+
+
 class TestMakeSelector:
     def test_default_is_model(self, summit_model):
-        selector = make_selector(TempiConfig(), summit_model)
-        assert type(selector) is ModelSelector
+        assert {type(s) for s in _selectors(TempiConfig(), summit_model)} == {ModelSelector}
 
-    def test_contended_needs_nic(self, summit_model):
-        config = TempiConfig(selection="contended")
-        assert type(make_selector(config, summit_model)) is ModelSelector
-        nic = NicTimeline()
-        selector = make_selector(config, summit_model, nic=nic, rank=3)
-        assert type(selector) is ContendedSelector
-        assert selector.nic is nic and selector.rank == 3
+    def test_contended_reads_the_engine_nic(self, summit_model):
+        selectors = _selectors(TempiConfig(selection="contended"), summit_model)
+        assert {type(s) for s in selectors} == {ContendedSelector}
+        assert [s.rank for s in selectors] == [0, 1, 2, 3]
+        assert len({id(s.nic) for s in selectors}) == 1
 
     def test_forced_method_wins_over_policy(self, summit_model):
         """A concrete ``method`` never consults a policy: under the default
         one it yields the fixed selector; asking for ``"contended"`` as well
         used to be silently ignored and is now refused, naming both fields."""
         config = TempiConfig(method=PackMethod.DEVICE)
-        selector = make_selector(config, summit_model, nic=NicTimeline())
-        assert type(selector) is FixedSelector
+        assert {type(s) for s in _selectors(config, summit_model, 1)} == {FixedSelector}
         pattern = "method=PackMethod.DEVICE.*selection='contended'"
         with pytest.raises(ValueError, match=pattern):
             TempiConfig(selection="contended", method=PackMethod.DEVICE)
@@ -377,8 +392,8 @@ class TestMakeSelector:
         """Forcing is spelled by ``method`` alone; there is no ``"fixed"``
         policy value left to contradict it."""
         config = TempiConfig(method=PackMethod.ONESHOT)
-        assert type(make_selector(config, summit_model)) is FixedSelector
-        assert type(make_selector(TempiConfig(), summit_model)) is ModelSelector
+        (fixed,) = _selectors(config, summit_model, 1)
+        assert type(fixed) is FixedSelector and fixed.method is PackMethod.ONESHOT
         with pytest.raises(ValueError, match="unknown selection policy 'fixed'"):
             TempiConfig(selection="fixed", method=PackMethod.ONESHOT)
 
