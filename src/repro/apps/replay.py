@@ -31,6 +31,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from repro.gpu import kernels
 from repro.mpi.constructors import Type_vector
 from repro.mpi.datatype import BYTE, Datatype
 from repro.mpi.world import World
@@ -147,14 +148,15 @@ def _pitched_datatype(item_bytes: int, item_pad: int) -> Datatype:
     return Type_vector(2, half, half + item_pad // 2, BYTE)
 
 
-def _replay_alltoallv(ctx, comm, record: dict, index: int, digest) -> None:
+def _replay_alltoallv(ctx, comm, record: dict, index: int, put, digest) -> None:
     counts = np.asarray(record["counts"], dtype=np.int64)
     datatype = comm.Type_commit(_pitched_datatype(record["item_bytes"], record["item_pad"]))
     extent = datatype.extent
-    sendcounts = [int(c) for c in counts[ctx.rank]]
-    recvcounts = [int(counts[peer][ctx.rank]) for peer in range(ctx.size)]
-    senddispls = np.cumsum([0] + [c * extent for c in sendcounts[:-1]]).tolist()
-    recvdispls = np.cumsum([0] + [c * extent for c in recvcounts[:-1]]).tolist()
+    sends, recvs = counts[ctx.rank], counts[:, ctx.rank]
+    sendcounts, recvcounts = sends.tolist(), recvs.tolist()
+    # Exclusive prefix sums, in bytes: whole-array calls, no loop per peer.
+    senddispls = ((sends.cumsum() - sends) * extent).tolist()
+    recvdispls = ((recvs.cumsum() - recvs) * extent).tolist()
     send = ctx.gpu.malloc(max(1, sum(sendcounts) * extent))
     recv = ctx.gpu.malloc(max(1, sum(recvcounts) * extent))
     send.data[:] = (index + ctx.rank) % 251
@@ -162,7 +164,7 @@ def _replay_alltoallv(ctx, comm, record: dict, index: int, digest) -> None:
         send, sendcounts, senddispls, recv, recvcounts, recvdispls,
         sendtypes=datatype, recvtypes=datatype,
     )
-    digest.update(recv.data)
+    put((None, digest, recv.data))
 
 
 @functools.lru_cache(maxsize=8)
@@ -174,7 +176,7 @@ def _ramp(count: int, dtype: str) -> np.ndarray:
     return ramp
 
 
-def _replay_allreduce(ctx, comm, record: dict, index: int, digest) -> None:
+def _replay_allreduce(ctx, comm, record: dict, index: int, put, digest) -> None:
     from repro.mpi import datatype as _datatype
 
     dtype = np.dtype(record["dtype"])
@@ -190,13 +192,12 @@ def _replay_allreduce(ctx, comm, record: dict, index: int, digest) -> None:
     send = ctx.gpu.malloc(nbytes)
     recv = ctx.gpu.malloc(nbytes)
     # At most 96 + 6: exact in every dtype a record may name, int8 included.
-    values = _ramp(count, record["dtype"]) + dtype.type((ctx.rank + index) % 7)
-    send.data[:nbytes] = values.view(np.uint8)
+    np.add(_ramp(count, record["dtype"]), (ctx.rank + index) % 7, out=send.data[:nbytes].view(dtype))
     comm.Allreduce((send, count, named), (recv, count, named), record.get("reduce", "sum"))
-    digest.update(recv.data)
+    put((None, digest, recv.data))
 
 
-def _replay_p2p(ctx, comm, record: dict, index: int, digest) -> None:
+def _replay_p2p(ctx, comm, record: dict, index: int, put, digest) -> None:
     datatype = comm.Type_commit(_pitched_datatype(record["item_bytes"], record["item_pad"]))
     extent = datatype.extent
     requests = []
@@ -212,7 +213,7 @@ def _replay_p2p(ctx, comm, record: dict, index: int, digest) -> None:
     for request, recv in requests:
         request.Wait()
         if recv is not None:
-            digest.update(recv.data)
+            put((None, digest, recv.data))
 
 
 _REPLAYERS = {
@@ -251,13 +252,17 @@ def replay_trace(
     clocks, counters and digests on every run.
     """
     trace = load_trace(source)
+    # Each receive buffer's digest update runs on the kernels' helper, off
+    # the run token; the replay never writes a buffer it has queued.
+    jobs = kernels.digest_jobs()
+    put = jobs.put
 
     def program(ctx):
         cfg = config if config is not None else TempiConfig()
         comm = interpose(ctx, cfg, model=model)
         digest = hashlib.sha256()
         for index, record in enumerate(trace["ops"]):
-            _REPLAYERS[record["op"]](ctx, comm, record, index, digest)
+            _REPLAYERS[record["op"]](ctx, comm, record, index, put, digest)
         stats = comm.stats
         snapshot = {
             "collective_hits": stats.collective_hits,
@@ -268,16 +273,19 @@ def replay_trace(
             "sends": stats.sends,
             "recvs": stats.recvs,
         }
-        return ctx.clock.now, snapshot, digest.hexdigest()
+        return ctx.clock.now, snapshot, digest
 
     kwargs = {"ranks_per_node": trace["ranks_per_node"]}
     if topology is not None:
         kwargs["topology"] = topology
-    rows = World(trace["nranks"], **kwargs).run(program)
+    try:
+        rows = World(trace["nranks"], **kwargs).run(program)
+    finally:
+        kernels.drain_digests(jobs)
     return ReplayResult(
         nranks=trace["nranks"],
         ops=len(trace["ops"]),
         clocks=[row[0] for row in rows],
         stats=[row[1] for row in rows],
-        digests=[row[2] for row in rows],
+        digests=[row[2].hexdigest() for row in rows],
     )

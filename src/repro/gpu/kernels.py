@@ -55,31 +55,48 @@ no Python-level loop over objects or runs.
     stay unsplit, so no chunk reads what another writes.  The bytes
     therefore do not depend on the schedule, and nothing here is timed, so
     no virtual clock moves.
-  - *Break-even* (2-core Xeon VM, numpy 2.4, median of 25 alternated runs,
-    one-byte runs at a 2-byte pitch, count 2, the worst geometry measured;
-    µs unsplit → split):
+  - *Break-even* (2-core shared VM, numpy 2.4, median of 25 alternated
+    runs, one-byte runs at a 2-byte pitch, count 2, the worst geometry
+    measured; µs unsplit → split).  The first sweep ran while the host's
+    second core was free; the second (numpy 2.4.6) while two CPU-bound
+    processes each took twice as long as one alone:
 
-    ============  ==============  ===============
-    elements      pack            unpack
-    ============  ==============  ===============
-    1 Mi          135 → 162       433 → 460
-    1.5 Mi        221 → 249       668 → 700
-    2 Mi          282 → 314       899 → 453
-    2.5 Mi        393 → 193       912 → 593
-    3 Mi          361 → 223       1 136 → 616
-    4 Mi          484 → 297       1 517 → 796
-    8 Mi          1 077 → 685     3 305 → 1 983
-    ============  ==============  ===============
+    ============  ==============  ===============  ==============  ===============
+    elements      pack (first)    unpack (first)   pack (second)   unpack (second)
+    ============  ==============  ===============  ==============  ===============
+    1 Mi          135 → 162       433 → 460        118 → 136       350 → 366
+    1.5 Mi        221 → 249       668 → 700        177 → 199       529 → 544
+    2 Mi          282 → 314       899 → 453        236 → 263       716 → 737
+    2.5 Mi        393 → 193       912 → 593        295 → 323       893 → 921
+    3 Mi          361 → 223       1 136 → 616      364 → 394       1 063 → 1 093
+    4 Mi          484 → 297       1 517 → 796      470 → 502       1 382 → 1 423
+    8 Mi          1 077 → 685     3 305 → 1 983    1 021 → 1 013   2 821 → 2 878
+    ============  ==============  ===============  ==============  ===============
 
-    An earlier sweep put the pack's break-even between 2.5 and 3 Mi.  Runs
-    at a 3-byte pitch (no cell) or 8-byte runs at a 16-byte pitch win from
-    1 Mi on (pack 377 → 226 and 1 012 → 634 µs).  The threshold sits above
-    the worst geometry's break-even, and the benchmark's ``datatype_pack``
-    workload holds objects on both sides of it (its 1 KiB objects below,
-    the 4 MiB one at 8 Mi elements above).
+    In the first regime an earlier sweep put the pack's break-even between
+    2.5 and 3 Mi, and runs at a 3-byte pitch (no cell) or 8-byte runs at a
+    16-byte pitch won from 1 Mi on (pack 377 → 226 and 1 012 → 634 µs).
+    In the second the split wins nowhere: it costs a few percent below
+    8 Mi and breaks even there.  The threshold sits above the first
+    regime's break-even, and the benchmark's ``datatype_pack`` workload holds
+    objects on both sides of it (its 1 KiB objects below, the 4 MiB one at
+    8 Mi elements above).
   - *No split for* ``CudaRuntime.memcpy_async``.  No benchmark workload
     makes a contiguous copy at all, so a split there would be a path that
     nothing measures.
+
+* The helpers also run *digest jobs*: host byte work that touches no priced
+  state and need not finish before the caller goes on.  ``apps/replay.py``
+  hashes every receive buffer this way.  :func:`digest_jobs` names the
+  first helper's queue, and ``put((None, digest, data))`` on it queues
+  ``digest.update(data)``.  That is one call on the rank thread, which
+  then goes on under the run token while the helper hashes (``hashlib``
+  releases the GIL).  All digest jobs go to that one helper, so the
+  updates of each digest run in the order they were put, whatever the
+  schedule.  :func:`drain_digests` waits until every job queued so far has
+  run and raises the first exception one of them raised.  The caller must
+  not write ``data`` again before that.  With one core there is no helper,
+  and the update runs inline at the ``put``, as a launch runs unsplit.
 
 The functions below are deliberately free of any timing logic; durations are
 charged by :class:`repro.gpu.runtime.CudaRuntime`, which calls them.
@@ -270,7 +287,8 @@ def _views(
 
 
 #: Job queues of the helper threads, one per usable host core besides the
-#: launching thread's; ``None`` until the first split launch starts them.
+#: launching thread's; ``None`` until the first split launch or
+#: :func:`digest_jobs` starts them.
 _helpers: Optional[list[queue.SimpleQueue]] = None
 _helpers_lock = threading.Lock()
 
@@ -292,7 +310,7 @@ def _start_helpers() -> list[queue.SimpleQueue]:
             cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
             helpers = []
             for index in range(1, cores):
-                jobs = queue.SimpleQueue()  # simlint: disable=SIM006 -- a helper waits for chunks, never for a rank
+                jobs = queue.SimpleQueue()  # simlint: disable=SIM006 -- a helper waits for jobs, never for a rank
                 threading.Thread(target=_serve, args=(jobs,), name=f"kernel-helper-{index}", daemon=True).start()
                 helpers.append(jobs)
             _helpers = helpers  # published whole: a launch reads it without the lock
@@ -300,20 +318,73 @@ def _start_helpers() -> list[queue.SimpleQueue]:
 
 
 def _serve(jobs: queue.SimpleQueue) -> None:
-    """A helper thread: copy each job's chunk, then report to the job's queue.
+    """A helper thread: run each job, in the order it was queued.
 
-    The chunk's views are dropped before the report, so once a launch has
-    returned no helper keeps its buffers alive.  A ``None`` job ends the loop.
+    A chunk job ``(done, target, source, cells)`` copies one chunk of a split
+    launch, then reports to ``done``: ``None``, or the exception the copy
+    raised.  The chunk's views are dropped before the report, so once a
+    launch has returned no helper keeps its buffers alive.  A digest job
+    ``(None, digest, data)`` runs ``digest.update(data)`` and reports nothing;
+    a drain ``(done,)`` reports the first exception a digest job raised since
+    the last drain (:func:`drain_digests`).  A ``None`` job ends the loop.
     """
-    for done, *chunk in iter(jobs.get, None):
+    kept = None
+    for done, *job in iter(jobs.get, None):
+        if done is None:
+            try:
+                job[0].update(job[1])
+            except Exception as error:  # raised again by the next drain
+                kept = kept or error
+            del job
+            continue
         failure = None
         try:
-            _copy(*chunk)
+            if job:
+                _copy(*job)
+            else:
+                failure, kept = kept, None
         except Exception as error:  # raised again by the launching thread
             failure = error
-        del chunk
+        del job
         done.put(failure)
         del failure
+
+
+class _InlineDigests:
+    """The digest queue of a host with no helper: each job runs as it is put,
+    on the putting thread, as a launch there runs unsplit."""
+
+    def put(self, job: tuple) -> None:
+        if len(job) == 1:
+            job[0].put(None)  # a drain: an update's exception was raised at its put
+        else:
+            job[1].update(job[2])
+
+
+_INLINE_DIGESTS = _InlineDigests()
+
+
+def digest_jobs() -> queue.SimpleQueue | _InlineDigests:
+    """Where to queue digest jobs: ``put((None, digest, data))`` runs
+    ``digest.update(data)`` off the calling thread.
+
+    Every digest job goes to the first helper, so the updates of one digest
+    run in the order they were put.  ``data`` must not be written again
+    until :func:`drain_digests` has returned.  With no helper (one usable
+    core) the update runs inline at the ``put``.
+    """
+    helpers = _helpers if _helpers is not None else _start_helpers()
+    return helpers[0] if helpers else _INLINE_DIGESTS
+
+
+def drain_digests(jobs: queue.SimpleQueue | _InlineDigests) -> None:
+    """Return once every digest job put on ``jobs`` (a :func:`digest_jobs`)
+    has run; raise the first exception one of them raised."""
+    done = queue.SimpleQueue()  # simlint: disable=SIM006 -- helpers wait for no rank, so this wait ends
+    jobs.put((done,))
+    failure = done.get()
+    if failure is not None:
+        raise failure
 
 
 def _copy(target: np.ndarray, source: np.ndarray, cells: Optional[np.ndarray]) -> None:

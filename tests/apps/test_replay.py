@@ -5,18 +5,45 @@ same config must reproduce **bit-identical** priced clocks, interposer
 counters and receive digests on every run; and a malformed trace must be
 rejected with a :class:`~repro.apps.replay.TraceError` that names the
 offending record (``ops[i]``) rather than failing mid-replay.
+
+The receive digests are computed off the rank threads, on the kernels'
+helper (:func:`repro.gpu.kernels.digest_jobs`); they must equal the
+schema-derived reference the ``ml_replay`` benchmark checks, with or
+without a helper, and a failed replay must leave no digest job behind.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
+from repro.apps import replay
 from repro.apps.moe import MoESpec, moe_trace
 from repro.apps.pipeline import PipelineSpec, pipeline_trace
 from repro.apps.replay import TraceError, load_trace, replay_trace
+from repro.mpi.world import WorldError
 from repro.tempi.config import TempiConfig
+
+WORKLOADS = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e" / "workloads.py"
+
+
+@pytest.fixture(scope="module")
+def e2e_workloads():
+    """``benchmarks/e2e/workloads.py``, loaded read-only, ``sys.path`` left as found."""
+    saved = list(sys.path)
+    try:
+        spec = importlib.util.spec_from_file_location("_e2e_workloads", WORKLOADS)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = saved
+    return module
 
 
 def _moe_trace(moe_seed):
@@ -186,3 +213,46 @@ class TestMalformedTraces:
         trace["ops"].append({"op": "allreduce", "count": -3, "dtype": "float32"})
         with pytest.raises(TraceError, match=r"ops\[1\]: count must be a positive integer"):
             load_trace(trace)
+
+
+class TestReceiveDigests:
+    """The digests leave the run token but not the bytes they hash."""
+
+    @pytest.mark.parametrize("step", [0, 1])
+    def test_an_ml_replay_step_hashes_to_the_schema_reference(self, summit_model, e2e_workloads, step):
+        trace = e2e_workloads.step_trace(1, step)
+        result = replay_trace(trace, model=summit_model)
+        assert result.digests == e2e_workloads.expected_digests(trace)
+
+    def test_digests_without_a_helper_are_the_same(self, summit_model, e2e_workloads, monkeypatch):
+        from repro.gpu import kernels
+
+        trace = e2e_workloads.step_trace(1, 0)
+        pooled = replay_trace(trace, model=summit_model).digests
+        monkeypatch.setattr(kernels, "_helpers", [])  # as on a one-core host
+        assert kernels.digest_jobs() is kernels._INLINE_DIGESTS
+        assert replay_trace(trace, model=summit_model).digests == pooled
+
+    def test_a_failed_replay_drains_its_digest_jobs(self, summit_model, host_cores, monkeypatch):
+        kernels = host_cores(2)
+        jobs = kernels.digest_jobs()
+        assert kernels._helpers == [jobs]
+        finished = threading.Event()
+
+        class SlowDigest:
+            def update(self, data):
+                time.sleep(0.05)  # still running when the world has failed
+                finished.set()
+
+        p2p = replay._REPLAYERS["p2p"]
+
+        def failing(ctx, comm, record, index, put, digest):
+            p2p(ctx, comm, record, index, put, digest)
+            if ctx.rank == 3:
+                put((None, SlowDigest(), None))
+                raise RuntimeError("planted failure")
+
+        monkeypatch.setitem(replay._REPLAYERS, "p2p", failing)
+        with pytest.raises(WorldError, match="planted failure"):
+            replay_trace(_mixed_trace(7), model=summit_model)
+        assert finished.is_set() and jobs.empty()

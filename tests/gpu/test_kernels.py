@@ -1,5 +1,6 @@
 """Tests for the functional strided pack/unpack kernels."""
 
+import hashlib
 import math
 import os
 import queue
@@ -651,6 +652,49 @@ class TestSplit:
             time.sleep(0.01)
             reaped, status = os.waitpid(pid, os.WNOHANG)
         assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_digest_jobs_run_in_order_on_one_helper(self, host_cores):
+        host_cores(3)
+        jobs = kernels.digest_jobs()
+        assert kernels._helpers[0] is jobs and len(kernels._helpers) == 2
+        blocks = [make_memory(4096, seed=30 + i) for i in range(8)]
+        digests = [hashlib.sha256(), hashlib.sha256()]
+        for i, block in enumerate(blocks):
+            jobs.put((None, digests[i % 2], block))
+        kernels.drain_digests(jobs)
+        assert jobs.empty()
+        for parity, digest in enumerate(digests):
+            assert digest.hexdigest() == hashlib.sha256(b"".join(b.tobytes() for b in blocks[parity::2])).hexdigest()
+
+    def test_a_failing_digest_job_raises_at_the_drain_and_the_helper_survives(self, host_cores, monkeypatch):
+        host_cores(2)
+        jobs = kernels.digest_jobs()
+
+        class Broken:
+            def update(self, data):
+                raise RuntimeError("digest failed on a helper")
+
+        digest = hashlib.sha256()
+        jobs.put((None, Broken(), b""))
+        jobs.put((None, digest, b"after"))
+        with pytest.raises(RuntimeError, match="digest failed on a helper"):
+            kernels.drain_digests(jobs)
+        kernels.drain_digests(jobs)  # reported once
+        assert digest.hexdigest() == hashlib.sha256(b"after").hexdigest()
+        monkeypatch.setattr(kernels, "_SPLIT_ELEMENTS", 0)
+        src, dst = make_memory(256, seed=17), np.zeros(128, dtype=np.uint8)
+        kernels.pack_strided_many(src, dst, *SMALL_SPLIT)
+        assert kernels._helpers == [jobs] and np.array_equal(dst, _small_split_runs(src))
+
+    def test_one_core_digests_inline(self, host_cores):
+        host_cores(1)
+        threads = threading.active_count()
+        jobs = kernels.digest_jobs()
+        digest = hashlib.sha256()
+        jobs.put((None, digest, b"inline"))
+        assert digest.hexdigest() == hashlib.sha256(b"inline").hexdigest()
+        kernels.drain_digests(jobs)
+        assert kernels._helpers == [] and threading.active_count() == threads
 
     def test_buffers_that_share_memory_copy_unsplit(self, monkeypatch):
         monkeypatch.setattr(kernels, "_helpers", [RefusingHelper()])

@@ -43,6 +43,9 @@ growing back:
 * one warm compile counts exactly: a typed ``Alltoallv`` builds, groups
   and sizes each section once, and an allreduce builds its rounds by comprehension and
   keeps its numpy dtype;
+* one warm replayed p2p record costs each rank thread what it cost when
+  the receiver hashed its buffer there: the digest update is queued to the
+  kernels' helper by one ``put``;
 * a warm ``ml_replay`` step stays under a per-plan ceiling, and the scalar
   lookups beside its pricing count exactly: a buffer's size and kind are
   slots, a rank is checked inline, and a flat-world wire price builds no
@@ -93,7 +96,7 @@ import numpy as np
 import pytest
 
 from repro.apps.halo import DIRECTIONS, HaloSpec, negate
-from repro.apps.replay import _pitched_datatype
+from repro.apps.replay import _pitched_datatype, _replay_p2p
 from repro.apps.stencil import HaloExchange, direction_tag
 from repro.bench.simthroughput import FABRIC_SPEC, HaloDriver
 from repro.bench.workloads import fig7_configurations, fig8_configurations
@@ -672,8 +675,8 @@ def test_the_commit_path_table_is_what_the_histogram_measures(summit_model):
 # --------------------------------------------------------------------------- #
 
 #: ``ml_replay``'s first counted step (seed 1, after the benchmark's two
-#: warm-up steps, on a fresh model) counted 28 001 calls over 88 executed
-#: plans, 318.2 per plan, on Python 3.11; this is that plus 5 %.  The run
+#: warm-up steps, on a fresh model) counted 27 673 calls over 88 executed
+#: plans, 314.5 per plan, on Python 3.11; this is that plus 5 %.  The run
 #: token fixes the threaded world's schedule, so on one interpreter the count
 #: repeats exactly run to run; a ceiling, not an exact count, as for the
 #: halo, leaves room for other interpreters.  Buffer facts read through properties, rank checks per lookup and
@@ -697,8 +700,10 @@ def test_the_commit_path_table_is_what_the_histogram_measures(summit_model):
 #: buffers and method counts read by ``dict.get``, counted 348.2; the staging
 #: pool behind two layers and its bucket computed at both ends, an
 #: envelope's size, a stream's ready time and a pack's plan read through
-#: calls, counted 325.3.
-REPLAY_CEILING = 334.1
+#: calls, counted 325.3; that and a typed ``Alltoallv`` whose counts and
+#: displacements the replay built peer by peer in Python lists, 318.2, and
+#: after later diets 316.1.
+REPLAY_CEILING = 330.2
 
 
 def test_a_warm_replay_step_stays_under_its_ceiling(summit_model):
@@ -717,6 +722,44 @@ def test_a_warm_replay_step_stays_under_its_ceiling(summit_model):
         f"{per_plan:.1f} Python/C calls per executed replay plan, ceiling {REPLAY_CEILING}: "
         f"run tools/call_histogram.py --workload replay to see which layer grew"
     )
+
+
+#: Exact calls on Python 3.11 of the second and third ``_replay_p2p`` of one
+#: edge of four pitched items (2 048 + 64 bytes) from rank 0 to rank 1, on
+#: each rank thread, the counter's own exit calls included.  At the parent,
+#: where rank 1 hashed its receive buffer with ``digest.update`` on its own
+#: thread, they counted the same: the one ``put`` that queues the update to
+#: the kernels' helper replaced it.
+P2P_RECORD_CALLS = {"sender": (158, 158), "receiver": (143, 141)}
+
+
+def test_a_replayed_p2p_record_costs_the_parents_calls(summit_model, host_cores):
+    kernels = host_cores(2)
+    jobs = kernels.digest_jobs()  # starts the helper outside the counted region
+    record = {"op": "p2p", "edges": [[0, 1, 4]], "item_bytes": 2048, "item_pad": 64}
+    counts: dict[int, list[int]] = {0: [], 1: []}
+
+    def program(ctx) -> None:
+        comm = interpose(ctx, TempiConfig(), model=summit_model)
+        digest = hashlib.sha256()
+        _replay_p2p(ctx, comm, record, 0, jobs.put, digest)  # the cold record
+        for index in (1, 2):
+            # ``CallCounter`` counts this thread alone: no thread starts in here.
+            with CallCounter() as counter:
+                _replay_p2p(ctx, comm, record, index, jobs.put, digest)
+            counts[ctx.rank].append(counter.calls)
+
+    gc.collect()
+    gc.disable()  # a collection would count the gc callbacks Hypothesis registers
+    try:
+        World(2).run(program)
+    finally:
+        gc.enable()
+        kernels.drain_digests(jobs)
+    measured = {"sender": tuple(counts[0]), "receiver": tuple(counts[1])}
+    assert min(counts[0] + counts[1]) > 0
+    if sys.version_info[:2] == (3, 11):
+        assert measured == P2P_RECORD_CALLS
 
 
 # --------------------------------------------------------------------------- #
@@ -1066,6 +1109,36 @@ def test_callers_prints_who_calls_a_function(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines and "pack_strided_many" in lines[0]
     assert any("<- " in line and "launch_pack" in line for line in lines[1:])
+
+
+def _spin(rounds: int) -> int:
+    total = 0
+    for step in range(rounds):
+        total += step * step
+    return total
+
+
+def test_the_profile_charges_a_ranks_own_cpu_not_its_peers_waits():
+    """``profile_threads`` times each thread by its own CPU clock: one rank's
+    spin is found in the spinning function, and the peer waiting in
+    ``p2p.py`` for the token, and the driver joining both, read about 0."""
+    histogram = _load(TOOLS / "call_histogram.py", "_call_histogram")
+
+    def program(ctx) -> None:
+        if ctx.rank == 0:
+            _spin(300_000)
+            ctx.comm.Send(np.zeros(8, dtype=np.uint8), 1, 0)
+        else:
+            ctx.comm.Recv(np.empty(8, dtype=np.uint8), 0, 0)
+
+    _, stats = histogram.profile_threads(lambda: World(2).run(program))
+    self_s = {(Path(path).name, name): tottime for (path, _, name), (_, _, tottime, _, _) in stats.stats.items()}
+    spin = self_s[("test_call_budget.py", "_spin")]
+    waits = sum(t for (_, name), t in self_s.items() if "acquire" in name or "join" in name)
+    assert spin > 0.005
+    assert max(self_s, key=self_s.get) == ("test_call_budget.py", "_spin")
+    assert sum(t for (file, _), t in self_s.items() if file == "p2p.py") < spin / 10
+    assert waits < spin / 10, (waits, spin)
 
 
 # --------------------------------------------------------------------------- #

@@ -11,9 +11,13 @@ rounds with one ``cProfile`` per thread — the driver's and every rank
 thread's; ``pack`` runs on the driver's thread alone — and prints the merged
 profile per *op* (the workload's: a wire message, an executed plan, a
 ``Pack`` or ``Unpack`` call): calls and self-µs per source file, then per
-function, most calls first.  The calls column is exact; ``cProfile``
-inflates call-heavy Python against numpy, so read the µs column as a
-ranking (``benchmarks/e2e/run.py`` has the gated numbers).
+function, most calls first.  The calls column is exact.  The µs column is
+each thread's own CPU time (``cProfile.Profile(time.thread_time)``), so a
+rank waiting for the run token, a thread ``join`` or a kernel helper
+waiting on an empty queue reads about 0, and the column shows where the
+running thread spent its time; ``cProfile`` inflates call-heavy Python
+against numpy, so read it as a ranking (``benchmarks/e2e/run.py`` has the
+gated numbers).
 ``docs/ARCHITECTURE.md`` § "Scalar message path" and § "Commit path" are
 sized from it.
 
@@ -62,6 +66,7 @@ import gc
 import pstats
 import sys
 import threading
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -74,8 +79,9 @@ def profile_threads(run) -> tuple[object, pstats.Stats]:
     profiles: list[cProfile.Profile] = []
 
     def attach(*_event) -> None:
-        # The first profile event of a new thread swaps this hook for a cProfile.
-        profiles.append(cProfile.Profile())
+        # The first profile event of a new thread swaps this hook for a cProfile
+        # timed by that thread's own CPU clock.
+        profiles.append(cProfile.Profile(time.thread_time))
         profiles[-1].enable()
 
     threading.setprofile(attach)
@@ -339,7 +345,6 @@ def main(argv: list[str] | None = None) -> int:
     functions = sorted((
         (ncalls / ops, 1e6 * self_s / ops, Path(path).name, f"{line}({name})")
         for (path, line, name), (_, ncalls, self_s, _, _) in stats.stats.items()
-        if "acquire" not in name or "_thread.lock" not in name  # a rank awaiting its turn
     ), reverse=True)
     calls_in, us_in = Counter(), Counter()
     for calls, self_us, file, _ in functions:
