@@ -21,11 +21,11 @@ from repro.machine.topology import Topology
 
 
 #: Fraction of a message's serial wire time that occupies the NIC when
-#: transfers to distinct peers overlap.  Shared by the analytic
-#: :meth:`NetworkModel.alltoallv_time` discount and the port occupancy
+#: transfers to distinct peers overlap: the port occupancy
 #: :class:`~repro.machine.nic.NicTimeline` books per message
-#: (``wire_overlap``), so the serial and overlapped engines price the wire
-#: consistently.
+#: (``wire_overlap``), which prices every TEMPI schedule and analytic twin,
+#: and the discount of :meth:`NetworkModel.alltoallv_time`, which prices the
+#: system library's all-to-all-v alone.
 DEFAULT_WIRE_OVERLAP = 0.65
 
 
@@ -119,19 +119,14 @@ class NetworkModel:
         rank: int,
         *,
         device_buffers: bool = False,
-        overlap: float = DEFAULT_WIRE_OVERLAP,
     ) -> float:
-        """Approximate time rank ``rank`` spends in an all-to-all-v.
+        """Approximate time rank ``rank`` spends in the system all-to-all-v.
 
-        The exchanges to distinct peers partially overlap on the NIC; the
-        ``overlap`` factor discounts the serial sum accordingly.  Fig. 12a's
-        growth of the alltoallv phase with node count comes from the growing
-        number of off-node peers priced by this function.
+        The exchanges to distinct peers partially overlap on the NIC;
+        :data:`DEFAULT_WIRE_OVERLAP` discounts the serial sum accordingly.
         """
         if len(per_pair_bytes) != topology.nranks:
             raise ValueError("per_pair_bytes must have one entry per rank")
-        if not 0 < overlap <= 1:
-            raise ValueError("overlap must be in (0, 1]")
         serial = 0.0
         for peer, nbytes in enumerate(per_pair_bytes):
             if peer == rank or nbytes == 0:
@@ -141,7 +136,7 @@ class NetworkModel:
                 same_node=topology.same_node(rank, peer),
                 device_buffers=device_buffers,
             )
-        return serial * overlap
+        return serial * DEFAULT_WIRE_OVERLAP
 
     def d2h_time(self, nbytes: int) -> float:
         """Bulk device→host copy time (the ``T_d2h`` curve of Fig. 9a)."""

@@ -12,7 +12,7 @@ is a module constant below.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -139,6 +139,21 @@ class TempiConfig:
     measurement_path: Optional[Path] = None
 
     def __post_init__(self) -> None:
+        if not self.enabled:
+            # Every other field is inert when the master switch is off: only
+            # ``disabled()``'s values are accepted beside it.
+            for field in fields(self):
+                if field.name == "enabled":
+                    continue
+                value = getattr(self, field.name)
+                expected = False if field.name in _DISABLED_OFF else field.default
+                if value != expected:
+                    raise ValueError(
+                        f"enabled=False passes every call to the system MPI, so "
+                        f"{field.name}={value!r} would never act: the combination is "
+                        f"inert; use TempiConfig.disabled() (which sets {field.name}="
+                        f"{expected!r})"
+                    )
         if self.selection not in SELECTION_MODES:
             raise ValueError(
                 f"unknown selection policy {self.selection!r}; expected one of {SELECTION_MODES}"
@@ -184,4 +199,9 @@ class TempiConfig:
     @staticmethod
     def disabled() -> "TempiConfig":
         """A configuration that turns TEMPI into a transparent pass-through."""
-        return TempiConfig(enabled=False, datatype_handling=False, send_handling=False)
+        return TempiConfig(enabled=False, **dict.fromkeys(_DISABLED_OFF, False))
+
+
+#: The fields ``TempiConfig.disabled()`` switches off beside ``enabled``;
+#: every other field keeps its default there.
+_DISABLED_OFF = ("datatype_handling", "send_handling")

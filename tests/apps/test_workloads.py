@@ -140,7 +140,7 @@ class TestAllreducePaths:
 
     def test_disabled_interposer_falls_back(self, summit_model):
         rows = _interposed_allreduce(
-            summit_model, 3, 64, config=TempiConfig(enabled=False)
+            summit_model, 3, 64, config=TempiConfig.disabled()
         )
         expected = float(sum(range(1, 4)))
         for row in rows:

@@ -65,7 +65,8 @@ growing back:
 * ``tools/call_histogram.py --workload replay --stages`` lists every stage
   of a wire message and of the plan around it, its rows sum to the total
   it prints, and ``--markdown`` prints the table ``docs/ARCHITECTURE.md``
-  § "Scalar message path" carries (exact on 3.11);
+  § "Scalar message path" carries (exact on 3.11), and its per-function
+  table counts the same total over the same steps;
 * one staging round trip — a keyless checkout through a
   ``_StagingTracker`` and its return — counts exactly: the pool is the
   cache's own, and the bucket the stage carries from compile is computed at
@@ -1075,6 +1076,28 @@ def test_wire_stage_rows_sum_to_the_printed_total(monkeypatch, capsys):
         assert histogram.wire_markdown(*census) == _census_table("replay"), (
             "regenerate the table: python tools/call_histogram.py --workload replay --stages --markdown"
         )
+
+
+def test_the_function_table_and_the_stages_count_one_total(monkeypatch):
+    """``--workload replay``'s per-function table and its ``--stages`` table
+    count the same calls: over the same steps of two fresh warm workloads,
+    the profile's calls sum to the census total.  ``cProfile`` kept one
+    entry per ``(file, line, name)``, so the dataclass ``__init__``s, all
+    ``<string>:2(__init__)``, lost 17 calls per plan to one another."""
+    histogram = _load(TOOLS / "call_histogram.py", "_call_histogram")
+    monkeypatch.syspath_prepend(str(E2E))  # ``warm_workload`` imports the benchmark's workloads
+    censused, profiled = histogram.warm_workload("replay"), histogram.warm_workload("replay")
+    rounds = censused.counted_rounds
+    gc.collect()
+    gc.disable()  # a collection would count the gc callbacks Hypothesis registers
+    try:
+        ops, calls, _ = histogram.wire_census(censused, rounds)
+        profiled_ops, stats = histogram.profile_threads(functools.partial(profiled.block, rounds))
+    finally:
+        gc.enable()
+    assert profiled_ops == ops > 0
+    assert sum(ncalls for _, ncalls, _, _, _ in stats.stats.values()) == sum(calls.values())
+    assert censused.failed_ops == profiled.failed_ops == 0
 
 
 def test_halo_stage_rows_sum_to_the_printed_total(monkeypatch, capsys):

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import re
 from pathlib import Path
 
 import pytest
@@ -86,6 +87,26 @@ class TestVariants:
         with pytest.raises(ValueError, match=pattern):
             dataclasses.replace(TempiConfig(**off), batch_eager_sends=False)
         assert TempiConfig(**off).batch_eager_sends
+
+    @pytest.mark.parametrize("field", [
+        {"datatype_handling": True}, {"send_handling": True},
+        {"method": PackMethod.DEVICE}, {"selection": "contended"},
+        {"allreduce_algorithm": "ring"}, {"overlap": False}, {"progress": "per_plan"},
+        {"nic": "inject_only"}, {"batch_eager_sends": False}, {"use_cache": False},
+        {"plan_cache": False}, {"measurement_path": Path("m.json")},
+    ], ids=lambda field: next(iter(field)))
+    def test_a_disabled_config_refuses_every_other_value(self, field):
+        """``enabled=False`` makes every other field inert: a value other than
+        ``disabled()``'s is refused, named, at construction and through
+        ``dataclasses.replace``."""
+        (name, value), = field.items()
+        pattern = f"enabled=False.*{re.escape(f'{name}={value!r}')}"
+        with pytest.raises(ValueError, match=pattern):
+            dataclasses.replace(TempiConfig.disabled(), **field)
+        with pytest.raises(ValueError, match=pattern):
+            TempiConfig(enabled=False, **{"datatype_handling": False, "send_handling": False, **field})
+        if name not in ("datatype_handling", "send_handling"):
+            assert getattr(TempiConfig(**field), name) == value  # refused only beside enabled=False
 
     def test_trace_must_be_callable(self):
         with pytest.raises(ValueError, match="trace sink must be called as sink"):

@@ -11,7 +11,9 @@ rounds with one ``cProfile`` per thread — the driver's and every rank
 thread's; ``pack`` runs on the driver's thread alone — and prints the merged
 profile per *op* (the workload's: a wire message, an executed plan, a
 ``Pack`` or ``Unpack`` call): calls and self-µs per source file, then per
-function, most calls first.  The calls column is exact.  The µs column is
+function, most calls first.  The calls column is exact: over the same
+steps it sums to the ``--stages`` total, functions that share a label (every
+dataclass's ``__init__``) added up.  The µs column is
 each thread's own CPU time (``cProfile.Profile(time.thread_time)``), so a
 rank waiting for the run token, a thread ``join`` or a kernel helper
 waiting on an empty queue reads about 0, and the column shows where the
@@ -62,6 +64,7 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import functools
 import gc
 import pstats
 import sys
@@ -74,23 +77,76 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks" / "e2e")]
 
 
-def profile_threads(run) -> tuple[object, pstats.Stats]:
-    """``run()`` with a profiler on this thread and on each it starts."""
-    profiles: list[cProfile.Profile] = []
+#: How ``cProfile`` labels its own ``disable``, the call that ends a profile.
+_DISABLE = "<method 'disable' of '_lsprof.Profiler' objects>"
 
-    def attach(*_event) -> None:
-        # The first profile event of a new thread swaps this hook for a cProfile
-        # timed by that thread's own CPU clock.
-        profiles.append(cProfile.Profile(time.thread_time))
+
+class _Profile(cProfile.Profile):
+    """A thread's ``cProfile`` whose stats count what :func:`census` counts.
+
+    ``cProfile`` keys its stats by ``(file, line, name)`` and keeps the last
+    entry under each, so functions that share a label lost their counts to
+    one another: every dataclass's generated ``__init__`` is
+    ``<string>:2(__init__)``, 17 calls per ``ml_replay`` plan.  Here entries
+    under one label add up.  ``started`` is the call a started thread's
+    profile began inside (its ``run``), which the profile did not see; the
+    profile's own ``disable`` is not counted.
+    """
+
+    started = None
+
+    def snapshot_stats(self) -> None:
+        entries = [entry for entry in self.getstats() if entry.code != _DISABLE]
+        stats: dict = {}
+        if self.started is not None:
+            stats[cProfile.label(self.started)] = (1, 1, 0.0, 0.0, {})
+        for entry in entries:
+            func = cProfile.label(entry.code)
+            cc, nc, tt, ct, callers = stats.get(func, (0, 0, 0.0, 0.0, {}))
+            stats[func] = (
+                cc + entry.callcount - entry.reccallcount, nc + entry.callcount,
+                tt + entry.inlinetime, ct + entry.totaltime, callers,
+            )
+        for entry in entries:
+            func = cProfile.label(entry.code)
+            for sub in entry.calls or ():
+                if sub.code == _DISABLE:
+                    continue
+                callers = stats[cProfile.label(sub.code)][4]
+                nc, cc, tt, ct = callers.get(func, (0, 0, 0.0, 0.0))
+                callers[func] = (
+                    nc + sub.callcount, cc + sub.callcount - sub.reccallcount,
+                    tt + sub.inlinetime, ct + sub.totaltime,
+                )
+        self.stats = stats
+
+
+def profile_threads(run) -> tuple[object, pstats.Stats]:
+    """``run()`` with a profiler on this thread and on each it starts.
+
+    The calls counted are :func:`census`'s: ``run`` itself is not, and a
+    started thread's ``run`` is.
+    """
+    profiles: list[_Profile] = []
+    outer = sys._getframe()
+
+    def attach(frame, _event, _arg) -> None:
+        # The first profile event of a thread swaps this hook for a cProfile
+        # timed by that thread's own CPU clock.  The call it reports is under
+        # way, so the profile sees only its return.
+        profiles.append(_Profile(time.thread_time))
+        if frame.f_back is not outer:
+            profiles[-1].started = frame.f_code
         profiles[-1].enable()
 
     threading.setprofile(attach)
-    attach()
+    sys.setprofile(attach)
     try:
         result = run()
     finally:
-        threading.setprofile(None)
         profiles[0].disable()  # the rank threads exited with theirs enabled
+        sys.setprofile(None)
+        threading.setprofile(None)
     return result, pstats.Stats(*profiles)
 
 
@@ -338,7 +394,7 @@ def main(argv: list[str] | None = None) -> int:
             print_wire_stages(rounds, *census)
     if args.stages:
         return 1 if workload.failed_ops else 0
-    ops, stats = profile_threads(lambda: workload.block(6))
+    ops, stats = profile_threads(functools.partial(workload.block, 6))
     if args.callers:
         print_callers(stats, ops, args.callers)
         return 1 if workload.failed_ops else 0
