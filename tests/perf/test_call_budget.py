@@ -1088,13 +1088,9 @@ def test_the_function_table_and_the_stages_count_one_total(monkeypatch):
     monkeypatch.syspath_prepend(str(E2E))  # ``warm_workload`` imports the benchmark's workloads
     censused, profiled = histogram.warm_workload("replay"), histogram.warm_workload("replay")
     rounds = censused.counted_rounds
-    gc.collect()
-    gc.disable()  # a collection would count the gc callbacks Hypothesis registers
-    try:
-        ops, calls, _ = histogram.wire_census(censused, rounds)
-        profiled_ops, stats = histogram.profile_threads(functools.partial(profiled.block, rounds))
-    finally:
-        gc.enable()
+    # Each turns the collector off: a collection would count the gc callbacks Hypothesis registers.
+    ops, calls, _ = histogram.wire_census(censused, rounds)
+    profiled_ops, stats = histogram.profile_threads(functools.partial(profiled.block, rounds))
     assert profiled_ops == ops > 0
     assert sum(ncalls for _, ncalls, _, _, _ in stats.stats.values()) == sum(calls.values())
     assert censused.failed_ops == profiled.failed_ops == 0

@@ -56,8 +56,8 @@ rounds, with two more rows: a bound request's ``Request.Start`` and every
 ``Request.Wait``, each around the stages it runs.
 ``--markdown`` prints either table as the Markdown ``docs/ARCHITECTURE.md``
 carries between its census markers; a tier-1 test holds the two equal.
-The collector is off while a census runs, so the count does not depend on
-when a collection falls.
+The collector is off while a census or a profile runs, so the count does not
+depend on when a collection falls.
 """
 
 from __future__ import annotations
@@ -124,8 +124,8 @@ class _Profile(cProfile.Profile):
 def profile_threads(run) -> tuple[object, pstats.Stats]:
     """``run()`` with a profiler on this thread and on each it starts.
 
-    The calls counted are :func:`census`'s: ``run`` itself is not, and a
-    started thread's ``run`` is.
+    The calls counted are :func:`census`'s: ``run`` itself is not, a
+    started thread's ``run`` is, and the collector is off.
     """
     profiles: list[_Profile] = []
     outer = sys._getframe()
@@ -139,6 +139,8 @@ def profile_threads(run) -> tuple[object, pstats.Stats]:
             profiles[-1].started = frame.f_code
         profiles[-1].enable()
 
+    gc.collect()
+    gc.disable()
     threading.setprofile(attach)
     sys.setprofile(attach)
     try:
@@ -147,6 +149,7 @@ def profile_threads(run) -> tuple[object, pstats.Stats]:
         profiles[0].disable()  # the rank threads exited with theirs enabled
         sys.setprofile(None)
         threading.setprofile(None)
+        gc.enable()
     return result, pstats.Stats(*profiles)
 
 
