@@ -11,8 +11,10 @@ Two harnesses:
 * a functional 8-rank run with a reduced grid, moving real bytes through the
   interposed pack -> alltoallv -> unpack pipeline and verifying ghost cells;
 * the analytic paper-scale model for the full node sweep (1-512 nodes x 1/2/6
-  ranks per node, 256^3 points per rank), which evaluates exactly the same
-  per-rank cost expressions the functional path charges.
+  ranks per node, 256^3 points per rank), which prices the pack and unpack
+  phases with the functional path's cost expressions and books each rank's
+  all-to-all-v messages on a ``NicTimeline``, as TEMPI's serial engine does
+  (the functional run's system ``Alltoallv`` prices the discounted sum).
 """
 
 from __future__ import annotations

@@ -375,7 +375,8 @@ def _fig12b_note(speedups) -> str:
     trend = "flat" if at_192 == at_3072 else "declining"
     return (
         f"{trend}: {at_192}x at 192 ranks and {at_3072}x at 3072, against the paper's "
-        "~1050x -> ~917x decline; the model has no network contention term"
+        "~1050x -> ~917x decline; each rank's wire books on its own NIC port, and the "
+        "flat model has no shared fabric to contend for"
     )
 
 

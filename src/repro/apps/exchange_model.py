@@ -48,7 +48,6 @@ from dataclasses import dataclass
 from repro.apps.halo import DIRECTIONS, HaloSpec, RankGrid
 from repro.gpu.clock import VirtualClock
 from repro.gpu.stream import Stream
-from repro.machine.network import NetworkModel
 from repro.machine.nic import IngestRecord, NicTimeline
 from repro.machine.spec import SUMMIT, MachineSpec
 from repro.machine.topology import Topology, TopologySpec
@@ -95,25 +94,23 @@ def _pack_phase_time(
 
 
 def _comm_phase_time(spec: HaloSpec, grid: RankGrid, topology: Topology) -> float:
-    """Time the slowest rank spends in the all-to-all-v.
+    """Time the slowest rank spends in the all-to-all-v, booked on the NIC.
 
     Every rank exchanges the same 26 sections; what differs is how many of its
-    neighbours share its node.  The model evaluates every rank's aggregate
-    per-peer byte counts through the same :meth:`NetworkModel.alltoallv_time`
-    the functional path charges and returns the maximum — but since ranks on
-    the same node position are identical it only needs to examine one node's
-    worth of ranks.
+    neighbours share its node, so one node's worth of ranks is examined.  Each
+    posts one message per wire peer, in peer order and all ready when the
+    phase starts, on a fresh :class:`~repro.machine.nic.NicTimeline`
+    (:func:`_book`, duplex): the phase lasts until the rank's last landing.
     """
-    network = NetworkModel(topology.machine)
     worst = 0.0
     for rank in range(min(grid.nranks, topology.ranks_per_node)):
-        per_pair = [0] * grid.nranks
-        for direction, peer in grid.neighbors(rank):
-            per_pair[peer] += spec.halo_bytes(direction)
-        worst = max(
-            worst,
-            network.alltoallv_time(per_pair, topology, rank, device_buffers=True),
-        )
+        flows = []
+        for peer, directions in _send_groups(grid, rank).items():
+            nbytes = sum(spec.halo_bytes(d) for d in directions)
+            wire = topology.message_time(rank, peer, nbytes, device_buffers=True)
+            flows.append((rank, peer, 0.0, wire, nbytes, None))
+        booked = _book(NicTimeline(ledger_limit=0), flows, nic="duplex")
+        worst = max([worst] + [landing for _, landing in booked])
     return worst
 
 
@@ -146,7 +143,11 @@ def model_halo_exchange(
     baseline (one memcpy per contiguous block); ``tempi=True`` prices them
     with TEMPI's kernels.  The communication phase is identical in both cases,
     which is why the paper's speedup shrinks as communication grows with the
-    rank count.
+    rank count.  That phase books every peer's message on a
+    :class:`~repro.machine.nic.NicTimeline` once the packs are done, as
+    TEMPI's serial engine books it; the system library's ``Alltoallv``, which
+    the functional Fig. 12 row runs, still prices the discounted sum of
+    :meth:`~repro.machine.network.NetworkModel.alltoallv_time`.
     """
     spec, grid, topology = _halo_world(nodes, ranks_per_node, spec, machine)
     return ExchangeBreakdown(
@@ -199,9 +200,10 @@ def model_fused_exchange(
 
     One pack kernel per section straight out of the user buffer (no
     ``MPI_Pack`` loop, handler overhead charged once per collective), then
-    the analytic all-to-all-v wire, then one unpack kernel per section —
-    packs, wire and unpacks still add up, which is exactly what the
-    overlapped pipeline removes.
+    every peer's message booked on a :class:`~repro.machine.nic.NicTimeline`
+    as the serial engine books it, all ready when the last pack is, then one
+    unpack kernel per section — packs, wire and unpacks still add up, which
+    is exactly what the overlapped pipeline removes.
     """
     spec, grid, topology = _halo_world(nodes, ranks_per_node, spec, machine)
     return ExchangeBreakdown(
@@ -226,8 +228,7 @@ def model_overlap_exchange(
 
     Per-peer pack kernels run concurrently on their own streams; each peer's
     message enters the NIC when its pack completes (transfers serialising at
-    ``wire_overlap`` occupancy, the same discount the analytic all-to-all-v
-    uses); by symmetry the incoming message from a peer arrives when the
+    ``wire_overlap`` occupancy); by symmetry the incoming message from a peer arrives when the
     outgoing one would, and its unpack is issued at arrival on its own
     stream.  The exchange therefore costs the makespan of the slowest
     pack → wire → unpack chain, not the sum of phases.

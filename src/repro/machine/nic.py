@@ -12,8 +12,7 @@ Send side (the PR-3 rules, unchanged and always active):
 * every rank owns one **injection port**; all messages a rank injects —
   across plans, across operations — serialise on it at
   :data:`~repro.machine.network.DEFAULT_WIRE_OVERLAP` occupancy (the same
-  factor the analytic all-to-all-v model discounts by, so single-plan pricing
-  is unchanged)::
+  factor the system library's all-to-all-v discounts by)::
 
       start    = max(ready, port_free[src], link_free[src, dst])
       arrival  = start + wire

@@ -96,9 +96,11 @@ class TempiConfig:
     allreduce_algorithm: str = "auto"
     #: Overlap pack kernels with wire time: the plan executor issues each
     #: peer's pack on its own stream and posts that peer's message the moment
-    #: its pack completes.  ``False`` reproduces the serial engine (pack every
-    #: peer, then post) for ablations — ``bench_fig14_overlap.py`` measures
-    #: the difference.
+    #: its pack completes.  ``False`` reproduces the serial schedule (every
+    #: pack synchronised on the host, a collective's messages posted when its
+    #: last pack is done, every unpack synchronous) for ablations —
+    #: ``bench_fig14_overlap.py`` measures the difference.  Both schedules
+    #: book every message on the same NIC, so only the schedule differs.
     overlap: bool = True
     #: Wire-state accounting of the progress engine.  ``"shared"`` (the
     #: default) reserves every message on the world's shared

@@ -7,27 +7,27 @@ decides *when*.  Two schedules are supported, selected by
 **Overlapped** (the default).  Every pack stage is issued on its own stream
 from the resource cache and the host returns after the launch overhead; the
 matching post stage hands the message to the wire at the stage's stream
-completion time, with transfers to distinct peers serialising on the NIC at
-the same occupancy factor the analytic all-to-all-v model uses.  Pack kernels
-for peer *k+1* therefore run while peer *k*'s bytes are on the wire — the
-pipeline the paper's halo applications build by hand with
-``Isend``/``Irecv``/``Waitall``.  Receive sides defer to ``Request.Wait``:
-each arriving peer's unpack is issued on its own stream and the host
-synchronises once at the end.
+completion time.  Pack kernels for peer *k+1* therefore run while peer *k*'s
+bytes are on the wire — the pipeline the paper's halo applications build by
+hand with ``Isend``/``Irecv``/``Waitall``.  Receive sides defer to
+``Request.Wait``: each arriving peer's unpack is issued on its own stream and
+the host synchronises once at the end.
 
-**Serial** (``overlap=False``, the PR-1 engine, kept for ablations and
-``bench_fig14_overlap.py``).  Stages run in plan order with a host
-synchronisation after every pack/unpack, messages are posted only after their
-pack completes on the host clock, and the wire is charged analytically at the
-end — pack time and wire time add up instead of overlapping.
+**Serial** (``overlap=False``, the PR-1 schedule, kept for ablations and
+``bench_fig14_overlap.py``).  Every pack runs with a host synchronisation, so
+a collective posts its messages only when its last pack is done, and a send
+or broadcast each message when its own pack is; each arriving peer is
+unpacked synchronously at its landing.  Pack time and wire time add up
+instead of overlapping.
 
-Both schedules move exactly the same bytes; only the virtual-time accounting
-differs, which is what makes serial-vs-overlap comparisons isolate the
-scheduling.
+Both schedules move exactly the same bytes and price the wire by one rule:
+every post reserves its slot on the
+:class:`~repro.machine.nic.NicTimeline` and every receive lands through it,
+so a serial-vs-overlap comparison changes the schedule alone.
 
 Wire state itself lives one layer down, in the per-rank
-:class:`~repro.tempi.progress.ProgressEngine`: every overlapped post reserves
-its slot through the engine (cross-plan NIC contention under
+:class:`~repro.tempi.progress.ProgressEngine`: every post reserves its slot
+through the engine (cross-plan NIC contention under
 ``TempiConfig(progress="shared")``, the PR-2 per-plan cursor under
 ``progress="per_plan"``), sub-eager nonblocking sends may be handed to the
 engine's batcher instead of executing immediately, and receive-side readiness
@@ -197,8 +197,8 @@ class PlanExecutor:
 
         The one post helper of every plan.  Only a ``slot`` reserved on the
         shared timeline (``seq >= 0``) stamps the envelope with its NIC
-        identity for receive-side ingestion; per-plan and serial posts opt
-        out and keep ``available_at``, the sender-computed arrival, final.
+        identity for receive-side ingestion; per-plan posts opt out and keep
+        ``available_at``, the sender-computed arrival, final.
         """
         comm = self.comm
         wire_s, post_time, seq = (
@@ -222,10 +222,9 @@ class PlanExecutor:
     # -------------------------------------------------------------------- send
     def _execute_send(self, plan: MessagePlan, request: Request) -> Request:
         comm = self.comm
-        if self.overlap:
-            batched = self.engine.offer_send(plan, request)
-            if batched is not None:
-                return batched
+        batched = self.engine.offer_send(plan, request)
+        if batched is not None:
+            return batched
         self.engine.progress()
         stage = plan.pack_stages[0]
         post = plan.post_stages[0]
@@ -234,13 +233,8 @@ class PlanExecutor:
         try:
             payload, ready = self._pack_stage(stage, plan.send_buffer, staging, stream)
             wire = comm._message_time(post.nbytes, post.peer, payload.is_device)
-            if self.overlap:
-                slot = self.engine.reserve_wire(
-                    post.peer, ready, wire, post.nbytes, device=payload.is_device
-                )
-                arrival = slot.arrival
-            else:
-                arrival, slot = ready + wire, None
+            slot = self.engine.reserve_wire(post.peer, ready, wire, post.nbytes, device=payload.is_device)
+            arrival = slot.arrival
             self._post(post.peer, plan.tag, payload.data[: post.nbytes], payload.is_device, arrival, slot)
         finally:
             staging.release()
@@ -265,21 +259,14 @@ class PlanExecutor:
         stage = plan.pack_stages[0]
         staging = _StagingTracker(self.cache)
         stream = self.cache.get_stream() if self.overlap else None
-        window = self.engine.plan_window() if self.overlap else None
+        window = self.engine.plan_window()
         try:
             payload, ready = self._pack_stage(stage, plan.send_buffer, staging, stream)
             for post in plan.post_stages:
                 wire = comm._message_time(post.nbytes, post.peer, payload.is_device)
+                slot = window.reserve_wire(post.peer, ready, wire, post.nbytes, device=payload.is_device)
                 data = payload.data[: post.nbytes]
-                if window is not None:
-                    slot = window.reserve_wire(
-                        post.peer, ready, wire, post.nbytes, device=payload.is_device
-                    )
-                    self._post(post.peer, plan.tag, data, payload.is_device, slot.arrival, slot)
-                else:
-                    # The serial ablation prices each transfer independently,
-                    # exactly like serial sends (no NIC serialisation).
-                    self._post(post.peer, plan.tag, data, payload.is_device, ready + wire)
+                self._post(post.peer, plan.tag, data, payload.is_device, slot.arrival, slot)
         finally:
             staging.release()
             if stream is not None:
@@ -350,8 +337,8 @@ class PlanExecutor:
             return packed[key]
 
         try:
+            window = self.engine.plan_window()
             if self.overlap:
-                window = self.engine.plan_window()
                 for post in plan.post_stages:
                     if id(post.pack) not in packed:
                         stream = self.cache.get_stream()
@@ -368,9 +355,18 @@ class PlanExecutor:
                 self.stats.stages_overlapped += len(plan.pack_stages)
             else:
                 for post in plan.post_stages:
-                    payload, ready = pack_once(post.pack, None)
+                    pack_once(post.pack, None)
+                # Each pack synchronised the host: every message is ready
+                # when the last pack is.
+                ready = comm.clock.now
+                for post in plan.post_stages:
+                    payload = packed[id(post.pack)][0]
+                    wire = comm._message_time(post.nbytes, post.peer, payload.is_device)
+                    slot = window.reserve_wire(
+                        post.peer, ready, wire, post.nbytes, device=payload.is_device
+                    )
                     data = payload.data[: post.nbytes]
-                    self._post(post.peer, tag, data, payload.is_device, comm.clock.now)
+                    self._post(post.peer, tag, data, payload.is_device, slot.arrival, slot)
             if plan.local is not None:
                 self._run_local(plan, staging)
         finally:
@@ -384,7 +380,6 @@ class PlanExecutor:
                 self.stats.deferred_unpacks += len(plan.unpack_stages)
             recv_staging = _StagingTracker(self.cache)
             recv_streams: list = []
-            latest = comm.clock.now
             try:
                 # Receive the whole set first: the receive side of one plan is
                 # one ingestion batch, served in the deterministic
@@ -398,25 +393,18 @@ class PlanExecutor:
                             f"rank {comm.rank} expected {stage.nbytes} packed bytes from "
                             f"{stage.peer}, got {envelope.payload.nbytes}"
                         )
-                    latest = max(latest, landing)
+                    comm.clock.advance_to(landing)
+                    stream = None
                     if self.overlap:
-                        comm.clock.advance_to(landing)
                         stream = self.cache.get_stream()
                         recv_streams.append(stream)
-                        self._unpack_stage(
-                            stage, envelope.payload, plan.recv_buffer, recv_staging, stream
-                        )
-                    else:
-                        self._unpack_stage(
-                            stage, envelope.payload, plan.recv_buffer, recv_staging, None
-                        )
+                    self._unpack_stage(
+                        stage, envelope.payload, plan.recv_buffer, recv_staging, stream
+                    )
                 if self.overlap:
                     for stream in recv_streams:
                         comm.gpu.stream_synchronize(stream)
                     self.stats.stages_overlapped += len(plan.unpack_stages)
-                else:
-                    comm.clock.advance_to(latest)
-                    self._charge_serial_wire(plan)
             finally:
                 for stream in recv_streams:
                     self.cache.put_stream(stream)
@@ -489,14 +477,8 @@ class PlanExecutor:
                 wire = priced[key] = comm._message_time(send_nbytes, dest, device)
             offset = stage.send_offset
             payload = acc[offset : offset + send_nbytes]
-            now = comm.clock.now
-            if self.overlap:
-                slot = self.engine.reserve_wire(dest, now, wire, send_nbytes, device=device)
-                self._post(dest, plan.tag, payload, device, slot.arrival, slot)
-            else:
-                # The serial ablation prices each transfer independently,
-                # exactly like serial sends (no NIC serialisation).
-                self._post(dest, plan.tag, payload, device, now + wire)
+            slot = self.engine.reserve_wire(dest, comm.clock.now, wire, send_nbytes, device=device)
+            self._post(dest, plan.tag, payload, device, slot.arrival, slot)
         if stage.source < 0:
             return
         envelope = comm.router.receive(comm.rank, stage.source, plan.tag, comm.context)
@@ -559,34 +541,3 @@ class PlanExecutor:
             return True
 
         return Request("coll", complete=complete, ready=ready)
-
-    def _charge_serial_wire(self, plan: MessagePlan) -> None:
-        """The serial engine's analytic wire charge, split by transfer path."""
-        comm = self.comm
-        pair_methods: dict[int, PackMethod] = {}
-        for post in plan.post_stages:
-            pair_methods[post.peer] = post.pack.method
-        for stage in plan.unpack_stages:
-            pair_methods.setdefault(stage.peer, stage.method)
-        sent = {post.peer: post.nbytes for post in plan.post_stages}
-        received = {stage.peer: stage.nbytes for stage in plan.unpack_stages}
-        device_pairs = [0] * comm.size
-        host_pairs = [0] * comm.size
-        for peer, method in pair_methods.items():
-            nbytes = max(sent.get(peer, 0), received.get(peer, 0))
-            if method is PackMethod.DEVICE:
-                device_pairs[peer] = nbytes
-            else:
-                host_pairs[peer] = nbytes
-        if any(device_pairs):
-            comm.clock.advance(
-                comm.network.alltoallv_time(
-                    device_pairs, comm.topology, comm.rank, device_buffers=True
-                )
-            )
-        if any(host_pairs):
-            comm.clock.advance(
-                comm.network.alltoallv_time(
-                    host_pairs, comm.topology, comm.rank, device_buffers=False
-                )
-            )

@@ -236,8 +236,8 @@ class ProgressEngine:
 
         Returns the (possibly delayed) landing time ``Wait`` should advance
         to.  Under ``nic="inject_only"`` — or for envelopes that never went
-        through the shared timeline (system path, serial engine) — this is
-        exactly the sender-computed ``available_at``, bit-for-bit.
+        through the shared timeline (the system path, ``progress="per_plan"``)
+        — this is exactly the sender-computed ``available_at``, bit-for-bit.
 
         Runs once per received wire message, so the :meth:`_ingestable` test
         is inlined and, with no topology to bind a rail, the record is built

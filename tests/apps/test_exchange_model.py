@@ -421,6 +421,14 @@ _MOE = [MoESpec(skew=skew) for skew in (1.0, 2.0, 4.0, 8.0)]
 #: Every twin that books on a ``NicTimeline``, called over its grid in
 #: ``tools/make_golden_fixtures.py``'s ``run_twins``.
 BOOKING_TWINS = {
+    "model_halo_exchange": [
+        functools.partial(model_halo_exchange, nodes, rpn, spec=spec, tempi=tempi)
+        for spec in _HALO_SPECS for nodes, rpn in _SHAPES for tempi in (True, False)
+    ],
+    "model_fused_exchange": [
+        functools.partial(model_fused_exchange, nodes, rpn, spec=spec)
+        for spec in _HALO_SPECS for nodes, rpn in _SHAPES
+    ],
     "model_contended_exchange": [
         functools.partial(model_contended_exchange, nodes, rpn, plans=plans, spec=spec,
                           shared_nic=shared_nic, nic=nic)

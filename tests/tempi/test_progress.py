@@ -200,7 +200,10 @@ class TestCrossPlanSerialisation:
         assert shared_2 - shared_1 >= DEFAULT_WIRE_OVERLAP * wire_s * (1 - 1e-9)
         assert shared_2 >= per_plan_2
 
-    def _concurrent_collectives(self, summit_model, config, plans):
+    def _concurrent_collectives(self, summit_model, config, plans, rounds=1):
+        """The slowest rank's time for the last of ``rounds`` bursts of
+        ``plans`` concurrent ``Ialltoallv``s (a later round is warm)."""
+
         def program(ctx):
             comm = interpose(ctx, config, model=summit_model)
             t = big_vector_type(comm)
@@ -209,16 +212,17 @@ class TestCrossPlanSerialisation:
             recvs = [ctx.gpu.malloc(t.extent * size) for _ in range(plans)]
             counts = [1] * size
             displs = [p * t.extent for p in range(size)]
-            comm.Barrier()
-            start = ctx.clock.now
-            requests = [
-                comm.Ialltoallv(
-                    send, counts, displs, recv, counts, displs,
-                    sendtypes=t, recvtypes=t,
-                )
-                for recv in recvs
-            ]
-            Request.Waitall(requests)
+            for _ in range(rounds):
+                comm.Barrier()
+                start = ctx.clock.now
+                requests = [
+                    comm.Ialltoallv(
+                        send, counts, displs, recv, counts, displs,
+                        sendtypes=t, recvtypes=t,
+                    )
+                    for recv in recvs
+                ]
+                Request.Waitall(requests)
             return ctx.clock.now - start
 
         return max(World(3, ranks_per_node=1).run(program))
@@ -233,6 +237,41 @@ class TestCrossPlanSerialisation:
         # case, and at or above the PR-2 per-plan accounting.
         assert two >= one * (1 + 1e-6)
         assert two >= uncontended
+
+    def test_serial_plans_contend_unless_per_plan(self, summit_model):
+        """The serial engine books on the shared port too, so two concurrent
+        serial plans price above the per-plan books of the same schedule (a
+        warm round: a cold one's first unpacks outlast the port's queue)."""
+        shared = self._concurrent_collectives(summit_model, TempiConfig(overlap=False), 2, rounds=2)
+        per_plan = self._concurrent_collectives(
+            summit_model, TempiConfig(overlap=False, progress="per_plan"), 2, rounds=2
+        )
+        assert shared > per_plan * (1 + 1e-6)
+
+    def test_serial_incast_queues_at_the_receiver_unless_inject_only(self, summit_model):
+        """Three senders' serial sends converge on rank 0: under duplex books
+        they land one port occupancy apart, under inject-only together (a
+        warm round: a cold one's first unpack outlasts the port's queue)."""
+
+        def program(ctx, config):
+            comm = interpose(ctx, config, model=summit_model)
+            t = big_vector_type(comm)
+            buf = ctx.gpu.malloc(t.extent)
+            for _ in range(2):
+                comm.Barrier()
+                start = ctx.clock.now
+                if ctx.rank == 0:
+                    for source in (1, 2, 3):
+                        comm.Recv((buf, 1, t), source=source)
+                else:
+                    comm.Send((buf, 1, t), dest=0)
+            return ctx.clock.now - start
+
+        duplex, inject = (
+            World(4, ranks_per_node=1).run(program, TempiConfig(overlap=False, nic=nic))[0]
+            for nic in ("duplex", "inject_only")
+        )
+        assert duplex > inject * (1 + 1e-6)
 
     def test_stall_counter_surfaces_contention(self, summit_model):
         def program(ctx):
@@ -534,9 +573,9 @@ class TestBcastThroughPlans:
 
         assert World(1).run(program) == [0]
 
-    def test_serial_ablation_prices_bcast_without_nic(self, summit_model):
-        """``overlap=False`` broadcasts price each transfer independently,
-        like serial sends — no NIC reservations, bytes still correct."""
+    def test_serial_ablation_books_bcast_on_the_nic(self, summit_model):
+        """``overlap=False`` broadcasts reserve one slot per peer on the
+        world's NIC, as the overlapped engine does, and deliver the bytes."""
 
         def program(ctx):
             comm = interpose(ctx, TempiConfig(overlap=False), model=summit_model)
@@ -550,7 +589,7 @@ class TestBcastThroughPlans:
 
         world = World(3, ranks_per_node=1)
         assert world.run(program) == [1, 1, 1]
-        assert world.nic.reservations == 0
+        assert world.nic.reservations == 2  # root → each of 2 peers
 
     def test_bcast_charges_serialised_wire_per_peer(self, summit_model):
         """The root's fan-out reserves one NIC slot per peer."""
