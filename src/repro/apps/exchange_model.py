@@ -228,9 +228,9 @@ def model_overlap_exchange(
 
     Per-peer pack kernels run concurrently on their own streams; each peer's
     message enters the NIC when its pack completes (transfers serialising at
-    ``wire_overlap`` occupancy); by symmetry the incoming message from a peer arrives when the
-    outgoing one would, and its unpack is issued at arrival on its own
-    stream.  The exchange therefore costs the makespan of the slowest
+    ``wire_overlap`` occupancy); by symmetry the incoming message from a peer
+    arrives when the outgoing one would, and its unpack is issued at arrival
+    on its own stream.  The exchange therefore costs the makespan of the slowest
     pack → wire → unpack chain, not the sum of phases.
 
     The reported phases partition that makespan: ``pack_s`` is the time until
