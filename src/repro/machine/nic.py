@@ -706,6 +706,11 @@ class NicTimeline:
         #: The trace sink ("Event stream" in the module docstring): the one
         #: :func:`trace_default` set when this timeline was built.
         self.sink: Optional[NicSink] = _TRACE_SINK
+        #: Who may commit here, for a sink's guard: ``runner()`` is the rank
+        #: holding the run token and its host thread, or ``None`` while no
+        #: run is active.  The ``World`` that owns the timeline sets it; a
+        #: private timeline has none.
+        self.runner: Optional[Callable[[], Optional[tuple[int, threading.Thread]]]] = None
 
     # ---------------------------------------------------------------- reserve
     def reserve(

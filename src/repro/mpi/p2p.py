@@ -97,8 +97,10 @@ class MessageRouter:
         self._scheduled: set[int] = set()
         self._running: Optional[int] = None
         self._runnable: deque[int] = deque()
-        #: Launched rank threads that have reached :meth:`enter`.
+        #: Launched rank threads that have reached :meth:`enter`, and each
+        #: rank's host thread, recorded there.
         self._entered = 0
+        self._threads: dict[int, threading.Thread] = {}
         #: Each rank's clock (handed over by the ``World``) and the ranks
         #: parked in :meth:`await_key` with their keys: the ranks' bounds.
         self.clocks: list[VirtualClock] = []
@@ -272,6 +274,7 @@ class MessageRouter:
         how fast its threads start.
         """
         with self.lock:
+            self._threads[rank] = threading.current_thread()
             self._entered += 1
             if self._entered == self.nranks:
                 self._dispatch()
@@ -282,6 +285,12 @@ class MessageRouter:
         with self.lock:
             self._scheduled.discard(rank)
             self._dispatch()
+
+    def token_holder(self) -> Optional[tuple[int, threading.Thread]]:
+        """The rank holding the run token and its host thread, or ``None``
+        while no run is active: who may touch the router and the NIC."""
+        running = self._running
+        return None if running is None else (running, self._threads[running])
 
     def block(
         self,

@@ -93,6 +93,7 @@ class World:
         #: concurrent plans contend for the wire (``TempiConfig(progress=...)``).
         self.nic = NicTimeline()
         self.router = MessageRouter(nranks)
+        self.nic.runner = self.router.token_holder
         self.contexts: list[ProcessContext] = []
         for rank in range(nranks):
             clock = VirtualClock()

@@ -43,7 +43,12 @@ Each audited event then checks:
 * **pricing purity** — the rank-scoped ledger fingerprint and the rank's
   mutation count are equal at both ends of a selector's pricing bracket
   (:class:`~repro.machine.nic.PricingEvent`): the dynamic twin of
-  simlint's SIM002.
+  simlint's SIM002;
+* **one runner** — while a ``World.run`` is active, every post and ingest
+  commit is made on the host thread of the rank holding the run token
+  (the timeline's :attr:`~repro.machine.nic.NicTimeline.runner`), which
+  is what lets the NIC and the router go without locks: the runtime half
+  of simlint's SIM008.
 
 Every value checked travels on the event, so the sanitizer never reads the
 timeline back.  ``repro sanitize`` replays the figure benchmarks — the
@@ -124,8 +129,9 @@ def _vc_leq(left: dict[int, int], right: dict[int, int]) -> bool:
 class _TimelineAudit:
     """Vector clocks, last-seen cursors and accounts of one traced timeline."""
 
-    def __init__(self, counters: dict[str, int]) -> None:
+    def __init__(self, counters: dict[str, int], timeline: NicTimeline) -> None:
         self.counters = counters
+        self.timeline = timeline
         self.vc: dict[int, dict[int, int]] = {}
         #: Per rank, its mutations so far (posts and ingests).
         self.events: dict[int, int] = {}
@@ -164,6 +170,22 @@ class _TimelineAudit:
     def _violation(self, message: str, first: SanitizerEvent, second: SanitizerEvent) -> None:
         self.counters["violations"] += 1
         raise SanitizerError(message, first, second)
+
+    def _on_the_token(self, event: SanitizerEvent) -> None:
+        """A commit while a run is active comes from the run-token holder's
+        thread: one runner at a time is what lets the NIC and the router
+        go without locks."""
+        runner = self.timeline.runner
+        holder = runner() if runner is not None else None
+        if holder is None or holder[1] is threading.current_thread():
+            return
+        rank, thread = holder
+        self._violation(
+            f"thread {threading.current_thread().name!r} committed to the NIC while "
+            f"rank {rank} holds the run token on thread {thread.name!r}",
+            SanitizerEvent("run-token", rank, 0, f"held on thread {thread.name!r}"),
+            event,
+        )
 
     def _monotone(
         self, last: dict[int, tuple[float, SanitizerEvent]], rank: int, cursor: float,
@@ -221,6 +243,7 @@ class _TimelineAudit:
             self._tick(source),
             f"dest {post.dest}, post_time={reservation.start:.9g}, seq={reservation.seq}",
         )
+        self._on_the_token(event)
         self.counters["posts"] += 1
         # Account first: the cursors below still hold the values this post
         # met.  The port binds a tie with the link, a rail one with a bundle.
@@ -267,6 +290,7 @@ class _TimelineAudit:
         event = SanitizerEvent(
             "ingest-commit", dest, self._tick(dest), f"{len(ingest.records)} record(s)"
         )
+        self._on_the_token(event)
         self.counters["ingests"] += 1
         # Each landing carries the cursor that delayed it and the port time it held.
         for record, landing, bound, held in ingest.landings:
@@ -400,5 +424,5 @@ class ClockSanitizer:
         with self._lock:
             audit = self.audits.get(timeline)
             if audit is None:
-                audit = self.audits[timeline] = _TimelineAudit(self.counters)
+                audit = self.audits[timeline] = _TimelineAudit(self.counters, timeline)
             _HANDLERS[type(event)](audit, event)

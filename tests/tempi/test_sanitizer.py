@@ -338,6 +338,60 @@ class TestMonotonicity:
         assert sanitizer.counters["posts"] == 16
 
 
+class TestOneRunner:
+    """While a run is active, only the run-token holder's thread commits."""
+
+    def test_a_foreign_thread_commit_during_a_run_is_refused_naming_it(self):
+        sanitizer = ClockSanitizer()
+        with trace_default(sanitizer):
+            world = World(2)
+        errors: list[SanitizerError] = []
+
+        def intrude() -> None:
+            try:
+                world.nic.reserve(0, 1, 0.0, WIRE_S, KIB)
+            except SanitizerError as error:
+                errors.append(error)
+
+        def program(ctx) -> None:
+            if ctx.rank == 0:  # rank 0 holds the token while the thread runs
+                intruder = threading.Thread(target=intrude, name="intruder")
+                intruder.start()
+                intruder.join(timeout=10.0)
+
+        world.run(program)
+        (error,) = errors
+        assert "thread 'intruder' committed to the NIC while rank 0 holds the run token " \
+            "on thread 'rank-0'" in str(error)
+        token, post = error.events
+        assert (token.kind, token.rank) == ("run-token", 0)
+        assert (post.kind, post.rank) == ("post", 0)
+        assert sanitizer.counters["violations"] == 1
+
+    def test_the_token_holder_and_a_thread_outside_a_run_commit_freely(self):
+        sanitizer = ClockSanitizer()
+        with trace_default(sanitizer):
+            world = World(2)
+
+        posted: list[NicReservation] = []
+
+        def program(ctx) -> None:
+            if ctx.rank == 0:
+                posted.append(ctx.world.nic.reserve(0, 1, 0.0, WIRE_S, KIB))
+            ctx.comm.Barrier()
+            if ctx.rank == 1:
+                (reservation,) = posted
+                ctx.world.nic.ingest(1, [IngestRecord(
+                    reservation.start, 0, reservation.seq, WIRE_S, reservation.arrival
+                )])
+
+        world.run(program)
+        world.nic.reserve(0, 1, 1.0, WIRE_S, KIB)  # no run is active
+        assert world.router.token_holder() is None
+        counters = sanitizer.counters
+        assert (counters["posts"], counters["ingests"], counters["violations"]) == (2, 1, 0)
+
+
 class TestResetSemantics:
     """A sink's state across attaches and timelines (a timeline has no reset)."""
 
