@@ -84,11 +84,11 @@ Event stream.  A timeline built inside :func:`trace_default` — a
 ``World``'s, or a private one an analytic twin or a benchmark books on —
 keeps that :attr:`~NicTimeline.sink` and calls it as ``sink(timeline,
 event)`` once per reservation (:class:`PostEvent`) and ingestion commit
-(:class:`IngestEvent`), under the timeline's lock and carrying every cursor
+(:class:`IngestEvent`), carrying every cursor
 the commit set and every wait where the timeline clamps it, so a sink
 never reads the timeline back.  A traced timeline books a batch through
 the scalar rules it is defined as (``reserve_batch`` row by row through
-``_reserve_one``, ``ingest_batch_vec`` through ``_ingest_locked``), so
+``_reserve_one``, ``ingest_batch_vec`` through ``_commit_ingest``), so
 every booking reaches the sink; the vector kernels run untraced only.
 The reads and joins only a caller can name a rank for — a contended
 selector's backlog read and pricing bracket, the interposer's collective
@@ -462,7 +462,7 @@ class JoinEvent(NamedTuple):
 #: One entry of a traced timeline's event stream.
 NicEvent = Union[PostEvent, IngestEvent, BacklogReadEvent, PricingEvent, JoinEvent]
 #: A trace sink, called as ``sink(timeline, event)``; it must not call back
-#: into the timeline, whose lock it runs under for the timeline's own events.
+#: into the timeline, which calls it in the middle of a commit.
 NicSink = Callable[["NicTimeline", NicEvent], None]
 
 #: The sink every :class:`NicTimeline` built now carries (see :func:`trace_default`).
@@ -637,11 +637,13 @@ class _LedgerRing:
 class NicTimeline:
     """Per-rank injection *and* ingestion ports plus a per-link ledger.
 
-    Thread-safe: ranks run on threads and reserve concurrently.  Each
-    injection port is only ever advanced by its owning (sending) rank and
-    each ingestion port only by its owning (receiving) rank, so per-rank
-    virtual timing stays deterministic; the lock merely keeps the shared
-    dictionaries (and the one deferred :class:`_PendingBlock`) coherent.
+    One runner at a time, no lock: a ``World``'s ranks run on threads, but
+    only the rank holding the router's run token runs, so its commits never
+    interleave with another's (simlint's SIM008 keeps other threads off
+    priced state, and a sanitizer sink checks each commit's thread against
+    :attr:`runner`).  Each injection port is only ever advanced by its
+    owning (sending) rank and each ingestion port only by its owning
+    (receiving) rank, so per-rank virtual timing stays deterministic.
     """
 
     def __init__(
@@ -677,7 +679,6 @@ class NicTimeline:
         #: (counted in ``_pending_total``; settled before ``_pending`` is used).
         self._block: Optional[_PendingBlock] = None
         self._ledger = _LedgerRing(ledger_limit or 1)
-        self._lock = threading.Lock()
         self.reservations = 0
         self.stalls = 0
         self.ingests = 0
@@ -748,7 +749,7 @@ class NicTimeline:
 
         A coalesced batch of ``messages`` envelopes is one reservation: its
         ``seq`` is the first's, and the rest draw the next seqs in enqueue
-        order under the same lock, inside the one :class:`PostEvent`.
+        order, inside the one :class:`PostEvent`.
         """
         # Chained comparisons: NaN fails every one, and none costs a call.
         if not 0 <= wire_s < np.inf:
@@ -757,11 +758,10 @@ class NicTimeline:
             raise NicError(f"ready must be finite, got {ready}")
         if nbytes < 0:
             raise NicError(f"nbytes must be non-negative, got {nbytes}")
-        with self._lock:
-            reservation = self._reserve_one(source, dest, ready, wire_s, int(nbytes), ingest, path)
-            if messages > 1:
-                self._seqs[source] += messages - 1
-            return reservation
+        reservation = self._reserve_one(source, dest, ready, wire_s, int(nbytes), ingest, path)
+        if messages > 1:
+            self._seqs[source] += messages - 1
+        return reservation
 
     def _reserve_one(
         self,
@@ -773,7 +773,7 @@ class NicTimeline:
         ingest: bool,
         path: Optional[PathSpec],
     ) -> NicReservation:
-        """One reservation with the lock already held (see :meth:`reserve`).
+        """One reservation (see :meth:`reserve`).
 
         The single place the scalar injection rules live: :meth:`reserve`
         wraps it per message, and it is the reference :meth:`reserve_batch`'s
@@ -861,7 +861,7 @@ class NicTimeline:
             self.peak_pending = self._pending_total
 
     def _settle(self) -> None:
-        """Move the deferred block's survivors into the dict book, lock held.
+        """Move the deferred block's survivors into the dict book.
 
         Representation only: they were counted when the block was deferred,
         so totals, high-water mark and fingerprint do not move.
@@ -965,13 +965,12 @@ class NicTimeline:
             if self.sink is not None:
                 # Traced: the scalar loop above, so every reservation reaches the sink.
                 routes = paths.paths if paths is not None else [[None] * k] * m
-                with self._lock:
-                    booked = [
-                        self._reserve_one(source, dest, ready_ij, wire_ij, nbytes_ij, ingest, path)
-                        for source, *row in zip(src.tolist(), dst.tolist(), rdy.tolist(),
-                                                wire.tolist(), nb.tolist(), routes, strict=True)
-                        for dest, ready_ij, wire_ij, nbytes_ij, path in zip(*row)
-                    ]
+                booked = [
+                    self._reserve_one(source, dest, ready_ij, wire_ij, nbytes_ij, ingest, path)
+                    for source, *row in zip(src.tolist(), dst.tolist(), rdy.tolist(),
+                                            wire.tolist(), nb.tolist(), routes, strict=True)
+                    for dest, ready_ij, wire_ij, nbytes_ij, path in zip(*row)
+                ]
                 start, arrival, stalled, _, seq = zip(*booked)
                 out.start.flat, out.arrival.flat, out.stalled_s.flat, out.seq.flat = (
                     start, arrival, stalled, seq
@@ -987,8 +986,7 @@ class NicTimeline:
                 and not wire.flags.writeable
             ):
                 self._batch_shape = (src, dst, wire, paths, self.wire_overlap, plan)
-        with self._lock:
-            return self._reserve_batch_sweep(out, rdy, nb, ingest, plan)
+        return self._reserve_batch_sweep(out, rdy, nb, ingest, plan)
 
     def _reserve_batch_sweep(
         self,
@@ -998,7 +996,7 @@ class NicTimeline:
         ingest: bool,
         plan: _BatchPlan,
     ) -> BatchReservation:
-        """Price a scheduled batch one wavefront level at a time, lock held.
+        """Price a scheduled batch one wavefront level at a time.
 
         The cursors the batch binds are gathered once into one vector
         (ports, links, rails, bundles, the ``-inf`` sink absent cursors
@@ -1106,11 +1104,10 @@ class NicTimeline:
                     and -np.inf < record.arrival < np.inf):
                 bad = [f for f in ("post_time", "wire_s", "arrival") if not np.isfinite(getattr(record, f))]
                 raise NicError(f"{bad[0]} must be finite, got {record}")
-        with self._lock:
-            return self._ingest_locked(dest, records)
+        return self._commit_ingest(dest, records)
 
-    def _ingest_locked(self, dest: int, records: Sequence[IngestRecord]) -> list[float]:
-        """One ingestion batch with the lock already held (see :meth:`ingest`).
+    def _commit_ingest(self, dest: int, records: Sequence[IngestRecord]) -> list[float]:
+        """One ingestion commit of a batch (see :meth:`ingest`).
 
         The single place the scalar ingestion rules live: :meth:`ingest`
         wraps it per batch and :meth:`ingest_batch_vec`'s serialised fallback
@@ -1228,8 +1225,7 @@ class NicTimeline:
         :meth:`reserve_batch` left deferred are consumed as arrays, without
         ever becoming dict entries.  Anything else (a traced timeline, an
         incast sharing a destination row, zero-wire passthroughs, colliding
-        keys) falls back to serialising rows through :meth:`_ingest_locked`
-        under the one lock acquisition.
+        keys) falls back to serialising rows through :meth:`_commit_ingest`.
         """
         dst = np.asarray(dests, dtype=np.int64)
         post = np.ascontiguousarray(np.asarray(post_time, dtype=np.float64))
@@ -1256,54 +1252,53 @@ class NicTimeline:
         landings = np.empty((m, k), dtype=np.float64)
         if m == 0 or k == 0:
             return landings
-        with self._lock:
-            cached = self._ingest_shape
-            if cached is not None and dests is cached[0] and rails is cached[1]:
-                # Frozen-shape fast lane: the same read-only arrays
-                # vectorised before, so uniqueness holds and the staging,
-                # Python list and cursor gathers are reused.
-                plan: Optional[_IngestPlan] = cached[2]
-            else:
-                dst_list = dst.tolist()
-                plan = (
-                    _plan_ingest(dst_list, rail, rail_keys)
-                    if len(set(dst_list)) == m else None
+        cached = self._ingest_shape
+        if cached is not None and dests is cached[0] and rails is cached[1]:
+            # Frozen-shape fast lane: the same read-only arrays
+            # vectorised before, so uniqueness holds and the staging,
+            # Python list and cursor gathers are reused.
+            plan: Optional[_IngestPlan] = cached[2]
+        else:
+            dst_list = dst.tolist()
+            plan = (
+                _plan_ingest(dst_list, rail, rail_keys)
+                if len(set(dst_list)) == m else None
+            )
+            if plan is not None and dst is dests and not dst.flags.writeable and (
+                rails is None
+                or (rail is rails[0] and not rails[0].flags.writeable
+                    and isinstance(rails[1], tuple))
+            ):
+                self._ingest_shape = (dst, rails, plan)
+        if plan is not None and self.sink is None and bool(np.all(wire > 0)):
+            order = np.lexsort((seq, src, post), axis=-1)
+            post_sorted = np.take_along_axis(post, order, axis=1)
+            src_sorted = np.take_along_axis(src, order, axis=1)
+            seq_sorted = np.take_along_axis(seq, order, axis=1)
+            if k == 1 or not bool(
+                np.any(
+                    (post_sorted[:, 1:] == post_sorted[:, :-1])
+                    & (src_sorted[:, 1:] == src_sorted[:, :-1])
+                    & (seq_sorted[:, 1:] == seq_sorted[:, :-1])
                 )
-                if plan is not None and dst is dests and not dst.flags.writeable and (
-                    rails is None
-                    or (rail is rails[0] and not rails[0].flags.writeable
-                        and isinstance(rails[1], tuple))
-                ):
-                    self._ingest_shape = (dst, rails, plan)
-            if plan is not None and self.sink is None and bool(np.all(wire > 0)):
-                order = np.lexsort((seq, src, post), axis=-1)
-                post_sorted = np.take_along_axis(post, order, axis=1)
-                src_sorted = np.take_along_axis(src, order, axis=1)
-                seq_sorted = np.take_along_axis(seq, order, axis=1)
-                if k == 1 or not bool(
-                    np.any(
-                        (post_sorted[:, 1:] == post_sorted[:, :-1])
-                        & (src_sorted[:, 1:] == src_sorted[:, :-1])
-                        & (seq_sorted[:, 1:] == seq_sorted[:, :-1])
-                    )
-                ):
-                    return self._ingest_batch_vector(
-                        landings, plan, dst, order, post_sorted, src_sorted,
-                        seq_sorted,
-                        np.take_along_axis(wire, order, axis=1),
-                        np.take_along_axis(arr, order, axis=1),
-                    )
-            for i, dest in enumerate(dst.tolist()):
-                records = [
-                    IngestRecord(
-                        float(post[i, j]), int(src[i, j]), int(seq[i, j]),
-                        float(wire[i, j]), float(arr[i, j]),
-                        rail_keys[rail[i, j]] if rail is not None and rail[i, j] >= 0 else None,
-                    )
-                    for j in range(k)
-                ]
-                landings[i] = self._ingest_locked(dest, records)
-            return landings
+            ):
+                return self._ingest_batch_vector(
+                    landings, plan, dst, order, post_sorted, src_sorted,
+                    seq_sorted,
+                    np.take_along_axis(wire, order, axis=1),
+                    np.take_along_axis(arr, order, axis=1),
+                )
+        for i, dest in enumerate(dst.tolist()):
+            records = [
+                IngestRecord(
+                    float(post[i, j]), int(src[i, j]), int(seq[i, j]),
+                    float(wire[i, j]), float(arr[i, j]),
+                    rail_keys[rail[i, j]] if rail is not None and rail[i, j] >= 0 else None,
+                )
+                for j in range(k)
+            ]
+            landings[i] = self._commit_ingest(dest, records)
+        return landings
 
     def _ingest_batch_vector(
         self,
@@ -1317,7 +1312,7 @@ class NicTimeline:
         wire_sorted: np.ndarray,
         arr_sorted: np.ndarray,
     ) -> np.ndarray:
-        """Serve staged ingestion rows as column steps, lock held.
+        """Serve staged ingestion rows as column steps.
 
         Rows (destinations) of one stage share no cursor and arrive
         pre-sorted into the deterministic ``(post_time, source, seq)``
@@ -1398,30 +1393,25 @@ class NicTimeline:
         """
         if wire_s <= 0:
             return arrival
-        with self._lock:
-            port = self._ingest_ports.get(dest, 0.0)
+        port = self._ingest_ports.get(dest, 0.0)
         return max(arrival, port + wire_s)
 
     # ------------------------------------------------------------- inspection
     def port_free_at(self, rank: int) -> float:
         """Virtual time rank ``rank``'s injection port next frees up."""
-        with self._lock:
-            return self._ports.get(rank, 0.0)
+        return self._ports.get(rank, 0.0)
 
     def link_free_at(self, source: int, dest: int) -> float:
         """Virtual time the ``(source, dest)`` link next frees up."""
-        with self._lock:
-            return self._links.get((source, dest), 0.0)
+        return self._links.get((source, dest), 0.0)
 
     def rail_free_at(self, rail: RailKey) -> float:
         """Virtual time the shared injection rail ``(node, rail)`` frees up."""
-        with self._lock:
-            return self._rail_ports.get(rail, 0.0)
+        return self._rail_ports.get(rail, 0.0)
 
     def ingest_rail_free_at(self, rail: RailKey) -> float:
         """Virtual time the shared receive-side rail ``(node, rail)`` frees up."""
-        with self._lock:
-            return self._ingest_rails.get(rail, 0.0)
+        return self._ingest_rails.get(rail, 0.0)
 
     def shared_free_at(self, key: ShareKey) -> float:
         """Virtual time the shared uplink bundle ``key`` frees up.
@@ -1430,8 +1420,7 @@ class NicTimeline:
         so pricing against it is exact only under a happens-before edge to
         the contending posts, exactly like :meth:`ingest_backlog`.
         """
-        with self._lock:
-            return self._shared_links.get(key, 0.0)
+        return self._shared_links.get(key, 0.0)
 
     def ingest_free_at(self, rank: int) -> float:
         """Virtual time rank ``rank``'s ingestion port next frees up.
@@ -1439,8 +1428,7 @@ class NicTimeline:
         Reflects *committed* ingestion only; :meth:`ingest_backlog` folds the
         posted-but-not-yet-ingested traffic in as well.
         """
-        with self._lock:
-            return self._ingest_ports.get(rank, 0.0)
+        return self._ingest_ports.get(rank, 0.0)
 
     def ingest_backlog(self, dest: int, now: float = 0.0) -> float:
         """Seconds of queued ingestion converging on ``dest``, as of ``now``.
@@ -1460,25 +1448,23 @@ class NicTimeline:
         other (settling a deferred block moves records between
         representations, never in or out of the book).
         """
-        with self._lock:
-            if self._block is not None:
-                self._settle()
-            port = self._ingest_ports.get(dest, 0.0)
-            pending = self._pending.get(dest)
-            if pending:
-                for key in sorted(pending):
-                    record = pending[key]
-                    if record.post_time > now:
-                        continue
-                    port = max(record.post_time, port) + self.wire_overlap * record.wire_s
-            return max(0.0, port - now)
+        if self._block is not None:
+            self._settle()
+        port = self._ingest_ports.get(dest, 0.0)
+        pending = self._pending.get(dest)
+        if pending:
+            for key in sorted(pending):
+                record = pending[key]
+                if record.post_time > now:
+                    continue
+                port = max(record.post_time, port) + self.wire_overlap * record.wire_s
+        return max(0.0, port - now)
 
     def pending_ingest(self, dest: int) -> int:
         """Posted-but-not-yet-ingested messages for ``dest`` (tests, stats)."""
-        with self._lock:
-            if self._block is not None:
-                self._settle()
-            return len(self._pending.get(dest, {}))
+        if self._block is not None:
+            self._settle()
+        return len(self._pending.get(dest, {}))
 
     def pending_records(self, dest: int) -> list[IngestRecord]:
         """Key-ordered snapshot of the advisory pending ledger for ``dest``.
@@ -1488,13 +1474,12 @@ class NicTimeline:
         the runtime sanitizer audits for a happens-before edge, and tests
         introspect it.
         """
-        with self._lock:
-            if self._block is not None:
-                self._settle()
-            pending = self._pending.get(dest)
-            if not pending:
-                return []
-            return [pending[key] for key in sorted(pending)]
+        if self._block is not None:
+            self._settle()
+        pending = self._pending.get(dest)
+        if not pending:
+            return []
+        return [pending[key] for key in sorted(pending)]
 
     def state_fingerprint(self, rank: Optional[int] = None) -> int:
         """Hash of the priced ledger state, optionally scoped to one rank.
@@ -1513,57 +1498,52 @@ class NicTimeline:
         uplink cursors are shared across ranks by construction, so they stay
         out of the rank-scoped digest.
         """
-        with self._lock:
-            if rank is None:
-                return hash(
-                    (
-                        tuple(sorted(self._ports.items())),
-                        tuple(sorted(self._links.items())),
-                        tuple(sorted(self._ingest_ports.items())),
-                        tuple(sorted(self._seqs.items())),
-                        tuple(sorted(self._rail_ports.items())),
-                        tuple(sorted(self._ingest_rails.items())),
-                        tuple(sorted(self._shared_links.items())),
-                        self._pending_total,
-                        self.reservations,
-                        self.ingests,
-                    )
-                )
-            links = tuple(
-                sorted(
-                    (key, value)
-                    for key, value in self._links.items()
-                    if key[0] == rank
-                )
-            )
+        if rank is None:
             return hash(
                 (
-                    self._ports.get(rank, 0.0),
-                    links,
-                    self._ingest_ports.get(rank, 0.0),
-                    self._seqs.get(rank, 0),
+                    tuple(sorted(self._ports.items())),
+                    tuple(sorted(self._links.items())),
+                    tuple(sorted(self._ingest_ports.items())),
+                    tuple(sorted(self._seqs.items())),
+                    tuple(sorted(self._rail_ports.items())),
+                    tuple(sorted(self._ingest_rails.items())),
+                    tuple(sorted(self._shared_links.items())),
+                    self._pending_total,
+                    self.reservations,
+                    self.ingests,
                 )
             )
+        links = tuple(
+            sorted(
+                (key, value)
+                for key, value in self._links.items()
+                if key[0] == rank
+            )
+        )
+        return hash(
+            (
+                self._ports.get(rank, 0.0),
+                links,
+                self._ingest_ports.get(rank, 0.0),
+                self._seqs.get(rank, 0),
+            )
+        )
 
     def in_flight(self, at: float, *, source: int | None = None) -> int:
         """Ledger query: messages occupying the wire at virtual time ``at``."""
-        with self._lock:
-            return self._ledger.in_flight(at, source)
+        return self._ledger.in_flight(at, source)
 
     def ledger(self, *, source: int | None = None) -> list[LinkRecord]:
         """A snapshot of the (bounded) reservation ledger, oldest first."""
-        with self._lock:
-            return self._ledger.records(source)
+        return self._ledger.records(source)
 
     def ledger_len(self) -> int:
         """Resident ledger rows (bounded by ``ledger_limit``)."""
-        with self._lock:
-            return len(self._ledger)
+        return len(self._ledger)
 
     def ledger_nbytes(self) -> int:
         """Resident bytes of the ledger's backing struct-array ring."""
-        with self._lock:
-            return self._ledger.nbytes
+        return self._ledger.nbytes
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         """Summarise port/link/counter state for debugging."""

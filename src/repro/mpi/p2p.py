@@ -19,9 +19,16 @@ the rank that became runnable first (rank order at start), and a post wakes
 only the destination rank, and only when the envelope matches what it waits
 for.  A virtual-time simulator gains nothing from host concurrency — free
 -running rank threads only convoy on the GIL — and the fixed hand-off order
-makes a threaded run repeat exactly.  Threads that use a router without a
-``World.run`` hold no token: they block on the same per-rank baton, with a
-wall-clock timeout instead of deadlock detection.
+makes a threaded run repeat exactly.
+
+One runner at a time is also why the mailboxes need no lock: only the token
+holder posts, receives and probes, so a post, a receive that matches at once
+and a probe that hits touch the router without one.  :attr:`~MessageRouter.lock`
+guards the hand-off alone — the waits, the dispatch and the world's barrier —
+where a rank giving the token up and the rank taking it both run for a
+moment.  Outside a ``World.run`` no rank holds the token and none could wake
+a waiter, so a receive or a barrier that would block there fails at once,
+naming the rank.
 
 The token moves through one **baton** per rank: a ``threading.Lock`` held
 from the start, which :meth:`~MessageRouter._dispatch` releases to hand the
@@ -68,15 +75,17 @@ class Envelope:
 
 
 class MessageRouter:
-    """Thread-safe mailbox shared by all ranks of a world, and their run token."""
+    """The mailboxes shared by all ranks of a world, and their run token."""
 
     def __init__(self, nranks: int) -> None:
         if nranks <= 0:
             raise ValueError(f"nranks must be positive, got {nranks}")
         self.nranks = nranks
         self._mailboxes: dict[int, list[Envelope]] = {rank: [] for rank in range(nranks)}
-        #: Guards every field below and the world's barrier state, for short
-        #: critical sections only (the *token* is ``_running``, not this lock).
+        #: Guards the hand-off (the waits, the dispatch, the world's barrier
+        #: state) for short critical sections only; the *token* is
+        #: ``_running``, not this lock, and its holder posts and matches
+        #: without it.
         self.lock = threading.Lock()
         #: One baton per rank, held while the rank may not run: a release
         #: wakes the rank, its acquire is the rank's wait.
@@ -114,19 +123,19 @@ class MessageRouter:
     # ------------------------------------------------------------------- post
     def post(self, envelope: Envelope) -> None:
         """Deliver an envelope to the destination mailbox, waking the
-        destination rank if this is the message it is blocked on."""
+        destination rank if this is the message it is blocked on (the token
+        holder's call: no lock)."""
         dest = envelope.dest
         if not (0 <= dest < self.nranks):
             raise MpiCommError(f"destination rank {dest} outside world of {self.nranks}")
-        with self.lock:
-            if self.stopped:
-                raise MpiCommError("message posted after world shutdown")
-            self._mailboxes[dest].append(envelope)
-            self.messages_posted += 1
-            if dest in self._waiting:
-                awaited = self._waiting[dest]
-                if awaited is not None and self._matches(envelope, *awaited):
-                    self.wake(dest)
+        if self.stopped:
+            raise MpiCommError("message posted after world shutdown")
+        self._mailboxes[dest].append(envelope)
+        self.messages_posted += 1
+        if dest in self._waiting:
+            awaited = self._waiting[dest]
+            if awaited is not None and self._matches(envelope, *awaited):
+                self.wake(dest)
 
     # ------------------------------------------------------------------ match
     @staticmethod
@@ -156,42 +165,30 @@ class MessageRouter:
                 return index
         return None
 
-    def receive(
-        self,
-        rank: int,
-        source: int,
-        tag: int,
-        context: int,
-        *,
-        timeout: Optional[float] = 120.0,
-    ) -> Envelope:
+    def receive(self, rank: int, source: int, tag: int, context: int) -> Envelope:
         """Block until a matching envelope is available; remove and return it.
 
-        A rank launched by ``World.run`` gives up the run token while it
-        waits, and a wait no rank is left to end is reported at once as a
-        deadlock.  For any other thread ``timeout`` bounds the *wall-clock*
-        wait, so that a mismatched test hangs for two minutes at most.
+        A match found at once takes no lock.  Otherwise the rank gives up
+        the run token while it waits, and a wait no rank is left to end is
+        reported at once as a deadlock; outside a ``World.run`` the wait
+        fails at once (:meth:`block`).
         """
         if not (0 <= rank < self.nranks):
             raise MpiCommError(f"rank {rank} outside world of {self.nranks}")
-        with self.lock:
-            while True:
-                index = self._find(rank, source, tag, context)
-                if index is not None:
-                    self.messages_received += 1
-                    mailbox = self._mailboxes[rank]
-                    envelope = mailbox[index]
-                    del mailbox[index]  # not ``pop``, a call per receive
-                    return envelope
-                if self.stopped:
-                    raise self.stop_error(
-                        rank, f"receive(source={source}, tag={tag}, context={context})"
-                    )
-                if not self.block(rank, (source, tag, context), timeout):
-                    raise MpiCommError(
-                        f"rank {rank} timed out waiting for a message from source={source} "
-                        f"tag={tag} context={context}"
-                    )
+        index = self._find(rank, source, tag, context)
+        if index is None:
+            waited_for = f"receive(source={source}, tag={tag}, context={context})"
+            with self.lock:
+                while index is None:
+                    if self.stopped:
+                        raise self.stop_error(rank, waited_for)
+                    self.block(rank, (source, tag, context), waited_for)
+                    index = self._find(rank, source, tag, context)
+        self.messages_received += 1
+        mailbox = self._mailboxes[rank]
+        envelope = mailbox[index]
+        del mailbox[index]  # not ``pop``, a call per receive
+        return envelope
 
     def probe(self, rank: int, source: int, tag: int, context: int) -> Optional[Envelope]:
         """Nonblocking check for a matching envelope (not removed).
@@ -200,13 +197,14 @@ class MessageRouter:
         ``Test`` poll loop lets the rank it is waiting for run.  A miss with
         no post anywhere and no move of the rank's clock since its previous
         miss marks the rank spinning while it waits for the token, so a
-        rank parked in :meth:`await_key` does not wait on it.
+        rank parked in :meth:`await_key` does not wait on it.  A hit takes
+        no lock.
         """
-        with self.lock:
-            index = self._find(rank, source, tag, context)
-            if index is not None:
-                return self._mailboxes[rank][index]
-            if self._running == rank and self._runnable:
+        index = self._find(rank, source, tag, context)
+        if index is not None:
+            return self._mailboxes[rank][index]
+        if self._running == rank and self._runnable:
+            with self.lock:
                 missed, mark = self._missed, (self.messages_posted, self.clocks[rank].now)
                 spin = rank in missed and missed[rank] == mark
                 missed[rank] = mark
@@ -216,7 +214,7 @@ class MessageRouter:
                 self._pass_token(rank)
                 if spin:
                     del self._spinning[rank]
-            return None
+        return None
 
     def await_key(self, rank: int, time: float) -> None:
         """Wait, holding the run token, until this rank's commit is least by key.
@@ -296,45 +294,29 @@ class MessageRouter:
         self,
         rank: int,
         awaited: Optional[tuple[int, int, int]] = None,
-        timeout: Optional[float] = None,
-    ) -> bool:
-        """Sleep until :meth:`wake`; False if ``timeout`` expired first.
+        waited_for: str = "barrier",
+    ) -> None:
+        """Hand the token on until :meth:`wake` and the rank's turn come.
         Call with ``lock`` held, and re-check the awaited condition after.
 
-        The token holder hands the token on and runs again once it has been
-        woken *and* its turn has come; ``timeout`` does not apply to it (with
-        no rank left to wake it, the wait is a deadlock, reported at once).
-        ``awaited`` is the ``(source, tag, context)`` a post must match to
-        wake the rank; with ``None`` only an explicit :meth:`wake` does.
+        With no rank left to wake it, the wait is a deadlock, reported at
+        once.  ``awaited`` is the ``(source, tag, context)`` a post must
+        match to wake the rank; with ``None`` only an explicit :meth:`wake`
+        does.  A rank that does not hold the token (no ``World.run`` is
+        active) has no one to wake it: its ``waited_for`` fails at once.
         """
+        if self._running != rank:
+            raise MpiCommError(
+                f"rank {rank} would block in {waited_for} outside a World.run, "
+                f"where no rank could wake it"
+            )
         self._waiting[rank] = awaited
-        if self._running == rank:
-            self._pass_token(rank)
-            return True
-        baton = self._batons[rank]
-        self.lock.release()
-        try:
-            woken = baton.acquire(timeout=-1 if timeout is None else timeout)
-        finally:
-            self.lock.acquire()
-        if woken:
-            return True
-        if rank in self._waiting:
-            del self._waiting[rank]
-            return False
-        # A wake landed between the timeout and re-taking ``lock``: consume
-        # its release, or the next wait would fall through it.
-        baton.acquire()
-        return True
+        self._pass_token(rank)
 
     def wake(self, rank: int) -> None:
-        """Make a blocked rank runnable (``lock`` held): a scheduled rank
-        runs when the token reaches it, any other thread right away."""
+        """Make a blocked rank runnable: it runs when the token reaches it."""
         del self._waiting[rank]
-        if rank in self._scheduled:
-            self._runnable.append(rank)
-        else:
-            self._batons[rank].release()
+        self._runnable.append(rank)
 
     def stop_error(self, rank: int, waited_for: str) -> MpiCommError:
         """The error a rank raises when a stopped world ends its wait."""
@@ -382,10 +364,8 @@ class MessageRouter:
 
     def undelivered(self) -> dict[int, list[Envelope]]:
         """Every rank's envelopes that no receive took, by destination."""
-        with self.lock:
-            return {rank: list(mailbox) for rank, mailbox in self._mailboxes.items() if mailbox}
+        return {rank: list(mailbox) for rank, mailbox in self._mailboxes.items() if mailbox}
 
     def pending(self, rank: int) -> int:
         """Number of undelivered envelopes for a rank (used by tests)."""
-        with self.lock:
-            return len(self._mailboxes[rank])
+        return len(self._mailboxes[rank])

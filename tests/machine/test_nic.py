@@ -2,7 +2,6 @@
 
 import random
 import sys
-import threading
 
 import numpy as np
 import pytest
@@ -549,28 +548,3 @@ class TestIngestBacklog:
         assert nic.reserve(3, 0, ready=0.0, wire_s=1.0).seq == 5
 
 
-class TestThreadSafety:
-    def test_concurrent_sources_keep_consistent_ports(self):
-        nic = NicTimeline()
-        errors = []
-
-        def inject(rank):
-            try:
-                for _ in range(200):
-                    nic.reserve(rank, (rank + 1) % 8, ready=0.0, wire_s=0.01)
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [threading.Thread(target=inject, args=(rank,)) for rank in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors
-        assert nic.reservations == 8 * 200
-        # Every rank sent 200 messages to one peer: the link rule serialises
-        # them end to end, so each start is 0.01 after the previous and the
-        # port frees an overlap-fraction after the last start.
-        expected = 199 * 0.01 + DEFAULT_WIRE_OVERLAP * 0.01
-        for rank in range(8):
-            assert nic.port_free_at(rank) == pytest.approx(expected)

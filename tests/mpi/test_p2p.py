@@ -1,8 +1,5 @@
 """Tests for the message router and requests."""
 
-import threading
-import time
-
 import numpy as np
 import pytest
 
@@ -81,10 +78,19 @@ class TestRouterMatching:
         assert router.pending(1) == 2
         assert router.pending(0) == 0
 
-    def test_receive_timeout(self):
+    def test_a_receive_outside_a_run_that_would_block_fails_at_once(self):
+        """No rank holds the token, so none could wake the receiver."""
         router = MessageRouter(2)
-        with pytest.raises(MpiCommError):
-            router.receive(1, 0, 0, 0, timeout=0.05)
+        with pytest.raises(MpiCommError, match=(
+            r"rank 1 would block in receive\(source=0, tag=0, context=0\) outside a World.run"
+        )):
+            router.receive(1, 0, 0, 0)
+        assert router._waiting == {} and not router._runnable
+
+    def test_a_barrier_outside_a_run_fails_at_once(self):
+        world = World(2)
+        with pytest.raises(MpiCommError, match="rank 0 would block in barrier outside a World.run"):
+            world.barrier_wait(0, 0.0)
 
     def test_invalid_destination_rejected(self):
         router = MessageRouter(2)
@@ -100,7 +106,7 @@ class TestRouterMatching:
         router = MessageRouter(2)
         router.shutdown()
         with pytest.raises(MpiCommError):
-            router.receive(1, 0, 0, 0, timeout=1.0)
+            router.receive(1, 0, 0, 0)
         with pytest.raises(MpiCommError):
             router.post(envelope())
 
@@ -109,86 +115,9 @@ class TestRouterMatching:
             MessageRouter(0)
 
 
-def _until(predicate, seconds: float = 10.0) -> None:
-    """Poll ``predicate`` (a wall-clock wait for another thread's progress)."""
-    deadline = time.monotonic() + seconds
-    while not predicate():
-        assert time.monotonic() < deadline, "the other thread never got there"
-        time.sleep(0.005)
-
-
-class _RecordingBaton:
-    """A rank's baton that records what each acquire returned, and holds its
-    first timed-out acquire until the test lets it return."""
-
-    def __init__(self, baton) -> None:
-        self.baton, self.acquired = baton, []
-        self.timed_out, self.proceed = threading.Event(), threading.Event()
-
-    def acquire(self, *args, **kwargs) -> bool:
-        got = self.baton.acquire(*args, **kwargs)
-        self.acquired.append(got)
-        if not got and not self.timed_out.is_set():
-            self.timed_out.set()
-            self.proceed.wait(10.0)
-        return got
-
-    def release(self) -> None:
-        self.baton.release()
-
-    def locked(self) -> bool:
-        return self.baton.locked()
-
-
 class TestBaton:
     """The run token moves by one release and one acquire of a per-rank lock,
     and no release outlives the wait it was made for."""
-
-    def test_a_receive_off_the_run_still_times_out(self):
-        router = MessageRouter(2)
-        errors = []
-
-        def receive():
-            try:
-                router.receive(1, 0, 0, 0, timeout=0.05)
-            except MpiCommError as exc:
-                errors.append(exc)
-
-        thread = threading.Thread(target=receive)
-        thread.start()
-        thread.join(10.0)
-        assert not thread.is_alive()
-        assert len(errors) == 1 and "rank 1 timed out" in str(errors[0])
-        assert router._waiting == {} and router._batons[1].locked()
-
-    def test_a_wake_racing_the_timeout_leaves_no_stale_release(self):
-        """The wake lands after the baton wait timed out, before ``lock`` is
-        taken back: the wait consumes its release and reports the wake, and
-        the next wait blocks until the rank is woken again."""
-        router = MessageRouter(2)
-        baton = router._batons[1] = _RecordingBaton(router._batons[1])
-        returned = []
-
-        def waiter():
-            with router.lock:
-                returned.append(router.block(1, None, timeout=0.05))
-                returned.append(router.block(1, None, timeout=30.0))
-
-        thread = threading.Thread(target=waiter)
-        thread.start()
-        assert baton.timed_out.wait(10.0)
-        with router.lock:  # the waiter let it go, and has not taken it back
-            router.wake(1)
-        baton.proceed.set()
-        _until(lambda: len(returned) > 1 or (returned and 1 in router._waiting))
-        time.sleep(0.2)
-        assert returned == [True], "the second wait fell through a stale release"
-        with router.lock:
-            router.wake(1)
-        thread.join(10.0)
-        assert returned == [True, True]
-        assert baton.acquired == [False, True, True]  # timeout, consumed wake, wake
-        assert baton.locked()
 
     def test_a_world_runs_again_after_a_deadlock_with_the_fifo_clocks(self):
         def crossed(ctx):

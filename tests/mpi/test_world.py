@@ -235,7 +235,7 @@ class TestRun:
 
 class TestDeadlock:
     """Every unfinished rank blocked is reported at once, not after the
-    120 s receive / 300 s join timeouts."""
+    300 s join timeout."""
 
     def test_crossed_receives_fail_at_once_naming_every_rank(self):
         def receive_first(ctx):

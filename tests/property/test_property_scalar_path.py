@@ -7,7 +7,8 @@ the router's match inline in its mailbox scan.  None of that may move a
 priced value, so:
 
 * :class:`ParentNic` carries the **parent commit's** ``_reserve_one``,
-  ``_register_pending`` and ``_ingest_locked``, copied verbatim (67121b3),
+  ``_register_pending`` and ``_ingest_locked`` (overriding its successor
+  ``_commit_ingest``), copied verbatim (67121b3),
   and every Hypothesis walk drives it beside the restructured
   :class:`~repro.machine.nic.NicTimeline` through the same operations —
   mixed ingest sizes including one, zero-wire passthroughs, duplicate keys,
@@ -123,7 +124,7 @@ class ParentNic(NicTimeline):
         if self._pending_total > self.peak_pending:
             self.peak_pending = self._pending_total
 
-    def _ingest_locked(self, dest: int, records: Sequence[IngestRecord]) -> list[float]:
+    def _commit_ingest(self, dest: int, records: Sequence[IngestRecord]) -> list[float]:
         """One ingestion batch with the lock already held (see :meth:`ingest`).
 
         The single place the scalar ingestion rules live: :meth:`ingest`
@@ -419,6 +420,6 @@ def test_router_scan_finds_what_matches_names_first(mailbox, probes):
         )
         assert router.probe(0, source, tag, context) is expected
         if expected is not None:
-            assert router.receive(0, source, tag, context, timeout=0.0) is expected
+            assert router.receive(0, source, tag, context) is expected
             model.remove(expected)
     assert router.pending(0) == len(model)
