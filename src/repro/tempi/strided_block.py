@@ -17,8 +17,7 @@ block-list representations of prior work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from repro.tempi.ir import Type
 
@@ -30,6 +29,10 @@ class StridedBlock:
     start: int
     counts: tuple[int, ...]
     strides: tuple[int, ...]
+    #: Payload bytes of one object (product of counts).
+    packed_bytes: int = field(init=False, repr=False, compare=False)
+    #: Bytes of underlying storage spanned by one object (from ``start``).
+    extent: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.start < 0:
@@ -38,11 +41,21 @@ class StridedBlock:
             raise ValueError("counts and strides must have the same length")
         if not self.counts:
             raise ValueError("a StridedBlock needs at least one dimension")
+        packed, last = 1, 0
         for count, stride in zip(self.counts, self.strides):
             if count <= 0 or stride <= 0:
                 raise ValueError("counts and strides must be positive")
+            packed *= count
+            last += (count - 1) * stride
         if self.strides[0] != 1:
             raise ValueError("dimension 0 must be the contiguous run (stride 1)")
+        # Computed once here and read as plain attributes: a
+        # ``cached_property``'s first read takes an ``RLock`` and four more
+        # calls.  Written through ``__dict__``, which a frozen dataclass
+        # leaves open, as ``cached_property`` itself writes.
+        attributes = self.__dict__
+        attributes["packed_bytes"] = packed
+        attributes["extent"] = last + 1
 
     # ------------------------------------------------------------------ shape
     @property
@@ -60,26 +73,10 @@ class StridedBlock:
         """Bytes in each contiguous run (``counts[0]``)."""
         return self.counts[0]
 
-    @cached_property
-    def packed_bytes(self) -> int:
-        """Payload bytes of one object (product of counts)."""
-        total = 1
-        for count in self.counts:
-            total *= count
-        return total
-
     @property
     def num_blocks(self) -> int:
         """Number of contiguous runs in one object."""
         return self.packed_bytes // self.block_length
-
-    @cached_property
-    def extent(self) -> int:
-        """Bytes of underlying storage spanned by one object (from ``start``)."""
-        last = 0
-        for count, stride in zip(self.counts, self.strides):
-            last += (count - 1) * stride
-        return last + 1
 
     def footprint(self) -> int:
         """Host metadata bytes (8 per integer); the paper's Sec. 2 comparison."""
