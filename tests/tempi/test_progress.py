@@ -228,15 +228,17 @@ class TestCrossPlanSerialisation:
         return max(World(3, ranks_per_node=1).run(program))
 
     def test_two_ialltoallv_cost_at_least_one(self, summit_model):
-        one = self._concurrent_collectives(summit_model, TempiConfig(), 1)
-        two = self._concurrent_collectives(summit_model, TempiConfig(), 2)
+        """On a warm round: in a cold one the first unpacks outlast the
+        port's queue, and shared and per-plan books price two plans alike."""
+        one = self._concurrent_collectives(summit_model, TempiConfig(), 1, rounds=2)
+        two = self._concurrent_collectives(summit_model, TempiConfig(), 2, rounds=2)
         uncontended = self._concurrent_collectives(
-            summit_model, TempiConfig(progress="per_plan"), 2
+            summit_model, TempiConfig(progress="per_plan"), 2, rounds=2
         )
-        # Two concurrent plans price the wire at or above the single-plan
-        # case, and at or above the PR-2 per-plan accounting.
+        # Two concurrent plans price the wire above the single-plan case,
+        # and above the PR-2 per-plan accounting, which drops their contention.
         assert two >= one * (1 + 1e-6)
-        assert two >= uncontended
+        assert two > uncontended * (1 + 1e-6)
 
     def test_serial_plans_contend_unless_per_plan(self, summit_model):
         """The serial engine books on the shared port too, so two concurrent
