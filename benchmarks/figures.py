@@ -12,8 +12,10 @@ module that measures it:
   row's claim does not hold.
 
 ``python -m repro.cli figures [--smoke | --full] [--only ID ...]`` runs the
-rows; a default run of the whole table whose every check passed rewrites
-:data:`REPORT`, so a row in that file means its check held.
+rows; a default-grid run whose every check passed rewrites the records of
+the rows it ran in :data:`REPORT` and keeps the others, so a row in that
+file means its check held.  The host-timed ``fig07`` row keeps its
+committed record unless ``--only`` names it.
 """
 
 from __future__ import annotations

@@ -60,8 +60,10 @@ used while studying the model:
     measures one figure claim at its default, ``--smoke`` or ``--full`` grid,
     prints its tables and checks its claim, the rows spread over one worker
     process per core and printed in table order.  Nonzero exit naming every
-    failing row; a default run of the whole table that passes rewrites
-    ``benchmarks/bench_report.json``.
+    failing row; a default-grid run that passes rewrites the records of the
+    rows it ran in ``benchmarks/bench_report.json`` and keeps the others.
+    The host-timed ``fig07`` row (wall-clock commits, nothing priced) keeps
+    its committed record unless ``--only`` names it.
 
 ``python -m repro.cli sanitize``
     Replay the table's fig9/fig15/incast/topology/allreduce/moe rows
@@ -190,6 +192,11 @@ def _build_parser() -> argparse.ArgumentParser:
     figures = sub.add_parser(
         "figures",
         help="run the paper-vs-measured figure table and check every row's claim",
+        description="Run the figure table and check every row's claim.  A passing "
+        "default-grid run rewrites the records of the rows it ran in "
+        "benchmarks/bench_report.json and keeps the others; the host-timed fig07 "
+        "row (wall-clock commits, nothing priced) keeps its committed record "
+        "unless --only names it.",
     )
     grid = figures.add_mutually_exclusive_group()
     grid.add_argument("--smoke", action="store_true", help="the smallest grids (CI)")
@@ -572,7 +579,6 @@ def _figure_rows(wanted: Sequence[str]):
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
-    import json
     import os
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
@@ -613,10 +619,35 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         print(f"figures: {len(failures)} failing row(s): {', '.join(failures)}", file=sys.stderr)
         return 1
     print(f"figures: {len(records)} row(s) hold ({sweep} grids)")
-    if sweep == "default" and args.only is None:
-        figures.REPORT.write_text(json.dumps(records, indent=2) + "\n")
+    if sweep == "default":
+        fresh = {row.id: record for row, record in zip(selected, records)}
+        _write_report(figures.REPORT, list(rows), fresh, args.only or ())
         print(f"wrote {figures.REPORT}")
     return 0
+
+
+#: Figure rows whose measured value is host wall-clock, not a priced clock:
+#: rerunning them moves the record although nothing priced changed.
+HOST_TIMED_ROWS = ("fig07",)
+
+
+def _write_report(path: Path, row_ids: Sequence[str], fresh: dict, named: Sequence[str]) -> None:
+    """Write the figure report, one record per row in table order: a row's
+    ``fresh`` record, or its committed one where it did not run or is
+    host-timed and not ``named`` by ``--only``.  The committed report maps
+    onto the table row by row; one that does not keeps nothing."""
+    import json
+
+    committed = json.loads(path.read_text()) if path.exists() else []
+    kept = dict(zip(row_ids, committed)) if len(committed) == len(row_ids) else {}
+    records = [
+        kept[row_id] if row_id in kept and (
+            row_id not in fresh or row_id in HOST_TIMED_ROWS and row_id not in named
+        ) else fresh[row_id]
+        for row_id in row_ids
+        if row_id in kept or row_id in fresh
+    ]
+    path.write_text(json.dumps(records, indent=2) + "\n")
 
 
 def _sanitized(name: str, run: Callable[[], Optional[str]], failures: list[str]):

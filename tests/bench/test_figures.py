@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro import cli
-from repro.cli import _load_figures, main
+from repro.cli import _load_figures, _write_report, main
 from repro.machine.nic import NicTimeline, trace_default
 from repro.tempi.sanitizer import ClockSanitizer
 
@@ -112,10 +112,39 @@ def test_a_raising_measurement_fails_its_row(figures, monkeypatch, tmp_path, cap
     assert not report.exists()
 
 
-def test_a_subset_run_writes_no_report(figures, monkeypatch, tmp_path):
-    report = _only(figures, monkeypatch, tmp_path)
+def test_a_subset_run_rewrites_its_rows_alone(figures, monkeypatch, tmp_path):
+    """``fig09b`` runs; the other rows of the table keep their committed records."""
+    (row,) = [row for row in figures.FIGURES if row.id == "fig09b"]
+    others = [dataclasses.replace(row, id=f"other{i}") for i in range(2)]
+    monkeypatch.setattr(figures, "FIGURES", (others[0], row, others[1]))
+    report = tmp_path / "bench_report.json"
+    monkeypatch.setattr(figures, "REPORT", report)
+    report.write_text(json.dumps([{"measured_value": f"committed {i}"} for i in range(3)]))
     assert main(["figures", "--only", "fig09b"]) == 0
-    assert not report.exists(), "only a run of the whole table writes the report"
+    assert [record["measured_value"] for record in json.loads(report.read_text())] == [
+        "committed 0", "no crossover", "committed 2",
+    ]
+
+
+def test_the_report_keeps_the_host_timed_row_unless_only_names_it(tmp_path):
+    """The writer on stub records: the wall-clock ``fig07`` row keeps its
+    committed record when ``--only`` does not name it, every other row that
+    ran is rewritten, and without a committed report the fresh rows are it."""
+    report = tmp_path / "bench_report.json"
+    ids = ["fig07", "fig09b", "fig12b"]
+
+    def stub(tag: str) -> dict:
+        return {row_id: {"measured_value": f"{tag} {row_id}"} for row_id in ids}
+
+    def measured() -> list[str]:
+        return [record["measured_value"] for record in json.loads(report.read_text())]
+
+    _write_report(report, ids, stub("first"), ())
+    assert measured() == ["first fig07", "first fig09b", "first fig12b"]
+    _write_report(report, ids, stub("second"), ())
+    assert measured() == ["first fig07", "second fig09b", "second fig12b"]
+    _write_report(report, ids, {"fig07": stub("third")["fig07"]}, ("fig07",))
+    assert measured() == ["third fig07", "second fig09b", "second fig12b"]
 
 
 def test_smoke_and_full_are_exclusive(capsys):
