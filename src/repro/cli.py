@@ -60,10 +60,9 @@ used while studying the model:
     measures one figure claim at its default, ``--smoke`` or ``--full`` grid,
     prints its tables and checks its claim, the rows spread over one worker
     process per core and printed in table order.  Nonzero exit naming every
-    failing row; a default-grid run that passes rewrites the records of the
-    rows it ran in ``benchmarks/bench_report.json`` and keeps the others.
-    The host-timed ``fig07`` row (wall-clock commits, nothing priced) keeps
-    its committed record unless ``--only`` names it.
+    failing row; a default-grid run that passes rewrites the rows it ran in
+    ``benchmarks/bench_report.json``, the host-timed ``fig07`` (wall-clock
+    commits, nothing priced) only when ``--only`` names it.
 
 ``python -m repro.cli sanitize``
     Replay the table's fig9/fig15/incast/topology/allreduce/moe rows
@@ -191,12 +190,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     figures = sub.add_parser(
         "figures",
-        help="run the paper-vs-measured figure table and check every row's claim",
-        description="Run the figure table and check every row's claim.  A passing "
-        "default-grid run rewrites the records of the rows it ran in "
-        "benchmarks/bench_report.json and keeps the others; the host-timed fig07 "
-        "row (wall-clock commits, nothing priced) keeps its committed record "
-        "unless --only names it.",
+        help="run the paper-vs-measured figure table and check every row's claim; a "
+        "passing default-grid run rewrites its rows in benchmarks/bench_report.json, "
+        "the host-timed fig07 only when --only names it",
     )
     grid = figures.add_mutually_exclusive_group()
     grid.add_argument("--smoke", action="store_true", help="the smallest grids (CI)")
@@ -626,28 +622,22 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Figure rows whose measured value is host wall-clock, not a priced clock:
-#: rerunning them moves the record although nothing priced changed.
+#: Figure rows timed by the host's clock: a rerun moves them, nothing priced.
 HOST_TIMED_ROWS = ("fig07",)
 
 
 def _write_report(path: Path, row_ids: Sequence[str], fresh: dict, named: Sequence[str]) -> None:
-    """Write the figure report, one record per row in table order: a row's
-    ``fresh`` record, or its committed one where it did not run or is
-    host-timed and not ``named`` by ``--only``.  The committed report maps
-    onto the table row by row; one that does not keeps nothing."""
+    """Write one record per table row: its ``fresh`` one, or the committed one
+    (which maps onto the table row by row) where the row did not run or is
+    host-timed and not ``named`` by ``--only``."""
     import json
 
     committed = json.loads(path.read_text()) if path.exists() else []
     kept = dict(zip(row_ids, committed)) if len(committed) == len(row_ids) else {}
-    records = [
-        kept[row_id] if row_id in kept and (
-            row_id not in fresh or row_id in HOST_TIMED_ROWS and row_id not in named
-        ) else fresh[row_id]
-        for row_id in row_ids
-        if row_id in kept or row_id in fresh
-    ]
-    path.write_text(json.dumps(records, indent=2) + "\n")
+    fresh = {row_id: record for row_id, record in fresh.items()
+             if row_id not in HOST_TIMED_ROWS or row_id in named or row_id not in kept}
+    records = [fresh.get(row_id, kept.get(row_id)) for row_id in row_ids]
+    path.write_text(json.dumps([record for record in records if record], indent=2) + "\n")
 
 
 def _sanitized(name: str, run: Callable[[], Optional[str]], failures: list[str]):

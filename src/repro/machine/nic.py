@@ -105,7 +105,6 @@ accounting, bit-for-bit).
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
@@ -637,13 +636,11 @@ class _LedgerRing:
 class NicTimeline:
     """Per-rank injection *and* ingestion ports plus a per-link ledger.
 
-    One runner at a time, no lock: a ``World``'s ranks run on threads, but
-    only the rank holding the router's run token runs, so its commits never
-    interleave with another's (simlint's SIM008 keeps other threads off
-    priced state, and a sanitizer sink checks each commit's thread against
-    :attr:`runner`).  Each injection port is only ever advanced by its
-    owning (sending) rank and each ingestion port only by its owning
-    (receiving) rank, so per-rank virtual timing stays deterministic.
+    One runner at a time, no lock: only the rank holding a ``World``'s run
+    token runs, so commits never interleave (SIM008 and a sanitizer's guard
+    on :attr:`runner` hold the rule).  Each injection port is only ever
+    advanced by its owning (sending) rank and each ingestion port only by its
+    owning (receiving) rank, so per-rank virtual timing stays deterministic.
     """
 
     def __init__(
@@ -707,11 +704,10 @@ class NicTimeline:
         #: The trace sink ("Event stream" in the module docstring): the one
         #: :func:`trace_default` set when this timeline was built.
         self.sink: Optional[NicSink] = _TRACE_SINK
-        #: Who may commit here, for a sink's guard: ``runner()`` is the rank
-        #: holding the run token and its host thread, or ``None`` while no
-        #: run is active.  The ``World`` that owns the timeline sets it; a
-        #: private timeline has none.
-        self.runner: Optional[Callable[[], Optional[tuple[int, threading.Thread]]]] = None
+        #: For a sink's guard, set by the ``World`` that owns the timeline:
+        #: ``runner()`` is the run-token holder's rank and host thread, or
+        #: ``None`` while no run is active.
+        self.runner: Optional[Callable[[], Optional[tuple[int, Any]]]] = None
 
     # ---------------------------------------------------------------- reserve
     def reserve(
@@ -1393,8 +1389,7 @@ class NicTimeline:
         """
         if wire_s <= 0:
             return arrival
-        port = self._ingest_ports.get(dest, 0.0)
-        return max(arrival, port + wire_s)
+        return max(arrival, self._ingest_ports.get(dest, 0.0) + wire_s)
 
     # ------------------------------------------------------------- inspection
     def port_free_at(self, rank: int) -> float:

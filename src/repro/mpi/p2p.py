@@ -21,14 +21,12 @@ for.  A virtual-time simulator gains nothing from host concurrency — free
 -running rank threads only convoy on the GIL — and the fixed hand-off order
 makes a threaded run repeat exactly.
 
-One runner at a time is also why the mailboxes need no lock: only the token
-holder posts, receives and probes, so a post, a receive that matches at once
-and a probe that hits touch the router without one.  :attr:`~MessageRouter.lock`
-guards the hand-off alone — the waits, the dispatch and the world's barrier —
-where a rank giving the token up and the rank taking it both run for a
-moment.  Outside a ``World.run`` no rank holds the token and none could wake
-a waiter, so a receive or a barrier that would block there fails at once,
-naming the rank.
+Only the token holder posts, receives and probes, so a post, a receive that
+matches at once and a probe that hits take no lock; ``lock`` guards the
+hand-off alone (the waits, the dispatch, the world's barrier), where the
+rank giving the token up and the one taking it both run for a moment.
+Outside a ``World.run`` no rank could wake a waiter, so a receive or a
+barrier that would block there fails at once, naming the rank.
 
 The token moves through one **baton** per rank: a ``threading.Lock`` held
 from the start, which :meth:`~MessageRouter._dispatch` releases to hand the
@@ -82,10 +80,8 @@ class MessageRouter:
             raise ValueError(f"nranks must be positive, got {nranks}")
         self.nranks = nranks
         self._mailboxes: dict[int, list[Envelope]] = {rank: [] for rank in range(nranks)}
-        #: Guards the hand-off (the waits, the dispatch, the world's barrier
-        #: state) for short critical sections only; the *token* is
-        #: ``_running``, not this lock, and its holder posts and matches
-        #: without it.
+        #: Guards the hand-off and the world's barrier state, for short
+        #: critical sections only (the *token* is ``_running``, not this lock).
         self.lock = threading.Lock()
         #: One baton per rank, held while the rank may not run: a release
         #: wakes the rank, its acquire is the rank's wait.
@@ -285,8 +281,7 @@ class MessageRouter:
             self._dispatch()
 
     def token_holder(self) -> Optional[tuple[int, threading.Thread]]:
-        """The rank holding the run token and its host thread, or ``None``
-        while no run is active: who may touch the router and the NIC."""
+        """The run-token holder's rank and host thread; ``None`` off a run."""
         running = self._running
         return None if running is None else (running, self._threads[running])
 

@@ -249,9 +249,5 @@ class World:
         """Latest virtual time across all ranks (a run's makespan)."""
         return max(self.clocks)
 
-    def shutdown(self) -> None:
-        """Tear the world down, waking any blocked receiver."""
-        self.router.shutdown()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<World {self.nranks} ranks on {self.topology.nnodes} nodes>"

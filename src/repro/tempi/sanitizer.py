@@ -45,10 +45,9 @@ Each audited event then checks:
   (:class:`~repro.machine.nic.PricingEvent`): the dynamic twin of
   simlint's SIM002;
 * **one runner** — while a ``World.run`` is active, every post and ingest
-  commit is made on the host thread of the rank holding the run token
-  (the timeline's :attr:`~repro.machine.nic.NicTimeline.runner`), which
-  is what lets the NIC and the router go without locks: the runtime half
-  of simlint's SIM008.
+  commit comes from the run-token holder's host thread (the timeline's
+  ``runner``), which lets the NIC and the router go without locks: the
+  runtime half of simlint's SIM008.
 
 Every value checked travels on the event, so the sanitizer never reads the
 timeline back.  ``repro sanitize`` replays the figure benchmarks — the
@@ -172,20 +171,16 @@ class _TimelineAudit:
         raise SanitizerError(message, first, second)
 
     def _on_the_token(self, event: SanitizerEvent) -> None:
-        """A commit while a run is active comes from the run-token holder's
-        thread: one runner at a time is what lets the NIC and the router
-        go without locks."""
-        runner = self.timeline.runner
-        holder = runner() if runner is not None else None
-        if holder is None or holder[1] is threading.current_thread():
-            return
-        rank, thread = holder
-        self._violation(
-            f"thread {threading.current_thread().name!r} committed to the NIC while "
-            f"rank {rank} holds the run token on thread {thread.name!r}",
-            SanitizerEvent("run-token", rank, 0, f"held on thread {thread.name!r}"),
-            event,
-        )
+        """While a run is active, a commit comes from the token holder's thread."""
+        holder = self.timeline.runner() if self.timeline.runner is not None else None
+        thread = threading.current_thread()
+        if holder is not None and holder[1] is not thread:
+            rank, owner = holder[0], holder[1].name
+            self._violation(
+                f"thread {thread.name!r} committed to the NIC while rank {rank} holds "
+                f"the run token on thread {owner!r}",
+                SanitizerEvent("run-token", rank, 0, f"held on thread {owner!r}"), event,
+            )
 
     def _monotone(
         self, last: dict[int, tuple[float, SanitizerEvent]], rank: int, cursor: float,
@@ -409,20 +404,19 @@ class ClockSanitizer:
 
     One sink may serve many timelines — a benchmark builds many worlds — so
     vector clocks and accounts are kept per timeline, while :attr:`counters`
-    total the audit over all of them.
+    total the audit over all of them.  It takes no lock: one runner at a
+    time calls it, the rule its guard checks.
     """
 
     def __init__(self) -> None:
         #: Audit totals by name (:data:`COUNTERS`).
         self.counters: dict[str, int] = dict.fromkeys(COUNTERS, 0)
-        self._lock = threading.Lock()
         #: Each traced timeline's audit, in first-event order, kept for the
         #: sanitizer's life so ``repro explain`` reports every one.
         self.audits: dict[NicTimeline, _TimelineAudit] = {}
 
     def __call__(self, timeline: NicTimeline, event: NicEvent) -> None:
-        with self._lock:
-            audit = self.audits.get(timeline)
-            if audit is None:
-                audit = self.audits[timeline] = _TimelineAudit(self.counters, timeline)
-            _HANDLERS[type(event)](audit, event)
+        audit = self.audits.get(timeline)
+        if audit is None:
+            audit = self.audits[timeline] = _TimelineAudit(self.counters, timeline)
+        _HANDLERS[type(event)](audit, event)
