@@ -41,7 +41,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -103,9 +103,9 @@ class MessageRouter:
         self._running: Optional[int] = None
         self._runnable: deque[int] = deque()
         #: Launched rank threads that have reached :meth:`enter`, and each
-        #: rank's host thread, recorded there.
+        #: rank's host thread in the current run.
         self._entered = 0
-        self._threads: dict[int, threading.Thread] = {}
+        self._threads: Sequence[threading.Thread] = ()
         #: Each rank's clock (handed over by the ``World``) and the ranks
         #: parked in :meth:`await_key` with their keys: the ranks' bounds.
         self.clocks: list[VirtualClock] = []
@@ -243,9 +243,10 @@ class MessageRouter:
             parked.pop(rank, None)
 
     # -------------------------------------------------------------- run token
-    def launch(self) -> None:
-        """Schedule every rank for one ``World.run``, in rank order; the
-        token is first handed out once every rank thread is in :meth:`enter`.
+    def launch(self, threads: Sequence[threading.Thread]) -> None:
+        """Schedule every rank for one ``World.run``, in rank order, on its
+        host thread in ``threads``; the token is first handed out once every
+        rank thread is in :meth:`enter`.
 
         A run starts unstopped: a previous run's deadlock or failure stopped
         that run, not the router.  A failed run's undelivered envelopes stay
@@ -258,6 +259,7 @@ class MessageRouter:
             self._running = None
             self._runnable = deque(range(self.nranks))
             self._entered = 0
+            self._threads = threads
             self._missed = {}
 
     def enter(self, rank: int) -> None:
@@ -268,7 +270,6 @@ class MessageRouter:
         how fast its threads start.
         """
         with self.lock:
-            self._threads[rank] = threading.current_thread()
             self._entered += 1
             if self._entered == self.nranks:
                 self._dispatch()

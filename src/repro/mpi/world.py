@@ -171,14 +171,14 @@ class World:
         # Ranks leave a run only between barrier phases, so a phase still
         # open here is a failed run's: this run starts its own.
         self._barrier_count, self._barrier_latest = 0, float("-inf")
-        router.launch()
+        threads = [threading.current_thread()] if self.nranks == 1 else [
+            threading.Thread(target=target, args=(ctx,), name=f"rank-{ctx.rank}", daemon=True)
+            for ctx in self.contexts
+        ]
+        router.launch(threads)
         if self.nranks == 1:
             target(self.contexts[0])
         else:
-            threads = [
-                threading.Thread(target=target, args=(ctx,), name=f"rank-{ctx.rank}", daemon=True)
-                for ctx in self.contexts
-            ]
             for thread in threads:
                 thread.start()
             deadline = monotonic() + timeout  # simlint: disable=SIM001 -- host-side join deadline, never priced

@@ -404,19 +404,20 @@ class ClockSanitizer:
 
     One sink may serve many timelines — a benchmark builds many worlds — so
     vector clocks and accounts are kept per timeline, while :attr:`counters`
-    total the audit over all of them.  It takes no lock: one runner at a
-    time calls it, the rule its guard checks.
+    total the audit over all of them.
     """
 
     def __init__(self) -> None:
         #: Audit totals by name (:data:`COUNTERS`).
         self.counters: dict[str, int] = dict.fromkeys(COUNTERS, 0)
+        self._lock = threading.Lock()
         #: Each traced timeline's audit, in first-event order, kept for the
         #: sanitizer's life so ``repro explain`` reports every one.
         self.audits: dict[NicTimeline, _TimelineAudit] = {}
 
     def __call__(self, timeline: NicTimeline, event: NicEvent) -> None:
-        audit = self.audits.get(timeline)
-        if audit is None:
-            audit = self.audits[timeline] = _TimelineAudit(self.counters, timeline)
-        _HANDLERS[type(event)](audit, event)
+        with self._lock:
+            audit = self.audits.get(timeline)
+            if audit is None:
+                audit = self.audits[timeline] = _TimelineAudit(self.counters, timeline)
+            _HANDLERS[type(event)](audit, event)
