@@ -113,26 +113,3 @@ def run_allreduces(node_counts, model):
         )
         table[nodes] = row
     return table
-
-
-def check_allreduces(results) -> None:
-    """The acceptance claims."""
-    for nodes, row in sorted(results.items()):
-        digests = {algorithm: row[algorithm]["digest"] for algorithm in ALGORITHMS}
-        assert len(set(digests.values())) == 1, (
-            f"{nodes} nodes: schedules disagree on the reduced bytes: {digests}"
-        )
-        ring = row["ring"]["completion"]
-        hierarchical = row["hierarchical"]["completion"]
-        assert hierarchical < ring, (
-            f"{nodes} nodes: hierarchical ({hierarchical:.3e}s) must price strictly "
-            f"cheaper than the flat ring ({ring:.3e}s) on the fat-tree example"
-        )
-        assert row["auto"]["clocks"] == row["hierarchical"]["clocks"], (
-            f"{nodes} nodes: auto must reproduce the hierarchical clocks bit-for-bit "
-            "on a multi-island topology"
-        )
-        assert row["analytic_speedup"] > 1.0, (
-            f"{nodes} nodes: the analytic twin must agree the hierarchy wins "
-            f"(got {row['analytic_speedup']:.3f}x)"
-        )

@@ -8,7 +8,7 @@ pack time (the pack kernels run while earlier cross-plan messages drain), so
 under load the decision tilts toward the method with the cheaper
 wire-plus-unpack tail, and the one-shot/device crossover of Fig. 9 moves.
 
-Two harnesses share the acceptance claims:
+Two harnesses measure what the ``fig9`` row of ``figures.py`` claims:
 
 * **grid sweep** — a :class:`~repro.tempi.selection.ModelSelector` and a
   :class:`~repro.tempi.selection.ContendedSelector` (over a NIC timeline
@@ -138,18 +138,17 @@ def flipped_cells(grid, loads) -> list[tuple[int, int, int]]:
     ]
 
 
-def check_grid(grid, model, loads) -> None:
-    """The grid's acceptance claims."""
-    for (size, block), cell in grid.items():
-        # Zero load is the PR-3 path: identical to the model's idle decision.
+def idle_selections(grid, model) -> dict[tuple[int, int], tuple[str, str]]:
+    """Per grid cell, the model's idle decision and an idle ContendedSelector's."""
+    idle = {}
+    for size, block in grid:
         packer = measurement_packer(size, block)
         nbytes = packer.packed_size(1)
-        idle = model.choose_method(nbytes, min(block, size)).value
-        assert cell[0] == idle, f"ModelSelector diverged from choose_method at {size}/{block}"
-        zero_load = ContendedSelector(model, NicTimeline(), 0)(packer, nbytes).value
-        assert zero_load == idle, f"idle ContendedSelector diverged at {size}/{block}"
-    heavy = [f for f in flipped_cells(grid, loads) if f[2] >= 4]
-    assert heavy, "no (size, block) cell changed method at >=4 concurrent plans"
+        idle[(size, block)] = (
+            model.choose_method(nbytes, min(block, size)).value,
+            ContendedSelector(model, NicTimeline(), 0)(packer, nbytes).value,
+        )
+    return idle
 
 
 # --------------------------------------------------------------------------- #
@@ -250,26 +249,3 @@ def run_bursts(plan_counts, model, nranks: int = NRANKS):
             contended_time=c_time,
         )
     return table
-
-
-def check_bursts(results) -> None:
-    """The functional acceptance claims."""
-    shifted = []
-    for background, row in sorted(results.items()):
-        # selection="model" *is* the PR-3 path: identical counts and clocks
-        # to the default configuration, at every load.
-        assert row["model_counts"] == row["default_counts"], (
-            f"selection='model' changed method counts behind {background} plans"
-        )
-        assert row["model_time"] == row["default_time"], (
-            f"selection='model' changed the burst makespan behind {background} plans"
-        )
-        if background == 0:
-            # An idle port: contended selection == contention-free selection.
-            assert row["contended_probe"] == row["model_probe"], (
-                "an unloaded probe must select contention-free"
-            )
-        if row["contended_probe"] != row["model_probe"]:
-            shifted.append(background)
-    heavy = [background for background in shifted if background >= 4]
-    assert heavy, "contended selection never shifted the probe at >=4 concurrent plans"

@@ -7,7 +7,7 @@ many-senders-to-one-receiver pattern cluster all-to-alls degenerate into
 port is idle and the bottleneck is the receiver's **ingestion port**, which
 only the duplex NIC accounting (``TempiConfig(nic="duplex")``, PR 5) models.
 
-Two harnesses share the acceptance claims:
+Two harnesses measure what the ``incast`` row of ``figures.py`` claims:
 
 * **completion pricing** — each of N sender ranks fires one large typed
   ``Isend`` at rank 0; under duplex accounting the receiver's landings
@@ -39,10 +39,8 @@ larger one):
 
 from __future__ import annotations
 
-import pytest
-
 from repro.apps.exchange_model import incast_efficiency, model_duplex_exchange
-from repro.machine.network import DEFAULT_WIRE_OVERLAP, NetworkModel
+from repro.machine.network import NetworkModel
 from repro.machine.spec import SUMMIT
 from repro.mpi.constructors import Type_vector
 from repro.mpi.datatype import BYTE
@@ -138,40 +136,6 @@ def run_incasts(sender_counts, model):
     return table
 
 
-def check_incasts(results) -> None:
-    """The completion acceptance claims."""
-    wire = incast_wire_s()
-    previous_efficiency = 1.0 + 1e-12
-    for senders, row in sorted(results.items()):
-        # The ablation never touches ingestion state: the PR-3/PR-4 books.
-        assert row["inject_stalls"] == 0, "inject_only counted an ingestion stall"
-        assert row["inject_world_stalls"] == 0, "inject_only advanced the ingestion ledger"
-        assert (
-            row["analytic_inject"].ingest_stalled_s == 0.0
-        ), "the analytic ablation queued at the receiver"
-        if senders == 1:
-            assert row["duplex"] == row["inject"], (
-                "a single sender has no incast: duplex must price it identically"
-            )
-            assert row["efficiency"] == pytest.approx(1.0)
-            continue
-        # Duplex prices the hot receiver above the ablation: the landings
-        # serialise, adding ~overlap*wire per extra sender minus whatever the
-        # receive-side unpacks hide (hence the 0.25 safety factor).
-        floor = 0.25 * (senders - 1) * DEFAULT_WIRE_OVERLAP * wire
-        assert row["duplex"] - row["inject"] >= floor, (
-            f"{senders} senders: duplex only {row['duplex'] - row['inject']:.2e}s above "
-            f"the ablation (expected >= {floor:.2e}s)"
-        )
-        assert row["duplex_stalls"] == senders - 1, (
-            f"expected one ingestion stall per extra sender, got {row['duplex_stalls']}"
-        )
-        assert row["efficiency"] < previous_efficiency, (
-            "incast efficiency must degrade monotonically with senders"
-        )
-        previous_efficiency = row["efficiency"]
-
-
 # --------------------------------------------------------------------------- #
 # Selection shift (the contended selector behind a hot receiver)
 # --------------------------------------------------------------------------- #
@@ -239,22 +203,10 @@ def run_probes(background_counts, model):
     return table
 
 
-def check_probes(results) -> list[tuple[int, int]]:
-    """The selection acceptance claims; returns the flipped (load, probe) pairs."""
-    flips = []
-    for background, row in sorted(results.items()):
-        for index, cell in enumerate(row):
-            # The ablation prices the probe's own (idle) injection port only:
-            # it can never see the hot receiver, at any load.
-            assert cell["inject"] == cell["idle"], (
-                f"inject_only probe shifted behind {background} senders"
-            )
-            if background == 0:
-                assert cell["duplex"] == cell["idle"], (
-                    "an unloaded duplex probe must select contention-free"
-                )
-            elif cell["duplex"] != cell["idle"]:
-                flips.append((background, index))
-    heavy = [flip for flip in flips if flip[0] >= 4]
-    assert heavy, "no probe shape flipped behind >=4 incast senders"
-    return flips
+def probe_flips(results) -> list[tuple[int, int]]:
+    """``(load, probe)`` of every loaded duplex probe that left its idle selection."""
+    return [
+        (background, index)
+        for background, row in sorted(results.items()) if background != 0
+        for index, cell in enumerate(row) if cell["duplex"] != cell["idle"]
+    ]

@@ -33,8 +33,6 @@ larger one):
 
 from __future__ import annotations
 
-import pytest
-
 from repro.apps.exchange_model import model_fabric_exchange, uplink_efficiency
 from repro.machine.nic import NicTimeline
 from repro.machine.spec import SUMMIT
@@ -160,26 +158,6 @@ def diverging_blocks(grid) -> list[int]:
     return diverging
 
 
-def check_crossovers(grid, model) -> None:
-    """The crossover acceptance claims."""
-    for block in sorted({block for block, _ in grid}):
-        flat = grid[(block, "flat")]
-        # The topology-free idle selection is the Fig. 9b map, cell for cell.
-        for size, method in flat.items():
-            idle = model.choose_method(size, min(block, size)).value
-            assert method == idle, (
-                f"flat idle selection diverged from choose_method at {size}/{block}"
-            )
-        island = crossover_size(grid[(block, "island")])
-        spine = crossover_size(grid[(block, "spine")])
-        assert island is not None, f"block {block}: no island cell ever picked device"
-        # Behind the oversubscribed uplink the device wire's bandwidth edge
-        # shrinks, so the device method can only win later (or never).
-        assert spine is None or spine >= island, (
-            f"block {block}: spine crossover {spine} below island {island}"
-        )
-    assert diverging_blocks(grid), "no block's crossover diverged between island and spine paths"
-
 # --------------------------------------------------------------------------- #
 # Structural incast (cross-leaf flows sharing one uplink bundle)
 # --------------------------------------------------------------------------- #
@@ -239,44 +217,3 @@ def run_fabric(flow_counts, oversubs, model):
                 efficiency=uplink_efficiency(flows, nbytes, spec=fabric_spec(oversub)),
             )
     return table
-
-
-def check_fabric(results) -> None:
-    """The fabric acceptance claims."""
-    previous: dict[float, float] = {}
-    for (oversub, flows), row in sorted(results.items()):
-        analytic = row["analytic"]
-        # Every flow owns its port, rail and destination: the only thing that
-        # can lift a reservation is the shared uplink bundle, once per extra
-        # flow — and the functional stalled seconds are the analytic walk's.
-        assert row["stalls"] == flows - 1, (
-            f"oversub {oversub}, {flows} flows: {row['stalls']} fabric stalls "
-            f"(expected {flows - 1})"
-        )
-        assert analytic.fabric_stalls == flows - 1
-        assert row["stalled_s"] == pytest.approx(analytic.fabric_stalled_s, rel=1e-9), (
-            f"oversub {oversub}, {flows} flows: functional fabric wait "
-            f"{row['stalled_s']:.3e}s != analytic {analytic.fabric_stalled_s:.3e}s"
-        )
-        if flows == 1:
-            assert row["efficiency"] == pytest.approx(1.0), (
-                "a single flow has no uplink contention"
-            )
-        else:
-            assert row["efficiency"] < previous[oversub], (
-                f"oversub {oversub}: uplink efficiency must degrade with flows"
-            )
-        previous[oversub] = row["efficiency"]
-    oversubs = sorted({oversub for oversub, _ in results})
-    flow_max = max(flows for _, flows in results)
-    if len(oversubs) > 1 and flow_max > 1:
-        # Shrinking the bundle (larger oversubscription) slows the same burst.
-        lightest, heaviest = oversubs[0], oversubs[-1]
-        assert (
-            results[(heaviest, flow_max)]["completion"]
-            > results[(lightest, flow_max)]["completion"]
-        ), "a more oversubscribed uplink must price the burst slower"
-        assert (
-            results[(heaviest, flow_max)]["efficiency"]
-            < results[(lightest, flow_max)]["efficiency"]
-        ), "uplink efficiency must degrade with oversubscription"

@@ -1,28 +1,39 @@
 """The paper-vs-measured table: one row per figure claim, one runner for all.
 
 Each :class:`Figure` row names one quantity of the paper's evaluation (or of
-a beyond-paper extension) and carries four callables over the ``bench_*``
-module that measures it:
+a beyond-paper extension) and carries three callables over the ``bench_*``
+module that measures it, plus the claims its result must meet:
 
 * ``run(model, sweep)`` measures at the ``"smoke"``, ``"default"`` or
   ``"full"`` grid the module declares;
 * ``table(result)`` returns the ``(headers, rows)`` tables to print;
 * ``measured(result)`` is the report's measured value;
-* ``check(result)`` raises ``AssertionError`` naming what failed when the
-  row's claim does not hold.
+* ``claims`` is a tuple of named :class:`Claim` s, each of one kind: a
+  :class:`Band` on a quantity, an :class:`Order` over a sweep, a
+  :class:`Crossover` (or none), or a :class:`Same` identity between two
+  measured values (a twin and its ``World``, a rerun and its run).
+
+A claim's ``of(result)`` picks the cases it covers, keyed by where in the
+sweep each sits; :meth:`Figure.failures` is the one evaluator, and names the
+row, the claim and the case for each that does not hold.  A row whose
+measured value leaves the paper's band for a known cause says so in
+``deviates``, which ``repro figures`` prints under the row.
 
 ``python -m repro.cli figures [--smoke | --full] [--only ID ...]`` runs the
-rows; a default-grid run whose every check passed rewrites the records of
-the rows it ran in :data:`REPORT` and keeps the others, so a row in that
-file means its check held.  The host-timed ``fig07`` row keeps its
-committed record unless ``--only`` names it.
+rows; a default-grid run whose every claim held rewrites the records of the
+rows it ran in :data:`REPORT` and keeps the others, so a row in that file
+means its claims held.  The host-timed ``fig07`` row keeps its committed
+record unless ``--only`` names it.  Tier-1 (``tests/bench/test_figures.py``)
+evaluates every row's claims at the smoke grid except ``fig13`` and
+``fig12-functional``, the two slowest, which CI's figure smoke step runs.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 import bench_ablation_cache as cache
 import bench_ablation_canonicalize as canon
@@ -51,6 +62,7 @@ from repro.bench.workloads import (
     Fig11Config,
     fig8_configurations,
 )
+from repro.machine.network import DEFAULT_WIRE_OVERLAP
 
 #: The committed paper-vs-measured report.
 REPORT = Path(__file__).with_name("bench_report.json")
@@ -59,10 +71,83 @@ Table = tuple[Sequence[str], Sequence[Sequence[object]]]
 #: A report string, fixed or computed from the row's result.
 Text = Union[str, Callable[[Any], str]]
 
+_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+@dataclass(frozen=True)
+class Claim:
+    """A named claim on a row's result.
+
+    ``of(result)`` returns the cases the claim covers: a ``{where: case}``
+    dict over a sweep, or one case.  :meth:`holds` judges one case.
+    """
+
+    name: str
+    of: Callable[[Any], Any]
+
+    def holds(self, case) -> bool:
+        raise NotImplementedError
+
+
+@dataclass(frozen=True)
+class Band(Claim):
+    """Each case is a number above ``gt`` (or at least ``ge``) and below ``lt``."""
+
+    gt: Optional[float] = None
+    ge: Optional[float] = None
+    lt: Optional[float] = None
+
+    def holds(self, value) -> bool:
+        bounds = ((">", self.gt), (">=", self.ge), ("<", self.lt))
+        return all(_OPS[op](value, bound) for op, bound in bounds if bound is not None)
+
+
+@dataclass(frozen=True)
+class Order(Claim):
+    """Each case is a sequence whose neighbours stand in ``op``: one of
+    ``<``, ``<=``, ``>``, ``>=``, or a tuple of them, one per step."""
+
+    op: Union[str, tuple[str, ...]]
+
+    def holds(self, values) -> bool:
+        values = list(values)
+        steps = list(zip(values, values[1:]))
+        ops = (self.op,) * len(steps) if isinstance(self.op, str) else self.op
+        return all(_OPS[op](a, b) for op, (a, b) in zip(ops, steps, strict=True))
+
+
+@dataclass(frozen=True)
+class Same(Claim):
+    """Each case is a sequence of values equal to its first: exactly, or,
+    given a tolerance, by ``pytest.approx``'s rule with the first value
+    expected (``|value - first| <= max(rel_tol * |first|, abs_tol)``)."""
+
+    rel_tol: float = 0.0
+    abs_tol: float = 0.0
+
+    def holds(self, values) -> bool:
+        first, *rest = values
+        if not (self.rel_tol or self.abs_tol):
+            return all(value == first for value in rest)
+        tolerance = max(self.rel_tol * abs(first), self.abs_tol)
+        return all(value == first or abs(value - first) <= tolerance for value in rest)
+
+
+@dataclass(frozen=True)
+class Crossover(Claim):
+    """Each case is where a crossover falls: a location or a list of them,
+    ``None`` or ``[]`` where there is none.  ``present`` says which holds."""
+
+    present: bool = True
+
+    def holds(self, where) -> bool:
+        found = bool(where) if isinstance(where, list) else where is not None
+        return found == self.present
+
 
 @dataclass(frozen=True)
 class Figure:
-    """One paper-vs-measured row and how to measure and check it."""
+    """One paper-vs-measured row: how to measure it and what must hold."""
 
     id: str
     experiment: str
@@ -71,8 +156,10 @@ class Figure:
     run: Callable[[Any, str], Any]
     table: Callable[[Any], list[Table]]
     measured: Callable[[Any], str]
-    check: Callable[[Any], None]
+    claims: tuple[Claim, ...]
     note: Text = ""
+    #: Why the measured value leaves the paper's, where a known cause does.
+    deviates: str = ""
 
     def record(self, result) -> dict[str, str]:
         """The row as written to :data:`REPORT`."""
@@ -88,6 +175,18 @@ class Figure:
             "note": text(self.note),
         }
 
+    def failures(self, result) -> list[str]:
+        """One line per case of a claim that does not hold on ``result``."""
+        lines = []
+        for claim in self.claims:
+            cases = claim.of(result)
+            for where, case in cases.items() if isinstance(cases, dict) else [(None, cases)]:
+                if not claim.holds(case):
+                    at = "" if where is None else f" at {where}"
+                    lines.append(f"{self.id}: claim {claim.name} ({type(claim).__name__}) "
+                                 f"fails{at}: {case!r}")
+        return lines
+
 
 def _us(seconds: float) -> str:
     return f"{seconds * 1e6:10.1f}"
@@ -98,42 +197,36 @@ def _counts(by_method: dict[str, int]) -> str:
     return ",".join(f"{k}={v}" for k, v in sorted(by_method.items())) or "-"
 
 
+def _ends(values) -> tuple:
+    """A sweep's first and last values."""
+    values = list(values)
+    return values[0], values[-1]
+
+
 # --------------------------------------------------------------- ablations
-def _cache_check(result) -> None:
-    (cached, cached_rate), (uncached, uncached_rate) = result
-    # The first iteration is expensive either way (cold allocations); with
-    # the cache, steady-state iterations shed that cost.
-    assert cached[0] > min(cached[1:])
-    assert min(uncached[1:]) > min(cached[1:]) * 2
-    assert cached_rate > 0.5
-    assert uncached_rate == 0.0
+def _cache_run(model, sweep):
+    (on, on_rate), (off, off_rate) = cache.iterated_send(model, True), cache.iterated_send(model, False)
+    return dict(on=on, on_rate=on_rate, off=off, off_rate=off_rate)
 
 
-def _canon_table(rows) -> list[Table]:
+def _canon_run(model, sweep):
+    rows = canon.run_sweep()
+    canonical, raw = canon.kernel_shapes(rows)
+    # How much larger a block list is than the canonical metadata, at worst.
+    ratio = max(row["blocklist_bytes"] / row["canonical_block"].footprint() for row in rows)
+    return dict(rows=rows, canonical=canonical, raw=raw, ratio=ratio)
+
+
+def _canon_table(result) -> list[Table]:
     return [(
         ["construction", "raw depth", "canonical depth",
          "canonical metadata (B)", "block-list metadata (B)"],
         [
             [row["config"].label, row["raw_depth"], row["canonical_depth"],
              row["canonical_block"].footprint(), f"{row['blocklist_bytes']:,}"]
-            for row in rows
+            for row in result["rows"]
         ],
     )]
-
-
-def _canon_ratio(rows) -> float:
-    """How much larger a block list is than the canonical metadata, at worst."""
-    return max(row["blocklist_bytes"] / row["canonical_block"].footprint() for row in rows)
-
-
-def _canon_check(rows) -> None:
-    canonical, raw = canon.kernel_shapes(rows)
-    # With the passes, each geometry needs exactly one kernel configuration;
-    # without them every geometry fragments — the specialised-kernel
-    # explosion the paper avoids.
-    assert all(len(shapes) == 1 for shapes in canonical.values())
-    assert all(len(shapes) > 1 for shapes in raw.values())
-    assert _canon_ratio(rows) > 10
 
 
 # --------------------------------------------------------------- Figs. 7-8
@@ -148,24 +241,9 @@ def _fig07_table(rows) -> list[Table]:
     )]
 
 
-def _fig07_check(rows) -> None:
-    # TEMPI never changes creation, always slows commit, and the absolute
-    # cost stays tiny (a one-time startup cost).
-    assert all(tempi >= base for _, _, base, tempi in rows)
-    assert max(tempi for _, _, _, tempi in rows) < 0.05
-
-
-def _fig08_speedups(rows) -> list[float]:
-    return [baseline / tempi for _, baseline, tempi in rows]
-
-
-def _fig08_check(rows) -> None:
-    # TEMPI always wins; the win grows with the block count; the largest
-    # configuration reaches a factor of tens of thousands.
-    assert all(speedup > 1 for speedup in _fig08_speedups(rows))
-    by_blocks = sorted(rows, key=lambda row: row[0].nblocks * row[0].count)
-    assert by_blocks[-1][1] / by_blocks[-1][2] > by_blocks[0][1] / by_blocks[0][2]
-    assert max(_fig08_speedups(rows)) > 10_000
+def _fig08_run(model, sweep):
+    rows = fig08.run_sweep(model)
+    return dict(rows=rows, speedups={config.label: baseline / tempi for config, baseline, tempi in rows})
 
 
 def _fig08_construction(model, sweep):
@@ -177,39 +255,18 @@ def _fig08_construction(model, sweep):
     )
 
 
-def _fig08_construction_check(result) -> None:
-    vec, sub = result
-    assert abs(vec - sub) <= 0.05 * sub, f"vector {vec:.3e}s vs subarray {sub:.3e}s"
-
-
 # --------------------------------------------------------------- Fig. 9
-def _fig09a_check(measurement) -> None:
-    # ~1.3 us CPU floor below the ~6 us CUDA-aware floor; all four curves
-    # monotone in size.
-    assert measurement.t_cpu_cpu[0] < measurement.t_gpu_gpu[0]
-    for curve in (measurement.t_cpu_cpu, measurement.t_gpu_gpu, measurement.t_d2h,
-                  measurement.t_h2d):
-        assert list(curve) == sorted(curve)
-
-
-def _fig09b_check(rows) -> None:
-    # Staged is never below device (it adds two copies to the same wire
-    # time), and the one-shot partial model is the cheapest curve.
-    assert all(staged >= device for _, device, _, staged in rows)
-    assert all(oneshot <= device for _, device, oneshot, _ in rows)
-
-
 def _fig9_run(model, sweep):
     grid = fig9.SWEEPS[sweep]
-    return (
-        model,
-        fig9.run_grid(model, grid["sizes"], grid["blocks"], fig9.LOAD_SWEEP),
-        fig9.run_bursts(grid["plans"], model),
+    cells = fig9.run_grid(model, grid["sizes"], grid["blocks"], fig9.LOAD_SWEEP)
+    bursts = fig9.run_bursts(grid["plans"], model)
+    return dict(
+        grid=cells, bursts=bursts, flips=fig9.flipped_cells(cells, fig9.LOAD_SWEEP),
+        idle=fig9.idle_selections(cells, model),
     )
 
 
 def _fig9_table(result) -> list[Table]:
-    _, grid, bursts = result
     loads = fig9.LOAD_SWEEP
     return [
         (
@@ -217,7 +274,7 @@ def _fig9_table(result) -> list[Table]:
             [
                 [size, block] + [cell[plans] for plans in loads]
                 + ["<-- flip" if len(set(cell.values())) > 1 else ""]
-                for (size, block), cell in sorted(grid.items(), key=lambda kv: kv[0][::-1])
+                for (size, block), cell in sorted(result["grid"].items(), key=lambda kv: kv[0][::-1])
             ],
         ),
         (
@@ -226,16 +283,10 @@ def _fig9_table(result) -> list[Table]:
                 [background, _counts(row["model_probe"]), _counts(row["contended_probe"]),
                  _us(row["model_time"]), _us(row["contended_time"]),
                  "shifted" if row["contended_probe"] != row["model_probe"] else "same"]
-                for background, row in sorted(bursts.items())
+                for background, row in sorted(result["bursts"].items())
             ],
         ),
     ]
-
-
-def _fig9_check(result) -> None:
-    model, grid, bursts = result
-    fig9.check_grid(grid, model, fig9.LOAD_SWEEP)
-    fig9.check_bursts(bursts)
 
 
 # --------------------------------------------------------------- Fig. 10
@@ -260,27 +311,25 @@ def _fig10_table(panels) -> list[Table]:
     ]
 
 
-def _fig10_check(panels) -> None:
-    pack, unpack = panels
-    largest = FIG10_OBJECT_SIZES[-1]
-    # Larger blocks are never slower for a fixed (large) object size.
-    series = [pack[(largest, block)] for block in FIG10_BLOCK_SIZES]
-    assert series == sorted(series, reverse=True)
-    # Unpack is slower than pack at every grid point.
-    assert all(unpack[key] >= pack[key] for key in pack)
-    # Per-byte latency drops as the object grows (GPU utilisation).
-    assert pack[(largest, 8)] / largest < pack[(64 * 1024, 8)] / (64 * 1024)
+#: Both Fig. 10 panels' claims, on ``(pack, unpack)`` latency grids.
+_FIG10_CLAIMS = (
+    Order("larger-blocks-never-slower", lambda panels: [
+        panels[0][(FIG10_OBJECT_SIZES[-1], block)] for block in FIG10_BLOCK_SIZES
+    ], ">="),
+    Order("unpack-at-least-pack", lambda panels: {
+        key: (panels[1][key], pack) for key, pack in panels[0].items()
+    }, ">="),
+    Order("per-byte-latency-drops-with-size", lambda panels: (
+        panels[0][(FIG10_OBJECT_SIZES[-1], 8)] / FIG10_OBJECT_SIZES[-1],
+        panels[0][(64 * 1024, 8)] / (64 * 1024),
+    ), "<"),
+)
 
 
-def _fig10_gains(result) -> tuple[float, float]:
-    """Going from 32 B to 128 B blocks: (one-shot gain, device gain)."""
-    oneshot, device = result
-    return oneshot[32] / oneshot[128], device[32] / device[128]
-
-
-def _fig10_saturation_check(result) -> None:
-    oneshot_gain, device_gain = _fig10_gains(result)
-    assert device_gain > oneshot_gain, "one-shot should saturate at shorter blocks than device"
+def _fig10_saturation(model, sweep):
+    oneshot, device = fig10.saturation()
+    # Going from 32 B to 128 B blocks: (one-shot gain, device gain).
+    return dict(latency=(oneshot, device), gains=(oneshot[32] / oneshot[128], device[32] / device[128]))
 
 
 # --------------------------------------------------------------- Fig. 11
@@ -296,17 +345,22 @@ def _fig11a_table(results) -> list[Table]:
     )]
 
 
-def _fig11a_check(results) -> None:
-    # Any TEMPI mode provides the vast majority of the improvement; the best
-    # case reaches thousands.
+def _fig11b_run(model, sweep):
+    """The sweep, its mis-selections, and auto's overhead over the faster forced method."""
+    results = fig11.run_sweep(model, sweep)
+    misses, overheads = 0, []
     for modes in results.values():
-        assert min(modes["oneshot"], modes["device"]) < modes["baseline"]
-    assert max(modes["baseline"] / modes["auto"] for modes in results.values()) > 1_000
+        best = min(modes["oneshot"], modes["device"])
+        worst = max(modes["oneshot"], modes["device"])
+        overheads.append(modes["auto"] / best - 1.0)
+        if modes["auto"] > best * 1.25 and modes["auto"] > worst * 0.95:
+            misses += 1
+    return dict(modes=results, misses=misses, overheads=overheads)
 
 
-def _fig11b_table(results) -> list[Table]:
+def _fig11b_table(result) -> list[Table]:
     rows = []
-    for config, modes in results.items():
+    for config, modes in result["modes"].items():
         worst = max(modes["oneshot"], modes["device"])
         rows.append([
             config.label, f"{modes['oneshot'] / worst:6.3f}", f"{modes['device'] / worst:6.3f}",
@@ -316,31 +370,8 @@ def _fig11b_table(results) -> list[Table]:
     return [(["object/block", "one-shot", "device", "auto", "faster method"], rows)]
 
 
-def _fig11b_selection(results) -> tuple[int, list[float]]:
-    """Mis-selections, and auto's overhead over the faster forced method."""
-    misses, overheads = 0, []
-    for modes in results.values():
-        best = min(modes["oneshot"], modes["device"])
-        worst = max(modes["oneshot"], modes["device"])
-        overheads.append(modes["auto"] / best - 1.0)
-        if modes["auto"] > best * 1.25 and modes["auto"] > worst * 0.95:
-            misses += 1
-    return misses, overheads
-
-
-def _fig11b_check(results) -> None:
-    misses, overheads = _fig11b_selection(results)
-    assert misses == 0
-    # The selection overhead stays small relative to the send itself.
-    assert max(overheads) < 0.25
-
-
 #: Sec. 6.3's floor: the smallest Fig. 11 object in 256 B runs.
 _FLOOR_CONFIG = Fig11Config(object_bytes=FIG11_OBJECT_SIZES[0], block_bytes=256)
-
-
-def _fig11_floor_check(floor) -> None:
-    assert 5e-6 < floor < 200e-6, f"floor {floor * 1e6:.1f} us outside 5-200 us"
 
 
 # --------------------------------------------------------------- Fig. 12
@@ -357,21 +388,6 @@ def _fig12_functional_table(result) -> list[Table]:
     )]
 
 
-def _fig12_functional_check(result) -> None:
-    baseline, tempi = result
-    assert baseline.pack_s / tempi.pack_s > 2
-    assert tempi.total_s < baseline.total_s
-
-
-def _fig12a_check(results) -> None:
-    # Pack/unpack constant across the sweep; alltoallv larger with more ranks
-    # per node and more nodes (until the neighbour set saturates).
-    packs = {breakdown.pack_s for breakdown in results.values()}
-    assert max(packs) / min(packs) < 1.01
-    assert results[(512, 6)].comm_s >= results[(1, 6)].comm_s
-    assert results[(8, 6)].comm_s >= results[(8, 1)].comm_s * 0.5
-
-
 def _fig12b_note(speedups) -> str:
     at_192, at_3072 = round(speedups[(32, 6)]), round(speedups[(512, 6)])
     trend = "flat" if at_192 == at_3072 else "declining"
@@ -382,47 +398,10 @@ def _fig12b_note(speedups) -> str:
     )
 
 
-def _fig12b_check(speedups) -> None:
-    # Large everywhere, largest at small scale, and still in the hundreds at
-    # 3072 ranks (paper: 917x).
-    assert speedups[(1, 1)] > speedups[(32, 6)] >= speedups[(512, 6)]
-    assert speedups[(512, 6)] > 100
-
-
 # --------------------------------------------------------------- Figs. 13-15
-def _fig13_check(results) -> None:
-    # TEMPI wins everywhere on this strided family, at every rank count, and
-    # the win grows as blocks shrink (more per-block copies saved).
-    for (nranks, block), (baseline, tempi) in results.items():
-        assert tempi < baseline, (
-            f"TEMPI typed alltoallv slower than baseline at {nranks} ranks, {block} B blocks"
-        )
-    for nranks in fig13.RANK_SWEEP:
-        speedups = [base / tempi for (n, _), (base, tempi) in sorted(results.items()) if n == nranks]
-        assert speedups[0] > speedups[-1], "speedup should grow as blocks shrink"
-
-
 def _fig13_measured(results) -> str:
     baseline, tempi = results[(4, min(block for _, block in results))]
     return f"{baseline / tempi:.0f}x"
-
-
-def _fig14_check(results) -> None:
-    # The overlapped engine beats the serial one at every rank count.  The
-    # Isend/Irecv pipeline pays one message per *direction* where the
-    # collectives pay one per *peer*, so its honest baseline is the structure
-    # it replaces in real halo codes — pack everything, exchange, unpack
-    # (``mode="packed"``) — which it beats by hiding pack latency.
-    for nranks, row in results.items():
-        assert row["overlapped"] < row["serial"], (
-            f"overlapped engine slower than serial at {nranks} ranks"
-        )
-        assert row["nonblocking"] < row["packed"], (
-            f"Isend/Irecv pipeline slower than pack-then-exchange at {nranks} ranks"
-        )
-    # The analytic pipeline model agrees on the winner at the matched scale.
-    spec = fig14.SPEC
-    assert model_overlap_exchange(2, 4, spec=spec).total_s < model_fused_exchange(2, 4, spec=spec).total_s
 
 
 def _fig15_table(results) -> list[Table]:
@@ -460,18 +439,19 @@ def _allreduce_measured(results) -> str:
 
 def _incast_run(model, sweep):
     grid = incast.SWEEPS[sweep]
-    return incast.run_incasts(grid["senders"], model), incast.run_probes(grid["backgrounds"], model)
+    incasts = incast.run_incasts(grid["senders"], model)
+    probes = incast.run_probes(grid["backgrounds"], model)
+    return dict(incasts=incasts, probes=probes, flips=incast.probe_flips(probes))
 
 
 def _incast_table(result) -> list[Table]:
-    incasts, probes = result
     return [
         (
             ["senders", "inject us", "duplex us", "analytic us", "stalls", "efficiency"],
             [
                 [senders, _us(row["inject"]), _us(row["duplex"]), _us(row["analytic"].completion_s),
                  row["duplex_stalls"], f"{row['efficiency']:.3f}"]
-                for senders, row in sorted(incasts.items())
+                for senders, row in sorted(result["incasts"].items())
             ],
         ),
         (
@@ -480,7 +460,7 @@ def _incast_table(result) -> list[Table]:
                 [background, f"{cell['probe']['nblocks']}x{cell['probe']['block']}B",
                  _counts(cell["idle"]), _counts(cell["duplex"]), _counts(cell["inject"]),
                  "flip" if cell["duplex"] != cell["idle"] else "same"]
-                for background, row in sorted(probes.items())
+                for background, row in sorted(result["probes"].items())
                 for cell in row
             ],
         ),
@@ -488,17 +468,11 @@ def _incast_table(result) -> list[Table]:
 
 
 def _incast_measured(result) -> str:
-    incasts, probes = result
+    incasts = result["incasts"]
     return (
-        f"{len(incast.check_probes(probes))} probe flips; efficiency "
+        f"{len(result['flips'])} probe flips; efficiency "
         f"{min(row['efficiency'] for row in incasts.values()):.2f} at {max(incasts)} senders"
     )
-
-
-def _incast_check(result) -> None:
-    incasts, probes = result
-    incast.check_incasts(incasts)
-    incast.check_probes(probes)
 
 
 def _moe_table(results) -> list[Table]:
@@ -534,35 +508,30 @@ def _table1_table(result) -> list[Table]:
     return [(["work", "platform", "pack", "ping-pong"], rows)]
 
 
-def _table1_check(result) -> None:
-    packs, pingpongs = result
-    # The same order of magnitude as the paper's own row (tens of
-    # microseconds for pack, sub-millisecond for the large ping-pong) and
-    # well below the older related-work numbers.
-    assert packs[4 << 20] * 1e6 < 1_000
-    assert pingpongs[4 << 20] * 1e6 < 7_000
-    assert pingpongs[1024] * 1e6 < 70.0
-
-
 def _topology_run(model, sweep):
     grid = topology.SWEEPS[sweep]
-    return (
-        model,
-        grid["sizes"],
-        topology.run_crossovers(model, grid["sizes"], grid["blocks"]),
-        topology.run_fabric(grid["flows"], grid["oversubs"], model),
+    crossovers = topology.run_crossovers(model, grid["sizes"], grid["blocks"])
+    fabric = topology.run_fabric(grid["flows"], grid["oversubs"], model)
+    oversubs = sorted({oversub for oversub, _ in fabric})
+    most = max(flows for _, flows in fabric)
+    return dict(
+        model=model, sizes=grid["sizes"], grid=crossovers, fabric=fabric,
+        blocks=sorted({block for block, _ in crossovers}),
+        crossover={key: topology.crossover_size(row) for key, row in crossovers.items()},
+        diverging=topology.diverging_blocks(crossovers),
+        # The burst at the most flows, (heaviest, lightest) oversubscription.
+        extremes=[((oversubs[-1], most), (oversubs[0], most))] if len(oversubs) > 1 and most > 1 else [],
     )
 
 
 def _topology_table(result) -> list[Table]:
-    _, sizes, grid, fabric = result
+    sizes, grid, fabric = result["sizes"], result["grid"], result["fabric"]
     rows = []
-    for block in sorted({block for block, _ in grid}):
+    for block in result["blocks"]:
         for kind in ("island", "node", "leaf", "spine", "flat"):
             if (block, kind) in grid:
-                row = grid[(block, kind)]
-                cross = topology.crossover_size(row)
-                cells = "".join("d" if row[size] == "device" else "o" for size in sizes)
+                cross = result["crossover"][(block, kind)]
+                cells = "".join("d" if grid[(block, kind)][size] == "device" else "o" for size in sizes)
                 rows.append([block, kind, cells, "-" if cross is None else cross])
     return [
         (["block", "path", "o=oneshot d=device (sizes ascending)", "crossover B"], rows),
@@ -578,18 +547,12 @@ def _topology_table(result) -> list[Table]:
 
 
 def _topology_measured(result) -> str:
-    _, _, grid, fabric = result
+    fabric = result["fabric"]
     return (
-        f"{len(topology.diverging_blocks(grid))} diverging blocks; efficiency "
+        f"{len(result['diverging'])} diverging blocks; efficiency "
         f"{min(row['efficiency'] for row in fabric.values()):.2f} at "
         f"oversub {max(oversub for oversub, _ in fabric):g}"
     )
-
-
-def _topology_check(result) -> None:
-    model, _, grid, fabric = result
-    topology.check_crossovers(grid, model)
-    topology.check_fabric(fabric)
 
 
 #: Every row, in report order.
@@ -598,33 +561,42 @@ FIGURES: tuple[Figure, ...] = (
         "ablation-cache", "Ablation (resource cache)",
         "steady-state interposed send latency, cache on vs off",
         "amortised to ~ns lookups (Sec. 5)",
-        run=lambda model, sweep: (
-            cache.iterated_send(model, True), cache.iterated_send(model, False)
-        ),
+        run=_cache_run,
         table=lambda result: [(
             ["iteration", "cache on", "cache off", "penalty"],
             [[index, format_us(on), format_us(off), f"{off / on:6.1f}x"]
-             for index, (on, off) in enumerate(zip(result[0][0], result[1][0]))],
+             for index, (on, off) in enumerate(zip(result["on"], result["off"]))],
         )],
         measured=lambda result: (
-            f"{format_us(min(result[0][0][1:]))} us vs {format_us(min(result[1][0][1:]))} us"
+            f"{format_us(min(result['on'][1:]))} us vs {format_us(min(result['off'][1:]))} us"
         ),
-        check=_cache_check,
-        note=lambda result: f"cache hit rate {result[0][1]:.0%} after warm-up",
+        # The first iteration is cold either way; with the cache, steady state sheds that cost.
+        claims=(
+            Order("first-iteration-cold", lambda r: (r["on"][0], min(r["on"][1:])), ">"),
+            Order("cache-off-over-twice-on", lambda r: (min(r["off"][1:]), min(r["on"][1:]) * 2), ">"),
+            Band("cache-on-hit-rate", lambda r: r["on_rate"], gt=0.5),
+            Same("cache-off-hit-rate", lambda r: (0.0, r["off_rate"])),
+        ),
+        note=lambda result: f"cache hit rate {result['on_rate']:.0%} after warm-up",
     ),
     Figure(
         "ablation-canonicalize", "Ablation (canonicalisation)",
         "distinct kernel shapes per object with/without the passes",
         "1 with (implied by Sec. 3); many without",
-        run=lambda model, sweep: canon.run_sweep(),
+        run=_canon_run,
         table=_canon_table,
-        measured=lambda rows: (
-            f"1 with; {max(len(s) for s in canon.kernel_shapes(rows)[1].values())} "
-            "without (worst geometry)"
+        measured=lambda result: (
+            f"1 with; {max(len(s) for s in result['raw'].values())} without (worst geometry)"
         ),
-        check=_canon_check,
-        note=lambda rows: (
-            f"canonical metadata is up to {_canon_ratio(rows):,.0f}x smaller than a block list"
+        # With the passes each geometry needs one kernel configuration; without
+        # them every geometry fragments (the explosion the paper avoids).
+        claims=(
+            Same("one-shape-with-passes", lambda r: {g: (1, len(shapes)) for g, shapes in r["canonical"].items()}),
+            Band("many-shapes-without", lambda r: {g: len(shapes) for g, shapes in r["raw"].items()}, gt=1),
+            Band("block-list-over-canonical", lambda r: r["ratio"], gt=10),
+        ),
+        note=lambda result: (
+            f"canonical metadata is up to {result['ratio']:,.0f}x smaller than a block list"
         ),
     ),
     Figure(
@@ -634,7 +606,15 @@ FIGURES: tuple[Figure, ...] = (
         run=lambda model, sweep: allreduce.run_allreduces(allreduce.NODE_SWEEPS[sweep], model),
         table=_allreduce_table,
         measured=_allreduce_measured,
-        check=allreduce.check_allreduces,
+        claims=(
+            Same("schedules-reduce-alike", lambda res: {
+                n: [row[name]["digest"] for name in allreduce.ALGORITHMS] for n, row in res.items()}),
+            Order("hierarchical-beats-ring", lambda res: {
+                n: (row["hierarchical"]["completion"], row["ring"]["completion"]) for n, row in res.items()}, "<"),
+            Same("auto-is-hierarchical", lambda res: {
+                n: (row["hierarchical"]["clocks"], row["auto"]["clocks"]) for n, row in res.items()}),
+            Band("analytic-twin-agrees", lambda res: {n: row["analytic_speedup"] for n, row in res.items()}, gt=1.0),
+        ),
         note="reductions byte-identical across schedules (Hypothesis-pinned vs naive)",
     ),
     Figure(
@@ -644,21 +624,36 @@ FIGURES: tuple[Figure, ...] = (
         measured=lambda rows: (
             f"{min(t / b for _, _, b, t in rows):.1f}x - {max(t / b for _, _, b, t in rows):.1f}x"
         ),
-        check=_fig07_check,
+        # TEMPI always slows commit, and the absolute (one-time) cost stays tiny.
+        claims=(
+            Order("tempi-commit-at-least-system", lambda rows: {
+                config.index: (tempi, base) for config, _, base, tempi in rows}, ">="),
+            Band("largest-tempi-commit", lambda rows: max(tempi for *_, tempi in rows), lt=0.05),
+        ),
         note="wall-clock trimean; absolute commit cost stays microseconds-scale",
+        deviates=(
+            "far above the paper's band: the system Commit() only sets a flag, so each "
+            "ratio divides by timer noise"
+        ),
     ),
     Figure(
         "fig08-range", "Fig. 8", "MPI_Pack speedup range", "5.7x - 242,000x",
-        run=lambda model, sweep: fig08.run_sweep(model),
-        table=lambda rows: [(
+        run=_fig08_run,
+        table=lambda result: [(
             ["configuration", "blocks", "baseline", "TEMPI", "speedup"],
             [[config.label, f"{config.nblocks * config.count:,}", format_us(baseline),
-              format_us(tempi), f"{baseline / tempi:,.0f}x"] for config, baseline, tempi in rows],
+              format_us(tempi), f"{baseline / tempi:,.0f}x"] for config, baseline, tempi in result["rows"]],
         )],
-        measured=lambda rows: (
-            f"{min(_fig08_speedups(rows)):,.0f}x - {max(_fig08_speedups(rows)):,.0f}x"
+        measured=lambda result: (
+            f"{min(result['speedups'].values()):,.0f}x - {max(result['speedups'].values()):,.0f}x"
         ),
-        check=_fig08_check,
+        # TEMPI always wins, more with more blocks, by tens of thousands at most.
+        claims=(
+            Band("tempi-always-wins", lambda r: r["speedups"], gt=1),
+            Order("win-grows-with-blocks", lambda r: _ends(r["speedups"][config.label] for config, _, _ in sorted(
+                r["rows"], key=lambda row: row[0].nblocks * row[0].count)), "<"),
+            Band("largest-speedup", lambda r: max(r["speedups"].values()), gt=10_000),
+        ),
         note="largest speedup on the 4 MiB / 1 B-block object, as in the paper",
     ),
     Figure(
@@ -668,7 +663,7 @@ FIGURES: tuple[Figure, ...] = (
         table=lambda result: [(["description", "TEMPI us"],
                                [["vector", format_us(result[0])], ["subarray", format_us(result[1])]])],
         measured=lambda result: f"{format_us(result[0])} us vs {format_us(result[1])} us",
-        check=_fig08_construction_check,
+        claims=(Same("vector-is-subarray", lambda r: (r[1], r[0]), rel_tol=0.05),),
     ),
     Figure(
         "fig09a", "Fig. 9a", "small-message latency floors (CPU vs CUDA-aware path)",
@@ -681,7 +676,11 @@ FIGURES: tuple[Figure, ...] = (
              for i, size in enumerate(m.sizes)],
         )],
         measured=lambda m: f"{m.t_cpu_cpu[0] * 1e6:.1f} us vs {m.t_gpu_gpu[0] * 1e6:.1f} us",
-        check=_fig09a_check,
+        claims=(
+            Order("cpu-floor-below-gpu", lambda m: (m.t_cpu_cpu[0], m.t_gpu_gpu[0]), "<"),
+            Order("curves-rise-with-size", lambda m: {
+                "cpu-cpu": m.t_cpu_cpu, "gpu-gpu": m.t_gpu_gpu, "d2h": m.t_d2h, "h2d": m.t_h2d}, "<="),
+        ),
     ),
     Figure(
         "fig09b", "Fig. 9b", "staged method never preferable to device", "no crossover",
@@ -694,7 +693,13 @@ FIGURES: tuple[Figure, ...] = (
         measured=lambda rows: (
             "no crossover" if all(s >= d for _, d, _, s in rows) else "staged below device"
         ),
-        check=_fig09b_check,
+        # Staged adds two copies to the device wire time; one-shot is cheapest.
+        claims=(
+            Crossover("staged-never-below-device", lambda rows: [
+                size for size, device, _, staged in rows if not staged >= device], present=False),
+            Order("oneshot-cheapest", lambda rows: {
+                size: (oneshot, device) for size, device, oneshot, _ in rows}, "<="),
+        ),
         note="one-shot partial model cheapest at every size, as in the paper",
     ),
     *(
@@ -705,25 +710,26 @@ FIGURES: tuple[Figure, ...] = (
             run=_fig10_panels(target),
             table=_fig10_table,
             measured=lambda panels: "same ordering at every grid point",
-            check=_fig10_check,
+            claims=_FIG10_CLAIMS,
         )
         for target in ("oneshot", "device")
     ),
     Figure(
         "fig10-saturation", "Fig. 10", "coalescing saturation block length (one-shot vs device)",
         "32 B vs 128 B",
-        run=lambda model, sweep: fig10.saturation(),
+        run=_fig10_saturation,
         table=lambda result: [(
             ["method", "32 B us", "128 B us", "gain"],
             [[method, _us(latency[32]), _us(latency[128]), f"{latency[32] / latency[128]:.2f}x"]
-             for method, latency in zip(("one-shot", "device"), result)],
+             for method, latency in zip(("one-shot", "device"), result["latency"])],
         )],
         measured=lambda result: (
             "one-shot flat beyond 32 B (gain {:.2f}x), device still gains {:.2f}x".format(
-                *_fig10_gains(result)
+                *result["gains"]
             )
         ),
-        check=_fig10_saturation_check,
+        # One-shot saturates at shorter blocks than device.
+        claims=(Order("device-gains-more", lambda r: r["gains"], "<"),),
     ),
     Figure(
         "fig11a", "Fig. 11a", "MPI_Send speedup (auto vs baseline), best case", "up to 59,000x",
@@ -732,28 +738,34 @@ FIGURES: tuple[Figure, ...] = (
         measured=lambda results: (
             f"up to {max(m['baseline'] / m['auto'] for m in results.values()):,.0f}x"
         ),
-        check=_fig11a_check,
+        claims=(
+            Order("a-tempi-mode-beats-baseline", lambda res: {
+                config.label: (min(m["oneshot"], m["device"]), m["baseline"]) for config, m in res.items()}, "<"),
+            Band("best-speedup", lambda res: max(m["baseline"] / m["auto"] for m in res.values()), gt=1_000),
+        ),
         note="largest for big objects with small contiguous blocks, as in the paper",
     ),
     Figure(
         "fig11b", "Fig. 11b", "automatic method selection picks the faster method",
         "reliable, with ~277 ns query overhead",
-        run=fig11.run_sweep,
+        run=_fig11b_run,
         table=_fig11b_table,
-        measured=lambda results: (
+        measured=lambda result: (
             "{} mis-selections over {} configurations; max overhead {:.1f}% of the send".format(
-                _fig11b_selection(results)[0], len(results),
-                max(_fig11b_selection(results)[1]) * 100,
+                result["misses"], len(result["modes"]), max(result["overheads"]) * 100,
             )
         ),
-        check=_fig11b_check,
+        claims=(
+            Same("no-mis-selection", lambda r: (0, r["misses"])),
+            Band("selection-overhead", lambda r: max(r["overheads"]), lt=0.25),
+        ),
     ),
     Figure(
         "fig11-floor", "Sec. 6.3", "TEMPI send latency floor", "~30 us",
         run=lambda model, sweep: fig11.send_latency(_FLOOR_CONFIG, "auto", model),
         table=lambda floor: [(["object/block", "auto us"], [[_FLOOR_CONFIG.label, format_us(floor)]])],
         measured=lambda floor: f"{floor * 1e6:.1f} us",
-        check=_fig11_floor_check,
+        claims=(Band("floor", lambda floor: floor, gt=5e-6, lt=200e-6),),
         note="dominated by pack/unpack kernel launches on both sides",
     ),
     Figure(
@@ -769,7 +781,10 @@ FIGURES: tuple[Figure, ...] = (
             f"pack speedup {result[0].pack_s / result[1].pack_s:.0f}x, "
             f"comm unchanged ({result[1].comm_s * 1e6:.1f} us)"
         ),
-        check=_fig12_functional_check,
+        claims=(
+            Band("pack-speedup", lambda r: r[0].pack_s / r[1].pack_s, gt=2),
+            Order("tempi-total-below-baseline", lambda r: (r[1].total_s, r[0].total_s), "<"),
+        ),
     ),
     Figure(
         "fig12a", "Fig. 12a", "phase behaviour across the node sweep",
@@ -782,7 +797,15 @@ FIGURES: tuple[Figure, ...] = (
              for (nodes, rpn), b in results.items()],
         )],
         measured=lambda results: "pack/unpack constant; alltoallv grows then saturates",
-        check=_fig12a_check,
+        # Pack/unpack constant across the sweep; alltoallv grows with ranks per
+        # node and with nodes (until the neighbour set saturates).
+        claims=(
+            Band("pack-constant", lambda res: (
+                max(b.pack_s for b in res.values()) / min(b.pack_s for b in res.values())), lt=1.01),
+            Order("alltoallv-grows-with-nodes", lambda res: (res[(512, 6)].comm_s, res[(1, 6)].comm_s), ">="),
+            Order("alltoallv-grows-with-ranks-per-node", lambda res: (
+                res[(8, 6)].comm_s, res[(8, 1)].comm_s * 0.5), ">="),
+        ),
         note="saturation is earlier than on Summit because the model has no network contention term",
     ),
     Figure(
@@ -794,7 +817,11 @@ FIGURES: tuple[Figure, ...] = (
              for (nodes, rpn), speedup in speedups.items()],
         )],
         measured=lambda speedups: f"{speedups[(512, 6)]:.0f}x / {speedups[(32, 6)]:.0f}x",
-        check=_fig12b_check,
+        # Largest at small scale, still in the hundreds at 3072 ranks (paper: 917x).
+        claims=(
+            Order("speedup-falls-with-scale", lambda s: (s[(1, 1)], s[(32, 6)], s[(512, 6)]), (">", ">=")),
+            Band("speedup-at-3072-ranks", lambda s: s[(512, 6)], gt=100),
+        ),
         note=_fig12b_note,
     ),
     Figure(
@@ -807,7 +834,13 @@ FIGURES: tuple[Figure, ...] = (
              for (nranks, block), (base, tempi) in results.items()],
         )],
         measured=_fig13_measured,
-        check=_fig13_check,
+        # TEMPI wins at every point, more as blocks shrink (more per-block copies saved).
+        claims=(
+            Order("tempi-beats-baseline", lambda res: {key: (tempi, base) for key, (base, tempi) in res.items()}, "<"),
+            Order("speedup-grows-as-blocks-shrink", lambda res: {
+                n: _ends(base / tempi for (m, _), (base, tempi) in sorted(res.items()) if m == n)
+                for n in fig13.RANK_SWEEP}, ">"),
+        ),
         note="collective analogue of Fig. 11: per-block copies replaced by one kernel per peer",
     ),
     Figure(
@@ -821,7 +854,17 @@ FIGURES: tuple[Figure, ...] = (
              for nranks, row in results.items()],
         )],
         measured=lambda results: f"{results[8]['serial'] / results[8]['overlapped']:.2f}x",
-        check=_fig14_check,
+        # The Isend/Irecv pipeline pays one message per *direction*, so its honest
+        # baseline is what it replaces in halo codes: pack all, exchange, unpack.
+        claims=(
+            Order("overlapped-beats-serial", lambda res: {
+                n: (row["overlapped"], row["serial"]) for n, row in res.items()}, "<"),
+            Order("isend-irecv-beats-packed", lambda res: {
+                n: (row["nonblocking"], row["packed"]) for n, row in res.items()}, "<"),
+            Order("analytic-twin-agrees", lambda res: (
+                model_overlap_exchange(2, 4, spec=fig14.SPEC).total_s,
+                model_fused_exchange(2, 4, spec=fig14.SPEC).total_s), "<"),
+        ),
         note="plan executor posts each peer at pack completion; PR-1 packed all peers then posted",
     ),
     Figure(
@@ -833,7 +876,26 @@ FIGURES: tuple[Figure, ...] = (
         run=lambda model, sweep: fig15.run_sweep(fig15.PLAN_SWEEPS[sweep], model),
         table=_fig15_table,
         measured=lambda results: f"{results[max(results)]['efficiency']:.2f}",
-        check=fig15.check_sweep,
+        # One plan has nothing to contend with; honest accounting only delays
+        # arrivals, and the overlap win degrades as the port saturates.
+        claims=(
+            Band("one-plan-does-not-contend", lambda res: {
+                k: abs(row["efficiency"] - 1.0) for k, row in res.items() if k == 1}, lt=1e-9),
+            Band("one-plan-inject-is-per-plan", lambda res: {
+                k: abs(row["inject_total"] - row["per_plan_total"]) for k, row in res.items() if k == 1}, lt=1e-12),
+            Order("one-plan-duplex-at-least-inject", lambda res: {
+                k: (row["shared_total"], row["inject_total"] - 1e-12) for k, row in res.items() if k == 1}, ">="),
+            Order("duplex-arrival-at-least-inject", lambda res: {
+                k: (row["shared_arrival"], row["inject_arrival"] - 1e-12) for k, row in res.items()}, ">="),
+            Order("inject-arrival-at-least-per-plan", lambda res: {
+                k: (row["inject_arrival"], row["per_plan_arrival"] - 1e-12) for k, row in res.items()}, ">="),
+            Order("efficiency-never-rises", lambda res: {
+                k: (res[k]["efficiency"], res[j]["efficiency"] + 1e-9) for j, k in zip(sorted(res), sorted(res)[1:])},
+                "<="),
+            Order("shared-speedup-below-per-plan", lambda res: {
+                k: (row["serial"] / row["shared_total"], row["serial"] / row["per_plan_total"])
+                for k, row in res.items() if k > 1}, "<"),
+        ),
         note="progress=per_plan ablation reproduces PR-2 pricing at every plan count",
     ),
     Figure(
@@ -841,10 +903,23 @@ FIGURES: tuple[Figure, ...] = (
         "crossover shifts under load; idle selection reproduces Fig. 9b (no paper value)",
         run=_fig9_run,
         table=_fig9_table,
-        measured=lambda result: (
-            f"{len(fig9.flipped_cells(result[1], fig9.LOAD_SWEEP))} flipped cells"
+        measured=lambda result: f"{len(result['flips'])} flipped cells",
+        # Zero load and selection="model" select as the idle model does; an idle
+        # port makes contended selection contention-free.
+        claims=(
+            Same("load-0-is-choose_method", lambda r: {
+                cell: (r["idle"][cell][0], methods[0]) for cell, methods in r["grid"].items()}),
+            Same("idle-contended-is-choose_method", lambda r: r["idle"]),
+            Crossover("a-cell-flips-at-4-plans", lambda r: [flip for flip in r["flips"] if flip[2] >= 4]),
+            Same("model-counts-are-default", lambda r: {
+                k: (row["default_counts"], row["model_counts"]) for k, row in r["bursts"].items()}),
+            Same("model-makespan-is-default", lambda r: {
+                k: (row["default_time"], row["model_time"]) for k, row in r["bursts"].items()}),
+            Same("unloaded-probe-is-contention-free", lambda r: {
+                k: (row["model_probe"], row["contended_probe"]) for k, row in r["bursts"].items() if k == 0}),
+            Crossover("contended-shifts-the-probe-at-4-plans", lambda r: [
+                k for k, row in r["bursts"].items() if k >= 4 and row["contended_probe"] != row["model_probe"]]),
         ),
-        check=_fig9_check,
         note="selection='model' bit-identical to the default (PR-3) configuration",
     ),
     Figure(
@@ -854,7 +929,35 @@ FIGURES: tuple[Figure, ...] = (
         run=_incast_run,
         table=_incast_table,
         measured=_incast_measured,
-        check=_incast_check,
+        # The ablation never touches ingestion state.  Duplex landings serialise,
+        # adding ~overlap*wire per extra sender less what the unpacks hide
+        # (hence 0.25).  The ablation's probe sees only its own idle port.
+        claims=(
+            Same("inject-only-counts-no-ingest-stall", lambda r: {
+                n: (0, row["inject_stalls"]) for n, row in r["incasts"].items()}),
+            Same("inject-only-leaves-the-ingest-ledger", lambda r: {
+                n: (0, row["inject_world_stalls"]) for n, row in r["incasts"].items()}),
+            Same("analytic-inject-only-never-queues", lambda r: {
+                n: (0.0, row["analytic_inject"].ingest_stalled_s) for n, row in r["incasts"].items()}),
+            Same("one-sender-duplex-is-inject-only", lambda r: {
+                n: (row["inject"], row["duplex"]) for n, row in r["incasts"].items() if n == 1}),
+            Same("one-sender-efficiency", lambda r: {
+                n: (1.0, row["efficiency"]) for n, row in r["incasts"].items() if n == 1}, rel_tol=1e-6, abs_tol=1e-12),
+            Order("duplex-above-inject-only-by-the-floor", lambda r: {
+                n: (row["duplex"] - row["inject"], 0.25 * (n - 1) * DEFAULT_WIRE_OVERLAP * wire)
+                for wire in [incast.incast_wire_s()] for n, row in r["incasts"].items() if n != 1}, ">="),
+            Same("one-ingest-stall-per-extra-sender", lambda r: {
+                n: (n - 1, row["duplex_stalls"]) for n, row in r["incasts"].items() if n != 1}),
+            Order("efficiency-falls-with-senders", lambda r: [1.0 + 1e-12] + [
+                row["efficiency"] for n, row in sorted(r["incasts"].items()) if n != 1], ">"),
+            Same("inject-only-probe-stays-idle", lambda r: {
+                (k, i): (cell["idle"], cell["inject"])
+                for k, row in r["probes"].items() for i, cell in enumerate(row)}),
+            Same("unloaded-duplex-probe-stays-idle", lambda r: {
+                (k, i): (cell["idle"], cell["duplex"]) for k, row in r["probes"].items() if k == 0
+                for i, cell in enumerate(row)}),
+            Crossover("a-probe-flips-behind-4-senders", lambda r: [flip for flip in r["flips"] if flip[0] >= 4]),
+        ),
         note="nic='inject_only' bit-identical to the PR-4 books (property-pinned)",
     ),
     Figure(
@@ -864,7 +967,28 @@ FIGURES: tuple[Figure, ...] = (
         run=lambda model, sweep: moe.run_moes(moe.SKEW_SWEEPS[sweep], model),
         table=_moe_table,
         measured=_moe_measured,
-        check=moe.check_moes,
+        # At skew 1 the hot expert sits at the all-to-all background; from skew 4
+        # its port queues beyond it, and the twin's hot port out-stalls the cold.
+        claims=(
+            Same("typed-exchange-never-falls-back", lambda res: {
+                k: (0, row["result"].collective_fallbacks) for k, row in res.items()}),
+            Band("uniform-excess-below-onset", lambda res: {
+                k: row["excess"] for k, row in res.items() if k == 1.0}, lt=moe.EXCESS_STALL_ONSET),
+            Order("uniform-twin-hot-port-not-above-cold", lambda res: {
+                k: (row["twin"].hot_ingest_stalled_s, row["twin"].cold_ingest_stalled_s)
+                for k, row in res.items() if k == 1.0}, "<="),
+            Band("skewed-excess-at-onset", lambda res: {
+                k: row["excess"] for k, row in res.items() if k >= 4.0}, ge=moe.EXCESS_STALL_ONSET),
+            Order("skewed-twin-hot-port-above-cold", lambda res: {
+                k: (row["twin"].hot_ingest_stalled_s, row["twin"].cold_ingest_stalled_s)
+                for k, row in res.items() if k >= 4.0}, ">"),
+            Same("rerun-replays-the-clocks", lambda res: {
+                k: (row["result"].clocks, row["rerun"].clocks) for k, row in res.items()
+                if k == min(res) and "rerun" in row}),
+            Same("rerun-replays-the-payloads", lambda res: {
+                k: (row["result"].digests, row["rerun"].digests) for k, row in res.items()
+                if k == min(res) and "rerun" in row}),
+        ),
         note="twin's hot-port stalled-seconds overtake cold at the same onset",
     ),
     Figure(
@@ -874,7 +998,12 @@ FIGURES: tuple[Figure, ...] = (
         measured=lambda result: (
             f"{result[0][4 << 20] * 1e6:.0f} us / {result[1][4 << 20] * 1e6:.0f} us"
         ),
-        check=_table1_check,
+        # The paper's order of magnitude, well below the older related work.
+        claims=(
+            Band("pack-4-mib-us", lambda r: r[0][4 << 20] * 1e6, lt=1_000),
+            Band("ping-pong-4-mib-us", lambda r: r[1][4 << 20] * 1e6, lt=7_000),
+            Band("ping-pong-1-kib-us", lambda r: r[1][1024] * 1e6, lt=70.0),
+        ),
         note="same order of magnitude; remains far below the pre-V100 related-work rows",
     ),
     Figure(
@@ -884,7 +1013,40 @@ FIGURES: tuple[Figure, ...] = (
         run=_topology_run,
         table=_topology_table,
         measured=_topology_measured,
-        check=_topology_check,
+        # Flat idle selection is Fig. 9b's map.  Behind the oversubscribed uplink
+        # the device method wins later or never.  Only the shared uplink bundle
+        # lifts a reservation, once per extra flow, as in the analytic walk.
+        claims=(
+            Same("flat-is-choose_method", lambda r: {
+                (size, block): (r["model"].choose_method(size, min(block, size)).value, method)
+                for block in r["blocks"] for size, method in r["grid"][(block, "flat")].items()}),
+            Crossover("island-crossover", lambda r: {
+                block: r["crossover"][(block, "island")] for block in r["blocks"]}),
+            Order("spine-crossover-not-below-island", lambda r: {
+                block: pair for block in r["blocks"]
+                for pair in [(r["crossover"][(block, "spine")], r["crossover"][(block, "island")])]
+                if None not in pair}, ">="),
+            Crossover("island-and-spine-crossovers-diverge", lambda r: r["diverging"]),
+            Same("one-fabric-stall-per-extra-flow", lambda r: {
+                key: (key[1] - 1, row["stalls"]) for key, row in r["fabric"].items()}),
+            Same("twin-fabric-stall-per-extra-flow", lambda r: {
+                key: (key[1] - 1, row["analytic"].fabric_stalls) for key, row in r["fabric"].items()}),
+            Same("stalled-seconds-are-the-twin's", lambda r: {
+                key: (row["analytic"].fabric_stalled_s, row["stalled_s"]) for key, row in r["fabric"].items()},
+                rel_tol=1e-9, abs_tol=1e-12),
+            Same("one-flow-efficiency", lambda r: {
+                key: (1.0, row["efficiency"]) for key, row in r["fabric"].items() if key[1] == 1},
+                rel_tol=1e-6, abs_tol=1e-12),
+            Order("efficiency-falls-with-flows", lambda r: {
+                o: [row["efficiency"] for (x, _), row in sorted(r["fabric"].items()) if x == o]
+                for o in {o for o, _ in r["fabric"]}}, ">"),
+            Order("oversubscription-slows-the-burst", lambda r: {
+                heavy: (r["fabric"][heavy]["completion"], r["fabric"][light]["completion"])
+                for heavy, light in r["extremes"]}, ">"),
+            Order("oversubscription-lowers-efficiency", lambda r: {
+                heavy: (r["fabric"][heavy]["efficiency"], r["fabric"][light]["efficiency"])
+                for heavy, light in r["extremes"]}, "<"),
+        ),
         note="flat spec bit-identical to the pre-topology books (property-pinned)",
     ),
 )

@@ -173,6 +173,12 @@ class TempiConfig:
                 f"unknown allreduce algorithm {self.allreduce_algorithm!r}; "
                 f"expected one of {ALLREDUCE_ALGORITHMS}"
             )
+        if not self.send_handling and self.allreduce_algorithm != "auto":
+            raise ValueError(
+                "send_handling=False passes Allreduce to the system fan-in, so "
+                f"allreduce_algorithm={self.allreduce_algorithm!r} would never act: the "
+                "combination is inert; use allreduce_algorithm='auto' (or send_handling=True)"
+            )
         if self.selection == "contended" and self.progress == "per_plan":
             raise ValueError(
                 "selection='contended' prices the shared NicTimeline's backlog, which "

@@ -22,6 +22,12 @@ def figures():
     return _load_figures()
 
 
+#: Rows whose claims only CI's figure smoke step evaluates, the slowest two
+#: at smoke: ``fig13`` (about 8 s) and ``fig12-functional`` (about 2 s).
+SMOKE_SKIPPED = ("fig13", "fig12-functional")
+SMOKE_ROWS = [row.id for row in _load_figures().FIGURES if row.id not in SMOKE_SKIPPED]
+
+
 def test_row_ids_are_unique_and_map_onto_the_committed_report(figures):
     ids = [row.id for row in figures.FIGURES]
     assert len(set(ids)) == len(ids)
@@ -31,6 +37,7 @@ def test_row_ids_are_unique_and_map_onto_the_committed_report(figures):
         assert (row.experiment, row.paper) == (record["experiment"], record["paper_value"]), row.id
         if isinstance(row.quantity, str):
             assert row.quantity == record["quantity"], row.id
+    assert set(SMOKE_SKIPPED) <= set(ids)
     fields = {"experiment", "quantity", "paper_value", "measured_value", "note"}
     assert all(set(record) == fields for record in committed)
 
@@ -48,18 +55,50 @@ def _only(figures, monkeypatch, tmp_path, **changes):
     return figures.REPORT
 
 
-def test_a_failing_check_exits_1_naming_the_row_and_writes_no_report(
-    figures, monkeypatch, tmp_path, capsys
-):
-    def planted(result):
-        raise AssertionError("planted failure")
+#: One failing claim of each kind, planted on ``fig09b``'s rows.
+PLANTED = {
+    "band": lambda f: f.Band("planted-band", lambda rows: len(rows), lt=0),
+    "order": lambda f: f.Order("planted-order", lambda rows: {"sizes": [size for size, *_ in rows]}, ">"),
+    "crossover": lambda f: f.Crossover("planted-crossover", lambda rows: []),
+    "same": lambda f: f.Same("planted-same", lambda rows: (1.0, 1.0 + 2e-6), rel_tol=1e-6, abs_tol=1e-12),
+}
 
-    report = _only(figures, monkeypatch, tmp_path, check=planted)
+
+@pytest.mark.parametrize("kind", list(PLANTED))
+def test_a_failing_claim_exits_1_naming_the_row_and_the_claim(
+    figures, monkeypatch, tmp_path, capsys, kind
+):
+    claim = PLANTED[kind](figures)
+    report = _only(figures, monkeypatch, tmp_path, claims=(claim,))
     assert main(["figures"]) == 1
     captured = capsys.readouterr()
     assert "fig09b" in captured.err
-    assert "planted failure" in captured.out
+    assert f"FAILED: fig09b: claim {claim.name} ({type(claim).__name__}) fails" in captured.out
     assert not report.exists()
+
+
+def test_a_deviation_prints_under_its_row(figures, monkeypatch, tmp_path, capsys):
+    _only(figures, monkeypatch, tmp_path, deviates="planted cause")
+    assert main(["figures", "--smoke"]) == 0
+    out = capsys.readouterr().out
+    assert "   measured no crossover (paper: no crossover)\n   deviates: planted cause\n" in out
+
+
+@pytest.mark.parametrize("expected, value, rel", [
+    (1.0, 1.0 + 0.9e-6, 1e-6), (1.0, 1.0 + 1.1e-6, 1e-6), (0.0, 0.9e-12, 1e-6), (0.0, 1.1e-12, 1e-6),
+    (2e-3, 2e-3 * (1 + 0.9e-9), 1e-9), (2e-3, 2e-3 * (1 + 1.1e-9), 1e-9),
+])
+def test_a_tolerant_same_is_pytest_approx(figures, expected, value, rel):
+    """``Same``'s tolerance is ``pytest.approx``'s rule, with its default
+    ``abs=1e-12`` spelled out, on both sides of each bound."""
+    same = figures.Same("approx", lambda case: case, rel_tol=rel, abs_tol=1e-12)
+    assert same.holds((expected, value)) == (value == pytest.approx(expected, rel=rel))
+
+
+def test_every_row_names_its_claims(figures):
+    for row in figures.FIGURES:
+        names = [claim.name for claim in row.claims]
+        assert names and len(set(names)) == len(names), row.id
 
 
 def test_a_passing_whole_table_writes_its_rows(figures, monkeypatch, tmp_path):
@@ -145,6 +184,14 @@ def test_the_report_keeps_the_host_timed_row_unless_only_names_it(tmp_path):
     assert measured() == ["first fig07", "second fig09b", "second fig12b"]
     _write_report(report, ids, {"fig07": stub("third")["fig07"]}, ("fig07",))
     assert measured() == ["third fig07", "second fig09b", "second fig12b"]
+
+
+@pytest.mark.parametrize("row_id", SMOKE_ROWS)
+def test_every_claim_holds_at_the_smoke_grid(figures, row_id):
+    (row,) = [row for row in figures.FIGURES if row.id == row_id]
+    _, record, failure = cli._run_figure(row, "smoke")
+    assert failure is None, failure
+    assert record is not None
 
 
 def test_smoke_and_full_are_exclusive(capsys):

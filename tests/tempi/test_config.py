@@ -73,6 +73,20 @@ class TestVariants:
         with pytest.raises(ValueError, match=pattern):
             dataclasses.replace(TempiConfig(progress="per_plan"), nic="inject_only")
 
+    @pytest.mark.parametrize("algorithm", ["ring", "tree", "hierarchical"])
+    def test_a_pinned_allreduce_needs_send_handling(self, algorithm):
+        """``send_handling=False`` returns ``Allreduce`` to the system fan-in
+        before the schedule is read, so a pinned ``allreduce_algorithm``
+        beside it is refused, both fields named."""
+        pattern = f"send_handling=False.*allreduce_algorithm='{algorithm}'"
+        with pytest.raises(ValueError, match=pattern):
+            TempiConfig(send_handling=False, allreduce_algorithm=algorithm)
+        with pytest.raises(ValueError, match=pattern):
+            dataclasses.replace(TempiConfig(allreduce_algorithm=algorithm), send_handling=False)
+        with pytest.raises(ValueError, match=pattern):
+            dataclasses.replace(TempiConfig(send_handling=False), allreduce_algorithm=algorithm)
+        assert TempiConfig(send_handling=False).allreduce_algorithm == "auto"
+
     @pytest.mark.parametrize("off", [{"progress": "per_plan"}, {"overlap": False}],
                              ids=["per_plan", "serial"])
     def test_unbatching_what_is_never_batched_is_refused(self, off):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import _load_figures
 from repro.gpu.clock import VirtualClock
 from repro.gpu.cost_model import FREE_GPU
 from repro.gpu.runtime import CudaRuntime
@@ -408,6 +409,20 @@ class TestMakeSelector:
         # a retired knob is an unknown field, not a swallowed one
         with pytest.raises(TypeError, match="batch_max_messages"):
             TempiConfig(batch_max_messages=0)
+
+    def test_contended_selection_sees_a_hot_receiver_under_the_serial_engine(self, summit_model):
+        """``overlap=False`` books its posts on the shared NIC too, so behind
+        four incast senders the contended pick of ``bench_incast``'s first
+        probe leaves the model's, and on an idle receiver it keeps it."""
+        incast = _load_figures().incast
+
+        def pick(background: int, selection: str) -> dict:
+            config = TempiConfig(selection=selection, overlap=False)
+            return incast.probe_selection(background, incast.PROBES[0], summit_model, config)
+
+        assert pick(4, "model") == {"device": 1}
+        assert pick(4, "contended") == {"oneshot": 1}
+        assert pick(0, "contended") == pick(0, "model") == {"device": 1}
 
 
 class TestMeasuredModel:
